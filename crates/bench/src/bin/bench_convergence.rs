@@ -1,18 +1,18 @@
-//! Perf baseline for the parallel convergence engine: serial vs `--workers
-//! {2,4,8}` wall time at two fabric sizes, plus the determinism check the
-//! CI perf-smoke job gates on.
+//! Perf baseline for the convergence engine: wall time, throughput and
+//! memory per fabric tier, plus the determinism check the CI perf-smoke job
+//! gates on.
 //!
 //! Each episode runs a full convergence story — cold start on the backbone
 //! default route, an equalize RPA fleet-deployed to every SSW, and a FADU
 //! bounce — so the measurement covers both pure BGP churn and the
-//! signature-evaluation path whose (sig, attrs) cache the parallel engine
-//! shares per device. Every worker count must reproduce the serial FIBs
-//! byte for byte; a mismatch exits nonzero.
+//! signature-evaluation path with its per-device (sig, attrs) cache. On the
+//! tiers below scale size one more episode is driven one event at a time
+//! (`while net.step() {}`) and must reproduce the windowed run's FIBs byte
+//! for byte; a mismatch exits nonzero.
 //!
 //! ```text
-//! bench_convergence [--tiny] [--fabric T1,T2,...] [--iters N] [--workers N]
+//! bench_convergence [--tiny] [--fabric T1,T2,...] [--iters N]
 //!                   [--json FILE] [--baseline FILE]
-//!                   [--min-speedup X] [--gate-fabric TIER]
 //!                   [--max-kb-per-device KB]
 //! ```
 //!
@@ -22,20 +22,14 @@
 //! `tiny`/`default`/`large`/`2k`/`xl`/`xxl` — the last three are the
 //! paper-scale three-tier fabrics (2,036 / 10,308 / 100,420 devices) that
 //! exercise the arena storage, the calendar-queue scheduler and the
-//! fan-in-compressed Adj-RIBs; scale tiers cap the worker ladder and
-//! iteration count (printed, never silent; `xxl` runs a single iteration)
-//! so a full pass stays tractable. `--workers N` measures only serial and `N` workers
-//! instead of the whole ladder. `--json FILE` writes the machine-readable
-//! report (BENCH_convergence.json by convention). `--baseline FILE`
-//! compares the run against a committed report and exits nonzero when the
-//! serial median wall time regresses by more than 20% on any fabric.
-//! `--min-speedup X` requires one fabric — the last measured by default,
-//! `--gate-fabric TIER` to pin it explicitly — to reach at least `X`×
-//! parallel speedup over serial and exits nonzero (printing the failing
-//! JSON row) when it does not; on a host with fewer than two effective
-//! cores the gate reports itself skipped — worker parallelism cannot exist
-//! there, so a failure would measure the machine, not the engine. Both
-//! gates back the CI perf-smoke job.
+//! fan-in-compressed Adj-RIBs; scale tiers cap the iteration count
+//! (printed, never silent; `xxl` runs a single iteration) so a full pass
+//! stays tractable. `--json FILE` writes the machine-readable report
+//! (BENCH_convergence.json by convention). `--baseline FILE` compares the
+//! run against a committed report and exits nonzero when the median wall
+//! time regresses by more than 20% on any fabric — a cross-host comparison
+//! unless the baseline was recorded on this machine (the report carries the
+//! host it ran on).
 //!
 //! Beyond wall time the report carries the zero-copy hot-path counters:
 //! `events_processed` (UPDATE coalescing collapses per-prefix messages into
@@ -58,7 +52,8 @@ use centralium_bench::alloc::{live_heap_bytes, CountingAlloc};
 use centralium_bench::args::BenchArgs;
 use centralium_bench::report::Table;
 use centralium_bench::tier::{
-    current_rss_bytes, parse_tier_list, peak_rss_bytes, reset_peak_rss, trim_allocator, TierSpec,
+    baseline_wall_ms, current_rss_bytes, host_line, parse_tier_list, peak_rss_bytes,
+    reset_peak_rss, trim_allocator, TierSpec,
 };
 use centralium_bgp::attrs::well_known;
 use centralium_bgp::Prefix;
@@ -75,20 +70,19 @@ use std::time::Instant;
 static ALLOC: CountingAlloc = CountingAlloc;
 
 const SEED: u64 = 7;
-const WORKER_COUNTS: [usize; 4] = [1, 2, 4, 8];
 const DEFAULT_ITERS: usize = 5;
 const RPC_US: u64 = 300;
 
-/// Tiers at or above this device count are "scale tiers": the worker ladder
-/// shrinks to {serial, max} and iterations cap at [`SCALE_TIER_ITERS`], both
+/// Tiers at or above this device count are "scale tiers": iterations cap at
+/// [`SCALE_TIER_ITERS`] and the stepped determinism episode is skipped, both
 /// printed so the caps are never silent. A 10k-device episode runs for
-/// seconds, not microseconds — the full ladder × 5 iters buys no extra
-/// signal for minutes of extra wall.
+/// seconds, not microseconds — 5 iters buy no extra signal for minutes of
+/// extra wall.
 const SCALE_TIER_DEVICES: usize = 1_000;
 const SCALE_TIER_ITERS: usize = 2;
 
 /// Tiers at or above this device count (`xxl`: 100k devices) run one
-/// iteration only — a single serial episode is minutes of wall, and the
+/// iteration only — a single episode is minutes of wall, and the
 /// byte-budget/determinism signal does not improve with repetition.
 const HUGE_TIER_DEVICES: usize = 50_000;
 const HUGE_TIER_ITERS: usize = 1;
@@ -107,8 +101,6 @@ struct Episode {
     phase_work_us: u64,
     phase_merge_us: u64,
     windows: u64,
-    inline_windows: u64,
-    shard_dispatches: u64,
     peak_rss_bytes: u64,
     /// True when the pre-episode `clear_refs` reset did not take effect, so
     /// the peak reading inherits earlier allocations of this process.
@@ -139,39 +131,44 @@ fn equalize_doc() -> RpaDocument {
     ))
 }
 
-/// One full convergence story at a given worker count. The wall clock covers
+/// One full convergence story, settled after each act by the program's own
+/// loop or — `stepped` — one event at a time. The wall clock covers
 /// everything after topology construction: session establishment, cold-start
 /// convergence, the RPA fleet deployment and the device bounce — FADU-0/0 on
 /// the five-layer tiers, the first pod's plane-0 aggregation switch on the
 /// three-tier scale tiers (which have no FADU layer).
-fn episode(spec: &TierSpec, workers: usize) -> Episode {
+fn episode(spec: &TierSpec, stepped: bool) -> Episode {
     // Collapse the process-lifetime high-water mark to the current RSS so
     // this episode's peak reading is its own, not an earlier tier's.
     let peak_rss_inherited = !reset_peak_rss();
     let (topo, idx, _) = spec.build();
-    let mut net = SimNet::new(
-        topo,
-        SimConfig::builder().seed(SEED).workers(workers).build(),
-    );
+    let mut net = SimNet::new(topo, SimConfig::builder().seed(SEED).build());
+    let settle = |net: &mut SimNet| -> u64 {
+        if !stepped {
+            return net
+                .run_until_quiescent()
+                .expect_converged()
+                .events_processed;
+        }
+        let mut events = 0;
+        while net.step() {
+            events += 1;
+        }
+        events
+    };
     let clone_bytes_before = centralium_bgp::attrs::attr_clone_bytes();
     let start = Instant::now();
     net.establish_all();
     for &eb in &idx.backbone {
         net.originate(eb, Prefix::DEFAULT, [well_known::BACKBONE_DEFAULT_ROUTE]);
     }
-    let mut events = net
-        .run_until_quiescent()
-        .expect_converged()
-        .events_processed;
+    let mut events = settle(&mut net);
     for grid in &idx.ssw {
         for &ssw in grid {
             net.deploy_rpa(ssw, equalize_doc(), RPC_US);
         }
     }
-    events += net
-        .run_until_quiescent()
-        .expect_converged()
-        .events_processed;
+    events += settle(&mut net);
     let bounce = idx
         .fadu
         .first()
@@ -180,15 +177,9 @@ fn episode(spec: &TierSpec, workers: usize) -> Episode {
         .copied()
         .expect("fabric has a FADU or aggregation device to bounce");
     net.device_down(bounce);
-    events += net
-        .run_until_quiescent()
-        .expect_converged()
-        .events_processed;
+    events += settle(&mut net);
     net.device_up(bounce);
-    events += net
-        .run_until_quiescent()
-        .expect_converged()
-        .events_processed;
+    events += settle(&mut net);
     let wall = start.elapsed();
     // Quiescent footprint: read before the FIB snapshot string (itself tens
     // of MB at scale) is allocated, so the budget measures the fabric, not
@@ -219,8 +210,6 @@ fn episode(spec: &TierSpec, workers: usize) -> Episode {
         phase_work_us: snap.counter("simnet.phase.work_us"),
         phase_merge_us: snap.counter("simnet.phase.merge_us"),
         windows: snap.counter("simnet.phase.windows"),
-        inline_windows: snap.counter("simnet.phase.inline_windows"),
-        shard_dispatches: snap.counter("simnet.shard.dispatches"),
         peak_rss_bytes: peak_rss_bytes().unwrap_or(0),
         peak_rss_inherited,
         quiescent_live_bytes,
@@ -250,35 +239,6 @@ fn main() -> ExitCode {
         .unwrap_or(None)
         .map(|n| n.max(1) as usize)
         .unwrap_or(DEFAULT_ITERS);
-    let worker_counts: Vec<usize> = match args.get_u64("workers") {
-        Ok(Some(n)) => {
-            let n = n.max(1) as usize;
-            if n == 1 {
-                vec![1]
-            } else {
-                vec![1, n]
-            }
-        }
-        Ok(None) => WORKER_COUNTS.to_vec(),
-        Err(e) => {
-            eprintln!("error: {e}");
-            return ExitCode::FAILURE;
-        }
-    };
-    let min_speedup = match args.get_f64("min-speedup") {
-        Ok(v) => v,
-        Err(e) => {
-            eprintln!("error: {e}");
-            return ExitCode::FAILURE;
-        }
-    };
-    let gate_fabric = match args.get_str("gate-fabric") {
-        Ok(v) => v,
-        Err(e) => {
-            eprintln!("error: {e}");
-            return ExitCode::FAILURE;
-        }
-    };
     let max_kb_per_device = match args.get_f64("max-kb-per-device") {
         Ok(v) => v,
         Err(e) => {
@@ -286,9 +246,8 @@ fn main() -> ExitCode {
             return ExitCode::FAILURE;
         }
     };
-    let host_cores = std::thread::available_parallelism()
-        .map(|n| n.get())
-        .unwrap_or(1);
+    let host_cores = std::thread::available_parallelism().map_or(1, usize::from);
+    let host = host_line();
     let fabrics: Vec<(String, TierSpec)> = match args.get_str("fabric") {
         Ok(Some(list)) => match parse_tier_list(&list) {
             Ok(tiers) => tiers,
@@ -313,169 +272,130 @@ fn main() -> ExitCode {
         }
     };
 
-    println!(
-        "Convergence engine baseline: serial vs parallel, seed {SEED}, {iters} iters, \
-         {host_cores} host cores"
-    );
+    println!("Convergence engine baseline: seed {SEED}, {iters} iters");
+    println!("host: {host}, {host_cores} cores");
     println!("episode: cold start + SSW-fleet equalize RPA + FADU bounce\n");
 
     let mut fib_mismatch = false;
     let mut report = Vec::new();
+    let mut table = Table::new(&[
+        "fabric",
+        "devices",
+        "median wall (ms)",
+        "events",
+        "events/s",
+        "peak RSS MB",
+        "live KB/dev",
+        "attr KB cloned",
+        "cache hit rate",
+        "fib == stepped",
+    ]);
     for (label, spec) in &fabrics {
-        // Scale tiers (2k/xl) cap the ladder and iteration count, printed
-        // up front so a truncated measurement never reads as a full one.
-        let scale_tier = spec.devices() >= SCALE_TIER_DEVICES;
-        let (tier_iters, tier_workers) = if scale_tier {
-            let mut ladder = vec![1];
-            if let Some(&max) = worker_counts.iter().filter(|&&w| w > 1).max() {
-                ladder.push(max);
-            }
-            let cap = if spec.devices() >= HUGE_TIER_DEVICES {
+        let devices = spec.devices();
+        // Scale tiers (2k and up) cap the iteration count and skip the
+        // stepped episode, printed up front so a truncated measurement never
+        // reads as a full one.
+        let scale_tier = devices >= SCALE_TIER_DEVICES;
+        let tier_iters = if scale_tier {
+            let cap = if devices >= HUGE_TIER_DEVICES {
                 HUGE_TIER_ITERS
             } else {
                 SCALE_TIER_ITERS
             };
-            let capped_iters = iters.min(cap);
-            println!(
-                "fabric '{label}' is a scale tier: capping at {capped_iters} iters, \
-                 workers {ladder:?} (the full ladder adds minutes of wall for no signal)"
-            );
-            (capped_iters, ladder)
+            let capped = iters.min(cap);
+            println!("fabric '{label}' is a scale tier: {capped} iters, no stepped episode");
+            capped
         } else {
-            (iters, worker_counts.clone())
+            iters
         };
-        let mut table = Table::new(&[
-            "workers",
-            "median wall (ms)",
-            "speedup",
-            "events",
-            "events/s",
-            "peak RSS MB",
-            "live KB/dev",
-            "attr KB cloned",
-            "cache hit rate",
-            "fib == serial",
-        ]);
-        let mut serial_snapshot: Option<String> = None;
-        let mut serial_median = 0.0;
-        let mut serial_batch_shape = (0u64, 0u64, 0u64);
-        let mut rows = Vec::new();
-        for &workers in &tier_workers {
-            let mut walls = Vec::with_capacity(tier_iters);
-            let mut last = None;
-            for _ in 0..tier_iters {
-                let ep = episode(spec, workers);
-                walls.push(ep.wall.as_secs_f64() * 1e3);
-                last = Some(ep);
-            }
-            let ep = last.expect("at least one iteration");
-            let median = median_ms(&mut walls);
-            let matches = match &serial_snapshot {
-                None => {
-                    serial_snapshot = Some(ep.fib_snapshot.clone());
-                    serial_median = median;
-                    serial_batch_shape = (
-                        ep.batches_delivered,
-                        ep.updates_coalesced,
-                        ep.max_batch_size,
-                    );
-                    true
-                }
-                Some(serial) => *serial == ep.fib_snapshot,
-            };
-            fib_mismatch |= !matches;
-            // Sub-millisecond medians can round to zero on coarse clocks and
-            // a fresh cache has zero lookups; neither may poison the report
-            // with NaN/inf, so both ratios degrade to 0.0 and the JSON
-            // carries the sample counts for the reader to judge.
-            let speedup = if median > 0.0 {
-                serial_median / median
-            } else {
-                0.0
-            };
-            let cache_samples = ep.cache_hits + ep.cache_misses;
-            let hit_rate = ep.cache_hits as f64 / cache_samples.max(1) as f64;
-            let events_per_sec = if median > 0.0 {
-                ep.events as f64 / (median / 1e3)
-            } else {
-                0.0
-            };
-            let kb_per_device = ep.quiescent_live_bytes as f64 / 1024.0 / spec.devices() as f64;
-            table.row(&[
-                workers.to_string(),
-                format!("{median:.2}"),
-                if median > 0.0 {
-                    format!("{speedup:.2}x")
-                } else {
-                    "n/a".into()
-                },
-                ep.events.to_string(),
-                format!("{events_per_sec:.0}"),
-                format!(
-                    "{:.1}{}",
-                    ep.peak_rss_bytes as f64 / (1024.0 * 1024.0),
-                    if ep.peak_rss_inherited { "*" } else { "" }
-                ),
-                format!("{kb_per_device:.1}"),
-                format!("{:.1}", ep.attr_clone_bytes as f64 / 1024.0),
-                if cache_samples > 0 {
-                    format!("{:.1}%", hit_rate * 100.0)
-                } else {
-                    "n/a".into()
-                },
-                if matches { "yes".into() } else { "NO".into() },
-            ]);
-            rows.push(json!({
-                "workers": workers,
-                "median_wall_ms": median,
-                "wall_samples": walls.len(),
-                "speedup": speedup,
-                "cache_hit_rate": hit_rate,
-                "cache_samples": cache_samples,
-                "cache_hits": ep.cache_hits,
-                "cache_misses": ep.cache_misses,
-                "events_processed": ep.events,
-                "events_per_sec": events_per_sec,
-                "peak_rss_bytes": ep.peak_rss_bytes,
-                "peak_rss_inherited": ep.peak_rss_inherited,
-                "quiescent_live_bytes": ep.quiescent_live_bytes,
-                "quiescent_rss_bytes": ep.quiescent_rss_bytes,
-                "quiescent_kb_per_device": kb_per_device,
-                "adj_rib_in_bytes": ep.adj_rib_in_bytes,
-                "adj_rib_out_bytes": ep.adj_rib_out_bytes,
-                "canonical_routes": ep.canonical_routes,
-                "peer_refs": ep.peer_refs,
-                "attr_clone_bytes": ep.attr_clone_bytes,
-                "batches_delivered": ep.batches_delivered,
-                "updates_coalesced": ep.updates_coalesced,
-                "max_batch_size": ep.max_batch_size,
-                "phase_pre_us": ep.phase_pre_us,
-                "phase_work_us": ep.phase_work_us,
-                "phase_merge_us": ep.phase_merge_us,
-                "windows": ep.windows,
-                "inline_windows": ep.inline_windows,
-                "shard_dispatches": ep.shard_dispatches,
-                "fib_matches_serial": matches,
-            }));
+        let mut walls = Vec::with_capacity(tier_iters);
+        let mut last = None;
+        for _ in 0..tier_iters {
+            let ep = episode(spec, false);
+            walls.push(ep.wall.as_secs_f64() * 1e3);
+            last = Some(ep);
         }
-        let devices = spec.devices();
-        println!("fabric '{label}' ({devices} devices):");
-        println!("{}", table.render());
-        let (batches, coalesced, largest) = serial_batch_shape;
-        println!(
-            "  serial batch shape: {batches} batches delivered, {coalesced} updates coalesced, \
-             largest batch {largest}\n"
-        );
+        let ep = last.expect("at least one iteration");
+        let median = median_ms(&mut walls);
+        let matches_stepped =
+            (!scale_tier).then(|| episode(spec, true).fib_snapshot == ep.fib_snapshot);
+        fib_mismatch |= matches_stepped == Some(false);
+        // Sub-millisecond medians can round to zero on coarse clocks and a
+        // fresh cache has zero lookups; neither may poison the report with
+        // NaN/inf, so both ratios degrade to 0.0 and the JSON carries the
+        // sample counts for the reader to judge.
+        let cache_samples = ep.cache_hits + ep.cache_misses;
+        let hit_rate = ep.cache_hits as f64 / cache_samples.max(1) as f64;
+        let events_per_sec = if median > 0.0 {
+            ep.events as f64 / (median / 1e3)
+        } else {
+            0.0
+        };
+        let kb_per_device = ep.quiescent_live_bytes as f64 / 1024.0 / devices as f64;
+        table.row(&[
+            label.clone(),
+            devices.to_string(),
+            format!("{median:.2}"),
+            ep.events.to_string(),
+            format!("{events_per_sec:.0}"),
+            format!(
+                "{:.1}{}",
+                ep.peak_rss_bytes as f64 / (1024.0 * 1024.0),
+                if ep.peak_rss_inherited { "*" } else { "" }
+            ),
+            format!("{kb_per_device:.1}"),
+            format!("{:.1}", ep.attr_clone_bytes as f64 / 1024.0),
+            if cache_samples > 0 {
+                format!("{:.1}%", hit_rate * 100.0)
+            } else {
+                "n/a".into()
+            },
+            match matches_stepped {
+                Some(true) => "yes".into(),
+                Some(false) => "NO".into(),
+                None => "skipped".into(),
+            },
+        ]);
         report.push(json!({
             "fabric": label,
             "devices": devices,
             "iters": tier_iters,
-            "results": rows,
+            "median_wall_ms": median,
+            "cache_hit_rate": hit_rate,
+            "cache_samples": cache_samples,
+            "cache_hits": ep.cache_hits,
+            "cache_misses": ep.cache_misses,
+            "events_processed": ep.events,
+            "events_per_sec": events_per_sec,
+            "peak_rss_bytes": ep.peak_rss_bytes,
+            "peak_rss_inherited": ep.peak_rss_inherited,
+            "quiescent_live_bytes": ep.quiescent_live_bytes,
+            "quiescent_rss_bytes": ep.quiescent_rss_bytes,
+            "quiescent_kb_per_device": kb_per_device,
+            "adj_rib_in_bytes": ep.adj_rib_in_bytes,
+            "adj_rib_out_bytes": ep.adj_rib_out_bytes,
+            "canonical_routes": ep.canonical_routes,
+            "peer_refs": ep.peer_refs,
+            "attr_clone_bytes": ep.attr_clone_bytes,
+            "batches_delivered": ep.batches_delivered,
+            "updates_coalesced": ep.updates_coalesced,
+            "max_batch_size": ep.max_batch_size,
+            "phase_pre_us": ep.phase_pre_us,
+            "phase_work_us": ep.phase_work_us,
+            "phase_merge_us": ep.phase_merge_us,
+            "windows": ep.windows,
+            "fib_matches_stepped": matches_stepped,
         }));
     }
+    println!("{}", table.render());
 
     if let Ok(Some(path)) = args.get_str("json") {
-        let doc = json!({ "seed": SEED, "host_cores": host_cores, "fabrics": report });
+        let doc = json!({
+            "seed": SEED,
+            "host": host,
+            "host_cores": host_cores,
+            "fabrics": report,
+        });
         match serde_json::to_string_pretty(&doc) {
             Ok(text) => {
                 if let Err(e) = std::fs::write(&path, text + "\n") {
@@ -492,10 +412,10 @@ fn main() -> ExitCode {
     }
 
     if fib_mismatch {
-        eprintln!("error: a parallel run produced FIBs different from the serial run");
+        eprintln!("error: a windowed run produced FIBs different from the stepped run");
         return ExitCode::FAILURE;
     }
-    println!("all parallel FIBs byte-identical to serial");
+    println!("windowed FIBs byte-identical to the stepped run wherever checked");
 
     if let Ok(Some(path)) = args.get_str("baseline") {
         match check_baseline(&path, &report) {
@@ -506,16 +426,6 @@ fn main() -> ExitCode {
             }
             Err(e) => {
                 eprintln!("error: baseline gate: {e}");
-                return ExitCode::FAILURE;
-            }
-        }
-    }
-
-    if let Some(min) = min_speedup {
-        match check_speedup(&report, min, host_cores, gate_fabric.as_deref()) {
-            Ok(line) => println!("{line}"),
-            Err(e) => {
-                eprintln!("error: speedup gate: {e}");
                 return ExitCode::FAILURE;
             }
         }
@@ -538,8 +448,8 @@ fn main() -> ExitCode {
 }
 
 /// CI memory-budget gate: every *scale* fabric measured (≥
-/// [`SCALE_TIER_DEVICES`] devices) must hold its serial-row quiescent
-/// live-heap footprint under `max_kb` KB per device. Sub-scale fabrics are
+/// [`SCALE_TIER_DEVICES`] devices) must hold its quiescent live-heap
+/// footprint under `max_kb` KB per device. Sub-scale fabrics are
 /// skipped — on a 22-device fabric the process baseline dominates and a
 /// per-device quotient measures the harness, not the RIBs.
 fn check_kb_per_device(report: &[serde_json::Value], max_kb: f64) -> Result<Vec<String>, String> {
@@ -554,15 +464,7 @@ fn check_kb_per_device(report: &[serde_json::Value], max_kb: f64) -> Result<Vec<
             ));
             continue;
         }
-        let serial = fabric
-            .get("results")
-            .and_then(|v| v.as_array())
-            .and_then(|rows| {
-                rows.iter()
-                    .find(|r| r.get("workers").and_then(|v| v.as_u64()) == Some(1))
-            })
-            .ok_or_else(|| format!("fabric '{label}' has no serial row to gate on"))?;
-        let kb = serial
+        let kb = fabric
             .get("quiescent_kb_per_device")
             .and_then(|v| v.as_f64())
             .ok_or_else(|| format!("fabric '{label}' carries no quiescent_kb_per_device"))?;
@@ -590,138 +492,53 @@ fn check_kb_per_device(report: &[serde_json::Value], max_kb: f64) -> Result<Vec<
     Ok(lines)
 }
 
-/// CI speedup gate: the gated fabric must reach at least `min`× median-wall
-/// speedup over serial on some parallel row. `--gate-fabric` pins the tier
-/// explicitly; without it the gate falls back to the last measured fabric —
-/// an implicit choice that silently moves when a larger, untuned tier (like
-/// `xl`) joins the list, which is exactly why the flag exists. On failure
-/// the offending row's JSON is printed so the CI log carries the full
-/// context (phase split, window shape, dispatch counts) without re-running.
-///
-/// Skipped — successfully — when the host has fewer than two effective
-/// cores: the pool's workers would time-slice one core, so the measurement
-/// would gate on the runner hardware rather than on the engine.
-fn check_speedup(
-    report: &[serde_json::Value],
-    min: f64,
-    host_cores: usize,
-    gate_fabric: Option<&str>,
-) -> Result<String, String> {
-    if host_cores < 2 {
-        return Ok(format!(
-            "speedup gate: SKIPPED — host exposes {host_cores} core(s); \
-             parallel speedup is unmeasurable here, not failing the build"
-        ));
-    }
-    let fabric = match gate_fabric {
-        Some(name) => report
-            .iter()
-            .find(|f| f.get("fabric").and_then(|v| v.as_str()) == Some(name))
-            .ok_or_else(|| format!("--gate-fabric '{name}' was not measured in this run"))?,
-        None => report.last().ok_or("empty report")?,
-    };
-    let label = fabric.get("fabric").and_then(|v| v.as_str()).unwrap_or("?");
-    let best = fabric
-        .get("results")
-        .and_then(|v| v.as_array())
-        .ok_or("report fabric has no results array")?
-        .iter()
-        .filter(|r| r.get("workers").and_then(|v| v.as_u64()).unwrap_or(0) > 1)
-        .max_by(|a, b| {
-            let s =
-                |r: &&serde_json::Value| r.get("speedup").and_then(|v| v.as_f64()).unwrap_or(0.0);
-            s(a).total_cmp(&s(b))
-        })
-        .ok_or_else(|| format!("fabric '{label}' has no parallel rows to gate on"))?;
-    let speedup = best.get("speedup").and_then(|v| v.as_f64()).unwrap_or(0.0);
-    let workers = best.get("workers").and_then(|v| v.as_u64()).unwrap_or(0);
-    if speedup < min {
-        let row = serde_json::to_string(best).unwrap_or_else(|_| "<unserializable>".into());
-        return Err(format!(
-            "fabric '{label}' best parallel speedup {speedup:.2}x at {workers} workers \
-             is below the required {min:.2}x\n  failing row: {row}"
-        ));
-    }
-    Ok(format!(
-        "speedup gate: fabric '{label}' reached {speedup:.2}x at {workers} workers \
-         (required {min:.2}x)"
-    ))
-}
-
-/// CI perf-smoke gate: compare this run's serial median wall time against the
+/// CI perf-smoke gate: compare this run's median wall time against the
 /// committed baseline report, per fabric. More than 20% slower fails the run;
 /// a fabric present in only one report is skipped (so the gate survives
 /// adding or removing fabrics without a lockstep baseline update). FIB
 /// equivalence is gated unconditionally above, not here.
 ///
 /// The relative gate carries the same absolute clock-noise slack as
-/// perf_report's overhead gate: on the tiny fabric the serial median is a
-/// few hundred microseconds, where 20% is smaller than ordinary
-/// scheduler jitter between two back-to-back runs on the same machine.
+/// perf_report's overhead gate: on the tiny fabric the median is a few
+/// hundred microseconds, where 20% is smaller than ordinary scheduler jitter
+/// between two back-to-back runs on the same machine.
 fn check_baseline(path: &str, report: &[serde_json::Value]) -> Result<Vec<String>, String> {
     const MAX_REGRESSION: f64 = 0.20;
     const SLACK_MS: f64 = 0.25;
     let text = std::fs::read_to_string(path).map_err(|e| format!("reading {path}: {e}"))?;
     let baseline: serde_json::Value =
         serde_json::from_str(&text).map_err(|e| format!("parsing {path}: {e}"))?;
-    let serial_wall = |fabrics: &[serde_json::Value], label: &str| -> Option<f64> {
-        fabrics
-            .iter()
-            .find(|f| f.get("fabric").and_then(|v| v.as_str()) == Some(label))?
-            .get("results")?
-            .as_array()?
-            .iter()
-            .find(|r| r.get("workers").and_then(|v| v.as_u64()) == Some(1))?
-            .get("median_wall_ms")?
-            .as_f64()
-    };
-    let base_fabrics = baseline
-        .get("fabrics")
-        .and_then(|v| v.as_array())
-        .ok_or_else(|| format!("{path} has no fabrics array"))?;
     let mut lines = Vec::new();
     for fabric in report {
         let label = fabric.get("fabric").and_then(|v| v.as_str()).unwrap_or("?");
-        let (Some(base), Some(now)) =
-            (serial_wall(base_fabrics, label), serial_wall(report, label))
-        else {
-            lines.push(format!(
-                "baseline '{label}': no serial sample to compare, skipped"
-            ));
+        let (Some(base), Some(now)) = (
+            baseline_wall_ms(&baseline, label),
+            fabric.get("median_wall_ms").and_then(|v| v.as_f64()),
+        ) else {
+            lines.push(format!("baseline '{label}': no sample to compare, skipped"));
             continue;
         };
         let ratio = now / base;
         if now > base * (1.0 + MAX_REGRESSION) + SLACK_MS {
             return Err(format!(
-                "fabric '{label}' serial wall regressed {:.0}%: {base:.2}ms -> {now:.2}ms \
+                "fabric '{label}' wall regressed {:.0}%: {base:.2}ms -> {now:.2}ms \
                  (gate: {:.0}% + {SLACK_MS}ms slack)",
                 (ratio - 1.0) * 100.0,
                 MAX_REGRESSION * 100.0,
             ));
         }
         lines.push(format!(
-            "baseline '{label}': serial wall {base:.2}ms -> {now:.2}ms ({:+.0}%), within gate",
+            "baseline '{label}': wall {base:.2}ms -> {now:.2}ms ({:+.0}%), within gate",
             (ratio - 1.0) * 100.0,
         ));
-        if let Some(ctx) = phase_context(report, label) {
-            lines.push(ctx);
-        }
+        lines.push(phase_context(fabric));
     }
     Ok(lines)
 }
 
-/// Context printed alongside the gate verdict: where the windowed engine's
-/// wall time went in this run. Serial rows never enter the windowed path, so
-/// the split comes from the highest worker count measured.
-fn phase_context(report: &[serde_json::Value], label: &str) -> Option<String> {
-    let row = report
-        .iter()
-        .find(|f| f.get("fabric").and_then(|v| v.as_str()) == Some(label))?
-        .get("results")?
-        .as_array()?
-        .iter()
-        .filter(|r| r.get("workers").and_then(|v| v.as_u64()).unwrap_or(0) > 1)
-        .max_by_key(|r| r.get("workers").and_then(|v| v.as_u64()).unwrap_or(0))?;
+/// Context printed alongside the gate verdict: where the run loop's wall
+/// time went in this run.
+fn phase_context(row: &serde_json::Value) -> String {
     let get = |k: &str| row.get(k).and_then(|v| v.as_u64()).unwrap_or(0);
     let (pre, work, merge) = (
         get("phase_pre_us"),
@@ -729,14 +546,11 @@ fn phase_context(report: &[serde_json::Value], label: &str) -> Option<String> {
         get("phase_merge_us"),
     );
     let total = (pre + work + merge).max(1) as f64;
-    Some(format!(
-        "  phase split @{} workers: pre {:.0}% / work {:.0}% / merge {:.0}% \
-         ({} windows, {} inline)",
-        get("workers"),
+    format!(
+        "  phase split: pre {:.0}% / work {:.0}% / merge {:.0}% ({} windows)",
         100.0 * pre as f64 / total,
         100.0 * work as f64 / total,
         100.0 * merge as f64 / total,
         get("windows"),
-        get("inline_windows"),
-    ))
+    )
 }

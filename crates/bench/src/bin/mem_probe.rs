@@ -64,12 +64,15 @@ fn main() -> ExitCode {
         );
         now
     };
-    println!("tier '{fabric}' ({} devices), baseline {base:.1} MB", spec.devices());
+    println!(
+        "tier '{fabric}' ({} devices), baseline {base:.1} MB",
+        spec.devices()
+    );
 
     let (topo, idx, _) = spec.build();
     let after_topo = report("topology built", base);
 
-    let mut net = SimNet::new(topo, SimConfig::builder().seed(7).workers(1).build());
+    let mut net = SimNet::new(topo, SimConfig::builder().seed(7).build());
     let after_wire = report("fabric wired", after_topo);
 
     net.establish_all();

@@ -1,19 +1,15 @@
-//! Deep-profiling diagnosis for the windowed convergence engine: *why* is
-//! the speedup what it is?
+//! Deep-profiling diagnosis for the convergence engine: where did the time
+//! go?
 //!
 //! `bench_convergence` measures; this tool explains. Each fabric runs the
 //! same episode story (cold start + SSW-fleet equalize RPA + FADU bounce)
-//! three ways — untraced serial and untraced parallel for honest medians,
-//! then one traced parallel run with span tracing enabled for the
-//! diagnosis — and prints where the time went: the per-window job-count
-//! distribution, worker busy-vs-idle utilization, the serial
-//! pre/work/merge phase split, per-event latency percentiles, and the
-//! top-10 hottest devices and widest-held prefixes. The epilogue is an
-//! explicit verdict line answering "why is speedup < 1.0" (or confirming
-//! the win).
+//! untraced for an honest median, then once with span tracing enabled for
+//! the diagnosis — and prints where the time went: the per-window job-count
+//! distribution, the pre/work/merge phase split, per-event latency
+//! percentiles, and the top-10 hottest devices and widest-held prefixes.
 //!
 //! ```text
-//! perf_report [--tiny] [--fabric T1,T2,...] [--iters N] [--workers N]
+//! perf_report [--tiny] [--fabric T1,T2,...] [--iters N]
 //!             [--json FILE] [--trace-out FILE] [--baseline FILE]
 //! ```
 //!
@@ -23,14 +19,15 @@
 //!
 //! `--trace-out` writes the traced runs as one Chrome Trace Event file
 //! (open in `chrome://tracing` or Perfetto). `--baseline FILE` is the CI
-//! overhead gate: the **untraced** serial median must stay within 2% of
-//! the committed `BENCH_convergence.json` serial median (plus a quarter
-//! millisecond of absolute slack to absorb clock noise on sub-10ms
-//! fabrics), proving the always-compiled instrumentation costs nothing
-//! when disabled.
+//! overhead gate: the **untraced** median must stay within 2% of the
+//! committed `BENCH_convergence.json` median (plus a quarter millisecond of
+//! absolute slack to absorb clock noise on sub-10ms fabrics), proving the
+//! always-compiled instrumentation costs nothing when disabled.
 
 use centralium_bench::args::BenchArgs;
-use centralium_bench::tier::{parse_tier_list, peak_rss_bytes, reset_peak_rss, TierSpec};
+use centralium_bench::tier::{
+    baseline_wall_ms, parse_tier_list, peak_rss_bytes, reset_peak_rss, TierSpec,
+};
 use centralium_bgp::attrs::well_known;
 use centralium_bgp::Prefix;
 use centralium_rpa::{
@@ -44,10 +41,9 @@ use std::time::Instant;
 
 const SEED: u64 = 7;
 const DEFAULT_ITERS: usize = 3;
-const DEFAULT_WORKERS: usize = 8;
 const RPC_US: u64 = 300;
 
-/// Overhead gate: untraced serial wall vs the committed baseline.
+/// Overhead gate: untraced wall vs the committed baseline.
 const MAX_OVERHEAD: f64 = 0.02;
 /// Absolute slack for the overhead gate, in milliseconds.
 const OVERHEAD_SLACK_MS: f64 = 0.25;
@@ -67,12 +63,9 @@ fn equalize_doc() -> RpaDocument {
 /// construction. Three-tier scale tiers have no FADU layer, so the bounce
 /// falls back to the first pod's plane-0 aggregation switch, mirroring
 /// `bench_convergence`.
-fn episode(spec: &TierSpec, workers: usize) -> (f64, SimNet) {
+fn episode(spec: &TierSpec) -> (f64, SimNet) {
     let (topo, idx, _) = spec.build();
-    let mut net = SimNet::new(
-        topo,
-        SimConfig::builder().seed(SEED).workers(workers).build(),
-    );
+    let mut net = SimNet::new(topo, SimConfig::builder().seed(SEED).build());
     let start = Instant::now();
     net.establish_all();
     for &eb in &idx.backbone {
@@ -144,40 +137,29 @@ fn widest_prefixes(net: &SimNet) -> Vec<(String, u64)> {
 /// One fabric's diagnosis, printed and returned as the JSON row.
 struct Diagnosis {
     row: serde_json::Value,
-    serial_median: f64,
+    untraced_median: f64,
 }
 
-fn diagnose(label: &str, spec: &TierSpec, iters: usize, workers: usize) -> Diagnosis {
+fn diagnose(label: &str, spec: &TierSpec, iters: usize) -> Diagnosis {
     let devices = spec.devices();
-    println!("fabric '{label}' ({devices} devices), {workers} workers, {iters} iters:");
+    println!("fabric '{label}' ({devices} devices), {iters} iters:");
     // Collapse the process-lifetime RSS high-water mark so this fabric's
     // peak reading does not inherit an earlier (larger) fabric's.
     reset_peak_rss();
 
-    // Untraced medians: the honest speedup and the overhead-gate sample.
-    let mut serial_walls: Vec<f64> = (0..iters).map(|_| episode(spec, 1).0).collect();
-    let mut par_walls: Vec<f64> = (0..iters).map(|_| episode(spec, workers).0).collect();
-    let serial_median = median_ms(&mut serial_walls);
-    let par_median = median_ms(&mut par_walls);
-    let speedup = if par_median > 0.0 {
-        serial_median / par_median
-    } else {
-        0.0
-    };
-    println!(
-        "  untraced: serial {serial_median:.2}ms, {workers} workers {par_median:.2}ms \
-         => speedup {speedup:.2}x"
-    );
+    // Untraced median: the honest wall and the overhead-gate sample.
+    let mut walls: Vec<f64> = (0..iters).map(|_| episode(spec).0).collect();
+    let untraced_median = median_ms(&mut walls);
+    println!("  untraced: {untraced_median:.2}ms");
 
-    // One traced parallel run for the breakdown.
+    // One traced run for the breakdown.
     span::set_tracing(true);
-    let (traced_wall, net) = episode(spec, workers);
+    let (traced_wall, net) = episode(spec);
     span::set_tracing(false);
     let snap = net.telemetry().metrics().snapshot();
-    println!("  traced:   {workers} workers {traced_wall:.2}ms (tracing overhead included)");
+    println!("  traced:   {traced_wall:.2}ms (tracing overhead included)");
 
     let windows = snap.counter("simnet.phase.windows");
-    let inline = snap.counter("simnet.phase.inline_windows");
     let (pre, work, merge) = (
         snap.counter("simnet.phase.pre_us"),
         snap.counter("simnet.phase.work_us"),
@@ -198,8 +180,7 @@ fn diagnose(label: &str, spec: &TierSpec, iters: usize, workers: usize) -> Diagn
         .unwrap_or_default();
     let job_buckets = jobs.nonzero_buckets();
     println!(
-        "  windows:  {windows} total, {inline} inline ({:.0}%); jobs/window p50<={} p99<={} max<={}",
-        100.0 * inline as f64 / windows.max(1) as f64,
+        "  windows:  {windows} total; jobs/window p50<={} p99<={} max<={}",
         jobs.percentile(0.5).unwrap_or(0),
         jobs.percentile(0.99).unwrap_or(0),
         jobs.percentile(1.0).unwrap_or(0),
@@ -211,45 +192,6 @@ fn diagnose(label: &str, spec: &TierSpec, iters: usize, workers: usize) -> Diagn
             .collect();
         println!("  window-size distribution: {}", dist.join("  "));
     }
-
-    let dispatches = snap.counter("simnet.shard.dispatches");
-    let shard_count = snap.gauge("simnet.shard.count");
-    let shard_jobs = snap
-        .log_histogram("simnet.shard.jobs")
-        .cloned()
-        .unwrap_or_default();
-    if dispatches > 0 {
-        println!(
-            "  shards:   {shard_count} shards, {dispatches} pool dispatches; \
-             jobs/busy-shard p50<={} p99<={}",
-            shard_jobs.percentile(0.5).unwrap_or(0),
-            shard_jobs.percentile(0.99).unwrap_or(0),
-        );
-    } else {
-        println!("  shards:   {shard_count} shards, 0 pool dispatches (every window inline)");
-    }
-
-    let busy = snap
-        .log_histogram("simnet.worker.busy_ns")
-        .cloned()
-        .unwrap_or_default();
-    let idle = snap
-        .log_histogram("simnet.worker.idle_ns")
-        .cloned()
-        .unwrap_or_default();
-    let (busy_ns, idle_ns) = (busy.sum as f64, idle.sum as f64);
-    let utilization = if busy_ns + idle_ns > 0.0 {
-        busy_ns / (busy_ns + idle_ns)
-    } else {
-        0.0
-    };
-    println!(
-        "  workers:  utilization {:.1}% (busy {:.2}ms, idle {:.2}ms over {} worker-windows)",
-        100.0 * utilization,
-        busy_ns / 1e6,
-        idle_ns / 1e6,
-        busy.count(),
-    );
 
     let latency = snap
         .log_histogram("simnet.event.latency_ns")
@@ -301,73 +243,16 @@ fn diagnose(label: &str, spec: &TierSpec, iters: usize, workers: usize) -> Diagn
         peak_rss as f64 / (1024.0 * 1024.0),
     );
 
-    // The point of the exercise: say *why*.
-    let verdict = if speedup >= 1.0 {
-        if busy_ns + idle_ns > 0.0 {
-            format!(
-                "speedup {speedup:.2}x: the windowed engine wins at this size \
-                 (workers {:.0}% busy)",
-                100.0 * utilization
-            )
-        } else {
-            format!(
-                "speedup {speedup:.2}x with every window inline: the win comes \
-                 from window batching, not threads"
-            )
-        }
-    } else {
-        let mut reasons = Vec::new();
-        if inline * 2 > windows.max(1) {
-            reasons.push(format!(
-                "{:.0}% of windows ran inline — too few jobs per window to cover \
-                 the pool dispatch handoff",
-                100.0 * inline as f64 / windows.max(1) as f64
-            ));
-        }
-        if utilization < 0.5 && busy_ns + idle_ns > 0.0 {
-            reasons.push(format!(
-                "workers only {:.0}% busy — handoff latency and jagged per-shard \
-                 job sizes leave workers waiting",
-                100.0 * utilization
-            ));
-        }
-        if (pre + merge) as f64 > work as f64 {
-            reasons.push(format!(
-                "serial pre+merge phases take {:.0}% of windowed time — Amdahl bound",
-                100.0 * (pre + merge) as f64 / phase_total
-            ));
-        }
-        if reasons.is_empty() {
-            reasons.push(format!(
-                "per-window job counts are small (p50<={}) — parallelism cannot \
-                 amortize coordination",
-                jobs.percentile(0.5).unwrap_or(0)
-            ));
-        }
-        format!("speedup {speedup:.2}x < 1.0 because {}", reasons.join("; "))
-    };
-    println!("  verdict:  {verdict}\n");
-
     let row = json!({
         "fabric": label,
         "devices": devices,
-        "workers": workers,
         "iters": iters,
-        "serial_median_ms": serial_median,
-        "parallel_median_ms": par_median,
-        "speedup": speedup,
+        "untraced_median_ms": untraced_median,
         "traced_wall_ms": traced_wall,
         "windows": windows,
-        "inline_windows": inline,
-        "shard_count": shard_count,
-        "shard_dispatches": dispatches,
-        "shard_jobs_buckets": shard_jobs.nonzero_buckets(),
         "phase_pre_us": pre,
         "phase_work_us": work,
         "phase_merge_us": merge,
-        "worker_utilization": utilization,
-        "worker_busy_ns": busy.sum,
-        "worker_idle_ns": idle.sum,
         "window_jobs_buckets": job_buckets,
         "batch_routes_buckets": snap
             .log_histogram("simnet.batch.routes")
@@ -394,50 +279,37 @@ fn diagnose(label: &str, spec: &TierSpec, iters: usize, workers: usize) -> Diagn
             "device_arena_bytes": snap.gauge("mem.device_arena_bytes"),
             "peak_rss_bytes": peak_rss,
         },
-        "verdict": verdict,
     });
-    Diagnosis { row, serial_median }
+    println!();
+    Diagnosis {
+        row,
+        untraced_median,
+    }
 }
 
-/// The CI overhead gate: this run's untraced serial median vs the committed
+/// The CI overhead gate: this run's untraced median vs the committed
 /// `bench_convergence` baseline, within [`MAX_OVERHEAD`] plus
 /// [`OVERHEAD_SLACK_MS`]. Fabrics missing on either side are skipped.
 fn overhead_gate(path: &str, measured: &[(String, f64)]) -> Result<Vec<String>, String> {
     let text = std::fs::read_to_string(path).map_err(|e| format!("reading {path}: {e}"))?;
     let baseline: serde_json::Value =
         serde_json::from_str(&text).map_err(|e| format!("parsing {path}: {e}"))?;
-    let base_serial = |label: &str| -> Option<f64> {
-        baseline
-            .get("fabrics")?
-            .as_array()?
-            .iter()
-            .find(|f| f.get("fabric").and_then(|v| v.as_str()) == Some(label))?
-            .get("results")?
-            .as_array()?
-            .iter()
-            .find(|r| r.get("workers").and_then(|v| v.as_u64()) == Some(1))?
-            .get("median_wall_ms")?
-            .as_f64()
-    };
     let mut lines = Vec::new();
     for (label, now) in measured {
-        let Some(base) = base_serial(label) else {
-            lines.push(format!(
-                "overhead '{label}': no baseline serial sample, skipped"
-            ));
+        let Some(base) = baseline_wall_ms(&baseline, label) else {
+            lines.push(format!("overhead '{label}': no baseline sample, skipped"));
             continue;
         };
         let limit = base * (1.0 + MAX_OVERHEAD) + OVERHEAD_SLACK_MS;
         if *now > limit {
             return Err(format!(
-                "fabric '{label}' profiling-disabled serial wall {now:.2}ms exceeds \
+                "fabric '{label}' profiling-disabled wall {now:.2}ms exceeds \
                  {:.0}% overhead gate over baseline {base:.2}ms (limit {limit:.2}ms)",
                 MAX_OVERHEAD * 100.0,
             ));
         }
         lines.push(format!(
-            "overhead '{label}': serial wall {base:.2}ms -> {now:.2}ms, \
-             within {:.0}% gate",
+            "overhead '{label}': wall {base:.2}ms -> {now:.2}ms, within {:.0}% gate",
             MAX_OVERHEAD * 100.0,
         ));
     }
@@ -457,11 +329,6 @@ fn main() -> ExitCode {
         .unwrap_or(None)
         .map(|n| n.max(1) as usize)
         .unwrap_or(DEFAULT_ITERS);
-    let workers = args
-        .get_u64("workers")
-        .unwrap_or(None)
-        .map(|n| n.max(2) as usize)
-        .unwrap_or(DEFAULT_WORKERS);
     let fabrics: Vec<(String, TierSpec)> = match args.get_str("fabric") {
         Ok(Some(list)) => match parse_tier_list(&list) {
             Ok(tiers) => tiers,
@@ -492,10 +359,10 @@ fn main() -> ExitCode {
     span::drain(); // discard anything a prior in-process run left behind
 
     let mut rows = Vec::new();
-    let mut serial_medians = Vec::new();
+    let mut medians = Vec::new();
     for (label, spec) in &fabrics {
-        let d = diagnose(label, spec, iters, workers);
-        serial_medians.push((label.to_string(), d.serial_median));
+        let d = diagnose(label, spec, iters);
+        medians.push((label.to_string(), d.untraced_median));
         rows.push(d.row);
     }
 
@@ -537,7 +404,7 @@ fn main() -> ExitCode {
     }
 
     if let Ok(Some(path)) = args.get_str("baseline") {
-        match overhead_gate(&path, &serial_medians) {
+        match overhead_gate(&path, &medians) {
             Ok(lines) => {
                 for line in lines {
                     println!("{line}");

@@ -146,6 +146,34 @@ pub fn reset_peak_rss() -> bool {
     }
 }
 
+/// The host a measurement ran on, for report headers: CPU model and kernel
+/// release (`unknown` where `/proc` does not say).
+pub fn host_line() -> String {
+    let cpu = std::fs::read_to_string("/proc/cpuinfo").ok().and_then(|s| {
+        let line = s.lines().find(|l| l.starts_with("model name"))?;
+        Some(line.split(':').nth(1)?.trim().to_string())
+    });
+    let kernel = std::fs::read_to_string("/proc/sys/kernel/osrelease").ok();
+    format!(
+        "{}, Linux {}",
+        cpu.as_deref().unwrap_or("unknown CPU"),
+        kernel.as_deref().map_or("unknown", str::trim)
+    )
+}
+
+/// Median wall (ms) of fabric `label` in a `bench_convergence` JSON report —
+/// what the baseline gates of `bench_convergence` and `perf_report` compare
+/// against.
+pub fn baseline_wall_ms(report: &serde_json::Value, label: &str) -> Option<f64> {
+    report
+        .get("fabrics")?
+        .as_array()?
+        .iter()
+        .find(|f| f.get("fabric").and_then(|v| v.as_str()) == Some(label))?
+        .get("median_wall_ms")?
+        .as_f64()
+}
+
 #[cfg(test)]
 mod tests {
     use super::*;
@@ -171,21 +199,19 @@ mod tests {
         assert!(parse_tier_list(" , ").is_err());
     }
 
+    /// One test, because the high-water mark is process-wide: a reset on
+    /// another test thread between the two reads below would break them. The
+    /// current reading comes first because other test threads allocate
+    /// meanwhile: the later peak covers it, an earlier one might not.
     #[test]
-    fn peak_rss_reads_on_linux() {
-        if cfg!(target_os = "linux") {
-            let rss = peak_rss_bytes().expect("proc status readable");
-            assert!(rss > 1024 * 1024, "a test process peaks above 1 MiB");
-            let cur = current_rss_bytes().expect("proc status readable");
-            assert!(cur > 0 && cur <= rss, "current RSS below the peak");
-        }
-    }
-
-    #[test]
-    fn reset_peak_rss_reports_honestly() {
+    fn peak_rss_reads_and_resets_on_linux() {
         if !cfg!(target_os = "linux") {
             return;
         }
+        let cur = current_rss_bytes().expect("proc status readable");
+        let rss = peak_rss_bytes().expect("proc status readable");
+        assert!(rss > 1024 * 1024, "a test process peaks above 1 MiB");
+        assert!(cur > 0 && cur <= rss, "current RSS below the peak");
         // Spike the RSS well above steady-state, then reset: either the
         // kernel honors clear_refs(5) and the peak collapses toward current
         // RSS, or reset_peak_rss must say so by returning false.

@@ -13,6 +13,31 @@ impl Args {
     /// Flags that take no value.
     const BARE_FLAGS: &'static [&'static str] = &["handshake", "metrics-summary", "profile"];
 
+    /// Options that take a value. Anything else is rejected rather than
+    /// silently ignored.
+    const VALUE_OPTIONS: &'static [&'static str] = &[
+        "pods",
+        "planes",
+        "ssws",
+        "racks",
+        "grids",
+        "fauus",
+        "ebs",
+        "seed",
+        "intent",
+        "strategy",
+        "connect",
+        "listen",
+        "serve-for-ms",
+        "chaos-seed",
+        "rpc-loss",
+        "max-retries",
+        "telemetry",
+        "trace-out",
+        "provenance",
+        "provenance-out",
+    ];
+
     /// Parse the remaining command-line words.
     pub fn parse(words: impl Iterator<Item = String>) -> Result<Self, String> {
         let mut out = Args::default();
@@ -26,6 +51,9 @@ impl Args {
             if Self::BARE_FLAGS.contains(&key) {
                 out.flags.push(key.to_string());
                 continue;
+            }
+            if !Self::VALUE_OPTIONS.contains(&key) {
+                return Err(format!("unknown option '--{key}'"));
             }
             let Some(value) = words.next() else {
                 return Err(format!("--{key} requires a value"));
@@ -123,5 +151,9 @@ mod tests {
         assert!(parse(&["--seed"]).is_err());
         let args = parse(&["--seed", "not-a-number"]).unwrap();
         assert!(args.get_u64("seed").is_err());
+        assert_eq!(
+            parse(&["--workers", "4"]).unwrap_err(),
+            "unknown option '--workers'"
+        );
     }
 }

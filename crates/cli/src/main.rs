@@ -100,10 +100,10 @@ const USAGE: &str = "usage: centralium-cli <command> [options]
 
 commands:
   topo      print a fabric summary          [--pods N --planes N --ssws N --racks N --grids N --fauus N --ebs N]
-  converge  build a fabric and converge it  [fabric opts] [--seed N] [--handshake] [--workers N] [chaos opts] [telemetry opts]
+  converge  build a fabric and converge it  [fabric opts] [--seed N] [--handshake] [chaos opts] [telemetry opts]
   compile   compile an intent to RPAs       --intent FILE [fabric opts]
-  deploy    preverify + deploy an intent    --intent FILE [--strategy safe|inverse|unordered] [--connect ADDR] [fabric opts] [--seed N] [--workers N] [chaos opts] [--max-retries N] [telemetry opts]
-  serve     expose an agent over TCP        --listen ADDR [--serve-for-ms N] [fabric opts] [--seed N] [--workers N] [--max-retries N]
+  deploy    preverify + deploy an intent    --intent FILE [--strategy safe|inverse|unordered] [--connect ADDR] [fabric opts] [--seed N] [chaos opts] [--max-retries N] [telemetry opts]
+  serve     expose an agent over TCP        --listen ADDR [--serve-for-ms N] [fabric opts] [--seed N] [--max-retries N]
   plan      print the Table 3 migration plans
   apps      list the onboarded applications
 
@@ -121,27 +121,17 @@ with deadline-driven RPC retries and per-device circuit breakers):
   --rpc-loss P       probability each management RPC is dropped (0.0-1.0)
   --max-retries N    RPC re-issues allowed per divergence (deploy only)
 
-convergence opts:
-  --workers N        worker threads for the convergence engine: 1 runs serial
-                     (default), 0 uses one per core; results are bit-identical
-                     either way. --telemetry forces the serial engine.
-  --shards N         device shards for the persistent worker pool (default 0 =
-                     one per worker); devices are partitioned by pod/plane and
-                     shard N runs on worker N mod workers. Purely a scheduling
-                     knob: any value produces bit-identical results.
-
 telemetry opts:
   --telemetry FILE   write the structured event journal as JSON lines
   --metrics-summary  print registry counters/gauges/histograms and phase timings
 
 profiling opts:
   --profile             enable span tracing and print a profile summary
-                        (event latency, window sizes, worker utilization)
+                        (event latency, window sizes, hottest devices)
   --trace-out FILE      write a Chrome Trace Event JSON (open in Perfetto or
                         chrome://tracing); implies --profile
   --provenance PREFIX   trace the causal history of one prefix (e.g.
-                        0.0.0.0/0) and print it after the run; forces the
-                        serial engine
+                        0.0.0.0/0) and print it after the run
   --provenance-out FILE write the provenance trace as JSON lines";
 
 fn spec_from(args: &Args) -> Result<FabricSpec, String> {
@@ -296,7 +286,7 @@ fn report_telemetry(net: &SimNet, args: &Args) -> Result<(), String> {
 
 /// The `--profile` epilogue: a compact "where did the time go" readout from
 /// the always-on window/batch histograms plus the tracing-gated per-event
-/// latency and worker busy/idle accounting.
+/// latency and per-device busy accounting.
 fn print_profile_summary(snap: &centralium_telemetry::MetricsSnapshot) {
     println!("profile:");
     if let Some(lat) = snap.log_histogram("simnet.event.latency_ns") {
@@ -312,24 +302,8 @@ fn print_profile_summary(snap: &centralium_telemetry::MetricsSnapshot) {
     if let Some(jobs) = snap.log_histogram("simnet.window.jobs") {
         if let (Some(p50), Some(max)) = (jobs.percentile(0.5), jobs.percentile(1.0)) {
             println!(
-                "  parallel windows: {} threaded + {} inline, jobs/window p50<={p50} max<={max}",
-                jobs.count() - snap.counter("simnet.phase.inline_windows"),
-                snap.counter("simnet.phase.inline_windows"),
-            );
-        }
-    }
-    if let (Some(busy), Some(idle)) = (
-        snap.log_histogram("simnet.worker.busy_ns"),
-        snap.log_histogram("simnet.worker.idle_ns"),
-    ) {
-        let (b, i) = (busy.sum as f64, idle.sum as f64);
-        if b + i > 0.0 {
-            println!(
-                "  worker utilization: {:.1}% (busy {:.2}ms, idle {:.2}ms across {} worker-windows)",
-                100.0 * b / (b + i),
-                b / 1e6,
-                i / 1e6,
-                busy.count()
+                "  windows: {}, jobs/window p50<={p50} max<={max}",
+                jobs.count()
             );
         }
     }
@@ -377,8 +351,6 @@ fn converged(args: &Args) -> Result<(SimNet, centralium_topology::builder::Fabri
     let cfg = SimConfig::builder()
         .seed(args.get_u64("seed")?.unwrap_or(1))
         .handshake_sessions(args.has_flag("handshake"))
-        .workers(args.get_u64("workers")?.unwrap_or(1) as usize)
-        .shards(args.get_u64("shards")?.unwrap_or(0) as usize)
         .build();
     let mut net = SimNet::new(topo, cfg);
     if args.get_str("telemetry")?.is_some() {

@@ -10,8 +10,8 @@
 //! `BinaryHeap` paid O(log n) per operation and one cache miss per level at
 //! the multi-million-event depths a 10k-device fabric produces.
 //!
-//! Determinism is load-bearing: the serial and sharded engines are compared
-//! byte for byte, so the queue must pop in **exactly** `(time, seq)` order —
+//! Determinism is load-bearing: runs are compared byte for byte across
+//! window widths, so the queue must pop in **exactly** `(time, seq)` order —
 //! the same total order the heap produced. Three properties keep that true:
 //!
 //! * events with equal times share a bucket (same slot), where they are kept

@@ -26,8 +26,6 @@
 //! * [`fault`] — seeded message-loss / extra-delay injection, plus the
 //!   [`ChaosPlan`] driving RPC drop/delay/duplicate, agent crash-restart
 //!   and NSDB staleness for deployment-resilience testing;
-//! * [`pool`] — persistent worker pool backing the windowed parallel engine;
-//! * [`shard`] — deterministic device → shard partitioning by pod/plane;
 //! * [`trace`] — event counters and convergence reporting.
 
 pub mod arena;
@@ -38,8 +36,6 @@ pub mod fib;
 pub mod invariants;
 pub mod mgmt;
 pub mod net;
-pub mod pool;
-pub mod shard;
 pub mod trace;
 pub mod traffic;
 
@@ -51,7 +47,5 @@ pub use fib::{Fib, NhgStats};
 pub use invariants::{assert_rib_consistent, verify_rib_consistency};
 pub use mgmt::ManagementPlane;
 pub use net::{NetEvent, SimConfig, SimConfigBuilder, SimNet};
-pub use pool::WorkerPool;
-pub use shard::ShardMap;
 pub use trace::{ConvergenceReport, TraceStats};
 pub use traffic::{DeliveryReport, TrafficMatrix};

@@ -15,8 +15,6 @@ use crate::arena::DenseMap;
 use crate::device::SimDevice;
 use crate::event::{EventQueue, SimTime};
 use crate::fault::{ChaosPlan, FaultPlan, RpcFate};
-use crate::pool::WorkerPool;
-use crate::shard::ShardMap;
 use crate::trace::{ConvergenceReport, TraceStats};
 use centralium_bgp::policy::{Action, MatchExpr, Policy, PolicyRule};
 use centralium_bgp::session::{Session, SessionAction};
@@ -27,7 +25,8 @@ use centralium_bgp::{
 };
 use centralium_rpa::RpaDocument;
 use centralium_telemetry::{
-    span, Counter, EventKind, LogHistogram, ProvenanceKind, ProvenanceLog, Severity, Telemetry,
+    span, Counter, Event, EventKind, LogHistogram, ProvenanceKind, ProvenanceLog, Severity,
+    Telemetry,
 };
 use centralium_topology::{Asn, DeviceId, DeviceState, Topology};
 use rand::rngs::StdRng;
@@ -91,27 +90,6 @@ pub struct SimConfig {
     pub handshake_sessions: bool,
     /// Safety cap on processed events per `run_until_quiescent`.
     pub max_events: u64,
-    /// Worker threads for the windowed convergence engine: `1` runs the
-    /// serial engine, `0` uses one worker per available core, and `N > 1`
-    /// keeps a persistent pool of `N` parked worker threads. Parallel runs
-    /// are bit-identical to serial ones (see `run_until_quiescent`);
-    /// journaling forces the serial engine.
-    pub parallel_workers: usize,
-    /// Device shards for the parallel engine: `0` derives one shard per
-    /// worker. Devices are partitioned by pod/plane/grid (their
-    /// `(layer, group)` name bucket) into this many shards; shard `s` runs
-    /// on worker `s mod workers`, so the shard count may exceed the worker
-    /// count. Purely a scheduling knob — output is identical for any value.
-    pub shards: usize,
-    /// Dispatch threshold for the parallel engine: a window whose job count
-    /// reaches this many goes to the worker pool, smaller windows run
-    /// inline on the coordinator. `None` (the default) picks automatically:
-    /// dispatch only when the window is big enough to amortize the channel
-    /// handoff, spans at least two shards, and the host actually has more
-    /// than one core. `Some(0)` forces every non-empty window onto the pool
-    /// — the lifecycle tests use it to exercise the dispatch path on any
-    /// host. Purely a scheduling knob — output is identical for any value.
-    pub min_dispatch_jobs: Option<usize>,
     /// Incremental delta convergence: scope RPA-driven re-evaluation to the
     /// prefixes the document's destinations can affect, and export FIB
     /// changes per dirty prefix instead of rebuilding each device's table on
@@ -145,9 +123,6 @@ impl Default for SimConfig {
             fault: FaultPlan::none(),
             handshake_sessions: false,
             max_events: 10_000_000,
-            parallel_workers: 1,
-            shards: 0,
-            min_dispatch_jobs: None,
             incremental: true,
             wire_audit: false,
         }
@@ -168,9 +143,9 @@ impl SimConfig {
 ///
 /// ```
 /// use centralium_simnet::SimConfig;
-/// let cfg = SimConfig::builder().seed(7).workers(4).build();
+/// let cfg = SimConfig::builder().seed(7).jitter_us(0).build();
 /// assert_eq!(cfg.seed, 7);
-/// assert_eq!(cfg.parallel_workers, 4);
+/// assert_eq!(cfg.jitter_us, 0);
 /// ```
 #[derive(Debug, Clone)]
 pub struct SimConfigBuilder {
@@ -254,31 +229,6 @@ impl SimConfigBuilder {
     /// Safety cap on processed events per `run_until_quiescent`.
     pub fn max_events(mut self, cap: u64) -> Self {
         self.cfg.max_events = cap;
-        self
-    }
-
-    /// Worker threads for the windowed convergence engine (alias:
-    /// [`SimConfigBuilder::workers`]).
-    pub fn parallel_workers(mut self, n: usize) -> Self {
-        self.cfg.parallel_workers = n;
-        self
-    }
-
-    /// Shorthand for [`SimConfigBuilder::parallel_workers`].
-    pub fn workers(self, n: usize) -> Self {
-        self.parallel_workers(n)
-    }
-
-    /// Device shards for the parallel engine (see [`SimConfig::shards`]).
-    pub fn shards(mut self, n: usize) -> Self {
-        self.cfg.shards = n;
-        self
-    }
-
-    /// Dispatch threshold for the parallel engine (see
-    /// [`SimConfig::min_dispatch_jobs`]).
-    pub fn min_dispatch_jobs(mut self, n: usize) -> Self {
-        self.cfg.min_dispatch_jobs = Some(n);
         self
     }
 
@@ -422,19 +372,10 @@ pub enum NetEvent {
     },
 }
 
-/// Minimum jobs per worker before an auto-gated window dispatches to the
-/// pool. The persistent workers are parked on channels, so the per-window
-/// cost is a handoff (microseconds), not a thread spawn — but a window still
-/// needs enough work per worker to beat running inline on a warm cache.
-/// Bit-identical output either way; the threshold only moves wall-clock
-/// time. Overridden by [`SimConfig::min_dispatch_jobs`].
-const MIN_JOBS_PER_WORKER: usize = 8;
-
-/// The device-local portion of one windowed event, executed by a worker in
-/// the parallel engine. Mirrors [`NetEvent`] minus the target device id
-/// (implied by the per-device job list) and minus everything the serial
-/// pre-pass already consumed (global counters, churn/origination
-/// bookkeeping).
+/// The device-local portion of one event, executed in a window's work
+/// phase. Mirrors [`NetEvent`] minus the target device id (held by the
+/// event's [`Slot`]) and minus everything the pre-pass already consumed
+/// (global counters, churn/origination bookkeeping).
 #[derive(Debug)]
 enum Work {
     /// Apply a BGP UPDATE received on session `on`.
@@ -468,10 +409,10 @@ enum Work {
     Reevaluate,
 }
 
-/// One ordered emission produced by a worker. The merge phase replays these
-/// through [`SimNet::emit`]/[`SimNet::emit_ctl`] in the original global pop
-/// order, so every RNG draw (jitter, faults, split shuffles), FIFO clamp and
-/// queue sequence number lands exactly as it would under the serial engine.
+/// One ordered emission produced by the work phase. The merge phase replays
+/// these through [`SimNet::emit`]/[`SimNet::emit_ctl`] in global pop order, so
+/// every RNG draw (jitter, faults, split shuffles), FIFO clamp and queue
+/// sequence number lands exactly as it would processing one event at a time.
 #[derive(Debug)]
 enum Emission {
     /// Daemon output updates, to be scheduled via `emit`.
@@ -483,72 +424,28 @@ enum Emission {
     RefreshRequests(Vec<(DeviceId, PeerId)>),
 }
 
-/// One device's batch within a worker dispatch: an exclusive raw pointer to
-/// the device plus its window job list in global pop order.
-struct PoolSlot {
-    id: DeviceId,
-    dev: *mut SimDevice,
-    jobs: Vec<(SimTime, Work)>,
-}
+/// A provenance step of one event, before it reaches the log: kind, sending
+/// peer and detail. Device and time are the event's own.
+type ProvStep = (ProvenanceKind, Option<u32>, String);
 
-/// One worker's dispatch payload: the device slots of every shard assigned
-/// to it this window, plus pointers to the shared read-only context
-/// [`run_work`] needs. Raw pointers erase the coordinator's `&mut self`
-/// lifetime so the job can cross the pool channel.
-///
-/// # Safety
-///
-/// The `Send` impl is sound because the coordinator (a) derives every `dev`
-/// pointer from a distinct `&mut SimDevice` — each device appears in exactly
-/// one slot per window, so the pointers never alias; (b) holds `&mut self`
-/// for the whole dispatch, so nothing else touches the devices, counters,
-/// topology or config meanwhile (counters are only ever bumped through
-/// atomics); and (c) [`WorkerPool::dispatch`] blocks until every worker has
-/// reported completion, so no pointer outlives the borrow it came from.
-struct PoolJob {
-    slots: Vec<PoolSlot>,
-    counters: *const NetCounters,
-    topo: *const Topology,
-    cfg: *const SimConfig,
-}
-
-unsafe impl Send for PoolJob {}
-
-/// A worker's dispatch result: per device, the ordered emission lists (one
-/// per job) and the device's busy ns, plus the worker's total busy time for
-/// utilization accounting.
-struct PoolDone {
-    slots: Vec<(DeviceId, Vec<Vec<Emission>>, u64)>,
-    busy_ns: u64,
-}
-
-/// The run function every pool worker executes: drain the dispatched device
-/// batches through [`run_work`], collecting emissions and busy timings.
-fn pool_run(job: PoolJob) -> PoolDone {
-    // Safety: see `PoolJob` — exclusive disjoint devices, shared read-only
-    // context, coordinator blocked until this returns.
-    let counters = unsafe { &*job.counters };
-    let topo = unsafe { &*job.topo };
-    let cfg = unsafe { &*job.cfg };
-    let started = std::time::Instant::now();
-    let mut sp = span::span("simnet", "worker");
-    let mut total_jobs = 0u64;
-    let mut slots = Vec::with_capacity(job.slots.len());
-    for slot in job.slots {
-        let dev = unsafe { &mut *slot.dev };
-        let dev_start = std::time::Instant::now();
-        total_jobs += slot.jobs.len() as u64;
-        let mut outs = Vec::with_capacity(slot.jobs.len());
-        for (t, work) in slot.jobs {
-            outs.push(run_work(dev, t, work, counters, topo, cfg));
-        }
-        slots.push((slot.id, outs, dev_start.elapsed().as_nanos() as u64));
-    }
-    sp.arg("jobs", total_jobs);
-    drop(sp);
-    let busy_ns = started.elapsed().as_nanos() as u64;
-    counters.worker_busy_ns.observe(busy_ns);
-    PoolDone { slots, busy_ns }
+/// One popped event on its way through a window: what the pre-pass left for
+/// the device, what the device produced, and what the journal and the
+/// provenance log are owed — all held until the merge phase reaches the event
+/// in pop order.
+#[derive(Debug)]
+struct Slot {
+    /// The event's own timestamp.
+    t: SimTime,
+    /// Target device; `None` when the event was a no-op (device gone).
+    dev: Option<DeviceId>,
+    /// Device-local work, taken by the work phase.
+    work: Option<Work>,
+    /// What the work phase produced, replayed by the merge phase.
+    emissions: Vec<Emission>,
+    /// Journal events of the pre-pass and the work phase.
+    journal: Vec<Event>,
+    /// Provenance steps of the pre-pass and the work phase.
+    provenance: Vec<ProvStep>,
 }
 
 /// Static span/report name of one [`Work`] kind.
@@ -570,15 +467,14 @@ fn work_name(work: &Work) -> &'static str {
     }
 }
 
-/// Execute the device-local part of one event on a worker thread. Touches
-/// only `dev` (exclusive), shared read-only context, and atomic counters —
-/// never the RNG, the event queue, or cross-device state, which is what
-/// keeps parallel runs bit-identical to serial ones.
+/// Execute the device-local part of one event. Touches only `dev`, read-only
+/// context, and atomic counters — never the RNG, the event queue, or
+/// cross-device state, which is what lets a window run its events grouped by
+/// device without changing the outcome.
 ///
 /// With span tracing enabled, each event gets a span named after its
-/// [`Work`] kind and its processing latency lands in the
-/// `simnet.event.latency_ns` histogram; disabled, this adds one relaxed
-/// atomic load over the bare dispatch.
+/// [`Work`] kind; disabled, this adds one relaxed atomic load over the bare
+/// dispatch.
 fn run_work(
     dev: &mut SimDevice,
     t: SimTime,
@@ -590,16 +486,10 @@ fn run_work(
     if !span::tracing_enabled() {
         return run_work_inner(dev, t, work, counters, topo, cfg);
     }
-    let started = std::time::Instant::now();
     let mut sp = span::span("simnet.work", work_name(&work));
     sp.arg("device", dev.id.0 as u64);
     sp.arg("t_us", t);
-    let out = run_work_inner(dev, t, work, counters, topo, cfg);
-    drop(sp);
-    counters
-        .event_latency_ns
-        .observe(started.elapsed().as_nanos() as u64);
-    out
+    run_work_inner(dev, t, work, counters, topo, cfg)
 }
 
 fn run_work_inner(
@@ -974,41 +864,29 @@ fn prov_state(dev: &SimDevice, prefix: Prefix) -> ProvState {
     }
 }
 
-/// Append one provenance record per observable change an event produced on
-/// `dev` for the traced prefix.
-fn record_prov_deltas(
-    log: &ProvenanceLog,
-    t: SimTime,
-    dev: DeviceId,
-    before: &ProvState,
-    after: &ProvState,
-) {
+/// Push one provenance step per observable change an event produced on its
+/// device for the traced prefix.
+fn push_prov_deltas(steps: &mut Vec<ProvStep>, before: &ProvState, after: &ProvState) {
     if before.rib_in != after.rib_in {
-        log.append(
-            t,
-            dev.0,
+        steps.push((
             ProvenanceKind::AdjRibInChanged,
             None,
             format!("{} -> {} routes", before.rib_in, after.rib_in),
-        );
+        ));
     }
     if before.decision != after.decision {
-        log.append(
-            t,
-            dev.0,
+        steps.push((
             ProvenanceKind::DecisionFlip,
             None,
             format!("{} -> {}", before.decision, after.decision),
-        );
+        ));
     }
     if before.fib != after.fib {
-        log.append(
-            t,
-            dev.0,
+        steps.push((
             ProvenanceKind::FibDelta,
             None,
             format!("{} -> {}", before.fib, after.fib),
-        );
+        ));
     }
 }
 
@@ -1038,39 +916,19 @@ struct NetCounters {
     rpc_dropped: Counter,
     rpc_duplicated: Counter,
     agent_restarts: Counter,
-    /// Wall-clock µs spent in the windowed engine's serial pre-pass.
-    phase_pre_us: Counter,
-    /// Wall-clock µs spent in the windowed engine's parallel worker phase.
-    phase_work_us: Counter,
-    /// Wall-clock µs spent in the windowed engine's serial merge phase.
-    phase_merge_us: Counter,
-    /// Number of event windows the parallel engine processed.
+    /// Wall-clock µs spent in the windows' pre-pass, work phase and merge
+    /// phase, in that order (published from [`SimNet::phase_ns`]).
+    phase_us: [Counter; 3],
+    /// Number of event windows processed.
     windows: Counter,
-    /// Windows whose job count was too small to pay for thread spawn and
-    /// ran inline on the coordinating thread instead.
-    inline_windows: Counter,
-    /// Jobs per parallel window — the distribution behind the "are windows
-    /// big enough to parallelize?" diagnosis.
+    /// Jobs per window.
     window_jobs: LogHistogram,
-    /// Windows dispatched to the persistent worker pool (the complement of
-    /// `inline_windows` among all `windows`).
-    shard_dispatches: Counter,
-    /// Jobs per non-empty shard per dispatched window — how much work one
-    /// pool handoff carries. Compare against `window.jobs` to see how evenly
-    /// the shard map splits a window.
-    shard_jobs: LogHistogram,
     /// Routing-information count (announcements + withdrawals) per
     /// delivered coalesced batch.
     batch_routes: LogHistogram,
     /// Per-event device-processing latency in nanoseconds. Recorded only
     /// while span tracing is enabled (two clock reads per event otherwise).
     event_latency_ns: LogHistogram,
-    /// Per-worker busy wall-clock ns, one observation per worker per
-    /// threaded window.
-    worker_busy_ns: LogHistogram,
-    /// Per-worker idle ns per threaded window (worker-phase wall − busy;
-    /// includes the thread-spawn delay, which is the point).
-    worker_idle_ns: LogHistogram,
     /// Delivered UPDATEs pushed through the wire-audit round-trip.
     wire_messages: Counter,
     /// RFC 4271 octets the audited messages encode to (frames included).
@@ -1098,34 +956,20 @@ impl NetCounters {
             rpc_dropped: m.counter("simnet.rpc_dropped"),
             rpc_duplicated: m.counter("simnet.rpc_duplicated"),
             agent_restarts: m.counter("simnet.agent_restarts"),
-            phase_pre_us: m.counter("simnet.phase.pre_us"),
-            phase_work_us: m.counter("simnet.phase.work_us"),
-            phase_merge_us: m.counter("simnet.phase.merge_us"),
+            phase_us: [
+                m.counter("simnet.phase.pre_us"),
+                m.counter("simnet.phase.work_us"),
+                m.counter("simnet.phase.merge_us"),
+            ],
             windows: m.counter("simnet.phase.windows"),
-            inline_windows: m.counter("simnet.phase.inline_windows"),
             window_jobs: m.log_histogram("simnet.window.jobs"),
-            shard_dispatches: m.counter("simnet.shard.dispatches"),
-            shard_jobs: m.log_histogram("simnet.shard.jobs"),
             batch_routes: m.log_histogram("simnet.batch.routes"),
             event_latency_ns: m.log_histogram("simnet.event.latency_ns"),
-            worker_busy_ns: m.log_histogram("simnet.worker.busy_ns"),
-            worker_idle_ns: m.log_histogram("simnet.worker.idle_ns"),
             wire_messages: m.counter("simnet.wire.messages"),
             wire_bytes: m.counter("simnet.wire.bytes"),
             wire_mismatches: m.counter("simnet.wire.mismatches"),
         }
     }
-}
-
-/// Wall-clock time the serial engine spent in each of the three pipeline
-/// stages, accumulated in nanoseconds across a run and flushed to the
-/// µs-granularity `simnet.phase.*` counters once at the end — per-event
-/// flushing would round every sub-µs event down to zero.
-#[derive(Debug, Default)]
-struct PhaseNanos {
-    pre: u64,
-    work: u64,
-    merge: u64,
 }
 
 /// Bucket bounds (ms) for per-prefix convergence latency.
@@ -1152,9 +996,7 @@ pub struct SimNet {
     /// lazily; only written while span tracing is enabled.
     busy: DenseMap<Counter>,
     /// Armed route-provenance trace: the prefix under observation and the
-    /// log causal steps append to. Like journaling, forces the serial
-    /// engine (records are appended during device processing, which would
-    /// interleave nondeterministically across workers).
+    /// log causal steps append to.
     provenance: Option<(Prefix, Arc<ProvenanceLog>)>,
     /// When each prefix was first originated (for convergence latency).
     origin_time: HashMap<Prefix, SimTime>,
@@ -1170,8 +1012,8 @@ pub struct SimNet {
     /// The open (still-mergeable) batch per directed session: its id and
     /// scheduled delivery time.
     open_batch: HashMap<(DeviceId, DeviceId, u8), (u64, SimTime)>,
-    /// Monotonic batch-id allocator. Only bumped during emission replay
-    /// (serial in both engines), so ids are engine-independent.
+    /// Monotonic batch-id allocator. Only bumped during emission replay,
+    /// which runs in pop order whatever the window width.
     next_batch_id: u64,
     /// Largest routing-information count (announcements + withdrawals)
     /// observed in a single delivered batch.
@@ -1186,17 +1028,10 @@ pub struct SimNet {
     /// [`take_touched_devices`](Self::take_touched_devices) — the
     /// convergence-footprint measurement behind `bench_incremental`.
     touched: BTreeSet<DeviceId>,
-    /// The persistent worker pool, spun up lazily on the first window that
-    /// dispatches and reused for every one after (and across repeated
-    /// [`run_until_quiescent`](Self::run_until_quiescent) calls).
-    pool: Option<WorkerPool<PoolJob, PoolDone>>,
-    /// Device → shard assignment, built lazily from the topology and
-    /// invalidated whenever a device is commissioned or decommissioned.
-    shard_map: Option<ShardMap>,
-    /// Cores available to this process, sampled once at construction —
-    /// feeds `workers: 0` auto-sizing and the dispatch gate (on a
-    /// single-core host the pool only adds handoff latency).
-    host_cores: usize,
+    /// Wall-clock ns spent per window phase (pre-pass, work, merge) and not
+    /// yet published to the µs-granularity `simnet.phase.*` counters. Kept
+    /// in ns because a one-event window takes well under a microsecond.
+    phase_ns: [u64; 3],
 }
 
 impl SimNet {
@@ -1242,11 +1077,7 @@ impl SimNet {
             chaos: None,
             rpc_nonce: 0,
             touched: BTreeSet::new(),
-            pool: None,
-            shard_map: None,
-            host_cores: std::thread::available_parallelism()
-                .map(|n| n.get())
-                .unwrap_or(1),
+            phase_ns: [0; 3],
         };
         net.bind_all_device_telemetry();
         // Wire sessions for every Up link between live devices.
@@ -1274,9 +1105,9 @@ impl SimNet {
     /// steps will append to. Every UPDATE/withdraw arrival carrying the
     /// prefix, every RPA install/remove, and every Adj-RIB-In change,
     /// decision flip, and FIB delta it produces is recorded with its
-    /// simulated time and device. Opt-in and **serial**: like journaling,
-    /// an armed trace forces the serial convergence engine, so arm it for
-    /// diagnosis runs, not benchmarks.
+    /// simulated time and device. Opt-in: an armed trace renders the prefix's
+    /// state before and after every event on its device, but leaves the
+    /// schedule — and so the FIBs — exactly as they are without it.
     pub fn trace_provenance(&mut self, prefix: Prefix) -> Arc<ProvenanceLog> {
         let log = Arc::new(ProvenanceLog::new(prefix.to_string()));
         self.provenance = Some((prefix, Arc::clone(&log)));
@@ -1396,18 +1227,19 @@ impl SimNet {
     fn export_to_up() -> Arc<Policy> {
         static SHARED: OnceLock<Arc<Policy>> = OnceLock::new();
         Arc::clone(SHARED.get_or_init(|| {
-            Arc::new(Policy::accept_all().rule(PolicyRule::reject(
-                MatchExpr::community(well_known::FROM_UPSTREAM),
-            )))
+            Arc::new(
+                Policy::accept_all().rule(PolicyRule::reject(MatchExpr::community(
+                    well_known::FROM_UPSTREAM,
+                ))),
+            )
         }))
     }
 
     /// The base export policy of a session, as installed at wiring time —
     /// used to rebuild effective policies when an override (drain, policy
     /// transition) is applied or lifted.
-    /// Free-standing (no `&self`) so worker threads can rebuild effective
-    /// policies from shared read-only context without borrowing the whole
-    /// network.
+    /// Free-standing (no `&self`) so the work phase can rebuild effective
+    /// policies while it holds a device mutably.
     fn base_export_policy_for(
         topo: &Topology,
         valley_free: bool,
@@ -1559,28 +1391,15 @@ impl SimNet {
         if !self.cfg.handshake_sessions {
             // Administrative bring-up is a management-plane action, not
             // network traffic: run each SessionUp synchronously through the
-            // same prepare / work / replay pipeline the queue uses (so
-            // counters, journal records and any resulting advertisements
+            // same prepare / work / merge steps a window's events take
+            // (so counters, journal records and any resulting advertisements
             // behave identically) instead of flooding the event queue with
             // O(sessions) bring-up events.
             for dev in devs {
                 for peer in self.devices[dev].daemon.peer_ids() {
-                    let t = self.now;
-                    if let Some((dev_id, work)) = self.prepare(t, NetEvent::SessionUp { dev, peer })
-                    {
-                        let Self {
-                            devices,
-                            counters,
-                            topo,
-                            cfg,
-                            ..
-                        } = self;
-                        let d = devices
-                            .get_mut(dev_id)
-                            .expect("prepared event targets a live device");
-                        let emissions = run_work(d, t, work, counters, topo, cfg);
-                        self.replay(dev_id, emissions);
-                    }
+                    let mut slot = self.prepare(self.now, NetEvent::SessionUp { dev, peer });
+                    self.run_job(&mut slot);
+                    self.finish(slot);
                 }
             }
             return;
@@ -1794,8 +1613,6 @@ impl SimNet {
         links: &[(DeviceId, f64)],
     ) -> DeviceId {
         let id = self.topo.add_device(name, asn);
-        // The shard map is a pure function of the topology; rebuild lazily.
-        self.shard_map = None;
         let mut dcfg = DaemonConfig::fabric(asn);
         dcfg.wcmp_advertise = self.cfg.wcmp_advertise;
         let nhg_cap = self.topo.device(id).expect("just added").max_nexthop_groups;
@@ -1959,7 +1776,6 @@ impl SimNet {
         self.device_down(dev);
         self.devices.remove(dev);
         self.topo.remove_device(dev);
-        self.shard_map = None;
         for prefix_origins in self.originators.values_mut() {
             prefix_origins.remove(&dev);
         }
@@ -1969,81 +1785,251 @@ impl SimNet {
 
     /// Process a single event. Returns `false` when the queue is empty.
     ///
-    /// Serial engine, but built from the same pre-pass / device-work /
-    /// emission-replay stages as the parallel engine — one code path, so
-    /// the two cannot drift apart semantically.
+    /// A window with a budget of one event: the pop-order reference that
+    /// [`run_until_quiescent`](Self::run_until_quiescent) and
+    /// [`run_until`](Self::run_until), which take whole windows, must match.
     pub fn step(&mut self) -> bool {
-        self.step_impl(None)
+        self.run_window(SimTime::MAX, 1) == 1
     }
 
-    /// [`step`](Self::step), optionally accumulating per-phase wall time.
+    /// Run until the queue drains or the event cap hits.
     ///
-    /// The serial engine's events are sub-microsecond, so flushing to the
-    /// µs-granularity `simnet.phase.*` counters per event would truncate
-    /// everything to zero (which is exactly what `bench_convergence`'s
-    /// `workers: 1` rows used to report). The accumulator stays in
-    /// nanoseconds; [`flush_serial_phases`](Self::flush_serial_phases)
-    /// converts once per run.
-    fn step_impl(&mut self, mut phases: Option<&mut PhaseNanos>) -> bool {
-        let pre_start = phases.as_ref().map(|_| std::time::Instant::now());
-        let Some((t, ev)) = self.queue.pop() else {
-            return false;
-        };
-        debug_assert!(t >= self.now, "time must be monotonic");
-        self.now = t;
-        self.telemetry.set_now(t);
-        let slot = self.prepare(t, ev);
-        if let (Some(acc), Some(started)) = (phases.as_deref_mut(), pre_start) {
-            acc.pre += started.elapsed().as_nanos() as u64;
+    /// Events are taken a *window* at a time (see `run_window`), and the
+    /// result is **bit-identical** to processing them one by one in pop
+    /// order. The determinism argument:
+    ///
+    /// 1. Every message scheduled during a run lands at least
+    ///    `base_latency_us` after the event that produced it, so all events
+    ///    in the window `[t0, t0 + max(base_latency_us, 1))` are already
+    ///    queued when the window opens and nothing produced inside the
+    ///    window can land inside it. (In the coalescing configuration the
+    ///    window stretches to three latencies, with explicit cuts around
+    ///    the few event shapes that could violate this — see `run_window`
+    ///    and `DESIGN.md` §9.)
+    /// 2. Events targeting different devices within one window are causally
+    ///    independent (all cross-device effects travel as messages, which
+    ///    land beyond the window), so the work phase may run them grouped
+    ///    by device; each device's events keep their pop order.
+    /// 3. Device work never touches the RNG, the queue, or shared maps — it
+    ///    returns ordered emission lists which the merge phase replays
+    ///    through the normal `emit` path in global pop order, reproducing
+    ///    every jitter/fault/shuffle draw, FIFO clamp and queue sequence
+    ///    number. Journal events and provenance steps are held with the
+    ///    emissions and appended in the same order.
+    pub fn run_until_quiescent(&mut self) -> ConvergenceReport {
+        let mut sp = span::span("simnet", "converge");
+        let mut n = 0u64;
+        while n < self.cfg.max_events && !self.queue.is_empty() {
+            n += self.run_window(SimTime::MAX, self.cfg.max_events - n);
         }
-        if let Some((dev_id, work)) = slot {
-            let work_start = phases.as_ref().map(|_| std::time::Instant::now());
-            let prov = self.provenance.clone();
-            let traced = span::tracing_enabled();
-            let Self {
-                devices,
-                counters,
-                topo,
-                cfg,
-                ..
-            } = self;
-            let dev = devices
-                .get_mut(dev_id)
-                .expect("prepared event targets a live device");
-            let before = prov.as_ref().map(|(p, _)| prov_state(dev, *p));
-            let started = traced.then(std::time::Instant::now);
-            let emissions = run_work(dev, t, work, counters, topo, cfg);
-            if let (Some((p, log)), Some(before)) = (&prov, &before) {
-                let after = prov_state(dev, *p);
-                record_prov_deltas(log, t, dev_id, before, &after);
+        let converged = self.queue.is_empty();
+        self.publish_phases();
+        if converged {
+            self.observe_quiescence();
+        }
+        sp.arg("events", n);
+        ConvergenceReport {
+            converged,
+            events_processed: n,
+            finished_at: self.now,
+        }
+    }
+
+    /// Run events with time ≤ `deadline` (for snapshotting transitory
+    /// states). Returns the number of events processed.
+    pub fn run_until(&mut self, deadline: SimTime) -> u64 {
+        let mut n = 0;
+        while self.queue.peek_time().is_some_and(|t| t <= deadline) {
+            n += self.run_window(deadline, u64::MAX);
+        }
+        self.now = self.now.max(deadline);
+        self.publish_phases();
+        n
+    }
+
+    /// Move whole microseconds of accumulated phase time to the
+    /// `simnet.phase.*` counters, keeping the sub-µs remainder.
+    fn publish_phases(&mut self) {
+        for (ns, us) in self.phase_ns.iter_mut().zip(&self.counters.phase_us) {
+            us.add(*ns / 1_000);
+            *ns %= 1_000;
+        }
+    }
+
+    /// Process one causality-safe window of events — at most `budget`, none
+    /// later than `deadline` — in three phases: pre-pass (global bookkeeping,
+    /// in pop order), device work (grouped by device), merge (emission
+    /// replay, in pop order). Returns the number of events consumed. The
+    /// only place a run pops the event queue.
+    ///
+    /// ## Window width
+    ///
+    /// The base window is one latency: everything in `[t0, t0 + L)` is
+    /// already queued and causally independent across devices. When UPDATE
+    /// coalescing is on and session handshakes are off — the default
+    /// configuration — fresh coalesced batches are scheduled a full `3·L`
+    /// out, so the window stretches to `[t0, t0 + 3L)` and carries roughly
+    /// three times the events. Two *cuts* keep the wide window byte-identical
+    /// to one-event windows:
+    ///
+    /// * an event whose replay schedules follow-ups one `L` out (refresh
+    ///   requests after a Route Filter removal; control-message replies)
+    ///   ends the window — the follow-up could land inside `3L` and must
+    ///   sort against later events in a fresh window;
+    /// * a batch delivery is cut *out* of the window when any device that
+    ///   already holds an in-window job is its emitter and the delivery is
+    ///   at least `L` after that job — the job's replayed output would have
+    ///   merged into the batch one event at a time (`emit_coalesced` merges
+    ///   into batches at least one `L` away), but the pre-pass would already
+    ///   have retired the payload. Deferring the delivery to the next window
+    ///   restores the merge.
+    ///
+    /// Any prefix of a window's pop sequence is itself a valid window, which
+    /// is all `budget` and `deadline` ever select.
+    fn run_window(&mut self, deadline: SimTime, budget: u64) -> u64 {
+        let Some(t0) = self.queue.peek_time() else {
+            return 0;
+        };
+        let min_latency = self.cfg.base_latency_us.max(1);
+        let wide = self.cfg.coalesce_updates && !self.cfg.handshake_sessions;
+        let width = if wide {
+            (3 * self.cfg.base_latency_us).max(1)
+        } else {
+            min_latency
+        };
+        let horizon = t0.saturating_add(width).min(deadline.saturating_add(1));
+
+        // Phase 1 — pre-pass: pop the window and run the global-state side
+        // of each event (counters, churn, origination bookkeeping,
+        // device-existence checks), leaving the device-local rest in a slot.
+        let pre_start = std::time::Instant::now();
+        let sp_pre = span::span("simnet", "window.pre");
+        let mut slots: Vec<Slot> = Vec::new();
+        let mut first_job_t: HashMap<DeviceId, SimTime> = HashMap::new();
+        let mut cut = false;
+        while !cut && (slots.len() as u64) < budget {
+            match self.queue.peek() {
+                Some((t, ev)) if t < horizon => {
+                    if let NetEvent::DeliverBatch { on, .. } = ev {
+                        let emitter = DeviceId(on.device());
+                        if let Some(&te) = first_job_t.get(&emitter) {
+                            if t >= te + min_latency {
+                                // In-window output from the emitter could
+                                // still merge into this batch: defer it.
+                                break;
+                            }
+                        }
+                    }
+                }
+                _ => break,
             }
-            if let Some(started) = started {
-                self.note_busy(dev_id, started.elapsed().as_nanos() as u64);
+            let (t, ev) = self.queue.pop().expect("peeked event");
+            debug_assert!(t >= self.now, "time must be monotonic");
+            if wide {
+                cut = matches!(ev, NetEvent::RemoveRpa { .. } | NetEvent::DeliverCtl { .. });
             }
-            let merge_start = phases.as_ref().map(|_| std::time::Instant::now());
-            self.replay(dev_id, emissions);
-            if let Some(acc) = phases {
-                if let (Some(ws), Some(ms)) = (work_start, merge_start) {
-                    acc.work += ms.duration_since(ws).as_nanos() as u64;
-                    acc.merge += ms.elapsed().as_nanos() as u64;
+            let slot = self.prepare(t, ev);
+            if wide {
+                if let Some(dev) = slot.dev {
+                    first_job_t.entry(dev).or_insert(t);
                 }
             }
+            slots.push(slot);
         }
-        true
+        drop(sp_pre);
+
+        // Phase 2 — device work, grouped by device (ascending id), each
+        // device's events in pop order.
+        let work_start = std::time::Instant::now();
+        let mut sp_work = span::span("simnet", "window.work");
+        let mut order: Vec<(DeviceId, usize)> = slots
+            .iter()
+            .enumerate()
+            .filter_map(|(i, slot)| Some((slot.dev?, i)))
+            .collect();
+        order.sort_unstable();
+        for &(_, i) in &order {
+            self.run_job(&mut slots[i]);
+        }
+        self.counters.window_jobs.observe(order.len() as u64);
+        sp_work.arg("jobs", order.len() as u64);
+        drop(sp_work);
+
+        // Phase 3 — merge, in pop order.
+        let merge_start = std::time::Instant::now();
+        let sp_merge = span::span("simnet", "window.merge");
+        let events = slots.len() as u64;
+        for slot in slots {
+            self.finish(slot);
+        }
+        drop(sp_merge);
+
+        let end = std::time::Instant::now();
+        self.phase_ns[0] += (work_start - pre_start).as_nanos() as u64;
+        self.phase_ns[1] += (merge_start - work_start).as_nanos() as u64;
+        self.phase_ns[2] += (end - merge_start).as_nanos() as u64;
+        self.counters.windows.inc();
+        events
     }
 
-    /// Fold a serial run's accumulated phase nanoseconds into the
-    /// µs-granularity phase counters shared with the windowed engine.
-    fn flush_serial_phases(&self, acc: &PhaseNanos) {
-        if acc.pre == 0 && acc.work == 0 && acc.merge == 0 {
+    /// Run a slot's device work, if it has any. Journal events and provenance
+    /// steps the work produces are held in the slot; with span tracing on, the
+    /// time it took lands in `simnet.event.latency_ns` and the device's
+    /// busy counter.
+    fn run_job(&mut self, slot: &mut Slot) {
+        let (Some(dev_id), Some(work)) = (slot.dev, slot.work.take()) else {
             return;
+        };
+        let Self {
+            devices,
+            counters,
+            topo,
+            cfg,
+            telemetry,
+            provenance,
+            ..
+        } = self;
+        let dev = devices
+            .get_mut(dev_id)
+            .expect("prepared event targets a live device");
+        telemetry.set_now(slot.t);
+        let before = provenance.as_ref().map(|(p, _)| prov_state(dev, *p));
+        let started = span::tracing_enabled().then(std::time::Instant::now);
+        let (emissions, mut journal) =
+            telemetry.capture(|| run_work(dev, slot.t, work, counters, topo, cfg));
+        slot.emissions = emissions;
+        slot.journal.append(&mut journal);
+        if let (Some((p, _)), Some(before)) = (provenance.as_ref(), before) {
+            push_prov_deltas(&mut slot.provenance, &before, &prov_state(dev, *p));
         }
-        self.counters.phase_pre_us.add(acc.pre / 1_000);
-        self.counters.phase_work_us.add(acc.work / 1_000);
-        self.counters.phase_merge_us.add(acc.merge / 1_000);
+        if let Some(started) = started {
+            let ns = started.elapsed().as_nanos() as u64;
+            counters.event_latency_ns.observe(ns);
+            self.note_busy(dev_id, ns);
+        }
     }
 
-    /// Replay worker emissions through the scheduling path (`emit`,
+    /// Finish a slot: advance the clock to its event, hand its held journal
+    /// events and provenance steps to their logs, and replay its emissions
+    /// through the scheduling path.
+    fn finish(&mut self, slot: Slot) {
+        self.now = slot.t;
+        self.telemetry.set_now(slot.t);
+        for event in slot.journal {
+            self.telemetry.record(event);
+        }
+        let Some(dev) = slot.dev else {
+            return;
+        };
+        if let Some((_, log)) = &self.provenance {
+            for (kind, from_peer, detail) in slot.provenance {
+                log.append(slot.t, dev.0, kind, from_peer, detail);
+            }
+        }
+        self.replay(dev, slot.emissions);
+    }
+
+    /// Replay one event's emissions through the scheduling path (`emit`,
     /// `emit_ctl`, refresh-request scheduling) at the current sim time.
     fn replay(&mut self, dev_id: DeviceId, emissions: Vec<Emission>) {
         for emission in emissions {
@@ -2062,377 +2048,35 @@ impl SimNet {
         }
     }
 
-    /// Run until the queue drains or the event cap hits.
-    ///
-    /// With [`SimConfig::parallel_workers`] above one (and no journal
-    /// attached), events are processed by the windowed parallel engine —
-    /// **bit-identical** to the serial engine. The determinism argument:
-    ///
-    /// 1. Every message scheduled during a run lands at least
-    ///    `base_latency_us` after the event that produced it, so all events
-    ///    in the window `[t0, t0 + max(base_latency_us, 1))` are already
-    ///    queued when the window opens and nothing produced inside the
-    ///    window can land inside it. (In the coalescing configuration the
-    ///    window stretches to three latencies, with explicit cuts around
-    ///    the few event shapes that could violate this — see the
-    ///    `step_window` internals and `DESIGN.md` §13.)
-    /// 2. Events targeting different devices within one window are causally
-    ///    independent (all cross-device effects travel as messages, which
-    ///    land beyond the window), so per-device batches may run on the
-    ///    persistent sharded worker pool; each device's batch preserves its
-    ///    global pop order, and the device → worker assignment is a pure
-    ///    function of the topology ([`ShardMap`]).
-    /// 3. Workers never touch the RNG, the queue, or shared maps — they
-    ///    return ordered emission lists which the merge phase replays
-    ///    through the normal `emit` path in the original global pop order,
-    ///    reproducing every jitter/fault/shuffle draw, FIFO clamp and queue
-    ///    sequence number of the serial engine.
-    ///
-    /// Journaling forces the serial engine: journal records are stamped and
-    /// appended during device processing, which would interleave
-    /// nondeterministically across workers.
-    pub fn run_until_quiescent(&mut self) -> ConvergenceReport {
-        let workers = self.effective_workers();
-        let parallel =
-            workers > 1 && !self.telemetry.journal_enabled() && self.provenance.is_none();
-        self.telemetry
-            .metrics()
-            .gauge("core.parallel_workers")
-            .set(if parallel { workers as i64 } else { 1 });
-        let mut sp = span::span("simnet", "converge");
-        sp.arg("workers", if parallel { workers as u64 } else { 1 });
-        let mut n = 0u64;
-        let mut serial_phases = PhaseNanos::default();
-        while !self.queue.is_empty() {
-            if n >= self.cfg.max_events {
-                self.flush_serial_phases(&serial_phases);
-                sp.arg("events", n);
-                return ConvergenceReport {
-                    converged: false,
-                    events_processed: n,
-                    finished_at: self.now,
-                };
-            }
-            if parallel {
-                n += self.step_window(workers, self.cfg.max_events - n);
-            } else {
-                self.step_impl(Some(&mut serial_phases));
-                n += 1;
-            }
-        }
-        self.flush_serial_phases(&serial_phases);
-        self.observe_quiescence();
-        sp.arg("events", n);
-        ConvergenceReport {
-            converged: true,
-            events_processed: n,
-            finished_at: self.now,
-        }
-    }
-
-    /// Resolved worker count: `parallel_workers`, with `0` meaning one per
-    /// available core (sampled once at construction).
-    fn effective_workers(&self) -> usize {
-        match self.cfg.parallel_workers {
-            0 => self.host_cores,
-            n => n,
-        }
-    }
-
-    /// Build the device → shard map on first use. Shard count comes from
-    /// [`SimConfig::shards`] (`0` = one per worker); the map is a pure
-    /// function of the topology, so it is rebuilt only after a topology
-    /// mutation invalidates it.
-    fn ensure_shard_map(&mut self, workers: usize) {
-        if self.shard_map.is_none() {
-            let shards = if self.cfg.shards == 0 {
-                workers
-            } else {
-                self.cfg.shards
-            };
-            let map = ShardMap::build(&self.topo, shards);
-            self.telemetry
-                .metrics()
-                .gauge("simnet.shard.count")
-                .set(map.shard_count() as i64);
-            self.shard_map = Some(map);
-        }
-    }
-
-    /// Spin up the persistent worker pool on the first window that
-    /// dispatches; every later window (and every later `converge` call on
-    /// this network) reuses the parked threads.
-    fn ensure_pool(&mut self, workers: usize) {
-        if self.pool.is_none() {
-            self.pool = Some(WorkerPool::new(workers, pool_run));
-        }
-    }
-
-    /// Process one causality-safe window of events (at most `budget`) with
-    /// the three-phase pipeline: serial pre-pass (global bookkeeping, in pop
-    /// order), parallel per-device processing, serial merge (emission
-    /// replay, in pop order). Returns the number of events consumed.
-    ///
-    /// ## Window width
-    ///
-    /// The base window is one latency: everything in `[t0, t0 + L)` is
-    /// already queued and causally independent across devices. When UPDATE
-    /// coalescing is on and session handshakes are off — the benchmark
-    /// configuration — fresh coalesced batches are scheduled a full `3·L`
-    /// out, so the window stretches to `[t0, t0 + 3L)` and carries roughly
-    /// three times the jobs per dispatch. Three *cuts* keep the wide window
-    /// byte-identical to serial:
-    ///
-    /// * an event whose replay schedules follow-ups one `L` out (refresh
-    ///   requests after a Route Filter removal; control-message replies)
-    ///   ends the window — the follow-up could land inside `3L` and must
-    ///   sort against later events in a fresh window;
-    /// * a batch delivery is cut *out* of the window when any device that
-    ///   already holds an in-window job is its emitter and the delivery is
-    ///   at least `L` after that job — the job's replayed output would have
-    ///   merged into the batch serially (`emit_coalesced` merges into
-    ///   batches at least one `L` away), but the windowed pre-pass has
-    ///   already retired the payload. Deferring the delivery to the next
-    ///   window restores the serial merge.
-    fn step_window(&mut self, workers: usize, budget: u64) -> u64 {
-        let Some(t0) = self.queue.peek_time() else {
-            return 0;
+    /// The pre-pass of one event at its own timestamp `t`: device-existence
+    /// check, global counters and bookkeeping, leaving the device-local
+    /// remainder as a [`Work`] job in the returned slot — or none when the
+    /// event is a no-op (target device gone). Every device that receives a
+    /// job is recorded in the touched set.
+    fn prepare(&mut self, t: SimTime, ev: NetEvent) -> Slot {
+        self.telemetry.set_now(t);
+        let mut slot = Slot {
+            t,
+            dev: None,
+            work: None,
+            emissions: Vec::new(),
+            journal: Vec::new(),
+            provenance: Vec::new(),
         };
-        let min_latency = self.cfg.base_latency_us.max(1);
-        let wide = self.cfg.coalesce_updates && !self.cfg.handshake_sessions;
-        let horizon = if wide {
-            t0 + (3 * self.cfg.base_latency_us).max(1)
-        } else {
-            t0 + min_latency
-        };
-
-        // Phase 1 — serial pre-pass: pop the window, run the global-state
-        // side of each event (counters, churn, origination bookkeeping,
-        // device-existence checks) and build per-device job lists.
-        let pre_start = std::time::Instant::now();
-        let sp_pre = span::span("simnet", "window.pre");
-        let mut popped: Vec<(SimTime, Option<(DeviceId, usize)>)> = Vec::new();
-        let mut jobs: BTreeMap<DeviceId, Vec<(SimTime, Work)>> = BTreeMap::new();
-        let mut first_job_t: HashMap<DeviceId, SimTime> = HashMap::new();
-        let mut cut = false;
-        while !cut && (popped.len() as u64) < budget {
-            match self.queue.peek() {
-                Some((t, ev)) if t < horizon => {
-                    if wide {
-                        if let NetEvent::DeliverBatch { on, .. } = ev {
-                            let emitter = DeviceId(on.device());
-                            if let Some(&te) = first_job_t.get(&emitter) {
-                                if t >= te + min_latency {
-                                    // In-window output from the emitter could
-                                    // still merge into this batch: defer it.
-                                    break;
-                                }
-                            }
-                        }
-                    }
-                }
-                _ => break,
-            }
-            let (t, ev) = self.queue.pop().expect("peeked event");
-            debug_assert!(t >= self.now, "time must be monotonic");
-            if wide {
-                cut = matches!(ev, NetEvent::RemoveRpa { .. } | NetEvent::DeliverCtl { .. });
-            }
-            let slot = self.prepare(t, ev).map(|(dev_id, work)| {
-                let list = jobs.entry(dev_id).or_default();
-                list.push((t, work));
-                first_job_t.entry(dev_id).or_insert(t);
-                (dev_id, list.len() - 1)
-            });
-            popped.push((t, slot));
-        }
-        drop(sp_pre);
-        self.counters
-            .phase_pre_us
-            .add(pre_start.elapsed().as_micros() as u64);
-
-        // Phase 2 — per-device processing over disjoint `&mut SimDevice`,
-        // dispatched to the persistent sharded pool when the window carries
-        // enough work to pay for the handoff; inline otherwise (identical
-        // output either way; only wall-clock differs).
-        let work_start = std::time::Instant::now();
-        let mut sp_work = span::span("simnet", "window.work");
-        let traced = span::tracing_enabled();
-        let total_jobs: usize = jobs.values().map(Vec::len).sum();
-        let device_count = jobs.len();
-        self.counters.window_jobs.observe(total_jobs as u64);
-        self.ensure_shard_map(workers);
-        // Shard census: which shards have work this window, and how much.
-        let mut shard_loads: BTreeMap<usize, usize> = BTreeMap::new();
-        {
-            let shard_map = self.shard_map.as_ref().expect("just built");
-            for (id, list) in &jobs {
-                *shard_loads.entry(shard_map.shard_of(*id)).or_default() += list.len();
-            }
-        }
-        let dispatch = match self.cfg.min_dispatch_jobs {
-            Some(min) => !jobs.is_empty() && total_jobs >= min,
-            // Auto gate: enough jobs to amortize the channel handoff, work
-            // on at least two shards (one busy shard parallelizes nothing),
-            // and a host that can actually run workers side by side.
-            None => {
-                total_jobs >= 2 * MIN_JOBS_PER_WORKER
-                    && shard_loads.len() >= 2
-                    && self.host_cores > 1
-            }
-        };
-        sp_work.arg("jobs", total_jobs as u64);
-        sp_work.arg("devices", device_count as u64);
-        sp_work.arg("shards", shard_loads.len() as u64);
-        sp_work.arg("dispatched", dispatch as u64);
-        let mut device_busy: Vec<(DeviceId, u64)> = Vec::new();
-        let mut outputs: BTreeMap<DeviceId, Vec<Vec<Emission>>> = BTreeMap::new();
-        if !dispatch {
-            self.counters.inline_windows.inc();
-            let Self {
-                devices,
-                counters,
-                topo,
-                cfg,
-                ..
-            } = self;
-            for (id, dev) in devices.iter_mut() {
-                let Some(list) = jobs.remove(&id) else {
-                    continue;
-                };
-                let dev_start = traced.then(std::time::Instant::now);
-                let mut outs = Vec::with_capacity(list.len());
-                for (t, work) in list {
-                    outs.push(run_work(dev, t, work, counters, topo, cfg));
-                }
-                if let Some(started) = dev_start {
-                    device_busy.push((id, started.elapsed().as_nanos() as u64));
-                }
-                outputs.insert(id, outs);
-            }
-        } else {
-            self.counters.shard_dispatches.inc();
-            for &load in shard_loads.values() {
-                self.counters.shard_jobs.observe(load as u64);
-            }
-            self.ensure_pool(workers);
-            let Self {
-                devices,
-                counters,
-                topo,
-                cfg,
-                pool,
-                shard_map,
-                ..
-            } = self;
-            let shard_map = shard_map.as_ref().expect("built above");
-            let pool = pool.as_mut().expect("built above");
-            let pool_workers = pool.workers();
-            // Group each shard's device slots onto its worker (shard s →
-            // worker s mod pool size), devices in id order within a batch.
-            let mut per_worker: BTreeMap<usize, Vec<PoolSlot>> = BTreeMap::new();
-            for (id, dev) in devices.iter_mut() {
-                let Some(list) = jobs.remove(&id) else {
-                    continue;
-                };
-                per_worker
-                    .entry(shard_map.shard_of(id) % pool_workers)
-                    .or_default()
-                    .push(PoolSlot {
-                        id,
-                        dev: dev as *mut SimDevice,
-                        jobs: list,
-                    });
-            }
-            let batch: Vec<(usize, PoolJob)> = per_worker
-                .into_iter()
-                .map(|(worker, slots)| {
-                    (
-                        worker,
-                        PoolJob {
-                            slots,
-                            counters: counters as *const NetCounters,
-                            topo: topo as *const Topology,
-                            cfg: cfg as *const SimConfig,
-                        },
-                    )
-                })
-                .collect();
-            let results = pool.dispatch(batch);
-            // Idle per worker = dispatch wall − that worker's busy time.
-            // The wall includes the handoff and collection delay, which is
-            // the point: a worker that waited on the channel shows as idle.
-            let wall_ns = work_start.elapsed().as_nanos() as u64;
-            let mut panic_payload = None;
-            for result in results {
-                match result {
-                    Ok(done) => {
-                        counters
-                            .worker_idle_ns
-                            .observe(wall_ns.saturating_sub(done.busy_ns));
-                        for (id, outs, busy_ns) in done.slots {
-                            if traced {
-                                device_busy.push((id, busy_ns));
-                            }
-                            outputs.insert(id, outs);
-                        }
-                    }
-                    Err(payload) => panic_payload = Some(payload),
-                }
-            }
-            if let Some(payload) = panic_payload {
-                // Every worker has reported back (dispatch collected all
-                // results), so no thread still holds a device pointer —
-                // safe to unwind the coordinator.
-                std::panic::resume_unwind(payload);
-            }
-        }
-        debug_assert!(jobs.is_empty(), "every job targets a live device");
-        drop(sp_work);
-        self.counters
-            .phase_work_us
-            .add(work_start.elapsed().as_micros() as u64);
-        for (id, busy_ns) in device_busy {
-            self.note_busy(id, busy_ns);
-        }
-
-        // Phase 3 — serial merge: replay emissions in the original global
-        // pop order, advancing the clock exactly as the serial engine does.
-        let merge_start = std::time::Instant::now();
-        let sp_merge = span::span("simnet", "window.merge");
-        for (t, slot) in &popped {
-            self.now = *t;
-            self.telemetry.set_now(*t);
-            let Some((dev_id, idx)) = slot else {
-                continue;
-            };
-            let emissions =
-                std::mem::take(&mut outputs.get_mut(dev_id).expect("device has outputs")[*idx]);
-            self.replay(*dev_id, emissions);
-        }
-        drop(sp_merge);
-        self.counters
-            .phase_merge_us
-            .add(merge_start.elapsed().as_micros() as u64);
-        self.counters.windows.inc();
-        popped.len() as u64
-    }
-
-    /// The serial pre-pass of one windowed event: device-existence check,
-    /// global counters and bookkeeping (using the event's own timestamp),
-    /// returning the device-local remainder as a [`Work`] job — or `None`
-    /// when the event is a no-op (target device gone). Every device that
-    /// receives a job is recorded in the touched set (both the serial and
-    /// windowed engines route through here).
-    fn prepare(&mut self, t: SimTime, ev: NetEvent) -> Option<(DeviceId, Work)> {
-        let slot = self.prepare_inner(t, ev);
-        if let Some((dev, _)) = &slot {
-            self.touched.insert(*dev);
+        if let Some((dev, work)) = self.prepare_inner(t, ev, &mut slot) {
+            self.touched.insert(dev);
+            slot.dev = Some(dev);
+            slot.work = Some(work);
         }
         slot
     }
 
-    fn prepare_inner(&mut self, t: SimTime, ev: NetEvent) -> Option<(DeviceId, Work)> {
+    fn prepare_inner(
+        &mut self,
+        t: SimTime,
+        ev: NetEvent,
+        slot: &mut Slot,
+    ) -> Option<(DeviceId, Work)> {
         match ev {
             NetEvent::DeliverCtl { to, on, msg } => {
                 if !self.devices.contains_key(to) {
@@ -2464,7 +2108,7 @@ impl SimNet {
                 self.counters.announcements.add(msg.announced.len() as u64);
                 self.counters.withdrawals.add(msg.withdrawn.len() as u64);
                 self.note_churn(to);
-                self.note_provenance_arrival(t, to, on, &msg);
+                self.note_provenance_arrival(&mut slot.provenance, on, &msg);
                 if !self.origin_time.is_empty() {
                     for (p, _) in &msg.announced {
                         if self.origin_time.contains_key(p) {
@@ -2488,7 +2132,7 @@ impl SimNet {
                 self.counters.announcements.add(msg.announced.len() as u64);
                 self.counters.withdrawals.add(msg.withdrawn.len() as u64);
                 self.note_churn(to);
-                self.note_provenance_arrival(t, to, on, &msg);
+                self.note_provenance_arrival(&mut slot.provenance, on, &msg);
                 if !self.origin_time.is_empty() {
                     for (p, _) in &msg.announced {
                         if self.origin_time.contains_key(p) {
@@ -2509,7 +2153,7 @@ impl SimNet {
                     return None;
                 }
                 self.counters.session_events.inc();
-                Self::note_session_transition(&self.telemetry, dev, peer, "up");
+                Self::note_session_transition(&self.telemetry, &mut slot.journal, dev, peer, "up");
                 Some((dev, Work::SessionUp { peer }))
             }
             NetEvent::SessionDown { dev, peer } => {
@@ -2517,7 +2161,13 @@ impl SimNet {
                     return None;
                 }
                 self.counters.session_events.inc();
-                Self::note_session_transition(&self.telemetry, dev, peer, "down");
+                Self::note_session_transition(
+                    &self.telemetry,
+                    &mut slot.journal,
+                    dev,
+                    peer,
+                    "down",
+                );
                 Some((dev, Work::SessionDown { peer }))
             }
             NetEvent::RouteRefreshRequest { to, on } => {
@@ -2531,7 +2181,13 @@ impl SimNet {
                     return None;
                 }
                 self.counters.session_events.inc();
-                Self::note_session_transition(&self.telemetry, dev, peer, "removed");
+                Self::note_session_transition(
+                    &self.telemetry,
+                    &mut slot.journal,
+                    dev,
+                    peer,
+                    "removed",
+                );
                 Some((dev, Work::RemovePeer { peer }))
             }
             NetEvent::InstallRpa { dev, doc } => {
@@ -2539,14 +2195,10 @@ impl SimNet {
                     return None;
                 }
                 self.counters.rpa_operations.inc();
-                if let Some((_, log)) = &self.provenance {
-                    log.append(
-                        t,
-                        dev.0,
-                        ProvenanceKind::RpaApplied,
-                        None,
-                        format!("install {}", doc.name()),
-                    );
+                if self.provenance.is_some() {
+                    let detail = format!("install {}", doc.name());
+                    slot.provenance
+                        .push((ProvenanceKind::RpaApplied, None, detail));
                 }
                 Some((dev, Work::InstallRpa { doc }))
             }
@@ -2555,14 +2207,10 @@ impl SimNet {
                     return None;
                 }
                 self.counters.rpa_operations.inc();
-                if let Some((_, log)) = &self.provenance {
-                    log.append(
-                        t,
-                        dev.0,
-                        ProvenanceKind::RpaApplied,
-                        None,
-                        format!("remove {name}"),
-                    );
+                if self.provenance.is_some() {
+                    let detail = format!("remove {name}");
+                    slot.provenance
+                        .push((ProvenanceKind::RpaApplied, None, detail));
                 }
                 Some((dev, Work::RemoveRpa { name }))
             }
@@ -2656,7 +2304,8 @@ impl SimNet {
         // capacity (not the momentary occupancy) is what a memory budget
         // must provision for.
         m.gauge("mem.adj_rib_in_bytes").set(rib_in_fp.bytes as i64);
-        m.gauge("mem.adj_rib_out_bytes").set(rib_out_fp.bytes as i64);
+        m.gauge("mem.adj_rib_out_bytes")
+            .set(rib_out_fp.bytes as i64);
         m.gauge("bgp.canonical_routes")
             .set((rib_in_fp.canonical_routes + rib_out_fp.canonical_routes) as i64);
         m.gauge("bgp.peer_refs")
@@ -2675,21 +2324,6 @@ impl SimNet {
                 + self.churn.footprint_bytes()
                 + self.busy.footprint_bytes()) as i64,
         );
-    }
-
-    /// Run events with time ≤ `deadline` (for snapshotting transitory
-    /// states). Returns the number of events processed.
-    pub fn run_until(&mut self, deadline: SimTime) -> u64 {
-        let mut n = 0;
-        while let Some(t) = self.queue.peek_time() {
-            if t > deadline {
-                break;
-            }
-            self.step();
-            n += 1;
-        }
-        self.now = self.now.max(deadline);
-        n
     }
 
     /// Bump the per-device UPDATE-churn counter for `dev`, binding the
@@ -2724,17 +2358,16 @@ impl SimNet {
         }
     }
 
-    /// Record UPDATE/withdraw arrivals carrying the traced prefix in the
-    /// provenance log. A no-op (one `Option` check) when no trace is armed.
-    fn note_provenance_arrival(&self, t: SimTime, to: DeviceId, on: PeerId, msg: &UpdateMessage) {
-        let Some((prefix, log)) = &self.provenance else {
+    /// Note UPDATE/withdraw arrivals carrying the traced prefix as provenance
+    /// steps of the event. A no-op (one `Option` check) when no trace is
+    /// armed.
+    fn note_provenance_arrival(&self, steps: &mut Vec<ProvStep>, on: PeerId, msg: &UpdateMessage) {
+        let Some((prefix, _)) = &self.provenance else {
             return;
         };
         let from = Some(on.device());
         if msg.announced.iter().any(|(p, _)| p == prefix) {
-            log.append(
-                t,
-                to.0,
+            steps.push((
                 ProvenanceKind::UpdateReceived,
                 from,
                 format!(
@@ -2742,12 +2375,10 @@ impl SimNet {
                     on.device(),
                     on.session_index()
                 ),
-            );
+            ));
         }
         if msg.withdrawn.contains(prefix) {
-            log.append(
-                t,
-                to.0,
+            steps.push((
                 ProvenanceKind::WithdrawReceived,
                 from,
                 format!(
@@ -2755,14 +2386,21 @@ impl SimNet {
                     on.device(),
                     on.session_index()
                 ),
-            );
+            ));
         }
     }
 
-    /// Journal a session lifecycle change (up / down / removed).
-    fn note_session_transition(telemetry: &Telemetry, dev: DeviceId, peer: PeerId, state: &str) {
+    /// Note a session lifecycle change (up / down / removed) as a journal
+    /// event of the event being prepared.
+    fn note_session_transition(
+        telemetry: &Telemetry,
+        journal: &mut Vec<Event>,
+        dev: DeviceId,
+        peer: PeerId,
+        state: &str,
+    ) {
         if telemetry.journal_enabled() {
-            telemetry.record(
+            journal.push(
                 telemetry
                     .event(EventKind::SessionTransition, Severity::Info)
                     .field("device", format!("d{}", dev.0))

@@ -7,13 +7,16 @@
 
 use centralium_bgp::attrs::well_known;
 use centralium_bgp::Prefix;
+use centralium_rpa::{
+    Destination, PathSelectionRpa, PathSelectionStatement, PathSet, PathSignature, RpaDocument,
+};
 use centralium_simnet::{SimConfig, SimNet};
-use centralium_telemetry::{span, ProvenanceKind};
+use centralium_telemetry::{span, ProvenanceKind, ProvenanceRecord, Telemetry};
 use centralium_topology::{build_fabric, FabricSpec};
 
-fn tiny_net(workers: usize) -> (SimNet, Vec<centralium_topology::DeviceId>) {
+fn tiny_net() -> (SimNet, Vec<centralium_topology::DeviceId>) {
     let (topo, idx, _) = build_fabric(&FabricSpec::tiny());
-    let net = SimNet::new(topo, SimConfig::builder().seed(7).workers(workers).build());
+    let net = SimNet::new(topo, SimConfig::builder().seed(7).build());
     (net, idx.backbone.clone())
 }
 
@@ -27,17 +30,13 @@ fn tracing_lock() -> std::sync::MutexGuard<'static, ()> {
 
 #[test]
 fn provenance_chain_covers_cause_and_effect() {
-    let (mut net, backbone) = tiny_net(4);
+    let (mut net, backbone) = tiny_net();
     net.establish_all();
     let log = net.trace_provenance(Prefix::DEFAULT);
     for &eb in &backbone {
         net.originate(eb, Prefix::DEFAULT, [well_known::BACKBONE_DEFAULT_ROUTE]);
     }
     net.run_until_quiescent().expect_converged();
-
-    // An armed trace forces the serial engine, like journaling.
-    let snap = net.telemetry().metrics().snapshot();
-    assert_eq!(snap.gauge("core.parallel_workers"), 1);
 
     let records = log.records();
     assert!(!records.is_empty(), "convergence produced no provenance");
@@ -69,12 +68,82 @@ fn provenance_chain_covers_cause_and_effect() {
     }
 }
 
+/// Journal and provenance attached, a run with session churn, an RPA deploy
+/// and message loss: FIBs, journal JSONL bytes and provenance records, driven
+/// either one event at a time or in whole windows.
+fn observed_run(stepped: bool) -> (String, Vec<u8>, Vec<ProvenanceRecord>) {
+    let (topo, idx, _) = build_fabric(&FabricSpec::tiny());
+    let mut cfg = SimConfig::builder().seed(21).build();
+    cfg.fault.drop_probability = 0.02;
+    let mut net = SimNet::new(topo, cfg);
+    net.set_telemetry(Telemetry::with_journal(1 << 20));
+    let log = net.trace_provenance(Prefix::DEFAULT);
+    let settle = |net: &mut SimNet| {
+        if stepped {
+            while net.step() {}
+        } else {
+            net.run_until_quiescent().expect_converged();
+        }
+    };
+    net.establish_all();
+    for &eb in &idx.backbone {
+        net.originate(eb, Prefix::DEFAULT, [well_known::BACKBONE_DEFAULT_ROUTE]);
+    }
+    settle(&mut net);
+    let ssw = idx.ssw[0][0];
+    net.deploy_rpa(
+        ssw,
+        RpaDocument::PathSelection(PathSelectionRpa::single(
+            "equalize",
+            PathSelectionStatement::select(
+                Destination::Community(well_known::BACKBONE_DEFAULT_ROUTE),
+                vec![PathSet::new("all", PathSignature::any())],
+            ),
+        )),
+        300,
+    );
+    net.device_down(idx.fadu[0][0]);
+    settle(&mut net);
+    net.device_up(idx.fadu[0][0]);
+    settle(&mut net);
+    let mut journal = Vec::new();
+    net.telemetry()
+        .journal()
+        .expect("journal attached")
+        .export_jsonl(&mut journal)
+        .unwrap();
+    (format!("{:?}", net.fib_snapshot()), journal, log.records())
+}
+
+#[test]
+fn observability_does_not_change_the_schedule() {
+    let (fibs, journal, provenance) = observed_run(false);
+    let (ref_fibs, ref_journal, ref_provenance) = observed_run(true);
+    assert!(fibs == ref_fibs, "wide windows changed the FIBs");
+    assert!(
+        journal == ref_journal,
+        "journal JSONL differs from the stepped run"
+    );
+    assert_eq!(provenance, ref_provenance);
+    // The run exercised every record source: pre-pass (session transitions),
+    // device work (decisions), merge (dropped messages).
+    let text = String::from_utf8(journal).unwrap();
+    for kind in ["SessionTransition", "BgpDecision", "FaultInjected"] {
+        assert!(text.contains(kind), "no {kind} event journaled");
+    }
+    assert!(!provenance.is_empty());
+    for pair in provenance.windows(2) {
+        assert!(pair[0].seq < pair[1].seq);
+        assert!(pair[0].time_us <= pair[1].time_us);
+    }
+}
+
 #[test]
 fn spans_cover_a_run_and_export_chrome_trace() {
     let _g = tracing_lock();
     span::set_tracing(true);
     span::drain();
-    let (mut net, backbone) = tiny_net(4);
+    let (mut net, backbone) = tiny_net();
     net.establish_all();
     for &eb in &backbone {
         net.originate(eb, Prefix::DEFAULT, [well_known::BACKBONE_DEFAULT_ROUTE]);
@@ -127,7 +196,7 @@ fn spans_cover_a_run_and_export_chrome_trace() {
 fn histograms_and_memory_gauges_populate_without_tracing() {
     let _g = tracing_lock();
     span::set_tracing(false);
-    let (mut net, backbone) = tiny_net(4);
+    let (mut net, backbone) = tiny_net();
     net.establish_all();
     for &eb in &backbone {
         net.originate(eb, Prefix::DEFAULT, [well_known::BACKBONE_DEFAULT_ROUTE]);
@@ -139,7 +208,7 @@ fn histograms_and_memory_gauges_populate_without_tracing() {
     assert_eq!(
         jobs.count(),
         snap.counter("simnet.phase.windows"),
-        "one jobs observation per parallel window"
+        "one jobs observation per window"
     );
     assert!(jobs.count() > 0);
     assert!(jobs.percentile(0.5).is_some());

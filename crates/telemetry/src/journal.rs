@@ -16,9 +16,17 @@ use std::sync::atomic::{AtomicU64, Ordering};
 #[derive(Debug)]
 pub struct Journal {
     capacity: usize,
-    ring: Mutex<VecDeque<Event>>,
+    inner: Mutex<Inner>,
     recorded: AtomicU64,
     dropped: AtomicU64,
+}
+
+#[derive(Debug)]
+struct Inner {
+    ring: VecDeque<Event>,
+    /// While a [`Journal::capture`] is running, events land here instead of
+    /// in the ring.
+    captured: Option<Vec<Event>>,
 }
 
 impl Journal {
@@ -27,7 +35,10 @@ impl Journal {
         let capacity = capacity.max(1);
         Journal {
             capacity,
-            ring: Mutex::new(VecDeque::with_capacity(capacity.min(1024))),
+            inner: Mutex::new(Inner {
+                ring: VecDeque::with_capacity(capacity.min(1024)),
+                captured: None,
+            }),
             recorded: AtomicU64::new(0),
             dropped: AtomicU64::new(0),
         }
@@ -40,23 +51,41 @@ impl Journal {
 
     /// Append an event, evicting the oldest record if the ring is full.
     pub fn record(&self, event: Event) {
+        let mut inner = self.inner.lock();
+        if let Some(captured) = &mut inner.captured {
+            captured.push(event);
+            return;
+        }
         self.recorded.fetch_add(1, Ordering::Relaxed);
-        let mut ring = self.ring.lock();
-        if ring.len() == self.capacity {
-            ring.pop_front();
+        if inner.ring.len() == self.capacity {
+            inner.ring.pop_front();
             self.dropped.fetch_add(1, Ordering::Relaxed);
         }
-        ring.push_back(event);
+        inner.ring.push_back(event);
+    }
+
+    /// Run `f` with recording diverted: every event recorded meanwhile —
+    /// through any handle sharing this journal — is returned instead of
+    /// entering the ring, for the caller to [`record`](Self::record) later in
+    /// an order of its choosing. The simulator's run loop uses this to
+    /// process a window's events grouped by device while still journaling
+    /// them in event order. Captures do not nest.
+    pub fn capture<R>(&self, f: impl FnOnce() -> R) -> (R, Vec<Event>) {
+        let previous = self.inner.lock().captured.replace(Vec::new());
+        debug_assert!(previous.is_none(), "journal captures do not nest");
+        let result = f();
+        let captured = self.inner.lock().captured.take().unwrap_or_default();
+        (result, captured)
     }
 
     /// Events currently retained.
     pub fn len(&self) -> usize {
-        self.ring.lock().len()
+        self.inner.lock().ring.len()
     }
 
     /// Whether nothing is retained.
     pub fn is_empty(&self) -> bool {
-        self.ring.lock().is_empty()
+        self.inner.lock().ring.is_empty()
     }
 
     /// Total events ever recorded (retained + dropped).
@@ -71,7 +100,7 @@ impl Journal {
 
     /// Copy of the retained events, oldest first.
     pub fn snapshot(&self) -> Vec<Event> {
-        self.ring.lock().iter().cloned().collect()
+        self.inner.lock().ring.iter().cloned().collect()
     }
 
     /// Write the retained events as JSON lines (one object per line,
@@ -120,6 +149,26 @@ mod tests {
         assert_eq!(j.recorded(), 10);
         let times: Vec<u64> = j.snapshot().iter().map(|e| e.time_us).collect();
         assert_eq!(times, vec![7, 8, 9], "most recent window survives");
+    }
+
+    #[test]
+    fn capture_diverts_records_until_replayed() {
+        let j = Journal::new(8);
+        j.record(ev(1));
+        let (value, held) = j.capture(|| {
+            j.record(ev(3));
+            j.record(ev(4));
+            7
+        });
+        assert_eq!(value, 7);
+        assert_eq!((j.len(), j.recorded()), (1, 1), "captured, not recorded");
+        j.record(ev(2));
+        for e in held {
+            j.record(e);
+        }
+        let times: Vec<u64> = j.snapshot().iter().map(|e| e.time_us).collect();
+        assert_eq!(times, vec![1, 2, 3, 4]);
+        assert_eq!(j.recorded(), 4);
     }
 
     #[test]

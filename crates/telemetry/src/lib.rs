@@ -36,8 +36,8 @@
 //! [`Telemetry::journal_enabled`], so the disabled path costs one
 //! `Option` check and builds no event. Span tracing is **runtime-gated**
 //! ([`span::set_tracing`]): instrumented sites pay one relaxed atomic load
-//! plus a branch while it is off. Provenance is opt-in per prefix and, like
-//! the journal, forces the serial convergence engine.
+//! plus a branch while it is off. Provenance is opt-in per prefix. Neither
+//! the journal nor provenance changes how the simulator schedules events.
 
 mod event;
 mod histogram;
@@ -141,6 +141,15 @@ impl Telemetry {
     pub fn record(&self, event: Event) {
         if let Some(j) = &self.journal {
             j.record(event);
+        }
+    }
+
+    /// Run `f`, returning the events it recorded instead of journaling them
+    /// (see [`Journal::capture`]); with the journal disabled, just run `f`.
+    pub fn capture<R>(&self, f: impl FnOnce() -> R) -> (R, Vec<Event>) {
+        match &self.journal {
+            Some(j) => j.capture(f),
+            None => (f(), Vec::new()),
         }
     }
 

@@ -14,7 +14,7 @@
 //! as display strings): `telemetry` sits below `bgp` in the crate DAG, so it
 //! cannot name `Prefix` or `DeviceId` — the simulator renders them at the
 //! recording site, which is off the hot path by construction (provenance is
-//! opt-in and forces the serial engine, like journaling).
+//! opt-in).
 
 use parking_lot::Mutex;
 use serde::Value;

@@ -6,13 +6,13 @@
 //! a relaxed atomic load, no allocation, no clock read. When tracing is on
 //! (via [`set_tracing`]), each guard stamps a monotonic start time on
 //! construction and appends a completed [`SpanRecord`] to a **thread-local
-//! buffer** on drop; buffers flush to a process-global sink in batches (and
-//! on thread exit), so workers of the windowed convergence engine record
-//! spans without contending on a shared lock per span.
+//! buffer** on drop; buffers flush to a process-global sink in batches, so
+//! a thread records spans without taking a shared lock per span. A thread
+//! other than the one that drains must call [`flush_thread`] before it ends:
+//! whoever joins it may run before its thread-local destructor does.
 //!
 //! The sink is process-global rather than per-[`Telemetry`](crate::Telemetry)
-//! handle for the same reason the attribute interner is: spans cross the
-//! scoped-thread boundary of the parallel engine, where threading a handle
+//! handle for the same reason the attribute interner is: threading a handle
 //! through every call frame would cost more than the measurement itself.
 //!
 //! [`export_chrome_trace`] renders the drained records in Chrome Trace
@@ -213,13 +213,18 @@ impl Drop for Span {
     }
 }
 
-/// Drain every record flushed so far (plus the calling thread's buffer),
-/// oldest first. Worker threads of the scoped convergence engine flush on
-/// exit, so draining after a run observes their spans; a still-live thread
-/// that has recorded fewer than the flush threshold keeps its tail until it
-/// exits or records more.
-pub fn drain() -> Vec<SpanRecord> {
+/// Hand the calling thread's buffered spans to the sink. Call it last in the
+/// body of any spawned thread that records spans.
+pub fn flush_thread() {
     LOCAL.with(|cell| cell.borrow_mut().flush());
+}
+
+/// Drain every record flushed so far (plus the calling thread's buffer),
+/// oldest first. Another still-live thread that has recorded fewer than the
+/// flush threshold keeps its tail until it calls [`flush_thread`] or records
+/// more.
+pub fn drain() -> Vec<SpanRecord> {
+    flush_thread();
     let mut records = std::mem::take(&mut *SINK.lock());
     records.sort_by_key(|r| (r.start_ns, r.tid));
     records
@@ -304,14 +309,15 @@ mod tests {
     }
 
     #[test]
-    fn worker_thread_spans_flush_on_exit() {
+    fn worker_thread_spans_reach_the_sink_when_flushed() {
         let _g = lock();
         set_tracing(true);
         drain();
         let main_tid = LOCAL.with(|c| c.borrow().tid);
         std::thread::scope(|s| {
             s.spawn(|| {
-                let _sp = span("test", "worker_span");
+                drop(span("test", "worker_span"));
+                flush_thread();
             });
         });
         set_tracing(false);

@@ -80,8 +80,7 @@ impl FabricSpec {
     }
 
     /// The large benchmark tier (212 devices): wide enough that a
-    /// convergence wave carries hundreds of per-window jobs, which is the
-    /// regime where the sharded worker pool pays for its dispatch overhead.
+    /// convergence wave carries hundreds of per-window jobs.
     /// Used by `bench_convergence`'s `large` fabric and the nightly CI tier.
     pub fn large() -> Self {
         FabricSpec {
@@ -362,8 +361,8 @@ impl ThreeTierSpec {
 }
 
 /// Build a three-tier fabric per the spec, reusing the five-layer vocabulary
-/// (ToR = RSW, aggregation = FSW, spine = SSW) so sharding, RPA layer
-/// signatures and the scenario rigs apply unchanged. The returned
+/// (ToR = RSW, aggregation = FSW, spine = SSW) so RPA layer signatures and
+/// the scenario rigs apply unchanged. The returned
 /// [`FabricIndex`] fills `rsw`/`fsw`/`ssw`/`backbone` and leaves the
 /// `fadu`/`fauu` tiers empty.
 pub fn build_three_tier(spec: &ThreeTierSpec) -> (Topology, FabricIndex, AsnAllocator) {
@@ -372,8 +371,7 @@ pub fn build_three_tier(spec: &ThreeTierSpec) -> (Topology, FabricIndex, AsnAllo
     let mut idx = FabricIndex::default();
     let cap = spec.link_capacity_gbps;
 
-    // Devices bottom-up, pod-major, so DeviceIds stay dense in layer order
-    // and the (layer, group) shard buckets are contiguous id runs.
+    // Devices bottom-up, pod-major, so DeviceIds stay dense in layer order.
     for pod in 0..spec.pods {
         let tors = (0..spec.tors_per_pod)
             .map(|r| {
@@ -603,7 +601,10 @@ mod tests {
     #[test]
     fn xxl_tier_is_the_100k_decade_with_linear_links() {
         let spec = ThreeTierSpec::xxl();
-        assert!(spec.total_devices() >= 100_000, "xxl must be a 100k+ fabric");
+        assert!(
+            spec.total_devices() >= 100_000,
+            "xxl must be a 100k+ fabric"
+        );
         assert_eq!(spec.total_devices(), 100_420);
         // ~7.3 links per device: still linear, an order of magnitude past xl.
         assert_eq!(spec.total_links(), 735_424);

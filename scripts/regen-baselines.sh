@@ -4,30 +4,27 @@
 # measuring the same thing.
 #
 #   BENCH_convergence.json  — every fabric tier (tiny/default/large/2k/xl/
-#                             xxl), full worker ladder (1/2/4/8) on the
-#                             small tiers, capped ladder on the 2k/10k
-#                             scale tiers and a single-iteration run on the
-#                             100k xxl tier (the bin prints the caps), seed
-#                             7, 5 iters. Records peak-RSS (reset per tier
-#                             via /proc/self/clear_refs where supported),
+#                             xxl), one row per tier: 5 iters on the small
+#                             tiers, 2 on the 2k/10k scale tiers and a
+#                             single-iteration run on the 100k xxl tier
+#                             (the bin prints the caps), seed 7. Records the
+#                             host it ran on, peak-RSS (reset per tier via
+#                             /proc/self/clear_refs where supported),
 #                             quiescent live-heap KB/device, and events/sec
 #                             per row.
-#                             Gated by: perf-smoke (serial wall regression
-#                             >20% fails; tiny only), the 2k memory-budget
-#                             step, the perf_report 2% instrumentation-
-#                             overhead gate, the nightly full-ladder run
-#                             (regression + 1.2x speedup gate pinned to the
-#                             large tier), and the nightly xxl job
-#                             (6 GiB ulimit + 8 live-KB/device gate).
+#                             Gated by: perf-smoke (wall regression >20%
+#                             fails; tiny only), the 2k memory-budget step,
+#                             the perf_report 2% instrumentation-overhead
+#                             gate, the nightly full-ladder run, and the
+#                             nightly xxl job (6 GiB ulimit + 8 live-KB/
+#                             device gate).
 #   BENCH_incremental.json  — default 84-device fabric, --full-check, seed
 #                             ladder, 3 iters. Gated by: the 5x delta-vs-full
 #                             wall ratio floor and FIB-equality check.
 #
 # Run this on a quiet machine (wall-clock medians go straight into the
-# regression gate) and commit the two JSON files it rewrites. Note that the
-# speedup columns are only meaningful on a multi-core host: on a single
-# core the parallel rows still verify byte-identity but record speedup < 1,
-# and the CI speedup gate self-skips (it checks host_cores in the JSON).
+# regression gate) and commit the two JSON files it rewrites. The wall gates
+# compare against whatever machine recorded the baseline; the JSON names it.
 
 set -euo pipefail
 cd "$(dirname "$0")/.."
@@ -36,7 +33,7 @@ echo "== building release binaries =="
 cargo build --release --locked -p centralium-bench
 
 echo
-echo "== BENCH_convergence.json (full tier ladder incl. 2k/xl/xxl, worker ladder) =="
+echo "== BENCH_convergence.json (full tier ladder incl. 2k/xl/xxl) =="
 cargo run --release --locked -p centralium-bench --bin bench_convergence -- \
   --fabric tiny,default,large,2k,xl,xxl --json BENCH_convergence.json
 
@@ -49,13 +46,10 @@ echo
 echo "== sanity: gates pass against the fresh baselines =="
 cargo run --release --locked -p centralium-bench --bin bench_convergence -- \
   --tiny --baseline BENCH_convergence.json --json /dev/null
-cargo run --release --locked -p centralium-bench --bin bench_convergence -- \
-  --workers 4 --min-speedup 1.2 --gate-fabric large --json /dev/null
 ( ulimit -v 1048576
-  ./target/release/bench_convergence --fabric 2k --iters 1 --workers 4 \
-    --json /dev/null )
+  ./target/release/bench_convergence --fabric 2k --iters 1 --json /dev/null )
 ( ulimit -v 6291456
-  ./target/release/bench_convergence --fabric xxl --workers 4 \
+  ./target/release/bench_convergence --fabric xxl \
     --max-kb-per-device 8 --json /dev/null )
 
 echo

@@ -2,7 +2,7 @@
 //! state: with batching on, same-link UPDATEs ride one delivery and
 //! same-prefix re-announcements still queued are squashed last-writer-wins —
 //! but once the network quiesces, every device's FIB must be byte-identical
-//! to the unbatched run, across chaos seeds and both engine widths.
+//! to the unbatched run, across chaos seeds.
 //!
 //! The episode deliberately includes a withdraw-then-reannounce race on the
 //! backbone default route: the withdraw wave and the re-announce wave are in
@@ -37,13 +37,12 @@ struct Run {
     events: u64,
 }
 
-fn episode(seed: u64, workers: usize, coalesce: bool) -> Run {
+fn episode(seed: u64, coalesce: bool) -> Run {
     let (topo, idx, _) = build_fabric(&FabricSpec::default());
     let mut net = SimNet::new(
         topo,
         SimConfig::builder()
             .seed(seed)
-            .workers(workers)
             .coalesce_updates(coalesce)
             .build(),
     );
@@ -102,38 +101,21 @@ fn episode(seed: u64, workers: usize, coalesce: bool) -> Run {
 #[test]
 fn batched_propagation_converges_to_identical_fibs() {
     for seed in [7, 21, 1337] {
-        for workers in [1, 4] {
-            let unbatched = episode(seed, workers, false);
-            let batched = episode(seed, workers, true);
-            assert!(
-                !batched.snapshot.is_empty(),
-                "seed {seed} workers {workers}: empty forwarding snapshot"
-            );
-            assert_eq!(
-                unbatched.snapshot, batched.snapshot,
-                "seed {seed} workers {workers}: batched FIBs diverged from unbatched"
-            );
-            assert!(
-                batched.events < unbatched.events,
-                "seed {seed} workers {workers}: coalescing should cut events \
-                 (batched {} vs unbatched {})",
-                batched.events,
-                unbatched.events,
-            );
-        }
-    }
-}
-
-#[test]
-fn batched_runs_are_deterministic_across_widths() {
-    // Same batching config, different engine widths: byte-identical too
-    // (the windowed engine replays batches in the serial pop order).
-    for seed in [7, 21, 1337] {
-        let serial = episode(seed, 1, true);
-        let wide = episode(seed, 4, true);
+        let unbatched = episode(seed, false);
+        let batched = episode(seed, true);
+        assert!(
+            !batched.snapshot.is_empty(),
+            "seed {seed}: empty forwarding snapshot"
+        );
         assert_eq!(
-            serial.snapshot, wide.snapshot,
-            "seed {seed}: parallel batched run diverged from serial"
+            unbatched.snapshot, batched.snapshot,
+            "seed {seed}: batched FIBs diverged from unbatched"
+        );
+        assert!(
+            batched.events < unbatched.events,
+            "seed {seed}: coalescing should cut events (batched {} vs unbatched {})",
+            batched.events,
+            unbatched.events,
         );
     }
 }

@@ -1,6 +1,6 @@
 //! Delta-vs-full convergence equivalence: the incremental engine must land
-//! byte-identical FIBs to full reconvergence across chaos seeds and worker
-//! counts, at both the simnet layer (`SimConfig::incremental`) and the
+//! byte-identical FIBs to full reconvergence across chaos seeds, at both
+//! the simnet layer (`SimConfig::incremental`) and the
 //! controller layer (`DeployOptions::delta_convergence`), plus the builder
 //! round-trip / backwards-compatibility contract for the new fluent
 //! builders.
@@ -18,15 +18,13 @@ use centralium_topology::{build_fabric, DeviceId, FabricSpec, Layer};
 use std::collections::BTreeMap;
 
 const SEEDS: [u64; 3] = [7, 21, 1337];
-const WORKER_COUNTS: [usize; 2] = [1, 4];
 
-fn converged(seed: u64, workers: usize, incremental: bool) -> (SimNet, Vec<Vec<DeviceId>>) {
+fn converged(seed: u64, incremental: bool) -> (SimNet, Vec<Vec<DeviceId>>) {
     let (topo, idx, _) = build_fabric(&FabricSpec::tiny());
     let mut net = SimNet::new(
         topo,
         SimConfig::builder()
             .seed(seed)
-            .workers(workers)
             .incremental(incremental)
             .build(),
     );
@@ -63,36 +61,34 @@ fn te_doc(net: &SimNet, ssw: DeviceId) -> RpaDocument {
 
 /// Simnet-layer equivalence: a TE weight deploy under `incremental: true`
 /// must land the same FIBs as under `incremental: false` followed by a
-/// forced whole-fabric reconvergence, for every seed × worker combination.
+/// forced whole-fabric reconvergence, for every seed.
 /// The delta-converged state must also be a fixed point of full
 /// re-evaluation (`verify_full_equivalence`, the `--full-check` shadow
 /// mode).
 #[test]
 fn delta_fibs_match_full_reconvergence() {
     for seed in SEEDS {
-        for workers in WORKER_COUNTS {
-            let run = |incremental: bool| -> (BTreeMap<DeviceId, Vec<FibEntry>>, SimNet) {
-                let (mut net, ssw) = converged(seed, workers, incremental);
-                for &dev in &ssw[0] {
-                    let doc = te_doc(&net, dev);
-                    net.deploy_rpa(dev, doc, 300);
-                }
-                net.run_until_quiescent().expect_converged();
-                if !incremental {
-                    net.force_full_reconvergence();
-                }
-                (net.fib_snapshot(), net)
-            };
-            let (full, _) = run(false);
-            let (delta, mut delta_net) = run(true);
-            assert_eq!(
-                full, delta,
-                "seed {seed} workers {workers}: delta FIBs diverge from full reconvergence"
-            );
-            delta_net
-                .verify_full_equivalence()
-                .unwrap_or_else(|e| panic!("seed {seed} workers {workers}: {e}"));
-        }
+        let run = |incremental: bool| -> (BTreeMap<DeviceId, Vec<FibEntry>>, SimNet) {
+            let (mut net, ssw) = converged(seed, incremental);
+            for &dev in &ssw[0] {
+                let doc = te_doc(&net, dev);
+                net.deploy_rpa(dev, doc, 300);
+            }
+            net.run_until_quiescent().expect_converged();
+            if !incremental {
+                net.force_full_reconvergence();
+            }
+            (net.fib_snapshot(), net)
+        };
+        let (full, _) = run(false);
+        let (delta, mut delta_net) = run(true);
+        assert_eq!(
+            full, delta,
+            "seed {seed}: delta FIBs diverge from full reconvergence"
+        );
+        delta_net
+            .verify_full_equivalence()
+            .unwrap_or_else(|e| panic!("seed {seed}: {e}"));
     }
 }
 
@@ -151,13 +147,8 @@ fn simconfig_builder_roundtrip_matches_default() {
     let d = SimConfig::default();
     let b = SimConfig::builder().build();
     assert_eq!(format!("{d:?}"), format!("{b:?}"), "builder() == default()");
-    let cfg = SimConfig::builder()
-        .seed(7)
-        .workers(4)
-        .incremental(false)
-        .build();
+    let cfg = SimConfig::builder().seed(7).incremental(false).build();
     assert_eq!(cfg.seed, 7);
-    assert_eq!(cfg.parallel_workers, 4);
     assert!(!cfg.incremental);
     // Untouched fields keep their defaults.
     assert_eq!(cfg.base_latency_us, d.base_latency_us);
