@@ -1390,16 +1390,13 @@ impl SimNet {
         let devs: Vec<DeviceId> = self.devices.keys().collect();
         if !self.cfg.handshake_sessions {
             // Administrative bring-up is a management-plane action, not
-            // network traffic: run each SessionUp synchronously through the
-            // same prepare / work / merge steps a window's events take
-            // (so counters, journal records and any resulting advertisements
-            // behave identically) instead of flooding the event queue with
-            // O(sessions) bring-up events.
+            // network traffic: run each SessionUp synchronously (counters,
+            // journal records and any resulting advertisements behave as
+            // they would for a queued event) instead of flooding the event
+            // queue with O(sessions) bring-up events.
             for dev in devs {
                 for peer in self.devices[dev].daemon.peer_ids() {
-                    let mut slot = self.prepare(self.now, NetEvent::SessionUp { dev, peer });
-                    self.run_job(&mut slot);
-                    self.finish(slot);
+                    self.run_now(NetEvent::SessionUp { dev, peer });
                 }
             }
             return;
@@ -1970,6 +1967,14 @@ impl SimNet {
         self.phase_ns[2] += (end - merge_start).as_nanos() as u64;
         self.counters.windows.inc();
         events
+    }
+
+    /// Process `ev` at the current time without queueing it, through the
+    /// same prepare / work / merge steps a window's events take.
+    fn run_now(&mut self, ev: NetEvent) {
+        let mut slot = self.prepare(self.now, ev);
+        self.run_job(&mut slot);
+        self.finish(slot);
     }
 
     /// Run a slot's device work, if it has any. Journal events and provenance
