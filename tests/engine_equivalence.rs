@@ -44,7 +44,6 @@ const DETERMINISTIC_COUNTERS: &[&str] = &[
     "rpa.removals",
 ];
 
-#[derive(Debug, PartialEq)]
 struct Outcome {
     fibs: BTreeMap<DeviceId, Vec<FibEntry>>,
     now: u64,
