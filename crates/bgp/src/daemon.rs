@@ -511,6 +511,11 @@ impl BgpDaemon {
         self.loc_rib.keys().copied().collect()
     }
 
+    /// Loc-RIB size, without materializing the prefixes.
+    pub fn loc_rib_len(&self) -> usize {
+        self.loc_rib.len()
+    }
+
     /// Adj-RIB-In size (for controller health checks).
     pub fn adj_rib_in_len(&self) -> usize {
         self.adj_rib_in.len()

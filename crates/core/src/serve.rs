@@ -17,6 +17,15 @@
 //! Request execution reuses [`InProcessTransport`] on the executor side, so
 //! the remote path shares every line of apply logic with the local one —
 //! byte-identical FIBs are a test invariant, not an aspiration.
+//!
+//! The server records `serve.*` metrics into the served fabric's own
+//! registry, so whoever gets the `SimNet` back from
+//! [`AgentServer::shutdown`] reads them with the rest: `serve.rpc.<kind>`
+//! counters and the `serve.rpc_us` execution-time histogram on the executor,
+//! and on the connection threads `serve.request_bytes`,
+//! `serve.response_bytes`, `serve.malformed_requests` (payloads that are not
+//! a `Request`), `serve.frame_errors` (sessions ended with a NOTIFICATION)
+//! and `serve.queue_stalls` (requests that found the executor queue full).
 
 use crate::error::Error;
 use crate::switch_agent::SwitchAgent;
@@ -26,16 +35,18 @@ use crate::transport::{
 };
 use centralium_bgp::msg::{BgpMessage, NotificationCode, OpenMessage};
 use centralium_simnet::SimNet;
-use centralium_telemetry::span;
+use centralium_telemetry::{span, Counter, MetricsRegistry};
 use centralium_topology::Asn;
 use centralium_wire::bgp;
 use centralium_wire::frame::{read_frame, write_frame, Frame, FrameKind};
+use std::collections::HashMap;
 use std::io::{BufReader, BufWriter, Write};
 use std::net::{SocketAddr, TcpListener, TcpStream};
 use std::sync::atomic::{AtomicBool, AtomicU64, Ordering};
-use std::sync::mpsc::{sync_channel, Receiver, Sender, SyncSender};
+use std::sync::mpsc::{sync_channel, Receiver, Sender, SyncSender, TrySendError};
 use std::sync::Arc;
 use std::thread::JoinHandle;
+use std::time::Instant;
 
 /// ASN the agent side presents in its service-plane OPEN (a 4-byte
 /// extension-band ASN, so the handshake always exercises RFC 6793).
@@ -54,6 +65,28 @@ enum Job {
     },
     /// Drain and return ownership of the fabric.
     Stop,
+}
+
+/// The connection threads' `serve.*` metric handles.
+#[derive(Clone)]
+struct ConnMetrics {
+    request_bytes: Counter,
+    response_bytes: Counter,
+    malformed_requests: Counter,
+    frame_errors: Counter,
+    queue_stalls: Counter,
+}
+
+impl ConnMetrics {
+    fn new(m: &MetricsRegistry) -> Self {
+        ConnMetrics {
+            request_bytes: m.counter("serve.request_bytes"),
+            response_bytes: m.counter("serve.response_bytes"),
+            malformed_requests: m.counter("serve.malformed_requests"),
+            frame_errors: m.counter("serve.frame_errors"),
+            queue_stalls: m.counter("serve.queue_stalls"),
+        }
+    }
 }
 
 /// A TCP server exposing one `(SimNet, SwitchAgent)` pair to remote
@@ -93,6 +126,7 @@ impl AgentServer {
         let stop = Arc::new(AtomicBool::new(false));
         let connections = Arc::new(AtomicU64::new(0));
         let (job_tx, job_rx) = sync_channel::<Job>(JOB_QUEUE_DEPTH);
+        let metrics = ConnMetrics::new(net.telemetry().metrics());
         // Every server thread hands its buffered spans to the sink as its
         // last act: a join can return before thread-local destructors run.
         let exec_handle = std::thread::spawn(move || {
@@ -105,7 +139,7 @@ impl AgentServer {
             let connections = Arc::clone(&connections);
             let job_tx = job_tx.clone();
             std::thread::spawn(move || {
-                run_acceptor(listener, stop, connections, job_tx);
+                run_acceptor(listener, stop, connections, job_tx, metrics);
                 span::flush_thread();
             })
         };
@@ -155,20 +189,52 @@ fn run_executor(
     mut agent: SwitchAgent,
     jobs: Receiver<Job>,
 ) -> (SimNet, SwitchAgent) {
+    let rpc_us = net.telemetry().metrics().log_histogram("serve.rpc_us");
+    let mut rpc_counts: HashMap<&'static str, Counter> = HashMap::new();
     while let Ok(job) = jobs.recv() {
         match job {
             Job::Stop => break,
             Job::Rpc { req, reply } => {
+                let kind = rpc_kind(&req);
+                rpc_counts
+                    .entry(kind)
+                    .or_insert_with(|| {
+                        let name = format!("serve.rpc.{kind}");
+                        net.telemetry().metrics().counter(&name)
+                    })
+                    .inc();
+                let started = Instant::now();
                 let mut transport = InProcessTransport::new(&mut net, &mut agent);
                 let resp = execute(&mut transport, req).unwrap_or_else(|e| Response::Error {
                     message: e.to_string(),
                 });
+                rpc_us.observe(started.elapsed().as_micros() as u64);
                 // A dead connection thread is not the executor's problem.
                 let _ = reply.send(resp);
             }
         }
     }
     (net, agent)
+}
+
+/// The `<kind>` of a request's `serve.rpc.<kind>` counter.
+fn rpc_kind(req: &Request) -> &'static str {
+    match req {
+        Request::Now => "now",
+        Request::RunUntilQuiescent => "run_until_quiescent",
+        Request::RunUntil { .. } => "run_until",
+        Request::ForceFullReconvergence => "force_full_reconvergence",
+        Request::Topology => "topology",
+        Request::SetIntended { .. } => "set_intended",
+        Request::SeedIntended { .. } => "seed_intended",
+        Request::ClearIntended { .. } => "clear_intended",
+        Request::Reconcile => "reconcile",
+        Request::PollCurrent => "poll_current",
+        Request::PollDevices { .. } => "poll_devices",
+        Request::OutOfSync => "out_of_sync",
+        Request::NextRetryDue { .. } => "next_retry_due",
+        Request::HealthCheck { .. } => "health_check",
+    }
 }
 
 /// Map one request onto the in-process transport. This is the entire
@@ -229,6 +295,7 @@ fn run_acceptor(
     stop: Arc<AtomicBool>,
     connections: Arc<AtomicU64>,
     job_tx: SyncSender<Job>,
+    metrics: ConnMetrics,
 ) {
     loop {
         let Ok((stream, _peer)) = listener.accept() else {
@@ -242,10 +309,11 @@ fn run_acceptor(
         }
         connections.fetch_add(1, Ordering::Relaxed);
         let job_tx = job_tx.clone();
+        let metrics = metrics.clone();
         // Connection threads are detached: they exit when the peer closes
         // or when the executor stops answering.
         std::thread::spawn(move || {
-            let _ = serve_connection(stream, job_tx);
+            let _ = serve_connection(stream, job_tx, &metrics);
             span::flush_thread();
         });
     }
@@ -253,7 +321,11 @@ fn run_acceptor(
 
 /// One controller session: preamble, then request/response frames until the
 /// peer hangs up.
-fn serve_connection(stream: TcpStream, job_tx: SyncSender<Job>) -> Result<(), Error> {
+fn serve_connection(
+    stream: TcpStream,
+    job_tx: SyncSender<Job>,
+    metrics: &ConnMetrics,
+) -> Result<(), Error> {
     stream.set_nodelay(true).map_err(|e| Error::Io {
         context: "configure accepted socket".into(),
         source: e,
@@ -281,7 +353,11 @@ fn serve_connection(stream: TcpStream, job_tx: SyncSender<Job>) -> Result<(), Er
         Ok(())
     })();
     if let Err(e) = handshake {
-        notify_and_close(&mut writer, NotificationCode::FiniteStateMachineError);
+        notify_and_close(
+            &mut writer,
+            NotificationCode::FiniteStateMachineError,
+            metrics,
+        );
         return Err(e);
     }
     loop {
@@ -291,7 +367,7 @@ fn serve_connection(stream: TcpStream, job_tx: SyncSender<Job>) -> Result<(), Er
             Ok(None) => return Ok(()),
             Err(e) => {
                 // Malformed framing: tell the peer why before closing.
-                notify_and_close(&mut writer, NotificationCode::Cease);
+                notify_and_close(&mut writer, NotificationCode::Cease, metrics);
                 return Err(Error::Io {
                     context: "read request frame".into(),
                     source: e,
@@ -300,11 +376,13 @@ fn serve_connection(stream: TcpStream, job_tx: SyncSender<Job>) -> Result<(), Er
         };
         match frame.kind {
             FrameKind::Request => {
-                let resp = dispatch(&job_tx, &frame.payload);
+                metrics.request_bytes.add(frame.payload.len() as u64);
+                let resp = dispatch(&job_tx, &frame.payload, metrics);
                 let payload = match serde_json::to_string(&resp) {
                     Ok(json) => json.into_bytes(),
                     Err(_) => continue,
                 };
+                metrics.response_bytes.add(payload.len() as u64);
                 write_frame(&mut writer, &Frame::response(frame.corr, payload))
                     .map_err(io_err("send response"))?;
                 writer.flush().map_err(io_err("flush response"))?;
@@ -322,7 +400,11 @@ fn serve_connection(stream: TcpStream, job_tx: SyncSender<Job>) -> Result<(), Er
                     }
                     Ok(BgpMessage::Notification(_)) => return Ok(()),
                     Ok(_) | Err(_) => {
-                        notify_and_close(&mut writer, NotificationCode::FiniteStateMachineError);
+                        notify_and_close(
+                            &mut writer,
+                            NotificationCode::FiniteStateMachineError,
+                            metrics,
+                        );
                         return Err(Error::Protocol(
                             centralium_wire::WireError::UnknownMessageType(0),
                         ));
@@ -330,7 +412,11 @@ fn serve_connection(stream: TcpStream, job_tx: SyncSender<Job>) -> Result<(), Er
                 }
             }
             FrameKind::Response => {
-                notify_and_close(&mut writer, NotificationCode::FiniteStateMachineError);
+                notify_and_close(
+                    &mut writer,
+                    NotificationCode::FiniteStateMachineError,
+                    metrics,
+                );
                 return Err(Error::Protocol(centralium_wire::WireError::BadFrameKind(3)));
             }
         }
@@ -339,26 +425,33 @@ fn serve_connection(stream: TcpStream, job_tx: SyncSender<Job>) -> Result<(), Er
 
 /// Decode a request payload and run it through the executor, turning every
 /// failure mode into a `Response::Error` the controller can interpret.
-fn dispatch(job_tx: &SyncSender<Job>, payload: &[u8]) -> Response {
+fn dispatch(job_tx: &SyncSender<Job>, payload: &[u8], metrics: &ConnMetrics) -> Response {
     let req: Request = match std::str::from_utf8(payload)
         .ok()
         .and_then(|text| serde_json::from_str(text).ok())
     {
         Some(req) => req,
         None => {
+            metrics.malformed_requests.inc();
             return Response::Error {
                 message: "malformed request payload".into(),
-            }
+            };
         }
     };
     let (reply_tx, reply_rx) = std::sync::mpsc::channel();
-    if job_tx
-        .send(Job::Rpc {
-            req,
-            reply: reply_tx,
-        })
-        .is_err()
-    {
+    let job = Job::Rpc {
+        req,
+        reply: reply_tx,
+    };
+    let sent = match job_tx.try_send(job) {
+        Ok(()) => true,
+        Err(TrySendError::Full(job)) => {
+            metrics.queue_stalls.inc();
+            job_tx.send(job).is_ok()
+        }
+        Err(TrySendError::Disconnected(_)) => false,
+    };
+    if !sent {
         return Response::Error {
             message: "agent server is shutting down".into(),
         };
@@ -368,7 +461,13 @@ fn dispatch(job_tx: &SyncSender<Job>, payload: &[u8]) -> Response {
     })
 }
 
-fn notify_and_close(writer: &mut BufWriter<TcpStream>, code: NotificationCode) {
+/// Tell the peer why its session ends, counting it in `serve.frame_errors`.
+fn notify_and_close(
+    writer: &mut BufWriter<TcpStream>,
+    code: NotificationCode,
+    metrics: &ConnMetrics,
+) {
+    metrics.frame_errors.inc();
     if let Ok(frame) = bgp::encode_one(&BgpMessage::Notification(code)) {
         let _ = write_frame(writer, &Frame::bgp(frame));
         let _ = writer.flush();
@@ -385,14 +484,18 @@ fn io_err(context: &'static str) -> impl FnOnce(std::io::Error) -> Error {
 #[cfg(test)]
 mod tests {
     use super::*;
-    use crate::transport::TcpTransport;
+    use crate::transport::{client_handshake, TcpTransport, CONTROLLER_ASN};
     use centralium_bgp::attrs::well_known;
     use centralium_bgp::Prefix;
     use centralium_simnet::{ManagementPlane, SimConfig};
     use centralium_topology::{build_fabric, FabricSpec};
 
     fn fabric() -> (SimNet, SwitchAgent) {
-        let (topo, idx, _) = build_fabric(&FabricSpec::tiny());
+        fabric_of(&FabricSpec::tiny())
+    }
+
+    fn fabric_of(spec: &FabricSpec) -> (SimNet, SwitchAgent) {
+        let (topo, idx, _) = build_fabric(spec);
         let mut net = SimNet::new(topo, SimConfig::default());
         net.establish_all();
         for &eb in &idx.backbone {
@@ -418,6 +521,73 @@ mod tests {
         drop(transport);
         let (net, _agent) = server.shutdown();
         assert_eq!(net.now(), expect_now, "no RPC advanced the clock");
+        let served = net.telemetry().metrics().snapshot();
+        assert_eq!(served.counter("serve.rpc.now"), 1);
+        assert_eq!(served.counter("serve.rpc.topology"), 1);
+        let rpc_us = served.log_histogram("serve.rpc_us").expect("registered");
+        assert_eq!(
+            rpc_us.count(),
+            4,
+            "now, topology, poll_current, out_of_sync"
+        );
+        assert!(served.counter("serve.request_bytes") > 0);
+        assert!(served.counter("serve.response_bytes") > served.counter("serve.request_bytes"));
+        assert_eq!(served.counter("serve.malformed_requests"), 0);
+        assert_eq!(served.counter("serve.frame_errors"), 0);
+    }
+
+    #[test]
+    fn deeply_nested_request_gets_an_error_not_a_stack_overflow() {
+        let (net, agent) = fabric();
+        let expect_now = net.now();
+        let server = AgentServer::bind("127.0.0.1:0", net, agent).expect("bind");
+        let mut sock = TcpStream::connect(server.local_addr()).expect("connect");
+        client_handshake(&mut sock, CONTROLLER_ASN).expect("preamble");
+        // Well framed, 100,000 levels deep: the JSON parser recurses per
+        // level, so unbounded it overflows the connection thread's stack and
+        // aborts the process.
+        write_frame(&mut sock, &Frame::request(1, vec![b'['; 100_000])).expect("send");
+        let frame = read_frame(&mut sock).expect("read").expect("frame");
+        assert_eq!((frame.kind, frame.corr), (FrameKind::Response, 1));
+        let text = std::str::from_utf8(&frame.payload).expect("utf-8");
+        let resp: Response = serde_json::from_str(text).expect("response");
+        assert!(matches!(resp, Response::Error { .. }), "got {resp:?}");
+        // The server is still there for the next controller.
+        let addr = server.local_addr().to_string();
+        let mut transport = TcpTransport::connect(&addr).expect("fresh connection");
+        assert_eq!(transport.now().expect("now RPC"), expect_now);
+        drop(transport);
+        let (net, _agent) = server.shutdown();
+        let served = net.telemetry().metrics().snapshot();
+        assert_eq!(served.counter("serve.malformed_requests"), 1);
+        let now_request = serde_json::to_string(&Request::Now).expect("serialize");
+        assert_eq!(
+            served.counter("serve.request_bytes"),
+            (100_000 + now_request.len()) as u64
+        );
+    }
+
+    #[test]
+    fn a_new_session_refetches_the_topology() {
+        let (net, agent) = fabric();
+        let tiny_devices = net.topology().device_count();
+        let server = AgentServer::bind("127.0.0.1:0", net, agent).expect("bind");
+        let addr = server.local_addr().to_string();
+        let mut transport = TcpTransport::connect(&addr).expect("connect");
+        let fetched = transport.topology().expect("topology RPC").device_count();
+        assert_eq!(fetched, tiny_devices);
+        server.shutdown();
+        // The agent comes back on the same address serving a larger fabric.
+        let (net, agent) = fabric_of(&FabricSpec::default());
+        let default_devices = net.topology().device_count();
+        assert_ne!(default_devices, tiny_devices);
+        let server = AgentServer::bind(&addr, net, agent).expect("rebind");
+        // Changing the timeout re-dials, like any lost session.
+        transport.set_io_timeout(std::time::Duration::from_secs(10));
+        let fetched = transport.topology().expect("topology RPC").device_count();
+        assert_eq!(fetched, default_devices, "topology cached across sessions");
+        drop(transport);
+        server.shutdown();
     }
 
     #[test]

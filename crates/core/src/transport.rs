@@ -80,7 +80,8 @@ pub trait ControlTransport {
     /// Force a full-fabric re-convergence (the non-delta poll path).
     fn force_full_reconvergence(&mut self) -> Result<(), Error>;
 
-    /// The fabric topology (borrowed in-process, fetched-and-cached remote).
+    /// The fabric topology (borrowed in-process; fetched once per session
+    /// and cached remote).
     fn topology(&mut self) -> Result<Cow<'_, Topology>, Error>;
 
     /// Record that `device` should run `doc` (agent intended state).
@@ -433,6 +434,10 @@ const ENDPOINT: DeviceId = DeviceId(u32::MAX);
 struct Session {
     reader: BufReader<TcpStream>,
     writer: BufWriter<TcpStream>,
+    /// The topology this session's agent reported. It lives and dies with
+    /// the session: the agent behind the next one may have restarted on a
+    /// different fabric.
+    topology: Option<Topology>,
 }
 
 /// [`ControlTransport`] over a real TCP connection to an
@@ -452,7 +457,6 @@ pub struct TcpTransport {
     started: Instant,
     next_corr: u64,
     io_timeout: Duration,
-    topo_cache: Option<Topology>,
 }
 
 impl std::fmt::Debug for TcpTransport {
@@ -481,7 +485,6 @@ impl TcpTransport {
             started: Instant::now(),
             next_corr: 1,
             io_timeout: Duration::from_secs(10),
-            topo_cache: None,
         };
         t.ensure_session()?;
         Ok(t)
@@ -533,7 +536,11 @@ impl TcpTransport {
             context: "send service-plane OPEN".into(),
             source: e,
         })?;
-        let mut session = Session { reader, writer };
+        let mut session = Session {
+            reader,
+            writer,
+            topology: None,
+        };
         let _peer = expect_open(&mut session.reader)?;
         let keepalive = bgp::encode_one(&centralium_bgp::msg::BgpMessage::Keepalive)
             .map_err(Error::Protocol)?;
@@ -713,14 +720,17 @@ impl ControlTransport for TcpTransport {
     }
 
     fn topology(&mut self) -> Result<Cow<'_, Topology>, Error> {
-        if self.topo_cache.is_none() {
+        let cached = self.session.as_ref().and_then(|s| s.topology.as_ref());
+        if cached.is_none() {
             let topo = match self.rpc(&Request::Topology)? {
                 Response::Topology { topo } => topo,
                 other => return Err(Self::unexpected(other)),
             };
-            self.topo_cache = Some(topo);
+            let session = self.session.as_mut().expect("a successful RPC left it");
+            session.topology = Some(topo);
         }
-        Ok(Cow::Borrowed(self.topo_cache.as_ref().expect("cached")))
+        let session = self.session.as_ref().expect("cached");
+        Ok(Cow::Borrowed(session.topology.as_ref().expect("cached")))
     }
 
     fn set_intended(&mut self, device: DeviceId, doc: &RpaDocument) -> Result<(), Error> {

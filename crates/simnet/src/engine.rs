@@ -513,13 +513,6 @@ fn push_prov_deltas(steps: &mut Vec<ProvStep>, before: &ProvState, after: &ProvS
     }
 }
 
-/// Most events one window takes. Grouping by device has paid off long before
-/// this many; past it a window only grows its transient buffers — on the
-/// 10k-device tier an uncapped window holds megabytes of slots, which showed
-/// as +7 % peak RSS and, through the heap layout it left behind, as slower
-/// allocation-heavy work after the run.
-const MAX_WINDOW_EVENTS: u64 = 1024;
-
 /// Bucket bounds (ms) for per-prefix convergence latency.
 const CONVERGENCE_MS_BOUNDS: &[f64] = &[0.5, 1.0, 2.0, 5.0, 10.0, 20.0, 50.0, 100.0, 500.0, 1000.0];
 
@@ -626,7 +619,7 @@ impl SimNet {
     ///   restores the merge.
     ///
     /// Any prefix of a window's pop sequence is itself a valid window, which
-    /// is all `budget`, `deadline` and [`MAX_WINDOW_EVENTS`] ever select.
+    /// is all `budget` and `deadline` ever select.
     fn run_window(&mut self, deadline: SimTime, budget: u64) -> u64 {
         let Some(t0) = self.queue.peek_time() else {
             return 0;
@@ -639,7 +632,6 @@ impl SimNet {
             min_latency
         };
         let horizon = t0.saturating_add(width).min(deadline.saturating_add(1));
-        let budget = budget.min(MAX_WINDOW_EVENTS);
 
         // Phase 1 — pre-pass: pop the window and run the global-state side
         // of each event (counters, churn, origination bookkeeping,
@@ -1033,7 +1025,7 @@ impl SimNet {
         let mut rib_out_fp = centralium_bgp::RibFootprint::default();
         for dev in self.devices.values() {
             adj_rib_in += dev.daemon.adj_rib_in_len() as i64;
-            loc_rib += dev.daemon.loc_rib_prefixes().len() as i64;
+            loc_rib += dev.daemon.loc_rib_len() as i64;
             nhgs += dev.fib.nhg_stats().current_groups as i64;
             let (fin, fout) = dev.daemon.rib_footprints();
             rib_in_fp.canonical_routes += fin.canonical_routes;

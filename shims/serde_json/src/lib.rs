@@ -34,6 +34,7 @@ pub fn from_str<T: serde::Deserialize>(s: &str) -> Result<T, Error> {
     let mut p = Parser {
         bytes: s.as_bytes(),
         pos: 0,
+        depth: 0,
     };
     p.skip_ws();
     let v = p.parse_value()?;
@@ -130,9 +131,18 @@ fn write_escaped(s: &str, out: &mut String) {
 
 // ----------------------------------------------------------------- parsing
 
+/// Deepest nesting of values the parser follows. `parse_value` recurses once
+/// per `[` / `{` and documents arrive off sockets, so without a bound a frame
+/// of `[` bytes overflows the stack of the thread that parses it. Documents
+/// the workspace's types serialize to nest a few levels per struct, far
+/// short of this; a 2 MiB thread stack holds over a thousand levels.
+const MAX_DEPTH: usize = 128;
+
 struct Parser<'a> {
     bytes: &'a [u8],
     pos: usize,
+    /// Values currently open around `pos`.
+    depth: usize,
 }
 
 impl<'a> Parser<'a> {
@@ -168,6 +178,19 @@ impl<'a> Parser<'a> {
     }
 
     fn parse_value(&mut self) -> Result<Value, Error> {
+        if self.depth == MAX_DEPTH {
+            return Err(Error::custom(format!(
+                "nesting deeper than {MAX_DEPTH} levels at byte {}",
+                self.pos
+            )));
+        }
+        self.depth += 1;
+        let v = self.parse_value_at_depth();
+        self.depth -= 1;
+        v
+    }
+
+    fn parse_value_at_depth(&mut self) -> Result<Value, Error> {
         self.skip_ws();
         match self.peek() {
             Some(b'n') if self.eat_keyword("null") => Ok(Value::Null),
@@ -264,13 +287,18 @@ impl<'a> Parser<'a> {
                     self.pos += 1;
                 }
                 Some(_) => {
-                    // Consume one UTF-8 character (the input is a &str, so
-                    // the byte stream is valid UTF-8).
-                    let rest = std::str::from_utf8(&self.bytes[self.pos..])
+                    // Copy the whole run up to the next delimiter. Both
+                    // delimiters are ASCII and the input is a &str, so the
+                    // run starts and ends on character boundaries.
+                    let rest = &self.bytes[self.pos..];
+                    let len = rest
+                        .iter()
+                        .position(|&b| b == b'"' || b == b'\\')
+                        .unwrap_or(rest.len());
+                    let run = std::str::from_utf8(&rest[..len])
                         .map_err(|_| Error::custom("invalid utf-8"))?;
-                    let c = rest.chars().next().expect("peeked non-empty");
-                    out.push(c);
-                    self.pos += c.len_utf8();
+                    out.push_str(run);
+                    self.pos += len;
                 }
             }
         }

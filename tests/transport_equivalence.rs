@@ -9,7 +9,7 @@
 //! `InProcessTransport` the local path uses.
 
 use centralium::apps::path_equalization::equalize_backbone_paths;
-use centralium::transport::{TcpTransport, TransportKind};
+use centralium::transport::{ControlTransport, TcpTransport, TransportKind};
 use centralium::{
     deploy_intent_over, AgentServer, Controller, DeployOptions, DeploymentStrategy, HealthCheck,
     RetryPolicy, SwitchAgent,
@@ -17,9 +17,9 @@ use centralium::{
 use centralium_bgp::attrs::well_known;
 use centralium_bgp::FibEntry;
 use centralium_nsdb::ReplicatedNsdb;
-use centralium_simnet::{ChaosPlan, ManagementPlane, SimNet};
+use centralium_simnet::{ChaosPlan, ManagementPlane, SimConfig, SimNet};
 use centralium_telemetry::Telemetry;
-use centralium_topology::{DeviceId, FabricSpec, Layer};
+use centralium_topology::{build_three_tier, DeviceId, FabricSpec, Layer, ThreeTierSpec};
 
 type FibSnapshot = Vec<(DeviceId, Vec<FibEntry>)>;
 
@@ -112,6 +112,24 @@ fn tcp_deploy_lands_byte_identical_fibs() {
     let local = deploy_in_process(&spec, 4101, None);
     let remote = deploy_over_tcp(&spec, 4101, None);
     assert_eq!(local, remote, "loopback TCP must not change a single FIB");
+}
+
+#[test]
+fn tcp_topology_of_the_2k_tier_matches_the_served_one() {
+    // The largest payload the service plane ships (864 KB of JSON) through
+    // both of its JSON passes: printed by the server, parsed by the client.
+    let (topo, idx, _) = build_three_tier(&ThreeTierSpec::ci_2k());
+    let net = SimNet::new(topo, SimConfig::default());
+    let served = serde_json::to_string(net.topology()).expect("serialize");
+    let agent = SwitchAgent::new(ManagementPlane::compute(net.topology(), idx.rsw[0][0]));
+    let server = AgentServer::bind("127.0.0.1:0", net, agent).expect("bind agent server");
+    let mut transport =
+        TcpTransport::connect(&server.local_addr().to_string()).expect("connect + BGP preamble");
+    let fetched = transport.topology().expect("topology RPC");
+    let fetched = serde_json::to_string(fetched.as_ref()).expect("re-serialize");
+    assert!(served == fetched, "topology changed across the socket");
+    drop(transport);
+    server.shutdown();
 }
 
 #[test]
