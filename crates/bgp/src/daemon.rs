@@ -4,6 +4,33 @@
 //! updates the speaker wants transmitted, as `(session, UpdateMessage)`
 //! pairs; the caller owns delivery (and, in the emulator, delivery *timing* —
 //! which is what creates the paper's transitory states).
+//!
+//! # The Adj-RIB-Out invariant
+//!
+//! What a session should be told about a prefix is a function of three
+//! inputs: the Loc-RIB entry's `advertised` route (plus, under
+//! [`DaemonConfig::wcmp_advertise`], the entry's effective capacity), the
+//! session's own state (established, export policy), and the hook's egress
+//! verdict. *Between entry-point calls, Adj-RIB-Out holds for every
+//! established session exactly what a full export would compute.* Each entry
+//! point therefore exports only what the inputs it moved can have changed:
+//!
+//! * [`handle_update`](BgpDaemon::handle_update),
+//!   [`peer_down`](BgpDaemon::peer_down) /
+//!   [`remove_peer`](BgpDaemon::remove_peer),
+//!   [`originate`](BgpDaemon::originate) and
+//!   [`withdraw_origin`](BgpDaemon::withdraw_origin) move only the first
+//!   input, so a re-decided prefix is exported only when its advertised route
+//!   differs from the previous one — an arrival that leaves the best path
+//!   alone costs no per-session work at all;
+//! * [`peer_up`](BgpDaemon::peer_up) moves one session's state and exports
+//!   the whole table to that session;
+//! * [`reevaluate_all`](BgpDaemon::reevaluate_all),
+//!   [`reevaluate_filtered`](BgpDaemon::reevaluate_filtered) and
+//!   [`reevaluate_prefixes`](BgpDaemon::reevaluate_prefixes) are what callers
+//!   run after moving the other two inputs (an export-policy swap, an RPA
+//!   install / remove, an agent restart), so they export every prefix they
+//!   re-decide whether or not its decision moved.
 
 use crate::attrs::PathAttributes;
 use crate::decision::{best_route, compare_routes, multipath_set};
@@ -116,6 +143,7 @@ struct DaemonTelemetryInner {
     scope: String,
     decisions: Counter,
     best_path_changes: Counter,
+    export_evals: Counter,
 }
 
 // The binding is process-local (live counter handles); a deserialized
@@ -157,6 +185,16 @@ pub struct BgpDaemon {
     telemetry: DaemonTelemetry,
 }
 
+/// Whether a batch of decisions exports every prefix it re-decides or only
+/// those whose advertised route moved — see the module docs for which entry
+/// point says which.
+enum Export {
+    /// The caller moved only Adj-RIB-In / origination state.
+    OnChange,
+    /// The caller moved export policy or hook state as well.
+    Always,
+}
+
 impl BgpDaemon {
     /// Create a speaker with no peers and nothing originated.
     pub fn new(cfg: DaemonConfig) -> Self {
@@ -178,8 +216,9 @@ impl BgpDaemon {
         self.cfg.asn
     }
 
-    /// Attach telemetry: decision/best-path-change counters plus
-    /// [`EventKind::BgpDecision`] journal events labeled `scope`.
+    /// Attach telemetry: decision / best-path-change / export-evaluation
+    /// counters plus [`EventKind::BgpDecision`] journal events labeled
+    /// `scope`.
     pub fn set_telemetry(&mut self, telemetry: &Telemetry, scope: impl Into<String>) {
         let m = telemetry.metrics();
         self.telemetry = DaemonTelemetry(Some(Box::new(DaemonTelemetryInner {
@@ -187,6 +226,7 @@ impl BgpDaemon {
             scope: scope.into(),
             decisions: m.counter("bgp.decisions"),
             best_path_changes: m.counter("bgp.best_path_changes"),
+            export_evals: m.counter("bgp.export_evals"),
         })));
     }
 
@@ -219,8 +259,14 @@ impl BgpDaemon {
     }
 
     /// Replace the export policy of a session (used e.g. to drain a device
-    /// by making its advertisements less preferred). Callers should follow
-    /// with [`reevaluate_all`](Self::reevaluate_all) to push the change out.
+    /// by making its advertisements less preferred). Callers must follow
+    /// with [`reevaluate_all`](Self::reevaluate_all),
+    /// [`reevaluate_filtered`](Self::reevaluate_filtered) or
+    /// [`reevaluate_prefixes`](Self::reevaluate_prefixes) over every prefix
+    /// the policy can touch: those three are the entry points that export
+    /// unconditionally, and until one runs Adj-RIB-Out keeps what the old
+    /// policy produced (every other entry point exports a prefix only when
+    /// its advertised route moves).
     pub fn set_export_policy(&mut self, peer: PeerId, policy: impl Into<Arc<Policy>>) -> bool {
         match self.peers.get_mut(&peer) {
             Some(state) => {
@@ -324,7 +370,7 @@ impl BgpDaemon {
         let affected = self.adj_rib_in.flush_peer(peer);
         // Drop pending out-state toward the dead session.
         self.adj_rib_out.flush_peer(peer);
-        self.run_decisions(affected, policy)
+        self.run_decisions(affected, Export::OnChange, policy)
     }
 
     /// Originate (or re-originate with new attributes) a local route.
@@ -342,7 +388,7 @@ impl BgpDaemon {
             attrs.link_bandwidth_gbps = None;
         }
         self.originated.insert(prefix, Arc::new(attrs));
-        self.run_decisions(vec![prefix], policy)
+        self.run_decisions(vec![prefix], Export::OnChange, policy)
     }
 
     /// Stop originating a local route.
@@ -354,7 +400,7 @@ impl BgpDaemon {
         if self.originated.remove(&prefix).is_none() {
             return Vec::new();
         }
-        self.run_decisions(vec![prefix], policy)
+        self.run_decisions(vec![prefix], Export::OnChange, policy)
     }
 
     /// Process a received UPDATE.
@@ -424,13 +470,15 @@ impl BgpDaemon {
                 }
             }
         }
-        self.run_decisions(affected, policy)
+        self.run_decisions(affected, Export::OnChange, policy)
     }
 
     /// Re-run the decision process for every known prefix — called when an
     /// RPA is installed or removed ("BGP can independently discover and
     /// process new viable routes by locally re-applying the pre-installed
-    /// RPAs", §4.1).
+    /// RPAs", §4.1). Like the two scoped forms below it exports every prefix
+    /// it re-decides, moved or not: export policy and egress filters may
+    /// have changed under an unchanged best path.
     pub fn reevaluate_all(&mut self, policy: &dyn RibPolicy) -> Vec<(PeerId, UpdateMessage)> {
         let known = self.known_prefixes();
         self.reevaluate_filtered(known, policy)
@@ -468,7 +516,7 @@ impl BgpDaemon {
         });
         let mut prefixes: BTreeSet<Prefix> = purged.into_iter().collect();
         prefixes.extend(extra);
-        self.run_decisions(prefixes.into_iter().collect(), policy)
+        self.run_decisions(prefixes.into_iter().collect(), Export::Always, policy)
     }
 
     /// Re-run the decision process for `prefixes` only — the scoped
@@ -486,7 +534,7 @@ impl BgpDaemon {
         prefixes: Vec<Prefix>,
         policy: &dyn RibPolicy,
     ) -> Vec<(PeerId, UpdateMessage)> {
-        self.run_decisions(prefixes, policy)
+        self.run_decisions(prefixes, Export::Always, policy)
     }
 
     /// Every prefix the speaker currently knows: held in Adj-RIB-In,
@@ -661,15 +709,25 @@ impl BgpDaemon {
         }
     }
 
+    /// Re-decide `prefixes` (deduplicated, ascending) and export what the
+    /// decisions — or, under [`Export::Always`], the caller — changed.
     fn run_decisions(
         &mut self,
         prefixes: Vec<Prefix>,
+        export: Export,
         policy: &dyn RibPolicy,
     ) -> Vec<(PeerId, UpdateMessage)> {
-        let mut unique: BTreeSet<Prefix> = prefixes.into_iter().collect();
+        // Under `wcmp_advertise` the export also relays the entry's
+        // effective capacity, which moves with the selected set while the
+        // advertised route stays put — so every decision exports.
+        let always = matches!(export, Export::Always) || self.cfg.wcmp_advertise;
+        let unique: BTreeSet<Prefix> = prefixes.into_iter().collect();
         let mut per_peer: BTreeMap<PeerId, UpdateMessage> = BTreeMap::new();
-        for prefix in std::mem::take(&mut unique) {
-            self.decide_prefix(prefix, policy, &mut per_peer);
+        for prefix in unique {
+            let advertisement_moved = self.decide_prefix(prefix, policy);
+            if always || advertisement_moved {
+                self.export_prefix(prefix, policy, &mut per_peer);
+            }
         }
         per_peer
             .into_iter()
@@ -677,16 +735,15 @@ impl BgpDaemon {
             .collect()
     }
 
-    fn decide_prefix(
-        &mut self,
-        prefix: Prefix,
-        policy: &dyn RibPolicy,
-        per_peer: &mut BTreeMap<PeerId, UpdateMessage>,
-    ) {
+    /// The decision half: candidates → selection → Loc-RIB install → FIB
+    /// dirty mark → telemetry. Returns whether the advertised route differs
+    /// from the one installed before — the only input of the export this can
+    /// move (see the module docs).
+    fn decide_prefix(&mut self, prefix: Prefix, policy: &dyn RibPolicy) -> bool {
         let candidates = self.candidates(prefix);
         // Only the previously advertised route is needed unconditionally
-        // (for the best-path-change comparison); the full previous entry is
-        // cloned lazily inside the rare keep-warm branches.
+        // (for the advertisement-moved comparison); the full previous entry
+        // is cloned lazily inside the rare keep-warm branches.
         let prev_advertised: Option<Route> =
             self.loc_rib.get(&prefix).and_then(|e| e.advertised.clone());
 
@@ -696,11 +753,10 @@ impl BgpDaemon {
             // Path Selection RPA outcome.
             if sel.selected.is_empty() {
                 if sel.keep_fib_warm {
-                    self.loc_rib.get(&prefix).cloned().map(|mut e| {
-                        e.fib_warm_only = true;
-                        e.advertised = None;
-                        e
-                    })
+                    self.loc_rib
+                        .get(&prefix)
+                        .cloned()
+                        .and_then(|prior| self.warm_entry(prior))
                 } else {
                     None
                 }
@@ -755,38 +811,16 @@ impl BgpDaemon {
                     // packets are not dropped" (§4.3): preserve the previous
                     // FIB state — which still spreads over the full next-hop
                     // set, drained members included — and advertise nothing.
-                    // Next-hops whose sessions have since gone down are
-                    // pruned: forwarding onto a dead session is a black-hole,
-                    // not warmth.
                     let prior = self.loc_rib.get(&prefix).cloned().unwrap_or_else(|| {
                         let weights = self.weights_for(prefix, &selected, policy);
                         LocRibEntry {
-                            selected: selected.clone(),
+                            selected,
                             weights,
                             advertised: None,
                             fib_warm_only: true,
                         }
                     });
-                    let (kept, weights): (Vec<Route>, Vec<u32>) = prior
-                        .selected
-                        .into_iter()
-                        .zip(prior.weights)
-                        .filter(|(r, _)| {
-                            r.learned_from
-                                .map(|p| self.is_established(p))
-                                .unwrap_or(true)
-                        })
-                        .unzip();
-                    if kept.is_empty() {
-                        None
-                    } else {
-                        Some(LocRibEntry {
-                            selected: kept,
-                            weights,
-                            advertised: None,
-                            fib_warm_only: true,
-                        })
-                    }
+                    self.warm_entry(prior)
                 } else {
                     None
                 }
@@ -804,11 +838,12 @@ impl BgpDaemon {
             }
         };
 
+        let prev_adv = prev_advertised.as_ref();
+        let new_adv = new_entry.as_ref().and_then(|e| e.advertised.as_ref());
+        let advertisement_moved = prev_adv != new_adv;
         if let DaemonTelemetry(Some(tel)) = &self.telemetry {
             tel.decisions.inc();
-            let prev_adv = prev_advertised.as_ref();
-            let new_adv = new_entry.as_ref().and_then(|e| e.advertised.as_ref());
-            if prev_adv != new_adv {
+            if advertisement_moved {
                 tel.best_path_changes.inc();
                 if tel.telemetry.journal_enabled() {
                     tel.telemetry.record(
@@ -834,14 +869,50 @@ impl BgpDaemon {
                 }
             }
         }
+        advertisement_moved
+    }
 
-        // Propagate advertisement changes to every established session. The
-        // post-export attribute body is computed ONCE per decision — it does
-        // not depend on the peer (only split-horizon, the egress filter, and
-        // the per-session export policy do, and those run per peer below).
-        // Recomputing it inside the loop was quadratic clone churn at spine
-        // fan-in: 675 sessions × 675 re-decisions per wave, each a deep
-        // attrs clone + alloc.
+    /// The keep-warm form of `prior` (`KeepFibWarmIfMnhViolated`, §4.3): its
+    /// forwarding state, withdrawn from peers. Next hops whose session has
+    /// since gone down are pruned — forwarding onto a dead session is a
+    /// black-hole, not warmth — and `None` is returned when nothing is left.
+    fn warm_entry(&self, prior: LocRibEntry) -> Option<LocRibEntry> {
+        let (selected, weights): (Vec<Route>, Vec<u32>) = prior
+            .selected
+            .into_iter()
+            .zip(prior.weights)
+            .filter(|(r, _)| {
+                r.learned_from
+                    .map(|p| self.is_established(p))
+                    .unwrap_or(true)
+            })
+            .unzip();
+        if selected.is_empty() {
+            return None;
+        }
+        Some(LocRibEntry {
+            selected,
+            weights,
+            advertised: None,
+            fib_warm_only: true,
+        })
+    }
+
+    /// The export half: bring Adj-RIB-Out for `prefix`, toward every
+    /// established session, to what the installed Loc-RIB entry asks for,
+    /// and collect the difference into `per_peer`. The post-export attribute
+    /// body is computed once — it does not depend on the peer; only
+    /// split-horizon, the egress filter and the per-session export policy
+    /// do, and those run per peer below. Each pass costs one evaluation per
+    /// established session (`bgp.export_evals`), which is why
+    /// [`run_decisions`](Self::run_decisions) skips it for a decision that
+    /// left the advertisement where it was.
+    fn export_prefix(
+        &mut self,
+        prefix: Prefix,
+        policy: &dyn RibPolicy,
+        per_peer: &mut BTreeMap<PeerId, UpdateMessage>,
+    ) {
         let export_base = self.export_base(prefix);
         let peers: Vec<PeerId> = self
             .peers
@@ -849,6 +920,9 @@ impl BgpDaemon {
             .filter(|(_, s)| s.established)
             .map(|(p, _)| *p)
             .collect();
+        if let DaemonTelemetry(Some(tel)) = &self.telemetry {
+            tel.export_evals.add(peers.len() as u64);
+        }
         for peer in peers {
             match self.desired_advertisement_from(peer, prefix, policy, export_base.as_ref()) {
                 None => {
@@ -936,7 +1010,10 @@ impl BgpDaemon {
             return None;
         }
         let peer_state = self.peers.get(&peer)?;
-        peer_state.cfg.export.apply_shared(&prefix, Arc::clone(base))
+        peer_state
+            .cfg
+            .export
+            .apply_shared(&prefix, Arc::clone(base))
     }
 
     /// [`BgpDaemon::desired_advertisement_from`] with the base computed in
@@ -1362,6 +1439,42 @@ mod tests {
         );
         // Removing the remaining session removes the entry entirely.
         d.peer_down(PeerId(20), &Guard);
+        assert!(d.fib().is_empty());
+    }
+
+    #[test]
+    fn hook_keep_warm_prunes_next_hops_of_dead_sessions() {
+        // A Path Selection hook that withdraws below two candidates and asks
+        // for the FIB to stay warm — the other way into keep-warm.
+        struct Floor;
+        impl crate::hooks::RibPolicy for Floor {
+            fn select_paths(
+                &self,
+                _prefix: Prefix,
+                candidates: &[Route],
+            ) -> Option<crate::hooks::Selection> {
+                Some(if candidates.len() < 2 {
+                    crate::hooks::Selection::withdraw(true)
+                } else {
+                    crate::hooks::Selection::all(candidates.len())
+                })
+            }
+        }
+        let mut d = daemon(1);
+        connect(&mut d, 10, 2);
+        connect(&mut d, 20, 3);
+        d.handle_update(PeerId(10), announce(10, "0.0.0.0/0", &[2, 9]), &Floor);
+        d.handle_update(PeerId(20), announce(20, "0.0.0.0/0", &[3, 9]), &Floor);
+        assert_eq!(d.fib()[0].nexthops.len(), 2);
+        d.peer_down(PeerId(10), &Floor);
+        let fib = d.fib();
+        assert!(fib[0].warm);
+        assert_eq!(
+            fib[0].nexthops,
+            vec![(PeerId(20), 1)],
+            "dead session pruned"
+        );
+        d.peer_down(PeerId(20), &Floor);
         assert!(d.fib().is_empty());
     }
 

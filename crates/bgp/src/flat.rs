@@ -63,6 +63,22 @@ impl<K: Ord + Copy, V> FlatMap<K, V> {
         Some(&self.entries[i].1)
     }
 
+    /// The entry with the greatest key `<= key`, if any — the predecessor
+    /// search behind the FIB's longest-prefix match. A probe at or below
+    /// the first key is answered from the first entry alone: that is every
+    /// default-route lookup, and one cache line instead of a search across a
+    /// table nobody has touched since the last UPDATE.
+    pub fn floor(&self, key: &K) -> Option<(&K, &V)> {
+        let (first, value) = self.entries.first()?;
+        if key <= first {
+            return (key == first).then_some((first, value));
+        }
+        // `key` is above the first key, so at least one entry is `<=` it.
+        let above = self.entries.partition_point(|(k, _)| k <= key);
+        let (k, v) = &self.entries[above - 1];
+        Some((k, v))
+    }
+
     /// Mutable access to the value under `key`, if any.
     pub fn get_mut(&mut self, key: &K) -> Option<&mut V> {
         let i = self.position(key).ok()?;
@@ -215,6 +231,19 @@ mod tests {
     }
 
     #[test]
+    fn floor_is_the_greatest_key_at_or_below() {
+        let mut m = FlatMap::new();
+        assert_eq!(m.floor(&7u32), None);
+        for k in [10u32, 20, 30] {
+            m.insert(k, k + 1);
+        }
+        assert_eq!(m.floor(&9), None);
+        assert_eq!(m.floor(&10), Some((&10, &11)));
+        assert_eq!(m.floor(&29), Some((&20, &21)));
+        assert_eq!(m.floor(&u32::MAX), Some((&30, &31)));
+    }
+
+    #[test]
     fn entry_or_default_and_retain() {
         let mut m: FlatMap<u8, Vec<u8>> = FlatMap::new();
         m.entry_or_default(2).push(20);
@@ -249,7 +278,9 @@ mod tests {
         let v = m.serialize();
         let back = FlatMap::<u32, String>::deserialize(&v).unwrap();
         assert_eq!(
-            back.iter().map(|(k, s)| (*k, s.clone())).collect::<Vec<_>>(),
+            back.iter()
+                .map(|(k, s)| (*k, s.clone()))
+                .collect::<Vec<_>>(),
             vec![(1, "a".to_string()), (3, "c".to_string())]
         );
         assert!(FlatMap::<u32, String>::deserialize(&serde::Value::Null).is_err());

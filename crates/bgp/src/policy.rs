@@ -254,7 +254,10 @@ impl Policy {
         // zero allocations once the fabric is in steady state.
         let mut owned: Option<PathAttributes> = None;
         for rule in &self.rules {
-            if !rule.matches.matches(prefix, owned.as_ref().unwrap_or(&attrs)) {
+            if !rule
+                .matches
+                .matches(prefix, owned.as_ref().unwrap_or(&attrs))
+            {
                 continue;
             }
             for action in &rule.actions {
@@ -275,7 +278,9 @@ impl Policy {
                     }
                     Action::AddCommunity(c) => {
                         if !owned.as_ref().unwrap_or(&attrs).has_community(*c) {
-                            owned.get_or_insert_with(|| (*attrs).clone()).add_community(*c);
+                            owned
+                                .get_or_insert_with(|| (*attrs).clone())
+                                .add_community(*c);
                         }
                     }
                     Action::RemoveCommunity(c) => {

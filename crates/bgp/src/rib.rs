@@ -165,7 +165,9 @@ struct Fan {
 
 impl Fan {
     fn position(&self, peer: PeerId) -> Result<usize, usize> {
-        self.peers.as_slice().binary_search_by_key(&peer, |r| r.peer)
+        self.peers
+            .as_slice()
+            .binary_search_by_key(&peer, |r| r.peer)
     }
 
     /// Class index whose body is content-equal to `attrs`, interning a new
@@ -454,7 +456,8 @@ impl Iterator for RoutesFor<'_> {
     }
 
     fn size_hint(&self) -> (usize, Option<usize>) {
-        let n = self.fan.map(Fan::len).unwrap_or(0) - self.i.min(self.fan.map(Fan::len).unwrap_or(0));
+        let n =
+            self.fan.map(Fan::len).unwrap_or(0) - self.i.min(self.fan.map(Fan::len).unwrap_or(0));
         (n, Some(n))
     }
 }
@@ -726,11 +729,17 @@ mod tests {
         assert!(rib.remove(PeerId(3), p("10.0.0.0/8")));
         assert_eq!(rib.footprint().canonical_routes, 2);
         assert_eq!(
-            rib.route(PeerId(4), p("10.0.0.0/8")).unwrap().attrs.local_pref,
+            rib.route(PeerId(4), p("10.0.0.0/8"))
+                .unwrap()
+                .attrs
+                .local_pref,
             300
         );
         assert_eq!(
-            rib.route(PeerId(1), p("10.0.0.0/8")).unwrap().attrs.local_pref,
+            rib.route(PeerId(1), p("10.0.0.0/8"))
+                .unwrap()
+                .attrs
+                .local_pref,
             PathAttributes::DEFAULT_LOCAL_PREF
         );
     }
@@ -825,7 +834,11 @@ mod tests {
         for peer in 2..=32 {
             // Fresh allocation per peer, as the export path produces.
             let canon = out
-                .advertise(PeerId(peer), p("0.0.0.0/0"), Arc::new(PathAttributes::default()))
+                .advertise(
+                    PeerId(peer),
+                    p("0.0.0.0/0"),
+                    Arc::new(PathAttributes::default()),
+                )
                 .expect("state changed");
             assert!(
                 Arc::ptr_eq(&canon, &first),
@@ -837,7 +850,11 @@ mod tests {
         assert_eq!(f.canonical_routes, 1);
         // Identical re-advertisement: nothing to send.
         assert!(out
-            .advertise(PeerId(5), p("0.0.0.0/0"), Arc::new(PathAttributes::default()))
+            .advertise(
+                PeerId(5),
+                p("0.0.0.0/0"),
+                Arc::new(PathAttributes::default())
+            )
             .is_none());
         assert!(out.withdraw(PeerId(5), p("0.0.0.0/0")));
         assert!(!out.withdraw(PeerId(5), p("0.0.0.0/0")));
@@ -847,9 +864,21 @@ mod tests {
     #[test]
     fn adj_rib_out_enumeration_and_flush() {
         let mut out = AdjRibOut::default();
-        out.advertise(PeerId(1), p("10.0.0.0/8"), Arc::new(PathAttributes::default()));
-        out.advertise(PeerId(1), p("11.0.0.0/8"), Arc::new(PathAttributes::default()));
-        out.advertise(PeerId(2), p("10.0.0.0/8"), Arc::new(PathAttributes::default()));
+        out.advertise(
+            PeerId(1),
+            p("10.0.0.0/8"),
+            Arc::new(PathAttributes::default()),
+        );
+        out.advertise(
+            PeerId(1),
+            p("11.0.0.0/8"),
+            Arc::new(PathAttributes::default()),
+        );
+        out.advertise(
+            PeerId(2),
+            p("10.0.0.0/8"),
+            Arc::new(PathAttributes::default()),
+        );
         let for_one: Vec<Prefix> = out.advertisements(PeerId(1)).map(|(p, _)| p).collect();
         assert_eq!(for_one, vec![p("10.0.0.0/8"), p("11.0.0.0/8")]);
         assert!(out.attrs(PeerId(2), p("10.0.0.0/8")).is_some());

@@ -8,13 +8,16 @@
 //! that: the set of distinct groups currently referenced, its high-water
 //! mark, cumulative group creations (churn), and overflow events.
 //!
-//! Storage is a binary prefix trie rather than a flat ordered map: delta
-//! applies touch O(changed × 32) nodes, longest-prefix match is a single
-//! root-to-leaf walk, and preorder traversal yields entries in exactly the
-//! `(addr, len)` order the old `BTreeMap` produced — so snapshots, iteration
-//! and the `verify_full_equivalence` oracle are byte-identical across the
-//! representation change.
+//! Storage is the sorted flat table the Loc-RIB already uses
+//! ([`FlatMap<Prefix, FibEntry>`](centralium_bgp::flat::FlatMap)): the FIB
+//! holds at most one entry per Loc-RIB entry, so both tables have the same
+//! keys. Exact match, install and removal are one binary search over a
+//! contiguous array; iteration is ascending `(addr, len)` — `Prefix`'s `Ord`,
+//! the order snapshots, `Debug` output and the `verify_full_equivalence`
+//! oracle are compared in; longest-prefix match is a predecessor search
+//! ([`Fib::lookup`]).
 
+use centralium_bgp::flat::FlatMap;
 use centralium_bgp::{FibEntry, PeerId, Prefix};
 use std::collections::{BTreeMap, HashMap};
 use std::fmt;
@@ -37,140 +40,6 @@ pub struct NhgStats {
     /// Number of sync operations that found more groups than the hardware
     /// table holds.
     pub overflow_events: u64,
-}
-
-// ---------------------------------------------------------------------------
-// Prefix trie
-// ---------------------------------------------------------------------------
-
-/// One trie node: depth encodes prefix length, the root-to-node bit path
-/// encodes the address. A node may hold an installed entry and up to two
-/// children (next address bit 0 / 1).
-#[derive(Debug, Clone, Default)]
-struct Node {
-    entry: Option<FibEntry>,
-    children: [Option<Box<Node>>; 2],
-}
-
-impl Node {
-    fn is_empty(&self) -> bool {
-        self.entry.is_none() && self.children.iter().all(Option::is_none)
-    }
-}
-
-/// Bit `depth` of `addr`, counted from the most-significant end — the branch
-/// index at `depth` for a prefix containing `addr`.
-fn bit(addr: u32, depth: u8) -> usize {
-    ((addr >> (31 - depth)) & 1) as usize
-}
-
-/// An uncompressed binary prefix trie of [`FibEntry`]s.
-///
-/// Preorder traversal (entry before children, bit-0 child before bit-1)
-/// visits prefixes in ascending `(addr, len)` order: a parent's masked
-/// address lower-bounds its subtree and its length is strictly shorter,
-/// while the bit-0 subtree's addresses all precede the bit-1 subtree's.
-/// That is precisely `Prefix`'s derived `Ord`, so iteration order matches
-/// the flat ordered map this replaced.
-#[derive(Debug, Clone, Default)]
-struct Trie {
-    root: Node,
-    len: usize,
-}
-
-impl Trie {
-    /// Install `entry` at `prefix`, returning the displaced entry if any.
-    fn insert(&mut self, prefix: Prefix, entry: FibEntry) -> Option<FibEntry> {
-        let mut node = &mut self.root;
-        for depth in 0..prefix.len() {
-            node = node.children[bit(prefix.addr(), depth)].get_or_insert_with(Default::default);
-        }
-        let old = node.entry.replace(entry);
-        if old.is_none() {
-            self.len += 1;
-        }
-        old
-    }
-
-    /// Remove the entry at `prefix`, pruning now-empty interior nodes so the
-    /// trie never accumulates dead branches across churn.
-    fn remove(&mut self, prefix: Prefix) -> Option<FibEntry> {
-        fn rec(node: &mut Node, prefix: Prefix, depth: u8) -> Option<FibEntry> {
-            if depth == prefix.len() {
-                return node.entry.take();
-            }
-            let idx = bit(prefix.addr(), depth);
-            let child = node.children[idx].as_mut()?;
-            let removed = rec(child, prefix, depth + 1);
-            if removed.is_some() && child.is_empty() {
-                node.children[idx] = None;
-            }
-            removed
-        }
-        let removed = rec(&mut self.root, prefix, 0);
-        if removed.is_some() {
-            self.len -= 1;
-        }
-        removed
-    }
-
-    /// Exact-match entry.
-    fn get(&self, prefix: Prefix) -> Option<&FibEntry> {
-        let mut node = &self.root;
-        for depth in 0..prefix.len() {
-            node = node.children[bit(prefix.addr(), depth)].as_deref()?;
-        }
-        node.entry.as_ref()
-    }
-
-    /// Longest installed prefix containing `dest`: one root-to-leaf walk
-    /// along `dest`'s bits, remembering the deepest entry passed.
-    fn lookup(&self, dest: &Prefix) -> Option<&FibEntry> {
-        let mut node = &self.root;
-        let mut best = node.entry.as_ref();
-        for depth in 0..dest.len() {
-            match node.children[bit(dest.addr(), depth)].as_deref() {
-                Some(child) => {
-                    node = child;
-                    best = node.entry.as_ref().or(best);
-                }
-                None => break,
-            }
-        }
-        best
-    }
-
-    /// Preorder iterator — ascending `(addr, len)`.
-    fn iter(&self) -> TrieIter<'_> {
-        TrieIter {
-            stack: vec![&self.root],
-        }
-    }
-}
-
-/// Explicit-stack preorder walk. Children are pushed bit-1 first so bit-0
-/// pops (and yields) first.
-struct TrieIter<'a> {
-    stack: Vec<&'a Node>,
-}
-
-impl<'a> Iterator for TrieIter<'a> {
-    type Item = &'a FibEntry;
-
-    fn next(&mut self) -> Option<&'a FibEntry> {
-        while let Some(node) = self.stack.pop() {
-            if let Some(child) = node.children[1].as_deref() {
-                self.stack.push(child);
-            }
-            if let Some(child) = node.children[0].as_deref() {
-                self.stack.push(child);
-            }
-            if let Some(entry) = node.entry.as_ref() {
-                return Some(entry);
-            }
-        }
-        None
-    }
 }
 
 // ---------------------------------------------------------------------------
@@ -263,7 +132,7 @@ impl GroupTable {
 /// A device's forwarding table.
 #[derive(Clone)]
 pub struct Fib {
-    entries: Trie,
+    entries: FlatMap<Prefix, FibEntry>,
     /// Hardware limit on distinct next-hop group objects.
     capacity: usize,
     /// Groups currently referenced, with reference counts and stable ids.
@@ -283,14 +152,6 @@ pub struct Fib {
 /// iteration.
 impl fmt::Debug for Fib {
     fn fmt(&self, f: &mut fmt::Formatter<'_>) -> fmt::Result {
-        struct Entries<'a>(&'a Trie);
-        impl fmt::Debug for Entries<'_> {
-            fn fmt(&self, f: &mut fmt::Formatter<'_>) -> fmt::Result {
-                f.debug_map()
-                    .entries(self.0.iter().map(|e| (e.prefix, e)))
-                    .finish()
-            }
-        }
         struct Groups<'a>(&'a GroupTable);
         impl fmt::Debug for Groups<'_> {
             fn fmt(&self, f: &mut fmt::Formatter<'_>) -> fmt::Result {
@@ -300,7 +161,7 @@ impl fmt::Debug for Fib {
             }
         }
         f.debug_struct("Fib")
-            .field("entries", &Entries(&self.entries))
+            .field("entries", &self.entries)
             .field("capacity", &self.capacity)
             .field("groups", &Groups(&self.groups))
             .field("stats", &self.stats)
@@ -313,7 +174,7 @@ impl Fib {
     /// Empty FIB with the given group-table capacity.
     pub fn new(capacity: usize) -> Self {
         Fib {
-            entries: Trie::default(),
+            entries: FlatMap::new(),
             capacity,
             groups: GroupTable::default(),
             stats: NhgStats::default(),
@@ -336,7 +197,7 @@ impl Fib {
             .collect();
         let old: Vec<NextHopGroup> = self
             .entries
-            .iter()
+            .values()
             .map(|e| {
                 let mut g = e.nexthops.clone();
                 g.sort_unstable_by_key(|(p, _)| *p);
@@ -346,24 +207,25 @@ impl Fib {
         for g in &old {
             self.groups.release(g);
         }
-        let mut trie = Trie::default();
+        // The daemon hands `desired` over in ascending prefix order, so each
+        // insert lands at the end of the table.
+        let mut table = FlatMap::new();
         for e in canonical {
-            if let Some(prev) = trie.insert(e.prefix, e) {
-                // Duplicate prefix in the desired list: last write wins,
-                // matching the map-insert semantics this replaced.
+            if let Some(prev) = table.insert(e.prefix, e) {
+                // Duplicate prefix in the desired list: last write wins.
                 let mut g = prev.nexthops.clone();
                 g.sort_unstable_by_key(|(p, _)| *p);
                 self.groups.release(&g);
             }
         }
-        for e in trie.iter() {
+        for e in table.values() {
             // Canonicalized above: nexthops are already sorted.
             if self.groups.acquire(e.nexthops.clone()) {
                 self.stats.group_creations += 1;
             }
         }
         self.groups.gc();
-        self.entries = trie;
+        self.entries = table;
         self.note_group_pressure();
     }
 
@@ -375,8 +237,8 @@ impl Fib {
     /// once per batch. No-op changes (new entry equal to the installed one)
     /// are skipped entirely, and an all-no-op batch performs no accounting —
     /// callers must not rely on `apply` bumping stats the way a redundant
-    /// `sync` would. Cost is O(changed) trie walks, independent of table
-    /// size.
+    /// `sync` would. Cost is a few binary searches per changed prefix (plus
+    /// the tail shift of an install or removal).
     ///
     /// Not valid with [`Fib::dedup_heuristic`] (its reuse choice depends on
     /// the whole-table rebuild order); callers fall back to `sync` there.
@@ -387,7 +249,7 @@ impl Fib {
         );
         let real: Vec<(Prefix, Option<FibEntry>)> = changes
             .into_iter()
-            .filter(|(prefix, new)| self.entries.get(*prefix) != new.as_ref())
+            .filter(|(prefix, new)| self.entries.get(prefix) != new.as_ref())
             .collect();
         if real.is_empty() {
             return;
@@ -396,7 +258,7 @@ impl Fib {
         // the table so phase 2's creation counting still sees "present
         // before the batch".
         for (prefix, _) in &real {
-            if let Some(old) = self.entries.get(*prefix) {
+            if let Some(old) = self.entries.get(prefix) {
                 let mut group: NextHopGroup = old.nexthops.clone();
                 group.sort_unstable_by_key(|(p, _)| *p);
                 self.groups.release(&group);
@@ -414,7 +276,7 @@ impl Fib {
                     self.entries.insert(prefix, entry);
                 }
                 None => {
-                    self.entries.remove(prefix);
+                    self.entries.remove(&prefix);
                 }
             }
         }
@@ -448,29 +310,45 @@ impl Fib {
         group
     }
 
-    /// Longest-prefix-match lookup.
+    /// Longest-prefix-match lookup, as a predecessor search. Every prefix
+    /// covering `dest` sorts at or below it (same leading bits, shorter), so
+    /// take the greatest entry `<=` the probe. If it covers `dest` it is the
+    /// longest match: a longer one would sort between the two. If it does
+    /// not, it lies between `dest` and whatever does cover `dest`, so that
+    /// cover contains both and is no longer than the bits they share — retry
+    /// at `dest` cut to those bits. An installed destination or a default
+    /// route answers in the first round; a miss among dense neighbours climbs
+    /// one shared-bit boundary per round, 32 at most, each a binary search.
     pub fn lookup(&self, dest: &Prefix) -> Option<&FibEntry> {
-        self.entries.lookup(dest)
+        let mut probe = *dest;
+        loop {
+            let (found, entry) = self.entries.floor(&probe)?;
+            if found.contains(dest) {
+                return Some(entry);
+            }
+            let shared = (found.addr() ^ dest.addr()).leading_zeros() as u8;
+            probe = Prefix::new(dest.addr(), shared.min(found.len()).min(dest.len()));
+        }
     }
 
     /// Exact-prefix entry.
     pub fn entry(&self, prefix: Prefix) -> Option<&FibEntry> {
-        self.entries.get(prefix)
+        self.entries.get(&prefix)
     }
 
     /// All entries, in ascending `(addr, len)` order.
     pub fn entries(&self) -> impl Iterator<Item = &FibEntry> {
-        self.entries.iter()
+        self.entries.values()
     }
 
     /// Number of installed prefixes.
     pub fn len(&self) -> usize {
-        self.entries.len
+        self.entries.len()
     }
 
     /// Whether the FIB is empty.
     pub fn is_empty(&self) -> bool {
-        self.entries.len == 0
+        self.entries.is_empty()
     }
 
     /// Group-table counters.

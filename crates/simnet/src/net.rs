@@ -794,11 +794,18 @@ impl SimNet {
     /// incremental engine is measured against, and the mechanism behind
     /// [`verify_full_equivalence`](Self::verify_full_equivalence).
     pub fn force_full_reconvergence(&mut self) -> ConvergenceReport {
+        self.schedule_reevaluate_all();
+        self.run_until_quiescent()
+    }
+
+    /// Queue a [`NetEvent::Reevaluate`] for every live device, one tick from
+    /// now, in device order. Returns the devices.
+    fn schedule_reevaluate_all(&mut self) -> Vec<DeviceId> {
         let devs: Vec<DeviceId> = self.devices.keys().collect();
-        for dev in devs {
+        for &dev in &devs {
             self.schedule_in(1, NetEvent::Reevaluate { dev });
         }
-        self.run_until_quiescent()
+        devs
     }
 
     /// Per-device FIB snapshot — entries only (prefix, next hops, warm
@@ -813,34 +820,73 @@ impl SimNet {
     }
 
     /// `--full-check` shadow mode: snapshot the converged FIBs, force a full
-    /// re-convergence, and verify the result is identical — converged state
-    /// must be a fixed point of full evaluation, so any difference means the
-    /// incremental engine skipped work it should not have.
+    /// re-convergence, and verify that nothing moved — converged state must
+    /// be a fixed point of full evaluation. Two things are checked. The FIBs
+    /// are identical: any difference means the incremental engine skipped a
+    /// decision it should have run. And the pass was *silent* — one event
+    /// per live device, no message delivered: a daemon exports a re-decided
+    /// prefix only when its advertisement moved, so an export that was
+    /// skipped wrongly leaves this device's FIB intact and its Adj-RIB-Out
+    /// stale, and the forced pass (which always exports) is what flushes it
+    /// out as an UPDATE. The queue must be empty on entry.
     pub fn verify_full_equivalence(&mut self) -> Result<(), String> {
         let before = self.fib_snapshot();
-        let report = self.force_full_reconvergence();
+        let delivered = self.counters.messages_delivered.get();
+        // Take the Reevaluates one `step()` at a time — same-time events pop
+        // in schedule order — so a device that emits can be named: its step
+        // leaves the queue no shorter than it found it.
+        let devs = self.schedule_reevaluate_all();
+        let mut spoke = Vec::new();
+        for &dev in &devs {
+            let pending = self.pending_events();
+            self.step();
+            if self.pending_events() >= pending {
+                spoke.push(dev);
+            }
+        }
+        let report = self.run_until_quiescent();
         if !report.converged {
             return Err("full reconvergence hit the event cap".to_string());
         }
         let after = self.fib_snapshot();
-        if before == after {
-            return Ok(());
-        }
-        let mut diverged = Vec::new();
-        for (id, entries) in &before {
-            if after.get(id) != Some(entries) {
-                diverged.push(format!("d{}", id.0));
+        let messages = self.counters.messages_delivered.get() - delivered;
+        // The first dozen names say where to look; a fabric-wide failure
+        // need not print the fabric.
+        let names = |ids: &[DeviceId]| {
+            let mut shown: Vec<String> = ids.iter().take(12).map(|d| format!("d{}", d.0)).collect();
+            if ids.len() > shown.len() {
+                shown.push(format!("… ({} in all)", ids.len()));
             }
+            shown.join(", ")
+        };
+        let mut failures = Vec::new();
+        if report.events_processed != 0 || messages != 0 {
+            failures.push(format!(
+                "full reconvergence was not silent: {} events for {} devices, {} messages; \
+                 stale Adj-RIB-Out on: {}",
+                devs.len() as u64 + report.events_processed,
+                devs.len(),
+                messages,
+                names(&spoke)
+            ));
         }
-        for id in after.keys() {
-            if !before.contains_key(id) {
-                diverged.push(format!("d{}", id.0));
-            }
+        if before != after {
+            let diverged: Vec<DeviceId> = before
+                .keys()
+                .chain(after.keys().filter(|id| !before.contains_key(id)))
+                .filter(|id| before.get(id) != after.get(id))
+                .copied()
+                .collect();
+            failures.push(format!(
+                "FIB divergence after full reconvergence on: {}",
+                names(&diverged)
+            ));
         }
-        Err(format!(
-            "FIB divergence after full reconvergence on: {}",
-            diverged.join(", ")
-        ))
+        if failures.is_empty() {
+            Ok(())
+        } else {
+            Err(failures.join("; "))
+        }
     }
 
     /// Which devices originate `prefix`.

@@ -36,8 +36,7 @@ fn bgp_oracle(bytes: &[u8]) {
     let frames = bgp::encode(&msg).expect("a decoded BGP message must be re-encodable");
     // Contract 3: the re-encoding is a fixpoint frame by frame.
     for frame_bytes in &frames {
-        let (again, used) =
-            bgp::decode(frame_bytes).expect("re-encoded frame must decode cleanly");
+        let (again, used) = bgp::decode(frame_bytes).expect("re-encoded frame must decode cleanly");
         assert_eq!(used, frame_bytes.len(), "re-encoded frame fully consumed");
         let frames_again = bgp::encode(&again).expect("second re-encode succeeds");
         assert!(

@@ -1,0 +1,85 @@
+//! The FIB's flat table against a naive reference — a `BTreeMap` with a
+//! linear-scan longest-prefix match — over install / replace / remove,
+//! exact and longest-prefix lookup, and iteration order, on prefixes drawn
+//! from a pool dense enough that `/0`, `/8`, `/16`, `/24` and `/32` nest.
+
+use centralium_bgp::{FibEntry, PeerId, Prefix};
+use centralium_simnet::fib::Fib;
+use proptest::prelude::*;
+use std::collections::BTreeMap;
+
+const LENS: [u8; 5] = [0, 8, 16, 24, 32];
+
+/// `(10|11).(0|1).(0|1).(0|1)/len`: 16 addresses × 5 lengths, so most
+/// draws cover, or are covered by, something already installed.
+fn prefix((bits, len): (u8, u8)) -> Prefix {
+    let octet = |shift: u8| (bits >> shift) & 1;
+    Prefix::from_octets(
+        [10 + octet(3), octet(2), octet(1), octet(0)],
+        LENS[len as usize % LENS.len()],
+    )
+}
+
+fn entry(prefix: Prefix, nexthop: u8) -> FibEntry {
+    FibEntry {
+        prefix,
+        nexthops: vec![(PeerId(nexthop as u64), 1)],
+        warm: false,
+    }
+}
+
+fn naive_lookup<'a>(
+    reference: &'a BTreeMap<Prefix, FibEntry>,
+    dest: &Prefix,
+) -> Option<&'a FibEntry> {
+    reference
+        .values()
+        .filter(|e| e.prefix.contains(dest))
+        .max_by_key(|e| e.prefix.len())
+}
+
+proptest! {
+    #![proptest_config(ProptestConfig::with_cases(256))]
+
+    #[test]
+    fn flat_table_matches_the_naive_reference(
+        ops in proptest::collection::vec((0u8..4, (0u8..16, 0u8..5), 0u8..4), 1..64),
+        probes in proptest::collection::vec((0u8..16, 0u8..5), 1..24),
+    ) {
+        let mut fib = Fib::new(1024);
+        let mut reference: BTreeMap<Prefix, FibEntry> = BTreeMap::new();
+        for (op, key, nexthop) in ops {
+            let p = prefix(key);
+            // Three installs (or replacements) to one removal.
+            let change = (op > 0).then(|| entry(p, nexthop));
+            match &change {
+                Some(e) => reference.insert(p, e.clone()),
+                None => reference.remove(&p),
+            };
+            fib.apply(vec![(p, change)]);
+
+            prop_assert_eq!(fib.len(), reference.len());
+            prop_assert_eq!(fib.entry(p), reference.get(&p));
+            let order: Vec<&FibEntry> = fib.entries().collect();
+            let want: Vec<&FibEntry> = reference.values().collect();
+            prop_assert_eq!(order, want);
+            for &probe in &probes {
+                let dest = prefix(probe);
+                prop_assert_eq!(
+                    fib.lookup(&dest),
+                    naive_lookup(&reference, &dest),
+                    "lookup({}) over {:?}",
+                    dest,
+                    reference.keys().map(Prefix::to_string).collect::<Vec<_>>()
+                );
+            }
+        }
+        // A full sync of the same state lands the same table.
+        let mut synced = Fib::new(1024);
+        synced.sync(reference.values().cloned().collect());
+        prop_assert_eq!(
+            synced.entries().collect::<Vec<_>>(),
+            fib.entries().collect::<Vec<_>>()
+        );
+    }
+}
