@@ -33,7 +33,7 @@
 //!   re-decide whether or not its decision moved.
 
 use crate::attrs::PathAttributes;
-use crate::decision::{best_route, compare_routes, multipath_set};
+use crate::decision::{best_route, compare_routes, multipath_set, PathPreference};
 use crate::flat::FlatMap;
 use crate::hooks::{AdvertiseChoice, RibPolicy};
 use crate::msg::UpdateMessage;
@@ -44,6 +44,7 @@ use crate::wcmp;
 use centralium_telemetry::{Counter, EventKind, Severity, Telemetry};
 use centralium_topology::Asn;
 use serde::{Deserialize, Serialize};
+use std::cmp::Ordering;
 use std::collections::{BTreeMap, BTreeSet};
 use std::sync::Arc;
 
@@ -230,7 +231,12 @@ impl BgpDaemon {
         })));
     }
 
-    /// Mutable access to the speaker config (used by ablations).
+    /// Mutable access to the speaker config (used by ablations). Installed
+    /// decisions are not revisited: a change that can move one (`multipath`,
+    /// `wcmp`) must be followed by [`reevaluate_all`](Self::reevaluate_all),
+    /// as [`set_export_policy`](Self::set_export_policy) asks for exports.
+    /// Until then the Loc-RIB holds what the old setting selected, and an
+    /// arrival is decided against it (see `decide_against_incumbent`).
     pub fn config_mut(&mut self) -> &mut DaemonConfig {
         &mut self.cfg
     }
@@ -278,7 +284,10 @@ impl BgpDaemon {
     }
 
     /// Replace the import policy of a session. Takes effect for routes
-    /// received after the change (real BGP would need a route refresh).
+    /// received after the change (real BGP would need a route refresh):
+    /// routes already admitted, and the decisions installed over them, stay
+    /// until the peer re-advertises — to re-decide now, follow with
+    /// [`reevaluate_all`](Self::reevaluate_all).
     pub fn set_import_policy(&mut self, peer: PeerId, policy: impl Into<Arc<Policy>>) -> bool {
         match self.peers.get_mut(&peer) {
             Some(state) => {
@@ -330,20 +339,21 @@ impl BgpDaemon {
         peer: PeerId,
         policy: &dyn RibPolicy,
     ) -> Vec<(PeerId, UpdateMessage)> {
-        let Some(state) = self.peers.get_mut(&peer) else {
-            return Vec::new();
-        };
-        if state.established {
-            return Vec::new();
+        match self.peers.get_mut(&peer) {
+            Some(state) if !state.established => state.established = true,
+            _ => return Vec::new(),
         }
-        state.established = true;
+        let session = self.peers.get(&peer).expect("looked up above");
         // Advertise every Loc-RIB advertised route to the new peer.
-        let prefixes: Vec<Prefix> = self.loc_rib.keys().copied().collect();
         let mut out = UpdateMessage::default();
-        for prefix in prefixes {
-            if let Some(attrs) = self.desired_advertisement(peer, prefix, policy) {
+        for (&prefix, entry) in self.loc_rib.iter() {
+            let Some(route) = entry.advertised.as_ref() else {
+                continue;
+            };
+            let base = export_base(&self.cfg, &self.peers, entry, route);
+            if let Some(attrs) = desired_advertisement(route, &base, session, policy) {
                 if let Some(canon) = self.adj_rib_out.advertise(peer, prefix, attrs) {
-                    out.merge(UpdateMessage::announce(prefix, canon));
+                    out.announced.push((prefix, canon));
                 }
             }
         }
@@ -370,7 +380,7 @@ impl BgpDaemon {
         let affected = self.adj_rib_in.flush_peer(peer);
         // Drop pending out-state toward the dead session.
         self.adj_rib_out.flush_peer(peer);
-        self.run_decisions(affected, Export::OnChange, policy)
+        self.run_decisions(affected, Export::OnChange, None, policy)
     }
 
     /// Originate (or re-originate with new attributes) a local route.
@@ -388,7 +398,7 @@ impl BgpDaemon {
             attrs.link_bandwidth_gbps = None;
         }
         self.originated.insert(prefix, Arc::new(attrs));
-        self.run_decisions(vec![prefix], Export::OnChange, policy)
+        self.run_decisions(vec![prefix], Export::OnChange, None, policy)
     }
 
     /// Stop originating a local route.
@@ -400,7 +410,7 @@ impl BgpDaemon {
         if self.originated.remove(&prefix).is_none() {
             return Vec::new();
         }
-        self.run_decisions(vec![prefix], Export::OnChange, policy)
+        self.run_decisions(vec![prefix], Export::OnChange, None, policy)
     }
 
     /// Process a received UPDATE.
@@ -470,7 +480,7 @@ impl BgpDaemon {
                 }
             }
         }
-        self.run_decisions(affected, Export::OnChange, policy)
+        self.run_decisions(affected, Export::OnChange, Some(from), policy)
     }
 
     /// Re-run the decision process for every known prefix — called when an
@@ -514,9 +524,9 @@ impl BgpDaemon {
             Some(peer) => policy.permit_ingress(peer, r.prefix, r),
             None => true,
         });
-        let mut prefixes: BTreeSet<Prefix> = purged.into_iter().collect();
+        let mut prefixes = purged;
         prefixes.extend(extra);
-        self.run_decisions(prefixes.into_iter().collect(), Export::Always, policy)
+        self.run_decisions(prefixes, Export::Always, None, policy)
     }
 
     /// Re-run the decision process for `prefixes` only — the scoped
@@ -534,7 +544,7 @@ impl BgpDaemon {
         prefixes: Vec<Prefix>,
         policy: &dyn RibPolicy,
     ) -> Vec<(PeerId, UpdateMessage)> {
-        self.run_decisions(prefixes, Export::Always, policy)
+        self.run_decisions(prefixes, Export::Always, None, policy)
     }
 
     /// Every prefix the speaker currently knows: held in Adj-RIB-In,
@@ -598,7 +608,7 @@ impl BgpDaemon {
     pub fn full_advertisement(&self, peer: PeerId) -> UpdateMessage {
         let mut out = UpdateMessage::default();
         for (prefix, attrs) in self.adj_rib_out.advertisements(peer) {
-            out.merge(UpdateMessage::announce(prefix, Arc::clone(attrs)));
+            out.announced.push((prefix, Arc::clone(attrs)));
         }
         out
     }
@@ -616,12 +626,16 @@ impl BgpDaemon {
     /// locally-originated only).
     fn fib_entry_for(&self, prefix: Prefix) -> Option<FibEntry> {
         let entry = self.loc_rib.get(&prefix)?;
-        let mut nexthops: Vec<(PeerId, u32)> = entry
-            .selected
-            .iter()
-            .zip(&entry.weights)
-            .filter_map(|(r, w)| r.learned_from.map(|p| (p, *w)))
-            .collect();
+        // Sized up front: at most the local route is filtered out, and the
+        // vector is what the host FIB stores.
+        let mut nexthops = Vec::with_capacity(entry.selected.len());
+        nexthops.extend(
+            entry
+                .selected
+                .iter()
+                .zip(&entry.weights)
+                .filter_map(|(r, w)| r.learned_from.map(|p| (p, *w))),
+        );
         if nexthops.is_empty() {
             // Locally-originated only: nothing to forward upstream.
             return None;
@@ -682,60 +696,115 @@ impl BgpDaemon {
         out
     }
 
-    /// Effective capacity (Gbps) behind a Loc-RIB entry: the sum over
-    /// selected learned routes of min(link capacity, advertised bandwidth).
-    /// Used when `wcmp_advertise` relays capacity downstream (§3.4's
-    /// distributed WCMP cascade). `None` when only locally-originated routes
-    /// are selected — an originator's capacity is not link-bound, so no
-    /// bandwidth community is attached and receivers fall back to their own
-    /// link capacities.
-    fn effective_capacity(&self, entry: &LocRibEntry) -> Option<f64> {
-        let caps: Vec<f64> = entry
-            .selected
-            .iter()
-            .filter_map(|r| {
-                let peer = r.learned_from?;
-                let link = self.peers.get(&peer)?.cfg.link_capacity_gbps;
-                Some(match r.attrs.link_bandwidth_gbps {
-                    Some(bw) => bw.min(link),
-                    None => link,
-                })
-            })
-            .collect();
-        if caps.is_empty() {
-            None
-        } else {
-            Some(caps.iter().sum())
-        }
-    }
-
-    /// Re-decide `prefixes` (deduplicated, ascending) and export what the
-    /// decisions — or, under [`Export::Always`], the caller — changed.
+    /// Re-decide `prefixes` and export what the decisions — or, under
+    /// [`Export::Always`], the caller — changed. `moved_by` names the one
+    /// session whose Adj-RIB-In contribution is all that moved since the
+    /// prefixes were last decided ([`handle_update`](Self::handle_update)),
+    /// when there is one. The result is ascending by session, one UPDATE
+    /// each, prefixes ascending inside it.
     fn run_decisions(
         &mut self,
-        prefixes: Vec<Prefix>,
+        mut prefixes: Vec<Prefix>,
         export: Export,
+        moved_by: Option<PeerId>,
         policy: &dyn RibPolicy,
     ) -> Vec<(PeerId, UpdateMessage)> {
         // Under `wcmp_advertise` the export also relays the entry's
         // effective capacity, which moves with the selected set while the
         // advertised route stays put — so every decision exports.
         let always = matches!(export, Export::Always) || self.cfg.wcmp_advertise;
-        let unique: BTreeSet<Prefix> = prefixes.into_iter().collect();
-        let mut per_peer: BTreeMap<PeerId, UpdateMessage> = BTreeMap::new();
-        for prefix in unique {
-            let advertisement_moved = self.decide_prefix(prefix, policy);
+        prefixes.sort_unstable();
+        prefixes.dedup();
+        let mut out = Vec::new();
+        for prefix in prefixes {
+            let advertisement_moved = moved_by
+                .and_then(|from| self.decide_against_incumbent(prefix, from, policy))
+                .unwrap_or_else(|| self.decide_prefix(prefix, policy));
             if always || advertisement_moved {
-                self.export_prefix(prefix, policy, &mut per_peer);
+                self.export_prefix(prefix, policy, &mut out);
             }
         }
-        per_peer
-            .into_iter()
-            .filter(|(_, u)| !u.is_empty())
-            .collect()
+        out
     }
 
-    /// The decision half: candidates → selection → Loc-RIB install → FIB
+    /// The decision for an arrival that moved only session `from`'s route:
+    /// compare that route with the installed entry and edit the entry in
+    /// place, instead of re-selecting from every session's route. Returns
+    /// what [`decide_prefix`](Self::decide_prefix) would — having installed
+    /// the entry it would — or `None` where only the full pass can tell:
+    /// single-path mode, a prefix the hook governs, no entry or a keep-warm
+    /// one, or the last selected route lost (the runner-up set is somewhere
+    /// in the Adj-RIB-In).
+    ///
+    /// Why the edit is exact: a native multipath entry holds every candidate
+    /// of the best [`PathPreference`] `P`, ascending by session with the
+    /// local route last. Every other session's route is where it was when
+    /// the entry was installed, so nothing outside the entry beats or ties
+    /// `P`; `from`'s route above `P` is therefore the whole new set, at `P`
+    /// joins it, and below `P` (or gone) leaves it — and while anything is
+    /// left, what is left is still every candidate of the best preference.
+    fn decide_against_incumbent(
+        &mut self,
+        prefix: Prefix,
+        from: PeerId,
+        policy: &dyn RibPolicy,
+    ) -> Option<bool> {
+        if !self.cfg.multipath || policy.governs(prefix) {
+            return None;
+        }
+        let entry = self.loc_rib.get_mut(&prefix)?;
+        if entry.fib_warm_only {
+            return None;
+        }
+        let incumbent = PathPreference::of(entry.selected.first()?);
+        debug_assert!(
+            entry
+                .selected
+                .iter()
+                .all(|r| PathPreference::of(r).multipath_equal(&incumbent))
+                && entry.selected.windows(2).all(|w| match w[0].learned_from {
+                    Some(a) => w[1].learned_from.is_none_or(|b| a < b),
+                    None => false,
+                }),
+            "{prefix}: installed entry is not a native multipath set — a config or \
+             hook change was not followed by reevaluate_all"
+        );
+        let selected = &mut entry.selected;
+        let at = selected.partition_point(|r| r.learned_from.is_some_and(|p| p < from));
+        let held = selected
+            .get(at)
+            .is_some_and(|r| r.learned_from == Some(from));
+        let arrival = self.adj_rib_in.route(from, prefix);
+        match arrival.map(|r| (PathPreference::of(&r).compare(&incumbent), r)) {
+            Some((Ordering::Greater, route)) => {
+                selected.clear();
+                selected.push(route);
+            }
+            Some((Ordering::Equal, route)) if held => selected[at] = route,
+            Some((Ordering::Equal, route)) => selected.insert(at, route),
+            // Withdrawn, or worse than the incumbent.
+            _ if !held => {
+                self.note_decision(prefix, true, true, false);
+                return Some(false);
+            }
+            _ if selected.len() == 1 => return None,
+            _ => {
+                selected.remove(at);
+            }
+        }
+        entry.weights = weights_for(&self.cfg, prefix, &entry.selected, policy);
+        let had_path = entry.advertised.is_some();
+        let best = best_route(&entry.selected);
+        let advertisement_moved = entry.advertised.as_ref() != best;
+        if advertisement_moved {
+            entry.advertised = best.cloned();
+        }
+        self.fib_dirty.insert(prefix);
+        self.note_decision(prefix, had_path, true, advertisement_moved);
+        Some(advertisement_moved)
+    }
+
+    /// The full decision: candidates → selection → Loc-RIB install → FIB
     /// dirty mark → telemetry. Returns whether the advertised route differs
     /// from the one installed before — the only input of the export this can
     /// move (see the module docs).
@@ -762,7 +831,7 @@ impl BgpDaemon {
                 }
             } else {
                 let selected = take_selected(candidates, &sel.selected);
-                let weights = self.weights_for(prefix, &selected, policy);
+                let weights = weights_for(&self.cfg, prefix, &selected, policy);
                 let advertised = match sel.advertise {
                     AdvertiseChoice::Withdraw => None,
                     AdvertiseChoice::NativeBest => best_route(&selected).cloned(),
@@ -797,22 +866,20 @@ impl BgpDaemon {
             let selected = take_selected(candidates, &indices);
             // BgpNativeMinNextHop guard (§4.3): count learned next-hops.
             let nexthop_count = selected.iter().filter(|r| r.learned_from.is_some()).count();
-            let violated = match policy.native_min_nexthop(prefix) {
-                Some((min, _)) if nexthop_count > 0 => nexthop_count < min,
-                _ => false,
+            let violated_keep_warm = match policy.native_min_nexthop(prefix) {
+                Some((min, keep_warm)) if nexthop_count > 0 && nexthop_count < min => {
+                    Some(keep_warm)
+                }
+                _ => None,
             };
-            if violated {
-                let keep_warm = policy
-                    .native_min_nexthop(prefix)
-                    .map(|(_, k)| k)
-                    .unwrap_or(false);
+            if let Some(keep_warm) = violated_keep_warm {
                 if keep_warm {
                     // "Keep the forwarding entries of this route so in-flight
                     // packets are not dropped" (§4.3): preserve the previous
                     // FIB state — which still spreads over the full next-hop
                     // set, drained members included — and advertise nothing.
                     let prior = self.loc_rib.get(&prefix).cloned().unwrap_or_else(|| {
-                        let weights = self.weights_for(prefix, &selected, policy);
+                        let weights = weights_for(&self.cfg, prefix, &selected, policy);
                         LocRibEntry {
                             selected,
                             weights,
@@ -827,7 +894,7 @@ impl BgpDaemon {
             } else if selected.is_empty() {
                 None
             } else {
-                let weights = self.weights_for(prefix, &selected, policy);
+                let weights = weights_for(&self.cfg, prefix, &selected, policy);
                 let advertised = best_route(&selected).cloned();
                 Some(LocRibEntry {
                     selected,
@@ -841,22 +908,12 @@ impl BgpDaemon {
         let prev_adv = prev_advertised.as_ref();
         let new_adv = new_entry.as_ref().and_then(|e| e.advertised.as_ref());
         let advertisement_moved = prev_adv != new_adv;
-        if let DaemonTelemetry(Some(tel)) = &self.telemetry {
-            tel.decisions.inc();
-            if advertisement_moved {
-                tel.best_path_changes.inc();
-                if tel.telemetry.journal_enabled() {
-                    tel.telemetry.record(
-                        tel.telemetry
-                            .event(EventKind::BgpDecision, Severity::Debug)
-                            .field("device", tel.scope.as_str())
-                            .field("prefix", prefix.to_string())
-                            .field("had_path", prev_adv.is_some())
-                            .field("has_path", new_adv.is_some()),
-                    );
-                }
-            }
-        }
+        self.note_decision(
+            prefix,
+            prev_adv.is_some(),
+            new_adv.is_some(),
+            advertisement_moved,
+        );
 
         match new_entry {
             Some(e) => {
@@ -870,6 +927,28 @@ impl BgpDaemon {
             }
         }
         advertisement_moved
+    }
+
+    /// Count one decision and, when it moved the advertisement, one
+    /// best-path change plus its journal event.
+    fn note_decision(&self, prefix: Prefix, had_path: bool, has_path: bool, moved: bool) {
+        let DaemonTelemetry(Some(tel)) = &self.telemetry else {
+            return;
+        };
+        tel.decisions.inc();
+        if moved {
+            tel.best_path_changes.inc();
+            if tel.telemetry.journal_enabled() {
+                tel.telemetry.record(
+                    tel.telemetry
+                        .event(EventKind::BgpDecision, Severity::Debug)
+                        .field("device", tel.scope.as_str())
+                        .field("prefix", prefix.to_string())
+                        .field("had_path", had_path)
+                        .field("has_path", has_path),
+                );
+            }
+        }
     }
 
     /// The keep-warm form of `prior` (`KeepFibWarmIfMnhViolated`, §4.3): its
@@ -900,134 +979,163 @@ impl BgpDaemon {
 
     /// The export half: bring Adj-RIB-Out for `prefix`, toward every
     /// established session, to what the installed Loc-RIB entry asks for,
-    /// and collect the difference into `per_peer`. The post-export attribute
-    /// body is computed once — it does not depend on the peer; only
-    /// split-horizon, the egress filter and the per-session export policy
-    /// do, and those run per peer below. Each pass costs one evaluation per
-    /// established session (`bgp.export_evals`), which is why
+    /// and add the difference to `out` — sorted by session, and visited in
+    /// that order here, so one cursor finds each session's UPDATE. A prefix
+    /// is exported at most once per `out`, so its announcement or withdrawal
+    /// is simply appended. The post-export attribute body is computed once —
+    /// it does not depend on the peer; only split-horizon, the egress filter
+    /// and the per-session export policy do, and those run per peer below.
+    /// Each pass costs one evaluation per established session
+    /// (`bgp.export_evals`), which is why
     /// [`run_decisions`](Self::run_decisions) skips it for a decision that
     /// left the advertisement where it was.
     fn export_prefix(
         &mut self,
         prefix: Prefix,
         policy: &dyn RibPolicy,
-        per_peer: &mut BTreeMap<PeerId, UpdateMessage>,
+        out: &mut Vec<(PeerId, UpdateMessage)>,
     ) {
-        let export_base = self.export_base(prefix);
-        let peers: Vec<PeerId> = self
-            .peers
-            .iter()
-            .filter(|(_, s)| s.established)
-            .map(|(p, _)| *p)
-            .collect();
-        if let DaemonTelemetry(Some(tel)) = &self.telemetry {
-            tel.export_evals.add(peers.len() as u64);
-        }
-        for peer in peers {
-            match self.desired_advertisement_from(peer, prefix, policy, export_base.as_ref()) {
+        // Reads the *installed* entry: call after `loc_rib` is updated.
+        let advertised = self.loc_rib.get(&prefix).and_then(|entry| {
+            let route = entry.advertised.as_ref()?;
+            Some((route, export_base(&self.cfg, &self.peers, entry, route)))
+        });
+        let mut evals = 0;
+        let mut cursor = 0;
+        for (&peer, session) in self.peers.iter().filter(|(_, s)| s.established) {
+            evals += 1;
+            let want = advertised
+                .as_ref()
+                .and_then(|(route, base)| desired_advertisement(route, base, session, policy));
+            match want {
                 None => {
                     if self.adj_rib_out.withdraw(peer, prefix) {
-                        per_peer
-                            .entry(peer)
-                            .or_default()
-                            .merge(UpdateMessage::withdraw(prefix));
+                        update_for(out, &mut cursor, peer).withdrawn.push(prefix);
                     }
                 }
+                // The table detects unchanged advertisements cheaply
+                // (interned attr ids + scalars) and returns its canonical
+                // shared body on change — most peers export the same
+                // post-policy attrs, so the body `desired_advertisement`
+                // hands back is dropped in favor of one fanned out across
+                // the peer set, on the wire included.
                 Some(want) => {
-                    // The table detects unchanged advertisements cheaply
-                    // (interned attr ids + scalars) and returns its canonical
-                    // shared body on change — most peers export the same
-                    // post-policy attrs, so the per-peer allocation built by
-                    // `desired_advertisement` is immediately dropped in favor
-                    // of one body fanned out across the peer set, on the wire
-                    // included.
                     if let Some(canon) = self.adj_rib_out.advertise(peer, prefix, want) {
-                        per_peer
-                            .entry(peer)
-                            .or_default()
-                            .merge(UpdateMessage::announce(prefix, canon));
+                        update_for(out, &mut cursor, peer)
+                            .announced
+                            .push((prefix, canon));
                     }
                 }
             }
         }
+        if let DaemonTelemetry(Some(tel)) = &self.telemetry {
+            tel.export_evals.add(evals);
+        }
     }
+}
 
-    fn weights_for(&self, prefix: Prefix, selected: &[Route], policy: &dyn RibPolicy) -> Vec<u32> {
-        if let Some(w) = policy.assign_weights(prefix, selected) {
-            debug_assert_eq!(w.len(), selected.len(), "hook weights must be parallel");
-            if w.len() == selected.len() {
-                return w;
-            }
-        }
-        if self.cfg.wcmp {
-            wcmp::derive_weights(selected)
-        } else {
-            vec![1; selected.len()]
-        }
+/// The UPDATE for `peer` in the session-sorted `out`, created empty when
+/// absent. `cursor` only moves forward: callers ask in ascending `peer` order.
+fn update_for<'a>(
+    out: &'a mut Vec<(PeerId, UpdateMessage)>,
+    cursor: &mut usize,
+    peer: PeerId,
+) -> &'a mut UpdateMessage {
+    while out.get(*cursor).is_some_and(|(p, _)| *p < peer) {
+        *cursor += 1;
     }
+    if out.get(*cursor).is_none_or(|(p, _)| *p != peer) {
+        out.insert(*cursor, (peer, UpdateMessage::default()));
+    }
+    &mut out[*cursor].1
+}
 
-    /// The peer-independent half of the egress computation: the advertised
-    /// route's attributes after export transformation (own-ASN prepend,
-    /// WCMP bandwidth relay). One deep clone per *decision* — the exported
-    /// attrs genuinely differ from the stored route's — shared across the
-    /// whole peer fan-out as a canonical `Arc`.
-    ///
-    /// Note: this consults the *installed* Loc-RIB entry, so it must be
-    /// called after `loc_rib` is updated.
-    fn export_base(&self, prefix: Prefix) -> Option<Arc<PathAttributes>> {
-        let entry = self.loc_rib.get(&prefix)?;
-        let route = entry.advertised.as_ref()?;
-        let mut attrs = (*route.attrs).clone();
-        attrs.prepend(self.cfg.asn, 1);
-        if self.cfg.wcmp_advertise {
-            attrs.link_bandwidth_gbps = self.effective_capacity(entry);
+fn weights_for(
+    cfg: &DaemonConfig,
+    prefix: Prefix,
+    selected: &[Route],
+    policy: &dyn RibPolicy,
+) -> Vec<u32> {
+    if let Some(w) = policy.assign_weights(prefix, selected) {
+        debug_assert_eq!(w.len(), selected.len(), "hook weights must be parallel");
+        if w.len() == selected.len() {
+            return w;
         }
-        Some(Arc::new(attrs))
     }
+    if cfg.wcmp {
+        wcmp::derive_weights(selected)
+    } else {
+        vec![1; selected.len()]
+    }
+}
 
-    /// The attributes we want advertised to `peer` for `prefix` given a
-    /// precomputed [`BgpDaemon::export_base`] — applies the per-peer half:
-    /// split-horizon, the egress Route Filter hook, and the session's export
-    /// policy — or `None` to withdraw/suppress. Pass-through export policies
-    /// return the shared base `Arc` untouched.
-    fn desired_advertisement_from(
-        &self,
-        peer: PeerId,
-        prefix: Prefix,
-        policy: &dyn RibPolicy,
-        base: Option<&Arc<PathAttributes>>,
-    ) -> Option<Arc<PathAttributes>> {
-        let base = base?;
-        let entry = self.loc_rib.get(&prefix)?;
-        let route = entry.advertised.as_ref()?;
-        // Split-horizon: never advertise a route back over the session it was
-        // learned from (§5.3.1).
-        if route.learned_from == Some(peer) {
-            return None;
-        }
-        // Route Filter RPA, egress direction (Figure 6).
-        if !policy.permit_egress(peer, prefix, route) {
-            return None;
-        }
-        let peer_state = self.peers.get(&peer)?;
-        peer_state
-            .cfg
-            .export
-            .apply_shared(&prefix, Arc::clone(base))
-    }
+/// Effective capacity (Gbps) behind a Loc-RIB entry: the sum over selected
+/// learned routes of min(link capacity, advertised bandwidth). Used when
+/// `wcmp_advertise` relays capacity downstream (§3.4's distributed WCMP
+/// cascade). `None` when only locally-originated routes are selected — an
+/// originator's capacity is not link-bound, so no bandwidth community is
+/// attached and receivers fall back to their own link capacities.
+fn effective_capacity(peers: &FlatMap<PeerId, PeerState>, entry: &LocRibEntry) -> Option<f64> {
+    let mut caps = entry
+        .selected
+        .iter()
+        .filter_map(|r| {
+            let peer = r.learned_from?;
+            let link = peers.get(&peer)?.cfg.link_capacity_gbps;
+            Some(match r.attrs.link_bandwidth_gbps {
+                Some(bw) => bw.min(link),
+                None => link,
+            })
+        })
+        .peekable();
+    caps.peek()?;
+    Some(caps.sum())
+}
 
-    /// [`BgpDaemon::desired_advertisement_from`] with the base computed in
-    /// place — for single-peer paths (session bring-up replay) where there
-    /// is no fan-out to amortize.
-    fn desired_advertisement(
-        &self,
-        peer: PeerId,
-        prefix: Prefix,
-        policy: &dyn RibPolicy,
-    ) -> Option<Arc<PathAttributes>> {
-        let base = self.export_base(prefix);
-        self.desired_advertisement_from(peer, prefix, policy, base.as_ref())
+/// The peer-independent half of the egress computation: the attributes of
+/// `entry`'s advertised `route` after export transformation (own-ASN
+/// prepend, WCMP bandwidth relay). One deep clone per *export* — the
+/// exported attrs genuinely differ from the stored route's — shared across
+/// the whole peer fan-out as a canonical `Arc`.
+fn export_base(
+    cfg: &DaemonConfig,
+    peers: &FlatMap<PeerId, PeerState>,
+    entry: &LocRibEntry,
+    route: &Route,
+) -> Arc<PathAttributes> {
+    let mut attrs = (*route.attrs).clone();
+    attrs.prepend(cfg.asn, 1);
+    if cfg.wcmp_advertise {
+        attrs.link_bandwidth_gbps = effective_capacity(peers, entry);
     }
+    Arc::new(attrs)
+}
+
+/// The per-peer half: what `session` should be told given the advertised
+/// `route` and its [`export_base`] — after split-horizon, the
+/// egress Route Filter hook and the session's export policy — or `None` to
+/// withdraw/suppress. Pass-through export policies return the shared base
+/// `Arc` untouched.
+fn desired_advertisement(
+    route: &Route,
+    base: &Arc<PathAttributes>,
+    session: &PeerState,
+    policy: &dyn RibPolicy,
+) -> Option<Arc<PathAttributes>> {
+    let peer = session.cfg.peer;
+    // Split-horizon: never advertise a route back over the session it was
+    // learned from (§5.3.1).
+    if route.learned_from == Some(peer) {
+        return None;
+    }
+    // Route Filter RPA, egress direction (Figure 6).
+    if !policy.permit_egress(peer, route.prefix, route) {
+        return None;
+    }
+    session
+        .cfg
+        .export
+        .apply_shared(&route.prefix, Arc::clone(base))
 }
 
 #[cfg(test)]

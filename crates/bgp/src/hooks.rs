@@ -104,13 +104,29 @@ pub trait RibPolicy {
     fn native_min_nexthop(&self, _prefix: Prefix) -> Option<(usize, bool)> {
         None
     }
+
+    /// Whether [`select_paths`](Self::select_paths),
+    /// [`assign_weights`](Self::assign_weights) or
+    /// [`native_min_nexthop`](Self::native_min_nexthop) can currently answer
+    /// anything but `None` for `prefix`. Answering `false` promises the
+    /// decision for `prefix` is purely native, which lets the daemon compare
+    /// an arriving route with the installed entry instead of handing the
+    /// hook the whole candidate set. The default is the conservative `true`;
+    /// the Route Filter hooks run either way.
+    fn governs(&self, _prefix: Prefix) -> bool {
+        true
+    }
 }
 
 /// The no-op hook set: pure native BGP.
 #[derive(Debug, Default, Clone, Copy)]
 pub struct NativePolicy;
 
-impl RibPolicy for NativePolicy {}
+impl RibPolicy for NativePolicy {
+    fn governs(&self, _prefix: Prefix) -> bool {
+        false
+    }
+}
 
 #[cfg(test)]
 mod tests {
@@ -128,6 +144,7 @@ mod tests {
             .is_none());
         assert!(p.assign_weights(Prefix::DEFAULT, &[route]).is_none());
         assert!(p.native_min_nexthop(Prefix::DEFAULT).is_none());
+        assert!(!p.governs(Prefix::DEFAULT));
     }
 
     #[test]

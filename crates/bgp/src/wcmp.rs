@@ -22,28 +22,19 @@ pub const MAX_WEIGHT: u32 = 64;
 /// * Weights are scaled to integers, reduced by their GCD, and capped at
 ///   [`MAX_WEIGHT`].
 ///
-/// Scratch buffers stay inline for multipath sets of ≤ 8 next-hops; only the
-/// returned weight vector (which the Loc-RIB stores) touches the heap.
+/// The scratch buffer stays inline for multipath sets of ≤ 8 next-hops, and
+/// a set without any bandwidth needs none; otherwise only the returned weight
+/// vector (which the Loc-RIB stores) touches the heap.
 pub fn derive_weights(selected: &[Route]) -> Vec<u32> {
-    if selected.is_empty() {
-        return Vec::new();
-    }
-    let bandwidths: InlineVec<Option<f64>, 8> = selected
-        .iter()
-        .map(|r| r.attrs.link_bandwidth_gbps)
-        .collect();
-    if bandwidths.iter().all(|b| b.is_none()) {
+    let bandwidths = || selected.iter().map(|r| r.attrs.link_bandwidth_gbps);
+    if bandwidths().all(|b| b.is_none()) {
         return vec![1; selected.len()];
     }
-    let min_bw = bandwidths
-        .iter()
-        .filter_map(|b| *b)
+    let min_bw = bandwidths()
+        .flatten()
         .fold(f64::INFINITY, f64::min)
         .max(f64::MIN_POSITIVE);
-    let raw: InlineVec<f64, 8> = bandwidths
-        .iter()
-        .map(|b| b.unwrap_or(min_bw).max(0.0))
-        .collect();
+    let raw: InlineVec<f64, 8> = bandwidths().map(|b| b.unwrap_or(min_bw).max(0.0)).collect();
     quantize(&raw)
 }
 

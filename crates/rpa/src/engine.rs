@@ -548,6 +548,12 @@ impl RibPolicy for RpaEngine {
         self.native_guard_memo.lock().get(&prefix).copied()
     }
 
+    /// With no document installed every hook above answers `None` (and the
+    /// guard memo is empty, see `retire_signatures`), whatever the prefix.
+    fn governs(&self, _prefix: Prefix) -> bool {
+        !self.docs.is_empty()
+    }
+
     fn assign_weights(&self, prefix: Prefix, selected: &[Route]) -> Option<Vec<u32>> {
         for doc in &self.docs {
             let CompiledDoc::RouteAttribute(statements) = &doc.compiled else {
@@ -587,11 +593,11 @@ impl RibPolicy for RpaEngine {
 
 impl RpaEngine {
     fn permit_direction(&self, peer: PeerId, prefix: Prefix, ingress: bool) -> bool {
-        let remote_asn = self.peer_asn.get(&peer).copied();
         for doc in &self.docs {
             let CompiledDoc::RouteFilter(rf) = &doc.compiled else {
                 continue;
             };
+            let remote_asn = self.peer_asn.get(&peer).copied();
             for st in &rf.statements {
                 if !st.peer_signature.covers(peer, remote_asn) {
                     continue;

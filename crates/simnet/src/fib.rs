@@ -17,14 +17,20 @@
 //! oracle are compared in; longest-prefix match is a predecessor search
 //! ([`Fib::lookup`]).
 
+use crate::hash::IdHashMap;
 use centralium_bgp::flat::FlatMap;
 use centralium_bgp::{FibEntry, PeerId, Prefix};
-use std::collections::{BTreeMap, HashMap};
+use std::collections::BTreeMap;
 use std::fmt;
+use std::sync::Arc;
 
 /// A next-hop group: the weighted next-hop set a prefix hashes over. Ordering
 /// is canonical (sorted by session id) so identical groups compare equal.
 pub type NextHopGroup = Vec<(PeerId, u32)>;
+
+/// A live group as the table holds it: one allocation, shared by the
+/// group → id index and the id → group map.
+type SharedGroup = Arc<[(PeerId, u32)]>;
 
 /// Counters describing next-hop-group pressure on a device.
 #[derive(Debug, Default, Clone, Copy, PartialEq, Eq)]
@@ -56,11 +62,13 @@ pub struct NhgStats {
 /// new ASIC programming operation, exactly like the hardware it models.
 #[derive(Debug, Clone, Default)]
 struct GroupTable {
-    /// Live group → its id.
-    ids: HashMap<NextHopGroup, u64>,
+    /// Live group → its id. Point lookups only, by groups the local daemon
+    /// projected: see [`crate::hash`] for why that allows the cheap hasher.
+    ids: IdHashMap<SharedGroup, u64>,
     /// Live id → (group, refcount). Ordered so iteration (and `Debug`
-    /// output) follows creation order deterministically.
-    live: BTreeMap<u64, (NextHopGroup, usize)>,
+    /// output) follows creation order deterministically. The group is the
+    /// allocation `ids` keys by.
+    live: BTreeMap<u64, (SharedGroup, usize)>,
     next_id: u64,
 }
 
@@ -69,14 +77,14 @@ impl GroupTable {
         self.live.len()
     }
 
-    fn contains(&self, group: &NextHopGroup) -> bool {
+    fn contains(&self, group: &[(PeerId, u32)]) -> bool {
         self.ids.contains_key(group)
     }
 
     /// Take a reference on `group`, creating it (fresh id) when absent.
     /// Returns `true` when the call created the group.
-    fn acquire(&mut self, group: NextHopGroup) -> bool {
-        match self.ids.get(&group) {
+    fn acquire(&mut self, group: &[(PeerId, u32)]) -> bool {
+        match self.ids.get(group) {
             Some(&id) => {
                 self.live.get_mut(&id).expect("live id").1 += 1;
                 false
@@ -84,7 +92,8 @@ impl GroupTable {
             None => {
                 let id = self.next_id;
                 self.next_id += 1;
-                self.ids.insert(group.clone(), id);
+                let group = SharedGroup::from(group);
+                self.ids.insert(Arc::clone(&group), id);
                 self.live.insert(id, (group, 1));
                 true
             }
@@ -94,7 +103,7 @@ impl GroupTable {
     /// Drop a reference on `group`, keeping zero-refcount groups in the
     /// table until [`GroupTable::gc`] — batch semantics: a group released
     /// and re-acquired within one batch is not a new creation.
-    fn release(&mut self, group: &NextHopGroup) {
+    fn release(&mut self, group: &[(PeerId, u32)]) {
         if let Some(&id) = self.ids.get(group) {
             let slot = self.live.get_mut(&id).expect("live id");
             slot.1 = slot.1.saturating_sub(1);
@@ -117,10 +126,10 @@ impl GroupTable {
 
     /// The lowest-id live group with the given member sessions (ignoring
     /// weights), for the dedup heuristic.
-    fn same_members(&self, members: &[PeerId]) -> Option<&NextHopGroup> {
+    fn same_members(&self, members: &[PeerId]) -> Option<&[(PeerId, u32)]> {
         self.live
             .values()
-            .map(|(group, _)| group)
+            .map(|(group, _)| &**group)
             .find(|g| g.len() == members.len() && g.iter().map(|(p, _)| p).eq(members.iter()))
     }
 }
@@ -220,7 +229,7 @@ impl Fib {
         }
         for e in table.values() {
             // Canonicalized above: nexthops are already sorted.
-            if self.groups.acquire(e.nexthops.clone()) {
+            if self.groups.acquire(&e.nexthops) {
                 self.stats.group_creations += 1;
             }
         }
@@ -238,39 +247,41 @@ impl Fib {
     /// are skipped entirely, and an all-no-op batch performs no accounting —
     /// callers must not rely on `apply` bumping stats the way a redundant
     /// `sync` would. Cost is a few binary searches per changed prefix (plus
-    /// the tail shift of an install or removal).
+    /// the tail shift of an install or removal). Installed next hops are in
+    /// canonical (session-id) order — `sync` and `apply` both see to it on
+    /// the way in, and the daemon's projection already is — so an entry's
+    /// next hops *are* its group and nothing is copied to look one up.
     ///
     /// Not valid with [`Fib::dedup_heuristic`] (its reuse choice depends on
     /// the whole-table rebuild order); callers fall back to `sync` there.
-    pub fn apply(&mut self, changes: Vec<(Prefix, Option<FibEntry>)>) {
+    pub fn apply(&mut self, mut changes: Vec<(Prefix, Option<FibEntry>)>) {
         debug_assert!(
             !self.dedup_heuristic,
             "delta apply bypasses the dedup heuristic"
         );
-        let real: Vec<(Prefix, Option<FibEntry>)> = changes
-            .into_iter()
-            .filter(|(prefix, new)| self.entries.get(prefix) != new.as_ref())
-            .collect();
-        if real.is_empty() {
+        changes.retain_mut(|(prefix, new)| {
+            if let Some(entry) = new {
+                // A linear scan when already in order, as the daemon's are.
+                entry.nexthops.sort_unstable_by_key(|(p, _)| *p);
+            }
+            self.entries.get(prefix) != new.as_ref()
+        });
+        if changes.is_empty() {
             return;
         }
         // Phase 1: release the old groups, keeping zero-refcount groups in
         // the table so phase 2's creation counting still sees "present
         // before the batch".
-        for (prefix, _) in &real {
+        for (prefix, _) in &changes {
             if let Some(old) = self.entries.get(prefix) {
-                let mut group: NextHopGroup = old.nexthops.clone();
-                group.sort_unstable_by_key(|(p, _)| *p);
-                self.groups.release(&group);
+                self.groups.release(&old.nexthops);
             }
         }
         // Phase 2: install the new entries and acquire their groups.
-        for (prefix, new) in real {
+        for (prefix, new) in changes {
             match new {
                 Some(entry) => {
-                    let mut group: NextHopGroup = entry.nexthops.clone();
-                    group.sort_unstable_by_key(|(p, _)| *p);
-                    if self.groups.acquire(group) {
+                    if self.groups.acquire(&entry.nexthops) {
                         self.stats.group_creations += 1;
                     }
                     self.entries.insert(prefix, entry);
@@ -304,7 +315,7 @@ impl Fib {
         if self.dedup_heuristic && !self.groups.contains(&group) {
             let members: Vec<PeerId> = group.iter().map(|(p, _)| *p).collect();
             if let Some(existing) = self.groups.same_members(&members) {
-                return existing.clone();
+                return existing.to_vec();
             }
         }
         group

@@ -33,6 +33,7 @@ pub mod device;
 pub mod event;
 pub mod fault;
 pub mod fib;
+mod hash;
 pub mod invariants;
 pub mod mgmt;
 pub mod net;

@@ -15,6 +15,7 @@ use crate::arena::DenseMap;
 use crate::device::SimDevice;
 use crate::event::{EventQueue, SimTime};
 use crate::fault::{ChaosPlan, FaultPlan, RpcFate};
+use crate::hash::IdHashMap;
 use crate::trace::{ConvergenceReport, TraceStats};
 use centralium_bgp::policy::{Action, MatchExpr, Policy, PolicyRule};
 use centralium_bgp::session::{Session, SessionAction};
@@ -485,14 +486,17 @@ pub struct SimNet {
     last_update: HashMap<Prefix, SimTime>,
     originators: HashMap<Prefix, BTreeSet<DeviceId>>,
     /// Per directed (from, to, session) last delivery time, for TCP FIFO.
-    fifo: HashMap<(DeviceId, DeviceId, u8), SimTime>,
+    /// This and the two maps below are crossed once or more per emitted
+    /// UPDATE, keyed by ids the emulator minted, and never iterated — see
+    /// [`crate::hash`].
+    fifo: IdHashMap<(DeviceId, DeviceId, u8), SimTime>,
     /// Payloads of in-flight coalesced batches, keyed by batch id. Lives
     /// outside the event queue because queued payloads are immutable while
     /// batches keep absorbing output until one base latency before delivery.
-    batches: HashMap<u64, UpdateMessage>,
+    batches: IdHashMap<u64, UpdateMessage>,
     /// The open (still-mergeable) batch per directed session: its id and
     /// scheduled delivery time.
-    open_batch: HashMap<(DeviceId, DeviceId, u8), (u64, SimTime)>,
+    open_batch: IdHashMap<(DeviceId, DeviceId, u8), (u64, SimTime)>,
     /// Monotonic batch-id allocator. Only bumped during emission replay,
     /// which runs in pop order whatever the window width.
     next_batch_id: u64,
@@ -550,9 +554,9 @@ impl SimNet {
             origin_time: HashMap::new(),
             last_update: HashMap::new(),
             originators: HashMap::new(),
-            fifo: HashMap::new(),
-            batches: HashMap::new(),
-            open_batch: HashMap::new(),
+            fifo: IdHashMap::default(),
+            batches: IdHashMap::default(),
+            open_batch: IdHashMap::default(),
             next_batch_id: 0,
             max_batch_size: 0,
             chaos: None,

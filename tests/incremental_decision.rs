@@ -1,0 +1,458 @@
+//! Decide against the incumbent: an arrival that moved one session's route is
+//! decided by comparing that route with the installed Loc-RIB entry and
+//! editing the entry in place. The oracle is the same daemon behind a hook
+//! that does not declare itself ungoverned, which therefore re-selects from
+//! every session's route on every arrival: after each step of a random
+//! script both must hold the same Loc-RIB, have said the same to every
+//! session, and have programmed the same FIB with the same next-hop-group
+//! accounting. One named case per branch of the edit follows.
+
+use centralium_bgp::{
+    Asn, BgpDaemon, Community, DaemonConfig, NativePolicy, PathAttributes, PeerConfig, PeerId,
+    Prefix, RibPolicy, UpdateMessage,
+};
+use centralium_simnet::Fib;
+use centralium_telemetry::Telemetry;
+use proptest::prelude::*;
+
+const OWN_ASN: u32 = 1;
+const SESSIONS: u64 = 16;
+
+/// Pass-through hooks that keep the conservative `governs` default: the
+/// daemon may assume nothing, so every decision is the full pass.
+struct FullPass;
+impl RibPolicy for FullPass {}
+
+fn path(asns: &[u32]) -> PathAttributes {
+    let mut attrs = PathAttributes::default();
+    for asn in asns.iter().rev() {
+        attrs.prepend(Asn(*asn), 1);
+    }
+    attrs
+}
+
+fn prefix_of(i: u8) -> Prefix {
+    [
+        Prefix::DEFAULT,
+        Prefix::new(0x0A00_0000, 8),
+        Prefix::new(0x0A01_0200, 24),
+    ][i as usize % 3]
+}
+
+/// Seven attribute shapes: the base path, a longer and a shorter one, two
+/// that tie the base but differ in bandwidth / communities (so an in-place
+/// replacement moves the advertisement by value, and weights move under
+/// `wcmp`), a local-pref override that beats everything, and a MED that
+/// loses to the base at the last comparison step.
+fn palette(i: u8, peer: u64) -> PathAttributes {
+    let first = 100 + peer as u32;
+    match i % 7 {
+        0 => path(&[first, 9]),
+        1 => path(&[first, 8, 9]),
+        2 => path(&[first]),
+        3 => {
+            let mut a = path(&[first, 9]);
+            a.link_bandwidth_gbps = Some(40.0);
+            a
+        }
+        4 => {
+            let mut a = path(&[first, 9]);
+            a.link_bandwidth_gbps = Some(400.0);
+            a.add_community(Community::from_pair(65000, 7));
+            a
+        }
+        5 => {
+            let mut a = path(&[first, 7, 8, 9]);
+            a.local_pref = 200;
+            a
+        }
+        _ => {
+            let mut a = path(&[first, 9]);
+            a.med = 10;
+            a
+        }
+    }
+}
+
+fn daemon(sessions: u64, wcmp: bool) -> BgpDaemon {
+    let mut cfg = DaemonConfig::fabric(Asn(OWN_ASN));
+    cfg.wcmp = wcmp;
+    let mut d = BgpDaemon::new(cfg);
+    for peer in 1..=sessions {
+        d.add_peer(PeerConfig::open(
+            PeerId(peer),
+            Asn(100 + peer as u32),
+            100.0,
+        ));
+        d.peer_up(PeerId(peer), &NativePolicy);
+    }
+    d
+}
+
+/// A daemon plus the FIB its host programs from `take_fib_changes`.
+struct Speaker {
+    daemon: BgpDaemon,
+    fib: Fib,
+}
+
+impl Speaker {
+    fn new(wcmp: bool) -> Self {
+        let mut daemon = daemon(SESSIONS, wcmp);
+        let mut fib = Fib::new(64);
+        fib.sync(daemon.fib());
+        daemon.mark_fib_synced();
+        Speaker { daemon, fib }
+    }
+
+    fn step(&mut self, f: impl FnOnce(&mut BgpDaemon) -> Updates) -> Updates {
+        let out = f(&mut self.daemon);
+        self.fib.apply(self.daemon.take_fib_changes());
+        out
+    }
+}
+
+type Updates = Vec<(PeerId, UpdateMessage)>;
+
+/// One operation on both speakers: the edited one behind `NativePolicy`, the
+/// oracle behind [`FullPass`].
+fn both(
+    edited: &mut Speaker,
+    oracle: &mut Speaker,
+    op: impl Fn(&mut BgpDaemon, &dyn RibPolicy) -> Updates,
+) -> (Updates, Updates) {
+    (
+        edited.step(|d| op(d, &NativePolicy)),
+        oracle.step(|d| op(d, &FullPass)),
+    )
+}
+
+fn run_script(wcmp: bool, steps: &[(u8, u8, u8, u8)]) -> Result<(), TestCaseError> {
+    let mut edited = Speaker::new(wcmp);
+    let mut oracle = Speaker::new(wcmp);
+    // What each session last announced, for the identical re-announcement.
+    let mut last = std::collections::BTreeMap::new();
+    for (n, &(op, peer, prefix, pick)) in steps.iter().enumerate() {
+        let peer_no = 1 + peer as u64 % SESSIONS;
+        let peer = PeerId(peer_no);
+        let prefix = prefix_of(prefix);
+        let (said, expected) = match op % 10 {
+            0..=2 => {
+                let attrs = palette(pick, peer_no);
+                last.insert((peer, prefix), attrs.clone());
+                both(&mut edited, &mut oracle, |d, hook| {
+                    d.handle_update(peer, UpdateMessage::announce(prefix, attrs.clone()), hook)
+                })
+            }
+            3 => {
+                let attrs = last
+                    .get(&(peer, prefix))
+                    .cloned()
+                    .unwrap_or_else(|| palette(pick, peer_no));
+                both(&mut edited, &mut oracle, |d, hook| {
+                    d.handle_update(peer, UpdateMessage::announce(prefix, attrs.clone()), hook)
+                })
+            }
+            4 | 5 => both(&mut edited, &mut oracle, |d, hook| {
+                d.handle_update(peer, UpdateMessage::withdraw(prefix), hook)
+            }),
+            6 => both(&mut edited, &mut oracle, |d, hook| d.peer_down(peer, hook)),
+            7 => both(&mut edited, &mut oracle, |d, hook| d.peer_up(peer, hook)),
+            8 => both(&mut edited, &mut oracle, |d, hook| {
+                d.originate(prefix, palette(pick % 6, 0), hook)
+            }),
+            _ => both(&mut edited, &mut oracle, |d, hook| {
+                d.withdraw_origin(prefix, hook)
+            }),
+        };
+        let at = format!("step {n} {:?}", steps[n]);
+        prop_assert_eq!(&said, &expected, "{}: emitted updates", at);
+        for i in 0..3 {
+            let prefix = prefix_of(i);
+            prop_assert_eq!(
+                edited.daemon.loc_rib_entry(prefix),
+                oracle.daemon.loc_rib_entry(prefix),
+                "{}: Loc-RIB entry of {}",
+                at,
+                prefix
+            );
+            for session in 1..=SESSIONS {
+                prop_assert_eq!(
+                    edited.daemon.advertised_to(PeerId(session), prefix),
+                    oracle.daemon.advertised_to(PeerId(session), prefix),
+                    "{}: Adj-RIB-Out toward {} for {}",
+                    at,
+                    session,
+                    prefix
+                );
+            }
+        }
+        prop_assert_eq!(
+            edited.fib.entries().collect::<Vec<_>>(),
+            oracle.fib.entries().collect::<Vec<_>>(),
+            "{}: FIB entries",
+            at
+        );
+        prop_assert_eq!(
+            edited.fib.nhg_stats(),
+            oracle.fib.nhg_stats(),
+            "{}: next-hop-group accounting",
+            at
+        );
+    }
+    Ok(())
+}
+
+proptest! {
+    #![proptest_config(ProptestConfig::with_cases(128))]
+
+    /// After every step of a random script the edited daemon and the
+    /// full-pass daemon agree on everything a host can observe.
+    #[test]
+    fn the_in_place_edit_is_the_full_pass(
+        steps in proptest::collection::vec((0u8..10, 0u8..16, 0u8..3, 0u8..7), 1..96),
+    ) {
+        run_script(true, &steps)?;
+        run_script(false, &steps)?;
+    }
+}
+
+// ---- one case per branch ----------------------------------------------------
+
+/// Sessions 2, 4 and 6 hold the base path for the default route; the
+/// decision counter is bound.
+fn three_way_tie() -> (BgpDaemon, centralium_telemetry::Counter) {
+    let telemetry = Telemetry::new();
+    let decisions = telemetry.metrics().counter("bgp.decisions");
+    let mut d = daemon(8, true);
+    d.set_telemetry(&telemetry, "d0");
+    for peer in [2, 4, 6] {
+        announce(&mut d, peer, palette(0, peer));
+    }
+    d.mark_fib_synced();
+    (d, decisions)
+}
+
+fn announce(d: &mut BgpDaemon, peer: u64, attrs: PathAttributes) -> Updates {
+    d.handle_update(
+        PeerId(peer),
+        UpdateMessage::announce(Prefix::DEFAULT, attrs),
+        &NativePolicy,
+    )
+}
+
+fn withdraw(d: &mut BgpDaemon, peer: u64) -> Updates {
+    d.handle_update(
+        PeerId(peer),
+        UpdateMessage::withdraw(Prefix::DEFAULT),
+        &NativePolicy,
+    )
+}
+
+fn selected_sessions(d: &BgpDaemon) -> Vec<Option<u64>> {
+    d.loc_rib_entry(Prefix::DEFAULT)
+        .expect("installed")
+        .selected
+        .iter()
+        .map(|r| r.learned_from.map(|p| p.0))
+        .collect()
+}
+
+#[test]
+fn a_worse_arrival_leaves_the_fib_alone_and_still_counts_a_decision() {
+    let (mut d, decisions) = three_way_tie();
+    let before = decisions.get();
+    let out = announce(&mut d, 3, palette(1, 3));
+    assert!(out.is_empty());
+    assert_eq!(decisions.get() - before, 1);
+    assert!(
+        d.take_fib_changes().is_empty(),
+        "nothing installed, nothing marked dirty"
+    );
+    assert_eq!(selected_sessions(&d), [Some(2), Some(4), Some(6)]);
+    // Its withdrawal is as quiet: the route was held but never selected.
+    assert!(withdraw(&mut d, 3).is_empty());
+    assert_eq!(decisions.get() - before, 2);
+    assert!(d.take_fib_changes().is_empty());
+}
+
+#[test]
+fn a_tie_joins_at_its_session_position_and_the_local_route_stays_last() {
+    let (mut d, _) = three_way_tie();
+    // A local route of the incumbent's preference (two hops, like the base
+    // path) is multipath-equal and sorts after every learned route.
+    d.originate(Prefix::DEFAULT, path(&[7, 9]), &NativePolicy);
+    assert_eq!(selected_sessions(&d), [Some(2), Some(4), Some(6), None]);
+    announce(&mut d, 5, palette(0, 5));
+    announce(&mut d, 1, palette(4, 1));
+    announce(&mut d, 8, palette(0, 8));
+    assert_eq!(
+        selected_sessions(&d),
+        [Some(1), Some(2), Some(4), Some(5), Some(6), Some(8), None]
+    );
+    let entry = d.loc_rib_entry(Prefix::DEFAULT).unwrap();
+    // 400 Gbps on session 1 against the set's minimum everywhere else.
+    assert_eq!(entry.weights[0], 1);
+    assert_eq!(entry.weights.len(), 7);
+    assert!(
+        entry.advertised.as_ref().unwrap().is_local(),
+        "the local route stays the best"
+    );
+    let changes = d.take_fib_changes();
+    assert_eq!(changes.len(), 1, "one dirty mark per changed entry");
+    let fib = changes[0].1.as_ref().unwrap();
+    assert_eq!(fib.nexthops.len(), 6, "the local route is no next hop");
+}
+
+#[test]
+fn a_tie_from_a_lower_session_becomes_the_advertised_route() {
+    let (mut d, _) = three_way_tie();
+    let out = announce(&mut d, 1, palette(0, 1));
+    assert_eq!(selected_sessions(&d), [Some(1), Some(2), Some(4), Some(6)]);
+    // Lowest session id wins the tie-break: session 1 loses the prefix to
+    // split-horizon, session 2 — the old best, which had it withheld for
+    // the same reason — hears about it for the first time, the rest hear
+    // the new best path.
+    assert_eq!(out.len(), 8);
+    assert_eq!(out[0].0, PeerId(1));
+    assert_eq!(out[0].1.withdrawn, [Prefix::DEFAULT]);
+    assert!(out[1..].iter().all(|(_, u)| u.announced.len() == 1));
+    let entry = d.loc_rib_entry(Prefix::DEFAULT).unwrap();
+    assert_eq!(
+        entry.advertised.as_ref().unwrap().learned_from,
+        Some(PeerId(1))
+    );
+}
+
+#[test]
+fn a_better_arrival_collapses_the_set_to_itself() {
+    let (mut d, _) = three_way_tie();
+    let out = announce(&mut d, 5, palette(2, 5));
+    assert_eq!(selected_sessions(&d), [Some(5)]);
+    assert_eq!(d.loc_rib_entry(Prefix::DEFAULT).unwrap().weights, [1]);
+    assert_eq!(out.len(), 8, "7 announcements and session 5's withdrawal");
+    // A selected session bettering its own route collapses the set as well.
+    let (mut d, _) = three_way_tie();
+    announce(&mut d, 4, palette(5, 4));
+    assert_eq!(selected_sessions(&d), [Some(4)]);
+}
+
+#[test]
+fn a_selected_route_withdrawn_or_worsened_leaves_the_rest_selected() {
+    let (mut d, decisions) = three_way_tie();
+    let before = decisions.get();
+    assert!(
+        withdraw(&mut d, 4).is_empty(),
+        "session 2 is still the best"
+    );
+    assert_eq!(selected_sessions(&d), [Some(2), Some(6)]);
+    assert_eq!(d.loc_rib_entry(Prefix::DEFAULT).unwrap().weights, [1, 1]);
+    assert_eq!(d.take_fib_changes().len(), 1);
+    // Worsened, not withdrawn — and it was the advertised route, so the
+    // best path moves to the one that is left.
+    let out = announce(&mut d, 2, palette(6, 2));
+    assert_eq!(selected_sessions(&d), [Some(6)]);
+    assert!(!out.is_empty());
+    assert_eq!(decisions.get() - before, 2);
+    assert_eq!(
+        d.rib_in_count(Prefix::DEFAULT),
+        2,
+        "session 2's route is held"
+    );
+}
+
+#[test]
+fn a_selected_route_replaced_at_the_same_preference_is_swapped_in_place() {
+    let (mut d, _) = three_way_tie();
+    // Session 4 is not the advertised route: the FIB weights move (400 Gbps
+    // against the set's minimum), the advertisement does not.
+    let out = announce(&mut d, 4, palette(4, 4));
+    assert!(out.is_empty());
+    assert_eq!(selected_sessions(&d), [Some(2), Some(4), Some(6)]);
+    let entry = d.loc_rib_entry(Prefix::DEFAULT).unwrap();
+    assert_eq!(entry.selected[1].attrs.link_bandwidth_gbps, Some(400.0));
+    assert_eq!(
+        entry.weights,
+        [1, 1, 1],
+        "one bandwidth: all at its minimum"
+    );
+    assert!(announce(&mut d, 6, palette(3, 6)).is_empty());
+    let entry = d.loc_rib_entry(Prefix::DEFAULT).unwrap();
+    assert_eq!(entry.weights, [1, 10, 1], "40 : 400 : 40 Gbps");
+    // Session 2 is: same preference, new communities — peers must hear it.
+    let out = announce(&mut d, 2, palette(4, 2));
+    assert_eq!(out.len(), 7);
+    assert_eq!(selected_sessions(&d), [Some(2), Some(4), Some(6)]);
+}
+
+#[test]
+fn losing_the_last_selected_route_rescans_to_the_runner_up_set() {
+    let (mut d, _) = three_way_tie();
+    announce(&mut d, 3, palette(1, 3));
+    announce(&mut d, 7, palette(1, 7));
+    announce(&mut d, 5, palette(2, 5));
+    assert_eq!(selected_sessions(&d), [Some(5)]);
+    // The incumbent says nothing about who is second: the Adj-RIB-In does.
+    withdraw(&mut d, 5);
+    assert_eq!(selected_sessions(&d), [Some(2), Some(4), Some(6)]);
+    for peer in [2, 4, 6] {
+        withdraw(&mut d, peer);
+    }
+    assert_eq!(selected_sessions(&d), [Some(3), Some(7)]);
+    withdraw(&mut d, 3);
+    withdraw(&mut d, 7);
+    assert!(d.loc_rib_entry(Prefix::DEFAULT).is_none());
+    // No incumbent: the first arrival is the full pass too.
+    announce(&mut d, 6, palette(1, 6));
+    assert_eq!(selected_sessions(&d), [Some(6)]);
+}
+
+/// The full pass re-installs the entry whatever it decided, so — unlike the
+/// edit — it leaves a dirty mark behind a worse arrival. That is how these
+/// cases tell which of the two ran.
+fn worse_arrival_is_reinstalled(d: &mut BgpDaemon, hook: &dyn RibPolicy) -> bool {
+    d.take_fib_changes();
+    let update = UpdateMessage::announce(Prefix::DEFAULT, palette(1, 3));
+    assert!(d.handle_update(PeerId(3), update, hook).is_empty());
+    !d.take_fib_changes().is_empty()
+}
+
+#[test]
+fn governed_prefixes_single_path_mode_and_keep_warm_entries_take_the_full_pass() {
+    let (mut d, _) = three_way_tie();
+    assert!(!worse_arrival_is_reinstalled(&mut d, &NativePolicy));
+    let (mut d, _) = three_way_tie();
+    assert!(worse_arrival_is_reinstalled(&mut d, &FullPass));
+
+    let (mut d, _) = three_way_tie();
+    d.config_mut().multipath = false;
+    d.reevaluate_all(&NativePolicy);
+    assert_eq!(selected_sessions(&d), [Some(2)]);
+    assert!(worse_arrival_is_reinstalled(&mut d, &NativePolicy));
+    assert_eq!(selected_sessions(&d), [Some(2)]);
+
+    // A keep-warm entry is not a native multipath set (it is the *previous*
+    // set, withdrawn from peers). A hook that claims to govern nothing yet
+    // guards the prefix would be lying; the warm flag alone must be enough
+    // to keep the edit away from it.
+    struct LyingGuard;
+    impl RibPolicy for LyingGuard {
+        fn native_min_nexthop(&self, _prefix: Prefix) -> Option<(usize, bool)> {
+            Some((3, true))
+        }
+        fn governs(&self, _prefix: Prefix) -> bool {
+            false
+        }
+    }
+    let (mut d, _) = three_way_tie();
+    d.reevaluate_all(&LyingGuard);
+    d.peer_down(PeerId(6), &LyingGuard);
+    let entry = d.loc_rib_entry(Prefix::DEFAULT).unwrap();
+    assert!(entry.fib_warm_only);
+    assert!(worse_arrival_is_reinstalled(&mut d, &LyingGuard));
+    // The third next hop returns through the full pass and un-trips the guard.
+    let update = UpdateMessage::announce(Prefix::DEFAULT, palette(0, 6));
+    d.peer_up(PeerId(6), &LyingGuard);
+    let out = d.handle_update(PeerId(6), update, &LyingGuard);
+    assert!(!out.is_empty());
+    assert!(!d.loc_rib_entry(Prefix::DEFAULT).unwrap().fib_warm_only);
+}
