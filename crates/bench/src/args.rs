@@ -16,7 +16,7 @@ pub struct BenchArgs {
 
 impl BenchArgs {
     /// Flags that take no value.
-    const BARE_FLAGS: &'static [&'static str] = &["tiny", "full-check"];
+    const BARE_FLAGS: &'static [&'static str] = &["tiny"];
 
     /// Parse the process arguments (after the program name).
     pub fn from_env() -> Result<Self, String> {

@@ -110,19 +110,14 @@ pub struct DeployOptions {
     /// Testing hook: stop — as if the controller process died — once this
     /// many waves have converged, leaving the partial-wave record in NSDB.
     pub halt_after_waves: Option<usize>,
-    /// Delta convergence between reconcile rounds: poll ground truth only
-    /// from the devices the deployment has touched so far, instead of the
-    /// whole fleet. The benchmark's full arm disables this, which also
-    /// forces a whole-fabric re-convergence after every round.
-    pub delta_convergence: bool,
     /// How the controller reaches the switch-agent service plane:
     /// in-process (default) or RPCs to a TCP `AgentServer`.
     pub transport: TransportKind,
 }
 
 impl DeployOptions {
-    /// Defaults: hold-and-retry with a 10-round wave budget, delta
-    /// convergence on, in-process transport.
+    /// Defaults: hold-and-retry with a 10-round wave budget, in-process
+    /// transport.
     pub fn new(origination_layer: Layer, strategy: DeploymentStrategy) -> Self {
         DeployOptions {
             origination_layer,
@@ -130,7 +125,6 @@ impl DeployOptions {
             wave_policy: WaveFailurePolicy::HoldAndRetry,
             max_wave_rounds: 10,
             halt_after_waves: None,
-            delta_convergence: true,
             transport: TransportKind::InProcess,
         }
     }
@@ -165,13 +159,6 @@ impl DeployOptionsBuilder {
     /// Simulate a controller crash after this many converged waves.
     pub fn halt_after_waves(mut self, waves: usize) -> Self {
         self.opts.halt_after_waves = Some(waves);
-        self
-    }
-
-    /// Delta convergence between reconcile rounds (see
-    /// [`DeployOptions::delta_convergence`]).
-    pub fn delta_convergence(mut self, on: bool) -> Self {
-        self.opts.delta_convergence = on;
         self
     }
 
@@ -463,7 +450,6 @@ pub fn resume_deployment_over<T: ControlTransport>(
         wave_policy: state.wave_policy,
         max_wave_rounds: state.max_wave_rounds,
         halt_after_waves: None,
-        delta_convergence: true,
         transport: TransportKind::InProcess,
     };
     let install = state.install;
@@ -559,11 +545,9 @@ fn run_phases_over<T: ControlTransport>(
     let mut reports = Vec::with_capacity(phases.len());
     let mut all_ops = Vec::new();
     let start_wave = state.next_wave.min(phases.len());
-    // Delta convergence polls ground truth only from devices the deployment
-    // has touched so far (cumulative across waves, so a straggler from an
-    // earlier wave is still observed); the full mode polls the fleet and
-    // forces a whole-fabric re-convergence per round — the baseline
-    // `bench_incremental` measures against.
+    // Each round polls ground truth only from the devices the deployment has
+    // touched so far (cumulative across waves, so a straggler from an
+    // earlier wave is still observed).
     let mut polled_devices: Vec<DeviceId> = phases[..start_wave]
         .iter()
         .flat_map(|p| p.installs.iter().map(|(d, _)| *d))
@@ -624,16 +608,9 @@ fn run_phases_over<T: ControlTransport>(
             {
                 return Err(DeployError::PhaseStuck { phase: i });
             }
-            if opts.delta_convergence {
-                transport
-                    .poll_devices(&polled_devices)
-                    .map_err(DeployError::Internal)?;
-            } else {
-                transport
-                    .force_full_reconvergence()
-                    .map_err(DeployError::Internal)?;
-                transport.poll_current().map_err(DeployError::Internal)?;
-            }
+            transport
+                .poll_devices(&polled_devices)
+                .map_err(DeployError::Internal)?;
             let out_of_sync = transport
                 .out_of_sync_paths()
                 .map_err(DeployError::Internal)?;

@@ -216,10 +216,9 @@ impl SwitchAgent {
     }
 
     /// Poll ground truth from the given devices only, replacing just their
-    /// `/devices/d<id>` current-state subtrees — the scoped collection the
-    /// delta-convergence deployment path uses between reconcile rounds
-    /// ([`DeployOptions::delta_convergence`](crate::DeployOptions)). State
-    /// observed from other devices is left untouched.
+    /// `/devices/d<id>` current-state subtrees — the scoped collection a
+    /// deployment runs between reconcile rounds over the devices it has
+    /// touched so far. State observed from other devices is left untouched.
     pub fn poll_devices(&mut self, net: &SimNet, devices: &[DeviceId]) -> Result<(), Error> {
         let observed = Self::observe_devices(net, devices)?;
         for &dev in devices {

@@ -77,7 +77,8 @@ pub trait ControlTransport {
     /// Advance simulated time to `deadline`, returning events processed.
     fn run_until(&mut self, deadline: SimTime) -> Result<u64, Error>;
 
-    /// Force a full-fabric re-convergence (the non-delta poll path).
+    /// Force a full-fabric re-convergence: every device re-runs its full
+    /// decision process (the oracle's forced pass, reachable over TCP).
     fn force_full_reconvergence(&mut self) -> Result<(), Error>;
 
     /// The fabric topology (borrowed in-process; fetched once per session
@@ -100,7 +101,8 @@ pub trait ControlTransport {
     /// Poll ground truth from the whole fleet.
     fn poll_current(&mut self) -> Result<(), Error>;
 
-    /// Poll ground truth from the given devices only (delta convergence).
+    /// Poll ground truth from the given devices only (the deployment's
+    /// per-round poll).
     fn poll_devices(&mut self, devices: &[DeviceId]) -> Result<(), Error>;
 
     /// Paths whose intended and current state disagree.

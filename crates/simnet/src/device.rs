@@ -22,10 +22,6 @@ pub struct SimDevice {
     /// (`SimConfig::handshake_sessions`); empty under administrative
     /// bring-up.
     pub sessions: HashMap<PeerId, Session>,
-    /// Export FIB changes per dirty prefix instead of rebuilding the whole
-    /// table on every daemon operation (`SimConfig::incremental`). The first
-    /// operation still performs a full sync to establish the baseline.
-    pub delta_fib: bool,
 }
 
 impl SimDevice {
@@ -37,20 +33,20 @@ impl SimDevice {
             engine: RpaEngine::new(),
             fib: Fib::new(nhg_capacity),
             sessions: HashMap::new(),
-            delta_fib: true,
         }
     }
 
     /// Run a daemon operation against this device's engine and synchronize
-    /// the FIB afterwards — via the per-prefix delta export when enabled
-    /// and sound, via a full rebuild otherwise. Returns the updates the
-    /// daemon wants sent.
+    /// the FIB afterwards — via the per-prefix delta export when sound, via
+    /// a full rebuild otherwise (the first operation, which establishes the
+    /// baseline, and the dedup heuristic). Returns the updates the daemon
+    /// wants sent.
     pub fn with_daemon(
         &mut self,
         f: impl FnOnce(&mut BgpDaemon, &RpaEngine) -> Vec<(PeerId, UpdateMessage)>,
     ) -> Vec<(PeerId, UpdateMessage)> {
         let out = f(&mut self.daemon, &self.engine);
-        if self.delta_fib && !self.fib.dedup_heuristic && self.daemon.fib_delta_ready() {
+        if !self.fib.dedup_heuristic && self.daemon.fib_delta_ready() {
             self.fib.apply(self.daemon.take_fib_changes());
         } else {
             self.fib.sync(self.daemon.fib());

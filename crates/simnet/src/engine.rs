@@ -3,7 +3,7 @@
 //! by device) and a merge (emission replay, pop order). `net.rs` keeps
 //! construction, administrative operations and the emit/coalesce path.
 
-use super::{NetCounters, NetEvent, SimConfig, SimNet};
+use super::{NetCounters, NetEvent, SimConfig, SimNet, BASE_LATENCY_US, MAX_EVENTS};
 use crate::device::SimDevice;
 use crate::event::SimTime;
 use crate::trace::ConvergenceReport;
@@ -191,14 +191,9 @@ fn run_work(
             // document and (on a replace) the one it displaces — the old
             // document's prefixes must re-decide too, since its effect is
             // being withdrawn.
-            let scope = if cfg.incremental {
-                let replaced = dev.engine.document(doc.name()).cloned();
-                match replaced {
-                    Some(old) => rpa_scope(dev, &[&old, doc.as_ref()]),
-                    None => rpa_scope(dev, &[doc.as_ref()]),
-                }
-            } else {
-                RpaScope::Full
+            let scope = match dev.engine.document(doc.name()).cloned() {
+                Some(old) => rpa_scope(dev, &[&old, doc.as_ref()]),
+                None => rpa_scope(dev, &[doc.as_ref()]),
             };
             match dev.engine.install_or_replace(*doc) {
                 Ok(()) => {
@@ -220,20 +215,16 @@ fn run_work(
             // the filter had evicted come back via the refresh requests
             // emitted below. Only time-joined prefixes can flip right now,
             // which is exactly `rpa_scope` over an empty document set.
-            let scope = if cfg.incremental {
-                match dev.engine.document(&name) {
-                    Some(RpaDocument::RouteFilter(rf)) if !rf.constrains_egress() => {
-                        rpa_scope(dev, &[])
-                    }
-                    Some(RpaDocument::RouteFilter(_)) => RpaScope::Full,
-                    Some(old) => {
-                        let old = old.clone();
-                        rpa_scope(dev, &[&old])
-                    }
-                    None => RpaScope::Full,
+            let scope = match dev.engine.document(&name) {
+                Some(RpaDocument::RouteFilter(rf)) if !rf.constrains_egress() => {
+                    rpa_scope(dev, &[])
                 }
-            } else {
-                RpaScope::Full
+                Some(RpaDocument::RouteFilter(_)) => RpaScope::Full,
+                Some(old) => {
+                    let old = old.clone();
+                    rpa_scope(dev, &[&old])
+                }
+                None => RpaScope::Full,
             };
             match dev.engine.remove(&name) {
                 Ok(removed) => {
@@ -301,18 +292,12 @@ fn run_work(
                 for (peer, p) in composed {
                     dm.set_export_policy(peer, p);
                 }
-                if cfg.incremental {
-                    // An export-policy swap changes no RPA state, so the
-                    // eviction invariant holds and `reevaluate_all`'s purge
-                    // would be a no-op — skip the O(RIB) purge scan and
-                    // re-decide every known prefix directly. Byte-identical:
-                    // the decision runs see the same candidate sets either
-                    // way.
-                    let known = dm.known_prefixes();
-                    dm.reevaluate_prefixes(known, e)
-                } else {
-                    dm.reevaluate_all(e)
-                }
+                // An export-policy swap changes no RPA state, so the eviction
+                // invariant holds and `reevaluate_all`'s purge would be a
+                // no-op — skip the O(RIB) purge scan and re-decide every
+                // known prefix directly.
+                let known = dm.known_prefixes();
+                dm.reevaluate_prefixes(known, e)
             });
             vec![Emission::Updates(out)]
         }
@@ -341,8 +326,9 @@ fn run_work(
 /// The re-evaluation an RPA change demands, computed before the change is
 /// applied to the engine.
 enum RpaScope {
-    /// Structural change — egress filtering, or incremental mode off. Every
-    /// known prefix must re-decide from a freshly purged Adj-RIB-In.
+    /// Structural change — egress filtering, or a document without bounded
+    /// destinations. Every known prefix must re-decide from a freshly
+    /// purged Adj-RIB-In.
     Full,
     /// Only these prefixes can change their decision outcome; the
     /// Adj-RIB-In needs no purge (nothing tightened admission).
@@ -532,14 +518,13 @@ impl SimNet {
     /// result is **bit-identical** to processing them one by one in pop
     /// order. The determinism argument:
     ///
-    /// 1. Every message scheduled during a run lands at least
-    ///    `base_latency_us` after the event that produced it, so all events
-    ///    in the window `[t0, t0 + max(base_latency_us, 1))` are already
-    ///    queued when the window opens and nothing produced inside the
-    ///    window can land inside it. (In the coalescing configuration the
-    ///    window stretches to three latencies, with explicit cuts around
-    ///    the few event shapes that could violate this — see `run_window`
-    ///    and `DESIGN.md` §9.)
+    /// 1. Every message scheduled during a run lands at least one base
+    ///    latency `L` after the event that produced it, so all events in the
+    ///    window `[t0, t0 + L)` are already queued when the window opens and
+    ///    nothing produced inside the window can land inside it. (In the
+    ///    coalescing configuration the window stretches to three latencies,
+    ///    with explicit cuts around the few event shapes that could violate
+    ///    this — see `run_window` and `DESIGN.md` §9.)
     /// 2. Events targeting different devices within one window are causally
     ///    independent (all cross-device effects travel as messages, which
     ///    land beyond the window), so the work phase may run them grouped
@@ -553,8 +538,8 @@ impl SimNet {
     pub fn run_until_quiescent(&mut self) -> ConvergenceReport {
         let mut sp = span::span("simnet", "converge");
         let mut n = 0u64;
-        while n < self.cfg.max_events && !self.queue.is_empty() {
-            n += self.run_window(SimTime::MAX, self.cfg.max_events - n);
+        while n < MAX_EVENTS && !self.queue.is_empty() {
+            n += self.run_window(SimTime::MAX, MAX_EVENTS - n);
         }
         let converged = self.queue.is_empty();
         self.publish_phases();
@@ -624,12 +609,11 @@ impl SimNet {
         let Some(t0) = self.queue.peek_time() else {
             return 0;
         };
-        let min_latency = self.cfg.base_latency_us.max(1);
         let wide = self.cfg.coalesce_updates && !self.cfg.handshake_sessions;
         let width = if wide {
-            (3 * self.cfg.base_latency_us).max(1)
+            3 * BASE_LATENCY_US
         } else {
-            min_latency
+            BASE_LATENCY_US
         };
         let horizon = t0.saturating_add(width).min(deadline.saturating_add(1));
 
@@ -647,7 +631,7 @@ impl SimNet {
                     if let NetEvent::DeliverBatch { on, .. } = ev {
                         let emitter = DeviceId(on.device());
                         if let Some(&te) = first_job_t.get(&emitter) {
-                            if t >= te + min_latency {
+                            if t >= te + BASE_LATENCY_US {
                                 // In-window output from the emitter could
                                 // still merge into this batch: defer it.
                                 break;
@@ -785,10 +769,7 @@ impl SimNet {
                 Emission::Ctl(peer, msg) => self.emit_ctl(dev_id, peer, msg),
                 Emission::RefreshRequests(targets) => {
                     for (to, on) in targets {
-                        self.schedule_in(
-                            self.cfg.base_latency_us,
-                            NetEvent::RouteRefreshRequest { to, on },
-                        );
+                        self.schedule_in(BASE_LATENCY_US, NetEvent::RouteRefreshRequest { to, on });
                     }
                 }
             }
@@ -798,8 +779,7 @@ impl SimNet {
     /// The pre-pass of one event at its own timestamp `t`: device-existence
     /// check, global counters and bookkeeping, leaving the device-local
     /// remainder as a [`Work`] job in the returned slot — or none when the
-    /// event is a no-op (target device gone). Every device that receives a
-    /// job is recorded in the touched set.
+    /// event is a no-op (target device gone).
     fn prepare(&mut self, t: SimTime, ev: NetEvent) -> Slot {
         self.telemetry.set_now(t);
         let mut slot = Slot {
@@ -811,7 +791,6 @@ impl SimNet {
             provenance: Vec::new(),
         };
         if let Some((dev, work)) = self.prepare_inner(t, ev, &mut slot) {
-            self.touched.insert(dev);
             slot.dev = Some(dev);
             slot.work = Some(work);
         }

@@ -7,9 +7,11 @@
 //! * **Per-session FIFO** — BGP runs over TCP, so messages on one session
 //!   never reorder; *across* sessions and devices, timing is free. That
 //!   asynchrony is precisely what creates the paper's transitory states.
-//! * **Per-prefix interleaving** — large UPDATEs are (by default) split into
-//!   per-prefix messages with independent jitter, modeling the per-prefix
-//!   convergence interleaving behind the §3.4 next-hop-group explosion.
+//! * **Coalescing** — by default a session's UPDATEs merge into one batch
+//!   per base latency. Rigs that study the per-prefix convergence
+//!   interleaving behind the §3.4 next-hop-group explosion turn it off, and
+//!   then every UPDATE is split into per-prefix messages, shuffled per
+//!   session, each with its own jitter.
 
 use crate::arena::DenseMap;
 use crate::device::SimDevice;
@@ -37,45 +39,52 @@ use std::sync::{Arc, OnceLock};
 #[path = "engine.rs"]
 mod engine;
 
+/// Base one-way message latency in µs (`L` in DESIGN §9 and §11).
+const BASE_LATENCY_US: SimTime = 200;
+
+/// Delay between a device dying and its neighbors noticing, in µs.
+const FAILURE_DETECTION_US: SimTime = 1_000;
+
+/// Safety cap on processed events per `run_until_quiescent`. Equal to
+/// `pipeline_bench`'s `MAX_STEPS`, the cap of its stepped pass.
+const MAX_EVENTS: u64 = 10_000_000;
+
 /// Emulator configuration.
 ///
 /// Construct via [`SimConfig::default`] plus field mutation, or fluently via
-/// [`SimConfig::builder`]. The struct is `#[non_exhaustive]`: new knobs may
-/// be added in any release, so out-of-crate code cannot use struct-literal
-/// syntax — that is what keeps additions backwards-compatible.
+/// [`SimConfig::builder`]. The struct is `#[non_exhaustive]`, so out-of-crate
+/// code cannot use struct-literal syntax and a field can come or go without
+/// breaking callers. A field exists only while a non-test caller sets it to
+/// a value other than its default; a setting every caller leaves alone is a
+/// constant in this module.
 #[derive(Debug, Clone)]
 #[non_exhaustive]
 pub struct SimConfig {
     /// RNG seed; everything is reproducible from it.
     pub seed: u64,
-    /// Base one-way message latency in µs.
-    pub base_latency_us: SimTime,
     /// Uniform extra jitter bound in µs (the asynchrony source).
     pub jitter_us: SimTime,
     /// Parallel BGP sessions per physical link (§3.4 runs two per UU–DU).
     pub sessions_per_link: u8,
-    /// Split multi-prefix UPDATEs into per-prefix messages.
-    pub split_announcements: bool,
-    /// Randomize (per recipient session, seeded) the order in which split
-    /// per-prefix messages are queued. BGP guarantees ordering *within* a
-    /// TCP session but says nothing about the order a daemon generates
-    /// updates for different prefixes toward different peers — production
-    /// TX queues drain in effectively independent orders, which is what
-    /// makes the §3.4 per-prefix state space combinatorial.
-    pub shuffle_split_order: bool,
     /// Coalesce outgoing UPDATEs per directed session into batched delivery
     /// events. While a batch is still at least one base latency away, further
     /// output toward the same session merges into it with last-writer-wins
     /// squashing (a re-announcement replaces the queued announcement for the
     /// same prefix; a withdraw cancels it) — so a convergence wave costs
-    /// O(links) delivery events instead of O(peers × prefixes). Takes
-    /// precedence over `split_announcements`. Converged FIBs are
-    /// byte-identical with coalescing on or off (batching only reschedules
-    /// in-flight information, it never reorders within a session); disable it
-    /// for scenario rigs that study per-prefix message interleaving itself.
+    /// O(links) delivery events instead of O(peers × prefixes). Converged
+    /// FIBs are byte-identical with coalescing on or off (batching only
+    /// reschedules in-flight information, it never reorders within a
+    /// session).
+    ///
+    /// Off, every UPDATE is split into per-prefix messages, queued in an
+    /// order shuffled (seeded) per recipient session. BGP guarantees
+    /// ordering *within* a TCP session but says nothing about the order a
+    /// daemon generates updates for different prefixes toward different
+    /// peers — production TX queues drain in effectively independent
+    /// orders, which is what makes the §3.4 per-prefix state space
+    /// combinatorial. Scenario rigs that study that interleaving turn
+    /// coalescing off.
     pub coalesce_updates: bool,
-    /// Delay between a device dying and neighbors noticing, in µs.
-    pub failure_detection_us: SimTime,
     /// Attach link-bandwidth communities on export (distributed WCMP).
     pub wcmp_advertise: bool,
     /// Install the fabric's valley-free base policies: routes learned from
@@ -91,16 +100,6 @@ pub struct SimConfig {
     /// administratively. Slower (more events) but exercises real session
     /// semantics; the scenario experiments use administrative bring-up.
     pub handshake_sessions: bool,
-    /// Safety cap on processed events per `run_until_quiescent`.
-    pub max_events: u64,
-    /// Incremental delta convergence: scope RPA-driven re-evaluation to the
-    /// prefixes the document's destinations can affect, and export FIB
-    /// changes per dirty prefix instead of rebuilding each device's table on
-    /// every daemon operation. Structural changes (Route Filters, export
-    /// policies, agent restarts) always fall back to full re-evaluation.
-    /// Disabling this forces the full path everywhere; converged FIBs are
-    /// byte-identical either way (see `verify_full_equivalence`).
-    pub incremental: bool,
     /// Wire audit: round-trip every delivered UPDATE through the RFC 4271
     /// codec (`centralium-wire`) and count messages, encoded bytes, and
     /// round-trip mismatches under `simnet.wire.*`. Proves the emulator's
@@ -114,19 +113,13 @@ impl Default for SimConfig {
     fn default() -> Self {
         SimConfig {
             seed: 1,
-            base_latency_us: 200,
             jitter_us: 300,
             sessions_per_link: 1,
-            split_announcements: true,
-            shuffle_split_order: true,
             coalesce_updates: true,
-            failure_detection_us: 1_000,
             wcmp_advertise: false,
             valley_free_policies: true,
             fault: FaultPlan::none(),
             handshake_sessions: false,
-            max_events: 10_000_000,
-            incremental: true,
             wire_audit: false,
         }
     }
@@ -162,12 +155,6 @@ impl SimConfigBuilder {
         self
     }
 
-    /// Base one-way message latency in µs.
-    pub fn base_latency_us(mut self, us: SimTime) -> Self {
-        self.cfg.base_latency_us = us;
-        self
-    }
-
     /// Uniform extra jitter bound in µs.
     pub fn jitter_us(mut self, us: SimTime) -> Self {
         self.cfg.jitter_us = us;
@@ -180,28 +167,10 @@ impl SimConfigBuilder {
         self
     }
 
-    /// Split multi-prefix UPDATEs into per-prefix messages.
-    pub fn split_announcements(mut self, on: bool) -> Self {
-        self.cfg.split_announcements = on;
-        self
-    }
-
-    /// Randomize the per-session queueing order of split messages.
-    pub fn shuffle_split_order(mut self, on: bool) -> Self {
-        self.cfg.shuffle_split_order = on;
-        self
-    }
-
     /// Coalesce outgoing UPDATEs per directed session into batched delivery
     /// events (see [`SimConfig::coalesce_updates`]).
     pub fn coalesce_updates(mut self, on: bool) -> Self {
         self.cfg.coalesce_updates = on;
-        self
-    }
-
-    /// Delay between a device dying and neighbors noticing, in µs.
-    pub fn failure_detection_us(mut self, us: SimTime) -> Self {
-        self.cfg.failure_detection_us = us;
         self
     }
 
@@ -226,18 +195,6 @@ impl SimConfigBuilder {
     /// Bring sessions up through the full OPEN handshake FSM.
     pub fn handshake_sessions(mut self, on: bool) -> Self {
         self.cfg.handshake_sessions = on;
-        self
-    }
-
-    /// Safety cap on processed events per `run_until_quiescent`.
-    pub fn max_events(mut self, cap: u64) -> Self {
-        self.cfg.max_events = cap;
-        self
-    }
-
-    /// Incremental delta convergence (see [`SimConfig::incremental`]).
-    pub fn incremental(mut self, on: bool) -> Self {
-        self.cfg.incremental = on;
         self
     }
 
@@ -366,9 +323,8 @@ pub enum NetEvent {
         dev: DeviceId,
     },
     /// Re-run the full decision process on a device without changing its
-    /// configuration. Scheduled by `force_full_reconvergence` (the
-    /// full-convergence arm of the incremental benchmark and the
-    /// `--full-check` shadow mode); a no-op on converged state.
+    /// configuration. Scheduled by `force_full_reconvergence` and
+    /// `verify_full_equivalence` (the oracle); a no-op on converged state.
     Reevaluate {
         /// Target device.
         dev: DeviceId,
@@ -387,10 +343,10 @@ struct NetCounters {
     rpa_operations: Counter,
     rpa_failures: Counter,
     /// RPA installs/removes whose re-evaluation was scoped to the dirty
-    /// prefix frontier (incremental mode, destination-bounded documents).
+    /// prefix frontier (destination-bounded documents).
     rpa_scoped_reevals: Counter,
-    /// RPA installs/removes that fell back to full re-evaluation
-    /// (incremental mode off, or a structural Route Filter change).
+    /// RPA installs/removes that fell back to full re-evaluation (an egress
+    /// Route Filter, or a document without bounded destinations).
     rpa_full_reevals: Counter,
     /// Coalesced batch deliveries (each one [`NetEvent::DeliverBatch`]).
     batches_delivered: Counter,
@@ -509,10 +465,6 @@ pub struct SimNet {
     chaos: Option<ChaosPlan>,
     /// Monotonic RPC counter feeding [`ChaosPlan::rpc_fate`].
     rpc_nonce: u64,
-    /// Devices whose state any event touched since the last
-    /// [`take_touched_devices`](Self::take_touched_devices) — the
-    /// convergence-footprint measurement behind `bench_incremental`.
-    touched: BTreeSet<DeviceId>,
     /// Wall-clock ns spent per window phase (pre-pass, work, merge) and not
     /// yet published to the µs-granularity `simnet.phase.*` counters. Kept
     /// in ns because a one-event window takes well under a microsecond.
@@ -533,9 +485,10 @@ impl SimNet {
             let mut dcfg = DaemonConfig::fabric(dev.asn);
             dcfg.wcmp_advertise = cfg.wcmp_advertise;
             let daemon = BgpDaemon::new(dcfg);
-            let mut sim_dev = SimDevice::new(dev.id, daemon, dev.max_nexthop_groups);
-            sim_dev.delta_fib = cfg.incremental;
-            devices.insert(dev.id, sim_dev);
+            devices.insert(
+                dev.id,
+                SimDevice::new(dev.id, daemon, dev.max_nexthop_groups),
+            );
         }
         let telemetry = Telemetry::new();
         let counters = NetCounters::bind(&telemetry);
@@ -561,7 +514,6 @@ impl SimNet {
             max_batch_size: 0,
             chaos: None,
             rpc_nonce: 0,
-            touched: BTreeSet::new(),
             phase_ns: [0; 3],
         };
         net.bind_all_device_telemetry();
@@ -786,17 +738,10 @@ impl SimNet {
         self.devices.keys().collect()
     }
 
-    /// Drain and return the set of devices any event has touched since the
-    /// last call (or since construction). `bench_incremental` uses this to
-    /// compare the convergence footprint of delta vs. full reconvergence.
-    pub fn take_touched_devices(&mut self) -> BTreeSet<DeviceId> {
-        std::mem::take(&mut self.touched)
-    }
-
     /// Schedule a [`NetEvent::Reevaluate`] on every live device and run to
-    /// quiescence — the "re-converge the entire fabric" baseline the
-    /// incremental engine is measured against, and the mechanism behind
-    /// [`verify_full_equivalence`](Self::verify_full_equivalence).
+    /// quiescence — full re-evaluation of the entire fabric, the pass
+    /// [`verify_full_equivalence`](Self::verify_full_equivalence) checks the
+    /// incremental engine against.
     pub fn force_full_reconvergence(&mut self) -> ConvergenceReport {
         self.schedule_reevaluate_all();
         self.run_until_quiescent()
@@ -813,9 +758,9 @@ impl SimNet {
     }
 
     /// Per-device FIB snapshot — entries only (prefix, next hops, warm
-    /// flag). Group-table statistics are deliberately excluded: delta and
-    /// full modes legitimately differ in churn *accounting* while converging
-    /// to identical forwarding state.
+    /// flag). Group-table statistics are deliberately excluded: a forced
+    /// full pass, a per-prefix delta and a full rebuild legitimately differ
+    /// in churn *accounting* while converging to identical forwarding state.
     pub fn fib_snapshot(&self) -> BTreeMap<DeviceId, Vec<FibEntry>> {
         self.devices
             .iter()
@@ -823,17 +768,27 @@ impl SimNet {
             .collect()
     }
 
-    /// `--full-check` shadow mode: snapshot the converged FIBs, force a full
-    /// re-convergence, and verify that nothing moved — converged state must
-    /// be a fixed point of full evaluation. Two things are checked. The FIBs
-    /// are identical: any difference means the incremental engine skipped a
-    /// decision it should have run. And the pass was *silent* — one event
-    /// per live device, no message delivered: a daemon exports a re-decided
-    /// prefix only when its advertisement moved, so an export that was
-    /// skipped wrongly leaves this device's FIB intact and its Adj-RIB-Out
-    /// stale, and the forced pass (which always exports) is what flushes it
-    /// out as an UPDATE. The queue must be empty on entry.
+    /// The oracle: snapshot the converged FIBs, force a full re-convergence,
+    /// and verify that nothing moved — converged state must be a fixed point
+    /// of full evaluation. Two things are checked. The FIBs are identical:
+    /// any difference means the incremental engine skipped a decision it
+    /// should have run. And the pass was *silent* — one event per live
+    /// device, no message delivered: a daemon exports a re-decided prefix
+    /// only when its advertisement moved, so an export that was skipped
+    /// wrongly leaves this device's FIB intact and its Adj-RIB-Out stale,
+    /// and the forced pass (which always exports) is what flushes it out as
+    /// an UPDATE.
+    ///
+    /// The queue must be empty on entry, and an error says so otherwise: a
+    /// pending event would pop inside the forced pass, and its effects would
+    /// be blamed on the oracle.
     pub fn verify_full_equivalence(&mut self) -> Result<(), String> {
+        let pending = self.pending_events();
+        if pending != 0 {
+            return Err(format!(
+                "the oracle needs a quiescent fabric: {pending} events pending on entry"
+            ));
+        }
         let before = self.fib_snapshot();
         let delivered = self.counters.messages_delivered.get();
         // Take the Reevaluates one `step()` at a time — same-time events pop
@@ -1099,7 +1054,7 @@ impl SimNet {
             let neighbor = DeviceId(peer.device());
             let their_session = PeerId::compose(dev.0, peer.session_index());
             self.schedule_in(
-                self.cfg.failure_detection_us,
+                FAILURE_DETECTION_US,
                 NetEvent::SessionDown {
                     dev: neighbor,
                     peer: their_session,
@@ -1115,14 +1070,11 @@ impl SimNet {
             return;
         };
         for peer in d.daemon.peer_ids() {
-            self.schedule_in(
-                self.cfg.failure_detection_us,
-                NetEvent::SessionUp { dev, peer },
-            );
+            self.schedule_in(FAILURE_DETECTION_US, NetEvent::SessionUp { dev, peer });
             let neighbor = DeviceId(peer.device());
             let their_session = PeerId::compose(dev.0, peer.session_index());
             self.schedule_in(
-                self.cfg.failure_detection_us,
+                FAILURE_DETECTION_US,
                 NetEvent::SessionUp {
                     dev: neighbor,
                     peer: their_session,
@@ -1339,7 +1291,7 @@ impl SimNet {
         } else {
             0
         };
-        let mut at = self.now + self.cfg.base_latency_us + jitter + extra;
+        let mut at = self.now + BASE_LATENCY_US + jitter + extra;
         let key = (from, to, session_idx);
         if let Some(&last) = self.fifo.get(&key) {
             at = at.max(last + 1);
@@ -1349,8 +1301,9 @@ impl SimNet {
             .schedule(at, NetEvent::DeliverCtl { to, on, msg });
     }
 
-    /// Schedule daemon output messages for delivery, applying coalescing or
-    /// splitting, fault injection, latency, jitter and per-session FIFO.
+    /// Schedule daemon output messages for delivery — coalesced, or split
+    /// per prefix and shuffled per session — applying fault injection,
+    /// latency, jitter and per-session FIFO.
     fn emit(&mut self, from: DeviceId, outputs: Vec<(PeerId, UpdateMessage)>) {
         if self.cfg.coalesce_updates {
             self.emit_coalesced(from, outputs);
@@ -1360,25 +1313,20 @@ impl SimNet {
             let to = DeviceId(peer.device());
             let session_idx = peer.session_index();
             let on = PeerId::compose(from.0, session_idx);
-            let pieces: Vec<UpdateMessage> = if self.cfg.split_announcements {
-                let mut v: Vec<UpdateMessage> = msg
-                    .withdrawn
+            let mut pieces: Vec<UpdateMessage> = msg
+                .withdrawn
+                .into_iter()
+                .map(UpdateMessage::withdraw)
+                .collect();
+            pieces.extend(
+                msg.announced
                     .into_iter()
-                    .map(UpdateMessage::withdraw)
-                    .collect();
-                v.extend(
-                    msg.announced
-                        .into_iter()
-                        .map(|(p, a)| UpdateMessage::announce(p, a)),
-                );
-                if self.cfg.shuffle_split_order && v.len() > 1 {
-                    use rand::seq::SliceRandom;
-                    v.shuffle(&mut self.rng);
-                }
-                v
-            } else {
-                vec![msg]
-            };
+                    .map(|(p, a)| UpdateMessage::announce(p, a)),
+            );
+            if pieces.len() > 1 {
+                use rand::seq::SliceRandom;
+                pieces.shuffle(&mut self.rng);
+            }
             for piece in pieces {
                 let Some(extra) = self.cfg.fault.apply(&mut self.rng) else {
                     self.note_fault_drop(from, to);
@@ -1389,7 +1337,7 @@ impl SimNet {
                 } else {
                     0
                 };
-                let mut at = self.now + self.cfg.base_latency_us + jitter + extra;
+                let mut at = self.now + BASE_LATENCY_US + jitter + extra;
                 // TCP FIFO per directed session.
                 let key = (from, to, session_idx);
                 if let Some(&last) = self.fifo.get(&key) {
@@ -1411,7 +1359,6 @@ impl SimNet {
     /// earlier delivery (the FIFO clamp) and merged content arrives exactly
     /// when the batch does.
     fn emit_coalesced(&mut self, from: DeviceId, outputs: Vec<(PeerId, UpdateMessage)>) {
-        let min_latency = self.cfg.base_latency_us.max(1);
         for (peer, msg) in outputs {
             let to = DeviceId(peer.device());
             let session_idx = peer.session_index();
@@ -1426,7 +1373,7 @@ impl SimNet {
             };
             let key = (from, to, session_idx);
             if let Some(&(id, at)) = self.open_batch.get(&key) {
-                if at >= self.now + min_latency {
+                if at >= self.now + BASE_LATENCY_US {
                     self.counters.updates_coalesced.inc();
                     self.batches
                         .get_mut(&id)
@@ -1447,7 +1394,7 @@ impl SimNet {
             // instead of scheduling deliveries of its own, which also damps
             // path hunting: the receiver never processes the squashed-away
             // intermediate states, so it never re-advertises them.
-            let mut at = self.now + 3 * self.cfg.base_latency_us + jitter + extra;
+            let mut at = self.now + 3 * BASE_LATENCY_US + jitter + extra;
             if let Some(&last) = self.fifo.get(&key) {
                 at = at.max(last + 1);
             }
@@ -1881,6 +1828,25 @@ mod tests {
                 .counter("simnet.agent_restarts"),
             1
         );
+    }
+
+    #[test]
+    fn the_oracle_refuses_a_pending_queue() {
+        let (mut net, idx) = tiny_net(4);
+        net.establish_all();
+        net.run_until_quiescent().expect_converged();
+        net.originate(
+            idx.backbone[0],
+            default_route(),
+            [well_known::BACKBONE_DEFAULT_ROUTE],
+        );
+        let err = net.verify_full_equivalence().unwrap_err();
+        assert!(err.contains("1 events pending"), "{err}");
+        // Nothing ran: the origination is still queued, and once it has
+        // converged the oracle holds.
+        assert_eq!(net.pending_events(), 1);
+        net.run_until_quiescent().expect_converged();
+        net.verify_full_equivalence().unwrap();
     }
 
     #[test]

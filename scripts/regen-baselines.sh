@@ -1,6 +1,6 @@
 #!/usr/bin/env bash
-# Regenerate the committed performance baselines with the exact flags CI
-# uses to gate against them, so a baseline refresh and a CI run are always
+# Regenerate the committed performance baseline with the exact flags CI
+# uses to gate against it, so a baseline refresh and a CI run are always
 # measuring the same thing.
 #
 #   BENCH_convergence.json  — every fabric tier (tiny/default/large/2k/xl/
@@ -18,12 +18,9 @@
 #                             gate, the nightly full-ladder run, and the
 #                             nightly xxl job (6 GiB ulimit + 8 live-KB/
 #                             device gate).
-#   BENCH_incremental.json  — default 84-device fabric, --full-check, seed
-#                             ladder, 3 iters. Gated by: the 5x delta-vs-full
-#                             wall ratio floor and FIB-equality check.
 #
 # Run this on a quiet machine (wall-clock medians go straight into the
-# regression gate) and commit the two JSON files it rewrites. The wall gates
+# regression gate) and commit the JSON file it rewrites. The wall gates
 # compare against whatever machine recorded the baseline; the JSON names it.
 
 set -euo pipefail
@@ -38,12 +35,7 @@ cargo run --release --locked -p centralium-bench --bin bench_convergence -- \
   --fabric tiny,default,large,2k,xl,xxl --json BENCH_convergence.json
 
 echo
-echo "== BENCH_incremental.json (default fabric, full-check) =="
-cargo run --release --locked -p centralium-bench --bin bench_incremental -- \
-  --full-check --json BENCH_incremental.json
-
-echo
-echo "== sanity: gates pass against the fresh baselines =="
+echo "== sanity: gates pass against the fresh baseline =="
 cargo run --release --locked -p centralium-bench --bin bench_convergence -- \
   --tiny --baseline BENCH_convergence.json --json /dev/null
 ( ulimit -v 1048576
@@ -53,4 +45,4 @@ cargo run --release --locked -p centralium-bench --bin bench_convergence -- \
     --max-kb-per-device 8 --json /dev/null )
 
 echo
-echo "done — commit BENCH_convergence.json and BENCH_incremental.json"
+echo "done — commit BENCH_convergence.json"

@@ -1,33 +1,28 @@
-//! Delta-vs-full convergence equivalence: the incremental engine must land
-//! byte-identical FIBs to full reconvergence across chaos seeds, at both
-//! the simnet layer (`SimConfig::incremental`) and the
-//! controller layer (`DeployOptions::delta_convergence`), plus the builder
-//! round-trip / backwards-compatibility contract for the new fluent
-//! builders.
+//! The incremental engine against its oracle: a scoped deploy must leave
+//! converged state that full re-evaluation does not move, at both the simnet
+//! layer (`SimNet::verify_full_equivalence`) and the controller layer (a
+//! whole-fleet poll finds nothing the deployment's scoped polling missed),
+//! plus the builder round-trip contract of `SimConfig` and `DeployOptions`.
 
 use centralium::apps::path_equalization::equalize_backbone_paths;
-use centralium::{Controller, DeployOptions, DeploymentStrategy, HealthCheck, RetryPolicy};
+use centralium::{
+    ControlTransport, Controller, DeployOptions, DeploymentStrategy, HealthCheck,
+    InProcessTransport, RetryPolicy,
+};
 use centralium_bgp::attrs::well_known;
-use centralium_bgp::{FibEntry, Prefix};
+use centralium_bgp::Prefix;
 use centralium_rpa::{
     Destination, NextHopWeight, PathSignature, RouteAttributeRpa, RouteAttributeStatement,
     RpaDocument,
 };
-use centralium_simnet::{ChaosPlan, SimConfig, SimNet};
+use centralium_simnet::{ChaosPlan, FaultPlan, SimConfig, SimNet};
 use centralium_topology::{build_fabric, DeviceId, FabricSpec, Layer};
-use std::collections::BTreeMap;
 
 const SEEDS: [u64; 3] = [7, 21, 1337];
 
-fn converged(seed: u64, incremental: bool) -> (SimNet, Vec<Vec<DeviceId>>) {
+fn converged(seed: u64) -> (SimNet, Vec<Vec<DeviceId>>) {
     let (topo, idx, _) = build_fabric(&FabricSpec::tiny());
-    let mut net = SimNet::new(
-        topo,
-        SimConfig::builder()
-            .seed(seed)
-            .incremental(incremental)
-            .build(),
-    );
+    let mut net = SimNet::new(topo, SimConfig::builder().seed(seed).build());
     net.establish_all();
     for &eb in &idx.backbone {
         net.originate(eb, Prefix::DEFAULT, [well_known::BACKBONE_DEFAULT_ROUTE]);
@@ -59,119 +54,130 @@ fn te_doc(net: &SimNet, ssw: DeviceId) -> RpaDocument {
     ))
 }
 
-/// Simnet-layer equivalence: a TE weight deploy under `incremental: true`
-/// must land the same FIBs as under `incremental: false` followed by a
-/// forced whole-fabric reconvergence, for every seed.
-/// The delta-converged state must also be a fixed point of full
-/// re-evaluation (`verify_full_equivalence`, the `--full-check` shadow
-/// mode).
+/// Simnet layer: a TE weight deploy re-decides only the prefixes the
+/// document scopes, and the state it converges to must be a fixed point of
+/// full re-evaluation, for every seed — the oracle's forced pass is silent
+/// and moves no FIB, and a second forced pass moves none either.
 #[test]
 fn delta_fibs_match_full_reconvergence() {
     for seed in SEEDS {
-        let run = |incremental: bool| -> (BTreeMap<DeviceId, Vec<FibEntry>>, SimNet) {
-            let (mut net, ssw) = converged(seed, incremental);
-            for &dev in &ssw[0] {
-                let doc = te_doc(&net, dev);
-                net.deploy_rpa(dev, doc, 300);
-            }
-            net.run_until_quiescent().expect_converged();
-            if !incremental {
-                net.force_full_reconvergence();
-            }
-            (net.fib_snapshot(), net)
-        };
-        let (full, _) = run(false);
-        let (delta, mut delta_net) = run(true);
+        let (mut net, ssw) = converged(seed);
+        for &dev in &ssw[0] {
+            let doc = te_doc(&net, dev);
+            net.deploy_rpa(dev, doc, 300);
+        }
+        net.run_until_quiescent().expect_converged();
+        let delta = net.fib_snapshot();
+        net.verify_full_equivalence()
+            .unwrap_or_else(|e| panic!("seed {seed}: {e}"));
+        net.force_full_reconvergence().expect_converged();
         assert_eq!(
-            full, delta,
+            delta,
+            net.fib_snapshot(),
             "seed {seed}: delta FIBs diverge from full reconvergence"
         );
-        delta_net
-            .verify_full_equivalence()
-            .unwrap_or_else(|e| panic!("seed {seed}: {e}"));
     }
 }
 
-/// Controller-layer equivalence under management-plane chaos: a fleet
-/// deployment with scoped polling (`delta_convergence: true`) must converge
-/// to the same FIBs as one that distrusts delta state and forces full
-/// reconvergence between rounds — across the chaos seeds the retry harness
-/// gates on.
+/// Controller layer under management-plane chaos: a fleet deployment polls
+/// only the devices it has touched between reconcile rounds. Afterwards a
+/// whole-fleet poll must find no path out of sync — scoped polling missed
+/// nothing — and the deployed state must pass the oracle, across the chaos
+/// seeds the retry harness gates on.
 #[test]
 fn chaotic_deploy_equivalent_under_scoped_polling() {
     for seed in SEEDS {
-        let run = |delta: bool| -> BTreeMap<DeviceId, Vec<FibEntry>> {
-            let (topo, idx, _) = build_fabric(&FabricSpec::tiny());
-            let mut net = SimNet::new(topo, SimConfig::builder().seed(seed).build());
-            net.set_chaos(ChaosPlan::with_rpc_loss(seed, 0.1));
-            net.establish_all();
-            for &eb in &idx.backbone {
-                net.originate(eb, Prefix::DEFAULT, [well_known::BACKBONE_DEFAULT_ROUTE]);
-            }
-            net.run_until_quiescent().expect_converged();
-            let mut controller = Controller::new(&net, idx.rsw[0][0]);
-            controller.agent.set_retry_policy(RetryPolicy {
-                jitter_seed: seed,
-                ..Default::default()
-            });
-            let intent =
-                equalize_backbone_paths(well_known::BACKBONE_DEFAULT_ROUTE, Layer::Backbone);
-            let opts = DeployOptions::builder(Layer::Backbone, DeploymentStrategy::SafeOrder)
-                .delta_convergence(delta)
-                .build();
-            controller
-                .deploy_intent_with(
-                    &mut net,
-                    &intent,
-                    &opts,
-                    &HealthCheck::default(),
-                    &HealthCheck::default(),
-                )
-                .expect("deployment converges");
-            net.fib_snapshot()
-        };
-        assert_eq!(
-            run(true),
-            run(false),
-            "seed {seed}: scoped polling changed the deployed FIBs"
+        let (topo, idx, _) = build_fabric(&FabricSpec::tiny());
+        let mut net = SimNet::new(topo, SimConfig::builder().seed(seed).build());
+        net.set_chaos(ChaosPlan::with_rpc_loss(seed, 0.1));
+        net.establish_all();
+        for &eb in &idx.backbone {
+            net.originate(eb, Prefix::DEFAULT, [well_known::BACKBONE_DEFAULT_ROUTE]);
+        }
+        net.run_until_quiescent().expect_converged();
+        let mut controller = Controller::new(&net, idx.rsw[0][0]);
+        controller.agent.set_retry_policy(RetryPolicy {
+            jitter_seed: seed,
+            ..Default::default()
+        });
+        let intent = equalize_backbone_paths(well_known::BACKBONE_DEFAULT_ROUTE, Layer::Backbone);
+        let opts = DeployOptions::new(Layer::Backbone, DeploymentStrategy::SafeOrder);
+        controller
+            .deploy_intent_with(
+                &mut net,
+                &intent,
+                &opts,
+                &HealthCheck::default(),
+                &HealthCheck::default(),
+            )
+            .expect("deployment converges");
+        let mut transport = InProcessTransport::new(&mut net, &mut controller.agent);
+        transport.poll_current().expect("whole-fleet poll");
+        let missed = transport.out_of_sync_paths().expect("in-process read");
+        assert!(
+            missed.is_empty(),
+            "seed {seed}: scoped polling missed {missed:?}"
         );
+        net.verify_full_equivalence()
+            .unwrap_or_else(|e| panic!("seed {seed}: {e}"));
     }
 }
 
 /// Builder round-trip: `SimConfig::builder().build()` is exactly
 /// `SimConfig::default()`, and every setter overrides only its own field —
-/// the backwards-compatibility contract that lets `#[non_exhaustive]` grow
-/// new knobs without breaking callers.
+/// the contract that lets `#[non_exhaustive]` add or drop fields without
+/// breaking callers.
 #[test]
 fn simconfig_builder_roundtrip_matches_default() {
     let d = SimConfig::default();
     let b = SimConfig::builder().build();
     assert_eq!(format!("{d:?}"), format!("{b:?}"), "builder() == default()");
-    let cfg = SimConfig::builder().seed(7).incremental(false).build();
+    let fault = FaultPlan {
+        drop_probability: 0.1,
+        max_extra_delay_us: 50,
+    };
+    let cfg = SimConfig::builder()
+        .seed(7)
+        .jitter_us(20_000)
+        .sessions_per_link(2)
+        .coalesce_updates(!d.coalesce_updates)
+        .wcmp_advertise(!d.wcmp_advertise)
+        .valley_free_policies(!d.valley_free_policies)
+        .fault(fault)
+        .handshake_sessions(!d.handshake_sessions)
+        .wire_audit(!d.wire_audit)
+        .build();
     assert_eq!(cfg.seed, 7);
-    assert!(!cfg.incremental);
-    // Untouched fields keep their defaults.
-    assert_eq!(cfg.base_latency_us, d.base_latency_us);
-    assert_eq!(cfg.jitter_us, d.jitter_us);
-    assert_eq!(cfg.sessions_per_link, d.sessions_per_link);
-    assert_eq!(cfg.valley_free_policies, d.valley_free_policies);
-    assert_eq!(cfg.max_events, d.max_events);
+    assert_eq!(cfg.jitter_us, 20_000);
+    assert_eq!(cfg.sessions_per_link, 2);
+    assert_eq!(cfg.coalesce_updates, !d.coalesce_updates);
+    assert_eq!(cfg.wcmp_advertise, !d.wcmp_advertise);
+    assert_eq!(cfg.valley_free_policies, !d.valley_free_policies);
+    assert_eq!(format!("{:?}", cfg.fault), format!("{fault:?}"));
+    assert_eq!(cfg.handshake_sessions, !d.handshake_sessions);
+    assert_eq!(cfg.wire_audit, !d.wire_audit);
+    // One setter touches one field; the rest keep their defaults.
+    let one = SimConfig::builder().seed(7).build();
+    assert_eq!(one.seed, 7);
+    assert_eq!(one.jitter_us, d.jitter_us);
+    assert_eq!(one.sessions_per_link, d.sessions_per_link);
+    assert_eq!(one.coalesce_updates, d.coalesce_updates);
+    assert_eq!(one.valley_free_policies, d.valley_free_policies);
 }
 
 /// `DeployOptions::builder` seeds from `DeployOptions::new` and each setter
-/// overrides one knob; delta convergence defaults on.
+/// overrides one knob.
 #[test]
 fn deploy_options_builder_matches_new() {
     let n = DeployOptions::new(Layer::Backbone, DeploymentStrategy::SafeOrder);
-    assert!(n.delta_convergence, "delta convergence is the default");
+    let d = DeployOptions::builder(Layer::Backbone, DeploymentStrategy::SafeOrder).build();
+    assert_eq!(format!("{n:?}"), format!("{d:?}"), "builder() == new()");
     let b = DeployOptions::builder(Layer::Backbone, DeploymentStrategy::SafeOrder)
         .max_wave_rounds(3)
         .halt_after_waves(1)
-        .delta_convergence(false)
         .build();
     assert_eq!(b.max_wave_rounds, 3);
     assert_eq!(b.halt_after_waves, Some(1));
-    assert!(!b.delta_convergence);
     assert_eq!(format!("{:?}", b.strategy), format!("{:?}", n.strategy));
     assert_eq!(
         format!("{:?}", b.origination_layer),
@@ -181,4 +187,5 @@ fn deploy_options_builder_matches_new() {
         format!("{:?}", b.wave_policy),
         format!("{:?}", n.wave_policy)
     );
+    assert_eq!(format!("{:?}", b.transport), format!("{:?}", n.transport));
 }
