@@ -228,15 +228,12 @@ fn diagnose(label: &str, spec: &TierSpec, iters: usize) -> Diagnosis {
     println!(
         "  memory:   adj-rib-in {} KB / adj-rib-out {} KB \
          ({} canonical routes fanned to {} peer refs), \
-         interner {} paths / {} community sets, \
          event-queue HWM {} ({} KB buckets), device arenas {} KB, \
          process peak RSS {:.1} MB",
         snap.gauge("mem.adj_rib_in_bytes") / 1024,
         snap.gauge("mem.adj_rib_out_bytes") / 1024,
         snap.gauge("bgp.canonical_routes"),
         snap.gauge("bgp.peer_refs"),
-        snap.gauge("mem.interner.as_paths"),
-        snap.gauge("mem.interner.community_sets"),
         snap.gauge("mem.event_queue_hwm"),
         snap.gauge("mem.event_queue_bytes") / 1024,
         snap.gauge("mem.device_arena_bytes") / 1024,
@@ -272,8 +269,6 @@ fn diagnose(label: &str, spec: &TierSpec, iters: usize) -> Diagnosis {
             "adj_rib_out_bytes": snap.gauge("mem.adj_rib_out_bytes"),
             "canonical_routes": snap.gauge("bgp.canonical_routes"),
             "peer_refs": snap.gauge("bgp.peer_refs"),
-            "interner_as_paths": snap.gauge("mem.interner.as_paths"),
-            "interner_community_sets": snap.gauge("mem.interner.community_sets"),
             "event_queue_hwm": snap.gauge("mem.event_queue_hwm"),
             "event_queue_bytes": snap.gauge("mem.event_queue_bytes"),
             "device_arena_bytes": snap.gauge("mem.device_arena_bytes"),

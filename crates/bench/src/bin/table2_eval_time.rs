@@ -87,8 +87,8 @@ fn row(label: &str, samples: &[f64]) {
 
 /// The cache column at signature granularity: the raw regex walk every
 /// uncached evaluation pays, vs the steady-state memoized path (one
-/// `(sig_id, attr_id)` lookup per candidate, measured through single-
-/// candidate `select_paths` calls on a warm engine).
+/// `(sig_id, as_path, communities)` lookup per candidate, measured through
+/// single-candidate `select_paths` calls on a warm engine).
 fn signature_rows(routes: &[(Prefix, Vec<Route>)]) {
     use centralium_rpa::signature::CompiledSignature;
     let sig = CompiledSignature::compile(PathSignature::as_path("(^| )6\\d{4}$"), 1)

@@ -5,34 +5,30 @@
 //! the link-bandwidth extended community [draft-ietf-idr-link-bandwidth] used
 //! for distributed WCMP (§2 "Traffic Distribution").
 //!
-//! AS-paths and community sets are **interned**: each distinct sequence is
-//! stored once in a process-global attribute table and handed out as an
-//! [`AsPath`] / [`CommunitySet`] handle (an `Arc` plus a stable `attr_id`).
-//! A fabric propagating a route clones the same few hundred distinct
-//! sequences millions of times, so cloning a route becomes a pointer bump and
-//! downstream consumers (the RPA signature cache, Adj-RIB-Out diffing) can
-//! compare whole sequences by id instead of by content. Table entries live
-//! for the life of the process — ids are never reused, so a cached id can
-//! never dangle — which is fine because a simulation only ever produces a
-//! bounded set of distinct paths. Ids are assigned in first-intern order and
-//! are therefore not stable across runs; they must never be persisted, only
-//! used as in-memory cache keys. Equality, ordering and serialization are by
+//! AS-paths and community sets are **shared slices**: an [`AsPath`] /
+//! [`CommunitySet`] is an `Arc<[T]>` owned by the routes that hold it, so
+//! cloning a route is a pointer bump and the sequence is freed with the last
+//! route that holds it. There is no table behind them: every export prepends
+//! the exporter's own ASN, so a fabric mints a new path per best-path change
+//! and a table would deduplicate nothing. Two handles compare equal when they
+//! share storage or else by content, and hash by content, so the RPA
+//! signature cache can key on the sequences themselves. Serialization is by
 //! content.
 
 use centralium_topology::Asn;
 use serde::{Deserialize, Serialize};
-use std::collections::HashMap;
 use std::fmt;
 use std::hash::Hash;
+use std::iter::repeat_n;
 use std::ops::Deref;
 use std::sync::atomic::{AtomicU64, Ordering};
-use std::sync::{Arc, Mutex, OnceLock};
+use std::sync::Arc;
 
 /// Process-global count of bytes physically copied for attribute data:
-/// every [`PathAttributes`] struct clone plus every sequence rebuild a
-/// mutation ([`PathAttributes::prepend`] and friends) performs before
-/// re-interning. The zero-copy hot path shows up here directly — benches
-/// diff this counter across a run to prove routes are shared, not copied.
+/// every [`PathAttributes`] struct clone plus every sequence a mutation
+/// ([`PathAttributes::prepend`] and friends) builds. The zero-copy hot path
+/// shows up here directly — benches diff this counter across a run to prove
+/// routes are shared, not copied.
 static ATTR_CLONE_BYTES: AtomicU64 = AtomicU64::new(0);
 
 /// Total attribute bytes cloned so far in this process (monotonic).
@@ -107,90 +103,23 @@ pub mod well_known {
     pub const FROM_UPSTREAM: Community = Community::from_pair(65000, 101);
 }
 
-// ---- attribute interning ---------------------------------------------------
+// ---- shared attribute sequences --------------------------------------------
 
-/// One process-global intern table: distinct sequence → (shared storage, id).
-/// Entries are never evicted, so an id handed out once stays valid for the
-/// process lifetime (the "attribute table" of the paper's Table 2 cache).
-struct InternTable<T: 'static> {
-    ids: HashMap<Arc<[T]>, u64>,
-    next_id: u64,
-}
-
-impl<T: Clone + Eq + Hash> InternTable<T> {
-    fn new() -> Self {
-        InternTable {
-            ids: HashMap::new(),
-            next_id: 0,
-        }
-    }
-
-    fn intern(&mut self, items: &[T]) -> (Arc<[T]>, u64) {
-        if let Some((seq, &id)) = self.ids.get_key_value(items) {
-            return (Arc::clone(seq), id);
-        }
-        let seq: Arc<[T]> = items.into();
-        let id = self.next_id;
-        self.next_id += 1;
-        self.ids.insert(Arc::clone(&seq), id);
-        (seq, id)
-    }
-}
-
-fn as_path_table() -> &'static Mutex<InternTable<Asn>> {
-    static TABLE: OnceLock<Mutex<InternTable<Asn>>> = OnceLock::new();
-    TABLE.get_or_init(|| Mutex::new(InternTable::new()))
-}
-
-fn community_table() -> &'static Mutex<InternTable<Community>> {
-    static TABLE: OnceLock<Mutex<InternTable<Community>>> = OnceLock::new();
-    TABLE.get_or_init(|| Mutex::new(InternTable::new()))
-}
-
-/// Sizes of the process-global attribute tables (distinct sequences interned
-/// so far) — a cheap capacity/diagnostic signal for benches.
-#[derive(Debug, Clone, Copy, PartialEq, Eq)]
-pub struct InternStats {
-    /// Distinct AS-paths interned.
-    pub as_paths: usize,
-    /// Distinct community sets interned.
-    pub community_sets: usize,
-}
-
-/// Current sizes of the attribute tables.
-pub fn intern_stats() -> InternStats {
-    InternStats {
-        as_paths: as_path_table().lock().expect("intern table").ids.len(),
-        community_sets: community_table().lock().expect("intern table").ids.len(),
-    }
-}
-
-macro_rules! interned_seq {
-    ($(#[$doc:meta])* $name:ident, $elem:ty, $table:ident) => {
+macro_rules! shared_seq {
+    ($(#[$doc:meta])* $name:ident, $elem:ty) => {
         $(#[$doc])*
         #[derive(Clone)]
-        pub struct $name {
-            seq: Arc<[$elem]>,
-            id: u64,
-        }
+        pub struct $name(Arc<[$elem]>);
 
         impl $name {
-            /// The interned empty sequence.
+            /// The empty sequence.
             pub fn empty() -> Self {
-                static EMPTY: OnceLock<$name> = OnceLock::new();
-                EMPTY.get_or_init(|| $name::from(&[][..])).clone()
+                $name(Arc::new([]))
             }
 
-            /// Stable per-process id of this sequence in the attribute
-            /// table. Valid as an in-memory cache key only — ids depend on
-            /// first-intern order and differ across runs.
-            pub fn attr_id(&self) -> u64 {
-                self.id
-            }
-
-            /// The interned elements.
+            /// The elements.
             pub fn as_slice(&self) -> &[$elem] {
-                &self.seq
+                &self.0
             }
         }
 
@@ -203,26 +132,19 @@ macro_rules! interned_seq {
         impl Deref for $name {
             type Target = [$elem];
             fn deref(&self) -> &[$elem] {
-                &self.seq
-            }
-        }
-
-        impl From<&[$elem]> for $name {
-            fn from(items: &[$elem]) -> Self {
-                let (seq, id) = $table().lock().expect("intern table").intern(items);
-                $name { seq, id }
+                &self.0
             }
         }
 
         impl From<Vec<$elem>> for $name {
             fn from(items: Vec<$elem>) -> Self {
-                $name::from(items.as_slice())
+                $name(items.into())
             }
         }
 
         impl FromIterator<$elem> for $name {
             fn from_iter<I: IntoIterator<Item = $elem>>(iter: I) -> Self {
-                $name::from(iter.into_iter().collect::<Vec<_>>())
+                $name(iter.into_iter().collect())
             }
         }
 
@@ -230,15 +152,15 @@ macro_rules! interned_seq {
             type Item = &'a $elem;
             type IntoIter = std::slice::Iter<'a, $elem>;
             fn into_iter(self) -> Self::IntoIter {
-                self.seq.iter()
+                self.0.iter()
             }
         }
 
-        // All values come from the same table, so id equality is content
-        // equality — one integer compare instead of a slice walk.
+        // Clones of one route share storage, so the pointer compare settles
+        // most calls; sequences built apart fall back to the slice walk.
         impl PartialEq for $name {
             fn eq(&self, other: &Self) -> bool {
-                self.id == other.id
+                Arc::ptr_eq(&self.0, &other.0) || self.0 == other.0
             }
         }
 
@@ -246,41 +168,38 @@ macro_rules! interned_seq {
 
         impl PartialEq<Vec<$elem>> for $name {
             fn eq(&self, other: &Vec<$elem>) -> bool {
-                *self.seq == other[..]
+                *self.0 == other[..]
             }
         }
 
         impl PartialEq<$name> for Vec<$elem> {
             fn eq(&self, other: &$name) -> bool {
-                self[..] == *other.seq
+                self[..] == *other.0
             }
         }
 
         impl PartialEq<[$elem]> for $name {
             fn eq(&self, other: &[$elem]) -> bool {
-                *self.seq == *other
+                *self.0 == *other
             }
         }
 
-        // Content hash (not id hash): agrees with `Eq` and stays
-        // deterministic across runs.
+        // Content hash: agrees with `Eq` and stays deterministic across runs.
         impl Hash for $name {
             fn hash<H: std::hash::Hasher>(&self, state: &mut H) {
-                self.seq.hash(state)
+                self.0.hash(state)
             }
         }
 
-        // Debug like the underlying slice: the id is a process-local detail
-        // and would make test output nondeterministic.
         impl fmt::Debug for $name {
             fn fmt(&self, f: &mut fmt::Formatter<'_>) -> fmt::Result {
-                fmt::Debug::fmt(&self.seq, f)
+                fmt::Debug::fmt(&self.0, f)
             }
         }
 
         impl Serialize for $name {
             fn serialize(&self) -> serde::Value {
-                self.seq.serialize()
+                self.0.serialize()
             }
         }
 
@@ -292,21 +211,20 @@ macro_rules! interned_seq {
     };
 }
 
-interned_seq!(
-    /// An interned AS-path (nearest AS first). Dereferences to `[Asn]`;
-    /// mutation goes through [`PathAttributes::prepend`], which re-interns.
+shared_seq!(
+    /// A shared AS-path (nearest AS first). Dereferences to `[Asn]`;
+    /// mutation goes through [`PathAttributes::prepend`], which builds a
+    /// new slice.
     AsPath,
-    Asn,
-    as_path_table
+    Asn
 );
 
-interned_seq!(
-    /// An interned sorted community set. Dereferences to `[Community]`;
+shared_seq!(
+    /// A shared sorted community set. Dereferences to `[Community]`;
     /// mutation goes through [`PathAttributes::add_community`] /
-    /// [`PathAttributes::remove_community`], which re-intern.
+    /// [`PathAttributes::remove_community`], which build a new slice.
     CommunitySet,
-    Community,
-    community_table
+    Community
 );
 
 /// The attribute set carried by one route announcement.
@@ -371,14 +289,6 @@ impl PathAttributes {
         attrs
     }
 
-    /// The attribute-table ids of the two interned sequences — everything an
-    /// RPA path signature can observe about a route's attributes. Used as
-    /// the memoization key of the signature-evaluation cache (Table 2); not
-    /// meaningful across processes.
-    pub fn attr_id(&self) -> (u64, u64) {
-        (self.as_path.attr_id(), self.communities.attr_id())
-    }
-
     /// AS-path length (the decision-process metric).
     pub fn as_path_len(&self) -> usize {
         self.as_path.len()
@@ -405,30 +315,27 @@ impl PathAttributes {
         if count == 0 {
             return;
         }
-        let mut v = Vec::with_capacity(self.as_path.len() + count);
-        v.resize(count, asn);
-        v.extend_from_slice(&self.as_path);
-        note_clone_bytes(std::mem::size_of_val(&v[..]));
-        self.as_path = AsPath::from(v);
+        self.as_path = repeat_n(asn, count)
+            .chain(self.as_path.iter().copied())
+            .collect();
+        note_clone_bytes(std::mem::size_of_val(&self.as_path[..]));
     }
 
     /// Add a community, keeping the list sorted and deduped.
     pub fn add_community(&mut self, c: Community) {
         if let Err(pos) = self.communities.binary_search(&c) {
-            let mut v = self.communities.to_vec();
-            v.insert(pos, c);
-            note_clone_bytes(std::mem::size_of_val(&v[..]));
-            self.communities = CommunitySet::from(v);
+            let (head, tail) = self.communities.split_at(pos);
+            self.communities = head.iter().chain(&[c]).chain(tail).copied().collect();
+            note_clone_bytes(std::mem::size_of_val(&self.communities[..]));
         }
     }
 
     /// Remove a community if present.
     pub fn remove_community(&mut self, c: Community) {
         if let Ok(pos) = self.communities.binary_search(&c) {
-            let mut v = self.communities.to_vec();
-            v.remove(pos);
-            note_clone_bytes(std::mem::size_of_val(&v[..]));
-            self.communities = CommunitySet::from(v);
+            let (head, tail) = (&self.communities[..pos], &self.communities[pos + 1..]);
+            self.communities = head.iter().chain(tail).copied().collect();
+            note_clone_bytes(std::mem::size_of_val(&self.communities[..]));
         }
     }
 
@@ -509,51 +416,47 @@ mod tests {
     }
 
     #[test]
-    fn interning_gives_equal_ids_for_equal_content() {
+    fn sequences_compare_and_hash_by_content() {
+        use std::collections::hash_map::DefaultHasher;
+        use std::hash::Hasher;
+        let hash = |p: &AsPath| {
+            let mut h = DefaultHasher::new();
+            p.hash(&mut h);
+            h.finish()
+        };
         let a = AsPath::from(vec![Asn(1), Asn(2), Asn(3)]);
         let b = AsPath::from(vec![Asn(1), Asn(2), Asn(3)]);
         let c = AsPath::from(vec![Asn(3), Asn(2), Asn(1)]);
-        assert_eq!(a.attr_id(), b.attr_id());
+        // Built apart: separate storage, equal content.
+        assert!(!Arc::ptr_eq(&a.0, &b.0));
         assert_eq!(a, b);
-        assert_ne!(a.attr_id(), c.attr_id());
+        assert_eq!(hash(&a), hash(&b));
         assert_ne!(a, c);
-        // Equal content shares storage — cloning is a pointer bump.
-        assert!(Arc::ptr_eq(&a.seq, &b.seq));
-        assert!(Arc::ptr_eq(&a.seq, &a.clone().seq));
+        // Cloning is a pointer bump.
+        assert!(Arc::ptr_eq(&a.0, &a.clone().0));
     }
 
     #[test]
-    fn attr_id_tracks_both_sequences() {
-        let mut a = PathAttributes::default();
-        let base = a.attr_id();
-        assert_eq!(a.attr_id(), PathAttributes::default().attr_id());
-        a.prepend(Asn(7), 1);
-        assert_ne!(a.attr_id().0, base.0);
-        assert_eq!(a.attr_id().1, base.1);
+    fn edits_build_new_sequences_and_leave_clones_alone() {
+        let mut a = PathAttributes::originated([Community(5)]);
+        let before = a.clone();
+        a.prepend(Asn(7), 2);
         a.add_community(Community(9));
-        assert_ne!(a.attr_id().1, base.1);
-        // Undoing the community edit returns to the original interned set.
+        assert_eq!(a.as_path, vec![Asn(7), Asn(7)]);
+        assert_eq!(a.communities, vec![Community(5), Community(9)]);
+        assert!(before.as_path.is_empty());
+        assert_eq!(before.communities, vec![Community(5)]);
+        // Undoing the community edit returns to equal content.
         a.remove_community(Community(9));
-        assert_eq!(a.attr_id().1, base.1);
+        assert_eq!(a.communities, before.communities);
     }
 
     #[test]
-    fn interned_serde_roundtrips_by_content() {
+    fn serde_roundtrips_by_content() {
         let mut a = PathAttributes::originated([Community(5)]);
         a.prepend(Asn(42), 2);
         let v = a.serialize();
         let back = PathAttributes::deserialize(&v).expect("roundtrip");
         assert_eq!(back, a);
-        assert_eq!(back.attr_id(), a.attr_id());
-    }
-
-    #[test]
-    fn intern_stats_grow_monotonically() {
-        let before = intern_stats();
-        // A sequence nobody else interns (u32 MAX-ish ASNs).
-        let _p = AsPath::from(vec![Asn(u32::MAX), Asn(u32::MAX - 1)]);
-        let after = intern_stats();
-        assert!(after.as_paths > before.as_paths);
-        assert!(after.community_sets >= before.community_sets);
     }
 }

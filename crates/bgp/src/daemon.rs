@@ -1014,7 +1014,7 @@ impl BgpDaemon {
                     }
                 }
                 // The table detects unchanged advertisements cheaply
-                // (interned attr ids + scalars) and returns its canonical
+                // (scalars + short shared slices) and returns its canonical
                 // shared body on change — most peers export the same
                 // post-policy attrs, so the body `desired_advertisement`
                 // hands back is dropped in favor of one fanned out across

@@ -227,7 +227,7 @@ impl Policy {
     /// The zero-copy counterpart of [`Policy::apply`] for the daemon's hot
     /// import/export path: a rule-less policy passes the `Arc` straight
     /// through, and a policy whose actions leave the attributes unchanged
-    /// (equality is cheap — interned ids plus scalars) returns the input
+    /// (equality is cheap — scalars plus short shared slices) returns the input
     /// allocation instead of minting a new one.
     pub fn apply_shared(
         &self,

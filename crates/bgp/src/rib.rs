@@ -110,8 +110,8 @@ impl RibFootprint {
         self.peer_refs += fan.peers.len();
         self.bytes += std::mem::size_of::<Prefix>() + std::mem::size_of::<Fan>();
         self.bytes += fan.classes.capacity() * std::mem::size_of::<CanonClass>();
-        // One shared body per class; the interned sequences inside it are
-        // process-global and accounted by the interner gauges.
+        // One shared body per class; the AS-path and community slices inside
+        // it are shared with other routes and not counted here.
         self.bytes += fan.classes.len() * std::mem::size_of::<PathAttributes>();
         if fan.peers.spilled() {
             self.bytes += fan.peers.len() * std::mem::size_of::<PeerRef>();
@@ -173,7 +173,8 @@ impl Fan {
     /// Class index whose body is content-equal to `attrs`, interning a new
     /// class when none matches. Bumps the refcount.
     fn intern(&mut self, attrs: &Arc<PathAttributes>) -> u32 {
-        // Content equality is cheap: interned sequence ids plus scalars.
+        // Content equality is cheap: scalars plus short slices, which a
+        // pointer compare settles when the bodies share them.
         if let Some(i) = self.classes.iter().position(|c| *c.attrs == **attrs) {
             self.classes[i].refs += 1;
             return i as u32;
@@ -267,7 +268,7 @@ pub struct AdjRibIn {
 impl AdjRibIn {
     /// Insert or replace the route for `(peer, prefix)`. Returns whether the
     /// stored state changed — an identical re-announcement (cheap to detect:
-    /// interned attribute ids plus scalars) is a no-op the caller can skip
+    /// scalars plus short shared slices) is a no-op the caller can skip
     /// re-running decisions for. A route without a learning session has no
     /// `(peer, prefix)` slot and is rejected as a typed error.
     pub fn insert(&mut self, route: Route) -> Result<bool, LocalRouteError> {

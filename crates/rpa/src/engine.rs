@@ -15,6 +15,7 @@ use crate::path_selection::{MinNextHop, PathSelectionRpa};
 use crate::route_attribute::RouteAttributeRpa;
 use crate::route_filter::RouteFilterRpa;
 use crate::signature::{CompiledSignature, Destination};
+use centralium_bgp::attrs::{AsPath, CommunitySet};
 use centralium_bgp::{PeerId, Prefix, RibPolicy, Route, Selection};
 use centralium_telemetry::{span, Counter, EventKind, Histogram, Severity, Telemetry};
 use centralium_topology::Asn;
@@ -103,12 +104,13 @@ pub struct RpaEngine {
     /// Simulated time used for Route Attribute expiry.
     now: u64,
     cache_enabled: bool,
-    /// Memoized signature verdicts keyed `(sig_id, as_path id, community-set
-    /// id)` — the attribute-table ids cover everything a path signature can
+    /// Memoized signature verdicts keyed `(sig_id, AS-path, community set)`,
+    /// by content — the two sequences cover everything a path signature can
     /// observe (see [`CompiledSignature::matches`]), so the key is exact: no
     /// fingerprint collisions, and routes differing only in decision-process
-    /// attributes (local-pref, MED, learning session) share one entry.
-    cache: Mutex<HashMap<(u32, u64, u64), bool>>,
+    /// attributes (local-pref, MED, learning session) share one entry. A key
+    /// shares its sequences with the route it came from.
+    cache: Mutex<HashMap<(u32, AsPath, CommunitySet), bool>>,
     /// Per-prefix native-guard memo from the most recent `select_paths`
     /// evaluation (the daemon always calls `select_paths` before
     /// `native_min_nexthop` within one decision).
@@ -419,8 +421,11 @@ impl RpaEngine {
             self.stats.lock().uncached_evals += 1;
             return sig.matches(route);
         }
-        let (path_id, comm_id) = route.attrs.attr_id();
-        let key = (sig.sig_id, path_id, comm_id);
+        let key = (
+            sig.sig_id,
+            route.attrs.as_path.clone(),
+            route.attrs.communities.clone(),
+        );
         if let Some(&hit) = self.cache.lock().get(&key) {
             self.stats.lock().cache_hits += 1;
             if let Some(tel) = self.telemetry.0.as_deref() {
@@ -923,10 +928,10 @@ mod tests {
     }
 
     #[test]
-    fn cache_keys_on_attr_ids_not_learning_session() {
-        // Path signatures observe only the interned AS-path and community
-        // set, so routes differing in learning session / local-pref must
-        // share one cache entry each per signature.
+    fn cache_keys_on_sequences_not_learning_session() {
+        // Path signatures observe only the AS-path and community set, so
+        // routes differing in learning session / local-pref must share one
+        // cache entry each per signature.
         let mut e = RpaEngine::new();
         e.install(equalize_doc()).unwrap();
         let c = well_known::BACKBONE_DEFAULT_ROUTE;
@@ -938,6 +943,57 @@ mod tests {
         let after = e.stats();
         assert_eq!(after.cache_misses, warm.cache_misses, "no new misses");
         assert!(after.cache_hits > warm.cache_hits);
+    }
+
+    #[test]
+    fn cache_key_is_sequence_content_not_storage() {
+        let c = well_known::BACKBONE_DEFAULT_ROUTE;
+        // Every route builds its own sequences: equal content, never
+        // shared storage.
+        let built = |peer: u64, path: Vec<Asn>| {
+            let attrs = PathAttributes {
+                as_path: AsPath::from(path),
+                communities: CommunitySet::from(vec![c]),
+                ..PathAttributes::default()
+            };
+            Route::learned(Prefix::DEFAULT, attrs, PeerId(peer))
+        };
+        let mut e = RpaEngine::new();
+        e.install(equalize_doc()).unwrap();
+        let counts = |e: &RpaEngine| (e.stats().cache_hits, e.stats().cache_misses);
+
+        e.select_paths(Prefix::DEFAULT, &[built(1, vec![Asn(101), Asn(60000)])]);
+        assert_eq!(counts(&e), (0, 1), "first evaluation misses");
+        e.select_paths(Prefix::DEFAULT, &[built(2, vec![Asn(101), Asn(60000)])]);
+        assert_eq!(counts(&e), (1, 1), "an equal path built apart hits");
+        e.select_paths(Prefix::DEFAULT, &[built(3, vec![Asn(102), Asn(60000)])]);
+        assert_eq!(counts(&e), (1, 2), "one ASN apart misses");
+
+        // A second document's verdicts join the cache, and removing it drops
+        // exactly those.
+        e.install(RpaDocument::RouteAttribute(RouteAttributeRpa::single(
+            "te",
+            RouteAttributeStatement::new(
+                Destination::Any,
+                vec![NextHopWeight {
+                    signature: PathSignature::originated_by(Asn(60000)),
+                    weight: 2,
+                }],
+            ),
+        )))
+        .unwrap();
+        e.assign_weights(Prefix::DEFAULT, &[built(4, vec![Asn(101), Asn(60000)])]);
+        assert_eq!(e.cache.lock().len(), 3);
+        let kept = e.docs[0].sig_range;
+        e.remove("te").unwrap();
+        let cache = e.cache.lock();
+        assert_eq!(cache.len(), 2);
+        assert!(cache
+            .keys()
+            .all(|(sig, _, _)| (kept.0..kept.1).contains(sig)));
+        drop(cache);
+        e.select_paths(Prefix::DEFAULT, &[built(5, vec![Asn(102), Asn(60000)])]);
+        assert_eq!(counts(&e), (2, 3), "the surviving document stays warm");
     }
 
     #[test]

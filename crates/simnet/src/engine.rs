@@ -1022,9 +1022,8 @@ impl SimNet {
             .set(self.max_batch_size as i64);
         // Memory accounting, sampled at the same phase boundary: real
         // adjacency-RIB footprints from the fan-in-compressed tables
-        // (canonical bodies + peer refs; interned attribute payloads are
-        // counted separately), interner table sizes, and what the
-        // scheduler and per-device arenas actually hold. The byte gauges
+        // (canonical bodies + peer refs; the AS-path and community slices
+        // the bodies share are not counted), and what the scheduler and per-device arenas actually hold. The byte gauges
         // are *capacity*-based — calendar bucket arrays and arena slot
         // vectors keep their allocations across windows, and that retained
         // capacity (not the momentary occupancy) is what a memory budget
@@ -1036,11 +1035,6 @@ impl SimNet {
             .set((rib_in_fp.canonical_routes + rib_out_fp.canonical_routes) as i64);
         m.gauge("bgp.peer_refs")
             .set((rib_in_fp.peer_refs + rib_out_fp.peer_refs) as i64);
-        let interns = centralium_bgp::attrs::intern_stats();
-        m.gauge("mem.interner.as_paths")
-            .set(interns.as_paths as i64);
-        m.gauge("mem.interner.community_sets")
-            .set(interns.community_sets as i64);
         m.gauge("mem.event_queue_hwm")
             .set(self.queue.high_water_mark() as i64);
         m.gauge("mem.event_queue_bytes")

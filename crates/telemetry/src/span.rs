@@ -12,8 +12,8 @@
 //! whoever joins it may run before its thread-local destructor does.
 //!
 //! The sink is process-global rather than per-[`Telemetry`](crate::Telemetry)
-//! handle for the same reason the attribute interner is: threading a handle
-//! through every call frame would cost more than the measurement itself.
+//! handle because threading a handle through every call frame would cost
+//! more than the measurement itself.
 //!
 //! [`export_chrome_trace`] renders the drained records in Chrome Trace
 //! Event Format (an object with a `traceEvents` array of complete `"X"`
