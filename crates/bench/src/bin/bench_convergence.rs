@@ -21,8 +21,8 @@
 //! fabric. `--fabric` names an explicit comma-separated tier list from
 //! `tiny`/`default`/`large`/`2k`/`xl`/`xxl` — the last three are the
 //! paper-scale three-tier fabrics (2,036 / 10,308 / 100,420 devices) that
-//! exercise the arena storage, the calendar-queue scheduler and the
-//! fan-in-compressed Adj-RIBs; scale tiers cap the iteration count
+//! exercise the arena storage, the calendar-queue scheduler and the flat
+//! adjacency-RIB tables; scale tiers cap the iteration count
 //! (printed, never silent; `xxl` runs a single iteration) so a full pass
 //! stays tractable. `--json FILE` writes the machine-readable report
 //! (BENCH_convergence.json by convention). `--baseline FILE` compares the
@@ -112,12 +112,11 @@ struct Episode {
     /// VmRSS at the same instant (post-trim), for context: includes
     /// whatever fragmentation the episode's churn left behind.
     quiescent_rss_bytes: u64,
-    /// Fan-in-compressed adjacency-RIB footprints at quiescence, straight
-    /// from the `mem.adj_rib_{in,out}_bytes` / `bgp.canonical_routes` /
-    /// `bgp.peer_refs` gauges — the structural slice of the RSS budget.
+    /// Adjacency-RIB footprints at quiescence, straight from the
+    /// `mem.adj_rib_{in,out}_bytes` / `bgp.peer_refs` gauges — the
+    /// structural slice of the RSS budget.
     adj_rib_in_bytes: u64,
     adj_rib_out_bytes: u64,
-    canonical_routes: u64,
     peer_refs: u64,
 }
 
@@ -216,7 +215,6 @@ fn episode(spec: &TierSpec, stepped: bool) -> Episode {
         quiescent_rss_bytes,
         adj_rib_in_bytes: snap.gauge("mem.adj_rib_in_bytes").max(0) as u64,
         adj_rib_out_bytes: snap.gauge("mem.adj_rib_out_bytes").max(0) as u64,
-        canonical_routes: snap.gauge("bgp.canonical_routes").max(0) as u64,
         peer_refs: snap.gauge("bgp.peer_refs").max(0) as u64,
     }
 }
@@ -374,7 +372,6 @@ fn main() -> ExitCode {
             "quiescent_kb_per_device": kb_per_device,
             "adj_rib_in_bytes": ep.adj_rib_in_bytes,
             "adj_rib_out_bytes": ep.adj_rib_out_bytes,
-            "canonical_routes": ep.canonical_routes,
             "peer_refs": ep.peer_refs,
             "attr_clone_bytes": ep.attr_clone_bytes,
             "batches_delivered": ep.batches_delivered,

@@ -227,12 +227,11 @@ fn diagnose(label: &str, spec: &TierSpec, iters: usize) -> Diagnosis {
     let peak_rss = peak_rss_bytes().unwrap_or(0);
     println!(
         "  memory:   adj-rib-in {} KB / adj-rib-out {} KB \
-         ({} canonical routes fanned to {} peer refs), \
+         ({} peer refs), \
          event-queue HWM {} ({} KB buckets), device arenas {} KB, \
          process peak RSS {:.1} MB",
         snap.gauge("mem.adj_rib_in_bytes") / 1024,
         snap.gauge("mem.adj_rib_out_bytes") / 1024,
-        snap.gauge("bgp.canonical_routes"),
         snap.gauge("bgp.peer_refs"),
         snap.gauge("mem.event_queue_hwm"),
         snap.gauge("mem.event_queue_bytes") / 1024,
@@ -267,7 +266,6 @@ fn diagnose(label: &str, spec: &TierSpec, iters: usize) -> Diagnosis {
         "mem": {
             "adj_rib_in_bytes": snap.gauge("mem.adj_rib_in_bytes"),
             "adj_rib_out_bytes": snap.gauge("mem.adj_rib_out_bytes"),
-            "canonical_routes": snap.gauge("bgp.canonical_routes"),
             "peer_refs": snap.gauge("bgp.peer_refs"),
             "event_queue_hwm": snap.gauge("mem.event_queue_hwm"),
             "event_queue_bytes": snap.gauge("mem.event_queue_bytes"),

@@ -352,8 +352,8 @@ impl BgpDaemon {
             };
             let base = export_base(&self.cfg, &self.peers, entry, route);
             if let Some(attrs) = desired_advertisement(route, &base, session, policy) {
-                if let Some(canon) = self.adj_rib_out.advertise(peer, prefix, attrs) {
-                    out.announced.push((prefix, canon));
+                if let Some(attrs) = self.adj_rib_out.advertise(peer, prefix, attrs) {
+                    out.announced.push((prefix, attrs));
                 }
             }
         }
@@ -591,8 +591,7 @@ impl BgpDaemon {
     }
 
     /// Occupancy/byte footprints of the adjacency RIBs `(in, out)`, for the
-    /// `mem.adj_rib_{in,out}_bytes` and `bgp.canonical_routes`/
-    /// `bgp.peer_refs` gauges.
+    /// `mem.adj_rib_{in,out}_bytes` and `bgp.peer_refs` gauges.
     pub fn rib_footprints(&self) -> (RibFootprint, RibFootprint) {
         (self.adj_rib_in.footprint(), self.adj_rib_out.footprint())
     }
@@ -1014,16 +1013,15 @@ impl BgpDaemon {
                     }
                 }
                 // The table detects unchanged advertisements cheaply
-                // (scalars + short shared slices) and returns its canonical
-                // shared body on change — most peers export the same
-                // post-policy attrs, so the body `desired_advertisement`
-                // hands back is dropped in favor of one fanned out across
-                // the peer set, on the wire included.
+                // (scalars + short shared slices) and hands `want` back on
+                // change. Under a pass-through export policy `want` is the
+                // base `Arc` itself, so every session's table slot and
+                // UPDATE share one body.
                 Some(want) => {
-                    if let Some(canon) = self.adj_rib_out.advertise(peer, prefix, want) {
+                    if let Some(want) = self.adj_rib_out.advertise(peer, prefix, want) {
                         update_for(out, &mut cursor, peer)
                             .announced
-                            .push((prefix, canon));
+                            .push((prefix, want));
                     }
                 }
             }
@@ -1096,7 +1094,8 @@ fn effective_capacity(peers: &FlatMap<PeerId, PeerState>, entry: &LocRibEntry) -
 /// `entry`'s advertised `route` after export transformation (own-ASN
 /// prepend, WCMP bandwidth relay). One deep clone per *export* — the
 /// exported attrs genuinely differ from the stored route's — shared across
-/// the whole peer fan-out as a canonical `Arc`.
+/// the whole peer fan-out as one `Arc`. The adjacency RIBs share bodies
+/// through this `Arc`; none of them interns bodies by content.
 fn export_base(
     cfg: &DaemonConfig,
     peers: &FlatMap<PeerId, PeerState>,
@@ -1176,6 +1175,26 @@ mod tests {
             assert_eq!(upd.announced.len(), 1);
             // Exported with our ASN prepended.
             assert_eq!(upd.announced[0].1.as_path, vec![Asn(1)]);
+        }
+    }
+
+    #[test]
+    fn one_export_pass_announces_one_body_to_every_session() {
+        let mut d = daemon(1);
+        for peer in 1..=8 {
+            connect(&mut d, peer * 10, 100 + peer as u32);
+        }
+        let out = d.originate(p("10.0.0.0/8"), PathAttributes::default(), &NativePolicy);
+        assert_eq!(out.len(), 8);
+        let first = &out[0].1.announced[0].1;
+        for (peer, upd) in &out {
+            let body = &upd.announced[0].1;
+            assert!(
+                Arc::ptr_eq(body, first),
+                "pass-through export policies share the base body"
+            );
+            let held = d.adj_rib_out.attrs(*peer, p("10.0.0.0/8")).unwrap();
+            assert!(Arc::ptr_eq(held, first), "the table holds the sent body");
         }
     }
 

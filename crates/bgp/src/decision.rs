@@ -14,7 +14,6 @@
 //! Locally-originated routes always win (empty AS-path + step 5 never
 //! reached against a local route).
 
-use crate::inline::InlineVec;
 use crate::rib::Route;
 use std::cmp::Ordering;
 
@@ -80,19 +79,17 @@ pub fn best_route(candidates: &[Route]) -> Option<&Route> {
 
 /// Native multipath selection: all candidates whose preference key equals the
 /// best route's. Returns indices into `candidates` in input order (stable),
-/// so callers can zip with per-candidate metadata. The index set lives inline
-/// (no heap allocation) up to 8 equal-cost paths, and each preference key is
-/// extracted exactly once.
-pub fn multipath_set(candidates: &[Route]) -> InlineVec<usize, 8> {
-    let prefs: InlineVec<PathPreference, 8> = candidates.iter().map(PathPreference::of).collect();
-    let Some(best) = prefs.iter().copied().max_by(|a, b| a.compare(b)) else {
-        return InlineVec::new();
-    };
-    prefs
+/// so callers can zip with per-candidate metadata.
+pub fn multipath_set(candidates: &[Route]) -> Vec<usize> {
+    let Some(best) = candidates
         .iter()
-        .enumerate()
-        .filter(|(_, p)| p.multipath_equal(&best))
-        .map(|(i, _)| i)
+        .map(PathPreference::of)
+        .max_by(|a, b| a.compare(b))
+    else {
+        return Vec::new();
+    };
+    (0..candidates.len())
+        .filter(|&i| PathPreference::of(&candidates[i]).multipath_equal(&best))
         .collect()
 }
 

@@ -1,8 +1,9 @@
 //! A sorted flat map for small per-device tables.
 //!
 //! Every device in a simulated fabric carries a handful of keyed tables —
-//! peers, Loc-RIB entries, adjacency-RIB fans — that hold between one and a
-//! few hundred entries. `BTreeMap` pays for its first entry with a full
+//! peers, Loc-RIB entries, adjacency-RIB prefixes and their per-session
+//! tables — that hold between one and a few hundred entries. `BTreeMap`
+//! pays for its first entry with a full
 //! 11-slot node (0.6–1.2 KB for these value types); across 100k devices and
 //! four tables per device that overhead alone is hundreds of MB, dwarfing
 //! the entries themselves. [`FlatMap`] stores the entries as one sorted
@@ -160,6 +161,11 @@ impl<K: Ord + Copy, V> FlatMap<K, V> {
     /// `(key, value)` pairs in ascending key order.
     pub fn iter(&self) -> impl Iterator<Item = (&K, &V)> {
         self.entries.iter().map(|(k, v)| (k, v))
+    }
+
+    /// The entries as one slice, in ascending key order.
+    pub fn as_slice(&self) -> &[(K, V)] {
+        &self.entries
     }
 
     /// Heap bytes held by the entry storage itself (capacity-based; the

@@ -21,7 +21,6 @@
 //! * [`types`] — prefixes, peer/session ids;
 //! * [`attrs`] — path attributes: AS-path, local-pref, MED, communities,
 //!   link-bandwidth;
-//! * [`inline`] — small-vector inline storage for decision-process scratch;
 //! * [`msg`] — OPEN / UPDATE / KEEPALIVE / NOTIFICATION messages;
 //! * [`session`] — a minimal session FSM (Idle → OpenSent → Established);
 //! * [`policy`] — classic import/export route policy (match / action rules);
@@ -36,7 +35,6 @@ pub mod daemon;
 pub mod decision;
 pub mod flat;
 pub mod hooks;
-pub mod inline;
 pub mod msg;
 pub mod policy;
 pub mod rib;
@@ -49,7 +47,6 @@ pub use centralium_topology::Asn;
 pub use daemon::{BgpDaemon, DaemonConfig, FibEntry, PeerConfig};
 pub use decision::{compare_routes, multipath_set, PathPreference};
 pub use hooks::{AdvertiseChoice, NativePolicy, RibPolicy, Selection};
-pub use inline::InlineVec;
 pub use msg::{BgpMessage, UpdateMessage};
 pub use policy::{Action, MatchExpr, Policy, PolicyRule, PolicyVerdict};
 pub use rib::{AdjRibIn, AdjRibOut, LocRibEntry, LocalRouteError, RibFootprint, Route};

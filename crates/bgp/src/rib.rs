@@ -1,21 +1,18 @@
 //! Routing Information Bases: Adj-RIB-In, Loc-RIB and Adj-RIB-Out.
 //!
-//! Both adjacency RIBs are **fan-in compressed**: a prefix's state is one
-//! canonical-route table (one shared attribute body per distinct attribute
-//! class) plus a sorted small-vector of `(peer, class-index)` references.
-//! N neighbors announcing the same attributes cost one route body plus N
-//! 16-byte refs instead of N full routes — the difference between O(prefixes
-//! × neighbors) and O(prefixes × attr-classes) route bodies, which is what
-//! lets spine-layer devices with hundreds of sessions fit a per-device byte
-//! budget at 100k-device fabrics. Candidate gathering materializes `Route`
-//! values on the fly (an `Arc` bump per route, never a deep copy) in
-//! ascending session-id order — byte-identical to the per-peer slab layout
-//! this replaces, a property the proptest equivalence suite pins against a
-//! reference implementation of the old slab.
+//! Both adjacency RIBs hold, per prefix, a session-sorted table of
+//! `(peer, Arc<PathAttributes>)` — the per-destination `(route, peer)` table
+//! a speaker walks to gather candidates. Attribute bodies are shared, never
+//! interned: the export pass computes one body per prefix and hands the same
+//! `Arc` to every session's Adj-RIB-Out slot and UPDATE, and a pass-through
+//! import policy stores that `Arc` again on the receiving side. Content
+//! equality only detects an identical re-announcement. Candidate gathering
+//! materializes `Route` values on the fly (an `Arc` bump per route, never a
+//! deep copy) in ascending session-id order, a property the proptest
+//! equivalence suite pins against a plain `BTreeMap` slab.
 
 use crate::attrs::PathAttributes;
 use crate::flat::FlatMap;
-use crate::inline::InlineVec;
 use crate::types::{PeerId, Prefix};
 use serde::{Deserialize, Serialize};
 use std::fmt;
@@ -91,178 +88,95 @@ impl fmt::Display for LocalRouteError {
 impl std::error::Error for LocalRouteError {}
 
 /// Memory/occupancy summary of one adjacency RIB, for the `mem.*` and
-/// `bgp.canonical_routes`/`bgp.peer_refs` telemetry gauges.
+/// `bgp.peer_refs` telemetry gauges.
 #[derive(Debug, Clone, Copy, Default, PartialEq, Eq)]
 pub struct RibFootprint {
-    /// Canonical attribute-class bodies stored (post fan-in dedup).
-    pub canonical_routes: usize,
-    /// `(peer, class)` references stored — what [`AdjRibIn::len`] counts.
+    /// `(peer, body)` entries stored — what [`AdjRibIn::len`] counts.
     pub peer_refs: usize,
-    /// Estimated resident bytes: per-prefix fan structures (one flat-map
-    /// slot each), class tables (capacity-based), shared attribute bodies,
-    /// and spilled peer-ref storage.
+    /// Estimated resident bytes of the table storage: one flat-map slot per
+    /// prefix plus that prefix's session table (capacity-based). Attribute
+    /// bodies are shared with the sender and counted nowhere.
     pub bytes: usize,
 }
 
-impl RibFootprint {
-    fn absorb(&mut self, fan: &Fan) {
-        self.canonical_routes += fan.classes.len();
-        self.peer_refs += fan.peers.len();
-        self.bytes += std::mem::size_of::<Prefix>() + std::mem::size_of::<Fan>();
-        self.bytes += fan.classes.capacity() * std::mem::size_of::<CanonClass>();
-        // One shared body per class; the AS-path and community slices inside
-        // it are shared with other routes and not counted here.
-        self.bytes += fan.classes.len() * std::mem::size_of::<PathAttributes>();
-        if fan.peers.spilled() {
-            self.bytes += fan.peers.len() * std::mem::size_of::<PeerRef>();
-        }
-    }
+/// One prefix's state in either adjacency RIB: the body held per session,
+/// sorted by session id.
+type Fan = FlatMap<PeerId, Arc<PathAttributes>>;
+
+/// The storage both adjacency RIBs share.
+#[derive(Debug, Default, Clone)]
+struct Table {
+    prefixes: FlatMap<Prefix, Fan>,
+    /// `(peer, prefix)` entries across every prefix.
+    total: usize,
 }
 
-/// One canonical attribute class within a prefix's fan: the shared route
-/// body plus how many peer refs currently point at it.
-#[derive(Debug, Clone)]
-struct CanonClass {
-    attrs: Arc<PathAttributes>,
-    refs: u32,
-}
-
-/// A compact peer→class reference: 16 bytes per announcing session.
-#[derive(Debug, Clone, Copy, PartialEq, Eq)]
-struct PeerRef {
-    peer: PeerId,
-    class: u32,
-}
-
-impl Default for PeerRef {
-    fn default() -> Self {
-        PeerRef {
-            peer: PeerId(0),
-            class: 0,
-        }
-    }
-}
-
-/// Outcome of pointing a peer's ref at an attribute class.
-enum FanSet {
-    /// The peer already referenced a content-equal class; nothing changed.
-    Unchanged,
-    /// The peer's ref was inserted or retargeted.
-    Changed,
-}
-
-/// The per-prefix compressed fan shared by both adjacency RIBs: canonical
-/// classes in first-seen order, peer refs sorted by session id.
-///
-/// Invariants: `classes[i].refs` equals the number of peer refs with
-/// `class == i`; zero-ref classes are removed eagerly (with refs above the
-/// hole shifted down); `peers` is strictly sorted by `peer`.
-#[derive(Debug, Clone, Default)]
-struct Fan {
-    classes: Vec<CanonClass>,
-    peers: InlineVec<PeerRef, 4>,
-}
-
-impl Fan {
-    fn position(&self, peer: PeerId) -> Result<usize, usize> {
-        self.peers
-            .as_slice()
-            .binary_search_by_key(&peer, |r| r.peer)
+impl Table {
+    fn get(&self, peer: PeerId, prefix: Prefix) -> Option<&Arc<PathAttributes>> {
+        self.prefixes.get(&prefix)?.get(&peer)
     }
 
-    /// Class index whose body is content-equal to `attrs`, interning a new
-    /// class when none matches. Bumps the refcount.
-    fn intern(&mut self, attrs: &Arc<PathAttributes>) -> u32 {
+    /// Store `attrs` as `peer`'s body for `prefix`. Returns `false`, storing
+    /// nothing, when the peer already held content-equal attributes.
+    fn set(&mut self, peer: PeerId, prefix: Prefix, attrs: &Arc<PathAttributes>) -> bool {
+        let fan = self.prefixes.entry_or_default(prefix);
         // Content equality is cheap: scalars plus short slices, which a
         // pointer compare settles when the bodies share them.
-        if let Some(i) = self.classes.iter().position(|c| *c.attrs == **attrs) {
-            self.classes[i].refs += 1;
-            return i as u32;
+        if fan.get(&peer).is_some_and(|held| **held == **attrs) {
+            return false;
         }
-        self.classes.push(CanonClass {
-            attrs: Arc::clone(attrs),
-            refs: 1,
+        if fan.insert(peer, Arc::clone(attrs)).is_none() {
+            self.total += 1;
+        }
+        true
+    }
+
+    /// Drop `peer`'s body for `prefix`; returns whether one existed.
+    fn unset(&mut self, peer: PeerId, prefix: Prefix) -> bool {
+        let Some(fan) = self.prefixes.get_mut(&prefix) else {
+            return false;
+        };
+        if fan.remove(&peer).is_none() {
+            return false;
+        }
+        self.total -= 1;
+        if fan.is_empty() {
+            self.prefixes.remove(&prefix);
+        }
+        true
+    }
+
+    /// Drop every body held for `peer`, reporting each affected prefix in
+    /// ascending order.
+    fn flush_peer(&mut self, peer: PeerId, mut flushed: impl FnMut(Prefix)) {
+        let mut removed = 0;
+        self.prefixes.retain(|prefix, fan| {
+            if fan.remove(&peer).is_some() {
+                removed += 1;
+                flushed(*prefix);
+            }
+            !fan.is_empty()
         });
-        (self.classes.len() - 1) as u32
+        self.total -= removed;
     }
 
-    /// Drop one reference to `class`, removing the class (and shifting every
-    /// ref above the hole down) when it was the last.
-    fn release(&mut self, class: u32) {
-        let i = class as usize;
-        self.classes[i].refs -= 1;
-        if self.classes[i].refs == 0 {
-            self.classes.remove(i);
-            for r in self.peers.as_mut_slice() {
-                if r.class > class {
-                    r.class -= 1;
-                }
-            }
+    /// Allocation-free and O(1) per prefix: it runs over every RIB of the
+    /// fabric at each quiescence.
+    fn footprint(&self) -> RibFootprint {
+        let mut f = RibFootprint::default();
+        for fan in self.prefixes.values() {
+            f.peer_refs += fan.len();
+            f.bytes += std::mem::size_of::<Prefix>() + std::mem::size_of::<Fan>();
+            f.bytes += fan.table_bytes();
         }
-    }
-
-    /// Point `peer` at the class for `attrs`, interning/retargeting as
-    /// needed. Detects identical re-announcements without touching refcounts.
-    fn set(&mut self, peer: PeerId, attrs: &Arc<PathAttributes>) -> FanSet {
-        match self.position(peer) {
-            Ok(i) => {
-                let old = self.peers.as_slice()[i].class;
-                if *self.classes[old as usize].attrs == **attrs {
-                    return FanSet::Unchanged;
-                }
-                let new = self.intern(attrs);
-                self.peers.as_mut_slice()[i].class = new;
-                self.release(old);
-                FanSet::Changed
-            }
-            Err(i) => {
-                let class = self.intern(attrs);
-                self.peers.insert(i, PeerRef { peer, class });
-                FanSet::Changed
-            }
-        }
-    }
-
-    /// Remove `peer`'s ref if present; `true` when one existed.
-    fn unset(&mut self, peer: PeerId) -> bool {
-        match self.position(peer) {
-            Ok(i) => {
-                let r = self.peers.remove(i);
-                self.release(r.class);
-                true
-            }
-            Err(_) => false,
-        }
-    }
-
-    fn get(&self, peer: PeerId) -> Option<&Arc<PathAttributes>> {
-        let i = self.position(peer).ok()?;
-        Some(&self.classes[self.peers.as_slice()[i].class as usize].attrs)
-    }
-
-    fn len(&self) -> usize {
-        self.peers.len()
-    }
-
-    fn is_empty(&self) -> bool {
-        self.peers.is_empty()
-    }
-
-    /// `(peer, shared body)` pairs in ascending session-id order.
-    fn iter(&self) -> impl Iterator<Item = (PeerId, &Arc<PathAttributes>)> {
-        self.peers
-            .as_slice()
-            .iter()
-            .map(|r| (r.peer, &self.classes[r.class as usize].attrs))
+        f
     }
 }
 
-/// Per-peer received routes (after import policy, before path selection),
-/// fan-in compressed (see the module docs).
+/// Per-peer received routes (after import policy, before path selection).
 #[derive(Debug, Default, Clone)]
 pub struct AdjRibIn {
-    prefixes: FlatMap<Prefix, Fan>,
-    total: usize,
+    table: Table,
 }
 
 impl AdjRibIn {
@@ -277,41 +191,19 @@ impl AdjRibIn {
                 prefix: route.prefix,
             });
         };
-        let fan = self.prefixes.entry_or_default(route.prefix);
-        let had = fan.len();
-        let outcome = fan.set(peer, &route.attrs);
-        self.total += fan.len() - had;
-        Ok(matches!(outcome, FanSet::Changed))
+        Ok(self.table.set(peer, route.prefix, &route.attrs))
     }
 
     /// Remove the route for `(peer, prefix)`; returns whether one existed.
     pub fn remove(&mut self, peer: PeerId, prefix: Prefix) -> bool {
-        let Some(fan) = self.prefixes.get_mut(&prefix) else {
-            return false;
-        };
-        if !fan.unset(peer) {
-            return false;
-        }
-        self.total -= 1;
-        if fan.is_empty() {
-            self.prefixes.remove(&prefix);
-        }
-        true
+        self.table.unset(peer, prefix)
     }
 
     /// Remove every route learned from `peer`, returning the affected
     /// prefixes (used when a session drops).
     pub fn flush_peer(&mut self, peer: PeerId) -> Vec<Prefix> {
         let mut prefixes = Vec::new();
-        let mut removed = 0;
-        self.prefixes.retain(|prefix, fan| {
-            if fan.unset(peer) {
-                removed += 1;
-                prefixes.push(*prefix);
-            }
-            !fan.is_empty()
-        });
-        self.total -= removed;
+        self.table.flush_peer(peer, |prefix| prefixes.push(prefix));
         prefixes
     }
 
@@ -321,54 +213,47 @@ impl AdjRibIn {
     pub fn purge(&mut self, mut keep: impl FnMut(&Route) -> bool) -> Vec<Prefix> {
         let mut prefixes = Vec::new();
         let mut removed = 0;
-        self.prefixes.retain(|prefix, fan| {
-            // Judge every ref first (in peer order, like the old slab's
-            // `retain`), then drop rejects back-to-front so ref positions
-            // stay valid while classes are released.
-            let mut evict: Vec<usize> = Vec::new();
-            for (i, (peer, attrs)) in fan.iter().enumerate() {
-                let route = Route {
+        self.table.prefixes.retain(|prefix, fan| {
+            let before = fan.len();
+            fan.retain(|&peer, attrs| {
+                keep(&Route {
                     prefix: *prefix,
                     attrs: Arc::clone(attrs),
                     learned_from: Some(peer),
-                };
-                if !keep(&route) {
-                    evict.push(i);
-                }
-            }
-            if !evict.is_empty() {
-                for &i in evict.iter().rev() {
-                    let r = fan.peers.remove(i);
-                    fan.release(r.class);
-                }
-                removed += evict.len();
+                })
+            });
+            if fan.len() < before {
+                removed += before - fan.len();
                 prefixes.push(*prefix);
             }
             !fan.is_empty()
         });
-        self.total -= removed;
+        self.table.total -= removed;
         prefixes
     }
 
     /// All routes toward `prefix`, across peers, in ascending session-id
-    /// order. Routes are materialized on the fly from the canonical table —
-    /// each yielded `Route` costs one `Arc` bump.
+    /// order. Each yielded `Route` costs one `Arc` bump.
     pub fn routes_for(&self, prefix: Prefix) -> RoutesFor<'_> {
+        let entries = self
+            .table
+            .prefixes
+            .get(&prefix)
+            .map_or(&[][..], Fan::as_slice);
         RoutesFor {
             prefix,
-            fan: self.prefixes.get(&prefix),
-            i: 0,
+            entries: entries.iter(),
         }
     }
 
     /// Number of routes held for `prefix` (without materializing them).
     pub fn routes_for_len(&self, prefix: Prefix) -> usize {
-        self.prefixes.get(&prefix).map(Fan::len).unwrap_or(0)
+        self.table.prefixes.get(&prefix).map_or(0, Fan::len)
     }
 
     /// The route learned from `peer` for `prefix`, if any (materialized).
     pub fn route(&self, peer: PeerId, prefix: Prefix) -> Option<Route> {
-        let attrs = self.prefixes.get(&prefix)?.get(peer)?;
+        let attrs = self.table.get(peer, prefix)?;
         Some(Route {
             prefix,
             attrs: Arc::clone(attrs),
@@ -378,46 +263,33 @@ impl AdjRibIn {
 
     /// All distinct prefixes present.
     pub fn prefixes(&self) -> Vec<Prefix> {
-        self.prefixes.keys().copied().collect()
+        self.table.prefixes.keys().copied().collect()
     }
 
-    /// Total stored routes (peer refs).
+    /// Total stored routes.
     pub fn len(&self) -> usize {
-        self.total
+        self.table.total
     }
 
     /// Whether empty.
     pub fn is_empty(&self) -> bool {
-        self.total == 0
+        self.table.total == 0
     }
 
     /// Occupancy and byte-footprint summary for telemetry.
     pub fn footprint(&self) -> RibFootprint {
-        let mut f = RibFootprint::default();
-        for fan in self.prefixes.values() {
-            f.absorb(fan);
-        }
-        f
+        self.table.footprint()
     }
 }
 
 // Serialized as the flat route list in iteration order (prefix-major, peer
-// ascending); deserialization re-compresses. The wire shape is route-level,
-// so the fan layout can evolve without breaking stored snapshots.
+// ascending); deserialization re-inserts. The wire shape is route-level, so
+// the table layout can evolve without breaking stored snapshots.
 impl Serialize for AdjRibIn {
     fn serialize(&self) -> serde::Value {
-        let mut out = Vec::with_capacity(self.total);
-        for (prefix, fan) in self.prefixes.iter() {
-            for (peer, attrs) in fan.iter() {
-                out.push(
-                    Route {
-                        prefix: *prefix,
-                        attrs: Arc::clone(attrs),
-                        learned_from: Some(peer),
-                    }
-                    .serialize(),
-                );
-            }
+        let mut out = Vec::with_capacity(self.len());
+        for &prefix in self.table.prefixes.keys() {
+            out.extend(self.routes_for(prefix).map(|route| route.serialize()));
         }
         serde::Value::Array(out)
     }
@@ -438,48 +310,42 @@ impl Deserialize for AdjRibIn {
 /// id (the candidate-gathering order the decision process depends on).
 pub struct RoutesFor<'a> {
     prefix: Prefix,
-    fan: Option<&'a Fan>,
-    i: usize,
+    entries: std::slice::Iter<'a, (PeerId, Arc<PathAttributes>)>,
 }
 
 impl Iterator for RoutesFor<'_> {
     type Item = Route;
 
     fn next(&mut self) -> Option<Route> {
-        let fan = self.fan?;
-        let r = fan.peers.as_slice().get(self.i)?;
-        self.i += 1;
+        let (peer, attrs) = self.entries.next()?;
         Some(Route {
             prefix: self.prefix,
-            attrs: Arc::clone(&fan.classes[r.class as usize].attrs),
-            learned_from: Some(r.peer),
+            attrs: Arc::clone(attrs),
+            learned_from: Some(*peer),
         })
     }
 
     fn size_hint(&self) -> (usize, Option<usize>) {
-        let n =
-            self.fan.map(Fan::len).unwrap_or(0) - self.i.min(self.fan.map(Fan::len).unwrap_or(0));
-        (n, Some(n))
+        self.entries.size_hint()
     }
 }
 
 impl ExactSizeIterator for RoutesFor<'_> {}
 
-/// Per-peer advertised state, fan-out compressed: one canonical exported
-/// attribute body per class, fanned out to the set of peers it was sent to.
-/// The daemon's egress path exports the same post-policy attributes to most
-/// sessions, so a prefix advertised to N peers costs one body + N refs.
+/// Per-peer advertised state: the body last sent to each session. The
+/// daemon's export pass computes one body for every session and hands each
+/// the same `Arc`, so a prefix advertised to N peers costs one body plus N
+/// table slots.
 #[derive(Debug, Default, Clone)]
 pub struct AdjRibOut {
-    prefixes: FlatMap<Prefix, Fan>,
-    total: usize,
+    table: Table,
 }
 
 impl AdjRibOut {
     /// Record that `attrs` is now advertised to `peer` for `prefix`.
-    /// Returns the canonical shared body when the stored state changed (the
-    /// caller puts exactly that `Arc` on the wire, so in-flight UPDATEs
-    /// share the table's allocation), or `None` when the peer already held
+    /// Returns `attrs` itself when the stored state changed (the caller puts
+    /// exactly that `Arc` on the wire, so in-flight UPDATEs share the
+    /// table's allocation), or `None` when the peer already held
     /// content-equal attributes (nothing to send).
     pub fn advertise(
         &mut self,
@@ -487,47 +353,23 @@ impl AdjRibOut {
         prefix: Prefix,
         attrs: Arc<PathAttributes>,
     ) -> Option<Arc<PathAttributes>> {
-        let fan = self.prefixes.entry_or_default(prefix);
-        let had = fan.len();
-        let outcome = fan.set(peer, &attrs);
-        self.total += fan.len() - had;
-        match outcome {
-            FanSet::Unchanged => None,
-            FanSet::Changed => fan.get(peer).map(Arc::clone),
-        }
+        self.table.set(peer, prefix, &attrs).then_some(attrs)
     }
 
     /// Drop the advertisement state toward `peer` for `prefix`; returns
     /// whether one existed (i.e. whether a withdraw must be sent).
     pub fn withdraw(&mut self, peer: PeerId, prefix: Prefix) -> bool {
-        let Some(fan) = self.prefixes.get_mut(&prefix) else {
-            return false;
-        };
-        if !fan.unset(peer) {
-            return false;
-        }
-        self.total -= 1;
-        if fan.is_empty() {
-            self.prefixes.remove(&prefix);
-        }
-        true
+        self.table.unset(peer, prefix)
     }
 
     /// Drop all state toward `peer` (session removed or reset).
     pub fn flush_peer(&mut self, peer: PeerId) {
-        let mut removed = 0;
-        self.prefixes.retain(|_, fan| {
-            if fan.unset(peer) {
-                removed += 1;
-            }
-            !fan.is_empty()
-        });
-        self.total -= removed;
+        self.table.flush_peer(peer, |_| {});
     }
 
     /// What is currently advertised to `peer` for `prefix`, if anything.
     pub fn attrs(&self, peer: PeerId, prefix: Prefix) -> Option<&Arc<PathAttributes>> {
-        self.prefixes.get(&prefix)?.get(peer)
+        self.table.get(peer, prefix)
     }
 
     /// Everything advertised to `peer`, as `(prefix, shared body)` pairs in
@@ -536,39 +378,36 @@ impl AdjRibOut {
         &self,
         peer: PeerId,
     ) -> impl Iterator<Item = (Prefix, &Arc<PathAttributes>)> {
-        self.prefixes
+        self.table
+            .prefixes
             .iter()
-            .filter_map(move |(prefix, fan)| fan.get(peer).map(|attrs| (*prefix, attrs)))
+            .filter_map(move |(prefix, fan)| fan.get(&peer).map(|attrs| (*prefix, attrs)))
     }
 
-    /// Total advertised `(peer, prefix)` refs.
+    /// Total advertised `(peer, prefix)` entries.
     pub fn len(&self) -> usize {
-        self.total
+        self.table.total
     }
 
     /// Whether empty.
     pub fn is_empty(&self) -> bool {
-        self.total == 0
+        self.table.total == 0
     }
 
     /// Occupancy and byte-footprint summary for telemetry.
     pub fn footprint(&self) -> RibFootprint {
-        let mut f = RibFootprint::default();
-        for fan in self.prefixes.values() {
-            f.absorb(fan);
-        }
-        f
+        self.table.footprint()
     }
 }
 
 // Same route-level wire shape as `AdjRibIn`: `(peer, prefix, attrs)` triples
-// in iteration order, re-compressed on the way in.
+// in iteration order, re-inserted on the way in.
 impl Serialize for AdjRibOut {
     fn serialize(&self) -> serde::Value {
-        let mut out = Vec::with_capacity(self.total);
-        for (prefix, fan) in self.prefixes.iter() {
+        let mut out = Vec::with_capacity(self.len());
+        for (prefix, fan) in self.table.prefixes.iter() {
             for (peer, attrs) in fan.iter() {
-                out.push((peer, *prefix, Arc::clone(attrs)).serialize());
+                out.push((*peer, *prefix, Arc::clone(attrs)).serialize());
             }
         }
         serde::Value::Array(out)
@@ -690,59 +529,27 @@ mod tests {
     }
 
     #[test]
-    fn fan_in_shares_one_body_across_peers() {
+    fn routes_for_yields_stored_bodies_in_session_order() {
         let mut rib = AdjRibIn::default();
-        for peer in 1..=64 {
-            rib.insert(route(peer, "10.0.0.0/8")).unwrap();
+        let bodies: Vec<Arc<PathAttributes>> = (0..64)
+            .map(|_| Arc::new(PathAttributes::default()))
+            .collect();
+        // Arrival order is not session order.
+        for peer in (1..=64u64).rev() {
+            let r = Route::learned(
+                p("10.0.0.0/8"),
+                Arc::clone(&bodies[peer as usize - 1]),
+                PeerId(peer),
+            );
+            rib.insert(r).unwrap();
         }
-        let f = rib.footprint();
-        assert_eq!(f.peer_refs, 64);
-        assert_eq!(
-            f.canonical_routes, 1,
-            "64 identical announcements share one canonical body"
-        );
-        // The yielded routes all point at the same allocation.
+        assert_eq!(rib.footprint().peer_refs, 64);
         let all = routes(&rib, "10.0.0.0/8");
-        assert!(all
-            .windows(2)
-            .all(|w| Arc::ptr_eq(&w[0].attrs, &w[1].attrs)));
-        // Iteration order is ascending by session id.
         let peers: Vec<u64> = all.iter().map(|r| r.learned_from.unwrap().0).collect();
         assert_eq!(peers, (1..=64).collect::<Vec<_>>());
-    }
-
-    #[test]
-    fn class_release_remaps_refs() {
-        let mut rib = AdjRibIn::default();
-        // Three classes: peers 1-2 share class A, peer 3 holds class B,
-        // peer 4 holds class C.
-        let mut b = route(3, "10.0.0.0/8");
-        Arc::make_mut(&mut b.attrs).local_pref = 200;
-        let mut c = route(4, "10.0.0.0/8");
-        Arc::make_mut(&mut c.attrs).local_pref = 300;
-        rib.insert(route(1, "10.0.0.0/8")).unwrap();
-        rib.insert(route(2, "10.0.0.0/8")).unwrap();
-        rib.insert(b).unwrap();
-        rib.insert(c.clone()).unwrap();
-        assert_eq!(rib.footprint().canonical_routes, 3);
-        // Dropping peer 3's route removes class B; peer 4 must still
-        // resolve to its local_pref=300 body after the index shift.
-        assert!(rib.remove(PeerId(3), p("10.0.0.0/8")));
-        assert_eq!(rib.footprint().canonical_routes, 2);
-        assert_eq!(
-            rib.route(PeerId(4), p("10.0.0.0/8"))
-                .unwrap()
-                .attrs
-                .local_pref,
-            300
-        );
-        assert_eq!(
-            rib.route(PeerId(1), p("10.0.0.0/8"))
-                .unwrap()
-                .attrs
-                .local_pref,
-            PathAttributes::DEFAULT_LOCAL_PREF
-        );
+        for (r, body) in all.iter().zip(&bodies) {
+            assert!(Arc::ptr_eq(&r.attrs, body), "the stored Arc, not a copy");
+        }
     }
 
     #[test]
@@ -807,7 +614,7 @@ mod tests {
     }
 
     #[test]
-    fn serde_roundtrip_recompresses() {
+    fn serde_roundtrip_preserves_order_and_content() {
         let mut rib = AdjRibIn::default();
         for peer in 1..=8 {
             rib.insert(route(peer, "10.0.0.0/8")).unwrap();
@@ -822,34 +629,26 @@ mod tests {
             routes(&rib, "10.0.0.0/8"),
             "route-level wire shape preserves iteration order and content"
         );
-        assert_eq!(back.footprint().canonical_routes, 2);
     }
 
     #[test]
-    fn adj_rib_out_fans_out_one_body() {
+    fn advertise_returns_the_body_it_was_given() {
         let mut out = AdjRibOut::default();
-        let body = Arc::new(PathAttributes::default());
-        let first = out
-            .advertise(PeerId(1), p("0.0.0.0/0"), Arc::clone(&body))
-            .expect("new advertisement returns the canonical body");
-        for peer in 2..=32 {
-            // Fresh allocation per peer, as the export path produces.
-            let canon = out
-                .advertise(
-                    PeerId(peer),
-                    p("0.0.0.0/0"),
-                    Arc::new(PathAttributes::default()),
-                )
-                .expect("state changed");
-            assert!(
-                Arc::ptr_eq(&canon, &first),
-                "fan-out shares the first body seen"
-            );
+        for peer in 1..=32 {
+            let body = Arc::new(PathAttributes::default());
+            let sent = out
+                .advertise(PeerId(peer), p("0.0.0.0/0"), Arc::clone(&body))
+                .expect("a new advertisement changes the state");
+            assert!(Arc::ptr_eq(&sent, &body));
+            assert!(Arc::ptr_eq(
+                out.attrs(PeerId(peer), p("0.0.0.0/0")).unwrap(),
+                &body
+            ));
         }
-        let f = out.footprint();
-        assert_eq!(f.peer_refs, 32);
-        assert_eq!(f.canonical_routes, 1);
-        // Identical re-advertisement: nothing to send.
+        assert_eq!(out.footprint().peer_refs, 32);
+        // A content-equal re-advertisement in a fresh allocation: nothing to
+        // send, and the stored body stays.
+        let held = Arc::clone(out.attrs(PeerId(5), p("0.0.0.0/0")).unwrap());
         assert!(out
             .advertise(
                 PeerId(5),
@@ -857,6 +656,10 @@ mod tests {
                 Arc::new(PathAttributes::default())
             )
             .is_none());
+        assert!(Arc::ptr_eq(
+            out.attrs(PeerId(5), p("0.0.0.0/0")).unwrap(),
+            &held
+        ));
         assert!(out.withdraw(PeerId(5), p("0.0.0.0/0")));
         assert!(!out.withdraw(PeerId(5), p("0.0.0.0/0")));
         assert_eq!(out.len(), 31);

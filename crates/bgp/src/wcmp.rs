@@ -7,7 +7,6 @@
 //! set's bandwidth values into small integer weights (hardware hashes over
 //! integer replication counts, so values are reduced by their GCD and capped).
 
-use crate::inline::InlineVec;
 use crate::rib::Route;
 
 /// Maximum per-path integer weight after reduction, mirroring ASIC limits on
@@ -21,10 +20,6 @@ pub const MAX_WEIGHT: u32 = 64;
 ///   the minimum advertised bandwidth (conservative).
 /// * Weights are scaled to integers, reduced by their GCD, and capped at
 ///   [`MAX_WEIGHT`].
-///
-/// The scratch buffer stays inline for multipath sets of ≤ 8 next-hops, and
-/// a set without any bandwidth needs none; otherwise only the returned weight
-/// vector (which the Loc-RIB stores) touches the heap.
 pub fn derive_weights(selected: &[Route]) -> Vec<u32> {
     let bandwidths = || selected.iter().map(|r| r.attrs.link_bandwidth_gbps);
     if bandwidths().all(|b| b.is_none()) {
@@ -34,7 +29,7 @@ pub fn derive_weights(selected: &[Route]) -> Vec<u32> {
         .flatten()
         .fold(f64::INFINITY, f64::min)
         .max(f64::MIN_POSITIVE);
-    let raw: InlineVec<f64, 8> = bandwidths().map(|b| b.unwrap_or(min_bw).max(0.0)).collect();
+    let raw: Vec<f64> = bandwidths().map(|b| b.unwrap_or(min_bw).max(0.0)).collect();
     quantize(&raw)
 }
 

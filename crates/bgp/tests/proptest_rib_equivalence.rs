@@ -1,14 +1,15 @@
-//! Shadow-oracle equivalence: the fan-in-compressed `AdjRibIn` must be
-//! observationally identical to the per-peer slab layout it replaced.
+//! Model check: `AdjRibIn`'s per-prefix session table must be
+//! observationally identical to a plain `BTreeMap` slab.
 //!
-//! The reference implementation below IS the old slab — one full `Route`
-//! per (prefix, peer), kept sorted by session id — driven through random
-//! interleavings of announce / re-announce / withdraw / session-flush /
-//! purge across up to 64 peers. After every operation the two structures
-//! must agree on: per-operation return values, `len()` totals, per-prefix
-//! iteration order and content (which fixes candidate order, and with it
-//! every tie-break downstream), and the decision-process outcome
-//! (best route + multipath set) over the materialized candidates.
+//! The model below is the simplest correct Adj-RIB-In — one full `Route`
+//! per (prefix, peer) in a `BTreeMap<Prefix, Vec<Route>>`, each vector kept
+//! sorted by session id — driven through random interleavings of announce /
+//! re-announce / withdraw / session-flush / purge across up to 64 peers.
+//! After every operation the two must agree on: per-operation return
+//! values, `len()` totals, per-prefix iteration order and content (which
+//! fixes candidate order, and with it every tie-break downstream), and the
+//! decision-process outcome (best route + multipath set) over the
+//! materialized candidates.
 
 use centralium_bgp::decision::best_route;
 use centralium_bgp::rib::AdjRibIn;
@@ -18,8 +19,8 @@ use proptest::prelude::*;
 use std::collections::BTreeMap;
 use std::sync::Arc;
 
-/// The pre-compression Adj-RIB-In: a per-prefix `Vec<Route>` slab sorted by
-/// session id. Semantics transcribed from the replaced implementation.
+/// The model Adj-RIB-In: a per-prefix `Vec<Route>` slab sorted by session
+/// id.
 #[derive(Default)]
 struct SlabRib {
     routes: BTreeMap<Prefix, Vec<Route>>,
@@ -106,8 +107,10 @@ impl SlabRib {
     }
 }
 
-/// A small palette of distinct attribute classes; fan-in compression only
-/// pays off when peers repeat classes, so ops pick from few of them.
+/// A small palette of distinct attribute classes. Ops pick from few of them
+/// so peers often repeat one another's content, which exercises the
+/// content-equal re-announcement short-circuit and purges that hit many
+/// peers at once.
 fn class_attrs(class: u8) -> PathAttributes {
     let mut attrs = PathAttributes::default();
     attrs.prepend(Asn(900 + class as u32), 1);
@@ -141,22 +144,22 @@ fn arb_op() -> impl Strategy<Value = Op> {
     })
 }
 
-fn check_equivalent(compressed: &AdjRibIn, slab: &SlabRib) -> Result<(), TestCaseError> {
-    prop_assert_eq!(compressed.len(), slab.total, "total route counts");
-    prop_assert_eq!(compressed.is_empty(), slab.total == 0);
-    prop_assert_eq!(compressed.prefixes(), slab.prefixes(), "prefix sets");
+fn check_equivalent(rib: &AdjRibIn, slab: &SlabRib) -> Result<(), TestCaseError> {
+    prop_assert_eq!(rib.len(), slab.total, "total route counts");
+    prop_assert_eq!(rib.is_empty(), slab.total == 0);
+    prop_assert_eq!(rib.prefixes(), slab.prefixes(), "prefix sets");
     for name in PREFIXES {
         let prefix: Prefix = name.parse().unwrap();
-        let got: Vec<Route> = compressed.routes_for(prefix).collect();
+        let got: Vec<Route> = rib.routes_for(prefix).collect();
         let want = slab.routes_for(prefix);
         // Iteration order and content: the slab order IS the candidate
         // order the decision process consumes.
         prop_assert_eq!(&got, &want, "routes_for({}) order/content", name);
-        prop_assert_eq!(compressed.routes_for_len(prefix), want.len());
+        prop_assert_eq!(rib.routes_for_len(prefix), want.len());
         // Point lookups agree with the slab.
         for r in &want {
             let peer = r.learned_from.unwrap();
-            let held = compressed.route(peer, prefix);
+            let held = rib.route(peer, prefix);
             prop_assert_eq!(held.as_ref(), Some(r), "route({:?}, {})", peer, name);
         }
         // Decision outcomes over the materialized candidates: identical
@@ -183,20 +186,20 @@ proptest! {
     #![proptest_config(ProptestConfig::with_cases(128))]
 
     /// Random interleaved announce/withdraw/re-announce/flush/purge across
-    /// up to 64 peers: the compressed RIB and the slab reference must agree
+    /// up to 64 peers: the RIB and the slab model must agree
     /// on every return value and every observable after every step.
     #[test]
-    fn compressed_rib_is_observationally_equal_to_the_slab(
+    fn adj_rib_in_is_observationally_equal_to_the_slab(
         ops in proptest::collection::vec(arb_op(), 1..120)
     ) {
-        let mut compressed = AdjRibIn::default();
+        let mut rib = AdjRibIn::default();
         let mut slab = SlabRib::default();
         for op in ops {
             match op {
                 Op::Announce(peer, prefix, class) => {
                     let prefix: Prefix = PREFIXES[prefix as usize].parse().unwrap();
                     let attrs = Arc::new(class_attrs(class));
-                    let a = compressed
+                    let a = rib
                         .insert(Route::learned(prefix, Arc::clone(&attrs), PeerId(peer as u64)))
                         .expect("learned routes are always accepted");
                     let b = slab.insert(Route::learned(prefix, attrs, PeerId(peer as u64)));
@@ -204,62 +207,62 @@ proptest! {
                 }
                 Op::Withdraw(peer, prefix) => {
                     let prefix: Prefix = PREFIXES[prefix as usize].parse().unwrap();
-                    let a = compressed.remove(PeerId(peer as u64), prefix);
+                    let a = rib.remove(PeerId(peer as u64), prefix);
                     let b = slab.remove(PeerId(peer as u64), prefix);
                     prop_assert_eq!(a, b, "remove outcome for {:?}", op);
                 }
                 Op::Flush(peer) => {
-                    let a = compressed.flush_peer(PeerId(peer as u64));
+                    let a = rib.flush_peer(PeerId(peer as u64));
                     let b = slab.flush_peer(PeerId(peer as u64));
                     prop_assert_eq!(a, b, "flush_peer prefixes for {:?}", op);
                 }
                 Op::Purge(class) => {
                     let evict = Arc::new(class_attrs(class));
-                    let a = compressed.purge(|r| *r.attrs != *evict);
+                    let a = rib.purge(|r| *r.attrs != *evict);
                     let b = slab.purge(|r| *r.attrs != *evict);
                     prop_assert_eq!(a, b, "purge prefixes for {:?}", op);
                 }
             }
-            check_equivalent(&compressed, &slab)?;
+            check_equivalent(&rib, &slab)?;
         }
     }
 
     /// Serde round-trip at an arbitrary interleaving point reproduces the
     /// exact observable state (the wire shape is route-level, so the
-    /// re-compressed table must land where the original stood).
+    /// rebuilt table must land where the original stood).
     #[test]
     fn serde_roundtrip_preserves_observables(
         ops in proptest::collection::vec(arb_op(), 1..60)
     ) {
         use serde::{Deserialize, Serialize};
-        let mut compressed = AdjRibIn::default();
+        let mut rib = AdjRibIn::default();
         let mut slab = SlabRib::default();
         for op in ops {
             match op {
                 Op::Announce(peer, prefix, class) => {
                     let prefix: Prefix = PREFIXES[prefix as usize].parse().unwrap();
                     let attrs = Arc::new(class_attrs(class));
-                    let _ = compressed
+                    let _ = rib
                         .insert(Route::learned(prefix, Arc::clone(&attrs), PeerId(peer as u64)));
                     let _ = slab.insert(Route::learned(prefix, attrs, PeerId(peer as u64)));
                 }
                 Op::Withdraw(peer, prefix) => {
                     let prefix: Prefix = PREFIXES[prefix as usize].parse().unwrap();
-                    compressed.remove(PeerId(peer as u64), prefix);
+                    rib.remove(PeerId(peer as u64), prefix);
                     slab.remove(PeerId(peer as u64), prefix);
                 }
                 Op::Flush(peer) => {
-                    compressed.flush_peer(PeerId(peer as u64));
+                    rib.flush_peer(PeerId(peer as u64));
                     slab.flush_peer(PeerId(peer as u64));
                 }
                 Op::Purge(class) => {
                     let evict = Arc::new(class_attrs(class));
-                    compressed.purge(|r| *r.attrs != *evict);
+                    rib.purge(|r| *r.attrs != *evict);
                     slab.purge(|r| *r.attrs != *evict);
                 }
             }
         }
-        let restored = AdjRibIn::deserialize(&compressed.serialize()).unwrap();
+        let restored = AdjRibIn::deserialize(&rib.serialize()).unwrap();
         check_equivalent(&restored, &slab)?;
     }
 }

@@ -1007,10 +1007,8 @@ impl SimNet {
             loc_rib += dev.daemon.loc_rib_len() as i64;
             nhgs += dev.fib.nhg_stats().current_groups as i64;
             let (fin, fout) = dev.daemon.rib_footprints();
-            rib_in_fp.canonical_routes += fin.canonical_routes;
             rib_in_fp.peer_refs += fin.peer_refs;
             rib_in_fp.bytes += fin.bytes;
-            rib_out_fp.canonical_routes += fout.canonical_routes;
             rib_out_fp.peer_refs += fout.peer_refs;
             rib_out_fp.bytes += fout.bytes;
         }
@@ -1020,19 +1018,16 @@ impl SimNet {
         m.gauge("fib.nexthop_groups_total").set(nhgs);
         m.gauge("simnet.max_batch_size")
             .set(self.max_batch_size as i64);
-        // Memory accounting, sampled at the same phase boundary: real
-        // adjacency-RIB footprints from the fan-in-compressed tables
-        // (canonical bodies + peer refs; the AS-path and community slices
-        // the bodies share are not counted), and what the scheduler and per-device arenas actually hold. The byte gauges
-        // are *capacity*-based — calendar bucket arrays and arena slot
-        // vectors keep their allocations across windows, and that retained
-        // capacity (not the momentary occupancy) is what a memory budget
-        // must provision for.
+        // Memory accounting, sampled at the same phase boundary. The
+        // adjacency-RIB gauges count table storage only: the attribute
+        // bodies are shared with their senders and counted nowhere. The
+        // scheduler and arena gauges are *capacity*-based — calendar bucket
+        // arrays and arena slot vectors keep their allocations across
+        // windows, and that retained capacity (not the momentary occupancy)
+        // is what a memory budget must provision for.
         m.gauge("mem.adj_rib_in_bytes").set(rib_in_fp.bytes as i64);
         m.gauge("mem.adj_rib_out_bytes")
             .set(rib_out_fp.bytes as i64);
-        m.gauge("bgp.canonical_routes")
-            .set((rib_in_fp.canonical_routes + rib_out_fp.canonical_routes) as i64);
         m.gauge("bgp.peer_refs")
             .set((rib_in_fp.peer_refs + rib_out_fp.peer_refs) as i64);
         m.gauge("mem.event_queue_hwm")

@@ -16,7 +16,7 @@
 #                             fails; tiny only), the 2k memory-budget step,
 #                             the perf_report 2% instrumentation-overhead
 #                             gate, the nightly full-ladder run, and the
-#                             nightly xxl job (6 GiB ulimit + 8 live-KB/
+#                             nightly xxl job (6 GiB ulimit + 6.1 live-KB/
 #                             device gate).
 #
 # Run this on a quiet machine (wall-clock medians go straight into the
@@ -42,7 +42,7 @@ cargo run --release --locked -p centralium-bench --bin bench_convergence -- \
   ./target/release/bench_convergence --fabric 2k --iters 1 --json /dev/null )
 ( ulimit -v 6291456
   ./target/release/bench_convergence --fabric xxl \
-    --max-kb-per-device 8 --json /dev/null )
+    --max-kb-per-device 6.1 --json /dev/null )
 
 echo
 echo "done — commit BENCH_convergence.json"
