@@ -123,7 +123,7 @@ fn widest_prefixes(net: &SimNet) -> Vec<(String, u64)> {
     let mut by_prefix: std::collections::BTreeMap<String, u64> = Default::default();
     for id in net.device_ids() {
         let dev = net.device(id).expect("listed device exists");
-        for prefix in dev.daemon.known_prefixes() {
+        for (prefix, _) in dev.daemon.known() {
             *by_prefix.entry(prefix.to_string()).or_default() +=
                 dev.daemon.rib_in_count(prefix) as u64;
         }

@@ -130,6 +130,27 @@ pub struct FibEntry {
     pub warm: bool,
 }
 
+/// One known prefix's candidates as [`BgpDaemon::known`] hands them out: the
+/// bodies [`BgpDaemon::candidates`] would turn into routes (Adj-RIB-In on
+/// established sessions, plus the origination), borrowed in place.
+#[derive(Clone, Copy)]
+pub struct CandidateView<'a> {
+    daemon: &'a BgpDaemon,
+    learned: &'a [(PeerId, Arc<PathAttributes>)],
+    origination: Option<&'a PathAttributes>,
+}
+
+impl CandidateView<'_> {
+    /// Whether some candidate's body satisfies `pred`. A learned body's
+    /// session is looked up only once `pred` holds for it.
+    pub fn any(&self, mut pred: impl FnMut(&PathAttributes) -> bool) -> bool {
+        self.learned
+            .iter()
+            .any(|(peer, attrs)| pred(attrs) && self.daemon.is_established(*peer))
+            || self.origination.is_some_and(pred)
+    }
+}
+
 /// Telemetry binding of one speaker: disabled (and free) by default,
 /// attached by the host via [`BgpDaemon::set_telemetry`]. Boxed so an
 /// unbound daemon carries one pointer of overhead, and skipped during
@@ -550,11 +571,38 @@ impl BgpDaemon {
     /// Every prefix the speaker currently knows: held in Adj-RIB-In,
     /// locally originated, or installed in the Loc-RIB.
     pub fn known_prefixes(&self) -> Vec<Prefix> {
-        let mut prefixes: BTreeSet<Prefix> = BTreeSet::new();
-        prefixes.extend(self.adj_rib_in.prefixes());
-        prefixes.extend(self.originated.keys().copied());
-        prefixes.extend(self.loc_rib.keys().copied());
-        prefixes.into_iter().collect()
+        self.known().map(|(prefix, _)| prefix).collect()
+    }
+
+    /// Every known prefix, ascending and once each, with a borrowed view of
+    /// the candidates [`candidates`](Self::candidates) would build for it.
+    /// One merge of the three sorted tables (Adj-RIB-In, originations,
+    /// Loc-RIB keys): nothing is allocated, cloned or looked up per prefix.
+    pub fn known(&self) -> impl Iterator<Item = (Prefix, CandidateView<'_>)> {
+        let mut rib_in = self.adj_rib_in.tables().peekable();
+        let mut originated = self.originated.iter().peekable();
+        let mut loc_rib = self.loc_rib.keys().peekable();
+        std::iter::from_fn(move || {
+            let prefix = [
+                rib_in.peek().map(|(p, _)| *p),
+                originated.peek().map(|(p, _)| **p),
+                loc_rib.peek().map(|p| **p),
+            ]
+            .into_iter()
+            .flatten()
+            .min()?;
+            let view = CandidateView {
+                daemon: self,
+                learned: rib_in
+                    .next_if(|(p, _)| *p == prefix)
+                    .map_or(&[][..], |(_, table)| table),
+                origination: originated
+                    .next_if(|(p, _)| **p == prefix)
+                    .map(|(_, attrs)| &**attrs),
+            };
+            loc_rib.next_if(|p| **p == prefix);
+            Some((prefix, view))
+        })
     }
 
     // ---- inspection ----------------------------------------------------------
@@ -676,9 +724,8 @@ impl BgpDaemon {
     // ---- decision process ----------------------------------------------------
 
     /// Candidate routes for `prefix`: Adj-RIB-In routes on established
-    /// sessions plus any local origination (cloned). Public so hosts can
-    /// evaluate RPA destination scopes against the same candidate set the
-    /// decision process sees.
+    /// sessions plus any local origination (cloned). What selection takes;
+    /// [`known`](Self::known) borrows the same set without building it.
     pub fn candidates(&self, prefix: Prefix) -> Vec<Route> {
         let mut out: Vec<Route> = self
             .adj_rib_in
@@ -1631,6 +1678,88 @@ mod tests {
             &NativePolicy,
         );
         assert!(out.is_empty());
+    }
+
+    #[test]
+    fn the_known_walk_visits_every_table_and_borrows_the_candidate_set() {
+        use crate::attrs::Community;
+        let [c1, c2, c3] = [1, 2, 3].map(|n| Community::from_pair(65000, n));
+        let tagged = |path: &[u32], c: Community| {
+            let mut attrs = PathAttributes::originated([c]);
+            for asn in path.iter().rev() {
+                attrs.prepend(Asn(*asn), 1);
+            }
+            attrs
+        };
+        let mut d = daemon(1);
+        for (peer, asn) in [(10, 2), (20, 3), (30, 4)] {
+            connect(&mut d, peer, asn);
+        }
+        let rib_in_only = p("10.1.0.0/24");
+        let originated_only = p("10.2.0.0/24");
+        let overlapping = p("10.3.0.0/24");
+        let loc_rib_only = p("10.4.0.0/24");
+        let flushed = p("10.5.0.0/24");
+        for (peer, prefix, attrs) in [
+            (10, rib_in_only, tagged(&[2, 9], c1)),
+            (20, rib_in_only, tagged(&[3, 9], c2)),
+            (20, overlapping, tagged(&[3, 9], c1)),
+            (30, flushed, tagged(&[4, 9], c3)),
+        ] {
+            d.handle_update(
+                PeerId(peer),
+                UpdateMessage::announce(prefix, attrs),
+                &NativePolicy,
+            );
+        }
+        d.originate(originated_only, tagged(&[], c3), &NativePolicy);
+        d.originate(overlapping, tagged(&[], c2), &NativePolicy);
+        // A session taken down drops what it carried.
+        d.peer_down(PeerId(30), &NativePolicy);
+        // A session marked down with its routes still held: the state
+        // `candidates()` filters on.
+        d.peers.get_mut(&PeerId(20)).unwrap().established = false;
+        // A keep-warm entry no route backs any more.
+        let warm = Route::learned(loc_rib_only, tagged(&[2, 9], c1), PeerId(10));
+        d.loc_rib.insert(
+            loc_rib_only,
+            LocRibEntry {
+                selected: vec![warm],
+                weights: vec![1],
+                advertised: None,
+                fib_warm_only: true,
+            },
+        );
+
+        let mut expected: BTreeSet<Prefix> = d.adj_rib_in.tables().map(|(p, _)| p).collect();
+        expected.extend(d.originated.keys());
+        expected.extend(d.loc_rib.keys());
+        let expected: Vec<Prefix> = expected.into_iter().collect();
+        assert_eq!(
+            expected,
+            vec![rib_in_only, originated_only, overlapping, loc_rib_only]
+        );
+        assert_eq!(d.known_prefixes(), expected);
+        let walked: Vec<Prefix> = d.known().map(|(prefix, _)| prefix).collect();
+        assert_eq!(walked, expected, "ascending, once each");
+
+        let probes = [c1, c2, c3, Community::from_pair(65000, 4)];
+        for (prefix, view) in d.known() {
+            let candidates = d.candidates(prefix);
+            for c in probes {
+                assert_eq!(
+                    view.any(|attrs| attrs.has_community(c)),
+                    candidates.iter().any(|r| r.attrs.has_community(c)),
+                    "{prefix} probed for {c:?}"
+                );
+            }
+        }
+        // The views answer from what the sessions say, not from what the
+        // tables hold: session 20's bodies are held but are not candidates.
+        let (_, view) = d.known().find(|(p, _)| *p == rib_in_only).unwrap();
+        assert!(view.any(|a| a.has_community(c1)) && !view.any(|a| a.has_community(c2)));
+        let (_, view) = d.known().find(|(p, _)| *p == overlapping).unwrap();
+        assert!(!view.any(|a| a.has_community(c1)) && view.any(|a| a.has_community(c2)));
     }
 
     #[test]

@@ -261,9 +261,13 @@ impl AdjRibIn {
         })
     }
 
-    /// All distinct prefixes present.
-    pub fn prefixes(&self) -> Vec<Prefix> {
-        self.table.prefixes.keys().copied().collect()
+    /// Every prefix held, ascending, with its `(session, body)` table in
+    /// ascending session-id order — borrowed, no route materialized.
+    pub fn tables(&self) -> impl Iterator<Item = (Prefix, &[(PeerId, Arc<PathAttributes>)])> {
+        self.table
+            .prefixes
+            .iter()
+            .map(|(prefix, fan)| (*prefix, fan.as_slice()))
     }
 
     /// Total stored routes.
@@ -495,6 +499,10 @@ mod tests {
         rib.routes_for(p(prefix)).collect()
     }
 
+    fn prefixes(rib: &AdjRibIn) -> Vec<Prefix> {
+        rib.tables().map(|(prefix, _)| prefix).collect()
+    }
+
     #[test]
     fn insert_replace_and_lookup() {
         let mut rib = AdjRibIn::default();
@@ -525,7 +533,7 @@ mod tests {
         assert_eq!(routes(&rib, "10.0.0.0/8").len(), 2);
         assert_eq!(rib.routes_for_len(p("10.0.0.0/8")), 2);
         assert_eq!(routes(&rib, "11.0.0.0/8").len(), 1);
-        assert_eq!(rib.prefixes(), vec![p("10.0.0.0/8"), p("11.0.0.0/8")]);
+        assert_eq!(prefixes(&rib), vec![p("10.0.0.0/8"), p("11.0.0.0/8")]);
     }
 
     #[test]
@@ -596,9 +604,9 @@ mod tests {
         assert_eq!(routes(&rib, "10.0.0.0/8").len(), 1);
         rib.purge(|r| r.prefix != p("11.0.0.0/8"));
         assert!(routes(&rib, "11.0.0.0/8").is_empty());
-        assert_eq!(rib.prefixes(), vec![p("10.0.0.0/8")]);
+        assert_eq!(prefixes(&rib), vec![p("10.0.0.0/8")]);
         rib.flush_peer(PeerId(2));
-        assert!(rib.prefixes().is_empty());
+        assert!(prefixes(&rib).is_empty());
         assert!(rib.is_empty());
     }
 

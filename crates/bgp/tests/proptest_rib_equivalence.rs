@@ -147,7 +147,8 @@ fn arb_op() -> impl Strategy<Value = Op> {
 fn check_equivalent(rib: &AdjRibIn, slab: &SlabRib) -> Result<(), TestCaseError> {
     prop_assert_eq!(rib.len(), slab.total, "total route counts");
     prop_assert_eq!(rib.is_empty(), slab.total == 0);
-    prop_assert_eq!(rib.prefixes(), slab.prefixes(), "prefix sets");
+    let prefixes: Vec<Prefix> = rib.tables().map(|(prefix, _)| prefix).collect();
+    prop_assert_eq!(prefixes, slab.prefixes(), "prefix sets");
     for name in PREFIXES {
         let prefix: Prefix = name.parse().unwrap();
         let got: Vec<Route> = rib.routes_for(prefix).collect();

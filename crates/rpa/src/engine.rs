@@ -16,7 +16,7 @@ use crate::route_attribute::RouteAttributeRpa;
 use crate::route_filter::RouteFilterRpa;
 use crate::signature::{CompiledSignature, Destination};
 use centralium_bgp::attrs::{AsPath, CommunitySet};
-use centralium_bgp::{PeerId, Prefix, RibPolicy, Route, Selection};
+use centralium_bgp::{Community, PeerId, Prefix, RibPolicy, Route, Selection};
 use centralium_telemetry::{span, Counter, EventKind, Histogram, Severity, Telemetry};
 use centralium_topology::Asn;
 use parking_lot::Mutex;
@@ -220,15 +220,17 @@ impl RpaEngine {
     /// Names of installed documents, in install order (§7.2: "show all
     /// active RPAs on a switch").
     pub fn installed(&self) -> Vec<&str> {
-        self.docs.iter().map(|d| d.source.name()).collect()
+        self.documents().map(RpaDocument::name).collect()
+    }
+
+    /// The installed source documents, in install order.
+    pub fn documents(&self) -> impl Iterator<Item = &RpaDocument> {
+        self.docs.iter().map(|d| &d.source)
     }
 
     /// The installed source document by name.
     pub fn document(&self, name: &str) -> Option<&RpaDocument> {
-        self.docs
-            .iter()
-            .find(|d| d.source.name() == name)
-            .map(|d| &d.source)
+        self.documents().find(|d| d.name() == name)
     }
 
     /// Version counter (bumped on every install/remove).
@@ -316,10 +318,11 @@ impl RpaEngine {
         prefix: Prefix,
         candidates: &[Route],
     ) -> Option<(String, usize)> {
+        let carries = |c| any_carries(candidates, c);
         for doc in &self.docs {
             if let CompiledDoc::PathSelection(statements) = &doc.compiled {
                 for (i, st) in statements.iter().enumerate() {
-                    if st.destination.applies(prefix, candidates) {
+                    if st.destination.applies(prefix, carries) {
                         return Some((doc.source.name().to_string(), i));
                     }
                 }
@@ -445,12 +448,13 @@ impl RpaEngine {
     /// The Path Selection walk (§4.3): first applicable statement governs,
     /// first path set meeting its floor wins within it.
     fn evaluate_path_selection(&self, prefix: Prefix, candidates: &[Route]) -> PsOutcome {
+        let carries = |c| any_carries(candidates, c);
         for doc in &self.docs {
             let CompiledDoc::PathSelection(statements) = &doc.compiled else {
                 continue;
             };
             for st in statements {
-                if !st.destination.applies(prefix, candidates) {
+                if !st.destination.applies(prefix, carries) {
                     continue;
                 }
                 // Record (or clear) the native guard for this prefix so the
@@ -499,6 +503,12 @@ impl RpaEngine {
         self.native_guard_memo.lock().remove(&prefix);
         PsOutcome::NotApplicable
     }
+}
+
+/// Whether any of `routes` carries `c` — what [`Destination::applies`] asks
+/// of a materialized candidate set.
+fn any_carries(routes: &[Route], c: Community) -> bool {
+    routes.iter().any(|r| r.attrs.has_community(c))
 }
 
 /// Outcome of one Path Selection evaluation, distinguishing "a statement
@@ -560,6 +570,7 @@ impl RibPolicy for RpaEngine {
     }
 
     fn assign_weights(&self, prefix: Prefix, selected: &[Route]) -> Option<Vec<u32>> {
+        let carries = |c| any_carries(selected, c);
         for doc in &self.docs {
             let CompiledDoc::RouteAttribute(statements) = &doc.compiled else {
                 continue;
@@ -568,7 +579,7 @@ impl RibPolicy for RpaEngine {
                 if !st.expiration_time.map(|t| self.now < t).unwrap_or(true) {
                     continue; // expired: native fallback
                 }
-                if !st.destination.applies(prefix, selected) {
+                if !st.destination.applies(prefix, carries) {
                     continue;
                 }
                 let weights = selected

@@ -164,12 +164,18 @@ pub enum Destination {
 }
 
 impl Destination {
-    /// Whether the statement applies to `prefix` given its candidate routes.
-    /// Community destinations hold when *any* candidate carries the
-    /// community (origination tagging makes this consistent fabric-wide).
-    pub fn applies(&self, prefix: centralium_bgp::Prefix, candidates: &[Route]) -> bool {
+    /// Whether the statement applies to `prefix`, where `carries(c)` tells
+    /// whether any of its candidate routes carries community `c`. Community
+    /// destinations hold when *any* candidate carries the community
+    /// (origination tagging makes this consistent fabric-wide); the prefix
+    /// forms never ask.
+    pub fn applies(
+        &self,
+        prefix: centralium_bgp::Prefix,
+        carries: impl FnOnce(Community) -> bool,
+    ) -> bool {
         match self {
-            Destination::Community(c) => candidates.iter().any(|r| r.attrs.has_community(*c)),
+            Destination::Community(c) => carries(*c),
             Destination::PrefixExact(p) => *p == prefix,
             Destination::PrefixWithin(p) => p.contains(&prefix),
             Destination::Any => true,
@@ -269,15 +275,16 @@ mod tests {
     #[test]
     fn destination_forms() {
         let c = Community::from_pair(65000, 1);
-        let tagged = vec![route(&[1, 9], &[c])];
-        let plain = vec![route(&[1, 9], &[])];
+        let tagged = [route(&[1, 9], &[c])];
+        let carries = |x: Community| tagged.iter().any(|r| r.attrs.has_community(x));
         let p: Prefix = "10.0.0.0/8".parse().unwrap();
-        assert!(Destination::Community(c).applies(Prefix::DEFAULT, &tagged));
-        assert!(!Destination::Community(c).applies(Prefix::DEFAULT, &plain));
-        assert!(Destination::PrefixExact(p).applies(p, &[]));
-        assert!(!Destination::PrefixExact(p).applies(Prefix::DEFAULT, &[]));
-        assert!(Destination::PrefixWithin(Prefix::DEFAULT).applies(p, &[]));
-        assert!(Destination::Any.applies(p, &[]));
+        assert!(Destination::Community(c).applies(Prefix::DEFAULT, carries));
+        assert!(!Destination::Community(Community(5)).applies(Prefix::DEFAULT, carries));
+        let never = |_| -> bool { panic!("a prefix form asked for a community") };
+        assert!(Destination::PrefixExact(p).applies(p, never));
+        assert!(!Destination::PrefixExact(p).applies(Prefix::DEFAULT, never));
+        assert!(Destination::PrefixWithin(Prefix::DEFAULT).applies(p, never));
+        assert!(Destination::Any.applies(p, never));
     }
 
     #[test]

@@ -191,8 +191,8 @@ fn run_work(
             // document and (on a replace) the one it displaces — the old
             // document's prefixes must re-decide too, since its effect is
             // being withdrawn.
-            let scope = match dev.engine.document(doc.name()).cloned() {
-                Some(old) => rpa_scope(dev, &[&old, doc.as_ref()]),
+            let scope = match dev.engine.document(doc.name()) {
+                Some(old) => rpa_scope(dev, &[old, doc.as_ref()]),
                 None => rpa_scope(dev, &[doc.as_ref()]),
             };
             match dev.engine.install_or_replace(*doc) {
@@ -220,10 +220,7 @@ fn run_work(
                     rpa_scope(dev, &[])
                 }
                 Some(RpaDocument::RouteFilter(_)) => RpaScope::Full,
-                Some(old) => {
-                    let old = old.clone();
-                    rpa_scope(dev, &[&old])
-                }
+                Some(old) => rpa_scope(dev, &[old]),
                 None => RpaScope::Full,
             };
             match dev.engine.remove(&name) {
@@ -325,6 +322,7 @@ fn run_work(
 
 /// The re-evaluation an RPA change demands, computed before the change is
 /// applied to the engine.
+#[derive(Debug, PartialEq)]
 enum RpaScope {
     /// Structural change — egress filtering, or a document without bounded
     /// destinations. Every known prefix must re-decide from a freshly
@@ -343,7 +341,9 @@ enum RpaScope {
 /// change, classified by the kind of re-evaluation they need. A prefix is in
 /// scope when any document destination
 /// [`applies`](centralium_rpa::Destination::applies) to it given the same
-/// candidate set the decision process would see.
+/// candidate set the decision process would see — read in place during one
+/// ordered walk of the known prefixes
+/// ([`BgpDaemon::known`](centralium_bgp::BgpDaemon::known)).
 ///
 /// Route Filters constrain sessions rather than destinations, so they used
 /// to force the full path wholesale. They now split by direction:
@@ -377,23 +377,22 @@ fn rpa_scope(dev: &SimDevice, docs: &[&RpaDocument]) -> RpaScope {
     // clock, so an unrelated install can still flip their outcome (the
     // deadline passed since the last decision run): their destinations join
     // every dirty scope.
-    for name in dev.engine.installed() {
-        if let Some(doc) = dev.engine.document(name) {
-            if doc.time_dependent() {
-                match doc.destinations() {
-                    Some(d) => dests.extend(d),
-                    None => return RpaScope::Full,
-                }
-            }
+    for doc in dev.engine.documents().filter(|doc| doc.time_dependent()) {
+        match doc.destinations() {
+            Some(d) => dests.extend(d),
+            None => return RpaScope::Full,
         }
     }
-    let mut scope = Vec::new();
-    for prefix in dev.daemon.known_prefixes() {
-        let candidates = dev.daemon.candidates(prefix);
-        if dests.iter().any(|d| d.applies(prefix, &candidates)) {
-            scope.push(prefix);
-        }
-    }
+    let scope = dev
+        .daemon
+        .known()
+        .filter(|(prefix, candidates)| {
+            dests
+                .iter()
+                .any(|d| d.applies(*prefix, |c| candidates.any(|attrs| attrs.has_community(c))))
+        })
+        .map(|(prefix, _)| prefix)
+        .collect();
     if ingress {
         RpaScope::Filtered(scope)
     } else {
@@ -1168,6 +1167,215 @@ impl SimNet {
         };
         if canon(msg) != canon(&merged) {
             self.counters.wire_mismatches.inc();
+        }
+    }
+}
+
+#[cfg(test)]
+mod tests {
+    use super::*;
+    use centralium_bgp::attrs::well_known;
+    use centralium_bgp::{BgpDaemon, Community, Route};
+    use centralium_rpa::{
+        Destination, PathSelectionRpa, PathSelectionStatement, PathSet, PathSignature,
+        PeerSignature, PrefixFilter, RouteAttributeRpa, RouteAttributeStatement, RouteFilterRpa,
+        RouteFilterStatement,
+    };
+    use centralium_topology::{build_fabric, FabricSpec};
+    use serde::{Deserialize, Serialize};
+
+    fn rack(pod: u32, rack: u32) -> Prefix {
+        Prefix::new(0x0A00_0000 | pod << 16 | rack << 8, 24)
+    }
+
+    /// The scope as computed before the ordered walk: every known prefix's
+    /// candidates materialized, and a destination applying when it names
+    /// the prefix or a candidate carries its community. The known prefixes
+    /// are found by probing every prefix of `universe` (ascending), not by
+    /// the walk.
+    fn reference_scope(dev: &SimDevice, docs: &[&RpaDocument], universe: &[Prefix]) -> RpaScope {
+        let mut dests = Vec::new();
+        let mut ingress = false;
+        for doc in docs {
+            match doc {
+                RpaDocument::RouteFilter(rf) if rf.constrains_egress() => return RpaScope::Full,
+                RpaDocument::RouteFilter(_) => ingress = true,
+                _ => dests.extend(doc.destinations().expect("bounded destinations")),
+            }
+        }
+        for name in dev.engine.installed() {
+            let doc = dev.engine.document(name).expect("installed");
+            if doc.time_dependent() {
+                dests.extend(doc.destinations().expect("bounded destinations"));
+            }
+        }
+        let applies = |d: &Destination, prefix: Prefix, candidates: &[Route]| match d {
+            Destination::Community(c) => candidates.iter().any(|r| r.attrs.has_community(*c)),
+            Destination::PrefixExact(p) => *p == prefix,
+            Destination::PrefixWithin(p) => p.contains(&prefix),
+            Destination::Any => true,
+        };
+        let daemon = &dev.daemon;
+        let known: Vec<Prefix> = universe
+            .iter()
+            .copied()
+            .filter(|&p| {
+                daemon.rib_in_count(p) > 0
+                    || daemon.origination(p).is_some()
+                    || daemon.loc_rib_entry(p).is_some()
+            })
+            .collect();
+        assert_eq!(daemon.known_prefixes(), known, "d{}", dev.id.0);
+        let scope = known
+            .into_iter()
+            .filter(|&p| {
+                let candidates = daemon.candidates(p);
+                dests.iter().any(|d| applies(d, p, &candidates))
+            })
+            .collect();
+        if ingress {
+            RpaScope::Filtered(scope)
+        } else {
+            RpaScope::Prefixes(scope)
+        }
+    }
+
+    /// Restore `dev`'s daemon from a snapshot that lost `prefix`'s
+    /// Adj-RIB-In routes: its Loc-RIB entry survives with no route behind it.
+    fn strand_loc_rib_entry(dev: &mut SimDevice, prefix: Prefix) {
+        let mut snapshot = dev.daemon.serialize();
+        let serde::Value::Object(fields) = &mut snapshot else {
+            panic!("a daemon serializes as an object");
+        };
+        let Some(serde::Value::Array(routes)) = fields.get_mut("adj_rib_in") else {
+            panic!("the Adj-RIB-In serializes as a route list");
+        };
+        let key = prefix.serialize();
+        routes.retain(|route| route.get("prefix") != Some(&key));
+        dev.daemon = BgpDaemon::deserialize(&snapshot).expect("snapshot round-trips");
+        assert!(dev.daemon.loc_rib_entry(prefix).is_some() && dev.daemon.rib_in_count(prefix) == 0);
+    }
+
+    fn select(name: &str, destination: Destination) -> RpaDocument {
+        RpaDocument::PathSelection(PathSelectionRpa::single(
+            name,
+            PathSelectionStatement::select(
+                destination,
+                vec![PathSet::new("all", PathSignature::any())],
+            ),
+        ))
+    }
+
+    fn filter(name: &str, ingress: bool) -> RpaDocument {
+        let allow = Some(vec![PrefixFilter::within(Prefix::DEFAULT, 24)]);
+        RpaDocument::RouteFilter(RouteFilterRpa {
+            name: name.into(),
+            statements: vec![RouteFilterStatement {
+                peer_signature: PeerSignature::Any,
+                ingress_filter: if ingress { allow.clone() } else { None },
+                egress_filter: if ingress { None } else { allow },
+            }],
+        })
+    }
+
+    /// `rpa_scope` on the ordered walk equals the materialized scan on a
+    /// converged `large` fabric with every rack's `/24`: community
+    /// destinations present and absent, the three prefix forms, a
+    /// time-dependent Route Attribute document joining every scope, and
+    /// ingress / egress Route Filters — on a rack switch (whose own prefix
+    /// is an origination only), a fabric switch holding a Loc-RIB entry no
+    /// route backs, and a spine.
+    #[test]
+    fn rpa_scope_matches_the_materialized_candidate_scan() {
+        let (topo, idx, _) = build_fabric(&FabricSpec::large());
+        let mut net = SimNet::new(
+            topo,
+            SimConfig {
+                seed: 7,
+                ..Default::default()
+            },
+        );
+        net.establish_all();
+        for &eb in &idx.backbone {
+            net.originate(eb, Prefix::DEFAULT, [well_known::BACKBONE_DEFAULT_ROUTE]);
+        }
+        let mut universe = vec![Prefix::DEFAULT];
+        for (pod, racks) in idx.rsw.iter().enumerate() {
+            for (r, &rsw) in racks.iter().enumerate() {
+                let prefix = rack(pod as u32, r as u32);
+                net.originate(rsw, prefix, [well_known::RACK_PREFIX]);
+                universe.push(prefix);
+            }
+        }
+        universe.sort_unstable();
+        net.run_until_quiescent().expect_converged();
+
+        let (rsw, fsw, ssw) = (idx.rsw[0][0], idx.fsw[1][0], idx.ssw[0][0]);
+        let stranded = rack(2, 1);
+        strand_loc_rib_entry(net.device_mut(fsw).unwrap(), stranded);
+
+        let docs = [
+            select(
+                "backbone",
+                Destination::Community(well_known::BACKBONE_DEFAULT_ROUTE),
+            ),
+            select("racks", Destination::Community(well_known::RACK_PREFIX)),
+            select(
+                "absent",
+                Destination::Community(Community::from_pair(65000, 99)),
+            ),
+            select("exact", Destination::PrefixExact(rack(1, 3))),
+            select("stranded", Destination::PrefixExact(stranded)),
+            select(
+                "pod",
+                Destination::PrefixWithin(Prefix::new(0x0A02_0000, 16)),
+            ),
+            select("any", Destination::Any),
+            filter("ingress", true),
+            filter("egress", false),
+        ];
+        let [backbone, racks, _, exact, on_stranded, .., ingress, _] = &docs;
+        // The two sources a walk could miss decide these: the rack switch's
+        // own prefix is an origination only, and the stranded entry is in
+        // the Loc-RIB only.
+        let RpaScope::Prefixes(tagged) = rpa_scope(net.device(rsw).unwrap(), &[racks]) else {
+            panic!("a community destination scopes by prefix");
+        };
+        assert!(tagged.contains(&rack(0, 0)) && tagged.len() == universe.len() - 1);
+        assert_eq!(
+            rpa_scope(net.device(fsw).unwrap(), &[on_stranded]),
+            RpaScope::Prefixes(vec![stranded])
+        );
+        let mut cases: Vec<Vec<&RpaDocument>> = docs.iter().map(|d| vec![d]).collect();
+        cases.push(vec![]);
+        cases.push(vec![racks, exact]);
+        cases.push(vec![ingress, backbone]);
+        let timed = RpaDocument::RouteAttribute(RouteAttributeRpa::single(
+            "timed",
+            RouteAttributeStatement::new(
+                Destination::PrefixWithin(Prefix::new(0x0A03_0000, 16)),
+                vec![],
+            )
+            .expires_at(60 * crate::event::SECONDS),
+        ));
+
+        for id in [rsw, fsw, ssw] {
+            for with_timed in [false, true] {
+                if with_timed {
+                    let dev = net.device_mut(id).unwrap();
+                    dev.engine.install_or_replace(timed.clone()).unwrap();
+                }
+                let dev = net.device(id).unwrap();
+                for docs in &cases {
+                    assert_eq!(
+                        rpa_scope(dev, docs),
+                        reference_scope(dev, docs, &universe),
+                        "d{} with {:?} (timed document installed: {with_timed})",
+                        id.0,
+                        docs.iter().map(|d| d.name()).collect::<Vec<_>>(),
+                    );
+                }
+            }
         }
     }
 }
