@@ -18,7 +18,7 @@ use centralium_bench::report::{metrics_diff_table, phase_table};
 use centralium_bench::scenarios::converged_fabric;
 use centralium_bench::stats::{percentile, render_cdf};
 use centralium_bgp::attrs::well_known;
-use centralium_simnet::ManagementPlane;
+use centralium_simnet::{FibScratch, ManagementPlane};
 use centralium_topology::{FabricSpec, Layer};
 use std::time::Instant;
 
@@ -53,12 +53,13 @@ fn main() {
     plan_span.finish(fab.net.now());
     let wave_span = tel.phases().span("wave 1 (Fauu)", fab.net.now());
     let mut samples_ms = Vec::with_capacity(docs.len());
+    let mut scratch = FibScratch::default();
     for (dev, doc) in docs {
         let rpc_us = mgmt.rpc_latency_us(dev).expect("reachable") as f64;
         let device = fab.net.device_mut(dev).expect("device");
         let t = Instant::now();
         device.engine.install_or_replace(doc).expect("installs");
-        let out = device.with_daemon(|d, e| d.reevaluate_all(e));
+        let out = device.with_daemon(&mut scratch, |d, e| d.reevaluate_all(e));
         let install_us = t.elapsed().as_secs_f64() * 1e6;
         let _ = out; // propagation is not part of the deployment-time metric
         samples_ms.push((rpc_us + install_us) / 1_000.0);

@@ -45,7 +45,7 @@ fn run(with_rpa: bool, seed: u64) -> (usize, bool) {
     let watch: DeviceId = fab.idx.fadu[0][0];
     let snapshot = |net: &centralium_simnet::SimNet| -> Vec<(PeerId, u32)> {
         net.device(watch)
-            .and_then(|d| d.fib.entry(vip()).map(|e| e.nexthops.clone()))
+            .and_then(|d| d.fib.entry(vip()).map(|e| e.nexthops.to_vec()))
             .unwrap_or_default()
     };
     let mut last = snapshot(&fab.net);

@@ -45,7 +45,7 @@ use centralium_telemetry::{Counter, EventKind, Severity, Telemetry};
 use centralium_topology::Asn;
 use serde::{Deserialize, Serialize};
 use std::cmp::Ordering;
-use std::collections::{BTreeMap, BTreeSet};
+use std::collections::BTreeMap;
 use std::sync::Arc;
 
 /// Speaker-level configuration.
@@ -124,10 +124,43 @@ pub struct FibEntry {
     pub prefix: Prefix,
     /// Next-hop sessions with relative weights. Sorted by session id so that
     /// identical groups compare equal (next-hop-group dedup relies on this).
-    pub nexthops: Vec<(PeerId, u32)>,
+    pub nexthops: NextHops,
     /// True when the entry is retained only because of
     /// `KeepFibWarmIfMnhViolated` (withdrawn from peers).
     pub warm: bool,
+}
+
+/// A next-hop group as a FIB entry holds it: one allocation, shared by every
+/// entry a FIB installs on the group, as ASIC entries point at one group
+/// object. Derefs to the slice; compares and prints like a `Vec`.
+#[derive(Clone, PartialEq, Eq)]
+pub struct NextHops(pub Arc<[(PeerId, u32)]>);
+
+impl std::ops::Deref for NextHops {
+    type Target = [(PeerId, u32)];
+    fn deref(&self) -> &Self::Target {
+        &self.0
+    }
+}
+
+impl<'a> IntoIterator for &'a NextHops {
+    type Item = &'a (PeerId, u32);
+    type IntoIter = std::slice::Iter<'a, (PeerId, u32)>;
+    fn into_iter(self) -> Self::IntoIter {
+        self.0.iter()
+    }
+}
+
+impl PartialEq<Vec<(PeerId, u32)>> for NextHops {
+    fn eq(&self, other: &Vec<(PeerId, u32)>) -> bool {
+        *self.0 == **other
+    }
+}
+
+impl std::fmt::Debug for NextHops {
+    fn fmt(&self, f: &mut std::fmt::Formatter<'_>) -> std::fmt::Result {
+        self.0.fmt(f)
+    }
 }
 
 /// One known prefix's candidates as [`BgpDaemon::known`] hands them out: the
@@ -192,12 +225,12 @@ pub struct BgpDaemon {
     loc_rib: FlatMap<Prefix, LocRibEntry>,
     adj_rib_out: AdjRibOut,
     /// Prefixes whose Loc-RIB entry was (re)installed or removed since the
-    /// last FIB export — the per-prefix dirty marks behind
-    /// [`BgpDaemon::take_fib_changes`]. Skipped on the wire: a restored
-    /// daemon starts with no marks and `fib_delta_ready == false`, forcing
-    /// one full sync before delta export resumes.
+    /// last drain, repeats allowed ([`BgpDaemon::drain_fib_changes`] sorts
+    /// them once); none are kept before the first full sync. Skipped on the
+    /// wire: a restored daemon starts with no marks and `fib_delta_ready ==
+    /// false`, forcing one full sync before delta export resumes.
     #[serde(skip)]
-    fib_dirty: BTreeSet<Prefix>,
+    fib_dirty: Vec<Prefix>,
     /// Whether the host FIB has completed at least one full sync against
     /// this daemon instance. Delta export is only sound on top of a full
     /// baseline; see [`BgpDaemon::mark_fib_synced`].
@@ -227,7 +260,7 @@ impl BgpDaemon {
             originated: BTreeMap::new(),
             loc_rib: FlatMap::new(),
             adj_rib_out: AdjRibOut::default(),
-            fib_dirty: BTreeSet::new(),
+            fib_dirty: Vec::new(),
             fib_delta_ready: false,
             telemetry: DaemonTelemetry::default(),
         }
@@ -660,42 +693,24 @@ impl BgpDaemon {
         out
     }
 
-    /// Snapshot the FIB: one entry per forwarding-installed prefix.
+    /// Snapshot the FIB: one entry per Loc-RIB entry with forwarding next
+    /// hops (a locally-originated-only entry has none).
     pub fn fib(&self) -> Vec<FibEntry> {
         self.loc_rib
-            .keys()
-            .filter_map(|prefix| self.fib_entry_for(*prefix))
+            .iter()
+            .filter_map(|(&prefix, entry)| {
+                let mut nexthops: Vec<_> = entry.fib_nexthops().collect();
+                nexthops.sort_unstable_by_key(|(p, _)| *p);
+                (!nexthops.is_empty()).then(|| FibEntry {
+                    prefix,
+                    nexthops: NextHops(nexthops.into()),
+                    warm: entry.fib_warm_only,
+                })
+            })
             .collect()
     }
 
-    /// The FIB entry a single prefix projects to, or `None` when the prefix
-    /// has no forwarding next-hops (absent from the Loc-RIB, or
-    /// locally-originated only).
-    fn fib_entry_for(&self, prefix: Prefix) -> Option<FibEntry> {
-        let entry = self.loc_rib.get(&prefix)?;
-        // Sized up front: at most the local route is filtered out, and the
-        // vector is what the host FIB stores.
-        let mut nexthops = Vec::with_capacity(entry.selected.len());
-        nexthops.extend(
-            entry
-                .selected
-                .iter()
-                .zip(&entry.weights)
-                .filter_map(|(r, w)| r.learned_from.map(|p| (p, *w))),
-        );
-        if nexthops.is_empty() {
-            // Locally-originated only: nothing to forward upstream.
-            return None;
-        }
-        nexthops.sort_unstable_by_key(|(p, _)| *p);
-        Some(FibEntry {
-            prefix,
-            nexthops,
-            warm: entry.fib_warm_only,
-        })
-    }
-
-    /// Whether the host FIB may consume [`BgpDaemon::take_fib_changes`]
+    /// Whether the host FIB may consume [`BgpDaemon::drain_fib_changes`]
     /// instead of a full [`BgpDaemon::fib`] resync. False until the first
     /// full sync is acknowledged via [`BgpDaemon::mark_fib_synced`] (and
     /// again after deserialization, which drops the dirty marks).
@@ -703,15 +718,27 @@ impl BgpDaemon {
         self.fib_delta_ready
     }
 
-    /// Drain the per-prefix dirty marks into `(prefix, desired entry)`
-    /// pairs for a delta FIB apply. `None` means "remove the entry". The
-    /// dirty set over-approximates: a returned entry may equal what the FIB
-    /// already holds (the apply is expected to skip no-ops).
-    pub fn take_fib_changes(&mut self) -> Vec<(Prefix, Option<FibEntry>)> {
-        std::mem::take(&mut self.fib_dirty)
-            .into_iter()
-            .map(|p| (p, self.fib_entry_for(p)))
-            .collect()
+    /// Drain the per-prefix dirty marks for a delta FIB apply: each prefix
+    /// whose Loc-RIB entry was (re)installed or removed since the last
+    /// drain, ascending and once each, with its installed entry borrowed in
+    /// place (`None`: removed). The marks over-approximate: an entry may
+    /// project to what the FIB already holds (the apply skips no-ops).
+    pub fn drain_fib_changes(
+        &mut self,
+    ) -> impl Iterator<Item = (Prefix, Option<&LocRibEntry>)> + '_ {
+        self.fib_dirty.sort_unstable();
+        self.fib_dirty.dedup();
+        let loc_rib = &self.loc_rib;
+        self.fib_dirty
+            .drain(..)
+            .map(move |prefix| (prefix, loc_rib.get(&prefix)))
+    }
+
+    /// Mark `prefix` for the next drain.
+    fn mark_fib_dirty(&mut self, prefix: Prefix) {
+        if self.fib_delta_ready {
+            self.fib_dirty.push(prefix);
+        }
     }
 
     /// Acknowledge a completed full FIB sync: pending dirty marks are moot
@@ -838,14 +865,14 @@ impl BgpDaemon {
                 selected.remove(at);
             }
         }
-        entry.weights = weights_for(&self.cfg, prefix, &entry.selected, policy);
+        weights_for(&self.cfg, prefix, selected, policy, &mut entry.weights);
         let had_path = entry.advertised.is_some();
         let best = best_route(&entry.selected);
         let advertisement_moved = entry.advertised.as_ref() != best;
         if advertisement_moved {
             entry.advertised = best.cloned();
         }
-        self.fib_dirty.insert(prefix);
+        self.mark_fib_dirty(prefix);
         self.note_decision(prefix, had_path, true, advertisement_moved);
         Some(advertisement_moved)
     }
@@ -877,7 +904,8 @@ impl BgpDaemon {
                 }
             } else {
                 let selected = take_selected(candidates, &sel.selected);
-                let weights = weights_for(&self.cfg, prefix, &selected, policy);
+                let mut weights = Vec::new();
+                weights_for(&self.cfg, prefix, &selected, policy, &mut weights);
                 let advertised = match sel.advertise {
                     AdvertiseChoice::Withdraw => None,
                     AdvertiseChoice::NativeBest => best_route(&selected).cloned(),
@@ -925,7 +953,8 @@ impl BgpDaemon {
                     // FIB state — which still spreads over the full next-hop
                     // set, drained members included — and advertise nothing.
                     let prior = self.loc_rib.get(&prefix).cloned().unwrap_or_else(|| {
-                        let weights = weights_for(&self.cfg, prefix, &selected, policy);
+                        let mut weights = Vec::new();
+                        weights_for(&self.cfg, prefix, &selected, policy, &mut weights);
                         LocRibEntry {
                             selected,
                             weights,
@@ -940,7 +969,8 @@ impl BgpDaemon {
             } else if selected.is_empty() {
                 None
             } else {
-                let weights = weights_for(&self.cfg, prefix, &selected, policy);
+                let mut weights = Vec::new();
+                weights_for(&self.cfg, prefix, &selected, policy, &mut weights);
                 let advertised = best_route(&selected).cloned();
                 Some(LocRibEntry {
                     selected,
@@ -964,11 +994,11 @@ impl BgpDaemon {
         match new_entry {
             Some(e) => {
                 self.loc_rib.insert(prefix, e);
-                self.fib_dirty.insert(prefix);
+                self.mark_fib_dirty(prefix);
             }
             None => {
                 if self.loc_rib.remove(&prefix).is_some() {
-                    self.fib_dirty.insert(prefix);
+                    self.mark_fib_dirty(prefix);
                 }
             }
         }
@@ -1095,22 +1125,27 @@ fn update_for<'a>(
     &mut out[*cursor].1
 }
 
+/// Write `selected`'s weights into `weights`, reusing its allocation unless
+/// the hook assigns them.
 fn weights_for(
     cfg: &DaemonConfig,
     prefix: Prefix,
     selected: &[Route],
     policy: &dyn RibPolicy,
-) -> Vec<u32> {
+    weights: &mut Vec<u32>,
+) {
     if let Some(w) = policy.assign_weights(prefix, selected) {
         debug_assert_eq!(w.len(), selected.len(), "hook weights must be parallel");
         if w.len() == selected.len() {
-            return w;
+            *weights = w;
+            return;
         }
     }
     if cfg.wcmp {
-        wcmp::derive_weights(selected)
+        wcmp::derive_weights_into(selected, weights);
     } else {
-        vec![1; selected.len()]
+        weights.clear();
+        weights.resize(selected.len(), 1);
     }
 }
 
@@ -1188,6 +1223,7 @@ fn desired_advertisement(
 mod tests {
     use super::*;
     use crate::hooks::NativePolicy;
+    use std::collections::BTreeSet;
 
     fn p(s: &str) -> Prefix {
         s.parse().unwrap()

@@ -44,7 +44,7 @@ pub mod wcmp;
 
 pub use attrs::{Community, Origin, PathAttributes};
 pub use centralium_topology::Asn;
-pub use daemon::{BgpDaemon, DaemonConfig, FibEntry, PeerConfig};
+pub use daemon::{BgpDaemon, DaemonConfig, FibEntry, NextHops, PeerConfig};
 pub use decision::{compare_routes, multipath_set, PathPreference};
 pub use hooks::{AdvertiseChoice, NativePolicy, RibPolicy, Selection};
 pub use msg::{BgpMessage, UpdateMessage};

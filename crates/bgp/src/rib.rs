@@ -473,6 +473,15 @@ impl LocRibEntry {
         }
     }
 
+    /// The forwarding projection, borrowed in place: each selected learned
+    /// route's session and weight, in selection order.
+    pub fn fib_nexthops(&self) -> impl Iterator<Item = (PeerId, u32)> + '_ {
+        self.selected
+            .iter()
+            .zip(&self.weights)
+            .filter_map(|(r, w)| r.learned_from.map(|p| (p, *w)))
+    }
+
     /// Next-hop sessions of the selected routes (local routes contribute no
     /// next-hop).
     pub fn nexthop_sessions(&self) -> Vec<PeerId> {

@@ -21,16 +21,25 @@ pub const MAX_WEIGHT: u32 = 64;
 /// * Weights are scaled to integers, reduced by their GCD, and capped at
 ///   [`MAX_WEIGHT`].
 pub fn derive_weights(selected: &[Route]) -> Vec<u32> {
+    let mut weights = Vec::with_capacity(selected.len());
+    derive_weights_into(selected, &mut weights);
+    weights
+}
+
+/// [`derive_weights`] written over `weights`, reusing its allocation: the
+/// bandwidths are read twice from `selected` instead of being collected.
+pub fn derive_weights_into(selected: &[Route], weights: &mut Vec<u32>) {
+    weights.clear();
     let bandwidths = || selected.iter().map(|r| r.attrs.link_bandwidth_gbps);
     if bandwidths().all(|b| b.is_none()) {
-        return vec![1; selected.len()];
+        weights.resize(selected.len(), 1);
+        return;
     }
     let min_bw = bandwidths()
         .flatten()
         .fold(f64::INFINITY, f64::min)
         .max(f64::MIN_POSITIVE);
-    let raw: Vec<f64> = bandwidths().map(|b| b.unwrap_or(min_bw).max(0.0)).collect();
-    quantize(&raw)
+    quantize_into(bandwidths().map(|b| b.unwrap_or(min_bw).max(0.0)), weights);
 }
 
 /// Quantize positive real weights into small co-prime integers.
@@ -40,30 +49,34 @@ pub fn derive_weights(selected: &[Route]) -> Vec<u32> {
 /// multiplier to capture fractional ratios (100:250 → 2:5), then capped at
 /// [`MAX_WEIGHT`] and reduced by their GCD.
 pub fn quantize(raw: &[f64]) -> Vec<u32> {
+    let mut weights = Vec::with_capacity(raw.len());
+    quantize_into(raw.iter().copied(), &mut weights);
+    weights
+}
+
+/// [`quantize`] appended to the empty `weights`.
+fn quantize_into(raw: impl Iterator<Item = f64> + Clone, weights: &mut Vec<u32>) {
     let min = raw
-        .iter()
-        .cloned()
+        .clone()
         .filter(|w| *w > 0.0)
         .fold(f64::INFINITY, f64::min);
     if !min.is_finite() {
-        return vec![1; raw.len()];
+        weights.extend(raw.map(|_| 1));
+        return;
     }
     // Multiplier 4 resolves ratios in quarters, enough for capacity planning.
     // An exactly-zero input (a drained link advertising no capacity) keeps
     // weight 0 — it must receive no traffic, not a token share.
-    let mut weights: Vec<u32> = raw
-        .iter()
-        .map(|w| {
-            if *w <= 0.0 {
-                0
-            } else {
-                (((w / min) * 4.0).round() as u32).max(1)
-            }
-        })
-        .collect();
+    weights.extend(raw.map(|w| {
+        if w <= 0.0 {
+            0
+        } else {
+            (((w / min) * 4.0).round() as u32).max(1)
+        }
+    }));
     let max = *weights.iter().max().expect("non-empty");
     if max > MAX_WEIGHT {
-        for w in &mut weights {
+        for w in weights.iter_mut() {
             *w = (((*w as f64 / max as f64) * MAX_WEIGHT as f64).round() as u32).max(1);
         }
     }
@@ -72,11 +85,10 @@ pub fn quantize(raw: &[f64]) -> Vec<u32> {
         .filter(|&&w| w > 0)
         .fold(0, |acc, &w| gcd(acc, w));
     if g > 1 {
-        for w in &mut weights {
+        for w in weights.iter_mut() {
             *w /= g;
         }
     }
-    weights
 }
 
 fn gcd(a: u32, b: u32) -> u32 {
@@ -143,6 +155,30 @@ mod tests {
     #[test]
     fn empty_input_yields_empty() {
         assert!(derive_weights(&[]).is_empty());
+    }
+
+    #[test]
+    fn derive_weights_into_overwrites_with_what_derive_weights_returns() {
+        let cases = [
+            vec![route(1, None), route(2, None), route(3, None)],
+            vec![route(1, Some(100.0)), route(2, Some(200.0))],
+            vec![
+                route(1, Some(400.0)),
+                route(2, Some(400.0)),
+                route(3, Some(400.0)),
+            ],
+            vec![route(1, Some(100.0)), route(2, None), route(3, Some(200.0))],
+            vec![route(1, Some(10_000.0)), route(2, Some(1.0))],
+            vec![route(1, Some(100.0)), route(2, Some(0.0))],
+            vec![],
+        ];
+        // One vector through every case, dirty to begin with: each call
+        // replaces whatever the last one left.
+        let mut weights = vec![7; 5];
+        for routes in &cases {
+            derive_weights_into(routes, &mut weights);
+            assert_eq!(weights, derive_weights(routes));
+        }
     }
 
     #[test]

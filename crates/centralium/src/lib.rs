@@ -74,7 +74,7 @@ pub mod wire {
 /// telemetry handles.
 pub mod prelude {
     pub use centralium_bgp::attrs::well_known;
-    pub use centralium_bgp::{FibEntry, PeerId, Prefix};
+    pub use centralium_bgp::{FibEntry, NextHops, PeerId, Prefix};
     pub use centralium_core::controller::{Controller, DeployOptionsBuilder};
     pub use centralium_core::health::{HealthCheck, HealthReport, TrafficProbe};
     pub use centralium_core::sequencer::{DeploymentStrategy, WaveFailurePolicy};

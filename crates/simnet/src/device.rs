@@ -1,6 +1,6 @@
 //! A simulated device: BGP daemon + RPA engine + FIB.
 
-use crate::fib::Fib;
+use crate::fib::{Fib, FibScratch};
 use centralium_bgp::session::Session;
 use centralium_bgp::{BgpDaemon, PeerId, UpdateMessage};
 use centralium_rpa::RpaEngine;
@@ -39,15 +39,16 @@ impl SimDevice {
     /// Run a daemon operation against this device's engine and synchronize
     /// the FIB afterwards — via the per-prefix delta export when sound, via
     /// a full rebuild otherwise (the first operation, which establishes the
-    /// baseline, and the dedup heuristic). Returns the updates the daemon
-    /// wants sent.
+    /// baseline, and the dedup heuristic). The delta is projected in the
+    /// caller's `scratch`. Returns the updates the daemon wants sent.
     pub fn with_daemon(
         &mut self,
+        scratch: &mut FibScratch,
         f: impl FnOnce(&mut BgpDaemon, &RpaEngine) -> Vec<(PeerId, UpdateMessage)>,
     ) -> Vec<(PeerId, UpdateMessage)> {
         let out = f(&mut self.daemon, &self.engine);
         if !self.fib.dedup_heuristic && self.daemon.fib_delta_ready() {
-            self.fib.apply(self.daemon.take_fib_changes());
+            self.fib.apply(self.daemon.drain_fib_changes(), scratch);
         } else {
             self.fib.sync(self.daemon.fib());
             self.daemon.mark_fib_synced();
@@ -66,11 +67,12 @@ mod tests {
     fn with_daemon_keeps_fib_in_sync() {
         let daemon = BgpDaemon::new(DaemonConfig::fabric(Asn(1)));
         let mut dev = SimDevice::new(DeviceId(0), daemon, 64);
-        dev.with_daemon(|d, e| {
+        let mut scratch = FibScratch::default();
+        dev.with_daemon(&mut scratch, |d, e| {
             d.add_peer(PeerConfig::open(PeerId(5), Asn(2), 100.0));
             d.peer_up(PeerId(5), e)
         });
-        dev.with_daemon(|d, e| {
+        dev.with_daemon(&mut scratch, |d, e| {
             let mut attrs = PathAttributes::default();
             attrs.prepend(Asn(2), 1);
             d.handle_update(

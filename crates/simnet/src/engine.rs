@@ -6,6 +6,7 @@
 use super::{NetCounters, NetEvent, SimConfig, SimNet, BASE_LATENCY_US, MAX_EVENTS};
 use crate::device::SimDevice;
 use crate::event::SimTime;
+use crate::fib::FibScratch;
 use crate::trace::ConvergenceReport;
 use centralium_bgp::policy::Policy;
 use centralium_bgp::session::SessionAction;
@@ -117,6 +118,7 @@ fn work_name(work: &Work) -> &'static str {
 /// device without changing the outcome.
 fn run_work(
     dev: &mut SimDevice,
+    scratch: &mut FibScratch,
     t: SimTime,
     work: Work,
     counters: &NetCounters,
@@ -126,7 +128,7 @@ fn run_work(
     match work {
         Work::Deliver { on, msg } => {
             dev.engine.set_time(t);
-            let out = dev.with_daemon(|dm, e| dm.handle_update(on, msg, e));
+            let out = dev.with_daemon(scratch, |dm, e| dm.handle_update(on, msg, e));
             vec![Emission::Updates(out)]
         }
         Work::Ctl { on, msg } => {
@@ -142,13 +144,13 @@ fn run_work(
                     SessionAction::AdvertiseAll => {
                         dev.engine.set_time(t);
                         out.push(Emission::Updates(
-                            dev.with_daemon(|dm, e| dm.peer_up(on, e)),
+                            dev.with_daemon(scratch, |dm, e| dm.peer_up(on, e)),
                         ));
                     }
                     SessionAction::FlushRoutes => {
                         dev.engine.set_time(t);
                         out.push(Emission::Updates(
-                            dev.with_daemon(|dm, e| dm.peer_down(on, e)),
+                            dev.with_daemon(scratch, |dm, e| dm.peer_down(on, e)),
                         ));
                     }
                     SessionAction::None => {}
@@ -158,12 +160,12 @@ fn run_work(
         }
         Work::SessionUp { peer } => {
             dev.engine.set_time(t);
-            let out = dev.with_daemon(|dm, e| dm.peer_up(peer, e));
+            let out = dev.with_daemon(scratch, |dm, e| dm.peer_up(peer, e));
             vec![Emission::Updates(out)]
         }
         Work::SessionDown { peer } => {
             dev.engine.set_time(t);
-            let out = dev.with_daemon(|dm, e| dm.peer_down(peer, e));
+            let out = dev.with_daemon(scratch, |dm, e| dm.peer_down(peer, e));
             vec![Emission::Updates(out)]
         }
         Work::RouteRefresh { on } => {
@@ -182,7 +184,7 @@ fn run_work(
         Work::RemovePeer { peer } => {
             dev.engine.set_time(t);
             dev.sessions.remove(&peer);
-            let out = dev.with_daemon(|dm, e| dm.remove_peer(peer, e));
+            let out = dev.with_daemon(scratch, |dm, e| dm.remove_peer(peer, e));
             vec![Emission::Updates(out)]
         }
         Work::InstallRpa { doc } => {
@@ -197,7 +199,7 @@ fn run_work(
             };
             match dev.engine.install_or_replace(*doc) {
                 Ok(()) => {
-                    let out = reevaluate_scoped(dev, scope, counters);
+                    let out = reevaluate_scoped(dev, scratch, scope, counters);
                     vec![Emission::Updates(out)]
                 }
                 Err(_) => {
@@ -226,7 +228,7 @@ fn run_work(
             match dev.engine.remove(&name) {
                 Ok(removed) => {
                     let peers = dev.daemon.peer_ids();
-                    let out = reevaluate_scoped(dev, scope, counters);
+                    let out = reevaluate_scoped(dev, scratch, scope, counters);
                     let mut emissions = vec![Emission::Updates(out)];
                     if matches!(removed, centralium_rpa::RpaDocument::RouteFilter(_)) {
                         emissions.push(Emission::RefreshRequests(
@@ -251,12 +253,12 @@ fn run_work(
         }
         Work::Originate { prefix, attrs } => {
             dev.engine.set_time(t);
-            let out = dev.with_daemon(|dm, e| dm.originate(prefix, attrs, e));
+            let out = dev.with_daemon(scratch, |dm, e| dm.originate(prefix, attrs, e));
             vec![Emission::Updates(out)]
         }
         Work::WithdrawOrigin { prefix } => {
             dev.engine.set_time(t);
-            let out = dev.with_daemon(|dm, e| dm.withdraw_origin(prefix, e));
+            let out = dev.with_daemon(scratch, |dm, e| dm.withdraw_origin(prefix, e));
             vec![Emission::Updates(out)]
         }
         Work::SetExportPolicy { policy } => {
@@ -285,7 +287,7 @@ fn run_work(
                 })
                 .collect();
             dev.engine.set_time(t);
-            let out = dev.with_daemon(|dm, e| {
+            let out = dev.with_daemon(scratch, |dm, e| {
                 for (peer, p) in composed {
                     dm.set_export_policy(peer, p);
                 }
@@ -309,12 +311,12 @@ fn run_work(
             for name in installed {
                 let _ = dev.engine.remove(&name);
             }
-            let out = dev.with_daemon(|dm, e| dm.reevaluate_all(e));
+            let out = dev.with_daemon(scratch, |dm, e| dm.reevaluate_all(e));
             vec![Emission::Updates(out)]
         }
         Work::Reevaluate => {
             dev.engine.set_time(t);
-            let out = dev.with_daemon(|dm, e| dm.reevaluate_all(e));
+            let out = dev.with_daemon(scratch, |dm, e| dm.reevaluate_all(e));
             vec![Emission::Updates(out)]
         }
     }
@@ -407,21 +409,22 @@ fn rpa_scope(dev: &SimDevice, docs: &[&RpaDocument]) -> RpaScope {
 /// re-announcing unchanged routes either way.
 fn reevaluate_scoped(
     dev: &mut SimDevice,
+    scratch: &mut FibScratch,
     scope: RpaScope,
     counters: &NetCounters,
 ) -> Vec<(PeerId, UpdateMessage)> {
     match scope {
         RpaScope::Prefixes(prefixes) => {
             counters.rpa_scoped_reevals.inc();
-            dev.with_daemon(|dm, e| dm.reevaluate_prefixes(prefixes, e))
+            dev.with_daemon(scratch, |dm, e| dm.reevaluate_prefixes(prefixes, e))
         }
         RpaScope::Filtered(prefixes) => {
             counters.rpa_scoped_reevals.inc();
-            dev.with_daemon(|dm, e| dm.reevaluate_filtered(prefixes, e))
+            dev.with_daemon(scratch, |dm, e| dm.reevaluate_filtered(prefixes, e))
         }
         RpaScope::Full => {
             counters.rpa_full_reevals.inc();
-            dev.with_daemon(|dm, e| dm.reevaluate_all(e))
+            dev.with_daemon(scratch, |dm, e| dm.reevaluate_all(e))
         }
     }
 }
@@ -713,6 +716,7 @@ impl SimNet {
             cfg,
             telemetry,
             provenance,
+            fib_scratch,
             ..
         } = self;
         let dev = devices
@@ -725,7 +729,7 @@ impl SimNet {
         sp.arg("device", dev_id.0 as u64);
         sp.arg("t_us", slot.t);
         let (emissions, mut journal) =
-            telemetry.capture(|| run_work(dev, slot.t, work, counters, topo, cfg));
+            telemetry.capture(|| run_work(dev, fib_scratch, slot.t, work, counters, topo, cfg));
         drop(sp);
         slot.emissions = emissions;
         slot.journal.append(&mut journal);

@@ -6,10 +6,12 @@
 //! many (up to `s^m` upstream, `4^8` in the worked DU example), overflowing
 //! the table and delaying forwarding updates. This module tracks exactly
 //! that: the set of distinct groups currently referenced, its high-water
-//! mark, cumulative group creations (churn), and overflow events.
+//! mark, cumulative group creations (churn), and overflow events. As an ASIC
+//! entry points at a group object, an installed entry holds its group's one
+//! allocation and remembers the group's id.
 //!
 //! Storage is the sorted flat table the Loc-RIB already uses
-//! ([`FlatMap<Prefix, FibEntry>`](centralium_bgp::flat::FlatMap)): the FIB
+//! ([`FlatMap<Prefix, _>`](centralium_bgp::flat::FlatMap)): the FIB
 //! holds at most one entry per Loc-RIB entry, so both tables have the same
 //! keys. Exact match, install and removal are one binary search over a
 //! contiguous array; iteration is ascending `(addr, len)` — `Prefix`'s `Ord`,
@@ -19,8 +21,8 @@
 
 use crate::hash::IdHashMap;
 use centralium_bgp::flat::FlatMap;
-use centralium_bgp::{FibEntry, PeerId, Prefix};
-use std::collections::BTreeMap;
+use centralium_bgp::{FibEntry, LocRibEntry, NextHops, PeerId, Prefix};
+use std::collections::btree_map::{BTreeMap, Entry};
 use std::fmt;
 use std::sync::Arc;
 
@@ -29,7 +31,7 @@ use std::sync::Arc;
 pub type NextHopGroup = Vec<(PeerId, u32)>;
 
 /// A live group as the table holds it: one allocation, shared by the
-/// group → id index and the id → group map.
+/// group → id index, the id → group map and every entry installed on it.
 type SharedGroup = Arc<[(PeerId, u32)]>;
 
 /// Counters describing next-hop-group pressure on a device.
@@ -46,6 +48,15 @@ pub struct NhgStats {
     /// Number of sync operations that found more groups than the hardware
     /// table holds.
     pub overflow_events: u64,
+}
+
+/// Working memory of one [`Fib::apply`] batch: a change's projected next hops
+/// and the groups released to zero. Owned by whoever drives many FIBs and
+/// lent to each batch, so no FIB keeps buffers between batches.
+#[derive(Debug, Default)]
+pub struct FibScratch {
+    nexthops: NextHopGroup,
+    released: Vec<u64>,
 }
 
 // ---------------------------------------------------------------------------
@@ -82,45 +93,47 @@ impl GroupTable {
     }
 
     /// Take a reference on `group`, creating it (fresh id) when absent.
-    /// Returns `true` when the call created the group.
-    fn acquire(&mut self, group: &[(PeerId, u32)]) -> bool {
-        match self.ids.get(group) {
-            Some(&id) => {
-                self.live.get_mut(&id).expect("live id").1 += 1;
-                false
-            }
-            None => {
-                let id = self.next_id;
-                self.next_id += 1;
-                let group = SharedGroup::from(group);
-                self.ids.insert(Arc::clone(&group), id);
-                self.live.insert(id, (group, 1));
-                true
-            }
-        }
-    }
-
-    /// Drop a reference on `group`, keeping zero-refcount groups in the
-    /// table until [`GroupTable::gc`] — batch semantics: a group released
-    /// and re-acquired within one batch is not a new creation.
-    fn release(&mut self, group: &[(PeerId, u32)]) {
+    /// Returns the group's id, the table's allocation of it, and whether the
+    /// call created it — the only case that allocates.
+    fn acquire(&mut self, group: &[(PeerId, u32)]) -> (u64, NextHops, bool) {
         if let Some(&id) = self.ids.get(group) {
-            let slot = self.live.get_mut(&id).expect("live id");
-            slot.1 = slot.1.saturating_sub(1);
+            let (shared, count) = self.live.get_mut(&id).expect("live id");
+            *count += 1;
+            return (id, NextHops(Arc::clone(shared)), false);
+        }
+        let id = self.next_id;
+        self.next_id += 1;
+        let shared = SharedGroup::from(group);
+        self.ids.insert(Arc::clone(&shared), id);
+        self.live.insert(id, (Arc::clone(&shared), 1));
+        (id, NextHops(shared), true)
+    }
+
+    /// Drop a reference on group `id`, noting it in `released` when that was
+    /// the last. Zero-refcount groups stay until [`GroupTable::gc`] — batch
+    /// semantics: a group released and re-acquired within one batch keeps
+    /// its id and is not a new creation.
+    fn release(&mut self, id: u64, released: &mut Vec<u64>) {
+        let slot = self.live.get_mut(&id).filter(|(_, count)| *count > 0);
+        // Invariant: each installed entry holds one reference on the group whose id it stores.
+        debug_assert!(slot.is_some(), "group {id} released without a reference");
+        if let Some((_, count)) = slot {
+            *count -= 1;
+            if *count == 0 {
+                released.push(id);
+            }
         }
     }
 
-    /// Forget fully-released groups (and their ids).
-    fn gc(&mut self) {
-        let dead: Vec<u64> = self
-            .live
-            .iter()
-            .filter(|(_, (_, count))| *count == 0)
-            .map(|(&id, _)| id)
-            .collect();
-        for id in dead {
-            let (group, _) = self.live.remove(&id).expect("dead id");
-            self.ids.remove(&group);
+    /// Forget the groups in `released` that are still unreferenced (and
+    /// their ids), visiting nothing else.
+    fn gc(&mut self, released: &mut Vec<u64>) {
+        for id in released.drain(..) {
+            if let Entry::Occupied(slot) = self.live.entry(id) {
+                if slot.get().1 == 0 {
+                    self.ids.remove(&slot.remove().0);
+                }
+            }
         }
     }
 
@@ -141,7 +154,8 @@ impl GroupTable {
 /// A device's forwarding table.
 #[derive(Clone)]
 pub struct Fib {
-    entries: FlatMap<Prefix, FibEntry>,
+    /// Installed entries, each with the id of the group its next hops share.
+    entries: FlatMap<Prefix, (FibEntry, u64)>,
     /// Hardware limit on distinct next-hop group objects.
     capacity: usize,
     /// Groups currently referenced, with reference counts and stable ids.
@@ -161,21 +175,24 @@ pub struct Fib {
 /// iteration.
 impl fmt::Debug for Fib {
     fn fmt(&self, f: &mut fmt::Formatter<'_>) -> fmt::Result {
-        struct Groups<'a>(&'a GroupTable);
-        impl fmt::Debug for Groups<'_> {
-            fn fmt(&self, f: &mut fmt::Formatter<'_>) -> fmt::Result {
-                f.debug_map()
-                    .entries(self.0.live.values().map(|(group, count)| (group, count)))
-                    .finish()
-            }
-        }
+        let entries = self.entries.as_slice().iter().map(|(p, (e, _))| (p, e));
+        let groups = self.groups.live.values().map(|(g, count)| (g, count));
         f.debug_struct("Fib")
-            .field("entries", &self.entries)
+            .field("entries", &MapOf(entries))
             .field("capacity", &self.capacity)
-            .field("groups", &Groups(&self.groups))
+            .field("groups", &MapOf(groups))
             .field("stats", &self.stats)
             .field("dedup_heuristic", &self.dedup_heuristic)
             .finish()
+    }
+}
+
+/// Renders an iterator of pairs as a `Debug` map.
+struct MapOf<I>(I);
+
+impl<K: fmt::Debug, V: fmt::Debug, I: Iterator<Item = (K, V)> + Clone> fmt::Debug for MapOf<I> {
+    fn fmt(&self, f: &mut fmt::Formatter<'_>) -> fmt::Result {
+        f.debug_map().entries(self.0.clone()).finish()
     }
 }
 
@@ -196,104 +213,98 @@ impl Fib {
         // Canonicalize against the pre-batch table (the dedup heuristic and
         // creation counting both compare to "present before the batch"),
         // then rebuild. Releases are deferred so a group that survives the
-        // sync keeps its id.
-        let canonical: Vec<FibEntry> = desired
-            .into_iter()
-            .map(|mut e| {
-                e.nexthops = self.canonical_group(&e.nexthops);
-                e
-            })
-            .collect();
-        let old: Vec<NextHopGroup> = self
-            .entries
-            .values()
-            .map(|e| {
-                let mut g = e.nexthops.clone();
-                g.sort_unstable_by_key(|(p, _)| *p);
-                g
-            })
-            .collect();
-        for g in &old {
-            self.groups.release(g);
+        // sync keeps its id. The daemon hands `desired` over in ascending
+        // prefix order, so each insert lands at the end of the table; a
+        // duplicate prefix is last write wins.
+        let mut canonical = FlatMap::new();
+        for e in desired {
+            canonical.insert(e.prefix, (self.canonical_group(&e.nexthops), e.warm));
         }
-        // The daemon hands `desired` over in ascending prefix order, so each
-        // insert lands at the end of the table.
-        let mut table = FlatMap::new();
-        for e in canonical {
-            if let Some(prev) = table.insert(e.prefix, e) {
-                // Duplicate prefix in the desired list: last write wins.
-                let mut g = prev.nexthops.clone();
-                g.sort_unstable_by_key(|(p, _)| *p);
-                self.groups.release(&g);
-            }
+        let mut released = Vec::new();
+        for (_, id) in self.entries.values() {
+            self.groups.release(*id, &mut released);
         }
-        for e in table.values() {
-            // Canonicalized above: nexthops are already sorted.
-            if self.groups.acquire(&e.nexthops) {
-                self.stats.group_creations += 1;
-            }
+        self.entries = FlatMap::new();
+        for (&prefix, (group, warm)) in canonical.iter() {
+            self.install(prefix, group, *warm);
         }
-        self.groups.gc();
-        self.entries = table;
+        self.groups.gc(&mut released);
         self.note_group_pressure();
     }
 
     /// Apply a per-prefix delta instead of a full rebuild — the incremental
-    /// counterpart of [`Fib::sync`]. `None` removes the entry. Group
-    /// refcounts, creations, the high-water mark and overflow accounting
-    /// follow `sync`'s batch semantics exactly: a group counts as *created*
-    /// only if it was absent before the whole batch, and overflow is checked
-    /// once per batch. No-op changes (new entry equal to the installed one)
-    /// are skipped entirely, and an all-no-op batch performs no accounting —
-    /// callers must not rely on `apply` bumping stats the way a redundant
-    /// `sync` would. Cost is a few binary searches per changed prefix (plus
-    /// the tail shift of an install or removal). Installed next hops are in
-    /// canonical (session-id) order — `sync` and `apply` both see to it on
-    /// the way in, and the daemon's projection already is — so an entry's
-    /// next hops *are* its group and nothing is copied to look one up.
+    /// counterpart of [`Fib::sync`]. Each change is a prefix and the Loc-RIB
+    /// entry it now projects from, borrowed in place; `None`, or an entry
+    /// without learned next hops, removes the prefix. Group refcounts,
+    /// creations, the high-water mark and overflow accounting follow
+    /// `sync`'s batch semantics exactly: a group counts as *created* only if
+    /// it was absent before the whole batch, and overflow is checked once
+    /// per batch. A change that projects to the installed entry is skipped
+    /// entirely, and an all-no-op batch performs no accounting — callers
+    /// must not rely on `apply` bumping stats the way a redundant `sync`
+    /// would.
+    ///
+    /// Each change is projected into `scratch` and sorted into canonical
+    /// (session-id) order there — a linear scan when already in order, as
+    /// native multipath sets are — so the projection *is* the group key. An
+    /// installed entry shares the group table's allocation and remembers its
+    /// group's id, so a release is by id: nothing is allocated unless the
+    /// group is new to this FIB.
     ///
     /// Not valid with [`Fib::dedup_heuristic`] (its reuse choice depends on
     /// the whole-table rebuild order); callers fall back to `sync` there.
-    pub fn apply(&mut self, mut changes: Vec<(Prefix, Option<FibEntry>)>) {
+    pub fn apply<'a>(
+        &mut self,
+        changes: impl IntoIterator<Item = (Prefix, Option<&'a LocRibEntry>)>,
+        scratch: &mut FibScratch,
+    ) {
         debug_assert!(
             !self.dedup_heuristic,
             "delta apply bypasses the dedup heuristic"
         );
-        changes.retain_mut(|(prefix, new)| {
-            if let Some(entry) = new {
-                // A linear scan when already in order, as the daemon's are.
-                entry.nexthops.sort_unstable_by_key(|(p, _)| *p);
-            }
-            self.entries.get(prefix) != new.as_ref()
-        });
-        if changes.is_empty() {
-            return;
-        }
-        // Phase 1: release the old groups, keeping zero-refcount groups in
-        // the table so phase 2's creation counting still sees "present
-        // before the batch".
-        for (prefix, _) in &changes {
-            if let Some(old) = self.entries.get(prefix) {
-                self.groups.release(&old.nexthops);
-            }
-        }
-        // Phase 2: install the new entries and acquire their groups.
-        for (prefix, new) in changes {
-            match new {
-                Some(entry) => {
-                    if self.groups.acquire(&entry.nexthops) {
-                        self.stats.group_creations += 1;
+        let FibScratch { nexthops, released } = scratch;
+        let mut changed = false;
+        for (prefix, desired) in changes {
+            nexthops.clear();
+            nexthops.extend(desired.into_iter().flat_map(LocRibEntry::fib_nexthops));
+            nexthops.sort_unstable_by_key(|(p, _)| *p);
+            let warm = desired.is_some_and(|e| e.fib_warm_only);
+            match self.entries.get_mut(&prefix) {
+                None if nexthops.is_empty() => continue,
+                None => self.install(prefix, nexthops, warm),
+                Some((installed, _)) if *installed.nexthops == **nexthops => {
+                    if installed.warm == warm {
+                        continue;
                     }
-                    self.entries.insert(prefix, entry);
+                    installed.warm = warm;
                 }
-                None => {
-                    self.entries.remove(&prefix);
+                Some((_, id)) => {
+                    self.groups.release(*id, released);
+                    if nexthops.is_empty() {
+                        self.entries.remove(&prefix);
+                    } else {
+                        self.install(prefix, nexthops, warm);
+                    }
                 }
             }
+            changed = true;
         }
-        // Phase 3: drop groups the batch fully released.
-        self.groups.gc();
-        self.note_group_pressure();
+        if changed {
+            self.groups.gc(released);
+            self.note_group_pressure();
+        }
+    }
+
+    /// Install (or replace) `prefix` on `group`, taking a reference on it.
+    fn install(&mut self, prefix: Prefix, group: &[(PeerId, u32)], warm: bool) {
+        let (id, nexthops, created) = self.groups.acquire(group);
+        self.stats.group_creations += u64::from(created);
+        let entry = FibEntry {
+            prefix,
+            nexthops,
+            warm,
+        };
+        self.entries.insert(prefix, (entry, id));
     }
 
     /// Refresh the current / high-water / overflow accounting after a batch.
@@ -333,7 +344,7 @@ impl Fib {
     pub fn lookup(&self, dest: &Prefix) -> Option<&FibEntry> {
         let mut probe = *dest;
         loop {
-            let (found, entry) = self.entries.floor(&probe)?;
+            let (found, (entry, _)) = self.entries.floor(&probe)?;
             if found.contains(dest) {
                 return Some(entry);
             }
@@ -344,12 +355,12 @@ impl Fib {
 
     /// Exact-prefix entry.
     pub fn entry(&self, prefix: Prefix) -> Option<&FibEntry> {
-        self.entries.get(&prefix)
+        self.entries.get(&prefix).map(|(entry, _)| entry)
     }
 
     /// All entries, in ascending `(addr, len)` order.
     pub fn entries(&self) -> impl Iterator<Item = &FibEntry> {
-        self.entries.values()
+        self.entries.values().map(|(entry, _)| entry)
     }
 
     /// Number of installed prefixes.
@@ -386,6 +397,7 @@ impl Fib {
 #[cfg(test)]
 mod tests {
     use super::*;
+    use centralium_bgp::{PathAttributes, Route};
 
     fn p(s: &str) -> Prefix {
         s.parse().unwrap()
@@ -394,9 +406,29 @@ mod tests {
     fn entry(prefix: &str, nexthops: &[(u64, u32)]) -> FibEntry {
         FibEntry {
             prefix: p(prefix),
-            nexthops: nexthops.iter().map(|(d, w)| (PeerId(*d), *w)).collect(),
+            nexthops: NextHops(nexthops.iter().map(|(d, w)| (PeerId(*d), *w)).collect()),
             warm: false,
         }
+    }
+
+    /// A Loc-RIB entry projecting to `nexthops`, selected in the order given.
+    fn loc(nexthops: &[(u64, u32)], warm: bool) -> LocRibEntry {
+        let route = |d| Route::learned(Prefix::DEFAULT, PathAttributes::default(), PeerId(d));
+        LocRibEntry {
+            selected: nexthops.iter().map(|(d, _)| route(*d)).collect(),
+            weights: nexthops.iter().map(|(_, w)| *w).collect(),
+            advertised: None,
+            fib_warm_only: warm,
+        }
+    }
+
+    /// One delta batch.
+    fn apply(fib: &mut Fib, scratch: &mut FibScratch, changes: &[(&str, Option<&LocRibEntry>)]) {
+        fib.apply(changes.iter().map(|(s, e)| (p(s), *e)), scratch);
+    }
+
+    fn group_id(fib: &Fib, prefix: &str) -> u64 {
+        fib.entries.get(&p(prefix)).expect("installed").1
     }
 
     #[test]
@@ -535,10 +567,13 @@ mod tests {
             entry("0.0.0.0/0", &[(1, 1)]),
             entry("10.1.0.0/16", &[(2, 1)]),
         ]);
-        fib.apply(vec![
-            (p("10.1.0.0/16"), None),
-            (p("10.2.0.0/16"), Some(entry("10.2.0.0/16", &[(3, 1)]))),
-        ]);
+        let mut scratch = FibScratch::default();
+        let hop = loc(&[(3, 1)], false);
+        apply(
+            &mut fib,
+            &mut scratch,
+            &[("10.1.0.0/16", None), ("10.2.0.0/16", Some(&hop))],
+        );
         assert_eq!(fib.len(), 2);
         assert!(fib.entry(p("10.1.0.0/16")).is_none());
         assert_eq!(
@@ -551,7 +586,7 @@ mod tests {
         );
         // Removing the last deep entry must not leave dead interior nodes
         // that would surface in iteration.
-        fib.apply(vec![(p("10.2.0.0/16"), None)]);
+        apply(&mut fib, &mut scratch, &[("10.2.0.0/16", None)]);
         assert_eq!(fib.entries().count(), 1);
     }
 
@@ -571,5 +606,162 @@ mod tests {
         // Re-creating a forgotten group is a fresh ASIC program.
         fib.sync(vec![entry("10.0.0.0/8", &[(1, 1)])]);
         assert_eq!(fib.nhg_stats().group_creations, 4);
+    }
+
+    #[test]
+    fn entries_with_one_next_hop_set_share_the_group_tables_allocation() {
+        let mut fib = Fib::new(16);
+        fib.sync(vec![
+            entry("10.0.0.0/8", &[(1, 1), (2, 1)]),
+            entry("11.0.0.0/8", &[(2, 1), (1, 1)]),
+        ]);
+        let (same, other) = (loc(&[(2, 1), (1, 1)], false), loc(&[(3, 1)], false));
+        apply(
+            &mut fib,
+            &mut FibScratch::default(),
+            &[("12.0.0.0/8", Some(&same)), ("13.0.0.0/8", Some(&other))],
+        );
+        assert_eq!(fib.nhg_stats().current_groups, 2);
+        for (entry, id) in fib.entries.values() {
+            let (shared, _) = &fib.groups.live[id];
+            assert!(
+                Arc::ptr_eq(&entry.nexthops.0, shared),
+                "{} holds the table's copy of its group",
+                entry.prefix
+            );
+        }
+        let held = |s| &fib.entry(p(s)).unwrap().nexthops.0;
+        assert!(Arc::ptr_eq(held("10.0.0.0/8"), held("12.0.0.0/8")));
+    }
+
+    #[test]
+    fn a_no_op_projection_keeps_the_installed_pointer_and_performs_no_accounting() {
+        // Capacity 0: every accounting pass counts an overflow.
+        let mut fib = Fib::new(0);
+        let mut scratch = FibScratch::default();
+        let first = loc(&[(1, 1), (2, 1)], false);
+        apply(&mut fib, &mut scratch, &[("10.0.0.0/8", Some(&first))]);
+        let installed = fib.entry(p("10.0.0.0/8")).unwrap().nexthops.clone();
+        let stats = fib.nhg_stats();
+        assert_eq!((stats.group_creations, stats.overflow_events), (1, 1));
+        // The same projection from another entry, selected in reverse order.
+        let again = loc(&[(2, 1), (1, 1)], false);
+        apply(&mut fib, &mut scratch, &[("10.0.0.0/8", Some(&again))]);
+        let now = &fib.entry(p("10.0.0.0/8")).unwrap().nexthops;
+        assert!(Arc::ptr_eq(&installed.0, &now.0));
+        assert_eq!(fib.nhg_stats(), stats);
+        // A warm-only change re-programs the entry on the same group.
+        let warm = loc(&[(1, 1), (2, 1)], true);
+        apply(&mut fib, &mut scratch, &[("10.0.0.0/8", Some(&warm))]);
+        let now = fib.entry(p("10.0.0.0/8")).unwrap();
+        assert!(now.warm && Arc::ptr_eq(&installed.0, &now.nexthops.0));
+        assert_eq!(fib.nhg_stats().group_creations, 1);
+        assert_eq!(fib.nhg_stats().overflow_events, 2);
+    }
+
+    #[test]
+    fn a_group_released_to_zero_and_reacquired_in_one_batch_keeps_its_id() {
+        let mut fib = Fib::new(16);
+        let mut scratch = FibScratch::default();
+        let (a, b) = (loc(&[(1, 1)], false), loc(&[(2, 1)], false));
+        apply(
+            &mut fib,
+            &mut scratch,
+            &[("10.0.0.0/8", Some(&a)), ("11.0.0.0/8", Some(&b))],
+        );
+        let a_id = group_id(&fib, "10.0.0.0/8");
+        // 10/8 drops group `a`'s last reference; 12/8 takes it up again.
+        apply(
+            &mut fib,
+            &mut scratch,
+            &[("10.0.0.0/8", Some(&b)), ("12.0.0.0/8", Some(&a))],
+        );
+        assert_eq!(group_id(&fib, "12.0.0.0/8"), a_id);
+        let stats = fib.nhg_stats();
+        assert_eq!((stats.group_creations, stats.current_groups), (2, 2));
+    }
+
+    #[test]
+    fn a_group_released_to_zero_is_forgotten_while_the_others_stay_live() {
+        let mut fib = Fib::new(16);
+        let mut scratch = FibScratch::default();
+        let (a, b) = (loc(&[(1, 1)], false), loc(&[(2, 1)], false));
+        apply(
+            &mut fib,
+            &mut scratch,
+            &[
+                ("10.0.0.0/8", Some(&a)),
+                ("11.0.0.0/8", Some(&b)),
+                ("12.0.0.0/8", Some(&b)),
+            ],
+        );
+        let a_id = group_id(&fib, "10.0.0.0/8");
+        apply(
+            &mut fib,
+            &mut scratch,
+            &[("10.0.0.0/8", None), ("11.0.0.0/8", None)],
+        );
+        assert!(!fib.groups.contains(&[(PeerId(1), 1)]));
+        assert!(fib.groups.contains(&[(PeerId(2), 1)]));
+        assert_eq!(fib.groups.live.len(), 1);
+        assert!(scratch.released.is_empty(), "gc visited what was released");
+        // Forgotten means re-creating it is a fresh ASIC program.
+        apply(&mut fib, &mut scratch, &[("10.0.0.0/8", Some(&a))]);
+        assert!(group_id(&fib, "10.0.0.0/8") > a_id);
+        assert_eq!(fib.nhg_stats().group_creations, 3);
+    }
+
+    #[test]
+    #[cfg(debug_assertions)]
+    #[should_panic(expected = "released without a reference")]
+    fn a_double_release_is_an_accounting_bug() {
+        let mut fib = Fib::new(16);
+        fib.sync(vec![entry("10.0.0.0/8", &[(1, 1)])]);
+        let id = group_id(&fib, "10.0.0.0/8");
+        let mut released = Vec::new();
+        fib.groups.release(id, &mut released);
+        fib.groups.release(id, &mut released);
+    }
+
+    /// The `{:?}` rendering FIB snapshots are compared in: a scripted sync
+    /// and two delta batches print exactly this.
+    #[test]
+    fn debug_rendering_is_unchanged() {
+        let mut fib = Fib::new(2);
+        fib.sync(vec![
+            entry("0.0.0.0/0", &[(2, 1), (1, 1)]),
+            entry("10.0.0.0/8", &[(1, 1), (2, 1)]),
+            entry("10.1.0.0/16", &[(3, 2)]),
+        ]);
+        let mut scratch = FibScratch::default();
+        let warm = loc(&[(1, 1), (2, 1)], true);
+        let fresh = loc(&[(5, 3), (4, 1)], false);
+        let single = loc(&[(6, 1)], false);
+        apply(
+            &mut fib,
+            &mut scratch,
+            &[
+                ("10.0.0.0/8", None),
+                ("10.1.0.0/16", Some(&warm)),
+                ("10.2.0.0/16", Some(&fresh)),
+                ("10.3.0.0/16", Some(&single)),
+            ],
+        );
+        apply(&mut fib, &mut scratch, &[("10.3.0.0/16", Some(&single))]);
+        let golden = "Fib { entries: {\
+            Prefix { addr: 0, len: 0 }: FibEntry { prefix: Prefix { addr: 0, len: 0 }, \
+            nexthops: [(PeerId(1), 1), (PeerId(2), 1)], warm: false }, \
+            Prefix { addr: 167837696, len: 16 }: FibEntry { prefix: Prefix { addr: 167837696, len: 16 }, \
+            nexthops: [(PeerId(1), 1), (PeerId(2), 1)], warm: true }, \
+            Prefix { addr: 167903232, len: 16 }: FibEntry { prefix: Prefix { addr: 167903232, len: 16 }, \
+            nexthops: [(PeerId(4), 1), (PeerId(5), 3)], warm: false }, \
+            Prefix { addr: 167968768, len: 16 }: FibEntry { prefix: Prefix { addr: 167968768, len: 16 }, \
+            nexthops: [(PeerId(6), 1)], warm: false }}, \
+            capacity: 2, \
+            groups: {[(PeerId(1), 1), (PeerId(2), 1)]: 2, [(PeerId(4), 1), (PeerId(5), 3)]: 1, \
+            [(PeerId(6), 1)]: 1}, \
+            stats: NhgStats { current_groups: 3, max_groups: 3, group_creations: 4, overflow_events: 1 }, \
+            dedup_heuristic: false }";
+        assert_eq!(format!("{fib:?}"), golden);
     }
 }

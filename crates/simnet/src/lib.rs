@@ -44,7 +44,7 @@ pub use arena::DenseMap;
 pub use device::SimDevice;
 pub use event::{EventQueue, SimTime};
 pub use fault::{chaos_unit, ChaosPlan, FaultPlan, RpcFate};
-pub use fib::{Fib, NhgStats};
+pub use fib::{Fib, FibScratch, NhgStats};
 pub use invariants::{assert_rib_consistent, verify_rib_consistency};
 pub use mgmt::ManagementPlane;
 pub use net::{NetEvent, SimConfig, SimConfigBuilder, SimNet};

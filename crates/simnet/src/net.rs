@@ -17,6 +17,7 @@ use crate::arena::DenseMap;
 use crate::device::SimDevice;
 use crate::event::{EventQueue, SimTime};
 use crate::fault::{ChaosPlan, FaultPlan, RpcFate};
+use crate::fib::FibScratch;
 use crate::hash::IdHashMap;
 use crate::trace::{ConvergenceReport, TraceStats};
 use centralium_bgp::policy::{Action, MatchExpr, Policy, PolicyRule};
@@ -469,6 +470,8 @@ pub struct SimNet {
     /// yet published to the µs-granularity `simnet.phase.*` counters. Kept
     /// in ns because a one-event window takes well under a microsecond.
     phase_ns: [u64; 3],
+    /// The FIB-programming working memory, lent to each device job in turn.
+    fib_scratch: FibScratch,
 }
 
 impl SimNet {
@@ -515,6 +518,7 @@ impl SimNet {
             chaos: None,
             rpc_nonce: 0,
             phase_ns: [0; 3],
+            fib_scratch: FibScratch::default(),
         };
         net.bind_all_device_telemetry();
         // Wire sessions for every Up link between live devices.

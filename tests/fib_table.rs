@@ -3,10 +3,11 @@
 //! exact and longest-prefix lookup, and iteration order, on prefixes drawn
 //! from a pool dense enough that `/0`, `/8`, `/16`, `/24` and `/32` nest.
 
-use centralium_bgp::{FibEntry, PeerId, Prefix};
-use centralium_simnet::fib::Fib;
+use centralium_bgp::{FibEntry, LocRibEntry, NextHops, PathAttributes, PeerId, Prefix, Route};
+use centralium_simnet::fib::{Fib, FibScratch};
 use proptest::prelude::*;
 use std::collections::BTreeMap;
+use std::sync::Arc;
 
 const LENS: [u8; 5] = [0, 8, 16, 24, 32];
 
@@ -23,9 +24,19 @@ fn prefix((bits, len): (u8, u8)) -> Prefix {
 fn entry(prefix: Prefix, nexthop: u8) -> FibEntry {
     FibEntry {
         prefix,
-        nexthops: vec![(PeerId(nexthop as u64), 1)],
+        nexthops: NextHops(Arc::new([(PeerId(nexthop as u64), 1)])),
         warm: false,
     }
+}
+
+/// The Loc-RIB entry [`entry`] is the projection of.
+fn selected(nexthop: u8) -> LocRibEntry {
+    let route = Route::learned(
+        Prefix::DEFAULT,
+        PathAttributes::default(),
+        PeerId(nexthop as u64),
+    );
+    LocRibEntry::ecmp(vec![route], None)
 }
 
 fn naive_lookup<'a>(
@@ -47,16 +58,17 @@ proptest! {
         probes in proptest::collection::vec((0u8..16, 0u8..5), 1..24),
     ) {
         let mut fib = Fib::new(1024);
+        let mut scratch = FibScratch::default();
         let mut reference: BTreeMap<Prefix, FibEntry> = BTreeMap::new();
         for (op, key, nexthop) in ops {
             let p = prefix(key);
             // Three installs (or replacements) to one removal.
-            let change = (op > 0).then(|| entry(p, nexthop));
+            let change = (op > 0).then(|| selected(nexthop));
             match &change {
-                Some(e) => reference.insert(p, e.clone()),
+                Some(_) => reference.insert(p, entry(p, nexthop)),
                 None => reference.remove(&p),
             };
-            fib.apply(vec![(p, change)]);
+            fib.apply([(p, change.as_ref())], &mut scratch);
 
             prop_assert_eq!(fib.len(), reference.len());
             prop_assert_eq!(fib.entry(p), reference.get(&p));

@@ -11,7 +11,7 @@ use centralium_bgp::{
     Asn, BgpDaemon, Community, DaemonConfig, NativePolicy, PathAttributes, PeerConfig, PeerId,
     Prefix, RibPolicy, UpdateMessage,
 };
-use centralium_simnet::Fib;
+use centralium_simnet::{Fib, FibScratch};
 use centralium_telemetry::Telemetry;
 use proptest::prelude::*;
 
@@ -89,10 +89,11 @@ fn daemon(sessions: u64, wcmp: bool) -> BgpDaemon {
     d
 }
 
-/// A daemon plus the FIB its host programs from `take_fib_changes`.
+/// A daemon plus the FIB its host programs from `drain_fib_changes`.
 struct Speaker {
     daemon: BgpDaemon,
     fib: Fib,
+    scratch: FibScratch,
 }
 
 impl Speaker {
@@ -101,12 +102,17 @@ impl Speaker {
         let mut fib = Fib::new(64);
         fib.sync(daemon.fib());
         daemon.mark_fib_synced();
-        Speaker { daemon, fib }
+        Speaker {
+            daemon,
+            fib,
+            scratch: FibScratch::default(),
+        }
     }
 
     fn step(&mut self, f: impl FnOnce(&mut BgpDaemon) -> Updates) -> Updates {
         let out = f(&mut self.daemon);
-        self.fib.apply(self.daemon.take_fib_changes());
+        self.fib
+            .apply(self.daemon.drain_fib_changes(), &mut self.scratch);
         out
     }
 }
@@ -264,15 +270,16 @@ fn a_worse_arrival_leaves_the_fib_alone_and_still_counts_a_decision() {
     let out = announce(&mut d, 3, palette(1, 3));
     assert!(out.is_empty());
     assert_eq!(decisions.get() - before, 1);
-    assert!(
-        d.take_fib_changes().is_empty(),
+    assert_eq!(
+        d.drain_fib_changes().count(),
+        0,
         "nothing installed, nothing marked dirty"
     );
     assert_eq!(selected_sessions(&d), [Some(2), Some(4), Some(6)]);
     // Its withdrawal is as quiet: the route was held but never selected.
     assert!(withdraw(&mut d, 3).is_empty());
     assert_eq!(decisions.get() - before, 2);
-    assert!(d.take_fib_changes().is_empty());
+    assert_eq!(d.drain_fib_changes().count(), 0);
 }
 
 #[test]
@@ -297,10 +304,14 @@ fn a_tie_joins_at_its_session_position_and_the_local_route_stays_last() {
         entry.advertised.as_ref().unwrap().is_local(),
         "the local route stays the best"
     );
-    let changes = d.take_fib_changes();
-    assert_eq!(changes.len(), 1, "one dirty mark per changed entry");
-    let fib = changes[0].1.as_ref().unwrap();
-    assert_eq!(fib.nexthops.len(), 6, "the local route is no next hop");
+    let changes: Vec<_> = d.drain_fib_changes().collect();
+    assert_eq!(changes.len(), 1, "one drained mark per changed entry");
+    let entry = changes[0].1.unwrap();
+    assert_eq!(
+        entry.fib_nexthops().count(),
+        6,
+        "the local route is no next hop"
+    );
 }
 
 #[test]
@@ -346,7 +357,7 @@ fn a_selected_route_withdrawn_or_worsened_leaves_the_rest_selected() {
     );
     assert_eq!(selected_sessions(&d), [Some(2), Some(6)]);
     assert_eq!(d.loc_rib_entry(Prefix::DEFAULT).unwrap().weights, [1, 1]);
-    assert_eq!(d.take_fib_changes().len(), 1);
+    assert_eq!(d.drain_fib_changes().count(), 1);
     // Worsened, not withdrawn — and it was the advertised route, so the
     // best path moves to the one that is left.
     let out = announce(&mut d, 2, palette(6, 2));
@@ -410,10 +421,10 @@ fn losing_the_last_selected_route_rescans_to_the_runner_up_set() {
 /// edit — it leaves a dirty mark behind a worse arrival. That is how these
 /// cases tell which of the two ran.
 fn worse_arrival_is_reinstalled(d: &mut BgpDaemon, hook: &dyn RibPolicy) -> bool {
-    d.take_fib_changes();
+    d.drain_fib_changes().for_each(drop);
     let update = UpdateMessage::announce(Prefix::DEFAULT, palette(1, 3));
     assert!(d.handle_update(PeerId(3), update, hook).is_empty());
-    !d.take_fib_changes().is_empty()
+    d.drain_fib_changes().count() > 0
 }
 
 #[test]
