@@ -19,7 +19,7 @@
 //! ```
 //!
 //! It is deliberately *not* installed by this library crate, so the
-//! criterion micro-benches keep an uninstrumented allocator; without the
+//! `paper` binary keeps an uninstrumented allocator; without the
 //! attribute [`live_heap_bytes`] just reads zero. The two relaxed atomic
 //! ops per alloc/free cost low single-digit percent on allocation-heavy
 //! paths — the same tax for every row of a bench table, so relative

@@ -1,13 +1,10 @@
-//! Minimal `--key value` / `--flag` parsing for the `bin/` regenerators.
-//!
-//! The regenerators are zero-argument by default (every figure regenerates
-//! with its paper-faithful parameters); flags exist for the chaos harness
-//! and the CI smoke jobs (`--tiny`, `--json FILE`, `--chaos-seed N`,
-//! `--rpc-loss P`).
+//! Minimal `--key value` / `--flag` parsing for the perf binaries
+//! (`bench_convergence`, `perf_report`, `bench_wire`): `--tiny`,
+//! `--fabric LIST`, `--iters N`, `--json FILE`, `--baseline FILE`, ….
 
 use std::collections::BTreeMap;
 
-/// Parsed arguments for a bench regenerator.
+/// Parsed arguments for a perf binary.
 #[derive(Debug, Default)]
 pub struct BenchArgs {
     values: BTreeMap<String, String>,

@@ -1,4 +1,4 @@
-//! Plain-text table rendering for the regenerator binaries.
+//! Plain-text table rendering for the paper entries and the perf binaries.
 
 use centralium_telemetry::{MetricsSnapshot, PhaseRecord};
 

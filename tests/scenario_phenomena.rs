@@ -1,53 +1,20 @@
 //! Integration tests pinning the paper's §3 pathologies and their RPA fixes
-//! — the qualitative shapes every scenario regenerator reports.
+//! — the qualitative shapes every scenario artefact reports. The scenario
+//! tests drive the `paper` entries' own procedures on the tiny fabric.
 
-use centralium::apps::path_equalization::equalize_on_layers;
-use centralium::compile::compile_intent;
-use centralium_bench::scenarios::{
-    converged_fabric, fig10_rig, fig5_rig, fig9_rig, max_metric_during, time_above_threshold,
+use centralium_bench::paper::{
+    scenario_first_router, scenario_last_router, scenario_nhg_explosion, scenario_sequencing,
 };
-use centralium_bgp::attrs::well_known;
-use centralium_bgp::Prefix;
-use centralium_simnet::traffic::{forwarding_cycle, route_flows, TrafficMatrix, DEFAULT_MAX_HOPS};
-use centralium_topology::{Asn, DeviceId, DeviceName, FabricSpec, Layer};
+use centralium_bench::scenarios::fig9_rig;
+use centralium_simnet::traffic::forwarding_cycle;
+use centralium_topology::FabricSpec;
 
 /// §3.2: native BGP funnels all traffic onto the first (shorter-path)
 /// router; the equalization RPA keeps the fair share.
 #[test]
 fn first_router_collapse_and_rpa_fix() {
-    let run = |with_rpa: bool| -> f64 {
-        let mut fab = converged_fabric(&FabricSpec::tiny(), 411);
-        if with_rpa {
-            let intent = equalize_on_layers(
-                well_known::BACKBONE_DEFAULT_ROUTE,
-                Layer::Backbone,
-                vec![Layer::Fsw, Layer::Ssw],
-            );
-            for (dev, doc) in compile_intent(fab.net.topology(), &intent).unwrap() {
-                fab.net.deploy_rpa(dev, doc, 100);
-            }
-            fab.net.run_until_quiescent().expect_converged();
-        }
-        let ssws: Vec<DeviceId> = fab.idx.ssw.iter().flatten().copied().collect();
-        let mut links: Vec<(DeviceId, f64)> = ssws.iter().map(|&s| (s, 400.0)).collect();
-        links.extend(fab.idx.backbone.iter().map(|&e| (e, 400.0)));
-        let fav2 =
-            fab.net
-                .commission_device(DeviceName::new(Layer::Fadu, 90, 0), Asn(45_000), &links);
-        fab.net.run_until_quiescent().expect_converged();
-        let sources: Vec<DeviceId> = fab.idx.rsw.iter().flatten().copied().collect();
-        let tm = TrafficMatrix::uniform(&sources, Prefix::DEFAULT, 10.0);
-        let report = route_flows(&fab.net, &tm, DEFAULT_MAX_HOPS);
-        let mut group: Vec<DeviceId> = fab.idx.fadu.iter().flatten().copied().collect();
-        group.push(fav2);
-        let total: f64 = group
-            .iter()
-            .map(|&d| report.device_transit.get(d).copied().unwrap_or(0.0))
-            .sum();
-        report.device_transit.get(fav2).copied().unwrap_or(0.0) / total
-    };
-    let native = run(false);
-    let rpa = run(true);
+    let native = scenario_first_router::run(false, &FabricSpec::tiny(), 411).steady_share;
+    let rpa = scenario_first_router::run(true, &FabricSpec::tiny(), 411).steady_share;
     assert!(
         native > 0.99,
         "native BGP collapses onto the first router, got {native}"
@@ -63,39 +30,8 @@ fn first_router_collapse_and_rpa_fix() {
 /// group's traffic natively; the min-next-hop guard prevents it.
 #[test]
 fn last_router_funneling_and_rpa_fix() {
-    let run = |with_rpa: bool| -> u64 {
-        let mut fab = converged_fabric(&FabricSpec::tiny(), 88);
-        let sources: Vec<DeviceId> = fab.idx.rsw.iter().flatten().copied().collect();
-        let fadu0s: Vec<DeviceId> = fab.idx.fadu.iter().map(|g| g[0]).collect();
-        let ssw0s: Vec<DeviceId> = fab.idx.ssw.iter().map(|p| p[0]).collect();
-        if with_rpa {
-            let intent = centralium::apps::decommission::protection_intent(
-                well_known::BACKBONE_DEFAULT_ROUTE,
-                ssw0s,
-                centralium_rpa::MinNextHop::Fraction(1.0),
-            );
-            for (dev, doc) in compile_intent(fab.net.topology(), &intent).unwrap() {
-                fab.net.deploy_rpa(dev, doc, 100);
-            }
-            fab.net.run_until_quiescent().expect_converged();
-        }
-        for (i, &f) in fadu0s.iter().enumerate() {
-            let asn = fab.net.device(f).unwrap().daemon.asn();
-            fab.net.schedule_in(
-                (i as u64) * 30_000,
-                centralium_simnet::NetEvent::SetExportPolicy {
-                    dev: f,
-                    policy: centralium_simnet::SimNet::drain_export_policy(asn),
-                },
-            );
-        }
-        time_above_threshold(&mut fab.net, 0.9, |net| {
-            let tm = TrafficMatrix::uniform(&sources, Prefix::DEFAULT, 10.0);
-            route_flows(net, &tm, DEFAULT_MAX_HOPS).funneling_ratio(&fadu0s)
-        })
-    };
-    let native_us = run(false);
-    let rpa_us = run(true);
+    let native_us = scenario_last_router::run(false, &FabricSpec::tiny(), 88).funnel_us;
+    let rpa_us = scenario_last_router::run(true, &FabricSpec::tiny(), 88).funnel_us;
     assert!(
         native_us > 20_000,
         "native drains funnel for most of the stagger window, got {native_us}us"
@@ -110,16 +46,9 @@ fn last_router_funneling_and_rpa_fix() {
 /// table; the Route Attribute RPA keeps the count constant.
 #[test]
 fn nhg_explosion_and_rpa_fix() {
-    let run = |with_rpa: bool| {
-        let mut rig = fig5_rig(64, 8, 55, with_rpa);
-        rig.net.device_mut(rig.du).unwrap().fib.reset_stats();
-        rig.net.drain_device(rig.ebs[0]);
-        rig.net.drain_device(rig.ebs[1]);
-        rig.net.run_until_quiescent().expect_converged();
-        rig.net.device(rig.du).unwrap().fib.nhg_stats()
-    };
-    let native = run(false);
-    let rpa = run(true);
+    use scenario_nhg_explosion::{run, Event, TINY};
+    let native = run(TINY, false, false, Event::Drain, 55).0;
+    let rpa = run(TINY, true, false, Event::Drain, 55).0;
     assert!(
         native.max_groups > 8,
         "native transient groups exceed the table capacity, got {}",
@@ -150,31 +79,8 @@ fn dissemination_rule_prevents_loops() {
 /// bottom-up safe order never does.
 #[test]
 fn deployment_sequencing_prevents_funneling() {
-    let run = |safe: bool| -> f64 {
-        let mut rig = fig10_rig(77);
-        let sources = rig.fsws.clone();
-        let fa_group = rig.fa.to_vec();
-        let order: Vec<DeviceId> = if safe {
-            let mut v = rig.ssws.clone();
-            v.extend(rig.fa);
-            v
-        } else {
-            let mut v = vec![rig.fa[0]];
-            v.extend(rig.ssws.clone());
-            v.push(rig.fa[1]);
-            v
-        };
-        for (i, dev) in order.into_iter().enumerate() {
-            rig.net
-                .deploy_rpa(dev, rig.rpa.clone(), (i as u64) * 100_000 + 500);
-        }
-        max_metric_during(&mut rig.net, |net| {
-            let tm = TrafficMatrix::uniform(&sources, Prefix::DEFAULT, 10.0);
-            route_flows(net, &tm, DEFAULT_MAX_HOPS).funneling_ratio(&fa_group)
-        })
-    };
-    let uncoordinated = run(false);
-    let safe = run(true);
+    let uncoordinated = scenario_sequencing::run(false, 77).peak_fa_share;
+    let safe = scenario_sequencing::run(true, 77).peak_fa_share;
     assert!(
         uncoordinated > 0.99,
         "uncoordinated deployment funnels, got {uncoordinated}"
