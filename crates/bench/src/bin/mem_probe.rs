@@ -3,7 +3,7 @@
 //! The per-device byte budget (`bench_convergence --max-kb-per-device`)
 //! gates a single VmRSS number; when a tier blows it, this probe says
 //! *where* — how much of the footprint is the topology, the wired fabric
-//! (daemons, peer configs, sessions, engines), and the converged state
+//! (daemons, peer configs, engines), and the converged state
 //! (RIBs, FIBs, retained queue/arena capacity). Each reading follows a
 //! `malloc_trim`, so stages measure live data, not allocator caching.
 //!
@@ -109,9 +109,8 @@ fn main() -> ExitCode {
     for &id in &ids {
         let dev = net.device_mut(id).expect("listed device exists");
         dev.engine = RpaEngine::new();
-        dev.sessions = Default::default();
     }
-    prev = report("engines+sessions dropped", prev);
+    prev = report("engines dropped", prev);
     drop(net);
     report("whole net dropped", prev);
     ExitCode::SUCCESS

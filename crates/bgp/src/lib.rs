@@ -22,7 +22,6 @@
 //! * [`attrs`] — path attributes: AS-path, local-pref, MED, communities,
 //!   link-bandwidth;
 //! * [`msg`] — OPEN / UPDATE / KEEPALIVE / NOTIFICATION messages;
-//! * [`session`] — a minimal session FSM (Idle → OpenSent → Established);
 //! * [`policy`] — classic import/export route policy (match / action rules);
 //! * [`rib`] — Adj-RIB-In / Loc-RIB / Adj-RIB-Out storage;
 //! * [`decision`] — the RFC 4271 §9.1 decision process plus multipath;
@@ -38,7 +37,6 @@ pub mod hooks;
 pub mod msg;
 pub mod policy;
 pub mod rib;
-pub mod session;
 pub mod types;
 pub mod wcmp;
 

@@ -62,7 +62,8 @@ impl UpdateMessage {
     }
 }
 
-/// OPEN message parameters (only what the session FSM needs).
+/// OPEN message parameters (only what the service plane's connection
+/// preamble exchanges).
 #[derive(Debug, Clone, Copy, PartialEq, Eq, Serialize, Deserialize)]
 pub struct OpenMessage {
     /// Sender's autonomous system.

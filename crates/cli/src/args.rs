@@ -11,7 +11,7 @@ pub struct Args {
 
 impl Args {
     /// Flags that take no value.
-    const BARE_FLAGS: &'static [&'static str] = &["handshake", "metrics-summary", "profile"];
+    const BARE_FLAGS: &'static [&'static str] = &["metrics-summary", "profile"];
 
     /// Options that take a value. Anything else is rejected rather than
     /// silently ignored.
@@ -131,7 +131,7 @@ mod tests {
         let args = parse(&[
             "--pods",
             "4",
-            "--handshake",
+            "--profile",
             "--seed",
             "9",
             "--rpc-loss",
@@ -141,7 +141,7 @@ mod tests {
         assert_eq!(args.get_u16("pods").unwrap(), Some(4));
         assert_eq!(args.get_u64("seed").unwrap(), Some(9));
         assert_eq!(args.get_f64("rpc-loss").unwrap(), Some(0.05));
-        assert!(args.has_flag("handshake"));
+        assert!(args.has_flag("profile"));
         assert_eq!(args.get_str("missing").unwrap(), None);
     }
 

@@ -2,7 +2,7 @@
 //!
 //! ```text
 //! centralium-cli topo     [--pods N] [--planes N] ...        fabric summary
-//! centralium-cli converge [--seed N] [--handshake]           build + converge
+//! centralium-cli converge [--seed N]                         build + converge
 //! centralium-cli compile  --intent FILE                      intent → per-switch RPAs
 //! centralium-cli deploy   --intent FILE [--strategy S]       preverify + deploy + inspect
 //! centralium-cli deploy   --intent FILE --connect ADDR       ... over the TCP service plane
@@ -100,7 +100,7 @@ const USAGE: &str = "usage: centralium-cli <command> [options]
 
 commands:
   topo      print a fabric summary          [--pods N --planes N --ssws N --racks N --grids N --fauus N --ebs N]
-  converge  build a fabric and converge it  [fabric opts] [--seed N] [--handshake] [chaos opts] [telemetry opts]
+  converge  build a fabric and converge it  [fabric opts] [--seed N] [chaos opts] [telemetry opts]
   compile   compile an intent to RPAs       --intent FILE [fabric opts]
   deploy    preverify + deploy an intent    --intent FILE [--strategy safe|inverse|unordered] [--connect ADDR] [fabric opts] [--seed N] [chaos opts] [--max-retries N] [telemetry opts]
   serve     expose an agent over TCP        --listen ADDR [--serve-for-ms N] [fabric opts] [--seed N] [--max-retries N]
@@ -350,7 +350,6 @@ fn converged(args: &Args) -> Result<(SimNet, centralium_topology::builder::Fabri
     let (topo, idx, _) = build_fabric(&spec);
     let cfg = SimConfig::builder()
         .seed(args.get_u64("seed")?.unwrap_or(1))
-        .handshake_sessions(args.has_flag("handshake"))
         .build();
     let mut net = SimNet::new(topo, cfg);
     if args.get_str("telemetry")?.is_some() {

@@ -1,11 +1,9 @@
 //! A simulated device: BGP daemon + RPA engine + FIB.
 
 use crate::fib::{Fib, FibScratch};
-use centralium_bgp::session::Session;
 use centralium_bgp::{BgpDaemon, PeerId, UpdateMessage};
 use centralium_rpa::RpaEngine;
 use centralium_topology::DeviceId;
-use std::collections::HashMap;
 
 /// One switch in the emulator.
 #[derive(Debug)]
@@ -18,10 +16,6 @@ pub struct SimDevice {
     pub engine: RpaEngine,
     /// Forwarding table with next-hop-group accounting.
     pub fib: Fib,
-    /// Session FSMs, populated when the emulator runs in handshake mode
-    /// (`SimConfig::handshake_sessions`); empty under administrative
-    /// bring-up.
-    pub sessions: HashMap<PeerId, Session>,
 }
 
 impl SimDevice {
@@ -32,7 +26,6 @@ impl SimDevice {
             daemon,
             engine: RpaEngine::new(),
             fib: Fib::new(nhg_capacity),
-            sessions: HashMap::new(),
         }
     }
 

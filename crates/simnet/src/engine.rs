@@ -9,12 +9,11 @@ use crate::event::SimTime;
 use crate::fib::FibScratch;
 use crate::trace::ConvergenceReport;
 use centralium_bgp::policy::Policy;
-use centralium_bgp::session::SessionAction;
-use centralium_bgp::{BgpMessage, PathAttributes, PeerId, Prefix, UpdateMessage};
+use centralium_bgp::{PathAttributes, PeerId, Prefix, UpdateMessage};
 use centralium_rpa::RpaDocument;
 use centralium_telemetry::{span, Event, EventKind, ProvenanceKind, Severity, Telemetry};
 use centralium_topology::{DeviceId, Topology};
-use std::collections::{BTreeMap, BTreeSet, HashMap};
+use std::collections::HashMap;
 use std::sync::Arc;
 
 /// The device-local portion of one event, executed in a window's work
@@ -25,8 +24,6 @@ use std::sync::Arc;
 enum Work {
     /// Apply a BGP UPDATE received on session `on`.
     Deliver { on: PeerId, msg: UpdateMessage },
-    /// Feed a session-control message into the FSM for session `on`.
-    Ctl { on: PeerId, msg: BgpMessage },
     /// A session reached Established.
     SessionUp { peer: PeerId },
     /// A session dropped.
@@ -54,20 +51,14 @@ enum Work {
     Reevaluate,
 }
 
-/// One ordered emission produced by the work phase. The merge phase replays
-/// these through [`SimNet::emit`]/[`SimNet::emit_ctl`] in global pop order, so
-/// every RNG draw (jitter, faults, split shuffles), FIFO clamp and queue
-/// sequence number lands exactly as it would processing one event at a time.
-#[derive(Debug)]
-enum Emission {
-    /// Daemon output updates, to be scheduled via `emit`.
-    Updates(Vec<(PeerId, UpdateMessage)>),
-    /// A session-control reply, to be scheduled via `emit_ctl`.
-    Ctl(PeerId, BgpMessage),
-    /// Route-refresh requests toward `(neighbor, neighbor's session)`,
-    /// scheduled one base latency out (RemoveRpa of a Route Filter).
-    RefreshRequests(Vec<(DeviceId, PeerId)>),
-}
+/// What the work phase produced for one event: the daemon's output updates,
+/// then route-refresh requests toward `(neighbor, neighbor's session)` — the
+/// latter only from a Route Filter removal. The merge phase replays both in
+/// global pop order — the updates through [`SimNet::emit`], the requests one
+/// base latency out — so every RNG draw (jitter, faults, split shuffles),
+/// FIFO clamp and queue sequence number lands exactly as it would processing
+/// one event at a time.
+type Output = (Vec<(PeerId, UpdateMessage)>, Vec<(DeviceId, PeerId)>);
 
 /// A provenance step of one event, before it reaches the log: kind, sending
 /// peer and detail. Device and time are the event's own.
@@ -86,7 +77,7 @@ struct Slot {
     /// Device-local work, taken by the work phase.
     work: Option<Work>,
     /// What the work phase produced, replayed by the merge phase.
-    emissions: Vec<Emission>,
+    output: Output,
     /// Journal events of the pre-pass and the work phase.
     journal: Vec<Event>,
     /// Provenance steps of the pre-pass and the work phase.
@@ -97,7 +88,6 @@ struct Slot {
 fn work_name(work: &Work) -> &'static str {
     match work {
         Work::Deliver { .. } => "deliver",
-        Work::Ctl { .. } => "ctl",
         Work::SessionUp { .. } => "session_up",
         Work::SessionDown { .. } => "session_down",
         Work::RouteRefresh { .. } => "route_refresh",
@@ -124,68 +114,36 @@ fn run_work(
     counters: &NetCounters,
     topo: &Topology,
     cfg: &SimConfig,
-) -> Vec<Emission> {
-    match work {
+) -> Output {
+    let updates = match work {
         Work::Deliver { on, msg } => {
             dev.engine.set_time(t);
-            let out = dev.with_daemon(scratch, |dm, e| dm.handle_update(on, msg, e));
-            vec![Emission::Updates(out)]
-        }
-        Work::Ctl { on, msg } => {
-            let now_secs = t / crate::event::SECONDS;
-            let actions = match dev.sessions.get_mut(&on) {
-                Some(session) => session.handle(&msg, now_secs),
-                None => return Vec::new(),
-            };
-            let mut out = Vec::new();
-            for action in actions {
-                match action {
-                    SessionAction::Send(reply) => out.push(Emission::Ctl(on, reply)),
-                    SessionAction::AdvertiseAll => {
-                        dev.engine.set_time(t);
-                        out.push(Emission::Updates(
-                            dev.with_daemon(scratch, |dm, e| dm.peer_up(on, e)),
-                        ));
-                    }
-                    SessionAction::FlushRoutes => {
-                        dev.engine.set_time(t);
-                        out.push(Emission::Updates(
-                            dev.with_daemon(scratch, |dm, e| dm.peer_down(on, e)),
-                        ));
-                    }
-                    SessionAction::None => {}
-                }
-            }
-            out
+            dev.with_daemon(scratch, |dm, e| dm.handle_update(on, msg, e))
         }
         Work::SessionUp { peer } => {
             dev.engine.set_time(t);
-            let out = dev.with_daemon(scratch, |dm, e| dm.peer_up(peer, e));
-            vec![Emission::Updates(out)]
+            dev.with_daemon(scratch, |dm, e| dm.peer_up(peer, e))
         }
         Work::SessionDown { peer } => {
             dev.engine.set_time(t);
-            let out = dev.with_daemon(scratch, |dm, e| dm.peer_down(peer, e));
-            vec![Emission::Updates(out)]
+            dev.with_daemon(scratch, |dm, e| dm.peer_down(peer, e))
         }
         Work::RouteRefresh { on } => {
             // The establishment check must run here, not in the pre-pass: an
             // earlier event in the same window may have dropped the session.
             if !dev.daemon.is_established(on) {
-                return Vec::new();
+                return Output::default();
             }
             let refresh = dev.daemon.full_advertisement(on);
             if refresh.is_empty() {
                 Vec::new()
             } else {
-                vec![Emission::Updates(vec![(on, refresh)])]
+                vec![(on, refresh)]
             }
         }
         Work::RemovePeer { peer } => {
             dev.engine.set_time(t);
-            dev.sessions.remove(&peer);
-            let out = dev.with_daemon(scratch, |dm, e| dm.remove_peer(peer, e));
-            vec![Emission::Updates(out)]
+            dev.with_daemon(scratch, |dm, e| dm.remove_peer(peer, e))
         }
         Work::InstallRpa { doc } => {
             dev.engine.set_time(t);
@@ -198,10 +156,7 @@ fn run_work(
                 None => rpa_scope(dev, &[doc.as_ref()]),
             };
             match dev.engine.install_or_replace(*doc) {
-                Ok(()) => {
-                    let out = reevaluate_scoped(dev, scratch, scope, counters);
-                    vec![Emission::Updates(out)]
-                }
+                Ok(()) => reevaluate_scoped(dev, scratch, scope, counters),
                 Err(_) => {
                     counters.rpa_failures.inc();
                     Vec::new()
@@ -215,7 +170,7 @@ fn run_work(
             // Removing an ingress-only Route Filter only *relaxes* admission:
             // routes already held keep passing (no purge needed), and routes
             // the filter had evicted come back via the refresh requests
-            // emitted below. Only time-joined prefixes can flip right now,
+            // returned below. Only time-joined prefixes can flip right now,
             // which is exactly `rpa_scope` over an empty document set.
             let scope = match dev.engine.document(&name) {
                 Some(RpaDocument::RouteFilter(rf)) if !rf.constrains_egress() => {
@@ -225,41 +180,34 @@ fn run_work(
                 Some(old) => rpa_scope(dev, &[old]),
                 None => RpaScope::Full,
             };
-            match dev.engine.remove(&name) {
-                Ok(removed) => {
-                    let peers = dev.daemon.peer_ids();
-                    let out = reevaluate_scoped(dev, scratch, scope, counters);
-                    let mut emissions = vec![Emission::Updates(out)];
-                    if matches!(removed, centralium_rpa::RpaDocument::RouteFilter(_)) {
-                        emissions.push(Emission::RefreshRequests(
-                            peers
-                                .into_iter()
-                                .map(|peer| {
-                                    (
-                                        DeviceId(peer.device()),
-                                        PeerId::compose(dev.id.0, peer.session_index()),
-                                    )
-                                })
-                                .collect(),
-                        ));
-                    }
-                    emissions
-                }
-                Err(_) => {
-                    counters.rpa_failures.inc();
-                    Vec::new()
-                }
-            }
+            let Ok(removed) = dev.engine.remove(&name) else {
+                counters.rpa_failures.inc();
+                return Output::default();
+            };
+            let updates = reevaluate_scoped(dev, scratch, scope, counters);
+            let refresh = if matches!(removed, RpaDocument::RouteFilter(_)) {
+                dev.daemon
+                    .peer_ids()
+                    .into_iter()
+                    .map(|peer| {
+                        (
+                            DeviceId(peer.device()),
+                            PeerId::compose(dev.id.0, peer.session_index()),
+                        )
+                    })
+                    .collect()
+            } else {
+                Vec::new()
+            };
+            return (updates, refresh);
         }
         Work::Originate { prefix, attrs } => {
             dev.engine.set_time(t);
-            let out = dev.with_daemon(scratch, |dm, e| dm.originate(prefix, attrs, e));
-            vec![Emission::Updates(out)]
+            dev.with_daemon(scratch, |dm, e| dm.originate(prefix, attrs, e))
         }
         Work::WithdrawOrigin { prefix } => {
             dev.engine.set_time(t);
-            let out = dev.with_daemon(scratch, |dm, e| dm.withdraw_origin(prefix, e));
-            vec![Emission::Updates(out)]
+            dev.with_daemon(scratch, |dm, e| dm.withdraw_origin(prefix, e))
         }
         Work::SetExportPolicy { policy } => {
             let peers = dev.daemon.peer_ids();
@@ -287,7 +235,7 @@ fn run_work(
                 })
                 .collect();
             dev.engine.set_time(t);
-            let out = dev.with_daemon(scratch, |dm, e| {
+            dev.with_daemon(scratch, |dm, e| {
                 for (peer, p) in composed {
                     dm.set_export_policy(peer, p);
                 }
@@ -297,8 +245,7 @@ fn run_work(
                 // known prefix directly.
                 let known = dm.known_prefixes();
                 dm.reevaluate_prefixes(known, e)
-            });
-            vec![Emission::Updates(out)]
+            })
         }
         Work::AgentRestart => {
             dev.engine.set_time(t);
@@ -311,15 +258,14 @@ fn run_work(
             for name in installed {
                 let _ = dev.engine.remove(&name);
             }
-            let out = dev.with_daemon(scratch, |dm, e| dm.reevaluate_all(e));
-            vec![Emission::Updates(out)]
+            dev.with_daemon(scratch, |dm, e| dm.reevaluate_all(e))
         }
         Work::Reevaluate => {
             dev.engine.set_time(t);
-            let out = dev.with_daemon(scratch, |dm, e| dm.reevaluate_all(e));
-            vec![Emission::Updates(out)]
+            dev.with_daemon(scratch, |dm, e| dm.reevaluate_all(e))
         }
-    }
+    };
+    (updates, Vec::new())
 }
 
 /// The re-evaluation an RPA change demands, computed before the change is
@@ -525,18 +471,18 @@ impl SimNet {
     ///    window `[t0, t0 + L)` are already queued when the window opens and
     ///    nothing produced inside the window can land inside it. (In the
     ///    coalescing configuration the window stretches to three latencies,
-    ///    with explicit cuts around the few event shapes that could violate
+    ///    with explicit cuts around the two event shapes that could violate
     ///    this — see `run_window` and `DESIGN.md` §9.)
     /// 2. Events targeting different devices within one window are causally
     ///    independent (all cross-device effects travel as messages, which
     ///    land beyond the window), so the work phase may run them grouped
     ///    by device; each device's events keep their pop order.
     /// 3. Device work never touches the RNG, the queue, or shared maps — it
-    ///    returns ordered emission lists which the merge phase replays
-    ///    through the normal `emit` path in global pop order, reproducing
-    ///    every jitter/fault/shuffle draw, FIFO clamp and queue sequence
-    ///    number. Journal events and provenance steps are held with the
-    ///    emissions and appended in the same order.
+    ///    returns each event's updates (and refresh requests), which the
+    ///    merge phase replays through the normal `emit` path in global pop
+    ///    order, reproducing every jitter/fault/shuffle draw, FIFO clamp and
+    ///    queue sequence number. Journal events and provenance steps are held
+    ///    with that output and appended in the same order.
     pub fn run_until_quiescent(&mut self) -> ConvergenceReport {
         let mut sp = span::span("simnet", "converge");
         let mut n = 0u64;
@@ -564,6 +510,7 @@ impl SimNet {
             n += self.run_window(deadline, u64::MAX);
         }
         self.now = self.now.max(deadline);
+        self.telemetry.set_now(self.now);
         self.publish_phases();
         n
     }
@@ -587,16 +534,14 @@ impl SimNet {
     ///
     /// The base window is one latency: everything in `[t0, t0 + L)` is
     /// already queued and causally independent across devices. When UPDATE
-    /// coalescing is on and session handshakes are off — the default
-    /// configuration — fresh coalesced batches are scheduled a full `3·L`
-    /// out, so the window stretches to `[t0, t0 + 3L)` and carries roughly
-    /// three times the events. Two *cuts* keep the wide window byte-identical
-    /// to one-event windows:
+    /// coalescing is on — the default configuration — fresh coalesced
+    /// batches are scheduled a full `3·L` out, so the window stretches to
+    /// `[t0, t0 + 3L)` and carries roughly three times the events. Two *cuts*
+    /// keep the wide window byte-identical to one-event windows:
     ///
-    /// * an event whose replay schedules follow-ups one `L` out (refresh
-    ///   requests after a Route Filter removal; control-message replies)
-    ///   ends the window — the follow-up could land inside `3L` and must
-    ///   sort against later events in a fresh window;
+    /// * a `RemoveRpa` ends the window: its replay may schedule route-refresh
+    ///   requests one `L` out (a Route Filter removal), which could land
+    ///   inside `3L` and must sort against later events in a fresh window;
     /// * a batch delivery is cut *out* of the window when any device that
     ///   already holds an in-window job is its emitter and the delivery is
     ///   at least `L` after that job — the job's replayed output would have
@@ -611,7 +556,7 @@ impl SimNet {
         let Some(t0) = self.queue.peek_time() else {
             return 0;
         };
-        let wide = self.cfg.coalesce_updates && !self.cfg.handshake_sessions;
+        let wide = self.cfg.coalesce_updates;
         let width = if wide {
             3 * BASE_LATENCY_US
         } else {
@@ -646,7 +591,7 @@ impl SimNet {
             let (t, ev) = self.queue.pop().expect("peeked event");
             debug_assert!(t >= self.now, "time must be monotonic");
             if wide {
-                cut = matches!(ev, NetEvent::RemoveRpa { .. } | NetEvent::DeliverCtl { .. });
+                cut = matches!(ev, NetEvent::RemoveRpa { .. });
             }
             let slot = self.prepare(t, ev);
             if wide {
@@ -728,10 +673,10 @@ impl SimNet {
         let mut sp = span::span("simnet.work", work_name(&work));
         sp.arg("device", dev_id.0 as u64);
         sp.arg("t_us", slot.t);
-        let (emissions, mut journal) =
+        let (output, mut journal) =
             telemetry.capture(|| run_work(dev, fib_scratch, slot.t, work, counters, topo, cfg));
         drop(sp);
-        slot.emissions = emissions;
+        slot.output = output;
         slot.journal.append(&mut journal);
         if let (Some((p, _)), Some(before)) = (provenance.as_ref(), before) {
             push_prov_deltas(&mut slot.provenance, &before, &prov_state(dev, *p));
@@ -744,8 +689,9 @@ impl SimNet {
     }
 
     /// Finish a slot: advance the clock to its event, hand its held journal
-    /// events and provenance steps to their logs, and replay its emissions
-    /// through the scheduling path.
+    /// events and provenance steps to their logs, and replay its output
+    /// through the scheduling path at the event's time: the updates via
+    /// `emit`, then any route-refresh requests one base latency out.
     fn finish(&mut self, slot: Slot) {
         self.now = slot.t;
         self.telemetry.set_now(slot.t);
@@ -760,22 +706,10 @@ impl SimNet {
                 log.append(slot.t, dev.0, kind, from_peer, detail);
             }
         }
-        self.replay(dev, slot.emissions);
-    }
-
-    /// Replay one event's emissions through the scheduling path (`emit`,
-    /// `emit_ctl`, refresh-request scheduling) at the current sim time.
-    fn replay(&mut self, dev_id: DeviceId, emissions: Vec<Emission>) {
-        for emission in emissions {
-            match emission {
-                Emission::Updates(out) => self.emit(dev_id, out),
-                Emission::Ctl(peer, msg) => self.emit_ctl(dev_id, peer, msg),
-                Emission::RefreshRequests(targets) => {
-                    for (to, on) in targets {
-                        self.schedule_in(BASE_LATENCY_US, NetEvent::RouteRefreshRequest { to, on });
-                    }
-                }
-            }
+        let (updates, refresh) = slot.output;
+        self.emit(dev, updates);
+        for (to, on) in refresh {
+            self.schedule_in(BASE_LATENCY_US, NetEvent::RouteRefreshRequest { to, on });
         }
     }
 
@@ -789,7 +723,7 @@ impl SimNet {
             t,
             dev: None,
             work: None,
-            emissions: Vec::new(),
+            output: Output::default(),
             journal: Vec::new(),
             provenance: Vec::new(),
         };
@@ -807,13 +741,6 @@ impl SimNet {
         slot: &mut Slot,
     ) -> Option<(DeviceId, Work)> {
         match ev {
-            NetEvent::DeliverCtl { to, on, msg } => {
-                if !self.devices.contains_key(to) {
-                    return None;
-                }
-                self.counters.session_events.inc();
-                Some((to, Work::Ctl { on, msg }))
-            }
             NetEvent::DeliverBatch { to, on, batch } => {
                 // Always retire the side-table state — even when the target
                 // device is gone, leaving the payload behind would leak and
@@ -829,53 +756,17 @@ impl SimNet {
                 if !self.devices.contains_key(to) {
                     return None;
                 }
-                self.counters.messages_delivered.inc();
                 self.counters.batches_delivered.inc();
                 let size = (msg.announced.len() + msg.withdrawn.len()) as u64;
                 self.max_batch_size = self.max_batch_size.max(size);
                 self.counters.batch_routes.observe(size);
-                self.counters.announcements.add(msg.announced.len() as u64);
-                self.counters.withdrawals.add(msg.withdrawn.len() as u64);
-                self.note_churn(to);
-                self.note_provenance_arrival(&mut slot.provenance, on, &msg);
-                if !self.origin_time.is_empty() {
-                    for (p, _) in &msg.announced {
-                        if self.origin_time.contains_key(p) {
-                            self.last_update.insert(*p, t);
-                        }
-                    }
-                    for p in &msg.withdrawn {
-                        if self.origin_time.contains_key(p) {
-                            self.last_update.insert(*p, t);
-                        }
-                    }
-                }
-                self.audit_wire(&msg);
-                Some((to, Work::Deliver { on, msg }))
+                Some(self.arrive(t, to, on, msg, &mut slot.provenance))
             }
             NetEvent::Deliver { to, on, msg } => {
                 if !self.devices.contains_key(to) {
                     return None;
                 }
-                self.counters.messages_delivered.inc();
-                self.counters.announcements.add(msg.announced.len() as u64);
-                self.counters.withdrawals.add(msg.withdrawn.len() as u64);
-                self.note_churn(to);
-                self.note_provenance_arrival(&mut slot.provenance, on, &msg);
-                if !self.origin_time.is_empty() {
-                    for (p, _) in &msg.announced {
-                        if self.origin_time.contains_key(p) {
-                            self.last_update.insert(*p, t);
-                        }
-                    }
-                    for p in &msg.withdrawn {
-                        if self.origin_time.contains_key(p) {
-                            self.last_update.insert(*p, t);
-                        }
-                    }
-                }
-                self.audit_wire(&msg);
-                Some((to, Work::Deliver { on, msg }))
+                Some(self.arrive(t, to, on, msg, &mut slot.provenance))
             }
             NetEvent::SessionUp { dev, peer } => {
                 if !self.devices.contains_key(dev) {
@@ -1044,6 +935,34 @@ impl SimNet {
         );
     }
 
+    /// The pre-pass side of an UPDATE arriving at live device `to` on its
+    /// session `on`, batched or not: delivery and announce/withdraw counters,
+    /// the receiver's churn counter, provenance arrival steps, and the last
+    /// update time of every originated prefix it carries. Returns the job.
+    fn arrive(
+        &mut self,
+        t: SimTime,
+        to: DeviceId,
+        on: PeerId,
+        msg: UpdateMessage,
+        steps: &mut Vec<ProvStep>,
+    ) -> (DeviceId, Work) {
+        self.counters.messages_delivered.inc();
+        self.counters.announcements.add(msg.announced.len() as u64);
+        self.counters.withdrawals.add(msg.withdrawn.len() as u64);
+        self.note_churn(to);
+        self.note_provenance_arrival(steps, on, &msg);
+        if !self.origin_time.is_empty() {
+            let carried = msg.announced.iter().map(|(p, _)| p).chain(&msg.withdrawn);
+            for p in carried {
+                if self.origin_time.contains_key(p) {
+                    self.last_update.insert(*p, t);
+                }
+            }
+        }
+        (to, Work::Deliver { on, msg })
+    }
+
     /// Bump the per-device UPDATE-churn counter for `dev`, binding the
     /// registry handle on first use. Written without `entry()` because the
     /// bind closure would need `&self.telemetry` while `self.churn` is
@@ -1126,51 +1045,6 @@ impl SimNet {
                     .field("session", peer.session_index())
                     .field("state", state),
             );
-        }
-    }
-
-    /// Wire audit ([`SimConfig::wire_audit`]): prove the delivered UPDATE is
-    /// exactly representable in RFC 4271 octets by round-tripping it through
-    /// `centralium-wire` and comparing canonical forms. Counts messages and
-    /// encoded bytes; any encode/decode failure or content drift bumps
-    /// `simnet.wire.mismatches` (which tests pin to zero).
-    fn audit_wire(&self, msg: &UpdateMessage) {
-        if !self.cfg.wire_audit {
-            return;
-        }
-        self.counters.wire_messages.inc();
-        let frames = match centralium_wire::bgp::encode(&BgpMessage::Update(msg.clone())) {
-            Ok(frames) => frames,
-            Err(_) => {
-                self.counters.wire_mismatches.inc();
-                return;
-            }
-        };
-        let mut merged = UpdateMessage::default();
-        for frame in &frames {
-            self.counters.wire_bytes.add(frame.len() as u64);
-            match centralium_wire::bgp::decode_exact(frame) {
-                Ok(BgpMessage::Update(piece)) => merged.merge(piece),
-                _ => {
-                    self.counters.wire_mismatches.inc();
-                    return;
-                }
-            }
-        }
-        // Canonical comparison: the wire form orders withdrawals first and
-        // groups announcements by attribute block, so compare as sets/maps
-        // (later-wins per prefix, matching `UpdateMessage::merge`).
-        let canon = |u: &UpdateMessage| {
-            let withdrawn: BTreeSet<Prefix> = u.withdrawn.iter().copied().collect();
-            let announced: BTreeMap<Prefix, Arc<PathAttributes>> = u
-                .announced
-                .iter()
-                .map(|(p, a)| (*p, Arc::clone(a)))
-                .collect();
-            (withdrawn, announced)
-        };
-        if canon(msg) != canon(&merged) {
-            self.counters.wire_mismatches.inc();
         }
     }
 }

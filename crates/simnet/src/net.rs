@@ -21,8 +21,6 @@ use crate::fib::FibScratch;
 use crate::hash::IdHashMap;
 use crate::trace::{ConvergenceReport, TraceStats};
 use centralium_bgp::policy::{Action, MatchExpr, Policy, PolicyRule};
-use centralium_bgp::session::{Session, SessionAction};
-use centralium_bgp::BgpMessage;
 use centralium_bgp::{
     attrs::well_known, BgpDaemon, DaemonConfig, FibEntry, PathAttributes, PeerConfig, PeerId,
     Prefix, UpdateMessage,
@@ -97,17 +95,6 @@ pub struct SimConfig {
     pub valley_free_policies: bool,
     /// Fault injection plan for control-plane messages.
     pub fault: FaultPlan,
-    /// Bring sessions up through the full OPEN handshake FSM instead of
-    /// administratively. Slower (more events) but exercises real session
-    /// semantics; the scenario experiments use administrative bring-up.
-    pub handshake_sessions: bool,
-    /// Wire audit: round-trip every delivered UPDATE through the RFC 4271
-    /// codec (`centralium-wire`) and count messages, encoded bytes, and
-    /// round-trip mismatches under `simnet.wire.*`. Proves the emulator's
-    /// in-memory messages are exactly representable on the wire — and
-    /// measures what a socket-backed daemon plane would serialize — at the
-    /// cost of encoding every delivery. Off by default.
-    pub wire_audit: bool,
 }
 
 impl Default for SimConfig {
@@ -120,8 +107,6 @@ impl Default for SimConfig {
             wcmp_advertise: false,
             valley_free_policies: true,
             fault: FaultPlan::none(),
-            handshake_sessions: false,
-            wire_audit: false,
         }
     }
 }
@@ -193,19 +178,6 @@ impl SimConfigBuilder {
         self
     }
 
-    /// Bring sessions up through the full OPEN handshake FSM.
-    pub fn handshake_sessions(mut self, on: bool) -> Self {
-        self.cfg.handshake_sessions = on;
-        self
-    }
-
-    /// Round-trip every delivered UPDATE through the RFC 4271 wire codec
-    /// (see [`SimConfig::wire_audit`]).
-    pub fn wire_audit(mut self, on: bool) -> Self {
-        self.cfg.wire_audit = on;
-        self
-    }
-
     /// Finish, yielding the configured [`SimConfig`].
     pub fn build(self) -> SimConfig {
         self.cfg
@@ -235,16 +207,6 @@ pub enum NetEvent {
         on: PeerId,
         /// Key into the pending-batch side table.
         batch: u64,
-    },
-    /// Deliver a session-level control message (OPEN / KEEPALIVE /
-    /// NOTIFICATION) to `to` on its session `on` (handshake mode).
-    DeliverCtl {
-        /// Receiving device.
-        to: DeviceId,
-        /// Receiver-side session id.
-        on: PeerId,
-        /// The control message.
-        msg: BgpMessage,
     },
     /// A session reaches Established on `dev`'s side.
     SessionUp {
@@ -371,13 +333,6 @@ struct NetCounters {
     /// Per-event device-processing latency in nanoseconds. Recorded only
     /// while span tracing is enabled (two clock reads per event otherwise).
     event_latency_ns: LogHistogram,
-    /// Delivered UPDATEs pushed through the wire-audit round-trip.
-    wire_messages: Counter,
-    /// RFC 4271 octets the audited messages encode to (frames included).
-    wire_bytes: Counter,
-    /// Audited messages that failed to encode, decode, or round-trip
-    /// exactly. Always zero unless the in-memory model and the codec drift.
-    wire_mismatches: Counter,
 }
 
 impl NetCounters {
@@ -407,9 +362,6 @@ impl NetCounters {
             window_jobs: m.log_histogram("simnet.window.jobs"),
             batch_routes: m.log_histogram("simnet.batch.routes"),
             event_latency_ns: m.log_histogram("simnet.event.latency_ns"),
-            wire_messages: m.counter("simnet.wire.messages"),
-            wire_bytes: m.counter("simnet.wire.bytes"),
-            wire_mismatches: m.counter("simnet.wire.mismatches"),
         }
     }
 }
@@ -624,15 +576,9 @@ impl SimNet {
             let dev_a = self.devices.get_mut(a).expect("device a");
             dev_a.daemon.add_peer(cfg_a);
             dev_a.engine.set_peer_asn(peer_on_a, asn_b);
-            if self.cfg.handshake_sessions {
-                dev_a.sessions.insert(peer_on_a, Session::new(asn_a, asn_b));
-            }
             let dev_b = self.devices.get_mut(b).expect("device b");
             dev_b.daemon.add_peer(cfg_b);
             dev_b.engine.set_peer_asn(peer_on_b, asn_a);
-            if self.cfg.handshake_sessions {
-                dev_b.sessions.insert(peer_on_b, Session::new(asn_b, asn_a));
-            }
         }
     }
 
@@ -872,40 +818,18 @@ impl SimNet {
         self.queue.schedule(self.now + offset_us, event);
     }
 
-    /// Bring every configured session up at t = now: administratively by
-    /// default, or through the OPEN handshake when
-    /// [`SimConfig::handshake_sessions`] is set (the lower-id device plays
-    /// the active opener).
+    /// Bring every configured session up administratively at t = now.
+    ///
+    /// Administrative bring-up is a management-plane action, not network
+    /// traffic: each SessionUp runs synchronously (counters, journal records
+    /// and any resulting advertisements behave as they would for a queued
+    /// event) instead of flooding the event queue with O(sessions) bring-up
+    /// events.
     pub fn establish_all(&mut self) {
         let devs: Vec<DeviceId> = self.devices.keys().collect();
-        if !self.cfg.handshake_sessions {
-            // Administrative bring-up is a management-plane action, not
-            // network traffic: run each SessionUp synchronously (counters,
-            // journal records and any resulting advertisements behave as
-            // they would for a queued event) instead of flooding the event
-            // queue with O(sessions) bring-up events.
-            for dev in devs {
-                for peer in self.devices[dev].daemon.peer_ids() {
-                    self.run_now(NetEvent::SessionUp { dev, peer });
-                }
-            }
-            return;
-        }
         for dev in devs {
-            let peers = self.devices[dev].daemon.peer_ids();
-            for peer in peers {
-                if dev.0 >= peer.device() {
-                    continue; // passive side waits for the OPEN
-                }
-                let d = self.devices.get_mut(dev).expect("device");
-                let action = d
-                    .sessions
-                    .get_mut(&peer)
-                    .expect("handshake session exists")
-                    .start();
-                if let SessionAction::Send(msg) = action {
-                    self.emit_ctl(dev, peer, msg);
-                }
+            for peer in self.devices[dev].daemon.peer_ids() {
+                self.run_now(NetEvent::SessionUp { dev, peer });
             }
         }
     }
@@ -1113,8 +1037,7 @@ impl SimNet {
 
     /// Cable a new link between two live devices mid-simulation: updates the
     /// topology, wires sessions (with base policies) and schedules their
-    /// establishment (through the OPEN handshake when that mode is on).
-    /// Returns the new link id.
+    /// establishment. Returns the new link id.
     pub fn connect_devices(
         &mut self,
         a: DeviceId,
@@ -1125,40 +1048,20 @@ impl SimNet {
         let lid = self.topo.add_link(a, b, capacity_gbps);
         self.wire_link(a, b, capacity_gbps);
         for k in base..base + self.cfg.sessions_per_link {
-            if self.cfg.handshake_sessions {
-                // Active opener: the lower device id, as in establish_all.
-                let (opener, peer) = if a.0 < b.0 {
-                    (a, PeerId::compose(b.0, k))
-                } else {
-                    (b, PeerId::compose(a.0, k))
-                };
-                let action = self
-                    .devices
-                    .get_mut(opener)
-                    .expect("device")
-                    .sessions
-                    .get_mut(&peer)
-                    .expect("handshake session")
-                    .start();
-                if let SessionAction::Send(msg) = action {
-                    self.emit_ctl(opener, peer, msg);
-                }
-            } else {
-                self.schedule_in(
-                    0,
-                    NetEvent::SessionUp {
-                        dev: a,
-                        peer: PeerId::compose(b.0, k),
-                    },
-                );
-                self.schedule_in(
-                    0,
-                    NetEvent::SessionUp {
-                        dev: b,
-                        peer: PeerId::compose(a.0, k),
-                    },
-                );
-            }
+            self.schedule_in(
+                0,
+                NetEvent::SessionUp {
+                    dev: a,
+                    peer: PeerId::compose(b.0, k),
+                },
+            );
+            self.schedule_in(
+                0,
+                NetEvent::SessionUp {
+                    dev: b,
+                    peer: PeerId::compose(a.0, k),
+                },
+            );
         }
         lid
     }
@@ -1277,32 +1180,6 @@ impl SimNet {
                     .field("to", format!("d{}", to.0)),
             );
         }
-    }
-
-    /// Schedule one session-control message, honoring latency/jitter/faults
-    /// and the same per-session FIFO as route updates (control and updates
-    /// share the TCP stream).
-    fn emit_ctl(&mut self, from: DeviceId, peer: PeerId, msg: BgpMessage) {
-        let to = DeviceId(peer.device());
-        let session_idx = peer.session_index();
-        let on = PeerId::compose(from.0, session_idx);
-        let Some(extra) = self.cfg.fault.apply(&mut self.rng) else {
-            self.note_fault_drop(from, to);
-            return;
-        };
-        let jitter = if self.cfg.jitter_us > 0 {
-            self.rng.gen_range(0..=self.cfg.jitter_us)
-        } else {
-            0
-        };
-        let mut at = self.now + BASE_LATENCY_US + jitter + extra;
-        let key = (from, to, session_idx);
-        if let Some(&last) = self.fifo.get(&key) {
-            at = at.max(last + 1);
-        }
-        self.fifo.insert(key, at);
-        self.queue
-            .schedule(at, NetEvent::DeliverCtl { to, on, msg });
     }
 
     /// Schedule daemon output messages for delivery — coalesced, or split
@@ -1643,95 +1520,23 @@ mod tests {
     }
 
     #[test]
-    fn handshake_mode_converges_like_administrative_mode() {
-        let (topo, idx, _) = build_fabric(&FabricSpec::tiny());
-        let cfg = SimConfig {
-            seed: 7,
-            handshake_sessions: true,
-            ..Default::default()
-        };
-        let mut net = SimNet::new(topo, cfg);
+    fn run_until_moves_the_telemetry_clock_to_the_deadline() {
+        let (mut net, idx) = tiny_net(7);
         net.establish_all();
         for &eb in &idx.backbone {
             net.originate(eb, default_route(), [well_known::BACKBONE_DEFAULT_ROUTE]);
         }
         net.run_until_quiescent().expect_converged();
-        // Every session reached Established through the OPEN exchange.
-        for id in net.device_ids() {
-            let dev = net.device(id).unwrap();
-            for (peer, session) in &dev.sessions {
-                assert!(
-                    session.is_established(),
-                    "{id} session {peer} not established"
-                );
-                assert!(dev.daemon.is_established(*peer));
-            }
-        }
-        // And the routing outcome matches the administrative-mode fabric.
-        for pod in &idx.rsw {
-            for &rsw in pod {
-                let entry = net.device(rsw).unwrap().fib.entry(default_route()).unwrap();
-                assert_eq!(entry.nexthops.len(), 2);
-            }
-        }
-        crate::invariants::assert_rib_consistent(&net);
-    }
-
-    #[test]
-    fn handshake_notification_tears_down_and_flushes() {
-        use centralium_bgp::msg::NotificationCode;
-        let (topo, idx, _) = build_fabric(&FabricSpec::tiny());
-        let cfg = SimConfig {
-            seed: 8,
-            handshake_sessions: true,
-            ..Default::default()
-        };
-        let mut net = SimNet::new(topo, cfg);
-        net.establish_all();
-        for &eb in &idx.backbone {
-            net.originate(eb, default_route(), [well_known::BACKBONE_DEFAULT_ROUTE]);
-        }
-        net.run_until_quiescent().expect_converged();
-        // Send a NOTIFICATION (cease) into one SSW session: the FSM must
-        // drop to Idle and the daemon must flush routes learned there.
-        let ssw = idx.ssw[0][0];
-        let fadu_session = net
-            .device(ssw)
-            .unwrap()
-            .daemon
-            .peer_ids()
-            .into_iter()
-            .find(|p| {
-                let other = centralium_topology::DeviceId(p.device());
-                net.topology().device(other).map(|d| d.layer())
-                    == Some(centralium_topology::Layer::Fadu)
-            })
-            .expect("ssw has a fadu session");
-        let before = net
-            .device(ssw)
-            .unwrap()
-            .fib
-            .entry(default_route())
-            .unwrap()
-            .nexthops
-            .len();
-        net.schedule_in(
-            0,
-            NetEvent::DeliverCtl {
-                to: ssw,
-                on: fadu_session,
-                msg: BgpMessage::Notification(NotificationCode::Cease),
-            },
-        );
-        net.run_until_quiescent().expect_converged();
-        let dev = net.device(ssw).unwrap();
-        assert!(!dev.sessions[&fadu_session].is_established());
-        let after = dev.fib.entry(default_route()).unwrap().nexthops.len();
+        let deadline = net.now() + 5_000;
         assert_eq!(
-            after,
-            before - 1,
-            "routes learned over the ceased session flushed"
+            net.run_until(deadline),
+            0,
+            "a quiescent fabric has no events"
         );
+        assert_eq!(net.now(), deadline);
+        // Journal records made after the run (a controller's retry note)
+        // are stamped with the telemetry clock, which must not lag behind.
+        assert_eq!(net.telemetry().now(), net.now());
     }
 
     #[test]

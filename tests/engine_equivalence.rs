@@ -9,7 +9,8 @@
 //! multi-prefix batches, a withdraw/re-announce race and a session flap inside
 //! one wave (batch deliveries deferred behind their emitter's in-window job),
 //! a Route Filter removal (the window cut before route-refresh requests), and
-//! handshake mode (control messages, narrow one-latency windows).
+//! split delivery with coalescing off (per-prefix messages shuffled per
+//! session, the one configuration that takes narrow one-latency windows).
 
 use centralium_bgp::attrs::{well_known, PathAttributes};
 use centralium_bgp::{FibEntry, Prefix};
@@ -231,12 +232,9 @@ fn windows_match_stepping_on_the_default_fabric() {
 }
 
 #[test]
-fn narrow_windows_match_stepping_in_handshake_mode() {
-    let cfg = SimConfig::builder()
-        .seed(7)
-        .handshake_sessions(true)
-        .build();
-    assert_equivalent(default_fabric, cfg, "handshake, seed 7");
+fn narrow_windows_match_stepping_with_split_delivery() {
+    let cfg = SimConfig::builder().seed(7).coalesce_updates(false).build();
+    assert_equivalent(default_fabric, cfg, "split delivery, seed 7");
 }
 
 #[test]

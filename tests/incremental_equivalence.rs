@@ -144,8 +144,6 @@ fn simconfig_builder_roundtrip_matches_default() {
         .wcmp_advertise(!d.wcmp_advertise)
         .valley_free_policies(!d.valley_free_policies)
         .fault(fault)
-        .handshake_sessions(!d.handshake_sessions)
-        .wire_audit(!d.wire_audit)
         .build();
     assert_eq!(cfg.seed, 7);
     assert_eq!(cfg.jitter_us, 20_000);
@@ -154,8 +152,6 @@ fn simconfig_builder_roundtrip_matches_default() {
     assert_eq!(cfg.wcmp_advertise, !d.wcmp_advertise);
     assert_eq!(cfg.valley_free_policies, !d.valley_free_policies);
     assert_eq!(format!("{:?}", cfg.fault), format!("{fault:?}"));
-    assert_eq!(cfg.handshake_sessions, !d.handshake_sessions);
-    assert_eq!(cfg.wire_audit, !d.wire_audit);
     // One setter touches one field; the rest keep their defaults.
     let one = SimConfig::builder().seed(7).build();
     assert_eq!(one.seed, 7);
