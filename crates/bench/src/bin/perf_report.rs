@@ -34,7 +34,8 @@ use centralium_rpa::{
     Destination, PathSelectionRpa, PathSelectionStatement, PathSet, PathSignature, RpaDocument,
 };
 use centralium_simnet::{SimConfig, SimNet};
-use centralium_telemetry::{span, MetricsSnapshot};
+use centralium_telemetry::span::{self, SpanRecord};
+use centralium_telemetry::MetricsSnapshot;
 use serde_json::json;
 use std::process::ExitCode;
 use std::time::Instant;
@@ -59,13 +60,14 @@ fn equalize_doc() -> RpaDocument {
 }
 
 /// The `bench_convergence` episode story, returning the converged network
-/// for post-hoc inspection. Wall clock covers everything after topology
-/// construction. Three-tier scale tiers have no FADU layer, so the bounce
+/// for post-hoc inspection; `traced` arms span tracing on its handle. Wall
+/// clock covers everything after topology construction. Three-tier scale tiers have no FADU layer, so the bounce
 /// falls back to the first pod's plane-0 aggregation switch, mirroring
 /// `bench_convergence`.
-fn episode(spec: &TierSpec) -> (f64, SimNet) {
+fn episode(spec: &TierSpec, traced: bool) -> (f64, SimNet) {
     let (topo, idx, _) = spec.build();
     let mut net = SimNet::new(topo, SimConfig::builder().seed(SEED).build());
+    net.telemetry().set_tracing(traced);
     let start = Instant::now();
     net.establish_all();
     for &eb in &idx.backbone {
@@ -138,6 +140,8 @@ fn widest_prefixes(net: &SimNet) -> Vec<(String, u64)> {
 struct Diagnosis {
     row: serde_json::Value,
     untraced_median: f64,
+    /// The traced run's spans.
+    spans: Vec<SpanRecord>,
 }
 
 fn diagnose(label: &str, spec: &TierSpec, iters: usize) -> Diagnosis {
@@ -148,14 +152,12 @@ fn diagnose(label: &str, spec: &TierSpec, iters: usize) -> Diagnosis {
     reset_peak_rss();
 
     // Untraced median: the honest wall and the overhead-gate sample.
-    let mut walls: Vec<f64> = (0..iters).map(|_| episode(spec).0).collect();
+    let mut walls: Vec<f64> = (0..iters).map(|_| episode(spec, false).0).collect();
     let untraced_median = median_ms(&mut walls);
     println!("  untraced: {untraced_median:.2}ms");
 
     // One traced run for the breakdown.
-    span::set_tracing(true);
-    let (traced_wall, net) = episode(spec);
-    span::set_tracing(false);
+    let (traced_wall, net) = episode(spec, true);
     let snap = net.telemetry().metrics().snapshot();
     println!("  traced:   {traced_wall:.2}ms (tracing overhead included)");
 
@@ -277,6 +279,7 @@ fn diagnose(label: &str, spec: &TierSpec, iters: usize) -> Diagnosis {
     Diagnosis {
         row,
         untraced_median,
+        spans: net.telemetry().spans(),
     }
 }
 
@@ -348,19 +351,27 @@ fn main() -> ExitCode {
 
     println!("Convergence profiler report: seed {SEED}");
     println!("episode: cold start + SSW-fleet equalize RPA + FADU bounce\n");
-    span::set_tracing(false);
-    span::drain(); // discard anything a prior in-process run left behind
-
     let mut rows = Vec::new();
     let mut medians = Vec::new();
+    let mut records: Vec<SpanRecord> = Vec::new();
     for (label, spec) in &fabrics {
         let d = diagnose(label, spec, iters);
         medians.push((label.to_string(), d.untraced_median));
         rows.push(d.row);
+        // Each fabric's spans start at its own handle's epoch: lay the
+        // fabrics end to end on one timeline.
+        let offset = records
+            .iter()
+            .map(|r| r.start_ns + r.dur_ns)
+            .max()
+            .unwrap_or(0);
+        records.extend(d.spans.into_iter().map(|mut r| {
+            r.start_ns += offset;
+            r
+        }));
     }
 
     if let Ok(Some(path)) = args.get_str("trace-out") {
-        let records = span::drain();
         let write = std::fs::File::create(&path)
             .map_err(|e| format!("creating {path}: {e}"))
             .and_then(|f| {

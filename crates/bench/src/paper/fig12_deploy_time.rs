@@ -56,7 +56,7 @@ pub fn artefact(tiny: bool) -> Artefact {
     let tel = fab.net.telemetry().clone();
     let before = tel.metrics().snapshot();
     let mgmt = ManagementPlane::compute(fab.net.topology(), fab.idx.rsw[0][0]);
-    let plan_span = tel.phases().span("plan", fab.net.now());
+    let plan_span = tel.phase("plan", fab.net.now());
     let intent = equalize_on_layers(
         well_known::BACKBONE_DEFAULT_ROUTE,
         Layer::Backbone,
@@ -64,7 +64,7 @@ pub fn artefact(tiny: bool) -> Artefact {
     );
     let docs = compile_intent(fab.net.topology(), &intent).expect("compiles");
     plan_span.finish(fab.net.now());
-    let wave_span = tel.phases().span("wave 1 (Fauu)", fab.net.now());
+    let wave_span = tel.phase("wave 1 (Fauu)", fab.net.now());
     let mut samples_ms = Vec::with_capacity(docs.len());
     let mut scratch = FibScratch::default();
     for (dev, doc) in docs {
@@ -79,7 +79,7 @@ pub fn artefact(tiny: bool) -> Artefact {
     }
     wave_span.finish(fab.net.now());
     // Let the triggered re-advertisements drain so the fabric stays sane.
-    let converge_span = tel.phases().span("converge", fab.net.now());
+    let converge_span = tel.phase("converge", fab.net.now());
     fab.net.run_until_quiescent();
     converge_span.finish(fab.net.now());
     out.det(format!(
@@ -94,7 +94,7 @@ pub fn artefact(tiny: bool) -> Artefact {
     ));
     out.host(format!(
         "\nPer-phase deployment timing:\n{}",
-        phase_table(&tel.phases().records()).render()
+        phase_table(&tel.spans()).render()
     ));
     let (det, host) = split_host_time(&tel.metrics().snapshot().diff(&before));
     out.det(format!(

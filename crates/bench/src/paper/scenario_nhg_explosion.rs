@@ -12,7 +12,8 @@ use super::{split_host_time, Artefact};
 use crate::report::{metrics_diff_table, phase_table, Table};
 use crate::scenarios::fig5_rig;
 use centralium_simnet::NhgStats;
-use centralium_telemetry::{MetricsSnapshot, PhaseRecord};
+use centralium_telemetry::span::SpanRecord;
+use centralium_telemetry::MetricsSnapshot;
 
 /// N prefixes and the DU's group-table capacity, at paper scale.
 const FULL: (usize, usize) = (256, 32);
@@ -33,14 +34,15 @@ pub enum Event {
 
 /// Converge the rig, reset the DU's group counters, hit the EBs with
 /// `event` and run to quiescence. Returns the DU's group statistics for the
-/// transition, the telemetry delta and the maintenance phase record.
+/// transition, the telemetry delta and the fabric's spans (the maintenance
+/// phase among them).
 pub fn run(
     (n_prefixes, du_nhg_capacity): (usize, usize),
     with_rpa: bool,
     dedup_heuristic: bool,
     event: Event,
     seed: u64,
-) -> (NhgStats, MetricsSnapshot, Vec<PhaseRecord>) {
+) -> (NhgStats, MetricsSnapshot, Vec<SpanRecord>) {
     let mut rig = fig5_rig(n_prefixes, du_nhg_capacity, seed, with_rpa);
     {
         let fib = &mut rig.net.device_mut(rig.du).expect("du").fib;
@@ -51,7 +53,7 @@ pub fn run(
     }
     let tel = rig.net.telemetry().clone();
     let before = tel.metrics().snapshot();
-    let span = tel.phases().span("maintenance", rig.net.now());
+    let span = tel.phase("maintenance", rig.net.now());
     match event {
         Event::Drain => {
             rig.net.drain_device(rig.ebs[0]);
@@ -67,7 +69,7 @@ pub fn run(
     span.finish(rig.net.now());
     let delta = tel.metrics().snapshot().diff(&before);
     let stats = rig.net.device(rig.du).expect("du").fib.nhg_stats();
-    (stats, delta, tel.phases().records())
+    (stats, delta, tel.spans())
 }
 
 /// 256 prefixes into a 32-group table; `tiny` runs the [`TINY`] rig.
@@ -93,7 +95,7 @@ pub fn artefact(tiny: bool) -> Artefact {
         ("Route Attribute RPA", true, false, Event::PowerOff),
     ];
     let mut last_delta = None;
-    let mut phases: Vec<PhaseRecord> = Vec::new();
+    let mut phases: Vec<SpanRecord> = Vec::new();
     for (label, rpa, dedup, event) in rows {
         let (stats, delta, mut run_phases) = run((n_prefixes, du_nhg_capacity), rpa, dedup, event, 34);
         let event_name = match event {
@@ -101,7 +103,7 @@ pub fn artefact(tiny: bool) -> Artefact {
             Event::PowerOff => "power-off",
         };
         for p in &mut run_phases {
-            p.name = format!("{label} / {event_name}");
+            p.name = format!("{label} / {event_name}").into();
         }
         phases.extend(run_phases);
         last_delta = Some(delta);

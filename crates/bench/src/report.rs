@@ -1,6 +1,7 @@
 //! Plain-text table rendering for the paper entries and the perf binaries.
 
-use centralium_telemetry::{MetricsSnapshot, PhaseRecord};
+use centralium_telemetry::span::SpanRecord;
+use centralium_telemetry::MetricsSnapshot;
 
 /// A simple fixed-width table.
 #[derive(Debug, Default)]
@@ -91,16 +92,18 @@ pub fn metrics_diff_table(snap: &MetricsSnapshot) -> Table {
     table
 }
 
-/// Tabulate per-phase deployment timings from a
-/// [`PhaseTimer`](centralium_telemetry::PhaseTimer).
-pub fn phase_table(records: &[PhaseRecord]) -> Table {
+/// Tabulate per-phase deployment timings: the finished pipeline phases
+/// among `records` (see [`SpanRecord::phase_sim_us`]), in order.
+pub fn phase_table(records: &[SpanRecord]) -> Table {
     let mut table = Table::new(&["phase", "wall (ms)", "sim (ms)"]);
     for r in records {
-        table.row(&[
-            r.name.clone(),
-            format!("{:.3}", r.wall.as_secs_f64() * 1e3),
-            format!("{:.1}", r.sim_us as f64 / 1e3),
-        ]);
+        if let Some(sim_us) = r.phase_sim_us() {
+            table.row(&[
+                r.name.to_string(),
+                format!("{:.3}", r.dur_ns as f64 / 1e6),
+                format!("{:.1}", sim_us as f64 / 1e3),
+            ]);
+        }
     }
     table
 }
@@ -149,11 +152,15 @@ mod tests {
     }
 
     #[test]
-    fn phase_table_lists_records() {
-        let timer = centralium_telemetry::PhaseTimer::new();
-        timer.span("plan", 0).finish(1_500);
-        let out = phase_table(&timer.records()).render();
+    fn phase_table_lists_finished_phases() {
+        let tel = centralium_telemetry::Telemetry::new();
+        tel.set_tracing(true);
+        tel.phase("plan", 0).finish(1_500);
+        drop(tel.phase("abandoned", 0));
+        drop(tel.span("simnet", "converge"));
+        let out = phase_table(&tel.spans()).render();
         assert!(out.contains("plan"));
         assert!(out.contains("1.5"), "sim ms column:\n{out}");
+        assert_eq!(out.lines().count(), 3, "one phase row:\n{out}");
     }
 }

@@ -60,7 +60,8 @@ pub mod te {
     pub use centralium_te::*;
 }
 
-/// Structured telemetry: metrics registry, event journal, phase tracing.
+/// Structured telemetry: event journal, metrics registry, and one span stream
+/// (pipeline phases plus gated tracing) per handle.
 pub mod telemetry {
     pub use centralium_telemetry::*;
 }

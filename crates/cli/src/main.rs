@@ -220,22 +220,26 @@ fn report_telemetry(net: &SimNet, args: &Args) -> Result<(), String> {
                 _ => println!("  {name:<40} count=0"),
             }
         }
-        let phases = tel.phases().records();
+        let phases: Vec<_> = tel
+            .spans()
+            .into_iter()
+            .filter_map(|r| Some((r.phase_sim_us()?, r)))
+            .collect();
         if !phases.is_empty() {
             println!("phases:");
-            for p in &phases {
+            for (sim_us, p) in &phases {
                 println!(
                     "  {:<24} wall={:>10.3?} sim={:>8.1}ms",
                     p.name,
-                    p.wall,
-                    p.sim_us as f64 / 1000.0
+                    std::time::Duration::from_nanos(p.dur_ns),
+                    *sim_us as f64 / 1000.0
                 );
             }
         }
     }
     if let Some(path) = args.get_str("trace-out")? {
-        span::set_tracing(false);
-        let records = span::drain();
+        tel.set_tracing(false);
+        let records = tel.spans();
         let file = std::fs::File::create(&path).map_err(|e| format!("creating {path}: {e}"))?;
         let mut w = std::io::BufWriter::new(file);
         span::export_chrome_trace(&records, &mut w).map_err(|e| format!("writing {path}: {e}"))?;
@@ -244,7 +248,7 @@ fn report_telemetry(net: &SimNet, args: &Args) -> Result<(), String> {
             "trace: {} spans written to {path} ({} dropped at capacity); \
              open in chrome://tracing or ui.perfetto.dev",
             records.len(),
-            span::dropped()
+            tel.dropped_spans()
         );
     }
     if args.has_flag("profile") {
@@ -353,14 +357,14 @@ fn converged(args: &Args) -> Result<(SimNet, centralium_topology::builder::Fabri
         .build();
     let mut net = SimNet::new(topo, cfg);
     if args.get_str("telemetry")?.is_some() {
-        // The journal is opt-in; metrics and phase timing are always live.
+        // The journal is opt-in; metrics and phase spans are always live.
         net.set_telemetry(Telemetry::with_journal(JOURNAL_CAPACITY));
     }
     if let Some(plan) = chaos_from(args)? {
         net.set_chaos(plan);
     }
     if args.has_flag("profile") || args.get_str("trace-out")?.is_some() {
-        span::set_tracing(true);
+        net.telemetry().set_tracing(true);
     }
     if let Some(text) = args.get_str("provenance")? {
         let prefix: Prefix = text

@@ -284,7 +284,8 @@ impl Controller {
     /// With [`TransportKind::Tcp`] the local `net`/`agent` pair is unused:
     /// the fabric lives behind the remote
     /// [`AgentServer`](crate::serve::AgentServer) and every operation becomes
-    /// an RPC.
+    /// an RPC, while the controller's phases, journal events and counters
+    /// still record into `net`'s telemetry handle.
     pub fn deploy_intent_with(
         &mut self,
         net: &mut SimNet,
@@ -301,6 +302,7 @@ impl Controller {
             }
             TransportKind::Tcp { addr } => {
                 let mut transport = TcpTransport::connect(addr).map_err(DeployError::Internal)?;
+                transport.set_telemetry(net.telemetry().clone());
                 deploy_intent_over(&mut self.nsdb, &mut transport, intent, opts, pre, post)
             }
         }
@@ -356,13 +358,13 @@ pub fn deploy_intent_over<T: ControlTransport>(
     post: &HealthCheck,
 ) -> Result<DeploymentReport, DeployError> {
     let tel = transport.telemetry();
-    let pre_span = tel.phases().span("preverify", now_of(transport)?);
+    let pre_span = tel.phase("preverify", now_of(transport)?);
     let pre_report = transport.health_check(pre).map_err(DeployError::Internal)?;
     pre_span.finish(now_of(transport)?);
     if !pre_report.passed() {
         return Err(DeployError::PreCheckFailed(pre_report));
     }
-    let plan_span = tel.phases().span("plan", now_of(transport)?);
+    let plan_span = tel.phase("plan", now_of(transport)?);
     let started = std::time::Instant::now();
     let phases = {
         let topo = transport.topology().map_err(DeployError::Internal)?;
@@ -392,7 +394,7 @@ pub fn deploy_intent_over<T: ControlTransport>(
     publish_deploy_state(nsdb, &state).map_err(DeployError::Internal)?;
     let (phase_reports, issued_ops) =
         run_phases_over(nsdb, transport, phases, true, opts, post, state)?;
-    let health_span = tel.phases().span("health", now_of(transport)?);
+    let health_span = tel.phase("health", now_of(transport)?);
     let post_health = transport
         .health_check(post)
         .map_err(DeployError::Internal)?;
@@ -431,7 +433,7 @@ pub fn resume_deployment_over<T: ControlTransport>(
             .seed_intended(&path.to_string(), value)
             .map_err(DeployError::Internal)?;
     }
-    let plan_span = tel.phases().span("plan", now_of(transport)?);
+    let plan_span = tel.phase("plan", now_of(transport)?);
     let started = std::time::Instant::now();
     let phases = {
         let topo = transport.topology().map_err(DeployError::Internal)?;
@@ -455,7 +457,7 @@ pub fn resume_deployment_over<T: ControlTransport>(
     let install = state.install;
     let (phase_reports, issued_ops) =
         run_phases_over(nsdb, transport, phases, install, &opts, post, state)?;
-    let health_span = tel.phases().span("health", now_of(transport)?);
+    let health_span = tel.phase("health", now_of(transport)?);
     let post_health = transport
         .health_check(post)
         .map_err(DeployError::Internal)?;
@@ -478,7 +480,7 @@ pub fn remove_intent_over<T: ControlTransport>(
     post: &HealthCheck,
 ) -> Result<DeploymentReport, DeployError> {
     let tel = transport.telemetry();
-    let plan_span = tel.phases().span("plan", now_of(transport)?);
+    let plan_span = tel.phase("plan", now_of(transport)?);
     let started = std::time::Instant::now();
     let phases = {
         let topo = transport.topology().map_err(DeployError::Internal)?;
@@ -503,7 +505,7 @@ pub fn remove_intent_over<T: ControlTransport>(
     // Only drop the durable record once the fleet no longer runs the RPAs —
     // a stuck removal must leave the intent recorded.
     nsdb.delete(&Path::parse(&format!("/intents/{}", intent.kind())));
-    let health_span = tel.phases().span("health", now_of(transport)?);
+    let health_span = tel.phase("health", now_of(transport)?);
     let post_health = transport
         .health_check(post)
         .map_err(DeployError::Internal)?;
@@ -564,7 +566,7 @@ fn run_phases_over<T: ControlTransport>(
             Some(layer) => format!("wave {} ({layer:?})", i + 1),
             None => format!("wave {}", i + 1),
         };
-        let wave_span = tel.phases().span(wave_label, issued_at);
+        let wave_span = tel.phase(wave_label, issued_at);
         let devices: Vec<DeviceId> = phase.installs.iter().map(|(d, _)| *d).collect();
         polled_devices.extend(devices.iter().copied());
         for (dev, doc) in &phase.installs {

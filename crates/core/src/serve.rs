@@ -35,7 +35,7 @@ use crate::transport::{
 };
 use centralium_bgp::msg::{BgpMessage, NotificationCode, OpenMessage};
 use centralium_simnet::SimNet;
-use centralium_telemetry::{span, Counter, MetricsRegistry};
+use centralium_telemetry::{Counter, MetricsRegistry};
 use centralium_topology::Asn;
 use centralium_wire::bgp;
 use centralium_wire::frame::{read_frame, write_frame, Frame, FrameKind};
@@ -127,21 +127,12 @@ impl AgentServer {
         let connections = Arc::new(AtomicU64::new(0));
         let (job_tx, job_rx) = sync_channel::<Job>(JOB_QUEUE_DEPTH);
         let metrics = ConnMetrics::new(net.telemetry().metrics());
-        // Every server thread hands its buffered spans to the sink as its
-        // last act: a join can return before thread-local destructors run.
-        let exec_handle = std::thread::spawn(move || {
-            let state = run_executor(net, agent, job_rx);
-            span::flush_thread();
-            state
-        });
+        let exec_handle = std::thread::spawn(move || run_executor(net, agent, job_rx));
         let accept_handle = {
             let stop = Arc::clone(&stop);
             let connections = Arc::clone(&connections);
             let job_tx = job_tx.clone();
-            std::thread::spawn(move || {
-                run_acceptor(listener, stop, connections, job_tx, metrics);
-                span::flush_thread();
-            })
+            std::thread::spawn(move || run_acceptor(listener, stop, connections, job_tx, metrics))
         };
         Ok(AgentServer {
             local_addr,
@@ -314,7 +305,6 @@ fn run_acceptor(
         // or when the executor stops answering.
         std::thread::spawn(move || {
             let _ = serve_connection(stream, job_tx, &metrics);
-            span::flush_thread();
         });
     }
 }

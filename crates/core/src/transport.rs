@@ -492,6 +492,12 @@ impl TcpTransport {
         Ok(t)
     }
 
+    /// Record into `telemetry` (e.g. the controller's fabric handle) instead
+    /// of the private handle [`TcpTransport::connect`] starts with.
+    pub fn set_telemetry(&mut self, telemetry: Telemetry) {
+        self.telemetry = telemetry;
+    }
+
     /// Replace the per-RPC socket timeout (default 10 s).
     pub fn set_io_timeout(&mut self, timeout: Duration) {
         self.io_timeout = timeout;

@@ -17,7 +17,7 @@ use crate::route_filter::RouteFilterRpa;
 use crate::signature::{CompiledSignature, Destination};
 use centralium_bgp::attrs::{AsPath, CommunitySet};
 use centralium_bgp::{Community, PeerId, Prefix, RibPolicy, Route, Selection};
-use centralium_telemetry::{span, Counter, EventKind, Histogram, Severity, Telemetry};
+use centralium_telemetry::{Counter, EventKind, Histogram, Severity, Telemetry};
 use centralium_topology::Asn;
 use parking_lot::Mutex;
 use std::collections::HashMap;
@@ -533,8 +533,10 @@ impl RibPolicy for RpaEngine {
             return None;
         }
         let timed = self.telemetry.0.as_deref().map(|tel| (tel, Instant::now()));
-        let mut sp = span::span("rpa", "evaluate");
-        sp.arg("candidates", candidates.len() as u64);
+        let mut sp = timed.map(|(tel, _)| tel.telemetry.span("rpa", "evaluate"));
+        if let Some(sp) = &mut sp {
+            sp.arg("candidates", candidates.len() as u64);
+        }
         let outcome = self.evaluate_path_selection(prefix, candidates);
         drop(sp);
         if let Some((tel, started)) = timed {

@@ -11,7 +11,7 @@ use crate::trace::ConvergenceReport;
 use centralium_bgp::policy::Policy;
 use centralium_bgp::{PathAttributes, PeerId, Prefix, UpdateMessage};
 use centralium_rpa::RpaDocument;
-use centralium_telemetry::{span, Event, EventKind, ProvenanceKind, Severity, Telemetry};
+use centralium_telemetry::{Event, EventKind, ProvenanceKind, Severity, Telemetry};
 use centralium_topology::{DeviceId, Topology};
 use std::collections::HashMap;
 use std::sync::Arc;
@@ -484,7 +484,7 @@ impl SimNet {
     ///    queue sequence number. Journal events and provenance steps are held
     ///    with that output and appended in the same order.
     pub fn run_until_quiescent(&mut self) -> ConvergenceReport {
-        let mut sp = span::span("simnet", "converge");
+        let mut sp = self.telemetry.span("simnet", "converge");
         let mut n = 0u64;
         while n < MAX_EVENTS && !self.queue.is_empty() {
             n += self.run_window(SimTime::MAX, MAX_EVENTS - n);
@@ -568,7 +568,7 @@ impl SimNet {
         // of each event (counters, churn, origination bookkeeping,
         // device-existence checks), leaving the device-local rest in a slot.
         let pre_start = std::time::Instant::now();
-        let sp_pre = span::span("simnet", "window.pre");
+        let sp_pre = self.telemetry.span("simnet", "window.pre");
         let mut slots: Vec<Slot> = Vec::new();
         let mut first_job_t: HashMap<DeviceId, SimTime> = HashMap::new();
         let mut cut = false;
@@ -606,7 +606,7 @@ impl SimNet {
         // Phase 2 — device work, grouped by device (ascending id), each
         // device's events in pop order.
         let work_start = std::time::Instant::now();
-        let mut sp_work = span::span("simnet", "window.work");
+        let mut sp_work = self.telemetry.span("simnet", "window.work");
         let mut order: Vec<(DeviceId, usize)> = slots
             .iter()
             .enumerate()
@@ -622,7 +622,7 @@ impl SimNet {
 
         // Phase 3 — merge, in pop order.
         let merge_start = std::time::Instant::now();
-        let sp_merge = span::span("simnet", "window.merge");
+        let sp_merge = self.telemetry.span("simnet", "window.merge");
         let events = slots.len() as u64;
         for slot in slots {
             self.finish(slot);
@@ -669,8 +669,8 @@ impl SimNet {
             .expect("prepared event targets a live device");
         telemetry.set_now(slot.t);
         let before = provenance.as_ref().map(|(p, _)| prov_state(dev, *p));
-        let started = span::tracing_enabled().then(std::time::Instant::now);
-        let mut sp = span::span("simnet.work", work_name(&work));
+        let started = telemetry.tracing().then(std::time::Instant::now);
+        let mut sp = telemetry.span("simnet.work", work_name(&work));
         sp.arg("device", dev_id.0 as u64);
         sp.arg("t_us", slot.t);
         let (output, mut journal) =

@@ -1,9 +1,6 @@
 //! The profiling layer, exercised end-to-end on real convergence runs:
 //! route provenance chains, span tracing with Chrome-trace export, and the
 //! hot-path log-bucket histograms plus memory accounting.
-//!
-//! Span tracing is process-global, so the tests that toggle it serialize on
-//! one mutex (cargo runs tests on threads in one process).
 
 use centralium_bgp::attrs::well_known;
 use centralium_bgp::Prefix;
@@ -18,14 +15,6 @@ fn tiny_net() -> (SimNet, Vec<centralium_topology::DeviceId>) {
     let (topo, idx, _) = build_fabric(&FabricSpec::tiny());
     let net = SimNet::new(topo, SimConfig::builder().seed(7).build());
     (net, idx.backbone.clone())
-}
-
-fn tracing_lock() -> std::sync::MutexGuard<'static, ()> {
-    static LOCK: std::sync::Mutex<()> = std::sync::Mutex::new(());
-    match LOCK.lock() {
-        Ok(g) => g,
-        Err(poisoned) => poisoned.into_inner(),
-    }
 }
 
 #[test]
@@ -140,17 +129,15 @@ fn observability_does_not_change_the_schedule() {
 
 #[test]
 fn spans_cover_a_run_and_export_chrome_trace() {
-    let _g = tracing_lock();
-    span::set_tracing(true);
-    span::drain();
     let (mut net, backbone) = tiny_net();
+    net.telemetry().set_tracing(true);
     net.establish_all();
     for &eb in &backbone {
         net.originate(eb, Prefix::DEFAULT, [well_known::BACKBONE_DEFAULT_ROUTE]);
     }
     net.run_until_quiescent().expect_converged();
-    span::set_tracing(false);
-    let records = span::drain();
+    net.telemetry().set_tracing(false);
+    let records = net.telemetry().spans();
 
     let names: Vec<&str> = records.iter().map(|r| r.name.as_ref()).collect();
     assert!(names.contains(&"converge"), "no converge span: {names:?}");
@@ -194,8 +181,6 @@ fn spans_cover_a_run_and_export_chrome_trace() {
 
 #[test]
 fn histograms_and_memory_gauges_populate_without_tracing() {
-    let _g = tracing_lock();
-    span::set_tracing(false);
     let (mut net, backbone) = tiny_net();
     net.establish_all();
     for &eb in &backbone {
@@ -226,4 +211,51 @@ fn histograms_and_memory_gauges_populate_without_tracing() {
     // Memory accounting lands at the quiescence phase boundary.
     assert!(snap.gauge("mem.adj_rib_in_bytes") > 0);
     assert!(snap.gauge("mem.event_queue_hwm") > 0);
+}
+
+#[test]
+fn tracing_is_per_fabric() {
+    // Two fabrics converge concurrently; only the armed one is traced. The
+    // barrier arms one before either starts converging.
+    let start = std::sync::Barrier::new(2);
+    let converge = |traced: bool| {
+        let (mut net, backbone) = tiny_net();
+        net.telemetry().set_tracing(traced);
+        start.wait();
+        net.establish_all();
+        for &eb in &backbone {
+            net.originate(eb, Prefix::DEFAULT, [well_known::BACKBONE_DEFAULT_ROUTE]);
+        }
+        net.run_until_quiescent().expect_converged();
+        net
+    };
+    let (armed, quiet) = std::thread::scope(|s| {
+        let armed = s.spawn(|| converge(true));
+        let quiet = s.spawn(|| converge(false));
+        (armed.join().unwrap(), quiet.join().unwrap())
+    });
+    let simnet_spans = |net: &SimNet| {
+        net.telemetry()
+            .spans()
+            .iter()
+            .filter(|r| r.cat.starts_with("simnet"))
+            .count()
+    };
+    let latencies = |net: &SimNet| {
+        let snap = net.telemetry().metrics().snapshot();
+        snap.log_histogram("simnet.event.latency_ns")
+            .unwrap()
+            .count()
+    };
+    assert!(
+        simnet_spans(&armed) > 0,
+        "the armed fabric recorded no spans"
+    );
+    assert!(latencies(&armed) > 0, "the armed fabric timed no events");
+    assert_eq!(
+        simnet_spans(&quiet),
+        0,
+        "tracing leaked into the other fabric"
+    );
+    assert_eq!(latencies(&quiet), 0, "the other fabric timed its events");
 }

@@ -7,25 +7,21 @@
 //!   ([`EventKind`]), retained in a bounded ring with drop-counting and
 //!   exportable as JSON lines;
 //! - a **metrics registry** ([`MetricsRegistry`]) — named counters, gauges,
-//!   and fixed-bucket histograms with atomic updates, plus
-//!   [`MetricsRegistry::snapshot`]/[`MetricsSnapshot::diff`] for isolating
-//!   an experiment window;
-//! - a **phase timer** ([`PhaseTimer`]) — span-like wall/sim timing of the
-//!   deployment pipeline (plan → preverify → wave N → health).
+//!   fixed-bucket histograms and scale-free lock-free [`LogHistogram`]s
+//!   (event latencies, window job counts, batch sizes) with atomic updates,
+//!   plus [`MetricsRegistry::snapshot`]/[`MetricsSnapshot::diff`] for
+//!   isolating an experiment window;
+//! - a **span stream** ([`span`]) — hierarchical wall-clock spans with
+//!   Chrome Trace Event export ([`span::export_chrome_trace`]). The
+//!   deployment pipeline's stages (plan → preverify → wave N → health) are
+//!   always-recorded [`Telemetry::phase`] spans carrying their simulated
+//!   duration; every other span is runtime-gated by
+//!   [`Telemetry::set_tracing`].
 //!
-//! The profiling layer adds three deeper instruments:
-//!
-//! - **span tracing** ([`span`]) — hierarchical wall-clock spans with
-//!   thread-local buffering and Chrome Trace Event export
-//!   ([`span::export_chrome_trace`]), runtime-gated so the disabled path is
-//!   one atomic load;
-//! - **log-bucket histograms** ([`LogHistogram`], via
-//!   [`MetricsRegistry::log_histogram`]) — scale-free lock-free
-//!   distributions for hot-path integers (event latencies, window job
-//!   counts, batch sizes);
-//! - **route provenance** ([`ProvenanceLog`]) — an opt-in per-prefix causal
-//!   trace of UPDATE arrivals, RPA installs, RIB changes, decision flips
-//!   and FIB deltas, exportable as JSON lines.
+//! Route provenance ([`ProvenanceLog`]) is an opt-in per-prefix causal
+//! trace of UPDATE arrivals, RPA installs, RIB changes, decision flips and
+//! FIB deltas, exportable as JSON lines; the simulator owns it beside the
+//! handle.
 //!
 //! # Cost model
 //!
@@ -35,15 +31,15 @@
 //! disabled and every emission site guards on
 //! [`Telemetry::journal_enabled`], so the disabled path costs one
 //! `Option` check and builds no event. Span tracing is **runtime-gated**
-//! ([`span::set_tracing`]): instrumented sites pay one relaxed atomic load
-//! plus a branch while it is off. Provenance is opt-in per prefix. Neither
-//! the journal nor provenance changes how the simulator schedules events.
+//! per handle: instrumented sites pay one relaxed atomic load plus a branch
+//! while it is off, and arming one handle leaves every other handle in the
+//! process untraced. Provenance is opt-in per prefix. Neither the journal
+//! nor provenance changes how the simulator schedules events.
 
 mod event;
 mod histogram;
 mod journal;
 mod metrics;
-mod phase;
 mod provenance;
 pub mod span;
 
@@ -51,14 +47,15 @@ pub use event::{Event, EventKind, FieldValue, Severity};
 pub use histogram::{LogHistogram, LogHistogramSnapshot, LOG_BUCKETS};
 pub use journal::Journal;
 pub use metrics::{Counter, Gauge, Histogram, HistogramSnapshot, MetricsRegistry, MetricsSnapshot};
-pub use phase::{PhaseRecord, PhaseSpan, PhaseTimer};
 pub use provenance::{ProvenanceKind, ProvenanceLog, ProvenanceRecord};
 
+use span::{Phase, Span, SpanRecord, SpanSink};
+use std::borrow::Cow;
 use std::sync::atomic::{AtomicU64, Ordering};
 use std::sync::Arc;
 
 /// The shared telemetry handle. Cloning is cheap (four `Arc`s) and every
-/// clone feeds the same journal, registry, and phase timer, so one handle
+/// clone feeds the same journal, registry, and span stream, so one handle
 /// created next to the simulator can be propagated to every device daemon
 /// and the controller.
 #[derive(Debug, Clone)]
@@ -68,7 +65,7 @@ pub struct Telemetry {
     clock: Arc<AtomicU64>,
     metrics: Arc<MetricsRegistry>,
     journal: Option<Arc<Journal>>,
-    phases: Arc<PhaseTimer>,
+    spans: Arc<SpanSink>,
 }
 
 impl Default for Telemetry {
@@ -78,14 +75,14 @@ impl Default for Telemetry {
 }
 
 impl Telemetry {
-    /// Metrics and phase timing live, journal disabled (the zero-cost
-    /// event sink).
+    /// Metrics and phase spans live, journal disabled (the zero-cost
+    /// event sink), span tracing off.
     pub fn new() -> Self {
         Telemetry {
             clock: Arc::new(AtomicU64::new(0)),
             metrics: Arc::new(MetricsRegistry::new()),
             journal: None,
-            phases: Arc::new(PhaseTimer::new()),
+            spans: Arc::new(SpanSink::new()),
         }
     }
 
@@ -114,9 +111,46 @@ impl Telemetry {
         self.journal.is_some()
     }
 
-    /// The deployment phase timer.
-    pub fn phases(&self) -> &PhaseTimer {
-        &self.phases
+    /// Arm or disarm span tracing on this handle and every clone of it.
+    pub fn set_tracing(&self, on: bool) {
+        self.spans.set_enabled(on);
+    }
+
+    /// Whether spans are being recorded. Hot paths may gate auxiliary
+    /// measurements (e.g. per-event latency histograms) behind it.
+    #[inline]
+    pub fn tracing(&self) -> bool {
+        self.spans.enabled()
+    }
+
+    /// Open a span. The returned guard records on drop; while tracing is
+    /// off the guard is inert and the call costs one atomic load.
+    #[inline]
+    pub fn span(&self, cat: &'static str, name: &'static str) -> Span {
+        if !self.tracing() {
+            return Span::inert();
+        }
+        Span::open(&self.spans, cat, Cow::Borrowed(name))
+    }
+
+    /// Open a deployment pipeline stage, recorded under
+    /// [`span::PHASE_CAT`] whether or not tracing is on. `sim_now_us` is
+    /// the simulated clock at stage entry; [`Phase::finish`] closes it.
+    pub fn phase(&self, label: impl Into<Cow<'static, str>>, sim_now_us: u64) -> Phase {
+        Phase {
+            span: Span::open(&self.spans, span::PHASE_CAT, label.into()),
+            sim_start: sim_now_us,
+        }
+    }
+
+    /// Every span recorded so far, sorted by start time.
+    pub fn spans(&self) -> Vec<SpanRecord> {
+        self.spans.records()
+    }
+
+    /// Spans discarded because the stream hit its capacity bound.
+    pub fn dropped_spans(&self) -> u64 {
+        self.spans.dropped()
     }
 
     /// Advance the simulated clock (called by the simulator's event loop).

@@ -127,16 +127,6 @@ impl ProvenanceLog {
         self.records.lock().is_empty()
     }
 
-    /// Steps that happened on `device`, in causal order.
-    pub fn for_device(&self, device: u32) -> Vec<ProvenanceRecord> {
-        self.records
-            .lock()
-            .iter()
-            .filter(|r| r.device == device)
-            .cloned()
-            .collect()
-    }
-
     /// The distinct devices the prefix's history touched, in first-seen
     /// order — the "device hops" of the causal chain.
     pub fn device_hops(&self) -> Vec<u32> {
@@ -199,7 +189,6 @@ mod tests {
         );
         assert_eq!(records[0].from_peer, Some(9));
         assert_eq!(log.device_hops(), vec![1, 2]);
-        assert_eq!(log.for_device(2).len(), 1);
     }
 
     #[test]

@@ -1,69 +1,55 @@
 //! Hierarchical span tracing with Chrome Trace Event export.
 //!
-//! The tracer is **compiled in but runtime-gated**: every instrumentation
-//! site calls [`span`], which checks one process-global atomic and returns
-//! an inert guard when tracing is off — the disabled path is a branch plus
-//! a relaxed atomic load, no allocation, no clock read. When tracing is on
-//! (via [`set_tracing`]), each guard stamps a monotonic start time on
-//! construction and appends a completed [`SpanRecord`] to a **thread-local
-//! buffer** on drop; buffers flush to a process-global sink in batches, so
-//! a thread records spans without taking a shared lock per span. A thread
-//! other than the one that drains must call [`flush_thread`] before it ends:
-//! whoever joins it may run before its thread-local destructor does.
+//! Spans belong to a [`Telemetry`](crate::Telemetry) handle: every clone of
+//! the handle feeds one sink, and two handles never see each other's spans,
+//! so tracing one fabric leaves every other fabric in the process untraced.
 //!
-//! The sink is process-global rather than per-[`Telemetry`](crate::Telemetry)
-//! handle because threading a handle through every call frame would cost
-//! more than the measurement itself.
+//! The stream carries two kinds of span:
 //!
-//! [`export_chrome_trace`] renders the drained records in Chrome Trace
-//! Event Format (an object with a `traceEvents` array of complete `"X"`
-//! events), loadable in `chrome://tracing` or [Perfetto](https://ui.perfetto.dev).
+//! - **traced spans** ([`Telemetry::span`](crate::Telemetry::span)) are
+//!   runtime-gated by [`Telemetry::set_tracing`](crate::Telemetry::set_tracing):
+//!   while tracing is off the guard is inert and the call costs one relaxed
+//!   atomic load, no allocation and no clock read;
+//! - **pipeline phases** ([`Telemetry::phase`](crate::Telemetry::phase),
+//!   category [`PHASE_CAT`]) always record. [`Phase::finish`] stamps the
+//!   stage's simulated duration as the `sim_us` argument; a phase dropped
+//!   without it (an error path) still lands in the trace but carries no
+//!   `sim_us`, so [`SpanRecord::phase_sim_us`] and every phase table skip it.
+//!
+//! A closed span is appended to the sink under its lock; the sink assigns
+//! each recording thread a small integer id in first-seen order. Timestamps
+//! are relative to the handle's creation.
+//!
+//! [`export_chrome_trace`] renders records in Chrome Trace Event Format (an
+//! object with a `traceEvents` array of complete `"X"` events), loadable in
+//! `chrome://tracing` or [Perfetto](https://ui.perfetto.dev).
 
 use parking_lot::Mutex;
 use serde::Value;
 use std::borrow::Cow;
-use std::cell::RefCell;
 use std::io::{self, Write};
 use std::sync::atomic::{AtomicBool, AtomicU64, Ordering};
-use std::sync::OnceLock;
+use std::sync::Arc;
+use std::thread::ThreadId;
 use std::time::Instant;
 
-/// Runtime gate. All spans in the process observe this flag.
-static ENABLED: AtomicBool = AtomicBool::new(false);
-
-/// Completed spans, flushed from thread-local buffers.
-static SINK: Mutex<Vec<SpanRecord>> = Mutex::new(Vec::new());
-
-/// Spans discarded because the sink was at capacity.
-static DROPPED: AtomicU64 = AtomicU64::new(0);
-
-/// Monotonic thread-id allocator (Chrome traces want small integer tids).
-static NEXT_TID: AtomicU64 = AtomicU64::new(1);
+/// Category of the controller's pipeline phases.
+pub const PHASE_CAT: &str = "core.phase";
 
 /// Sink capacity: a runaway tracing session degrades to dropping spans
 /// instead of eating the heap. 4M records ≈ a few hundred MB of JSON,
 /// far beyond any report a human will open.
 const SINK_CAP: usize = 4_000_000;
 
-/// Thread-local flush threshold.
-const FLUSH_AT: usize = 512;
-
-/// The process-wide monotonic epoch all span timestamps are relative to.
-fn epoch() -> Instant {
-    static EPOCH: OnceLock<Instant> = OnceLock::new();
-    *EPOCH.get_or_init(Instant::now)
-}
-
 /// One completed span.
 #[derive(Debug, Clone, PartialEq, Eq)]
 pub struct SpanRecord {
     /// Span name. Hot-path guards pass `&'static str` (no allocation);
-    /// low-rate call sites with computed labels (pipeline waves) pass an
-    /// owned string via [`span_owned`].
+    /// pipeline phases carry computed labels such as `"wave 1 (Fsw)"`.
     pub name: Cow<'static, str>,
     /// Category, used by trace viewers to group/filter tracks.
     pub cat: &'static str,
-    /// Start, in nanoseconds since the process trace epoch.
+    /// Start, in nanoseconds since the handle was created.
     pub start_ns: u64,
     /// Duration in nanoseconds.
     pub dur_ns: u64,
@@ -73,98 +59,89 @@ pub struct SpanRecord {
     pub args: Vec<(&'static str, u64)>,
 }
 
-struct ThreadBuf {
-    tid: u64,
-    buf: Vec<SpanRecord>,
+impl SpanRecord {
+    /// The simulated duration of a finished pipeline phase; `None` for any
+    /// other span, an abandoned phase included.
+    pub fn phase_sim_us(&self) -> Option<u64> {
+        if self.cat != PHASE_CAT {
+            return None;
+        }
+        self.args
+            .iter()
+            .find(|(k, _)| *k == "sim_us")
+            .map(|&(_, v)| v)
+    }
 }
 
-impl ThreadBuf {
-    fn flush(&mut self) {
-        if self.buf.is_empty() {
+/// The span stream behind one [`Telemetry`](crate::Telemetry) handle.
+#[derive(Debug)]
+pub(crate) struct SpanSink {
+    enabled: AtomicBool,
+    epoch: Instant,
+    dropped: AtomicU64,
+    state: Mutex<SinkState>,
+}
+
+#[derive(Debug, Default)]
+struct SinkState {
+    records: Vec<SpanRecord>,
+    /// Recording threads in first-seen order: a record's `tid` is its
+    /// thread's position here plus one.
+    threads: Vec<ThreadId>,
+}
+
+impl SpanSink {
+    pub(crate) fn new() -> Self {
+        SpanSink {
+            enabled: AtomicBool::new(false),
+            epoch: Instant::now(),
+            dropped: AtomicU64::new(0),
+            state: Mutex::new(SinkState::default()),
+        }
+    }
+
+    pub(crate) fn set_enabled(&self, on: bool) {
+        self.enabled.store(on, Ordering::Relaxed);
+    }
+
+    #[inline]
+    pub(crate) fn enabled(&self) -> bool {
+        self.enabled.load(Ordering::Relaxed)
+    }
+
+    pub(crate) fn dropped(&self) -> u64 {
+        self.dropped.load(Ordering::Relaxed)
+    }
+
+    /// Every record so far, sorted by start time.
+    pub(crate) fn records(&self) -> Vec<SpanRecord> {
+        let mut records = self.state.lock().records.clone();
+        records.sort_by_key(|r| (r.start_ns, r.tid));
+        records
+    }
+
+    /// Append `record`, stamping its thread id; drop it at capacity.
+    fn push(&self, mut record: SpanRecord) {
+        let thread = std::thread::current().id();
+        let mut state = self.state.lock();
+        if state.records.len() >= SINK_CAP {
+            self.dropped.fetch_add(1, Ordering::Relaxed);
             return;
         }
-        let mut sink = SINK.lock();
-        let room = SINK_CAP.saturating_sub(sink.len());
-        if room < self.buf.len() {
-            DROPPED.fetch_add((self.buf.len() - room) as u64, Ordering::Relaxed);
-            self.buf.truncate(room);
-        }
-        sink.append(&mut self.buf);
-    }
-}
-
-impl Drop for ThreadBuf {
-    fn drop(&mut self) {
-        self.flush();
-    }
-}
-
-thread_local! {
-    static LOCAL: RefCell<ThreadBuf> = RefCell::new(ThreadBuf {
-        tid: NEXT_TID.fetch_add(1, Ordering::Relaxed),
-        buf: Vec::new(),
-    });
-}
-
-/// Turn span recording on or off. Enabling also pins the trace epoch so the
-/// first span does not pay the `OnceLock` initialization inside a guard.
-pub fn set_tracing(on: bool) {
-    if on {
-        epoch();
-    }
-    ENABLED.store(on, Ordering::Relaxed);
-}
-
-/// Whether spans are currently being recorded. Hot paths may use this to
-/// gate auxiliary measurements (e.g. per-event latency histograms) behind
-/// the same switch.
-#[inline]
-pub fn tracing_enabled() -> bool {
-    ENABLED.load(Ordering::Relaxed)
-}
-
-/// Spans discarded because the sink hit its capacity bound.
-pub fn dropped() -> u64 {
-    DROPPED.load(Ordering::Relaxed)
-}
-
-/// Open a span. The returned guard records on drop; when tracing is
-/// disabled the guard is inert and the call costs one atomic load.
-#[inline]
-pub fn span(cat: &'static str, name: &'static str) -> Span {
-    if !tracing_enabled() {
-        return Span { open: None };
-    }
-    Span {
-        open: Some(OpenSpan {
-            name: Cow::Borrowed(name),
-            cat,
-            started: Instant::now(),
-            args: Vec::new(),
-        }),
-    }
-}
-
-/// [`span`] for low-rate call sites whose label is computed at runtime
-/// (e.g. `"wave 1 (fsw)"`). The name is only materialized when tracing is
-/// enabled, so the disabled path still allocates nothing when callers pass
-/// a borrowed form.
-#[inline]
-pub fn span_owned(cat: &'static str, name: impl Into<Cow<'static, str>>) -> Span {
-    if !tracing_enabled() {
-        return Span { open: None };
-    }
-    Span {
-        open: Some(OpenSpan {
-            name: name.into(),
-            cat,
-            started: Instant::now(),
-            args: Vec::new(),
-        }),
+        let index = match state.threads.iter().position(|&t| t == thread) {
+            Some(i) => i,
+            None => {
+                state.threads.push(thread);
+                state.threads.len() - 1
+            }
+        };
+        record.tid = index as u64 + 1;
+        state.records.push(record);
     }
 }
 
 struct OpenSpan {
+    sink: Arc<SpanSink>,
     name: Cow<'static, str>,
     cat: &'static str,
     started: Instant,
@@ -178,6 +155,25 @@ pub struct Span {
 }
 
 impl Span {
+    /// A guard that records nothing.
+    #[inline]
+    pub(crate) fn inert() -> Self {
+        Span { open: None }
+    }
+
+    /// A live guard recording into `sink` when dropped.
+    pub(crate) fn open(sink: &Arc<SpanSink>, cat: &'static str, name: Cow<'static, str>) -> Self {
+        Span {
+            open: Some(OpenSpan {
+                sink: Arc::clone(sink),
+                name,
+                cat,
+                started: Instant::now(),
+                args: Vec::new(),
+            }),
+        }
+    }
+
     /// Attach a numeric argument, shown in the trace viewer. A no-op on an
     /// inert (tracing-disabled) guard.
     pub fn arg(&mut self, key: &'static str, value: u64) {
@@ -193,41 +189,39 @@ impl Drop for Span {
             return;
         };
         let end = Instant::now();
-        let start_ns = open.started.duration_since(epoch()).as_nanos() as u64;
-        let dur_ns = end.duration_since(open.started).as_nanos() as u64;
-        LOCAL.with(|cell| {
-            let mut local = cell.borrow_mut();
-            let tid = local.tid;
-            local.buf.push(SpanRecord {
-                name: open.name,
-                cat: open.cat,
-                start_ns,
-                dur_ns,
-                tid,
-                args: open.args,
-            });
-            if local.buf.len() >= FLUSH_AT {
-                local.flush();
-            }
+        let OpenSpan {
+            sink,
+            name,
+            cat,
+            started,
+            args,
+        } = open;
+        sink.push(SpanRecord {
+            name,
+            cat,
+            start_ns: started.duration_since(sink.epoch).as_nanos() as u64,
+            dur_ns: end.duration_since(started).as_nanos() as u64,
+            tid: 0,
+            args,
         });
     }
 }
 
-/// Hand the calling thread's buffered spans to the sink. Call it last in the
-/// body of any spawned thread that records spans.
-pub fn flush_thread() {
-    LOCAL.with(|cell| cell.borrow_mut().flush());
+/// An open pipeline stage, recorded whether or not tracing is on. Close it
+/// with [`Phase::finish`]; dropped unfinished, its span carries no `sim_us`
+/// and phase tables leave it out.
+#[must_use = "call finish() when the stage completes"]
+pub struct Phase {
+    pub(crate) span: Span,
+    pub(crate) sim_start: u64,
 }
 
-/// Drain every record flushed so far (plus the calling thread's buffer),
-/// oldest first. Another still-live thread that has recorded fewer than the
-/// flush threshold keeps its tail until it calls [`flush_thread`] or records
-/// more.
-pub fn drain() -> Vec<SpanRecord> {
-    flush_thread();
-    let mut records = std::mem::take(&mut *SINK.lock());
-    records.sort_by_key(|r| (r.start_ns, r.tid));
-    records
+impl Phase {
+    /// Close the stage. `sim_now_us` is the simulated clock at stage exit.
+    pub fn finish(mut self, sim_now_us: u64) {
+        self.span
+            .arg("sim_us", sim_now_us.saturating_sub(self.sim_start));
+    }
 }
 
 /// Render records in Chrome Trace Event Format: a JSON object whose
@@ -264,40 +258,30 @@ fn record_to_event(r: &SpanRecord) -> Value {
 #[cfg(test)]
 mod tests {
     use super::*;
-
-    /// Span tests share process-global state; serialize them.
-    fn lock() -> parking_lot::MutexGuard<'static, ()> {
-        static TEST_LOCK: Mutex<()> = Mutex::new(());
-        TEST_LOCK.lock()
-    }
+    use crate::Telemetry;
 
     #[test]
     fn disabled_spans_record_nothing() {
-        let _g = lock();
-        set_tracing(false);
-        drain();
+        let t = Telemetry::new();
         {
-            let mut s = span("test", "noop");
+            let mut s = t.span("test", "noop");
             s.arg("x", 1);
         }
-        assert!(drain().is_empty());
+        assert!(t.spans().is_empty());
     }
 
     #[test]
     fn enabled_spans_record_name_args_and_nesting() {
-        let _g = lock();
-        set_tracing(true);
-        drain();
+        let t = Telemetry::new();
+        t.set_tracing(true);
         {
-            let mut outer = span("test", "outer");
+            let mut outer = t.span("test", "outer");
             outer.arg("jobs", 3);
-            let _inner = span("test", "inner");
+            let _inner = t.span("test", "inner");
         }
-        set_tracing(false);
-        // Filter to this test's category: other tests in the binary (e.g.
-        // phase-timer tests) may legitimately record spans while tracing is
-        // on, and they do not serialize on the span-test lock.
-        let records: Vec<_> = drain().into_iter().filter(|r| r.cat == "test").collect();
+        t.set_tracing(false);
+        drop(t.span("test", "after"));
+        let records = t.spans();
         assert_eq!(records.len(), 2);
         let outer = records.iter().find(|r| r.name == "outer").unwrap();
         let inner = records.iter().find(|r| r.name == "inner").unwrap();
@@ -309,21 +293,65 @@ mod tests {
     }
 
     #[test]
-    fn worker_thread_spans_reach_the_sink_when_flushed() {
-        let _g = lock();
-        set_tracing(true);
-        drain();
-        let main_tid = LOCAL.with(|c| c.borrow().tid);
+    fn clones_share_one_stream_and_handles_do_not() {
+        let t = Telemetry::new();
+        let other = Telemetry::new();
+        t.clone().set_tracing(true);
+        assert!(t.tracing() && !other.tracing());
+        drop(t.clone().span("test", "shared"));
+        drop(other.span("test", "untraced"));
+        assert_eq!(t.spans().len(), 1);
+        assert!(other.spans().is_empty());
+    }
+
+    #[test]
+    fn worker_thread_spans_reach_the_sink_with_their_own_tid() {
+        let t = Telemetry::new();
+        t.set_tracing(true);
+        drop(t.span("test", "main_span"));
         std::thread::scope(|s| {
-            s.spawn(|| {
-                drop(span("test", "worker_span"));
-                flush_thread();
-            });
+            s.spawn(|| drop(t.span("test", "worker_span")));
         });
-        set_tracing(false);
-        let records = drain();
-        let worker = records.iter().find(|r| r.name == "worker_span").unwrap();
-        assert_ne!(worker.tid, main_tid, "worker gets its own tid");
+        let records = t.spans();
+        let tid = |name: &str| records.iter().find(|r| r.name == name).unwrap().tid;
+        assert_eq!(tid("main_span"), 1);
+        assert_eq!(tid("worker_span"), 2, "worker gets its own tid");
+    }
+
+    #[test]
+    fn phases_record_in_execution_order_with_tracing_off() {
+        let t = Telemetry::new();
+        t.phase("plan", 0).finish(0);
+        t.phase(format!("wave {}", 1), 100).finish(350);
+        let phases: Vec<_> = t
+            .spans()
+            .into_iter()
+            .map(|r| (r.phase_sim_us(), r.name.into_owned()))
+            .collect();
+        assert_eq!(
+            phases,
+            [
+                (Some(0), "plan".to_string()),
+                (Some(250), "wave 1".to_string())
+            ]
+        );
+    }
+
+    #[test]
+    fn abandoned_phase_carries_no_sim_time() {
+        let t = Telemetry::new();
+        drop(t.phase("never finished", 0));
+        let records = t.spans();
+        assert_eq!(records.len(), 1);
+        assert_eq!(records[0].cat, PHASE_CAT);
+        assert_eq!(records[0].phase_sim_us(), None);
+    }
+
+    #[test]
+    fn sim_clock_regression_saturates() {
+        let t = Telemetry::new();
+        t.phase("odd", 500).finish(100);
+        assert_eq!(t.spans()[0].phase_sim_us(), Some(0));
     }
 
     #[test]

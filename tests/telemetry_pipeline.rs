@@ -3,14 +3,15 @@
 //! in the topology-safe order the sequencer promises (§5.3.2), and a metrics
 //! registry whose counters agree with the legacy `TraceStats` view.
 
-use centralium::controller::Controller;
+use centralium::controller::{Controller, DeployOptions};
 use centralium::health::HealthCheck;
 use centralium::intent::TargetSet;
 use centralium::sequencer::DeploymentStrategy;
-use centralium::RoutingIntent;
+use centralium::transport::TransportKind;
+use centralium::{AgentServer, RoutingIntent, SwitchAgent};
 use centralium_bgp::attrs::well_known;
 use centralium_bgp::Prefix;
-use centralium_simnet::{SimConfig, SimNet};
+use centralium_simnet::{ManagementPlane, SimConfig, SimNet};
 use centralium_telemetry::{EventKind, Telemetry};
 use centralium_topology::{build_fabric, FabricSpec, Layer};
 
@@ -26,15 +27,38 @@ fn journaled_fabric() -> (SimNet, centralium_topology::builder::FabricIndex) {
     (net, idx)
 }
 
+/// Equalize the backbone default route on three layers: one wave each.
+fn three_layer_intent() -> RoutingIntent {
+    RoutingIntent::EqualizePaths {
+        destination: well_known::BACKBONE_DEFAULT_ROUTE,
+        origin_layer: Layer::Backbone,
+        targets: TargetSet::Layers(vec![Layer::Fsw, Layer::Ssw, Layer::Fadu]),
+    }
+}
+
+const PHASES: [&str; 6] = [
+    "preverify",
+    "plan",
+    "wave 1 (Fsw)",
+    "wave 2 (Ssw)",
+    "wave 3 (Fadu)",
+    "health",
+];
+
+/// The names of the finished pipeline phases on `tel`, in order.
+fn phase_names(tel: &Telemetry) -> Vec<String> {
+    tel.spans()
+        .into_iter()
+        .filter(|r| r.phase_sim_us().is_some())
+        .map(|r| r.name.into_owned())
+        .collect()
+}
+
 #[test]
 fn deployment_journal_orders_waves_and_health_checks() {
     let (mut net, idx) = journaled_fabric();
     let mut controller = Controller::new(&net, idx.rsw[0][0]);
-    let intent = RoutingIntent::EqualizePaths {
-        destination: well_known::BACKBONE_DEFAULT_ROUTE,
-        origin_layer: Layer::Backbone,
-        targets: TargetSet::Layers(vec![Layer::Fsw, Layer::Ssw, Layer::Fadu]),
-    };
+    let intent = three_layer_intent();
     controller
         .deploy_intent(
             &mut net,
@@ -104,19 +128,8 @@ fn deployment_journal_orders_waves_and_health_checks() {
         "post-check follows the last wave"
     );
 
-    // The deploy pipeline's phase timer saw every stage.
-    let phase_names: Vec<String> = tel.phases().records().into_iter().map(|r| r.name).collect();
-    assert_eq!(
-        phase_names,
-        [
-            "preverify",
-            "plan",
-            "wave 1 (Fsw)",
-            "wave 2 (Ssw)",
-            "wave 3 (Fadu)",
-            "health"
-        ]
-    );
+    // The deploy pipeline's phase spans saw every stage.
+    assert_eq!(phase_names(tel), PHASES);
 
     // The compatibility view and the registry are the same numbers.
     let stats = net.stats();
@@ -154,4 +167,41 @@ fn journal_captures_rpa_and_session_lifecycle() {
         })
         .count();
     assert!(downs > 0, "the decommissioned FADU's sessions went down");
+}
+
+#[test]
+fn a_deploy_over_tcp_records_into_the_controller_fabric() {
+    // The remote fabric runs the RPCs; the controller's phases and journal
+    // events land on the handle of the fabric it was given.
+    let (remote, idx) = journaled_fabric();
+    let mgmt = ManagementPlane::compute(remote.topology(), idx.rsw[0][0]);
+    let server = AgentServer::bind("127.0.0.1:0", remote, SwitchAgent::new(mgmt)).expect("bind");
+    let (mut net, idx) = journaled_fabric();
+    let mut controller = Controller::new(&net, idx.rsw[0][0]);
+    let opts = DeployOptions::builder(Layer::Backbone, DeploymentStrategy::SafeOrder)
+        .transport(TransportKind::Tcp {
+            addr: server.local_addr().to_string(),
+        })
+        .build();
+    controller
+        .deploy_intent_with(
+            &mut net,
+            &three_layer_intent(),
+            &opts,
+            &HealthCheck::default(),
+            &HealthCheck::default(),
+        )
+        .expect("deploys over TCP");
+    server.shutdown();
+
+    let tel = net.telemetry();
+    assert_eq!(phase_names(tel), PHASES);
+    let waves = tel
+        .journal()
+        .expect("journal enabled")
+        .snapshot()
+        .into_iter()
+        .filter(|e| e.kind == EventKind::SequencerWave)
+        .count();
+    assert_eq!(waves, 3, "one SequencerWave event per wave");
 }
