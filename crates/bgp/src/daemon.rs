@@ -1,9 +1,13 @@
 //! The BGP speaker: RIBs + decision process + advertisement, with RPA hooks.
 //!
-//! [`BgpDaemon`] is a pure state machine. Every entry point returns the
-//! updates the speaker wants transmitted, as `(session, UpdateMessage)`
-//! pairs; the caller owns delivery (and, in the emulator, delivery *timing* —
-//! which is what creates the paper's transitory states).
+//! [`BgpDaemon`] is a pure state machine driven as a BGP kernel is: ingest,
+//! then decide. The mutators ([`ingest`](BgpDaemon::ingest), `originate`,
+//! `withdraw_origin`, `peer_down`, `remove_peer`, `purge_ingress`, `mark`)
+//! only edit their table and mark the prefixes they touched dirty; one
+//! [`decide`](BgpDaemon::decide) re-decides the dirty prefixes and returns
+//! the updates the speaker wants transmitted, as `(session, UpdateMessage)`
+//! pairs. The caller owns delivery (and, in the emulator, delivery *timing*
+//! — which is what creates the paper's transitory states).
 //!
 //! # The Adj-RIB-Out invariant
 //!
@@ -11,26 +15,24 @@
 //! inputs: the Loc-RIB entry's `advertised` route (plus, under
 //! [`DaemonConfig::wcmp_advertise`], the entry's effective capacity), the
 //! session's own state (established, export policy), and the hook's egress
-//! verdict. *Between entry-point calls, Adj-RIB-Out holds for every
-//! established session exactly what a full export would compute.* Each entry
-//! point therefore exports only what the inputs it moved can have changed:
+//! verdict. *After every `decide`, Adj-RIB-Out holds for every established
+//! session exactly what a full export would compute.* `decide` therefore
+//! exports only what the marks since the last one can have moved:
 //!
-//! * [`handle_update`](BgpDaemon::handle_update),
-//!   [`peer_down`](BgpDaemon::peer_down) /
-//!   [`remove_peer`](BgpDaemon::remove_peer),
-//!   [`originate`](BgpDaemon::originate) and
-//!   [`withdraw_origin`](BgpDaemon::withdraw_origin) move only the first
-//!   input, so a re-decided prefix is exported only when its advertised route
-//!   differs from the previous one — an arrival that leaves the best path
-//!   alone costs no per-session work at all;
-//! * [`peer_up`](BgpDaemon::peer_up) moves one session's state and exports
-//!   the whole table to that session;
-//! * [`reevaluate_all`](BgpDaemon::reevaluate_all),
-//!   [`reevaluate_filtered`](BgpDaemon::reevaluate_filtered) and
-//!   [`reevaluate_prefixes`](BgpDaemon::reevaluate_prefixes) are what callers
-//!   run after moving the other two inputs (an export-policy swap, an RPA
-//!   install / remove, an agent restart), so they export every prefix they
-//!   re-decide whether or not its decision moved.
+//! * `ingest`, `peer_down` / `remove_peer`, `originate` and `withdraw_origin`
+//!   move only the first input, so a marked prefix is exported only when its
+//!   advertised route moved — an arrival that leaves the best path alone
+//!   costs no per-session work at all;
+//! * `purge_ingress` and `mark` follow a move of the other two (an
+//!   export-policy swap, an RPA install / remove, an agent restart), so one
+//!   of their marks makes `decide` export every dirty prefix;
+//! * [`peer_up`](BgpDaemon::peer_up) decides nothing: it moves one session's
+//!   state and exports the whole table to that session.
+//!
+//! The incumbent fast path (compare the one moved route with the installed
+//! entry) runs only while every mark since the last `decide` came from
+//! `ingest` on one session. Both facts join conservatively: a mixed dirty
+//! set gets the full pass and, if forced, the full export.
 
 use crate::attrs::PathAttributes;
 use crate::decision::{best_route, compare_routes, multipath_set, PathPreference};
@@ -236,18 +238,42 @@ pub struct BgpDaemon {
     /// baseline; see [`BgpDaemon::mark_fib_synced`].
     #[serde(skip)]
     fib_delta_ready: bool,
+    /// Prefixes marked since the last [`BgpDaemon::decide`], repeats
+    /// allowed, and what moved them; `dirty` keeps its capacity like
+    /// `fib_dirty`. Not serialized: serialize between decides.
+    #[serde(skip)]
+    dirty: Vec<Prefix>,
+    #[serde(skip)]
+    moved: Moved,
     #[serde(skip)]
     telemetry: DaemonTelemetry,
 }
 
-/// Whether a batch of decisions exports every prefix it re-decides or only
-/// those whose advertised route moved — see the module docs for which entry
-/// point says which.
-enum Export {
-    /// The caller moved only Adj-RIB-In / origination state.
-    OnChange,
-    /// The caller moved export policy or hook state as well.
-    Always,
+/// What moved the prefixes marked since the last [`BgpDaemon::decide`], in
+/// the order marks [`join`](Moved::join) up: the facts that pick its
+/// decision and its export.
+#[derive(Debug, Clone, Copy, Default, PartialEq, Serialize, Deserialize)]
+enum Moved {
+    #[default]
+    Nothing,
+    /// Only `ingest` on this session: the incumbent fast path, export on
+    /// change.
+    Session(PeerId),
+    /// Routes of more than one source: the full pass, export on change.
+    Routes,
+    /// Export policy or hook state too: the full pass, export everything.
+    Everything,
+}
+
+impl Moved {
+    fn join(self, other: Moved) -> Moved {
+        match (self, other) {
+            (Moved::Nothing, m) | (m, Moved::Nothing) => m,
+            (Moved::Session(a), Moved::Session(b)) if a == b => self,
+            (Moved::Everything, _) | (_, Moved::Everything) => Moved::Everything,
+            _ => Moved::Routes,
+        }
+    }
 }
 
 impl BgpDaemon {
@@ -262,6 +288,8 @@ impl BgpDaemon {
             adj_rib_out: AdjRibOut::default(),
             fib_dirty: Vec::new(),
             fib_delta_ready: false,
+            dirty: Vec::new(),
+            moved: Moved::Nothing,
             telemetry: DaemonTelemetry::default(),
         }
     }
@@ -306,46 +334,25 @@ impl BgpDaemon {
         );
     }
 
-    /// Remove a session entirely, flushing its routes. Returns updates.
-    pub fn remove_peer(
-        &mut self,
-        peer: PeerId,
-        policy: &dyn RibPolicy,
-    ) -> Vec<(PeerId, UpdateMessage)> {
-        let out = self.peer_down(peer, policy);
+    /// Remove a session entirely, flushing its routes and marking the
+    /// prefixes they covered.
+    pub fn remove_peer(&mut self, peer: PeerId) {
+        self.peer_down(peer);
         self.peers.remove(&peer);
         self.adj_rib_out.flush_peer(peer);
-        out
     }
 
     /// Replace the export policy of a session (used e.g. to drain a device
-    /// by making its advertisements less preferred). Callers must follow
-    /// with [`reevaluate_all`](Self::reevaluate_all),
-    /// [`reevaluate_filtered`](Self::reevaluate_filtered) or
-    /// [`reevaluate_prefixes`](Self::reevaluate_prefixes) over every prefix
-    /// the policy can touch: those three are the entry points that export
-    /// unconditionally, and until one runs Adj-RIB-Out keeps what the old
-    /// policy produced (every other entry point exports a prefix only when
-    /// its advertised route moves).
+    /// by making its advertisements less preferred). Callers must
+    /// [`mark`](Self::mark) every prefix the policy can touch and then
+    /// [`decide`](Self::decide): a `mark` is what makes `decide` export
+    /// unconditionally, and until then Adj-RIB-Out keeps what the old policy
+    /// produced (every other mark exports a prefix only when its advertised
+    /// route moves).
     pub fn set_export_policy(&mut self, peer: PeerId, policy: impl Into<Arc<Policy>>) -> bool {
         match self.peers.get_mut(&peer) {
             Some(state) => {
                 state.cfg.export = policy.into();
-                true
-            }
-            None => false,
-        }
-    }
-
-    /// Replace the import policy of a session. Takes effect for routes
-    /// received after the change (real BGP would need a route refresh):
-    /// routes already admitted, and the decisions installed over them, stay
-    /// until the peer re-advertises — to re-decide now, follow with
-    /// [`reevaluate_all`](Self::reevaluate_all).
-    pub fn set_import_policy(&mut self, peer: PeerId, policy: impl Into<Arc<Policy>>) -> bool {
-        match self.peers.get_mut(&peer) {
-            Some(state) => {
-                state.cfg.import = policy.into();
                 true
             }
             None => false,
@@ -380,12 +387,7 @@ impl BgpDaemon {
             .unwrap_or(false)
     }
 
-    /// Number of established sessions.
-    pub fn established_count(&self) -> usize {
-        self.peers.values().filter(|p| p.established).count()
-    }
-
-    // ---- event entry points -------------------------------------------------
+    // ---- mark, then decide ---------------------------------------------------
 
     /// Session reached Established: advertise the current table to it.
     pub fn peer_up(
@@ -418,32 +420,23 @@ impl BgpDaemon {
         }
     }
 
-    /// Session dropped: flush its routes and re-run decisions.
-    pub fn peer_down(
-        &mut self,
-        peer: PeerId,
-        policy: &dyn RibPolicy,
-    ) -> Vec<(PeerId, UpdateMessage)> {
+    /// Session dropped: flush its routes and mark the prefixes they covered.
+    pub fn peer_down(&mut self, peer: PeerId) {
         let Some(state) = self.peers.get_mut(&peer) else {
-            return Vec::new();
+            return;
         };
         if !state.established {
-            return Vec::new();
+            return;
         }
         state.established = false;
         let affected = self.adj_rib_in.flush_peer(peer);
         // Drop pending out-state toward the dead session.
         self.adj_rib_out.flush_peer(peer);
-        self.run_decisions(affected, Export::OnChange, None, policy)
+        self.mark_moved(affected, Moved::Routes);
     }
 
     /// Originate (or re-originate with new attributes) a local route.
-    pub fn originate(
-        &mut self,
-        prefix: Prefix,
-        mut attrs: PathAttributes,
-        policy: &dyn RibPolicy,
-    ) -> Vec<(PeerId, UpdateMessage)> {
+    pub fn originate(&mut self, prefix: Prefix, mut attrs: PathAttributes) {
         if attrs
             .link_bandwidth_gbps
             .map(|b| !b.is_finite())
@@ -452,39 +445,29 @@ impl BgpDaemon {
             attrs.link_bandwidth_gbps = None;
         }
         self.originated.insert(prefix, Arc::new(attrs));
-        self.run_decisions(vec![prefix], Export::OnChange, None, policy)
+        self.mark_moved([prefix], Moved::Routes);
     }
 
     /// Stop originating a local route.
-    pub fn withdraw_origin(
-        &mut self,
-        prefix: Prefix,
-        policy: &dyn RibPolicy,
-    ) -> Vec<(PeerId, UpdateMessage)> {
-        if self.originated.remove(&prefix).is_none() {
-            return Vec::new();
+    pub fn withdraw_origin(&mut self, prefix: Prefix) {
+        if self.originated.remove(&prefix).is_some() {
+            self.mark_moved([prefix], Moved::Routes);
         }
-        self.run_decisions(vec![prefix], Export::OnChange, None, policy)
     }
 
-    /// Process a received UPDATE.
-    pub fn handle_update(
-        &mut self,
-        from: PeerId,
-        update: UpdateMessage,
-        policy: &dyn RibPolicy,
-    ) -> Vec<(PeerId, UpdateMessage)> {
+    /// Apply a received UPDATE to the Adj-RIB-In and mark the prefixes it
+    /// changed. `policy` is the ingress Route Filter hook.
+    pub fn ingest(&mut self, from: PeerId, update: UpdateMessage, policy: &dyn RibPolicy) {
         let Some(state) = self.peers.get(&from) else {
-            return Vec::new();
+            return;
         };
         if !state.established {
-            return Vec::new();
+            return;
         }
         let import = &state.cfg.import;
-        let mut affected = Vec::new();
         for prefix in update.withdrawn {
             if self.adj_rib_in.remove(from, prefix) {
-                affected.push(prefix);
+                self.dirty.push(prefix);
             }
         }
         for (prefix, attrs) in update.announced {
@@ -494,7 +477,7 @@ impl BgpDaemon {
             // leaves stale "ghost" routes that can form stable cycles.
             if attrs.path_contains(self.cfg.asn) {
                 if self.adj_rib_in.remove(from, prefix) {
-                    affected.push(prefix);
+                    self.dirty.push(prefix);
                 }
                 continue;
             }
@@ -514,91 +497,115 @@ impl BgpDaemon {
                     // Route Filter RPA, ingress direction (Figure 6).
                     if policy.permit_ingress(from, prefix, &route) {
                         // An identical re-announcement changes nothing;
-                        // skipping the decision re-run keeps duplicate
-                        // UPDATE floods (session resets, refresh replies)
-                        // off the hot path entirely. The error arm is
-                        // unreachable (the route was just built with
-                        // `Route::learned`) but must not abort the daemon.
+                        // leaving it unmarked keeps duplicate UPDATE floods
+                        // (session resets, refresh replies) off the decision
+                        // path entirely. The error arm is unreachable (the
+                        // route was just built with `Route::learned`) but
+                        // must not abort the daemon.
                         if self.adj_rib_in.insert(route).unwrap_or(false) {
-                            affected.push(prefix);
+                            self.dirty.push(prefix);
                         }
                     } else if self.adj_rib_in.remove(from, prefix) {
-                        affected.push(prefix);
+                        self.dirty.push(prefix);
                     }
                 }
                 None => {
                     // Treat as withdraw if we previously held it.
                     if self.adj_rib_in.remove(from, prefix) {
-                        affected.push(prefix);
+                        self.dirty.push(prefix);
                     }
                 }
             }
         }
-        self.run_decisions(affected, Export::OnChange, Some(from), policy)
+        self.moved = self.moved.join(Moved::Session(from));
     }
 
-    /// Re-run the decision process for every known prefix — called when an
-    /// RPA is installed or removed ("BGP can independently discover and
-    /// process new viable routes by locally re-applying the pre-installed
-    /// RPAs", §4.1). Like the two scoped forms below it exports every prefix
-    /// it re-decides, moved or not: export policy and egress filters may
-    /// have changed under an unchanged best path.
-    pub fn reevaluate_all(&mut self, policy: &dyn RibPolicy) -> Vec<(PeerId, UpdateMessage)> {
-        let known = self.known_prefixes();
-        self.reevaluate_filtered(known, policy)
-    }
-
-    /// Re-apply the ingress Route Filter hook to routes already admitted,
-    /// then re-run the decision process over the purged prefixes plus
-    /// `extra` — the ingress-scoped counterpart of
-    /// [`BgpDaemon::reevaluate_all`], which is simply this with `extra` =
-    /// every known prefix.
+    /// Re-apply the ingress Route Filter hook to routes already admitted and
+    /// mark the prefixes that lost one, forcing their export. Eviction is
+    /// deliberate and permanent — holding filtered routes is exactly the
+    /// resource exhaustion Route Filter RPAs exist to prevent (§4.3); as in
+    /// real BGP, re-admission needs a route refresh or a session bounce.
     ///
-    /// A freshly deployed filter must evict now-disallowed RIB entries.
-    /// Eviction is deliberate and permanent — holding filtered routes is
-    /// exactly the resource exhaustion Route Filter RPAs exist to prevent
-    /// (§4.3). As in real BGP, re-admitting them after the filter is lifted
-    /// requires the peer to re-advertise (route refresh) or the session to
-    /// bounce.
-    ///
-    /// Soundness of the scoped form: a prefix that is neither purged nor in
-    /// `extra` kept its entire candidate set (the purge touched nothing of
-    /// it and only ingress admission changed), so its decision outcome —
-    /// and therefore its Loc-RIB entry, FIB projection and Adj-RIB-Out
-    /// state — cannot differ from what a full re-evaluation would compute.
-    /// Callers are responsible for putting any prefix whose decision can
-    /// move for *other* reasons (time-dependent RPA documents crossing
-    /// their deadline) into `extra`.
-    pub fn reevaluate_filtered(
-        &mut self,
-        extra: Vec<Prefix>,
-        policy: &dyn RibPolicy,
-    ) -> Vec<(PeerId, UpdateMessage)> {
+    /// After an ingress-only filter change nothing else can have moved: a
+    /// prefix that lost no route kept its whole candidate set. Callers
+    /// [`mark`](Self::mark) what can move for other reasons (time-dependent
+    /// RPA documents crossing their deadline).
+    pub fn purge_ingress(&mut self, policy: &dyn RibPolicy) {
         let purged = self.adj_rib_in.purge(|r| match r.learned_from {
             Some(peer) => policy.permit_ingress(peer, r.prefix, r),
             None => true,
         });
-        let mut prefixes = purged;
-        prefixes.extend(extra);
-        self.run_decisions(prefixes, Export::Always, None, policy)
+        self.mark_moved(purged, Moved::Everything);
     }
 
-    /// Re-run the decision process for `prefixes` only — the scoped
-    /// counterpart of [`BgpDaemon::reevaluate_all`] used by the incremental
-    /// convergence engine when an RPA's destination scope bounds the affected
-    /// prefixes. Unlike `reevaluate_all` this never re-applies ingress
-    /// filters to already-admitted routes, so it must not be used for changes
-    /// that tighten ingress admission — installing or replacing a Route
-    /// Filter goes through [`BgpDaemon::reevaluate_filtered`] (or the full
-    /// path) instead. *Removing* an ingress-only filter is safe here: with
-    /// AND-composed statements a removal only relaxes admission, already-held
-    /// routes keep passing, and evicted ones return via route refresh.
-    pub fn reevaluate_prefixes(
+    /// Mark `prefixes` for re-decision and forced export — what a caller
+    /// runs after changing an input the decision cannot see (export policy,
+    /// RPA state). It re-applies no ingress filter, so a change that
+    /// tightens admission needs [`purge_ingress`](Self::purge_ingress) too;
+    /// removing an ingress-only filter only relaxes it (evicted routes
+    /// return via route refresh).
+    pub fn mark(&mut self, prefixes: impl IntoIterator<Item = Prefix>) {
+        self.mark_moved(prefixes, Moved::Everything);
+    }
+
+    /// Mark `prefixes` dirty for the next [`decide`](Self::decide), moved as
+    /// `by` says.
+    fn mark_moved(&mut self, prefixes: impl IntoIterator<Item = Prefix>, by: Moved) {
+        self.dirty.extend(prefixes);
+        self.moved = self.moved.join(by);
+    }
+
+    /// Re-decide every prefix marked since the last call, ascending and once
+    /// each, and export what the marks can have moved (see the module docs).
+    /// The result is ascending by session, one UPDATE each, prefixes
+    /// ascending inside it.
+    pub fn decide(&mut self, policy: &dyn RibPolicy) -> Vec<(PeerId, UpdateMessage)> {
+        let moved = std::mem::take(&mut self.moved);
+        let from = match moved {
+            Moved::Session(from) => Some(from),
+            _ => None,
+        };
+        // Under `wcmp_advertise` the export also relays the entry's
+        // effective capacity, which moves with the selected set while the
+        // advertised route stays put — so every decision exports.
+        let always = moved == Moved::Everything || self.cfg.wcmp_advertise;
+        let mut dirty = std::mem::take(&mut self.dirty);
+        dirty.sort_unstable();
+        dirty.dedup();
+        let mut out = Vec::new();
+        for &prefix in &dirty {
+            let advertisement_moved = from
+                .and_then(|from| self.decide_against_incumbent(prefix, from, policy))
+                .unwrap_or_else(|| self.decide_prefix(prefix, policy));
+            if always || advertisement_moved {
+                self.export_prefix(prefix, policy, &mut out);
+            }
+        }
+        dirty.clear();
+        self.dirty = dirty;
+        out
+    }
+
+    /// Process a received UPDATE: [`ingest`](Self::ingest), then
+    /// [`decide`](Self::decide).
+    pub fn handle_update(
         &mut self,
-        prefixes: Vec<Prefix>,
+        from: PeerId,
+        update: UpdateMessage,
         policy: &dyn RibPolicy,
     ) -> Vec<(PeerId, UpdateMessage)> {
-        self.run_decisions(prefixes, Export::Always, None, policy)
+        self.ingest(from, update, policy);
+        self.decide(policy)
+    }
+
+    /// Re-decide and export every known prefix ("BGP can independently
+    /// discover and process new viable routes by locally re-applying the
+    /// pre-installed RPAs", §4.1): [`purge_ingress`](Self::purge_ingress),
+    /// [`mark`](Self::mark) of every known prefix, then `decide`.
+    pub fn reevaluate_all(&mut self, policy: &dyn RibPolicy) -> Vec<(PeerId, UpdateMessage)> {
+        self.purge_ingress(policy);
+        self.mark(self.known_prefixes());
+        self.decide(policy)
     }
 
     /// Every prefix the speaker currently knows: held in Adj-RIB-In,
@@ -765,37 +772,6 @@ impl BgpDaemon {
             .collect();
         if let Some(attrs) = self.originated.get(&prefix) {
             out.push(Route::local(prefix, attrs.clone()));
-        }
-        out
-    }
-
-    /// Re-decide `prefixes` and export what the decisions — or, under
-    /// [`Export::Always`], the caller — changed. `moved_by` names the one
-    /// session whose Adj-RIB-In contribution is all that moved since the
-    /// prefixes were last decided ([`handle_update`](Self::handle_update)),
-    /// when there is one. The result is ascending by session, one UPDATE
-    /// each, prefixes ascending inside it.
-    fn run_decisions(
-        &mut self,
-        mut prefixes: Vec<Prefix>,
-        export: Export,
-        moved_by: Option<PeerId>,
-        policy: &dyn RibPolicy,
-    ) -> Vec<(PeerId, UpdateMessage)> {
-        // Under `wcmp_advertise` the export also relays the entry's
-        // effective capacity, which moves with the selected set while the
-        // advertised route stays put — so every decision exports.
-        let always = matches!(export, Export::Always) || self.cfg.wcmp_advertise;
-        prefixes.sort_unstable();
-        prefixes.dedup();
-        let mut out = Vec::new();
-        for prefix in prefixes {
-            let advertisement_moved = moved_by
-                .and_then(|from| self.decide_against_incumbent(prefix, from, policy))
-                .unwrap_or_else(|| self.decide_prefix(prefix, policy));
-            if always || advertisement_moved {
-                self.export_prefix(prefix, policy, &mut out);
-            }
         }
         out
     }
@@ -1062,9 +1038,8 @@ impl BgpDaemon {
     /// it does not depend on the peer; only split-horizon, the egress filter
     /// and the per-session export policy do, and those run per peer below.
     /// Each pass costs one evaluation per established session
-    /// (`bgp.export_evals`), which is why
-    /// [`run_decisions`](Self::run_decisions) skips it for a decision that
-    /// left the advertisement where it was.
+    /// (`bgp.export_evals`), which is why [`decide`](Self::decide) skips it
+    /// for a decision that left the advertisement where it was.
     fn export_prefix(
         &mut self,
         prefix: Prefix,
@@ -1252,7 +1227,8 @@ mod tests {
         let mut d = daemon(1);
         connect(&mut d, 10, 2);
         connect(&mut d, 20, 3);
-        let out = d.originate(p("10.0.0.0/8"), PathAttributes::default(), &NativePolicy);
+        d.originate(p("10.0.0.0/8"), PathAttributes::default());
+        let out = d.decide(&NativePolicy);
         assert_eq!(out.len(), 2);
         for (_, upd) in &out {
             assert_eq!(upd.announced.len(), 1);
@@ -1267,7 +1243,8 @@ mod tests {
         for peer in 1..=8 {
             connect(&mut d, peer * 10, 100 + peer as u32);
         }
-        let out = d.originate(p("10.0.0.0/8"), PathAttributes::default(), &NativePolicy);
+        d.originate(p("10.0.0.0/8"), PathAttributes::default());
+        let out = d.decide(&NativePolicy);
         assert_eq!(out.len(), 8);
         let first = &out[0].1.announced[0].1;
         for (peer, upd) in &out {
@@ -1284,7 +1261,8 @@ mod tests {
     #[test]
     fn peer_up_receives_existing_table() {
         let mut d = daemon(1);
-        d.originate(p("10.0.0.0/8"), PathAttributes::default(), &NativePolicy);
+        d.originate(p("10.0.0.0/8"), PathAttributes::default());
+        d.decide(&NativePolicy);
         let out = connect(&mut d, 10, 2);
         assert_eq!(out.len(), 1);
         assert_eq!(out[0].0, PeerId(10));
@@ -1296,11 +1274,12 @@ mod tests {
         let mut d = daemon(1);
         connect(&mut d, 10, 2);
         connect(&mut d, 20, 3);
-        let out = d.handle_update(
+        d.ingest(
             PeerId(10),
             announce(10, "0.0.0.0/0", &[2, 5]),
             &NativePolicy,
         );
+        let out = d.decide(&NativePolicy);
         // Propagated to peer 20 only (split horizon suppresses peer 10).
         assert_eq!(out.len(), 1);
         assert_eq!(out[0].0, PeerId(20));
@@ -1317,11 +1296,12 @@ mod tests {
     fn loop_prevention_discards_own_asn() {
         let mut d = daemon(1);
         connect(&mut d, 10, 2);
-        let out = d.handle_update(
+        d.ingest(
             PeerId(10),
             announce(10, "0.0.0.0/0", &[2, 1, 5]),
             &NativePolicy,
         );
+        let out = d.decide(&NativePolicy);
         assert!(out.is_empty());
         assert!(d.loc_rib_entry(p("0.0.0.0/0")).is_none());
     }
@@ -1331,16 +1311,18 @@ mod tests {
         let mut d = daemon(1);
         connect(&mut d, 10, 2);
         connect(&mut d, 20, 3);
-        d.handle_update(
+        d.ingest(
             PeerId(10),
             announce(10, "0.0.0.0/0", &[2, 9]),
             &NativePolicy,
         );
-        d.handle_update(
+        d.decide(&NativePolicy);
+        d.ingest(
             PeerId(20),
             announce(20, "0.0.0.0/0", &[3, 9]),
             &NativePolicy,
         );
+        d.decide(&NativePolicy);
         let fib = d.fib();
         assert_eq!(fib.len(), 1);
         assert_eq!(fib[0].nexthops.len(), 2);
@@ -1353,23 +1335,26 @@ mod tests {
         connect(&mut d, 10, 2);
         connect(&mut d, 20, 3);
         connect(&mut d, 30, 4);
-        d.handle_update(
+        d.ingest(
             PeerId(10),
             announce(10, "0.0.0.0/0", &[2, 8, 9]),
             &NativePolicy,
         );
-        d.handle_update(
+        d.decide(&NativePolicy);
+        d.ingest(
             PeerId(20),
             announce(20, "0.0.0.0/0", &[3, 8, 9]),
             &NativePolicy,
         );
+        d.decide(&NativePolicy);
         assert_eq!(d.fib()[0].nexthops.len(), 2);
         // The "FAv2" path: one hop shorter. Native BGP funnels onto it.
-        d.handle_update(
+        d.ingest(
             PeerId(30),
             announce(30, "0.0.0.0/0", &[4, 9]),
             &NativePolicy,
         );
+        d.decide(&NativePolicy);
         let fib = d.fib();
         assert_eq!(fib[0].nexthops, vec![(PeerId(30), 1)]);
     }
@@ -1379,16 +1364,18 @@ mod tests {
         let mut d = daemon(1);
         connect(&mut d, 10, 2);
         connect(&mut d, 20, 3);
-        d.handle_update(
+        d.ingest(
             PeerId(10),
             announce(10, "0.0.0.0/0", &[2, 9]),
             &NativePolicy,
         );
-        let out = d.handle_update(
+        d.decide(&NativePolicy);
+        d.ingest(
             PeerId(10),
             UpdateMessage::withdraw(p("0.0.0.0/0")),
             &NativePolicy,
         );
+        let out = d.decide(&NativePolicy);
         assert!(d.loc_rib_entry(p("0.0.0.0/0")).is_none());
         assert_eq!(out.len(), 1);
         assert_eq!(out[0].0, PeerId(20));
@@ -1401,18 +1388,21 @@ mod tests {
         connect(&mut d, 10, 2);
         connect(&mut d, 20, 3);
         connect(&mut d, 30, 4);
-        d.handle_update(
+        d.ingest(
             PeerId(10),
             announce(10, "0.0.0.0/0", &[2, 9]),
             &NativePolicy,
         );
-        d.handle_update(
+        d.decide(&NativePolicy);
+        d.ingest(
             PeerId(20),
             announce(20, "0.0.0.0/0", &[3, 9]),
             &NativePolicy,
         );
+        d.decide(&NativePolicy);
         assert_eq!(d.fib()[0].nexthops.len(), 2);
-        let out = d.peer_down(PeerId(10), &NativePolicy);
+        d.peer_down(PeerId(10));
+        let out = d.decide(&NativePolicy);
         // Last router standing: all traffic now on peer 20.
         assert_eq!(d.fib()[0].nexthops, vec![(PeerId(20), 1)]);
         // Peer 30 gets a fresh announcement only if the advertised attrs
@@ -1426,17 +1416,19 @@ mod tests {
         connect(&mut d, 10, 2);
         connect(&mut d, 20, 3);
         connect(&mut d, 30, 4);
-        d.handle_update(
+        d.ingest(
             PeerId(10),
             announce(10, "0.0.0.0/0", &[2, 8, 9]),
             &NativePolicy,
         );
+        d.decide(&NativePolicy);
         // Shorter path arrives; best changes; peers see new attrs.
-        let out = d.handle_update(
+        d.ingest(
             PeerId(20),
             announce(20, "0.0.0.0/0", &[3, 9]),
             &NativePolicy,
         );
+        let out = d.decide(&NativePolicy);
         let to30 = out.iter().find(|(p, _)| *p == PeerId(30)).unwrap();
         assert_eq!(to30.1.announced[0].1.as_path, vec![Asn(1), Asn(3), Asn(9)]);
     }
@@ -1452,11 +1444,12 @@ mod tests {
             link_capacity_gbps: 100.0,
         });
         d.peer_up(PeerId(10), &NativePolicy);
-        let out = d.handle_update(
+        d.ingest(
             PeerId(10),
             announce(10, "0.0.0.0/0", &[2, 9]),
             &NativePolicy,
         );
+        let out = d.decide(&NativePolicy);
         assert!(out.is_empty());
         assert!(d.loc_rib_entry(p("0.0.0.0/0")).is_none());
     }
@@ -1473,11 +1466,12 @@ mod tests {
             link_capacity_gbps: 100.0,
         });
         d.peer_up(PeerId(20), &NativePolicy);
-        let out = d.handle_update(
+        d.ingest(
             PeerId(10),
             announce(10, "0.0.0.0/0", &[2, 9]),
             &NativePolicy,
         );
+        let out = d.decide(&NativePolicy);
         assert!(
             out.is_empty(),
             "export reject-all suppresses all advertisements"
@@ -1495,16 +1489,18 @@ mod tests {
         let mut a2 = PathAttributes::default();
         a2.prepend(Asn(3), 1);
         a2.link_bandwidth_gbps = Some(300.0);
-        d.handle_update(
+        d.ingest(
             PeerId(10),
             UpdateMessage::announce(p("0.0.0.0/0"), a1),
             &NativePolicy,
         );
-        d.handle_update(
+        d.decide(&NativePolicy);
+        d.ingest(
             PeerId(20),
             UpdateMessage::announce(p("0.0.0.0/0"), a2),
             &NativePolicy,
         );
+        d.decide(&NativePolicy);
         let fib = d.fib();
         assert_eq!(fib[0].nexthops, vec![(PeerId(10), 1), (PeerId(20), 3)]);
     }
@@ -1516,16 +1512,18 @@ mod tests {
         connect(&mut d, 10, 2);
         connect(&mut d, 20, 3);
         connect(&mut d, 30, 4);
-        d.handle_update(
+        d.ingest(
             PeerId(10),
             announce(10, "0.0.0.0/0", &[2, 9]),
             &NativePolicy,
         );
-        let out = d.handle_update(
+        d.decide(&NativePolicy);
+        d.ingest(
             PeerId(20),
             announce(20, "0.0.0.0/0", &[3, 9]),
             &NativePolicy,
         );
+        let out = d.decide(&NativePolicy);
         let to30 = out.iter().find(|(pp, _)| *pp == PeerId(30)).unwrap();
         // Two selected 100G paths => 200G effective capacity advertised.
         assert_eq!(to30.1.announced[0].1.link_bandwidth_gbps, Some(200.0));
@@ -1536,16 +1534,18 @@ mod tests {
         let mut d = daemon(1);
         connect(&mut d, 10, 2);
         connect(&mut d, 20, 3);
-        d.handle_update(
+        d.ingest(
             PeerId(10),
             announce(10, "0.0.0.0/0", &[2, 9]),
             &NativePolicy,
         );
-        let out = d.handle_update(
+        d.decide(&NativePolicy);
+        d.ingest(
             PeerId(10),
             announce(10, "0.0.0.0/0", &[2, 9]),
             &NativePolicy,
         );
+        let out = d.decide(&NativePolicy);
         assert!(out.is_empty(), "identical re-announcement must not churn");
     }
 
@@ -1554,12 +1554,14 @@ mod tests {
         let mut d = daemon(1);
         connect(&mut d, 10, 2);
         connect(&mut d, 20, 3);
-        d.handle_update(
+        d.ingest(
             PeerId(10),
             announce(10, "0.0.0.0/0", &[2, 9]),
             &NativePolicy,
         );
-        let out = d.remove_peer(PeerId(10), &NativePolicy);
+        d.decide(&NativePolicy);
+        d.remove_peer(PeerId(10));
+        let out = d.decide(&NativePolicy);
         assert!(d.loc_rib_entry(p("0.0.0.0/0")).is_none());
         let to20 = out.iter().find(|(pp, _)| *pp == PeerId(20)).unwrap();
         assert_eq!(to20.1.withdrawn, vec![p("0.0.0.0/0")]);
@@ -1569,22 +1571,22 @@ mod tests {
     #[test]
     fn update_from_unknown_or_down_peer_ignored() {
         let mut d = daemon(1);
-        assert!(d
-            .handle_update(PeerId(99), announce(99, "0.0.0.0/0", &[2]), &NativePolicy)
-            .is_empty());
+        d.ingest(PeerId(99), announce(99, "0.0.0.0/0", &[2]), &NativePolicy);
+        assert!(d.decide(&NativePolicy).is_empty());
         d.add_peer(PeerConfig::open(PeerId(10), Asn(2), 100.0));
         // Not yet up.
-        assert!(d
-            .handle_update(PeerId(10), announce(10, "0.0.0.0/0", &[2]), &NativePolicy)
-            .is_empty());
+        d.ingest(PeerId(10), announce(10, "0.0.0.0/0", &[2]), &NativePolicy);
+        assert!(d.decide(&NativePolicy).is_empty());
     }
 
     #[test]
     fn withdraw_origin_propagates() {
         let mut d = daemon(1);
         connect(&mut d, 10, 2);
-        d.originate(p("10.0.0.0/8"), PathAttributes::default(), &NativePolicy);
-        let out = d.withdraw_origin(p("10.0.0.0/8"), &NativePolicy);
+        d.originate(p("10.0.0.0/8"), PathAttributes::default());
+        d.decide(&NativePolicy);
+        d.withdraw_origin(p("10.0.0.0/8"));
+        let out = d.decide(&NativePolicy);
         assert_eq!(out[0].1.withdrawn, vec![p("10.0.0.0/8")]);
         assert!(d.loc_rib_entry(p("10.0.0.0/8")).is_none());
     }
@@ -1601,12 +1603,15 @@ mod tests {
         connect(&mut d, 10, 2);
         connect(&mut d, 20, 3);
         connect(&mut d, 30, 4);
-        d.handle_update(PeerId(10), announce(10, "0.0.0.0/0", &[2, 9]), &Guard);
-        d.handle_update(PeerId(20), announce(20, "0.0.0.0/0", &[3, 9]), &Guard);
+        d.ingest(PeerId(10), announce(10, "0.0.0.0/0", &[2, 9]), &Guard);
+        d.decide(&Guard);
+        d.ingest(PeerId(20), announce(20, "0.0.0.0/0", &[3, 9]), &Guard);
+        d.decide(&Guard);
         assert_eq!(d.fib()[0].nexthops.len(), 2);
         // One next-hop withdraws: guard (min 2) trips → withdraw from peers
         // but the FIB keeps the PREVIOUS two-path entry warm.
-        let out = d.handle_update(PeerId(10), UpdateMessage::withdraw(p("0.0.0.0/0")), &Guard);
+        d.ingest(PeerId(10), UpdateMessage::withdraw(p("0.0.0.0/0")), &Guard);
+        let out = d.decide(&Guard);
         let to30 = out.iter().find(|(pp, _)| *pp == PeerId(30)).unwrap();
         assert_eq!(to30.1.withdrawn, vec![p("0.0.0.0/0")]);
         let fib = d.fib();
@@ -1614,7 +1619,8 @@ mod tests {
         assert_eq!(fib[0].nexthops.len(), 2, "previous entry preserved");
         // The next-hop returns: the guard un-trips and the route is
         // re-advertised with a live (non-warm) entry.
-        let out = d.handle_update(PeerId(10), announce(10, "0.0.0.0/0", &[2, 9]), &Guard);
+        d.ingest(PeerId(10), announce(10, "0.0.0.0/0", &[2, 9]), &Guard);
+        let out = d.decide(&Guard);
         assert!(out
             .iter()
             .any(|(pp, u)| *pp == PeerId(30) && !u.announced.is_empty()));
@@ -1634,12 +1640,15 @@ mod tests {
         let mut d = daemon(1);
         connect(&mut d, 10, 2);
         connect(&mut d, 20, 3);
-        d.handle_update(PeerId(10), announce(10, "0.0.0.0/0", &[2, 9]), &Guard);
-        d.handle_update(PeerId(20), announce(20, "0.0.0.0/0", &[3, 9]), &Guard);
+        d.ingest(PeerId(10), announce(10, "0.0.0.0/0", &[2, 9]), &Guard);
+        d.decide(&Guard);
+        d.ingest(PeerId(20), announce(20, "0.0.0.0/0", &[3, 9]), &Guard);
+        d.decide(&Guard);
         assert_eq!(d.fib()[0].nexthops.len(), 2);
         // A session dies (not a graceful withdraw): the guard trips, and the
         // warm entry must not keep pointing at the dead session.
-        d.peer_down(PeerId(10), &Guard);
+        d.peer_down(PeerId(10));
+        d.decide(&Guard);
         let fib = d.fib();
         assert!(fib[0].warm);
         assert_eq!(
@@ -1648,7 +1657,8 @@ mod tests {
             "dead session pruned"
         );
         // Removing the remaining session removes the entry entirely.
-        d.peer_down(PeerId(20), &Guard);
+        d.peer_down(PeerId(20));
+        d.decide(&Guard);
         assert!(d.fib().is_empty());
     }
 
@@ -1673,10 +1683,13 @@ mod tests {
         let mut d = daemon(1);
         connect(&mut d, 10, 2);
         connect(&mut d, 20, 3);
-        d.handle_update(PeerId(10), announce(10, "0.0.0.0/0", &[2, 9]), &Floor);
-        d.handle_update(PeerId(20), announce(20, "0.0.0.0/0", &[3, 9]), &Floor);
+        d.ingest(PeerId(10), announce(10, "0.0.0.0/0", &[2, 9]), &Floor);
+        d.decide(&Floor);
+        d.ingest(PeerId(20), announce(20, "0.0.0.0/0", &[3, 9]), &Floor);
+        d.decide(&Floor);
         assert_eq!(d.fib()[0].nexthops.len(), 2);
-        d.peer_down(PeerId(10), &Floor);
+        d.peer_down(PeerId(10));
+        d.decide(&Floor);
         let fib = d.fib();
         assert!(fib[0].warm);
         assert_eq!(
@@ -1684,7 +1697,8 @@ mod tests {
             vec![(PeerId(20), 1)],
             "dead session pruned"
         );
-        d.peer_down(PeerId(20), &Floor);
+        d.peer_down(PeerId(20));
+        d.decide(&Floor);
         assert!(d.fib().is_empty());
     }
 
@@ -1696,11 +1710,12 @@ mod tests {
         let mut attrs = PathAttributes::default();
         attrs.prepend(Asn(2), 1);
         attrs.link_bandwidth_gbps = Some(f64::NAN);
-        d.handle_update(
+        d.ingest(
             PeerId(10),
             UpdateMessage::announce(p("0.0.0.0/0"), attrs.clone()),
             &NativePolicy,
         );
+        d.decide(&NativePolicy);
         let routes = d.rib_in_routes(p("0.0.0.0/0"));
         let stored = &routes[0];
         assert_eq!(
@@ -1708,11 +1723,12 @@ mod tests {
             "NaN stripped at ingestion"
         );
         // Identical re-announcement stays silent (no NaN != NaN churn).
-        let out = d.handle_update(
+        d.ingest(
             PeerId(10),
             UpdateMessage::announce(p("0.0.0.0/0"), attrs),
             &NativePolicy,
         );
+        let out = d.decide(&NativePolicy);
         assert!(out.is_empty());
     }
 
@@ -1742,16 +1758,20 @@ mod tests {
             (20, overlapping, tagged(&[3, 9], c1)),
             (30, flushed, tagged(&[4, 9], c3)),
         ] {
-            d.handle_update(
+            d.ingest(
                 PeerId(peer),
                 UpdateMessage::announce(prefix, attrs),
                 &NativePolicy,
             );
+            d.decide(&NativePolicy);
         }
-        d.originate(originated_only, tagged(&[], c3), &NativePolicy);
-        d.originate(overlapping, tagged(&[], c2), &NativePolicy);
+        d.originate(originated_only, tagged(&[], c3));
+        d.decide(&NativePolicy);
+        d.originate(overlapping, tagged(&[], c2));
+        d.decide(&NativePolicy);
         // A session taken down drops what it carried.
-        d.peer_down(PeerId(30), &NativePolicy);
+        d.peer_down(PeerId(30));
+        d.decide(&NativePolicy);
         // A session marked down with its routes still held: the state
         // `candidates()` filters on.
         d.peers.get_mut(&PeerId(20)).unwrap().established = false;
@@ -1804,16 +1824,18 @@ mod tests {
         d.config_mut().multipath = false;
         connect(&mut d, 10, 2);
         connect(&mut d, 20, 3);
-        d.handle_update(
+        d.ingest(
             PeerId(10),
             announce(10, "0.0.0.0/0", &[2, 9]),
             &NativePolicy,
         );
-        d.handle_update(
+        d.decide(&NativePolicy);
+        d.ingest(
             PeerId(20),
             announce(20, "0.0.0.0/0", &[3, 9]),
             &NativePolicy,
         );
+        d.decide(&NativePolicy);
         assert_eq!(d.fib()[0].nexthops.len(), 1);
     }
 }

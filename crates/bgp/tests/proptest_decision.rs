@@ -102,11 +102,12 @@ proptest! {
         for (i, a) in attrs.iter().enumerate() {
             // Routes containing our ASN will be dropped by loop check; that
             // must not corrupt state either.
-            d.handle_update(
+            d.ingest(
                 PeerId(i as u64),
                 UpdateMessage::announce(Prefix::DEFAULT, a.clone()),
                 &NativePolicy,
             );
+            d.decide(&NativePolicy);
         }
         let surviving = attrs.iter().filter(|a| !a.path_contains(Asn(1))).count();
         if surviving == 0 {
@@ -117,11 +118,12 @@ proptest! {
             prop_assert!(entry.selected.len() <= surviving);
         }
         for i in 0..n {
-            d.handle_update(
+            d.ingest(
                 PeerId(i as u64),
                 UpdateMessage::withdraw(Prefix::DEFAULT),
                 &NativePolicy,
             );
+            d.decide(&NativePolicy);
         }
         prop_assert!(d.loc_rib_entry(Prefix::DEFAULT).is_none());
         prop_assert!(d.fib().is_empty());

@@ -19,27 +19,34 @@ pub struct SimDevice {
 }
 
 impl SimDevice {
-    /// Bundle a daemon with a fresh engine and a FIB of the given capacity.
-    pub fn new(id: DeviceId, daemon: BgpDaemon, nhg_capacity: usize) -> Self {
+    /// Bundle a daemon with a fresh engine and a FIB of the given capacity,
+    /// synced to the daemon: the baseline [`decide`](Self::decide)'s delta
+    /// export builds on.
+    pub fn new(id: DeviceId, mut daemon: BgpDaemon, nhg_capacity: usize) -> Self {
+        let mut fib = Fib::new(nhg_capacity);
+        fib.sync(daemon.fib());
+        daemon.mark_fib_synced();
         SimDevice {
             id,
             daemon,
             engine: RpaEngine::new(),
-            fib: Fib::new(nhg_capacity),
+            fib,
         }
     }
 
-    /// Run a daemon operation against this device's engine and synchronize
-    /// the FIB afterwards — via the per-prefix delta export when sound, via
-    /// a full rebuild otherwise (the first operation, which establishes the
-    /// baseline, and the dedup heuristic). The delta is projected in the
-    /// caller's `scratch`. Returns the updates the daemon wants sent.
-    pub fn with_daemon(
+    /// Mark dirty prefixes with `mark`, run the daemon's one
+    /// [`decide`](BgpDaemon::decide) against this device's engine, and
+    /// synchronize the FIB — via the per-prefix delta export when sound, via
+    /// a full rebuild otherwise (a daemon restored without its baseline, and
+    /// the dedup heuristic). The delta is projected in the caller's
+    /// `scratch`. Returns the updates the daemon wants sent.
+    pub fn decide(
         &mut self,
         scratch: &mut FibScratch,
-        f: impl FnOnce(&mut BgpDaemon, &RpaEngine) -> Vec<(PeerId, UpdateMessage)>,
+        mark: impl FnOnce(&mut BgpDaemon, &RpaEngine),
     ) -> Vec<(PeerId, UpdateMessage)> {
-        let out = f(&mut self.daemon, &self.engine);
+        mark(&mut self.daemon, &self.engine);
+        let out = self.daemon.decide(&self.engine);
         if !self.fib.dedup_heuristic && self.daemon.fib_delta_ready() {
             self.fib.apply(self.daemon.drain_fib_changes(), scratch);
         } else {
@@ -57,22 +64,21 @@ mod tests {
     use centralium_topology::Asn;
 
     #[test]
-    fn with_daemon_keeps_fib_in_sync() {
+    fn decide_keeps_fib_in_sync() {
         let daemon = BgpDaemon::new(DaemonConfig::fabric(Asn(1)));
         let mut dev = SimDevice::new(DeviceId(0), daemon, 64);
         let mut scratch = FibScratch::default();
-        dev.with_daemon(&mut scratch, |d, e| {
-            d.add_peer(PeerConfig::open(PeerId(5), Asn(2), 100.0));
-            d.peer_up(PeerId(5), e)
-        });
-        dev.with_daemon(&mut scratch, |d, e| {
+        dev.daemon
+            .add_peer(PeerConfig::open(PeerId(5), Asn(2), 100.0));
+        dev.daemon.peer_up(PeerId(5), &dev.engine);
+        dev.decide(&mut scratch, |d, e| {
             let mut attrs = PathAttributes::default();
             attrs.prepend(Asn(2), 1);
-            d.handle_update(
+            d.ingest(
                 PeerId(5),
                 UpdateMessage::announce(Prefix::DEFAULT, attrs),
                 e,
-            )
+            );
         });
         assert_eq!(dev.fib.len(), 1);
         assert_eq!(

@@ -9,8 +9,8 @@ use crate::event::SimTime;
 use crate::fib::FibScratch;
 use crate::trace::ConvergenceReport;
 use centralium_bgp::policy::Policy;
-use centralium_bgp::{PathAttributes, PeerId, Prefix, UpdateMessage};
-use centralium_rpa::RpaDocument;
+use centralium_bgp::{BgpDaemon, PathAttributes, PeerId, Prefix, UpdateMessage};
+use centralium_rpa::{RpaDocument, RpaEngine};
 use centralium_telemetry::{Event, EventKind, ProvenanceKind, Severity, Telemetry};
 use centralium_topology::{DeviceId, Topology};
 use std::collections::HashMap;
@@ -118,15 +118,15 @@ fn run_work(
     let updates = match work {
         Work::Deliver { on, msg } => {
             dev.engine.set_time(t);
-            dev.with_daemon(scratch, |dm, e| dm.handle_update(on, msg, e))
+            dev.decide(scratch, |dm, e| dm.ingest(on, msg, e))
         }
         Work::SessionUp { peer } => {
             dev.engine.set_time(t);
-            dev.with_daemon(scratch, |dm, e| dm.peer_up(peer, e))
+            dev.daemon.peer_up(peer, &dev.engine)
         }
         Work::SessionDown { peer } => {
             dev.engine.set_time(t);
-            dev.with_daemon(scratch, |dm, e| dm.peer_down(peer, e))
+            dev.decide(scratch, |dm, _| dm.peer_down(peer))
         }
         Work::RouteRefresh { on } => {
             // The establishment check must run here, not in the pre-pass: an
@@ -143,7 +143,7 @@ fn run_work(
         }
         Work::RemovePeer { peer } => {
             dev.engine.set_time(t);
-            dev.with_daemon(scratch, |dm, e| dm.remove_peer(peer, e))
+            dev.decide(scratch, |dm, _| dm.remove_peer(peer))
         }
         Work::InstallRpa { doc } => {
             dev.engine.set_time(t);
@@ -156,7 +156,7 @@ fn run_work(
                 None => rpa_scope(dev, &[doc.as_ref()]),
             };
             match dev.engine.install_or_replace(*doc) {
-                Ok(()) => reevaluate_scoped(dev, scratch, scope, counters),
+                Ok(()) => dev.decide(scratch, |dm, e| mark_scope(dm, e, scope, counters)),
                 Err(_) => {
                     counters.rpa_failures.inc();
                     Vec::new()
@@ -184,7 +184,7 @@ fn run_work(
                 counters.rpa_failures.inc();
                 return Output::default();
             };
-            let updates = reevaluate_scoped(dev, scratch, scope, counters);
+            let updates = dev.decide(scratch, |dm, e| mark_scope(dm, e, scope, counters));
             let refresh = if matches!(removed, RpaDocument::RouteFilter(_)) {
                 dev.daemon
                     .peer_ids()
@@ -203,11 +203,11 @@ fn run_work(
         }
         Work::Originate { prefix, attrs } => {
             dev.engine.set_time(t);
-            dev.with_daemon(scratch, |dm, e| dm.originate(prefix, attrs, e))
+            dev.decide(scratch, |dm, _| dm.originate(prefix, attrs))
         }
         Work::WithdrawOrigin { prefix } => {
             dev.engine.set_time(t);
-            dev.with_daemon(scratch, |dm, e| dm.withdraw_origin(prefix, e))
+            dev.decide(scratch, |dm, _| dm.withdraw_origin(prefix))
         }
         Work::SetExportPolicy { policy } => {
             let peers = dev.daemon.peer_ids();
@@ -235,16 +235,14 @@ fn run_work(
                 })
                 .collect();
             dev.engine.set_time(t);
-            dev.with_daemon(scratch, |dm, e| {
+            dev.decide(scratch, |dm, _| {
                 for (peer, p) in composed {
                     dm.set_export_policy(peer, p);
                 }
                 // An export-policy swap changes no RPA state, so the eviction
-                // invariant holds and `reevaluate_all`'s purge would be a
-                // no-op — skip the O(RIB) purge scan and re-decide every
-                // known prefix directly.
-                let known = dm.known_prefixes();
-                dm.reevaluate_prefixes(known, e)
+                // invariant holds and a purge would be a no-op — skip the
+                // O(RIB) scan and mark every known prefix directly.
+                dm.mark(dm.known_prefixes());
             })
         }
         Work::AgentRestart => {
@@ -258,11 +256,11 @@ fn run_work(
             for name in installed {
                 let _ = dev.engine.remove(&name);
             }
-            dev.with_daemon(scratch, |dm, e| dm.reevaluate_all(e))
+            dev.decide(scratch, mark_all)
         }
         Work::Reevaluate => {
             dev.engine.set_time(t);
-            dev.with_daemon(scratch, |dm, e| dm.reevaluate_all(e))
+            dev.decide(scratch, mark_all)
         }
     };
     (updates, Vec::new())
@@ -348,31 +346,33 @@ fn rpa_scope(dev: &SimDevice, docs: &[&RpaDocument]) -> RpaScope {
     }
 }
 
-/// Re-run the decision process over the computed scope. Scoped runs are
+/// Mark what the computed scope re-decides. Scoped marks are
 /// behavior-identical to full ones: out-of-scope prefixes' decisions cannot
 /// change (their candidate sets are untouched — for the filtered variant the
 /// purge itself proves it), and the Adj-RIB-Out diff suppresses
 /// re-announcing unchanged routes either way.
-fn reevaluate_scoped(
-    dev: &mut SimDevice,
-    scratch: &mut FibScratch,
-    scope: RpaScope,
-    counters: &NetCounters,
-) -> Vec<(PeerId, UpdateMessage)> {
+fn mark_scope(dm: &mut BgpDaemon, e: &RpaEngine, scope: RpaScope, counters: &NetCounters) {
     match scope {
         RpaScope::Prefixes(prefixes) => {
             counters.rpa_scoped_reevals.inc();
-            dev.with_daemon(scratch, |dm, e| dm.reevaluate_prefixes(prefixes, e))
+            dm.mark(prefixes);
         }
         RpaScope::Filtered(prefixes) => {
             counters.rpa_scoped_reevals.inc();
-            dev.with_daemon(scratch, |dm, e| dm.reevaluate_filtered(prefixes, e))
+            dm.purge_ingress(e);
+            dm.mark(prefixes);
         }
         RpaScope::Full => {
             counters.rpa_full_reevals.inc();
-            dev.with_daemon(scratch, |dm, e| dm.reevaluate_all(e))
+            mark_all(dm, e);
         }
     }
+}
+
+/// The marks of [`BgpDaemon::reevaluate_all`]: purge, then every known prefix.
+fn mark_all(dm: &mut BgpDaemon, e: &RpaEngine) {
+    dm.purge_ingress(e);
+    dm.mark(dm.known_prefixes());
 }
 
 /// A traced prefix's observable state on one device, captured before and

@@ -1,9 +1,9 @@
 //! Export on change: a decision that leaves the advertised route where it
-//! was evaluates no session, and Adj-RIB-Out still holds, between entry-point
-//! calls, exactly what a full export would compute — checked on a standalone
-//! daemon (counter and updates), under random operation sequences (a cloned
-//! daemon answers `reevaluate_all` with nothing) and on whole fabrics (the
-//! forced pass of `verify_full_equivalence` is silent).
+//! was evaluates no session, and Adj-RIB-Out still holds, after every
+//! `decide`, exactly what a full export would compute — checked on a
+//! standalone daemon (counter and updates), under random operation sequences
+//! (a cloned daemon answers `reevaluate_all` with nothing) and on whole
+//! fabrics (the forced pass of `verify_full_equivalence` is silent).
 
 use centralium_bench::tier::TierSpec;
 use centralium_bgp::attrs::well_known;
@@ -96,7 +96,8 @@ fn reevaluation_pushes_an_export_policy_swap_under_an_unchanged_best_path() {
     assert!(d.advertised_to(PeerId(3), Prefix::DEFAULT).is_none());
     // The scoped form forces too.
     assert!(d.set_export_policy(PeerId(3), Policy::accept_all()));
-    let out = d.reevaluate_prefixes(vec![Prefix::DEFAULT], &NativePolicy);
+    d.mark([Prefix::DEFAULT]);
+    let out = d.decide(&NativePolicy);
     assert_eq!(out.len(), 1);
     assert_eq!(out[0].1.announced.len(), 1);
 }
@@ -177,7 +178,7 @@ fn run_sequence(wcmp_advertise: bool, steps: &[(u8, u8, u8, u8)]) -> Result<(), 
         let peer_no = 1 + peer as u64 % SESSIONS;
         let peer = PeerId(peer_no);
         let prefix = prefix_of(prefix);
-        match op % 10 {
+        match op % 11 {
             0..=2 => {
                 let update = UpdateMessage::announce(prefix, palette(pick, peer_no));
                 d.handle_update(peer, update, &hook);
@@ -186,24 +187,42 @@ fn run_sequence(wcmp_advertise: bool, steps: &[(u8, u8, u8, u8)]) -> Result<(), 
                 d.handle_update(peer, UpdateMessage::withdraw(prefix), &hook);
             }
             4 => {
-                d.peer_down(peer, &hook);
+                d.peer_down(peer);
+                d.decide(&hook);
             }
             5 => {
                 d.peer_up(peer, &hook);
             }
             6 => {
-                d.originate(prefix, palette(pick % 6, 0), &hook);
+                d.originate(prefix, palette(pick % 6, 0));
+                d.decide(&hook);
             }
             7 => {
-                d.withdraw_origin(prefix, &hook);
+                d.withdraw_origin(prefix);
+                d.decide(&hook);
             }
             8 => {
                 d.set_export_policy(peer, export_policy(pick));
                 d.reevaluate_all(&hook);
             }
-            _ => {
+            9 => {
                 hook.strict = !hook.strict;
                 d.reevaluate_all(&hook);
+            }
+            // An arrival and an export-policy swap's forcing mark before one
+            // decide, in either order: the swap must reach every session.
+            _ => {
+                let update = UpdateMessage::announce(prefix, palette(pick, peer_no));
+                let other = PeerId(1 + peer_no % SESSIONS);
+                d.set_export_policy(other, export_policy(pick));
+                if pick % 2 == 0 {
+                    d.ingest(peer, update, &hook);
+                    d.mark(d.known_prefixes());
+                } else {
+                    d.mark(d.known_prefixes());
+                    d.ingest(peer, update, &hook);
+                }
+                d.decide(&hook);
             }
         }
         let stale = d.clone().reevaluate_all(&hook);
@@ -225,7 +244,7 @@ proptest! {
     /// nothing to say — with and without the capacity relay.
     #[test]
     fn adj_rib_out_is_always_what_a_full_export_would_compute(
-        steps in proptest::collection::vec((0u8..10, 0u8..16, 0u8..3, 0u8..7), 1..48),
+        steps in proptest::collection::vec((0u8..11, 0u8..16, 0u8..3, 0u8..7), 1..48),
     ) {
         run_sequence(false, &steps)?;
         run_sequence(true, &steps)?;
@@ -291,7 +310,7 @@ fn churn_script(tier: &str, wcmp_advertise: bool) {
     net.device_up(bounced);
     settle(&mut net, "device up");
 
-    // Scoped re-evaluation (`reevaluate_prefixes`): a weight on one uplink.
+    // Scoped re-evaluation (`mark`): a weight on one uplink.
     let first = net.topology().device(spine).expect("spine").asn;
     let weights = RpaDocument::RouteAttribute(RouteAttributeRpa::single(
         "te",

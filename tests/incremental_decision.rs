@@ -141,7 +141,7 @@ fn run_script(wcmp: bool, steps: &[(u8, u8, u8, u8)]) -> Result<(), TestCaseErro
         let peer_no = 1 + peer as u64 % SESSIONS;
         let peer = PeerId(peer_no);
         let prefix = prefix_of(prefix);
-        let (said, expected) = match op % 10 {
+        let (said, expected) = match op % 12 {
             0..=2 => {
                 let attrs = palette(pick, peer_no);
                 last.insert((peer, prefix), attrs.clone());
@@ -161,14 +161,47 @@ fn run_script(wcmp: bool, steps: &[(u8, u8, u8, u8)]) -> Result<(), TestCaseErro
             4 | 5 => both(&mut edited, &mut oracle, |d, hook| {
                 d.handle_update(peer, UpdateMessage::withdraw(prefix), hook)
             }),
-            6 => both(&mut edited, &mut oracle, |d, hook| d.peer_down(peer, hook)),
+            6 => both(&mut edited, &mut oracle, |d, hook| {
+                d.peer_down(peer);
+                d.decide(hook)
+            }),
             7 => both(&mut edited, &mut oracle, |d, hook| d.peer_up(peer, hook)),
             8 => both(&mut edited, &mut oracle, |d, hook| {
-                d.originate(prefix, palette(pick % 6, 0), hook)
+                d.originate(prefix, palette(pick % 6, 0));
+                d.decide(hook)
             }),
-            _ => both(&mut edited, &mut oracle, |d, hook| {
-                d.withdraw_origin(prefix, hook)
+            9 => both(&mut edited, &mut oracle, |d, hook| {
+                d.withdraw_origin(prefix);
+                d.decide(hook)
             }),
+            // Arrivals on two sessions before one decide: neither session's
+            // route is all that moved, so the edit must not run.
+            10 => {
+                let other_no = 1 + peer_no % SESSIONS;
+                let other = PeerId(other_no);
+                let (attrs, other_attrs) = (palette(pick, peer_no), palette(pick + 3, other_no));
+                last.insert((peer, prefix), attrs.clone());
+                last.insert((other, prefix), other_attrs.clone());
+                both(&mut edited, &mut oracle, |d, hook| {
+                    d.ingest(peer, UpdateMessage::announce(prefix, attrs.clone()), hook);
+                    d.ingest(
+                        other,
+                        UpdateMessage::announce(prefix, other_attrs.clone()),
+                        hook,
+                    );
+                    d.decide(hook)
+                })
+            }
+            // An arrival and an origination before one decide.
+            _ => {
+                let attrs = palette(pick, peer_no);
+                last.insert((peer, prefix), attrs.clone());
+                both(&mut edited, &mut oracle, |d, hook| {
+                    d.ingest(peer, UpdateMessage::announce(prefix, attrs.clone()), hook);
+                    d.originate(prefix, palette(pick % 6, 0));
+                    d.decide(hook)
+                })
+            }
         };
         let at = format!("step {n} {:?}", steps[n]);
         prop_assert_eq!(&said, &expected, "{}: emitted updates", at);
@@ -215,7 +248,7 @@ proptest! {
     /// full-pass daemon agree on everything a host can observe.
     #[test]
     fn the_in_place_edit_is_the_full_pass(
-        steps in proptest::collection::vec((0u8..10, 0u8..16, 0u8..3, 0u8..7), 1..96),
+        steps in proptest::collection::vec((0u8..12, 0u8..16, 0u8..3, 0u8..7), 1..96),
     ) {
         run_script(true, &steps)?;
         run_script(false, &steps)?;
@@ -287,7 +320,8 @@ fn a_tie_joins_at_its_session_position_and_the_local_route_stays_last() {
     let (mut d, _) = three_way_tie();
     // A local route of the incumbent's preference (two hops, like the base
     // path) is multipath-equal and sorts after every learned route.
-    d.originate(Prefix::DEFAULT, path(&[7, 9]), &NativePolicy);
+    d.originate(Prefix::DEFAULT, path(&[7, 9]));
+    d.decide(&NativePolicy);
     assert_eq!(selected_sessions(&d), [Some(2), Some(4), Some(6), None]);
     announce(&mut d, 5, palette(0, 5));
     announce(&mut d, 1, palette(4, 1));
@@ -456,7 +490,8 @@ fn governed_prefixes_single_path_mode_and_keep_warm_entries_take_the_full_pass()
     }
     let (mut d, _) = three_way_tie();
     d.reevaluate_all(&LyingGuard);
-    d.peer_down(PeerId(6), &LyingGuard);
+    d.peer_down(PeerId(6));
+    d.decide(&LyingGuard);
     let entry = d.loc_rib_entry(Prefix::DEFAULT).unwrap();
     assert!(entry.fib_warm_only);
     assert!(worse_arrival_is_reinstalled(&mut d, &LyingGuard));
