@@ -60,6 +60,9 @@ impl Args {
             };
             out.values.insert(key.to_string(), value);
         }
+        if out.values.contains_key("provenance-out") && !out.values.contains_key("provenance") {
+            return Err("--provenance-out needs --provenance PREFIX".into());
+        }
         Ok(out)
     }
 
@@ -154,6 +157,17 @@ mod tests {
         assert_eq!(
             parse(&["--workers", "4"]).unwrap_err(),
             "unknown option '--workers'"
+        );
+    }
+
+    #[test]
+    fn provenance_out_needs_provenance() {
+        let err = parse(&["--provenance-out", "p.jsonl"]).unwrap_err();
+        assert!(err.contains("--provenance PREFIX"), "{err}");
+        let args = parse(&["--provenance-out", "p.jsonl", "--provenance", "0.0.0.0/0"]).unwrap();
+        assert_eq!(
+            args.get_str("provenance-out").unwrap().as_deref(),
+            Some("p.jsonl")
         );
     }
 }

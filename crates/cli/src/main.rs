@@ -31,7 +31,7 @@ use centralium::{AgentServer, RoutingIntent, SwitchAgent};
 use centralium_bgp::attrs::well_known;
 use centralium_bgp::Prefix;
 use centralium_simnet::{ManagementPlane, SimConfig, SimNet};
-use centralium_telemetry::{span, Telemetry};
+use centralium_telemetry::{span, write_jsonl, Event, FieldValue, Telemetry};
 use centralium_topology::{build_fabric, FabricSpec, Layer};
 use std::io::Write;
 use std::process::ExitCode;
@@ -131,8 +131,10 @@ profiling opts:
   --trace-out FILE      write a Chrome Trace Event JSON (open in Perfetto or
                         chrome://tracing); implies --profile
   --provenance PREFIX   trace the causal history of one prefix (e.g.
-                        0.0.0.0/0) and print it after the run
-  --provenance-out FILE write the provenance trace as JSON lines";
+                        0.0.0.0/0) into the event journal and print it
+                        after the run
+  --provenance-out FILE write the provenance view as JSON lines (needs
+                        --provenance)";
 
 fn spec_from(args: &Args) -> Result<FabricSpec, String> {
     let mut spec = FabricSpec::tiny();
@@ -254,35 +256,44 @@ fn report_telemetry(net: &SimNet, args: &Args) -> Result<(), String> {
     if args.has_flag("profile") {
         print_profile_summary(&tel.metrics().snapshot());
     }
-    if let Some(log) = net.provenance() {
-        let records = log.records();
+    if let Some(prefix) = args.get_str("provenance")? {
+        let journal = tel.journal().ok_or("journal unexpectedly disabled")?;
+        let view: Vec<Event> = journal
+            .snapshot()
+            .into_iter()
+            .filter(|e| e.kind.is_provenance())
+            .collect();
         println!(
-            "provenance for {}: {} records, device path {:?}",
-            log.prefix(),
-            records.len(),
-            log.device_hops()
+            "provenance for {prefix}: {} records (journal: {} recorded, {} evicted)",
+            view.len(),
+            journal.recorded(),
+            journal.dropped()
         );
-        for r in &records {
-            let from = r
-                .from_peer
-                .map(|d| format!(" from=d{d}"))
-                .unwrap_or_default();
+        for ev in &view {
+            let text = |key| ev.get(key).and_then(FieldValue::as_str).unwrap_or("");
+            let from = match text("from") {
+                "" => String::new(),
+                d => format!(" from={d}"),
+            };
+            // `RpaInstall` carries its action and document instead of a detail.
+            let detail = match text("detail") {
+                "" => format!("{} {}", text("action"), text("document")),
+                d => d.to_string(),
+            };
             println!(
-                "  #{:<4} t={:>9.3}ms d{:<5} {:<18}{from} {}",
-                r.seq,
-                r.time_us as f64 / 1000.0,
-                r.device,
-                r.kind.as_str(),
-                r.detail
+                "  t={:>9.3}ms {:<6} {:<16}{from} {detail}",
+                ev.time_us as f64 / 1000.0,
+                text("device"),
+                ev.kind.name(),
             );
         }
         if let Some(path) = args.get_str("provenance-out")? {
             let file = std::fs::File::create(&path).map_err(|e| format!("creating {path}: {e}"))?;
             let mut w = std::io::BufWriter::new(file);
-            log.export_jsonl(&mut w)
-                .and_then(|()| w.flush())
+            write_jsonl(&view, &mut w)
+                .and_then(|_| w.flush())
                 .map_err(|e| format!("writing {path}: {e}"))?;
-            println!("provenance: {} records written to {path}", records.len());
+            println!("provenance: {} records written to {path}", view.len());
         }
     }
     Ok(())
@@ -356,8 +367,9 @@ fn converged(args: &Args) -> Result<(SimNet, centralium_topology::builder::Fabri
         .seed(args.get_u64("seed")?.unwrap_or(1))
         .build();
     let mut net = SimNet::new(topo, cfg);
-    if args.get_str("telemetry")?.is_some() {
+    if args.get_str("telemetry")?.is_some() || args.get_str("provenance")?.is_some() {
         // The journal is opt-in; metrics and phase spans are always live.
+        // Provenance is a view of the journal.
         net.set_telemetry(Telemetry::with_journal(JOURNAL_CAPACITY));
     }
     if let Some(plan) = chaos_from(args)? {

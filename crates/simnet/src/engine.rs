@@ -11,7 +11,7 @@ use crate::trace::ConvergenceReport;
 use centralium_bgp::policy::Policy;
 use centralium_bgp::{BgpDaemon, PathAttributes, PeerId, Prefix, UpdateMessage};
 use centralium_rpa::{RpaDocument, RpaEngine};
-use centralium_telemetry::{Event, EventKind, ProvenanceKind, Severity, Telemetry};
+use centralium_telemetry::{Event, EventKind, Severity, Telemetry};
 use centralium_topology::{DeviceId, Topology};
 use std::collections::HashMap;
 use std::sync::Arc;
@@ -60,14 +60,9 @@ enum Work {
 /// one event at a time.
 type Output = (Vec<(PeerId, UpdateMessage)>, Vec<(DeviceId, PeerId)>);
 
-/// A provenance step of one event, before it reaches the log: kind, sending
-/// peer and detail. Device and time are the event's own.
-type ProvStep = (ProvenanceKind, Option<u32>, String);
-
 /// One popped event on its way through a window: what the pre-pass left for
-/// the device, what the device produced, and what the journal and the
-/// provenance log are owed — all held until the merge phase reaches the event
-/// in pop order.
+/// the device, what the device produced, and what the journal is owed — all
+/// held until the merge phase reaches the event in pop order.
 #[derive(Debug)]
 struct Slot {
     /// The event's own timestamp.
@@ -78,10 +73,9 @@ struct Slot {
     work: Option<Work>,
     /// What the work phase produced, replayed by the merge phase.
     output: Output,
-    /// Journal events of the pre-pass and the work phase.
-    journal: Vec<Event>,
-    /// Provenance steps of the pre-pass and the work phase.
-    provenance: Vec<ProvStep>,
+    /// Journal events of the pre-pass and the work phase, provenance steps
+    /// included.
+    events: Vec<Event>,
 }
 
 /// Static span/report name of one [`Work`] kind.
@@ -421,29 +415,42 @@ fn prov_state(dev: &SimDevice, prefix: Prefix) -> ProvState {
     }
 }
 
-/// Push one provenance step per observable change an event produced on its
-/// device for the traced prefix.
-fn push_prov_deltas(steps: &mut Vec<ProvStep>, before: &ProvState, after: &ProvState) {
+/// A provenance event of the traced `prefix` on `dev`, stamped with the
+/// handle's clock (the event being processed).
+fn prov_event(tel: &Telemetry, kind: EventKind, dev: DeviceId, prefix: Prefix) -> Event {
+    tel.event(kind, Severity::Debug)
+        .field("device", format!("d{}", dev.0))
+        .field("prefix", prefix.to_string())
+}
+
+/// Push one provenance event per observable change an event produced on
+/// device `dev` for the traced `prefix`.
+fn push_prov_deltas(
+    events: &mut Vec<Event>,
+    tel: &Telemetry,
+    dev: DeviceId,
+    prefix: Prefix,
+    before: &ProvState,
+    after: &ProvState,
+) {
+    let mut push = |kind, detail: String| {
+        events.push(prov_event(tel, kind, dev, prefix).field("detail", detail));
+    };
     if before.rib_in != after.rib_in {
-        steps.push((
-            ProvenanceKind::AdjRibInChanged,
-            None,
-            format!("{} -> {} routes", before.rib_in, after.rib_in),
-        ));
+        let detail = format!("{} -> {} routes", before.rib_in, after.rib_in);
+        push(EventKind::AdjRibInChanged, detail);
     }
     if before.decision != after.decision {
-        steps.push((
-            ProvenanceKind::DecisionFlip,
-            None,
+        push(
+            EventKind::DecisionFlip,
             format!("{} -> {}", before.decision, after.decision),
-        ));
+        );
     }
     if before.fib != after.fib {
-        steps.push((
-            ProvenanceKind::FibDelta,
-            None,
+        push(
+            EventKind::FibDelta,
             format!("{} -> {}", before.fib, after.fib),
-        ));
+        );
     }
 }
 
@@ -481,8 +488,8 @@ impl SimNet {
     ///    returns each event's updates (and refresh requests), which the
     ///    merge phase replays through the normal `emit` path in global pop
     ///    order, reproducing every jitter/fault/shuffle draw, FIFO clamp and
-    ///    queue sequence number. Journal events and provenance steps are held
-    ///    with that output and appended in the same order.
+    ///    queue sequence number. Journal events, provenance steps included,
+    ///    are held with that output and recorded in the same order.
     pub fn run_until_quiescent(&mut self) -> ConvergenceReport {
         let mut sp = self.telemetry.span("simnet", "converge");
         let mut n = 0u64;
@@ -645,8 +652,9 @@ impl SimNet {
         self.finish(slot);
     }
 
-    /// Run a slot's device work, if it has any. Journal events and provenance
-    /// steps the work produces are held in the slot. With span tracing on, the
+    /// Run a slot's device work, if it has any. The journal events the work
+    /// records, and the provenance steps it causes while a prefix is traced,
+    /// are held in the slot. With span tracing on, the
     /// event gets a span named after its [`Work`] kind and the time it took
     /// lands in `simnet.event.latency_ns` and the device's busy counter; off,
     /// that costs two relaxed atomic loads.
@@ -668,18 +676,20 @@ impl SimNet {
             .get_mut(dev_id)
             .expect("prepared event targets a live device");
         telemetry.set_now(slot.t);
-        let before = provenance.as_ref().map(|(p, _)| prov_state(dev, *p));
+        let traced = provenance.filter(|_| telemetry.journal_enabled());
+        let before = traced.map(|p| prov_state(dev, p));
         let started = telemetry.tracing().then(std::time::Instant::now);
         let mut sp = telemetry.span("simnet.work", work_name(&work));
         sp.arg("device", dev_id.0 as u64);
         sp.arg("t_us", slot.t);
-        let (output, mut journal) =
+        let (output, mut events) =
             telemetry.capture(|| run_work(dev, fib_scratch, slot.t, work, counters, topo, cfg));
         drop(sp);
         slot.output = output;
-        slot.journal.append(&mut journal);
-        if let (Some((p, _)), Some(before)) = (provenance.as_ref(), before) {
-            push_prov_deltas(&mut slot.provenance, &before, &prov_state(dev, *p));
+        slot.events.append(&mut events);
+        if let (Some(p), Some(before)) = (traced, before) {
+            let after = prov_state(dev, p);
+            push_prov_deltas(&mut slot.events, telemetry, dev_id, p, &before, &after);
         }
         if let Some(started) = started {
             let ns = started.elapsed().as_nanos() as u64;
@@ -688,24 +698,19 @@ impl SimNet {
         }
     }
 
-    /// Finish a slot: advance the clock to its event, hand its held journal
-    /// events and provenance steps to their logs, and replay its output
+    /// Finish a slot: advance the clock to its event, record its held
+    /// journal events, and replay its output
     /// through the scheduling path at the event's time: the updates via
     /// `emit`, then any route-refresh requests one base latency out.
     fn finish(&mut self, slot: Slot) {
         self.now = slot.t;
         self.telemetry.set_now(slot.t);
-        for event in slot.journal {
+        for event in slot.events {
             self.telemetry.record(event);
         }
         let Some(dev) = slot.dev else {
             return;
         };
-        if let Some((_, log)) = &self.provenance {
-            for (kind, from_peer, detail) in slot.provenance {
-                log.append(slot.t, dev.0, kind, from_peer, detail);
-            }
-        }
         let (updates, refresh) = slot.output;
         self.emit(dev, updates);
         for (to, on) in refresh {
@@ -724,8 +729,7 @@ impl SimNet {
             dev: None,
             work: None,
             output: Output::default(),
-            journal: Vec::new(),
-            provenance: Vec::new(),
+            events: Vec::new(),
         };
         if let Some((dev, work)) = self.prepare_inner(t, ev, &mut slot) {
             slot.dev = Some(dev);
@@ -760,20 +764,20 @@ impl SimNet {
                 let size = (msg.announced.len() + msg.withdrawn.len()) as u64;
                 self.max_batch_size = self.max_batch_size.max(size);
                 self.counters.batch_routes.observe(size);
-                Some(self.arrive(t, to, on, msg, &mut slot.provenance))
+                Some(self.arrive(t, to, on, msg, &mut slot.events))
             }
             NetEvent::Deliver { to, on, msg } => {
                 if !self.devices.contains_key(to) {
                     return None;
                 }
-                Some(self.arrive(t, to, on, msg, &mut slot.provenance))
+                Some(self.arrive(t, to, on, msg, &mut slot.events))
             }
             NetEvent::SessionUp { dev, peer } => {
                 if !self.devices.contains_key(dev) {
                     return None;
                 }
                 self.counters.session_events.inc();
-                Self::note_session_transition(&self.telemetry, &mut slot.journal, dev, peer, "up");
+                Self::note_session_transition(&self.telemetry, &mut slot.events, dev, peer, "up");
                 Some((dev, Work::SessionUp { peer }))
             }
             NetEvent::SessionDown { dev, peer } => {
@@ -781,13 +785,7 @@ impl SimNet {
                     return None;
                 }
                 self.counters.session_events.inc();
-                Self::note_session_transition(
-                    &self.telemetry,
-                    &mut slot.journal,
-                    dev,
-                    peer,
-                    "down",
-                );
+                Self::note_session_transition(&self.telemetry, &mut slot.events, dev, peer, "down");
                 Some((dev, Work::SessionDown { peer }))
             }
             NetEvent::RouteRefreshRequest { to, on } => {
@@ -803,7 +801,7 @@ impl SimNet {
                 self.counters.session_events.inc();
                 Self::note_session_transition(
                     &self.telemetry,
-                    &mut slot.journal,
+                    &mut slot.events,
                     dev,
                     peer,
                     "removed",
@@ -815,11 +813,6 @@ impl SimNet {
                     return None;
                 }
                 self.counters.rpa_operations.inc();
-                if self.provenance.is_some() {
-                    let detail = format!("install {}", doc.name());
-                    slot.provenance
-                        .push((ProvenanceKind::RpaApplied, None, detail));
-                }
                 Some((dev, Work::InstallRpa { doc }))
             }
             NetEvent::RemoveRpa { dev, name } => {
@@ -827,11 +820,6 @@ impl SimNet {
                     return None;
                 }
                 self.counters.rpa_operations.inc();
-                if self.provenance.is_some() {
-                    let detail = format!("remove {name}");
-                    slot.provenance
-                        .push((ProvenanceKind::RpaApplied, None, detail));
-                }
                 Some((dev, Work::RemoveRpa { name }))
             }
             NetEvent::Originate { dev, prefix, attrs } => {
@@ -937,7 +925,7 @@ impl SimNet {
 
     /// The pre-pass side of an UPDATE arriving at live device `to` on its
     /// session `on`, batched or not: delivery and announce/withdraw counters,
-    /// the receiver's churn counter, provenance arrival steps, and the last
+    /// the receiver's churn counter, provenance arrival events, and the last
     /// update time of every originated prefix it carries. Returns the job.
     fn arrive(
         &mut self,
@@ -945,13 +933,13 @@ impl SimNet {
         to: DeviceId,
         on: PeerId,
         msg: UpdateMessage,
-        steps: &mut Vec<ProvStep>,
+        events: &mut Vec<Event>,
     ) -> (DeviceId, Work) {
         self.counters.messages_delivered.inc();
         self.counters.announcements.add(msg.announced.len() as u64);
         self.counters.withdrawals.add(msg.withdrawn.len() as u64);
         self.note_churn(to);
-        self.note_provenance_arrival(steps, on, &msg);
+        self.note_provenance_arrival(events, to, on, &msg);
         if !self.origin_time.is_empty() {
             let carried = msg.announced.iter().map(|(p, _)| p).chain(&msg.withdrawn);
             for p in carried {
@@ -995,35 +983,39 @@ impl SimNet {
         }
     }
 
-    /// Note UPDATE/withdraw arrivals carrying the traced prefix as provenance
-    /// steps of the event. A no-op (one `Option` check) when no trace is
-    /// armed.
-    fn note_provenance_arrival(&self, steps: &mut Vec<ProvStep>, on: PeerId, msg: &UpdateMessage) {
-        let Some((prefix, _)) = &self.provenance else {
+    /// Note UPDATE/withdraw arrivals at `to` carrying the traced prefix as
+    /// provenance events of the event. A no-op unless a prefix is traced and
+    /// the journal is enabled.
+    fn note_provenance_arrival(
+        &self,
+        events: &mut Vec<Event>,
+        to: DeviceId,
+        on: PeerId,
+        msg: &UpdateMessage,
+    ) {
+        let traced = self.provenance.filter(|_| self.telemetry.journal_enabled());
+        let Some(prefix) = traced else {
             return;
         };
-        let from = Some(on.device());
-        if msg.announced.iter().any(|(p, _)| p == prefix) {
-            steps.push((
-                ProvenanceKind::UpdateReceived,
-                from,
-                format!(
-                    "announcement from d{} session {}",
-                    on.device(),
-                    on.session_index()
-                ),
-            ));
+        let mut push = |kind, what| {
+            events.push(
+                prov_event(&self.telemetry, kind, to, prefix)
+                    .field("from", format!("d{}", on.device()))
+                    .field(
+                        "detail",
+                        format!(
+                            "{what} from d{} session {}",
+                            on.device(),
+                            on.session_index()
+                        ),
+                    ),
+            );
+        };
+        if msg.announced.iter().any(|(p, _)| *p == prefix) {
+            push(EventKind::UpdateReceived, "announcement");
         }
-        if msg.withdrawn.contains(prefix) {
-            steps.push((
-                ProvenanceKind::WithdrawReceived,
-                from,
-                format!(
-                    "withdraw from d{} session {}",
-                    on.device(),
-                    on.session_index()
-                ),
-            ));
+        if msg.withdrawn.contains(&prefix) {
+            push(EventKind::WithdrawReceived, "withdraw");
         }
     }
 
@@ -1031,13 +1023,13 @@ impl SimNet {
     /// event of the event being prepared.
     fn note_session_transition(
         telemetry: &Telemetry,
-        journal: &mut Vec<Event>,
+        events: &mut Vec<Event>,
         dev: DeviceId,
         peer: PeerId,
         state: &str,
     ) {
         if telemetry.journal_enabled() {
-            journal.push(
+            events.push(
                 telemetry
                     .event(EventKind::SessionTransition, Severity::Info)
                     .field("device", format!("d{}", dev.0))

@@ -26,7 +26,7 @@ use centralium_bgp::{
     Prefix, UpdateMessage,
 };
 use centralium_rpa::RpaDocument;
-use centralium_telemetry::{Counter, EventKind, LogHistogram, ProvenanceLog, Severity, Telemetry};
+use centralium_telemetry::{Counter, EventKind, LogHistogram, Severity, Telemetry};
 use centralium_topology::{Asn, DeviceId, DeviceState, Topology};
 use rand::rngs::StdRng;
 use rand::{Rng, SeedableRng};
@@ -386,9 +386,8 @@ pub struct SimNet {
     /// Per-device busy-time counters (`simnet.device.d<N>.busy_ns`), bound
     /// lazily; only written while span tracing is enabled.
     busy: DenseMap<Counter>,
-    /// Armed route-provenance trace: the prefix under observation and the
-    /// log causal steps append to.
-    provenance: Option<(Prefix, Arc<ProvenanceLog>)>,
+    /// The prefix under route-provenance trace, if one is armed.
+    provenance: Option<Prefix>,
     /// When each prefix was first originated (for convergence latency).
     origin_time: HashMap<Prefix, SimTime>,
     /// Last time an UPDATE carrying each originated prefix was delivered.
@@ -494,24 +493,18 @@ impl SimNet {
         self.bind_all_device_telemetry();
     }
 
-    /// Arm route-provenance tracing for `prefix` and return the log causal
-    /// steps will append to. Every UPDATE/withdraw arrival carrying the
-    /// prefix, every RPA install/remove, and every Adj-RIB-In change,
-    /// decision flip, and FIB delta it produces is recorded with its
-    /// simulated time and device. Opt-in: an armed trace renders the prefix's
-    /// state before and after every event on its device, but leaves the
-    /// schedule — and so the FIBs — exactly as they are without it.
-    pub fn trace_provenance(&mut self, prefix: Prefix) -> Arc<ProvenanceLog> {
-        let log = Arc::new(ProvenanceLog::new(prefix.to_string()));
-        self.provenance = Some((prefix, Arc::clone(&log)));
-        log
-    }
-
-    /// The armed provenance log, when [`trace_provenance`] was called.
-    ///
-    /// [`trace_provenance`]: Self::trace_provenance
-    pub fn provenance(&self) -> Option<&Arc<ProvenanceLog>> {
-        self.provenance.as_ref().map(|(_, log)| log)
+    /// Arm route-provenance tracing for `prefix`. Every UPDATE/withdraw
+    /// arrival carrying the prefix, and every Adj-RIB-In change, decision
+    /// flip and FIB delta it produces, is journaled as a `Debug` event with
+    /// its simulated time and device; with the RPA engines' `RpaInstall`
+    /// events they form the prefix's causal chain, the journal filtered by
+    /// [`EventKind::is_provenance`]. Records nothing without a journal
+    /// attached ([`set_telemetry`](Self::set_telemetry)). An armed trace
+    /// renders the prefix's state before and after every event on its
+    /// device, but leaves the schedule — and so the FIBs — exactly as they
+    /// are without it.
+    pub fn trace_provenance(&mut self, prefix: Prefix) {
+        self.provenance = Some(prefix);
     }
 
     /// The network's telemetry handle — shared (via cheap clones) with every

@@ -1,6 +1,7 @@
 //! The profiling layer, exercised end-to-end on real convergence runs:
-//! route provenance chains, span tracing with Chrome-trace export, and the
-//! hot-path log-bucket histograms plus memory accounting.
+//! route provenance chains (a view of the journal), span tracing with
+//! Chrome-trace export, and the hot-path log-bucket histograms plus memory
+//! accounting.
 
 use centralium_bgp::attrs::well_known;
 use centralium_bgp::Prefix;
@@ -8,7 +9,7 @@ use centralium_rpa::{
     Destination, PathSelectionRpa, PathSelectionStatement, PathSet, PathSignature, RpaDocument,
 };
 use centralium_simnet::{SimConfig, SimNet};
-use centralium_telemetry::{span, ProvenanceKind, ProvenanceRecord, Telemetry};
+use centralium_telemetry::{span, write_jsonl, Event, EventKind, FieldValue, Telemetry};
 use centralium_topology::{build_fabric, FabricSpec};
 
 fn tiny_net() -> (SimNet, Vec<centralium_topology::DeviceId>) {
@@ -17,56 +18,97 @@ fn tiny_net() -> (SimNet, Vec<centralium_topology::DeviceId>) {
     (net, idx.backbone.clone())
 }
 
-#[test]
-fn provenance_chain_covers_cause_and_effect() {
+/// The provenance view: the journal's events of a provenance kind, in
+/// stream order.
+fn provenance(net: &SimNet) -> Vec<Event> {
+    let journal = net.telemetry().journal().expect("journal attached");
+    journal
+        .snapshot()
+        .into_iter()
+        .filter(|e| e.kind.is_provenance())
+        .collect()
+}
+
+/// The tiny fabric with a journal attached and the default route traced,
+/// converged.
+fn traced_tiny_net() -> (SimNet, Vec<centralium_topology::DeviceId>) {
     let (mut net, backbone) = tiny_net();
+    net.set_telemetry(Telemetry::with_journal(1 << 20));
     net.establish_all();
-    let log = net.trace_provenance(Prefix::DEFAULT);
+    net.trace_provenance(Prefix::DEFAULT);
     for &eb in &backbone {
         net.originate(eb, Prefix::DEFAULT, [well_known::BACKBONE_DEFAULT_ROUTE]);
     }
     net.run_until_quiescent().expect_converged();
+    (net, backbone)
+}
 
-    let records = log.records();
+#[test]
+fn provenance_chain_covers_cause_and_effect() {
+    let (net, _) = traced_tiny_net();
+    let records = provenance(&net);
     assert!(!records.is_empty(), "convergence produced no provenance");
-    let has = |k: ProvenanceKind| records.iter().any(|r| r.kind == k);
-    assert!(has(ProvenanceKind::UpdateReceived), "no UPDATE arrivals");
-    assert!(has(ProvenanceKind::DecisionFlip), "no decision flips");
-    assert!(has(ProvenanceKind::FibDelta), "no FIB deltas");
-    assert!(has(ProvenanceKind::AdjRibInChanged), "no RIB changes");
+    let has = |k: EventKind| records.iter().any(|r| r.kind == k);
+    assert!(has(EventKind::UpdateReceived), "no UPDATE arrivals");
+    assert!(has(EventKind::DecisionFlip), "no decision flips");
+    assert!(has(EventKind::FibDelta), "no FIB deltas");
+    assert!(has(EventKind::AdjRibInChanged), "no RIB changes");
+    let devices: std::collections::BTreeSet<&str> = records
+        .iter()
+        .filter_map(|r| r.get("device").and_then(FieldValue::as_str))
+        .collect();
     assert!(
-        log.device_hops().len() > 1,
-        "a fabric-wide route must traverse devices: {:?}",
-        log.device_hops()
+        devices.len() > 1,
+        "a fabric-wide route must traverse devices: {devices:?}"
     );
-    // Sequence numbers are the causal order; times never regress along it.
+    // The stream's order is the causal order; times never regress along it.
     for pair in records.windows(2) {
-        assert!(pair[0].seq < pair[1].seq);
         assert!(pair[0].time_us <= pair[1].time_us);
     }
 
     // JSONL export: one parseable object per record.
     let mut buf = Vec::new();
-    log.export_jsonl(&mut buf).unwrap();
+    write_jsonl(&records, &mut buf).unwrap();
     let text = String::from_utf8(buf).unwrap();
     assert_eq!(text.lines().count(), records.len());
     for line in text.lines() {
         let v: serde::Value = serde_json::from_str(line).unwrap();
-        assert_eq!(v.get("prefix").unwrap().as_str(), Some("0.0.0.0/0"));
+        let fields = v.get("fields").unwrap();
+        assert_eq!(fields.get("prefix").unwrap().as_str(), Some("0.0.0.0/0"));
         assert!(v.get("kind").unwrap().as_str().is_some());
     }
 }
 
-/// Journal and provenance attached, a run with session churn, an RPA deploy
-/// and message loss: FIBs, journal JSONL bytes and provenance records, driven
-/// either one event at a time or in whole windows.
-fn observed_run(stepped: bool) -> (String, Vec<u8>, Vec<ProvenanceRecord>) {
+#[test]
+fn failed_rpa_removal_is_no_provenance_step() {
+    let (mut net, backbone) = traced_tiny_net();
+    let before = provenance(&net).len();
+
+    net.remove_rpa(backbone[0], "no-such-doc", 300);
+    net.run_until_quiescent().expect_converged();
+
+    let snap = net.telemetry().metrics().snapshot();
+    assert_eq!(snap.counter("simnet.rpa_failures"), 1);
+    let after = provenance(&net);
+    assert!(
+        after[before..]
+            .iter()
+            .all(|e| e.kind != EventKind::RpaInstall),
+        "a removal that failed was logged as an RPA step: {:?}",
+        &after[before..]
+    );
+}
+
+/// Journal attached and provenance armed, a run with session churn, an RPA
+/// deploy and message loss: FIBs, journal JSONL bytes and the provenance
+/// view, driven either one event at a time or in whole windows.
+fn observed_run(stepped: bool) -> (String, Vec<u8>, Vec<Event>) {
     let (topo, idx, _) = build_fabric(&FabricSpec::tiny());
     let mut cfg = SimConfig::builder().seed(21).build();
     cfg.fault.drop_probability = 0.02;
     let mut net = SimNet::new(topo, cfg);
     net.set_telemetry(Telemetry::with_journal(1 << 20));
-    let log = net.trace_provenance(Prefix::DEFAULT);
+    net.trace_provenance(Prefix::DEFAULT);
     let settle = |net: &mut SimNet| {
         if stepped {
             while net.step() {}
@@ -101,7 +143,11 @@ fn observed_run(stepped: bool) -> (String, Vec<u8>, Vec<ProvenanceRecord>) {
         .expect("journal attached")
         .export_jsonl(&mut journal)
         .unwrap();
-    (format!("{:?}", net.fib_snapshot()), journal, log.records())
+    (
+        format!("{:?}", net.fib_snapshot()),
+        journal,
+        provenance(&net),
+    )
 }
 
 #[test]
@@ -122,7 +168,6 @@ fn observability_does_not_change_the_schedule() {
     }
     assert!(!provenance.is_empty());
     for pair in provenance.windows(2) {
-        assert!(pair[0].seq < pair[1].seq);
         assert!(pair[0].time_us <= pair[1].time_us);
     }
 }

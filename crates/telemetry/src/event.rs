@@ -35,11 +35,21 @@ pub enum EventKind {
     /// A device's circuit breaker opened after consecutive RPC failures:
     /// the agent is marked degraded until the cooldown elapses.
     CircuitOpen,
+    /// A BGP UPDATE announcing the traced prefix arrived at a device.
+    UpdateReceived,
+    /// An UPDATE withdrawing the traced prefix arrived at a device.
+    WithdrawReceived,
+    /// An event changed a device's Adj-RIB-In size for the traced prefix.
+    AdjRibInChanged,
+    /// An event flipped a device's decision for the traced prefix.
+    DecisionFlip,
+    /// An event changed a device's FIB entry for the traced prefix.
+    FibDelta,
 }
 
 impl EventKind {
     /// All kinds, for iteration in tests and exporters.
-    pub const ALL: [EventKind; 11] = [
+    pub const ALL: [EventKind; 16] = [
         EventKind::BgpDecision,
         EventKind::RpaInstall,
         EventKind::RpaEvalFallback,
@@ -51,6 +61,11 @@ impl EventKind {
         EventKind::RpcRetry,
         EventKind::WaveRollback,
         EventKind::CircuitOpen,
+        EventKind::UpdateReceived,
+        EventKind::WithdrawReceived,
+        EventKind::AdjRibInChanged,
+        EventKind::DecisionFlip,
+        EventKind::FibDelta,
     ];
 
     /// Stable name used in the JSON-lines export.
@@ -67,7 +82,28 @@ impl EventKind {
             EventKind::RpcRetry => "RpcRetry",
             EventKind::WaveRollback => "WaveRollback",
             EventKind::CircuitOpen => "CircuitOpen",
+            EventKind::UpdateReceived => "UpdateReceived",
+            EventKind::WithdrawReceived => "WithdrawReceived",
+            EventKind::AdjRibInChanged => "AdjRibInChanged",
+            EventKind::DecisionFlip => "DecisionFlip",
+            EventKind::FibDelta => "FibDelta",
         }
+    }
+
+    /// Whether the kind is a step of a traced prefix's causal history: the
+    /// five kinds the simulator records for an armed prefix, plus
+    /// `RpaInstall`, which doubles as the chain's RPA step. Route provenance
+    /// is the journal filtered by this.
+    pub fn is_provenance(&self) -> bool {
+        matches!(
+            self,
+            EventKind::UpdateReceived
+                | EventKind::WithdrawReceived
+                | EventKind::RpaInstall
+                | EventKind::AdjRibInChanged
+                | EventKind::DecisionFlip
+                | EventKind::FibDelta
+        )
     }
 }
 
@@ -267,5 +303,7 @@ mod tests {
         let names: std::collections::BTreeSet<_> =
             EventKind::ALL.iter().map(|k| k.name()).collect();
         assert_eq!(names.len(), EventKind::ALL.len());
+        let provenance = EventKind::ALL.iter().filter(|k| k.is_provenance());
+        assert_eq!(provenance.count(), 6);
     }
 }

@@ -106,14 +106,20 @@ impl Journal {
     /// Write the retained events as JSON lines (one object per line,
     /// oldest first). Returns the number of lines written.
     pub fn export_jsonl(&self, w: &mut impl Write) -> io::Result<usize> {
-        let events = self.snapshot();
-        for ev in &events {
-            let line = serde_json::to_string(ev)
-                .map_err(|e| io::Error::new(io::ErrorKind::InvalidData, e.to_string()))?;
-            writeln!(w, "{line}")?;
-        }
-        Ok(events.len())
+        write_jsonl(&self.snapshot(), w)
     }
+}
+
+/// Write `events` as JSON lines, one object per event in slice order — the
+/// journal's export format, for the journal itself or any filtered view of
+/// it. Returns the number of lines written; no events write zero bytes.
+pub fn write_jsonl(events: &[Event], w: &mut impl Write) -> io::Result<usize> {
+    for ev in events {
+        let line = serde_json::to_string(ev)
+            .map_err(|e| io::Error::new(io::ErrorKind::InvalidData, e.to_string()))?;
+        writeln!(w, "{line}")?;
+    }
+    Ok(events.len())
 }
 
 #[cfg(test)]
@@ -193,5 +199,24 @@ mod tests {
             let v: serde::Value = serde_json::from_str(line).unwrap();
             assert!(v.get("kind").is_some());
         }
+    }
+
+    #[test]
+    fn a_filtered_view_exports_through_write_jsonl() {
+        let j = Journal::new(8);
+        j.record(ev(1));
+        j.record(Event::new(EventKind::FibDelta, Severity::Debug, 2).field("detail", "none -> d1"));
+        let view: Vec<Event> = j
+            .snapshot()
+            .into_iter()
+            .filter(|e| e.kind.is_provenance())
+            .collect();
+        let mut buf = Vec::new();
+        assert_eq!(write_jsonl(&view, &mut buf).unwrap(), 1);
+        let line = String::from_utf8(buf).unwrap();
+        assert!(line.contains("\"kind\":\"FibDelta\""), "{line}");
+        let mut empty = Vec::new();
+        assert_eq!(write_jsonl(&[], &mut empty).unwrap(), 0);
+        assert!(empty.is_empty(), "an empty view writes zero bytes");
     }
 }

@@ -2,10 +2,10 @@
 //!
 //! Three instruments behind one cheap-to-clone [`Telemetry`] handle:
 //!
-//! - an **event journal** ([`Journal`]) — timestamped, severity-tagged
-//!   records with typed fields drawn from a fixed taxonomy
-//!   ([`EventKind`]), retained in a bounded ring with drop-counting and
-//!   exportable as JSON lines;
+//! - an **event journal** ([`Journal`]) — the handle's sim-time event
+//!   stream: timestamped, severity-tagged records with typed fields drawn
+//!   from a fixed taxonomy ([`EventKind`]), retained in a bounded ring with
+//!   drop-counting and exportable as JSON lines ([`write_jsonl`]);
 //! - a **metrics registry** ([`MetricsRegistry`]) — named counters, gauges,
 //!   fixed-bucket histograms and scale-free lock-free [`LogHistogram`]s
 //!   (event latencies, window job counts, batch sizes) with atomic updates,
@@ -18,10 +18,11 @@
 //!   duration; every other span is runtime-gated by
 //!   [`Telemetry::set_tracing`].
 //!
-//! Route provenance ([`ProvenanceLog`]) is an opt-in per-prefix causal
-//! trace of UPDATE arrivals, RPA installs, RIB changes, decision flips and
-//! FIB deltas, exportable as JSON lines; the simulator owns it beside the
-//! handle.
+//! Route provenance is a view of the journal: while the simulator traces a
+//! prefix, each UPDATE arrival, Adj-RIB-In change, decision flip and FIB
+//! delta for it is a journal event, and the kinds for which
+//! [`EventKind::is_provenance`] holds — those five plus `RpaInstall` — are
+//! the prefix's causal chain.
 //!
 //! # Cost model
 //!
@@ -33,21 +34,19 @@
 //! `Option` check and builds no event. Span tracing is **runtime-gated**
 //! per handle: instrumented sites pay one relaxed atomic load plus a branch
 //! while it is off, and arming one handle leaves every other handle in the
-//! process untraced. Provenance is opt-in per prefix. Neither the journal
-//! nor provenance changes how the simulator schedules events.
+//! process untraced. Recording into the journal never changes how the
+//! simulator schedules events.
 
 mod event;
 mod histogram;
 mod journal;
 mod metrics;
-mod provenance;
 pub mod span;
 
 pub use event::{Event, EventKind, FieldValue, Severity};
 pub use histogram::{LogHistogram, LogHistogramSnapshot, LOG_BUCKETS};
-pub use journal::Journal;
+pub use journal::{write_jsonl, Journal};
 pub use metrics::{Counter, Gauge, Histogram, HistogramSnapshot, MetricsRegistry, MetricsSnapshot};
-pub use provenance::{ProvenanceKind, ProvenanceLog, ProvenanceRecord};
 
 use span::{Phase, Span, SpanRecord, SpanSink};
 use std::borrow::Cow;
@@ -186,13 +185,6 @@ impl Telemetry {
             None => (f(), Vec::new()),
         }
     }
-
-    /// Build-and-record in one call for sites with no fields to attach.
-    pub fn emit(&self, kind: EventKind, severity: Severity) {
-        if self.journal.is_some() {
-            self.record(self.event(kind, severity));
-        }
-    }
 }
 
 #[cfg(test)]
@@ -203,7 +195,7 @@ mod tests {
     fn default_handle_has_no_journal() {
         let t = Telemetry::new();
         assert!(!t.journal_enabled());
-        t.emit(EventKind::HealthCheck, Severity::Info); // silently dropped
+        t.record(t.event(EventKind::HealthCheck, Severity::Info)); // silently dropped
         assert!(t.journal().is_none());
     }
 
@@ -229,9 +221,9 @@ mod tests {
     fn events_are_stamped_with_sim_time() {
         let t = Telemetry::with_journal(4);
         t.set_now(1_000);
-        t.emit(EventKind::FaultInjected, Severity::Warn);
+        t.record(t.event(EventKind::FaultInjected, Severity::Warn));
         t.set_now(2_000);
-        t.emit(EventKind::FaultInjected, Severity::Warn);
+        t.record(t.event(EventKind::FaultInjected, Severity::Warn));
         let times: Vec<u64> = t
             .journal()
             .unwrap()
