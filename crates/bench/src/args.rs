@@ -21,7 +21,7 @@ impl BenchArgs {
     }
 
     /// Parse an explicit word stream (tests).
-    pub fn parse(words: impl Iterator<Item = String>) -> Result<Self, String> {
+    pub(crate) fn parse(words: impl Iterator<Item = String>) -> Result<Self, String> {
         let mut out = BenchArgs::default();
         let mut words = words.peekable();
         while let Some(word) = words.next() {

@@ -88,7 +88,7 @@ entries![
 
 /// Split a telemetry delta into its deterministic metrics and its
 /// wall-clock ones. Every `*_us` metric in the registry is a wall-clock
-/// reading (`simnet.phase.*_us`, `rpa.eval_us`, `reconcile.round_us`).
+/// reading (`simnet.phase.*_us`, `rpa.eval_us`, `serve.rpc_us`).
 pub(crate) fn split_host_time(snap: &MetricsSnapshot) -> (MetricsSnapshot, MetricsSnapshot) {
     let (mut det, mut host) = (snap.clone(), MetricsSnapshot::default());
     let is_det = |name: &String| !name.ends_with("_us");

@@ -29,7 +29,7 @@ const ROUNDS: usize = 20;
 
 /// CPU is host time; memory is a deterministic state-size estimate.
 /// `tiny` manages the 22-device tiny fabric instead of 264 devices.
-pub fn artefact(tiny: bool) -> Artefact {
+pub(crate) fn artefact(tiny: bool) -> Artefact {
     let spec = if tiny {
         FabricSpec::tiny()
     } else {

@@ -38,7 +38,7 @@ pub(crate) fn summary(samples_ms: &[f64]) -> String {
 }
 
 /// 32 FAUUs; `tiny` deploys to the tiny fabric's 4.
-pub fn artefact(tiny: bool) -> Artefact {
+pub(crate) fn artefact(tiny: bool) -> Artefact {
     let spec = if tiny {
         FabricSpec::tiny()
     } else {

@@ -27,7 +27,7 @@ use rand::{Rng, SeedableRng};
 const SLA_FRACTION: f64 = 0.70;
 
 /// 40 events; `tiny` runs the first 8 of the same seeded stream.
-pub fn artefact(tiny: bool) -> Artefact {
+pub(crate) fn artefact(tiny: bool) -> Artefact {
     let events = if tiny { 8 } else { 40 };
     let mut out = Artefact::default();
     let spec = FabricSpec {

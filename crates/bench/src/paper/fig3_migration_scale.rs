@@ -49,7 +49,7 @@ fn layer_count(topo: &Topology, layer: Layer) -> usize {
 /// Production-scale proportions: tens of pods, each with tens of racks
 /// (2,960 devices). `tiny` keeps the per-layer ratios of the default
 /// fabric instead.
-pub fn artefact(tiny: bool) -> Artefact {
+pub(crate) fn artefact(tiny: bool) -> Artefact {
     let spec = if tiny {
         FabricSpec::default()
     } else {

@@ -44,7 +44,7 @@ fn measure(topo: &Topology, intent: &RoutingIntent, samples: usize) -> (usize, f
 
 /// 20 compiles of each intent for a full DC; `tiny` compiles 3 of each for
 /// the default fabric.
-pub fn artefact(tiny: bool) -> Artefact {
+pub(crate) fn artefact(tiny: bool) -> Artefact {
     let (spec, samples) = if tiny {
         (FabricSpec::default(), 3)
     } else {

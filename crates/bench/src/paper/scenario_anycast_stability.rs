@@ -28,7 +28,7 @@ fn vip() -> Prefix {
 
 /// Count how many times the FADU's VIP next-hop set changes across the
 /// rolling maintenance cycle, and whether the VIP was ever unreachable.
-pub fn run(with_rpa: bool, spec: &FabricSpec, seed: u64) -> (usize, bool) {
+pub(crate) fn run(with_rpa: bool, spec: &FabricSpec, seed: u64) -> (usize, bool) {
     let mut fab = converged_fabric(spec, seed);
     for &eb in &fab.idx.backbone {
         fab.net.originate(eb, vip(), [well_known::ANYCAST_VIP]);
@@ -79,7 +79,7 @@ pub fn run(with_rpa: bool, spec: &FabricSpec, seed: u64) -> (usize, bool) {
 }
 
 /// The default 104-device fabric; `tiny` cycles the tiny fabric's FAUUs.
-pub fn artefact(tiny: bool) -> Artefact {
+pub(crate) fn artefact(tiny: bool) -> Artefact {
     let spec = if tiny {
         FabricSpec::tiny()
     } else {

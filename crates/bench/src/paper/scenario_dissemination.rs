@@ -14,7 +14,7 @@ use crate::scenarios::fig9_rig;
 use centralium_simnet::traffic::{forwarding_cycle, route_flows, TrafficMatrix, DEFAULT_MAX_HOPS};
 
 /// The six-router rig is already small; `tiny` changes nothing.
-pub fn artefact(_tiny: bool) -> Artefact {
+pub(crate) fn artefact(_tiny: bool) -> Artefact {
     let mut out = Artefact::default();
     out.det("Figure 9 (§5.3.1): BGP path dissemination under a Path Selection RPA\n");
     let mut table = Table::new(&[

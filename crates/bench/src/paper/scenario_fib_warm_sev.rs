@@ -24,7 +24,7 @@ use crate::scenarios::fig14_sev;
 use centralium::apps::fib_warm_keeper::DestinationKind;
 
 /// The experiment already runs on the tiny fabric; `tiny` changes nothing.
-pub fn artefact(_tiny: bool) -> Artefact {
+pub(crate) fn artefact(_tiny: bool) -> Artefact {
     let mut out = Artefact::default();
     out.det("Figure 14 (§7.2): the KeepFibWarmIfMnhViolated mis-configuration SEV");
     out.det("A not-production-ready FA originates a new more-specific route; the SSWs'");

@@ -95,7 +95,7 @@ pub fn run(with_rpa: bool, spec: &FabricSpec, seed: u64) -> Outcome {
 }
 
 /// The default 104-device fabric; `tiny` commissions into the tiny one.
-pub fn artefact(tiny: bool) -> Artefact {
+pub(crate) fn artefact(tiny: bool) -> Artefact {
     let spec = if tiny {
         FabricSpec::tiny()
     } else {

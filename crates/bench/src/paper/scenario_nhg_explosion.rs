@@ -73,7 +73,7 @@ pub fn run(
 }
 
 /// 256 prefixes into a 32-group table; `tiny` runs the [`TINY`] rig.
-pub fn artefact(tiny: bool) -> Artefact {
+pub(crate) fn artefact(tiny: bool) -> Artefact {
     let (n_prefixes, du_nhg_capacity) = if tiny { TINY } else { FULL };
     let mut out = Artefact::default();
     out.det("Scenario 3 (§3.4): transient next-hop-group explosion at the DU");

@@ -139,7 +139,7 @@ fn run_chaos(seed: u64, rpc_loss: f64) -> ChaosOutcome {
 }
 
 /// The rig is already small; `tiny` changes nothing.
-pub fn artefact(_tiny: bool) -> Artefact {
+pub(crate) fn artefact(_tiny: bool) -> Artefact {
     let mut out = Artefact::default();
     out.det("Figure 10 (§5.3.2): RPA deployment sequencing");
     out.det("rig: BB originates D; FA1/FA2 with direct + DMAG backup paths; 2 SSWs\n");

@@ -9,7 +9,7 @@ use crate::report::Table;
 use centralium_topology::MigrationCategory;
 
 /// The table is constant; `tiny` changes nothing.
-pub fn artefact(_tiny: bool) -> Artefact {
+pub(crate) fn artefact(_tiny: bool) -> Artefact {
     let mut out = Artefact::default();
     let mut table = Table::new(&[
         "Migration",

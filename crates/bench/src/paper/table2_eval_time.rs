@@ -116,7 +116,7 @@ fn signature_rows(out: &mut Artefact, routes: &[(Prefix, Vec<Route>)]) {
 }
 
 /// 10,000 routes; `tiny` evaluates 1,000.
-pub fn artefact(tiny: bool) -> Artefact {
+pub(crate) fn artefact(tiny: bool) -> Artefact {
     let routes = workload(if tiny { 1_000 } else { 10_000 });
     let mut out = Artefact::default();
     out.det(format!(

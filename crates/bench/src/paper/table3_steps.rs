@@ -16,7 +16,7 @@ fn days(d: f64) -> String {
 
 /// Plans over the default fabric, which is already small; `tiny` changes
 /// nothing.
-pub fn artefact(_tiny: bool) -> Artefact {
+pub(crate) fn artefact(_tiny: bool) -> Artefact {
     let mut out = Artefact::default();
     let (topo, _, _) = build_fabric(&FabricSpec::default());
     let mut table = Table::new(&[

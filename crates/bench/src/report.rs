@@ -62,7 +62,7 @@ impl Table {
 /// [`MetricsSnapshot::diff`] bracketing one experiment stage. Per-device
 /// update counters (`simnet.device.*`) are rolled up into a single total so
 /// large fabrics don't produce a thousand-row table.
-pub fn metrics_diff_table(snap: &MetricsSnapshot) -> Table {
+pub(crate) fn metrics_diff_table(snap: &MetricsSnapshot) -> Table {
     let mut table = Table::new(&["metric", "value"]);
     let mut device_updates = 0u64;
     for (name, v) in &snap.counters {
@@ -94,7 +94,7 @@ pub fn metrics_diff_table(snap: &MetricsSnapshot) -> Table {
 
 /// Tabulate per-phase deployment timings: the finished pipeline phases
 /// among `records` (see [`SpanRecord::phase_sim_us`]), in order.
-pub fn phase_table(records: &[SpanRecord]) -> Table {
+pub(crate) fn phase_table(records: &[SpanRecord]) -> Table {
     let mut table = Table::new(&["phase", "wall (ms)", "sim (ms)"]);
     for r in records {
         if let Some(sim_us) = r.phase_sim_us() {

@@ -53,7 +53,7 @@ pub fn originate_rack_prefixes(fab: &mut ConvergedFabric) -> Vec<(DeviceId, Pref
 /// Step the network to quiescence, evaluating `metric` after every event and
 /// returning the maximum observed — how transitory-state damage (funneling,
 /// group explosions) is measured.
-pub fn max_metric_during(net: &mut SimNet, mut metric: impl FnMut(&SimNet) -> f64) -> f64 {
+pub(crate) fn max_metric_during(net: &mut SimNet, mut metric: impl FnMut(&SimNet) -> f64) -> f64 {
     let mut max = metric(net);
     while net.step() {
         max = max.max(metric(net));
@@ -65,7 +65,7 @@ pub fn max_metric_during(net: &mut SimNet, mut metric: impl FnMut(&SimNet) -> f6
 /// which `metric` exceeds `threshold` — the *duration* of a transitory
 /// pathology, which is what distinguishes a one-message-delay blip from a
 /// minutes-long funnel.
-pub fn time_above_threshold(
+pub(crate) fn time_above_threshold(
     net: &mut SimNet,
     threshold: f64,
     mut metric: impl FnMut(&SimNet) -> f64,
@@ -278,10 +278,10 @@ pub struct Fig10Rig {
 }
 
 /// Destination community for the Fig 10 rig's prefix D.
-pub const FIG10_DEST: Community = well_known::BACKBONE_DEFAULT_ROUTE;
+pub(crate) const FIG10_DEST: Community = well_known::BACKBONE_DEFAULT_ROUTE;
 
 /// Build and converge the Figure 10 rig (no RPAs deployed yet).
-pub fn fig10_rig(seed: u64) -> Fig10Rig {
+pub(crate) fn fig10_rig(seed: u64) -> Fig10Rig {
     let mut topo = Topology::new();
     let bb = topo.add_device(DeviceName::new(Layer::Backbone, 0, 0), Asn(60_000));
     let dmag = topo.add_device(DeviceName::new(Layer::Fauu, 0, 0), Asn(50_000));
@@ -331,7 +331,7 @@ pub fn fig10_rig(seed: u64) -> Fig10Rig {
 }
 
 /// A plausible RPC latency for scenario deployments, in µs.
-pub const SCENARIO_RPC_US: SimTime = 500;
+pub(crate) const SCENARIO_RPC_US: SimTime = 500;
 
 // ---------------------------------------------------------------------------
 // Figure 14: the KeepFibWarmIfMnhViolated SEV.

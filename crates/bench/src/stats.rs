@@ -13,7 +13,7 @@ pub fn percentile(samples: &[f64], p: f64) -> f64 {
 }
 
 /// Empirical CDF points `(value, fraction ≤ value)` at the given fractions.
-pub fn cdf_points(samples: &[f64], fractions: &[f64]) -> Vec<(f64, f64)> {
+pub(crate) fn cdf_points(samples: &[f64], fractions: &[f64]) -> Vec<(f64, f64)> {
     fractions
         .iter()
         .map(|&f| (percentile(samples, f * 100.0), f))
@@ -21,7 +21,7 @@ pub fn cdf_points(samples: &[f64], fractions: &[f64]) -> Vec<(f64, f64)> {
 }
 
 /// Render a CDF as fixed-width text rows, one per requested fraction.
-pub fn render_cdf(label: &str, unit: &str, samples: &[f64]) -> String {
+pub(crate) fn render_cdf(label: &str, unit: &str, samples: &[f64]) -> String {
     let mut out = format!("CDF of {label} ({} samples)\n", samples.len());
     for (value, frac) in cdf_points(samples, &[0.10, 0.25, 0.50, 0.75, 0.90, 0.95, 0.99, 1.0]) {
         out.push_str(&format!(
@@ -35,7 +35,7 @@ pub fn render_cdf(label: &str, unit: &str, samples: &[f64]) -> String {
 }
 
 /// Arithmetic mean; 0.0 for empty input.
-pub fn mean(samples: &[f64]) -> f64 {
+pub(crate) fn mean(samples: &[f64]) -> f64 {
     if samples.is_empty() {
         return 0.0;
     }

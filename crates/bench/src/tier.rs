@@ -29,10 +29,10 @@ pub enum TierSpec {
 /// the order benches measure them in. Per-tier peak-RSS attribution relies
 /// on [`reset_peak_rss`] between tiers where the kernel supports it, with
 /// ascending order (and an `inherited` marker) as the fallback.
-pub const TIER_NAMES: &[&str] = &["tiny", "default", "large", "2k", "xl", "xxl"];
+pub(crate) const TIER_NAMES: &[&str] = &["tiny", "default", "large", "2k", "xl", "xxl"];
 
 impl TierSpec {
-    /// Resolve a tier name. `None` for unknown names; see [`TIER_NAMES`].
+    /// Resolve a tier name. `None` for unknown names; see `TIER_NAMES`.
     pub fn by_name(name: &str) -> Option<TierSpec> {
         Some(match name {
             "tiny" => TierSpec::FiveTier(FabricSpec::tiny()),

@@ -65,7 +65,7 @@ pub struct Community(pub u32);
 
 impl Community {
     /// Render as the conventional `asn:value` form.
-    pub fn as_pair(&self) -> (u16, u16) {
+    pub(crate) fn as_pair(&self) -> (u16, u16) {
         ((self.0 >> 16) as u16, (self.0 & 0xFFFF) as u16)
     }
 
@@ -113,7 +113,7 @@ macro_rules! shared_seq {
 
         impl $name {
             /// The empty sequence.
-            pub fn empty() -> Self {
+            pub(crate) fn empty() -> Self {
                 $name(Arc::new([]))
             }
 
@@ -222,7 +222,7 @@ shared_seq!(
 shared_seq!(
     /// A shared sorted community set. Dereferences to `[Community]`;
     /// mutation goes through [`PathAttributes::add_community`] /
-    /// [`PathAttributes::remove_community`], which build a new slice.
+    /// `PathAttributes::remove_community`, which build a new slice.
     CommunitySet,
     Community
 );
@@ -331,7 +331,7 @@ impl PathAttributes {
     }
 
     /// Remove a community if present.
-    pub fn remove_community(&mut self, c: Community) {
+    pub(crate) fn remove_community(&mut self, c: Community) {
         if let Ok(pos) = self.communities.binary_search(&c) {
             let (head, tail) = (&self.communities[..pos], &self.communities[pos + 1..]);
             self.communities = head.iter().chain(tail).copied().collect();

@@ -191,7 +191,7 @@ impl CandidateView<'_> {
 /// unbound daemon carries one pointer of overhead, and skipped during
 /// (de)serialization — a restored daemon starts unbound.
 #[derive(Debug, Clone, Default)]
-pub struct DaemonTelemetry(Option<Box<DaemonTelemetryInner>>);
+pub(crate) struct DaemonTelemetry(Option<Box<DaemonTelemetryInner>>);
 
 #[derive(Debug, Clone)]
 struct DaemonTelemetryInner {
@@ -1674,9 +1674,17 @@ mod tests {
                 candidates: &[Route],
             ) -> Option<crate::hooks::Selection> {
                 Some(if candidates.len() < 2 {
-                    crate::hooks::Selection::withdraw(true)
+                    crate::hooks::Selection {
+                        selected: Vec::new(),
+                        advertise: crate::hooks::AdvertiseChoice::Withdraw,
+                        keep_fib_warm: true,
+                    }
                 } else {
-                    crate::hooks::Selection::all(candidates.len())
+                    crate::hooks::Selection {
+                        selected: (0..candidates.len()).collect(),
+                        advertise: crate::hooks::AdvertiseChoice::LeastFavorable,
+                        keep_fib_warm: false,
+                    }
                 })
             }
         }

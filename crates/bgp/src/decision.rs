@@ -18,7 +18,7 @@ use crate::rib::Route;
 use std::cmp::Ordering;
 
 /// The comparable preference key of a route. Compare with
-/// [`compare`](Self::compare) — a derived ordering would be misleading
+/// `compare` — a derived ordering would be misleading
 /// (shorter AS-path and lower MED are *better*, i.e. order-reversed).
 #[derive(Debug, Clone, Copy, Default, PartialEq, Eq)]
 pub struct PathPreference {
@@ -40,7 +40,7 @@ impl PathPreference {
     }
 
     /// Compare two keys: `Greater` means `self` is preferred.
-    pub fn compare(&self, other: &Self) -> Ordering {
+    pub(crate) fn compare(&self, other: &Self) -> Ordering {
         self.local_pref
             .cmp(&other.local_pref)
             .then_with(|| other.as_path_len.cmp(&self.as_path_len))

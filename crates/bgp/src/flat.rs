@@ -53,11 +53,6 @@ impl<K: Ord + Copy, V> FlatMap<K, V> {
         self.entries.is_empty()
     }
 
-    /// Whether `key` is present.
-    pub fn contains_key(&self, key: &K) -> bool {
-        self.position(key).is_ok()
-    }
-
     /// The value under `key`, if any.
     pub fn get(&self, key: &K) -> Option<&V> {
         let i = self.position(key).ok()?;
@@ -117,7 +112,7 @@ impl<K: Ord + Copy, V> FlatMap<K, V> {
     }
 
     /// The value under `key`, inserting a default when absent.
-    pub fn entry_or_default(&mut self, key: K) -> &mut V
+    pub(crate) fn entry_or_default(&mut self, key: K) -> &mut V
     where
         V: Default,
     {
@@ -133,7 +128,7 @@ impl<K: Ord + Copy, V> FlatMap<K, V> {
     }
 
     /// Keep only entries satisfying `keep`, preserving order.
-    pub fn retain(&mut self, mut keep: impl FnMut(&K, &mut V) -> bool) {
+    pub(crate) fn retain(&mut self, mut keep: impl FnMut(&K, &mut V) -> bool) {
         self.entries.retain_mut(|(k, v)| keep(k, v));
         self.maybe_shrink();
     }
@@ -149,7 +144,7 @@ impl<K: Ord + Copy, V> FlatMap<K, V> {
     }
 
     /// Keys in ascending order.
-    pub fn keys(&self) -> impl Iterator<Item = &K> {
+    pub(crate) fn keys(&self) -> impl Iterator<Item = &K> {
         self.entries.iter().map(|(k, _)| k)
     }
 
@@ -170,7 +165,7 @@ impl<K: Ord + Copy, V> FlatMap<K, V> {
 
     /// Heap bytes held by the entry storage itself (capacity-based; the
     /// values' own heap allocations are theirs to account).
-    pub fn table_bytes(&self) -> usize {
+    pub(crate) fn table_bytes(&self) -> usize {
         self.entries.capacity() * std::mem::size_of::<(K, V)>()
     }
 }
@@ -258,7 +253,7 @@ mod tests {
         assert_eq!(m.get(&2), Some(&vec![20, 21]));
         m.retain(|&k, _| k != 2);
         assert_eq!(m.len(), 1);
-        assert!(m.contains_key(&1));
+        assert!(m.get(&1).is_some());
     }
 
     #[test]

@@ -44,27 +44,6 @@ pub struct Selection {
     pub keep_fib_warm: bool,
 }
 
-impl Selection {
-    /// A selection of everything, advertised least-favorably (the common RPA
-    /// outcome).
-    pub fn all(n: usize) -> Self {
-        Selection {
-            selected: (0..n).collect(),
-            advertise: AdvertiseChoice::LeastFavorable,
-            keep_fib_warm: false,
-        }
-    }
-
-    /// A withdraw outcome.
-    pub fn withdraw(keep_fib_warm: bool) -> Self {
-        Selection {
-            selected: Vec::new(),
-            advertise: AdvertiseChoice::Withdraw,
-            keep_fib_warm,
-        }
-    }
-}
-
 /// The RIB policy hook interface.
 ///
 /// Every method has a pass-through default so implementations only override
@@ -145,16 +124,5 @@ mod tests {
         assert!(p.assign_weights(Prefix::DEFAULT, &[route]).is_none());
         assert!(p.native_min_nexthop(Prefix::DEFAULT).is_none());
         assert!(!p.governs(Prefix::DEFAULT));
-    }
-
-    #[test]
-    fn selection_constructors() {
-        let all = Selection::all(3);
-        assert_eq!(all.selected, vec![0, 1, 2]);
-        assert_eq!(all.advertise, AdvertiseChoice::LeastFavorable);
-        let w = Selection::withdraw(true);
-        assert!(w.selected.is_empty());
-        assert_eq!(w.advertise, AdvertiseChoice::Withdraw);
-        assert!(w.keep_fib_warm);
     }
 }

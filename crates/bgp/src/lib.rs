@@ -1,4 +1,4 @@
-#![warn(missing_docs)]
+#![warn(missing_docs, unreachable_pub)]
 
 //! # centralium-bgp
 //!

@@ -42,16 +42,8 @@ impl MatchExpr {
         }
     }
 
-    /// Match exactly `prefix`.
-    pub fn exact(prefix: Prefix) -> Self {
-        MatchExpr {
-            prefix_exact: Some(prefix),
-            ..Default::default()
-        }
-    }
-
     /// Evaluate against a route.
-    pub fn matches(&self, prefix: &Prefix, attrs: &PathAttributes) -> bool {
+    pub(crate) fn matches(&self, prefix: &Prefix, attrs: &PathAttributes) -> bool {
         if let Some(p) = &self.prefix_within {
             if !p.contains(prefix) {
                 return false;
@@ -113,12 +105,6 @@ pub struct PolicyRule {
 }
 
 impl PolicyRule {
-    /// Rule that accepts matches after applying `actions`.
-    pub fn accept(matches: MatchExpr, mut actions: Vec<Action>) -> Self {
-        actions.push(Action::Accept);
-        PolicyRule { matches, actions }
-    }
-
     /// Rule that rejects matches outright.
     pub fn reject(matches: MatchExpr) -> Self {
         PolicyRule {
@@ -135,13 +121,6 @@ pub enum PolicyVerdict {
     Accept(PathAttributes),
     /// Route rejected.
     Reject,
-}
-
-impl PolicyVerdict {
-    /// Whether the verdict is Accept.
-    pub fn is_accept(&self) -> bool {
-        matches!(self, PolicyVerdict::Accept(_))
-    }
 }
 
 /// An ordered rule list with a default disposition.
@@ -229,7 +208,7 @@ impl Policy {
     /// through, and a policy whose actions leave the attributes unchanged
     /// (equality is cheap — scalars plus short shared slices) returns the input
     /// allocation instead of minting a new one.
-    pub fn apply_shared(
+    pub(crate) fn apply_shared(
         &self,
         prefix: &Prefix,
         attrs: Arc<PathAttributes>,
@@ -322,6 +301,12 @@ mod tests {
         s.parse().unwrap()
     }
 
+    /// Rule that accepts matches after applying `actions`.
+    fn accept(matches: MatchExpr, mut actions: Vec<Action>) -> PolicyRule {
+        actions.push(Action::Accept);
+        PolicyRule { matches, actions }
+    }
+
     #[test]
     fn default_policy_accepts_unchanged() {
         let attrs = PathAttributes::default();
@@ -329,14 +314,15 @@ mod tests {
             PolicyVerdict::Accept(out) => assert_eq!(out, attrs),
             PolicyVerdict::Reject => panic!("should accept"),
         }
-        assert!(!Policy::reject_all()
-            .apply(&p("10.0.0.0/8"), &attrs)
-            .is_accept());
+        assert_eq!(
+            Policy::reject_all().apply(&p("10.0.0.0/8"), &attrs),
+            PolicyVerdict::Reject
+        );
     }
 
     #[test]
     fn community_match_and_local_pref_action() {
-        let policy = Policy::reject_all().rule(PolicyRule::accept(
+        let policy = Policy::reject_all().rule(accept(
             MatchExpr::community(well_known::BACKBONE_DEFAULT_ROUTE),
             vec![Action::SetLocalPref(200)],
         ));
@@ -375,7 +361,10 @@ mod tests {
         };
         assert!(within.matches(&p("10.3.0.0/16"), &PathAttributes::default()));
         assert!(!within.matches(&p("11.0.0.0/8"), &PathAttributes::default()));
-        let exact = MatchExpr::exact(p("10.0.0.0/8"));
+        let exact = MatchExpr {
+            prefix_exact: Some(p("10.0.0.0/8")),
+            ..Default::default()
+        };
         assert!(exact.matches(&p("10.0.0.0/8"), &PathAttributes::default()));
         assert!(!exact.matches(&p("10.3.0.0/16"), &PathAttributes::default()));
     }
@@ -410,10 +399,7 @@ mod tests {
     fn first_terminal_action_wins() {
         // Rule 1 modifies then accepts; rule 2 would reject but is never hit.
         let policy = Policy::accept_all()
-            .rule(PolicyRule::accept(
-                MatchExpr::any(),
-                vec![Action::SetMed(5)],
-            ))
+            .rule(accept(MatchExpr::any(), vec![Action::SetMed(5)]))
             .rule(PolicyRule::reject(MatchExpr::any()));
         let verdict = policy.apply(&Prefix::DEFAULT, &PathAttributes::default());
         match verdict {
@@ -448,7 +434,7 @@ mod tests {
             .unwrap();
         assert!(Arc::ptr_eq(&out, &attrs));
         // Rules that match but change nothing observable still share.
-        let noop = Policy::accept_all().rule(PolicyRule::accept(
+        let noop = Policy::accept_all().rule(accept(
             MatchExpr::community(Community(0xBEEF)),
             vec![Action::SetMed(9)],
         ));

@@ -281,7 +281,7 @@ impl AdjRibIn {
     }
 
     /// Occupancy and byte-footprint summary for telemetry.
-    pub fn footprint(&self) -> RibFootprint {
+    pub(crate) fn footprint(&self) -> RibFootprint {
         self.table.footprint()
     }
 }
@@ -351,7 +351,7 @@ impl AdjRibOut {
     /// exactly that `Arc` on the wire, so in-flight UPDATEs share the
     /// table's allocation), or `None` when the peer already held
     /// content-equal attributes (nothing to send).
-    pub fn advertise(
+    pub(crate) fn advertise(
         &mut self,
         peer: PeerId,
         prefix: Prefix,
@@ -362,23 +362,23 @@ impl AdjRibOut {
 
     /// Drop the advertisement state toward `peer` for `prefix`; returns
     /// whether one existed (i.e. whether a withdraw must be sent).
-    pub fn withdraw(&mut self, peer: PeerId, prefix: Prefix) -> bool {
+    pub(crate) fn withdraw(&mut self, peer: PeerId, prefix: Prefix) -> bool {
         self.table.unset(peer, prefix)
     }
 
     /// Drop all state toward `peer` (session removed or reset).
-    pub fn flush_peer(&mut self, peer: PeerId) {
+    pub(crate) fn flush_peer(&mut self, peer: PeerId) {
         self.table.flush_peer(peer, |_| {});
     }
 
     /// What is currently advertised to `peer` for `prefix`, if anything.
-    pub fn attrs(&self, peer: PeerId, prefix: Prefix) -> Option<&Arc<PathAttributes>> {
+    pub(crate) fn attrs(&self, peer: PeerId, prefix: Prefix) -> Option<&Arc<PathAttributes>> {
         self.table.get(peer, prefix)
     }
 
     /// Everything advertised to `peer`, as `(prefix, shared body)` pairs in
     /// ascending prefix order.
-    pub fn advertisements(
+    pub(crate) fn advertisements(
         &self,
         peer: PeerId,
     ) -> impl Iterator<Item = (Prefix, &Arc<PathAttributes>)> {
@@ -389,17 +389,12 @@ impl AdjRibOut {
     }
 
     /// Total advertised `(peer, prefix)` entries.
-    pub fn len(&self) -> usize {
+    pub(crate) fn len(&self) -> usize {
         self.table.total
     }
 
-    /// Whether empty.
-    pub fn is_empty(&self) -> bool {
-        self.table.total == 0
-    }
-
     /// Occupancy and byte-footprint summary for telemetry.
-    pub fn footprint(&self) -> RibFootprint {
+    pub(crate) fn footprint(&self) -> RibFootprint {
         self.table.footprint()
     }
 }
@@ -437,7 +432,7 @@ impl Deserialize for AdjRibOut {
 /// after selection, the selected routes can simply be moved out. Indices must
 /// be distinct (each candidate can be selected at most once) and in bounds —
 /// both guaranteed by the native selectors and required of RPA hooks.
-pub fn take_selected(candidates: Vec<Route>, indices: &[usize]) -> Vec<Route> {
+pub(crate) fn take_selected(candidates: Vec<Route>, indices: &[usize]) -> Vec<Route> {
     let mut slots: Vec<Option<Route>> = candidates.into_iter().map(Some).collect();
     indices
         .iter()

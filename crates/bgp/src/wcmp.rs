@@ -11,7 +11,7 @@ use crate::rib::Route;
 
 /// Maximum per-path integer weight after reduction, mirroring ASIC limits on
 /// ECMP-member replication counts.
-pub const MAX_WEIGHT: u32 = 64;
+pub(crate) const MAX_WEIGHT: u32 = 64;
 
 /// Derive per-route WCMP weights from link-bandwidth communities.
 ///
@@ -19,7 +19,7 @@ pub const MAX_WEIGHT: u32 = 64;
 /// * Routes missing a bandwidth while others have one are treated as carrying
 ///   the minimum advertised bandwidth (conservative).
 /// * Weights are scaled to integers, reduced by their GCD, and capped at
-///   [`MAX_WEIGHT`].
+///   `MAX_WEIGHT`.
 pub fn derive_weights(selected: &[Route]) -> Vec<u32> {
     let mut weights = Vec::with_capacity(selected.len());
     derive_weights_into(selected, &mut weights);
@@ -28,7 +28,7 @@ pub fn derive_weights(selected: &[Route]) -> Vec<u32> {
 
 /// [`derive_weights`] written over `weights`, reusing its allocation: the
 /// bandwidths are read twice from `selected` instead of being collected.
-pub fn derive_weights_into(selected: &[Route], weights: &mut Vec<u32>) {
+pub(crate) fn derive_weights_into(selected: &[Route], weights: &mut Vec<u32>) {
     weights.clear();
     let bandwidths = || selected.iter().map(|r| r.attrs.link_bandwidth_gbps);
     if bandwidths().all(|b| b.is_none()) {
@@ -47,7 +47,7 @@ pub fn derive_weights_into(selected: &[Route], weights: &mut Vec<u32>) {
 /// Ratios are anchored on the minimum value (so 100:300 becomes 1:3, not a
 /// rounding artifact of scaling to the maximum), refined with a small
 /// multiplier to capture fractional ratios (100:250 → 2:5), then capped at
-/// [`MAX_WEIGHT`] and reduced by their GCD.
+/// `MAX_WEIGHT` and reduced by their GCD.
 pub fn quantize(raw: &[f64]) -> Vec<u32> {
     let mut weights = Vec::with_capacity(raw.len());
     quantize_into(raw.iter().copied(), &mut weights);

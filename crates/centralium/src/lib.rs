@@ -6,9 +6,9 @@
 //! reproduction. Everything in [`prelude`] — and, transitively, the items
 //! re-exported at this crate's root — follows the usual semver discipline:
 //! additions are minor, removals or signature changes are major. The
-//! per-subsystem crates (`centralium-core`, `centralium-simnet`, …) remain
-//! usable directly but make no such promise; their internals shift as the
-//! reproduction grows.
+//! per-subsystem crates (`centralium_simnet`, `centralium_bgp`, …) are
+//! imported by their own names and make no such promise; their internals
+//! shift as the reproduction grows.
 //!
 //! Quick start:
 //!
@@ -29,47 +29,6 @@
 // (`centralium::controller::Controller`, `centralium::compile_intent`, …)
 // keep compiling unchanged.
 pub use centralium_core::*;
-
-/// The emulated-fabric layer: topology-driven BGP emulation.
-pub mod simnet {
-    pub use centralium_simnet::*;
-}
-
-/// Topology modelling: fabrics, layers, device ids.
-pub mod topology {
-    pub use centralium_topology::*;
-}
-
-/// The BGP data plane model: daemons, RIBs, path attributes.
-pub mod bgp {
-    pub use centralium_bgp::*;
-}
-
-/// Route Planning Abstractions: documents, signatures, the evaluation engine.
-pub mod rpa {
-    pub use centralium_rpa::*;
-}
-
-/// Network State Database: dual store, pub/sub, service template.
-pub mod nsdb {
-    pub use centralium_nsdb::*;
-}
-
-/// Traffic-engineering helpers.
-pub mod te {
-    pub use centralium_te::*;
-}
-
-/// Structured telemetry: event journal, metrics registry, and one span stream
-/// (pipeline phases plus gated tracing) per handle.
-pub mod telemetry {
-    pub use centralium_telemetry::*;
-}
-
-/// The RFC 4271 wire codec and `CRP1` framing of the TCP service plane.
-pub mod wire {
-    pub use centralium_wire::*;
-}
 
 /// The blessed one-import surface: controller, emulator, builders, and
 /// telemetry handles.

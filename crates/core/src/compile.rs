@@ -42,7 +42,7 @@ impl std::error::Error for CompileError {}
 /// path falls in the layer's ASN band). The production analog is matching
 /// the backbone's ASN: "as_path_regex=^12345 ... regardless of their
 /// lengths" (§4.3) — here generalized to a layer band.
-pub fn origin_layer_regex(layer: Layer) -> String {
+pub(crate) fn origin_layer_regex(layer: Layer) -> String {
     // Bands are (height+1) * 10_000 .. +9_999, e.g. Backbone = 6xxxx.
     let band = AsnAllocator::layer_base(layer) / 10_000;
     format!("(^| ){band}\\d{{4}}$")

@@ -144,12 +144,6 @@ pub struct DeployOptionsBuilder {
 }
 
 impl DeployOptionsBuilder {
-    /// What to do with a wave that exhausts its retry budget.
-    pub fn wave_policy(mut self, policy: WaveFailurePolicy) -> Self {
-        self.opts.wave_policy = policy;
-        self
-    }
-
     /// Reconcile rounds a wave may take before it counts as failed.
     pub fn max_wave_rounds(mut self, rounds: u32) -> Self {
         self.opts.max_wave_rounds = rounds;
@@ -247,7 +241,7 @@ impl Controller {
     }
 
     /// Recompute the management plane after topology changes.
-    pub fn refresh_mgmt(&mut self, net: &SimNet) {
+    pub(crate) fn refresh_mgmt(&mut self, net: &SimNet) {
         let root = self.agent.mgmt().root();
         self.agent
             .set_mgmt(ManagementPlane::compute(net.topology(), root));
@@ -927,7 +921,7 @@ mod tests {
         // Reads come from the surviving replica.
         let doc_path = Path::parse(&format!("/devices/d{}/rpa/equalize-paths", ssw.0));
         assert!(controller.nsdb.get(&doc_path).is_some());
-        // Recovery anti-entropy syncs the dead replica back.
+        // Recovery re-syncs the dead replica from the leader.
         controller.nsdb.recover_replica(0);
         assert!(controller.nsdb.is_consistent());
     }

@@ -55,6 +55,12 @@ pub enum Error {
     /// A service-plane peer violated the wire protocol — bad framing, a
     /// malformed BGP preamble, or an RPC payload that failed to decode.
     Protocol(WireError),
+    /// A write named an NSDB path that cannot hold a record: a wildcard
+    /// pattern, or an RPA name that is not exactly one concrete segment.
+    InvalidPath {
+        /// The offending path.
+        path: String,
+    },
 }
 
 impl fmt::Display for Error {
@@ -88,6 +94,10 @@ impl fmt::Display for Error {
                 )
             }
             Error::Protocol(e) => write!(f, "wire protocol violation: {e}"),
+            Error::InvalidPath { path } => write!(
+                f,
+                "cannot write NSDB path {path}: it must be concrete, with the RPA name one segment"
+            ),
         }
     }
 }
@@ -99,7 +109,9 @@ impl std::error::Error for Error {
             Error::Rpa(e) => Some(e),
             Error::Io { source, .. } => Some(source),
             Error::Protocol(e) => Some(e),
-            Error::Unreachable { .. } | Error::RetryExhausted { .. } => None,
+            Error::Unreachable { .. }
+            | Error::RetryExhausted { .. }
+            | Error::InvalidPath { .. } => None,
         }
     }
 }

@@ -52,7 +52,7 @@ impl HealthReport {
 }
 
 /// Run a health check against the emulated network's current state.
-pub fn run_health_check(net: &SimNet, check: &HealthCheck) -> HealthReport {
+pub(crate) fn run_health_check(net: &SimNet, check: &HealthCheck) -> HealthReport {
     let mut report = HealthReport::default();
     if let Some(probe) = &check.probe {
         let tm = TrafficMatrix::uniform(&probe.sources, probe.dest, probe.gbps_each);

@@ -24,7 +24,7 @@ pub enum TargetSet {
 
 impl TargetSet {
     /// Resolve to concrete device ids over a topology (non-Down devices).
-    pub fn resolve(&self, topo: &centralium_topology::Topology) -> Vec<DeviceId> {
+    pub(crate) fn resolve(&self, topo: &centralium_topology::Topology) -> Vec<DeviceId> {
         match self {
             TargetSet::Layer(layer) => topo
                 .devices_in_layer(*layer)

@@ -1,4 +1,4 @@
-#![warn(missing_docs)]
+#![warn(missing_docs, unreachable_pub)]
 
 //! # centralium
 //!
@@ -14,8 +14,7 @@
 //! 2. per-switch RPA generation ([`compile`], from [`intent`]);
 //! 3. coordinated, safely-ordered deployment ([`sequencer`]);
 //! 4. post-deployment network health checks ([`health`]);
-//! 5. fleet-wide consistency of desired RPAs ([`reconcile`] via the
-//!    [`switch_agent`]).
+//! 5. fleet-wide consistency of desired RPAs ([`switch_agent`]).
 //!
 //! [`controller::Controller`] wires the layers together over the emulator;
 //! [`apps`] hosts the 10+ production use cases; [`planner`] reproduces the
@@ -34,7 +33,6 @@ pub mod health;
 pub mod intent;
 pub mod planner;
 pub mod preverify;
-pub mod reconcile;
 pub mod retry;
 pub mod sequencer;
 pub mod serve;

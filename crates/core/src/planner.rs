@@ -16,11 +16,11 @@ use centralium_topology::{Layer, MigrationCategory, Topology};
 use serde::{Deserialize, Serialize};
 
 /// The fleet push cadence in days (§6.3).
-pub const PUSH_CADENCE_DAYS: f64 = 21.0;
+pub(crate) const PUSH_CADENCE_DAYS: f64 = 21.0;
 /// Nominal duration of an RPA deployment via the controller, in days
 /// (§6.2: milliseconds to generate, milliseconds to deploy; budget an hour
 /// of operational ceremony).
-pub const RPA_OP_DAYS: f64 = 0.04;
+pub(crate) const RPA_OP_DAYS: f64 = 0.04;
 
 /// What a critical-path step consists of.
 #[derive(Debug, Clone, Copy, PartialEq, Serialize, Deserialize)]
@@ -37,7 +37,7 @@ pub enum StepKind {
 
 impl StepKind {
     /// Days this step occupies on the critical path.
-    pub fn days(&self) -> f64 {
+    pub(crate) fn days(&self) -> f64 {
         match self {
             StepKind::ConfigPush => PUSH_CADENCE_DAYS,
             StepKind::RpaOp => RPA_OP_DAYS,
@@ -121,7 +121,10 @@ fn distinct_docs(topo: &Topology, intents: &[RoutingIntent]) -> Vec<RpaDocument>
 }
 
 /// Build the comparison for one category over a topology.
-pub fn plan_category(topo: &Topology, category: MigrationCategory) -> MigrationPlanComparison {
+pub(crate) fn plan_category(
+    topo: &Topology,
+    category: MigrationCategory,
+) -> MigrationPlanComparison {
     use MigrationCategory::*;
     let bb = well_known::BACKBONE_DEFAULT_ROUTE;
     let fabric_layers = TargetSet::Layers(vec![Layer::Fsw, Layer::Ssw, Layer::Fadu]);

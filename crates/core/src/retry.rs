@@ -50,7 +50,7 @@ impl RetryPolicy {
     /// The deadline/backoff for the `attempt`-th RPC toward `device`
     /// (0-based): `base · 2^attempt` capped at the max, then jittered into
     /// `[½·b, b]` so synchronized retries toward many devices decorrelate.
-    pub fn backoff_us(&self, attempt: u32, device: DeviceId) -> SimTime {
+    pub(crate) fn backoff_us(&self, attempt: u32, device: DeviceId) -> SimTime {
         let exp = self
             .base_backoff_us
             .saturating_mul(1u64.checked_shl(attempt).unwrap_or(u64::MAX))
@@ -97,7 +97,7 @@ impl Default for CircuitBreaker {
 impl CircuitBreaker {
     /// Breaker opening after `threshold` consecutive failures for
     /// `cooldown_us`.
-    pub fn new(threshold: u32, cooldown_us: SimTime) -> Self {
+    pub(crate) fn new(threshold: u32, cooldown_us: SimTime) -> Self {
         CircuitBreaker {
             threshold: threshold.max(1),
             cooldown_us,
@@ -106,21 +106,16 @@ impl CircuitBreaker {
     }
 
     /// Whether an RPC toward `dev` may be issued at `now`.
-    pub fn allows(&self, dev: DeviceId, now: SimTime) -> bool {
+    pub(crate) fn allows(&self, dev: DeviceId, now: SimTime) -> bool {
         match self.state.get(&dev).and_then(|s| s.open_until) {
             Some(until) => now >= until,
             None => true,
         }
     }
 
-    /// Whether the circuit for `dev` is currently open (degraded).
-    pub fn is_open(&self, dev: DeviceId, now: SimTime) -> bool {
-        !self.allows(dev, now)
-    }
-
     /// Record one failed RPC toward `dev`. Returns `true` when this failure
     /// transitions the circuit to open (the caller emits `CircuitOpen`).
-    pub fn record_failure(&mut self, dev: DeviceId, now: SimTime) -> bool {
+    pub(crate) fn record_failure(&mut self, dev: DeviceId, now: SimTime) -> bool {
         let s = self.state.entry(dev).or_default();
         s.consecutive_failures += 1;
         let was_open = s.open_until.map(|u| now < u).unwrap_or(false);
@@ -133,31 +128,19 @@ impl CircuitBreaker {
 
     /// Record a successful RPC toward `dev`: closes the circuit and resets
     /// the failure run.
-    pub fn record_success(&mut self, dev: DeviceId) {
+    pub(crate) fn record_success(&mut self, dev: DeviceId) {
         self.state.remove(&dev);
-    }
-
-    /// Devices whose circuit is open at `now`.
-    pub fn degraded_devices(&self, now: SimTime) -> Vec<DeviceId> {
-        let mut v: Vec<DeviceId> = self
-            .state
-            .iter()
-            .filter(|(_, s)| s.open_until.map(|u| now < u).unwrap_or(false))
-            .map(|(&d, _)| d)
-            .collect();
-        v.sort();
-        v
     }
 
     /// When `dev`'s circuit (re)opens ends, regardless of the current time
     /// (half-open instants in the past are returned as-is).
-    pub fn reopen_at(&self, dev: DeviceId) -> Option<SimTime> {
+    pub(crate) fn reopen_at(&self, dev: DeviceId) -> Option<SimTime> {
         self.state.get(&dev).and_then(|s| s.open_until)
     }
 
     /// Earliest instant at which some open circuit becomes half-open
     /// (drives the controller's time-advancement while holding a wave).
-    pub fn earliest_reopen(&self, now: SimTime) -> Option<SimTime> {
+    pub(crate) fn earliest_reopen(&self, now: SimTime) -> Option<SimTime> {
         self.state
             .values()
             .filter_map(|s| s.open_until)
@@ -212,14 +195,12 @@ mod tests {
         assert!(!b.record_failure(d, 20));
         assert!(b.record_failure(d, 30), "third failure opens");
         assert!(!b.allows(d, 31));
-        assert!(b.is_open(d, 31));
-        assert_eq!(b.degraded_devices(31), vec![d]);
         assert_eq!(b.earliest_reopen(31), Some(530));
         // Half-open after cooldown; success closes.
         assert!(b.allows(d, 530));
         b.record_success(d);
         assert!(b.allows(d, 531));
-        assert!(b.degraded_devices(531).is_empty());
+        assert_eq!(b.reopen_at(d), None);
     }
 
     #[test]

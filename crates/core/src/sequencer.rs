@@ -66,7 +66,7 @@ pub fn deployment_phases(
 
 /// Group per-device documents into safely-ordered phases for *removal*:
 /// the mirror order (closest to origination first).
-pub fn removal_phases(
+pub(crate) fn removal_phases(
     topo: &Topology,
     docs: Vec<(DeviceId, RpaDocument)>,
     origination_layer: Layer,

@@ -50,7 +50,7 @@ use std::time::Instant;
 
 /// ASN the agent side presents in its service-plane OPEN (a 4-byte
 /// extension-band ASN, so the handshake always exercises RFC 6793).
-pub const AGENT_ASN: Asn = Asn(4_201_000_000);
+pub(crate) const AGENT_ASN: Asn = Asn(4_201_000_000);
 
 /// Executor-queue depth: how many decoded requests may sit between the
 /// connection threads and the simulation before senders block.
@@ -474,7 +474,7 @@ fn io_err(context: &'static str) -> impl FnOnce(std::io::Error) -> Error {
 #[cfg(test)]
 mod tests {
     use super::*;
-    use crate::transport::{client_handshake, TcpTransport, CONTROLLER_ASN};
+    use crate::transport::{client_preamble, TcpTransport, CONTROLLER_ASN};
     use centralium_bgp::attrs::well_known;
     use centralium_bgp::Prefix;
     use centralium_simnet::{ManagementPlane, SimConfig};
@@ -527,12 +527,37 @@ mod tests {
     }
 
     #[test]
+    fn wildcard_writes_get_an_error_and_the_server_keeps_serving() {
+        let (net, agent) = fabric();
+        let expect_now = net.now();
+        let server = AgentServer::bind("127.0.0.1:0", net, agent).expect("bind");
+        let addr = server.local_addr().to_string();
+        let mut transport = TcpTransport::connect(&addr).expect("connect");
+        let seeded = transport.seed_intended("/devices/*/rpa/x", serde_json::Value::Null);
+        assert!(seeded.is_err(), "wildcard seed accepted");
+        let star = centralium_rpa::RpaDocument::RouteFilter(centralium_rpa::RouteFilterRpa {
+            name: "*".into(),
+            statements: vec![],
+        });
+        let set = transport.set_intended(centralium_topology::DeviceId(1), &star);
+        assert!(set.is_err(), "RPA named `*` accepted");
+        // The same connection still gets answers.
+        assert_eq!(transport.now().expect("now RPC"), expect_now);
+        drop(transport);
+        let (_net, agent) = server.shutdown();
+        assert!(
+            agent.service.store.out_of_sync().is_empty(),
+            "nothing written"
+        );
+    }
+
+    #[test]
     fn deeply_nested_request_gets_an_error_not_a_stack_overflow() {
         let (net, agent) = fabric();
         let expect_now = net.now();
         let server = AgentServer::bind("127.0.0.1:0", net, agent).expect("bind");
         let mut sock = TcpStream::connect(server.local_addr()).expect("connect");
-        client_handshake(&mut sock, CONTROLLER_ASN).expect("preamble");
+        client_preamble(&mut &sock, &mut &sock, CONTROLLER_ASN).expect("preamble");
         // Well framed, 100,000 levels deep: the JSON parser recurses per
         // level, so unbounded it overflows the connection thread's stack and
         // aborts the process.
@@ -572,8 +597,8 @@ mod tests {
         let default_devices = net.topology().device_count();
         assert_ne!(default_devices, tiny_devices);
         let server = AgentServer::bind(&addr, net, agent).expect("rebind");
-        // Changing the timeout re-dials, like any lost session.
-        transport.set_io_timeout(std::time::Duration::from_secs(10));
+        // The next RPC re-dials, like after any lost session.
+        transport.disconnect();
         let fetched = transport.topology().expect("topology RPC").device_count();
         assert_eq!(fetched, default_devices, "topology cached across sessions");
         drop(transport);

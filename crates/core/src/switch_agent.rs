@@ -68,12 +68,12 @@ impl SwitchAgent {
     }
 
     /// The management plane in use.
-    pub fn mgmt(&self) -> &ManagementPlane {
+    pub(crate) fn mgmt(&self) -> &ManagementPlane {
         &self.mgmt
     }
 
     /// Replace the management plane (topology changed).
-    pub fn set_mgmt(&mut self, mgmt: ManagementPlane) {
+    pub(crate) fn set_mgmt(&mut self, mgmt: ManagementPlane) {
         self.mgmt = mgmt;
     }
 
@@ -85,16 +85,6 @@ impl SwitchAgent {
     /// The RPC retry schedule in use.
     pub fn retry_policy(&self) -> &RetryPolicy {
         &self.retry
-    }
-
-    /// Replace the per-device circuit breaker.
-    pub fn set_breaker(&mut self, breaker: CircuitBreaker) {
-        self.breaker = breaker;
-    }
-
-    /// Devices whose circuit is open (degraded) at `now`.
-    pub fn degraded_devices(&self, now: SimTime) -> Vec<DeviceId> {
-        self.breaker.degraded_devices(now)
     }
 
     /// Earliest instant at which a held-back RPC becomes issuable again —
@@ -121,15 +111,6 @@ impl SwitchAgent {
         best
     }
 
-    /// RPCs issued so far for `device`/`name`'s current divergence (0 once
-    /// the path syncs).
-    pub fn rpc_attempts(&self, device: DeviceId, name: &str) -> u32 {
-        self.attempts
-            .get(&Self::rpa_path(device, name))
-            .map(|s| s.attempts)
-            .unwrap_or(0)
-    }
-
     fn rpa_path(device: DeviceId, name: &str) -> Path {
         Path::parse(&format!("/devices/d{}/rpa/{}", device.0, name))
     }
@@ -145,8 +126,16 @@ impl SwitchAgent {
     }
 
     /// Record that `device` should run `doc` (writes intended state).
+    ///
+    /// Fails with [`Error::InvalidPath`] unless the document's name is one
+    /// concrete path segment, the only kind `parse_rpa_path` reads back.
     pub fn set_intended(&mut self, device: DeviceId, doc: &RpaDocument) -> Result<(), Error> {
         let path = Self::rpa_path(device, doc.name());
+        if path.is_pattern() || path.segments().last().map(String::as_str) != Some(doc.name()) {
+            return Err(Error::InvalidPath {
+                path: path.to_string(),
+            });
+        }
         let value = serde_json::to_value(doc).map_err(|e| Error::NsdbEncode {
             record: path.to_string(),
             source: e,
@@ -156,7 +145,7 @@ impl SwitchAgent {
     }
 
     /// Record that `device` should no longer run the named RPA.
-    pub fn clear_intended(&mut self, device: DeviceId, name: &str) {
+    pub(crate) fn clear_intended(&mut self, device: DeviceId, name: &str) {
         let path = Self::rpa_path(device, name);
         self.service.store.delete(View::Intended, &path);
     }
@@ -219,7 +208,7 @@ impl SwitchAgent {
     /// `/devices/d<id>` current-state subtrees — the scoped collection a
     /// deployment runs between reconcile rounds over the devices it has
     /// touched so far. State observed from other devices is left untouched.
-    pub fn poll_devices(&mut self, net: &SimNet, devices: &[DeviceId]) -> Result<(), Error> {
+    pub(crate) fn poll_devices(&mut self, net: &SimNet, devices: &[DeviceId]) -> Result<(), Error> {
         let observed = Self::observe_devices(net, devices)?;
         for &dev in devices {
             let subtree = Path::parse(&format!("/devices/d{}", dev.0));
@@ -383,14 +372,6 @@ impl SwitchAgent {
         self.service.record_reconcile(diverged.len() as u64 + 1);
         Ok(issued)
     }
-
-    /// Fraction of intended device paths not yet reflected in current state
-    /// (the slow-roll gate input).
-    pub fn out_of_sync_fraction(&self) -> f64 {
-        self.service
-            .store
-            .out_of_sync_fraction(&Path::parse("/devices"))
-    }
 }
 
 #[cfg(test)]
@@ -421,6 +402,15 @@ mod tests {
         (net, agent, idx)
     }
 
+    /// RPCs issued so far for `device`/`name`'s current divergence (0 once
+    /// the path syncs).
+    fn attempts(agent: &SwitchAgent, device: DeviceId, name: &str) -> u32 {
+        agent
+            .attempts
+            .get(&SwitchAgent::rpa_path(device, name))
+            .map_or(0, |s| s.attempts)
+    }
+
     fn doc(name: &str) -> RpaDocument {
         RpaDocument::PathSelection(PathSelectionRpa::single(
             name,
@@ -436,7 +426,7 @@ mod tests {
         let (mut net, mut agent, idx) = setup();
         let target = idx.ssw[0][0];
         agent.set_intended(target, &doc("equalize")).unwrap();
-        assert!(agent.out_of_sync_fraction() > 0.0);
+        assert!(!agent.service.store.out_of_sync().is_empty());
         let ops = agent.reconcile(&mut net).unwrap();
         assert_eq!(ops.len(), 1);
         assert!(ops[0].install);
@@ -447,7 +437,7 @@ mod tests {
             vec!["equalize"]
         );
         agent.poll_current(&net).unwrap();
-        assert_eq!(agent.out_of_sync_fraction(), 0.0);
+        assert!(agent.service.store.out_of_sync().is_empty());
         // Second round: nothing to do.
         assert!(agent.reconcile(&mut net).unwrap().is_empty());
     }
@@ -519,7 +509,7 @@ mod tests {
         net.run_until_quiescent().expect_converged();
         agent.poll_current(&net).unwrap();
         // RPC was dropped: still out of sync, attempt recorded.
-        assert_eq!(agent.rpc_attempts(target, "equalize"), 1);
+        assert_eq!(attempts(&agent, target, "equalize"), 1);
         // Within the deadline nothing is re-issued.
         assert!(agent.reconcile(&mut net).unwrap().is_empty());
         // Heal the network and advance past the deadline: the retry fires.
@@ -534,7 +524,7 @@ mod tests {
             net.device(target).unwrap().engine.installed(),
             vec!["equalize"]
         );
-        assert_eq!(agent.rpc_attempts(target, "equalize"), 0, "settled");
+        assert_eq!(attempts(&agent, target, "equalize"), 0, "settled");
         let snap = net.telemetry().metrics().snapshot();
         assert_eq!(snap.counter("core.rpc_retries"), 1);
         let journal = net.telemetry().journal().unwrap().snapshot();
@@ -556,7 +546,7 @@ mod tests {
             max_backoff_us: 4_000,
             jitter_seed: 1,
         });
-        agent.set_breaker(CircuitBreaker::new(3, 1_000_000));
+        agent.breaker = CircuitBreaker::new(3, 1_000_000);
         agent.set_intended(target, &doc("equalize")).unwrap();
         // Drive rounds until the breaker opens. (Degradation must be
         // checked before advancing time: next_retry_due points at the
@@ -565,14 +555,14 @@ mod tests {
             agent.reconcile(&mut net).unwrap();
             net.run_until_quiescent();
             agent.poll_current(&net).unwrap();
-            if !agent.degraded_devices(net.now()).is_empty() {
+            if !agent.breaker.allows(target, net.now()) {
                 break;
             }
             if let Some(due) = agent.next_retry_due(net.now()) {
                 net.run_until(due);
             }
         }
-        assert_eq!(agent.degraded_devices(net.now()), vec![target]);
+        assert!(!agent.breaker.allows(target, net.now()));
         let snap = net.telemetry().metrics().snapshot();
         assert_eq!(snap.counter("core.circuit_open"), 1);
         assert!(net
@@ -593,7 +583,7 @@ mod tests {
         assert_eq!(ops.len(), 1, "half-open probe");
         net.run_until_quiescent().expect_converged();
         agent.poll_current(&net).unwrap();
-        assert!(agent.degraded_devices(net.now()).is_empty());
+        assert!(agent.breaker.allows(target, net.now()));
         assert_eq!(
             net.device(target).unwrap().engine.installed(),
             vec!["equalize"]

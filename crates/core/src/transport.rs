@@ -172,10 +172,13 @@ impl ControlTransport for InProcessTransport<'_> {
     }
 
     fn seed_intended(&mut self, path: &str, value: Value) -> Result<(), Error> {
-        self.agent
-            .service
-            .store
-            .set(View::Intended, Path::parse(path), value);
+        let path = Path::parse(path);
+        if path.is_pattern() {
+            return Err(Error::InvalidPath {
+                path: path.to_string(),
+            });
+        }
+        self.agent.service.store.set(View::Intended, path, value);
         Ok(())
     }
 
@@ -224,7 +227,7 @@ impl ControlTransport for InProcessTransport<'_> {
 /// as JSON inside a `CRP1` Request frame.
 #[derive(Debug, Clone, Serialize, Deserialize)]
 #[non_exhaustive]
-pub enum Request {
+pub(crate) enum Request {
     /// [`ControlTransport::now`].
     Now,
     /// [`ControlTransport::run_until_quiescent`].
@@ -286,7 +289,7 @@ pub enum Request {
 /// request's correlation id.
 #[derive(Debug, Clone, Serialize, Deserialize)]
 #[non_exhaustive]
-pub enum Response {
+pub(crate) enum Response {
     /// Operation succeeded with no payload.
     Ok,
     /// Simulated time.
@@ -339,14 +342,15 @@ pub enum Response {
 /// ASN the controller side presents in its service-plane OPEN. Both
 /// endpoint ASNs sit in the allocator's 4-byte extension band, so every
 /// connection handshake exercises the RFC 6793 capability path.
-pub const CONTROLLER_ASN: Asn = Asn(4_201_000_001);
+pub(crate) const CONTROLLER_ASN: Asn = Asn(4_201_000_001);
 /// Hold time advertised in service-plane OPENs, seconds.
-pub const SERVICE_HOLD_SECS: u32 = 90;
+pub(crate) const SERVICE_HOLD_SECS: u32 = 90;
 
-/// Perform the client side of the service-plane preamble on a fresh
-/// connection: OPEN out, OPEN in, KEEPALIVE out, KEEPALIVE in.
-pub fn client_handshake<S: std::io::Read + std::io::Write>(
-    stream: &mut S,
+/// The client side of the service-plane preamble, in RFC 4271 order: OPEN
+/// out, OPEN in, KEEPALIVE out, KEEPALIVE in. Returns the agent's ASN.
+pub(crate) fn client_preamble(
+    reader: &mut impl std::io::Read,
+    writer: &mut impl Write,
     asn: Asn,
 ) -> Result<Asn, Error> {
     let open = bgp::encode_one(&centralium_bgp::msg::BgpMessage::Open(
@@ -356,23 +360,23 @@ pub fn client_handshake<S: std::io::Read + std::io::Write>(
         },
     ))
     .map_err(Error::Protocol)?;
-    write_frame(stream, &Frame::bgp(open)).map_err(|e| Error::Io {
+    write_frame(writer, &Frame::bgp(open)).map_err(|e| Error::Io {
         context: "send service-plane OPEN".into(),
         source: e,
     })?;
+    let peer_asn = expect_open(reader)?;
     let keepalive =
         bgp::encode_one(&centralium_bgp::msg::BgpMessage::Keepalive).map_err(Error::Protocol)?;
-    write_frame(stream, &Frame::bgp(keepalive)).map_err(|e| Error::Io {
+    write_frame(writer, &Frame::bgp(keepalive)).map_err(|e| Error::Io {
         context: "send service-plane KEEPALIVE".into(),
         source: e,
     })?;
-    let peer_asn = expect_open(stream)?;
-    expect_keepalive(stream)?;
+    expect_keepalive(reader)?;
     Ok(peer_asn)
 }
 
 /// Read one BGP frame and require an OPEN, returning the peer's ASN.
-pub fn expect_open<S: std::io::Read>(stream: &mut S) -> Result<Asn, Error> {
+pub(crate) fn expect_open<S: std::io::Read>(stream: &mut S) -> Result<Asn, Error> {
     match read_bgp(stream)? {
         centralium_bgp::msg::BgpMessage::Open(open) => Ok(open.asn),
         other => Err(unexpected_preamble(&other)),
@@ -380,7 +384,7 @@ pub fn expect_open<S: std::io::Read>(stream: &mut S) -> Result<Asn, Error> {
 }
 
 /// Read one BGP frame and require a KEEPALIVE.
-pub fn expect_keepalive<S: std::io::Read>(stream: &mut S) -> Result<(), Error> {
+pub(crate) fn expect_keepalive<S: std::io::Read>(stream: &mut S) -> Result<(), Error> {
     match read_bgp(stream)? {
         centralium_bgp::msg::BgpMessage::Keepalive => Ok(()),
         other => Err(unexpected_preamble(&other)),
@@ -399,7 +403,7 @@ fn unexpected_preamble(msg: &centralium_bgp::msg::BgpMessage) -> Error {
 
 /// Read one frame and decode its payload as a BGP message, requiring the
 /// BGP frame kind.
-pub fn read_bgp<S: std::io::Read>(
+pub(crate) fn read_bgp<S: std::io::Read>(
     stream: &mut S,
 ) -> Result<centralium_bgp::msg::BgpMessage, Error> {
     let frame = read_frame(stream)
@@ -432,6 +436,9 @@ pub fn read_bgp<S: std::io::Read>(
 /// (there is one logical endpoint: the agent server).
 const ENDPOINT: DeviceId = DeviceId(u32::MAX);
 
+/// Per-RPC socket read and write timeout.
+const IO_TIMEOUT: Duration = Duration::from_secs(10);
+
 /// A connected service-plane session.
 struct Session {
     reader: BufReader<TcpStream>,
@@ -458,7 +465,6 @@ pub struct TcpTransport {
     telemetry: Telemetry,
     started: Instant,
     next_corr: u64,
-    io_timeout: Duration,
 }
 
 impl std::fmt::Debug for TcpTransport {
@@ -477,7 +483,7 @@ impl TcpTransport {
     }
 
     /// [`TcpTransport::connect`] with an explicit reconnect schedule.
-    pub fn connect_with(addr: &str, retry: RetryPolicy) -> Result<Self, Error> {
+    pub(crate) fn connect_with(addr: &str, retry: RetryPolicy) -> Result<Self, Error> {
         let mut t = TcpTransport {
             addr: addr.to_string(),
             session: None,
@@ -486,7 +492,6 @@ impl TcpTransport {
             telemetry: Telemetry::new(),
             started: Instant::now(),
             next_corr: 1,
-            io_timeout: Duration::from_secs(10),
         };
         t.ensure_session()?;
         Ok(t)
@@ -494,14 +499,8 @@ impl TcpTransport {
 
     /// Record into `telemetry` (e.g. the controller's fabric handle) instead
     /// of the private handle [`TcpTransport::connect`] starts with.
-    pub fn set_telemetry(&mut self, telemetry: Telemetry) {
+    pub(crate) fn set_telemetry(&mut self, telemetry: Telemetry) {
         self.telemetry = telemetry;
-    }
-
-    /// Replace the per-RPC socket timeout (default 10 s).
-    pub fn set_io_timeout(&mut self, timeout: Duration) {
-        self.io_timeout = timeout;
-        self.session = None; // reconnect applies the new deadline
     }
 
     /// Wall-clock µs since this transport was created — the clock the
@@ -519,45 +518,26 @@ impl TcpTransport {
             source: e,
         })?;
         stream
-            .set_read_timeout(Some(self.io_timeout))
-            .and_then(|()| stream.set_write_timeout(Some(self.io_timeout)))
+            .set_read_timeout(Some(IO_TIMEOUT))
+            .and_then(|()| stream.set_write_timeout(Some(IO_TIMEOUT)))
             .and_then(|()| stream.set_nodelay(true))
             .map_err(|e| Error::Io {
                 context: format!("configure socket to {}", self.addr),
                 source: e,
             })?;
-        let reader = BufReader::new(stream.try_clone().map_err(|e| Error::Io {
+        let mut reader = BufReader::new(stream.try_clone().map_err(|e| Error::Io {
             context: format!("clone socket to {}", self.addr),
             source: e,
         })?);
         let mut writer = BufWriter::new(stream);
         // RFC 4271 preamble: the wire codec is load-bearing on every
         // connection, not just in tests.
-        let open = bgp::encode_one(&centralium_bgp::msg::BgpMessage::Open(
-            centralium_bgp::msg::OpenMessage {
-                asn: CONTROLLER_ASN,
-                hold_time_secs: SERVICE_HOLD_SECS,
-            },
-        ))
-        .map_err(Error::Protocol)?;
-        write_frame(&mut writer, &Frame::bgp(open)).map_err(|e| Error::Io {
-            context: "send service-plane OPEN".into(),
-            source: e,
-        })?;
-        let mut session = Session {
+        client_preamble(&mut reader, &mut writer, CONTROLLER_ASN)?;
+        self.session = Some(Session {
             reader,
             writer,
             topology: None,
-        };
-        let _peer = expect_open(&mut session.reader)?;
-        let keepalive = bgp::encode_one(&centralium_bgp::msg::BgpMessage::Keepalive)
-            .map_err(Error::Protocol)?;
-        write_frame(&mut session.writer, &Frame::bgp(keepalive)).map_err(|e| Error::Io {
-            context: "send service-plane KEEPALIVE".into(),
-            source: e,
-        })?;
-        expect_keepalive(&mut session.reader)?;
-        self.session = Some(session);
+        });
         Ok(())
     }
 
@@ -800,5 +780,13 @@ impl ControlTransport for TcpTransport {
             Response::Health { report } => Ok(report),
             other => Err(Self::unexpected(other)),
         }
+    }
+}
+
+#[cfg(test)]
+impl TcpTransport {
+    /// Drop the session, so the next RPC re-dials.
+    pub(crate) fn disconnect(&mut self) {
+        self.session = None;
     }
 }

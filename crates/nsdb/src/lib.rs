@@ -1,12 +1,13 @@
-#![warn(missing_docs)]
+#![warn(missing_docs, unreachable_pub)]
 
 //! # centralium-nsdb
 //!
 //! The Network State Database: the storage layer of the Centralium
 //! controller (§5.1). Current and intended network states share one tree
 //! representation rooted at a device map; any node is addressable by a path
-//! string, and all services share the same generic get / set / publish /
-//! subscribe APIs, which support wildcards (Appendix A.3).
+//! string, and all services share the same generic get / set API, whose
+//! reads support wildcards (Appendix A.3). The paper's pub/sub channels are
+//! not modelled: the Switch Agent polls and reconciles instead.
 //!
 //! Key design points reproduced from the paper:
 //!
@@ -16,21 +17,19 @@
 //!   consistency guarantee and makes straggler detection trivial ([`store`]).
 //! * **Data-agnostic values** — JSON stands in for Thrift encapsulation.
 //! * **Replication** — publish requests fan out to all NSDB replicas; reads
-//!   go to the elected leader; replica failure re-routes reads and recovery
-//!   triggers anti-entropy sync ([`replica`]).
+//!   go to the elected leader; replica failure re-routes reads and a
+//!   recovering replica re-syncs from the leader ([`replica`]).
 //! * **Service template** — uniform health/stats surface every Centralium
 //!   service exposes ([`service`]), which Figure 11's CPU/memory CDFs are
 //!   sampled from.
 
 pub mod path;
-pub mod pubsub;
 pub mod replica;
 pub mod service;
 pub mod store;
 pub mod tree;
 
 pub use path::Path;
-pub use pubsub::{ChangeEvent, PubSub, SubscriberId};
 pub use replica::ReplicatedNsdb;
 pub use service::{ServiceHealth, ServiceStats, ServiceTemplate};
 pub use store::DualStore;

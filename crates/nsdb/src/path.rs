@@ -14,13 +14,6 @@ pub struct Path {
 }
 
 impl Path {
-    /// The root path.
-    pub fn root() -> Self {
-        Path {
-            segments: Vec::new(),
-        }
-    }
-
     /// Parse from a `/`-separated string; empty segments are ignored, so
     /// `/a//b/` equals `/a/b`.
     pub fn parse(s: &str) -> Self {
@@ -43,18 +36,6 @@ impl Path {
     /// The segments.
     pub fn segments(&self) -> &[String] {
         &self.segments
-    }
-
-    /// Number of segments.
-    pub fn depth(&self) -> usize {
-        self.segments.len()
-    }
-
-    /// Append a segment, returning a new path.
-    pub fn child(&self, segment: impl Into<String>) -> Path {
-        let mut segments = self.segments.clone();
-        segments.push(segment.into());
-        Path { segments }
     }
 
     /// Whether this path contains wildcard segments.
@@ -83,7 +64,7 @@ impl Path {
     }
 
     /// Whether `self` is a prefix of `other` (ancestor-or-self).
-    pub fn is_ancestor_of(&self, other: &Path) -> bool {
+    pub(crate) fn is_ancestor_of(&self, other: &Path) -> bool {
         other.segments.len() >= self.segments.len()
             && other.segments[..self.segments.len()] == self.segments[..]
     }
@@ -114,10 +95,10 @@ mod tests {
     #[test]
     fn parse_and_display_roundtrip() {
         let p = Path::parse("/devices/ssw-plane0-1/rpa");
-        assert_eq!(p.depth(), 3);
+        assert_eq!(p.segments().len(), 3);
         assert_eq!(p.to_string(), "/devices/ssw-plane0-1/rpa");
         assert_eq!(Path::parse("/a//b/"), Path::parse("/a/b"));
-        assert_eq!(Path::root().to_string(), "/");
+        assert_eq!(Path::parse("/").to_string(), "/");
     }
 
     #[test]
@@ -153,18 +134,12 @@ mod tests {
 
     #[test]
     fn ancestry() {
-        let root = Path::root();
+        let root = Path::parse("/");
         let a = Path::parse("/a");
         let ab = Path::parse("/a/b");
         assert!(root.is_ancestor_of(&ab));
         assert!(a.is_ancestor_of(&ab));
         assert!(a.is_ancestor_of(&a));
         assert!(!ab.is_ancestor_of(&a));
-    }
-
-    #[test]
-    fn child_builder() {
-        let p = Path::parse("/devices").child("fsw-pod0-1").child("rpa");
-        assert_eq!(p.to_string(), "/devices/fsw-pod0-1/rpa");
     }
 }

@@ -1,4 +1,4 @@
-//! NSDB replication: fan-out writes, leader reads, failover, anti-entropy.
+//! NSDB replication: fan-out writes, leader reads, failover, recovery.
 //!
 //! §5.2 "Service Failures": NSDB adopts an eventual-consistency model. All
 //! publish requests fan out to all replicas; read requests go to the elected
@@ -18,26 +18,6 @@ struct Replica {
     writes: u64,
 }
 
-/// Fault channel tag for replica staleness — kept equal to the simnet
-/// `ChaosPlan` NSDB channel so one `--chaos-seed` drives disjoint decision
-/// streams across both crates (this crate cannot depend on simnet, so the
-/// hash is inlined here).
-const CH_NSDB: u64 = 0x05;
-
-/// Pure splitmix64-style hash of `(seed, channel, a, b)` into `[0, 1)` —
-/// the same finalizer as `centralium_simnet::chaos_unit`.
-fn staleness_unit(seed: u64, a: u64, b: u64) -> f64 {
-    let mut z = seed
-        .wrapping_mul(0x9e37_79b9_7f4a_7c15)
-        .wrapping_add(CH_NSDB.wrapping_mul(0xbf58_476d_1ce4_e5b9))
-        .wrapping_add(a.wrapping_mul(0x94d0_49bb_1331_11eb))
-        .wrapping_add(b.wrapping_mul(0xd6e8_feb8_6659_fd93));
-    z = (z ^ (z >> 30)).wrapping_mul(0xbf58_476d_1ce4_e5b9);
-    z = (z ^ (z >> 27)).wrapping_mul(0x94d0_49bb_1331_11eb);
-    z ^= z >> 31;
-    (z >> 11) as f64 / (1u64 << 53) as f64
-}
-
 /// A replicated NSDB: N replicas with deterministic leader election (lowest
 /// alive index).
 #[derive(Debug)]
@@ -47,14 +27,6 @@ pub struct ReplicatedNsdb {
     reads: u64,
     /// Writes that failed to reach at least one replica (durability metric).
     partial_writes: u64,
-    /// Seeded staleness injection: probability that a fan-out write silently
-    /// misses one *follower* replica. `0.0` (the default) disables it.
-    staleness: f64,
-    chaos_seed: u64,
-    /// Monotonic write index keying the per-write staleness decision.
-    write_nonce: u64,
-    /// Fan-out writes that skipped a follower (the divergence injected).
-    stale_writes: u64,
 }
 
 impl ReplicatedNsdb {
@@ -72,112 +44,37 @@ impl ReplicatedNsdb {
             ],
             reads: 0,
             partial_writes: 0,
-            staleness: 0.0,
-            chaos_seed: 0,
-            write_nonce: 0,
-            stale_writes: 0,
         }
-    }
-
-    /// Enable seeded staleness injection: each fan-out write independently
-    /// misses each follower replica with probability `staleness` (decisions
-    /// are a pure hash of `(seed, write index, replica)`, so a fixed seed
-    /// replays identically). The leader always applies writes — staleness
-    /// only surfaces on failover or [`ReplicatedNsdb::is_consistent`] —
-    /// which is exactly §5.2's eventual-consistency failure mode.
-    pub fn set_chaos(&mut self, seed: u64, staleness: f64) {
-        self.chaos_seed = seed;
-        self.staleness = staleness.clamp(0.0, 1.0);
-    }
-
-    /// Fan-out writes that skipped a follower under injected staleness.
-    pub fn stale_writes(&self) -> u64 {
-        self.stale_writes
-    }
-
-    /// Background repair: every alive follower re-syncs from the current
-    /// leader. Returns how many followers actually differed (were repaired).
-    pub fn anti_entropy(&mut self) -> usize {
-        let Some(leader) = self.leader() else {
-            return 0;
-        };
-        let snapshot = self.replicas[leader].state.clone();
-        let mut repaired = 0;
-        for (i, r) in self.replicas.iter_mut().enumerate() {
-            if i != leader && r.alive && r.state != snapshot {
-                r.state = snapshot.clone();
-                repaired += 1;
-            }
-        }
-        repaired
     }
 
     /// Index of the current leader, if any replica is alive.
-    pub fn leader(&self) -> Option<usize> {
+    pub(crate) fn leader(&self) -> Option<usize> {
         self.replicas.iter().position(|r| r.alive)
-    }
-
-    /// Number of alive replicas.
-    pub fn alive_count(&self) -> usize {
-        self.replicas.iter().filter(|r| r.alive).count()
     }
 
     /// Fan a write out to all alive replicas. Returns `false` when every
     /// replica is down (write lost).
     pub fn publish(&mut self, path: Path, value: Value) -> bool {
-        let (leader, seed, staleness) = (self.leader(), self.chaos_seed, self.staleness);
-        let nonce = self.write_nonce;
-        self.write_nonce += 1;
-        let mut any = false;
-        let total = self.replicas.len();
         let mut reached = 0;
-        let mut missed = 0;
-        for (i, r) in self.replicas.iter_mut().enumerate() {
-            if !r.alive {
-                continue;
-            }
-            if Some(i) != leader
-                && staleness > 0.0
-                && staleness_unit(seed, nonce, i as u64) < staleness
-            {
-                missed += 1;
-                continue;
-            }
+        for r in self.replicas.iter_mut().filter(|r| r.alive) {
             r.state.set(path.clone(), value.clone());
             r.writes += 1;
-            any = true;
             reached += 1;
         }
-        self.stale_writes += missed;
-        if any && reached < total {
+        if reached > 0 && reached < self.replicas.len() {
             self.partial_writes += 1;
         }
-        any
+        reached > 0
     }
 
     /// Fan a delete out to all alive replicas.
     pub fn delete(&mut self, path: &Path) -> bool {
-        let (leader, seed, staleness) = (self.leader(), self.chaos_seed, self.staleness);
-        let nonce = self.write_nonce;
-        self.write_nonce += 1;
         let mut any = false;
-        let mut missed = 0;
-        for (i, r) in self.replicas.iter_mut().enumerate() {
-            if !r.alive {
-                continue;
-            }
-            if Some(i) != leader
-                && staleness > 0.0
-                && staleness_unit(seed, nonce, i as u64) < staleness
-            {
-                missed += 1;
-                continue;
-            }
+        for r in self.replicas.iter_mut().filter(|r| r.alive) {
             r.state.delete(path);
             r.writes += 1;
             any = true;
         }
-        self.stale_writes += missed;
         any
     }
 
@@ -209,8 +106,8 @@ impl ReplicatedNsdb {
         }
     }
 
-    /// Recover a replica: it anti-entropy syncs from the current leader
-    /// before serving (eventual consistency catch-up).
+    /// Recover a replica: it re-syncs from the current leader before
+    /// serving (eventual consistency catch-up).
     pub fn recover_replica(&mut self, idx: usize) {
         let Some(leader) = self.leader() else {
             // No leader to sync from: come up empty.
@@ -274,7 +171,7 @@ mod tests {
     }
 
     #[test]
-    fn recovery_anti_entropy_syncs_from_leader() {
+    fn recovery_syncs_from_leader() {
         let mut db = ReplicatedNsdb::new(2);
         db.publish(Path::parse("/a"), json!(1));
         db.fail_replica(1);
@@ -315,58 +212,5 @@ mod tests {
         db.delete(&Path::parse("/a"));
         assert_eq!(db.get(&Path::parse("/a")), None);
         assert!(db.is_consistent());
-    }
-
-    #[test]
-    fn staleness_diverges_followers_and_anti_entropy_repairs() {
-        let mut db = ReplicatedNsdb::new(2);
-        db.set_chaos(7, 0.5);
-        for i in 0..64 {
-            db.publish(Path::parse(&format!("/k/{i}")), json!(i));
-        }
-        assert!(db.stale_writes() > 0, "seed 7 @ 50% must miss something");
-        assert!(!db.is_consistent(), "follower drifted");
-        // Leader reads are unaffected — staleness only hits followers.
-        for i in 0..64 {
-            assert_eq!(db.get(&Path::parse(&format!("/k/{i}"))), Some(json!(i)));
-        }
-        assert_eq!(db.anti_entropy(), 1, "one follower repaired");
-        assert!(db.is_consistent());
-        assert_eq!(db.anti_entropy(), 0, "idempotent");
-    }
-
-    #[test]
-    fn staleness_is_deterministic_per_seed() {
-        let run = |seed: u64| {
-            let mut db = ReplicatedNsdb::new(3);
-            db.set_chaos(seed, 0.3);
-            for i in 0..32 {
-                db.publish(Path::parse(&format!("/k/{i}")), json!(i));
-            }
-            db.stale_writes()
-        };
-        assert_eq!(run(7), run(7));
-        assert!((0..8).any(|s| run(s) != run(s + 100)), "seed must matter");
-    }
-
-    #[test]
-    fn stale_follower_surfaces_on_failover_until_repaired() {
-        let mut db = ReplicatedNsdb::new(2);
-        db.set_chaos(7, 1.0);
-        db.publish(Path::parse("/a"), json!(1));
-        assert_eq!(db.stale_writes(), 1);
-        // Failover to the stale follower: the write is invisible.
-        db.fail_replica(0);
-        assert_eq!(db.get(&Path::parse("/a")), None, "stale read");
-        db.recover_replica(0);
-        // Repair from the current leader (the stale one!) would lose the
-        // write; recover_replica syncs replica 0 from leader 1 — which is
-        // exactly the eventual-consistency hazard §5.2 accepts. Re-publish
-        // with chaos off to restore.
-        db.set_chaos(7, 0.0);
-        db.publish(Path::parse("/a"), json!(1));
-        db.anti_entropy();
-        assert!(db.is_consistent());
-        assert_eq!(db.get(&Path::parse("/a")), Some(json!(1)));
     }
 }

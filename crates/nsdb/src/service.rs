@@ -31,22 +31,12 @@ pub struct ServiceStats {
     pub reconcile_rounds: u64,
 }
 
-impl ServiceStats {
-    /// Single-core-equivalent utilization over an elapsed window.
-    pub fn cpu_utilization(&self, elapsed_us: u64) -> f64 {
-        if elapsed_us == 0 {
-            return 0.0;
-        }
-        (self.busy_us as f64 / elapsed_us as f64).min(1.0)
-    }
-}
-
 /// A Centralium service instance (one replica/task of one job).
 #[derive(Debug, Default)]
 pub struct ServiceTemplate {
     /// Service name, e.g. `"nsdb"`, `"switch-agent"`, `"path-selection-app"`.
     pub name: String,
-    /// The two contrasting network views plus their pub/sub buses.
+    /// The two contrasting network views.
     pub store: DualStore,
     /// Health state.
     pub health: ServiceHealth,
@@ -96,18 +86,6 @@ mod tests {
     use crate::path::Path;
     use crate::store::View;
     use serde_json::json;
-
-    #[test]
-    fn cpu_utilization_bounds() {
-        let mut s = ServiceStats {
-            busy_us: 250,
-            ..Default::default()
-        };
-        assert!((s.cpu_utilization(1000) - 0.25).abs() < 1e-9);
-        assert_eq!(s.cpu_utilization(0), 0.0);
-        s.busy_us = 5000;
-        assert_eq!(s.cpu_utilization(1000), 1.0, "clamped");
-    }
 
     #[test]
     fn reconcile_updates_health() {

@@ -6,7 +6,6 @@
 //! of managed devices that are out-of-sync").
 
 use crate::path::Path;
-use crate::pubsub::PubSub;
 use crate::tree::StateTree;
 use serde_json::Value;
 
@@ -19,23 +18,14 @@ pub enum View {
     Current,
 }
 
-/// Intended + current state with change publication.
+/// Intended + current state.
 #[derive(Debug, Default)]
 pub struct DualStore {
     intended: StateTree,
     current: StateTree,
-    /// Pub/sub hub over intended-state changes.
-    pub intended_bus: PubSub,
-    /// Pub/sub hub over current-state changes.
-    pub current_bus: PubSub,
 }
 
 impl DualStore {
-    /// Empty store.
-    pub fn new() -> Self {
-        Self::default()
-    }
-
     /// Read-only access to a view.
     pub fn view(&self, which: View) -> &StateTree {
         match which {
@@ -44,37 +34,20 @@ impl DualStore {
         }
     }
 
-    /// Set a value in a view, publishing the change.
+    /// Set a value in a view.
     pub fn set(&mut self, which: View, path: Path, value: Value) {
-        match which {
-            View::Intended => {
-                self.intended.set(path.clone(), value.clone());
-                self.intended_bus.publish(&path, Some(&value));
-            }
-            View::Current => {
-                self.current.set(path.clone(), value.clone());
-                self.current_bus.publish(&path, Some(&value));
-            }
-        }
+        self.view_mut(which).set(path, value);
     }
 
-    /// Delete a value in a view, publishing the change.
+    /// Delete a value in a view.
     pub fn delete(&mut self, which: View, path: &Path) -> Option<Value> {
+        self.view_mut(which).delete(path)
+    }
+
+    fn view_mut(&mut self, which: View) -> &mut StateTree {
         match which {
-            View::Intended => {
-                let old = self.intended.delete(path);
-                if old.is_some() {
-                    self.intended_bus.publish(path, None);
-                }
-                old
-            }
-            View::Current => {
-                let old = self.current.delete(path);
-                if old.is_some() {
-                    self.current_bus.publish(path, None);
-                }
-                old
-            }
+            View::Intended => &mut self.intended,
+            View::Current => &mut self.current,
         }
     }
 
@@ -102,7 +75,7 @@ impl DualStore {
     }
 
     /// Memory proxy for Figure 11: the "superset" of both views.
-    pub fn approx_bytes(&self) -> usize {
+    pub(crate) fn approx_bytes(&self) -> usize {
         self.intended.approx_bytes() + self.current.approx_bytes()
     }
 }
@@ -114,7 +87,7 @@ mod tests {
 
     #[test]
     fn views_are_independent() {
-        let mut s = DualStore::new();
+        let mut s = DualStore::default();
         s.set(View::Intended, Path::parse("/a"), json!(1));
         assert_eq!(
             s.view(View::Intended).get(&Path::parse("/a")),
@@ -125,7 +98,7 @@ mod tests {
 
     #[test]
     fn out_of_sync_and_reconcile() {
-        let mut s = DualStore::new();
+        let mut s = DualStore::default();
         s.set(View::Intended, Path::parse("/dev/x/rpa"), json!("v2"));
         s.set(View::Current, Path::parse("/dev/x/rpa"), json!("v1"));
         assert_eq!(s.out_of_sync(), vec![Path::parse("/dev/x/rpa")]);
@@ -136,7 +109,7 @@ mod tests {
 
     #[test]
     fn slow_roll_gate_fraction() {
-        let mut s = DualStore::new();
+        let mut s = DualStore::default();
         for i in 0..10 {
             s.set(
                 View::Intended,
@@ -158,7 +131,7 @@ mod tests {
 
     #[test]
     fn slow_roll_gate_counts_pending_removals() {
-        let mut s = DualStore::new();
+        let mut s = DualStore::default();
         // Devices still run state the operator has deleted: the gate must
         // not read 0.0.
         s.set(View::Current, Path::parse("/dev/d0/rpa"), json!("old"));
@@ -168,20 +141,5 @@ mod tests {
         assert_eq!(s.out_of_sync_fraction(&Path::parse("/dev")), 1.0);
         s.delete(View::Current, &Path::parse("/dev/d1/rpa"));
         assert_eq!(s.out_of_sync_fraction(&Path::parse("/dev")), 0.0);
-    }
-
-    #[test]
-    fn changes_publish_on_the_right_bus() {
-        let mut s = DualStore::new();
-        let i_sub = s.intended_bus.subscribe(Path::parse("/**"));
-        let c_sub = s.current_bus.subscribe(Path::parse("/**"));
-        s.set(View::Intended, Path::parse("/a"), json!(1));
-        assert_eq!(s.intended_bus.pending(i_sub), 1);
-        assert_eq!(s.current_bus.pending(c_sub), 0);
-        s.delete(View::Intended, &Path::parse("/a"));
-        assert_eq!(s.intended_bus.pending(i_sub), 2);
-        // Deleting something absent publishes nothing.
-        s.delete(View::Current, &Path::parse("/missing"));
-        assert_eq!(s.current_bus.pending(c_sub), 0);
     }
 }

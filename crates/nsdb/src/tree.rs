@@ -14,7 +14,7 @@ pub struct StateTree {
 
 impl StateTree {
     /// Empty tree.
-    pub fn new() -> Self {
+    pub(crate) fn new() -> Self {
         Self::default()
     }
 
@@ -22,7 +22,7 @@ impl StateTree {
     ///
     /// # Panics
     /// Panics if `path` contains wildcards — patterns are read-only.
-    pub fn set(&mut self, path: Path, value: Value) -> Option<Value> {
+    pub(crate) fn set(&mut self, path: Path, value: Value) -> Option<Value> {
         assert!(!path.is_pattern(), "cannot set a wildcard path: {path}");
         self.leaves.insert(path, value)
     }
@@ -33,27 +33,13 @@ impl StateTree {
     }
 
     /// Delete a leaf. Returns the removed value.
-    pub fn delete(&mut self, path: &Path) -> Option<Value> {
+    pub(crate) fn delete(&mut self, path: &Path) -> Option<Value> {
         self.leaves.remove(path)
-    }
-
-    /// Delete an entire subtree; returns the number of leaves removed.
-    pub fn delete_subtree(&mut self, root: &Path) -> usize {
-        let doomed: Vec<Path> = self
-            .leaves
-            .keys()
-            .filter(|p| root.is_ancestor_of(p))
-            .cloned()
-            .collect();
-        for p in &doomed {
-            self.leaves.remove(p);
-        }
-        doomed.len()
     }
 
     /// All `(path, value)` pairs matching a pattern (or the single exact
     /// match for a concrete path) — the wildcard get of Appendix A.3.
-    pub fn get_matching(&self, pattern: &Path) -> Vec<(&Path, &Value)> {
+    pub(crate) fn get_matching(&self, pattern: &Path) -> Vec<(&Path, &Value)> {
         if !pattern.is_pattern() {
             return self
                 .get(pattern)
@@ -75,24 +61,9 @@ impl StateTree {
             .collect()
     }
 
-    /// Leaf count.
-    pub fn len(&self) -> usize {
-        self.leaves.len()
-    }
-
-    /// Whether the tree has no leaves.
-    pub fn is_empty(&self) -> bool {
-        self.leaves.is_empty()
-    }
-
-    /// Iterate all leaves in deterministic order.
-    pub fn iter(&self) -> impl Iterator<Item = (&Path, &Value)> {
-        self.leaves.iter()
-    }
-
     /// Approximate in-memory size: serialized byte length of all leaves.
     /// Used as the Figure 11 memory proxy.
-    pub fn approx_bytes(&self) -> usize {
+    pub(crate) fn approx_bytes(&self) -> usize {
         self.leaves
             .iter()
             .map(|(p, v)| {
@@ -103,7 +74,7 @@ impl StateTree {
 
     /// Paths whose values differ between `self` and `other`, including paths
     /// present on only one side. Deterministic order.
-    pub fn diff_paths(&self, other: &StateTree) -> Vec<Path> {
+    pub(crate) fn diff_paths(&self, other: &StateTree) -> Vec<Path> {
         let mut out = Vec::new();
         for (p, v) in &self.leaves {
             if other.leaves.get(p) != Some(v) {
@@ -129,7 +100,6 @@ mod tests {
     #[test]
     fn set_get_delete() {
         let mut t = StateTree::new();
-        assert!(t.is_empty());
         assert_eq!(t.set(Path::parse("/a/b"), json!(1)), None);
         assert_eq!(t.set(Path::parse("/a/b"), json!(2)), Some(json!(1)));
         assert_eq!(t.get(&Path::parse("/a/b")), Some(&json!(2)));
@@ -159,14 +129,13 @@ mod tests {
     }
 
     #[test]
-    fn subtree_and_delete_subtree() {
+    fn subtree_collects_descendants() {
         let mut t = StateTree::new();
         t.set(Path::parse("/devices/x/a"), json!(1));
         t.set(Path::parse("/devices/x/b"), json!(2));
         t.set(Path::parse("/devices/y/a"), json!(3));
         assert_eq!(t.subtree(&Path::parse("/devices/x")).len(), 2);
-        assert_eq!(t.delete_subtree(&Path::parse("/devices/x")), 2);
-        assert_eq!(t.len(), 1);
+        assert_eq!(t.subtree(&Path::parse("/devices")).len(), 3);
     }
 
     #[test]

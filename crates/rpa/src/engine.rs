@@ -96,9 +96,6 @@ const EVAL_US_BOUNDS: &[f64] = &[0.5, 1.0, 2.0, 5.0, 10.0, 25.0, 50.0, 100.0, 50
 #[derive(Debug)]
 pub struct RpaEngine {
     docs: Vec<Installed>,
-    /// Bumped on every install/remove (observability; the memo itself is
-    /// invalidated per document via its signature-id range).
-    version: u64,
     /// Remote ASN per session, for `PeerSignature::AsnRange`.
     peer_asn: HashMap<PeerId, Asn>,
     /// Simulated time used for Route Attribute expiry.
@@ -131,7 +128,6 @@ impl RpaEngine {
     pub fn new() -> Self {
         RpaEngine {
             docs: Vec::new(),
-            version: 0,
             peer_asn: HashMap::new(),
             now: 0,
             cache_enabled: true,
@@ -212,11 +208,6 @@ impl RpaEngine {
         *self.stats.lock()
     }
 
-    /// Reset counters.
-    pub fn reset_stats(&self) {
-        *self.stats.lock() = EngineStats::default();
-    }
-
     /// Names of installed documents, in install order (§7.2: "show all
     /// active RPAs on a switch").
     pub fn installed(&self) -> Vec<&str> {
@@ -231,11 +222,6 @@ impl RpaEngine {
     /// The installed source document by name.
     pub fn document(&self, name: &str) -> Option<&RpaDocument> {
         self.documents().find(|d| d.name() == name)
-    }
-
-    /// Version counter (bumped on every install/remove).
-    pub fn version(&self) -> u64 {
-        self.version
     }
 
     /// Install a document. Fails on duplicate name, bad regex, or an
@@ -259,7 +245,6 @@ impl RpaEngine {
         });
         // A fresh install needs no memo invalidation: its signature ids were
         // never seen, so no cached verdict can be stale.
-        self.version += 1;
         Ok(())
     }
 
@@ -292,7 +277,6 @@ impl RpaEngine {
                 sig_range,
             }),
         }
-        self.version += 1;
         Ok(())
     }
 
@@ -306,7 +290,6 @@ impl RpaEngine {
         let removed = self.docs.remove(idx);
         self.note_doc_change("remove", name);
         self.retire_signatures(removed.sig_range);
-        self.version += 1;
         Ok(removed.source)
     }
 
@@ -687,7 +670,6 @@ mod tests {
             e.remove("equalize").unwrap_err(),
             RpaError::UnknownName("equalize".into())
         );
-        assert_eq!(e.version(), 2);
     }
 
     #[test]
@@ -1040,7 +1022,7 @@ mod tests {
             statements: vec![],
         }))
         .unwrap();
-        e.reset_stats();
+        *e.stats.lock() = EngineStats::default();
         e.select_paths(Prefix::DEFAULT, &candidates);
         let warm = e.stats();
         assert_eq!(warm.cache_misses, 0, "unrelated install kept the cache");
@@ -1050,7 +1032,7 @@ mod tests {
         // verdicts really were dropped, not resurrected.
         e.remove("equalize").unwrap();
         e.install(equalize_doc()).unwrap();
-        e.reset_stats();
+        *e.stats.lock() = EngineStats::default();
         e.select_paths(Prefix::DEFAULT, &candidates);
         assert!(
             e.stats().cache_misses > 0,

@@ -50,11 +50,6 @@ impl RouteAttributeStatement {
         self.expiration_time = Some(deadline);
         self
     }
-
-    /// Whether the statement is live at simulated time `now`.
-    pub fn is_live(&self, now: u64) -> bool {
-        self.expiration_time.map(|t| now < t).unwrap_or(true)
-    }
 }
 
 /// A Route Attribute RPA document.
@@ -79,17 +74,6 @@ impl RouteAttributeRpa {
 #[cfg(test)]
 mod tests {
     use super::*;
-
-    #[test]
-    fn expiry_semantics() {
-        let st = RouteAttributeStatement::new(Destination::Any, vec![]).expires_at(100);
-        assert!(st.is_live(0));
-        assert!(st.is_live(99));
-        assert!(!st.is_live(100));
-        assert!(!st.is_live(500));
-        let forever = RouteAttributeStatement::new(Destination::Any, vec![]);
-        assert!(forever.is_live(u64::MAX));
-    }
 
     #[test]
     fn serde_roundtrip() {

@@ -42,7 +42,7 @@ impl PrefixFilter {
     }
 
     /// Whether a candidate prefix passes this entry.
-    pub fn allows(&self, candidate: &Prefix) -> bool {
+    pub(crate) fn allows(&self, candidate: &Prefix) -> bool {
         self.prefix.contains(candidate)
             && candidate.len() >= self.min_mask_length
             && candidate.len() <= self.max_mask_length
@@ -64,7 +64,7 @@ pub enum PeerSignature {
 impl PeerSignature {
     /// Whether the signature covers `peer` (with its remote ASN, as known to
     /// the engine from session configuration).
-    pub fn covers(&self, peer: PeerId, remote_asn: Option<Asn>) -> bool {
+    pub(crate) fn covers(&self, peer: PeerId, remote_asn: Option<Asn>) -> bool {
         match self {
             PeerSignature::Peers(list) => list.contains(&peer),
             PeerSignature::AsnRange(lo, hi) => match remote_asn {
@@ -93,14 +93,14 @@ pub struct RouteFilterStatement {
 impl RouteFilterStatement {
     /// Whether `prefix` may be accepted from `peer` under this statement.
     /// Returns `None` when the statement does not constrain this direction.
-    pub fn permits_ingress(&self, prefix: &Prefix) -> Option<bool> {
+    pub(crate) fn permits_ingress(&self, prefix: &Prefix) -> Option<bool> {
         self.ingress_filter
             .as_ref()
             .map(|list| list.iter().any(|f| f.allows(prefix)))
     }
 
     /// Whether `prefix` may be advertised to `peer` under this statement.
-    pub fn permits_egress(&self, prefix: &Prefix) -> Option<bool> {
+    pub(crate) fn permits_egress(&self, prefix: &Prefix) -> Option<bool> {
         self.egress_filter
             .as_ref()
             .map(|list| list.iter().any(|f| f.allows(prefix)))
@@ -117,15 +117,6 @@ pub struct RouteFilterRpa {
 }
 
 impl RouteFilterRpa {
-    /// Whether any statement carries an ingress allow list. An ingress-only
-    /// filter affects admission into the Adj-RIB-In (and, via eviction, the
-    /// candidate sets of the prefixes it evicts) but never changes the
-    /// advertisement verdict of routes that stay admitted — the property
-    /// the convergence engine's purge-scoped re-evaluation rests on.
-    pub fn constrains_ingress(&self) -> bool {
-        self.statements.iter().any(|s| s.ingress_filter.is_some())
-    }
-
     /// Whether any statement carries an egress allow list. An egress list
     /// can flip the advertisement of *every* known prefix on the covered
     /// sessions without touching the Adj-RIB-In at all, so installing or

@@ -23,7 +23,6 @@ use std::ops::{Index, IndexMut};
 #[derive(Debug, Clone)]
 pub struct DenseMap<V> {
     slots: Vec<Option<V>>,
-    len: usize,
 }
 
 impl<V> Default for DenseMap<V> {
@@ -34,29 +33,15 @@ impl<V> Default for DenseMap<V> {
 
 impl<V> DenseMap<V> {
     /// Empty map.
-    pub fn new() -> Self {
-        DenseMap {
-            slots: Vec::new(),
-            len: 0,
-        }
+    pub(crate) fn new() -> Self {
+        DenseMap { slots: Vec::new() }
     }
 
     /// Empty map with room for ids `0..capacity` without reallocating.
-    pub fn with_capacity(capacity: usize) -> Self {
+    pub(crate) fn with_capacity(capacity: usize) -> Self {
         DenseMap {
             slots: Vec::with_capacity(capacity),
-            len: 0,
         }
-    }
-
-    /// Number of present entries.
-    pub fn len(&self) -> usize {
-        self.len
-    }
-
-    /// Whether the map has no entries.
-    pub fn is_empty(&self) -> bool {
-        self.len == 0
     }
 
     /// The value for `id`, if present.
@@ -65,78 +50,63 @@ impl<V> DenseMap<V> {
     }
 
     /// Mutable value for `id`, if present.
-    pub fn get_mut(&mut self, id: DeviceId) -> Option<&mut V> {
+    pub(crate) fn get_mut(&mut self, id: DeviceId) -> Option<&mut V> {
         self.slots.get_mut(id.0 as usize)?.as_mut()
     }
 
     /// Whether `id` has a value.
-    pub fn contains_key(&self, id: DeviceId) -> bool {
+    pub(crate) fn contains_key(&self, id: DeviceId) -> bool {
         self.get(id).is_some()
     }
 
     /// Insert `value` for `id`, returning the previous value if any.
-    pub fn insert(&mut self, id: DeviceId, value: V) -> Option<V> {
+    pub(crate) fn insert(&mut self, id: DeviceId, value: V) -> Option<V> {
         let idx = id.0 as usize;
         if idx >= self.slots.len() {
             self.slots.resize_with(idx + 1, || None);
         }
-        let prev = self.slots[idx].replace(value);
-        if prev.is_none() {
-            self.len += 1;
-        }
-        prev
+        self.slots[idx].replace(value)
     }
 
     /// Mutable value for `id`, inserting `default()` first if absent — the
     /// accumulate idiom (`*m.get_or_insert_with(id, || 0.0) += x`).
-    pub fn get_or_insert_with(&mut self, id: DeviceId, default: impl FnOnce() -> V) -> &mut V {
+    pub(crate) fn get_or_insert_with(
+        &mut self,
+        id: DeviceId,
+        default: impl FnOnce() -> V,
+    ) -> &mut V {
         let idx = id.0 as usize;
         if idx >= self.slots.len() {
             self.slots.resize_with(idx + 1, || None);
         }
-        if self.slots[idx].is_none() {
-            self.slots[idx] = Some(default());
-            self.len += 1;
-        }
-        self.slots[idx].as_mut().expect("just filled")
+        self.slots[idx].get_or_insert_with(default)
     }
 
     /// Remove and return the value for `id`. The slot stays allocated (ids
     /// are never reused, so the hole is permanent but bounded).
-    pub fn remove(&mut self, id: DeviceId) -> Option<V> {
-        let slot = self.slots.get_mut(id.0 as usize)?;
-        let prev = slot.take();
-        if prev.is_some() {
-            self.len -= 1;
-        }
-        prev
+    pub(crate) fn remove(&mut self, id: DeviceId) -> Option<V> {
+        self.slots.get_mut(id.0 as usize)?.take()
     }
 
     /// Drop every entry, keeping the allocation.
-    pub fn clear(&mut self) {
+    pub(crate) fn clear(&mut self) {
         for slot in &mut self.slots {
             *slot = None;
         }
-        self.len = 0;
     }
 
     /// Present ids in ascending order.
-    pub fn keys(&self) -> impl Iterator<Item = DeviceId> + '_ {
+    pub(crate) fn keys(&self) -> impl Iterator<Item = DeviceId> + '_ {
         self.iter().map(|(id, _)| id)
     }
 
     /// Present values in ascending id order.
-    pub fn values(&self) -> impl Iterator<Item = &V> {
+    pub(crate) fn values(&self) -> impl Iterator<Item = &V> {
         self.slots.iter().filter_map(|s| s.as_ref())
     }
 
-    /// Mutable values in ascending id order.
-    pub fn values_mut(&mut self) -> impl Iterator<Item = &mut V> {
-        self.slots.iter_mut().filter_map(|s| s.as_mut())
-    }
-
     /// `(id, &value)` pairs in ascending id order.
-    pub fn iter(&self) -> impl Iterator<Item = (DeviceId, &V)> {
+    pub(crate) fn iter(&self) -> impl Iterator<Item = (DeviceId, &V)> {
         self.slots
             .iter()
             .enumerate()
@@ -144,7 +114,7 @@ impl<V> DenseMap<V> {
     }
 
     /// `(id, &mut value)` pairs in ascending id order.
-    pub fn iter_mut(&mut self) -> impl Iterator<Item = (DeviceId, &mut V)> {
+    pub(crate) fn iter_mut(&mut self) -> impl Iterator<Item = (DeviceId, &mut V)> {
         self.slots
             .iter_mut()
             .enumerate()
@@ -154,7 +124,7 @@ impl<V> DenseMap<V> {
     /// Bytes of the slot vector at *capacity* (what the allocator actually
     /// holds), for the quiescence memory gauges. Heap memory owned by the
     /// values themselves is accounted by their own gauges.
-    pub fn footprint_bytes(&self) -> usize {
+    pub(crate) fn footprint_bytes(&self) -> usize {
         std::mem::size_of::<Self>() + self.slots.capacity() * std::mem::size_of::<Option<V>>()
     }
 }
@@ -189,18 +159,18 @@ mod tests {
     #[test]
     fn insert_get_remove_roundtrip() {
         let mut m = DenseMap::new();
-        assert!(m.is_empty());
+        assert_eq!(m.iter().count(), 0);
         assert_eq!(m.insert(DeviceId(3), "c"), None);
         assert_eq!(m.insert(DeviceId(0), "a"), None);
         assert_eq!(m.insert(DeviceId(3), "c2"), Some("c"));
-        assert_eq!(m.len(), 2);
+        assert_eq!(m.iter().count(), 2);
         assert_eq!(m.get(DeviceId(3)), Some(&"c2"));
         assert!(m.contains_key(DeviceId(0)));
         assert!(!m.contains_key(DeviceId(1)));
         assert!(!m.contains_key(DeviceId(999)));
         assert_eq!(m.remove(DeviceId(3)), Some("c2"));
         assert_eq!(m.remove(DeviceId(3)), None);
-        assert_eq!(m.len(), 1);
+        assert_eq!(m.iter().count(), 1);
     }
 
     #[test]

@@ -22,7 +22,7 @@ impl SimDevice {
     /// Bundle a daemon with a fresh engine and a FIB of the given capacity,
     /// synced to the daemon: the baseline [`decide`](Self::decide)'s delta
     /// export builds on.
-    pub fn new(id: DeviceId, mut daemon: BgpDaemon, nhg_capacity: usize) -> Self {
+    pub(crate) fn new(id: DeviceId, mut daemon: BgpDaemon, nhg_capacity: usize) -> Self {
         let mut fib = Fib::new(nhg_capacity);
         fib.sync(daemon.fib());
         daemon.mark_fib_synced();

@@ -1226,7 +1226,7 @@ mod tests {
                 Destination::PrefixWithin(Prefix::new(0x0A03_0000, 16)),
                 vec![],
             )
-            .expires_at(60 * crate::event::SECONDS),
+            .expires_at(60_000_000),
         ));
 
         for id in [rsw, fsw, ssw] {

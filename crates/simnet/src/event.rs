@@ -32,13 +32,6 @@ use std::collections::VecDeque;
 /// Simulated time in microseconds since simulation start.
 pub type SimTime = u64;
 
-/// One microsecond, for readability at call sites.
-pub const MICROS: SimTime = 1;
-/// One millisecond in [`SimTime`] units.
-pub const MILLIS: SimTime = 1_000;
-/// One second in [`SimTime`] units.
-pub const SECONDS: SimTime = 1_000_000;
-
 /// Smallest calendar size; also the initial size.
 const MIN_BUCKETS: usize = 16;
 /// Largest calendar size (2^20 buckets ≈ 32 MiB of `VecDeque` headers).
@@ -83,7 +76,7 @@ impl<T> Default for EventQueue<T> {
 
 impl<T> EventQueue<T> {
     /// Empty queue.
-    pub fn new() -> Self {
+    pub(crate) fn new() -> Self {
         let mut buckets = Vec::new();
         buckets.resize_with(MIN_BUCKETS, VecDeque::new);
         EventQueue {
@@ -100,7 +93,7 @@ impl<T> EventQueue<T> {
     }
 
     /// Schedule `event` at absolute time `at`.
-    pub fn schedule(&mut self, at: SimTime, event: T) {
+    pub(crate) fn schedule(&mut self, at: SimTime, event: T) {
         let seq = self.next_seq;
         self.next_seq += 1;
         if self.len + 1 > self.grow_at {
@@ -123,7 +116,7 @@ impl<T> EventQueue<T> {
     }
 
     /// Pop the earliest event, returning `(time, event)`.
-    pub fn pop(&mut self) -> Option<(SimTime, T)> {
+    pub(crate) fn pop(&mut self) -> Option<(SimTime, T)> {
         let idx = self.find_next()?;
         let (at, _, event) = self.buckets[idx].pop_front().expect("bucket head exists");
         self.len -= 1;
@@ -134,7 +127,7 @@ impl<T> EventQueue<T> {
     }
 
     /// Time of the next event without removing it.
-    pub fn peek_time(&self) -> Option<SimTime> {
+    pub(crate) fn peek_time(&self) -> Option<SimTime> {
         self.find_next()
             .map(|idx| self.buckets[idx].front().expect("bucket head exists").0)
     }
@@ -143,7 +136,7 @@ impl<T> EventQueue<T> {
     /// cutter uses this to inspect an event *before* committing to popping
     /// it — re-scheduling a popped event would assign a fresh sequence
     /// number and corrupt the deterministic `(time, seq)` tie-break.
-    pub fn peek(&self) -> Option<(SimTime, &T)> {
+    pub(crate) fn peek(&self) -> Option<(SimTime, &T)> {
         self.find_next().map(|idx| {
             let (at, _, event) = self.buckets[idx].front().expect("bucket head exists");
             (*at, event)
@@ -151,18 +144,18 @@ impl<T> EventQueue<T> {
     }
 
     /// Number of pending events.
-    pub fn len(&self) -> usize {
+    pub(crate) fn len(&self) -> usize {
         self.len
     }
 
     /// Whether no events are pending.
-    pub fn is_empty(&self) -> bool {
+    pub(crate) fn is_empty(&self) -> bool {
         self.len == 0
     }
 
     /// Largest pending-event count the queue has ever held — the depth a
     /// capacity plan must provision for.
-    pub fn high_water_mark(&self) -> usize {
+    pub(crate) fn high_water_mark(&self) -> usize {
         self.high_water
     }
 
@@ -170,16 +163,11 @@ impl<T> EventQueue<T> {
     /// occupancy: the bucket-header array plus every bucket's allocation.
     /// This is what the process actually pays, which is what the memory
     /// gauges must report.
-    pub fn footprint_bytes(&self) -> usize {
+    pub(crate) fn footprint_bytes(&self) -> usize {
         let entry = std::mem::size_of::<(SimTime, u64, T)>();
         let headers = self.buckets.capacity() * std::mem::size_of::<VecDeque<(SimTime, u64, T)>>();
         let entries: usize = self.buckets.iter().map(|b| b.capacity() * entry).sum();
         std::mem::size_of::<Self>() + headers + entries
-    }
-
-    /// Number of calendar buckets currently allocated (diagnostics).
-    pub fn bucket_count(&self) -> usize {
-        self.buckets.len()
     }
 
     /// The bucket covering time `at` under the current geometry.
@@ -284,6 +272,9 @@ mod tests {
     use std::cmp::Reverse;
     use std::collections::BinaryHeap;
 
+    /// One second in [`SimTime`] units.
+    const SECONDS: SimTime = 1_000_000;
+
     #[test]
     fn events_pop_in_time_order() {
         let mut q = EventQueue::new();
@@ -345,12 +336,6 @@ mod tests {
     }
 
     #[test]
-    fn unit_constants() {
-        assert_eq!(MILLIS, 1_000 * MICROS);
-        assert_eq!(SECONDS, 1_000 * MILLIS);
-    }
-
-    #[test]
     fn far_future_gap_jumps_years() {
         // Events separated by far more than a calendar year force the
         // direct-search jump path; order must survive it.
@@ -381,7 +366,7 @@ mod tests {
         for i in 0..5_000u64 {
             q.schedule((i * 7) % 500, i);
         }
-        assert!(q.bucket_count() > MIN_BUCKETS, "calendar grew");
+        assert!(q.buckets.len() > MIN_BUCKETS, "calendar grew");
         // …then drain fully (crossing shrink thresholds) checking order.
         let mut last = (0, 0);
         for _ in 0..5_000 {
@@ -390,7 +375,7 @@ mod tests {
             last = (t, seq);
         }
         assert!(q.is_empty());
-        assert_eq!(q.bucket_count(), MIN_BUCKETS, "calendar shrank back");
+        assert_eq!(q.buckets.len(), MIN_BUCKETS, "calendar shrank back");
     }
 
     #[test]

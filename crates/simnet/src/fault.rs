@@ -6,7 +6,7 @@
 //!   simulation RNG stream (modeled after the fault-injection options every
 //!   smoltcp example exposes);
 //! * [`ChaosPlan`] — the deployment-resilience fault surface: RPC
-//!   drop/delay/duplicate, agent crash-restart, and NSDB replica staleness.
+//!   drop/delay/duplicate and agent crash-restart.
 //!   Every decision is a pure function of `(seed, scope, nonce)` via a
 //!   splitmix-style mixer, so a chaos scenario replays identically no matter
 //!   how callers interleave — the property the chaos CI job relies on.
@@ -35,13 +35,13 @@ impl Default for FaultPlan {
 
 impl FaultPlan {
     /// No faults.
-    pub fn none() -> Self {
+    pub(crate) fn none() -> Self {
         Self::default()
     }
 
     /// Decide the fate of one message: `None` = dropped, `Some(extra)` =
     /// deliver with `extra` additional delay.
-    pub fn apply(&self, rng: &mut impl Rng) -> Option<SimTime> {
+    pub(crate) fn apply(&self, rng: &mut impl Rng) -> Option<SimTime> {
         if self.drop_probability > 0.0 && rng.gen_bool(self.drop_probability.clamp(0.0, 1.0)) {
             return None;
         }
@@ -73,24 +73,12 @@ pub enum RpcFate {
     },
 }
 
-impl RpcFate {
-    /// Delivery with no added faults.
-    pub const CLEAN: RpcFate = RpcFate::Delivered {
-        extra_delay_us: 0,
-        duplicate: false,
-        crash_agent: false,
-    };
-}
-
 /// Decision channels: each fault dimension hashes with its own constant so
 /// the probabilities are mutually independent.
 const CH_DROP: u64 = 0x01;
 const CH_DUP: u64 = 0x02;
 const CH_DELAY: u64 = 0x03;
 const CH_CRASH: u64 = 0x04;
-/// NSDB staleness channel, used by the nsdb crate via raw `(seed, p)`
-/// params (it cannot depend on simnet); kept here for documentation.
-pub const CH_NSDB: u64 = 0x05;
 
 /// Deterministic chaos schedule for the deployment control plane.
 ///
@@ -112,14 +100,10 @@ pub struct ChaosPlan {
     /// Probability in [0, 1] that the receiving agent crash-restarts after
     /// handling a delivered RPC (losing its installed RPA state).
     pub agent_crash: f64,
-    /// Probability in [0, 1] that an NSDB follower replica misses a write
-    /// (staleness repaired only by anti-entropy). Wired into the nsdb crate
-    /// as raw params by the controller/CLI.
-    pub nsdb_staleness: f64,
 }
 
 impl ChaosPlan {
-    /// All-quiet plan under `seed` — every fate is [`RpcFate::CLEAN`].
+    /// All-quiet plan under `seed` — every RPC is delivered on time, once.
     pub fn new(seed: u64) -> Self {
         ChaosPlan {
             seed,
@@ -127,7 +111,6 @@ impl ChaosPlan {
             rpc_duplicate: 0.0,
             rpc_max_extra_delay_us: 0,
             agent_crash: 0.0,
-            nsdb_staleness: 0.0,
         }
     }
 
@@ -140,12 +123,11 @@ impl ChaosPlan {
     }
 
     /// Whether this plan can inject anything at all.
-    pub fn is_quiet(&self) -> bool {
+    pub(crate) fn is_quiet(&self) -> bool {
         self.rpc_loss <= 0.0
             && self.rpc_duplicate <= 0.0
             && self.rpc_max_extra_delay_us == 0
             && self.agent_crash <= 0.0
-            && self.nsdb_staleness <= 0.0
     }
 
     /// Uniform draw in [0, 1) for `(channel, a, b)` — order-independent.
@@ -154,7 +136,7 @@ impl ChaosPlan {
     }
 
     /// Decide the fate of the `nonce`-th RPC issued toward `device`.
-    pub fn rpc_fate(&self, device: u32, nonce: u64) -> RpcFate {
+    pub(crate) fn rpc_fate(&self, device: u32, nonce: u64) -> RpcFate {
         let d = device as u64;
         if self.rpc_loss > 0.0 && self.roll(CH_DROP, d, nonce) < self.rpc_loss {
             return RpcFate::Dropped;
@@ -193,6 +175,13 @@ mod tests {
     use super::*;
     use rand::rngs::StdRng;
     use rand::SeedableRng;
+
+    /// Delivery with no added faults.
+    const CLEAN: RpcFate = RpcFate::Delivered {
+        extra_delay_us: 0,
+        duplicate: false,
+        crash_agent: false,
+    };
 
     #[test]
     fn no_faults_is_identity() {
@@ -253,7 +242,7 @@ mod tests {
         assert!(plan.is_quiet());
         for dev in 0..50u32 {
             for nonce in 0..20 {
-                assert_eq!(plan.rpc_fate(dev, nonce), RpcFate::CLEAN);
+                assert_eq!(plan.rpc_fate(dev, nonce), CLEAN);
             }
         }
     }

@@ -28,7 +28,7 @@ use std::sync::Arc;
 
 /// A next-hop group: the weighted next-hop set a prefix hashes over. Ordering
 /// is canonical (sorted by session id) so identical groups compare equal.
-pub type NextHopGroup = Vec<(PeerId, u32)>;
+pub(crate) type NextHopGroup = Vec<(PeerId, u32)>;
 
 /// A live group as the table holds it: one allocation, shared by the
 /// group → id index, the id → group map and every entry installed on it.

@@ -1,4 +1,4 @@
-#![warn(missing_docs)]
+#![warn(missing_docs, unreachable_pub)]
 
 //! # centralium-simnet
 //!
@@ -24,8 +24,8 @@
 //! * [`mgmt`] — Open/R-like management plane (SPF reachability + RPC
 //!   latency for the controller);
 //! * [`fault`] — seeded message-loss / extra-delay injection, plus the
-//!   [`ChaosPlan`] driving RPC drop/delay/duplicate, agent crash-restart
-//!   and NSDB staleness for deployment-resilience testing;
+//!   [`ChaosPlan`] driving RPC drop/delay/duplicate and agent
+//!   crash-restart for deployment-resilience testing;
 //! * [`trace`] — event counters and convergence reporting.
 
 pub mod arena;

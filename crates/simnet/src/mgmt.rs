@@ -27,9 +27,9 @@ pub struct ManagementPlane {
 
 impl ManagementPlane {
     /// Default per-hop propagation+forwarding latency.
-    pub const DEFAULT_PER_HOP_US: SimTime = 50;
+    pub(crate) const DEFAULT_PER_HOP_US: SimTime = 50;
     /// Default fixed RPC overhead (serialization, daemon handling).
-    pub const DEFAULT_OVERHEAD_US: SimTime = 200;
+    pub(crate) const DEFAULT_OVERHEAD_US: SimTime = 200;
 
     /// Compute SPF from `root` over the topology's live devices and links.
     pub fn compute(topo: &Topology, root: DeviceId) -> Self {
@@ -66,7 +66,7 @@ impl ManagementPlane {
     }
 
     /// Hop distance to `dev`, if reachable.
-    pub fn hops_to(&self, dev: DeviceId) -> Option<usize> {
+    pub(crate) fn hops_to(&self, dev: DeviceId) -> Option<usize> {
         self.distance.get(dev).copied()
     }
 
@@ -74,30 +74,6 @@ impl ManagementPlane {
     pub fn rpc_latency_us(&self, dev: DeviceId) -> Option<SimTime> {
         self.hops_to(dev)
             .map(|h| self.rpc_overhead_us + self.per_hop_latency_us * h as SimTime)
-    }
-
-    /// Chaos injection: partition `dev` off the management plane (RPCs to
-    /// it fail fast with "unreachable" until healed). Returns the prior hop
-    /// distance so the caller can restore it, or `None` if the device was
-    /// already unreachable.
-    pub fn partition_device(&mut self, dev: DeviceId) -> Option<usize> {
-        self.distance.remove(dev)
-    }
-
-    /// Undo [`partition_device`](Self::partition_device): restore `dev` at
-    /// `hops` from the root.
-    pub fn heal_device(&mut self, dev: DeviceId, hops: usize) {
-        self.distance.insert(dev, hops);
-    }
-
-    /// Devices currently unreachable from the root (controller alerting:
-    /// "unexpected device unavailability", §5.2).
-    pub fn unreachable_devices(&self, topo: &Topology) -> Vec<DeviceId> {
-        topo.devices()
-            .filter(|d| d.state != centralium_topology::DeviceState::Down)
-            .map(|d| d.id)
-            .filter(|id| !self.reachable(*id))
-            .collect()
     }
 }
 
@@ -136,26 +112,7 @@ mod tests {
         let mp = ManagementPlane::compute(&topo, idx.rsw[1][0]);
         assert!(!mp.reachable(idx.rsw[0][0]));
         assert!(mp.reachable(idx.backbone[0]));
-        let unreachable = mp.unreachable_devices(&topo);
-        // Both pod-0 RSWs are live but unreachable.
-        assert!(unreachable.contains(&idx.rsw[0][0]));
-        assert!(unreachable.contains(&idx.rsw[0][1]));
-        // The Down FSWs themselves are not reported (expected unavailability).
-        assert!(!unreachable.contains(&idx.fsw[0][0]));
-    }
-
-    #[test]
-    fn partition_and_heal_round_trip() {
-        let (topo, idx, _) = build_fabric(&FabricSpec::tiny());
-        let mut mp = ManagementPlane::compute(&topo, idx.rsw[0][0]);
-        let victim = idx.fauu[0][0];
-        let hops = mp.hops_to(victim).unwrap();
-        assert_eq!(mp.partition_device(victim), Some(hops));
-        assert!(!mp.reachable(victim));
-        assert_eq!(mp.rpc_latency_us(victim), None);
-        assert_eq!(mp.partition_device(victim), None, "already partitioned");
-        mp.heal_device(victim, hops);
-        assert_eq!(mp.hops_to(victim), Some(hops));
+        assert!(!mp.reachable(idx.rsw[0][1]));
     }
 
     #[test]

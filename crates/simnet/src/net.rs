@@ -792,7 +792,7 @@ impl SimNet {
     }
 
     /// Which devices originate `prefix`.
-    pub fn originators_of(&self, prefix: Prefix) -> Vec<DeviceId> {
+    pub(crate) fn originators_of(&self, prefix: Prefix) -> Vec<DeviceId> {
         self.originators
             .get(&prefix)
             .map(|s| s.iter().copied().collect())
@@ -800,7 +800,7 @@ impl SimNet {
     }
 
     /// Pending event count.
-    pub fn pending_events(&self) -> usize {
+    pub(crate) fn pending_events(&self) -> usize {
         self.queue.len()
     }
 
@@ -1031,7 +1031,7 @@ impl SimNet {
     /// Cable a new link between two live devices mid-simulation: updates the
     /// topology, wires sessions (with base policies) and schedules their
     /// establishment. Returns the new link id.
-    pub fn connect_devices(
+    pub(crate) fn connect_devices(
         &mut self,
         a: DeviceId,
         b: DeviceId,
@@ -1062,7 +1062,7 @@ impl SimNet {
     /// De-cable a link: tear its sessions down *and unconfigure them* on
     /// both sides (so a later `device_up` cannot resurrect sessions over
     /// absent cabling), then remove it from the topology.
-    pub fn disconnect_link(&mut self, link: centralium_topology::LinkId) -> bool {
+    pub(crate) fn disconnect_link(&mut self, link: centralium_topology::LinkId) -> bool {
         let Some(l) = self.topo.link(link).copied() else {
             return false;
         };

@@ -11,7 +11,7 @@ pub struct Demands {
 
 impl Demands {
     /// No demand.
-    pub fn new() -> Self {
+    pub(crate) fn new() -> Self {
         Self::default()
     }
 
@@ -25,13 +25,8 @@ impl Demands {
     }
 
     /// Set one source's demand.
-    pub fn set(&mut self, source: DeviceId, gbps: f64) {
+    pub(crate) fn set(&mut self, source: DeviceId, gbps: f64) {
         self.per_source.insert(source, gbps.max(0.0));
-    }
-
-    /// One source's demand.
-    pub fn get(&self, source: DeviceId) -> f64 {
-        self.per_source.get(&source).copied().unwrap_or(0.0)
     }
 
     /// Iterate `(source, gbps)` deterministically.
@@ -40,19 +35,8 @@ impl Demands {
     }
 
     /// Total offered demand.
-    pub fn total(&self) -> f64 {
+    pub(crate) fn total(&self) -> f64 {
         self.per_source.values().sum()
-    }
-
-    /// Scale all demands by `factor`, returning a new matrix.
-    pub fn scaled(&self, factor: f64) -> Demands {
-        Demands {
-            per_source: self
-                .per_source
-                .iter()
-                .map(|(&d, &g)| (d, g * factor))
-                .collect(),
-        }
     }
 }
 
@@ -64,21 +48,14 @@ mod tests {
     fn uniform_and_total() {
         let d = Demands::uniform(&[DeviceId(1), DeviceId(2)], 30.0);
         assert_eq!(d.total(), 60.0);
-        assert_eq!(d.get(DeviceId(1)), 30.0);
-        assert_eq!(d.get(DeviceId(9)), 0.0);
-    }
-
-    #[test]
-    fn scaled_preserves_pattern() {
-        let d = Demands::uniform(&[DeviceId(1), DeviceId(2)], 30.0).scaled(2.0);
-        assert_eq!(d.total(), 120.0);
-        assert_eq!(d.get(DeviceId(2)), 60.0);
+        assert_eq!(d.per_source.get(&DeviceId(1)), Some(&30.0));
+        assert_eq!(d.per_source.get(&DeviceId(9)), None);
     }
 
     #[test]
     fn negative_demands_clamp_to_zero() {
         let mut d = Demands::new();
         d.set(DeviceId(1), -5.0);
-        assert_eq!(d.get(DeviceId(1)), 0.0);
+        assert_eq!(d.per_source.get(&DeviceId(1)), Some(&0.0));
     }
 }

@@ -92,22 +92,22 @@ impl UpGraph {
     }
 
     /// Nodes in propagation order (bottom-up).
-    pub fn order(&self) -> &[DeviceId] {
+    pub(crate) fn order(&self) -> &[DeviceId] {
         &self.order
     }
 
     /// Whether a node is a sink.
-    pub fn is_sink(&self, node: DeviceId) -> bool {
+    pub(crate) fn is_sink(&self, node: DeviceId) -> bool {
         self.sinks.contains(&node)
     }
 
     /// The sink set.
-    pub fn sinks(&self) -> impl Iterator<Item = DeviceId> + '_ {
+    pub(crate) fn sinks(&self) -> impl Iterator<Item = DeviceId> + '_ {
         self.sinks.iter().copied()
     }
 
     /// Up-edges of a node.
-    pub fn edges_of(&self, node: DeviceId) -> &[UpEdge] {
+    pub(crate) fn edges_of(&self, node: DeviceId) -> &[UpEdge] {
         self.edges.get(&node).map(Vec::as_slice).unwrap_or(&[])
     }
 
@@ -117,7 +117,7 @@ impl UpGraph {
     }
 
     /// Total up-edge count.
-    pub fn edge_count(&self) -> usize {
+    pub(crate) fn edge_count(&self) -> usize {
         self.edges.values().map(Vec::len).sum()
     }
 }

@@ -11,7 +11,7 @@ use std::collections::HashMap;
 
 /// A capacitated directed graph for max-flow.
 #[derive(Debug, Default)]
-pub struct FlowNetwork {
+pub(crate) struct FlowNetwork {
     // Edge list representation with residual twins at idx ^ 1.
     to: Vec<usize>,
     cap: Vec<f64>,
@@ -20,7 +20,7 @@ pub struct FlowNetwork {
 
 impl FlowNetwork {
     /// Network with `n` nodes.
-    pub fn new(n: usize) -> Self {
+    pub(crate) fn new(n: usize) -> Self {
         FlowNetwork {
             to: Vec::new(),
             cap: Vec::new(),
@@ -29,7 +29,7 @@ impl FlowNetwork {
     }
 
     /// Add a directed edge with capacity.
-    pub fn add_edge(&mut self, from: usize, to: usize, cap: f64) {
+    pub(crate) fn add_edge(&mut self, from: usize, to: usize, cap: f64) {
         let idx = self.to.len();
         self.to.push(to);
         self.cap.push(cap);
@@ -40,7 +40,7 @@ impl FlowNetwork {
     }
 
     /// Dinic's max flow from `s` to `t`. Consumes the capacities.
-    pub fn max_flow(&mut self, s: usize, t: usize) -> f64 {
+    pub(crate) fn max_flow(&mut self, s: usize, t: usize) -> f64 {
         const EPS: f64 = 1e-9;
         let n = self.head.len();
         let mut flow = 0.0;

@@ -114,7 +114,7 @@ mod tests {
         let w = ecmp_weights(&g);
         let cap = effective_capacity(&g, &d, &w);
         // Scale demand to exactly the effective capacity: utilization = 1.
-        let scaled = d.scaled(cap / d.total());
+        let scaled = Demands::uniform(&sources, 10.0 * cap / d.total());
         let mu = max_utilization(&g, &scaled, &w);
         assert!((mu - 1.0).abs() < 1e-9);
     }

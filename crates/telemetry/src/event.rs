@@ -16,8 +16,6 @@ pub enum EventKind {
     /// An RPA Path Selection statement applied but no path set matched:
     /// the daemon fell back to native selection.
     RpaEvalFallback,
-    /// One Switch Agent reconcile round completed.
-    ReconcileCycle,
     /// One topology-safe deployment wave was issued and converged.
     SequencerWave,
     /// A controller health check ran.
@@ -48,33 +46,12 @@ pub enum EventKind {
 }
 
 impl EventKind {
-    /// All kinds, for iteration in tests and exporters.
-    pub const ALL: [EventKind; 16] = [
-        EventKind::BgpDecision,
-        EventKind::RpaInstall,
-        EventKind::RpaEvalFallback,
-        EventKind::ReconcileCycle,
-        EventKind::SequencerWave,
-        EventKind::HealthCheck,
-        EventKind::SessionTransition,
-        EventKind::FaultInjected,
-        EventKind::RpcRetry,
-        EventKind::WaveRollback,
-        EventKind::CircuitOpen,
-        EventKind::UpdateReceived,
-        EventKind::WithdrawReceived,
-        EventKind::AdjRibInChanged,
-        EventKind::DecisionFlip,
-        EventKind::FibDelta,
-    ];
-
     /// Stable name used in the JSON-lines export.
     pub fn name(&self) -> &'static str {
         match self {
             EventKind::BgpDecision => "BgpDecision",
             EventKind::RpaInstall => "RpaInstall",
             EventKind::RpaEvalFallback => "RpaEvalFallback",
-            EventKind::ReconcileCycle => "ReconcileCycle",
             EventKind::SequencerWave => "SequencerWave",
             EventKind::HealthCheck => "HealthCheck",
             EventKind::SessionTransition => "SessionTransition",
@@ -122,7 +99,7 @@ pub enum Severity {
 
 impl Severity {
     /// Stable name used in the JSON-lines export.
-    pub fn name(&self) -> &'static str {
+    pub(crate) fn name(&self) -> &'static str {
         match self {
             Severity::Debug => "debug",
             Severity::Info => "info",
@@ -250,7 +227,7 @@ impl Event {
     }
 
     /// The event as a JSON object (one journal line).
-    pub fn to_json(&self) -> Value {
+    pub(crate) fn to_json(&self) -> Value {
         let mut fields = serde::Map::new();
         for (k, v) in &self.fields {
             fields.insert((*k).to_string(), v.to_json());
@@ -298,12 +275,30 @@ mod tests {
         assert!(line.contains("\"failures\":2"), "{line}");
     }
 
+    /// Every kind.
+    const ALL: [EventKind; 15] = [
+        EventKind::BgpDecision,
+        EventKind::RpaInstall,
+        EventKind::RpaEvalFallback,
+        EventKind::SequencerWave,
+        EventKind::HealthCheck,
+        EventKind::SessionTransition,
+        EventKind::FaultInjected,
+        EventKind::RpcRetry,
+        EventKind::WaveRollback,
+        EventKind::CircuitOpen,
+        EventKind::UpdateReceived,
+        EventKind::WithdrawReceived,
+        EventKind::AdjRibInChanged,
+        EventKind::DecisionFlip,
+        EventKind::FibDelta,
+    ];
+
     #[test]
     fn taxonomy_names_are_unique() {
-        let names: std::collections::BTreeSet<_> =
-            EventKind::ALL.iter().map(|k| k.name()).collect();
-        assert_eq!(names.len(), EventKind::ALL.len());
-        let provenance = EventKind::ALL.iter().filter(|k| k.is_provenance());
+        let names: std::collections::BTreeSet<_> = ALL.iter().map(|k| k.name()).collect();
+        assert_eq!(names.len(), ALL.len());
+        let provenance = ALL.iter().filter(|k| k.is_provenance());
         assert_eq!(provenance.count(), 6);
     }
 }

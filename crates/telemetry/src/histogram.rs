@@ -70,15 +70,6 @@ impl LogHistogram {
         self.0.sum.fetch_add(value, Ordering::Relaxed);
     }
 
-    /// Total observations.
-    pub fn count(&self) -> u64 {
-        self.0
-            .counts
-            .iter()
-            .map(|c| c.load(Ordering::Relaxed))
-            .sum()
-    }
-
     /// Point-in-time copy.
     pub fn snapshot(&self) -> LogHistogramSnapshot {
         LogHistogramSnapshot {

@@ -44,11 +44,6 @@ impl Journal {
         }
     }
 
-    /// Ring capacity.
-    pub fn capacity(&self) -> usize {
-        self.capacity
-    }
-
     /// Append an event, evicting the oldest record if the ring is full.
     pub fn record(&self, event: Event) {
         let mut inner = self.inner.lock();
@@ -70,7 +65,7 @@ impl Journal {
     /// an order of its choosing. The simulator's run loop uses this to
     /// process a window's events grouped by device while still journaling
     /// them in event order. Captures do not nest.
-    pub fn capture<R>(&self, f: impl FnOnce() -> R) -> (R, Vec<Event>) {
+    pub(crate) fn capture<R>(&self, f: impl FnOnce() -> R) -> (R, Vec<Event>) {
         let previous = self.inner.lock().captured.replace(Vec::new());
         debug_assert!(previous.is_none(), "journal captures do not nest");
         let result = f();

@@ -37,6 +37,8 @@
 //! process untraced. Recording into the journal never changes how the
 //! simulator schedules events.
 
+#![warn(unreachable_pub)]
+
 mod event;
 mod histogram;
 mod journal;
@@ -133,7 +135,7 @@ impl Telemetry {
     }
 
     /// Open a deployment pipeline stage, recorded under
-    /// [`span::PHASE_CAT`] whether or not tracing is on. `sim_now_us` is
+    /// `span::PHASE_CAT` whether or not tracing is on. `sim_now_us` is
     /// the simulated clock at stage entry; [`Phase::finish`] closes it.
     pub fn phase(&self, label: impl Into<Cow<'static, str>>, sim_now_us: u64) -> Phase {
         Phase {
@@ -178,7 +180,7 @@ impl Telemetry {
     }
 
     /// Run `f`, returning the events it recorded instead of journaling them
-    /// (see [`Journal::capture`]); with the journal disabled, just run `f`.
+    /// (see `Journal::capture`); with the journal disabled, just run `f`.
     pub fn capture<R>(&self, f: impl FnOnce() -> R) -> (R, Vec<Event>) {
         match &self.journal {
             Some(j) => j.capture(f),

@@ -51,7 +51,7 @@ impl Gauge {
     }
 
     /// Current value.
-    pub fn get(&self) -> i64 {
+    pub(crate) fn get(&self) -> i64 {
         self.0.load(Ordering::Relaxed)
     }
 }
@@ -111,17 +111,8 @@ impl Histogram {
         }
     }
 
-    /// Total observations.
-    pub fn count(&self) -> u64 {
-        self.0
-            .counts
-            .iter()
-            .map(|c| c.load(Ordering::Relaxed))
-            .sum()
-    }
-
     /// Point-in-time copy.
-    pub fn snapshot(&self) -> HistogramSnapshot {
+    pub(crate) fn snapshot(&self) -> HistogramSnapshot {
         HistogramSnapshot {
             bounds: self.0.bounds.clone(),
             counts: self

@@ -11,7 +11,7 @@
 //!   while tracing is off the guard is inert and the call costs one relaxed
 //!   atomic load, no allocation and no clock read;
 //! - **pipeline phases** ([`Telemetry::phase`](crate::Telemetry::phase),
-//!   category [`PHASE_CAT`]) always record. [`Phase::finish`] stamps the
+//!   category `PHASE_CAT`) always record. [`Phase::finish`] stamps the
 //!   stage's simulated duration as the `sim_us` argument; a phase dropped
 //!   without it (an error path) still lands in the trace but carries no
 //!   `sim_us`, so [`SpanRecord::phase_sim_us`] and every phase table skip it.
@@ -34,7 +34,7 @@ use std::thread::ThreadId;
 use std::time::Instant;
 
 /// Category of the controller's pipeline phases.
-pub const PHASE_CAT: &str = "core.phase";
+pub(crate) const PHASE_CAT: &str = "core.phase";
 
 /// Sink capacity: a runaway tracing session degrades to dropping spans
 /// instead of eating the heap. 4M records ≈ a few hundred MB of JSON,

@@ -22,12 +22,12 @@ impl fmt::Display for Asn {
 
 /// Allocates unique ASNs from per-layer bases.
 ///
-/// The first [`LEGACY_BAND_WIDTH`] allocations per layer come from small
+/// The first `LEGACY_BAND_WIDTH` allocations per layer come from small
 /// readable bases (10000·(height+1)), which keeps traces and every committed
 /// fixture stable. When a layer outgrows its legacy band — paper-scale
 /// fabrics put 10k+ switches in one layer — allocation continues in a
 /// per-layer **extension band** inside the 4-byte private range
-/// (RFC 6996: 4200000000–4294967294), [`EXT_BAND_WIDTH`] wide, instead of
+/// (RFC 6996: 4200000000–4294967294), `EXT_BAND_WIDTH` wide, instead of
 /// panicking or bleeding into the next layer's band:
 ///
 /// | layer     | legacy base | extension base |
@@ -44,12 +44,12 @@ pub struct AsnAllocator {
 }
 
 /// Allocations per layer served from the small legacy base.
-pub const LEGACY_BAND_WIDTH: u32 = 10_000;
+pub(crate) const LEGACY_BAND_WIDTH: u32 = 10_000;
 /// First ASN of the 4-byte private extension region (RFC 6996).
-pub const EXT_BASE: u32 = 4_200_000_000;
+pub(crate) const EXT_BASE: u32 = 4_200_000_000;
 /// Extension-band capacity per layer (10M switches — far past the 100k
 /// devices the scale roadmap targets).
-pub const EXT_BAND_WIDTH: u32 = 10_000_000;
+pub(crate) const EXT_BAND_WIDTH: u32 = 10_000_000;
 
 impl AsnAllocator {
     /// Base ASN for a layer's legacy band.
@@ -58,12 +58,12 @@ impl AsnAllocator {
     }
 
     /// Base ASN for a layer's 4-byte extension band.
-    pub fn layer_ext_base(layer: Layer) -> u32 {
+    pub(crate) fn layer_ext_base(layer: Layer) -> u32 {
         EXT_BASE + layer.height() as u32 * EXT_BAND_WIDTH
     }
 
     /// Create an allocator with nothing allocated.
-    pub fn new() -> Self {
+    pub(crate) fn new() -> Self {
         Self::default()
     }
 
@@ -90,10 +90,15 @@ impl AsnAllocator {
         self.next_offset[idx] += 1;
         asn
     }
+}
+
+#[cfg(test)]
+pub(crate) mod tests {
+    use super::*;
 
     /// Which layer an ASN was allocated for, if it falls in a known range —
     /// legacy or extension band.
-    pub fn layer_of(asn: Asn) -> Option<Layer> {
+    pub(crate) fn layer_of(asn: Asn) -> Option<Layer> {
         if asn.0 >= EXT_BASE {
             let band = (asn.0 - EXT_BASE) / EXT_BAND_WIDTH;
             return Layer::ALL.get(band as usize).copied();
@@ -104,11 +109,6 @@ impl AsnAllocator {
             _ => None,
         }
     }
-}
-
-#[cfg(test)]
-mod tests {
-    use super::*;
 
     #[test]
     fn allocations_are_unique_within_and_across_layers() {
@@ -127,14 +127,14 @@ mod tests {
         let mut alloc = AsnAllocator::new();
         for layer in Layer::ALL {
             let asn = alloc.allocate(layer);
-            assert_eq!(AsnAllocator::layer_of(asn), Some(layer));
+            assert_eq!(layer_of(asn), Some(layer));
         }
     }
 
     #[test]
     fn layer_of_unknown_band_is_none() {
-        assert_eq!(AsnAllocator::layer_of(Asn(99_999_999)), None);
-        assert_eq!(AsnAllocator::layer_of(Asn(5)), None);
+        assert_eq!(layer_of(Asn(99_999_999)), None);
+        assert_eq!(layer_of(Asn(5)), None);
     }
 
     #[test]
@@ -153,7 +153,7 @@ mod tests {
         for i in 0..100_000u32 {
             let asn = alloc.allocate(Layer::Rsw);
             assert!(seen.insert(asn), "duplicate ASN {asn} at allocation {i}");
-            assert_eq!(AsnAllocator::layer_of(asn), Some(Layer::Rsw));
+            assert_eq!(layer_of(asn), Some(Layer::Rsw));
             if i < LEGACY_BAND_WIDTH {
                 assert_eq!(asn.0, AsnAllocator::layer_base(Layer::Rsw) + i);
             } else {
@@ -165,16 +165,16 @@ mod tests {
         }
         // Extension bands of different layers stay disjoint.
         assert_eq!(
-            AsnAllocator::layer_of(Asn(AsnAllocator::layer_ext_base(Layer::Backbone))),
+            layer_of(Asn(AsnAllocator::layer_ext_base(Layer::Backbone))),
             Some(Layer::Backbone)
         );
     }
 
     #[test]
     fn layer_of_extension_band_edges() {
-        assert_eq!(AsnAllocator::layer_of(Asn(EXT_BASE)), Some(Layer::Rsw));
+        assert_eq!(layer_of(Asn(EXT_BASE)), Some(Layer::Rsw));
         assert_eq!(
-            AsnAllocator::layer_of(Asn(EXT_BASE + 6 * EXT_BAND_WIDTH)),
+            layer_of(Asn(EXT_BASE + 6 * EXT_BAND_WIDTH)),
             None,
             "past the last layer's extension band"
         );

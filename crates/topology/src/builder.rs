@@ -125,30 +125,6 @@ pub struct FabricIndex {
     pub backbone: Vec<DeviceId>,
 }
 
-impl FabricIndex {
-    /// All device ids in the index, layer by layer, bottom-up.
-    pub fn all(&self) -> Vec<DeviceId> {
-        let mut out = Vec::new();
-        for pod in &self.rsw {
-            out.extend(pod);
-        }
-        for pod in &self.fsw {
-            out.extend(pod);
-        }
-        for plane in &self.ssw {
-            out.extend(plane);
-        }
-        for grid in &self.fadu {
-            out.extend(grid);
-        }
-        for grid in &self.fauu {
-            out.extend(grid);
-        }
-        out.extend(&self.backbone);
-        out
-    }
-}
-
 /// Build a fabric per the spec. Returns the topology plus a structured index
 /// of the devices and the ASN allocator (so migrations can allocate more).
 pub fn build_fabric(spec: &FabricSpec) -> (Topology, FabricIndex, AsnAllocator) {
@@ -348,16 +324,6 @@ impl ThreeTierSpec {
         let spine = self.planes as usize * self.spines_per_plane as usize;
         tor + agg + spine + self.backbone_devices as usize
     }
-
-    /// Total link count the spec will produce — linear in devices by
-    /// construction (each ToR: `planes` uplinks; each agg:
-    /// `spines_per_plane` uplinks; each spine: its plane's share of EBs).
-    pub fn total_links(&self) -> usize {
-        let tor_agg = self.pods as usize * self.tors_per_pod as usize * self.planes as usize;
-        let agg_spine = self.pods as usize * self.planes as usize * self.spines_per_plane as usize;
-        let spine_eb = self.backbone_devices as usize * self.spines_per_plane as usize;
-        tor_agg + agg_spine + spine_eb
-    }
 }
 
 /// Build a three-tier fabric per the spec, reusing the five-layer vocabulary
@@ -449,12 +415,28 @@ mod tests {
     use super::*;
     use crate::device::DeviceState;
 
+    /// Number of device ids the index holds.
+    fn indexed(idx: &FabricIndex) -> usize {
+        let layers = [&idx.rsw, &idx.fsw, &idx.ssw, &idx.fadu, &idx.fauu];
+        let grouped: usize = layers.iter().flat_map(|l| l.iter()).map(Vec::len).sum();
+        grouped + idx.backbone.len()
+    }
+
+    /// Link count the spec produces (each ToR: `planes` uplinks; each agg:
+    /// `spines_per_plane` uplinks; each spine: its plane's share of EBs).
+    fn total_links(spec: &ThreeTierSpec) -> usize {
+        let tor_agg = spec.pods as usize * spec.tors_per_pod as usize * spec.planes as usize;
+        let agg_spine = spec.pods as usize * spec.planes as usize * spec.spines_per_plane as usize;
+        let spine_eb = spec.backbone_devices as usize * spec.spines_per_plane as usize;
+        tor_agg + agg_spine + spine_eb
+    }
+
     #[test]
     fn default_spec_builds_expected_counts() {
         let spec = FabricSpec::default();
         let (topo, idx, _) = build_fabric(&spec);
         assert_eq!(topo.device_count(), spec.total_devices());
-        assert_eq!(idx.all().len(), spec.total_devices());
+        assert_eq!(indexed(&idx), spec.total_devices());
         assert!(topo.is_connected());
     }
 
@@ -474,7 +456,7 @@ mod tests {
         assert_eq!(spec.total_devices(), 212);
         let (topo, idx, _) = build_fabric(&spec);
         assert_eq!(topo.device_count(), 212);
-        assert_eq!(idx.all().len(), 212);
+        assert_eq!(indexed(&idx), 212);
         assert!(topo.is_connected());
     }
 
@@ -531,7 +513,7 @@ mod tests {
     fn asn_allocator_can_extend_after_build() {
         let (_, _, mut asn) = build_fabric(&FabricSpec::tiny());
         let fresh = asn.allocate(Layer::Fadu);
-        assert_eq!(AsnAllocator::layer_of(fresh), Some(Layer::Fadu));
+        assert_eq!(crate::asn::tests::layer_of(fresh), Some(Layer::Fadu));
     }
 
     fn three_tier_toy() -> ThreeTierSpec {
@@ -552,8 +534,8 @@ mod tests {
         assert_eq!(spec.total_devices(), 24);
         let (topo, idx, _) = build_three_tier(&spec);
         assert_eq!(topo.device_count(), 24);
-        assert_eq!(topo.link_count(), spec.total_links());
-        assert_eq!(idx.all().len(), 24);
+        assert_eq!(topo.link_count(), total_links(&spec));
+        assert_eq!(indexed(&idx), 24);
         assert!(idx.fadu.is_empty() && idx.fauu.is_empty());
         assert!(topo.is_connected());
         // ToR -> agg -> spine -> EB: 3 hops.
@@ -577,10 +559,11 @@ mod tests {
                 assert_eq!(ups, expected, "pod {pod} plane {plane}");
             }
         }
-        // EB j uplinks the spines of plane j % planes only.
+        // EB j uplinks the spines of plane j % planes only (an EB has no
+        // layer above it, so its neighbours are its downlinks).
         for (j, &eb) in idx.backbone.iter().enumerate() {
             let downs: std::collections::HashSet<DeviceId> =
-                topo.downlinks(eb).into_iter().map(|(d, _)| d).collect();
+                topo.neighbors(eb).into_iter().map(|(d, _)| d).collect();
             let expected: std::collections::HashSet<DeviceId> =
                 idx.ssw[j % spec.planes as usize].iter().copied().collect();
             assert_eq!(downs, expected, "eb {j}");
@@ -594,8 +577,8 @@ mod tests {
         assert_eq!(spec.total_devices(), 10_308);
         // Links stay linear in devices — ~5.2 links per device, nowhere
         // near any O(n²) mesh.
-        assert_eq!(spec.total_links(), 53_312);
-        assert!(spec.total_links() < spec.total_devices() * 6);
+        assert_eq!(total_links(&spec), 53_312);
+        assert!(total_links(&spec) < spec.total_devices() * 6);
     }
 
     #[test]
@@ -607,8 +590,8 @@ mod tests {
         );
         assert_eq!(spec.total_devices(), 100_420);
         // ~7.3 links per device: still linear, an order of magnitude past xl.
-        assert_eq!(spec.total_links(), 735_424);
-        assert!(spec.total_links() < spec.total_devices() * 8);
+        assert_eq!(total_links(&spec), 735_424);
+        assert!(total_links(&spec) < spec.total_devices() * 8);
     }
 
     #[test]
@@ -617,7 +600,7 @@ mod tests {
         assert_eq!(spec.total_devices(), 2_036);
         let (topo, idx, _) = build_three_tier(&spec);
         assert_eq!(topo.device_count(), 2_036);
-        assert_eq!(topo.link_count(), spec.total_links());
+        assert_eq!(topo.link_count(), total_links(&spec));
         assert!(topo.is_connected());
         assert_eq!(idx.rsw.len(), 50);
     }
@@ -644,7 +627,7 @@ mod tests {
         assert_eq!(ext, 10_800 - 10_000, "tail ToRs in the extension band");
         for d in topo.devices() {
             assert_eq!(
-                AsnAllocator::layer_of(d.asn),
+                crate::asn::tests::layer_of(d.asn),
                 Some(d.name.layer),
                 "band still identifies the layer for {}",
                 d.name

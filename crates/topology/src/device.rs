@@ -34,13 +34,6 @@ pub enum DeviceState {
     Down,
 }
 
-impl DeviceState {
-    /// Whether the device participates in forwarding at all.
-    pub fn forwards_traffic(self) -> bool {
-        matches!(self, DeviceState::Live | DeviceState::Drained)
-    }
-}
-
 /// A switch or backbone router.
 #[derive(Debug, Clone, PartialEq, Eq, Serialize, Deserialize)]
 pub struct Device {
@@ -62,10 +55,10 @@ pub struct Device {
 impl Device {
     /// Default next-hop-group capacity used when a spec does not override it.
     /// Chosen well below 4^8 = 65536 so the §3.4 explosion is observable.
-    pub const DEFAULT_NHG_CAPACITY: usize = 4096;
+    pub(crate) const DEFAULT_NHG_CAPACITY: usize = 4096;
 
     /// Create a live device.
-    pub fn new(id: DeviceId, name: DeviceName, asn: Asn) -> Self {
+    pub(crate) fn new(id: DeviceId, name: DeviceName, asn: Asn) -> Self {
         Device {
             id,
             name,
@@ -94,13 +87,6 @@ mod tests {
     #[test]
     fn default_state_is_live() {
         assert_eq!(DeviceState::default(), DeviceState::Live);
-    }
-
-    #[test]
-    fn drained_devices_still_forward() {
-        assert!(dev(DeviceState::Live).state.forwards_traffic());
-        assert!(dev(DeviceState::Drained).state.forwards_traffic());
-        assert!(!dev(DeviceState::Down).state.forwards_traffic());
     }
 
     #[test]

@@ -184,17 +184,6 @@ impl Topology {
         Some(link)
     }
 
-    /// Set a link's operational state.
-    pub fn set_link_state(&mut self, id: LinkId, state: LinkState) -> bool {
-        match self.links.get_mut(&id) {
-            Some(l) => {
-                l.state = state;
-                true
-            }
-            None => false,
-        }
-    }
-
     // ---- adjacency queries -------------------------------------------------
 
     /// Ids of links incident to `id` (any state).
@@ -226,11 +215,6 @@ impl Topology {
     /// Neighbours of `id` in the layer directly above it.
     pub fn uplinks(&self, id: DeviceId) -> Vec<(DeviceId, LinkId)> {
         self.neighbors_filtered(id, |own, other| other.height() > own.height())
-    }
-
-    /// Neighbours of `id` in the layer directly below it.
-    pub fn downlinks(&self, id: DeviceId) -> Vec<(DeviceId, LinkId)> {
-        self.neighbors_filtered(id, |own, other| other.height() < own.height())
     }
 
     fn neighbors_filtered(
@@ -332,13 +316,11 @@ mod tests {
     }
 
     #[test]
-    fn uplinks_and_downlinks_respect_layers() {
+    fn uplinks_respect_layers() {
         let (t, fsw, ssw1, ssw2) = tiny();
         let ups: Vec<DeviceId> = t.uplinks(fsw).into_iter().map(|(d, _)| d).collect();
         assert_eq!(ups.len(), 2);
         assert!(ups.contains(&ssw1) && ups.contains(&ssw2));
-        assert!(t.downlinks(fsw).is_empty());
-        assert_eq!(t.downlinks(ssw1), vec![(fsw, LinkId(0))]);
         assert!(t.uplinks(ssw1).is_empty());
     }
 
@@ -372,7 +354,7 @@ mod tests {
         let ups: Vec<DeviceId> = t.uplinks(fsw).into_iter().map(|(d, _)| d).collect();
         assert_eq!(ups, vec![ssw2]);
         let lid = t.uplinks(fsw)[0].1;
-        t.set_link_state(lid, LinkState::Down);
+        t.links.get_mut(&lid).unwrap().state = LinkState::Down;
         assert!(t.uplinks(fsw).is_empty());
     }
 

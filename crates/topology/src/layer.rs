@@ -48,16 +48,6 @@ impl Layer {
         }
     }
 
-    /// The layer directly above, if any.
-    pub fn above(self) -> Option<Layer> {
-        Layer::ALL.get(self.height() + 1).copied()
-    }
-
-    /// The layer directly below, if any.
-    pub fn below(self) -> Option<Layer> {
-        self.height().checked_sub(1).map(|h| Layer::ALL[h])
-    }
-
     /// Whether `self` is strictly closer to the servers than `other`.
     pub fn is_below(self, other: Layer) -> bool {
         self.height() < other.height()
@@ -97,24 +87,6 @@ mod tests {
             );
             assert!(pair[0] < pair[1]);
         }
-    }
-
-    #[test]
-    fn above_and_below_are_inverses() {
-        for layer in Layer::ALL {
-            if let Some(up) = layer.above() {
-                assert_eq!(up.below(), Some(layer));
-            }
-            if let Some(down) = layer.below() {
-                assert_eq!(down.above(), Some(layer));
-            }
-        }
-    }
-
-    #[test]
-    fn endpoints_have_no_neighbours_outside_range() {
-        assert_eq!(Layer::Rsw.below(), None);
-        assert_eq!(Layer::Backbone.above(), None);
     }
 
     #[test]

@@ -43,10 +43,10 @@ pub struct Link {
 
 impl Link {
     /// Default per-link capacity used by the fabric builder.
-    pub const DEFAULT_CAPACITY_GBPS: f64 = 100.0;
+    pub(crate) const DEFAULT_CAPACITY_GBPS: f64 = 100.0;
 
     /// Create an up link with the given capacity.
-    pub fn new(id: LinkId, a: DeviceId, b: DeviceId, capacity_gbps: f64) -> Self {
+    pub(crate) fn new(id: LinkId, a: DeviceId, b: DeviceId, capacity_gbps: f64) -> Self {
         Link {
             id,
             a,

@@ -8,12 +8,9 @@
 
 use crate::asn::Asn;
 use crate::device::{DeviceId, DeviceState};
-use crate::graph::Topology;
-use crate::layer::Layer;
 use crate::link::LinkId;
 use crate::naming::DeviceName;
 use serde::{Deserialize, Serialize};
-use std::collections::BTreeMap;
 use std::fmt;
 
 /// The five migration categories of Table 1.
@@ -91,8 +88,8 @@ impl fmt::Display for MigrationCategory {
 /// A single atomic change to the topology.
 #[derive(Debug, Clone, Serialize, Deserialize)]
 pub enum TopologyDelta {
-    /// Commission a new device. The id it receives is recorded in the
-    /// [`ApplyReport`] under `name` so later stages can reference it.
+    /// Commission a new device. The stage's applier reports the id it
+    /// receives under `name` so later stages can reference it.
     AddDevice {
         /// Structured name of the new device.
         name: DeviceName,
@@ -160,52 +157,6 @@ pub struct Migration {
     pub stages: Vec<MigrationStage>,
 }
 
-/// Result of applying one stage: name→id bindings for devices created by the
-/// stage, and ids of devices/links touched.
-#[derive(Debug, Default, Clone)]
-pub struct ApplyReport {
-    /// Devices created in this stage.
-    pub created: BTreeMap<DeviceName, DeviceId>,
-    /// Devices removed in this stage.
-    pub removed_devices: Vec<DeviceId>,
-    /// Devices whose state changed.
-    pub state_changed: Vec<DeviceId>,
-    /// Links added.
-    pub added_links: Vec<LinkId>,
-    /// Links removed.
-    pub removed_links: Vec<LinkId>,
-}
-
-impl ApplyReport {
-    /// Total devices touched by the stage in any way.
-    pub fn touched_devices(&self) -> usize {
-        self.created.len() + self.removed_devices.len() + self.state_changed.len()
-    }
-}
-
-/// Errors from applying a delta.
-#[derive(Debug, Clone, PartialEq, Eq)]
-pub enum MigrationError {
-    /// Referenced device id does not exist.
-    UnknownDevice(DeviceId),
-    /// Referenced device name does not exist.
-    UnknownName(DeviceName),
-    /// Referenced link id does not exist.
-    UnknownLink(LinkId),
-}
-
-impl fmt::Display for MigrationError {
-    fn fmt(&self, f: &mut fmt::Formatter<'_>) -> fmt::Result {
-        match self {
-            MigrationError::UnknownDevice(id) => write!(f, "unknown device {id}"),
-            MigrationError::UnknownName(name) => write!(f, "unknown device name {name}"),
-            MigrationError::UnknownLink(id) => write!(f, "unknown link {id}"),
-        }
-    }
-}
-
-impl std::error::Error for MigrationError {}
-
 impl Migration {
     /// Create a migration plan.
     pub fn new(category: MigrationCategory, name: impl Into<String>) -> Self {
@@ -226,96 +177,11 @@ impl Migration {
     pub fn critical_path_steps(&self) -> usize {
         self.stages.len()
     }
-
-    /// Apply a single stage to the topology.
-    pub fn apply_stage(
-        topo: &mut Topology,
-        stage: &MigrationStage,
-    ) -> Result<ApplyReport, MigrationError> {
-        let mut report = ApplyReport::default();
-        for delta in &stage.deltas {
-            match delta {
-                TopologyDelta::AddDevice { name, asn } => {
-                    let id = topo.add_device(*name, *asn);
-                    report.created.insert(*name, id);
-                }
-                TopologyDelta::RemoveDevice { id } => {
-                    topo.remove_device(*id)
-                        .ok_or(MigrationError::UnknownDevice(*id))?;
-                    report.removed_devices.push(*id);
-                }
-                TopologyDelta::SetDeviceState { id, state } => {
-                    if !topo.set_device_state(*id, *state) {
-                        return Err(MigrationError::UnknownDevice(*id));
-                    }
-                    report.state_changed.push(*id);
-                }
-                TopologyDelta::AddLinkByName {
-                    a,
-                    b,
-                    capacity_gbps,
-                } => {
-                    let ia = topo
-                        .device_by_name(*a)
-                        .ok_or(MigrationError::UnknownName(*a))?;
-                    let ib = topo
-                        .device_by_name(*b)
-                        .ok_or(MigrationError::UnknownName(*b))?;
-                    report
-                        .added_links
-                        .push(topo.add_link(ia, ib, *capacity_gbps));
-                }
-                TopologyDelta::RemoveLink { id } => {
-                    topo.remove_link(*id)
-                        .ok_or(MigrationError::UnknownLink(*id))?;
-                    report.removed_links.push(*id);
-                }
-            }
-        }
-        Ok(report)
-    }
-
-    /// Count how many devices in each layer any stage of the migration
-    /// touches (for the Figure 3 workload model).
-    pub fn devices_touched_per_layer(&self, topo: &Topology) -> BTreeMap<Layer, usize> {
-        let mut out = BTreeMap::new();
-        let count = |layer: Layer, map: &mut BTreeMap<Layer, usize>| {
-            *map.entry(layer).or_insert(0) += 1;
-        };
-        for stage in &self.stages {
-            for delta in &stage.deltas {
-                match delta {
-                    TopologyDelta::AddDevice { name, .. } => count(name.layer, &mut out),
-                    TopologyDelta::RemoveDevice { id }
-                    | TopologyDelta::SetDeviceState { id, .. } => {
-                        if let Some(d) = topo.device(*id) {
-                            count(d.layer(), &mut out);
-                        }
-                    }
-                    TopologyDelta::AddLinkByName { a, b, .. } => {
-                        count(a.layer, &mut out);
-                        count(b.layer, &mut out);
-                    }
-                    TopologyDelta::RemoveLink { id } => {
-                        if let Some(l) = topo.link(*id) {
-                            for end in [l.a, l.b] {
-                                if let Some(d) = topo.device(end) {
-                                    count(d.layer(), &mut out);
-                                }
-                            }
-                        }
-                    }
-                }
-            }
-        }
-        out
-    }
 }
 
 #[cfg(test)]
 mod tests {
     use super::*;
-    use crate::builder::{build_fabric, FabricSpec};
 
     #[test]
     fn category_metadata_matches_table1() {
@@ -327,97 +193,5 @@ mod tests {
         );
         assert!(!MigrationCategory::DifferentialTrafficDistribution.is_multi_dc());
         assert!(MigrationCategory::TrafficDrainForMaintenance.typical_duration_days() < 1.0);
-    }
-
-    #[test]
-    fn apply_stage_add_and_link_by_name() {
-        let (mut topo, _, mut asn) = build_fabric(&FabricSpec::tiny());
-        let new_name = DeviceName::new(Layer::Fadu, 0, 9);
-        let peer = DeviceName::new(Layer::Fauu, 0, 0);
-        let stage = MigrationStage::new(
-            "commission fadu",
-            vec![
-                TopologyDelta::AddDevice {
-                    name: new_name,
-                    asn: asn.allocate(Layer::Fadu),
-                },
-                TopologyDelta::AddLinkByName {
-                    a: new_name,
-                    b: peer,
-                    capacity_gbps: 100.0,
-                },
-            ],
-        );
-        let report = Migration::apply_stage(&mut topo, &stage).unwrap();
-        assert_eq!(report.created.len(), 1);
-        assert_eq!(report.added_links.len(), 1);
-        let id = report.created[&new_name];
-        assert_eq!(topo.uplinks(id).len(), 1);
-    }
-
-    #[test]
-    fn apply_stage_drain_and_remove() {
-        let (mut topo, idx, _) = build_fabric(&FabricSpec::tiny());
-        let victim = idx.ssw[0][0];
-        let drain = MigrationStage::new(
-            "drain",
-            vec![TopologyDelta::SetDeviceState {
-                id: victim,
-                state: DeviceState::Drained,
-            }],
-        );
-        let remove =
-            MigrationStage::new("remove", vec![TopologyDelta::RemoveDevice { id: victim }]);
-        Migration::apply_stage(&mut topo, &drain).unwrap();
-        assert_eq!(topo.device(victim).unwrap().state, DeviceState::Drained);
-        Migration::apply_stage(&mut topo, &remove).unwrap();
-        assert!(topo.device(victim).is_none());
-    }
-
-    #[test]
-    fn unknown_references_error() {
-        let (mut topo, _, _) = build_fabric(&FabricSpec::tiny());
-        let bogus = DeviceId(9999);
-        let stage = MigrationStage::new("bad", vec![TopologyDelta::RemoveDevice { id: bogus }]);
-        assert_eq!(
-            Migration::apply_stage(&mut topo, &stage).unwrap_err(),
-            MigrationError::UnknownDevice(bogus)
-        );
-        let stage2 = MigrationStage::new(
-            "bad link",
-            vec![TopologyDelta::AddLinkByName {
-                a: DeviceName::new(Layer::Rsw, 99, 99),
-                b: DeviceName::new(Layer::Fsw, 0, 0),
-                capacity_gbps: 1.0,
-            }],
-        );
-        assert!(matches!(
-            Migration::apply_stage(&mut topo, &stage2),
-            Err(MigrationError::UnknownName(_))
-        ));
-    }
-
-    #[test]
-    fn devices_touched_per_layer_counts_all_delta_kinds() {
-        let (topo, idx, _) = build_fabric(&FabricSpec::tiny());
-        let mig = Migration::new(MigrationCategory::TrafficDrainForMaintenance, "drain ssw").stage(
-            MigrationStage::new(
-                "drain two ssws",
-                vec![
-                    TopologyDelta::SetDeviceState {
-                        id: idx.ssw[0][0],
-                        state: DeviceState::Drained,
-                    },
-                    TopologyDelta::SetDeviceState {
-                        id: idx.ssw[0][1],
-                        state: DeviceState::Drained,
-                    },
-                ],
-            ),
-        );
-        let per_layer = mig.devices_touched_per_layer(&topo);
-        assert_eq!(per_layer.get(&Layer::Ssw), Some(&2));
-        assert_eq!(per_layer.get(&Layer::Fsw), None);
-        assert_eq!(mig.critical_path_steps(), 1);
     }
 }

@@ -43,11 +43,11 @@ use centralium_topology::Asn;
 use std::sync::Arc;
 
 /// The all-ones synchronization marker (RFC 4271 §4.1).
-pub const MARKER: [u8; 16] = [0xFF; 16];
+pub(crate) const MARKER: [u8; 16] = [0xFF; 16];
 /// Fixed header size: marker + length + type.
-pub const HEADER_LEN: usize = 19;
+pub(crate) const HEADER_LEN: usize = 19;
 /// Smallest legal message (a bare KEEPALIVE).
-pub const MIN_MESSAGE_LEN: usize = HEADER_LEN;
+pub(crate) const MIN_MESSAGE_LEN: usize = HEADER_LEN;
 /// Largest legal message (RFC 4271 §4.1).
 pub const MAX_MESSAGE_LEN: usize = 4096;
 /// The 2-octet stand-in ASN for 4-octet speakers (RFC 6793).
@@ -55,30 +55,30 @@ pub const AS_TRANS: u16 = 23456;
 
 /// Message type octets (RFC 4271 §4.1).
 mod msg_type {
-    pub const OPEN: u8 = 1;
-    pub const UPDATE: u8 = 2;
-    pub const NOTIFICATION: u8 = 3;
-    pub const KEEPALIVE: u8 = 4;
+    pub(crate) const OPEN: u8 = 1;
+    pub(crate) const UPDATE: u8 = 2;
+    pub(crate) const NOTIFICATION: u8 = 3;
+    pub(crate) const KEEPALIVE: u8 = 4;
 }
 
 /// Path-attribute type codes.
 mod attr {
-    pub const ORIGIN: u8 = 1;
-    pub const AS_PATH: u8 = 2;
-    pub const NEXT_HOP: u8 = 3;
-    pub const MED: u8 = 4;
-    pub const LOCAL_PREF: u8 = 5;
-    pub const COMMUNITIES: u8 = 8;
-    pub const EXTENDED_COMMUNITIES: u8 = 16;
+    pub(crate) const ORIGIN: u8 = 1;
+    pub(crate) const AS_PATH: u8 = 2;
+    pub(crate) const NEXT_HOP: u8 = 3;
+    pub(crate) const MED: u8 = 4;
+    pub(crate) const LOCAL_PREF: u8 = 5;
+    pub(crate) const COMMUNITIES: u8 = 8;
+    pub(crate) const EXTENDED_COMMUNITIES: u8 = 16;
 }
 
 /// Attribute flag bits (RFC 4271 §4.3).
 mod flag {
-    pub const OPTIONAL: u8 = 0x80;
-    pub const TRANSITIVE: u8 = 0x40;
-    pub const PARTIAL: u8 = 0x20;
-    pub const EXTENDED_LEN: u8 = 0x10;
-    pub const LOW_BITS: u8 = 0x0F;
+    pub(crate) const OPTIONAL: u8 = 0x80;
+    pub(crate) const TRANSITIVE: u8 = 0x40;
+    pub(crate) const PARTIAL: u8 = 0x20;
+    pub(crate) const EXTENDED_LEN: u8 = 0x10;
+    pub(crate) const LOW_BITS: u8 = 0x0F;
 }
 
 /// AS_PATH segment type octets.
@@ -372,7 +372,7 @@ fn encode_update(update: &UpdateMessage) -> Result<Vec<Vec<u8>>, WireError> {
 /// message length, or `None` when fewer than 19 bytes are buffered — the
 /// streaming-read entry point: read 19 bytes, learn the length, read the
 /// rest.
-pub fn peek_length(buf: &[u8]) -> Result<Option<usize>, WireError> {
+pub(crate) fn peek_length(buf: &[u8]) -> Result<Option<usize>, WireError> {
     if buf.len() < HEADER_LEN {
         return Ok(None);
     }

@@ -2,7 +2,7 @@
 //!
 //! Every read is checked against the remaining length and fails with a typed
 //! [`WireError::Truncated`] naming what was being read — no slicing panics,
-//! no silent wraparound. Sub-decoders ([`Decoder::sub`]) carve out an exact
+//! no silent wraparound. Sub-decoders (`Decoder::sub`) carve out an exact
 //! child region so a length field can never let an inner structure read its
 //! parent's bytes. The decoder borrows its input (`&'a [u8]`): multi-byte
 //! payloads come back as sub-slices of the original buffer, so decoding is
@@ -19,27 +19,22 @@ pub struct Decoder<'a> {
 
 impl<'a> Decoder<'a> {
     /// Start reading at the beginning of `buf`.
-    pub fn new(buf: &'a [u8]) -> Self {
+    pub(crate) fn new(buf: &'a [u8]) -> Self {
         Decoder { buf, pos: 0 }
     }
 
     /// Bytes not yet consumed.
-    pub fn remaining(&self) -> usize {
+    pub(crate) fn remaining(&self) -> usize {
         self.buf.len() - self.pos
     }
 
-    /// Bytes consumed so far.
-    pub fn consumed(&self) -> usize {
-        self.pos
-    }
-
     /// Whether the buffer is fully consumed.
-    pub fn is_empty(&self) -> bool {
+    pub(crate) fn is_empty(&self) -> bool {
         self.remaining() == 0
     }
 
     /// Take the next `n` bytes as a borrowed sub-slice.
-    pub fn bytes(&mut self, n: usize, what: &'static str) -> Result<&'a [u8], WireError> {
+    pub(crate) fn bytes(&mut self, n: usize, what: &'static str) -> Result<&'a [u8], WireError> {
         if self.remaining() < n {
             return Err(WireError::Truncated {
                 what,
@@ -53,34 +48,29 @@ impl<'a> Decoder<'a> {
     }
 
     /// Read one octet.
-    pub fn u8(&mut self, what: &'static str) -> Result<u8, WireError> {
+    pub(crate) fn u8(&mut self, what: &'static str) -> Result<u8, WireError> {
         Ok(self.bytes(1, what)?[0])
     }
 
     /// Read a big-endian u16.
-    pub fn u16(&mut self, what: &'static str) -> Result<u16, WireError> {
+    pub(crate) fn u16(&mut self, what: &'static str) -> Result<u16, WireError> {
         let b = self.bytes(2, what)?;
         Ok(u16::from_be_bytes([b[0], b[1]]))
     }
 
     /// Read a big-endian u32.
-    pub fn u32(&mut self, what: &'static str) -> Result<u32, WireError> {
+    pub(crate) fn u32(&mut self, what: &'static str) -> Result<u32, WireError> {
         let b = self.bytes(4, what)?;
         Ok(u32::from_be_bytes([b[0], b[1], b[2], b[3]]))
     }
 
-    /// Read a big-endian IEEE-754 single float.
-    pub fn f32(&mut self, what: &'static str) -> Result<f32, WireError> {
-        Ok(f32::from_bits(self.u32(what)?))
-    }
-
     /// Carve out the next `n` bytes as an independent bounded sub-decoder.
-    pub fn sub(&mut self, n: usize, what: &'static str) -> Result<Decoder<'a>, WireError> {
+    pub(crate) fn sub(&mut self, n: usize, what: &'static str) -> Result<Decoder<'a>, WireError> {
         Ok(Decoder::new(self.bytes(n, what)?))
     }
 
     /// Assert the buffer is fully consumed (strict trailing-bytes check).
-    pub fn expect_end(&self, what: &'static str) -> Result<(), WireError> {
+    pub(crate) fn expect_end(&self, what: &'static str) -> Result<(), WireError> {
         if self.remaining() != 0 {
             return Err(WireError::TrailingBytes {
                 what,

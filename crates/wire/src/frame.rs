@@ -23,19 +23,19 @@
 //!
 //! Decoding is incremental: [`decode`] returns `Ok(None)` until a full
 //! frame is buffered, so a reader can append bytes and retry. The payload
-//! length is validated against [`MAX_PAYLOAD`] *before* any allocation, so
+//! length is validated against `MAX_PAYLOAD` *before* any allocation, so
 //! a hostile length field cannot balloon memory.
 
 use crate::error::WireError;
 use std::io::{Read, Write};
 
 /// Frame magic: Centralium RPc version 1.
-pub const MAGIC: [u8; 4] = *b"CRP1";
+pub(crate) const MAGIC: [u8; 4] = *b"CRP1";
 /// Fixed frame header size: magic + kind + correlation id + payload length.
-pub const FRAME_HEADER_LEN: usize = 4 + 1 + 8 + 4;
+pub(crate) const FRAME_HEADER_LEN: usize = 4 + 1 + 8 + 4;
 /// Hard cap on a frame payload (64 MiB) — large enough for a full-fabric
 /// poll snapshot, small enough that a corrupt length field fails fast.
-pub const MAX_PAYLOAD: usize = 1 << 26;
+pub(crate) const MAX_PAYLOAD: usize = 1 << 26;
 
 /// What a frame's payload contains.
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]

@@ -19,6 +19,8 @@
 //! `centralium-core::serve`, and the simulator can audit its in-memory
 //! messages through this codec without linking any socket code.
 
+#![warn(unreachable_pub)]
+
 pub mod bgp;
 pub mod decode;
 pub mod error;

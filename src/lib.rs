@@ -1,8 +1,3 @@
-//! Re-exports for examples/integration tests.
-pub use centralium as core;
-pub use centralium_bgp as bgp;
-pub use centralium_nsdb as nsdb;
-pub use centralium_rpa as rpa;
-pub use centralium_simnet as simnet;
-pub use centralium_te as te;
-pub use centralium_topology as topology;
+//! The root package carries the repository's examples (`examples/`) and
+//! integration tests (`tests/`). They import the workspace crates by name;
+//! this library exists only because Cargo needs a target.
