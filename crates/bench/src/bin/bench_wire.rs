@@ -18,7 +18,7 @@
 //!    (`health_check`) requests through a real socket, BGP preamble
 //!    included; we report p50/p99/max microseconds per round trip.
 //!
-//! Latency numbers include the executor-thread hop and JSON envelope, so
+//! Latency numbers include the JSON envelope and the socket round trip, so
 //! they are an honest ceiling for what a deploy wave pays per RPC.
 
 use centralium::transport::{ControlTransport, TcpTransport};

@@ -577,7 +577,7 @@ fn cmd_deploy(args: &Args) -> Result<(), String> {
 /// Switch Agent rooted at the first rack switch) to an [`AgentServer`] that
 /// accepts framed RPC sessions over real TCP sockets. Each session starts
 /// with the RFC 4271 OPEN/KEEPALIVE preamble in the 4-octet-ASN extension
-/// band; requests execute on a single executor thread, so concurrent
+/// band; every request runs under one lock on the fabric, so concurrent
 /// controllers serialize exactly like in-process callers would.
 ///
 /// Runs until the process is killed; `--serve-for-ms N` bounds the lifetime

@@ -61,6 +61,14 @@ pub enum Error {
         /// The offending path.
         path: String,
     },
+    /// A health check carries a number it cannot be judged by: a
+    /// non-finite or negative probe rate, or a non-finite utilization limit.
+    InvalidHealthCheck {
+        /// The offending field, e.g. `"probe.gbps_each"`.
+        field: &'static str,
+        /// Its value.
+        value: f64,
+    },
 }
 
 impl fmt::Display for Error {
@@ -98,6 +106,10 @@ impl fmt::Display for Error {
                 f,
                 "cannot write NSDB path {path}: it must be concrete, with the RPA name one segment"
             ),
+            Error::InvalidHealthCheck { field, value } => write!(
+                f,
+                "invalid health check: {field} is {value}, which no threshold can judge"
+            ),
         }
     }
 }
@@ -111,7 +123,8 @@ impl std::error::Error for Error {
             Error::Protocol(e) => Some(e),
             Error::Unreachable { .. }
             | Error::RetryExhausted { .. }
-            | Error::InvalidPath { .. } => None,
+            | Error::InvalidPath { .. }
+            | Error::InvalidHealthCheck { .. } => None,
         }
     }
 }

@@ -4,6 +4,7 @@
 //! states, general network health such as congestion-freeness) and verifies
 //! expected changes after (e.g. new paths selected).
 
+use crate::error::Error;
 use centralium_bgp::Prefix;
 use centralium_simnet::traffic::{forwarding_cycle, route_flows, TrafficMatrix, DEFAULT_MAX_HOPS};
 use centralium_simnet::SimNet;
@@ -12,7 +13,7 @@ use centralium_topology::DeviceId;
 use serde::{Deserialize, Serialize};
 
 /// A traffic probe: offered demand used to judge loss/loops/congestion.
-#[derive(Debug, Clone, Serialize, Deserialize)]
+#[derive(Debug, Clone, PartialEq, Serialize, Deserialize)]
 pub struct TrafficProbe {
     /// Sources of the probe flows.
     pub sources: Vec<DeviceId>,
@@ -23,7 +24,13 @@ pub struct TrafficProbe {
 }
 
 /// What to check.
-#[derive(Debug, Clone, Default, Serialize, Deserialize)]
+///
+/// Its JSON form is the service plane's wire form: `min_nexthops` travels
+/// as runs of consecutive entries sharing `(prefix, min)` and `expect_rpa`
+/// as runs sharing a name, each run one device-id list. A fleet-wide floor
+/// is one list, not one `[device, prefix, min]` triple per rack; decoding
+/// restores every entry in order, so failures report in the same order.
+#[derive(Debug, Clone, Default, PartialEq)]
 pub struct HealthCheck {
     /// Route the probe and require full delivery (no black-holes, no loops).
     pub probe: Option<TrafficProbe>,
@@ -35,6 +42,91 @@ pub struct HealthCheck {
     /// Devices that must have a specific RPA installed (post-deployment
     /// verification that new state is active).
     pub expect_rpa: Vec<(DeviceId, String)>,
+}
+
+/// [`HealthCheck`] in its run-length wire form.
+#[derive(Serialize, Deserialize)]
+struct WireCheck {
+    probe: Option<TrafficProbe>,
+    max_link_utilization: Option<f64>,
+    min_nexthops: Vec<(Prefix, usize, Vec<DeviceId>)>,
+    expect_rpa: Vec<(String, Vec<DeviceId>)>,
+}
+
+/// Group `entries` into runs of consecutive equal keys, each run's devices
+/// in entry order.
+fn runs<K: PartialEq>(entries: impl Iterator<Item = (DeviceId, K)>) -> Vec<(K, Vec<DeviceId>)> {
+    let mut runs: Vec<(K, Vec<DeviceId>)> = Vec::new();
+    for (dev, key) in entries {
+        match runs.last_mut() {
+            Some((last, devs)) if *last == key => devs.push(dev),
+            _ => runs.push((key, vec![dev])),
+        }
+    }
+    runs
+}
+
+impl Serialize for HealthCheck {
+    fn serialize(&self) -> serde::Value {
+        WireCheck {
+            probe: self.probe.clone(),
+            max_link_utilization: self.max_link_utilization,
+            min_nexthops: runs(self.min_nexthops.iter().map(|&(d, p, min)| (d, (p, min))))
+                .into_iter()
+                .map(|((prefix, min), devs)| (prefix, min, devs))
+                .collect(),
+            expect_rpa: runs(self.expect_rpa.iter().map(|(d, name)| (*d, name)))
+                .into_iter()
+                .map(|(name, devs)| (name.clone(), devs))
+                .collect(),
+        }
+        .serialize()
+    }
+}
+
+impl Deserialize for HealthCheck {
+    fn deserialize(v: &serde::Value) -> Result<Self, serde::Error> {
+        let wire = WireCheck::deserialize(v)?;
+        Ok(HealthCheck {
+            probe: wire.probe,
+            max_link_utilization: wire.max_link_utilization,
+            min_nexthops: wire
+                .min_nexthops
+                .into_iter()
+                .flat_map(|(prefix, min, devs)| devs.into_iter().map(move |d| (d, prefix, min)))
+                .collect(),
+            expect_rpa: wire
+                .expect_rpa
+                .into_iter()
+                .flat_map(|(name, devs)| devs.into_iter().map(move |d| (d, name.clone())))
+                .collect(),
+        })
+    }
+}
+
+impl HealthCheck {
+    /// Reject numbers the check cannot judge by: a non-finite or negative
+    /// probe rate (a NaN rate would pass every `>` threshold vacuously) and a
+    /// non-finite utilization limit (JSON has no spelling for either, so
+    /// the wire would turn them into `null`). Every transport calls this
+    /// before doing anything, so a check means the same on each.
+    pub(crate) fn validate(&self) -> Result<(), Error> {
+        if let Some(probe) = &self.probe {
+            if !probe.gbps_each.is_finite() || probe.gbps_each < 0.0 {
+                return Err(Error::InvalidHealthCheck {
+                    field: "probe.gbps_each",
+                    value: probe.gbps_each,
+                });
+            }
+        }
+        match self.max_link_utilization {
+            Some(limit) if !limit.is_finite() => Err(Error::InvalidHealthCheck {
+                field: "max_link_utilization",
+                value: limit,
+            }),
+            _ => Ok(()),
+        }
+    }
 }
 
 /// Outcome of a health check.
@@ -90,7 +182,12 @@ pub(crate) fn run_health_check(net: &SimNet, check: &HealthCheck) -> HealthRepor
         let actual = net
             .device(*dev)
             .and_then(|d| d.daemon.loc_rib_entry(*prefix))
-            .map(|e| e.nexthop_sessions().len())
+            .map(|e| {
+                e.selected
+                    .iter()
+                    .filter(|r| r.learned_from.is_some())
+                    .count()
+            })
             .unwrap_or(0);
         if actual < *min {
             report.failures.push(format!(
@@ -218,5 +315,55 @@ mod tests {
         assert_eq!(report.failures.len(), 2);
         assert!(report.failures[0].contains("next-hops"));
         assert!(report.failures[1].contains("not installed"));
+    }
+
+    fn roundtrip(check: &HealthCheck) -> String {
+        let text = serde_json::to_string(check).expect("serialize");
+        let back: HealthCheck = serde_json::from_str(&text).expect("parse");
+        assert_eq!(&back, check, "through {text}");
+        text
+    }
+
+    #[test]
+    fn wire_form_restores_every_entry_in_order() {
+        let (a, b) = (Prefix::DEFAULT, Prefix::new(0x0A00_0000, 24));
+        let d = DeviceId;
+        let check = HealthCheck {
+            probe: Some(TrafficProbe {
+                sources: vec![d(3), d(1), d(2)],
+                dest: b,
+                gbps_each: 0.25,
+            }),
+            max_link_utilization: Some(0.9),
+            // Runs of two prefixes and two floors, and a (prefix, min) that
+            // recurs after a different one.
+            min_nexthops: vec![
+                (d(5), a, 1),
+                (d(4), a, 1),
+                (d(9), a, 2),
+                (d(9), b, 2),
+                (d(1), b, 2),
+                (d(7), a, 1),
+                (d(7), a, 1),
+            ],
+            expect_rpa: vec![
+                (d(2), "equalize".into()),
+                (d(1), "equalize".into()),
+                (d(3), "drain".into()),
+                (d(2), "equalize".into()),
+            ],
+        };
+        let text = roundtrip(&check);
+        assert_eq!(text.matches("\"equalize\"").count(), 2, "{text}");
+        roundtrip(&HealthCheck::default());
+        roundtrip(&HealthCheck {
+            probe: Some(TrafficProbe {
+                sources: vec![],
+                dest: a,
+                gbps_each: 1.0,
+            }),
+            expect_rpa: vec![(d(8), String::new())],
+            ..Default::default()
+        });
     }
 }

@@ -7,25 +7,28 @@
 //!
 //! - an **accept thread** takes connections off the listener;
 //! - a **connection thread** per controller performs the RFC 4271
-//!   OPEN/KEEPALIVE preamble, then decodes `CRP1` Request frames and
-//!   forwards them as jobs;
-//! - one **executor thread** owns the simulation and the agent, draining a
-//!   bounded channel — requests from any number of connections serialize
-//!   here, and the bound (16 jobs) backpressures a controller that outruns
-//!   the simulator.
+//!   OPEN/KEEPALIVE preamble, then decodes `CRP1` Request frames and runs
+//!   each one itself, under the one lock that holds the fabric — requests
+//!   from any number of connections serialize on it, and a controller that
+//!   outruns the simulator waits for it. A request pays its decode, its
+//!   work and its encode, and no hand-off to another thread; between
+//!   requests the thread polls its socket briefly before it blocks, so a
+//!   controller's next RPC seldom waits for a wake-up.
 //!
-//! Request execution reuses [`InProcessTransport`] on the executor side, so
-//! the remote path shares every line of apply logic with the local one —
-//! byte-identical FIBs are a test invariant, not an aspiration.
+//! Request execution reuses [`InProcessTransport`] under the lock, so the
+//! remote path shares every line of apply logic with the local one —
+//! byte-identical FIBs are a test invariant, not an aspiration. A request
+//! that panics poisons the lock: every later request gets an error rather
+//! than a half-updated fabric.
 //!
 //! The server records `serve.*` metrics into the served fabric's own
 //! registry, so whoever gets the `SimNet` back from
-//! [`AgentServer::shutdown`] reads them with the rest: `serve.rpc.<kind>`
-//! counters and the `serve.rpc_us` execution-time histogram on the executor,
-//! and on the connection threads `serve.request_bytes`,
+//! [`AgentServer::shutdown`] reads them with the rest, all recorded by the
+//! connection threads: `serve.rpc.<kind>` counters and the `serve.rpc_us`
+//! execution-time histogram (under the lock), `serve.request_bytes`,
 //! `serve.response_bytes`, `serve.malformed_requests` (payloads that are not
-//! a `Request`), `serve.frame_errors` (sessions ended with a NOTIFICATION)
-//! and `serve.queue_stalls` (requests that found the executor queue full).
+//! a `Request`) and `serve.frame_errors` (sessions ended with a
+//! NOTIFICATION).
 
 use crate::error::Error;
 use crate::switch_agent::SwitchAgent;
@@ -35,36 +38,70 @@ use crate::transport::{
 };
 use centralium_bgp::msg::{BgpMessage, NotificationCode, OpenMessage};
 use centralium_simnet::SimNet;
-use centralium_telemetry::{Counter, MetricsRegistry};
+use centralium_telemetry::{Counter, LogHistogram, MetricsRegistry};
 use centralium_topology::Asn;
 use centralium_wire::bgp;
 use centralium_wire::frame::{read_frame, write_frame, Frame, FrameKind};
 use std::collections::HashMap;
 use std::io::{BufReader, BufWriter, Write};
 use std::net::{SocketAddr, TcpListener, TcpStream};
+use std::panic::{catch_unwind, AssertUnwindSafe};
 use std::sync::atomic::{AtomicBool, AtomicU64, Ordering};
-use std::sync::mpsc::{sync_channel, Receiver, Sender, SyncSender, TrySendError};
-use std::sync::Arc;
+use std::sync::{Arc, Mutex};
 use std::thread::JoinHandle;
-use std::time::Instant;
+use std::time::{Duration, Instant};
 
 /// ASN the agent side presents in its service-plane OPEN (a 4-byte
 /// extension-band ASN, so the handshake always exercises RFC 6793).
 pub(crate) const AGENT_ASN: Asn = Asn(4_201_000_000);
 
-/// Executor-queue depth: how many decoded requests may sit between the
-/// connection threads and the simulation before senders block.
-const JOB_QUEUE_DEPTH: usize = 16;
+/// How long a connection thread polls its socket for the next request
+/// before it blocks. A controller sends its next RPC within microseconds of
+/// the last reply while it walks a wave; a thread that slept in between
+/// pays a wake-up, about 4 µs of an 11 µs loopback round trip on a 2-core
+/// VM. Past this budget the controller is busy elsewhere and the thread
+/// blocks as before.
+const POLL_BEFORE_BLOCKING: Duration = Duration::from_micros(50);
 
-/// One unit of work for the executor thread.
-enum Job {
-    /// Execute a request and reply on the connection's channel.
-    Rpc {
-        req: Request,
-        reply: Sender<Response>,
-    },
-    /// Drain and return ownership of the fabric.
-    Stop,
+/// The served pair and the metric handles only a request holding the lock
+/// touches. `None` once [`AgentServer::shutdown`] has taken the fabric back.
+type Served = Arc<Mutex<Option<Fabric>>>;
+
+/// What a request runs against.
+struct Fabric {
+    net: SimNet,
+    agent: SwitchAgent,
+    rpc_us: LogHistogram,
+    rpc_counts: HashMap<&'static str, Counter>,
+}
+
+impl Fabric {
+    fn new(net: SimNet, agent: SwitchAgent) -> Self {
+        let rpc_us = net.telemetry().metrics().log_histogram("serve.rpc_us");
+        Fabric {
+            net,
+            agent,
+            rpc_us,
+            rpc_counts: HashMap::new(),
+        }
+    }
+
+    /// Count, run and time one request.
+    fn run(&mut self, req: Request) -> Response {
+        let kind = rpc_kind(&req);
+        let metrics = self.net.telemetry().metrics();
+        self.rpc_counts
+            .entry(kind)
+            .or_insert_with(|| metrics.counter(&format!("serve.rpc.{kind}")))
+            .inc();
+        let started = Instant::now();
+        let mut transport = InProcessTransport::new(&mut self.net, &mut self.agent);
+        let resp = execute(&mut transport, req).unwrap_or_else(|e| Response::Error {
+            message: e.to_string(),
+        });
+        self.rpc_us.observe(started.elapsed().as_micros() as u64);
+        resp
+    }
 }
 
 /// The connection threads' `serve.*` metric handles.
@@ -74,7 +111,6 @@ struct ConnMetrics {
     response_bytes: Counter,
     malformed_requests: Counter,
     frame_errors: Counter,
-    queue_stalls: Counter,
 }
 
 impl ConnMetrics {
@@ -84,7 +120,6 @@ impl ConnMetrics {
             response_bytes: m.counter("serve.response_bytes"),
             malformed_requests: m.counter("serve.malformed_requests"),
             frame_errors: m.counter("serve.frame_errors"),
-            queue_stalls: m.counter("serve.queue_stalls"),
         }
     }
 }
@@ -96,9 +131,8 @@ pub struct AgentServer {
     local_addr: SocketAddr,
     stop: Arc<AtomicBool>,
     connections: Arc<AtomicU64>,
-    job_tx: SyncSender<Job>,
+    served: Served,
     accept_handle: Option<JoinHandle<()>>,
-    exec_handle: Option<JoinHandle<(SimNet, SwitchAgent)>>,
 }
 
 impl std::fmt::Debug for AgentServer {
@@ -125,22 +159,20 @@ impl AgentServer {
         })?;
         let stop = Arc::new(AtomicBool::new(false));
         let connections = Arc::new(AtomicU64::new(0));
-        let (job_tx, job_rx) = sync_channel::<Job>(JOB_QUEUE_DEPTH);
         let metrics = ConnMetrics::new(net.telemetry().metrics());
-        let exec_handle = std::thread::spawn(move || run_executor(net, agent, job_rx));
+        let served: Served = Arc::new(Mutex::new(Some(Fabric::new(net, agent))));
         let accept_handle = {
             let stop = Arc::clone(&stop);
             let connections = Arc::clone(&connections);
-            let job_tx = job_tx.clone();
-            std::thread::spawn(move || run_acceptor(listener, stop, connections, job_tx, metrics))
+            let served = Arc::clone(&served);
+            std::thread::spawn(move || run_acceptor(listener, stop, connections, served, metrics))
         };
         Ok(AgentServer {
             local_addr,
             stop,
             connections,
-            job_tx,
+            served,
             accept_handle: Some(accept_handle),
-            exec_handle: Some(exec_handle),
         })
     }
 
@@ -155,8 +187,12 @@ impl AgentServer {
         self.connections.load(Ordering::Relaxed)
     }
 
-    /// Stop accepting, drain the executor, and return the fabric. In-flight
-    /// connections see their sockets close.
+    /// Stop accepting, wait for the request in flight, and return the
+    /// fabric. Later requests on open connections get an error.
+    ///
+    /// # Panics
+    /// Panics if a request panicked while it held the fabric: what it left
+    /// behind may be half-updated.
     pub fn shutdown(mut self) -> (SimNet, SwitchAgent) {
         self.stop.store(true, Ordering::SeqCst);
         // Wake the blocking accept with a throwaway connection.
@@ -164,48 +200,36 @@ impl AgentServer {
         if let Some(h) = self.accept_handle.take() {
             let _ = h.join();
         }
-        let _ = self.job_tx.send(Job::Stop);
-        self.exec_handle
+        let fabric = self
+            .served
+            .lock()
+            .expect("a request panicked while holding the fabric")
             .take()
-            .expect("shutdown called once")
-            .join()
-            .expect("executor thread panicked")
+            .expect("shutdown called once");
+        (fabric.net, fabric.agent)
     }
 }
 
-/// The executor: sole owner of the simulation. Every RPC from every
-/// connection serializes through here.
-fn run_executor(
-    mut net: SimNet,
-    mut agent: SwitchAgent,
-    jobs: Receiver<Job>,
-) -> (SimNet, SwitchAgent) {
-    let rpc_us = net.telemetry().metrics().log_histogram("serve.rpc_us");
-    let mut rpc_counts: HashMap<&'static str, Counter> = HashMap::new();
-    while let Ok(job) = jobs.recv() {
-        match job {
-            Job::Stop => break,
-            Job::Rpc { req, reply } => {
-                let kind = rpc_kind(&req);
-                rpc_counts
-                    .entry(kind)
-                    .or_insert_with(|| {
-                        let name = format!("serve.rpc.{kind}");
-                        net.telemetry().metrics().counter(&name)
-                    })
-                    .inc();
-                let started = Instant::now();
-                let mut transport = InProcessTransport::new(&mut net, &mut agent);
-                let resp = execute(&mut transport, req).unwrap_or_else(|e| Response::Error {
-                    message: e.to_string(),
-                });
-                rpc_us.observe(started.elapsed().as_micros() as u64);
-                // A dead connection thread is not the executor's problem.
-                let _ = reply.send(resp);
-            }
-        }
+/// Run `req` under the fabric's lock. A request that panics poisons the
+/// lock on its way out, so it and every later request get an error, and
+/// none runs on what the panic left behind.
+fn run_locked(served: &Mutex<Option<Fabric>>, req: Request) -> Response {
+    let outcome = catch_unwind(AssertUnwindSafe(|| {
+        let mut fabric = served
+            .lock()
+            .map_err(|_| "a request panicked while holding the fabric")?;
+        let fabric = fabric.as_mut().ok_or("agent server is shutting down")?;
+        Ok::<_, &str>(fabric.run(req))
+    }));
+    match outcome {
+        Ok(Ok(resp)) => resp,
+        Ok(Err(message)) => Response::Error {
+            message: message.into(),
+        },
+        Err(_) => Response::Error {
+            message: "the request panicked".into(),
+        },
     }
-    (net, agent)
 }
 
 /// The `<kind>` of a request's `serve.rpc.<kind>` counter.
@@ -285,7 +309,7 @@ fn run_acceptor(
     listener: TcpListener,
     stop: Arc<AtomicBool>,
     connections: Arc<AtomicU64>,
-    job_tx: SyncSender<Job>,
+    served: Served,
     metrics: ConnMetrics,
 ) {
     loop {
@@ -299,12 +323,11 @@ fn run_acceptor(
             return;
         }
         connections.fetch_add(1, Ordering::Relaxed);
-        let job_tx = job_tx.clone();
+        let served = Arc::clone(&served);
         let metrics = metrics.clone();
-        // Connection threads are detached: they exit when the peer closes
-        // or when the executor stops answering.
+        // Connection threads are detached: they exit when the peer closes.
         std::thread::spawn(move || {
-            let _ = serve_connection(stream, job_tx, &metrics);
+            let _ = serve_connection(stream, &served, &metrics);
         });
     }
 }
@@ -313,7 +336,7 @@ fn run_acceptor(
 /// peer hangs up.
 fn serve_connection(
     stream: TcpStream,
-    job_tx: SyncSender<Job>,
+    served: &Mutex<Option<Fabric>>,
     metrics: &ConnMetrics,
 ) -> Result<(), Error> {
     stream.set_nodelay(true).map_err(|e| Error::Io {
@@ -351,6 +374,9 @@ fn serve_connection(
         return Err(e);
     }
     loop {
+        if reader.buffer().is_empty() {
+            poll_for_request(reader.get_ref())?;
+        }
         let frame = match read_frame(&mut reader) {
             Ok(Some(frame)) => frame,
             // Clean EOF at a frame boundary: the controller hung up.
@@ -367,7 +393,7 @@ fn serve_connection(
         match frame.kind {
             FrameKind::Request => {
                 metrics.request_bytes.add(frame.payload.len() as u64);
-                let resp = dispatch(&job_tx, &frame.payload, metrics);
+                let resp = dispatch(served, &frame.payload, metrics);
                 let payload = match serde_json::to_string(&resp) {
                     Ok(json) => json.into_bytes(),
                     Err(_) => continue,
@@ -413,42 +439,44 @@ fn serve_connection(
     }
 }
 
-/// Decode a request payload and run it through the executor, turning every
-/// failure mode into a `Response::Error` the controller can interpret.
-fn dispatch(job_tx: &SyncSender<Job>, payload: &[u8], metrics: &ConnMetrics) -> Response {
-    let req: Request = match std::str::from_utf8(payload)
+/// Decode a request payload and run it, turning every failure mode into a
+/// `Response::Error` the controller can interpret.
+fn dispatch(served: &Mutex<Option<Fabric>>, payload: &[u8], metrics: &ConnMetrics) -> Response {
+    match std::str::from_utf8(payload)
         .ok()
         .and_then(|text| serde_json::from_str(text).ok())
     {
-        Some(req) => req,
+        Some(req) => run_locked(served, req),
         None => {
             metrics.malformed_requests.inc();
-            return Response::Error {
+            Response::Error {
                 message: "malformed request payload".into(),
-            };
+            }
         }
-    };
-    let (reply_tx, reply_rx) = std::sync::mpsc::channel();
-    let job = Job::Rpc {
-        req,
-        reply: reply_tx,
-    };
-    let sent = match job_tx.try_send(job) {
-        Ok(()) => true,
-        Err(TrySendError::Full(job)) => {
-            metrics.queue_stalls.inc();
-            job_tx.send(job).is_ok()
-        }
-        Err(TrySendError::Disconnected(_)) => false,
-    };
-    if !sent {
-        return Response::Error {
-            message: "agent server is shutting down".into(),
-        };
     }
-    reply_rx.recv().unwrap_or_else(|_| Response::Error {
-        message: "agent server is shutting down".into(),
-    })
+}
+
+/// Return once `stream` has bytes to read, has closed, or has stayed
+/// silent for [`POLL_BEFORE_BLOCKING`], without sleeping in the kernel. The
+/// socket is non-blocking only for the poll (the flag is shared with the
+/// writer's handle, which is idle between a reply and the next request).
+/// Each empty peek yields, so a client on the same core still runs.
+fn poll_for_request(stream: &TcpStream) -> Result<(), Error> {
+    stream
+        .set_nonblocking(true)
+        .map_err(io_err("poll for request"))?;
+    let started = Instant::now();
+    let mut byte = [0u8; 1];
+    while started.elapsed() < POLL_BEFORE_BLOCKING {
+        match stream.peek(&mut byte) {
+            Err(e) if e.kind() == std::io::ErrorKind::WouldBlock => std::thread::yield_now(),
+            // Bytes, EOF or an error: the blocking read reports which.
+            _ => break,
+        }
+    }
+    stream
+        .set_nonblocking(false)
+        .map_err(io_err("poll for request"))
 }
 
 /// Tell the peer why its session ends, counting it in `serve.frame_errors`.
@@ -474,11 +502,12 @@ fn io_err(context: &'static str) -> impl FnOnce(std::io::Error) -> Error {
 #[cfg(test)]
 mod tests {
     use super::*;
+    use crate::health::{HealthCheck, HealthReport, TrafficProbe};
     use crate::transport::{client_preamble, TcpTransport, CONTROLLER_ASN};
     use centralium_bgp::attrs::well_known;
     use centralium_bgp::Prefix;
     use centralium_simnet::{ManagementPlane, SimConfig};
-    use centralium_topology::{build_fabric, FabricSpec};
+    use centralium_topology::{build_fabric, DeviceId, FabricSpec};
 
     fn fabric() -> (SimNet, SwitchAgent) {
         fabric_of(&FabricSpec::tiny())
@@ -507,6 +536,8 @@ mod tests {
         let topo = transport.topology().expect("topology RPC").into_owned();
         assert!(topo.device_count() > 0);
         transport.poll_current().expect("poll RPC");
+        // Idle past the poll budget: the server blocks, and still answers.
+        std::thread::sleep(10 * POLL_BEFORE_BLOCKING);
         assert!(transport.out_of_sync_paths().expect("sync RPC").is_empty());
         drop(transport);
         let (net, _agent) = server.shutdown();
@@ -606,7 +637,7 @@ mod tests {
     }
 
     #[test]
-    fn concurrent_controllers_serialize_through_the_executor() {
+    fn concurrent_controllers_serialize_on_the_fabric_lock() {
         let (net, agent) = fabric();
         let server = AgentServer::bind("127.0.0.1:0", net, agent).expect("bind");
         let addr = server.local_addr().to_string();
@@ -625,7 +656,148 @@ mod tests {
             h.join().expect("client thread");
         }
         assert!(server.connections_accepted() >= 4);
+        let (net, _agent) = server.shutdown();
+        let served = net.telemetry().metrics().snapshot();
+        assert_eq!(
+            served.counter("serve.rpc.now"),
+            32,
+            "4 clients x 8 requests"
+        );
+        let rpc_us = served.log_histogram("serve.rpc_us").expect("registered");
+        assert_eq!(rpc_us.count(), 32);
+    }
+
+    #[test]
+    fn a_panicked_request_poisons_the_fabric_for_every_later_request() {
+        let (net, agent) = fabric();
+        let server = AgentServer::bind("127.0.0.1:0", net, agent).expect("bind");
+        let addr = server.local_addr().to_string();
+        let mut transport = TcpTransport::connect(&addr).expect("connect");
+        transport.now().expect("now RPC before the panic");
+        // A request that dies while holding the fabric, as `run_locked`
+        // runs one.
+        let served = Arc::clone(&server.served);
+        let panicked = std::thread::spawn(move || {
+            let _fabric = served.lock().expect("not poisoned yet");
+            panic!("request panicked mid-update");
+        })
+        .join();
+        assert!(panicked.is_err());
+        for _ in 0..2 {
+            let err = transport.now().expect_err("poisoned fabric answered");
+            assert!(err.to_string().contains("panicked"), "{err}");
+        }
+        // A new session gets the same answer.
+        let mut fresh = TcpTransport::connect(&addr).expect("connect");
+        assert!(fresh.poll_current().is_err());
+        drop((transport, fresh));
+        let shutdown = std::panic::catch_unwind(AssertUnwindSafe(|| server.shutdown()));
+        assert!(shutdown.is_err(), "a poisoned fabric is not handed back");
+    }
+
+    #[test]
+    fn a_failing_check_reports_the_same_failures_over_tcp() {
+        let (mut net, agent) = fabric();
+        let (_, idx, _) = build_fabric(&FabricSpec::tiny());
+        for grid in &idx.fadu {
+            for &fadu in grid {
+                net.device_down(fadu);
+            }
+        }
+        net.run_until_quiescent().expect_converged();
+        let rsws: Vec<DeviceId> = idx.rsw.iter().flatten().copied().collect();
+        let check = HealthCheck {
+            probe: Some(TrafficProbe {
+                sources: rsws.clone(),
+                dest: Prefix::DEFAULT,
+                gbps_each: 10.0,
+            }),
+            max_link_utilization: Some(0.01),
+            min_nexthops: rsws
+                .iter()
+                .map(|&r| (r, Prefix::DEFAULT, 1))
+                .chain([(idx.ssw[0][0], Prefix::DEFAULT, 99)])
+                .chain(rsws.iter().map(|&r| (r, Prefix::DEFAULT, 99)))
+                .collect(),
+            expect_rpa: vec![
+                (idx.ssw[0][0], "equalize".into()),
+                (idx.ssw[0][1], "equalize".into()),
+                (idx.fsw[0][0], "drain".into()),
+            ],
+        };
+        let mut agent = agent;
+        let local = InProcessTransport::new(&mut net, &mut agent)
+            .health_check(&check)
+            .expect("in-process check");
+        assert!(
+            local.failures[0].contains("black-holed"),
+            "{:?}",
+            local.failures
+        );
+        assert!(local.failures.len() > rsws.len(), "{:?}", local.failures);
+        let server = AgentServer::bind("127.0.0.1:0", net, agent).expect("bind");
+        let mut transport =
+            TcpTransport::connect(&server.local_addr().to_string()).expect("connect");
+        let remote = transport.health_check(&check).expect("health RPC");
+        assert_eq!(remote.failures, local.failures);
+        drop(transport);
         server.shutdown();
+    }
+
+    #[test]
+    fn non_finite_check_numbers_are_rejected_on_every_transport() {
+        let (mut net, mut agent) = fabric();
+        let (_, idx, _) = build_fabric(&FabricSpec::tiny());
+        // Every probe would black-hole: a NaN rate must not pass vacuously.
+        for grid in &idx.fadu {
+            for &fadu in grid {
+                net.device_down(fadu);
+            }
+        }
+        net.run_until_quiescent().expect_converged();
+        let probe = |gbps_each| TrafficProbe {
+            sources: vec![idx.rsw[0][0]],
+            dest: Prefix::DEFAULT,
+            gbps_each,
+        };
+        let bad = [
+            HealthCheck {
+                probe: Some(probe(f64::NAN)),
+                ..Default::default()
+            },
+            HealthCheck {
+                probe: Some(probe(-1.0)),
+                ..Default::default()
+            },
+            HealthCheck {
+                probe: Some(probe(1.0)),
+                max_link_utilization: Some(f64::INFINITY),
+                ..Default::default()
+            },
+        ];
+        let rejected =
+            |r: Result<HealthReport, Error>| matches!(r, Err(Error::InvalidHealthCheck { .. }));
+        for check in &bad {
+            let local = InProcessTransport::new(&mut net, &mut agent).health_check(check);
+            assert!(rejected(local), "in-process accepted {check:?}");
+        }
+        let server = AgentServer::bind("127.0.0.1:0", net, agent).expect("bind");
+        let mut transport =
+            TcpTransport::connect(&server.local_addr().to_string()).expect("connect");
+        for check in &bad {
+            assert!(
+                rejected(transport.health_check(check)),
+                "tcp accepted {check:?}"
+            );
+        }
+        drop(transport);
+        let (net, _agent) = server.shutdown();
+        let served = net.telemetry().metrics().snapshot();
+        assert_eq!(
+            served.counter("serve.rpc.health_check"),
+            0,
+            "rejected before sending"
+        );
     }
 
     #[test]

@@ -215,6 +215,7 @@ impl ControlTransport for InProcessTransport<'_> {
     }
 
     fn health_check(&mut self, check: &HealthCheck) -> Result<HealthReport, Error> {
+        check.validate()?;
         Ok(run_health_check(self.net, check))
     }
 }
@@ -577,8 +578,8 @@ impl TcpTransport {
                     ),
                 })?;
             match frame.kind {
-                // Liveness chatter between responses is legal; answer in the
-                // executor's stead would require write access — just skip.
+                // Liveness chatter between responses is legal; nothing to
+                // answer on the client side — just skip.
                 FrameKind::Bgp => continue,
                 FrameKind::Request => {
                     return Err(Error::Protocol(WireError::BadFrameKind(2)));
@@ -774,6 +775,7 @@ impl ControlTransport for TcpTransport {
     }
 
     fn health_check(&mut self, check: &HealthCheck) -> Result<HealthReport, Error> {
+        check.validate()?;
         match self.rpc(&Request::HealthCheck {
             check: check.clone(),
         })? {

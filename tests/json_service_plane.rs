@@ -4,6 +4,8 @@
 //! document. The 2,036-device topology is 864 KB of JSON; a parser that
 //! re-validated the rest of the input per character took 5 s over it.
 
+use centralium::health::{HealthCheck, TrafficProbe};
+use centralium_bgp::Prefix;
 use centralium_topology::{build_three_tier, ThreeTierSpec, Topology};
 use serde_json::Value;
 use std::time::{Duration, Instant};
@@ -106,4 +108,27 @@ fn topology_2k_roundtrips_byte_identically() {
     assert_eq!(back.device_count(), topo.device_count());
     let again = serde_json::to_string(&back).expect("re-serialize");
     assert!(text == again, "topology changed through JSON");
+}
+
+/// The 2k tier's fleet health check — probe delivery from every rack, no
+/// congestion, a next-hop floor per rack — is its own wire form. One
+/// `[device, prefix, min]` triple per rack made it 57 KB, most of a deploy
+/// cycle's request bytes; the floor is one device list now.
+#[test]
+fn fleet_health_check_2k_is_compact_on_the_wire() {
+    let (_, idx, _) = build_three_tier(&ThreeTierSpec::ci_2k());
+    let racks: Vec<_> = idx.rsw.iter().flatten().copied().collect();
+    assert_eq!(racks.len(), 1_800);
+    let check = HealthCheck {
+        probe: Some(TrafficProbe {
+            sources: racks.clone(),
+            dest: Prefix::DEFAULT,
+            gbps_each: 0.01,
+        }),
+        max_link_utilization: Some(1.0),
+        min_nexthops: racks.iter().map(|&r| (r, Prefix::DEFAULT, 1)).collect(),
+        expect_rpa: Vec::new(),
+    };
+    let text = serde_json::to_string(&check).expect("serialize");
+    assert!(text.len() <= 20_000, "{} bytes", text.len());
 }
