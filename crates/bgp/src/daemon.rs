@@ -45,13 +45,12 @@ use crate::types::{PeerId, Prefix};
 use crate::wcmp;
 use centralium_telemetry::{Counter, EventKind, Severity, Telemetry};
 use centralium_topology::Asn;
-use serde::{Deserialize, Serialize};
 use std::cmp::Ordering;
 use std::collections::BTreeMap;
 use std::sync::Arc;
 
 /// Speaker-level configuration.
-#[derive(Debug, Clone, Serialize, Deserialize)]
+#[derive(Debug, Clone)]
 pub struct DaemonConfig {
     /// Own autonomous system.
     pub asn: Asn,
@@ -83,7 +82,7 @@ impl DaemonConfig {
 }
 
 /// Per-session configuration.
-#[derive(Debug, Clone, Serialize, Deserialize)]
+#[derive(Debug, Clone)]
 pub struct PeerConfig {
     /// Session id.
     pub peer: PeerId,
@@ -113,7 +112,7 @@ impl PeerConfig {
     }
 }
 
-#[derive(Debug, Clone, Serialize, Deserialize)]
+#[derive(Debug, Clone)]
 struct PeerState {
     cfg: PeerConfig,
     established: bool,
@@ -188,8 +187,7 @@ impl CandidateView<'_> {
 
 /// Telemetry binding of one speaker: disabled (and free) by default,
 /// attached by the host via [`BgpDaemon::set_telemetry`]. Boxed so an
-/// unbound daemon carries one pointer of overhead, and skipped during
-/// (de)serialization — a restored daemon starts unbound.
+/// unbound daemon carries one pointer of overhead.
 #[derive(Debug, Clone, Default)]
 pub(crate) struct DaemonTelemetry(Option<Box<DaemonTelemetryInner>>);
 
@@ -203,22 +201,8 @@ struct DaemonTelemetryInner {
     export_evals: Counter,
 }
 
-// The binding is process-local (live counter handles); a deserialized
-// daemon always starts unbound.
-impl Serialize for DaemonTelemetry {
-    fn serialize(&self) -> serde::Value {
-        serde::Value::Null
-    }
-}
-
-impl Deserialize for DaemonTelemetry {
-    fn deserialize(_: &serde::Value) -> Result<Self, serde::Error> {
-        Ok(DaemonTelemetry::default())
-    }
-}
-
 /// A BGP speaker.
-#[derive(Debug, Clone, Serialize, Deserialize)]
+#[derive(Debug, Clone)]
 pub struct BgpDaemon {
     cfg: DaemonConfig,
     peers: FlatMap<PeerId, PeerState>,
@@ -228,31 +212,24 @@ pub struct BgpDaemon {
     adj_rib_out: AdjRibOut,
     /// Prefixes whose Loc-RIB entry was (re)installed or removed since the
     /// last drain, repeats allowed ([`BgpDaemon::drain_fib_changes`] sorts
-    /// them once); none are kept before the first full sync. Skipped on the
-    /// wire: a restored daemon starts with no marks and `fib_delta_ready ==
-    /// false`, forcing one full sync before delta export resumes.
-    #[serde(skip)]
+    /// them once). Recorded only while `record_fib` is set, so a daemon no
+    /// FIB drains does not grow it.
     fib_dirty: Vec<Prefix>,
-    /// Whether the host FIB has completed at least one full sync against
-    /// this daemon instance. Delta export is only sound on top of a full
-    /// baseline; see [`BgpDaemon::mark_fib_synced`].
-    #[serde(skip)]
-    fib_delta_ready: bool,
+    /// Whether a host FIB drains the Loc-RIB changes; see
+    /// [`BgpDaemon::record_fib_changes`].
+    record_fib: bool,
     /// Prefixes marked since the last [`BgpDaemon::decide`], repeats
     /// allowed, and what moved them; `dirty` keeps its capacity like
-    /// `fib_dirty`. Not serialized: serialize between decides.
-    #[serde(skip)]
+    /// `fib_dirty`.
     dirty: Vec<Prefix>,
-    #[serde(skip)]
     moved: Moved,
-    #[serde(skip)]
     telemetry: DaemonTelemetry,
 }
 
 /// What moved the prefixes marked since the last [`BgpDaemon::decide`], in
 /// the order marks [`join`](Moved::join) up: the facts that pick its
 /// decision and its export.
-#[derive(Debug, Clone, Copy, Default, PartialEq, Serialize, Deserialize)]
+#[derive(Debug, Clone, Copy, Default, PartialEq)]
 enum Moved {
     #[default]
     Nothing,
@@ -287,7 +264,7 @@ impl BgpDaemon {
             loc_rib: FlatMap::new(),
             adj_rib_out: AdjRibOut::default(),
             fib_dirty: Vec::new(),
-            fib_delta_ready: false,
+            record_fib: false,
             dirty: Vec::new(),
             moved: Moved::Nothing,
             telemetry: DaemonTelemetry::default(),
@@ -700,8 +677,10 @@ impl BgpDaemon {
         out
     }
 
-    /// Snapshot the FIB: one entry per Loc-RIB entry with forwarding next
-    /// hops (a locally-originated-only entry has none).
+    /// The FIB this Loc-RIB projects to: one entry per Loc-RIB entry with
+    /// forwarding next hops (a locally-originated-only entry has none), in
+    /// prefix order. Tests compare host FIBs against it; hosts program
+    /// theirs from [`drain_fib_changes`](Self::drain_fib_changes).
     pub fn fib(&self) -> Vec<FibEntry> {
         self.loc_rib
             .iter()
@@ -715,14 +694,6 @@ impl BgpDaemon {
                 })
             })
             .collect()
-    }
-
-    /// Whether the host FIB may consume [`BgpDaemon::drain_fib_changes`]
-    /// instead of a full [`BgpDaemon::fib`] resync. False until the first
-    /// full sync is acknowledged via [`BgpDaemon::mark_fib_synced`] (and
-    /// again after deserialization, which drops the dirty marks).
-    pub fn fib_delta_ready(&self) -> bool {
-        self.fib_delta_ready
     }
 
     /// Drain the per-prefix dirty marks for a delta FIB apply: each prefix
@@ -743,16 +714,18 @@ impl BgpDaemon {
 
     /// Mark `prefix` for the next drain.
     fn mark_fib_dirty(&mut self, prefix: Prefix) {
-        if self.fib_delta_ready {
+        if self.record_fib {
             self.fib_dirty.push(prefix);
         }
     }
 
-    /// Acknowledge a completed full FIB sync: pending dirty marks are moot
-    /// and delta export becomes sound from here on.
-    pub fn mark_fib_synced(&mut self) {
-        self.fib_dirty.clear();
-        self.fib_delta_ready = true;
+    /// Start recording, for [`drain_fib_changes`](Self::drain_fib_changes),
+    /// the prefixes whose Loc-RIB entry each decide (re)installs or removes.
+    /// A host calls it once, on a daemon whose Loc-RIB its FIB already
+    /// mirrors — a fresh one, for an empty FIB. Off by default, so a daemon
+    /// no FIB drains keeps no marks.
+    pub fn record_fib_changes(&mut self) {
+        self.record_fib = true;
     }
 
     // ---- decision process ----------------------------------------------------

@@ -9,14 +9,13 @@
 //! the entries themselves. [`FlatMap`] stores the entries as one sorted
 //! `Vec<(K, V)>`: exact-fit-ish memory, binary-search lookups (as fast as a
 //! B-tree walk at these sizes), and ascending-key iteration — the property
-//! the decision process and the serialized snapshots rely on.
+//! the decision process and the FIB's `{:?}` snapshots rely on.
 //!
 //! Inserts and removals shift the tail, so the type is only appropriate
 //! where the entry count stays small-to-moderate (wiring-time peer setup,
 //! per-prefix tables); it intentionally implements just the map surface the
 //! daemon uses.
 
-use serde::{Deserialize, Serialize};
 use std::fmt;
 
 /// A map stored as a `Vec<(K, V)>` sorted by key. See the module docs.
@@ -178,38 +177,6 @@ impl<K: fmt::Debug, V: fmt::Debug> fmt::Debug for FlatMap<K, V> {
     }
 }
 
-// Pair-array wire shape (`[[k, v], …]` in key order), re-sorted defensively
-// on the way in so a hand-edited snapshot cannot break the sorted invariant.
-impl<K: Serialize, V: Serialize> Serialize for FlatMap<K, V> {
-    fn serialize(&self) -> serde::Value {
-        serde::Value::Array(
-            self.entries
-                .iter()
-                .map(|(k, v)| serde::Value::Array(vec![k.serialize(), v.serialize()]))
-                .collect(),
-        )
-    }
-}
-
-impl<K: Deserialize + Ord + Copy, V: Deserialize> Deserialize for FlatMap<K, V> {
-    fn deserialize(v: &serde::Value) -> Result<Self, serde::Error> {
-        let serde::Value::Array(items) = v else {
-            return Err(serde::Error::custom("expected pair array for FlatMap"));
-        };
-        let mut map = FlatMap::new();
-        for item in items {
-            let serde::Value::Array(pair) = item else {
-                return Err(serde::Error::custom("expected [key, value] pair"));
-            };
-            if pair.len() != 2 {
-                return Err(serde::Error::custom("expected [key, value] pair"));
-            }
-            map.insert(K::deserialize(&pair[0])?, V::deserialize(&pair[1])?);
-        }
-        Ok(map)
-    }
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;
@@ -269,21 +236,5 @@ mod tests {
             "capacity {} should shrink after dropping 95% of entries",
             m.table_bytes()
         );
-    }
-
-    #[test]
-    fn serde_round_trips_and_resorts() {
-        let mut m = FlatMap::new();
-        m.insert(3u32, "c".to_string());
-        m.insert(1, "a".to_string());
-        let v = m.serialize();
-        let back = FlatMap::<u32, String>::deserialize(&v).unwrap();
-        assert_eq!(
-            back.iter()
-                .map(|(k, s)| (*k, s.clone()))
-                .collect::<Vec<_>>(),
-            vec![(1, "a".to_string()), (3, "c".to_string())]
-        );
-        assert!(FlatMap::<u32, String>::deserialize(&serde::Value::Null).is_err());
     }
 }

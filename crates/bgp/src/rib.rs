@@ -14,7 +14,6 @@
 use crate::attrs::PathAttributes;
 use crate::flat::FlatMap;
 use crate::types::{PeerId, Prefix};
-use serde::{Deserialize, Serialize};
 use std::fmt;
 use std::sync::Arc;
 
@@ -26,7 +25,7 @@ use std::sync::Arc;
 /// Loc-RIB installation, re-advertisement — is a pointer bump, never a deep
 /// attribute copy. Mutating attributes on a shared route goes through
 /// `Arc::make_mut`, which copies only when the allocation is actually shared.
-#[derive(Debug, Clone, PartialEq, Serialize, Deserialize)]
+#[derive(Debug, Clone, PartialEq)]
 pub struct Route {
     /// Destination.
     pub prefix: Prefix,
@@ -286,30 +285,6 @@ impl AdjRibIn {
     }
 }
 
-// Serialized as the flat route list in iteration order (prefix-major, peer
-// ascending); deserialization re-inserts. The wire shape is route-level, so
-// the table layout can evolve without breaking stored snapshots.
-impl Serialize for AdjRibIn {
-    fn serialize(&self) -> serde::Value {
-        let mut out = Vec::with_capacity(self.len());
-        for &prefix in self.table.prefixes.keys() {
-            out.extend(self.routes_for(prefix).map(|route| route.serialize()));
-        }
-        serde::Value::Array(out)
-    }
-}
-
-impl Deserialize for AdjRibIn {
-    fn deserialize(v: &serde::Value) -> Result<Self, serde::Error> {
-        let routes = Vec::<Route>::deserialize(v)?;
-        let mut rib = AdjRibIn::default();
-        for route in routes {
-            rib.insert(route).map_err(serde::Error::custom)?;
-        }
-        Ok(rib)
-    }
-}
-
 /// Iterator over the materialized routes of one prefix, ascending by session
 /// id (the candidate-gathering order the decision process depends on).
 pub struct RoutesFor<'a> {
@@ -388,39 +363,9 @@ impl AdjRibOut {
             .filter_map(move |(prefix, fan)| fan.get(&peer).map(|attrs| (*prefix, attrs)))
     }
 
-    /// Total advertised `(peer, prefix)` entries.
-    pub(crate) fn len(&self) -> usize {
-        self.table.total
-    }
-
     /// Occupancy and byte-footprint summary for telemetry.
     pub(crate) fn footprint(&self) -> RibFootprint {
         self.table.footprint()
-    }
-}
-
-// Same route-level wire shape as `AdjRibIn`: `(peer, prefix, attrs)` triples
-// in iteration order, re-inserted on the way in.
-impl Serialize for AdjRibOut {
-    fn serialize(&self) -> serde::Value {
-        let mut out = Vec::with_capacity(self.len());
-        for (prefix, fan) in self.table.prefixes.iter() {
-            for (peer, attrs) in fan.iter() {
-                out.push((*peer, *prefix, Arc::clone(attrs)).serialize());
-            }
-        }
-        serde::Value::Array(out)
-    }
-}
-
-impl Deserialize for AdjRibOut {
-    fn deserialize(v: &serde::Value) -> Result<Self, serde::Error> {
-        let triples = Vec::<(PeerId, Prefix, Arc<PathAttributes>)>::deserialize(v)?;
-        let mut rib = AdjRibOut::default();
-        for (peer, prefix, attrs) in triples {
-            rib.advertise(peer, prefix, attrs);
-        }
-        Ok(rib)
     }
 }
 
@@ -441,7 +386,7 @@ pub(crate) fn take_selected(candidates: Vec<Route>, indices: &[usize]) -> Vec<Ro
 }
 
 /// The outcome of path selection for one prefix, as installed in the Loc-RIB.
-#[derive(Debug, Clone, PartialEq, Serialize, Deserialize)]
+#[derive(Debug, Clone, PartialEq)]
 pub struct LocRibEntry {
     /// Routes selected for forwarding (the multipath set).
     pub selected: Vec<Route>,
@@ -626,24 +571,6 @@ mod tests {
     }
 
     #[test]
-    fn serde_roundtrip_preserves_order_and_content() {
-        let mut rib = AdjRibIn::default();
-        for peer in 1..=8 {
-            rib.insert(route(peer, "10.0.0.0/8")).unwrap();
-        }
-        let mut other = route(9, "10.0.0.0/8");
-        Arc::make_mut(&mut other.attrs).med = 7;
-        rib.insert(other).unwrap();
-        let back = AdjRibIn::deserialize(&rib.serialize()).unwrap();
-        assert_eq!(back.len(), rib.len());
-        assert_eq!(
-            routes(&back, "10.0.0.0/8"),
-            routes(&rib, "10.0.0.0/8"),
-            "route-level wire shape preserves iteration order and content"
-        );
-    }
-
-    #[test]
     fn advertise_returns_the_body_it_was_given() {
         let mut out = AdjRibOut::default();
         for peer in 1..=32 {
@@ -674,7 +601,7 @@ mod tests {
         ));
         assert!(out.withdraw(PeerId(5), p("0.0.0.0/0")));
         assert!(!out.withdraw(PeerId(5), p("0.0.0.0/0")));
-        assert_eq!(out.len(), 31);
+        assert_eq!(out.footprint().peer_refs, 31);
     }
 
     #[test]
@@ -700,10 +627,8 @@ mod tests {
         assert!(out.attrs(PeerId(2), p("10.0.0.0/8")).is_some());
         assert!(out.attrs(PeerId(2), p("11.0.0.0/8")).is_none());
         out.flush_peer(PeerId(1));
-        assert_eq!(out.len(), 1);
-        let back = AdjRibOut::deserialize(&out.serialize()).unwrap();
-        assert_eq!(back.len(), 1);
-        assert!(back.attrs(PeerId(2), p("10.0.0.0/8")).is_some());
+        assert_eq!(out.footprint().peer_refs, 1);
+        assert!(out.attrs(PeerId(2), p("10.0.0.0/8")).is_some());
     }
 
     #[test]

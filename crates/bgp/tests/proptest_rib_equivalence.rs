@@ -227,43 +227,4 @@ proptest! {
             check_equivalent(&rib, &slab)?;
         }
     }
-
-    /// Serde round-trip at an arbitrary interleaving point reproduces the
-    /// exact observable state (the wire shape is route-level, so the
-    /// rebuilt table must land where the original stood).
-    #[test]
-    fn serde_roundtrip_preserves_observables(
-        ops in proptest::collection::vec(arb_op(), 1..60)
-    ) {
-        use serde::{Deserialize, Serialize};
-        let mut rib = AdjRibIn::default();
-        let mut slab = SlabRib::default();
-        for op in ops {
-            match op {
-                Op::Announce(peer, prefix, class) => {
-                    let prefix: Prefix = PREFIXES[prefix as usize].parse().unwrap();
-                    let attrs = Arc::new(class_attrs(class));
-                    let _ = rib
-                        .insert(Route::learned(prefix, Arc::clone(&attrs), PeerId(peer as u64)));
-                    let _ = slab.insert(Route::learned(prefix, attrs, PeerId(peer as u64)));
-                }
-                Op::Withdraw(peer, prefix) => {
-                    let prefix: Prefix = PREFIXES[prefix as usize].parse().unwrap();
-                    rib.remove(PeerId(peer as u64), prefix);
-                    slab.remove(PeerId(peer as u64), prefix);
-                }
-                Op::Flush(peer) => {
-                    rib.flush_peer(PeerId(peer as u64));
-                    slab.flush_peer(PeerId(peer as u64));
-                }
-                Op::Purge(class) => {
-                    let evict = Arc::new(class_attrs(class));
-                    rib.purge(|r| *r.attrs != *evict);
-                    slab.purge(|r| *r.attrs != *evict);
-                }
-            }
-        }
-        let restored = AdjRibIn::deserialize(&rib.serialize()).unwrap();
-        check_equivalent(&restored, &slab)?;
-    }
 }

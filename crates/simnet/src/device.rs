@@ -1,7 +1,7 @@
 //! A simulated device: BGP daemon + RPA engine + FIB.
 
 use crate::fib::{Fib, FibScratch};
-use centralium_bgp::{BgpDaemon, PeerId, UpdateMessage};
+use centralium_bgp::{BgpDaemon, DaemonConfig, PeerId, UpdateMessage};
 use centralium_rpa::RpaEngine;
 use centralium_topology::DeviceId;
 
@@ -19,26 +19,23 @@ pub struct SimDevice {
 }
 
 impl SimDevice {
-    /// Bundle a daemon with a fresh engine and a FIB of the given capacity,
-    /// synced to the daemon: the baseline [`decide`](Self::decide)'s delta
-    /// export builds on.
-    pub(crate) fn new(id: DeviceId, mut daemon: BgpDaemon, nhg_capacity: usize) -> Self {
-        let mut fib = Fib::new(nhg_capacity);
-        fib.sync(daemon.fib());
-        daemon.mark_fib_synced();
+    /// A fresh daemon with `cfg`, a fresh engine and an empty FIB of the
+    /// given capacity. The daemon records the prefixes each
+    /// [`decide`](Self::decide) moves, for the FIB to apply.
+    pub(crate) fn new(id: DeviceId, cfg: DaemonConfig, nhg_capacity: usize) -> Self {
+        let mut daemon = BgpDaemon::new(cfg);
+        daemon.record_fib_changes();
         SimDevice {
             id,
             daemon,
             engine: RpaEngine::new(),
-            fib,
+            fib: Fib::new(nhg_capacity),
         }
     }
 
     /// Mark dirty prefixes with `mark`, run the daemon's one
-    /// [`decide`](BgpDaemon::decide) against this device's engine, and
-    /// synchronize the FIB — via the per-prefix delta export when sound, via
-    /// a full rebuild otherwise (a daemon restored without its baseline, and
-    /// the dedup heuristic). The delta is projected in the caller's
+    /// [`decide`](BgpDaemon::decide) against this device's engine, and apply
+    /// the prefixes it moved to the FIB, projected in the caller's
     /// `scratch`. Returns the updates the daemon wants sent.
     pub fn decide(
         &mut self,
@@ -47,12 +44,7 @@ impl SimDevice {
     ) -> Vec<(PeerId, UpdateMessage)> {
         mark(&mut self.daemon, &self.engine);
         let out = self.daemon.decide(&self.engine);
-        if !self.fib.dedup_heuristic && self.daemon.fib_delta_ready() {
-            self.fib.apply(self.daemon.drain_fib_changes(), scratch);
-        } else {
-            self.fib.sync(self.daemon.fib());
-            self.daemon.mark_fib_synced();
-        }
+        self.fib.apply(self.daemon.drain_fib_changes(), scratch);
         out
     }
 }
@@ -60,13 +52,13 @@ impl SimDevice {
 #[cfg(test)]
 mod tests {
     use super::*;
-    use centralium_bgp::{DaemonConfig, PathAttributes, PeerConfig, Prefix};
+    use centralium_bgp::{PathAttributes, PeerConfig, Prefix};
     use centralium_topology::Asn;
 
-    #[test]
-    fn decide_keeps_fib_in_sync() {
-        let daemon = BgpDaemon::new(DaemonConfig::fabric(Asn(1)));
-        let mut dev = SimDevice::new(DeviceId(0), daemon, 64);
+    /// A device whose one session, 5, has announced the default route.
+    fn announced(nhg_capacity: usize, dedup_heuristic: bool) -> (SimDevice, FibScratch) {
+        let mut dev = SimDevice::new(DeviceId(0), DaemonConfig::fabric(Asn(1)), nhg_capacity);
+        dev.fib.dedup_heuristic = dedup_heuristic;
         let mut scratch = FibScratch::default();
         dev.daemon
             .add_peer(PeerConfig::open(PeerId(5), Asn(2), 100.0));
@@ -80,10 +72,26 @@ mod tests {
                 e,
             );
         });
+        (dev, scratch)
+    }
+
+    #[test]
+    fn decide_keeps_fib_in_sync() {
+        let (dev, _) = announced(64, false);
         assert_eq!(dev.fib.len(), 1);
         assert_eq!(
             dev.fib.entry(Prefix::DEFAULT).unwrap().nexthops,
             vec![(PeerId(5), 1)]
         );
+    }
+
+    #[test]
+    fn a_decide_that_changes_nothing_counts_no_overflow_under_the_dedup_heuristic() {
+        // Capacity 0: the one installed group already overflows the table.
+        let (mut dev, mut scratch) = announced(0, true);
+        assert_eq!(dev.fib.nhg_stats().overflow_events, 1);
+        dev.decide(&mut scratch, |_, _| {});
+        dev.decide(&mut scratch, |d, _| d.mark([Prefix::DEFAULT]));
+        assert_eq!(dev.fib.nhg_stats().overflow_events, 1);
     }
 }

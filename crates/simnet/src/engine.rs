@@ -1045,14 +1045,13 @@ impl SimNet {
 mod tests {
     use super::*;
     use centralium_bgp::attrs::well_known;
-    use centralium_bgp::{BgpDaemon, Community, Route};
+    use centralium_bgp::{Community, Route};
     use centralium_rpa::{
         Destination, PathSelectionRpa, PathSelectionStatement, PathSet, PathSignature,
         PeerSignature, PrefixFilter, RouteAttributeRpa, RouteAttributeStatement, RouteFilterRpa,
         RouteFilterStatement,
     };
     use centralium_topology::{build_fabric, FabricSpec};
-    use serde::{Deserialize, Serialize};
 
     fn rack(pod: u32, rack: u32) -> Prefix {
         Prefix::new(0x0A00_0000 | pod << 16 | rack << 8, 24)
@@ -1110,19 +1109,14 @@ mod tests {
         }
     }
 
-    /// Restore `dev`'s daemon from a snapshot that lost `prefix`'s
-    /// Adj-RIB-In routes: its Loc-RIB entry survives with no route behind it.
+    /// Withdraw `prefix` on every session that holds it, without deciding:
+    /// its Loc-RIB entry survives with no route behind it.
     fn strand_loc_rib_entry(dev: &mut SimDevice, prefix: Prefix) {
-        let mut snapshot = dev.daemon.serialize();
-        let serde::Value::Object(fields) = &mut snapshot else {
-            panic!("a daemon serializes as an object");
-        };
-        let Some(serde::Value::Array(routes)) = fields.get_mut("adj_rib_in") else {
-            panic!("the Adj-RIB-In serializes as a route list");
-        };
-        let key = prefix.serialize();
-        routes.retain(|route| route.get("prefix") != Some(&key));
-        dev.daemon = BgpDaemon::deserialize(&snapshot).expect("snapshot round-trips");
+        for route in dev.daemon.candidates(prefix) {
+            let peer = route.learned_from.expect("the prefix is learned here");
+            dev.daemon
+                .ingest(peer, UpdateMessage::withdraw(prefix), &dev.engine);
+        }
         assert!(dev.daemon.loc_rib_entry(prefix).is_some() && dev.daemon.rib_in_count(prefix) == 0);
     }
 

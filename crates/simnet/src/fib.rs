@@ -10,6 +10,11 @@
 //! entry points at a group object, an installed entry holds its group's one
 //! allocation and remembers the group's id.
 //!
+//! The table changes only through [`Fib::apply`]: one batch per daemon
+//! decide, holding the prefixes it moved, so a batch costs its delta and
+//! never a rebuild. The §3.4 member-set dedup heuristic runs on the same
+//! path.
+//!
 //! Storage is the sorted flat table the Loc-RIB already uses
 //! ([`FlatMap<Prefix, _>`](centralium_bgp::flat::FlatMap)): the FIB
 //! holds at most one entry per Loc-RIB entry, so both tables have the same
@@ -45,8 +50,8 @@ pub struct NhgStats {
     /// Total group-object creations (churn); every new distinct group costs
     /// an ASIC programming operation.
     pub group_creations: u64,
-    /// Number of sync operations that found more groups than the hardware
-    /// table holds.
+    /// Batches that left more groups than the hardware table holds (a batch
+    /// that changed nothing is not counted).
     pub overflow_events: u64,
 }
 
@@ -137,13 +142,22 @@ impl GroupTable {
         }
     }
 
-    /// The lowest-id live group with the given member sessions (ignoring
-    /// weights), for the dedup heuristic.
-    fn same_members(&self, members: &[PeerId]) -> Option<&[(PeerId, u32)]> {
-        self.live
-            .values()
-            .map(|(group, _)| &**group)
-            .find(|g| g.len() == members.len() && g.iter().map(|(p, _)| p).eq(members.iter()))
+    /// The §3.4 dedup heuristic: when `group` is not live, replace it with
+    /// the lowest-id live group below `fresh` that has the same member
+    /// sessions (any weights). The oldest candidate wins, so the choice is
+    /// deterministic by construction.
+    fn reuse_same_members(&self, group: &mut NextHopGroup, fresh: u64) {
+        if self.contains(group) {
+            return;
+        }
+        let same_members = |g: &[(PeerId, u32)]| {
+            g.len() == group.len() && g.iter().zip(group.iter()).all(|(a, b)| a.0 == b.0)
+        };
+        let mut oldest_first = self.live.range(..fresh).map(|(_, (g, _))| g);
+        if let Some(reused) = oldest_first.find(|g| same_members(g)) {
+            group.clear();
+            group.extend_from_slice(reused);
+        }
     }
 }
 
@@ -208,66 +222,43 @@ impl Fib {
         }
     }
 
-    /// Synchronize with the daemon's desired forwarding state.
-    pub fn sync(&mut self, desired: Vec<FibEntry>) {
-        // Canonicalize against the pre-batch table (the dedup heuristic and
-        // creation counting both compare to "present before the batch"),
-        // then rebuild. Releases are deferred so a group that survives the
-        // sync keeps its id. The daemon hands `desired` over in ascending
-        // prefix order, so each insert lands at the end of the table; a
-        // duplicate prefix is last write wins.
-        let mut canonical = FlatMap::new();
-        for e in desired {
-            canonical.insert(e.prefix, (self.canonical_group(&e.nexthops), e.warm));
-        }
-        let mut released = Vec::new();
-        for (_, id) in self.entries.values() {
-            self.groups.release(*id, &mut released);
-        }
-        self.entries = FlatMap::new();
-        for (&prefix, (group, warm)) in canonical.iter() {
-            self.install(prefix, group, *warm);
-        }
-        self.groups.gc(&mut released);
-        self.note_group_pressure();
-    }
-
-    /// Apply a per-prefix delta instead of a full rebuild — the incremental
-    /// counterpart of [`Fib::sync`]. Each change is a prefix and the Loc-RIB
-    /// entry it now projects from, borrowed in place; `None`, or an entry
-    /// without learned next hops, removes the prefix. Group refcounts,
-    /// creations, the high-water mark and overflow accounting follow
-    /// `sync`'s batch semantics exactly: a group counts as *created* only if
-    /// it was absent before the whole batch, and overflow is checked once
-    /// per batch. A change that projects to the installed entry is skipped
-    /// entirely, and an all-no-op batch performs no accounting — callers
-    /// must not rely on `apply` bumping stats the way a redundant `sync`
-    /// would.
+    /// Apply one batch of per-prefix changes — the only way a FIB changes.
+    /// Each change is a prefix and the Loc-RIB entry it now projects from,
+    /// borrowed in place; `None`, or an entry without learned next hops,
+    /// removes the prefix. A batch is what one daemon decide moved, each
+    /// prefix once ([`BgpDaemon::drain_fib_changes`]). Group accounting is
+    /// per batch: a group counts as *created* only if it was absent before
+    /// the batch (one released to zero and re-acquired keeps its id), and
+    /// the high-water mark and overflow are checked once, after it. A change
+    /// that projects to the installed entry is skipped entirely, and an
+    /// all-no-op batch performs no accounting.
     ///
     /// Each change is projected into `scratch` and sorted into canonical
     /// (session-id) order there — a linear scan when already in order, as
-    /// native multipath sets are — so the projection *is* the group key. An
-    /// installed entry shares the group table's allocation and remembers its
-    /// group's id, so a release is by id: nothing is allocated unless the
-    /// group is new to this FIB.
+    /// native multipath sets are — so the projection *is* the group key.
+    /// Under [`Fib::dedup_heuristic`] a projection that is not a live group
+    /// becomes the lowest-id group that was live before the batch with the
+    /// same member sessions, if there is one. An installed entry shares the
+    /// group table's allocation and remembers its group's id, so a release
+    /// is by id: nothing is allocated unless the group is new to this FIB.
     ///
-    /// Not valid with [`Fib::dedup_heuristic`] (its reuse choice depends on
-    /// the whole-table rebuild order); callers fall back to `sync` there.
+    /// [`BgpDaemon::drain_fib_changes`]: centralium_bgp::BgpDaemon::drain_fib_changes
     pub fn apply<'a>(
         &mut self,
         changes: impl IntoIterator<Item = (Prefix, Option<&'a LocRibEntry>)>,
         scratch: &mut FibScratch,
     ) {
-        debug_assert!(
-            !self.dedup_heuristic,
-            "delta apply bypasses the dedup heuristic"
-        );
         let FibScratch { nexthops, released } = scratch;
+        // Groups minted from here on are this batch's: never reuse targets.
+        let fresh = self.groups.next_id;
         let mut changed = false;
         for (prefix, desired) in changes {
             nexthops.clear();
             nexthops.extend(desired.into_iter().flat_map(LocRibEntry::fib_nexthops));
             nexthops.sort_unstable_by_key(|(p, _)| *p);
+            if self.dedup_heuristic {
+                self.groups.reuse_same_members(nexthops, fresh);
+            }
             let warm = desired.is_some_and(|e| e.fib_warm_only);
             match self.entries.get_mut(&prefix) {
                 None if nexthops.is_empty() => continue,
@@ -314,22 +305,6 @@ impl Fib {
         if self.stats.current_groups > self.capacity {
             self.stats.overflow_events += 1;
         }
-    }
-
-    /// Canonicalize a group, optionally applying the dedup heuristic: if an
-    /// existing group has the same member sessions (any weights), reuse it.
-    /// The reuse choice is the *oldest* (lowest-id) live candidate, so it is
-    /// deterministic by construction.
-    fn canonical_group(&self, nexthops: &[(PeerId, u32)]) -> NextHopGroup {
-        let mut group: NextHopGroup = nexthops.to_vec();
-        group.sort_unstable_by_key(|(p, _)| *p);
-        if self.dedup_heuristic && !self.groups.contains(&group) {
-            let members: Vec<PeerId> = group.iter().map(|(p, _)| *p).collect();
-            if let Some(existing) = self.groups.same_members(&members) {
-                return existing.to_vec();
-            }
-        }
-        group
     }
 
     /// Longest-prefix-match lookup, as a predecessor search. Every prefix
@@ -398,17 +373,10 @@ impl Fib {
 mod tests {
     use super::*;
     use centralium_bgp::{PathAttributes, Route};
+    use proptest::prelude::*;
 
     fn p(s: &str) -> Prefix {
         s.parse().unwrap()
-    }
-
-    fn entry(prefix: &str, nexthops: &[(u64, u32)]) -> FibEntry {
-        FibEntry {
-            prefix: p(prefix),
-            nexthops: NextHops(nexthops.iter().map(|(d, w)| (PeerId(*d), *w)).collect()),
-            warm: false,
-        }
     }
 
     /// A Loc-RIB entry projecting to `nexthops`, selected in the order given.
@@ -427,18 +395,70 @@ mod tests {
         fib.apply(changes.iter().map(|(s, e)| (p(s), *e)), scratch);
     }
 
+    /// One delta batch installing each prefix on the given next hops.
+    fn install(fib: &mut Fib, batch: &[(&str, &[(u64, u32)])]) {
+        let entries: Vec<_> = batch
+            .iter()
+            .map(|(s, hops)| (*s, loc(hops, false)))
+            .collect();
+        let changes: Vec<_> = entries.iter().map(|(s, e)| (*s, Some(e))).collect();
+        apply(fib, &mut FibScratch::default(), &changes);
+    }
+
     fn group_id(fib: &Fib, prefix: &str) -> u64 {
         fib.entries.get(&p(prefix)).expect("installed").1
+    }
+
+    /// The full rebuild the delta path replaced, kept as its reference: the
+    /// whole desired table canonicalized against the groups live before
+    /// the batch (under the dedup heuristic, a group that is not live
+    /// becomes the lowest-id live group with its member sessions), then
+    /// every entry released and re-installed in prefix order. Releases are
+    /// deferred, so a group that survives keeps its id.
+    fn rebuild(fib: &mut Fib, desired: &[FibEntry]) {
+        let mut canonical = FlatMap::new();
+        for e in desired {
+            let mut group: NextHopGroup = e.nexthops.to_vec();
+            group.sort_unstable_by_key(|(p, _)| *p);
+            if fib.dedup_heuristic && !fib.groups.contains(&group) {
+                let members = |g: &[(PeerId, u32)]| g.iter().map(|(p, _)| *p).collect::<Vec<_>>();
+                let mut live = fib.groups.live.values().map(|(g, _)| g);
+                if let Some(existing) = live.find(|g| members(g) == members(&group)) {
+                    group = existing.to_vec();
+                }
+            }
+            canonical.insert(e.prefix, (group, e.warm));
+        }
+        let mut released = Vec::new();
+        for (_, id) in fib.entries.values() {
+            fib.groups.release(*id, &mut released);
+        }
+        fib.entries = FlatMap::new();
+        for (&prefix, (group, warm)) in canonical.iter() {
+            fib.install(prefix, group, *warm);
+        }
+        fib.groups.gc(&mut released);
+        fib.note_group_pressure();
+    }
+
+    /// Everything the group table holds: `(id, group, refcount)` in id order.
+    fn live_groups(fib: &Fib) -> Vec<(u64, NextHopGroup, usize)> {
+        let live = fib.groups.live.iter();
+        live.map(|(id, (g, count))| (*id, g.to_vec(), *count))
+            .collect()
     }
 
     #[test]
     fn identical_groups_are_shared() {
         let mut fib = Fib::new(16);
-        fib.sync(vec![
-            entry("10.0.0.0/8", &[(1, 1), (2, 1)]),
-            entry("11.0.0.0/8", &[(1, 1), (2, 1)]),
-            entry("12.0.0.0/8", &[(2, 1), (1, 1)]), // different order, same group
-        ]);
+        install(
+            &mut fib,
+            &[
+                ("10.0.0.0/8", &[(1, 1), (2, 1)]),
+                ("11.0.0.0/8", &[(1, 1), (2, 1)]),
+                ("12.0.0.0/8", &[(2, 1), (1, 1)]), // different order, same group
+            ],
+        );
         let stats = fib.nhg_stats();
         assert_eq!(stats.current_groups, 1);
         assert_eq!(stats.group_creations, 1);
@@ -447,10 +467,13 @@ mod tests {
     #[test]
     fn distinct_weights_mint_distinct_groups() {
         let mut fib = Fib::new(16);
-        fib.sync(vec![
-            entry("10.0.0.0/8", &[(1, 1), (2, 1)]),
-            entry("11.0.0.0/8", &[(1, 1), (2, 3)]),
-        ]);
+        install(
+            &mut fib,
+            &[
+                ("10.0.0.0/8", &[(1, 1), (2, 1)]),
+                ("11.0.0.0/8", &[(1, 1), (2, 3)]),
+            ],
+        );
         assert_eq!(fib.nhg_stats().current_groups, 2);
     }
 
@@ -458,19 +481,26 @@ mod tests {
     fn high_water_mark_persists_after_convergence() {
         let mut fib = Fib::new(16);
         // Transient: four prefixes, four distinct groups.
-        fib.sync(vec![
-            entry("10.0.0.0/8", &[(1, 1)]),
-            entry("11.0.0.0/8", &[(2, 1)]),
-            entry("12.0.0.0/8", &[(3, 1)]),
-            entry("13.0.0.0/8", &[(4, 1)]),
-        ]);
+        install(
+            &mut fib,
+            &[
+                ("10.0.0.0/8", &[(1, 1)]),
+                ("11.0.0.0/8", &[(2, 1)]),
+                ("12.0.0.0/8", &[(3, 1)]),
+                ("13.0.0.0/8", &[(4, 1)]),
+            ],
+        );
         // Converged: all share one group.
-        fib.sync(vec![
-            entry("10.0.0.0/8", &[(1, 1), (2, 1)]),
-            entry("11.0.0.0/8", &[(1, 1), (2, 1)]),
-            entry("12.0.0.0/8", &[(1, 1), (2, 1)]),
-            entry("13.0.0.0/8", &[(1, 1), (2, 1)]),
-        ]);
+        let converged: &[(u64, u32)] = &[(1, 1), (2, 1)];
+        install(
+            &mut fib,
+            &[
+                ("10.0.0.0/8", converged),
+                ("11.0.0.0/8", converged),
+                ("12.0.0.0/8", converged),
+                ("13.0.0.0/8", converged),
+            ],
+        );
         let stats = fib.nhg_stats();
         assert_eq!(stats.current_groups, 1);
         assert_eq!(stats.max_groups, 4, "transient peak retained");
@@ -480,11 +510,14 @@ mod tests {
     #[test]
     fn overflow_detected_when_groups_exceed_capacity() {
         let mut fib = Fib::new(2);
-        fib.sync(vec![
-            entry("10.0.0.0/8", &[(1, 1)]),
-            entry("11.0.0.0/8", &[(2, 1)]),
-            entry("12.0.0.0/8", &[(3, 1)]),
-        ]);
+        install(
+            &mut fib,
+            &[
+                ("10.0.0.0/8", &[(1, 1)]),
+                ("11.0.0.0/8", &[(2, 1)]),
+                ("12.0.0.0/8", &[(3, 1)]),
+            ],
+        );
         assert_eq!(fib.nhg_stats().overflow_events, 1);
     }
 
@@ -492,30 +525,52 @@ mod tests {
     fn dedup_heuristic_reuses_same_member_groups() {
         let mut fib = Fib::new(16);
         fib.dedup_heuristic = true;
-        fib.sync(vec![entry("10.0.0.0/8", &[(1, 1), (2, 1)])]);
+        install(&mut fib, &[("10.0.0.0/8", &[(1, 1), (2, 1)])]);
         // Same members, different weights: heuristic reuses the object.
-        fib.sync(vec![
-            entry("10.0.0.0/8", &[(1, 1), (2, 1)]),
-            entry("11.0.0.0/8", &[(1, 1), (2, 3)]),
-        ]);
+        install(&mut fib, &[("11.0.0.0/8", &[(1, 1), (2, 3)])]);
         let stats = fib.nhg_stats();
         assert_eq!(stats.current_groups, 1, "heuristic deduped by member set");
+        assert_eq!(group_id(&fib, "11.0.0.0/8"), group_id(&fib, "10.0.0.0/8"));
         // But a different member set still mints a new group (best effort).
-        fib.sync(vec![
-            entry("10.0.0.0/8", &[(1, 1), (2, 1)]),
-            entry("11.0.0.0/8", &[(1, 1), (3, 1)]),
-        ]);
+        install(&mut fib, &[("11.0.0.0/8", &[(1, 1), (3, 1)])]);
         assert_eq!(fib.nhg_stats().current_groups, 2);
+    }
+
+    #[test]
+    fn dedup_never_reuses_a_group_minted_earlier_in_the_batch() {
+        let mut fib = Fib::new(16);
+        fib.dedup_heuristic = true;
+        let mut reference = fib.clone();
+        let batch: &[(&str, &[(u64, u32)])] = &[
+            ("10.0.0.0/8", &[(1, 1), (2, 1)]),
+            ("11.0.0.0/8", &[(1, 1), (2, 3)]),
+        ];
+        install(&mut fib, batch);
+        // The rebuild canonicalizes against the table before the batch,
+        // where neither group was live: both are minted.
+        let desired: Vec<FibEntry> = fib.entries().cloned().collect();
+        rebuild(&mut reference, &desired);
+        assert_ne!(group_id(&fib, "10.0.0.0/8"), group_id(&fib, "11.0.0.0/8"));
+        assert_eq!(fib.nhg_stats().group_creations, 2);
+        assert_eq!(live_groups(&fib), live_groups(&reference));
+        // In the next batch both are old: a third weighting reuses the
+        // lower id.
+        install(&mut fib, &[("12.0.0.0/8", &[(1, 2), (2, 2)])]);
+        assert_eq!(group_id(&fib, "12.0.0.0/8"), group_id(&fib, "10.0.0.0/8"));
+        assert_eq!(fib.nhg_stats().group_creations, 2);
     }
 
     #[test]
     fn longest_prefix_match() {
         let mut fib = Fib::new(16);
-        fib.sync(vec![
-            entry("0.0.0.0/0", &[(1, 1)]),
-            entry("10.0.0.0/8", &[(2, 1)]),
-            entry("10.1.0.0/16", &[(3, 1)]),
-        ]);
+        install(
+            &mut fib,
+            &[
+                ("0.0.0.0/0", &[(1, 1)]),
+                ("10.0.0.0/8", &[(2, 1)]),
+                ("10.1.0.0/16", &[(3, 1)]),
+            ],
+        );
         assert_eq!(
             fib.lookup(&p("10.1.2.0/24")).unwrap().prefix,
             p("10.1.0.0/16")
@@ -530,10 +585,10 @@ mod tests {
     #[test]
     fn reset_stats_keeps_current_groups() {
         let mut fib = Fib::new(16);
-        fib.sync(vec![
-            entry("10.0.0.0/8", &[(1, 1)]),
-            entry("11.0.0.0/8", &[(2, 1)]),
-        ]);
+        install(
+            &mut fib,
+            &[("10.0.0.0/8", &[(1, 1)]), ("11.0.0.0/8", &[(2, 1)])],
+        );
         fib.reset_stats();
         let stats = fib.nhg_stats();
         assert_eq!(stats.current_groups, 2);
@@ -553,7 +608,9 @@ mod tests {
             "10.1.0.0/24",
             "128.0.0.0/1",
         ];
-        fib.sync(prefixes.iter().map(|s| entry(s, &[(1, 1)])).collect());
+        let batch: Vec<(&str, &[(u64, u32)])> =
+            prefixes.iter().map(|s| (*s, &[(1, 1)][..])).collect();
+        install(&mut fib, &batch);
         let got: Vec<Prefix> = fib.entries().map(|e| e.prefix).collect();
         let mut want: Vec<Prefix> = prefixes.iter().map(|s| p(s)).collect();
         want.sort();
@@ -561,12 +618,12 @@ mod tests {
     }
 
     #[test]
-    fn delta_apply_matches_sync_and_prunes() {
+    fn delta_apply_removes_and_prunes() {
         let mut fib = Fib::new(16);
-        fib.sync(vec![
-            entry("0.0.0.0/0", &[(1, 1)]),
-            entry("10.1.0.0/16", &[(2, 1)]),
-        ]);
+        install(
+            &mut fib,
+            &[("0.0.0.0/0", &[(1, 1)]), ("10.1.0.0/16", &[(2, 1)])],
+        );
         let mut scratch = FibScratch::default();
         let hop = loc(&[(3, 1)], false);
         apply(
@@ -593,28 +650,31 @@ mod tests {
     #[test]
     fn group_ids_are_creation_ordered_and_forgotten_on_release() {
         let mut fib = Fib::new(16);
-        fib.sync(vec![
-            entry("10.0.0.0/8", &[(1, 1)]),
-            entry("11.0.0.0/8", &[(2, 1)]),
-        ]);
+        install(
+            &mut fib,
+            &[("10.0.0.0/8", &[(1, 1)]), ("11.0.0.0/8", &[(2, 1)])],
+        );
         // Replace both groups; the old ones are fully released.
-        fib.sync(vec![
-            entry("10.0.0.0/8", &[(3, 1)]),
-            entry("11.0.0.0/8", &[(3, 1)]),
-        ]);
+        install(
+            &mut fib,
+            &[("10.0.0.0/8", &[(3, 1)]), ("11.0.0.0/8", &[(3, 1)])],
+        );
         assert_eq!(fib.nhg_stats().group_creations, 3);
         // Re-creating a forgotten group is a fresh ASIC program.
-        fib.sync(vec![entry("10.0.0.0/8", &[(1, 1)])]);
+        install(&mut fib, &[("10.0.0.0/8", &[(1, 1)])]);
         assert_eq!(fib.nhg_stats().group_creations, 4);
     }
 
     #[test]
     fn entries_with_one_next_hop_set_share_the_group_tables_allocation() {
         let mut fib = Fib::new(16);
-        fib.sync(vec![
-            entry("10.0.0.0/8", &[(1, 1), (2, 1)]),
-            entry("11.0.0.0/8", &[(2, 1), (1, 1)]),
-        ]);
+        install(
+            &mut fib,
+            &[
+                ("10.0.0.0/8", &[(1, 1), (2, 1)]),
+                ("11.0.0.0/8", &[(2, 1), (1, 1)]),
+            ],
+        );
         let (same, other) = (loc(&[(2, 1), (1, 1)], false), loc(&[(3, 1)], false));
         apply(
             &mut fib,
@@ -656,6 +716,12 @@ mod tests {
         let now = fib.entry(p("10.0.0.0/8")).unwrap();
         assert!(now.warm && Arc::ptr_eq(&installed.0, &now.nexthops.0));
         assert_eq!(fib.nhg_stats().group_creations, 1);
+        assert_eq!(fib.nhg_stats().overflow_events, 2);
+        // Under the heuristic, a projection that canonicalizes to the
+        // installed group is a no-op too.
+        fib.dedup_heuristic = true;
+        let reweighted = loc(&[(1, 4), (2, 1)], true);
+        apply(&mut fib, &mut scratch, &[("10.0.0.0/8", Some(&reweighted))]);
         assert_eq!(fib.nhg_stats().overflow_events, 2);
     }
 
@@ -716,23 +782,26 @@ mod tests {
     #[should_panic(expected = "released without a reference")]
     fn a_double_release_is_an_accounting_bug() {
         let mut fib = Fib::new(16);
-        fib.sync(vec![entry("10.0.0.0/8", &[(1, 1)])]);
+        install(&mut fib, &[("10.0.0.0/8", &[(1, 1)])]);
         let id = group_id(&fib, "10.0.0.0/8");
         let mut released = Vec::new();
         fib.groups.release(id, &mut released);
         fib.groups.release(id, &mut released);
     }
 
-    /// The `{:?}` rendering FIB snapshots are compared in: a scripted sync
-    /// and two delta batches print exactly this.
+    /// The `{:?}` rendering FIB snapshots are compared in: three scripted
+    /// delta batches print exactly this.
     #[test]
     fn debug_rendering_is_unchanged() {
         let mut fib = Fib::new(2);
-        fib.sync(vec![
-            entry("0.0.0.0/0", &[(2, 1), (1, 1)]),
-            entry("10.0.0.0/8", &[(1, 1), (2, 1)]),
-            entry("10.1.0.0/16", &[(3, 2)]),
-        ]);
+        install(
+            &mut fib,
+            &[
+                ("0.0.0.0/0", &[(2, 1), (1, 1)]),
+                ("10.0.0.0/8", &[(1, 1), (2, 1)]),
+                ("10.1.0.0/16", &[(3, 2)]),
+            ],
+        );
         let mut scratch = FibScratch::default();
         let warm = loc(&[(1, 1), (2, 1)], true);
         let fresh = loc(&[(5, 3), (4, 1)], false);
@@ -763,5 +832,108 @@ mod tests {
             stats: NhgStats { current_groups: 3, max_groups: 3, group_creations: 4, overflow_events: 1 }, \
             dedup_heuristic: false }";
         assert_eq!(format!("{fib:?}"), golden);
+    }
+
+    const PREFIXES: [&str; 6] = [
+        "10.0.0.0/8",
+        "10.1.0.0/16",
+        "11.0.0.0/8",
+        "12.0.0.0/8",
+        "13.0.0.0/8",
+        "14.0.0.0/8",
+    ];
+
+    /// A next-hop set over sessions 1–4: `members` is a bit mask (zero
+    /// keeps session 1), weights cycle through 1–3 from `weights`.
+    fn hops(members: u8, weights: u8) -> Vec<(u64, u32)> {
+        let sessions = (1..=4).filter(|s| members & (1 << (s - 1)) != 0);
+        let set: Vec<u64> = sessions.collect();
+        let set = if set.is_empty() { vec![1] } else { set };
+        let weight = |i: usize| 1 + (u32::from(weights) >> (2 * i)) % 3;
+        set.into_iter()
+            .enumerate()
+            .map(|(i, s)| (s, weight(i)))
+            .collect()
+    }
+
+    /// A prefix's desired next hops `(session, weight)` and warm flag.
+    type Desired = (Vec<(u64, u32)>, bool);
+
+    proptest! {
+        #![proptest_config(ProptestConfig::with_cases(256))]
+
+        /// The dedup heuristic on the delta path lands exactly where the
+        /// full rebuild does: entries, group ids and refcounts, and the
+        /// current / high-water / creation counts, after every batch.
+        /// Batches hold each prefix once, ascending, as a daemon drain does,
+        /// and mix weight-only changes (op 0), member changes (1),
+        /// removals (2), re-drained unchanged prefixes (3) and warm-only
+        /// flips (4); a batch may repeat the previous one verbatim.
+        #[test]
+        fn dedup_on_the_delta_path_matches_the_full_rebuild(
+            batches in proptest::collection::vec(
+                (
+                    any::<bool>(),
+                    proptest::collection::vec((0u8..5, 0usize..6, 0u8..16, any::<u8>()), 0..6),
+                ),
+                1..24,
+            )
+        ) {
+            let mut fib = Fib::new(4);
+            fib.dedup_heuristic = true;
+            let mut reference = fib.clone();
+            let mut scratch = FibScratch::default();
+            let mut desired: BTreeMap<Prefix, Desired> = BTreeMap::new();
+            let mut batch: BTreeMap<Prefix, Option<Desired>> = BTreeMap::new();
+            for (repeat, ops) in batches {
+                if !repeat {
+                    batch.clear();
+                    for (op, at, members, weights) in ops {
+                        let prefix = p(PREFIXES[at]);
+                        let now = desired.get(&prefix).cloned();
+                        let held = now.as_ref().map_or(members, |(h, _)| {
+                            h.iter().map(|(s, _)| 1 << (s - 1)).sum()
+                        });
+                        let warm = now.as_ref().is_some_and(|(_, w)| *w);
+                        let next = match op {
+                            0 => Some((hops(held, weights), warm)),
+                            1 => Some((hops(members, weights), warm)),
+                            2 => None,
+                            3 => now,
+                            _ => now.map(|(h, w)| (h, !w)),
+                        };
+                        batch.insert(prefix, next);
+                    }
+                }
+                for (prefix, next) in &batch {
+                    match next {
+                        Some(state) => desired.insert(*prefix, state.clone()),
+                        None => desired.remove(prefix),
+                    };
+                }
+                let entries: Vec<(Prefix, Option<LocRibEntry>)> = batch
+                    .iter()
+                    .map(|(prefix, next)| (*prefix, next.as_ref().map(|(h, w)| loc(h, *w))))
+                    .collect();
+                fib.apply(entries.iter().map(|(p, e)| (*p, e.as_ref())), &mut scratch);
+                let projection: Vec<FibEntry> = desired
+                    .iter()
+                    .map(|(prefix, (h, warm))| {
+                        let mut nexthops: NextHopGroup =
+                            h.iter().map(|(s, w)| (PeerId(*s), *w)).collect();
+                        nexthops.sort_unstable_by_key(|(p, _)| *p);
+                        FibEntry { prefix: *prefix, nexthops: NextHops(nexthops.into()), warm: *warm }
+                    })
+                    .collect();
+                rebuild(&mut reference, &projection);
+
+                prop_assert_eq!(fib.entries.as_slice(), reference.entries.as_slice());
+                prop_assert_eq!(live_groups(&fib), live_groups(&reference));
+                let (got, want) = (fib.nhg_stats(), reference.nhg_stats());
+                prop_assert_eq!(got.current_groups, want.current_groups);
+                prop_assert_eq!(got.max_groups, want.max_groups);
+                prop_assert_eq!(got.group_creations, want.group_creations);
+            }
+        }
     }
 }

@@ -22,8 +22,8 @@ use crate::hash::IdHashMap;
 use crate::trace::{ConvergenceReport, TraceStats};
 use centralium_bgp::policy::{Action, MatchExpr, Policy, PolicyRule};
 use centralium_bgp::{
-    attrs::well_known, BgpDaemon, DaemonConfig, FibEntry, PathAttributes, PeerConfig, PeerId,
-    Prefix, UpdateMessage,
+    attrs::well_known, DaemonConfig, FibEntry, PathAttributes, PeerConfig, PeerId, Prefix,
+    UpdateMessage,
 };
 use centralium_rpa::RpaDocument;
 use centralium_telemetry::{Counter, EventKind, LogHistogram, Severity, Telemetry};
@@ -438,11 +438,7 @@ impl SimNet {
             }
             let mut dcfg = DaemonConfig::fabric(dev.asn);
             dcfg.wcmp_advertise = cfg.wcmp_advertise;
-            let daemon = BgpDaemon::new(dcfg);
-            devices.insert(
-                dev.id,
-                SimDevice::new(dev.id, daemon, dev.max_nexthop_groups),
-            );
+            devices.insert(dev.id, SimDevice::new(dev.id, dcfg, dev.max_nexthop_groups));
         }
         let telemetry = Telemetry::new();
         let counters = NetCounters::bind(&telemetry);
@@ -1017,7 +1013,7 @@ impl SimNet {
         let mut dcfg = DaemonConfig::fabric(asn);
         dcfg.wcmp_advertise = self.cfg.wcmp_advertise;
         let nhg_cap = self.topo.device(id).expect("just added").max_nexthop_groups;
-        let mut device = SimDevice::new(id, BgpDaemon::new(dcfg), nhg_cap);
+        let mut device = SimDevice::new(id, dcfg, nhg_cap);
         let scope = format!("d{}", id.0);
         device.daemon.set_telemetry(&self.telemetry, scope.clone());
         device.engine.set_telemetry(&self.telemetry, scope);

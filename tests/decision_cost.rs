@@ -54,7 +54,7 @@ fn daemon() -> BgpDaemon {
         ));
         d.peer_up(PeerId(peer), &NativePolicy);
     }
-    d.mark_fib_synced();
+    d.record_fib_changes();
     d
 }
 

@@ -86,11 +86,16 @@ proptest! {
                 );
             }
         }
-        // A full sync of the same state lands the same table.
-        let mut synced = Fib::new(1024);
-        synced.sync(reference.values().cloned().collect());
+        // The same state applied to an empty table in one batch lands the
+        // same table.
+        let state: Vec<(Prefix, LocRibEntry)> = reference
+            .values()
+            .map(|e| (e.prefix, selected(e.nexthops[0].0 .0 as u8)))
+            .collect();
+        let mut batched = Fib::new(1024);
+        batched.apply(state.iter().map(|(p, e)| (*p, Some(e))), &mut scratch);
         prop_assert_eq!(
-            synced.entries().collect::<Vec<_>>(),
+            batched.entries().collect::<Vec<_>>(),
             fib.entries().collect::<Vec<_>>()
         );
     }

@@ -99,12 +99,10 @@ struct Speaker {
 impl Speaker {
     fn new(wcmp: bool) -> Self {
         let mut daemon = daemon(SESSIONS, wcmp);
-        let mut fib = Fib::new(64);
-        fib.sync(daemon.fib());
-        daemon.mark_fib_synced();
+        daemon.record_fib_changes();
         Speaker {
             daemon,
-            fib,
+            fib: Fib::new(64),
             scratch: FibScratch::default(),
         }
     }
@@ -267,7 +265,7 @@ fn three_way_tie() -> (BgpDaemon, centralium_telemetry::Counter) {
     for peer in [2, 4, 6] {
         announce(&mut d, peer, palette(0, peer));
     }
-    d.mark_fib_synced();
+    d.record_fib_changes();
     (d, decisions)
 }
 
