@@ -73,7 +73,7 @@ pub(crate) fn artefact(tiny: bool) -> Artefact {
         let rpc_us = mgmt.rpc_latency_us(dev).expect("reachable") as f64;
         let device = fab.net.device_mut(dev).expect("device");
         let t = Instant::now();
-        device.engine.install_or_replace(doc).expect("installs");
+        device.engine.install(doc).expect("installs");
         let out = device.decide(&mut scratch, |d, e| {
             d.purge_ingress(e);
             d.mark(d.known_prefixes());

@@ -9,7 +9,7 @@
 use super::Artefact;
 use crate::stats::{mean, percentile};
 use centralium_bgp::attrs::well_known;
-use centralium_bgp::{PathAttributes, PeerId, Prefix, RibPolicy, Route};
+use centralium_bgp::{PathAttributes, PathChoice, PeerId, Prefix, RibPolicy, Route};
 use centralium_rpa::{
     Destination, PathSelectionRpa, PathSelectionStatement, PathSet, PathSignature, RpaDocument,
     RpaEngine,
@@ -62,7 +62,10 @@ fn measure(e: &RpaEngine, routes: &[(Prefix, Vec<Route>)]) -> Vec<f64> {
         let t = Instant::now();
         let sel = e.select_paths(*prefix, candidates);
         let dt = t.elapsed();
-        assert!(sel.is_some(), "workload routes must match the statement");
+        assert!(
+            matches!(sel, PathChoice::Rpa(_)),
+            "workload routes must match the statement"
+        );
         samples.push(dt.as_secs_f64() * 1_000.0); // ms
     }
     samples

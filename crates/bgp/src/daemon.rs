@@ -37,7 +37,7 @@
 use crate::attrs::PathAttributes;
 use crate::decision::{best_route, compare_routes, multipath_set, PathPreference};
 use crate::flat::FlatMap;
-use crate::hooks::{AdvertiseChoice, RibPolicy};
+use crate::hooks::{AdvertiseChoice, PathChoice, RibPolicy};
 use crate::msg::UpdateMessage;
 use crate::policy::Policy;
 use crate::rib::{take_selected, AdjRibIn, AdjRibOut, LocRibEntry, RibFootprint, Route};
@@ -838,95 +838,99 @@ impl BgpDaemon {
         let prev_advertised: Option<Route> =
             self.loc_rib.get(&prefix).and_then(|e| e.advertised.clone());
 
-        let new_entry: Option<LocRibEntry> = if candidates.is_empty() {
-            None
-        } else if let Some(sel) = policy.select_paths(prefix, &candidates) {
+        let choice = (!candidates.is_empty()).then(|| policy.select_paths(prefix, &candidates));
+        let new_entry: Option<LocRibEntry> = match choice {
+            None => None,
             // Path Selection RPA outcome.
-            if sel.selected.is_empty() {
-                if sel.keep_fib_warm {
-                    self.loc_rib
-                        .get(&prefix)
-                        .cloned()
-                        .and_then(|prior| self.warm_entry(prior))
-                } else {
-                    None
-                }
-            } else {
-                let selected = take_selected(candidates, &sel.selected);
-                let mut weights = Vec::new();
-                weights_for(&self.cfg, prefix, &selected, policy, &mut weights);
-                let advertised = match sel.advertise {
-                    AdvertiseChoice::Withdraw => None,
-                    AdvertiseChoice::NativeBest => best_route(&selected).cloned(),
-                    AdvertiseChoice::LeastFavorable => {
-                        if self.cfg.least_favorable_advertisement {
-                            selected.iter().min_by(|a, b| compare_routes(a, b)).cloned()
-                        } else {
-                            best_route(&selected).cloned()
-                        }
+            Some(PathChoice::Rpa(sel)) => {
+                if sel.selected.is_empty() {
+                    if sel.keep_fib_warm {
+                        self.loc_rib
+                            .get(&prefix)
+                            .cloned()
+                            .and_then(|prior| self.warm_entry(prior))
+                    } else {
+                        None
                     }
-                };
-                Some(LocRibEntry {
-                    selected,
-                    weights,
-                    advertised,
-                    fib_warm_only: false,
-                })
-            }
-        } else {
-            // Native selection.
-            let indices = if self.cfg.multipath {
-                multipath_set(&candidates)
-            } else {
-                // Select the best route by index directly (comparing routes
-                // for equality would mis-handle attribute payloads that are
-                // not reflexively equal).
-                (0..candidates.len())
-                    .max_by(|&i, &j| compare_routes(&candidates[i], &candidates[j]))
-                    .into_iter()
-                    .collect()
-            };
-            let selected = take_selected(candidates, &indices);
-            // BgpNativeMinNextHop guard (§4.3): count learned next-hops.
-            let nexthop_count = selected.iter().filter(|r| r.learned_from.is_some()).count();
-            let violated_keep_warm = match policy.native_min_nexthop(prefix) {
-                Some((min, keep_warm)) if nexthop_count > 0 && nexthop_count < min => {
-                    Some(keep_warm)
-                }
-                _ => None,
-            };
-            if let Some(keep_warm) = violated_keep_warm {
-                if keep_warm {
-                    // "Keep the forwarding entries of this route so in-flight
-                    // packets are not dropped" (§4.3): preserve the previous
-                    // FIB state — which still spreads over the full next-hop
-                    // set, drained members included — and advertise nothing.
-                    let prior = self.loc_rib.get(&prefix).cloned().unwrap_or_else(|| {
-                        let mut weights = Vec::new();
-                        weights_for(&self.cfg, prefix, &selected, policy, &mut weights);
-                        LocRibEntry {
-                            selected,
-                            weights,
-                            advertised: None,
-                            fib_warm_only: true,
-                        }
-                    });
-                    self.warm_entry(prior)
                 } else {
-                    None
+                    let selected = take_selected(candidates, &sel.selected);
+                    let mut weights = Vec::new();
+                    weights_for(&self.cfg, prefix, &selected, policy, &mut weights);
+                    let advertised = match sel.advertise {
+                        AdvertiseChoice::Withdraw => None,
+                        AdvertiseChoice::NativeBest => best_route(&selected).cloned(),
+                        AdvertiseChoice::LeastFavorable => {
+                            if self.cfg.least_favorable_advertisement {
+                                selected.iter().min_by(|a, b| compare_routes(a, b)).cloned()
+                            } else {
+                                best_route(&selected).cloned()
+                            }
+                        }
+                    };
+                    Some(LocRibEntry {
+                        selected,
+                        weights,
+                        advertised,
+                        fib_warm_only: false,
+                    })
                 }
-            } else if selected.is_empty() {
-                None
-            } else {
-                let mut weights = Vec::new();
-                weights_for(&self.cfg, prefix, &selected, policy, &mut weights);
-                let advertised = best_route(&selected).cloned();
-                Some(LocRibEntry {
-                    selected,
-                    weights,
-                    advertised,
-                    fib_warm_only: false,
-                })
+            }
+            // Native selection, under the governing statement's guard.
+            Some(PathChoice::Native(guard)) => {
+                let indices = if self.cfg.multipath {
+                    multipath_set(&candidates)
+                } else {
+                    // Select the best route by index directly (comparing
+                    // routes for equality would mis-handle attribute payloads
+                    // that are not reflexively equal).
+                    (0..candidates.len())
+                        .max_by(|&i, &j| compare_routes(&candidates[i], &candidates[j]))
+                        .into_iter()
+                        .collect()
+                };
+                let selected = take_selected(candidates, &indices);
+                // BgpNativeMinNextHop guard (§4.3): count learned next-hops.
+                let nexthop_count = selected.iter().filter(|r| r.learned_from.is_some()).count();
+                let violated_keep_warm = match guard {
+                    Some((min, keep_warm)) if nexthop_count > 0 && nexthop_count < min => {
+                        Some(keep_warm)
+                    }
+                    _ => None,
+                };
+                if let Some(keep_warm) = violated_keep_warm {
+                    if keep_warm {
+                        // "Keep the forwarding entries of this route so
+                        // in-flight packets are not dropped" (§4.3): preserve
+                        // the previous FIB state — which still spreads over
+                        // the full next-hop set, drained members included —
+                        // and advertise nothing.
+                        let prior = self.loc_rib.get(&prefix).cloned().unwrap_or_else(|| {
+                            let mut weights = Vec::new();
+                            weights_for(&self.cfg, prefix, &selected, policy, &mut weights);
+                            LocRibEntry {
+                                selected,
+                                weights,
+                                advertised: None,
+                                fib_warm_only: true,
+                            }
+                        });
+                        self.warm_entry(prior)
+                    } else {
+                        None
+                    }
+                } else if selected.is_empty() {
+                    None
+                } else {
+                    let mut weights = Vec::new();
+                    weights_for(&self.cfg, prefix, &selected, policy, &mut weights);
+                    let advertised = best_route(&selected).cloned();
+                    Some(LocRibEntry {
+                        selected,
+                        weights,
+                        advertised,
+                        fib_warm_only: false,
+                    })
+                }
             }
         };
 
@@ -1568,8 +1572,8 @@ mod tests {
     fn native_guard_keep_warm_preserves_previous_entry_and_recovers() {
         struct Guard;
         impl crate::hooks::RibPolicy for Guard {
-            fn native_min_nexthop(&self, _prefix: Prefix) -> Option<(usize, bool)> {
-                Some((2, true))
+            fn select_paths(&self, _prefix: Prefix, _candidates: &[Route]) -> PathChoice {
+                PathChoice::Native(Some((2, true)))
             }
         }
         let mut d = daemon(1);
@@ -1606,8 +1610,8 @@ mod tests {
     fn keep_warm_prunes_next_hops_of_dead_sessions() {
         struct Guard;
         impl crate::hooks::RibPolicy for Guard {
-            fn native_min_nexthop(&self, _prefix: Prefix) -> Option<(usize, bool)> {
-                Some((2, true))
+            fn select_paths(&self, _prefix: Prefix, _candidates: &[Route]) -> PathChoice {
+                PathChoice::Native(Some((2, true)))
             }
         }
         let mut d = daemon(1);
@@ -1641,12 +1645,8 @@ mod tests {
         // for the FIB to stay warm — the other way into keep-warm.
         struct Floor;
         impl crate::hooks::RibPolicy for Floor {
-            fn select_paths(
-                &self,
-                _prefix: Prefix,
-                candidates: &[Route],
-            ) -> Option<crate::hooks::Selection> {
-                Some(if candidates.len() < 2 {
+            fn select_paths(&self, _prefix: Prefix, candidates: &[Route]) -> PathChoice {
+                PathChoice::Rpa(if candidates.len() < 2 {
                     crate::hooks::Selection {
                         selected: Vec::new(),
                         advertise: crate::hooks::AdvertiseChoice::Withdraw,

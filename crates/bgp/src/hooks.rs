@@ -5,8 +5,9 @@
 //!
 //! 1. **Route Filter** — after ingress policy, before Adj-RIB-In admission,
 //!    and again before egress advertisement;
-//! 2. **Path Selection** — replacing (with native fallback) the decision
-//!    process for prefixes an RPA statement covers;
+//! 2. **Path Selection** — replacing the decision process for prefixes an
+//!    RPA statement covers, or falling back to it under the statement's
+//!    native min-next-hop guard; the guard travels in the same answer;
 //! 3. **Route Attribute** — overriding WCMP weight assignment for the
 //!    selected multipath set.
 //!
@@ -44,12 +45,27 @@ pub struct Selection {
     pub keep_fib_warm: bool,
 }
 
+/// What the Path Selection hook decided for one prefix.
+#[derive(Debug, Clone, PartialEq)]
+pub enum PathChoice {
+    /// A Path Selection statement governs the prefix and one of its path
+    /// sets met its floor.
+    Rpa(Selection),
+    /// Native selection decides, under the governing statement's
+    /// `BgpNativeMinNextHop` guard (§4.3): the minimum count of learned
+    /// next hops and the `KeepFibWarmIfMnhViolated` flag, or `None` when no
+    /// statement governs the prefix or the one that does sets no guard.
+    Native(Option<(usize, bool)>),
+}
+
 /// The RIB policy hook interface.
 ///
 /// Every method has a pass-through default so implementations only override
 /// the functions their RPA kind influences. All methods take `&self`: hook
 /// state (e.g. the RPA evaluation cache) must use interior mutability, since
-/// the daemon may consult hooks multiple times per event.
+/// the daemon may consult hooks multiple times per event. Each answer is a
+/// function of the hook's configuration and that call's arguments: a cache
+/// may make a later call cheaper, never different.
 pub trait RibPolicy {
     /// Route Filter RPA, ingress direction. Return `false` to drop the route
     /// before Adj-RIB-In admission.
@@ -63,11 +79,12 @@ pub trait RibPolicy {
         true
     }
 
-    /// Path Selection RPA. Return `None` to fall back to native selection
-    /// (either no statement covers `prefix`, or no path set matched and the
-    /// statement's fallback is native).
-    fn select_paths(&self, _prefix: Prefix, _candidates: &[Route]) -> Option<Selection> {
-        None
+    /// Path Selection RPA: either the selected set, or native selection
+    /// together with the guard it runs under. Native is the answer when no
+    /// statement covers `prefix`, and also when one does but none of its
+    /// path sets met its floor.
+    fn select_paths(&self, _prefix: Prefix, _candidates: &[Route]) -> PathChoice {
+        PathChoice::Native(None)
     }
 
     /// Route Attribute RPA: prescribe relative weights for the selected
@@ -77,21 +94,14 @@ pub trait RibPolicy {
         None
     }
 
-    /// Native min-next-hop guard (BgpNativeMinNextHop, §4.3): called when
-    /// native selection chose `count` next-hops for `prefix`; return the
-    /// required minimum and the keep-warm flag, or `None` when unconfigured.
-    fn native_min_nexthop(&self, _prefix: Prefix) -> Option<(usize, bool)> {
-        None
-    }
-
-    /// Whether [`select_paths`](Self::select_paths),
-    /// [`assign_weights`](Self::assign_weights) or
-    /// [`native_min_nexthop`](Self::native_min_nexthop) can currently answer
-    /// anything but `None` for `prefix`. Answering `false` promises the
-    /// decision for `prefix` is purely native, which lets the daemon compare
-    /// an arriving route with the installed entry instead of handing the
-    /// hook the whole candidate set. The default is the conservative `true`;
-    /// the Route Filter hooks run either way.
+    /// Whether [`select_paths`](Self::select_paths) can currently answer
+    /// anything but `PathChoice::Native(None)`, or
+    /// [`assign_weights`](Self::assign_weights) anything but `None`, for
+    /// `prefix`. Answering `false` promises the decision for `prefix` is
+    /// purely native, which lets the daemon compare an arriving route with
+    /// the installed entry instead of handing the hook the whole candidate
+    /// set. The default is the conservative `true`; the Route Filter hooks
+    /// run either way.
     fn governs(&self, _prefix: Prefix) -> bool {
         true
     }
@@ -118,11 +128,11 @@ mod tests {
         let route = Route::local(Prefix::DEFAULT, PathAttributes::default());
         assert!(p.permit_ingress(PeerId(1), Prefix::DEFAULT, &route));
         assert!(p.permit_egress(PeerId(1), Prefix::DEFAULT, &route));
-        assert!(p
-            .select_paths(Prefix::DEFAULT, std::slice::from_ref(&route))
-            .is_none());
+        assert_eq!(
+            p.select_paths(Prefix::DEFAULT, std::slice::from_ref(&route)),
+            PathChoice::Native(None)
+        );
         assert!(p.assign_weights(Prefix::DEFAULT, &[route]).is_none());
-        assert!(p.native_min_nexthop(Prefix::DEFAULT).is_none());
         assert!(!p.governs(Prefix::DEFAULT));
     }
 }

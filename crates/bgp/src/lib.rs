@@ -44,7 +44,7 @@ pub use attrs::{Community, Origin, PathAttributes};
 pub use centralium_topology::Asn;
 pub use daemon::{BgpDaemon, DaemonConfig, FibEntry, NextHops, PeerConfig};
 pub use decision::{compare_routes, multipath_set, PathPreference};
-pub use hooks::{AdvertiseChoice, NativePolicy, RibPolicy, Selection};
+pub use hooks::{AdvertiseChoice, NativePolicy, PathChoice, RibPolicy, Selection};
 pub use msg::{BgpMessage, UpdateMessage};
 pub use policy::{Action, MatchExpr, Policy, PolicyRule, PolicyVerdict};
 pub use rib::{AdjRibIn, AdjRibOut, LocRibEntry, LocalRouteError, RibFootprint, Route};

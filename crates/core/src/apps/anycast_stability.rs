@@ -32,7 +32,7 @@ pub fn anycast_stability_intent(
 mod tests {
     use super::*;
     use centralium_bgp::attrs::well_known;
-    use centralium_bgp::{PathAttributes, PeerId, Prefix, RibPolicy, Route};
+    use centralium_bgp::{PathAttributes, PathChoice, PeerId, Prefix, RibPolicy, Route};
     use centralium_rpa::RpaEngine;
     use centralium_topology::{build_fabric, Asn, FabricSpec};
 
@@ -61,7 +61,9 @@ mod tests {
             vip_route(2, 60_001, 2),
             vip_route(3, 50_000, 1),
         ];
-        let sel = engine.select_paths(prefix, &candidates).unwrap();
+        let PathChoice::Rpa(sel) = engine.select_paths(prefix, &candidates) else {
+            panic!("the VIP is governed");
+        };
         assert_eq!(
             sel.selected,
             vec![0, 1],
@@ -69,7 +71,9 @@ mod tests {
         );
         // One primary path dies: floor of 2 violated → backup set.
         let degraded = vec![vip_route(1, 60_000, 2), vip_route(3, 50_000, 1)];
-        let sel = engine.select_paths(prefix, &degraded).unwrap();
+        let PathChoice::Rpa(sel) = engine.select_paths(prefix, &degraded) else {
+            panic!("the VIP is governed");
+        };
         assert_eq!(
             sel.selected,
             vec![1],
@@ -87,8 +91,9 @@ mod tests {
         let mut attrs = PathAttributes::default();
         attrs.prepend(Asn(60_000), 1);
         let plain = vec![Route::learned(Prefix::DEFAULT, attrs, PeerId(1))];
-        assert!(
-            engine.select_paths(Prefix::DEFAULT, &plain).is_none(),
+        assert_eq!(
+            engine.select_paths(Prefix::DEFAULT, &plain),
+            PathChoice::Native(None),
             "no VIP community ⇒ native selection"
         );
     }

@@ -91,10 +91,11 @@ mod tests {
         topo.remove_link(victim);
         topo.add_link(idx.fauu[0][0], idx.backbone[0], 10.0);
         let sources: Vec<_> = idx.fadu.iter().flatten().copied().collect();
+        let demands = Demands::uniform(&sources, 40.0);
         let intent = te_intent(
             &topo,
             &idx.backbone,
-            &Demands::uniform(&sources, 40.0),
+            &demands,
             well_known::BACKBONE_DEFAULT_ROUTE,
             Some(60_000_000),
             100,
@@ -115,5 +116,25 @@ mod tests {
             .find(|(d, _)| *d == idx.fauu[0][0])
             .expect("degraded FAUU");
         assert!(list.iter().any(|(_, w)| *w != list[0].1));
+        // Every list is quantised against its largest fraction: that one
+        // gets 64, and the weights keep the order of the fractions.
+        let graph = UpGraph::from_topology(&topo, &idx.backbone);
+        let weights = optimize_weights(&graph, &demands, 100);
+        let per_node: Vec<_> = graph.per_node().collect();
+        for (device, list) in per_device {
+            let (_, edges) = per_node.iter().find(|(n, _)| n == device).unwrap();
+            let fractions: Vec<f64> = edges
+                .iter()
+                .map(|e| weights.get(&(*device, e.to)).copied().unwrap_or(0.0))
+                .collect();
+            assert_eq!(list.iter().map(|(_, w)| *w).max(), Some(64));
+            for (i, (_, wi)) in list.iter().enumerate() {
+                for (j, (_, wj)) in list.iter().enumerate() {
+                    if fractions[i] < fractions[j] {
+                        assert!(wi <= wj, "{device}: {fractions:?} → {list:?}");
+                    }
+                }
+            }
+        }
     }
 }

@@ -157,8 +157,8 @@ mod tests {
 
     #[test]
     fn rpa_errors_convert() {
-        let e: Error = RpaError::DuplicateName("x".into()).into();
+        let e: Error = RpaError::UnknownName("x".into()).into();
         assert!(matches!(e, Error::Rpa(_)));
-        assert!(e.to_string().contains("already installed"));
+        assert!(e.to_string().contains("no document named x"));
     }
 }

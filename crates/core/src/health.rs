@@ -198,7 +198,7 @@ pub(crate) fn run_health_check(net: &SimNet, check: &HealthCheck) -> HealthRepor
     for (dev, rpa_name) in &check.expect_rpa {
         let installed = net
             .device(*dev)
-            .map(|d| d.engine.installed().iter().any(|n| *n == rpa_name))
+            .map(|d| d.engine.document(rpa_name).is_some())
             .unwrap_or(false);
         if !installed {
             report

@@ -158,11 +158,8 @@ impl SwitchAgent {
             let Some(device) = net.device(dev) else {
                 continue;
             };
-            for name in device.engine.installed() {
-                let Some(doc) = device.engine.document(name) else {
-                    continue;
-                };
-                let path = Self::rpa_path(dev, name);
+            for doc in device.engine.documents() {
+                let path = Self::rpa_path(dev, doc.name());
                 let value = serde_json::to_value(doc).map_err(|e| Error::NsdbEncode {
                     record: path.to_string(),
                     source: e,
@@ -382,7 +379,7 @@ mod tests {
     use centralium_rpa::{
         Destination, PathSelectionRpa, PathSelectionStatement, PathSet, PathSignature,
     };
-    use centralium_simnet::SimConfig;
+    use centralium_simnet::{NetEvent, SimConfig};
     use centralium_topology::{build_fabric, FabricSpec};
 
     fn setup() -> (
@@ -588,6 +585,56 @@ mod tests {
             net.device(target).unwrap().engine.installed(),
             vec!["equalize"]
         );
+    }
+
+    #[test]
+    fn precedence_survives_agent_restart() {
+        // Two Path Selection documents both govern the default route, each
+        // through a different uplink. Deployed zeta first, they must keep
+        // their precedence through a restart, which drops both and lets
+        // reconcile reinstall them in path order (alpha first).
+        let (mut net, mut agent, idx) = setup();
+        let target = idx.ssw[0][0];
+        let uplinks = net.topology().uplinks(target);
+        let asn = |i: usize| net.topology().device(uplinks[i].0).unwrap().asn;
+        let via = |name: &str, first_asn| {
+            RpaDocument::PathSelection(PathSelectionRpa::single(
+                name,
+                PathSelectionStatement::select(
+                    Destination::Community(well_known::BACKBONE_DEFAULT_ROUTE),
+                    vec![PathSet::new(
+                        "via",
+                        PathSignature {
+                            first_asn: Some(first_asn),
+                            ..PathSignature::default()
+                        },
+                    )],
+                ),
+            ))
+        };
+        let docs = [via("zeta", asn(0)), via("alpha", asn(1))];
+        let default_entry = |net: &SimNet| {
+            net.device(target)
+                .unwrap()
+                .fib
+                .entry(Prefix::DEFAULT)
+                .cloned()
+        };
+        for doc in &docs {
+            agent.set_intended(target, doc).unwrap();
+            agent.reconcile(&mut net).unwrap();
+            net.run_until_quiescent().expect_converged();
+            agent.poll_current(&net).unwrap();
+        }
+        let before = default_entry(&net).expect("default route installed");
+        net.schedule_in(0, NetEvent::AgentRestart { dev: target });
+        net.run_until_quiescent().expect_converged();
+        agent.poll_current(&net).unwrap();
+        assert_eq!(agent.reconcile(&mut net).unwrap().len(), 2);
+        net.run_until_quiescent().expect_converged();
+        agent.poll_current(&net).unwrap();
+        assert!(agent.service.store.out_of_sync().is_empty());
+        assert_eq!(default_entry(&net), Some(before));
     }
 
     #[test]

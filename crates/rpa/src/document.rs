@@ -84,8 +84,6 @@ pub enum RpaError {
         /// Document the fraction came from.
         document: String,
     },
-    /// A document with the same name is already installed.
-    DuplicateName(String),
     /// No document with this name is installed.
     UnknownName(String),
 }
@@ -99,7 +97,6 @@ impl fmt::Display for RpaError {
             RpaError::UnresolvedFraction { document } => {
                 write!(f, "document {document}: fractional MinNextHop must be compiled to an absolute value")
             }
-            RpaError::DuplicateName(name) => write!(f, "document {name} already installed"),
             RpaError::UnknownName(name) => write!(f, "no document named {name}"),
         }
     }
@@ -153,8 +150,8 @@ mod tests {
             error: "unclosed".into(),
         };
         assert!(e.to_string().contains("invalid as_path_regex"));
-        assert!(RpaError::DuplicateName("d".into())
+        assert!(RpaError::UnknownName("d".into())
             .to_string()
-            .contains("already installed"));
+            .contains("no document named d"));
     }
 }

@@ -7,8 +7,12 @@
 //!   deployed, and again per-route as updates arrive (§6.2 "RPA evaluation");
 //! * matched signature evaluations are **cached** so re-evaluation of the
 //!   same route is much faster (Table 2's w/ vs w/o cache rows);
-//! * multiple orthogonal RPAs may be installed; the first applicable
-//!   statement (in install order) governs a prefix.
+//! * several RPAs may be installed. Among Path Selection documents, and
+//!   among Route Attribute documents, the first applicable statement of the
+//!   first document *in name order* governs a prefix; Route Filter
+//!   statements all apply (AND). So every answer is a function of the
+//!   installed set, the candidates and the clock, never of the order the
+//!   documents arrived in: a same-name install replaces the old document.
 
 use crate::document::{RpaDocument, RpaError};
 use crate::path_selection::{MinNextHop, PathSelectionRpa};
@@ -16,11 +20,11 @@ use crate::route_attribute::RouteAttributeRpa;
 use crate::route_filter::RouteFilterRpa;
 use crate::signature::{CompiledSignature, Destination};
 use centralium_bgp::attrs::{AsPath, CommunitySet};
-use centralium_bgp::{Community, PeerId, Prefix, RibPolicy, Route, Selection};
+use centralium_bgp::{Community, PathChoice, PeerId, Prefix, RibPolicy, Route, Selection};
 use centralium_telemetry::{Counter, EventKind, Histogram, Severity, Telemetry};
 use centralium_topology::Asn;
 use parking_lot::Mutex;
-use std::collections::HashMap;
+use std::collections::{BTreeMap, HashMap};
 use std::time::Instant;
 
 /// Counters exposed for the Table 2 experiment and controller health checks.
@@ -63,6 +67,7 @@ enum CompiledDoc {
 
 #[derive(Debug)]
 struct Installed {
+    /// The document as installed; its name is this entry's key.
     source: RpaDocument,
     compiled: CompiledDoc,
     /// Half-open range of signature ids allocated to this document's
@@ -95,7 +100,8 @@ const EVAL_US_BOUNDS: &[f64] = &[0.5, 1.0, 2.0, 5.0, 10.0, 25.0, 50.0, 100.0, 50
 /// The engine. One instance lives on each RPA-augmented switch.
 #[derive(Debug)]
 pub struct RpaEngine {
-    docs: Vec<Installed>,
+    /// Installed documents keyed by name: iteration order is precedence.
+    docs: BTreeMap<String, Installed>,
     /// Remote ASN per session, for `PeerSignature::AsnRange`.
     peer_asn: HashMap<PeerId, Asn>,
     /// Simulated time used for Route Attribute expiry.
@@ -108,10 +114,6 @@ pub struct RpaEngine {
     /// attributes (local-pref, MED, learning session) share one entry. A key
     /// shares its sequences with the route it came from.
     cache: Mutex<HashMap<(u32, AsPath, CommunitySet), bool>>,
-    /// Per-prefix native-guard memo from the most recent `select_paths`
-    /// evaluation (the daemon always calls `select_paths` before
-    /// `native_min_nexthop` within one decision).
-    native_guard_memo: Mutex<HashMap<Prefix, (usize, bool)>>,
     stats: Mutex<EngineStats>,
     next_sig_id: u32,
     telemetry: EngineTelemetry,
@@ -127,12 +129,11 @@ impl RpaEngine {
     /// Empty engine with the cache enabled.
     pub fn new() -> Self {
         RpaEngine {
-            docs: Vec::new(),
+            docs: BTreeMap::new(),
             peer_asn: HashMap::new(),
             now: 0,
             cache_enabled: true,
             cache: Mutex::new(HashMap::new()),
-            native_guard_memo: Mutex::new(HashMap::new()),
             stats: Mutex::new(EngineStats::default()),
             next_sig_id: 0,
             telemetry: EngineTelemetry::default(),
@@ -208,86 +209,58 @@ impl RpaEngine {
         *self.stats.lock()
     }
 
-    /// Names of installed documents, in install order (§7.2: "show all
-    /// active RPAs on a switch").
+    /// Names of installed documents, in name order — the order that gives
+    /// precedence (§7.2: "show all active RPAs on a switch").
     pub fn installed(&self) -> Vec<&str> {
-        self.documents().map(RpaDocument::name).collect()
+        self.docs.keys().map(String::as_str).collect()
     }
 
-    /// The installed source documents, in install order.
+    /// The installed source documents, in name order.
     pub fn documents(&self) -> impl Iterator<Item = &RpaDocument> {
-        self.docs.iter().map(|d| &d.source)
+        self.docs.values().map(|d| &d.source)
     }
 
     /// The installed source document by name.
     pub fn document(&self, name: &str) -> Option<&RpaDocument> {
-        self.documents().find(|d| d.name() == name)
-    }
-
-    /// Install a document. Fails on duplicate name, bad regex, or an
-    /// unresolved fractional min-next-hop (the controller must compile
-    /// fractions to absolutes first).
-    pub fn install(&mut self, doc: RpaDocument) -> Result<(), RpaError> {
-        if self.docs.iter().any(|d| d.source.name() == doc.name()) {
-            return Err(RpaError::DuplicateName(doc.name().to_string()));
-        }
-        let sig_start = self.next_sig_id;
-        let compiled = match &doc {
-            RpaDocument::PathSelection(ps) => CompiledDoc::PathSelection(self.compile_ps(ps)?),
-            RpaDocument::RouteAttribute(ra) => CompiledDoc::RouteAttribute(self.compile_ra(ra)?),
-            RpaDocument::RouteFilter(rf) => CompiledDoc::RouteFilter(rf.clone()),
-        };
-        self.note_doc_change("install", doc.name());
-        self.docs.push(Installed {
-            source: doc,
-            compiled,
-            sig_range: (sig_start, self.next_sig_id),
-        });
-        // A fresh install needs no memo invalidation: its signature ids were
-        // never seen, so no cached verdict can be stale.
-        Ok(())
+        self.docs.get(name).map(|d| &d.source)
     }
 
     /// Install a document, replacing any installed document of the same
-    /// name (the Switch Agent's reconcile semantics: desired state wins).
-    /// The replacement keeps the original's position in priority order.
-    pub fn install_or_replace(&mut self, doc: RpaDocument) -> Result<(), RpaError> {
+    /// name: the desired state wins. Fails, leaving the installed documents
+    /// as they were, on a bad regex or an unresolved fractional
+    /// min-next-hop (the controller must compile fractions to absolutes
+    /// first).
+    pub fn install(&mut self, doc: RpaDocument) -> Result<(), RpaError> {
         let sig_start = self.next_sig_id;
         let compiled = match &doc {
             RpaDocument::PathSelection(ps) => CompiledDoc::PathSelection(self.compile_ps(ps)?),
             RpaDocument::RouteAttribute(ra) => CompiledDoc::RouteAttribute(self.compile_ra(ra)?),
             RpaDocument::RouteFilter(rf) => CompiledDoc::RouteFilter(rf.clone()),
         };
-        let sig_range = (sig_start, self.next_sig_id);
-        let replacing = self.docs.iter().any(|d| d.source.name() == doc.name());
-        self.note_doc_change(if replacing { "replace" } else { "install" }, doc.name());
-        match self.docs.iter_mut().find(|d| d.source.name() == doc.name()) {
-            Some(slot) => {
-                let retired = slot.sig_range;
-                *slot = Installed {
-                    source: doc,
-                    compiled,
-                    sig_range,
-                };
-                self.retire_signatures(retired);
+        let installed = Installed {
+            source: doc,
+            compiled,
+            sig_range: (sig_start, self.next_sig_id),
+        };
+        let name = installed.source.name().to_string();
+        match self.docs.insert(name.clone(), installed) {
+            Some(old) => {
+                self.note_doc_change("replace", &name);
+                self.retire_signatures(old.sig_range);
             }
-            None => self.docs.push(Installed {
-                source: doc,
-                compiled,
-                sig_range,
-            }),
+            // A fresh document needs no memo invalidation: its signature
+            // ids were never seen, so no cached verdict can be stale.
+            None => self.note_doc_change("install", &name),
         }
         Ok(())
     }
 
     /// Remove a document by name.
     pub fn remove(&mut self, name: &str) -> Result<RpaDocument, RpaError> {
-        let idx = self
+        let removed = self
             .docs
-            .iter()
-            .position(|d| d.source.name() == name)
+            .remove(name)
             .ok_or_else(|| RpaError::UnknownName(name.to_string()))?;
-        let removed = self.docs.remove(idx);
         self.note_doc_change("remove", name);
         self.retire_signatures(removed.sig_range);
         Ok(removed.source)
@@ -295,41 +268,45 @@ impl RpaEngine {
 
     /// Which document/statement governs `prefix` given candidate routes —
     /// the §7.2 debugging aid ("highlight the active RPA given a particular
-    /// route").
+    /// route"). It is the walk [`RibPolicy::select_paths`] runs.
     pub fn governing_statement(
         &self,
         prefix: Prefix,
         candidates: &[Route],
     ) -> Option<(String, usize)> {
+        self.governing(prefix, candidates)
+            .map(|(name, i, _)| (name.to_string(), i))
+    }
+
+    /// The governing Path Selection statement for `prefix`: the first
+    /// applicable statement of the first document, in name order, that has
+    /// one — with its document's name and its index in that document.
+    fn governing(
+        &self,
+        prefix: Prefix,
+        candidates: &[Route],
+    ) -> Option<(&str, usize, &CompiledPsStatement)> {
         let carries = |c| any_carries(candidates, c);
-        for doc in &self.docs {
-            if let CompiledDoc::PathSelection(statements) = &doc.compiled {
-                for (i, st) in statements.iter().enumerate() {
-                    if st.destination.applies(prefix, carries) {
-                        return Some((doc.source.name().to_string(), i));
-                    }
-                }
-            }
-        }
-        None
+        self.docs.iter().find_map(|(name, doc)| {
+            let CompiledDoc::PathSelection(statements) = &doc.compiled else {
+                return None;
+            };
+            let (i, st) = statements
+                .iter()
+                .enumerate()
+                .find(|(_, st)| st.destination.applies(prefix, carries))?;
+            Some((name.as_str(), i, st))
+        })
     }
 
     /// Retire a dead document's compiled signatures: drop exactly its
     /// memoized verdicts (signature ids are never reused, so every other
-    /// entry stays warm), and clear the per-prefix native-guard memo when
-    /// no documents remain — `select_paths`' empty-docs fast path skips the
-    /// walk that would otherwise settle stale guards per prefix. While
-    /// documents remain, the memo needs no sweeping: the daemon always runs
-    /// `select_paths` (which settles the guard for the prefix) before
-    /// `native_min_nexthop` within one decision.
+    /// entry stays warm).
     fn retire_signatures(&mut self, range: (u32, u32)) {
         if range.1 > range.0 {
             self.cache
                 .lock()
                 .retain(|(sig_id, _, _), _| *sig_id < range.0 || *sig_id >= range.1);
-        }
-        if self.docs.is_empty() {
-            self.native_guard_memo.lock().clear();
         }
     }
 
@@ -428,63 +405,39 @@ impl RpaEngine {
         result
     }
 
-    /// The Path Selection walk (§4.3): first applicable statement governs,
-    /// first path set meeting its floor wins within it.
-    fn evaluate_path_selection(&self, prefix: Prefix, candidates: &[Route]) -> PsOutcome {
-        let carries = |c| any_carries(candidates, c);
-        for doc in &self.docs {
-            let CompiledDoc::PathSelection(statements) = &doc.compiled else {
-                continue;
-            };
-            for st in statements {
-                if !st.destination.applies(prefix, carries) {
-                    continue;
-                }
-                // Record (or clear) the native guard for this prefix so the
-                // daemon's follow-up native_min_nexthop call sees it.
-                {
-                    let mut memo = self.native_guard_memo.lock();
-                    match st.native_min_next_hop {
-                        Some(guard) => {
-                            memo.insert(prefix, guard);
-                        }
-                        None => {
-                            memo.remove(&prefix);
-                        }
-                    }
-                }
-                // Priority walk: first path set with enough matching active
-                // routes wins (§4.3). Only learned routes count toward the
-                // floor — a matching locally-originated route contributes no
-                // forwarding next-hop, so it must not satisfy MinNextHop.
-                for set in &st.path_sets {
-                    let selected: Vec<usize> = candidates
-                        .iter()
-                        .enumerate()
-                        .filter(|(_, r)| self.sig_matches(&set.signature, r))
-                        .map(|(i, _)| i)
-                        .collect();
-                    let nexthops = selected
-                        .iter()
-                        .filter(|&&i| candidates[i].learned_from.is_some())
-                        .count();
-                    if nexthops >= set.min_next_hop {
-                        return PsOutcome::Selected(Selection {
-                            selected,
-                            advertise: centralium_bgp::AdvertiseChoice::LeastFavorable,
-                            keep_fib_warm: false,
-                        });
-                    }
-                }
-                // No path set matched: fall back to native selection (the
-                // statement's native guard, if any, still applies via the
-                // memo recorded above).
-                return PsOutcome::Fallback;
+    /// The Path Selection walk (§4.3): the governing statement decides,
+    /// and within it the first path set meeting its floor wins. `None` when
+    /// no statement governs `prefix`; `Some(PathChoice::Native(_))` when one
+    /// does but no path set met its floor (the fallback the paper's
+    /// operators alert on).
+    fn evaluate_path_selection(&self, prefix: Prefix, candidates: &[Route]) -> Option<PathChoice> {
+        let (_, _, st) = self.governing(prefix, candidates)?;
+        // Priority walk: first path set with enough matching active routes
+        // wins (§4.3). Only learned routes count toward the floor — a
+        // matching locally-originated route contributes no forwarding
+        // next-hop, so it must not satisfy MinNextHop.
+        for set in &st.path_sets {
+            let selected: Vec<usize> = candidates
+                .iter()
+                .enumerate()
+                .filter(|(_, r)| self.sig_matches(&set.signature, r))
+                .map(|(i, _)| i)
+                .collect();
+            let nexthops = selected
+                .iter()
+                .filter(|&&i| candidates[i].learned_from.is_some())
+                .count();
+            if nexthops >= set.min_next_hop {
+                return Some(PathChoice::Rpa(Selection {
+                    selected,
+                    advertise: centralium_bgp::AdvertiseChoice::LeastFavorable,
+                    keep_fib_warm: false,
+                }));
             }
         }
-        // No applicable statement at all: clear any stale guard memo.
-        self.native_guard_memo.lock().remove(&prefix);
-        PsOutcome::NotApplicable
+        // No path set matched: fall back to native selection under the
+        // statement's native guard, if any.
+        Some(PathChoice::Native(st.native_min_next_hop))
     }
 }
 
@@ -494,26 +447,13 @@ fn any_carries(routes: &[Route], c: Community) -> bool {
     routes.iter().any(|r| r.attrs.has_community(c))
 }
 
-/// Outcome of one Path Selection evaluation, distinguishing "a statement
-/// applied but nothing matched" (the fallback-to-native case the paper's
-/// operators alert on) from "no statement applied at all".
-enum PsOutcome {
-    /// A statement applied and a path set matched.
-    Selected(Selection),
-    /// A statement applied but no path set met its floor: native fallback.
-    Fallback,
-    /// No installed statement governs this prefix.
-    NotApplicable,
-}
-
 impl RibPolicy for RpaEngine {
-    fn select_paths(&self, prefix: Prefix, candidates: &[Route]) -> Option<Selection> {
-        // No documents ⇒ nothing to evaluate and (since `retire_signatures`
-        // clears the memo when the last document goes) no stale guard to
-        // clear: skip the walk and any timing entirely. This keeps the
-        // un-instrumented, un-configured hot path free.
+    fn select_paths(&self, prefix: Prefix, candidates: &[Route]) -> PathChoice {
+        // No documents ⇒ nothing to evaluate: skip the walk and any timing
+        // entirely. This keeps the un-instrumented, un-configured hot path
+        // free.
         if self.docs.is_empty() {
-            return None;
+            return PathChoice::Native(None);
         }
         let timed = self.telemetry.0.as_deref().map(|tel| (tel, Instant::now()));
         let mut sp = timed.map(|(tel, _)| tel.telemetry.span("rpa", "evaluate"));
@@ -525,7 +465,7 @@ impl RibPolicy for RpaEngine {
         if let Some((tel, started)) = timed {
             tel.eval_us
                 .observe(started.elapsed().as_secs_f64() * 1_000_000.0);
-            if matches!(outcome, PsOutcome::Fallback) {
+            if matches!(outcome, Some(PathChoice::Native(_))) {
                 tel.fallbacks.inc();
                 if tel.telemetry.journal_enabled() {
                     tel.telemetry.record(
@@ -538,25 +478,18 @@ impl RibPolicy for RpaEngine {
                 }
             }
         }
-        match outcome {
-            PsOutcome::Selected(sel) => Some(sel),
-            PsOutcome::Fallback | PsOutcome::NotApplicable => None,
-        }
+        outcome.unwrap_or(PathChoice::Native(None))
     }
 
-    fn native_min_nexthop(&self, prefix: Prefix) -> Option<(usize, bool)> {
-        self.native_guard_memo.lock().get(&prefix).copied()
-    }
-
-    /// With no document installed every hook above answers `None` (and the
-    /// guard memo is empty, see `retire_signatures`), whatever the prefix.
+    /// With no document installed every hook above answers native, whatever
+    /// the prefix.
     fn governs(&self, _prefix: Prefix) -> bool {
         !self.docs.is_empty()
     }
 
     fn assign_weights(&self, prefix: Prefix, selected: &[Route]) -> Option<Vec<u32>> {
         let carries = |c| any_carries(selected, c);
-        for doc in &self.docs {
+        for doc in self.docs.values() {
             let CompiledDoc::RouteAttribute(statements) = &doc.compiled else {
                 continue;
             };
@@ -594,7 +527,7 @@ impl RibPolicy for RpaEngine {
 
 impl RpaEngine {
     fn permit_direction(&self, peer: PeerId, prefix: Prefix, ingress: bool) -> bool {
-        for doc in &self.docs {
+        for doc in self.docs.values() {
             let CompiledDoc::RouteFilter(rf) = &doc.compiled else {
                 continue;
             };
@@ -640,6 +573,15 @@ mod tests {
         Route::learned(Prefix::DEFAULT, attrs, PeerId(peer))
     }
 
+    /// The RPA selection for the default route, or `None` under native
+    /// selection.
+    fn select(e: &RpaEngine, candidates: &[Route]) -> Option<Selection> {
+        match e.select_paths(Prefix::DEFAULT, candidates) {
+            PathChoice::Rpa(sel) => Some(sel),
+            PathChoice::Native(_) => None,
+        }
+    }
+
     fn equalize_doc() -> RpaDocument {
         RpaDocument::PathSelection(PathSelectionRpa::single(
             "equalize",
@@ -659,10 +601,9 @@ mod tests {
         assert!(e.installed().is_empty());
         e.install(equalize_doc()).unwrap();
         assert_eq!(e.installed(), vec!["equalize"]);
-        assert_eq!(
-            e.install(equalize_doc()).unwrap_err(),
-            RpaError::DuplicateName("equalize".into())
-        );
+        // A same-name install replaces: the desired state wins.
+        e.install(equalize_doc()).unwrap();
+        assert_eq!(e.installed(), vec!["equalize"]);
         assert!(e.document("equalize").is_some());
         e.remove("equalize").unwrap();
         assert!(e.installed().is_empty());
@@ -684,7 +625,7 @@ mod tests {
             route(2, &[102, 50, 60000], &[c]),
             route(3, &[200, 60000], &[c]), // new, shorter
         ];
-        let sel = e.select_paths(Prefix::DEFAULT, &candidates).unwrap();
+        let sel = select(&e, &candidates).unwrap();
         assert_eq!(sel.selected, vec![0, 1, 2]);
         assert_eq!(
             sel.advertise,
@@ -698,7 +639,7 @@ mod tests {
         e.install(equalize_doc()).unwrap();
         // Candidates lack the community: native fallback.
         let candidates = vec![route(1, &[101, 60000], &[])];
-        assert!(e.select_paths(Prefix::DEFAULT, &candidates).is_none());
+        assert!(select(&e, &candidates).is_none());
     }
 
     #[test]
@@ -718,7 +659,7 @@ mod tests {
         e.install(doc).unwrap();
         // Only one primary route: primary set unmatched, fallback wins.
         let candidates = vec![route(1, &[1, 9], &[]), route(2, &[2, 8], &[])];
-        let sel = e.select_paths(Prefix::DEFAULT, &candidates).unwrap();
+        let sel = select(&e, &candidates).unwrap();
         assert_eq!(sel.selected, vec![1]);
         // Two primary routes: primary set matches.
         let candidates = vec![
@@ -726,7 +667,7 @@ mod tests {
             route(2, &[2, 9], &[]),
             route(3, &[3, 8], &[]),
         ];
-        let sel = e.select_paths(Prefix::DEFAULT, &candidates).unwrap();
+        let sel = select(&e, &candidates).unwrap();
         assert_eq!(sel.selected, vec![0, 1]);
     }
 
@@ -751,25 +692,26 @@ mod tests {
             route(1, &[1, 9], &[]),
             Route::local(Prefix::DEFAULT, local_attrs),
         ];
-        assert!(e.select_paths(Prefix::DEFAULT, &candidates).is_none());
+        assert!(select(&e, &candidates).is_none());
         // Two learned routes: floor met.
         let candidates = vec![route(1, &[1, 9], &[]), route(2, &[2, 9], &[])];
-        assert!(e.select_paths(Prefix::DEFAULT, &candidates).is_some());
+        assert!(select(&e, &candidates).is_some());
     }
 
     #[test]
-    fn native_guard_memo_flows_to_hook() {
+    fn native_guard_travels_with_the_fallback() {
         let mut e = RpaEngine::new();
         e.install(RpaDocument::PathSelection(PathSelectionRpa::single(
             "decommission-guard",
             PathSelectionStatement::native_guard(Destination::Any, MinNextHop::Absolute(3), true),
         )))
         .unwrap();
+        // Empty path-set list: native selection, under the statement's guard.
         let candidates = vec![route(1, &[1, 9], &[])];
-        // Empty path-set list: select_paths falls back to native...
-        assert!(e.select_paths(Prefix::DEFAULT, &candidates).is_none());
-        // ...but the native guard is exposed.
-        assert_eq!(e.native_min_nexthop(Prefix::DEFAULT), Some((3, true)));
+        assert_eq!(
+            e.select_paths(Prefix::DEFAULT, &candidates),
+            PathChoice::Native(Some((3, true)))
+        );
     }
 
     #[test]
@@ -979,7 +921,7 @@ mod tests {
         .unwrap();
         e.assign_weights(Prefix::DEFAULT, &[built(4, vec![Asn(101), Asn(60000)])]);
         assert_eq!(e.cache.lock().len(), 3);
-        let kept = e.docs[0].sig_range;
+        let kept = e.docs["equalize"].sig_range;
         e.remove("te").unwrap();
         let cache = e.cache.lock();
         assert_eq!(cache.len(), 2);
@@ -1055,26 +997,40 @@ mod tests {
     }
 
     #[test]
-    fn first_applicable_statement_wins_across_documents() {
-        let mut e = RpaEngine::new();
-        e.install(RpaDocument::PathSelection(PathSelectionRpa::single(
-            "first",
-            PathSelectionStatement::select(
-                Destination::Any,
-                vec![PathSet::new("nine", PathSignature::originated_by(Asn(9)))],
-            ),
-        )))
-        .unwrap();
-        e.install(RpaDocument::PathSelection(PathSelectionRpa::single(
-            "second",
-            PathSelectionStatement::select(
-                Destination::Any,
-                vec![PathSet::new("eight", PathSignature::originated_by(Asn(8)))],
-            ),
-        )))
-        .unwrap();
+    fn name_order_decides_across_documents() {
+        let via = |name: &str, origin: u32| {
+            RpaDocument::PathSelection(PathSelectionRpa::single(
+                name,
+                PathSelectionStatement::select(
+                    Destination::Any,
+                    vec![PathSet::new(
+                        "via",
+                        PathSignature::originated_by(Asn(origin)),
+                    )],
+                ),
+            ))
+        };
         let candidates = vec![route(1, &[1, 9], &[]), route(2, &[2, 8], &[])];
-        let sel = e.select_paths(Prefix::DEFAULT, &candidates).unwrap();
-        assert_eq!(sel.selected, vec![0], "install order gives priority");
+        // `b` arrives first, yet `a` governs; so does it after `b` is
+        // replaced.
+        let mut e = RpaEngine::new();
+        e.install(via("b", 9)).unwrap();
+        e.install(via("a", 8)).unwrap();
+        assert_eq!(e.installed(), vec!["a", "b"]);
+        assert_eq!(select(&e, &candidates).unwrap().selected, vec![1]);
+        assert_eq!(
+            e.governing_statement(Prefix::DEFAULT, &candidates),
+            Some(("a".to_string(), 0))
+        );
+        e.install(via("b", 9)).unwrap();
+        assert_eq!(select(&e, &candidates).unwrap().selected, vec![1]);
+        // The same set installed in the other order answers the same.
+        let mut other = RpaEngine::new();
+        other.install(via("a", 8)).unwrap();
+        other.install(via("b", 9)).unwrap();
+        assert_eq!(
+            other.select_paths(Prefix::DEFAULT, &candidates),
+            e.select_paths(Prefix::DEFAULT, &candidates)
+        );
     }
 }

@@ -2,7 +2,7 @@
 //! semantics, and document serialization laws.
 
 use centralium_bgp::attrs::well_known;
-use centralium_bgp::{Community, PathAttributes, PeerId, Prefix, RibPolicy, Route};
+use centralium_bgp::{Community, PathAttributes, PathChoice, PeerId, Prefix, RibPolicy, Route};
 use centralium_rpa::{
     Destination, NextHopWeight, PathSelectionRpa, PathSelectionStatement, PathSet, PathSignature,
     RouteAttributeRpa, RouteAttributeStatement, RpaDocument, RpaEngine,
@@ -85,7 +85,7 @@ proptest! {
             .filter(|r| r.attrs.origin_asn().map(|a| a.0 < 100_000).unwrap_or(false))
             .count();
         match e.select_paths(Prefix::DEFAULT, &candidates) {
-            Some(sel) => {
+            PathChoice::Rpa(sel) => {
                 prop_assert!(matching >= min);
                 prop_assert_eq!(sel.selected.len(), matching);
                 for i in sel.selected {
@@ -93,7 +93,10 @@ proptest! {
                     prop_assert!(origin.0 < 100_000);
                 }
             }
-            None => prop_assert!(matching < min, "fallback only when the floor is unmet"),
+            PathChoice::Native(guard) => {
+                prop_assert!(matching < min, "fallback only when the floor is unmet");
+                prop_assert_eq!(guard, None);
+            }
         }
     }
 
@@ -162,7 +165,7 @@ proptest! {
         let mut e = equalize_engine(true);
         let _ = e.select_paths(Prefix::DEFAULT, &candidates);
         e.remove("equalize").unwrap();
-        prop_assert!(e.select_paths(Prefix::DEFAULT, &candidates).is_none());
+        prop_assert_eq!(e.select_paths(Prefix::DEFAULT, &candidates), PathChoice::Native(None));
         prop_assert!(e.assign_weights(Prefix::DEFAULT, &candidates).is_none());
         prop_assert!(e.installed().is_empty());
     }

@@ -149,7 +149,7 @@ fn run_work(
                 Some(old) => rpa_scope(dev, &[old, doc.as_ref()]),
                 None => rpa_scope(dev, &[doc.as_ref()]),
             };
-            match dev.engine.install_or_replace(*doc) {
+            match dev.engine.install(*doc) {
                 Ok(()) => dev.decide(scratch, |dm, e| mark_scope(dm, e, scope, counters)),
                 Err(_) => {
                     counters.rpa_failures.inc();
@@ -1227,7 +1227,7 @@ mod tests {
             for with_timed in [false, true] {
                 if with_timed {
                     let dev = net.device_mut(id).unwrap();
-                    dev.engine.install_or_replace(timed.clone()).unwrap();
+                    dev.engine.install(timed.clone()).unwrap();
                 }
                 let dev = net.device(id).unwrap();
                 for docs in &cases {

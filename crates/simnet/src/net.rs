@@ -1588,7 +1588,7 @@ mod tests {
             300,
         );
         net.run_until_quiescent().expect_converged();
-        // Both copies land; install_or_replace makes the second a no-op.
+        // Both copies land; a same-name install replaces, so the second is a no-op.
         assert_eq!(net.device(ssw).unwrap().engine.installed(), vec!["twice"]);
         assert_eq!(net.stats().rpa_operations, 2);
         assert_eq!(

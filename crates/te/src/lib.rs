@@ -16,20 +16,17 @@
 //! * [`max_flow::effective_capacity_bound`] — the *ideal WCMP* upper bound
 //!   via max-flow feasibility with binary search on the demand scale.
 //!
-//! TE weights become deployable [`centralium_rpa::RouteAttributeRpa`]
-//! documents through [`rpa_te::compile_weights`], closing the loop to the
-//! distributed control plane.
+//! The controller's traffic-engineering app turns the weights into Route
+//! Attribute RPA intents.
 
 pub mod demand;
 pub mod graph;
 pub mod max_flow;
 pub mod metrics;
-pub mod rpa_te;
 
 pub use demand::Demands;
 pub use graph::{ecmp_weights, UpGraph, Weights};
 pub use metrics::{effective_capacity, max_utilization, propagate};
-pub use rpa_te::compile_weights;
 
 use std::collections::HashMap;
 

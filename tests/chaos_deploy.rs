@@ -2,10 +2,10 @@
 //! the controller's retry/rollback machinery while the simnet injects
 //! management-plane faults from a seeded [`ChaosPlan`].
 //!
-//! The small tests run in the CI `chaos` job across seeds {7, 21, 1337}; the
-//! `#[ignore]`d test is the full 2,960-device acceptance run from ISSUE's
-//! deploy-resilience milestone (CI runs it in release with
-//! `--include-ignored`).
+//! The small tests loop over seeds {7, 21, 1337} themselves; the
+//! `#[ignore]`d test is the full 2,960-device deploy-resilience acceptance
+//! run. CI's `chaos` job runs this file once, in release with
+//! `--include-ignored`.
 
 use centralium::apps::path_equalization::equalize_backbone_paths;
 use centralium::{Controller, DeployOptions, DeploymentStrategy, HealthCheck, RetryPolicy};

@@ -8,8 +8,8 @@
 use centralium_bench::tier::TierSpec;
 use centralium_bgp::attrs::well_known;
 use centralium_bgp::{
-    Action, Asn, BgpDaemon, DaemonConfig, MatchExpr, NativePolicy, PathAttributes, PeerConfig,
-    PeerId, Policy, PolicyRule, Prefix, RibPolicy, Route, UpdateMessage,
+    Action, Asn, BgpDaemon, DaemonConfig, MatchExpr, NativePolicy, PathAttributes, PathChoice,
+    PeerConfig, PeerId, Policy, PolicyRule, Prefix, RibPolicy, Route, UpdateMessage,
 };
 use centralium_rpa::{
     Destination, NextHopWeight, PathSignature, PeerSignature, PrefixFilter, RouteAttributeRpa,
@@ -166,8 +166,8 @@ impl RibPolicy for Hook {
         !self.strict || !(peer.0 + prefix.len() as u64).is_multiple_of(3)
     }
 
-    fn native_min_nexthop(&self, prefix: Prefix) -> Option<(usize, bool)> {
-        (prefix.len() == 8).then_some((2, true))
+    fn select_paths(&self, prefix: Prefix, _candidates: &[Route]) -> PathChoice {
+        PathChoice::Native((prefix.len() == 8).then_some((2, true)))
     }
 }
 

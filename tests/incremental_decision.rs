@@ -8,8 +8,8 @@
 //! accounting. One named case per branch of the edit follows.
 
 use centralium_bgp::{
-    Asn, BgpDaemon, Community, DaemonConfig, NativePolicy, PathAttributes, PeerConfig, PeerId,
-    Prefix, RibPolicy, UpdateMessage,
+    Asn, BgpDaemon, Community, DaemonConfig, NativePolicy, PathAttributes, PathChoice, PeerConfig,
+    PeerId, Prefix, RibPolicy, Route, UpdateMessage,
 };
 use centralium_simnet::{Fib, FibScratch};
 use centralium_telemetry::Telemetry;
@@ -479,8 +479,8 @@ fn governed_prefixes_single_path_mode_and_keep_warm_entries_take_the_full_pass()
     // to keep the edit away from it.
     struct LyingGuard;
     impl RibPolicy for LyingGuard {
-        fn native_min_nexthop(&self, _prefix: Prefix) -> Option<(usize, bool)> {
-            Some((3, true))
+        fn select_paths(&self, _prefix: Prefix, _candidates: &[Route]) -> PathChoice {
+            PathChoice::Native(Some((3, true)))
         }
         fn governs(&self, _prefix: Prefix) -> bool {
             false

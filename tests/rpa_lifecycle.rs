@@ -147,7 +147,8 @@ fn replacement_and_orthogonality() {
     fab.net.deploy_rpa(ssw, anycast, 100);
     fab.net.run_until_quiescent().expect_converged();
     let dev = fab.net.device(ssw).unwrap();
-    assert_eq!(dev.engine.installed(), vec!["guard", "anycast"]);
+    // Listed in name order, the order that gives precedence.
+    assert_eq!(dev.engine.installed(), vec!["anycast", "guard"]);
     // The default route is still governed by the guard statement, not the
     // anycast one (§7.2: highlight the active RPA for a route).
     let candidates: Vec<_> = dev.daemon.rib_in_routes(Prefix::DEFAULT).to_vec();
