@@ -33,6 +33,15 @@
 //! entry) runs only while every mark since the last `decide` came from
 //! `ingest` on one session. Both facts join conservatively: a mixed dirty
 //! set gets the full pass and, if forced, the full export.
+//!
+//! # One slot per prefix
+//!
+//! Everything held for a prefix — each session's route, the origination,
+//! the Loc-RIB entry, what each session was sent — is one [`PrefixState`]
+//! slot, found once per step: by `ingest` per route, by `decide` per dirty
+//! prefix, which hands it to the decision and the export beside borrows of
+//! the config, the sessions and the telemetry. The export and candidate
+//! gathering walk the sessions beside the slot's fans, never searching.
 
 use crate::attrs::PathAttributes;
 use crate::decision::{best_route, compare_routes, multipath_set, PathPreference};
@@ -40,13 +49,12 @@ use crate::flat::FlatMap;
 use crate::hooks::{AdvertiseChoice, PathChoice, RibPolicy};
 use crate::msg::UpdateMessage;
 use crate::policy::Policy;
-use crate::rib::{take_selected, AdjRibIn, AdjRibOut, LocRibEntry, RibFootprint, Route};
+use crate::rib::{held, take_selected, LocRibEntry, PrefixState, PrefixTable, RibFootprint, Route};
 use crate::types::{PeerId, Prefix};
 use crate::wcmp;
 use centralium_telemetry::{Counter, EventKind, Severity, Telemetry};
 use centralium_topology::Asn;
 use std::cmp::Ordering;
-use std::collections::BTreeMap;
 use std::sync::Arc;
 
 /// Speaker-level configuration.
@@ -169,30 +177,27 @@ impl std::fmt::Debug for NextHops {
 /// established sessions, plus the origination), borrowed in place.
 #[derive(Clone, Copy)]
 pub struct CandidateView<'a> {
-    daemon: &'a BgpDaemon,
-    learned: &'a [(PeerId, Arc<PathAttributes>)],
-    origination: Option<&'a PathAttributes>,
+    peers: &'a FlatMap<PeerId, PeerState>,
+    slot: &'a PrefixState,
 }
 
 impl CandidateView<'_> {
     /// Whether some candidate's body satisfies `pred`. A learned body's
     /// session is looked up only once `pred` holds for it.
     pub fn any(&self, mut pred: impl FnMut(&PathAttributes) -> bool) -> bool {
-        self.learned
+        self.slot
+            .rib_in()
             .iter()
-            .any(|(peer, attrs)| pred(attrs) && self.daemon.is_established(*peer))
-            || self.origination.is_some_and(pred)
+            .any(|(peer, attrs)| pred(attrs) && established(self.peers, *peer))
+            || self.slot.origination.as_deref().is_some_and(pred)
     }
 }
 
-/// Telemetry binding of one speaker: disabled (and free) by default,
-/// attached by the host via [`BgpDaemon::set_telemetry`]. Boxed so an
-/// unbound daemon carries one pointer of overhead.
-#[derive(Debug, Clone, Default)]
-pub(crate) struct DaemonTelemetry(Option<Box<DaemonTelemetryInner>>);
-
+/// Telemetry binding of one speaker, attached by the host via
+/// [`BgpDaemon::set_telemetry`]: absent (and free) by default, and boxed so
+/// an unbound daemon carries one pointer of overhead.
 #[derive(Debug, Clone)]
-struct DaemonTelemetryInner {
+struct DaemonTelemetry {
     telemetry: Telemetry,
     /// Emitter label on journal events, e.g. `"d12"`.
     scope: String,
@@ -206,10 +211,9 @@ struct DaemonTelemetryInner {
 pub struct BgpDaemon {
     cfg: DaemonConfig,
     peers: FlatMap<PeerId, PeerState>,
-    adj_rib_in: AdjRibIn,
-    originated: BTreeMap<Prefix, Arc<PathAttributes>>,
-    loc_rib: FlatMap<Prefix, LocRibEntry>,
-    adj_rib_out: AdjRibOut,
+    /// Adj-RIB-In, originations, Loc-RIB and Adj-RIB-Out, one slot per
+    /// prefix.
+    rib: PrefixTable,
     /// Prefixes whose Loc-RIB entry was (re)installed or removed since the
     /// last drain, repeats allowed ([`BgpDaemon::drain_fib_changes`] sorts
     /// them once). Recorded only while `record_fib` is set, so a daemon no
@@ -223,7 +227,7 @@ pub struct BgpDaemon {
     /// `fib_dirty`.
     dirty: Vec<Prefix>,
     moved: Moved,
-    telemetry: DaemonTelemetry,
+    telemetry: Option<Box<DaemonTelemetry>>,
 }
 
 /// What moved the prefixes marked since the last [`BgpDaemon::decide`], in
@@ -259,15 +263,12 @@ impl BgpDaemon {
         BgpDaemon {
             cfg,
             peers: FlatMap::new(),
-            adj_rib_in: AdjRibIn::default(),
-            originated: BTreeMap::new(),
-            loc_rib: FlatMap::new(),
-            adj_rib_out: AdjRibOut::default(),
+            rib: PrefixTable::default(),
             fib_dirty: Vec::new(),
             record_fib: false,
             dirty: Vec::new(),
             moved: Moved::Nothing,
-            telemetry: DaemonTelemetry::default(),
+            telemetry: None,
         }
     }
 
@@ -281,13 +282,13 @@ impl BgpDaemon {
     /// `scope`.
     pub fn set_telemetry(&mut self, telemetry: &Telemetry, scope: impl Into<String>) {
         let m = telemetry.metrics();
-        self.telemetry = DaemonTelemetry(Some(Box::new(DaemonTelemetryInner {
+        self.telemetry = Some(Box::new(DaemonTelemetry {
             telemetry: telemetry.clone(),
             scope: scope.into(),
             decisions: m.counter("bgp.decisions"),
             best_path_changes: m.counter("bgp.best_path_changes"),
             export_evals: m.counter("bgp.export_evals"),
-        })));
+        }));
     }
 
     /// Mutable access to the speaker config (used by ablations). Installed
@@ -314,9 +315,8 @@ impl BgpDaemon {
     /// Remove a session entirely, flushing its routes and marking the
     /// prefixes they covered.
     pub fn remove_peer(&mut self, peer: PeerId) {
-        self.peer_down(peer);
-        self.peers.remove(&peer);
-        self.adj_rib_out.flush_peer(peer);
+        let established = self.peers.remove(&peer).is_some_and(|s| s.established);
+        self.flush_peer(peer, established);
     }
 
     /// Replace the export policy of a session (used e.g. to drain a device
@@ -343,12 +343,16 @@ impl BgpDaemon {
 
     /// Prefixes currently originated by this speaker.
     pub fn originated_prefixes(&self) -> Vec<Prefix> {
-        self.originated.keys().copied().collect()
+        let originated = self
+            .rib
+            .iter()
+            .filter(|(_, slot)| slot.origination.is_some());
+        originated.map(|(prefix, _)| prefix).collect()
     }
 
     /// Attributes a prefix is originated with, if originated here.
     pub fn origination(&self, prefix: Prefix) -> Option<&PathAttributes> {
-        self.originated.get(&prefix).map(Arc::as_ref)
+        self.rib.get(prefix)?.origination.as_deref()
     }
 
     /// Configured sessions.
@@ -358,10 +362,7 @@ impl BgpDaemon {
 
     /// Whether a session is established.
     pub fn is_established(&self, peer: PeerId) -> bool {
-        self.peers
-            .get(&peer)
-            .map(|p| p.established)
-            .unwrap_or(false)
+        established(&self.peers, peer)
     }
 
     // ---- mark, then decide ---------------------------------------------------
@@ -376,20 +377,20 @@ impl BgpDaemon {
             Some(state) if !state.established => state.established = true,
             _ => return Vec::new(),
         }
-        let session = self.peers.get(&peer).expect("looked up above");
+        let (cfg, peers) = (&self.cfg, &self.peers);
+        let session = peers.get(&peer).expect("looked up above");
         // Advertise every Loc-RIB advertised route to the new peer.
         let mut out = UpdateMessage::default();
-        for (&prefix, entry) in self.loc_rib.iter() {
-            let Some(route) = entry.advertised.as_ref() else {
-                continue;
+        self.rib.edit_all(|prefix, slot| {
+            let Some((route, base)) = export_base(cfg, peers, slot.loc.as_ref()) else {
+                return;
             };
-            let base = export_base(&self.cfg, &self.peers, entry, route);
-            if let Some(attrs) = desired_advertisement(route, &base, session, policy) {
-                if let Some(attrs) = self.adj_rib_out.advertise(peer, prefix, attrs) {
-                    out.announced.push((prefix, attrs));
-                }
+            if let Some(attrs) = desired_advertisement(&route, &base, session, policy) {
+                slot.export([(peer, Some(attrs))], |_, sent| {
+                    out.announced.extend(sent.map(|attrs| (prefix, attrs)));
+                });
             }
-        }
+        });
         if out.is_empty() {
             Vec::new()
         } else {
@@ -399,17 +400,25 @@ impl BgpDaemon {
 
     /// Session dropped: flush its routes and mark the prefixes they covered.
     pub fn peer_down(&mut self, peer: PeerId) {
-        let Some(state) = self.peers.get_mut(&peer) else {
-            return;
-        };
-        if !state.established {
-            return;
+        match self.peers.get_mut(&peer) {
+            Some(state) if state.established => state.established = false,
+            _ => return,
         }
-        state.established = false;
-        let affected = self.adj_rib_in.flush_peer(peer);
-        // Drop pending out-state toward the dead session.
-        self.adj_rib_out.flush_peer(peer);
-        self.mark_moved(affected, Moved::Routes);
+        self.flush_peer(peer, true);
+    }
+
+    /// Drop the out-state toward `peer` and, if `rib_in`, its routes, marking
+    /// the prefixes they covered. One pass over the table.
+    fn flush_peer(&mut self, peer: PeerId, rib_in: bool) {
+        let dirty = &mut self.dirty;
+        self.rib.edit_all(|prefix, slot| {
+            if slot.flush(peer, rib_in) {
+                dirty.push(prefix);
+            }
+        });
+        if rib_in {
+            self.moved = self.moved.join(Moved::Routes);
+        }
     }
 
     /// Originate (or re-originate with new attributes) a local route.
@@ -421,13 +430,17 @@ impl BgpDaemon {
         {
             attrs.link_bandwidth_gbps = None;
         }
-        self.originated.insert(prefix, Arc::new(attrs));
+        self.rib
+            .with_slot(prefix, |slot| slot.origination = Some(Arc::new(attrs)));
         self.mark_moved([prefix], Moved::Routes);
     }
 
     /// Stop originating a local route.
     pub fn withdraw_origin(&mut self, prefix: Prefix) {
-        if self.originated.remove(&prefix).is_some() {
+        if self
+            .rib
+            .with_slot(prefix, |slot| slot.origination.take().is_some())
+        {
             self.mark_moved([prefix], Moved::Routes);
         }
     }
@@ -443,7 +456,7 @@ impl BgpDaemon {
         }
         let import = &state.cfg.import;
         for prefix in update.withdrawn {
-            if self.adj_rib_in.remove(from, prefix) {
+            if self.rib.with_slot(prefix, |slot| slot.forget(from)) {
                 self.dirty.push(prefix);
             }
         }
@@ -451,15 +464,12 @@ impl BgpDaemon {
             // RFC 4271 loop prevention: discard routes carrying our ASN.
             // The announcement still implicitly withdraws whatever this
             // session previously advertised for the prefix — skipping that
-            // leaves stale "ghost" routes that can form stable cycles.
-            if attrs.path_contains(self.cfg.asn) {
-                if self.adj_rib_in.remove(from, prefix) {
-                    self.dirty.push(prefix);
-                }
-                continue;
-            }
-            match import.apply_shared(&prefix, attrs) {
-                Some(mut attrs) => {
+            // leaves stale "ghost" routes that can form stable cycles. So
+            // does an import policy's reject or the ingress Route Filter's.
+            let admitted = (!attrs.path_contains(self.cfg.asn))
+                .then(|| import.apply_shared(&prefix, attrs))
+                .flatten()
+                .map(|mut attrs| {
                     // A non-finite link-bandwidth value would poison both
                     // weight derivation and the Adj-RIB-Out equality diff
                     // (NaN != NaN ⇒ perpetual re-announcement churn).
@@ -470,28 +480,19 @@ impl BgpDaemon {
                     {
                         Arc::make_mut(&mut attrs).link_bandwidth_gbps = None;
                     }
-                    let route = Route::learned(prefix, attrs, from);
-                    // Route Filter RPA, ingress direction (Figure 6).
-                    if policy.permit_ingress(from, prefix, &route) {
-                        // An identical re-announcement changes nothing;
-                        // leaving it unmarked keeps duplicate UPDATE floods
-                        // (session resets, refresh replies) off the decision
-                        // path entirely. The error arm is unreachable (the
-                        // route was just built with `Route::learned`) but
-                        // must not abort the daemon.
-                        if self.adj_rib_in.insert(route).unwrap_or(false) {
-                            self.dirty.push(prefix);
-                        }
-                    } else if self.adj_rib_in.remove(from, prefix) {
-                        self.dirty.push(prefix);
-                    }
-                }
-                None => {
-                    // Treat as withdraw if we previously held it.
-                    if self.adj_rib_in.remove(from, prefix) {
-                        self.dirty.push(prefix);
-                    }
-                }
+                    Route::learned(prefix, attrs, from)
+                })
+                // Route Filter RPA, ingress direction (Figure 6).
+                .filter(|route| policy.permit_ingress(from, prefix, route));
+            // An identical re-announcement changes nothing; leaving it
+            // unmarked keeps duplicate UPDATE floods (session resets,
+            // refresh replies) off the decision path entirely.
+            let changed = self.rib.with_slot(prefix, |slot| match &admitted {
+                Some(route) => slot.learn(from, &route.attrs),
+                None => slot.forget(from),
+            });
+            if changed {
+                self.dirty.push(prefix);
             }
         }
         self.moved = self.moved.join(Moved::Session(from));
@@ -508,11 +509,17 @@ impl BgpDaemon {
     /// [`mark`](Self::mark) what can move for other reasons (time-dependent
     /// RPA documents crossing their deadline).
     pub fn purge_ingress(&mut self, policy: &dyn RibPolicy) {
-        let purged = self.adj_rib_in.purge(|r| match r.learned_from {
-            Some(peer) => policy.permit_ingress(peer, r.prefix, r),
-            None => true,
+        let dirty = &mut self.dirty;
+        self.rib.edit_all(|prefix, slot| {
+            let purged = slot.retain_learned(prefix, |r| match r.learned_from {
+                Some(peer) => policy.permit_ingress(peer, r.prefix, r),
+                None => true,
+            });
+            if purged {
+                dirty.push(prefix);
+            }
         });
-        self.mark_moved(purged, Moved::Everything);
+        self.moved = self.moved.join(Moved::Everything);
     }
 
     /// Mark `prefixes` for re-decision and forced export — what a caller
@@ -550,13 +557,30 @@ impl BgpDaemon {
         dirty.sort_unstable();
         dirty.dedup();
         let mut out = Vec::new();
+        let mut step = Step {
+            cfg: &self.cfg,
+            peers: &self.peers,
+            policy,
+            tel: self.telemetry.as_deref(),
+            fib_dirty: self.record_fib.then_some(&mut self.fib_dirty),
+            counts: [0; 3],
+        };
         for &prefix in &dirty {
-            let advertisement_moved = from
-                .and_then(|from| self.decide_against_incumbent(prefix, from, policy))
-                .unwrap_or_else(|| self.decide_prefix(prefix, policy));
-            if always || advertisement_moved {
-                self.export_prefix(prefix, policy, &mut out);
-            }
+            self.rib.with_slot(prefix, |slot| {
+                let advertisement_moved = from
+                    .and_then(|from| step.decide_against_incumbent(prefix, slot, from))
+                    .unwrap_or_else(|| step.decide_prefix(prefix, slot));
+                if always || advertisement_moved {
+                    step.export_prefix(prefix, slot, &mut out);
+                }
+            });
+        }
+        if let Some(tel) = step.tel {
+            let counters = [&tel.decisions, &tel.best_path_changes, &tel.export_evals];
+            counters
+                .into_iter()
+                .zip(step.counts)
+                .for_each(|(c, n)| c.add(n));
         }
         dirty.clear();
         self.dirty = dirty;
@@ -593,77 +617,58 @@ impl BgpDaemon {
 
     /// Every known prefix, ascending and once each, with a borrowed view of
     /// the candidates [`candidates`](Self::candidates) would build for it.
-    /// One merge of the three sorted tables (Adj-RIB-In, originations,
-    /// Loc-RIB keys): nothing is allocated, cloned or looked up per prefix.
+    /// One walk of the slots: nothing is allocated, cloned or looked up per
+    /// prefix.
     pub fn known(&self) -> impl Iterator<Item = (Prefix, CandidateView<'_>)> {
-        let mut rib_in = self.adj_rib_in.tables().peekable();
-        let mut originated = self.originated.iter().peekable();
-        let mut loc_rib = self.loc_rib.keys().peekable();
-        std::iter::from_fn(move || {
-            let prefix = [
-                rib_in.peek().map(|(p, _)| *p),
-                originated.peek().map(|(p, _)| **p),
-                loc_rib.peek().map(|p| **p),
-            ]
-            .into_iter()
-            .flatten()
-            .min()?;
-            let view = CandidateView {
-                daemon: self,
-                learned: rib_in
-                    .next_if(|(p, _)| *p == prefix)
-                    .map_or(&[][..], |(_, table)| table),
-                origination: originated
-                    .next_if(|(p, _)| **p == prefix)
-                    .map(|(_, attrs)| &**attrs),
-            };
-            loc_rib.next_if(|p| **p == prefix);
-            Some((prefix, view))
-        })
+        let peers = &self.peers;
+        self.rib
+            .iter()
+            .filter(|(_, slot)| {
+                !slot.rib_in().is_empty() || slot.origination.is_some() || slot.loc.is_some()
+            })
+            .map(move |(prefix, slot)| (prefix, CandidateView { peers, slot }))
     }
 
     // ---- inspection ----------------------------------------------------------
 
     /// Current Loc-RIB entry for a prefix.
     pub fn loc_rib_entry(&self, prefix: Prefix) -> Option<&LocRibEntry> {
-        self.loc_rib.get(&prefix)
+        self.rib.get(prefix)?.loc.as_ref()
     }
 
     /// All Loc-RIB prefixes.
     pub fn loc_rib_prefixes(&self) -> Vec<Prefix> {
-        self.loc_rib.keys().copied().collect()
+        self.loc_rib().map(|(prefix, _)| prefix).collect()
     }
 
     /// Loc-RIB size, without materializing the prefixes.
     pub fn loc_rib_len(&self) -> usize {
-        self.loc_rib.len()
-    }
-
-    /// Adj-RIB-In size (for controller health checks).
-    pub fn adj_rib_in_len(&self) -> usize {
-        self.adj_rib_in.len()
+        self.rib.installed()
     }
 
     /// Routes currently held for `prefix` across sessions, materialized out
     /// of the compressed fan in ascending session-id order.
     pub fn rib_in_routes(&self, prefix: Prefix) -> Vec<Route> {
-        self.adj_rib_in.routes_for(prefix).collect()
+        self.rib
+            .get(prefix)
+            .map_or_else(Vec::new, |slot| slot.learned(prefix).collect())
     }
 
     /// Number of routes held for `prefix`, without materializing them.
     pub fn rib_in_count(&self, prefix: Prefix) -> usize {
-        self.adj_rib_in.routes_for_len(prefix)
+        self.rib.get(prefix).map_or(0, |slot| slot.rib_in().len())
     }
 
     /// Occupancy/byte footprints of the adjacency RIBs `(in, out)`, for the
-    /// `mem.adj_rib_{in,out}_bytes` and `bgp.peer_refs` gauges.
+    /// `mem.adj_rib_{in,out}_bytes` and `bgp.peer_refs` gauges: running
+    /// totals, so reading them walks nothing.
     pub fn rib_footprints(&self) -> (RibFootprint, RibFootprint) {
-        (self.adj_rib_in.footprint(), self.adj_rib_out.footprint())
+        self.rib.footprints()
     }
 
     /// What we last advertised to `peer` for `prefix`.
     pub fn advertised_to(&self, peer: PeerId, prefix: Prefix) -> Option<&PathAttributes> {
-        self.adj_rib_out.attrs(peer, prefix).map(Arc::as_ref)
+        held(self.rib.get(prefix)?.rib_out(), peer).map(Arc::as_ref)
     }
 
     /// Everything currently advertised to `peer`, as one UPDATE — the reply
@@ -671,10 +676,19 @@ impl BgpDaemon {
     /// filtered state it now wants back.
     pub fn full_advertisement(&self, peer: PeerId) -> UpdateMessage {
         let mut out = UpdateMessage::default();
-        for (prefix, attrs) in self.adj_rib_out.advertisements(peer) {
-            out.announced.push((prefix, Arc::clone(attrs)));
+        for (prefix, slot) in self.rib.iter() {
+            if let Some(attrs) = held(slot.rib_out(), peer) {
+                out.announced.push((prefix, Arc::clone(attrs)));
+            }
         }
         out
+    }
+
+    /// The installed Loc-RIB entries, ascending by prefix.
+    fn loc_rib(&self) -> impl Iterator<Item = (Prefix, &LocRibEntry)> {
+        self.rib
+            .iter()
+            .filter_map(|(prefix, slot)| Some((prefix, slot.loc.as_ref()?)))
     }
 
     /// The FIB this Loc-RIB projects to: one entry per Loc-RIB entry with
@@ -682,9 +696,8 @@ impl BgpDaemon {
     /// prefix order. Tests compare host FIBs against it; hosts program
     /// theirs from [`drain_fib_changes`](Self::drain_fib_changes).
     pub fn fib(&self) -> Vec<FibEntry> {
-        self.loc_rib
-            .iter()
-            .filter_map(|(&prefix, entry)| {
+        self.loc_rib()
+            .filter_map(|(prefix, entry)| {
                 let mut nexthops: Vec<_> = entry.fib_nexthops().collect();
                 nexthops.sort_unstable_by_key(|(p, _)| *p);
                 (!nexthops.is_empty()).then(|| FibEntry {
@@ -706,17 +719,10 @@ impl BgpDaemon {
     ) -> impl Iterator<Item = (Prefix, Option<&LocRibEntry>)> + '_ {
         self.fib_dirty.sort_unstable();
         self.fib_dirty.dedup();
-        let loc_rib = &self.loc_rib;
+        let rib = &self.rib;
         self.fib_dirty
             .drain(..)
-            .map(move |prefix| (prefix, loc_rib.get(&prefix)))
-    }
-
-    /// Mark `prefix` for the next drain.
-    fn mark_fib_dirty(&mut self, prefix: Prefix) {
-        if self.record_fib {
-            self.fib_dirty.push(prefix);
-        }
+            .map(move |prefix| (prefix, rib.get(prefix).and_then(|slot| slot.loc.as_ref())))
     }
 
     /// Start recording, for [`drain_fib_changes`](Self::drain_fib_changes),
@@ -734,21 +740,59 @@ impl BgpDaemon {
     /// sessions plus any local origination (cloned). What selection takes;
     /// [`known`](Self::known) borrows the same set without building it.
     pub fn candidates(&self, prefix: Prefix) -> Vec<Route> {
-        let mut out: Vec<Route> = self
-            .adj_rib_in
-            .routes_for(prefix)
-            .filter(|r| {
-                r.learned_from
-                    .map(|p| self.is_established(p))
-                    .unwrap_or(false)
-            })
-            .collect();
-        if let Some(attrs) = self.originated.get(&prefix) {
-            out.push(Route::local(prefix, attrs.clone()));
-        }
-        out
+        self.rib
+            .get(prefix)
+            .map_or_else(Vec::new, |slot| candidates_of(&self.peers, prefix, slot))
     }
+}
 
+/// Whether `peer` is a configured, established session.
+fn established(peers: &FlatMap<PeerId, PeerState>, peer: PeerId) -> bool {
+    peers.get(&peer).is_some_and(|p| p.established)
+}
+
+/// `slot`'s candidates toward `prefix`: its in-fan's routes on established
+/// sessions, ascending by session, then the origination. The in-fan and the
+/// sessions are walked side by side, so no route costs a search.
+fn candidates_of(
+    peers: &FlatMap<PeerId, PeerState>,
+    prefix: Prefix,
+    slot: &PrefixState,
+) -> Vec<Route> {
+    let mut sessions = peers.iter().peekable();
+    let mut out: Vec<Route> = slot
+        .rib_in()
+        .iter()
+        .filter(|(peer, _)| {
+            while sessions.next_if(|(p, _)| *p < peer).is_some() {}
+            sessions
+                .peek()
+                .is_some_and(|(p, s)| *p == peer && s.established)
+        })
+        .map(|(peer, attrs)| Route::learned(prefix, Arc::clone(attrs), *peer))
+        .collect();
+    if let Some(attrs) = &slot.origination {
+        out.push(Route::local(prefix, Arc::clone(attrs)));
+    }
+    out
+}
+
+/// One [`BgpDaemon::decide`]'s view of the speaker beside the slot it is
+/// deciding: what every decision and export reads, borrowed apart from the
+/// prefix table.
+struct Step<'a> {
+    cfg: &'a DaemonConfig,
+    peers: &'a FlatMap<PeerId, PeerState>,
+    policy: &'a dyn RibPolicy,
+    tel: Option<&'a DaemonTelemetry>,
+    /// The FIB drain's marks, while a host FIB drains them.
+    fib_dirty: Option<&'a mut Vec<Prefix>>,
+    /// Decisions, best-path changes and export evaluations: summed here and
+    /// added to their counters once per `decide`.
+    counts: [u64; 3],
+}
+
+impl Step<'_> {
     /// The decision for an arrival that moved only session `from`'s route:
     /// compare that route with the installed entry and edit the entry in
     /// place, instead of re-selecting from every session's route. Returns
@@ -768,13 +812,15 @@ impl BgpDaemon {
     fn decide_against_incumbent(
         &mut self,
         prefix: Prefix,
+        slot: &mut PrefixState,
         from: PeerId,
-        policy: &dyn RibPolicy,
     ) -> Option<bool> {
-        if !self.cfg.multipath || policy.governs(prefix) {
+        if !self.cfg.multipath || self.policy.governs(prefix) {
             return None;
         }
-        let entry = self.loc_rib.get_mut(&prefix)?;
+        let arrival =
+            held(slot.rib_in(), from).map(|a| Route::learned(prefix, Arc::clone(a), from));
+        let entry = slot.loc.as_mut()?;
         if entry.fib_warm_only {
             return None;
         }
@@ -796,7 +842,6 @@ impl BgpDaemon {
         let held = selected
             .get(at)
             .is_some_and(|r| r.learned_from == Some(from));
-        let arrival = self.adj_rib_in.route(from, prefix);
         match arrival.map(|r| (PathPreference::of(&r).compare(&incumbent), r)) {
             Some((Ordering::Greater, route)) => {
                 selected.clear();
@@ -814,7 +859,7 @@ impl BgpDaemon {
                 selected.remove(at);
             }
         }
-        weights_for(&self.cfg, prefix, selected, policy, &mut entry.weights);
+        weights_for(self.cfg, prefix, selected, self.policy, &mut entry.weights);
         let had_path = entry.advertised.is_some();
         let best = best_route(&entry.selected);
         let advertisement_moved = entry.advertised.as_ref() != best;
@@ -830,13 +875,13 @@ impl BgpDaemon {
     /// dirty mark → telemetry. Returns whether the advertised route differs
     /// from the one installed before — the only input of the export this can
     /// move (see the module docs).
-    fn decide_prefix(&mut self, prefix: Prefix, policy: &dyn RibPolicy) -> bool {
-        let candidates = self.candidates(prefix);
+    fn decide_prefix(&mut self, prefix: Prefix, slot: &mut PrefixState) -> bool {
+        let (cfg, policy) = (self.cfg, self.policy);
+        let candidates = candidates_of(self.peers, prefix, slot);
         // Only the previously advertised route is needed unconditionally
         // (for the advertisement-moved comparison); the full previous entry
         // is cloned lazily inside the rare keep-warm branches.
-        let prev_advertised: Option<Route> =
-            self.loc_rib.get(&prefix).and_then(|e| e.advertised.clone());
+        let prev_advertised: Option<Route> = slot.loc.as_ref().and_then(|e| e.advertised.clone());
 
         let choice = (!candidates.is_empty()).then(|| policy.select_paths(prefix, &candidates));
         let new_entry: Option<LocRibEntry> = match choice {
@@ -845,22 +890,21 @@ impl BgpDaemon {
             Some(PathChoice::Rpa(sel)) => {
                 if sel.selected.is_empty() {
                     if sel.keep_fib_warm {
-                        self.loc_rib
-                            .get(&prefix)
-                            .cloned()
-                            .and_then(|prior| self.warm_entry(prior))
+                        slot.loc
+                            .clone()
+                            .and_then(|prior| warm_entry(self.peers, prior))
                     } else {
                         None
                     }
                 } else {
                     let selected = take_selected(candidates, &sel.selected);
                     let mut weights = Vec::new();
-                    weights_for(&self.cfg, prefix, &selected, policy, &mut weights);
+                    weights_for(cfg, prefix, &selected, policy, &mut weights);
                     let advertised = match sel.advertise {
                         AdvertiseChoice::Withdraw => None,
                         AdvertiseChoice::NativeBest => best_route(&selected).cloned(),
                         AdvertiseChoice::LeastFavorable => {
-                            if self.cfg.least_favorable_advertisement {
+                            if cfg.least_favorable_advertisement {
                                 selected.iter().min_by(|a, b| compare_routes(a, b)).cloned()
                             } else {
                                 best_route(&selected).cloned()
@@ -877,7 +921,7 @@ impl BgpDaemon {
             }
             // Native selection, under the governing statement's guard.
             Some(PathChoice::Native(guard)) => {
-                let indices = if self.cfg.multipath {
+                let indices = if cfg.multipath {
                     multipath_set(&candidates)
                 } else {
                     // Select the best route by index directly (comparing
@@ -904,9 +948,9 @@ impl BgpDaemon {
                         // the previous FIB state — which still spreads over
                         // the full next-hop set, drained members included —
                         // and advertise nothing.
-                        let prior = self.loc_rib.get(&prefix).cloned().unwrap_or_else(|| {
+                        let prior = slot.loc.clone().unwrap_or_else(|| {
                             let mut weights = Vec::new();
-                            weights_for(&self.cfg, prefix, &selected, policy, &mut weights);
+                            weights_for(cfg, prefix, &selected, policy, &mut weights);
                             LocRibEntry {
                                 selected,
                                 weights,
@@ -914,7 +958,7 @@ impl BgpDaemon {
                                 fib_warm_only: true,
                             }
                         });
-                        self.warm_entry(prior)
+                        warm_entry(self.peers, prior)
                     } else {
                         None
                     }
@@ -922,7 +966,7 @@ impl BgpDaemon {
                     None
                 } else {
                     let mut weights = Vec::new();
-                    weights_for(&self.cfg, prefix, &selected, policy, &mut weights);
+                    weights_for(cfg, prefix, &selected, policy, &mut weights);
                     let advertised = best_route(&selected).cloned();
                     Some(LocRibEntry {
                         selected,
@@ -943,30 +987,28 @@ impl BgpDaemon {
             new_adv.is_some(),
             advertisement_moved,
         );
-
-        match new_entry {
-            Some(e) => {
-                self.loc_rib.insert(prefix, e);
-                self.mark_fib_dirty(prefix);
-            }
-            None => {
-                if self.loc_rib.remove(&prefix).is_some() {
-                    self.mark_fib_dirty(prefix);
-                }
-            }
+        if std::mem::replace(&mut slot.loc, new_entry).is_some() || slot.loc.is_some() {
+            self.mark_fib_dirty(prefix);
         }
         advertisement_moved
     }
 
+    /// Mark `prefix` for the next FIB drain.
+    fn mark_fib_dirty(&mut self, prefix: Prefix) {
+        if let Some(fib_dirty) = &mut self.fib_dirty {
+            fib_dirty.push(prefix);
+        }
+    }
+
     /// Count one decision and, when it moved the advertisement, one
     /// best-path change plus its journal event.
-    fn note_decision(&self, prefix: Prefix, had_path: bool, has_path: bool, moved: bool) {
-        let DaemonTelemetry(Some(tel)) = &self.telemetry else {
+    fn note_decision(&mut self, prefix: Prefix, had_path: bool, has_path: bool, moved: bool) {
+        let Some(tel) = self.tel else {
             return;
         };
-        tel.decisions.inc();
+        self.counts[0] += 1;
         if moved {
-            tel.best_path_changes.inc();
+            self.counts[1] += 1;
             if tel.telemetry.journal_enabled() {
                 tel.telemetry.record(
                     tel.telemetry
@@ -980,85 +1022,75 @@ impl BgpDaemon {
         }
     }
 
-    /// The keep-warm form of `prior` (`KeepFibWarmIfMnhViolated`, §4.3): its
-    /// forwarding state, withdrawn from peers. Next hops whose session has
-    /// since gone down are pruned — forwarding onto a dead session is a
-    /// black-hole, not warmth — and `None` is returned when nothing is left.
-    fn warm_entry(&self, prior: LocRibEntry) -> Option<LocRibEntry> {
-        let (selected, weights): (Vec<Route>, Vec<u32>) = prior
-            .selected
-            .into_iter()
-            .zip(prior.weights)
-            .filter(|(r, _)| {
-                r.learned_from
-                    .map(|p| self.is_established(p))
-                    .unwrap_or(true)
-            })
-            .unzip();
-        if selected.is_empty() {
-            return None;
-        }
-        Some(LocRibEntry {
-            selected,
-            weights,
-            advertised: None,
-            fib_warm_only: true,
-        })
-    }
-
-    /// The export half: bring Adj-RIB-Out for `prefix`, toward every
-    /// established session, to what the installed Loc-RIB entry asks for,
-    /// and add the difference to `out` — sorted by session, and visited in
-    /// that order here, so one cursor finds each session's UPDATE. A prefix
-    /// is exported at most once per `out`, so its announcement or withdrawal
-    /// is simply appended. The post-export attribute body is computed once —
-    /// it does not depend on the peer; only split-horizon, the egress filter
-    /// and the per-session export policy do, and those run per peer below.
-    /// Each pass costs one evaluation per established session
-    /// (`bgp.export_evals`), which is why [`decide`](Self::decide) skips it
-    /// for a decision that left the advertisement where it was.
+    /// The export half: bring the slot's out-fan, toward every established
+    /// session, to what its installed Loc-RIB entry asks for, and add the
+    /// difference to `out` — sorted by session, and visited in that order
+    /// here, so one cursor finds each session's UPDATE. A prefix is exported
+    /// at most once per `out`, so its announcement or withdrawal is simply
+    /// appended. The post-export attribute body is computed once — it does
+    /// not depend on the peer; only split-horizon, the egress filter and the
+    /// per-session export policy do, and those run per peer below. Each
+    /// pass costs one evaluation per established session
+    /// (`bgp.export_evals`), which is why [`BgpDaemon::decide`] skips it for
+    /// a decision that left the advertisement where it was.
     fn export_prefix(
         &mut self,
         prefix: Prefix,
-        policy: &dyn RibPolicy,
+        slot: &mut PrefixState,
         out: &mut Vec<(PeerId, UpdateMessage)>,
     ) {
-        // Reads the *installed* entry: call after `loc_rib` is updated.
-        let advertised = self.loc_rib.get(&prefix).and_then(|entry| {
-            let route = entry.advertised.as_ref()?;
-            Some((route, export_base(&self.cfg, &self.peers, entry, route)))
-        });
-        let mut evals = 0;
+        // Reads the *installed* entry: call after the decision installed it.
+        let advertised = export_base(self.cfg, self.peers, slot.loc.as_ref());
+        let policy = self.policy;
+        let evals = &mut self.counts[2];
+        // Under a pass-through export policy each want is the base `Arc`
+        // itself, so every session's out-fan entry and UPDATE share one body.
+        let wants = self
+            .peers
+            .iter()
+            .filter(|(_, s)| s.established)
+            .map(|(&peer, session)| {
+                *evals += 1;
+                let want = advertised
+                    .as_ref()
+                    .and_then(|(route, base)| desired_advertisement(route, base, session, policy));
+                (peer, want)
+            });
         let mut cursor = 0;
-        for (&peer, session) in self.peers.iter().filter(|(_, s)| s.established) {
-            evals += 1;
-            let want = advertised
-                .as_ref()
-                .and_then(|(route, base)| desired_advertisement(route, base, session, policy));
-            match want {
-                None => {
-                    if self.adj_rib_out.withdraw(peer, prefix) {
-                        update_for(out, &mut cursor, peer).withdrawn.push(prefix);
-                    }
-                }
-                // The table detects unchanged advertisements cheaply
-                // (scalars + short shared slices) and hands `want` back on
-                // change. Under a pass-through export policy `want` is the
-                // base `Arc` itself, so every session's table slot and
-                // UPDATE share one body.
-                Some(want) => {
-                    if let Some(want) = self.adj_rib_out.advertise(peer, prefix, want) {
-                        update_for(out, &mut cursor, peer)
-                            .announced
-                            .push((prefix, want));
-                    }
-                }
+        slot.export(wants, |peer, sent| {
+            let update = update_for(out, &mut cursor, peer);
+            match sent {
+                Some(attrs) => update.announced.push((prefix, attrs)),
+                None => update.withdrawn.push(prefix),
             }
-        }
-        if let DaemonTelemetry(Some(tel)) = &self.telemetry {
-            tel.export_evals.add(evals);
-        }
+        });
     }
+}
+
+/// The keep-warm form of `prior` (`KeepFibWarmIfMnhViolated`, §4.3): its
+/// forwarding state, withdrawn from peers. Next hops whose session has
+/// since gone down are pruned — forwarding onto a dead session is a
+/// black-hole, not warmth — and `None` is returned when nothing is left.
+fn warm_entry(peers: &FlatMap<PeerId, PeerState>, prior: LocRibEntry) -> Option<LocRibEntry> {
+    let (selected, weights): (Vec<Route>, Vec<u32>) = prior
+        .selected
+        .into_iter()
+        .zip(prior.weights)
+        .filter(|(r, _)| {
+            r.learned_from
+                .map(|p| established(peers, p))
+                .unwrap_or(true)
+        })
+        .unzip();
+    if selected.is_empty() {
+        return None;
+    }
+    Some(LocRibEntry {
+        selected,
+        weights,
+        advertised: None,
+        fib_warm_only: true,
+    })
 }
 
 /// The UPDATE for `peer` in the session-sorted `out`, created empty when
@@ -1124,24 +1156,25 @@ fn effective_capacity(peers: &FlatMap<PeerId, PeerState>, entry: &LocRibEntry) -
     Some(caps.sum())
 }
 
-/// The peer-independent half of the egress computation: the attributes of
-/// `entry`'s advertised `route` after export transformation (own-ASN
-/// prepend, WCMP bandwidth relay). One deep clone per *export* — the
-/// exported attrs genuinely differ from the stored route's — shared across
-/// the whole peer fan-out as one `Arc`. The adjacency RIBs share bodies
-/// through this `Arc`; none of them interns bodies by content.
+/// The peer-independent half of the egress computation: `entry`'s
+/// advertised route, if it has one, and the attributes it is exported with
+/// (own-ASN prepend, WCMP bandwidth relay). One deep clone per *export* —
+/// the exported attrs genuinely differ from the stored route's — shared
+/// across the whole peer fan-out as one `Arc`. The adjacency RIBs share
+/// bodies through this `Arc`; none of them interns bodies by content.
 fn export_base(
     cfg: &DaemonConfig,
     peers: &FlatMap<PeerId, PeerState>,
-    entry: &LocRibEntry,
-    route: &Route,
-) -> Arc<PathAttributes> {
+    entry: Option<&LocRibEntry>,
+) -> Option<(Route, Arc<PathAttributes>)> {
+    let entry = entry?;
+    let route = entry.advertised.clone()?;
     let mut attrs = (*route.attrs).clone();
     attrs.prepend(cfg.asn, 1);
     if cfg.wcmp_advertise {
         attrs.link_bandwidth_gbps = effective_capacity(peers, entry);
     }
-    Arc::new(attrs)
+    Some((route, Arc::new(attrs)))
 }
 
 /// The per-peer half: what `session` should be told given the advertised
@@ -1230,7 +1263,8 @@ mod tests {
                 Arc::ptr_eq(body, first),
                 "pass-through export policies share the base body"
             );
-            let held = d.adj_rib_out.attrs(*peer, p("10.0.0.0/8")).unwrap();
+            let held = held(d.rib.get(p("10.0.0.0/8")).unwrap().rib_out(), *peer);
+            let held = held.unwrap();
             assert!(Arc::ptr_eq(held, first), "the table holds the sent body");
         }
     }
@@ -1714,6 +1748,63 @@ mod tests {
     }
 
     #[test]
+    fn the_export_walk_steps_over_out_fan_entries_of_sessions_no_longer_established() {
+        use crate::attrs::Community;
+        let prefix = p("10.0.0.0/8");
+        let tagged = |n| PathAttributes::originated([Community::from_pair(65000, n)]);
+        let speaker = |sessions: &[u64]| {
+            let mut d = daemon(1);
+            for &peer in sessions {
+                connect(&mut d, peer, 100 + peer as u32);
+            }
+            d.originate(prefix, tagged(1));
+            d.decide(&NativePolicy);
+            d
+        };
+        let mut d = speaker(&[10, 20, 30, 40, 50]);
+        // Session 20 goes down and session 40 is removed without a flush,
+        // so the out-fan keeps their entries on both sides of session 30.
+        d.peers.get_mut(&PeerId(20)).unwrap().established = false;
+        d.peers.remove(&PeerId(40));
+        let out_fan = |d: &BgpDaemon| -> Vec<(PeerId, Arc<PathAttributes>)> {
+            d.rib
+                .get(prefix)
+                .map_or_else(Vec::new, |s| s.rib_out().to_vec())
+        };
+        let stale: Vec<_> = out_fan(&d)
+            .into_iter()
+            .filter(|(peer, _)| [20, 40].contains(&peer.0))
+            .collect();
+        assert_eq!(stale.len(), 2);
+        // A fresh speaker that only ever had the established sessions.
+        let mut fresh = speaker(&[10, 30, 50]);
+        for change in [Some(tagged(2)), None] {
+            for d in [&mut d, &mut fresh] {
+                match &change {
+                    Some(attrs) => d.originate(prefix, attrs.clone()),
+                    None => d.withdraw_origin(prefix),
+                }
+            }
+            let sent = d.decide(&NativePolicy);
+            assert_eq!(sent.len(), 3, "one UPDATE per established session");
+            assert_eq!(sent, fresh.decide(&NativePolicy));
+            let left = out_fan(&d)
+                .into_iter()
+                .filter(|(peer, _)| [20, 40].contains(&peer.0));
+            assert!(
+                left.zip(&stale)
+                    .all(|(a, b)| a.0 == b.0 && Arc::ptr_eq(&a.1, &b.1)),
+                "entries of sessions the walk skips stay as they are"
+            );
+        }
+        assert_eq!(
+            out_fan(&d),
+            stale,
+            "the withdrawal left only the stale entries"
+        );
+    }
+
+    #[test]
     fn the_known_walk_visits_every_table_and_borrows_the_candidate_set() {
         use crate::attrs::Community;
         let [c1, c2, c3] = [1, 2, 3].map(|n| Community::from_pair(65000, n));
@@ -1758,19 +1849,21 @@ mod tests {
         d.peers.get_mut(&PeerId(20)).unwrap().established = false;
         // A keep-warm entry no route backs any more.
         let warm = Route::learned(loc_rib_only, tagged(&[2, 9], c1), PeerId(10));
-        d.loc_rib.insert(
-            loc_rib_only,
-            LocRibEntry {
+        d.rib.with_slot(loc_rib_only, |slot| {
+            slot.loc = Some(LocRibEntry {
                 selected: vec![warm],
                 weights: vec![1],
                 advertised: None,
                 fib_warm_only: true,
-            },
-        );
+            })
+        });
 
-        let mut expected: BTreeSet<Prefix> = d.adj_rib_in.tables().map(|(p, _)| p).collect();
-        expected.extend(d.originated.keys());
-        expected.extend(d.loc_rib.keys());
+        let mut expected = BTreeSet::new();
+        for (prefix, slot) in d.rib.iter() {
+            if !slot.rib_in().is_empty() || slot.origination.is_some() || slot.loc.is_some() {
+                expected.insert(prefix);
+            }
+        }
         let expected: Vec<Prefix> = expected.into_iter().collect();
         assert_eq!(
             expected,

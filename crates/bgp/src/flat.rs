@@ -1,15 +1,15 @@
 //! A sorted flat map for small per-device tables.
 //!
 //! Every device in a simulated fabric carries a handful of keyed tables —
-//! peers, Loc-RIB entries, adjacency-RIB prefixes and their per-session
-//! tables — that hold between one and a few hundred entries. `BTreeMap`
-//! pays for its first entry with a full
-//! 11-slot node (0.6–1.2 KB for these value types); across 100k devices and
-//! four tables per device that overhead alone is hundreds of MB, dwarfing
-//! the entries themselves. [`FlatMap`] stores the entries as one sorted
-//! `Vec<(K, V)>`: exact-fit-ish memory, binary-search lookups (as fast as a
-//! B-tree walk at these sizes), and ascending-key iteration — the property
-//! the decision process and the FIB's `{:?}` snapshots rely on.
+//! its sessions, its per-prefix RIB slots, its FIB — that hold between one
+//! and a few hundred entries. `BTreeMap` pays for its first entry with a
+//! full 11-slot node (0.6–1.2 KB for these value types); across 100k
+//! devices that overhead alone is hundreds of MB, dwarfing the entries
+//! themselves. [`FlatMap`] stores the keys and the values as two parallel
+//! sorted `Vec`s: exact-fit-ish memory, binary-search lookups that read only
+//! the keys (a few cache lines, however large the values), and ascending-key
+//! iteration — the property the decision process and the FIB's `{:?}`
+//! snapshots rely on.
 //!
 //! Inserts and removals shift the tail, so the type is only appropriate
 //! where the entry count stays small-to-moderate (wiring-time peer setup,
@@ -18,16 +18,19 @@
 
 use std::fmt;
 
-/// A map stored as a `Vec<(K, V)>` sorted by key. See the module docs.
+/// A map stored as sorted keys beside their values. See the module docs.
 #[derive(Clone)]
 pub struct FlatMap<K, V> {
-    entries: Vec<(K, V)>,
+    keys: Vec<K>,
+    /// `keys[i]`'s value at `i`.
+    values: Vec<V>,
 }
 
 impl<K, V> Default for FlatMap<K, V> {
     fn default() -> Self {
         FlatMap {
-            entries: Vec::new(),
+            keys: Vec::new(),
+            values: Vec::new(),
         }
     }
 }
@@ -38,24 +41,50 @@ impl<K: Ord + Copy, V> FlatMap<K, V> {
         Self::default()
     }
 
-    fn position(&self, key: &K) -> Result<usize, usize> {
-        self.entries.binary_search_by(|(k, _)| k.cmp(key))
+    /// Where `key` is: `Ok` with its index, or `Err` with the index it
+    /// would be inserted at. One binary search; the `*_at` calls below act
+    /// on its answer without searching again.
+    pub fn find(&self, key: &K) -> Result<usize, usize> {
+        self.keys.binary_search(key)
+    }
+
+    /// The value at index `i` of a [`find`](Self::find) hit.
+    pub fn at_mut(&mut self, i: usize) -> &mut V {
+        &mut self.values[i]
+    }
+
+    /// Insert `key` at index `i` of a [`find`](Self::find) miss.
+    pub fn insert_at(&mut self, i: usize, key: K, value: V) {
+        debug_assert!(self.find(&key) == Err(i), "insert_at off the sort order");
+        reserve_for_insert(&mut self.keys);
+        reserve_for_insert(&mut self.values);
+        self.keys.insert(i, key);
+        self.values.insert(i, value);
+    }
+
+    /// Remove the entry at index `i` of a [`find`](Self::find) hit.
+    pub fn remove_at(&mut self, i: usize) -> V {
+        self.keys.remove(i);
+        let value = self.values.remove(i);
+        maybe_shrink(&mut self.keys);
+        maybe_shrink(&mut self.values);
+        value
     }
 
     /// Entries held.
     pub fn len(&self) -> usize {
-        self.entries.len()
+        self.keys.len()
     }
 
     /// Whether no entries are held.
     pub fn is_empty(&self) -> bool {
-        self.entries.is_empty()
+        self.keys.is_empty()
     }
 
     /// The value under `key`, if any.
     pub fn get(&self, key: &K) -> Option<&V> {
-        let i = self.position(key).ok()?;
-        Some(&self.entries[i].1)
+        let i = self.find(key).ok()?;
+        Some(&self.values[i])
     }
 
     /// The entry with the greatest key `<= key`, if any — the predecessor
@@ -64,39 +93,27 @@ impl<K: Ord + Copy, V> FlatMap<K, V> {
     /// default-route lookup, and one cache line instead of a search across a
     /// table nobody has touched since the last UPDATE.
     pub fn floor(&self, key: &K) -> Option<(&K, &V)> {
-        let (first, value) = self.entries.first()?;
+        let first = self.keys.first()?;
         if key <= first {
-            return (key == first).then_some((first, value));
+            return (key == first).then(|| (first, &self.values[0]));
         }
         // `key` is above the first key, so at least one entry is `<=` it.
-        let above = self.entries.partition_point(|(k, _)| k <= key);
-        let (k, v) = &self.entries[above - 1];
-        Some((k, v))
+        let i = self.keys.partition_point(|k| k <= key) - 1;
+        Some((&self.keys[i], &self.values[i]))
     }
 
     /// Mutable access to the value under `key`, if any.
     pub fn get_mut(&mut self, key: &K) -> Option<&mut V> {
-        let i = self.position(key).ok()?;
-        Some(&mut self.entries[i].1)
-    }
-
-    /// Grow capacity geometrically but modestly (~25%): doubling would
-    /// strand up to a full table of slack on every device, and exact-fit
-    /// growth is quadratic in copies for the few hundred-entry tables.
-    fn reserve_for_insert(&mut self) {
-        if self.entries.len() == self.entries.capacity() {
-            let extra = (self.entries.len() / 4).max(4);
-            self.entries.reserve_exact(extra);
-        }
+        let i = self.find(key).ok()?;
+        Some(self.at_mut(i))
     }
 
     /// Insert or replace, returning the previous value if one existed.
     pub fn insert(&mut self, key: K, value: V) -> Option<V> {
-        match self.position(&key) {
-            Ok(i) => Some(std::mem::replace(&mut self.entries[i].1, value)),
+        match self.find(&key) {
+            Ok(i) => Some(std::mem::replace(self.at_mut(i), value)),
             Err(i) => {
-                self.reserve_for_insert();
-                self.entries.insert(i, (key, value));
+                self.insert_at(i, key, value);
                 None
             }
         }
@@ -104,75 +121,66 @@ impl<K: Ord + Copy, V> FlatMap<K, V> {
 
     /// Remove `key`, returning its value if one existed.
     pub fn remove(&mut self, key: &K) -> Option<V> {
-        let i = self.position(key).ok()?;
-        let (_, v) = self.entries.remove(i);
-        self.maybe_shrink();
-        Some(v)
+        let i = self.find(key).ok()?;
+        Some(self.remove_at(i))
     }
 
-    /// The value under `key`, inserting a default when absent.
-    pub(crate) fn entry_or_default(&mut self, key: K) -> &mut V
-    where
-        V: Default,
-    {
-        let i = match self.position(&key) {
-            Ok(i) => i,
-            Err(i) => {
-                self.reserve_for_insert();
-                self.entries.insert(i, (key, V::default()));
-                i
-            }
-        };
-        &mut self.entries[i].1
-    }
-
-    /// Keep only entries satisfying `keep`, preserving order.
+    /// Keep only entries satisfying `keep`, visited and kept in order.
     pub(crate) fn retain(&mut self, mut keep: impl FnMut(&K, &mut V) -> bool) {
-        self.entries.retain_mut(|(k, v)| keep(k, v));
-        self.maybe_shrink();
-    }
-
-    /// Hand back capacity when occupancy drops well below it, so a table
-    /// that churned (session flush, RPA purge) doesn't pin its high-water
-    /// footprint forever.
-    fn maybe_shrink(&mut self) {
-        let cap = self.entries.capacity();
-        if cap > 8 && self.entries.len() * 4 < cap {
-            self.entries.shrink_to(self.entries.len() * 2);
+        let mut kept = 0;
+        for i in 0..self.keys.len() {
+            if keep(&self.keys[i], &mut self.values[i]) {
+                self.keys.swap(kept, i);
+                self.values.swap(kept, i);
+                kept += 1;
+            }
         }
+        self.keys.truncate(kept);
+        self.values.truncate(kept);
+        maybe_shrink(&mut self.keys);
+        maybe_shrink(&mut self.values);
     }
 
     /// Keys in ascending order.
     pub(crate) fn keys(&self) -> impl Iterator<Item = &K> {
-        self.entries.iter().map(|(k, _)| k)
+        self.keys.iter()
     }
 
     /// Values in ascending key order.
     pub fn values(&self) -> impl Iterator<Item = &V> {
-        self.entries.iter().map(|(_, v)| v)
+        self.values.iter()
     }
 
     /// `(key, value)` pairs in ascending key order.
-    pub fn iter(&self) -> impl Iterator<Item = (&K, &V)> {
-        self.entries.iter().map(|(k, v)| (k, v))
+    pub fn iter(&self) -> impl Iterator<Item = (&K, &V)> + Clone {
+        self.keys.iter().zip(&self.values)
     }
+}
 
-    /// The entries as one slice, in ascending key order.
-    pub fn as_slice(&self) -> &[(K, V)] {
-        &self.entries
+/// Make room for one more entry, growing capacity geometrically but
+/// modestly (~25%): doubling would strand up to a full table of slack on
+/// every device, and exact-fit growth is quadratic in copies for the few
+/// hundred-entry tables.
+pub(crate) fn reserve_for_insert<T>(entries: &mut Vec<T>) {
+    if entries.len() == entries.capacity() {
+        entries.reserve_exact((entries.len() / 4).max(4));
     }
+}
 
-    /// Heap bytes held by the entry storage itself (capacity-based; the
-    /// values' own heap allocations are theirs to account).
-    pub(crate) fn table_bytes(&self) -> usize {
-        self.entries.capacity() * std::mem::size_of::<(K, V)>()
+/// Hand back capacity when occupancy drops well below it, so a table that
+/// churned (session flush, RPA purge) doesn't pin its high-water footprint
+/// forever.
+pub(crate) fn maybe_shrink<T>(entries: &mut Vec<T>) {
+    let cap = entries.capacity();
+    if cap > 8 && entries.len() * 4 < cap {
+        entries.shrink_to(entries.len() * 2);
     }
 }
 
 impl<K: fmt::Debug, V: fmt::Debug> fmt::Debug for FlatMap<K, V> {
     fn fmt(&self, f: &mut fmt::Formatter<'_>) -> fmt::Result {
         f.debug_map()
-            .entries(self.entries.iter().map(|(k, v)| (k, v)))
+            .entries(self.keys.iter().zip(&self.values))
             .finish()
     }
 }
@@ -212,15 +220,21 @@ mod tests {
     }
 
     #[test]
-    fn entry_or_default_and_retain() {
+    fn one_find_then_acting_at_its_answer_and_retain() {
         let mut m: FlatMap<u8, Vec<u8>> = FlatMap::new();
-        m.entry_or_default(2).push(20);
-        m.entry_or_default(1).push(10);
-        m.entry_or_default(2).push(21);
+        for (k, v) in [(2, 20), (1, 10), (2, 21)] {
+            match m.find(&k) {
+                Ok(i) => m.at_mut(i).push(v),
+                Err(i) => m.insert_at(i, k, vec![v]),
+            }
+        }
         assert_eq!(m.get(&2), Some(&vec![20, 21]));
+        assert_eq!(m.find(&3), Err(2));
+        assert_eq!(m.remove_at(m.find(&1).unwrap()), vec![10]);
+        m.insert(3, Vec::new());
         m.retain(|&k, _| k != 2);
         assert_eq!(m.len(), 1);
-        assert!(m.get(&1).is_some());
+        assert!(m.get(&3).is_some());
     }
 
     #[test]
@@ -229,12 +243,13 @@ mod tests {
         for k in 0u32..100 {
             m.insert(k, [0u64; 4]);
         }
-        let grown = m.table_bytes();
+        let grown = m.values.capacity();
         m.retain(|&k, _| k < 5);
+        assert_eq!(m.keys().copied().collect::<Vec<_>>(), vec![0, 1, 2, 3, 4]);
         assert!(
-            m.table_bytes() <= grown / 4,
+            m.keys.capacity() <= grown / 4 && m.values.capacity() <= grown / 4,
             "capacity {} should shrink after dropping 95% of entries",
-            m.table_bytes()
+            m.values.capacity()
         );
     }
 }

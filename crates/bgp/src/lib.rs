@@ -23,7 +23,8 @@
 //!   link-bandwidth;
 //! * [`msg`] — OPEN / UPDATE / KEEPALIVE / NOTIFICATION messages;
 //! * [`policy`] — classic import/export route policy (match / action rules);
-//! * [`rib`] — Adj-RIB-In / Loc-RIB / Adj-RIB-Out storage;
+//! * [`rib`] — one slot per prefix: Adj-RIB-In, origination, Loc-RIB and
+//!   Adj-RIB-Out;
 //! * [`decision`] — the RFC 4271 §9.1 decision process plus multipath;
 //! * [`wcmp`] — weight derivation from link-bandwidth communities;
 //! * [`hooks`] — the [`hooks::RibPolicy`] trait: the seam RPAs plug into;
@@ -47,5 +48,5 @@ pub use decision::{compare_routes, multipath_set, PathPreference};
 pub use hooks::{AdvertiseChoice, NativePolicy, PathChoice, RibPolicy, Selection};
 pub use msg::{BgpMessage, UpdateMessage};
 pub use policy::{Action, MatchExpr, Policy, PolicyRule, PolicyVerdict};
-pub use rib::{AdjRibIn, AdjRibOut, LocRibEntry, LocalRouteError, RibFootprint, Route};
+pub use rib::{LocRibEntry, RibFootprint, Route};
 pub use types::{PeerId, Prefix};

@@ -1,20 +1,27 @@
-//! Routing Information Bases: Adj-RIB-In, Loc-RIB and Adj-RIB-Out.
+//! Routing Information Bases: one slot per prefix.
 //!
-//! Both adjacency RIBs hold, per prefix, a session-sorted table of
-//! `(peer, Arc<PathAttributes>)` — the per-destination `(route, peer)` table
-//! a speaker walks to gather candidates. Attribute bodies are shared, never
-//! interned: the export pass computes one body per prefix and hands the same
-//! `Arc` to every session's Adj-RIB-Out slot and UPDATE, and a pass-through
-//! import policy stores that `Arc` again on the receiving side. Content
-//! equality only detects an identical re-announcement. Candidate gathering
-//! materializes `Route` values on the fly (an `Arc` bump per route, never a
-//! deep copy) in ascending session-id order, a property the proptest
-//! equivalence suite pins against a plain `BTreeMap` slab.
+//! A speaker keeps everything it holds for one prefix in one
+//! [`PrefixState`]: the Adj-RIB-In fan (the body each session announced),
+//! the local origination, the installed Loc-RIB entry and the Adj-RIB-Out fan
+//! (the body last sent to each session). [`PrefixTable`] keeps the slots
+//! sorted by prefix, so a step finds a prefix's slot with one search and then
+//! reads and edits all four parts in place. A slot lives while any part holds
+//! something; a fan that empties drops its allocation.
+//!
+//! Both fans are session-sorted tables of `(peer, Arc<PathAttributes>)` — the
+//! per-destination `(route, peer)` table a speaker walks to gather
+//! candidates. Attribute bodies are shared, never interned: the export pass
+//! computes one body per prefix and hands the same `Arc` to every session's
+//! Adj-RIB-Out slot and UPDATE, and a pass-through import policy stores that
+//! `Arc` again on the receiving side. Content equality only detects an
+//! identical re-announcement. Candidate gathering materializes `Route` values
+//! on the fly (an `Arc` bump per route, never a deep copy) in ascending
+//! session-id order, a property the proptest equivalence suite pins against
+//! a plain `BTreeMap` slab.
 
 use crate::attrs::PathAttributes;
-use crate::flat::FlatMap;
+use crate::flat::{maybe_shrink, reserve_for_insert, FlatMap};
 use crate::types::{PeerId, Prefix};
-use std::fmt;
 use std::sync::Arc;
 
 /// A route as stored in the Adj-RIB-In: post-import-policy attributes plus
@@ -60,312 +67,281 @@ impl Route {
     }
 }
 
-/// Attempt to store a route without a learning session in an adjacency RIB.
-///
-/// The adjacency RIBs index state by `(peer, prefix)`, so a locally-
-/// originated route (`learned_from = None`) has no slot there — originations
-/// live in the daemon's `originated` table instead. Surfaced as a typed
-/// error (not a panic) so fuzz-shaped or wire-driven input can never abort a
-/// daemon; native call sites construct routes via [`Route::learned`] and
-/// treat the error as unreachable-but-ignored.
-#[derive(Debug, Clone, Copy, PartialEq, Eq)]
-pub struct LocalRouteError {
-    /// The prefix of the rejected route.
-    pub prefix: Prefix,
-}
-
-impl fmt::Display for LocalRouteError {
-    fn fmt(&self, f: &mut fmt::Formatter<'_>) -> fmt::Result {
-        write!(
-            f,
-            "route for {} has no learning session: adjacency RIBs store learned routes only",
-            self.prefix
-        )
-    }
-}
-
-impl std::error::Error for LocalRouteError {}
-
 /// Memory/occupancy summary of one adjacency RIB, for the `mem.*` and
 /// `bgp.peer_refs` telemetry gauges.
 #[derive(Debug, Clone, Copy, Default, PartialEq, Eq)]
 pub struct RibFootprint {
-    /// `(peer, body)` entries stored — what [`AdjRibIn::len`] counts.
+    /// `(peer, body)` entries stored.
     pub peer_refs: usize,
     /// Estimated resident bytes of the table storage: one flat-map slot per
-    /// prefix plus that prefix's session table (capacity-based). Attribute
-    /// bodies are shared with the sender and counted nowhere.
+    /// prefix the RIB holds plus that prefix's session table
+    /// (capacity-based). Attribute bodies are shared with the sender and
+    /// counted nowhere.
     pub bytes: usize,
 }
 
-/// One prefix's state in either adjacency RIB: the body held per session,
+/// One prefix's table in either adjacency RIB: the body held per session,
 /// sorted by session id.
-type Fan = FlatMap<PeerId, Arc<PathAttributes>>;
+type Fan = Vec<(PeerId, Arc<PathAttributes>)>;
 
-/// The storage both adjacency RIBs share.
-#[derive(Debug, Default, Clone)]
-struct Table {
-    prefixes: FlatMap<Prefix, Fan>,
-    /// `(peer, prefix)` entries across every prefix.
-    total: usize,
+/// `peer`'s body in `fan`, if any.
+pub fn held(fan: &[(PeerId, Arc<PathAttributes>)], peer: PeerId) -> Option<&Arc<PathAttributes>> {
+    let i = fan.binary_search_by_key(&peer, |(p, _)| *p).ok()?;
+    Some(&fan[i].1)
 }
 
-impl Table {
-    fn get(&self, peer: PeerId, prefix: Prefix) -> Option<&Arc<PathAttributes>> {
-        self.prefixes.get(&prefix)?.get(&peer)
-    }
-
-    /// Store `attrs` as `peer`'s body for `prefix`. Returns `false`, storing
-    /// nothing, when the peer already held content-equal attributes.
-    fn set(&mut self, peer: PeerId, prefix: Prefix, attrs: &Arc<PathAttributes>) -> bool {
-        let fan = self.prefixes.entry_or_default(prefix);
+/// Store `attrs` as `peer`'s body in `fan`. Returns `false`, storing
+/// nothing, when the peer already held content-equal attributes. One search.
+fn set(fan: &mut Fan, peer: PeerId, attrs: &Arc<PathAttributes>) -> bool {
+    match fan.binary_search_by_key(&peer, |(p, _)| *p) {
         // Content equality is cheap: scalars plus short slices, which a
         // pointer compare settles when the bodies share them.
-        if fan.get(&peer).is_some_and(|held| **held == **attrs) {
-            return false;
-        }
-        if fan.insert(peer, Arc::clone(attrs)).is_none() {
-            self.total += 1;
-        }
-        true
+        Ok(i) if *fan[i].1 == **attrs => return false,
+        Ok(i) => fan[i].1 = Arc::clone(attrs),
+        Err(i) => insert_at(fan, i, peer, Arc::clone(attrs)),
     }
+    true
+}
 
-    /// Drop `peer`'s body for `prefix`; returns whether one existed.
-    fn unset(&mut self, peer: PeerId, prefix: Prefix) -> bool {
-        let Some(fan) = self.prefixes.get_mut(&prefix) else {
-            return false;
-        };
-        if fan.remove(&peer).is_none() {
-            return false;
-        }
-        self.total -= 1;
-        if fan.is_empty() {
-            self.prefixes.remove(&prefix);
-        }
-        true
-    }
+/// Insert `peer`'s body at index `i` of `fan`, growing it as a `FlatMap`
+/// grows.
+fn insert_at(fan: &mut Fan, i: usize, peer: PeerId, attrs: Arc<PathAttributes>) {
+    reserve_for_insert(fan);
+    fan.insert(i, (peer, attrs));
+}
 
-    /// Drop every body held for `peer`, reporting each affected prefix in
-    /// ascending order.
-    fn flush_peer(&mut self, peer: PeerId, mut flushed: impl FnMut(Prefix)) {
-        let mut removed = 0;
-        self.prefixes.retain(|prefix, fan| {
-            if fan.remove(&peer).is_some() {
-                removed += 1;
-                flushed(*prefix);
-            }
-            !fan.is_empty()
-        });
-        self.total -= removed;
-    }
+/// Drop `peer`'s body from `fan`; returns whether one existed.
+fn unset(fan: &mut Fan, peer: PeerId) -> bool {
+    let Ok(i) = fan.binary_search_by_key(&peer, |(p, _)| *p) else {
+        return false;
+    };
+    fan.remove(i);
+    settle(fan);
+    true
+}
 
-    /// Allocation-free and O(1) per prefix: it runs over every RIB of the
-    /// fabric at each quiescence.
-    fn footprint(&self) -> RibFootprint {
-        let mut f = RibFootprint::default();
-        for fan in self.prefixes.values() {
-            f.peer_refs += fan.len();
-            f.bytes += std::mem::size_of::<Prefix>() + std::mem::size_of::<Fan>();
-            f.bytes += fan.table_bytes();
-        }
-        f
+/// After a removal: shrink `fan` as a `FlatMap` shrinks, and drop its
+/// allocation once it is empty.
+fn settle(fan: &mut Fan) {
+    maybe_shrink(fan);
+    if fan.is_empty() {
+        *fan = Fan::new();
     }
 }
 
-/// Per-peer received routes (after import policy, before path selection).
-#[derive(Debug, Default, Clone)]
-pub struct AdjRibIn {
-    table: Table,
+/// Everything a speaker holds for one prefix. See the module docs.
+#[derive(Debug, Clone, Default)]
+pub struct PrefixState {
+    /// Adj-RIB-In: the post-import body each session announced.
+    rib_in: Fan,
+    /// The attributes the speaker originates the prefix with, if it does.
+    pub origination: Option<Arc<PathAttributes>>,
+    /// The installed Loc-RIB entry.
+    pub loc: Option<LocRibEntry>,
+    /// Adj-RIB-Out: the body last sent to each session.
+    rib_out: Fan,
 }
 
-impl AdjRibIn {
-    /// Insert or replace the route for `(peer, prefix)`. Returns whether the
-    /// stored state changed — an identical re-announcement (cheap to detect:
-    /// scalars plus short shared slices) is a no-op the caller can skip
-    /// re-running decisions for. A route without a learning session has no
-    /// `(peer, prefix)` slot and is rejected as a typed error.
-    pub fn insert(&mut self, route: Route) -> Result<bool, LocalRouteError> {
-        let Some(peer) = route.learned_from else {
-            return Err(LocalRouteError {
-                prefix: route.prefix,
-            });
-        };
-        Ok(self.table.set(peer, route.prefix, &route.attrs))
-    }
-
-    /// Remove the route for `(peer, prefix)`; returns whether one existed.
-    pub fn remove(&mut self, peer: PeerId, prefix: Prefix) -> bool {
-        self.table.unset(peer, prefix)
-    }
-
-    /// Remove every route learned from `peer`, returning the affected
-    /// prefixes (used when a session drops).
-    pub fn flush_peer(&mut self, peer: PeerId) -> Vec<Prefix> {
-        let mut prefixes = Vec::new();
-        self.table.flush_peer(peer, |prefix| prefixes.push(prefix));
-        prefixes
-    }
-
-    /// Remove every route failing `keep`, returning the affected prefixes
-    /// (sorted, deduped). Used when a Route Filter RPA is installed: the new
-    /// filter must be re-applied to routes already admitted to the RIB.
-    pub fn purge(&mut self, mut keep: impl FnMut(&Route) -> bool) -> Vec<Prefix> {
-        let mut prefixes = Vec::new();
-        let mut removed = 0;
-        self.table.prefixes.retain(|prefix, fan| {
-            let before = fan.len();
-            fan.retain(|&peer, attrs| {
-                keep(&Route {
-                    prefix: *prefix,
-                    attrs: Arc::clone(attrs),
-                    learned_from: Some(peer),
-                })
-            });
-            if fan.len() < before {
-                removed += before - fan.len();
-                prefixes.push(*prefix);
-            }
-            !fan.is_empty()
-        });
-        self.table.total -= removed;
-        prefixes
-    }
-
-    /// All routes toward `prefix`, across peers, in ascending session-id
-    /// order. Each yielded `Route` costs one `Arc` bump.
-    pub fn routes_for(&self, prefix: Prefix) -> RoutesFor<'_> {
-        let entries = self
-            .table
-            .prefixes
-            .get(&prefix)
-            .map_or(&[][..], Fan::as_slice);
-        RoutesFor {
-            prefix,
-            entries: entries.iter(),
-        }
-    }
-
-    /// Number of routes held for `prefix` (without materializing them).
-    pub fn routes_for_len(&self, prefix: Prefix) -> usize {
-        self.table.prefixes.get(&prefix).map_or(0, Fan::len)
-    }
-
-    /// The route learned from `peer` for `prefix`, if any (materialized).
-    pub fn route(&self, peer: PeerId, prefix: Prefix) -> Option<Route> {
-        let attrs = self.table.get(peer, prefix)?;
-        Some(Route {
-            prefix,
-            attrs: Arc::clone(attrs),
-            learned_from: Some(peer),
-        })
-    }
-
-    /// Every prefix held, ascending, with its `(session, body)` table in
-    /// ascending session-id order — borrowed, no route materialized.
-    pub fn tables(&self) -> impl Iterator<Item = (Prefix, &[(PeerId, Arc<PathAttributes>)])> {
-        self.table
-            .prefixes
-            .iter()
-            .map(|(prefix, fan)| (*prefix, fan.as_slice()))
-    }
-
-    /// Total stored routes.
-    pub fn len(&self) -> usize {
-        self.table.total
-    }
-
-    /// Whether empty.
+impl PrefixState {
+    /// Whether every part is empty: a slot the table drops.
     pub fn is_empty(&self) -> bool {
-        self.table.total == 0
+        self.rib_in.is_empty()
+            && self.origination.is_none()
+            && self.loc.is_none()
+            && self.rib_out.is_empty()
     }
 
-    /// Occupancy and byte-footprint summary for telemetry.
-    pub(crate) fn footprint(&self) -> RibFootprint {
-        self.table.footprint()
-    }
-}
-
-/// Iterator over the materialized routes of one prefix, ascending by session
-/// id (the candidate-gathering order the decision process depends on).
-pub struct RoutesFor<'a> {
-    prefix: Prefix,
-    entries: std::slice::Iter<'a, (PeerId, Arc<PathAttributes>)>,
-}
-
-impl Iterator for RoutesFor<'_> {
-    type Item = Route;
-
-    fn next(&mut self) -> Option<Route> {
-        let (peer, attrs) = self.entries.next()?;
-        Some(Route {
-            prefix: self.prefix,
-            attrs: Arc::clone(attrs),
-            learned_from: Some(*peer),
-        })
+    /// The Adj-RIB-In fan.
+    pub fn rib_in(&self) -> &[(PeerId, Arc<PathAttributes>)] {
+        &self.rib_in
     }
 
-    fn size_hint(&self) -> (usize, Option<usize>) {
-        self.entries.size_hint()
-    }
-}
-
-impl ExactSizeIterator for RoutesFor<'_> {}
-
-/// Per-peer advertised state: the body last sent to each session. The
-/// daemon's export pass computes one body for every session and hands each
-/// the same `Arc`, so a prefix advertised to N peers costs one body plus N
-/// table slots.
-#[derive(Debug, Default, Clone)]
-pub struct AdjRibOut {
-    table: Table,
-}
-
-impl AdjRibOut {
-    /// Record that `attrs` is now advertised to `peer` for `prefix`.
-    /// Returns `attrs` itself when the stored state changed (the caller puts
-    /// exactly that `Arc` on the wire, so in-flight UPDATEs share the
-    /// table's allocation), or `None` when the peer already held
-    /// content-equal attributes (nothing to send).
-    pub(crate) fn advertise(
-        &mut self,
-        peer: PeerId,
-        prefix: Prefix,
-        attrs: Arc<PathAttributes>,
-    ) -> Option<Arc<PathAttributes>> {
-        self.table.set(peer, prefix, &attrs).then_some(attrs)
+    /// The Adj-RIB-Out fan.
+    pub fn rib_out(&self) -> &[(PeerId, Arc<PathAttributes>)] {
+        &self.rib_out
     }
 
-    /// Drop the advertisement state toward `peer` for `prefix`; returns
-    /// whether one existed (i.e. whether a withdraw must be sent).
-    pub(crate) fn withdraw(&mut self, peer: PeerId, prefix: Prefix) -> bool {
-        self.table.unset(peer, prefix)
-    }
-
-    /// Drop all state toward `peer` (session removed or reset).
-    pub(crate) fn flush_peer(&mut self, peer: PeerId) {
-        self.table.flush_peer(peer, |_| {});
-    }
-
-    /// What is currently advertised to `peer` for `prefix`, if anything.
-    pub(crate) fn attrs(&self, peer: PeerId, prefix: Prefix) -> Option<&Arc<PathAttributes>> {
-        self.table.get(peer, prefix)
-    }
-
-    /// Everything advertised to `peer`, as `(prefix, shared body)` pairs in
-    /// ascending prefix order.
-    pub(crate) fn advertisements(
-        &self,
-        peer: PeerId,
-    ) -> impl Iterator<Item = (Prefix, &Arc<PathAttributes>)> {
-        self.table
-            .prefixes
+    /// The in-fan's routes toward `prefix` (this slot's), in ascending
+    /// session-id order. Each costs one `Arc` bump.
+    pub fn learned(&self, prefix: Prefix) -> impl Iterator<Item = Route> + '_ {
+        self.rib_in
             .iter()
-            .filter_map(move |(prefix, fan)| fan.get(&peer).map(|attrs| (*prefix, attrs)))
+            .map(move |(peer, attrs)| Route::learned(prefix, Arc::clone(attrs), *peer))
     }
 
-    /// Occupancy and byte-footprint summary for telemetry.
-    pub(crate) fn footprint(&self) -> RibFootprint {
-        self.table.footprint()
+    /// Store `attrs` as the route `peer` announced. Returns whether the
+    /// stored state changed — an identical re-announcement is a no-op the
+    /// caller can skip re-running decisions for.
+    pub fn learn(&mut self, peer: PeerId, attrs: &Arc<PathAttributes>) -> bool {
+        set(&mut self.rib_in, peer, attrs)
+    }
+
+    /// Drop the route `peer` announced; returns whether one existed.
+    pub fn forget(&mut self, peer: PeerId) -> bool {
+        unset(&mut self.rib_in, peer)
+    }
+
+    /// Drop `peer`'s out-fan entry and, if `rib_in`, its route (a session
+    /// that went down or was removed); returns whether a route went.
+    pub fn flush(&mut self, peer: PeerId, rib_in: bool) -> bool {
+        unset(&mut self.rib_out, peer);
+        rib_in && unset(&mut self.rib_in, peer)
+    }
+
+    /// Keep only the routes `keep` accepts (each materialized toward
+    /// `prefix`); returns whether any went.
+    pub fn retain_learned(&mut self, prefix: Prefix, mut keep: impl FnMut(&Route) -> bool) -> bool {
+        let before = self.rib_in.len();
+        self.rib_in
+            .retain(|(peer, attrs)| keep(&Route::learned(prefix, Arc::clone(attrs), *peer)));
+        settle(&mut self.rib_in);
+        self.rib_in.len() < before
+    }
+
+    /// Bring the out-fan to `wants` — `(session, body)` pairs ascending by
+    /// session, `None` to withdraw — and report each change to `sent`: the
+    /// body itself (the caller puts exactly that `Arc` on the wire, so
+    /// in-flight UPDATEs share the table's allocation) or `None` for a
+    /// withdrawal. A content-equal body changes nothing. Entries of sessions
+    /// `wants` skips stay as they are. The fan and `wants` are walked side by
+    /// side: no session costs a search.
+    pub fn export(
+        &mut self,
+        wants: impl IntoIterator<Item = (PeerId, Option<Arc<PathAttributes>>)>,
+        mut sent: impl FnMut(PeerId, Option<Arc<PathAttributes>>),
+    ) {
+        let fan = &mut self.rib_out;
+        let mut at = 0;
+        for (peer, want) in wants {
+            while fan.get(at).is_some_and(|(p, _)| *p < peer) {
+                at += 1;
+            }
+            let held = fan.get(at).is_some_and(|(p, _)| *p == peer);
+            match want {
+                None if held => {
+                    fan.remove(at);
+                    settle(fan);
+                    sent(peer, None);
+                }
+                None => {}
+                Some(want) => {
+                    if !held {
+                        insert_at(fan, at, peer, Arc::clone(&want));
+                        sent(peer, Some(want));
+                    } else if *fan[at].1 != *want {
+                        fan[at].1 = Arc::clone(&want);
+                        sent(peer, Some(want));
+                    }
+                    at += 1;
+                }
+            }
+        }
+    }
+}
+
+/// Running totals over every slot of a [`PrefixTable`]: the in-fans'
+/// entries and bytes, the out-fans' entries and bytes (see
+/// [`RibFootprint`]), and the installed Loc-RIB entries.
+#[derive(Debug, Clone, Copy, Default, PartialEq, Eq)]
+struct Totals([usize; 5]);
+
+impl Totals {
+    /// What one slot adds to the totals.
+    fn of(slot: &PrefixState) -> Self {
+        let bytes = |fan: &Fan| match fan.len() {
+            0 => 0,
+            _ => {
+                std::mem::size_of::<Prefix>()
+                    + std::mem::size_of::<Fan>()
+                    + fan.capacity() * std::mem::size_of::<(PeerId, Arc<PathAttributes>)>()
+            }
+        };
+        let (rib_in, rib_out) = (&slot.rib_in, &slot.rib_out);
+        let installed = usize::from(slot.loc.is_some());
+        Totals([
+            rib_in.len(),
+            bytes(rib_in),
+            rib_out.len(),
+            bytes(rib_out),
+            installed,
+        ])
+    }
+
+    /// Run `edit` on `slot` and move the totals by the change it made.
+    fn track<R>(&mut self, slot: &mut PrefixState, edit: impl FnOnce(&mut PrefixState) -> R) -> R {
+        let before = Totals::of(slot);
+        let result = edit(slot);
+        let after = Totals::of(slot);
+        for ((total, was), is) in self.0.iter_mut().zip(before.0).zip(after.0) {
+            *total = *total + is - was;
+        }
+        result
+    }
+}
+
+/// A speaker's prefixes, each with its [`PrefixState`], ascending by prefix.
+/// Every edit goes through [`with_slot`](Self::with_slot) or
+/// [`edit_all`](Self::edit_all), which keep the footprint totals in step
+/// and drop slots that empty.
+#[derive(Debug, Clone, Default)]
+pub struct PrefixTable {
+    slots: FlatMap<Prefix, PrefixState>,
+    totals: Totals,
+}
+
+impl PrefixTable {
+    /// `prefix`'s slot, if any part of it holds something.
+    pub fn get(&self, prefix: Prefix) -> Option<&PrefixState> {
+        self.slots.get(&prefix)
+    }
+
+    /// Every slot, ascending by prefix.
+    pub fn iter(&self) -> impl Iterator<Item = (Prefix, &PrefixState)> {
+        self.slots.iter().map(|(&prefix, slot)| (prefix, slot))
+    }
+
+    /// Edit `prefix`'s slot — an empty one when there is none — and keep it
+    /// exactly while it holds something. One search.
+    pub fn with_slot<R>(&mut self, prefix: Prefix, edit: impl FnOnce(&mut PrefixState) -> R) -> R {
+        match self.slots.find(&prefix) {
+            Ok(i) => {
+                let slot = self.slots.at_mut(i);
+                let result = self.totals.track(slot, edit);
+                if slot.is_empty() {
+                    self.slots.remove_at(i);
+                }
+                result
+            }
+            Err(i) => {
+                let mut slot = PrefixState::default();
+                let result = self.totals.track(&mut slot, edit);
+                if !slot.is_empty() {
+                    self.slots.insert_at(i, prefix, slot);
+                }
+                result
+            }
+        }
+    }
+
+    /// Edit every slot in ascending prefix order, dropping those that empty.
+    pub fn edit_all(&mut self, mut edit: impl FnMut(Prefix, &mut PrefixState)) {
+        let totals = &mut self.totals;
+        self.slots.retain(|&prefix, slot| {
+            totals.track(slot, |slot| edit(prefix, slot));
+            !slot.is_empty()
+        });
+    }
+
+    /// Footprints of the adjacency RIBs `(in, out)`: running totals, O(1).
+    pub fn footprints(&self) -> (RibFootprint, RibFootprint) {
+        let [in_refs, in_bytes, out_refs, out_bytes, _] = self.totals.0;
+        let fp = |peer_refs, bytes| RibFootprint { peer_refs, bytes };
+        (fp(in_refs, in_bytes), fp(out_refs, out_bytes))
+    }
+
+    /// Slots with an installed Loc-RIB entry.
+    pub fn installed(&self) -> usize {
+        self.totals.0[4]
     }
 }
 
@@ -433,6 +409,21 @@ impl LocRibEntry {
 }
 
 #[cfg(test)]
+impl PrefixTable {
+    /// The totals recomputed by walking every slot: what the running totals
+    /// must equal.
+    fn walked(&self) -> Totals {
+        let mut sum = Totals::default();
+        for slot in self.slots.values() {
+            for (total, part) in sum.0.iter_mut().zip(Totals::of(slot).0) {
+                *total += part;
+            }
+        }
+        sum
+    }
+}
+
+#[cfg(test)]
 mod tests {
     use super::*;
 
@@ -444,64 +435,76 @@ mod tests {
         Route::learned(p(prefix), PathAttributes::default(), PeerId(peer))
     }
 
-    fn routes(rib: &AdjRibIn, prefix: &str) -> Vec<Route> {
-        rib.routes_for(p(prefix)).collect()
+    fn body(local_pref: u32) -> Arc<PathAttributes> {
+        Arc::new(PathAttributes {
+            local_pref,
+            ..PathAttributes::default()
+        })
     }
 
-    fn prefixes(rib: &AdjRibIn) -> Vec<Prefix> {
-        rib.tables().map(|(prefix, _)| prefix).collect()
+    fn learn(
+        table: &mut PrefixTable,
+        peer: u64,
+        prefix: &str,
+        attrs: &Arc<PathAttributes>,
+    ) -> bool {
+        table.with_slot(p(prefix), |s| s.learn(PeerId(peer), attrs))
+    }
+
+    fn routes(table: &PrefixTable, prefix: &str) -> Vec<Route> {
+        table
+            .get(p(prefix))
+            .map_or_else(Vec::new, |s| s.learned(p(prefix)).collect())
+    }
+
+    fn prefixes(table: &PrefixTable) -> Vec<Prefix> {
+        table.iter().map(|(prefix, _)| prefix).collect()
+    }
+
+    /// Announce `attrs` to every session in `peers` (ascending), as an
+    /// export pass does, returning the sessions told.
+    fn export(
+        table: &mut PrefixTable,
+        prefix: &str,
+        peers: &[u64],
+        attrs: Option<&Arc<PathAttributes>>,
+    ) -> Vec<u64> {
+        let mut told = Vec::new();
+        table.with_slot(p(prefix), |s| {
+            let wants = peers.iter().map(|&peer| (PeerId(peer), attrs.cloned()));
+            s.export(wants, |peer, _| told.push(peer.0));
+        });
+        told
     }
 
     #[test]
-    fn insert_replace_and_lookup() {
-        let mut rib = AdjRibIn::default();
-        assert!(rib.insert(route(1, "10.0.0.0/8")).unwrap());
+    fn learn_replace_and_lookup() {
+        let mut table = PrefixTable::default();
+        assert!(learn(&mut table, 1, "10.0.0.0/8", &body(100)));
         assert!(
-            !rib.insert(route(1, "10.0.0.0/8")).unwrap(),
-            "identical re-insert reports no change"
+            !learn(&mut table, 1, "10.0.0.0/8", &body(100)),
+            "identical re-announcement reports no change"
         );
-        let mut newer = route(1, "10.0.0.0/8");
-        std::sync::Arc::make_mut(&mut newer.attrs).local_pref = 500;
-        assert!(rib.insert(newer).unwrap());
-        assert_eq!(rib.len(), 1, "same (peer, prefix) replaces");
+        assert!(learn(&mut table, 1, "10.0.0.0/8", &body(500)));
         assert_eq!(
-            rib.route(PeerId(1), p("10.0.0.0/8"))
-                .unwrap()
-                .attrs
-                .local_pref,
-            500
+            table.footprints().0.peer_refs,
+            1,
+            "same (peer, prefix) replaces"
         );
+        let held = held(table.get(p("10.0.0.0/8")).unwrap().rib_in(), PeerId(1));
+        assert_eq!(held.unwrap().local_pref, 500);
     }
 
     #[test]
-    fn routes_for_collects_across_peers() {
-        let mut rib = AdjRibIn::default();
-        rib.insert(route(1, "10.0.0.0/8")).unwrap();
-        rib.insert(route(2, "10.0.0.0/8")).unwrap();
-        rib.insert(route(1, "11.0.0.0/8")).unwrap();
-        assert_eq!(routes(&rib, "10.0.0.0/8").len(), 2);
-        assert_eq!(rib.routes_for_len(p("10.0.0.0/8")), 2);
-        assert_eq!(routes(&rib, "11.0.0.0/8").len(), 1);
-        assert_eq!(prefixes(&rib), vec![p("10.0.0.0/8"), p("11.0.0.0/8")]);
-    }
-
-    #[test]
-    fn routes_for_yields_stored_bodies_in_session_order() {
-        let mut rib = AdjRibIn::default();
-        let bodies: Vec<Arc<PathAttributes>> = (0..64)
-            .map(|_| Arc::new(PathAttributes::default()))
-            .collect();
+    fn learned_routes_are_the_stored_bodies_in_session_order() {
+        let mut table = PrefixTable::default();
+        let bodies: Vec<Arc<PathAttributes>> = (0..64).map(|_| body(100)).collect();
         // Arrival order is not session order.
         for peer in (1..=64u64).rev() {
-            let r = Route::learned(
-                p("10.0.0.0/8"),
-                Arc::clone(&bodies[peer as usize - 1]),
-                PeerId(peer),
-            );
-            rib.insert(r).unwrap();
+            learn(&mut table, peer, "10.0.0.0/8", &bodies[peer as usize - 1]);
         }
-        assert_eq!(rib.footprint().peer_refs, 64);
-        let all = routes(&rib, "10.0.0.0/8");
+        assert_eq!(table.footprints().0.peer_refs, 64);
+        let all = routes(&table, "10.0.0.0/8");
         let peers: Vec<u64> = all.iter().map(|r| r.learned_from.unwrap().0).collect();
         assert_eq!(peers, (1..=64).collect::<Vec<_>>());
         for (r, body) in all.iter().zip(&bodies) {
@@ -510,25 +513,26 @@ mod tests {
     }
 
     #[test]
-    fn flush_peer_removes_only_that_peer() {
-        let mut rib = AdjRibIn::default();
-        rib.insert(route(1, "10.0.0.0/8")).unwrap();
-        rib.insert(route(1, "11.0.0.0/8")).unwrap();
-        rib.insert(route(2, "10.0.0.0/8")).unwrap();
-        let flushed = rib.flush_peer(PeerId(1));
-        assert_eq!(flushed.len(), 2);
-        assert_eq!(rib.len(), 1);
-        assert!(rib.route(PeerId(2), p("10.0.0.0/8")).is_some());
-    }
-
-    #[test]
-    fn remove_single() {
-        let mut rib = AdjRibIn::default();
-        rib.insert(route(1, "10.0.0.0/8")).unwrap();
-        assert!(rib.remove(PeerId(1), p("10.0.0.0/8")));
-        assert!(!rib.remove(PeerId(1), p("10.0.0.0/8")));
-        assert!(rib.is_empty());
-        assert_eq!(rib.footprint(), RibFootprint::default());
+    fn flush_drops_one_session_and_slots_live_while_a_part_holds() {
+        let mut table = PrefixTable::default();
+        learn(&mut table, 1, "10.0.0.0/8", &body(100));
+        learn(&mut table, 1, "11.0.0.0/8", &body(100));
+        learn(&mut table, 2, "10.0.0.0/8", &body(100));
+        table.with_slot(p("12.0.0.0/8"), |s| s.origination = Some(body(100)));
+        let mut flushed = Vec::new();
+        table.edit_all(|prefix, s| {
+            if s.flush(PeerId(1), true) {
+                flushed.push(prefix);
+            }
+        });
+        assert_eq!(flushed, vec![p("10.0.0.0/8"), p("11.0.0.0/8")]);
+        assert_eq!(prefixes(&table), vec![p("10.0.0.0/8"), p("12.0.0.0/8")]);
+        assert_eq!(table.footprints().0.peer_refs, 1);
+        table.with_slot(p("12.0.0.0/8"), |s| s.origination = None);
+        assert!(table.with_slot(p("10.0.0.0/8"), |s| s.forget(PeerId(2))));
+        assert!(!table.with_slot(p("10.0.0.0/8"), |s| s.forget(PeerId(2))));
+        assert!(prefixes(&table).is_empty());
+        assert_eq!(table.footprints(), Default::default());
     }
 
     #[test]
@@ -543,92 +547,118 @@ mod tests {
     }
 
     #[test]
-    fn all_mutations_keep_counts_consistent() {
-        let mut rib = AdjRibIn::default();
-        rib.insert(route(1, "10.0.0.0/8")).unwrap();
-        rib.insert(route(2, "10.0.0.0/8")).unwrap();
-        rib.insert(route(2, "11.0.0.0/8")).unwrap();
-        assert_eq!(routes(&rib, "10.0.0.0/8").len(), 2);
-        rib.remove(PeerId(1), p("10.0.0.0/8"));
-        assert_eq!(routes(&rib, "10.0.0.0/8").len(), 1);
-        rib.purge(|r| r.prefix != p("11.0.0.0/8"));
-        assert!(routes(&rib, "11.0.0.0/8").is_empty());
-        assert_eq!(prefixes(&rib), vec![p("10.0.0.0/8")]);
-        rib.flush_peer(PeerId(2));
-        assert!(prefixes(&rib).is_empty());
-        assert!(rib.is_empty());
-    }
-
-    #[test]
-    fn inserting_local_route_is_a_typed_error() {
-        let mut rib = AdjRibIn::default();
-        let err = rib
-            .insert(Route::local(p("0.0.0.0/0"), PathAttributes::default()))
-            .unwrap_err();
-        assert_eq!(err.prefix, p("0.0.0.0/0"));
-        assert!(err.to_string().contains("no learning session"));
-        assert!(rib.is_empty(), "rejected route leaves the RIB untouched");
-    }
-
-    #[test]
-    fn advertise_returns_the_body_it_was_given() {
-        let mut out = AdjRibOut::default();
-        for peer in 1..=32 {
-            let body = Arc::new(PathAttributes::default());
-            let sent = out
-                .advertise(PeerId(peer), p("0.0.0.0/0"), Arc::clone(&body))
-                .expect("a new advertisement changes the state");
-            assert!(Arc::ptr_eq(&sent, &body));
-            assert!(Arc::ptr_eq(
-                out.attrs(PeerId(peer), p("0.0.0.0/0")).unwrap(),
-                &body
-            ));
+    fn running_totals_equal_the_walk_after_random_mutations() {
+        let mut table = PrefixTable::default();
+        let prefixes = ["0.0.0.0/0", "10.0.0.0/8", "10.1.0.0/16", "10.2.0.0/16"];
+        let mut seed = 0x9E37_79B9_7F4A_7C15u64;
+        let mut next = |n: u64| {
+            seed ^= seed << 13;
+            seed ^= seed >> 7;
+            seed ^= seed << 17;
+            seed % n
+        };
+        for _ in 0..4_000 {
+            let prefix = p(prefixes[next(4) as usize]);
+            let peer = PeerId(next(48));
+            let attrs = body(100 + next(3) as u32);
+            match next(9) {
+                0..=2 => {
+                    table.with_slot(prefix, |s| s.learn(peer, &attrs));
+                }
+                3 => {
+                    table.with_slot(prefix, |s| s.forget(peer));
+                }
+                4 | 5 => {
+                    // An export pass over every third session from `peer`
+                    // on, announcing or withdrawing.
+                    let want = (next(3) > 0).then_some(attrs);
+                    let wants = (peer.0..48).step_by(3).map(|q| (PeerId(q), want.clone()));
+                    table.with_slot(prefix, |s| s.export(wants, |_, _| {}));
+                }
+                6 => {
+                    let rib_in = next(2) == 0;
+                    table.edit_all(|_, s| {
+                        s.flush(peer, rib_in);
+                    });
+                }
+                7 => {
+                    let cut = next(48);
+                    table.edit_all(|prefix, s| {
+                        s.retain_learned(prefix, |r| r.learned_from.unwrap().0 < cut);
+                    });
+                }
+                _ => {
+                    let on = next(2) == 0;
+                    table.with_slot(prefix, |s| {
+                        s.origination = on.then(|| Arc::clone(&attrs));
+                        s.loc = (next(2) == 0).then(|| LocRibEntry::ecmp(Vec::new(), None));
+                    });
+                }
+            }
+            assert_eq!(table.totals, table.walked());
+            assert!(
+                table.iter().all(|(_, s)| !s.is_empty()),
+                "empty slots are dropped"
+            );
         }
-        assert_eq!(out.footprint().peer_refs, 32);
+        assert!(table.walked().0[1] > 0, "the mix leaves state behind");
+    }
+
+    #[test]
+    fn export_returns_the_body_it_was_given() {
+        let mut table = PrefixTable::default();
+        let sessions: Vec<u64> = (1..=32).collect();
+        let shared = body(100);
+        let mut sent = Vec::new();
+        table.with_slot(p("0.0.0.0/0"), |s| {
+            let wants = sessions
+                .iter()
+                .map(|&peer| (PeerId(peer), Some(Arc::clone(&shared))));
+            s.export(wants, |_, body| sent.push(body.unwrap()));
+        });
+        assert_eq!(sent.len(), 32);
+        let slot = table.get(p("0.0.0.0/0")).unwrap();
+        for (body, (_, held)) in sent.iter().zip(slot.rib_out().iter()) {
+            assert!(Arc::ptr_eq(body, &shared) && Arc::ptr_eq(held, &shared));
+        }
+        assert_eq!(table.footprints().1.peer_refs, 32);
         // A content-equal re-advertisement in a fresh allocation: nothing to
         // send, and the stored body stays.
-        let held = Arc::clone(out.attrs(PeerId(5), p("0.0.0.0/0")).unwrap());
-        assert!(out
-            .advertise(
-                PeerId(5),
-                p("0.0.0.0/0"),
-                Arc::new(PathAttributes::default())
-            )
-            .is_none());
-        assert!(Arc::ptr_eq(
-            out.attrs(PeerId(5), p("0.0.0.0/0")).unwrap(),
-            &held
-        ));
-        assert!(out.withdraw(PeerId(5), p("0.0.0.0/0")));
-        assert!(!out.withdraw(PeerId(5), p("0.0.0.0/0")));
-        assert_eq!(out.footprint().peer_refs, 31);
+        assert!(export(&mut table, "0.0.0.0/0", &[5], Some(&body(100))).is_empty());
+        let held = held(table.get(p("0.0.0.0/0")).unwrap().rib_out(), PeerId(5));
+        assert!(Arc::ptr_eq(held.unwrap(), &shared));
+        assert_eq!(export(&mut table, "0.0.0.0/0", &[5], None), vec![5]);
+        assert!(export(&mut table, "0.0.0.0/0", &[5], None).is_empty());
+        assert_eq!(table.footprints().1.peer_refs, 31);
     }
 
     #[test]
-    fn adj_rib_out_enumeration_and_flush() {
-        let mut out = AdjRibOut::default();
-        out.advertise(
-            PeerId(1),
-            p("10.0.0.0/8"),
-            Arc::new(PathAttributes::default()),
+    fn export_leaves_sessions_it_skips_alone() {
+        let mut table = PrefixTable::default();
+        assert_eq!(
+            export(&mut table, "10.0.0.0/8", &[1, 2, 3], Some(&body(100))),
+            vec![1, 2, 3]
         );
-        out.advertise(
-            PeerId(1),
-            p("11.0.0.0/8"),
-            Arc::new(PathAttributes::default()),
+        assert_eq!(
+            export(&mut table, "10.0.0.0/8", &[1, 3, 4], Some(&body(200))),
+            vec![1, 3, 4]
         );
-        out.advertise(
-            PeerId(2),
-            p("10.0.0.0/8"),
-            Arc::new(PathAttributes::default()),
+        let held: Vec<(u64, u32)> = table
+            .get(p("10.0.0.0/8"))
+            .unwrap()
+            .rib_out()
+            .iter()
+            .map(|(peer, attrs)| (peer.0, attrs.local_pref))
+            .collect();
+        assert_eq!(held, vec![(1, 200), (2, 100), (3, 200), (4, 200)]);
+        table.edit_all(|_, s| {
+            s.flush(PeerId(2), false);
+        });
+        assert_eq!(
+            export(&mut table, "10.0.0.0/8", &[1, 3, 4], None),
+            vec![1, 3, 4]
         );
-        let for_one: Vec<Prefix> = out.advertisements(PeerId(1)).map(|(p, _)| p).collect();
-        assert_eq!(for_one, vec![p("10.0.0.0/8"), p("11.0.0.0/8")]);
-        assert!(out.attrs(PeerId(2), p("10.0.0.0/8")).is_some());
-        assert!(out.attrs(PeerId(2), p("11.0.0.0/8")).is_none());
-        out.flush_peer(PeerId(1));
-        assert_eq!(out.footprint().peer_refs, 1);
-        assert!(out.attrs(PeerId(2), p("10.0.0.0/8")).is_some());
+        assert!(prefixes(&table).is_empty());
     }
 
     #[test]

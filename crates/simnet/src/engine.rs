@@ -881,11 +881,10 @@ impl SimNet {
         }
         self.origin_time.clear();
         self.last_update.clear();
-        let (mut adj_rib_in, mut loc_rib, mut nhgs) = (0i64, 0i64, 0i64);
+        let (mut loc_rib, mut nhgs) = (0i64, 0i64);
         let mut rib_in_fp = centralium_bgp::RibFootprint::default();
         let mut rib_out_fp = centralium_bgp::RibFootprint::default();
         for dev in self.devices.values() {
-            adj_rib_in += dev.daemon.adj_rib_in_len() as i64;
             loc_rib += dev.daemon.loc_rib_len() as i64;
             nhgs += dev.fib.nhg_stats().current_groups as i64;
             let (fin, fout) = dev.daemon.rib_footprints();
@@ -895,7 +894,8 @@ impl SimNet {
             rib_out_fp.bytes += fout.bytes;
         }
         let m = self.telemetry.metrics();
-        m.gauge("bgp.adj_rib_in_total").set(adj_rib_in);
+        m.gauge("bgp.adj_rib_in_total")
+            .set(rib_in_fp.peer_refs as i64);
         m.gauge("bgp.loc_rib_total").set(loc_rib);
         m.gauge("fib.nexthop_groups_total").set(nhgs);
         m.gauge("simnet.max_batch_size")

@@ -15,14 +15,14 @@
 //! never a rebuild. The §3.4 member-set dedup heuristic runs on the same
 //! path.
 //!
-//! Storage is the sorted flat table the Loc-RIB already uses
+//! Storage is the sorted flat table the daemon keeps its prefixes in
 //! ([`FlatMap<Prefix, _>`](centralium_bgp::flat::FlatMap)): the FIB
 //! holds at most one entry per Loc-RIB entry, so both tables have the same
-//! keys. Exact match, install and removal are one binary search over a
-//! contiguous array; iteration is ascending `(addr, len)` — `Prefix`'s `Ord`,
-//! the order snapshots, `Debug` output and the `verify_full_equivalence`
-//! oracle are compared in; longest-prefix match is a predecessor search
-//! ([`Fib::lookup`]).
+//! keys. Exact match, install and removal are one binary search over the
+//! contiguous key array; iteration is ascending `(addr, len)` — `Prefix`'s
+//! `Ord`, the order snapshots, `Debug` output and the
+//! `verify_full_equivalence` oracle are compared in; longest-prefix match is
+//! a predecessor search ([`Fib::lookup`]).
 
 use crate::hash::IdHashMap;
 use centralium_bgp::flat::FlatMap;
@@ -189,7 +189,7 @@ pub struct Fib {
 /// iteration.
 impl fmt::Debug for Fib {
     fn fmt(&self, f: &mut fmt::Formatter<'_>) -> fmt::Result {
-        let entries = self.entries.as_slice().iter().map(|(p, (e, _))| (p, e));
+        let entries = self.entries.iter().map(|(p, (e, _))| (p, e));
         let groups = self.groups.live.values().map(|(g, count)| (g, count));
         f.debug_struct("Fib")
             .field("entries", &MapOf(entries))
@@ -260,23 +260,28 @@ impl Fib {
                 self.groups.reuse_same_members(nexthops, fresh);
             }
             let warm = desired.is_some_and(|e| e.fib_warm_only);
-            match self.entries.get_mut(&prefix) {
-                None if nexthops.is_empty() => continue,
-                None => self.install(prefix, nexthops, warm),
-                Some((installed, _)) if *installed.nexthops == **nexthops => {
-                    if installed.warm == warm {
-                        continue;
-                    }
-                    installed.warm = warm;
+            match self.entries.find(&prefix) {
+                Err(_) if nexthops.is_empty() => continue,
+                Err(at) => {
+                    let installed = self.install(prefix, nexthops, warm);
+                    self.entries.insert_at(at, prefix, installed);
                 }
-                Some((_, id)) => {
-                    self.groups.release(*id, released);
-                    if nexthops.is_empty() {
-                        self.entries.remove(&prefix);
-                    } else {
-                        self.install(prefix, nexthops, warm);
+                Ok(at) => match self.entries.at_mut(at) {
+                    (installed, _) if *installed.nexthops == **nexthops => {
+                        if installed.warm == warm {
+                            continue;
+                        }
+                        installed.warm = warm;
                     }
-                }
+                    (_, id) => {
+                        self.groups.release(*id, released);
+                        if nexthops.is_empty() {
+                            self.entries.remove_at(at);
+                        } else {
+                            *self.entries.at_mut(at) = self.install(prefix, nexthops, warm);
+                        }
+                    }
+                },
             }
             changed = true;
         }
@@ -286,8 +291,8 @@ impl Fib {
         }
     }
 
-    /// Install (or replace) `prefix` on `group`, taking a reference on it.
-    fn install(&mut self, prefix: Prefix, group: &[(PeerId, u32)], warm: bool) {
+    /// The entry that installs `prefix` on `group`, taking a reference on it.
+    fn install(&mut self, prefix: Prefix, group: &[(PeerId, u32)], warm: bool) -> (FibEntry, u64) {
         let (id, nexthops, created) = self.groups.acquire(group);
         self.stats.group_creations += u64::from(created);
         let entry = FibEntry {
@@ -295,7 +300,7 @@ impl Fib {
             nexthops,
             warm,
         };
-        self.entries.insert(prefix, (entry, id));
+        (entry, id)
     }
 
     /// Refresh the current / high-water / overflow accounting after a batch.
@@ -435,7 +440,8 @@ mod tests {
         }
         fib.entries = FlatMap::new();
         for (&prefix, (group, warm)) in canonical.iter() {
-            fib.install(prefix, group, *warm);
+            let installed = fib.install(prefix, group, *warm);
+            fib.entries.insert(prefix, installed);
         }
         fib.groups.gc(&mut released);
         fib.note_group_pressure();
@@ -927,7 +933,7 @@ mod tests {
                     .collect();
                 rebuild(&mut reference, &projection);
 
-                prop_assert_eq!(fib.entries.as_slice(), reference.entries.as_slice());
+                prop_assert!(fib.entries.iter().eq(reference.entries.iter()));
                 prop_assert_eq!(live_groups(&fib), live_groups(&reference));
                 let (got, want) = (fib.nhg_stats(), reference.nhg_stats());
                 prop_assert_eq!(got.current_groups, want.current_groups);
