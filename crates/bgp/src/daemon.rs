@@ -382,10 +382,10 @@ impl BgpDaemon {
         // Advertise every Loc-RIB advertised route to the new peer.
         let mut out = UpdateMessage::default();
         self.rib.edit_all(|prefix, slot| {
-            let Some((route, base)) = export_base(cfg, peers, slot.loc.as_ref()) else {
+            let Some(mut export) = Export::of(cfg, peers, slot.loc.as_ref()) else {
                 return;
             };
-            if let Some(attrs) = desired_advertisement(&route, &base, session, policy) {
+            if let Some(attrs) = export.toward(session, policy) {
                 slot.export([(peer, Some(attrs))], |_, sent| {
                     out.announced.extend(sent.map(|attrs| (prefix, attrs)));
                 });
@@ -1027,10 +1027,10 @@ impl Step<'_> {
     /// difference to `out` — sorted by session, and visited in that order
     /// here, so one cursor finds each session's UPDATE. A prefix is exported
     /// at most once per `out`, so its announcement or withdrawal is simply
-    /// appended. The post-export attribute body is computed once — it does
-    /// not depend on the peer; only split-horizon, the egress filter and the
-    /// per-session export policy do, and those run per peer below. Each
-    /// pass costs one evaluation per established session
+    /// appended. The post-export attribute body is built at most once
+    /// ([`Export`]) — it does not depend on the peer; only split-horizon, the
+    /// egress filter and the per-session export policy do, and those run per
+    /// peer below. Each pass costs one evaluation per established session
     /// (`bgp.export_evals`), which is why [`BgpDaemon::decide`] skips it for
     /// a decision that left the advertisement where it was.
     fn export_prefix(
@@ -1040,10 +1040,10 @@ impl Step<'_> {
         out: &mut Vec<(PeerId, UpdateMessage)>,
     ) {
         // Reads the *installed* entry: call after the decision installed it.
-        let advertised = export_base(self.cfg, self.peers, slot.loc.as_ref());
+        let mut advertised = Export::of(self.cfg, self.peers, slot.loc.as_ref());
         let policy = self.policy;
         let evals = &mut self.counts[2];
-        // Under a pass-through export policy each want is the base `Arc`
+        // Under a pass-through export policy each want is the body `Arc`
         // itself, so every session's out-fan entry and UPDATE share one body.
         let wants = self
             .peers
@@ -1052,8 +1052,8 @@ impl Step<'_> {
             .map(|(&peer, session)| {
                 *evals += 1;
                 let want = advertised
-                    .as_ref()
-                    .and_then(|(route, base)| desired_advertisement(route, base, session, policy));
+                    .as_mut()
+                    .and_then(|export| export.toward(session, policy));
                 (peer, want)
             });
         let mut cursor = 0;
@@ -1156,52 +1156,71 @@ fn effective_capacity(peers: &FlatMap<PeerId, PeerState>, entry: &LocRibEntry) -
     Some(caps.sum())
 }
 
-/// The peer-independent half of the egress computation: `entry`'s
-/// advertised route, if it has one, and the attributes it is exported with
-/// (own-ASN prepend, WCMP bandwidth relay). One deep clone per *export* —
-/// the exported attrs genuinely differ from the stored route's — shared
-/// across the whole peer fan-out as one `Arc`. The adjacency RIBs share
-/// bodies through this `Arc`; none of them interns bodies by content.
-fn export_base(
-    cfg: &DaemonConfig,
-    peers: &FlatMap<PeerId, PeerState>,
-    entry: Option<&LocRibEntry>,
-) -> Option<(Route, Arc<PathAttributes>)> {
-    let entry = entry?;
-    let route = entry.advertised.clone()?;
-    let mut attrs = (*route.attrs).clone();
-    attrs.prepend(cfg.asn, 1);
-    if cfg.wcmp_advertise {
-        attrs.link_bandwidth_gbps = effective_capacity(peers, entry);
-    }
-    Some((route, Arc::new(attrs)))
+/// One export of a prefix: its advertised route and the body that goes out
+/// with it — the route's attributes with the own ASN prepended and, under
+/// `wcmp_advertise`, the relayed capacity. The body does not depend on the
+/// session, so it is one deep clone shared across the whole fan-out as one
+/// `Arc`, built by the first session that takes it; an export every session
+/// turns down (a ToR's uplinks refuse what came from above) builds none.
+/// The adjacency RIBs share bodies through this `Arc`; none of them interns
+/// bodies by content.
+struct Export<'a> {
+    cfg: &'a DaemonConfig,
+    route: Route,
+    /// The capacity the body carries, when `wcmp_advertise` relays it.
+    bandwidth: Option<Option<f64>>,
+    body: Option<Arc<PathAttributes>>,
 }
 
-/// The per-peer half: what `session` should be told given the advertised
-/// `route` and its [`export_base`] — after split-horizon, the
-/// egress Route Filter hook and the session's export policy — or `None` to
-/// withdraw/suppress. Pass-through export policies return the shared base
-/// `Arc` untouched.
-fn desired_advertisement(
-    route: &Route,
-    base: &Arc<PathAttributes>,
-    session: &PeerState,
-    policy: &dyn RibPolicy,
-) -> Option<Arc<PathAttributes>> {
-    let peer = session.cfg.peer;
-    // Split-horizon: never advertise a route back over the session it was
-    // learned from (§5.3.1).
-    if route.learned_from == Some(peer) {
-        return None;
+impl<'a> Export<'a> {
+    /// The export of `entry`'s advertised route, if it has one.
+    fn of(
+        cfg: &'a DaemonConfig,
+        peers: &FlatMap<PeerId, PeerState>,
+        entry: Option<&LocRibEntry>,
+    ) -> Option<Self> {
+        let entry = entry?;
+        Some(Export {
+            cfg,
+            route: entry.advertised.clone()?,
+            bandwidth: cfg.wcmp_advertise.then(|| effective_capacity(peers, entry)),
+            body: None,
+        })
     }
-    // Route Filter RPA, egress direction (Figure 6).
-    if !policy.permit_egress(peer, route.prefix, route) {
-        return None;
+
+    /// What `session` should be told — after split-horizon, the egress
+    /// Route Filter hook and the session's export policy — or `None` to
+    /// withdraw/suppress. All three are asked before the body is built; the
+    /// policy first through [`Policy::certainly_rejects`]. Pass-through
+    /// export policies return the shared body `Arc` untouched.
+    fn toward(
+        &mut self,
+        session: &PeerState,
+        policy: &dyn RibPolicy,
+    ) -> Option<Arc<PathAttributes>> {
+        let (route, peer, export) = (&self.route, session.cfg.peer, &session.cfg.export);
+        // Split-horizon: never advertise a route back over the session it
+        // was learned from (§5.3.1).
+        if route.learned_from == Some(peer) {
+            return None;
+        }
+        // Route Filter RPA, egress direction (Figure 6).
+        if !policy.permit_egress(peer, route.prefix, route) {
+            return None;
+        }
+        if export.certainly_rejects(&route.prefix, &route.attrs, self.cfg.asn) {
+            return None;
+        }
+        let body = self.body.get_or_insert_with(|| {
+            let mut attrs = (*route.attrs).clone();
+            attrs.prepend(self.cfg.asn, 1);
+            if let Some(bandwidth) = self.bandwidth {
+                attrs.link_bandwidth_gbps = bandwidth;
+            }
+            Arc::new(attrs)
+        });
+        export.apply_shared(&route.prefix, Arc::clone(body))
     }
-    session
-        .cfg
-        .export
-        .apply_shared(&route.prefix, Arc::clone(base))
 }
 
 #[cfg(test)]

@@ -42,8 +42,15 @@ impl MatchExpr {
         }
     }
 
-    /// Evaluate against a route.
-    pub(crate) fn matches(&self, prefix: &Prefix, attrs: &PathAttributes) -> bool {
+    /// Evaluate against a route whose attributes are `attrs` with `prepend`,
+    /// if any, put once in front of the AS path — the view an export has of
+    /// the body it has not built yet (only AS-path criteria can tell).
+    pub(crate) fn matches(
+        &self,
+        prefix: &Prefix,
+        attrs: &PathAttributes,
+        prepend: Option<Asn>,
+    ) -> bool {
         if let Some(p) = &self.prefix_within {
             if !p.contains(prefix) {
                 return false;
@@ -60,12 +67,12 @@ impl MatchExpr {
             return false;
         }
         if let Some(asn) = self.as_path_contains {
-            if !attrs.path_contains(asn) {
+            if prepend != Some(asn) && !attrs.path_contains(asn) {
                 return false;
             }
         }
         if let Some(min) = self.min_as_path_len {
-            if attrs.as_path_len() < min {
+            if attrs.as_path_len() + usize::from(prepend.is_some()) < min {
                 return false;
             }
         }
@@ -178,7 +185,7 @@ impl Policy {
     pub fn apply(&self, prefix: &Prefix, attrs: &PathAttributes) -> PolicyVerdict {
         let mut attrs = attrs.clone();
         for rule in &self.rules {
-            if !rule.matches.matches(prefix, &attrs) {
+            if !rule.matches.matches(prefix, &attrs, None) {
                 continue;
             }
             for action in &rule.actions {
@@ -235,7 +242,7 @@ impl Policy {
         for rule in &self.rules {
             if !rule
                 .matches
-                .matches(prefix, owned.as_ref().unwrap_or(&attrs))
+                .matches(prefix, owned.as_ref().unwrap_or(&attrs), None)
             {
                 continue;
             }
@@ -290,12 +297,37 @@ impl Policy {
             None
         }
     }
+
+    /// Whether the policy rejects `attrs` with `asn` prepended once, told
+    /// without building that body: the first rule that matches it starts
+    /// with `Reject`, or no rule matches and the default rejects. Sound, not
+    /// complete: `false` says nothing, `true` means [`apply_shared`] on the
+    /// built body returns `None` (rules before the first match run no
+    /// action, so they cannot change what it sees).
+    ///
+    /// [`apply_shared`]: Policy::apply_shared
+    pub(crate) fn certainly_rejects(
+        &self,
+        prefix: &Prefix,
+        attrs: &PathAttributes,
+        asn: Asn,
+    ) -> bool {
+        match self
+            .rules
+            .iter()
+            .find(|rule| rule.matches.matches(prefix, attrs, Some(asn)))
+        {
+            Some(rule) => rule.actions.first() == Some(&Action::Reject),
+            None => !self.default_accept,
+        }
+    }
 }
 
 #[cfg(test)]
 mod tests {
     use super::*;
     use crate::attrs::well_known;
+    use proptest::prelude::*;
 
     fn p(s: &str) -> Prefix {
         s.parse().unwrap()
@@ -359,14 +391,14 @@ mod tests {
             prefix_within: Some(p("10.0.0.0/8")),
             ..Default::default()
         };
-        assert!(within.matches(&p("10.3.0.0/16"), &PathAttributes::default()));
-        assert!(!within.matches(&p("11.0.0.0/8"), &PathAttributes::default()));
+        assert!(within.matches(&p("10.3.0.0/16"), &PathAttributes::default(), None));
+        assert!(!within.matches(&p("11.0.0.0/8"), &PathAttributes::default(), None));
         let exact = MatchExpr {
             prefix_exact: Some(p("10.0.0.0/8")),
             ..Default::default()
         };
-        assert!(exact.matches(&p("10.0.0.0/8"), &PathAttributes::default()));
-        assert!(!exact.matches(&p("10.3.0.0/16"), &PathAttributes::default()));
+        assert!(exact.matches(&p("10.0.0.0/8"), &PathAttributes::default(), None));
+        assert!(!exact.matches(&p("10.3.0.0/16"), &PathAttributes::default(), None));
     }
 
     #[test]
@@ -389,10 +421,10 @@ mod tests {
             min_as_path_len: Some(4),
             ..Default::default()
         };
-        assert!(has.matches(&Prefix::DEFAULT, &attrs));
-        assert!(!hasnt.matches(&Prefix::DEFAULT, &attrs));
-        assert!(long.matches(&Prefix::DEFAULT, &attrs));
-        assert!(!longer.matches(&Prefix::DEFAULT, &attrs));
+        assert!(has.matches(&Prefix::DEFAULT, &attrs, None));
+        assert!(!hasnt.matches(&Prefix::DEFAULT, &attrs, None));
+        assert!(long.matches(&Prefix::DEFAULT, &attrs, None));
+        assert!(!longer.matches(&Prefix::DEFAULT, &attrs, None));
     }
 
     #[test]
@@ -467,6 +499,130 @@ mod tests {
         match policy.apply(&Prefix::DEFAULT, &PathAttributes::default()) {
             PolicyVerdict::Accept(out) => assert_eq!(out.link_bandwidth_gbps, Some(400.0)),
             _ => panic!(),
+        }
+    }
+
+    #[test]
+    fn certainly_rejects_what_an_uplink_refuses() {
+        let to_up = Policy::accept_all().rule(PolicyRule::reject(MatchExpr::community(
+            well_known::FROM_UPSTREAM,
+        )));
+        let from_up = PathAttributes::originated([well_known::FROM_UPSTREAM]);
+        let from_down = PathAttributes::originated([well_known::RACK_PREFIX]);
+        assert!(to_up.certainly_rejects(&Prefix::DEFAULT, &from_up, Asn(7)));
+        assert!(!to_up.certainly_rejects(&Prefix::DEFAULT, &from_down, Asn(7)));
+        assert!(!Policy::accept_all().certainly_rejects(&Prefix::DEFAULT, &from_up, Asn(7)));
+        assert!(Policy::reject_all().certainly_rejects(&Prefix::DEFAULT, &from_down, Asn(7)));
+        // Only the prepended view carries the own ASN.
+        let no_loops = Policy::accept_all().rule(PolicyRule::reject(MatchExpr {
+            as_path_contains: Some(Asn(7)),
+            ..Default::default()
+        }));
+        assert!(no_loops.certainly_rejects(&Prefix::DEFAULT, &from_down, Asn(7)));
+        assert!(!no_loops.certainly_rejects(&Prefix::DEFAULT, &from_down, Asn(8)));
+    }
+
+    fn prefix() -> impl Strategy<Value = Prefix> {
+        (0usize..4).prop_map(|i| {
+            [
+                Prefix::DEFAULT,
+                p("10.0.0.0/8"),
+                p("10.1.0.0/16"),
+                p("11.0.0.0/8"),
+            ][i]
+        })
+    }
+
+    fn community() -> impl Strategy<Value = Community> {
+        (0u32..4).prop_map(Community)
+    }
+
+    /// `Some` a quarter of the time: most rules test one or two things.
+    fn sometimes<S: Strategy>(inner: S) -> impl Strategy<Value = Option<S::Value>> {
+        (0u32..4, inner).prop_map(|(die, value)| (die == 0).then_some(value))
+    }
+
+    fn match_expr() -> impl Strategy<Value = MatchExpr> {
+        (
+            sometimes(prefix()),
+            sometimes(prefix()),
+            sometimes(community()),
+            sometimes((1u32..4).prop_map(Asn)),
+            sometimes(0usize..5),
+        )
+            .prop_map(
+                |(prefix_within, prefix_exact, community, as_path_contains, min_as_path_len)| {
+                    MatchExpr {
+                        prefix_within,
+                        prefix_exact,
+                        any_community: community.into_iter().collect(),
+                        as_path_contains,
+                        min_as_path_len,
+                    }
+                },
+            )
+    }
+
+    fn action() -> impl Strategy<Value = Action> {
+        (0u32..7, 0u32..4).prop_map(|(kind, x)| match kind {
+            0 => Action::Accept,
+            1 => Action::Reject,
+            2 => Action::SetLocalPref(x),
+            3 => Action::Prepend(Asn(x), (x % 3) as u8),
+            4 => Action::AddCommunity(Community(x)),
+            5 => Action::RemoveCommunity(Community(x)),
+            _ => Action::SetMed(x),
+        })
+    }
+
+    fn policy() -> impl Strategy<Value = Policy> {
+        let rule = (match_expr(), proptest::collection::vec(action(), 0..3))
+            .prop_map(|(matches, actions)| PolicyRule { matches, actions });
+        (proptest::collection::vec(rule, 0..4), any::<bool>()).prop_map(
+            |(rules, default_accept)| Policy {
+                rules,
+                default_accept,
+            },
+        )
+    }
+
+    fn attributes() -> impl Strategy<Value = PathAttributes> {
+        (
+            proptest::collection::vec((1u32..4).prop_map(Asn), 0..3),
+            proptest::collection::vec(community(), 0..3),
+        )
+            .prop_map(|(path, communities)| {
+                let mut attrs = PathAttributes::originated(communities);
+                for asn in path.into_iter().rev() {
+                    attrs.prepend(asn, 1);
+                }
+                attrs
+            })
+    }
+
+    proptest! {
+        #![proptest_config(ProptestConfig::with_cases(1024))]
+
+        /// The un-built view matches exactly what the built body matches,
+        /// and a policy that certainly rejects the view rejects the body.
+        #[test]
+        fn certainly_rejects_implies_the_built_body_is_rejected(
+            policy in policy(),
+            prefix in prefix(),
+            attrs in attributes(),
+            asn in (1u32..4).prop_map(Asn),
+        ) {
+            let mut body = attrs.clone();
+            body.prepend(asn, 1);
+            for rule in &policy.rules {
+                prop_assert_eq!(
+                    rule.matches.matches(&prefix, &attrs, Some(asn)),
+                    rule.matches.matches(&prefix, &body, None)
+                );
+            }
+            if policy.certainly_rejects(&prefix, &attrs, asn) {
+                prop_assert!(policy.apply_shared(&prefix, Arc::new(body)).is_none());
+            }
         }
     }
 }

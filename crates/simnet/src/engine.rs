@@ -13,7 +13,6 @@ use centralium_bgp::{BgpDaemon, PathAttributes, PeerId, Prefix, UpdateMessage};
 use centralium_rpa::{RpaDocument, RpaEngine};
 use centralium_telemetry::{Event, EventKind, Severity, Telemetry};
 use centralium_topology::{DeviceId, Topology};
-use std::collections::HashMap;
 use std::sync::Arc;
 
 /// The device-local portion of one event, executed in a window's work
@@ -577,19 +576,16 @@ impl SimNet {
         let pre_start = std::time::Instant::now();
         let sp_pre = self.telemetry.span("simnet", "window.pre");
         let mut slots: Vec<Slot> = Vec::new();
-        let mut first_job_t: HashMap<DeviceId, SimTime> = HashMap::new();
         let mut cut = false;
         while !cut && (slots.len() as u64) < budget {
             match self.queue.peek() {
                 Some((t, ev)) if t < horizon => {
                     if let NetEvent::DeliverBatch { on, .. } = ev {
-                        let emitter = DeviceId(on.device());
-                        if let Some(&te) = first_job_t.get(&emitter) {
-                            if t >= te + BASE_LATENCY_US {
-                                // In-window output from the emitter could
-                                // still merge into this batch: defer it.
-                                break;
-                            }
+                        let first = self.first_job.get(DeviceId(on.device()));
+                        if first.is_some_and(|&te| t >= te + BASE_LATENCY_US) {
+                            // In-window output from the emitter could still
+                            // merge into this batch: defer it.
+                            break;
                         }
                     }
                 }
@@ -603,10 +599,15 @@ impl SimNet {
             let slot = self.prepare(t, ev);
             if wide {
                 if let Some(dev) = slot.dev {
-                    first_job_t.entry(dev).or_insert(t);
+                    self.first_job.get_or_insert_with(dev, || t);
                 }
             }
             slots.push(slot);
+        }
+        if wide {
+            for dev in slots.iter().filter_map(|slot| slot.dev) {
+                self.first_job.remove(dev);
+            }
         }
         drop(sp_pre);
 
@@ -746,16 +747,16 @@ impl SimNet {
     ) -> Option<(DeviceId, Work)> {
         match ev {
             NetEvent::DeliverBatch { to, on, batch } => {
-                // Always retire the side-table state — even when the target
-                // device is gone, leaving the payload behind would leak and
-                // leaving the open-batch entry behind would merge future
-                // output into a batch that will never be delivered again.
-                let msg = self.batches.remove(&batch)?;
-                let key = (DeviceId(on.device()), to, on.session_index());
-                if let Some(&(id, _)) = self.open_batch.get(&key) {
-                    if id == batch {
-                        self.open_batch.remove(&key);
-                    }
+                // Always take the payload, even when the target device is gone
+                // (leaving it would leak), and trim retired ids off the slab's
+                // front. The sender's session needs no update (DESIGN §9).
+                let msg = self
+                    .batches
+                    .get_mut(batch.checked_sub(self.batch_base)? as usize)?
+                    .take()?;
+                while let Some(None) = self.batches.front() {
+                    self.batches.pop_front();
+                    self.batch_base += 1;
                 }
                 if !self.devices.contains_key(to) {
                     return None;
@@ -827,7 +828,9 @@ impl SimNet {
                     return None;
                 }
                 self.originators.entry(prefix).or_default().insert(dev);
-                self.origin_time.entry(prefix).or_insert(t);
+                if let Err(i) = self.prefix_clock.find(&prefix) {
+                    self.prefix_clock.insert_at(i, prefix, (t, None));
+                }
                 Some((dev, Work::Originate { prefix, attrs }))
             }
             NetEvent::WithdrawOrigin { dev, prefix } => {
@@ -866,21 +869,20 @@ impl SimNet {
     /// the prefix) and the RIB/FIB size gauges. Runs once per convergence
     /// barrier, so the device walk is off every hot path.
     fn observe_quiescence(&mut self) {
-        if !self.last_update.is_empty() {
+        let clock = std::mem::take(&mut self.prefix_clock);
+        let mut latencies = clock
+            .values()
+            .filter_map(|&(origin, last)| last?.checked_sub(origin))
+            .peekable();
+        if latencies.peek().is_some() {
             let hist = self
                 .telemetry
                 .metrics()
                 .histogram("simnet.prefix_convergence_ms", CONVERGENCE_MS_BOUNDS);
-            for (prefix, &last) in &self.last_update {
-                if let Some(&origin) = self.origin_time.get(prefix) {
-                    if last >= origin {
-                        hist.observe((last - origin) as f64 / 1_000.0);
-                    }
-                }
+            for us in latencies {
+                hist.observe(us as f64 / 1_000.0);
             }
         }
-        self.origin_time.clear();
-        self.last_update.clear();
         let (mut loc_rib, mut nhgs) = (0i64, 0i64);
         let mut rib_in_fp = centralium_bgp::RibFootprint::default();
         let mut rib_out_fp = centralium_bgp::RibFootprint::default();
@@ -940,11 +942,11 @@ impl SimNet {
         self.counters.withdrawals.add(msg.withdrawn.len() as u64);
         self.note_churn(to);
         self.note_provenance_arrival(events, to, on, &msg);
-        if !self.origin_time.is_empty() {
+        if !self.prefix_clock.is_empty() {
             let carried = msg.announced.iter().map(|(p, _)| p).chain(&msg.withdrawn);
             for p in carried {
-                if self.origin_time.contains_key(p) {
-                    self.last_update.insert(*p, t);
+                if let Some((_, last)) = self.prefix_clock.get_mut(p) {
+                    *last = Some(t);
                 }
             }
         }
@@ -1045,13 +1047,14 @@ impl SimNet {
 mod tests {
     use super::*;
     use centralium_bgp::attrs::well_known;
-    use centralium_bgp::{Community, Route};
+    use centralium_bgp::{Community, FibEntry, Route};
     use centralium_rpa::{
         Destination, PathSelectionRpa, PathSelectionStatement, PathSet, PathSignature,
         PeerSignature, PrefixFilter, RouteAttributeRpa, RouteAttributeStatement, RouteFilterRpa,
         RouteFilterStatement,
     };
     use centralium_topology::{build_fabric, FabricSpec};
+    use std::collections::BTreeMap;
 
     fn rack(pod: u32, rack: u32) -> Prefix {
         Prefix::new(0x0A00_0000 | pod << 16 | rack << 8, 24)
@@ -1140,6 +1143,65 @@ mod tests {
                 egress_filter: if ingress { None } else { allow },
             }],
         })
+    }
+
+    /// A cold episode on the tiny fabric, run one event at a time or a
+    /// whole window at a time. Returns the FIBs, the clock, the event count,
+    /// the coalescer's counters and how many windows ended at a batch
+    /// deferred by the emitter cut.
+    fn cold_episode(
+        windowed: bool,
+    ) -> (
+        BTreeMap<DeviceId, Vec<FibEntry>>,
+        SimTime,
+        u64,
+        [u64; 2],
+        u64,
+    ) {
+        let (topo, idx, _) = build_fabric(&FabricSpec::tiny());
+        let mut net = SimNet::new(
+            topo,
+            SimConfig {
+                seed: 21,
+                ..Default::default()
+            },
+        );
+        net.establish_all();
+        for &eb in &idx.backbone {
+            net.originate(eb, Prefix::DEFAULT, [well_known::BACKBONE_DEFAULT_ROUTE]);
+        }
+        for (pod, racks) in idx.rsw.iter().enumerate() {
+            net.originate(racks[0], rack(pod as u32, 0), [well_known::RACK_PREFIX]);
+        }
+        let (mut events, mut cuts) = (0, 0);
+        while let Some(t0) = net.queue.peek_time() {
+            events += net.run_window(SimTime::MAX, if windowed { u64::MAX } else { 1 });
+            let deferred = matches!(net.queue.peek(), Some((t, NetEvent::DeliverBatch { .. }))
+                if t < t0 + 3 * BASE_LATENCY_US);
+            cuts += u64::from(windowed && deferred);
+        }
+        let snap = net.telemetry.metrics().snapshot();
+        let counters =
+            ["simnet.updates_coalesced", "simnet.batches_delivered"].map(|c| snap.counter(c));
+        (net.fib_snapshot(), net.now, events, counters, cuts)
+    }
+
+    /// A batch the emitter cut defers out of a wide window is delivered in
+    /// the next one, after the emitter's in-window output merged into it:
+    /// the same merges, deliveries and FIBs as one event at a time.
+    #[test]
+    fn a_batch_cut_out_of_a_wide_window_still_merges() {
+        let (fibs, now, events, counters, cuts) = cold_episode(true);
+        assert!(cuts > 0, "no window was cut at a deferred batch");
+        let (step_fibs, step_now, step_events, step_counters, _) = cold_episode(false);
+        assert_eq!(
+            (now, events, counters),
+            (step_now, step_events, step_counters)
+        );
+        assert!(
+            fibs == step_fibs,
+            "FIBs differ between windowed and stepped runs"
+        );
     }
 
     /// `rpa_scope` on the ordered walk equals the materialized scan on a

@@ -1,14 +1,15 @@
 //! A cheap hasher for maps keyed by ids the emulator mints itself.
 //!
 //! `std`'s default SipHash buys resistance to keys crafted to collide. The
-//! maps that use [`IdHashMap`] are keyed by values no outside input reaches —
-//! device and session ids out of the topology, batch ids out of a counter,
-//! next-hop groups out of the local daemon's FIB projection — and sit on the
-//! per-event path, where SipHash over a 256-member group or three lookups
-//! per emitted UPDATE is a measurable share of the work. They are also
-//! point-lookup only: none is ever iterated, so swapping the hasher cannot
-//! reorder anything. Keep the default hasher for any map that is iterated or
-//! whose keys arrive from a socket or a document.
+//! one map that uses [`IdHashMap`], the FIB group table's `ids`, is keyed by
+//! next-hop groups out of the local daemon's FIB projection, which no
+//! outside input reaches, and sits on the per-prefix FIB path, where SipHash
+//! over a 256-member group is a measurable share of the work. It is also
+//! point-lookup only: never iterated, so swapping the hasher cannot reorder
+//! anything. Keep the default hasher for any map that is iterated or whose
+//! keys arrive from a socket or a document. State keyed by device or
+//! session is not hashed at all: it lives in dense per-device tables
+//! (`DenseMap`, the coalescer's per-sender session table).
 
 use std::collections::HashMap;
 use std::hash::{BuildHasherDefault, Hasher};

@@ -18,8 +18,8 @@ use crate::device::SimDevice;
 use crate::event::{EventQueue, SimTime};
 use crate::fault::{ChaosPlan, FaultPlan, RpcFate};
 use crate::fib::FibScratch;
-use crate::hash::IdHashMap;
 use crate::trace::{ConvergenceReport, TraceStats};
+use centralium_bgp::flat::FlatMap;
 use centralium_bgp::policy::{Action, MatchExpr, Policy, PolicyRule};
 use centralium_bgp::{
     attrs::well_known, DaemonConfig, FibEntry, PathAttributes, PeerConfig, PeerId, Prefix,
@@ -30,7 +30,7 @@ use centralium_telemetry::{Counter, EventKind, LogHistogram, Severity, Telemetry
 use centralium_topology::{Asn, DeviceId, DeviceState, Topology};
 use rand::rngs::StdRng;
 use rand::{Rng, SeedableRng};
-use std::collections::{BTreeMap, BTreeSet, HashMap};
+use std::collections::{BTreeMap, BTreeSet, HashMap, VecDeque};
 use std::sync::{Arc, OnceLock};
 
 // A child module, so that the run loop keeps access to `SimNet`'s private
@@ -388,26 +388,25 @@ pub struct SimNet {
     busy: DenseMap<Counter>,
     /// The prefix under route-provenance trace, if one is armed.
     provenance: Option<Prefix>,
-    /// When each prefix was first originated (for convergence latency).
-    origin_time: HashMap<Prefix, SimTime>,
-    /// Last time an UPDATE carrying each originated prefix was delivered.
-    last_update: HashMap<Prefix, SimTime>,
+    /// Each originated prefix's clock, for convergence latency: when it was
+    /// first originated, and when an UPDATE carrying it was last delivered.
+    prefix_clock: FlatMap<Prefix, (SimTime, Option<SimTime>)>,
     originators: HashMap<Prefix, BTreeSet<DeviceId>>,
-    /// Per directed (from, to, session) last delivery time, for TCP FIFO.
-    /// This and the two maps below are crossed once or more per emitted
-    /// UPDATE, keyed by ids the emulator minted, and never iterated — see
-    /// [`crate::hash`].
-    fifo: IdHashMap<(DeviceId, DeviceId, u8), SimTime>,
-    /// Payloads of in-flight coalesced batches, keyed by batch id. Lives
-    /// outside the event queue because queued payloads are immutable while
-    /// batches keep absorbing output until one base latency before delivery.
-    batches: IdHashMap<u64, UpdateMessage>,
-    /// The open (still-mergeable) batch per directed session: its id and
-    /// scheduled delivery time.
-    open_batch: IdHashMap<(DeviceId, DeviceId, u8), (u64, SimTime)>,
-    /// Monotonic batch-id allocator. Only bumped during emission replay,
-    /// which runs in pop order whatever the window width.
-    next_batch_id: u64,
+    /// Per sending device, one [`Session`] for every directed session it
+    /// ever sent on, ascending by session id. A device's table is made at
+    /// its first emission and never pruned, so the TCP FIFO clamp survives
+    /// session and device bounces.
+    sessions: DenseMap<Vec<(PeerId, Session)>>,
+    /// Payloads of in-flight coalesced batches, at batch id − `batch_base`.
+    /// They live outside the event queue because queued payloads are
+    /// immutable while batches keep absorbing output until one base latency
+    /// before delivery. Ids are minted at the back in pop order; a delivery
+    /// takes its payload, and retired ids are trimmed off the front.
+    batches: VecDeque<Option<UpdateMessage>>,
+    batch_base: u64,
+    /// Each device's first job time in the window being popped: scratch of
+    /// `run_window`'s pre-pass, empty between windows.
+    first_job: DenseMap<SimTime>,
     /// Largest routing-information count (announcements + withdrawals)
     /// observed in a single delivered batch.
     max_batch_size: u64,
@@ -454,13 +453,12 @@ impl SimNet {
             churn: DenseMap::new(),
             busy: DenseMap::new(),
             provenance: None,
-            origin_time: HashMap::new(),
-            last_update: HashMap::new(),
+            prefix_clock: FlatMap::new(),
             originators: HashMap::new(),
-            fifo: IdHashMap::default(),
-            batches: IdHashMap::default(),
-            open_batch: IdHashMap::default(),
-            next_batch_id: 0,
+            sessions: DenseMap::new(),
+            batches: VecDeque::new(),
+            batch_base: 0,
+            first_job: DenseMap::new(),
             max_batch_size: 0,
             chaos: None,
             rpc_nonce: 0,
@@ -1175,14 +1173,21 @@ impl SimNet {
     /// per prefix and shuffled per session — applying fault injection,
     /// latency, jitter and per-session FIFO.
     fn emit(&mut self, from: DeviceId, outputs: Vec<(PeerId, UpdateMessage)>) {
+        if outputs.is_empty() {
+            // A device's session table is made at its first emission.
+            return;
+        }
         if self.cfg.coalesce_updates {
             self.emit_coalesced(from, outputs);
             return;
         }
+        let mut table = self.sessions.remove(from).unwrap_or_default();
+        let mut cursor = 0;
         for (peer, msg) in outputs {
             let to = DeviceId(peer.device());
-            let session_idx = peer.session_index();
-            let on = PeerId::compose(from.0, session_idx);
+            let on = PeerId::compose(from.0, peer.session_index());
+            cursor = session_slot(&mut table, cursor, peer) + 1;
+            let (_, session) = &mut table[cursor - 1];
             let mut pieces: Vec<UpdateMessage> = msg
                 .withdrawn
                 .into_iter()
@@ -1207,17 +1212,14 @@ impl SimNet {
                 } else {
                     0
                 };
-                let mut at = self.now + BASE_LATENCY_US + jitter + extra;
                 // TCP FIFO per directed session.
-                let key = (from, to, session_idx);
-                if let Some(&last) = self.fifo.get(&key) {
-                    at = at.max(last + 1);
-                }
-                self.fifo.insert(key, at);
+                let at = (self.now + BASE_LATENCY_US + jitter + extra).max(session.last + 1);
+                session.last = at;
                 self.queue
                     .schedule(at, NetEvent::Deliver { to, on, msg: piece });
             }
         }
+        self.sessions.insert(from, table);
     }
 
     /// The coalescing emission path: one in-flight batch per directed
@@ -1229,10 +1231,11 @@ impl SimNet {
     /// earlier delivery (the FIFO clamp) and merged content arrives exactly
     /// when the batch does.
     fn emit_coalesced(&mut self, from: DeviceId, outputs: Vec<(PeerId, UpdateMessage)>) {
+        let mut table = self.sessions.remove(from).unwrap_or_default();
+        let mut cursor = 0;
         for (peer, msg) in outputs {
             let to = DeviceId(peer.device());
-            let session_idx = peer.session_index();
-            let on = PeerId::compose(from.0, session_idx);
+            let on = PeerId::compose(from.0, peer.session_index());
             // Faults apply per output message: a dropped fate loses the whole
             // UPDATE (as a dropped TCP segment would stall its content), a
             // delay fate pushes out a freshly-opened batch but cannot move
@@ -1241,16 +1244,15 @@ impl SimNet {
                 self.note_fault_drop(from, to);
                 continue;
             };
-            let key = (from, to, session_idx);
-            if let Some(&(id, at)) = self.open_batch.get(&key) {
-                if at >= self.now + BASE_LATENCY_US {
-                    self.counters.updates_coalesced.inc();
-                    self.batches
-                        .get_mut(&id)
-                        .expect("open batch has a payload")
-                        .merge(msg);
-                    continue;
-                }
+            cursor = session_slot(&mut table, cursor, peer) + 1;
+            let (_, session) = &mut table[cursor - 1];
+            if session.last >= self.now + BASE_LATENCY_US {
+                self.counters.updates_coalesced.inc();
+                self.batches[(session.batch - self.batch_base) as usize]
+                    .as_mut()
+                    .expect("open batch has a payload")
+                    .merge(msg);
+                continue;
             }
             let jitter = if self.cfg.jitter_us > 0 {
                 self.rng.gen_range(0..=self.cfg.jitter_us)
@@ -1264,19 +1266,41 @@ impl SimNet {
             // instead of scheduling deliveries of its own, which also damps
             // path hunting: the receiver never processes the squashed-away
             // intermediate states, so it never re-advertises them.
-            let mut at = self.now + 3 * BASE_LATENCY_US + jitter + extra;
-            if let Some(&last) = self.fifo.get(&key) {
-                at = at.max(last + 1);
-            }
-            self.fifo.insert(key, at);
-            let id = self.next_batch_id;
-            self.next_batch_id += 1;
-            self.batches.insert(id, msg);
-            self.open_batch.insert(key, (id, at));
+            let at = (self.now + 3 * BASE_LATENCY_US + jitter + extra).max(session.last + 1);
+            let batch = self.batch_base + self.batches.len() as u64;
+            *session = Session { last: at, batch };
+            self.batches.push_back(Some(msg));
             self.queue
-                .schedule(at, NetEvent::DeliverBatch { to, on, batch: id });
+                .schedule(at, NetEvent::DeliverBatch { to, on, batch });
         }
+        self.sessions.insert(from, table);
     }
+}
+
+/// The sender's side of one directed session: when its latest delivery is
+/// scheduled (the TCP FIFO clamp) and, with coalescing on, the batch that
+/// delivery carries — the session's open batch while it is at least one
+/// base latency away.
+#[derive(Debug, Clone, Copy, Default)]
+struct Session {
+    /// Time of the latest delivery scheduled on the session (0: none yet).
+    last: SimTime,
+    /// Id of the batch delivered at `last`.
+    batch: u64,
+}
+
+/// The index of `peer`'s slot in the session-ascending `table`, inserted if
+/// absent. A walk over session-ascending output passes the index after the
+/// previous answer as `cursor`, where the next session's slot usually is.
+fn session_slot(table: &mut Vec<(PeerId, Session)>, cursor: usize, peer: PeerId) -> usize {
+    if table.get(cursor).is_some_and(|(p, _)| *p == peer) {
+        return cursor;
+    }
+    let i = table.partition_point(|(p, _)| *p < peer);
+    if table.get(i).is_none_or(|(p, _)| *p != peer) {
+        table.insert(i, (peer, Session::default()));
+    }
+    i
 }
 
 #[cfg(test)]
@@ -1645,6 +1669,119 @@ mod tests {
         assert_eq!(net.pending_events(), 1);
         net.run_until_quiescent().expect_converged();
         net.verify_full_equivalence().unwrap();
+    }
+
+    /// Step `net` to quiescence, asserting per-session FIFO: every directed
+    /// session delivers its batches in the order they were opened (id) and
+    /// at strictly increasing times. Returns the batches delivered.
+    fn step_checking_fifo(net: &mut SimNet) -> usize {
+        let mut newest: BTreeMap<(PeerId, DeviceId), (SimTime, u64)> = BTreeMap::new();
+        let mut delivered = 0;
+        while let Some((t, ev)) = net.queue.peek() {
+            if let NetEvent::DeliverBatch { to, on, batch } = *ev {
+                if let Some(&(last_t, last_id)) = newest.get(&(on, to)) {
+                    assert!(
+                        t > last_t && batch > last_id,
+                        "d{}s{} -> d{}: batch {batch} at {t} after batch {last_id} at {last_t}",
+                        on.device(),
+                        on.session_index(),
+                        to.0
+                    );
+                }
+                newest.insert((on, to), (t, batch));
+                delivered += 1;
+            }
+            net.step();
+        }
+        delivered
+    }
+
+    /// A converged tiny fabric under a fault plan that delays every message
+    /// by up to 20 ms, and its first rack switch with the first uplink link,
+    /// after the switch has just originated its rack prefix: that UPDATE is
+    /// in flight toward the uplink.
+    fn rack_update_in_flight(seed: u64) -> (SimNet, DeviceId, centralium_topology::Link) {
+        let (topo, idx, _) = build_fabric(&FabricSpec::tiny());
+        let cfg = SimConfig {
+            seed,
+            fault: FaultPlan {
+                drop_probability: 0.0,
+                max_extra_delay_us: 20_000,
+            },
+            ..Default::default()
+        };
+        let mut net = SimNet::new(topo, cfg);
+        net.establish_all();
+        for &eb in &idx.backbone {
+            net.originate(eb, default_route(), [well_known::BACKBONE_DEFAULT_ROUTE]);
+        }
+        net.run_until_quiescent().expect_converged();
+        let rsw = idx.rsw[0][0];
+        let link = *net.topo.links().find(|l| l.a == rsw).expect("an uplink");
+        net.originate(rsw, Prefix::new(0x0A00_0000, 24), [well_known::RACK_PREFIX]);
+        net.run_until(net.now());
+        assert!(net.pending_events() > 0, "the rack UPDATE is in flight");
+        (net, rsw, link)
+    }
+
+    #[test]
+    fn out_of_order_deliveries_leave_the_batch_slab_empty() {
+        let (topo, idx, _) = build_fabric(&FabricSpec::tiny());
+        let cfg = SimConfig {
+            seed: 3,
+            jitter_us: 4 * BASE_LATENCY_US,
+            ..Default::default()
+        };
+        let mut net = SimNet::new(topo, cfg);
+        net.establish_all();
+        for &eb in &idx.backbone {
+            net.originate(eb, default_route(), [well_known::BACKBONE_DEFAULT_ROUTE]);
+        }
+        let (mut newest, mut overtaken) = (0, 0);
+        while let Some((_, ev)) = net.queue.peek() {
+            if let NetEvent::DeliverBatch { batch, .. } = *ev {
+                overtaken += usize::from(batch < newest);
+                newest = newest.max(batch);
+            }
+            net.step();
+        }
+        assert!(overtaken > 0, "no batch was delivered before an older one");
+        assert!(
+            net.batches.is_empty(),
+            "{} slab slots left",
+            net.batches.len()
+        );
+        assert_eq!(net.batch_base, newest + 1);
+    }
+
+    /// A link removed and re-cabled while an UPDATE is in flight on it comes
+    /// back with the same session index. The sender's slot survives, so the
+    /// re-advertisement queues behind the in-flight batch: merged into it
+    /// while it is open, clamped behind it otherwise.
+    #[test]
+    fn a_recabled_session_keeps_fifo_behind_its_in_flight_batch() {
+        for seed in 1..=6 {
+            let (mut net, rsw, link) = rack_update_in_flight(seed);
+            net.disconnect_link(link.id);
+            net.run_until(net.now());
+            net.connect_devices(rsw, link.b, link.capacity_gbps);
+            assert!(step_checking_fifo(&mut net) > 0);
+            let fsw = net.device(link.b).expect("the uplink is live");
+            assert!(fsw.daemon.is_established(PeerId::compose(rsw.0, 0)));
+        }
+    }
+
+    /// The same guarantee across a device bounce: sessions come back one
+    /// failure-detection delay later, while UPDATEs sent before the
+    /// bounce can still be in flight.
+    #[test]
+    fn a_bounced_device_keeps_fifo_behind_its_in_flight_batches() {
+        for seed in 1..=6 {
+            let (mut net, rsw, _) = rack_update_in_flight(seed);
+            net.device_down(rsw);
+            net.device_up(rsw);
+            assert!(step_checking_fifo(&mut net) > 0);
+        }
     }
 
     #[test]
