@@ -83,7 +83,10 @@ pub enum RoutingIntent {
         destination: Community,
         /// Per-device neighbor-ASN → weight lists.
         per_device: Vec<(DeviceId, Vec<(centralium_topology::Asn, u32)>)>,
-        /// Optional expiry (simulated µs since start).
+        /// Optional deadline in absolute sim µs. Deploying the compiled
+        /// document queues an expiry event at it, after which the devices
+        /// fall back to their native distribution; the installed document
+        /// itself stays.
         expiration_time: Option<u64>,
     },
     /// Route Filter RPA at a domain boundary: allow only these prefixes (with

@@ -53,19 +53,6 @@ impl RpaDocument {
             RpaDocument::RouteFilter(_) => None,
         }
     }
-
-    /// Whether any statement's outcome depends on the engine clock (Route
-    /// Attribute expiry). An expiry deadline may pass between two events, so
-    /// time-dependent documents must join every dirty scope: the triggering
-    /// change need not name them for their decision outcome to flip.
-    pub fn time_dependent(&self) -> bool {
-        match self {
-            RpaDocument::RouteAttribute(d) => {
-                d.statements.iter().any(|s| s.expiration_time.is_some())
-            }
-            _ => false,
-        }
-    }
 }
 
 /// Errors raised when installing or compiling RPA documents.

@@ -11,8 +11,10 @@
 //!   among Route Attribute documents, the first applicable statement of the
 //!   first document *in name order* governs a prefix; Route Filter
 //!   statements all apply (AND). So every answer is a function of the
-//!   installed set, the candidates and the clock, never of the order the
-//!   documents arrived in: a same-name install replaces the old document.
+//!   installed set and the candidates, never of the order the documents
+//!   arrived in: a same-name install replaces the old document;
+//! * a Route Attribute statement's deadline is applied by [`RpaEngine::expire`],
+//!   which the host calls when the deadline passes: the engine keeps no clock.
 
 use crate::document::{RpaDocument, RpaError};
 use crate::path_selection::{MinNextHop, PathSelectionRpa};
@@ -69,6 +71,8 @@ enum CompiledDoc {
 struct Installed {
     /// The document as installed; its name is this entry's key.
     source: RpaDocument,
+    /// What the hooks evaluate. An expired Route Attribute statement leaves
+    /// here; `source` is never edited.
     compiled: CompiledDoc,
     /// Half-open range of signature ids allocated to this document's
     /// compiled signatures. Ids are never reused, so on remove/replace the
@@ -94,6 +98,30 @@ struct EngineTelemetryInner {
     eval_us: Histogram,
 }
 
+impl EngineTelemetry {
+    /// Record a successful document change on counters and the journal. An
+    /// expiry counts on neither counter: no document arrived or left.
+    fn note_doc_change(&self, action: &'static str, name: &str) {
+        let Some(tel) = self.0.as_deref() else {
+            return;
+        };
+        match action {
+            "remove" => tel.removals.inc(),
+            "expire" => {}
+            _ => tel.installs.inc(),
+        }
+        if tel.telemetry.journal_enabled() {
+            tel.telemetry.record(
+                tel.telemetry
+                    .event(EventKind::RpaInstall, Severity::Info)
+                    .field("device", tel.scope.as_str())
+                    .field("action", action)
+                    .field("document", name),
+            );
+        }
+    }
+}
+
 /// Bucket bounds (µs) for RPA evaluation latency.
 const EVAL_US_BOUNDS: &[f64] = &[0.5, 1.0, 2.0, 5.0, 10.0, 25.0, 50.0, 100.0, 500.0, 1000.0];
 
@@ -104,8 +132,6 @@ pub struct RpaEngine {
     docs: BTreeMap<String, Installed>,
     /// Remote ASN per session, for `PeerSignature::AsnRange`.
     peer_asn: HashMap<PeerId, Asn>,
-    /// Simulated time used for Route Attribute expiry.
-    now: u64,
     cache_enabled: bool,
     /// Memoized signature verdicts keyed `(sig_id, AS-path, community set)`,
     /// by content — the two sequences cover everything a path signature can
@@ -131,7 +157,6 @@ impl RpaEngine {
         RpaEngine {
             docs: BTreeMap::new(),
             peer_asn: HashMap::new(),
-            now: 0,
             cache_enabled: true,
             cache: Mutex::new(HashMap::new()),
             stats: Mutex::new(EngineStats::default()),
@@ -157,27 +182,6 @@ impl RpaEngine {
         })));
     }
 
-    /// Record a successful document change on counters and the journal.
-    fn note_doc_change(&self, action: &'static str, name: &str) {
-        let Some(tel) = self.telemetry.0.as_deref() else {
-            return;
-        };
-        if action == "remove" {
-            tel.removals.inc();
-        } else {
-            tel.installs.inc();
-        }
-        if tel.telemetry.journal_enabled() {
-            tel.telemetry.record(
-                tel.telemetry
-                    .event(EventKind::RpaInstall, Severity::Info)
-                    .field("device", tel.scope.as_str())
-                    .field("action", action)
-                    .field("document", name),
-            );
-        }
-    }
-
     /// Toggle the evaluation cache (Table 2 ablation). The mode's foreign
     /// counters are zeroed on each switch — with the cache off, `stats()`
     /// must not keep reporting hit/miss counts from the enabled era (and
@@ -192,11 +196,6 @@ impl RpaEngine {
             stats.cache_hits = 0;
             stats.cache_misses = 0;
         }
-    }
-
-    /// Advance the engine's clock (Route Attribute expiry).
-    pub fn set_time(&mut self, now: u64) {
-        self.now = now;
     }
 
     /// Record a session's remote ASN (needed by ASN-range peer signatures).
@@ -245,12 +244,12 @@ impl RpaEngine {
         let name = installed.source.name().to_string();
         match self.docs.insert(name.clone(), installed) {
             Some(old) => {
-                self.note_doc_change("replace", &name);
+                self.telemetry.note_doc_change("replace", &name);
                 self.retire_signatures(old.sig_range);
             }
             // A fresh document needs no memo invalidation: its signature
             // ids were never seen, so no cached verdict can be stale.
-            None => self.note_doc_change("install", &name),
+            None => self.telemetry.note_doc_change("install", &name),
         }
         Ok(())
     }
@@ -261,9 +260,39 @@ impl RpaEngine {
             .docs
             .remove(name)
             .ok_or_else(|| RpaError::UnknownName(name.to_string()))?;
-        self.note_doc_change("remove", name);
+        self.telemetry.note_doc_change("remove", name);
         self.retire_signatures(removed.sig_range);
         Ok(removed.source)
+    }
+
+    /// Drop every compiled Route Attribute statement whose deadline is at or
+    /// before `t` (absolute sim µs) and return the destinations they
+    /// governed: only prefixes one of them applies to can change outcome.
+    /// Idempotent — a second call at the same `t` drops nothing. The source
+    /// documents stay as installed, so [`documents`](Self::documents) still
+    /// reports what the controller deployed.
+    pub fn expire(&mut self, t: u64) -> Vec<Destination> {
+        let Self {
+            docs, telemetry, ..
+        } = self;
+        let mut expired = Vec::new();
+        for (name, doc) in docs {
+            let CompiledDoc::RouteAttribute(statements) = &mut doc.compiled else {
+                continue;
+            };
+            let before = expired.len();
+            statements.retain(|st| {
+                let live = st.expiration_time.is_none_or(|deadline| t < deadline);
+                if !live {
+                    expired.push(st.destination.clone());
+                }
+                live
+            });
+            if expired.len() > before {
+                telemetry.note_doc_change("expire", name);
+            }
+        }
+        expired
     }
 
     /// Which document/statement governs `prefix` given candidate routes —
@@ -494,9 +523,6 @@ impl RibPolicy for RpaEngine {
                 continue;
             };
             for st in statements {
-                if !st.expiration_time.map(|t| self.now < t).unwrap_or(true) {
-                    continue; // expired: native fallback
-                }
                 if !st.destination.applies(prefix, carries) {
                     continue;
                 }
@@ -748,8 +774,10 @@ mod tests {
 
     #[test]
     fn assign_weights_prescribes_and_expires() {
+        let telemetry = Telemetry::with_journal(16);
         let mut e = RpaEngine::new();
-        e.install(RpaDocument::RouteAttribute(RouteAttributeRpa::single(
+        e.set_telemetry(&telemetry, "d0");
+        let doc = RpaDocument::RouteAttribute(RouteAttributeRpa::single(
             "te",
             RouteAttributeStatement::new(
                 Destination::Any,
@@ -765,8 +793,8 @@ mod tests {
                 ],
             )
             .expires_at(100),
-        )))
-        .unwrap();
+        ));
+        e.install(doc.clone()).unwrap();
         let selected = vec![
             route(1, &[1, 9], &[]),
             route(2, &[2, 8], &[]),
@@ -776,9 +804,33 @@ mod tests {
             e.assign_weights(Prefix::DEFAULT, &selected),
             Some(vec![3, 1, 1])
         );
-        // After expiry: native fallback.
-        e.set_time(100);
+        // Before the deadline nothing expires.
+        assert!(e.expire(99).is_empty());
+        assert_eq!(
+            e.assign_weights(Prefix::DEFAULT, &selected),
+            Some(vec![3, 1, 1])
+        );
+        // At the deadline the statement leaves, reporting its destination;
+        // the weights fall back to native and a second call drops nothing.
+        assert_eq!(e.expire(100), vec![Destination::Any]);
         assert_eq!(e.assign_weights(Prefix::DEFAULT, &selected), None);
+        assert!(e.expire(100).is_empty());
+        // The source document stays as installed.
+        assert_eq!(e.document("te"), Some(&doc));
+        let snap = telemetry.metrics().snapshot();
+        assert_eq!(
+            (snap.counter("rpa.installs"), snap.counter("rpa.removals")),
+            (1, 0),
+            "an expiry is neither an install nor a removal"
+        );
+        let actions: Vec<String> = telemetry
+            .journal()
+            .unwrap()
+            .snapshot()
+            .iter()
+            .filter_map(|ev| ev.get("action")?.as_str().map(str::to_string))
+            .collect();
+        assert_eq!(actions, vec!["install", "expire"]);
     }
 
     #[test]

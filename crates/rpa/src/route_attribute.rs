@@ -29,8 +29,11 @@ pub struct RouteAttributeStatement {
     /// Weight list, first match per route wins; routes matching nothing get
     /// weight 1.
     pub next_hop_weight_list: Vec<NextHopWeight>,
-    /// Simulated-time deadline after which the statement is invalid and BGP
-    /// falls back to its native distribution (ECMP / distributed WCMP).
+    /// Deadline in absolute sim µs: from this instant on the statement is
+    /// invalid and BGP falls back to its native distribution (ECMP /
+    /// distributed WCMP). Deploying the document queues one expiry event per
+    /// distinct deadline, which re-decides the prefixes the statement
+    /// governed; a document installed after its deadline is born expired.
     #[serde(default, skip_serializing_if = "Option::is_none")]
     pub expiration_time: Option<u64>,
 }

@@ -9,46 +9,12 @@ use crate::event::SimTime;
 use crate::fib::FibScratch;
 use crate::trace::ConvergenceReport;
 use centralium_bgp::policy::Policy;
-use centralium_bgp::{BgpDaemon, PathAttributes, PeerId, Prefix, UpdateMessage};
-use centralium_rpa::{RpaDocument, RpaEngine};
+use centralium_bgp::{BgpDaemon, PeerId, Prefix, UpdateMessage};
+use centralium_rpa::{Destination, RpaDocument, RpaEngine};
 use centralium_telemetry::{Event, EventKind, Severity, Telemetry};
 use centralium_topology::{DeviceId, Topology};
+use std::borrow::Borrow;
 use std::sync::Arc;
-
-/// The device-local portion of one event, executed in a window's work
-/// phase. Mirrors [`NetEvent`] minus the target device id (held by the
-/// event's [`Slot`]) and minus everything the pre-pass already consumed
-/// (global counters, churn/origination bookkeeping).
-#[derive(Debug)]
-enum Work {
-    /// Apply a BGP UPDATE received on session `on`.
-    Deliver { on: PeerId, msg: UpdateMessage },
-    /// A session reached Established.
-    SessionUp { peer: PeerId },
-    /// A session dropped.
-    SessionDown { peer: PeerId },
-    /// Re-send the full Adj-RIB-Out for session `on` if it is established.
-    RouteRefresh { on: PeerId },
-    /// Tear down and unconfigure a session.
-    RemovePeer { peer: PeerId },
-    /// Install an RPA document.
-    InstallRpa { doc: Box<RpaDocument> },
-    /// Remove an RPA document by name.
-    RemoveRpa { name: String },
-    /// Start originating a prefix.
-    Originate {
-        prefix: Prefix,
-        attrs: PathAttributes,
-    },
-    /// Stop originating a prefix.
-    WithdrawOrigin { prefix: Prefix },
-    /// Apply an export-policy override across all sessions.
-    SetExportPolicy { policy: Policy },
-    /// Crash-restart the RPA agent, losing installed documents.
-    AgentRestart,
-    /// Re-run the full decision process without a configuration change.
-    Reevaluate,
-}
 
 /// What the work phase produced for one event: the daemon's output updates,
 /// then route-refresh requests toward `(neighbor, neighbor's session)` — the
@@ -68,31 +34,14 @@ struct Slot {
     t: SimTime,
     /// Target device; `None` when the event was a no-op (device gone).
     dev: Option<DeviceId>,
-    /// Device-local work, taken by the work phase.
-    work: Option<Work>,
+    /// The event as the device runs it (a batch delivery as the `Deliver` it
+    /// carries), taken by the work phase.
+    work: Option<NetEvent>,
     /// What the work phase produced, replayed by the merge phase.
     output: Output,
     /// Journal events of the pre-pass and the work phase, provenance steps
     /// included.
     events: Vec<Event>,
-}
-
-/// Static span/report name of one [`Work`] kind.
-fn work_name(work: &Work) -> &'static str {
-    match work {
-        Work::Deliver { .. } => "deliver",
-        Work::SessionUp { .. } => "session_up",
-        Work::SessionDown { .. } => "session_down",
-        Work::RouteRefresh { .. } => "route_refresh",
-        Work::RemovePeer { .. } => "remove_peer",
-        Work::InstallRpa { .. } => "install_rpa",
-        Work::RemoveRpa { .. } => "remove_rpa",
-        Work::Originate { .. } => "originate",
-        Work::WithdrawOrigin { .. } => "withdraw_origin",
-        Work::SetExportPolicy { .. } => "set_export_policy",
-        Work::AgentRestart => "agent_restart",
-        Work::Reevaluate => "reevaluate",
-    }
 }
 
 /// Execute the device-local part of one event. Touches only `dev`, read-only
@@ -103,25 +52,19 @@ fn run_work(
     dev: &mut SimDevice,
     scratch: &mut FibScratch,
     t: SimTime,
-    work: Work,
+    work: NetEvent,
     counters: &NetCounters,
     topo: &Topology,
     cfg: &SimConfig,
 ) -> Output {
     let updates = match work {
-        Work::Deliver { on, msg } => {
-            dev.engine.set_time(t);
-            dev.decide(scratch, |dm, e| dm.ingest(on, msg, e))
+        NetEvent::Deliver { on, msg, .. } => dev.decide(scratch, |dm, e| dm.ingest(on, msg, e)),
+        NetEvent::DeliverBatch { .. } => {
+            unreachable!("the pre-pass turns a batch into the Deliver it carries")
         }
-        Work::SessionUp { peer } => {
-            dev.engine.set_time(t);
-            dev.daemon.peer_up(peer, &dev.engine)
-        }
-        Work::SessionDown { peer } => {
-            dev.engine.set_time(t);
-            dev.decide(scratch, |dm, _| dm.peer_down(peer))
-        }
-        Work::RouteRefresh { on } => {
+        NetEvent::SessionUp { peer, .. } => dev.daemon.peer_up(peer, &dev.engine),
+        NetEvent::SessionDown { peer, .. } => dev.decide(scratch, |dm, _| dm.peer_down(peer)),
+        NetEvent::RouteRefreshRequest { on, .. } => {
             // The establishment check must run here, not in the pre-pass: an
             // earlier event in the same window may have dropped the session.
             if !dev.daemon.is_established(on) {
@@ -134,12 +77,8 @@ fn run_work(
                 vec![(on, refresh)]
             }
         }
-        Work::RemovePeer { peer } => {
-            dev.engine.set_time(t);
-            dev.decide(scratch, |dm, _| dm.remove_peer(peer))
-        }
-        Work::InstallRpa { doc } => {
-            dev.engine.set_time(t);
+        NetEvent::RemovePeer { peer, .. } => dev.decide(scratch, |dm, _| dm.remove_peer(peer)),
+        NetEvent::InstallRpa { doc, .. } => {
             // Dirty-prefix frontier: combine the scopes of the incoming
             // document and (on a replace) the one it displaces — the old
             // document's prefixes must re-decide too, since its effect is
@@ -149,25 +88,31 @@ fn run_work(
                 None => rpa_scope(dev, &[doc.as_ref()]),
             };
             match dev.engine.install(*doc) {
-                Ok(()) => dev.decide(scratch, |dm, e| mark_scope(dm, e, scope, counters)),
+                Ok(()) => {
+                    // A document that arrives at or after a deadline of its
+                    // own is born expired.
+                    let expired = dev.engine.expire(t);
+                    dev.decide(scratch, |dm, e| {
+                        mark_scope(dm, e, scope, counters);
+                        mark_applicable(dm, &expired);
+                    })
+                }
                 Err(_) => {
                     counters.rpa_failures.inc();
                     Vec::new()
                 }
             }
         }
-        Work::RemoveRpa { name } => {
-            dev.engine.set_time(t);
+        NetEvent::RemoveRpa { name, .. } => {
             // Scope must come from the document *before* removal — after it,
             // the engine no longer knows which prefixes it governed.
             // Removing an ingress-only Route Filter only *relaxes* admission:
             // routes already held keep passing (no purge needed), and routes
             // the filter had evicted come back via the refresh requests
-            // returned below. Only time-joined prefixes can flip right now,
-            // which is exactly `rpa_scope` over an empty document set.
+            // returned below. No decision can flip right now.
             let scope = match dev.engine.document(&name) {
                 Some(RpaDocument::RouteFilter(rf)) if !rf.constrains_egress() => {
-                    rpa_scope(dev, &[])
+                    RpaScope::Prefixes(Vec::new())
                 }
                 Some(RpaDocument::RouteFilter(_)) => RpaScope::Full,
                 Some(old) => rpa_scope(dev, &[old]),
@@ -194,15 +139,20 @@ fn run_work(
             };
             return (updates, refresh);
         }
-        Work::Originate { prefix, attrs } => {
-            dev.engine.set_time(t);
+        NetEvent::ExpireRpa { .. } => {
+            let expired = dev.engine.expire(t);
+            if expired.is_empty() {
+                return Output::default();
+            }
+            dev.decide(scratch, |dm, _| mark_applicable(dm, &expired))
+        }
+        NetEvent::Originate { prefix, attrs, .. } => {
             dev.decide(scratch, |dm, _| dm.originate(prefix, attrs))
         }
-        Work::WithdrawOrigin { prefix } => {
-            dev.engine.set_time(t);
+        NetEvent::WithdrawOrigin { prefix, .. } => {
             dev.decide(scratch, |dm, _| dm.withdraw_origin(prefix))
         }
-        Work::SetExportPolicy { policy } => {
+        NetEvent::SetExportPolicy { policy, .. } => {
             let peers = dev.daemon.peer_ids();
             let composed: Vec<(PeerId, Arc<Policy>)> = peers
                 .iter()
@@ -227,7 +177,6 @@ fn run_work(
                     )
                 })
                 .collect();
-            dev.engine.set_time(t);
             dev.decide(scratch, |dm, _| {
                 for (peer, p) in composed {
                     dm.set_export_policy(peer, p);
@@ -238,8 +187,7 @@ fn run_work(
                 dm.mark(dm.known_prefixes());
             })
         }
-        Work::AgentRestart => {
-            dev.engine.set_time(t);
+        NetEvent::AgentRestart { .. } => {
             let installed: Vec<String> = dev
                 .engine
                 .installed()
@@ -251,10 +199,7 @@ fn run_work(
             }
             dev.decide(scratch, mark_all)
         }
-        Work::Reevaluate => {
-            dev.engine.set_time(t);
-            dev.decide(scratch, mark_all)
-        }
+        NetEvent::Reevaluate { .. } => dev.decide(scratch, mark_all),
     };
     (updates, Vec::new())
 }
@@ -295,9 +240,9 @@ enum RpaScope {
 ///   shrinks, and by the eviction invariant — the Adj-RIB-In never holds a
 ///   route the current filters reject — no *other* prefix's candidates can
 ///   have changed. The result is [`RpaScope::Filtered`]: purge, then decide
-///   purged ∪ time-joined prefixes.
+///   the purged prefixes plus the other documents' destination scopes.
 fn rpa_scope(dev: &SimDevice, docs: &[&RpaDocument]) -> RpaScope {
-    let mut dests: Vec<&centralium_rpa::Destination> = Vec::new();
+    let mut dests: Vec<&Destination> = Vec::new();
     let mut ingress = false;
     for doc in docs {
         if let RpaDocument::RouteFilter(rf) = doc {
@@ -312,31 +257,37 @@ fn rpa_scope(dev: &SimDevice, docs: &[&RpaDocument]) -> RpaScope {
             None => return RpaScope::Full,
         }
     }
-    // Installed documents with expiring statements re-evaluate against the
-    // clock, so an unrelated install can still flip their outcome (the
-    // deadline passed since the last decision run): their destinations join
-    // every dirty scope.
-    for doc in dev.engine.documents().filter(|doc| doc.time_dependent()) {
-        match doc.destinations() {
-            Some(d) => dests.extend(d),
-            None => return RpaScope::Full,
-        }
-    }
-    let scope = dev
-        .daemon
-        .known()
-        .filter(|(prefix, candidates)| {
-            dests
-                .iter()
-                .any(|d| d.applies(*prefix, |c| candidates.any(|attrs| attrs.has_community(c))))
-        })
-        .map(|(prefix, _)| prefix)
-        .collect();
+    let scope = applicable(&dev.daemon, &dests);
     if ingress {
         RpaScope::Filtered(scope)
     } else {
         RpaScope::Prefixes(scope)
     }
+}
+
+/// The known prefixes on `daemon` some destination
+/// [`applies`](centralium_rpa::Destination::applies) to, found in one ordered
+/// walk of [`BgpDaemon::known`] with the candidates read in place.
+fn applicable<D: Borrow<Destination>>(daemon: &BgpDaemon, dests: &[D]) -> Vec<Prefix> {
+    if dests.is_empty() {
+        return Vec::new();
+    }
+    daemon
+        .known()
+        .filter(|(prefix, candidates)| {
+            dests.iter().any(|d| {
+                d.borrow()
+                    .applies(*prefix, |c| candidates.any(|attrs| attrs.has_community(c)))
+            })
+        })
+        .map(|(prefix, _)| prefix)
+        .collect()
+}
+
+/// Mark the known prefixes an expired statement's destination applies to.
+fn mark_applicable(dm: &mut BgpDaemon, expired: &[Destination]) {
+    let prefixes = applicable(dm, expired);
+    dm.mark(prefixes);
 }
 
 /// Mark what the computed scope re-decides. Scoped marks are
@@ -656,7 +607,7 @@ impl SimNet {
     /// Run a slot's device work, if it has any. The journal events the work
     /// records, and the provenance steps it causes while a prefix is traced,
     /// are held in the slot. With span tracing on, the
-    /// event gets a span named after its [`Work`] kind and the time it took
+    /// event gets a span named after its kind and the time it took
     /// lands in `simnet.event.latency_ns` and the device's busy counter; off,
     /// that costs two relaxed atomic loads.
     fn run_job(&mut self, slot: &mut Slot) {
@@ -680,7 +631,7 @@ impl SimNet {
         let traced = provenance.filter(|_| telemetry.journal_enabled());
         let before = traced.map(|p| prov_state(dev, p));
         let started = telemetry.tracing().then(std::time::Instant::now);
-        let mut sp = telemetry.span("simnet.work", work_name(&work));
+        let mut sp = telemetry.span("simnet.work", work.name());
         sp.arg("device", dev_id.0 as u64);
         sp.arg("t_us", slot.t);
         let (output, mut events) =
@@ -720,32 +671,30 @@ impl SimNet {
     }
 
     /// The pre-pass of one event at its own timestamp `t`: device-existence
-    /// check, global counters and bookkeeping, leaving the device-local
-    /// remainder as a [`Work`] job in the returned slot — or none when the
-    /// event is a no-op (target device gone).
+    /// check, global counters and bookkeeping, leaving the event in the
+    /// returned slot as its device's job — or no job when the event is a
+    /// no-op (target device gone). A batch delivery leaves the
+    /// [`NetEvent::Deliver`] it carries.
     fn prepare(&mut self, t: SimTime, ev: NetEvent) -> Slot {
         self.telemetry.set_now(t);
-        let mut slot = Slot {
+        let mut events = Vec::new();
+        let work = self.prepare_inner(t, ev, &mut events);
+        Slot {
             t,
-            dev: None,
-            work: None,
+            dev: work.as_ref().map(NetEvent::target),
+            work,
             output: Output::default(),
-            events: Vec::new(),
-        };
-        if let Some((dev, work)) = self.prepare_inner(t, ev, &mut slot) {
-            slot.dev = Some(dev);
-            slot.work = Some(work);
+            events,
         }
-        slot
     }
 
     fn prepare_inner(
         &mut self,
         t: SimTime,
         ev: NetEvent,
-        slot: &mut Slot,
-    ) -> Option<(DeviceId, Work)> {
-        match ev {
+        events: &mut Vec<Event>,
+    ) -> Option<NetEvent> {
+        let ev = match ev {
             NetEvent::DeliverBatch { to, on, batch } => {
                 // Always take the payload, even when the target device is gone
                 // (leaving it would leak), and trim retired ids off the slab's
@@ -765,103 +714,41 @@ impl SimNet {
                 let size = (msg.announced.len() + msg.withdrawn.len()) as u64;
                 self.max_batch_size = self.max_batch_size.max(size);
                 self.counters.batch_routes.observe(size);
-                Some(self.arrive(t, to, on, msg, &mut slot.events))
+                NetEvent::Deliver { to, on, msg }
             }
-            NetEvent::Deliver { to, on, msg } => {
-                if !self.devices.contains_key(to) {
-                    return None;
-                }
-                Some(self.arrive(t, to, on, msg, &mut slot.events))
-            }
-            NetEvent::SessionUp { dev, peer } => {
-                if !self.devices.contains_key(dev) {
-                    return None;
-                }
-                self.counters.session_events.inc();
-                Self::note_session_transition(&self.telemetry, &mut slot.events, dev, peer, "up");
-                Some((dev, Work::SessionUp { peer }))
-            }
-            NetEvent::SessionDown { dev, peer } => {
-                if !self.devices.contains_key(dev) {
-                    return None;
-                }
-                self.counters.session_events.inc();
-                Self::note_session_transition(&self.telemetry, &mut slot.events, dev, peer, "down");
-                Some((dev, Work::SessionDown { peer }))
-            }
-            NetEvent::RouteRefreshRequest { to, on } => {
-                if !self.devices.contains_key(to) {
-                    return None;
-                }
-                Some((to, Work::RouteRefresh { on }))
-            }
-            NetEvent::RemovePeer { dev, peer } => {
-                if !self.devices.contains_key(dev) {
-                    return None;
-                }
-                self.counters.session_events.inc();
-                Self::note_session_transition(
-                    &self.telemetry,
-                    &mut slot.events,
-                    dev,
-                    peer,
-                    "removed",
-                );
-                Some((dev, Work::RemovePeer { peer }))
-            }
-            NetEvent::InstallRpa { dev, doc } => {
-                if !self.devices.contains_key(dev) {
-                    return None;
-                }
+            ev => ev,
+        };
+        let dev = ev.target();
+        if !self.devices.contains_key(dev) {
+            return None;
+        }
+        match &ev {
+            NetEvent::Deliver { on, msg, .. } => self.arrive(t, dev, *on, msg, events),
+            NetEvent::SessionUp { peer, .. } => self.note_session(events, dev, *peer, "up"),
+            NetEvent::SessionDown { peer, .. } => self.note_session(events, dev, *peer, "down"),
+            NetEvent::RemovePeer { peer, .. } => self.note_session(events, dev, *peer, "removed"),
+            NetEvent::InstallRpa { .. } | NetEvent::RemoveRpa { .. } => {
                 self.counters.rpa_operations.inc();
-                Some((dev, Work::InstallRpa { doc }))
             }
-            NetEvent::RemoveRpa { dev, name } => {
-                if !self.devices.contains_key(dev) {
-                    return None;
+            NetEvent::Originate { prefix, .. } => {
+                self.originators.entry(*prefix).or_default().insert(dev);
+                if let Err(i) = self.prefix_clock.find(prefix) {
+                    self.prefix_clock.insert_at(i, *prefix, (t, None));
                 }
-                self.counters.rpa_operations.inc();
-                Some((dev, Work::RemoveRpa { name }))
             }
-            NetEvent::Originate { dev, prefix, attrs } => {
-                if !self.devices.contains_key(dev) {
-                    return None;
-                }
-                self.originators.entry(prefix).or_default().insert(dev);
-                if let Err(i) = self.prefix_clock.find(&prefix) {
-                    self.prefix_clock.insert_at(i, prefix, (t, None));
-                }
-                Some((dev, Work::Originate { prefix, attrs }))
-            }
-            NetEvent::WithdrawOrigin { dev, prefix } => {
-                if !self.devices.contains_key(dev) {
-                    return None;
-                }
-                if let Some(set) = self.originators.get_mut(&prefix) {
+            NetEvent::WithdrawOrigin { prefix, .. } => {
+                if let Some(set) = self.originators.get_mut(prefix) {
                     set.remove(&dev);
                 }
-                Some((dev, Work::WithdrawOrigin { prefix }))
             }
-            NetEvent::SetExportPolicy { dev, policy } => {
-                if !self.devices.contains_key(dev) {
-                    return None;
-                }
-                Some((dev, Work::SetExportPolicy { policy }))
-            }
-            NetEvent::AgentRestart { dev } => {
-                if !self.devices.contains_key(dev) {
-                    return None;
-                }
-                self.counters.agent_restarts.inc();
-                Some((dev, Work::AgentRestart))
-            }
-            NetEvent::Reevaluate { dev } => {
-                if !self.devices.contains_key(dev) {
-                    return None;
-                }
-                Some((dev, Work::Reevaluate))
-            }
+            NetEvent::AgentRestart { .. } => self.counters.agent_restarts.inc(),
+            NetEvent::RouteRefreshRequest { .. }
+            | NetEvent::SetExportPolicy { .. }
+            | NetEvent::ExpireRpa { .. }
+            | NetEvent::Reevaluate { .. } => {}
+            NetEvent::DeliverBatch { .. } => unreachable!("a batch became its Deliver above"),
         }
+        Some(ev)
     }
 
     /// Fold per-run observations into the metrics registry at quiescence:
@@ -928,20 +815,20 @@ impl SimNet {
     /// The pre-pass side of an UPDATE arriving at live device `to` on its
     /// session `on`, batched or not: delivery and announce/withdraw counters,
     /// the receiver's churn counter, provenance arrival events, and the last
-    /// update time of every originated prefix it carries. Returns the job.
+    /// update time of every originated prefix it carries.
     fn arrive(
         &mut self,
         t: SimTime,
         to: DeviceId,
         on: PeerId,
-        msg: UpdateMessage,
+        msg: &UpdateMessage,
         events: &mut Vec<Event>,
-    ) -> (DeviceId, Work) {
+    ) {
         self.counters.messages_delivered.inc();
         self.counters.announcements.add(msg.announced.len() as u64);
         self.counters.withdrawals.add(msg.withdrawn.len() as u64);
         self.note_churn(to);
-        self.note_provenance_arrival(events, to, on, &msg);
+        self.note_provenance_arrival(events, to, on, msg);
         if !self.prefix_clock.is_empty() {
             let carried = msg.announced.iter().map(|(p, _)| p).chain(&msg.withdrawn);
             for p in carried {
@@ -950,7 +837,6 @@ impl SimNet {
                 }
             }
         }
-        (to, Work::Deliver { on, msg })
     }
 
     /// Bump the per-device UPDATE-churn counter for `dev`, binding the
@@ -1021,18 +907,13 @@ impl SimNet {
         }
     }
 
-    /// Note a session lifecycle change (up / down / removed) as a journal
-    /// event of the event being prepared.
-    fn note_session_transition(
-        telemetry: &Telemetry,
-        events: &mut Vec<Event>,
-        dev: DeviceId,
-        peer: PeerId,
-        state: &str,
-    ) {
-        if telemetry.journal_enabled() {
+    /// Count a session lifecycle change (up / down / removed) and note it as
+    /// a journal event of the event being prepared.
+    fn note_session(&self, events: &mut Vec<Event>, dev: DeviceId, peer: PeerId, state: &str) {
+        self.counters.session_events.inc();
+        if self.telemetry.journal_enabled() {
             events.push(
-                telemetry
+                self.telemetry
                     .event(EventKind::SessionTransition, Severity::Info)
                     .field("device", format!("d{}", dev.0))
                     .field("neighbor", format!("d{}", peer.device()))
@@ -1049,9 +930,8 @@ mod tests {
     use centralium_bgp::attrs::well_known;
     use centralium_bgp::{Community, FibEntry, Route};
     use centralium_rpa::{
-        Destination, PathSelectionRpa, PathSelectionStatement, PathSet, PathSignature,
-        PeerSignature, PrefixFilter, RouteAttributeRpa, RouteAttributeStatement, RouteFilterRpa,
-        RouteFilterStatement,
+        PathSelectionRpa, PathSelectionStatement, PathSet, PathSignature, PeerSignature,
+        PrefixFilter, RouteFilterRpa, RouteFilterStatement,
     };
     use centralium_topology::{build_fabric, FabricSpec};
     use std::collections::BTreeMap;
@@ -1073,12 +953,6 @@ mod tests {
                 RpaDocument::RouteFilter(rf) if rf.constrains_egress() => return RpaScope::Full,
                 RpaDocument::RouteFilter(_) => ingress = true,
                 _ => dests.extend(doc.destinations().expect("bounded destinations")),
-            }
-        }
-        for name in dev.engine.installed() {
-            let doc = dev.engine.document(name).expect("installed");
-            if doc.time_dependent() {
-                dests.extend(doc.destinations().expect("bounded destinations"));
             }
         }
         let applies = |d: &Destination, prefix: Prefix, candidates: &[Route]| match d {
@@ -1276,31 +1150,16 @@ mod tests {
         cases.push(vec![]);
         cases.push(vec![racks, exact]);
         cases.push(vec![ingress, backbone]);
-        let timed = RpaDocument::RouteAttribute(RouteAttributeRpa::single(
-            "timed",
-            RouteAttributeStatement::new(
-                Destination::PrefixWithin(Prefix::new(0x0A03_0000, 16)),
-                vec![],
-            )
-            .expires_at(60_000_000),
-        ));
-
         for id in [rsw, fsw, ssw] {
-            for with_timed in [false, true] {
-                if with_timed {
-                    let dev = net.device_mut(id).unwrap();
-                    dev.engine.install(timed.clone()).unwrap();
-                }
-                let dev = net.device(id).unwrap();
-                for docs in &cases {
-                    assert_eq!(
-                        rpa_scope(dev, docs),
-                        reference_scope(dev, docs, &universe),
-                        "d{} with {:?} (timed document installed: {with_timed})",
-                        id.0,
-                        docs.iter().map(|d| d.name()).collect::<Vec<_>>(),
-                    );
-                }
+            let dev = net.device(id).unwrap();
+            for docs in &cases {
+                assert_eq!(
+                    rpa_scope(dev, docs),
+                    reference_scope(dev, docs, &universe),
+                    "d{} with {:?}",
+                    id.0,
+                    docs.iter().map(|d| d.name()).collect::<Vec<_>>(),
+                );
             }
         }
     }

@@ -292,6 +292,57 @@ pub enum NetEvent {
         /// Target device.
         dev: DeviceId,
     },
+    /// An RPA deadline passes on a device: its Route Attribute statements
+    /// due by now stop applying, and only the prefixes they governed
+    /// re-decide. [`SimNet::deploy_rpa`] queues one per distinct deadline
+    /// of the document; when nothing is due (the document was replaced,
+    /// removed or lost first) nothing is decided.
+    ExpireRpa {
+        /// Target device.
+        dev: DeviceId,
+    },
+}
+
+impl NetEvent {
+    /// The device the event acts on.
+    fn target(&self) -> DeviceId {
+        match *self {
+            NetEvent::Deliver { to: dev, .. }
+            | NetEvent::DeliverBatch { to: dev, .. }
+            | NetEvent::RouteRefreshRequest { to: dev, .. }
+            | NetEvent::SessionUp { dev, .. }
+            | NetEvent::SessionDown { dev, .. }
+            | NetEvent::InstallRpa { dev, .. }
+            | NetEvent::RemoveRpa { dev, .. }
+            | NetEvent::RemovePeer { dev, .. }
+            | NetEvent::Originate { dev, .. }
+            | NetEvent::WithdrawOrigin { dev, .. }
+            | NetEvent::SetExportPolicy { dev, .. }
+            | NetEvent::AgentRestart { dev }
+            | NetEvent::Reevaluate { dev }
+            | NetEvent::ExpireRpa { dev } => dev,
+        }
+    }
+
+    /// Static span name of the event's kind.
+    fn name(&self) -> &'static str {
+        match self {
+            NetEvent::Deliver { .. } => "deliver",
+            NetEvent::DeliverBatch { .. } => "deliver_batch",
+            NetEvent::SessionUp { .. } => "session_up",
+            NetEvent::SessionDown { .. } => "session_down",
+            NetEvent::InstallRpa { .. } => "install_rpa",
+            NetEvent::RemoveRpa { .. } => "remove_rpa",
+            NetEvent::RouteRefreshRequest { .. } => "route_refresh",
+            NetEvent::RemovePeer { .. } => "remove_peer",
+            NetEvent::Originate { .. } => "originate",
+            NetEvent::WithdrawOrigin { .. } => "withdraw_origin",
+            NetEvent::SetExportPolicy { .. } => "set_export_policy",
+            NetEvent::AgentRestart { .. } => "agent_restart",
+            NetEvent::Reevaluate { .. } => "reevaluate",
+            NetEvent::ExpireRpa { .. } => "expire_rpa",
+        }
+    }
 }
 
 /// Cached handles for the registry counters the run loop bumps on every
@@ -843,8 +894,22 @@ impl SimNet {
         self.chaos.as_ref()
     }
 
-    /// Deploy an RPA document to a device after `rpc_latency_us`.
+    /// Deploy an RPA document to a device after `rpc_latency_us`, and queue
+    /// one [`NetEvent::ExpireRpa`] at each distinct deadline of its Route
+    /// Attribute statements later than now. Every install the program queues
+    /// comes through here. The expiry events are queued whatever the RPC's
+    /// fate, and `run_until_quiescent` runs through them: read the state
+    /// before a deadline with `run_until`.
     pub fn deploy_rpa(&mut self, dev: DeviceId, doc: RpaDocument, rpc_latency_us: SimTime) {
+        let deadlines: BTreeSet<SimTime> = match &doc {
+            RpaDocument::RouteAttribute(ra) => ra
+                .statements
+                .iter()
+                .filter_map(|st| st.expiration_time)
+                .filter(|&deadline| deadline > self.now)
+                .collect(),
+            _ => BTreeSet::new(),
+        };
         self.schedule_rpc(
             dev,
             rpc_latency_us,
@@ -853,6 +918,9 @@ impl SimNet {
                 doc: Box::new(doc),
             },
         );
+        for deadline in deadlines {
+            self.queue.schedule(deadline, NetEvent::ExpireRpa { dev });
+        }
     }
 
     /// Remove an RPA document from a device after `rpc_latency_us`.

@@ -8,15 +8,18 @@
 //! The script is built to reach every shape the window logic special-cases:
 //! multi-prefix batches, a withdraw/re-announce race and a session flap inside
 //! one wave (batch deliveries deferred behind their emitter's in-window job),
-//! a Route Filter removal (the window cut before route-refresh requests), and
-//! split delivery with coalescing off (per-prefix messages shuffled per
-//! session, the one configuration that takes narrow one-latency windows).
+//! a Route Filter removal (the window cut before route-refresh requests), an
+//! RPA deadline that passes inside a wide window holding other jobs of the
+//! same device (the expiry is an ordinary job, with no cut), and split
+//! delivery with coalescing off (per-prefix messages shuffled per session,
+//! the one configuration that takes narrow one-latency windows).
 
 use centralium_bgp::attrs::{well_known, PathAttributes};
 use centralium_bgp::{FibEntry, Prefix};
 use centralium_rpa::{
-    Destination, PathSelectionRpa, PathSelectionStatement, PathSet, PathSignature, PeerSignature,
-    PrefixFilter, RouteFilterRpa, RouteFilterStatement, RpaDocument,
+    Destination, NextHopWeight, PathSelectionRpa, PathSelectionStatement, PathSet, PathSignature,
+    PeerSignature, PrefixFilter, RouteAttributeRpa, RouteAttributeStatement, RouteFilterRpa,
+    RouteFilterStatement, RpaDocument,
 };
 use centralium_simnet::{verify_rib_consistency, NetEvent, SimConfig, SimNet, TraceStats};
 use centralium_topology::builder::FabricIndex;
@@ -100,6 +103,26 @@ fn boundary_filter() -> RpaDocument {
     })
 }
 
+/// Weight `dev`'s default route 3:1 toward its first upstream neighbor
+/// until `deadline`.
+fn expiring_split(topo: &Topology, dev: DeviceId, deadline: u64) -> RpaDocument {
+    let (up, _) = topo.uplinks(dev)[0];
+    RpaDocument::RouteAttribute(RouteAttributeRpa::single(
+        "split",
+        RouteAttributeStatement::new(
+            Destination::Community(well_known::BACKBONE_DEFAULT_ROUTE),
+            vec![NextHopWeight {
+                signature: PathSignature {
+                    first_asn: topo.device(up).map(|d| d.asn),
+                    ..Default::default()
+                },
+                weight: 3,
+            }],
+        )
+        .expires_at(deadline),
+    ))
+}
+
 /// One backbone device retracts the default route and re-originates it
 /// 40 µs later, well inside the propagation time of the withdraw wave.
 fn withdraw_reannounce_race(net: &mut SimNet, racer: DeviceId) {
@@ -130,7 +153,12 @@ fn run_script(
     let mut events = 0;
 
     // Cold origination: the default route plus a /24 from each of four racks.
+    // A split on a spine expires 2 ms in, inside the wide window that
+    // delivers the default route to that spine (on the default fabric).
     net.establish_all();
+    let spine = idx.ssw[0][0];
+    let split = expiring_split(net.topology(), spine, 2_000);
+    net.deploy_rpa(spine, split, 100);
     for &eb in &idx.backbone {
         net.originate(eb, Prefix::DEFAULT, [well_known::BACKBONE_DEFAULT_ROUTE]);
     }
@@ -145,7 +173,6 @@ fn run_script(
     events += settle(&mut net);
 
     // Session flap: one spine session drops and returns inside the wave.
-    let spine = idx.ssw[0][0];
     let peer = net.device(spine).expect("spine exists").daemon.peer_ids()[0];
     let far = DeviceId(peer.device());
     let far_peer = centralium_bgp::PeerId::compose(spine.0, peer.session_index());

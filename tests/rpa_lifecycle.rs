@@ -1,112 +1,351 @@
 //! Cross-crate RPA lifecycle tests: expiry, replacement, orthogonality and
 //! the debugging surface, all end-to-end through the emulator.
 
-use centralium_bench::scenarios::converged_fabric;
-use centralium_bgp::attrs::well_known;
+use centralium::health::HealthCheck;
+use centralium::{ControlTransport, InProcessTransport, SwitchAgent};
+use centralium_bench::scenarios::{converged_fabric, ConvergedFabric};
+use centralium_bgp::attrs::{well_known, PathAttributes};
 use centralium_bgp::Prefix;
 use centralium_rpa::{
     Destination, NextHopWeight, PathSelectionRpa, PathSelectionStatement, PathSet, PathSignature,
     RouteAttributeRpa, RouteAttributeStatement, RpaDocument,
 };
-use centralium_simnet::NetEvent;
-use centralium_topology::{Asn, FabricSpec};
+use centralium_simnet::{ManagementPlane, NetEvent, SimNet, SimTime};
+use centralium_topology::{DeviceId, FabricSpec};
 
-/// Route Attribute RPAs expire: prescribed weights apply before the
-/// deadline and BGP falls back to its native distribution on the first
-/// re-evaluation after it (§4.3 ExpirationTime).
-#[test]
-fn route_attribute_rpa_expires_to_native_distribution() {
-    let mut fab = converged_fabric(&FabricSpec::tiny(), 2020);
-    let ssw = fab.idx.ssw[0][0];
-    // Prescribe a 3:1 split toward the SSW's two FADU neighbors, expiring
-    // at t = +2 seconds.
-    let neighbors: Vec<Asn> = fab
-        .net
-        .topology()
+/// The fabric every expiry test starts from: `tiny`, seed 2020, converged.
+fn fabric() -> ConvergedFabric {
+    converged_fabric(&FabricSpec::tiny(), 2020)
+}
+
+/// A 3:1 split of `ssw`'s default route over its two upstream neighbors,
+/// expiring at `deadline` (absolute sim µs).
+fn te_split(net: &SimNet, ssw: DeviceId, deadline: SimTime) -> RpaDocument {
+    let topo = net.topology();
+    let neighbors: Vec<_> = topo
         .uplinks(ssw)
         .into_iter()
-        .filter_map(|(up, _)| fab.net.topology().device(up).map(|d| d.asn))
+        .filter_map(|(up, _)| topo.device(up).map(|d| d.asn))
         .collect();
     assert_eq!(neighbors.len(), 2);
-    let deadline = fab.net.now() + 2_000_000;
-    let doc = RpaDocument::RouteAttribute(RouteAttributeRpa::single(
+    let weight = |i: usize, weight| NextHopWeight {
+        signature: PathSignature {
+            first_asn: Some(neighbors[i]),
+            ..Default::default()
+        },
+        weight,
+    };
+    RpaDocument::RouteAttribute(RouteAttributeRpa::single(
         "te-split",
         RouteAttributeStatement::new(
             Destination::Community(well_known::BACKBONE_DEFAULT_ROUTE),
-            vec![
-                NextHopWeight {
-                    signature: PathSignature {
-                        first_asn: Some(neighbors[0]),
-                        ..Default::default()
-                    },
-                    weight: 3,
-                },
-                NextHopWeight {
-                    signature: PathSignature {
-                        first_asn: Some(neighbors[1]),
-                        ..Default::default()
-                    },
-                    weight: 1,
-                },
-            ],
+            vec![weight(0, 3), weight(1, 1)],
         )
         .expires_at(deadline),
-    ));
+    ))
+}
+
+/// The FIB weights of `dev`'s default route, ascending.
+fn weights(net: &SimNet, dev: DeviceId) -> Vec<u32> {
+    let entry = net.device(dev).unwrap().fib.entry(Prefix::DEFAULT).unwrap();
+    let mut weights: Vec<u32> = entry.nexthops.iter().map(|(_, w)| *w).collect();
+    weights.sort_unstable();
+    weights
+}
+
+fn decisions(net: &SimNet) -> u64 {
+    net.telemetry()
+        .metrics()
+        .snapshot()
+        .counter("bgp.decisions")
+}
+
+/// Route Attribute RPAs expire: prescribed weights apply before the
+/// deadline, and at the deadline itself BGP falls back to its native
+/// distribution, with no other event to trigger it (§4.3 ExpirationTime).
+#[test]
+fn route_attribute_rpa_expires_to_native_distribution() {
+    let mut fab = fabric();
+    let ssw = fab.idx.ssw[0][0];
+    let deadline = fab.net.now() + 2_000_000;
+    let doc = te_split(&fab.net, ssw, deadline);
     fab.net.deploy_rpa(ssw, doc, 100);
-    fab.net.run_until_quiescent().expect_converged();
-    let weights: Vec<u32> = fab
-        .net
-        .device(ssw)
-        .unwrap()
-        .fib
-        .entry(Prefix::DEFAULT)
-        .unwrap()
-        .nexthops
-        .iter()
-        .map(|(_, w)| *w)
-        .collect();
-    assert!(
-        weights.contains(&3) && weights.contains(&1),
-        "prescribed 3:1, got {weights:?}"
+    fab.net.run_until(deadline - 1);
+    assert_eq!(weights(&fab.net, ssw), [1, 3], "prescribed 3:1");
+    let due = fab.net.run_until(deadline);
+    assert_eq!(
+        weights(&fab.net, ssw),
+        [1, 1],
+        "expired statement falls back to ECMP"
     );
-    // Past the deadline, any event that re-runs the decision falls back to
-    // native (equal) distribution. Trigger one via a drain/undrain bounce
-    // far in the future.
-    let fadu = fab.idx.fadu[0][0];
-    fab.net.schedule_in(
-        3_000_000,
-        NetEvent::SetExportPolicy {
-            dev: fadu,
-            policy: centralium_bgp::policy::Policy::accept_all(),
+    assert_eq!(due, 1, "the expiry is the only event due");
+    let rest = fab.net.run_until_quiescent().expect_converged();
+    assert_eq!(rest.events_processed, 0, "a weight change sends nothing");
+}
+
+/// One step of an expiry script. Times are µs after the converged start.
+#[derive(Debug, Clone, Copy)]
+enum Step {
+    /// Deploy the 3:1 split on the SSW, expiring at `deadline`, over an RPC
+    /// taking `rpc` µs.
+    Deploy { deadline: SimTime, rpc: SimTime },
+    /// Make the split, expiring at `deadline`, the SSW's intended state and
+    /// reconcile it through the Switch Agent.
+    Intend { deadline: SimTime },
+    /// Withdraw the default route at one backbone device and re-originate
+    /// it 40 µs later: a wave that takes far longer than 300 µs to settle.
+    Flap,
+    /// Queue a crash-restart of the SSW's RPA agent at `at`.
+    Restart { at: SimTime },
+    /// Run to `at`; the SSW's default route has these weights (ascending).
+    Weights { at: SimTime, weights: [u32; 2] },
+    /// Run to `at`: exactly one event (an expiry) is due, and nothing is
+    /// decided.
+    Idle { at: SimTime },
+    /// Step to quiescence; the SSW never holds the split on the way.
+    NeverSplit,
+    /// Run to quiescence: the FIBs are those of the script without any
+    /// deploy.
+    Settle,
+    /// Poll the fleet: nothing is out of sync, a reconcile issues no op and
+    /// the health check's `expect_rpa` finds the document.
+    InSync,
+}
+
+/// Run one expiry script on a fresh fabric.
+fn run_expiry_script(name: &str, steps: &[Step]) {
+    let mut fab = fabric();
+    let (ssw, racer) = (fab.idx.ssw[0][0], fab.idx.backbone[0]);
+    let t0 = fab.net.now();
+    let mgmt = ManagementPlane::compute(fab.net.topology(), fab.idx.rsw[0][0]);
+    let mut agent = SwitchAgent::new(mgmt);
+    for (i, &step) in steps.iter().enumerate() {
+        let at = format!("{name}, step {i} ({step:?})");
+        let net = &mut fab.net;
+        match step {
+            Step::Deploy { deadline, rpc } => {
+                let doc = te_split(net, ssw, t0 + deadline);
+                net.deploy_rpa(ssw, doc, rpc);
+            }
+            Step::Intend { deadline } => {
+                let doc = te_split(net, ssw, t0 + deadline);
+                let mut control = InProcessTransport::new(net, &mut agent);
+                control.set_intended(ssw, &doc).unwrap();
+                assert_eq!(control.reconcile().unwrap().len(), 1, "{at}");
+            }
+            Step::Flap => flap(net, racer),
+            Step::Restart { at } => {
+                net.schedule_in(t0 + at - net.now(), NetEvent::AgentRestart { dev: ssw });
+            }
+            Step::Weights { at: t, weights: w } => {
+                net.run_until(t0 + t);
+                assert_eq!(weights(net, ssw), w, "{at}");
+            }
+            Step::Idle { at: t } => {
+                let before = decisions(net);
+                assert_eq!(net.run_until(t0 + t), 1, "{at}: events");
+                assert_eq!(decisions(net), before, "{at}: decisions");
+            }
+            Step::NeverSplit => {
+                while net.step() {
+                    assert_ne!(weights(net, ssw), [1, 3], "{at}: t = {}", net.now());
+                }
+            }
+            Step::Settle => {
+                let rest = net.run_until_quiescent().expect_converged();
+                let mut reference = fabric();
+                if steps.iter().any(|s| matches!(s, Step::Flap)) {
+                    assert!(rest.events_processed > 0, "{at}: the wave had settled");
+                    flap(&mut reference.net, racer);
+                }
+                reference.net.run_until_quiescent().expect_converged();
+                assert!(
+                    net.fib_snapshot() == reference.net.fib_snapshot(),
+                    "{at}: FIBs differ from the run without a deploy"
+                );
+                centralium_simnet::assert_rib_consistent(net);
+            }
+            Step::InSync => {
+                let mut control = InProcessTransport::new(net, &mut agent);
+                control.poll_current().unwrap();
+                assert_eq!(
+                    control.out_of_sync_paths().unwrap(),
+                    Vec::<String>::new(),
+                    "{at}"
+                );
+                assert!(control.reconcile().unwrap().is_empty(), "{at}: reconcile");
+                let check = HealthCheck {
+                    expect_rpa: vec![(ssw, "te-split".into())],
+                    ..HealthCheck::default()
+                };
+                let report = control.health_check(&check).unwrap();
+                assert!(report.passed(), "{at}: {:?}", report.failures);
+            }
+        }
+    }
+}
+
+fn flap(net: &mut SimNet, racer: DeviceId) {
+    let prefix = Prefix::DEFAULT;
+    net.schedule_in(0, NetEvent::WithdrawOrigin { dev: racer, prefix });
+    let attrs = PathAttributes::originated([well_known::BACKBONE_DEFAULT_ROUTE]);
+    net.schedule_in(
+        40,
+        NetEvent::Originate {
+            dev: racer,
+            prefix,
+            attrs,
         },
     );
-    fab.net.run_until_quiescent().expect_converged();
-    // Force re-evaluation on the SSW itself (production re-applies RPAs on
-    // any local event; model with an explicit reevaluate via a no-op deploy).
-    fab.net.deploy_rpa(
-        ssw,
-        RpaDocument::PathSelection(PathSelectionRpa::single(
-            "noop",
-            PathSelectionStatement::select(
-                Destination::PrefixExact("203.0.113.0/24".parse().unwrap()),
-                vec![PathSet::new("none", PathSignature::any())],
-            ),
-        )),
-        100,
-    );
-    fab.net.run_until_quiescent().expect_converged();
-    let weights: Vec<u32> = fab
-        .net
-        .device(ssw)
-        .unwrap()
-        .fib
-        .entry(Prefix::DEFAULT)
-        .unwrap()
-        .nexthops
-        .iter()
-        .map(|(_, w)| *w)
-        .collect();
-    assert_eq!(weights, vec![1, 1], "expired statement falls back to ECMP");
+}
+
+/// An expiry is a queued event that acts only on what is installed when it
+/// pops, so none of these needs a cancellation: a deadline that passes
+/// mid-convergence, a replace that moves the deadline either way, an agent
+/// restart before it, an install delayed past it, and a controller that
+/// reconciles the expired document (it stays installed, so there is
+/// nothing to re-push).
+#[test]
+fn expiry_edges_need_no_cancellation() {
+    use Step::*;
+    const S: SimTime = 1_000_000;
+    let cases: &[(&str, &[Step])] = &[
+        (
+            "deadline mid-convergence",
+            &[
+                Flap,
+                Deploy {
+                    deadline: 300,
+                    rpc: 100,
+                },
+                Weights {
+                    at: 299,
+                    weights: [1, 3],
+                },
+                Weights {
+                    at: 300,
+                    weights: [1, 1],
+                },
+                Settle,
+            ],
+        ),
+        (
+            "replace moves the deadline later",
+            &[
+                Deploy {
+                    deadline: S,
+                    rpc: 100,
+                },
+                Weights {
+                    at: S / 2,
+                    weights: [1, 3],
+                },
+                Deploy {
+                    deadline: 2 * S,
+                    rpc: 100,
+                },
+                Weights {
+                    at: S - 1,
+                    weights: [1, 3],
+                },
+                Idle { at: S },
+                Weights {
+                    at: S,
+                    weights: [1, 3],
+                },
+                Weights {
+                    at: 2 * S - 1,
+                    weights: [1, 3],
+                },
+                Weights {
+                    at: 2 * S,
+                    weights: [1, 1],
+                },
+                Settle,
+            ],
+        ),
+        (
+            "replace moves the deadline earlier",
+            &[
+                Deploy {
+                    deadline: 2 * S,
+                    rpc: 100,
+                },
+                Weights {
+                    at: S / 2,
+                    weights: [1, 3],
+                },
+                Deploy {
+                    deadline: S,
+                    rpc: 100,
+                },
+                Weights {
+                    at: S - 1,
+                    weights: [1, 3],
+                },
+                Weights {
+                    at: S,
+                    weights: [1, 1],
+                },
+                Weights {
+                    at: 2 * S - 1,
+                    weights: [1, 1],
+                },
+                Idle { at: 2 * S },
+                Settle,
+            ],
+        ),
+        (
+            "agent restart before the deadline",
+            &[
+                Deploy {
+                    deadline: 2 * S,
+                    rpc: 100,
+                },
+                Weights {
+                    at: S / 2,
+                    weights: [1, 3],
+                },
+                Restart { at: S },
+                Weights {
+                    at: 2 * S - 1,
+                    weights: [1, 1],
+                },
+                Idle { at: 2 * S },
+                Settle,
+            ],
+        ),
+        (
+            "install delayed past its deadline",
+            &[
+                Deploy {
+                    deadline: 1_000,
+                    rpc: 5_000,
+                },
+                NeverSplit,
+                Settle,
+            ],
+        ),
+        (
+            "reconciled through the Switch Agent past the deadline",
+            &[
+                Intend { deadline: S },
+                Weights {
+                    at: S - 1,
+                    weights: [1, 3],
+                },
+                Weights {
+                    at: S,
+                    weights: [1, 1],
+                },
+                Settle,
+                InSync,
+            ],
+        ),
+    ];
+    for (name, steps) in cases {
+        run_expiry_script(name, steps);
+    }
 }
 
 /// Re-deploying a document with the same name replaces it in place, and
