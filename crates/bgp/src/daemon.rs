@@ -4,7 +4,8 @@
 //! then decide. The mutators ([`ingest`](BgpDaemon::ingest), `originate`,
 //! `withdraw_origin`, `peer_down`, `remove_peer`, `purge_ingress`, `mark`)
 //! only edit their table and mark the prefixes they touched dirty; one
-//! [`decide`](BgpDaemon::decide) re-decides the dirty prefixes and returns
+//! [`decide`](BgpDaemon::decide) re-decides the dirty prefixes, programs the
+//! host's [`ForwardingPlane`] with each Loc-RIB entry it moved, and returns
 //! the updates the speaker wants transmitted, as `(session, UpdateMessage)`
 //! pairs. The caller owns delivery (and, in the emulator, delivery *timing*
 //! — which is what creates the paper's transitory states).
@@ -39,9 +40,12 @@
 //! Everything held for a prefix — each session's route, the origination,
 //! the Loc-RIB entry, what each session was sent — is one [`PrefixState`]
 //! slot, found once per step: by `ingest` per route, by `decide` per dirty
-//! prefix, which hands it to the decision and the export beside borrows of
-//! the config, the sessions and the telemetry. The export and candidate
-//! gathering walk the sessions beside the slot's fans, never searching.
+//! prefix, which hands it to the decision, the forwarding plane and the
+//! export beside borrows of the config, the sessions and the telemetry. Both
+//! walk ascending prefixes (an UPDATE's withdrawn run, then its announced
+//! run; the sorted dirty list) with one cursor each, so a step searches only
+//! the gap from the last slot. The export and candidate gathering walk the
+//! sessions beside the slot's fans, never searching.
 
 use crate::attrs::PathAttributes;
 use crate::decision::{best_route, compare_routes, multipath_set, PathPreference};
@@ -172,6 +176,29 @@ impl std::fmt::Debug for NextHops {
     }
 }
 
+/// Where [`BgpDaemon::decide`] installs forwarding state: a host's FIB, or
+/// nothing (`()`) for a speaker without one. A decide programs each prefix
+/// whose Loc-RIB entry it (re)installed or removed, ascending and once,
+/// with the entry borrowed in place (`None`: removed); so one decide is one
+/// batch. A program may leave the forwarding state as it was (an entry
+/// re-installed as it stood): the plane skips what it already holds.
+pub trait ForwardingPlane {
+    /// Install `prefix`'s forwarding state from `entry`, or remove it.
+    fn program(&mut self, prefix: Prefix, entry: Option<&LocRibEntry>);
+}
+
+/// No forwarding plane: the Loc-RIB is all there is.
+impl ForwardingPlane for () {
+    fn program(&mut self, _prefix: Prefix, _entry: Option<&LocRibEntry>) {}
+}
+
+/// Records the prefixes programmed, in order: what a test counts.
+impl ForwardingPlane for Vec<Prefix> {
+    fn program(&mut self, prefix: Prefix, _entry: Option<&LocRibEntry>) {
+        self.push(prefix);
+    }
+}
+
 /// One known prefix's candidates as [`BgpDaemon::known`] hands them out: the
 /// bodies [`BgpDaemon::candidates`] would turn into routes (Adj-RIB-In on
 /// established sessions, plus the origination), borrowed in place.
@@ -214,17 +241,9 @@ pub struct BgpDaemon {
     /// Adj-RIB-In, originations, Loc-RIB and Adj-RIB-Out, one slot per
     /// prefix.
     rib: PrefixTable,
-    /// Prefixes whose Loc-RIB entry was (re)installed or removed since the
-    /// last drain, repeats allowed ([`BgpDaemon::drain_fib_changes`] sorts
-    /// them once). Recorded only while `record_fib` is set, so a daemon no
-    /// FIB drains does not grow it.
-    fib_dirty: Vec<Prefix>,
-    /// Whether a host FIB drains the Loc-RIB changes; see
-    /// [`BgpDaemon::record_fib_changes`].
-    record_fib: bool,
     /// Prefixes marked since the last [`BgpDaemon::decide`], repeats
-    /// allowed, and what moved them; `dirty` keeps its capacity like
-    /// `fib_dirty`.
+    /// allowed, and what moved them; `dirty` keeps its capacity between
+    /// decides.
     dirty: Vec<Prefix>,
     moved: Moved,
     telemetry: Option<Box<DaemonTelemetry>>,
@@ -264,8 +283,6 @@ impl BgpDaemon {
             cfg,
             peers: FlatMap::new(),
             rib: PrefixTable::default(),
-            fib_dirty: Vec::new(),
-            record_fib: false,
             dirty: Vec::new(),
             moved: Moved::Nothing,
             telemetry: None,
@@ -455,11 +472,18 @@ impl BgpDaemon {
             return;
         }
         let import = &state.cfg.import;
+        // A delivered UPDATE is two ascending runs: each walks the table
+        // with its own cursor.
+        let mut cursor = 0;
         for prefix in update.withdrawn {
-            if self.rib.with_slot(prefix, |slot| slot.forget(from)) {
+            if self
+                .rib
+                .with_slot_from(&mut cursor, prefix, |slot| slot.forget(from))
+            {
                 self.dirty.push(prefix);
             }
         }
+        let mut cursor = 0;
         for (prefix, attrs) in update.announced {
             // RFC 4271 loop prevention: discard routes carrying our ASN.
             // The announcement still implicitly withdraws whatever this
@@ -487,10 +511,12 @@ impl BgpDaemon {
             // An identical re-announcement changes nothing; leaving it
             // unmarked keeps duplicate UPDATE floods (session resets,
             // refresh replies) off the decision path entirely.
-            let changed = self.rib.with_slot(prefix, |slot| match &admitted {
-                Some(route) => slot.learn(from, &route.attrs),
-                None => slot.forget(from),
-            });
+            let changed = self
+                .rib
+                .with_slot_from(&mut cursor, prefix, |slot| match &admitted {
+                    Some(route) => slot.learn(from, &route.attrs),
+                    None => slot.forget(from),
+                });
             if changed {
                 self.dirty.push(prefix);
             }
@@ -540,10 +566,15 @@ impl BgpDaemon {
     }
 
     /// Re-decide every prefix marked since the last call, ascending and once
-    /// each, and export what the marks can have moved (see the module docs).
-    /// The result is ascending by session, one UPDATE each, prefixes
-    /// ascending inside it.
-    pub fn decide(&mut self, policy: &dyn RibPolicy) -> Vec<(PeerId, UpdateMessage)> {
+    /// each, program `plane` with each Loc-RIB entry the decisions
+    /// (re)installed or removed, and export what the marks can have moved
+    /// (see the module docs). The result is ascending by session, one UPDATE
+    /// each, prefixes ascending inside it.
+    pub fn decide(
+        &mut self,
+        policy: &dyn RibPolicy,
+        plane: &mut dyn ForwardingPlane,
+    ) -> Vec<(PeerId, UpdateMessage)> {
         let moved = std::mem::take(&mut self.moved);
         let from = match moved {
             Moved::Session(from) => Some(from),
@@ -562,11 +593,12 @@ impl BgpDaemon {
             peers: &self.peers,
             policy,
             tel: self.telemetry.as_deref(),
-            fib_dirty: self.record_fib.then_some(&mut self.fib_dirty),
+            plane,
             counts: [0; 3],
         };
+        let mut cursor = 0;
         for &prefix in &dirty {
-            self.rib.with_slot(prefix, |slot| {
+            self.rib.with_slot_from(&mut cursor, prefix, |slot| {
                 let advertisement_moved = from
                     .and_then(|from| step.decide_against_incumbent(prefix, slot, from))
                     .unwrap_or_else(|| step.decide_prefix(prefix, slot));
@@ -588,7 +620,7 @@ impl BgpDaemon {
     }
 
     /// Process a received UPDATE: [`ingest`](Self::ingest), then
-    /// [`decide`](Self::decide).
+    /// [`decide`](Self::decide) with no forwarding plane.
     pub fn handle_update(
         &mut self,
         from: PeerId,
@@ -596,17 +628,18 @@ impl BgpDaemon {
         policy: &dyn RibPolicy,
     ) -> Vec<(PeerId, UpdateMessage)> {
         self.ingest(from, update, policy);
-        self.decide(policy)
+        self.decide(policy, &mut ())
     }
 
     /// Re-decide and export every known prefix ("BGP can independently
     /// discover and process new viable routes by locally re-applying the
     /// pre-installed RPAs", §4.1): [`purge_ingress`](Self::purge_ingress),
-    /// [`mark`](Self::mark) of every known prefix, then `decide`.
+    /// [`mark`](Self::mark) of every known prefix, then `decide` with no
+    /// forwarding plane.
     pub fn reevaluate_all(&mut self, policy: &dyn RibPolicy) -> Vec<(PeerId, UpdateMessage)> {
         self.purge_ingress(policy);
         self.mark(self.known_prefixes());
-        self.decide(policy)
+        self.decide(policy, &mut ())
     }
 
     /// Every prefix the speaker currently knows: held in Adj-RIB-In,
@@ -693,8 +726,9 @@ impl BgpDaemon {
 
     /// The FIB this Loc-RIB projects to: one entry per Loc-RIB entry with
     /// forwarding next hops (a locally-originated-only entry has none), in
-    /// prefix order. Tests compare host FIBs against it; hosts program
-    /// theirs from [`drain_fib_changes`](Self::drain_fib_changes).
+    /// prefix order. Hosts program theirs through the [`ForwardingPlane`]
+    /// they pass to [`decide`](Self::decide); tests and the emulator's
+    /// invariant check compare it against what they programmed.
     pub fn fib(&self) -> Vec<FibEntry> {
         self.loc_rib()
             .filter_map(|(prefix, entry)| {
@@ -707,31 +741,6 @@ impl BgpDaemon {
                 })
             })
             .collect()
-    }
-
-    /// Drain the per-prefix dirty marks for a delta FIB apply: each prefix
-    /// whose Loc-RIB entry was (re)installed or removed since the last
-    /// drain, ascending and once each, with its installed entry borrowed in
-    /// place (`None`: removed). The marks over-approximate: an entry may
-    /// project to what the FIB already holds (the apply skips no-ops).
-    pub fn drain_fib_changes(
-        &mut self,
-    ) -> impl Iterator<Item = (Prefix, Option<&LocRibEntry>)> + '_ {
-        self.fib_dirty.sort_unstable();
-        self.fib_dirty.dedup();
-        let rib = &self.rib;
-        self.fib_dirty
-            .drain(..)
-            .map(move |prefix| (prefix, rib.get(prefix).and_then(|slot| slot.loc.as_ref())))
-    }
-
-    /// Start recording, for [`drain_fib_changes`](Self::drain_fib_changes),
-    /// the prefixes whose Loc-RIB entry each decide (re)installs or removes.
-    /// A host calls it once, on a daemon whose Loc-RIB its FIB already
-    /// mirrors — a fresh one, for an empty FIB. Off by default, so a daemon
-    /// no FIB drains keeps no marks.
-    pub fn record_fib_changes(&mut self) {
-        self.record_fib = true;
     }
 
     // ---- decision process ----------------------------------------------------
@@ -785,8 +794,9 @@ struct Step<'a> {
     peers: &'a FlatMap<PeerId, PeerState>,
     policy: &'a dyn RibPolicy,
     tel: Option<&'a DaemonTelemetry>,
-    /// The FIB drain's marks, while a host FIB drains them.
-    fib_dirty: Option<&'a mut Vec<Prefix>>,
+    /// Programmed with each Loc-RIB entry this decide (re)installs or
+    /// removes.
+    plane: &'a mut dyn ForwardingPlane,
     /// Decisions, best-path changes and export evaluations: summed here and
     /// added to their counters once per `decide`.
     counts: [u64; 3],
@@ -866,15 +876,15 @@ impl Step<'_> {
         if advertisement_moved {
             entry.advertised = best.cloned();
         }
-        self.mark_fib_dirty(prefix);
+        self.plane.program(prefix, Some(entry));
         self.note_decision(prefix, had_path, true, advertisement_moved);
         Some(advertisement_moved)
     }
 
-    /// The full decision: candidates → selection → Loc-RIB install → FIB
-    /// dirty mark → telemetry. Returns whether the advertised route differs
-    /// from the one installed before — the only input of the export this can
-    /// move (see the module docs).
+    /// The full decision: candidates → selection → Loc-RIB install →
+    /// forwarding plane → telemetry. Returns whether the advertised route
+    /// differs from the one installed before — the only input of the export
+    /// this can move (see the module docs).
     fn decide_prefix(&mut self, prefix: Prefix, slot: &mut PrefixState) -> bool {
         let (cfg, policy) = (self.cfg, self.policy);
         let candidates = candidates_of(self.peers, prefix, slot);
@@ -988,16 +998,9 @@ impl Step<'_> {
             advertisement_moved,
         );
         if std::mem::replace(&mut slot.loc, new_entry).is_some() || slot.loc.is_some() {
-            self.mark_fib_dirty(prefix);
+            self.plane.program(prefix, slot.loc.as_ref());
         }
         advertisement_moved
-    }
-
-    /// Mark `prefix` for the next FIB drain.
-    fn mark_fib_dirty(&mut self, prefix: Prefix) {
-        if let Some(fib_dirty) = &mut self.fib_dirty {
-            fib_dirty.push(prefix);
-        }
     }
 
     /// Count one decision and, when it moved the advertisement, one
@@ -1257,7 +1260,7 @@ mod tests {
         connect(&mut d, 10, 2);
         connect(&mut d, 20, 3);
         d.originate(p("10.0.0.0/8"), PathAttributes::default());
-        let out = d.decide(&NativePolicy);
+        let out = d.decide(&NativePolicy, &mut ());
         assert_eq!(out.len(), 2);
         for (_, upd) in &out {
             assert_eq!(upd.announced.len(), 1);
@@ -1273,7 +1276,7 @@ mod tests {
             connect(&mut d, peer * 10, 100 + peer as u32);
         }
         d.originate(p("10.0.0.0/8"), PathAttributes::default());
-        let out = d.decide(&NativePolicy);
+        let out = d.decide(&NativePolicy, &mut ());
         assert_eq!(out.len(), 8);
         let first = &out[0].1.announced[0].1;
         for (peer, upd) in &out {
@@ -1292,7 +1295,7 @@ mod tests {
     fn peer_up_receives_existing_table() {
         let mut d = daemon(1);
         d.originate(p("10.0.0.0/8"), PathAttributes::default());
-        d.decide(&NativePolicy);
+        d.decide(&NativePolicy, &mut ());
         let out = connect(&mut d, 10, 2);
         assert_eq!(out.len(), 1);
         assert_eq!(out[0].0, PeerId(10));
@@ -1309,7 +1312,7 @@ mod tests {
             announce(10, "0.0.0.0/0", &[2, 5]),
             &NativePolicy,
         );
-        let out = d.decide(&NativePolicy);
+        let out = d.decide(&NativePolicy, &mut ());
         // Propagated to peer 20 only (split horizon suppresses peer 10).
         assert_eq!(out.len(), 1);
         assert_eq!(out[0].0, PeerId(20));
@@ -1331,7 +1334,7 @@ mod tests {
             announce(10, "0.0.0.0/0", &[2, 1, 5]),
             &NativePolicy,
         );
-        let out = d.decide(&NativePolicy);
+        let out = d.decide(&NativePolicy, &mut ());
         assert!(out.is_empty());
         assert!(d.loc_rib_entry(p("0.0.0.0/0")).is_none());
     }
@@ -1346,13 +1349,13 @@ mod tests {
             announce(10, "0.0.0.0/0", &[2, 9]),
             &NativePolicy,
         );
-        d.decide(&NativePolicy);
+        d.decide(&NativePolicy, &mut ());
         d.ingest(
             PeerId(20),
             announce(20, "0.0.0.0/0", &[3, 9]),
             &NativePolicy,
         );
-        d.decide(&NativePolicy);
+        d.decide(&NativePolicy, &mut ());
         let fib = d.fib();
         assert_eq!(fib.len(), 1);
         assert_eq!(fib[0].nexthops.len(), 2);
@@ -1370,13 +1373,13 @@ mod tests {
             announce(10, "0.0.0.0/0", &[2, 8, 9]),
             &NativePolicy,
         );
-        d.decide(&NativePolicy);
+        d.decide(&NativePolicy, &mut ());
         d.ingest(
             PeerId(20),
             announce(20, "0.0.0.0/0", &[3, 8, 9]),
             &NativePolicy,
         );
-        d.decide(&NativePolicy);
+        d.decide(&NativePolicy, &mut ());
         assert_eq!(d.fib()[0].nexthops.len(), 2);
         // The "FAv2" path: one hop shorter. Native BGP funnels onto it.
         d.ingest(
@@ -1384,7 +1387,7 @@ mod tests {
             announce(30, "0.0.0.0/0", &[4, 9]),
             &NativePolicy,
         );
-        d.decide(&NativePolicy);
+        d.decide(&NativePolicy, &mut ());
         let fib = d.fib();
         assert_eq!(fib[0].nexthops, vec![(PeerId(30), 1)]);
     }
@@ -1399,13 +1402,13 @@ mod tests {
             announce(10, "0.0.0.0/0", &[2, 9]),
             &NativePolicy,
         );
-        d.decide(&NativePolicy);
+        d.decide(&NativePolicy, &mut ());
         d.ingest(
             PeerId(10),
             UpdateMessage::withdraw(p("0.0.0.0/0")),
             &NativePolicy,
         );
-        let out = d.decide(&NativePolicy);
+        let out = d.decide(&NativePolicy, &mut ());
         assert!(d.loc_rib_entry(p("0.0.0.0/0")).is_none());
         assert_eq!(out.len(), 1);
         assert_eq!(out[0].0, PeerId(20));
@@ -1423,16 +1426,16 @@ mod tests {
             announce(10, "0.0.0.0/0", &[2, 9]),
             &NativePolicy,
         );
-        d.decide(&NativePolicy);
+        d.decide(&NativePolicy, &mut ());
         d.ingest(
             PeerId(20),
             announce(20, "0.0.0.0/0", &[3, 9]),
             &NativePolicy,
         );
-        d.decide(&NativePolicy);
+        d.decide(&NativePolicy, &mut ());
         assert_eq!(d.fib()[0].nexthops.len(), 2);
         d.peer_down(PeerId(10));
-        let out = d.decide(&NativePolicy);
+        let out = d.decide(&NativePolicy, &mut ());
         // Last router standing: all traffic now on peer 20.
         assert_eq!(d.fib()[0].nexthops, vec![(PeerId(20), 1)]);
         // Peer 30 gets a fresh announcement only if the advertised attrs
@@ -1451,14 +1454,14 @@ mod tests {
             announce(10, "0.0.0.0/0", &[2, 8, 9]),
             &NativePolicy,
         );
-        d.decide(&NativePolicy);
+        d.decide(&NativePolicy, &mut ());
         // Shorter path arrives; best changes; peers see new attrs.
         d.ingest(
             PeerId(20),
             announce(20, "0.0.0.0/0", &[3, 9]),
             &NativePolicy,
         );
-        let out = d.decide(&NativePolicy);
+        let out = d.decide(&NativePolicy, &mut ());
         let to30 = out.iter().find(|(p, _)| *p == PeerId(30)).unwrap();
         assert_eq!(to30.1.announced[0].1.as_path, vec![Asn(1), Asn(3), Asn(9)]);
     }
@@ -1479,7 +1482,7 @@ mod tests {
             announce(10, "0.0.0.0/0", &[2, 9]),
             &NativePolicy,
         );
-        let out = d.decide(&NativePolicy);
+        let out = d.decide(&NativePolicy, &mut ());
         assert!(out.is_empty());
         assert!(d.loc_rib_entry(p("0.0.0.0/0")).is_none());
     }
@@ -1501,7 +1504,7 @@ mod tests {
             announce(10, "0.0.0.0/0", &[2, 9]),
             &NativePolicy,
         );
-        let out = d.decide(&NativePolicy);
+        let out = d.decide(&NativePolicy, &mut ());
         assert!(
             out.is_empty(),
             "export reject-all suppresses all advertisements"
@@ -1524,13 +1527,13 @@ mod tests {
             UpdateMessage::announce(p("0.0.0.0/0"), a1),
             &NativePolicy,
         );
-        d.decide(&NativePolicy);
+        d.decide(&NativePolicy, &mut ());
         d.ingest(
             PeerId(20),
             UpdateMessage::announce(p("0.0.0.0/0"), a2),
             &NativePolicy,
         );
-        d.decide(&NativePolicy);
+        d.decide(&NativePolicy, &mut ());
         let fib = d.fib();
         assert_eq!(fib[0].nexthops, vec![(PeerId(10), 1), (PeerId(20), 3)]);
     }
@@ -1547,13 +1550,13 @@ mod tests {
             announce(10, "0.0.0.0/0", &[2, 9]),
             &NativePolicy,
         );
-        d.decide(&NativePolicy);
+        d.decide(&NativePolicy, &mut ());
         d.ingest(
             PeerId(20),
             announce(20, "0.0.0.0/0", &[3, 9]),
             &NativePolicy,
         );
-        let out = d.decide(&NativePolicy);
+        let out = d.decide(&NativePolicy, &mut ());
         let to30 = out.iter().find(|(pp, _)| *pp == PeerId(30)).unwrap();
         // Two selected 100G paths => 200G effective capacity advertised.
         assert_eq!(to30.1.announced[0].1.link_bandwidth_gbps, Some(200.0));
@@ -1569,13 +1572,13 @@ mod tests {
             announce(10, "0.0.0.0/0", &[2, 9]),
             &NativePolicy,
         );
-        d.decide(&NativePolicy);
+        d.decide(&NativePolicy, &mut ());
         d.ingest(
             PeerId(10),
             announce(10, "0.0.0.0/0", &[2, 9]),
             &NativePolicy,
         );
-        let out = d.decide(&NativePolicy);
+        let out = d.decide(&NativePolicy, &mut ());
         assert!(out.is_empty(), "identical re-announcement must not churn");
     }
 
@@ -1589,9 +1592,9 @@ mod tests {
             announce(10, "0.0.0.0/0", &[2, 9]),
             &NativePolicy,
         );
-        d.decide(&NativePolicy);
+        d.decide(&NativePolicy, &mut ());
         d.remove_peer(PeerId(10));
-        let out = d.decide(&NativePolicy);
+        let out = d.decide(&NativePolicy, &mut ());
         assert!(d.loc_rib_entry(p("0.0.0.0/0")).is_none());
         let to20 = out.iter().find(|(pp, _)| *pp == PeerId(20)).unwrap();
         assert_eq!(to20.1.withdrawn, vec![p("0.0.0.0/0")]);
@@ -1602,11 +1605,11 @@ mod tests {
     fn update_from_unknown_or_down_peer_ignored() {
         let mut d = daemon(1);
         d.ingest(PeerId(99), announce(99, "0.0.0.0/0", &[2]), &NativePolicy);
-        assert!(d.decide(&NativePolicy).is_empty());
+        assert!(d.decide(&NativePolicy, &mut ()).is_empty());
         d.add_peer(PeerConfig::open(PeerId(10), Asn(2), 100.0));
         // Not yet up.
         d.ingest(PeerId(10), announce(10, "0.0.0.0/0", &[2]), &NativePolicy);
-        assert!(d.decide(&NativePolicy).is_empty());
+        assert!(d.decide(&NativePolicy, &mut ()).is_empty());
     }
 
     #[test]
@@ -1614,9 +1617,9 @@ mod tests {
         let mut d = daemon(1);
         connect(&mut d, 10, 2);
         d.originate(p("10.0.0.0/8"), PathAttributes::default());
-        d.decide(&NativePolicy);
+        d.decide(&NativePolicy, &mut ());
         d.withdraw_origin(p("10.0.0.0/8"));
-        let out = d.decide(&NativePolicy);
+        let out = d.decide(&NativePolicy, &mut ());
         assert_eq!(out[0].1.withdrawn, vec![p("10.0.0.0/8")]);
         assert!(d.loc_rib_entry(p("10.0.0.0/8")).is_none());
     }
@@ -1634,14 +1637,14 @@ mod tests {
         connect(&mut d, 20, 3);
         connect(&mut d, 30, 4);
         d.ingest(PeerId(10), announce(10, "0.0.0.0/0", &[2, 9]), &Guard);
-        d.decide(&Guard);
+        d.decide(&Guard, &mut ());
         d.ingest(PeerId(20), announce(20, "0.0.0.0/0", &[3, 9]), &Guard);
-        d.decide(&Guard);
+        d.decide(&Guard, &mut ());
         assert_eq!(d.fib()[0].nexthops.len(), 2);
         // One next-hop withdraws: guard (min 2) trips → withdraw from peers
         // but the FIB keeps the PREVIOUS two-path entry warm.
         d.ingest(PeerId(10), UpdateMessage::withdraw(p("0.0.0.0/0")), &Guard);
-        let out = d.decide(&Guard);
+        let out = d.decide(&Guard, &mut ());
         let to30 = out.iter().find(|(pp, _)| *pp == PeerId(30)).unwrap();
         assert_eq!(to30.1.withdrawn, vec![p("0.0.0.0/0")]);
         let fib = d.fib();
@@ -1650,7 +1653,7 @@ mod tests {
         // The next-hop returns: the guard un-trips and the route is
         // re-advertised with a live (non-warm) entry.
         d.ingest(PeerId(10), announce(10, "0.0.0.0/0", &[2, 9]), &Guard);
-        let out = d.decide(&Guard);
+        let out = d.decide(&Guard, &mut ());
         assert!(out
             .iter()
             .any(|(pp, u)| *pp == PeerId(30) && !u.announced.is_empty()));
@@ -1671,14 +1674,14 @@ mod tests {
         connect(&mut d, 10, 2);
         connect(&mut d, 20, 3);
         d.ingest(PeerId(10), announce(10, "0.0.0.0/0", &[2, 9]), &Guard);
-        d.decide(&Guard);
+        d.decide(&Guard, &mut ());
         d.ingest(PeerId(20), announce(20, "0.0.0.0/0", &[3, 9]), &Guard);
-        d.decide(&Guard);
+        d.decide(&Guard, &mut ());
         assert_eq!(d.fib()[0].nexthops.len(), 2);
         // A session dies (not a graceful withdraw): the guard trips, and the
         // warm entry must not keep pointing at the dead session.
         d.peer_down(PeerId(10));
-        d.decide(&Guard);
+        d.decide(&Guard, &mut ());
         let fib = d.fib();
         assert!(fib[0].warm);
         assert_eq!(
@@ -1688,7 +1691,7 @@ mod tests {
         );
         // Removing the remaining session removes the entry entirely.
         d.peer_down(PeerId(20));
-        d.decide(&Guard);
+        d.decide(&Guard, &mut ());
         assert!(d.fib().is_empty());
     }
 
@@ -1718,12 +1721,12 @@ mod tests {
         connect(&mut d, 10, 2);
         connect(&mut d, 20, 3);
         d.ingest(PeerId(10), announce(10, "0.0.0.0/0", &[2, 9]), &Floor);
-        d.decide(&Floor);
+        d.decide(&Floor, &mut ());
         d.ingest(PeerId(20), announce(20, "0.0.0.0/0", &[3, 9]), &Floor);
-        d.decide(&Floor);
+        d.decide(&Floor, &mut ());
         assert_eq!(d.fib()[0].nexthops.len(), 2);
         d.peer_down(PeerId(10));
-        d.decide(&Floor);
+        d.decide(&Floor, &mut ());
         let fib = d.fib();
         assert!(fib[0].warm);
         assert_eq!(
@@ -1732,7 +1735,7 @@ mod tests {
             "dead session pruned"
         );
         d.peer_down(PeerId(20));
-        d.decide(&Floor);
+        d.decide(&Floor, &mut ());
         assert!(d.fib().is_empty());
     }
 
@@ -1749,7 +1752,7 @@ mod tests {
             UpdateMessage::announce(p("0.0.0.0/0"), attrs.clone()),
             &NativePolicy,
         );
-        d.decide(&NativePolicy);
+        d.decide(&NativePolicy, &mut ());
         let routes = d.rib_in_routes(p("0.0.0.0/0"));
         let stored = &routes[0];
         assert_eq!(
@@ -1762,7 +1765,7 @@ mod tests {
             UpdateMessage::announce(p("0.0.0.0/0"), attrs),
             &NativePolicy,
         );
-        let out = d.decide(&NativePolicy);
+        let out = d.decide(&NativePolicy, &mut ());
         assert!(out.is_empty());
     }
 
@@ -1777,7 +1780,7 @@ mod tests {
                 connect(&mut d, peer, 100 + peer as u32);
             }
             d.originate(prefix, tagged(1));
-            d.decide(&NativePolicy);
+            d.decide(&NativePolicy, &mut ());
             d
         };
         let mut d = speaker(&[10, 20, 30, 40, 50]);
@@ -1804,9 +1807,9 @@ mod tests {
                     None => d.withdraw_origin(prefix),
                 }
             }
-            let sent = d.decide(&NativePolicy);
+            let sent = d.decide(&NativePolicy, &mut ());
             assert_eq!(sent.len(), 3, "one UPDATE per established session");
-            assert_eq!(sent, fresh.decide(&NativePolicy));
+            assert_eq!(sent, fresh.decide(&NativePolicy, &mut ()));
             let left = out_fan(&d)
                 .into_iter()
                 .filter(|(peer, _)| [20, 40].contains(&peer.0));
@@ -1854,15 +1857,15 @@ mod tests {
                 UpdateMessage::announce(prefix, attrs),
                 &NativePolicy,
             );
-            d.decide(&NativePolicy);
+            d.decide(&NativePolicy, &mut ());
         }
         d.originate(originated_only, tagged(&[], c3));
-        d.decide(&NativePolicy);
+        d.decide(&NativePolicy, &mut ());
         d.originate(overlapping, tagged(&[], c2));
-        d.decide(&NativePolicy);
+        d.decide(&NativePolicy, &mut ());
         // A session taken down drops what it carried.
         d.peer_down(PeerId(30));
-        d.decide(&NativePolicy);
+        d.decide(&NativePolicy, &mut ());
         // A session marked down with its routes still held: the state
         // `candidates()` filters on.
         d.peers.get_mut(&PeerId(20)).unwrap().established = false;
@@ -1922,13 +1925,13 @@ mod tests {
             announce(10, "0.0.0.0/0", &[2, 9]),
             &NativePolicy,
         );
-        d.decide(&NativePolicy);
+        d.decide(&NativePolicy, &mut ());
         d.ingest(
             PeerId(20),
             announce(20, "0.0.0.0/0", &[3, 9]),
             &NativePolicy,
         );
-        d.decide(&NativePolicy);
+        d.decide(&NativePolicy, &mut ());
         assert_eq!(d.fib()[0].nexthops.len(), 1);
     }
 }

@@ -9,7 +9,11 @@
 //! sorted `Vec`s: exact-fit-ish memory, binary-search lookups that read only
 //! the keys (a few cache lines, however large the values), and ascending-key
 //! iteration — the property the decision process and the FIB's `{:?}`
-//! snapshots rely on.
+//! snapshots rely on. A walk over ascending keys (an UPDATE's run, a
+//! decide's dirty list, a FIB batch) keeps its own cursor and searches with
+//! [`FlatMap::find_from`], paying for the gap to the next key instead of a
+//! search of the whole table; the map itself remembers nothing between
+//! calls.
 //!
 //! Inserts and removals shift the tail, so the type is only appropriate
 //! where the entry count stays small-to-moderate (wiring-time peer setup,
@@ -46,6 +50,30 @@ impl<K: Ord + Copy, V> FlatMap<K, V> {
     /// on its answer without searching again.
     pub fn find(&self, key: &K) -> Result<usize, usize> {
         self.keys.binary_search(key)
+    }
+
+    /// [`find`](Self::find) for a walk that moves forward: `from` is the
+    /// walk's cursor, the answer to its last step. While `key` is above
+    /// `keys[from - 1]` the answer lies at or after `from`, so the search
+    /// gallops forward from there (probes at `from`, `from + 1`, `from + 3`,
+    /// …, doubling the stride) and then bisects the last stride: a walk over
+    /// `k` ascending keys pays for the gaps between them, not `k` searches of
+    /// the whole table. Otherwise (`from == 0`, past the end, or `key` at or
+    /// below `keys[from - 1]`) it is `find`, so any `from` gives `find`'s
+    /// answer.
+    pub fn find_from(&self, from: usize, key: &K) -> Result<usize, usize> {
+        let keys = &self.keys;
+        let last = from.checked_sub(1).and_then(|last| keys.get(last));
+        if last.is_none_or(|last| last >= key) {
+            return self.find(key);
+        }
+        // Every key below `lo` is below `key`; `hi` is the next probe.
+        let (mut lo, mut hi, mut stride) = (from, from, 1);
+        while keys.get(hi).is_some_and(|k| k < key) {
+            (lo, hi, stride) = (hi + 1, hi + stride, stride * 2);
+        }
+        let found = keys[lo..(hi + 1).min(keys.len())].binary_search(key);
+        found.map(|i| lo + i).map_err(|i| lo + i)
     }
 
     /// The value at index `i` of a [`find`](Self::find) hit.
@@ -188,6 +216,29 @@ impl<K: fmt::Debug, V: fmt::Debug> fmt::Debug for FlatMap<K, V> {
 #[cfg(test)]
 mod tests {
     use super::*;
+    use proptest::prelude::*;
+
+    proptest! {
+        /// Wherever a walk's cursor stands, `find_from` answers as `find`
+        /// does: for present keys, absent keys between, below and above
+        /// them.
+        #[test]
+        fn find_from_is_find_from_any_cursor(
+            keys in proptest::collection::vec(0u16..400, 0..64),
+            probes in proptest::collection::vec(0u16..402, 1..16),
+        ) {
+            let mut m = FlatMap::new();
+            for &k in &keys {
+                m.insert(k, ());
+            }
+            for probe in probes.iter().chain(&keys) {
+                for from in 0..=m.len() {
+                    let (got, want) = (m.find_from(from, probe), m.find(probe));
+                    prop_assert_eq!(got, want, "{:?} from {}: {:?}, find {:?}", probe, from, got, want);
+                }
+            }
+        }
+    }
 
     #[test]
     fn insert_get_remove_stay_sorted() {

@@ -43,7 +43,7 @@ pub mod wcmp;
 
 pub use attrs::{Community, Origin, PathAttributes};
 pub use centralium_topology::Asn;
-pub use daemon::{BgpDaemon, DaemonConfig, FibEntry, NextHops, PeerConfig};
+pub use daemon::{BgpDaemon, DaemonConfig, FibEntry, ForwardingPlane, NextHops, PeerConfig};
 pub use decision::{compare_routes, multipath_set, PathPreference};
 pub use hooks::{AdvertiseChoice, NativePolicy, PathChoice, RibPolicy, Selection};
 pub use msg::{BgpMessage, UpdateMessage};

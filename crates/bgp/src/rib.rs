@@ -5,8 +5,10 @@
 //! the local origination, the installed Loc-RIB entry and the Adj-RIB-Out fan
 //! (the body last sent to each session). [`PrefixTable`] keeps the slots
 //! sorted by prefix, so a step finds a prefix's slot with one search and then
-//! reads and edits all four parts in place. A slot lives while any part holds
-//! something; a fan that empties drops its allocation.
+//! reads and edits all four parts in place; a walk over ascending prefixes
+//! (an UPDATE's runs, a decide's dirty list) carries a cursor from step to
+//! step and searches only the gap to the next slot. A slot lives while any
+//! part holds something; a fan that empties drops its allocation.
 //!
 //! Both fans are session-sorted tables of `(peer, Arc<PathAttributes>)` — the
 //! per-destination `(route, peer)` table a speaker walks to gather
@@ -280,8 +282,9 @@ impl Totals {
 }
 
 /// A speaker's prefixes, each with its [`PrefixState`], ascending by prefix.
-/// Every edit goes through [`with_slot`](Self::with_slot) or
-/// [`edit_all`](Self::edit_all), which keep the footprint totals in step
+/// Every edit goes through [`with_slot_from`](Self::with_slot_from) (a
+/// walk's step; [`with_slot`](Self::with_slot) is one with a fresh cursor)
+/// or [`edit_all`](Self::edit_all), which keep the footprint totals in step
 /// and drop slots that empty.
 #[derive(Debug, Clone, Default)]
 pub struct PrefixTable {
@@ -303,7 +306,25 @@ impl PrefixTable {
     /// Edit `prefix`'s slot — an empty one when there is none — and keep it
     /// exactly while it holds something. One search.
     pub fn with_slot<R>(&mut self, prefix: Prefix, edit: impl FnOnce(&mut PrefixState) -> R) -> R {
-        match self.slots.find(&prefix) {
+        self.with_slot_from(&mut 0, prefix, edit)
+    }
+
+    /// [`with_slot`](Self::with_slot) as one step of a walk: `cursor` is the
+    /// walk's own, starting at 0, and is left where `prefix`'s slot is or
+    /// would be. The next step's search starts there
+    /// ([`FlatMap::find_from`]), so a walk over ascending prefixes pays for
+    /// the gaps between them; any other order costs a plain search per step
+    /// and edits the same slots.
+    pub fn with_slot_from<R>(
+        &mut self,
+        cursor: &mut usize,
+        prefix: Prefix,
+        edit: impl FnOnce(&mut PrefixState) -> R,
+    ) -> R {
+        let found = self.slots.find_from(*cursor, &prefix);
+        let (Ok(i) | Err(i)) = found;
+        *cursor = i;
+        match found {
             Ok(i) => {
                 let slot = self.slots.at_mut(i);
                 let result = self.totals.track(slot, edit);
@@ -602,6 +623,51 @@ mod tests {
             );
         }
         assert!(table.walked().0[1] > 0, "the mix leaves state behind");
+    }
+
+    proptest::proptest! {
+        /// Edits through one walk's cursor land where per-prefix
+        /// `with_slot` edits do, whatever the order: ascending (an UPDATE's
+        /// run, a decide's dirty list), descending, repeated or random, with
+        /// slots that appear and empty on the way.
+        #[test]
+        fn a_cursor_walk_edits_what_per_prefix_edits_do(
+            seeded in proptest::collection::vec((0u8..24, 0u64..4), 0..24),
+            steps in proptest::collection::vec((0u8..24, 0u64..4, 0u8..4), 0..48),
+            order in 0u8..3,
+        ) {
+            let prefix = |i: u8| Prefix::new(u32::from(i / 3) << 24, 8 + 8 * (i % 3));
+            // Built alike, not cloned: a clone's fans would be exact-fit.
+            let (mut walked, mut stepped) = (PrefixTable::default(), PrefixTable::default());
+            for table in [&mut walked, &mut stepped] {
+                for &(i, peer) in &seeded {
+                    table.with_slot(prefix(i), |s| s.learn(PeerId(peer), &body(100)));
+                }
+            }
+            let mut steps = steps;
+            match order {
+                0 => steps.sort_by_key(|&(i, ..)| prefix(i)),
+                1 => steps.sort_by_key(|&(i, ..)| std::cmp::Reverse(prefix(i))),
+                _ => {}
+            }
+            let edit = |peer: u64, op: u8| {
+                move |s: &mut PrefixState| match op {
+                    0 => s.learn(PeerId(peer), &body(100 + peer as u32)),
+                    1 => s.forget(PeerId(peer)),
+                    2 => s.origination.replace(body(7)).is_none(),
+                    _ => s.origination.take().is_some(),
+                }
+            };
+            let mut cursor = 0;
+            for &(i, peer, op) in &steps {
+                let by_walk = walked.with_slot_from(&mut cursor, prefix(i), edit(peer, op));
+                let by_slot = stepped.with_slot(prefix(i), edit(peer, op));
+                proptest::prop_assert_eq!(by_walk, by_slot);
+            }
+            proptest::prop_assert_eq!(format!("{:?}", walked.slots), format!("{:?}", stepped.slots));
+            proptest::prop_assert_eq!(walked.totals, stepped.totals);
+            proptest::prop_assert_eq!(walked.totals, walked.walked());
+        }
     }
 
     #[test]

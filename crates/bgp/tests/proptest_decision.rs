@@ -107,7 +107,7 @@ proptest! {
                 UpdateMessage::announce(Prefix::DEFAULT, a.clone()),
                 &NativePolicy,
             );
-            d.decide(&NativePolicy);
+            d.decide(&NativePolicy, &mut ());
         }
         let surviving = attrs.iter().filter(|a| !a.path_contains(Asn(1))).count();
         if surviving == 0 {
@@ -123,7 +123,7 @@ proptest! {
                 UpdateMessage::withdraw(Prefix::DEFAULT),
                 &NativePolicy,
             );
-            d.decide(&NativePolicy);
+            d.decide(&NativePolicy, &mut ());
         }
         prop_assert!(d.loc_rib_entry(Prefix::DEFAULT).is_none());
         prop_assert!(d.fib().is_empty());

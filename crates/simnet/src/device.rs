@@ -20,32 +20,29 @@ pub struct SimDevice {
 
 impl SimDevice {
     /// A fresh daemon with `cfg`, a fresh engine and an empty FIB of the
-    /// given capacity. The daemon records the prefixes each
-    /// [`decide`](Self::decide) moves, for the FIB to apply.
+    /// given capacity.
     pub(crate) fn new(id: DeviceId, cfg: DaemonConfig, nhg_capacity: usize) -> Self {
-        let mut daemon = BgpDaemon::new(cfg);
-        daemon.record_fib_changes();
         SimDevice {
             id,
-            daemon,
+            daemon: BgpDaemon::new(cfg),
             engine: RpaEngine::new(),
             fib: Fib::new(nhg_capacity),
         }
     }
 
-    /// Mark dirty prefixes with `mark`, run the daemon's one
-    /// [`decide`](BgpDaemon::decide) against this device's engine, and apply
-    /// the prefixes it moved to the FIB, projected in the caller's
-    /// `scratch`. Returns the updates the daemon wants sent.
+    /// Mark dirty prefixes with `mark`, then run the daemon's one
+    /// [`decide`](BgpDaemon::decide) against this device's engine with one
+    /// FIB batch as its forwarding plane, projected in the caller's
+    /// `scratch`: the decision programs each entry it moves as it installs
+    /// it. Returns the updates the daemon wants sent.
     pub fn decide(
         &mut self,
         scratch: &mut FibScratch,
         mark: impl FnOnce(&mut BgpDaemon, &RpaEngine),
     ) -> Vec<(PeerId, UpdateMessage)> {
         mark(&mut self.daemon, &self.engine);
-        let out = self.daemon.decide(&self.engine);
-        self.fib.apply(self.daemon.drain_fib_changes(), scratch);
-        out
+        let mut batch = self.fib.batch(scratch);
+        self.daemon.decide(&self.engine, &mut batch)
     }
 }
 

@@ -10,23 +10,25 @@
 //! entry points at a group object, an installed entry holds its group's one
 //! allocation and remembers the group's id.
 //!
-//! The table changes only through [`Fib::apply`]: one batch per daemon
-//! decide, holding the prefixes it moved, so a batch costs its delta and
-//! never a rebuild. The §3.4 member-set dedup heuristic runs on the same
-//! path.
+//! The table changes only through a batch (`FibBatch`): the
+//! [`ForwardingPlane`] a device's daemon programs during one decide, each
+//! prefix whose Loc-RIB entry moved once and in ascending order, so a batch
+//! costs its delta and never a rebuild. The §3.4 member-set dedup heuristic
+//! runs on the same path. [`Fib::apply`] is one batch over a list.
 //!
 //! Storage is the sorted flat table the daemon keeps its prefixes in
 //! ([`FlatMap<Prefix, _>`](centralium_bgp::flat::FlatMap)): the FIB
 //! holds at most one entry per Loc-RIB entry, so both tables have the same
-//! keys. Exact match, install and removal are one binary search over the
-//! contiguous key array; iteration is ascending `(addr, len)` — `Prefix`'s
-//! `Ord`, the order snapshots, `Debug` output and the
-//! `verify_full_equivalence` oracle are compared in; longest-prefix match is
-//! a predecessor search ([`Fib::lookup`]).
+//! keys. A batch walks its table forward with one cursor
+//! ([`FlatMap::find_from`](centralium_bgp::flat::FlatMap::find_from)), so
+//! each program searches only the gap from the last; iteration is ascending
+//! `(addr, len)` — `Prefix`'s `Ord`, the order snapshots, `Debug` output and
+//! the `verify_full_equivalence` oracle are compared in; longest-prefix
+//! match is a predecessor search ([`Fib::lookup`]).
 
 use crate::hash::IdHashMap;
 use centralium_bgp::flat::FlatMap;
-use centralium_bgp::{FibEntry, LocRibEntry, NextHops, PeerId, Prefix};
+use centralium_bgp::{FibEntry, ForwardingPlane, LocRibEntry, NextHops, PeerId, Prefix};
 use std::collections::btree_map::{BTreeMap, Entry};
 use std::fmt;
 use std::sync::Arc;
@@ -55,8 +57,8 @@ pub struct NhgStats {
     pub overflow_events: u64,
 }
 
-/// Working memory of one [`Fib::apply`] batch: a change's projected next hops
-/// and the groups released to zero. Owned by whoever drives many FIBs and
+/// Working memory of one FIB batch: a change's projected next hops and
+/// the groups released to zero. Owned by whoever drives many FIBs and
 /// lent to each batch, so no FIB keeps buffers between batches.
 #[derive(Debug, Default)]
 pub struct FibScratch {
@@ -222,72 +224,29 @@ impl Fib {
         }
     }
 
-    /// Apply one batch of per-prefix changes — the only way a FIB changes.
-    /// Each change is a prefix and the Loc-RIB entry it now projects from,
-    /// borrowed in place; `None`, or an entry without learned next hops,
-    /// removes the prefix. A batch is what one daemon decide moved, each
-    /// prefix once ([`BgpDaemon::drain_fib_changes`]). Group accounting is
-    /// per batch: a group counts as *created* only if it was absent before
-    /// the batch (one released to zero and re-acquired keeps its id), and
-    /// the high-water mark and overflow are checked once, after it. A change
-    /// that projects to the installed entry is skipped entirely, and an
-    /// all-no-op batch performs no accounting.
-    ///
-    /// Each change is projected into `scratch` and sorted into canonical
-    /// (session-id) order there — a linear scan when already in order, as
-    /// native multipath sets are — so the projection *is* the group key.
-    /// Under [`Fib::dedup_heuristic`] a projection that is not a live group
-    /// becomes the lowest-id group that was live before the batch with the
-    /// same member sessions, if there is one. An installed entry shares the
-    /// group table's allocation and remembers its group's id, so a release
-    /// is by id: nothing is allocated unless the group is new to this FIB.
-    ///
-    /// [`BgpDaemon::drain_fib_changes`]: centralium_bgp::BgpDaemon::drain_fib_changes
+    /// Open a batch of changes, projected in `scratch` (see [`FibBatch`]).
+    /// The batch is accounted when it drops.
+    pub(crate) fn batch<'a>(&'a mut self, scratch: &'a mut FibScratch) -> FibBatch<'a> {
+        FibBatch {
+            fresh: self.groups.next_id,
+            fib: self,
+            scratch,
+            changed: false,
+            cursor: 0,
+        }
+    }
+
+    /// Apply `changes` as one batch: each a prefix and the Loc-RIB entry it
+    /// now projects from (`None`: removed), as a daemon decide programs
+    /// them — each prefix once, ascending.
     pub fn apply<'a>(
         &mut self,
         changes: impl IntoIterator<Item = (Prefix, Option<&'a LocRibEntry>)>,
         scratch: &mut FibScratch,
     ) {
-        let FibScratch { nexthops, released } = scratch;
-        // Groups minted from here on are this batch's: never reuse targets.
-        let fresh = self.groups.next_id;
-        let mut changed = false;
-        for (prefix, desired) in changes {
-            nexthops.clear();
-            nexthops.extend(desired.into_iter().flat_map(LocRibEntry::fib_nexthops));
-            nexthops.sort_unstable_by_key(|(p, _)| *p);
-            if self.dedup_heuristic {
-                self.groups.reuse_same_members(nexthops, fresh);
-            }
-            let warm = desired.is_some_and(|e| e.fib_warm_only);
-            match self.entries.find(&prefix) {
-                Err(_) if nexthops.is_empty() => continue,
-                Err(at) => {
-                    let installed = self.install(prefix, nexthops, warm);
-                    self.entries.insert_at(at, prefix, installed);
-                }
-                Ok(at) => match self.entries.at_mut(at) {
-                    (installed, _) if *installed.nexthops == **nexthops => {
-                        if installed.warm == warm {
-                            continue;
-                        }
-                        installed.warm = warm;
-                    }
-                    (_, id) => {
-                        self.groups.release(*id, released);
-                        if nexthops.is_empty() {
-                            self.entries.remove_at(at);
-                        } else {
-                            *self.entries.at_mut(at) = self.install(prefix, nexthops, warm);
-                        }
-                    }
-                },
-            }
-            changed = true;
-        }
-        if changed {
-            self.groups.gc(released);
-            self.note_group_pressure();
+        let mut batch = self.batch(scratch);
+        for (prefix, entry) in changes {
+            batch.program(prefix, entry);
         }
     }
 
@@ -371,6 +330,91 @@ impl Fib {
     /// Hardware group-table capacity.
     pub fn capacity(&self) -> usize {
         self.capacity
+    }
+}
+
+/// One batch of changes to a [`Fib`] — the only way a FIB changes — and the
+/// [`ForwardingPlane`] a device's daemon programs during one decide. Each
+/// program is a prefix and the Loc-RIB entry it now projects from, borrowed
+/// in place; `None`, or an entry without learned next hops, removes the
+/// prefix. A decide programs each prefix it moved once, ascending, and the
+/// batch follows with one cursor over its table. Group accounting is per
+/// batch: a group counts as *created* only if it was absent before the
+/// batch (one released to zero and re-acquired keeps its id), and the
+/// high-water mark and overflow are checked once, when the batch drops. A
+/// program that projects to the installed entry is skipped entirely, and a
+/// batch of nothing but those performs no accounting.
+///
+/// Each program is projected into the scratch and sorted into canonical
+/// (session-id) order there — a linear scan when already in order, as
+/// native multipath sets are — so the projection *is* the group key. Under
+/// [`Fib::dedup_heuristic`] a projection that is not a live group becomes
+/// the lowest-id group that was live before the batch with the same member
+/// sessions, if there is one. An installed entry shares the group table's
+/// allocation and remembers its group's id, so a release is by id: nothing
+/// is allocated unless the group is new to this FIB.
+pub(crate) struct FibBatch<'a> {
+    fib: &'a mut Fib,
+    scratch: &'a mut FibScratch,
+    /// Groups minted from here on are this batch's: never reuse targets.
+    fresh: u64,
+    /// Whether a program changed the table, so the drop accounts the batch.
+    changed: bool,
+    /// The walk's place in `fib.entries`: where the last program's prefix
+    /// is or would be.
+    cursor: usize,
+}
+
+impl ForwardingPlane for FibBatch<'_> {
+    fn program(&mut self, prefix: Prefix, desired: Option<&LocRibEntry>) {
+        let (fib, FibScratch { nexthops, released }) = (&mut *self.fib, &mut *self.scratch);
+        nexthops.clear();
+        if let Some(entry) = desired {
+            nexthops.extend(entry.fib_nexthops());
+        }
+        nexthops.sort_unstable_by_key(|(p, _)| *p);
+        if fib.dedup_heuristic {
+            fib.groups.reuse_same_members(nexthops, self.fresh);
+        }
+        let warm = desired.is_some_and(|e| e.fib_warm_only);
+        let found = fib.entries.find_from(self.cursor, &prefix);
+        let (Ok(at) | Err(at)) = found;
+        self.cursor = at;
+        match found {
+            Err(_) if nexthops.is_empty() => return,
+            Err(at) => {
+                let installed = fib.install(prefix, nexthops, warm);
+                fib.entries.insert_at(at, prefix, installed);
+            }
+            Ok(at) => match fib.entries.at_mut(at) {
+                (installed, _) if *installed.nexthops == **nexthops => {
+                    if installed.warm == warm {
+                        return;
+                    }
+                    installed.warm = warm;
+                }
+                (_, id) => {
+                    fib.groups.release(*id, released);
+                    if nexthops.is_empty() {
+                        fib.entries.remove_at(at);
+                    } else {
+                        *fib.entries.at_mut(at) = fib.install(prefix, nexthops, warm);
+                    }
+                }
+            },
+        }
+        self.changed = true;
+    }
+}
+
+/// The batch's accounting: forget the groups it released to zero, then
+/// refresh the current / high-water / overflow counts once.
+impl Drop for FibBatch<'_> {
+    fn drop(&mut self) {
+        if self.changed {
+            self.fib.groups.gc(&mut self.scratch.released);
+            self.fib.note_group_pressure();
+        }
     }
 }
 

@@ -7,20 +7,33 @@
 //! ingress Route Filter RPA). A violation means an update was lost or a
 //! withdrawal was skipped; the stable "ghost route" cycles such bugs create
 //! are exactly the class of convergence pathology the paper's §3 is about.
+//!
+//! The same check holds each device's FIB to its Loc-RIB: a device's decide
+//! programs the FIB as it installs each entry, so an installed FIB that
+//! differs from [`BgpDaemon::fib`](centralium_bgp::BgpDaemon::fib) means a
+//! decision that skipped the forwarding plane.
 
+use crate::device::SimDevice;
 use crate::net::SimNet;
 use centralium_bgp::policy::PolicyVerdict;
-use centralium_bgp::{PeerId, Prefix, RibPolicy, Route};
+use centralium_bgp::{FibEntry, PeerId, Prefix, RibPolicy, Route};
 use centralium_topology::DeviceId;
 use std::collections::BTreeSet;
 
-/// Check RIB consistency for every (session, prefix) pair. Returns
-/// human-readable violations; empty means consistent.
+/// Check RIB consistency for every (session, prefix) pair, and every
+/// device's installed FIB against its Loc-RIB's projection (next-hop member
+/// sets only under the §3.4 dedup heuristic, which may keep another
+/// weighting of the same members). Returns human-readable violations; empty
+/// means consistent.
 ///
 /// Must only be called at quiescence (no in-flight messages) — in-flight
 /// updates are expected to violate it.
 pub fn verify_rib_consistency(net: &SimNet) -> Vec<String> {
-    let mut failures = Vec::new();
+    let mut failures: Vec<String> = net
+        .device_ids()
+        .into_iter()
+        .filter_map(|id| fib_mismatch(net.device(id).expect("listed device")))
+        .collect();
     // Union of prefixes known anywhere.
     let mut prefixes: BTreeSet<Prefix> = BTreeSet::new();
     for id in net.device_ids() {
@@ -85,6 +98,29 @@ pub fn verify_rib_consistency(net: &SimNet) -> Vec<String> {
         }
     }
     failures
+}
+
+/// Where `dev`'s installed FIB and its daemon's
+/// [`fib`](centralium_bgp::BgpDaemon::fib) first part, if they do, each
+/// entry as `(prefix, warm, next hops)`; under the dedup heuristic the
+/// weights read 0, so only the member sessions compare.
+fn fib_mismatch(dev: &SimDevice) -> Option<String> {
+    let dedup = dev.fib.dedup_heuristic;
+    let view = |e: &FibEntry| {
+        let hops = e.nexthops.iter();
+        let hops = hops.map(|&(peer, w)| (peer, if dedup { 0 } else { w }));
+        (e.prefix, e.warm, hops.collect::<Vec<_>>())
+    };
+    let installed: Vec<_> = dev.fib.entries().map(view).collect();
+    let projected: Vec<_> = dev.daemon.fib().iter().map(view).collect();
+    let at = (0..=installed.len().max(projected.len()))
+        .find(|&i| installed.get(i) != projected.get(i))?;
+    Some(format!(
+        "{}: FIB holds {:?} where the Loc-RIB projects {:?}",
+        dev.id,
+        installed.get(at),
+        projected.get(at)
+    ))
 }
 
 /// Assert consistency, panicking with the full violation list.

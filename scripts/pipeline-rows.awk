@@ -3,8 +3,10 @@
 # (workload, seed, seconds): events, simulated time, the FIB digest and
 # entry count, the work counters the result carries, the Adj-RIB footprint
 # gauges and the failed-operation count. `mem.allocs_per_route` moves with
-# the toolchain, so it prints as its bound when within it and as its value
-# otherwise.
+# the toolchain, so on the cold workloads it prints as its bound when within
+# it and as its value otherwise; so does `bgp.decisions_per_route` (a cold
+# episode decides each delivered route at most once), whose exact value
+# the decisions and routes_delivered rows already pin.
 #
 #   awk -f scripts/pipeline-rows.awk RUN.json
 
@@ -19,6 +21,18 @@ BEGIN {
     rows, " ")
   bound["cold_2k_racks"] = 2.8
   bound["cold_xl_fanin"] = 5.5
+  decisions_bound = "1.0"
+}
+
+# Print metric NAME as "NAME <= LIMIT" when its value is within LIMIT, and
+# as its value otherwise.
+function bounded(name, limit) {
+  v = value[name]
+  if (v != "" && v + 0 <= limit + 0) {
+    print name, "<=", limit
+  } else {
+    print name, v, "over its bound", limit
+  }
 }
 
 # The file is one JSON object on one line. Split at the quotes, a metric
@@ -45,12 +59,8 @@ END {
     print rows[k], (rows[k] in value) ? value[rows[k]] : "missing"
   }
   if (workload in bound) {
-    allocs = value["mem.allocs_per_route"]
-    if (allocs != "" && allocs + 0 <= bound[workload]) {
-      print "mem.allocs_per_route <=", bound[workload]
-    } else {
-      print "mem.allocs_per_route", allocs, "over its bound", bound[workload]
-    }
+    bounded("mem.allocs_per_route", bound[workload])
+    bounded("bgp.decisions_per_route", decisions_bound)
   }
   print "ops_failed", (failed == "" ? "missing" : failed)
 }

@@ -54,7 +54,6 @@ fn daemon() -> BgpDaemon {
         ));
         d.peer_up(PeerId(peer), &NativePolicy);
     }
-    d.record_fib_changes();
     d
 }
 
@@ -66,14 +65,17 @@ fn update(peer: u64) -> UpdateMessage {
     UpdateMessage::announce(Prefix::DEFAULT, attrs)
 }
 
-/// Deliver `update(peer)` and project the FIB change, as a host does;
-/// returns (allocations, attribute bytes cloned, sessions told).
+/// Deliver `update(peer)` and decide it with a plane that records what it
+/// is programmed with, as a host programs its FIB; returns (allocations,
+/// attribute bytes cloned, sessions told).
 fn arrival(d: &mut BgpDaemon, peer: u64) -> (u64, u64, usize) {
     let msg = update(peer);
+    let mut programmed: Vec<Prefix> = Vec::with_capacity(1);
     let allocations = ALLOCATIONS.load(Ordering::Relaxed);
     let cloned = attr_clone_bytes();
-    let out = d.handle_update(PeerId(peer), msg, &NativePolicy);
-    let changes = d.drain_fib_changes().count();
+    d.ingest(PeerId(peer), msg, &NativePolicy);
+    let out = d.decide(&NativePolicy, &mut programmed);
+    let changes = programmed.len();
     let cost = (
         ALLOCATIONS.load(Ordering::Relaxed) - allocations,
         attr_clone_bytes() - cloned,

@@ -8,8 +8,8 @@
 //! accounting. One named case per branch of the edit follows.
 
 use centralium_bgp::{
-    Asn, BgpDaemon, Community, DaemonConfig, NativePolicy, PathAttributes, PathChoice, PeerConfig,
-    PeerId, Prefix, RibPolicy, Route, UpdateMessage,
+    Asn, BgpDaemon, Community, DaemonConfig, ForwardingPlane, NativePolicy, PathAttributes,
+    PathChoice, PeerConfig, PeerId, Prefix, RibPolicy, Route, UpdateMessage,
 };
 use centralium_simnet::{Fib, FibScratch};
 use centralium_telemetry::Telemetry;
@@ -89,7 +89,8 @@ fn daemon(sessions: u64, wcmp: bool) -> BgpDaemon {
     d
 }
 
-/// A daemon plus the FIB its host programs from `drain_fib_changes`.
+/// A daemon plus the FIB its host programs with what the daemon's decide
+/// programmed a recording plane with.
 struct Speaker {
     daemon: BgpDaemon,
     fib: Fib,
@@ -98,19 +99,24 @@ struct Speaker {
 
 impl Speaker {
     fn new(wcmp: bool) -> Self {
-        let mut daemon = daemon(SESSIONS, wcmp);
-        daemon.record_fib_changes();
         Speaker {
-            daemon,
+            daemon: daemon(SESSIONS, wcmp),
             fib: Fib::new(64),
             scratch: FibScratch::default(),
         }
     }
 
-    fn step(&mut self, f: impl FnOnce(&mut BgpDaemon) -> Updates) -> Updates {
-        let out = f(&mut self.daemon);
-        self.fib
-            .apply(self.daemon.drain_fib_changes(), &mut self.scratch);
+    /// Run `f` (at most one decide) against a recording plane, then apply
+    /// the recorded prefixes' Loc-RIB entries to the FIB as one batch.
+    fn step(
+        &mut self,
+        f: impl FnOnce(&mut BgpDaemon, &mut dyn ForwardingPlane) -> Updates,
+    ) -> Updates {
+        let mut programmed: Vec<Prefix> = Vec::new();
+        let out = f(&mut self.daemon, &mut programmed);
+        let daemon = &self.daemon;
+        let changes = programmed.iter().map(|&p| (p, daemon.loc_rib_entry(p)));
+        self.fib.apply(changes, &mut self.scratch);
         out
     }
 }
@@ -122,12 +128,24 @@ type Updates = Vec<(PeerId, UpdateMessage)>;
 fn both(
     edited: &mut Speaker,
     oracle: &mut Speaker,
-    op: impl Fn(&mut BgpDaemon, &dyn RibPolicy) -> Updates,
+    op: impl Fn(&mut BgpDaemon, &dyn RibPolicy, &mut dyn ForwardingPlane) -> Updates,
 ) -> (Updates, Updates) {
     (
-        edited.step(|d| op(d, &NativePolicy)),
-        oracle.step(|d| op(d, &FullPass)),
+        edited.step(|d, plane| op(d, &NativePolicy, plane)),
+        oracle.step(|d, plane| op(d, &FullPass, plane)),
     )
+}
+
+/// `ingest`, then `decide` against `plane`.
+fn deliver(
+    d: &mut BgpDaemon,
+    peer: PeerId,
+    update: UpdateMessage,
+    hook: &dyn RibPolicy,
+    plane: &mut dyn ForwardingPlane,
+) -> Updates {
+    d.ingest(peer, update, hook);
+    d.decide(hook, plane)
 }
 
 fn run_script(wcmp: bool, steps: &[(u8, u8, u8, u8)]) -> Result<(), TestCaseError> {
@@ -143,8 +161,9 @@ fn run_script(wcmp: bool, steps: &[(u8, u8, u8, u8)]) -> Result<(), TestCaseErro
             0..=2 => {
                 let attrs = palette(pick, peer_no);
                 last.insert((peer, prefix), attrs.clone());
-                both(&mut edited, &mut oracle, |d, hook| {
-                    d.handle_update(peer, UpdateMessage::announce(prefix, attrs.clone()), hook)
+                both(&mut edited, &mut oracle, |d, hook, plane| {
+                    let update = UpdateMessage::announce(prefix, attrs.clone());
+                    deliver(d, peer, update, hook, plane)
                 })
             }
             3 => {
@@ -152,25 +171,26 @@ fn run_script(wcmp: bool, steps: &[(u8, u8, u8, u8)]) -> Result<(), TestCaseErro
                     .get(&(peer, prefix))
                     .cloned()
                     .unwrap_or_else(|| palette(pick, peer_no));
-                both(&mut edited, &mut oracle, |d, hook| {
-                    d.handle_update(peer, UpdateMessage::announce(prefix, attrs.clone()), hook)
+                both(&mut edited, &mut oracle, |d, hook, plane| {
+                    let update = UpdateMessage::announce(prefix, attrs.clone());
+                    deliver(d, peer, update, hook, plane)
                 })
             }
-            4 | 5 => both(&mut edited, &mut oracle, |d, hook| {
-                d.handle_update(peer, UpdateMessage::withdraw(prefix), hook)
+            4 | 5 => both(&mut edited, &mut oracle, |d, hook, plane| {
+                deliver(d, peer, UpdateMessage::withdraw(prefix), hook, plane)
             }),
-            6 => both(&mut edited, &mut oracle, |d, hook| {
+            6 => both(&mut edited, &mut oracle, |d, hook, plane| {
                 d.peer_down(peer);
-                d.decide(hook)
+                d.decide(hook, plane)
             }),
-            7 => both(&mut edited, &mut oracle, |d, hook| d.peer_up(peer, hook)),
-            8 => both(&mut edited, &mut oracle, |d, hook| {
+            7 => both(&mut edited, &mut oracle, |d, hook, _| d.peer_up(peer, hook)),
+            8 => both(&mut edited, &mut oracle, |d, hook, plane| {
                 d.originate(prefix, palette(pick % 6, 0));
-                d.decide(hook)
+                d.decide(hook, plane)
             }),
-            9 => both(&mut edited, &mut oracle, |d, hook| {
+            9 => both(&mut edited, &mut oracle, |d, hook, plane| {
                 d.withdraw_origin(prefix);
-                d.decide(hook)
+                d.decide(hook, plane)
             }),
             // Arrivals on two sessions before one decide: neither session's
             // route is all that moved, so the edit must not run.
@@ -180,24 +200,24 @@ fn run_script(wcmp: bool, steps: &[(u8, u8, u8, u8)]) -> Result<(), TestCaseErro
                 let (attrs, other_attrs) = (palette(pick, peer_no), palette(pick + 3, other_no));
                 last.insert((peer, prefix), attrs.clone());
                 last.insert((other, prefix), other_attrs.clone());
-                both(&mut edited, &mut oracle, |d, hook| {
+                both(&mut edited, &mut oracle, |d, hook, plane| {
                     d.ingest(peer, UpdateMessage::announce(prefix, attrs.clone()), hook);
                     d.ingest(
                         other,
                         UpdateMessage::announce(prefix, other_attrs.clone()),
                         hook,
                     );
-                    d.decide(hook)
+                    d.decide(hook, plane)
                 })
             }
             // An arrival and an origination before one decide.
             _ => {
                 let attrs = palette(pick, peer_no);
                 last.insert((peer, prefix), attrs.clone());
-                both(&mut edited, &mut oracle, |d, hook| {
+                both(&mut edited, &mut oracle, |d, hook, plane| {
                     d.ingest(peer, UpdateMessage::announce(prefix, attrs.clone()), hook);
                     d.originate(prefix, palette(pick % 6, 0));
-                    d.decide(hook)
+                    d.decide(hook, plane)
                 })
             }
         };
@@ -265,24 +285,32 @@ fn three_way_tie() -> (BgpDaemon, centralium_telemetry::Counter) {
     for peer in [2, 4, 6] {
         announce(&mut d, peer, palette(0, peer));
     }
-    d.record_fib_changes();
     (d, decisions)
 }
 
 fn announce(d: &mut BgpDaemon, peer: u64, attrs: PathAttributes) -> Updates {
-    d.handle_update(
-        PeerId(peer),
-        UpdateMessage::announce(Prefix::DEFAULT, attrs),
-        &NativePolicy,
-    )
+    announce_to(d, &mut (), peer, attrs)
 }
 
 fn withdraw(d: &mut BgpDaemon, peer: u64) -> Updates {
-    d.handle_update(
-        PeerId(peer),
-        UpdateMessage::withdraw(Prefix::DEFAULT),
-        &NativePolicy,
-    )
+    withdraw_to(d, &mut (), peer)
+}
+
+/// [`announce`], programming `plane`.
+fn announce_to(
+    d: &mut BgpDaemon,
+    plane: &mut dyn ForwardingPlane,
+    peer: u64,
+    attrs: PathAttributes,
+) -> Updates {
+    let update = UpdateMessage::announce(Prefix::DEFAULT, attrs);
+    deliver(d, PeerId(peer), update, &NativePolicy, plane)
+}
+
+/// [`withdraw`], programming `plane`.
+fn withdraw_to(d: &mut BgpDaemon, plane: &mut dyn ForwardingPlane, peer: u64) -> Updates {
+    let update = UpdateMessage::withdraw(Prefix::DEFAULT);
+    deliver(d, PeerId(peer), update, &NativePolicy, plane)
 }
 
 fn selected_sessions(d: &BgpDaemon) -> Vec<Option<u64>> {
@@ -298,32 +326,32 @@ fn selected_sessions(d: &BgpDaemon) -> Vec<Option<u64>> {
 fn a_worse_arrival_leaves_the_fib_alone_and_still_counts_a_decision() {
     let (mut d, decisions) = three_way_tie();
     let before = decisions.get();
-    let out = announce(&mut d, 3, palette(1, 3));
+    let mut programmed: Vec<Prefix> = Vec::new();
+    let out = announce_to(&mut d, &mut programmed, 3, palette(1, 3));
     assert!(out.is_empty());
     assert_eq!(decisions.get() - before, 1);
-    assert_eq!(
-        d.drain_fib_changes().count(),
-        0,
-        "nothing installed, nothing marked dirty"
-    );
+    assert_eq!(programmed.len(), 0, "nothing installed, nothing programmed");
     assert_eq!(selected_sessions(&d), [Some(2), Some(4), Some(6)]);
     // Its withdrawal is as quiet: the route was held but never selected.
-    assert!(withdraw(&mut d, 3).is_empty());
+    assert!(withdraw_to(&mut d, &mut programmed, 3).is_empty());
     assert_eq!(decisions.get() - before, 2);
-    assert_eq!(d.drain_fib_changes().count(), 0);
+    assert_eq!(programmed.len(), 0);
 }
 
 #[test]
 fn a_tie_joins_at_its_session_position_and_the_local_route_stays_last() {
     let (mut d, _) = three_way_tie();
+    // Every decide below programs this plane: their union is what one
+    // batch after all four would hold.
+    let mut programmed: Vec<Prefix> = Vec::new();
     // A local route of the incumbent's preference (two hops, like the base
     // path) is multipath-equal and sorts after every learned route.
     d.originate(Prefix::DEFAULT, path(&[7, 9]));
-    d.decide(&NativePolicy);
+    d.decide(&NativePolicy, &mut programmed);
     assert_eq!(selected_sessions(&d), [Some(2), Some(4), Some(6), None]);
-    announce(&mut d, 5, palette(0, 5));
-    announce(&mut d, 1, palette(4, 1));
-    announce(&mut d, 8, palette(0, 8));
+    announce_to(&mut d, &mut programmed, 5, palette(0, 5));
+    announce_to(&mut d, &mut programmed, 1, palette(4, 1));
+    announce_to(&mut d, &mut programmed, 8, palette(0, 8));
     assert_eq!(
         selected_sessions(&d),
         [Some(1), Some(2), Some(4), Some(5), Some(6), Some(8), None]
@@ -336,9 +364,13 @@ fn a_tie_joins_at_its_session_position_and_the_local_route_stays_last() {
         entry.advertised.as_ref().unwrap().is_local(),
         "the local route stays the best"
     );
-    let changes: Vec<_> = d.drain_fib_changes().collect();
-    assert_eq!(changes.len(), 1, "one drained mark per changed entry");
-    let entry = changes[0].1.unwrap();
+    programmed.dedup();
+    assert_eq!(
+        programmed.len(),
+        1,
+        "one programmed prefix per changed entry"
+    );
+    let entry = d.loc_rib_entry(programmed[0]).unwrap();
     assert_eq!(
         entry.fib_nexthops().count(),
         6,
@@ -383,13 +415,14 @@ fn a_better_arrival_collapses_the_set_to_itself() {
 fn a_selected_route_withdrawn_or_worsened_leaves_the_rest_selected() {
     let (mut d, decisions) = three_way_tie();
     let before = decisions.get();
+    let mut programmed: Vec<Prefix> = Vec::new();
     assert!(
-        withdraw(&mut d, 4).is_empty(),
+        withdraw_to(&mut d, &mut programmed, 4).is_empty(),
         "session 2 is still the best"
     );
     assert_eq!(selected_sessions(&d), [Some(2), Some(6)]);
     assert_eq!(d.loc_rib_entry(Prefix::DEFAULT).unwrap().weights, [1, 1]);
-    assert_eq!(d.drain_fib_changes().count(), 1);
+    assert_eq!(programmed.len(), 1);
     // Worsened, not withdrawn — and it was the advertised route, so the
     // best path moves to the one that is left.
     let out = announce(&mut d, 2, palette(6, 2));
@@ -450,13 +483,13 @@ fn losing_the_last_selected_route_rescans_to_the_runner_up_set() {
 }
 
 /// The full pass re-installs the entry whatever it decided, so — unlike the
-/// edit — it leaves a dirty mark behind a worse arrival. That is how these
-/// cases tell which of the two ran.
+/// edit — it programs the forwarding plane behind a worse arrival. That is
+/// how these cases tell which of the two ran.
 fn worse_arrival_is_reinstalled(d: &mut BgpDaemon, hook: &dyn RibPolicy) -> bool {
-    d.drain_fib_changes().for_each(drop);
+    let mut programmed: Vec<Prefix> = Vec::new();
     let update = UpdateMessage::announce(Prefix::DEFAULT, palette(1, 3));
-    assert!(d.handle_update(PeerId(3), update, hook).is_empty());
-    d.drain_fib_changes().count() > 0
+    assert!(deliver(d, PeerId(3), update, hook, &mut programmed).is_empty());
+    !programmed.is_empty()
 }
 
 #[test]
@@ -489,7 +522,7 @@ fn governed_prefixes_single_path_mode_and_keep_warm_entries_take_the_full_pass()
     let (mut d, _) = three_way_tie();
     d.reevaluate_all(&LyingGuard);
     d.peer_down(PeerId(6));
-    d.decide(&LyingGuard);
+    d.decide(&LyingGuard, &mut ());
     let entry = d.loc_rib_entry(Prefix::DEFAULT).unwrap();
     assert!(entry.fib_warm_only);
     assert!(worse_arrival_is_reinstalled(&mut d, &LyingGuard));
