@@ -426,10 +426,7 @@ impl SimNet {
     /// 1. Every message scheduled during a run lands at least one base
     ///    latency `L` after the event that produced it, so all events in the
     ///    window `[t0, t0 + L)` are already queued when the window opens and
-    ///    nothing produced inside the window can land inside it. (In the
-    ///    coalescing configuration the window stretches to three latencies,
-    ///    with explicit cuts around the two event shapes that could violate
-    ///    this — see `run_window` and `DESIGN.md` §9.)
+    ///    nothing produced inside the window can land inside it.
     /// 2. Events targeting different devices within one window are causally
     ///    independent (all cross-device effects travel as messages, which
     ///    land beyond the window), so the work phase may run them grouped
@@ -487,39 +484,22 @@ impl SimNet {
     /// replay, in pop order). Returns the number of events consumed. The
     /// only place a run pops the event queue.
     ///
-    /// ## Window width
-    ///
-    /// The base window is one latency: everything in `[t0, t0 + L)` is
-    /// already queued and causally independent across devices. When UPDATE
-    /// coalescing is on — the default configuration — fresh coalesced
-    /// batches are scheduled a full `3·L` out, so the window stretches to
-    /// `[t0, t0 + 3L)` and carries roughly three times the events. Two *cuts*
-    /// keep the wide window byte-identical to one-event windows:
-    ///
-    /// * a `RemoveRpa` ends the window: its replay may schedule route-refresh
-    ///   requests one `L` out (a Route Filter removal), which could land
-    ///   inside `3L` and must sort against later events in a fresh window;
-    /// * a batch delivery is cut *out* of the window when any device that
-    ///   already holds an in-window job is its emitter and the delivery is
-    ///   at least `L` after that job — the job's replayed output would have
-    ///   merged into the batch one event at a time (`emit_coalesced` merges
-    ///   into batches at least one `L` away), but the pre-pass would already
-    ///   have retired the payload. Deferring the delivery to the next window
-    ///   restores the merge.
-    ///
-    /// Any prefix of a window's pop sequence is itself a valid window, which
-    /// is all `budget` and `deadline` ever select.
+    /// A window is one latency wide, `[t0, t0 + L)`. Every emission lands at
+    /// least `L` after its cause — a split delivery `L` + jitter out, a fresh
+    /// coalesced batch `3L` + jitter, a route-refresh request `L` — so the
+    /// whole window is queued when it opens and none of its output lands in
+    /// it. A batch popped here is closed to the window's output too: its
+    /// delivery is under `t0 + L`, and `emit_coalesced` merges only into
+    /// batches at least `L` away from the emitting event. Any prefix of a
+    /// window's pop sequence is itself a valid window, which is all `budget`
+    /// and `deadline` ever select.
     fn run_window(&mut self, deadline: SimTime, budget: u64) -> u64 {
         let Some(t0) = self.queue.peek_time() else {
             return 0;
         };
-        let wide = self.cfg.coalesce_updates;
-        let width = if wide {
-            3 * BASE_LATENCY_US
-        } else {
-            BASE_LATENCY_US
-        };
-        let horizon = t0.saturating_add(width).min(deadline.saturating_add(1));
+        let horizon = t0
+            .saturating_add(BASE_LATENCY_US)
+            .min(deadline.saturating_add(1));
 
         // Phase 1 — pre-pass: pop the window and run the global-state side
         // of each event (counters, churn, origination bookkeeping,
@@ -527,38 +507,10 @@ impl SimNet {
         let pre_start = std::time::Instant::now();
         let sp_pre = self.telemetry.span("simnet", "window.pre");
         let mut slots: Vec<Slot> = Vec::new();
-        let mut cut = false;
-        while !cut && (slots.len() as u64) < budget {
-            match self.queue.peek() {
-                Some((t, ev)) if t < horizon => {
-                    if let NetEvent::DeliverBatch { on, .. } = ev {
-                        let first = self.first_job.get(DeviceId(on.device()));
-                        if first.is_some_and(|&te| t >= te + BASE_LATENCY_US) {
-                            // In-window output from the emitter could still
-                            // merge into this batch: defer it.
-                            break;
-                        }
-                    }
-                }
-                _ => break,
-            }
+        while (slots.len() as u64) < budget && self.queue.peek_time().is_some_and(|t| t < horizon) {
             let (t, ev) = self.queue.pop().expect("peeked event");
             debug_assert!(t >= self.now, "time must be monotonic");
-            if wide {
-                cut = matches!(ev, NetEvent::RemoveRpa { .. });
-            }
-            let slot = self.prepare(t, ev);
-            if wide {
-                if let Some(dev) = slot.dev {
-                    self.first_job.get_or_insert_with(dev, || t);
-                }
-            }
-            slots.push(slot);
-        }
-        if wide {
-            for dev in slots.iter().filter_map(|slot| slot.dev) {
-                self.first_job.remove(dev);
-            }
+            slots.push(self.prepare(t, ev));
         }
         drop(sp_pre);
 
@@ -587,6 +539,10 @@ impl SimNet {
             self.finish(slot);
         }
         drop(sp_merge);
+        debug_assert!(
+            events == budget || self.queue.peek_time().is_none_or(|t| t >= horizon),
+            "a window's output landed inside it"
+        );
 
         let end = std::time::Instant::now();
         self.phase_ns[0] += (work_start - pre_start).as_nanos() as u64;
@@ -928,13 +884,12 @@ impl SimNet {
 mod tests {
     use super::*;
     use centralium_bgp::attrs::well_known;
-    use centralium_bgp::{Community, FibEntry, Route};
+    use centralium_bgp::{Community, Route};
     use centralium_rpa::{
         PathSelectionRpa, PathSelectionStatement, PathSet, PathSignature, PeerSignature,
         PrefixFilter, RouteFilterRpa, RouteFilterStatement,
     };
     use centralium_topology::{build_fabric, FabricSpec};
-    use std::collections::BTreeMap;
 
     fn rack(pod: u32, rack: u32) -> Prefix {
         Prefix::new(0x0A00_0000 | pod << 16 | rack << 8, 24)
@@ -1017,65 +972,6 @@ mod tests {
                 egress_filter: if ingress { None } else { allow },
             }],
         })
-    }
-
-    /// A cold episode on the tiny fabric, run one event at a time or a
-    /// whole window at a time. Returns the FIBs, the clock, the event count,
-    /// the coalescer's counters and how many windows ended at a batch
-    /// deferred by the emitter cut.
-    fn cold_episode(
-        windowed: bool,
-    ) -> (
-        BTreeMap<DeviceId, Vec<FibEntry>>,
-        SimTime,
-        u64,
-        [u64; 2],
-        u64,
-    ) {
-        let (topo, idx, _) = build_fabric(&FabricSpec::tiny());
-        let mut net = SimNet::new(
-            topo,
-            SimConfig {
-                seed: 21,
-                ..Default::default()
-            },
-        );
-        net.establish_all();
-        for &eb in &idx.backbone {
-            net.originate(eb, Prefix::DEFAULT, [well_known::BACKBONE_DEFAULT_ROUTE]);
-        }
-        for (pod, racks) in idx.rsw.iter().enumerate() {
-            net.originate(racks[0], rack(pod as u32, 0), [well_known::RACK_PREFIX]);
-        }
-        let (mut events, mut cuts) = (0, 0);
-        while let Some(t0) = net.queue.peek_time() {
-            events += net.run_window(SimTime::MAX, if windowed { u64::MAX } else { 1 });
-            let deferred = matches!(net.queue.peek(), Some((t, NetEvent::DeliverBatch { .. }))
-                if t < t0 + 3 * BASE_LATENCY_US);
-            cuts += u64::from(windowed && deferred);
-        }
-        let snap = net.telemetry.metrics().snapshot();
-        let counters =
-            ["simnet.updates_coalesced", "simnet.batches_delivered"].map(|c| snap.counter(c));
-        (net.fib_snapshot(), net.now, events, counters, cuts)
-    }
-
-    /// A batch the emitter cut defers out of a wide window is delivered in
-    /// the next one, after the emitter's in-window output merged into it:
-    /// the same merges, deliveries and FIBs as one event at a time.
-    #[test]
-    fn a_batch_cut_out_of_a_wide_window_still_merges() {
-        let (fibs, now, events, counters, cuts) = cold_episode(true);
-        assert!(cuts > 0, "no window was cut at a deferred batch");
-        let (step_fibs, step_now, step_events, step_counters, _) = cold_episode(false);
-        assert_eq!(
-            (now, events, counters),
-            (step_now, step_events, step_counters)
-        );
-        assert!(
-            fibs == step_fibs,
-            "FIBs differ between windowed and stepped runs"
-        );
     }
 
     /// `rpa_scope` on the ordered walk equals the materialized scan on a

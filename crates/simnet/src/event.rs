@@ -132,10 +132,9 @@ impl<T> EventQueue<T> {
             .map(|idx| self.buckets[idx].front().expect("bucket head exists").0)
     }
 
-    /// The next event without removing it, as `(time, &event)`. The window
-    /// cutter uses this to inspect an event *before* committing to popping
-    /// it — re-scheduling a popped event would assign a fresh sequence
-    /// number and corrupt the deterministic `(time, seq)` tie-break.
+    /// The next event without removing it, as `(time, &event)`, for tests
+    /// that watch the schedule while they step it.
+    #[cfg(test)]
     pub(crate) fn peek(&self) -> Option<(SimTime, &T)> {
         self.find_next().map(|idx| {
             let (at, _, event) = self.buckets[idx].front().expect("bucket head exists");

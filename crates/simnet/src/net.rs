@@ -455,9 +455,6 @@ pub struct SimNet {
     /// takes its payload, and retired ids are trimmed off the front.
     batches: VecDeque<Option<UpdateMessage>>,
     batch_base: u64,
-    /// Each device's first job time in the window being popped: scratch of
-    /// `run_window`'s pre-pass, empty between windows.
-    first_job: DenseMap<SimTime>,
     /// Largest routing-information count (announcements + withdrawals)
     /// observed in a single delivered batch.
     max_batch_size: u64,
@@ -509,7 +506,6 @@ impl SimNet {
             sessions: DenseMap::new(),
             batches: VecDeque::new(),
             batch_base: 0,
-            first_job: DenseMap::new(),
             max_batch_size: 0,
             chaos: None,
             rpc_nonce: 0,

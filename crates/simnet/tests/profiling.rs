@@ -154,7 +154,7 @@ fn observed_run(stepped: bool) -> (String, Vec<u8>, Vec<Event>) {
 fn observability_does_not_change_the_schedule() {
     let (fibs, journal, provenance) = observed_run(false);
     let (ref_fibs, ref_journal, ref_provenance) = observed_run(true);
-    assert!(fibs == ref_fibs, "wide windows changed the FIBs");
+    assert!(fibs == ref_fibs, "FIBs differ from the stepped run");
     assert!(
         journal == ref_journal,
         "journal JSONL differs from the stepped run"

@@ -1,18 +1,19 @@
 //! One run loop, two ways to drive it: `step()` takes a window of exactly one
 //! event — plain pop order, the obviously-correct reference — while
-//! `run_until_quiescent` and `run_until` take whole causality-safe windows
-//! and run each window's events grouped by device. Both must leave the same
-//! fabric behind: FIBs, clock, event count, RIB consistency and every
-//! counter that counts work.
+//! `run_until_quiescent` and `run_until` take whole causality-safe windows,
+//! one base latency wide, and run each window's events grouped by device.
+//! Both must leave the same fabric behind: FIBs, clock, event count, RIB
+//! consistency and every counter that counts work.
 //!
-//! The script is built to reach every shape the window logic special-cases:
-//! multi-prefix batches, a withdraw/re-announce race and a session flap inside
-//! one wave (batch deliveries deferred behind their emitter's in-window job),
-//! a Route Filter removal (the window cut before route-refresh requests), an
-//! RPA deadline that passes inside a wide window holding other jobs of the
-//! same device (the expiry is an ordinary job, with no cut), and split
-//! delivery with coalescing off (per-prefix messages shuffled per session,
-//! the one configuration that takes narrow one-latency windows).
+//! The script is built to reach the shapes where grouping could reorder
+//! work: multi-prefix batches that keep absorbing output until one latency
+//! before delivery, a withdraw/re-announce race and a session flap inside one
+//! wave, a Route Filter removal (route-refresh requests scheduled one latency
+//! out), an RPA deadline that passes inside a window holding other jobs of
+//! the same spine (the expiry is an ordinary job), and split delivery with
+//! coalescing off (per-prefix messages shuffled per session). Every leg
+//! checks that its windowed run grouped events at all, and the coalescing
+//! legs that batches merged, so that none can pass vacuously.
 
 use centralium_bgp::attrs::{well_known, PathAttributes};
 use centralium_bgp::{FibEntry, Prefix};
@@ -55,6 +56,7 @@ struct Outcome {
     rib_violations: Vec<String>,
     stats: TraceStats,
     counters: Vec<(&'static str, u64)>,
+    windows: u64,
 }
 
 /// Settle the network one event at a time.
@@ -153,8 +155,8 @@ fn run_script(
     let mut events = 0;
 
     // Cold origination: the default route plus a /24 from each of four racks.
-    // A split on a spine expires 2 ms in, inside the wide window that
-    // delivers the default route to that spine (on the default fabric).
+    // A split on a spine expires 2 ms in, inside a window that also holds
+    // deliveries of the default route to that spine (on the default fabric).
     net.establish_all();
     let spine = idx.ssw[0][0];
     let split = expiring_split(net.topology(), spine, 2_000);
@@ -198,7 +200,7 @@ fn run_script(
     // RPA deploy on every spine, a Route Filter on one aggregation switch,
     // then the filter's removal — with an unrelated event queued 250 µs
     // behind it, so that the removal's refresh requests (one latency, 200 µs,
-    // out) must sort ahead of an event the same wide window could reach.
+    // out) must sort ahead of it.
     for plane in &idx.ssw {
         for &ssw in plane {
             net.deploy_rpa(ssw, equalize_doc(), 300);
@@ -222,27 +224,42 @@ fn run_script(
             .iter()
             .map(|&name| (name, snap.counter(name)))
             .collect(),
+        windows: snap.counter("simnet.phase.windows"),
     }
 }
 
 fn assert_equivalent(build: impl Fn() -> (Topology, FabricIndex), cfg: SimConfig, what: &str) {
+    let coalescing = cfg.coalesce_updates;
     let (topo, idx) = build();
     let reference = run_script(topo, &idx, cfg.clone(), stepped);
     let (topo, idx) = build();
-    let wide = run_script(topo, &idx, cfg, windowed);
+    let grouped = run_script(topo, &idx, cfg, windowed);
     assert!(reference.events > 0 && !reference.fibs.is_empty());
     assert_eq!(reference.rib_violations, Vec::<String>::new(), "{what}");
+    // Neither leg may pass vacuously: the windowed run must have grouped
+    // events, and with coalescing on, batches must have merged.
+    assert!(
+        grouped.windows < grouped.events,
+        "{what}: {} windows for {} events",
+        grouped.windows,
+        grouped.events
+    );
+    let merged = grouped
+        .counters
+        .iter()
+        .any(|&(name, n)| name == "simnet.updates_coalesced" && n > 0);
+    assert_eq!(merged, coalescing, "{what}: merged batches");
     // Compare field by field: a FIB snapshot diff is unreadable, the rest
     // says where the runs parted.
-    assert_eq!(reference.events, wide.events, "{what}: event count");
-    assert_eq!(reference.now, wide.now, "{what}: final sim time");
-    assert_eq!(reference.counters, wide.counters, "{what}: counters");
-    assert_eq!(reference.stats, wide.stats, "{what}: trace stats");
+    assert_eq!(reference.events, grouped.events, "{what}: event count");
+    assert_eq!(reference.now, grouped.now, "{what}: final sim time");
+    assert_eq!(reference.counters, grouped.counters, "{what}: counters");
+    assert_eq!(reference.stats, grouped.stats, "{what}: trace stats");
     assert_eq!(
-        reference.rib_violations, wide.rib_violations,
+        reference.rib_violations, grouped.rib_violations,
         "{what}: RIB consistency"
     );
-    assert!(reference.fibs == wide.fibs, "{what}: FIBs differ");
+    assert!(reference.fibs == grouped.fibs, "{what}: FIBs differ");
 }
 
 fn default_fabric() -> (Topology, FabricIndex) {
@@ -259,7 +276,7 @@ fn windows_match_stepping_on_the_default_fabric() {
 }
 
 #[test]
-fn narrow_windows_match_stepping_with_split_delivery() {
+fn windows_match_stepping_with_split_delivery() {
     let cfg = SimConfig::builder().seed(7).coalesce_updates(false).build();
     assert_equivalent(default_fabric, cfg, "split delivery, seed 7");
 }
