@@ -21,7 +21,7 @@
 //! fabric. `--fabric` names an explicit comma-separated tier list from
 //! `tiny`/`default`/`large`/`2k`/`xl`/`xxl` — the last three are the
 //! paper-scale three-tier fabrics (2,036 / 10,308 / 100,420 devices) that
-//! exercise the arena storage, the calendar-queue scheduler and the flat
+//! exercise the arena storage, the event queue and the flat
 //! adjacency-RIB tables; scale tiers cap the iteration count
 //! (printed, never silent; `xxl` runs a single iteration) so a full pass
 //! stays tractable. `--json FILE` writes the machine-readable report

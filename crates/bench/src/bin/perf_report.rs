@@ -14,7 +14,7 @@
 //! ```
 //!
 //! `--fabric` names an explicit tier list (`tiny`/`default`/`large`/`2k`/
-//! `xl`/`xxl`); the scale tiers report the arena and calendar-queue footprint
+//! `xl`/`xxl`); the scale tiers report the arena and event-queue footprint
 //! gauges plus process peak RSS alongside the usual diagnosis.
 //!
 //! `--trace-out` writes the traced runs as one Chrome Trace Event file

@@ -19,7 +19,7 @@ use crate::stats::{percentile, render_cdf};
 use centralium::apps::path_equalization::equalize_on_layers;
 use centralium::compile::compile_intent;
 use centralium_bgp::attrs::well_known;
-use centralium_bgp::PeerId;
+use centralium_bgp::{Outbox, PeerId};
 use centralium_simnet::{assert_rib_consistent, FibScratch, ManagementPlane, NetEvent};
 use centralium_topology::{DeviceId, FabricSpec, Layer};
 use std::time::Instant;
@@ -74,9 +74,11 @@ pub(crate) fn artefact(tiny: bool) -> Artefact {
         let device = fab.net.device_mut(dev).expect("device");
         let t = Instant::now();
         device.engine.install(doc).expect("installs");
-        let out = device.decide(&mut scratch, |d, e| {
-            d.purge_ingress(e);
-            d.mark(d.known_prefixes());
+        let out = Outbox::updates(|out| {
+            device.decide(&mut scratch, out, |d, e| {
+                d.purge_ingress(e);
+                d.mark(d.known_prefixes());
+            })
         });
         let install_us = t.elapsed().as_secs_f64() * 1e6;
         samples_ms.push((rpc_us + install_us) / 1_000.0);
@@ -84,6 +86,7 @@ pub(crate) fn artefact(tiny: bool) -> Artefact {
         for (peer, msg) in out {
             let to = DeviceId(peer.device());
             let on = PeerId::compose(dev.0, peer.session_index());
+            let msg = Box::new(msg);
             fab.net.schedule_in(0, NetEvent::Deliver { to, on, msg });
         }
     }

@@ -61,9 +61,9 @@ pub fn run(with_rpa: bool, spec: &FabricSpec, seed: u64) -> Outcome {
             (i as u64) * 30_000,
             centralium_simnet::NetEvent::SetExportPolicy {
                 dev: f,
-                policy: centralium_simnet::SimNet::drain_export_policy(
+                policy: Box::new(centralium_simnet::SimNet::drain_export_policy(
                     fab.net.device(f).expect("fadu").daemon.asn(),
-                ),
+                )),
             },
         );
     }

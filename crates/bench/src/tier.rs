@@ -8,7 +8,7 @@
 //! Tiers come in two shapes: the five-layer Meta-style fabric
 //! ([`FabricSpec`]) at unit-test sizes, and the paper-scale three-tier Clos
 //! ([`ThreeTierSpec`]) whose link count stays linear in devices — the `2k`
-//! and `xl` tiers that exercise the arena storage and the calendar-queue
+//! and `xl` tiers that exercise the arena storage and the event-queue
 //! scheduler at 2k/10k+ devices.
 
 use centralium_topology::{

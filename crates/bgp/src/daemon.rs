@@ -5,10 +5,11 @@
 //! `withdraw_origin`, `peer_down`, `remove_peer`, `purge_ingress`, `mark`)
 //! only edit their table and mark the prefixes they touched dirty; one
 //! [`decide`](BgpDaemon::decide) re-decides the dirty prefixes, programs the
-//! host's [`ForwardingPlane`] with each Loc-RIB entry it moved, and returns
-//! the updates the speaker wants transmitted, as `(session, UpdateMessage)`
-//! pairs. The caller owns delivery (and, in the emulator, delivery *timing*
-//! — which is what creates the paper's transitory states).
+//! host's [`ForwardingPlane`] with each Loc-RIB entry it moved, and writes
+//! the updates the speaker wants transmitted into the caller's [`Outbox`],
+//! one UPDATE per session. The caller owns delivery (and, in the
+//! emulator, delivery *timing* — which is what creates the paper's
+//! transitory states).
 //!
 //! # The Adj-RIB-Out invariant
 //!
@@ -52,6 +53,7 @@ use crate::decision::{best_route, compare_routes, multipath_set, PathPreference}
 use crate::flat::FlatMap;
 use crate::hooks::{AdvertiseChoice, PathChoice, RibPolicy};
 use crate::msg::UpdateMessage;
+use crate::outbox::Outbox;
 use crate::policy::Policy;
 use crate::rib::{held, take_selected, LocRibEntry, PrefixState, PrefixTable, RibFootprint, Route};
 use crate::types::{PeerId, Prefix};
@@ -568,13 +570,14 @@ impl BgpDaemon {
     /// Re-decide every prefix marked since the last call, ascending and once
     /// each, program `plane` with each Loc-RIB entry the decisions
     /// (re)installed or removed, and export what the marks can have moved
-    /// (see the module docs). The result is ascending by session, one UPDATE
-    /// each, prefixes ascending inside it.
+    /// (see the module docs) into `out`: one UPDATE per session told
+    /// anything, ascending by session, prefixes ascending inside each.
     pub fn decide(
         &mut self,
         policy: &dyn RibPolicy,
         plane: &mut dyn ForwardingPlane,
-    ) -> Vec<(PeerId, UpdateMessage)> {
+        out: &mut Outbox,
+    ) {
         let moved = std::mem::take(&mut self.moved);
         let from = match moved {
             Moved::Session(from) => Some(from),
@@ -587,7 +590,6 @@ impl BgpDaemon {
         let mut dirty = std::mem::take(&mut self.dirty);
         dirty.sort_unstable();
         dirty.dedup();
-        let mut out = Vec::new();
         let mut step = Step {
             cfg: &self.cfg,
             peers: &self.peers,
@@ -603,10 +605,11 @@ impl BgpDaemon {
                     .and_then(|from| step.decide_against_incumbent(prefix, slot, from))
                     .unwrap_or_else(|| step.decide_prefix(prefix, slot));
                 if always || advertisement_moved {
-                    step.export_prefix(prefix, slot, &mut out);
+                    step.export_prefix(prefix, slot, out);
                 }
             });
         }
+        out.seal();
         if let Some(tel) = step.tel {
             let counters = [&tel.decisions, &tel.best_path_changes, &tel.export_evals];
             counters
@@ -616,11 +619,11 @@ impl BgpDaemon {
         }
         dirty.clear();
         self.dirty = dirty;
-        out
     }
 
     /// Process a received UPDATE: [`ingest`](Self::ingest), then
-    /// [`decide`](Self::decide) with no forwarding plane.
+    /// [`decide`](Self::decide) with no forwarding plane, its UPDATEs
+    /// returned ([`Outbox::updates`]).
     pub fn handle_update(
         &mut self,
         from: PeerId,
@@ -628,18 +631,18 @@ impl BgpDaemon {
         policy: &dyn RibPolicy,
     ) -> Vec<(PeerId, UpdateMessage)> {
         self.ingest(from, update, policy);
-        self.decide(policy, &mut ())
+        Outbox::updates(|out| self.decide(policy, &mut (), out))
     }
 
     /// Re-decide and export every known prefix ("BGP can independently
     /// discover and process new viable routes by locally re-applying the
     /// pre-installed RPAs", §4.1): [`purge_ingress`](Self::purge_ingress),
     /// [`mark`](Self::mark) of every known prefix, then `decide` with no
-    /// forwarding plane.
+    /// forwarding plane, as [`handle_update`](Self::handle_update) returns it.
     pub fn reevaluate_all(&mut self, policy: &dyn RibPolicy) -> Vec<(PeerId, UpdateMessage)> {
         self.purge_ingress(policy);
         self.mark(self.known_prefixes());
-        self.decide(policy, &mut ())
+        Outbox::updates(|out| self.decide(policy, &mut (), out))
     }
 
     /// Every prefix the speaker currently knows: held in Adj-RIB-In,
@@ -1026,22 +1029,16 @@ impl Step<'_> {
     }
 
     /// The export half: bring the slot's out-fan, toward every established
-    /// session, to what its installed Loc-RIB entry asks for, and add the
-    /// difference to `out` — sorted by session, and visited in that order
-    /// here, so one cursor finds each session's UPDATE. A prefix is exported
-    /// at most once per `out`, so its announcement or withdrawal is simply
-    /// appended. The post-export attribute body is built at most once
+    /// session, to what its installed Loc-RIB entry asks for, and tell `out`
+    /// the difference, session by session; the decide's
+    /// [`seal`](Outbox::seal) turns it into UPDATEs. A prefix is exported at
+    /// most once per decide. The post-export attribute body is built at most once
     /// ([`Export`]) — it does not depend on the peer; only split-horizon, the
     /// egress filter and the per-session export policy do, and those run per
     /// peer below. Each pass costs one evaluation per established session
     /// (`bgp.export_evals`), which is why [`BgpDaemon::decide`] skips it for
     /// a decision that left the advertisement where it was.
-    fn export_prefix(
-        &mut self,
-        prefix: Prefix,
-        slot: &mut PrefixState,
-        out: &mut Vec<(PeerId, UpdateMessage)>,
-    ) {
+    fn export_prefix(&mut self, prefix: Prefix, slot: &mut PrefixState, out: &mut Outbox) {
         // Reads the *installed* entry: call after the decision installed it.
         let mut advertised = Export::of(self.cfg, self.peers, slot.loc.as_ref());
         let policy = self.policy;
@@ -1059,14 +1056,7 @@ impl Step<'_> {
                     .and_then(|export| export.toward(session, policy));
                 (peer, want)
             });
-        let mut cursor = 0;
-        slot.export(wants, |peer, sent| {
-            let update = update_for(out, &mut cursor, peer);
-            match sent {
-                Some(attrs) => update.announced.push((prefix, attrs)),
-                None => update.withdrawn.push(prefix),
-            }
-        });
+        slot.export(wants, |peer, sent| out.tell(peer, prefix, sent));
     }
 }
 
@@ -1094,22 +1084,6 @@ fn warm_entry(peers: &FlatMap<PeerId, PeerState>, prior: LocRibEntry) -> Option<
         advertised: None,
         fib_warm_only: true,
     })
-}
-
-/// The UPDATE for `peer` in the session-sorted `out`, created empty when
-/// absent. `cursor` only moves forward: callers ask in ascending `peer` order.
-fn update_for<'a>(
-    out: &'a mut Vec<(PeerId, UpdateMessage)>,
-    cursor: &mut usize,
-    peer: PeerId,
-) -> &'a mut UpdateMessage {
-    while out.get(*cursor).is_some_and(|(p, _)| *p < peer) {
-        *cursor += 1;
-    }
-    if out.get(*cursor).is_none_or(|(p, _)| *p != peer) {
-        out.insert(*cursor, (peer, UpdateMessage::default()));
-    }
-    &mut out[*cursor].1
 }
 
 /// Write `selected`'s weights into `weights`, reusing its allocation unless
@@ -1236,6 +1210,11 @@ mod tests {
         s.parse().unwrap()
     }
 
+    /// One decide with no forwarding plane, its UPDATEs returned.
+    fn decided(d: &mut BgpDaemon, policy: &dyn RibPolicy) -> Vec<(PeerId, UpdateMessage)> {
+        Outbox::updates(|out| d.decide(policy, &mut (), out))
+    }
+
     fn daemon(asn: u32) -> BgpDaemon {
         BgpDaemon::new(DaemonConfig::fabric(Asn(asn)))
     }
@@ -1260,7 +1239,7 @@ mod tests {
         connect(&mut d, 10, 2);
         connect(&mut d, 20, 3);
         d.originate(p("10.0.0.0/8"), PathAttributes::default());
-        let out = d.decide(&NativePolicy, &mut ());
+        let out = decided(&mut d, &NativePolicy);
         assert_eq!(out.len(), 2);
         for (_, upd) in &out {
             assert_eq!(upd.announced.len(), 1);
@@ -1276,7 +1255,7 @@ mod tests {
             connect(&mut d, peer * 10, 100 + peer as u32);
         }
         d.originate(p("10.0.0.0/8"), PathAttributes::default());
-        let out = d.decide(&NativePolicy, &mut ());
+        let out = decided(&mut d, &NativePolicy);
         assert_eq!(out.len(), 8);
         let first = &out[0].1.announced[0].1;
         for (peer, upd) in &out {
@@ -1295,7 +1274,7 @@ mod tests {
     fn peer_up_receives_existing_table() {
         let mut d = daemon(1);
         d.originate(p("10.0.0.0/8"), PathAttributes::default());
-        d.decide(&NativePolicy, &mut ());
+        decided(&mut d, &NativePolicy);
         let out = connect(&mut d, 10, 2);
         assert_eq!(out.len(), 1);
         assert_eq!(out[0].0, PeerId(10));
@@ -1312,7 +1291,7 @@ mod tests {
             announce(10, "0.0.0.0/0", &[2, 5]),
             &NativePolicy,
         );
-        let out = d.decide(&NativePolicy, &mut ());
+        let out = decided(&mut d, &NativePolicy);
         // Propagated to peer 20 only (split horizon suppresses peer 10).
         assert_eq!(out.len(), 1);
         assert_eq!(out[0].0, PeerId(20));
@@ -1334,7 +1313,7 @@ mod tests {
             announce(10, "0.0.0.0/0", &[2, 1, 5]),
             &NativePolicy,
         );
-        let out = d.decide(&NativePolicy, &mut ());
+        let out = decided(&mut d, &NativePolicy);
         assert!(out.is_empty());
         assert!(d.loc_rib_entry(p("0.0.0.0/0")).is_none());
     }
@@ -1349,13 +1328,13 @@ mod tests {
             announce(10, "0.0.0.0/0", &[2, 9]),
             &NativePolicy,
         );
-        d.decide(&NativePolicy, &mut ());
+        decided(&mut d, &NativePolicy);
         d.ingest(
             PeerId(20),
             announce(20, "0.0.0.0/0", &[3, 9]),
             &NativePolicy,
         );
-        d.decide(&NativePolicy, &mut ());
+        decided(&mut d, &NativePolicy);
         let fib = d.fib();
         assert_eq!(fib.len(), 1);
         assert_eq!(fib[0].nexthops.len(), 2);
@@ -1373,13 +1352,13 @@ mod tests {
             announce(10, "0.0.0.0/0", &[2, 8, 9]),
             &NativePolicy,
         );
-        d.decide(&NativePolicy, &mut ());
+        decided(&mut d, &NativePolicy);
         d.ingest(
             PeerId(20),
             announce(20, "0.0.0.0/0", &[3, 8, 9]),
             &NativePolicy,
         );
-        d.decide(&NativePolicy, &mut ());
+        decided(&mut d, &NativePolicy);
         assert_eq!(d.fib()[0].nexthops.len(), 2);
         // The "FAv2" path: one hop shorter. Native BGP funnels onto it.
         d.ingest(
@@ -1387,7 +1366,7 @@ mod tests {
             announce(30, "0.0.0.0/0", &[4, 9]),
             &NativePolicy,
         );
-        d.decide(&NativePolicy, &mut ());
+        decided(&mut d, &NativePolicy);
         let fib = d.fib();
         assert_eq!(fib[0].nexthops, vec![(PeerId(30), 1)]);
     }
@@ -1402,13 +1381,13 @@ mod tests {
             announce(10, "0.0.0.0/0", &[2, 9]),
             &NativePolicy,
         );
-        d.decide(&NativePolicy, &mut ());
+        decided(&mut d, &NativePolicy);
         d.ingest(
             PeerId(10),
             UpdateMessage::withdraw(p("0.0.0.0/0")),
             &NativePolicy,
         );
-        let out = d.decide(&NativePolicy, &mut ());
+        let out = decided(&mut d, &NativePolicy);
         assert!(d.loc_rib_entry(p("0.0.0.0/0")).is_none());
         assert_eq!(out.len(), 1);
         assert_eq!(out[0].0, PeerId(20));
@@ -1426,16 +1405,16 @@ mod tests {
             announce(10, "0.0.0.0/0", &[2, 9]),
             &NativePolicy,
         );
-        d.decide(&NativePolicy, &mut ());
+        decided(&mut d, &NativePolicy);
         d.ingest(
             PeerId(20),
             announce(20, "0.0.0.0/0", &[3, 9]),
             &NativePolicy,
         );
-        d.decide(&NativePolicy, &mut ());
+        decided(&mut d, &NativePolicy);
         assert_eq!(d.fib()[0].nexthops.len(), 2);
         d.peer_down(PeerId(10));
-        let out = d.decide(&NativePolicy, &mut ());
+        let out = decided(&mut d, &NativePolicy);
         // Last router standing: all traffic now on peer 20.
         assert_eq!(d.fib()[0].nexthops, vec![(PeerId(20), 1)]);
         // Peer 30 gets a fresh announcement only if the advertised attrs
@@ -1454,14 +1433,14 @@ mod tests {
             announce(10, "0.0.0.0/0", &[2, 8, 9]),
             &NativePolicy,
         );
-        d.decide(&NativePolicy, &mut ());
+        decided(&mut d, &NativePolicy);
         // Shorter path arrives; best changes; peers see new attrs.
         d.ingest(
             PeerId(20),
             announce(20, "0.0.0.0/0", &[3, 9]),
             &NativePolicy,
         );
-        let out = d.decide(&NativePolicy, &mut ());
+        let out = decided(&mut d, &NativePolicy);
         let to30 = out.iter().find(|(p, _)| *p == PeerId(30)).unwrap();
         assert_eq!(to30.1.announced[0].1.as_path, vec![Asn(1), Asn(3), Asn(9)]);
     }
@@ -1482,7 +1461,7 @@ mod tests {
             announce(10, "0.0.0.0/0", &[2, 9]),
             &NativePolicy,
         );
-        let out = d.decide(&NativePolicy, &mut ());
+        let out = decided(&mut d, &NativePolicy);
         assert!(out.is_empty());
         assert!(d.loc_rib_entry(p("0.0.0.0/0")).is_none());
     }
@@ -1504,7 +1483,7 @@ mod tests {
             announce(10, "0.0.0.0/0", &[2, 9]),
             &NativePolicy,
         );
-        let out = d.decide(&NativePolicy, &mut ());
+        let out = decided(&mut d, &NativePolicy);
         assert!(
             out.is_empty(),
             "export reject-all suppresses all advertisements"
@@ -1527,13 +1506,13 @@ mod tests {
             UpdateMessage::announce(p("0.0.0.0/0"), a1),
             &NativePolicy,
         );
-        d.decide(&NativePolicy, &mut ());
+        decided(&mut d, &NativePolicy);
         d.ingest(
             PeerId(20),
             UpdateMessage::announce(p("0.0.0.0/0"), a2),
             &NativePolicy,
         );
-        d.decide(&NativePolicy, &mut ());
+        decided(&mut d, &NativePolicy);
         let fib = d.fib();
         assert_eq!(fib[0].nexthops, vec![(PeerId(10), 1), (PeerId(20), 3)]);
     }
@@ -1550,13 +1529,13 @@ mod tests {
             announce(10, "0.0.0.0/0", &[2, 9]),
             &NativePolicy,
         );
-        d.decide(&NativePolicy, &mut ());
+        decided(&mut d, &NativePolicy);
         d.ingest(
             PeerId(20),
             announce(20, "0.0.0.0/0", &[3, 9]),
             &NativePolicy,
         );
-        let out = d.decide(&NativePolicy, &mut ());
+        let out = decided(&mut d, &NativePolicy);
         let to30 = out.iter().find(|(pp, _)| *pp == PeerId(30)).unwrap();
         // Two selected 100G paths => 200G effective capacity advertised.
         assert_eq!(to30.1.announced[0].1.link_bandwidth_gbps, Some(200.0));
@@ -1572,13 +1551,13 @@ mod tests {
             announce(10, "0.0.0.0/0", &[2, 9]),
             &NativePolicy,
         );
-        d.decide(&NativePolicy, &mut ());
+        decided(&mut d, &NativePolicy);
         d.ingest(
             PeerId(10),
             announce(10, "0.0.0.0/0", &[2, 9]),
             &NativePolicy,
         );
-        let out = d.decide(&NativePolicy, &mut ());
+        let out = decided(&mut d, &NativePolicy);
         assert!(out.is_empty(), "identical re-announcement must not churn");
     }
 
@@ -1592,9 +1571,9 @@ mod tests {
             announce(10, "0.0.0.0/0", &[2, 9]),
             &NativePolicy,
         );
-        d.decide(&NativePolicy, &mut ());
+        decided(&mut d, &NativePolicy);
         d.remove_peer(PeerId(10));
-        let out = d.decide(&NativePolicy, &mut ());
+        let out = decided(&mut d, &NativePolicy);
         assert!(d.loc_rib_entry(p("0.0.0.0/0")).is_none());
         let to20 = out.iter().find(|(pp, _)| *pp == PeerId(20)).unwrap();
         assert_eq!(to20.1.withdrawn, vec![p("0.0.0.0/0")]);
@@ -1605,11 +1584,11 @@ mod tests {
     fn update_from_unknown_or_down_peer_ignored() {
         let mut d = daemon(1);
         d.ingest(PeerId(99), announce(99, "0.0.0.0/0", &[2]), &NativePolicy);
-        assert!(d.decide(&NativePolicy, &mut ()).is_empty());
+        assert!(decided(&mut d, &NativePolicy).is_empty());
         d.add_peer(PeerConfig::open(PeerId(10), Asn(2), 100.0));
         // Not yet up.
         d.ingest(PeerId(10), announce(10, "0.0.0.0/0", &[2]), &NativePolicy);
-        assert!(d.decide(&NativePolicy, &mut ()).is_empty());
+        assert!(decided(&mut d, &NativePolicy).is_empty());
     }
 
     #[test]
@@ -1617,9 +1596,9 @@ mod tests {
         let mut d = daemon(1);
         connect(&mut d, 10, 2);
         d.originate(p("10.0.0.0/8"), PathAttributes::default());
-        d.decide(&NativePolicy, &mut ());
+        decided(&mut d, &NativePolicy);
         d.withdraw_origin(p("10.0.0.0/8"));
-        let out = d.decide(&NativePolicy, &mut ());
+        let out = decided(&mut d, &NativePolicy);
         assert_eq!(out[0].1.withdrawn, vec![p("10.0.0.0/8")]);
         assert!(d.loc_rib_entry(p("10.0.0.0/8")).is_none());
     }
@@ -1637,14 +1616,14 @@ mod tests {
         connect(&mut d, 20, 3);
         connect(&mut d, 30, 4);
         d.ingest(PeerId(10), announce(10, "0.0.0.0/0", &[2, 9]), &Guard);
-        d.decide(&Guard, &mut ());
+        decided(&mut d, &Guard);
         d.ingest(PeerId(20), announce(20, "0.0.0.0/0", &[3, 9]), &Guard);
-        d.decide(&Guard, &mut ());
+        decided(&mut d, &Guard);
         assert_eq!(d.fib()[0].nexthops.len(), 2);
         // One next-hop withdraws: guard (min 2) trips → withdraw from peers
         // but the FIB keeps the PREVIOUS two-path entry warm.
         d.ingest(PeerId(10), UpdateMessage::withdraw(p("0.0.0.0/0")), &Guard);
-        let out = d.decide(&Guard, &mut ());
+        let out = decided(&mut d, &Guard);
         let to30 = out.iter().find(|(pp, _)| *pp == PeerId(30)).unwrap();
         assert_eq!(to30.1.withdrawn, vec![p("0.0.0.0/0")]);
         let fib = d.fib();
@@ -1653,7 +1632,7 @@ mod tests {
         // The next-hop returns: the guard un-trips and the route is
         // re-advertised with a live (non-warm) entry.
         d.ingest(PeerId(10), announce(10, "0.0.0.0/0", &[2, 9]), &Guard);
-        let out = d.decide(&Guard, &mut ());
+        let out = decided(&mut d, &Guard);
         assert!(out
             .iter()
             .any(|(pp, u)| *pp == PeerId(30) && !u.announced.is_empty()));
@@ -1674,14 +1653,14 @@ mod tests {
         connect(&mut d, 10, 2);
         connect(&mut d, 20, 3);
         d.ingest(PeerId(10), announce(10, "0.0.0.0/0", &[2, 9]), &Guard);
-        d.decide(&Guard, &mut ());
+        decided(&mut d, &Guard);
         d.ingest(PeerId(20), announce(20, "0.0.0.0/0", &[3, 9]), &Guard);
-        d.decide(&Guard, &mut ());
+        decided(&mut d, &Guard);
         assert_eq!(d.fib()[0].nexthops.len(), 2);
         // A session dies (not a graceful withdraw): the guard trips, and the
         // warm entry must not keep pointing at the dead session.
         d.peer_down(PeerId(10));
-        d.decide(&Guard, &mut ());
+        decided(&mut d, &Guard);
         let fib = d.fib();
         assert!(fib[0].warm);
         assert_eq!(
@@ -1691,7 +1670,7 @@ mod tests {
         );
         // Removing the remaining session removes the entry entirely.
         d.peer_down(PeerId(20));
-        d.decide(&Guard, &mut ());
+        decided(&mut d, &Guard);
         assert!(d.fib().is_empty());
     }
 
@@ -1721,12 +1700,12 @@ mod tests {
         connect(&mut d, 10, 2);
         connect(&mut d, 20, 3);
         d.ingest(PeerId(10), announce(10, "0.0.0.0/0", &[2, 9]), &Floor);
-        d.decide(&Floor, &mut ());
+        decided(&mut d, &Floor);
         d.ingest(PeerId(20), announce(20, "0.0.0.0/0", &[3, 9]), &Floor);
-        d.decide(&Floor, &mut ());
+        decided(&mut d, &Floor);
         assert_eq!(d.fib()[0].nexthops.len(), 2);
         d.peer_down(PeerId(10));
-        d.decide(&Floor, &mut ());
+        decided(&mut d, &Floor);
         let fib = d.fib();
         assert!(fib[0].warm);
         assert_eq!(
@@ -1735,7 +1714,7 @@ mod tests {
             "dead session pruned"
         );
         d.peer_down(PeerId(20));
-        d.decide(&Floor, &mut ());
+        decided(&mut d, &Floor);
         assert!(d.fib().is_empty());
     }
 
@@ -1752,7 +1731,7 @@ mod tests {
             UpdateMessage::announce(p("0.0.0.0/0"), attrs.clone()),
             &NativePolicy,
         );
-        d.decide(&NativePolicy, &mut ());
+        decided(&mut d, &NativePolicy);
         let routes = d.rib_in_routes(p("0.0.0.0/0"));
         let stored = &routes[0];
         assert_eq!(
@@ -1765,7 +1744,7 @@ mod tests {
             UpdateMessage::announce(p("0.0.0.0/0"), attrs),
             &NativePolicy,
         );
-        let out = d.decide(&NativePolicy, &mut ());
+        let out = decided(&mut d, &NativePolicy);
         assert!(out.is_empty());
     }
 
@@ -1780,7 +1759,7 @@ mod tests {
                 connect(&mut d, peer, 100 + peer as u32);
             }
             d.originate(prefix, tagged(1));
-            d.decide(&NativePolicy, &mut ());
+            decided(&mut d, &NativePolicy);
             d
         };
         let mut d = speaker(&[10, 20, 30, 40, 50]);
@@ -1807,9 +1786,9 @@ mod tests {
                     None => d.withdraw_origin(prefix),
                 }
             }
-            let sent = d.decide(&NativePolicy, &mut ());
+            let sent = decided(&mut d, &NativePolicy);
             assert_eq!(sent.len(), 3, "one UPDATE per established session");
-            assert_eq!(sent, fresh.decide(&NativePolicy, &mut ()));
+            assert_eq!(sent, decided(&mut fresh, &NativePolicy));
             let left = out_fan(&d)
                 .into_iter()
                 .filter(|(peer, _)| [20, 40].contains(&peer.0));
@@ -1857,15 +1836,15 @@ mod tests {
                 UpdateMessage::announce(prefix, attrs),
                 &NativePolicy,
             );
-            d.decide(&NativePolicy, &mut ());
+            decided(&mut d, &NativePolicy);
         }
         d.originate(originated_only, tagged(&[], c3));
-        d.decide(&NativePolicy, &mut ());
+        decided(&mut d, &NativePolicy);
         d.originate(overlapping, tagged(&[], c2));
-        d.decide(&NativePolicy, &mut ());
+        decided(&mut d, &NativePolicy);
         // A session taken down drops what it carried.
         d.peer_down(PeerId(30));
-        d.decide(&NativePolicy, &mut ());
+        decided(&mut d, &NativePolicy);
         // A session marked down with its routes still held: the state
         // `candidates()` filters on.
         d.peers.get_mut(&PeerId(20)).unwrap().established = false;
@@ -1925,13 +1904,13 @@ mod tests {
             announce(10, "0.0.0.0/0", &[2, 9]),
             &NativePolicy,
         );
-        d.decide(&NativePolicy, &mut ());
+        decided(&mut d, &NativePolicy);
         d.ingest(
             PeerId(20),
             announce(20, "0.0.0.0/0", &[3, 9]),
             &NativePolicy,
         );
-        d.decide(&NativePolicy, &mut ());
+        decided(&mut d, &NativePolicy);
         assert_eq!(d.fib()[0].nexthops.len(), 1);
     }
 }

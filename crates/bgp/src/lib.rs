@@ -22,6 +22,7 @@
 //! * [`attrs`] — path attributes: AS-path, local-pref, MED, communities,
 //!   link-bandwidth;
 //! * [`msg`] — OPEN / UPDATE / KEEPALIVE / NOTIFICATION messages;
+//! * [`outbox`] — what a decide tells its sessions, as per-session runs;
 //! * [`policy`] — classic import/export route policy (match / action rules);
 //! * [`rib`] — one slot per prefix: Adj-RIB-In, origination, Loc-RIB and
 //!   Adj-RIB-Out;
@@ -36,6 +37,7 @@ pub mod decision;
 pub mod flat;
 pub mod hooks;
 pub mod msg;
+pub mod outbox;
 pub mod policy;
 pub mod rib;
 pub mod types;
@@ -47,6 +49,7 @@ pub use daemon::{BgpDaemon, DaemonConfig, FibEntry, ForwardingPlane, NextHops, P
 pub use decision::{compare_routes, multipath_set, PathPreference};
 pub use hooks::{AdvertiseChoice, NativePolicy, PathChoice, RibPolicy, Selection};
 pub use msg::{BgpMessage, UpdateMessage};
+pub use outbox::Outbox;
 pub use policy::{Action, MatchExpr, Policy, PolicyRule, PolicyVerdict};
 pub use rib::{LocRibEntry, RibFootprint, Route};
 pub use types::{PeerId, Prefix};

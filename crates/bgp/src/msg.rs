@@ -40,6 +40,17 @@ impl UpdateMessage {
         }
     }
 
+    /// One single-route update per route: the withdrawals, then the
+    /// announcements, each in order — what split delivery sends.
+    pub fn split(self) -> Vec<UpdateMessage> {
+        let withdrawn = self.withdrawn.into_iter().map(UpdateMessage::withdraw);
+        let announced = self
+            .announced
+            .into_iter()
+            .map(|(p, a)| UpdateMessage::announce(p, a));
+        withdrawn.chain(announced).collect()
+    }
+
     /// Whether the update carries no routing information.
     pub fn is_empty(&self) -> bool {
         self.withdrawn.is_empty() && self.announced.is_empty()

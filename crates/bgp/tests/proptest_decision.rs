@@ -1,7 +1,7 @@
 //! Property-based tests for the decision process and daemon behaviour.
 
 use centralium_bgp::{
-    compare_routes, multipath_set, BgpDaemon, DaemonConfig, NativePolicy, PathAttributes,
+    compare_routes, multipath_set, BgpDaemon, DaemonConfig, NativePolicy, Outbox, PathAttributes,
     PeerConfig, PeerId, Prefix, Route, UpdateMessage,
 };
 use centralium_topology::Asn;
@@ -107,7 +107,7 @@ proptest! {
                 UpdateMessage::announce(Prefix::DEFAULT, a.clone()),
                 &NativePolicy,
             );
-            d.decide(&NativePolicy, &mut ());
+            d.decide(&NativePolicy, &mut (), &mut Outbox::default());
         }
         let surviving = attrs.iter().filter(|a| !a.path_contains(Asn(1))).count();
         if surviving == 0 {
@@ -123,7 +123,7 @@ proptest! {
                 UpdateMessage::withdraw(Prefix::DEFAULT),
                 &NativePolicy,
             );
-            d.decide(&NativePolicy, &mut ());
+            d.decide(&NativePolicy, &mut (), &mut Outbox::default());
         }
         prop_assert!(d.loc_rib_entry(Prefix::DEFAULT).is_none());
         prop_assert!(d.fib().is_empty());

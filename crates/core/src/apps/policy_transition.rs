@@ -27,7 +27,7 @@ pub fn push_base_policy(net: &mut SimNet, devices: &[DeviceId], policy: Policy) 
             0,
             centralium_simnet::NetEvent::SetExportPolicy {
                 dev,
-                policy: policy.clone(),
+                policy: Box::new(policy.clone()),
             },
         );
     }

@@ -55,7 +55,7 @@ pub fn run_rollout(
                         0,
                         NetEvent::SetExportPolicy {
                             dev,
-                            policy: policy.clone(),
+                            policy: Box::new(policy.clone()),
                         },
                     );
                 }

@@ -1,7 +1,7 @@
 //! A simulated device: BGP daemon + RPA engine + FIB.
 
 use crate::fib::{Fib, FibScratch};
-use centralium_bgp::{BgpDaemon, DaemonConfig, PeerId, UpdateMessage};
+use centralium_bgp::{BgpDaemon, DaemonConfig, Outbox};
 use centralium_rpa::RpaEngine;
 use centralium_topology::DeviceId;
 
@@ -34,22 +34,23 @@ impl SimDevice {
     /// [`decide`](BgpDaemon::decide) against this device's engine with one
     /// FIB batch as its forwarding plane, projected in the caller's
     /// `scratch`: the decision programs each entry it moves as it installs
-    /// it. Returns the updates the daemon wants sent.
+    /// it. The updates the daemon wants sent go into `out`.
     pub fn decide(
         &mut self,
         scratch: &mut FibScratch,
+        out: &mut Outbox,
         mark: impl FnOnce(&mut BgpDaemon, &RpaEngine),
-    ) -> Vec<(PeerId, UpdateMessage)> {
+    ) {
         mark(&mut self.daemon, &self.engine);
         let mut batch = self.fib.batch(scratch);
-        self.daemon.decide(&self.engine, &mut batch)
+        self.daemon.decide(&self.engine, &mut batch, out);
     }
 }
 
 #[cfg(test)]
 mod tests {
     use super::*;
-    use centralium_bgp::{PathAttributes, PeerConfig, Prefix};
+    use centralium_bgp::{PathAttributes, PeerConfig, PeerId, Prefix, UpdateMessage};
     use centralium_topology::Asn;
 
     /// A device whose one session, 5, has announced the default route.
@@ -60,7 +61,7 @@ mod tests {
         dev.daemon
             .add_peer(PeerConfig::open(PeerId(5), Asn(2), 100.0));
         dev.daemon.peer_up(PeerId(5), &dev.engine);
-        dev.decide(&mut scratch, |d, e| {
+        dev.decide(&mut scratch, &mut Outbox::default(), |d, e| {
             let mut attrs = PathAttributes::default();
             attrs.prepend(Asn(2), 1);
             d.ingest(
@@ -87,8 +88,10 @@ mod tests {
         // Capacity 0: the one installed group already overflows the table.
         let (mut dev, mut scratch) = announced(0, true);
         assert_eq!(dev.fib.nhg_stats().overflow_events, 1);
-        dev.decide(&mut scratch, |_, _| {});
-        dev.decide(&mut scratch, |d, _| d.mark([Prefix::DEFAULT]));
+        dev.decide(&mut scratch, &mut Outbox::default(), |_, _| {});
+        dev.decide(&mut scratch, &mut Outbox::default(), |d, _| {
+            d.mark([Prefix::DEFAULT])
+        });
         assert_eq!(dev.fib.nhg_stats().overflow_events, 1);
     }
 }

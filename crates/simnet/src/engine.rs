@@ -3,81 +3,105 @@
 //! by device) and a merge (emission replay, pop order). `net.rs` keeps
 //! construction, administrative operations and the emit/coalesce path.
 
-use super::{NetCounters, NetEvent, SimConfig, SimNet, BASE_LATENCY_US, MAX_EVENTS};
+use super::{BatchSlab, NetCounters, NetEvent, SimConfig, SimNet, BASE_LATENCY_US, MAX_EVENTS};
+use crate::arena::DenseMap;
 use crate::device::SimDevice;
 use crate::event::SimTime;
 use crate::fib::FibScratch;
 use crate::trace::ConvergenceReport;
 use centralium_bgp::policy::Policy;
-use centralium_bgp::{BgpDaemon, PeerId, Prefix, UpdateMessage};
+use centralium_bgp::{BgpDaemon, Outbox, PeerId, Prefix, UpdateMessage};
 use centralium_rpa::{Destination, RpaDocument, RpaEngine};
-use centralium_telemetry::{Event, EventKind, Severity, Telemetry};
+use centralium_telemetry::{Counter, Event, EventKind, Severity, Telemetry};
 use centralium_topology::{DeviceId, Topology};
 use std::borrow::Borrow;
+use std::ops::Range;
 use std::sync::Arc;
 
-/// What the work phase produced for one event: the daemon's output updates,
-/// then route-refresh requests toward `(neighbor, neighbor's session)` — the
-/// latter only from a Route Filter removal. The merge phase replays both in
-/// global pop order — the updates through [`SimNet::emit`], the requests one
-/// base latency out — so every RNG draw (jitter, faults, split shuffles),
-/// FIFO clamp and queue sequence number lands exactly as it would processing
-/// one event at a time.
-type Output = (Vec<(PeerId, UpdateMessage)>, Vec<(DeviceId, PeerId)>);
-
 /// One popped event on its way through a window: what the pre-pass left for
-/// the device, what the device produced, and what the journal is owed — all
-/// held until the merge phase reaches the event in pop order.
+/// the device, where the device's output went, and what the journal is owed
+/// — all held until the merge phase reaches the event in pop order. The
+/// merge replays the output in global pop order — the writes through
+/// [`SimNet::emit`], the refresh requests one base latency out — so every
+/// RNG draw (jitter, faults, split shuffles), FIFO clamp and queue sequence
+/// number lands exactly as it would processing one event at a time.
 #[derive(Debug)]
 struct Slot {
     /// The event's own timestamp.
     t: SimTime,
     /// Target device; `None` when the event was a no-op (device gone).
     dev: Option<DeviceId>,
-    /// The event as the device runs it (a batch delivery as the `Deliver` it
-    /// carries), taken by the work phase.
+    /// The event as the device runs it, taken by the work phase. A batch
+    /// delivery's payload stays in the batch slab until then.
     work: Option<NetEvent>,
-    /// What the work phase produced, replayed by the merge phase.
-    output: Output,
+    /// The writes of the window's outbox the work phase made.
+    writes: Range<u32>,
+    /// The device's sessions whose neighbors are asked for a route refresh
+    /// (a Route Filter removal's).
+    refresh: Vec<PeerId>,
     /// Journal events of the pre-pass and the work phase, provenance steps
     /// included.
     events: Vec<Event>,
 }
 
-/// Execute the device-local part of one event. Touches only `dev`, read-only
-/// context, and atomic counters — never the RNG, the event queue, or
-/// cross-device state, which is what lets a window run its events grouped by
-/// device without changing the outcome.
+const _: () = assert!(std::mem::size_of::<Slot>() <= 96);
+
+/// A window's working memory, kept from window to window and dropped at
+/// quiescence: its slots in pop order, the slots' device order, and the
+/// outbox the jobs write into.
+#[derive(Debug, Default)]
+pub(super) struct Window {
+    slots: Vec<Slot>,
+    order: Vec<(DeviceId, u32)>,
+    outbox: Outbox,
+}
+
+/// What every job reads beside its device.
+#[derive(Clone, Copy)]
+struct JobContext<'a> {
+    counters: &'a NetCounters,
+    topo: &'a Topology,
+    cfg: &'a SimConfig,
+}
+
+/// Execute the device-local part of one event, writing the daemon's output
+/// into `out` and returning the sessions to ask for a route refresh. Touches
+/// only `dev`, its batch's payload, read-only context, and atomic counters —
+/// never the RNG, the event queue, or cross-device state, which is what lets
+/// a window run its events grouped by device without changing the outcome.
 fn run_work(
     dev: &mut SimDevice,
     scratch: &mut FibScratch,
+    out: &mut Outbox,
+    batches: &mut BatchSlab,
     t: SimTime,
     work: NetEvent,
-    counters: &NetCounters,
-    topo: &Topology,
-    cfg: &SimConfig,
-) -> Output {
-    let updates = match work {
-        NetEvent::Deliver { on, msg, .. } => dev.decide(scratch, |dm, e| dm.ingest(on, msg, e)),
-        NetEvent::DeliverBatch { .. } => {
-            unreachable!("the pre-pass turns a batch into the Deliver it carries")
+    cx: JobContext<'_>,
+) -> Vec<PeerId> {
+    match work {
+        NetEvent::Deliver { on, msg, .. } => {
+            dev.decide(scratch, out, |dm, e| dm.ingest(on, *msg, e));
         }
-        NetEvent::SessionUp { peer, .. } => dev.daemon.peer_up(peer, &dev.engine),
-        NetEvent::SessionDown { peer, .. } => dev.decide(scratch, |dm, _| dm.peer_down(peer)),
+        NetEvent::DeliverBatch { on, batch, .. } => {
+            let msg = batches
+                .take(batch)
+                .expect("a prepared batch keeps its payload until its job");
+            dev.decide(scratch, out, |dm, e| dm.ingest(on, msg, e));
+        }
+        NetEvent::SessionUp { peer, .. } => {
+            for (peer, msg) in dev.daemon.peer_up(peer, &dev.engine) {
+                out.push(peer, msg);
+            }
+        }
+        NetEvent::SessionDown { peer, .. } => dev.decide(scratch, out, |dm, _| dm.peer_down(peer)),
         NetEvent::RouteRefreshRequest { on, .. } => {
             // The establishment check must run here, not in the pre-pass: an
             // earlier event in the same window may have dropped the session.
-            if !dev.daemon.is_established(on) {
-                return Output::default();
-            }
-            let refresh = dev.daemon.full_advertisement(on);
-            if refresh.is_empty() {
-                Vec::new()
-            } else {
-                vec![(on, refresh)]
+            if dev.daemon.is_established(on) {
+                out.push(on, dev.daemon.full_advertisement(on));
             }
         }
-        NetEvent::RemovePeer { peer, .. } => dev.decide(scratch, |dm, _| dm.remove_peer(peer)),
+        NetEvent::RemovePeer { peer, .. } => dev.decide(scratch, out, |dm, _| dm.remove_peer(peer)),
         NetEvent::InstallRpa { doc, .. } => {
             // Dirty-prefix frontier: combine the scopes of the incoming
             // document and (on a replace) the one it displaces — the old
@@ -92,15 +116,12 @@ fn run_work(
                     // A document that arrives at or after a deadline of its
                     // own is born expired.
                     let expired = dev.engine.expire(t);
-                    dev.decide(scratch, |dm, e| {
-                        mark_scope(dm, e, scope, counters);
+                    dev.decide(scratch, out, |dm, e| {
+                        mark_scope(dm, e, scope, cx.counters);
                         mark_applicable(dm, &expired);
-                    })
+                    });
                 }
-                Err(_) => {
-                    counters.rpa_failures.inc();
-                    Vec::new()
-                }
+                Err(_) => cx.counters.rpa_failures.inc(),
             }
         }
         NetEvent::RemoveRpa { name, .. } => {
@@ -119,38 +140,25 @@ fn run_work(
                 None => RpaScope::Full,
             };
             let Ok(removed) = dev.engine.remove(&name) else {
-                counters.rpa_failures.inc();
-                return Output::default();
+                cx.counters.rpa_failures.inc();
+                return Vec::new();
             };
-            let updates = dev.decide(scratch, |dm, e| mark_scope(dm, e, scope, counters));
-            let refresh = if matches!(removed, RpaDocument::RouteFilter(_)) {
-                dev.daemon
-                    .peer_ids()
-                    .into_iter()
-                    .map(|peer| {
-                        (
-                            DeviceId(peer.device()),
-                            PeerId::compose(dev.id.0, peer.session_index()),
-                        )
-                    })
-                    .collect()
-            } else {
-                Vec::new()
-            };
-            return (updates, refresh);
+            dev.decide(scratch, out, |dm, e| mark_scope(dm, e, scope, cx.counters));
+            if matches!(removed, RpaDocument::RouteFilter(_)) {
+                return dev.daemon.peer_ids();
+            }
         }
         NetEvent::ExpireRpa { .. } => {
             let expired = dev.engine.expire(t);
-            if expired.is_empty() {
-                return Output::default();
+            if !expired.is_empty() {
+                dev.decide(scratch, out, |dm, _| mark_applicable(dm, &expired));
             }
-            dev.decide(scratch, |dm, _| mark_applicable(dm, &expired))
         }
         NetEvent::Originate { prefix, attrs, .. } => {
-            dev.decide(scratch, |dm, _| dm.originate(prefix, attrs))
+            dev.decide(scratch, out, |dm, _| dm.originate(prefix, *attrs));
         }
         NetEvent::WithdrawOrigin { prefix, .. } => {
-            dev.decide(scratch, |dm, _| dm.withdraw_origin(prefix))
+            dev.decide(scratch, out, |dm, _| dm.withdraw_origin(prefix));
         }
         NetEvent::SetExportPolicy { policy, .. } => {
             let peers = dev.daemon.peer_ids();
@@ -158,8 +166,8 @@ fn run_work(
                 .iter()
                 .map(|&peer| {
                     let base = SimNet::base_export_policy_for(
-                        topo,
-                        cfg.valley_free_policies,
+                        cx.topo,
+                        cx.cfg.valley_free_policies,
                         dev.id,
                         peer,
                     );
@@ -177,7 +185,7 @@ fn run_work(
                     )
                 })
                 .collect();
-            dev.decide(scratch, |dm, _| {
+            dev.decide(scratch, out, |dm, _| {
                 for (peer, p) in composed {
                     dm.set_export_policy(peer, p);
                 }
@@ -185,7 +193,7 @@ fn run_work(
                 // invariant holds and a purge would be a no-op — skip the
                 // O(RIB) scan and mark every known prefix directly.
                 dm.mark(dm.known_prefixes());
-            })
+            });
         }
         NetEvent::AgentRestart { .. } => {
             let installed: Vec<String> = dev
@@ -197,11 +205,11 @@ fn run_work(
             for name in installed {
                 let _ = dev.engine.remove(&name);
             }
-            dev.decide(scratch, mark_all)
+            dev.decide(scratch, out, mark_all);
         }
-        NetEvent::Reevaluate { .. } => dev.decide(scratch, mark_all),
-    };
-    (updates, Vec::new())
+        NetEvent::Reevaluate { .. } => dev.decide(scratch, out, mark_all),
+    }
+    Vec::new()
 }
 
 /// The re-evaluation an RPA change demands, computed before the change is
@@ -404,6 +412,22 @@ fn push_prov_deltas(
     }
 }
 
+/// Device `dev`'s counter `simnet.device.d<N>.<what>` in `counters`, bound
+/// in `tel`'s registry on first use: the UPDATE churn, and the busy time
+/// span tracing records.
+fn device_counter<'a>(
+    counters: &'a mut DenseMap<Counter>,
+    tel: &Telemetry,
+    dev: DeviceId,
+    what: &str,
+) -> &'a Counter {
+    if !counters.contains_key(dev) {
+        let name = format!("simnet.device.d{}.{what}", dev.0);
+        counters.insert(dev, tel.metrics().counter(&name));
+    }
+    &counters[dev]
+}
+
 /// Bucket bounds (ms) for per-prefix convergence latency.
 const CONVERGENCE_MS_BOUNDS: &[f64] = &[0.5, 1.0, 2.0, 5.0, 10.0, 20.0, 50.0, 100.0, 500.0, 1000.0];
 
@@ -446,6 +470,9 @@ impl SimNet {
         let converged = self.queue.is_empty();
         self.publish_phases();
         if converged {
+            self.queue.shrink();
+            self.batches.slots.shrink_to_fit();
+            self.window = Window::default();
             self.observe_quiescence();
         }
         sp.arg("events", n);
@@ -506,11 +533,12 @@ impl SimNet {
         // device-existence checks), leaving the device-local rest in a slot.
         let pre_start = std::time::Instant::now();
         let sp_pre = self.telemetry.span("simnet", "window.pre");
-        let mut slots: Vec<Slot> = Vec::new();
-        while (slots.len() as u64) < budget && self.queue.peek_time().is_some_and(|t| t < horizon) {
+        let mut w = std::mem::take(&mut self.window);
+        while (w.slots.len() as u64) < budget && self.queue.peek_time().is_some_and(|t| t < horizon)
+        {
             let (t, ev) = self.queue.pop().expect("peeked event");
             debug_assert!(t >= self.now, "time must be monotonic");
-            slots.push(self.prepare(t, ev));
+            w.slots.push(self.prepare(t, ev));
         }
         drop(sp_pre);
 
@@ -518,26 +546,27 @@ impl SimNet {
         // device's events in pop order.
         let work_start = std::time::Instant::now();
         let mut sp_work = self.telemetry.span("simnet", "window.work");
-        let mut order: Vec<(DeviceId, usize)> = slots
-            .iter()
-            .enumerate()
-            .filter_map(|(i, slot)| Some((slot.dev?, i)))
-            .collect();
-        order.sort_unstable();
-        for &(_, i) in &order {
-            self.run_job(&mut slots[i]);
+        let jobs = w.slots.iter().enumerate();
+        w.order
+            .extend(jobs.filter_map(|(i, slot)| Some((slot.dev?, i as u32))));
+        w.order.sort_unstable();
+        for &(_, i) in &w.order {
+            self.run_job(&mut w.slots[i as usize], &mut w.outbox);
         }
-        self.counters.window_jobs.observe(order.len() as u64);
-        sp_work.arg("jobs", order.len() as u64);
+        self.counters.window_jobs.observe(w.order.len() as u64);
+        sp_work.arg("jobs", w.order.len() as u64);
         drop(sp_work);
 
         // Phase 3 — merge, in pop order.
         let merge_start = std::time::Instant::now();
         let sp_merge = self.telemetry.span("simnet", "window.merge");
-        let events = slots.len() as u64;
-        for slot in slots {
-            self.finish(slot);
+        let events = w.slots.len() as u64;
+        for slot in w.slots.drain(..) {
+            self.finish(slot, &mut w.outbox);
         }
+        w.order.clear();
+        w.outbox.clear();
+        self.window = w;
         drop(sp_merge);
         debug_assert!(
             events == budget || self.queue.peek_time().is_none_or(|t| t >= horizon),
@@ -556,17 +585,21 @@ impl SimNet {
     /// same prepare / work / merge steps a window's events take.
     pub(super) fn run_now(&mut self, ev: NetEvent) {
         let mut slot = self.prepare(self.now, ev);
-        self.run_job(&mut slot);
-        self.finish(slot);
+        let mut w = std::mem::take(&mut self.window);
+        self.run_job(&mut slot, &mut w.outbox);
+        self.finish(slot, &mut w.outbox);
+        w.outbox.clear();
+        self.window = w;
     }
 
-    /// Run a slot's device work, if it has any. The journal events the work
+    /// Run a slot's device work, if it has any, into the window's outbox,
+    /// noting in the slot the writes it made. The journal events the work
     /// records, and the provenance steps it causes while a prefix is traced,
     /// are held in the slot. With span tracing on, the
     /// event gets a span named after its kind and the time it took
     /// lands in `simnet.event.latency_ns` and the device's busy counter; off,
     /// that costs two relaxed atomic loads.
-    fn run_job(&mut self, slot: &mut Slot) {
+    fn run_job(&mut self, slot: &mut Slot, outbox: &mut Outbox) {
         let (Some(dev_id), Some(work)) = (slot.dev, slot.work.take()) else {
             return;
         };
@@ -578,6 +611,8 @@ impl SimNet {
             telemetry,
             provenance,
             fib_scratch,
+            batches,
+            busy,
             ..
         } = self;
         let dev = devices
@@ -590,10 +625,17 @@ impl SimNet {
         let mut sp = telemetry.span("simnet.work", work.name());
         sp.arg("device", dev_id.0 as u64);
         sp.arg("t_us", slot.t);
-        let (output, mut events) =
-            telemetry.capture(|| run_work(dev, fib_scratch, slot.t, work, counters, topo, cfg));
+        let cx = JobContext {
+            counters,
+            topo,
+            cfg,
+        };
+        let first = outbox.writes() as u32;
+        let (refresh, mut events) =
+            telemetry.capture(|| run_work(dev, fib_scratch, outbox, batches, slot.t, work, cx));
         drop(sp);
-        slot.output = output;
+        slot.writes = first..outbox.writes() as u32;
+        slot.refresh = refresh;
         slot.events.append(&mut events);
         if let (Some(p), Some(before)) = (traced, before) {
             let after = prov_state(dev, p);
@@ -602,15 +644,15 @@ impl SimNet {
         if let Some(started) = started {
             let ns = started.elapsed().as_nanos() as u64;
             counters.event_latency_ns.observe(ns);
-            self.note_busy(dev_id, ns);
+            device_counter(busy, telemetry, dev_id, "busy_ns").add(ns);
         }
     }
 
     /// Finish a slot: advance the clock to its event, record its held
-    /// journal events, and replay its output
-    /// through the scheduling path at the event's time: the updates via
-    /// `emit`, then any route-refresh requests one base latency out.
-    fn finish(&mut self, slot: Slot) {
+    /// journal events, and replay its output through the scheduling path at
+    /// the event's time: its writes of `outbox` via `emit`, then any
+    /// route-refresh requests one base latency out.
+    fn finish(&mut self, slot: Slot, outbox: &mut Outbox) {
         self.now = slot.t;
         self.telemetry.set_now(slot.t);
         for event in slot.events {
@@ -619,9 +661,12 @@ impl SimNet {
         let Some(dev) = slot.dev else {
             return;
         };
-        let (updates, refresh) = slot.output;
-        self.emit(dev, updates);
-        for (to, on) in refresh {
+        for write in slot.writes {
+            self.emit(dev, outbox.messages(write as usize));
+        }
+        for peer in slot.refresh {
+            let to = DeviceId(peer.device());
+            let on = PeerId::compose(dev.0, peer.session_index());
             self.schedule_in(BASE_LATENCY_US, NetEvent::RouteRefreshRequest { to, on });
         }
     }
@@ -629,8 +674,7 @@ impl SimNet {
     /// The pre-pass of one event at its own timestamp `t`: device-existence
     /// check, global counters and bookkeeping, leaving the event in the
     /// returned slot as its device's job — or no job when the event is a
-    /// no-op (target device gone). A batch delivery leaves the
-    /// [`NetEvent::Deliver`] it carries.
+    /// no-op (target device gone).
     fn prepare(&mut self, t: SimTime, ev: NetEvent) -> Slot {
         self.telemetry.set_now(t);
         let mut events = Vec::new();
@@ -639,7 +683,8 @@ impl SimNet {
             t,
             dev: work.as_ref().map(NetEvent::target),
             work,
-            output: Output::default(),
+            writes: 0..0,
+            refresh: Vec::new(),
             events,
         }
     }
@@ -650,36 +695,17 @@ impl SimNet {
         ev: NetEvent,
         events: &mut Vec<Event>,
     ) -> Option<NetEvent> {
-        let ev = match ev {
-            NetEvent::DeliverBatch { to, on, batch } => {
-                // Always take the payload, even when the target device is gone
-                // (leaving it would leak), and trim retired ids off the slab's
-                // front. The sender's session needs no update (DESIGN §9).
-                let msg = self
-                    .batches
-                    .get_mut(batch.checked_sub(self.batch_base)? as usize)?
-                    .take()?;
-                while let Some(None) = self.batches.front() {
-                    self.batches.pop_front();
-                    self.batch_base += 1;
-                }
-                if !self.devices.contains_key(to) {
-                    return None;
-                }
-                self.counters.batches_delivered.inc();
-                let size = (msg.announced.len() + msg.withdrawn.len()) as u64;
-                self.max_batch_size = self.max_batch_size.max(size);
-                self.counters.batch_routes.observe(size);
-                NetEvent::Deliver { to, on, msg }
-            }
-            ev => ev,
-        };
         let dev = ev.target();
         if !self.devices.contains_key(dev) {
+            // A batch to a device that is gone still takes its payload: left
+            // in the slab, it would leak.
+            if let NetEvent::DeliverBatch { batch, .. } = ev {
+                self.batches.take(batch);
+            }
             return None;
         }
         match &ev {
-            NetEvent::Deliver { on, msg, .. } => self.arrive(t, dev, *on, msg, events),
+            NetEvent::Deliver { .. } | NetEvent::DeliverBatch { .. } => self.arrive(t, &ev, events),
             NetEvent::SessionUp { peer, .. } => self.note_session(events, dev, *peer, "up"),
             NetEvent::SessionDown { peer, .. } => self.note_session(events, dev, *peer, "down"),
             NetEvent::RemovePeer { peer, .. } => self.note_session(events, dev, *peer, "removed"),
@@ -702,7 +728,6 @@ impl SimNet {
             | NetEvent::SetExportPolicy { .. }
             | NetEvent::ExpireRpa { .. }
             | NetEvent::Reevaluate { .. } => {}
-            NetEvent::DeliverBatch { .. } => unreachable!("a batch became its Deliver above"),
         }
         Some(ev)
     }
@@ -748,10 +773,11 @@ impl SimNet {
         // Memory accounting, sampled at the same phase boundary. The
         // adjacency-RIB gauges count table storage only: the attribute
         // bodies are shared with their senders and counted nowhere. The
-        // scheduler and arena gauges are *capacity*-based — calendar bucket
-        // arrays and arena slot vectors keep their allocations across
-        // windows, and that retained capacity (not the momentary occupancy)
-        // is what a memory budget must provision for.
+        // scheduler and arena gauges are *capacity*-based — the arena slot
+        // vectors keep their allocations across windows, and that retained
+        // capacity (not the momentary occupancy) is what a memory budget
+        // must provision for. The queue, the batch slab and the window's
+        // buffers have just handed back what quiescence no longer needs.
         m.gauge("mem.adj_rib_in_bytes").set(rib_in_fp.bytes as i64);
         m.gauge("mem.adj_rib_out_bytes")
             .set(rib_out_fp.bytes as i64);
@@ -768,22 +794,31 @@ impl SimNet {
         );
     }
 
-    /// The pre-pass side of an UPDATE arriving at live device `to` on its
-    /// session `on`, batched or not: delivery and announce/withdraw counters,
-    /// the receiver's churn counter, provenance arrival events, and the last
-    /// update time of every originated prefix it carries.
-    fn arrive(
-        &mut self,
-        t: SimTime,
-        to: DeviceId,
-        on: PeerId,
-        msg: &UpdateMessage,
-        events: &mut Vec<Event>,
-    ) {
+    /// The pre-pass side of an UPDATE arriving at a live device, batched
+    /// (its payload read in the slab) or not: batch and delivery counters,
+    /// announce/withdraw counters, the receiver's churn counter, provenance
+    /// arrival events, and the last update time of every originated prefix
+    /// it carries.
+    fn arrive(&mut self, t: SimTime, ev: &NetEvent, events: &mut Vec<Event>) {
+        let (to, on, msg) = match ev {
+            NetEvent::Deliver { to, on, msg } => (*to, *on, &**msg),
+            NetEvent::DeliverBatch { to, on, batch } => {
+                let msg = self
+                    .batches
+                    .get(*batch)
+                    .expect("a queued batch has a payload");
+                self.counters.batches_delivered.inc();
+                let size = (msg.announced.len() + msg.withdrawn.len()) as u64;
+                self.max_batch_size = self.max_batch_size.max(size);
+                self.counters.batch_routes.observe(size);
+                (*to, *on, msg)
+            }
+            _ => unreachable!("an UPDATE delivery"),
+        };
         self.counters.messages_delivered.inc();
         self.counters.announcements.add(msg.announced.len() as u64);
         self.counters.withdrawals.add(msg.withdrawn.len() as u64);
-        self.note_churn(to);
+        device_counter(&mut self.churn, &self.telemetry, to, "updates").inc();
         self.note_provenance_arrival(events, to, on, msg);
         if !self.prefix_clock.is_empty() {
             let carried = msg.announced.iter().map(|(p, _)| p).chain(&msg.withdrawn);
@@ -792,38 +827,6 @@ impl SimNet {
                     *last = Some(t);
                 }
             }
-        }
-    }
-
-    /// Bump the per-device UPDATE-churn counter for `dev`, binding the
-    /// registry handle on first use. Written without `entry()` because the
-    /// bind closure would need `&self.telemetry` while `self.churn` is
-    /// mutably borrowed.
-    fn note_churn(&mut self, dev: DeviceId) {
-        if let Some(c) = self.churn.get(dev) {
-            c.inc();
-        } else {
-            let c = self
-                .telemetry
-                .metrics()
-                .counter(&format!("simnet.device.d{}.updates", dev.0));
-            c.inc();
-            self.churn.insert(dev, c);
-        }
-    }
-
-    /// Accumulate device-processing wall time for `dev` (only called while
-    /// span tracing is enabled — two clock reads per event otherwise).
-    fn note_busy(&mut self, dev: DeviceId, ns: u64) {
-        if let Some(c) = self.busy.get(dev) {
-            c.add(ns);
-        } else {
-            let c = self
-                .telemetry
-                .metrics()
-                .counter(&format!("simnet.device.d{}.busy_ns", dev.0));
-            c.add(ns);
-            self.busy.insert(dev, c);
         }
     }
 

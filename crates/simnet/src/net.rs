@@ -184,7 +184,8 @@ impl SimConfigBuilder {
     }
 }
 
-/// Events on the simulation queue.
+/// Events on the simulation queue. Bulky payloads are boxed, so an event
+/// is at most 24 bytes and the queue costs what its events carry.
 #[derive(Debug, Clone)]
 pub enum NetEvent {
     /// Deliver a BGP UPDATE to `to` on its session `on`.
@@ -194,7 +195,7 @@ pub enum NetEvent {
         /// Receiver-side session id.
         on: PeerId,
         /// The message.
-        msg: UpdateMessage,
+        msg: Box<UpdateMessage>,
     },
     /// Deliver a coalesced UPDATE batch to `to` on its session `on`. The
     /// payload lives in the net's batch side-table (keyed by `batch`) so
@@ -234,7 +235,7 @@ pub enum NetEvent {
         /// Target device.
         dev: DeviceId,
         /// Document name.
-        name: String,
+        name: Box<str>,
     },
     /// A route-refresh request: `to` must re-send its full Adj-RIB-Out for
     /// session `on` (the requester lifted an ingress filter and wants the
@@ -259,7 +260,7 @@ pub enum NetEvent {
         /// The prefix.
         prefix: Prefix,
         /// Origination attributes (communities etc.).
-        attrs: PathAttributes,
+        attrs: Box<PathAttributes>,
     },
     /// Stop originating a prefix.
     WithdrawOrigin {
@@ -276,7 +277,7 @@ pub enum NetEvent {
         /// Target device.
         dev: DeviceId,
         /// Override rules (an empty rule list restores the pure base).
-        policy: Policy,
+        policy: Box<Policy>,
     },
     /// The device's RPA agent process crash-restarts (chaos injection):
     /// every installed RPA document is lost and routes re-evaluate natively.
@@ -302,6 +303,8 @@ pub enum NetEvent {
         dev: DeviceId,
     },
 }
+
+const _: () = assert!(std::mem::size_of::<NetEvent>() <= 24);
 
 impl NetEvent {
     /// The device the event acts on.
@@ -448,13 +451,10 @@ pub struct SimNet {
     /// its first emission and never pruned, so the TCP FIFO clamp survives
     /// session and device bounces.
     sessions: DenseMap<Vec<(PeerId, Session)>>,
-    /// Payloads of in-flight coalesced batches, at batch id − `batch_base`.
-    /// They live outside the event queue because queued payloads are
-    /// immutable while batches keep absorbing output until one base latency
-    /// before delivery. Ids are minted at the back in pop order; a delivery
-    /// takes its payload, and retired ids are trimmed off the front.
-    batches: VecDeque<Option<UpdateMessage>>,
-    batch_base: u64,
+    /// Payloads of in-flight coalesced batches.
+    batches: BatchSlab,
+    /// The run loop's working memory.
+    window: engine::Window,
     /// Largest routing-information count (announcements + withdrawals)
     /// observed in a single delivered batch.
     max_batch_size: u64,
@@ -504,8 +504,8 @@ impl SimNet {
             prefix_clock: FlatMap::new(),
             originators: HashMap::new(),
             sessions: DenseMap::new(),
-            batches: VecDeque::new(),
-            batch_base: 0,
+            batches: BatchSlab::default(),
+            window: engine::Window::default(),
             max_batch_size: 0,
             chaos: None,
             rpc_nonce: 0,
@@ -875,7 +875,7 @@ impl SimNet {
         prefix: Prefix,
         communities: impl IntoIterator<Item = centralium_bgp::Community>,
     ) {
-        let attrs = PathAttributes::originated(communities);
+        let attrs = Box::new(PathAttributes::originated(communities));
         self.schedule_in(0, NetEvent::Originate { dev, prefix, attrs });
     }
 
@@ -926,7 +926,7 @@ impl SimNet {
             rpc_latency_us,
             NetEvent::RemoveRpa {
                 dev,
-                name: name.into(),
+                name: name.into().into_boxed_str(),
             },
         );
     }
@@ -1001,7 +1001,7 @@ impl SimNet {
         let Some(d) = self.devices.get(dev) else {
             return;
         };
-        let policy = Self::drain_export_policy(d.daemon.asn());
+        let policy = Box::new(Self::drain_export_policy(d.daemon.asn()));
         self.topo.set_device_state(dev, DeviceState::Drained);
         self.schedule_in(0, NetEvent::SetExportPolicy { dev, policy });
     }
@@ -1013,7 +1013,7 @@ impl SimNet {
             0,
             NetEvent::SetExportPolicy {
                 dev,
-                policy: Policy::accept_all(),
+                policy: Box::new(Policy::accept_all()),
             },
         );
     }
@@ -1252,16 +1252,7 @@ impl SimNet {
             let on = PeerId::compose(from.0, peer.session_index());
             cursor = session_slot(&mut table, cursor, peer) + 1;
             let (_, session) = &mut table[cursor - 1];
-            let mut pieces: Vec<UpdateMessage> = msg
-                .withdrawn
-                .into_iter()
-                .map(UpdateMessage::withdraw)
-                .collect();
-            pieces.extend(
-                msg.announced
-                    .into_iter()
-                    .map(|(p, a)| UpdateMessage::announce(p, a)),
-            );
+            let mut pieces = msg.split();
             if pieces.len() > 1 {
                 use rand::seq::SliceRandom;
                 pieces.shuffle(&mut self.rng);
@@ -1279,8 +1270,8 @@ impl SimNet {
                 // TCP FIFO per directed session.
                 let at = (self.now + BASE_LATENCY_US + jitter + extra).max(session.last + 1);
                 session.last = at;
-                self.queue
-                    .schedule(at, NetEvent::Deliver { to, on, msg: piece });
+                let msg = Box::new(piece);
+                self.queue.schedule(at, NetEvent::Deliver { to, on, msg });
             }
         }
         self.sessions.insert(from, table);
@@ -1312,8 +1303,8 @@ impl SimNet {
             let (_, session) = &mut table[cursor - 1];
             if session.last >= self.now + BASE_LATENCY_US {
                 self.counters.updates_coalesced.inc();
-                self.batches[(session.batch - self.batch_base) as usize]
-                    .as_mut()
+                self.batches
+                    .get_mut(session.batch)
                     .expect("open batch has a payload")
                     .merge(msg);
                 continue;
@@ -1331,13 +1322,58 @@ impl SimNet {
             // path hunting: the receiver never processes the squashed-away
             // intermediate states, so it never re-advertises them.
             let at = (self.now + 3 * BASE_LATENCY_US + jitter + extra).max(session.last + 1);
-            let batch = self.batch_base + self.batches.len() as u64;
+            let batch = self.batches.open(msg);
             *session = Session { last: at, batch };
-            self.batches.push_back(Some(msg));
             self.queue
                 .schedule(at, NetEvent::DeliverBatch { to, on, batch });
         }
         self.sessions.insert(from, table);
+    }
+}
+
+/// Payloads of in-flight coalesced batches, by batch id. They live outside
+/// the event queue because queued payloads are immutable while batches keep
+/// absorbing output until one base latency before delivery. Ids are minted
+/// at the back in pop order; a delivery's job takes its payload, retired ids
+/// are trimmed off the front, and quiescence hands back the capacity.
+#[derive(Debug, Default)]
+struct BatchSlab {
+    /// Batch `base + i`'s payload at `i`, `None` once delivered.
+    slots: VecDeque<Option<UpdateMessage>>,
+    base: u64,
+}
+
+impl BatchSlab {
+    /// Open a batch carrying `msg`, returning its id.
+    fn open(&mut self, msg: UpdateMessage) -> u64 {
+        self.slots.push_back(Some(msg));
+        self.base + self.slots.len() as u64 - 1
+    }
+
+    /// The payload of batch `id`, while it is in flight.
+    fn get(&self, id: u64) -> Option<&UpdateMessage> {
+        self.slots
+            .get(id.checked_sub(self.base)? as usize)?
+            .as_ref()
+    }
+
+    fn get_mut(&mut self, id: u64) -> Option<&mut UpdateMessage> {
+        self.slots
+            .get_mut(id.checked_sub(self.base)? as usize)?
+            .as_mut()
+    }
+
+    /// Take batch `id`'s payload, trimming retired ids off the front.
+    fn take(&mut self, id: u64) -> Option<UpdateMessage> {
+        let msg = self
+            .slots
+            .get_mut(id.checked_sub(self.base)? as usize)?
+            .take();
+        while let Some(None) = self.slots.front() {
+            self.slots.pop_front();
+            self.base += 1;
+        }
+        msg
     }
 }
 
@@ -1811,11 +1847,14 @@ mod tests {
         }
         assert!(overtaken > 0, "no batch was delivered before an older one");
         assert!(
-            net.batches.is_empty(),
+            net.batches.slots.is_empty(),
             "{} slab slots left",
-            net.batches.len()
+            net.batches.slots.len()
         );
-        assert_eq!(net.batch_base, newest + 1);
+        assert_eq!(net.batches.base, newest + 1);
+        assert!(net.batches.slots.capacity() > 0);
+        net.run_until_quiescent().expect_converged();
+        assert_eq!(net.batches.slots.capacity(), 0, "quiescence hands it back");
     }
 
     /// A link removed and re-cabled while an UPDATE is in flight on it comes

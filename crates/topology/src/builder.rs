@@ -304,7 +304,7 @@ impl ThreeTierSpec {
 
     /// The CI-sized scale tier: 2,036 devices (50 pods × 36 ToRs, 4
     /// aggs/pod, 4 planes × 8 spines, 4 EBs). Big enough to exercise the
-    /// arena/calendar machinery, small enough for a debug-build test run
+    /// arena and event-queue machinery, small enough for a debug-build test run
     /// and the perf-smoke memory-budget gate.
     pub fn ci_2k() -> Self {
         ThreeTierSpec {

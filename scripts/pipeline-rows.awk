@@ -6,7 +6,8 @@
 # the toolchain, so on the cold workloads it prints as its bound when within
 # it and as its value otherwise; so does `bgp.decisions_per_route` (a cold
 # episode decides each delivered route at most once), whose exact value
-# the decisions and routes_delivered rows already pin.
+# the decisions and routes_delivered rows already pin, and, on
+# `cold_xl_fanin`, `mem.live_kb_per_device` (live heap at quiescence).
 #
 #   awk -f scripts/pipeline-rows.awk RUN.json
 
@@ -19,9 +20,10 @@ BEGIN {
     "rpa.cache_hits rpa.cache_misses rpa.eval_fallbacks rpa.installs " \
     "rpa.removals bgp.adj_rib_in_bytes bgp.adj_rib_out_bytes bgp.peer_refs",
     rows, " ")
-  bound["cold_2k_racks"] = 2.8
-  bound["cold_xl_fanin"] = 5.5
+  bound["cold_2k_racks"] = 2.4
+  bound["cold_xl_fanin"] = 4.6
   decisions_bound = "1.0"
+  live_bound["cold_xl_fanin"] = 7.5
 }
 
 # Print metric NAME as "NAME <= LIMIT" when its value is within LIMIT, and
@@ -61,6 +63,9 @@ END {
   if (workload in bound) {
     bounded("mem.allocs_per_route", bound[workload])
     bounded("bgp.decisions_per_route", decisions_bound)
+  }
+  if (workload in live_bound) {
+    bounded("mem.live_kb_per_device", live_bound[workload])
   }
   print "ops_failed", (failed == "" ? "missing" : failed)
 }

@@ -71,7 +71,9 @@ fn episode(seed: u64, coalesce: bool) -> Run {
         NetEvent::Originate {
             dev: racer,
             prefix: Prefix::DEFAULT,
-            attrs: PathAttributes::originated([well_known::BACKBONE_DEFAULT_ROUTE]),
+            attrs: Box::new(PathAttributes::originated([
+                well_known::BACKBONE_DEFAULT_ROUTE,
+            ])),
         },
     );
     events += net

@@ -5,7 +5,7 @@
 
 use centralium_bgp::attrs::attr_clone_bytes;
 use centralium_bgp::{
-    Asn, BgpDaemon, DaemonConfig, NativePolicy, PathAttributes, PeerConfig, PeerId, Prefix,
+    Asn, BgpDaemon, DaemonConfig, NativePolicy, Outbox, PathAttributes, PeerConfig, PeerId, Prefix,
     UpdateMessage,
 };
 use std::alloc::{GlobalAlloc, Layout, System};
@@ -74,7 +74,7 @@ fn arrival(d: &mut BgpDaemon, peer: u64) -> (u64, u64, usize) {
     let allocations = ALLOCATIONS.load(Ordering::Relaxed);
     let cloned = attr_clone_bytes();
     d.ingest(PeerId(peer), msg, &NativePolicy);
-    let out = d.decide(&NativePolicy, &mut programmed);
+    let out = Outbox::updates(|out| d.decide(&NativePolicy, &mut programmed, out));
     let changes = programmed.len();
     let cost = (
         ALLOCATIONS.load(Ordering::Relaxed) - allocations,

@@ -140,7 +140,9 @@ fn withdraw_reannounce_race(net: &mut SimNet, racer: DeviceId) {
         NetEvent::Originate {
             dev: racer,
             prefix: Prefix::DEFAULT,
-            attrs: PathAttributes::originated([well_known::BACKBONE_DEFAULT_ROUTE]),
+            attrs: Box::new(PathAttributes::originated([
+                well_known::BACKBONE_DEFAULT_ROUTE,
+            ])),
         },
     );
 }

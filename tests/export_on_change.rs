@@ -8,8 +8,8 @@
 use centralium_bench::tier::TierSpec;
 use centralium_bgp::attrs::well_known;
 use centralium_bgp::{
-    Action, Asn, BgpDaemon, DaemonConfig, MatchExpr, NativePolicy, PathAttributes, PathChoice,
-    PeerConfig, PeerId, Policy, PolicyRule, Prefix, RibPolicy, Route, UpdateMessage,
+    Action, Asn, BgpDaemon, DaemonConfig, MatchExpr, NativePolicy, Outbox, PathAttributes,
+    PathChoice, PeerConfig, PeerId, Policy, PolicyRule, Prefix, RibPolicy, Route, UpdateMessage,
 };
 use centralium_rpa::{
     Destination, NextHopWeight, PathSignature, PeerSignature, PrefixFilter, RouteAttributeRpa,
@@ -97,7 +97,7 @@ fn reevaluation_pushes_an_export_policy_swap_under_an_unchanged_best_path() {
     // The scoped form forces too.
     assert!(d.set_export_policy(PeerId(3), Policy::accept_all()));
     d.mark([Prefix::DEFAULT]);
-    let out = d.decide(&NativePolicy, &mut ());
+    let out = Outbox::updates(|out| d.decide(&NativePolicy, &mut (), out));
     assert_eq!(out.len(), 1);
     assert_eq!(out[0].1.announced.len(), 1);
 }
@@ -188,18 +188,18 @@ fn run_sequence(wcmp_advertise: bool, steps: &[(u8, u8, u8, u8)]) -> Result<(), 
             }
             4 => {
                 d.peer_down(peer);
-                d.decide(&hook, &mut ());
+                d.decide(&hook, &mut (), &mut Outbox::default());
             }
             5 => {
                 d.peer_up(peer, &hook);
             }
             6 => {
                 d.originate(prefix, palette(pick % 6, 0));
-                d.decide(&hook, &mut ());
+                d.decide(&hook, &mut (), &mut Outbox::default());
             }
             7 => {
                 d.withdraw_origin(prefix);
-                d.decide(&hook, &mut ());
+                d.decide(&hook, &mut (), &mut Outbox::default());
             }
             8 => {
                 d.set_export_policy(peer, export_policy(pick));
@@ -222,7 +222,7 @@ fn run_sequence(wcmp_advertise: bool, steps: &[(u8, u8, u8, u8)]) -> Result<(), 
                     d.mark(d.known_prefixes());
                     d.ingest(peer, update, &hook);
                 }
-                d.decide(&hook, &mut ());
+                d.decide(&hook, &mut (), &mut Outbox::default());
             }
         }
         let stale = d.clone().reevaluate_all(&hook);

@@ -8,7 +8,7 @@
 //! accounting. One named case per branch of the edit follows.
 
 use centralium_bgp::{
-    Asn, BgpDaemon, Community, DaemonConfig, ForwardingPlane, NativePolicy, PathAttributes,
+    Asn, BgpDaemon, Community, DaemonConfig, ForwardingPlane, NativePolicy, Outbox, PathAttributes,
     PathChoice, PeerConfig, PeerId, Prefix, RibPolicy, Route, UpdateMessage,
 };
 use centralium_simnet::{Fib, FibScratch};
@@ -145,7 +145,7 @@ fn deliver(
     plane: &mut dyn ForwardingPlane,
 ) -> Updates {
     d.ingest(peer, update, hook);
-    d.decide(hook, plane)
+    Outbox::updates(|out| d.decide(hook, plane, out))
 }
 
 fn run_script(wcmp: bool, steps: &[(u8, u8, u8, u8)]) -> Result<(), TestCaseError> {
@@ -181,16 +181,16 @@ fn run_script(wcmp: bool, steps: &[(u8, u8, u8, u8)]) -> Result<(), TestCaseErro
             }),
             6 => both(&mut edited, &mut oracle, |d, hook, plane| {
                 d.peer_down(peer);
-                d.decide(hook, plane)
+                Outbox::updates(|out| d.decide(hook, plane, out))
             }),
             7 => both(&mut edited, &mut oracle, |d, hook, _| d.peer_up(peer, hook)),
             8 => both(&mut edited, &mut oracle, |d, hook, plane| {
                 d.originate(prefix, palette(pick % 6, 0));
-                d.decide(hook, plane)
+                Outbox::updates(|out| d.decide(hook, plane, out))
             }),
             9 => both(&mut edited, &mut oracle, |d, hook, plane| {
                 d.withdraw_origin(prefix);
-                d.decide(hook, plane)
+                Outbox::updates(|out| d.decide(hook, plane, out))
             }),
             // Arrivals on two sessions before one decide: neither session's
             // route is all that moved, so the edit must not run.
@@ -207,7 +207,7 @@ fn run_script(wcmp: bool, steps: &[(u8, u8, u8, u8)]) -> Result<(), TestCaseErro
                         UpdateMessage::announce(prefix, other_attrs.clone()),
                         hook,
                     );
-                    d.decide(hook, plane)
+                    Outbox::updates(|out| d.decide(hook, plane, out))
                 })
             }
             // An arrival and an origination before one decide.
@@ -217,7 +217,7 @@ fn run_script(wcmp: bool, steps: &[(u8, u8, u8, u8)]) -> Result<(), TestCaseErro
                 both(&mut edited, &mut oracle, |d, hook, plane| {
                     d.ingest(peer, UpdateMessage::announce(prefix, attrs.clone()), hook);
                     d.originate(prefix, palette(pick % 6, 0));
-                    d.decide(hook, plane)
+                    Outbox::updates(|out| d.decide(hook, plane, out))
                 })
             }
         };
@@ -347,7 +347,7 @@ fn a_tie_joins_at_its_session_position_and_the_local_route_stays_last() {
     // A local route of the incumbent's preference (two hops, like the base
     // path) is multipath-equal and sorts after every learned route.
     d.originate(Prefix::DEFAULT, path(&[7, 9]));
-    d.decide(&NativePolicy, &mut programmed);
+    d.decide(&NativePolicy, &mut programmed, &mut Outbox::default());
     assert_eq!(selected_sessions(&d), [Some(2), Some(4), Some(6), None]);
     announce_to(&mut d, &mut programmed, 5, palette(0, 5));
     announce_to(&mut d, &mut programmed, 1, palette(4, 1));
@@ -522,7 +522,7 @@ fn governed_prefixes_single_path_mode_and_keep_warm_entries_take_the_full_pass()
     let (mut d, _) = three_way_tie();
     d.reevaluate_all(&LyingGuard);
     d.peer_down(PeerId(6));
-    d.decide(&LyingGuard, &mut ());
+    d.decide(&LyingGuard, &mut (), &mut Outbox::default());
     let entry = d.loc_rib_entry(Prefix::DEFAULT).unwrap();
     assert!(entry.fib_warm_only);
     assert!(worse_arrival_is_reinstalled(&mut d, &LyingGuard));

@@ -188,7 +188,9 @@ fn run_expiry_script(name: &str, steps: &[Step]) {
 fn flap(net: &mut SimNet, racer: DeviceId) {
     let prefix = Prefix::DEFAULT;
     net.schedule_in(0, NetEvent::WithdrawOrigin { dev: racer, prefix });
-    let attrs = PathAttributes::originated([well_known::BACKBONE_DEFAULT_ROUTE]);
+    let attrs = Box::new(PathAttributes::originated([
+        well_known::BACKBONE_DEFAULT_ROUTE,
+    ]));
     net.schedule_in(
         40,
         NetEvent::Originate {
