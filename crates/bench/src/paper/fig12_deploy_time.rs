@@ -10,7 +10,8 @@
 //! install RPC; the sample is the management-plane RPC latency (SPF distance
 //! from the controller's rack) plus the measured wall-clock time the BGP
 //! daemon spends installing the document and re-running its decision process.
-//! The UPDATEs the re-runs produce are then delivered to quiescence.
+//! The UPDATEs the re-runs produce are then sent through the fabric's one
+//! emission path and delivered to quiescence.
 
 use super::{split_host_time, Artefact};
 use crate::report::{metrics_diff_table, phase_table};
@@ -19,9 +20,9 @@ use crate::stats::{percentile, render_cdf};
 use centralium::apps::path_equalization::equalize_on_layers;
 use centralium::compile::compile_intent;
 use centralium_bgp::attrs::well_known;
-use centralium_bgp::{Outbox, PeerId};
-use centralium_simnet::{assert_rib_consistent, FibScratch, ManagementPlane, NetEvent};
-use centralium_topology::{DeviceId, FabricSpec, Layer};
+use centralium_bgp::Outbox;
+use centralium_simnet::{assert_rib_consistent, FibScratch, ManagementPlane};
+use centralium_topology::{FabricSpec, Layer};
 use std::time::Instant;
 
 /// The one-line summary of the samples: device count, p50 / p99 and the
@@ -82,13 +83,9 @@ pub(crate) fn artefact(tiny: bool) -> Artefact {
         });
         let install_us = t.elapsed().as_secs_f64() * 1e6;
         samples_ms.push((rpc_us + install_us) / 1_000.0);
-        // Not part of the sample; sent on the receiver's side, as `SimNet` does.
-        for (peer, msg) in out {
-            let to = DeviceId(peer.device());
-            let on = PeerId::compose(dev.0, peer.session_index());
-            let msg = Box::new(msg);
-            fab.net.schedule_in(0, NetEvent::Deliver { to, on, msg });
-        }
+        // Not part of the sample: the UPDATEs leave the device as any
+        // device's output does.
+        fab.net.emit(dev, out);
     }
     wave_span.finish(fab.net.now());
     let converge_span = tel.phase("converge", fab.net.now());

@@ -59,24 +59,13 @@ impl Table {
 }
 
 /// Tabulate the non-zero entries of a metrics snapshot — typically a
-/// [`MetricsSnapshot::diff`] bracketing one experiment stage. Per-device
-/// update counters (`simnet.device.*`) are rolled up into a single total so
-/// large fabrics don't produce a thousand-row table.
+/// [`MetricsSnapshot::diff`] bracketing one experiment stage.
 pub(crate) fn metrics_diff_table(snap: &MetricsSnapshot) -> Table {
     let mut table = Table::new(&["metric", "value"]);
-    let mut device_updates = 0u64;
     for (name, v) in &snap.counters {
-        if name.starts_with("simnet.device.") {
-            device_updates += v;
-        } else if *v != 0 {
+        if *v != 0 {
             table.row(&[name.clone(), v.to_string()]);
         }
-    }
-    if device_updates != 0 {
-        table.row(&[
-            "simnet.device.*.updates (total)".into(),
-            device_updates.to_string(),
-        ]);
     }
     for (name, v) in &snap.gauges {
         if *v != 0 {
@@ -139,15 +128,12 @@ mod tests {
     }
 
     #[test]
-    fn metrics_diff_table_rolls_up_device_counters() {
+    fn metrics_diff_table_elides_zero_counters() {
         let reg = centralium_telemetry::MetricsRegistry::new();
-        reg.counter("simnet.device.d1.updates").add(3);
-        reg.counter("simnet.device.d2.updates").add(4);
         reg.counter("bgp.decisions").add(9);
         reg.counter("quiet").add(0);
         let out = metrics_diff_table(&reg.snapshot()).render();
-        assert!(out.contains("simnet.device.*.updates (total)  7"));
-        assert!(out.contains("bgp.decisions"));
+        assert!(out.contains("bgp.decisions  9"));
         assert!(!out.contains("quiet"), "zero counters are elided:\n{out}");
     }
 

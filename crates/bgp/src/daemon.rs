@@ -63,15 +63,13 @@ use centralium_topology::Asn;
 use std::cmp::Ordering;
 use std::sync::Arc;
 
-/// Speaker-level configuration.
+/// Speaker-level configuration. A speaker always selects every
+/// equally-preferred path (ECMP) and weighs them by the link-bandwidth
+/// communities they carry (WCMP), unless a hook decides otherwise.
 #[derive(Debug, Clone)]
 pub struct DaemonConfig {
     /// Own autonomous system.
     pub asn: Asn,
-    /// Select all equally-preferred paths (ECMP) rather than a single best.
-    pub multipath: bool,
-    /// Derive WCMP weights from received link-bandwidth communities.
-    pub wcmp: bool,
     /// Attach a link-bandwidth community on export, advertising the
     /// effective capacity behind the selected paths (distributed WCMP).
     pub wcmp_advertise: bool,
@@ -82,13 +80,11 @@ pub struct DaemonConfig {
 }
 
 impl DaemonConfig {
-    /// The standard fabric configuration: multipath on, WCMP on, safe
+    /// The standard fabric configuration: no capacity relayed, safe
     /// advertisement rule on.
     pub fn fabric(asn: Asn) -> Self {
         DaemonConfig {
             asn,
-            multipath: true,
-            wcmp: true,
             wcmp_advertise: false,
             least_favorable_advertisement: true,
         }
@@ -311,11 +307,9 @@ impl BgpDaemon {
     }
 
     /// Mutable access to the speaker config (used by ablations). Installed
-    /// decisions are not revisited: a change that can move one (`multipath`,
-    /// `wcmp`) must be followed by [`reevaluate_all`](Self::reevaluate_all),
-    /// as [`set_export_policy`](Self::set_export_policy) asks for exports.
-    /// Until then the Loc-RIB holds what the old setting selected, and an
-    /// arrival is decided against it (see `decide_against_incumbent`).
+    /// decisions and exports are not revisited: a change must be followed
+    /// by [`reevaluate_all`](Self::reevaluate_all), as
+    /// [`set_export_policy`](Self::set_export_policy) asks for exports.
     pub fn config_mut(&mut self) -> &mut DaemonConfig {
         &mut self.cfg
     }
@@ -810,10 +804,10 @@ impl Step<'_> {
     /// compare that route with the installed entry and edit the entry in
     /// place, instead of re-selecting from every session's route. Returns
     /// what [`decide_prefix`](Self::decide_prefix) would — having installed
-    /// the entry it would — or `None` where only the full pass can tell:
-    /// single-path mode, a prefix the hook governs, no entry or a keep-warm
-    /// one, or the last selected route lost (the runner-up set is somewhere
-    /// in the Adj-RIB-In).
+    /// the entry it would — or `None` where only the full pass can tell: a
+    /// prefix the hook governs, no entry or a keep-warm one, or the last
+    /// selected route lost (the runner-up set is somewhere in the
+    /// Adj-RIB-In).
     ///
     /// Why the edit is exact: a native multipath entry holds every candidate
     /// of the best [`PathPreference`] `P`, ascending by session with the
@@ -828,7 +822,7 @@ impl Step<'_> {
         slot: &mut PrefixState,
         from: PeerId,
     ) -> Option<bool> {
-        if !self.cfg.multipath || self.policy.governs(prefix) {
+        if self.policy.governs(prefix) {
             return None;
         }
         let arrival =
@@ -847,8 +841,8 @@ impl Step<'_> {
                     Some(a) => w[1].learned_from.is_none_or(|b| a < b),
                     None => false,
                 }),
-            "{prefix}: installed entry is not a native multipath set — a config or \
-             hook change was not followed by reevaluate_all"
+            "{prefix}: installed entry is not a native multipath set — a hook \
+             change was not followed by reevaluate_all"
         );
         let selected = &mut entry.selected;
         let at = selected.partition_point(|r| r.learned_from.is_some_and(|p| p < from));
@@ -872,7 +866,7 @@ impl Step<'_> {
                 selected.remove(at);
             }
         }
-        weights_for(self.cfg, prefix, selected, self.policy, &mut entry.weights);
+        weights_for(prefix, selected, self.policy, &mut entry.weights);
         let had_path = entry.advertised.is_some();
         let best = best_route(&entry.selected);
         let advertisement_moved = entry.advertised.as_ref() != best;
@@ -912,7 +906,7 @@ impl Step<'_> {
                 } else {
                     let selected = take_selected(candidates, &sel.selected);
                     let mut weights = Vec::new();
-                    weights_for(cfg, prefix, &selected, policy, &mut weights);
+                    weights_for(prefix, &selected, policy, &mut weights);
                     let advertised = match sel.advertise {
                         AdvertiseChoice::Withdraw => None,
                         AdvertiseChoice::NativeBest => best_route(&selected).cloned(),
@@ -934,17 +928,7 @@ impl Step<'_> {
             }
             // Native selection, under the governing statement's guard.
             Some(PathChoice::Native(guard)) => {
-                let indices = if cfg.multipath {
-                    multipath_set(&candidates)
-                } else {
-                    // Select the best route by index directly (comparing
-                    // routes for equality would mis-handle attribute payloads
-                    // that are not reflexively equal).
-                    (0..candidates.len())
-                        .max_by(|&i, &j| compare_routes(&candidates[i], &candidates[j]))
-                        .into_iter()
-                        .collect()
-                };
+                let indices = multipath_set(&candidates);
                 let selected = take_selected(candidates, &indices);
                 // BgpNativeMinNextHop guard (§4.3): count learned next-hops.
                 let nexthop_count = selected.iter().filter(|r| r.learned_from.is_some()).count();
@@ -963,7 +947,7 @@ impl Step<'_> {
                         // and advertise nothing.
                         let prior = slot.loc.clone().unwrap_or_else(|| {
                             let mut weights = Vec::new();
-                            weights_for(cfg, prefix, &selected, policy, &mut weights);
+                            weights_for(prefix, &selected, policy, &mut weights);
                             LocRibEntry {
                                 selected,
                                 weights,
@@ -979,7 +963,7 @@ impl Step<'_> {
                     None
                 } else {
                     let mut weights = Vec::new();
-                    weights_for(cfg, prefix, &selected, policy, &mut weights);
+                    weights_for(prefix, &selected, policy, &mut weights);
                     let advertised = best_route(&selected).cloned();
                     Some(LocRibEntry {
                         selected,
@@ -1087,14 +1071,9 @@ fn warm_entry(peers: &FlatMap<PeerId, PeerState>, prior: LocRibEntry) -> Option<
 }
 
 /// Write `selected`'s weights into `weights`, reusing its allocation unless
-/// the hook assigns them.
-fn weights_for(
-    cfg: &DaemonConfig,
-    prefix: Prefix,
-    selected: &[Route],
-    policy: &dyn RibPolicy,
-    weights: &mut Vec<u32>,
-) {
+/// the hook assigns them: WCMP over the link-bandwidth communities
+/// otherwise.
+fn weights_for(prefix: Prefix, selected: &[Route], policy: &dyn RibPolicy, weights: &mut Vec<u32>) {
     if let Some(w) = policy.assign_weights(prefix, selected) {
         debug_assert_eq!(w.len(), selected.len(), "hook weights must be parallel");
         if w.len() == selected.len() {
@@ -1102,12 +1081,7 @@ fn weights_for(
             return;
         }
     }
-    if cfg.wcmp {
-        wcmp::derive_weights_into(selected, weights);
-    } else {
-        weights.clear();
-        weights.resize(selected.len(), 1);
-    }
+    wcmp::derive_weights_into(selected, weights);
 }
 
 /// Effective capacity (Gbps) behind a Loc-RIB entry: the sum over selected
@@ -1891,26 +1865,5 @@ mod tests {
         assert!(view.any(|a| a.has_community(c1)) && !view.any(|a| a.has_community(c2)));
         let (_, view) = d.known().find(|(p, _)| *p == overlapping).unwrap();
         assert!(!view.any(|a| a.has_community(c1)) && view.any(|a| a.has_community(c2)));
-    }
-
-    #[test]
-    fn single_path_mode_selects_one() {
-        let mut d = daemon(1);
-        d.config_mut().multipath = false;
-        connect(&mut d, 10, 2);
-        connect(&mut d, 20, 3);
-        d.ingest(
-            PeerId(10),
-            announce(10, "0.0.0.0/0", &[2, 9]),
-            &NativePolicy,
-        );
-        decided(&mut d, &NativePolicy);
-        d.ingest(
-            PeerId(20),
-            announce(20, "0.0.0.0/0", &[3, 9]),
-            &NativePolicy,
-        );
-        decided(&mut d, &NativePolicy);
-        assert_eq!(d.fib()[0].nexthops.len(), 1);
     }
 }

@@ -46,7 +46,7 @@ pub mod prelude {
     };
     pub use centralium_rpa::{RpaDocument, RpaEngine};
     pub use centralium_simnet::{
-        ChaosPlan, ConvergenceReport, FaultPlan, SimConfig, SimConfigBuilder, SimNet,
+        ChaosPlan, ConvergenceReport, SimConfig, SimConfigBuilder, SimNet,
     };
     pub use centralium_telemetry::{MetricsRegistry, Telemetry};
     pub use centralium_topology::{build_fabric, DeviceId, FabricSpec, Layer, Topology};

@@ -23,7 +23,7 @@ use std::sync::Arc;
 /// — all held until the merge phase reaches the event in pop order. The
 /// merge replays the output in global pop order — the writes through
 /// [`SimNet::emit`], the refresh requests one base latency out — so every
-/// RNG draw (jitter, faults, split shuffles), FIFO clamp and queue sequence
+/// RNG draw (jitter, split shuffles), FIFO clamp and queue sequence
 /// number lands exactly as it would processing one event at a time.
 #[derive(Debug)]
 struct Slot {
@@ -79,9 +79,6 @@ fn run_work(
     cx: JobContext<'_>,
 ) -> Vec<PeerId> {
     match work {
-        NetEvent::Deliver { on, msg, .. } => {
-            dev.decide(scratch, out, |dm, e| dm.ingest(on, *msg, e));
-        }
         NetEvent::DeliverBatch { on, batch, .. } => {
             let msg = batches
                 .take(batch)
@@ -412,17 +409,15 @@ fn push_prov_deltas(
     }
 }
 
-/// Device `dev`'s counter `simnet.device.d<N>.<what>` in `counters`, bound
-/// in `tel`'s registry on first use: the UPDATE churn, and the busy time
-/// span tracing records.
-fn device_counter<'a>(
+/// Device `dev`'s busy-time counter `simnet.device.d<N>.busy_ns` in
+/// `counters`, bound in `tel`'s registry on first use.
+fn busy_counter<'a>(
     counters: &'a mut DenseMap<Counter>,
     tel: &Telemetry,
     dev: DeviceId,
-    what: &str,
 ) -> &'a Counter {
     if !counters.contains_key(dev) {
-        let name = format!("simnet.device.d{}.{what}", dev.0);
+        let name = format!("simnet.device.d{}.busy_ns", dev.0);
         counters.insert(dev, tel.metrics().counter(&name));
     }
     &counters[dev]
@@ -458,7 +453,7 @@ impl SimNet {
     /// 3. Device work never touches the RNG, the queue, or shared maps — it
     ///    returns each event's updates (and refresh requests), which the
     ///    merge phase replays through the normal `emit` path in global pop
-    ///    order, reproducing every jitter/fault/shuffle draw, FIFO clamp and
+    ///    order, reproducing every jitter/shuffle draw, FIFO clamp and
     ///    queue sequence number. Journal events, provenance steps included,
     ///    are held with that output and recorded in the same order.
     pub fn run_until_quiescent(&mut self) -> ConvergenceReport {
@@ -512,14 +507,14 @@ impl SimNet {
     /// only place a run pops the event queue.
     ///
     /// A window is one latency wide, `[t0, t0 + L)`. Every emission lands at
-    /// least `L` after its cause — a split delivery `L` + jitter out, a fresh
+    /// least `L` after its cause — a split piece `L` + jitter out, a fresh
     /// coalesced batch `3L` + jitter, a route-refresh request `L` — so the
     /// whole window is queued when it opens and none of its output lands in
     /// it. A batch popped here is closed to the window's output too: its
-    /// delivery is under `t0 + L`, and `emit_coalesced` merges only into
-    /// batches at least `L` away from the emitting event. Any prefix of a
-    /// window's pop sequence is itself a valid window, which is all `budget`
-    /// and `deadline` ever select.
+    /// delivery is under `t0 + L`, and `emit` merges only into batches at
+    /// least `L` away from the emitting event. Any prefix of a window's pop
+    /// sequence is itself a valid window, which is all `budget` and
+    /// `deadline` ever select.
     fn run_window(&mut self, deadline: SimTime, budget: u64) -> u64 {
         let Some(t0) = self.queue.peek_time() else {
             return 0;
@@ -529,7 +524,7 @@ impl SimNet {
             .min(deadline.saturating_add(1));
 
         // Phase 1 — pre-pass: pop the window and run the global-state side
-        // of each event (counters, churn, origination bookkeeping,
+        // of each event (counters, origination bookkeeping,
         // device-existence checks), leaving the device-local rest in a slot.
         let pre_start = std::time::Instant::now();
         let sp_pre = self.telemetry.span("simnet", "window.pre");
@@ -644,7 +639,7 @@ impl SimNet {
         if let Some(started) = started {
             let ns = started.elapsed().as_nanos() as u64;
             counters.event_latency_ns.observe(ns);
-            device_counter(busy, telemetry, dev_id, "busy_ns").add(ns);
+            busy_counter(busy, telemetry, dev_id).add(ns);
         }
     }
 
@@ -705,7 +700,7 @@ impl SimNet {
             return None;
         }
         match &ev {
-            NetEvent::Deliver { .. } | NetEvent::DeliverBatch { .. } => self.arrive(t, &ev, events),
+            NetEvent::DeliverBatch { to, on, batch } => self.arrive(t, *to, *on, *batch, events),
             NetEvent::SessionUp { peer, .. } => self.note_session(events, dev, *peer, "up"),
             NetEvent::SessionDown { peer, .. } => self.note_session(events, dev, *peer, "down"),
             NetEvent::RemovePeer { peer, .. } => self.note_session(events, dev, *peer, "removed"),
@@ -787,38 +782,33 @@ impl SimNet {
             .set(self.queue.high_water_mark() as i64);
         m.gauge("mem.event_queue_bytes")
             .set(self.queue.footprint_bytes() as i64);
-        m.gauge("mem.device_arena_bytes").set(
-            (self.devices.footprint_bytes()
-                + self.churn.footprint_bytes()
-                + self.busy.footprint_bytes()) as i64,
-        );
+        m.gauge("mem.device_arena_bytes")
+            .set((self.devices.footprint_bytes() + self.busy.footprint_bytes()) as i64);
     }
 
-    /// The pre-pass side of an UPDATE arriving at a live device, batched
-    /// (its payload read in the slab) or not: batch and delivery counters,
-    /// announce/withdraw counters, the receiver's churn counter, provenance
-    /// arrival events, and the last update time of every originated prefix
-    /// it carries.
-    fn arrive(&mut self, t: SimTime, ev: &NetEvent, events: &mut Vec<Event>) {
-        let (to, on, msg) = match ev {
-            NetEvent::Deliver { to, on, msg } => (*to, *on, &**msg),
-            NetEvent::DeliverBatch { to, on, batch } => {
-                let msg = self
-                    .batches
-                    .get(*batch)
-                    .expect("a queued batch has a payload");
-                self.counters.batches_delivered.inc();
-                let size = (msg.announced.len() + msg.withdrawn.len()) as u64;
-                self.max_batch_size = self.max_batch_size.max(size);
-                self.counters.batch_routes.observe(size);
-                (*to, *on, msg)
-            }
-            _ => unreachable!("an UPDATE delivery"),
-        };
+    /// The pre-pass side of an UPDATE batch arriving at a live device, its
+    /// payload read in the slab: batch, delivery and announce/withdraw
+    /// counters, provenance arrival events, and the last update time of
+    /// every originated prefix it carries.
+    fn arrive(
+        &mut self,
+        t: SimTime,
+        to: DeviceId,
+        on: PeerId,
+        batch: u64,
+        events: &mut Vec<Event>,
+    ) {
+        let msg = self
+            .batches
+            .get(batch)
+            .expect("a queued batch has a payload");
+        let size = (msg.announced.len() + msg.withdrawn.len()) as u64;
+        self.max_batch_size = self.max_batch_size.max(size);
+        self.counters.batch_routes.observe(size);
+        self.counters.batches_delivered.inc();
         self.counters.messages_delivered.inc();
         self.counters.announcements.add(msg.announced.len() as u64);
         self.counters.withdrawals.add(msg.withdrawn.len() as u64);
-        device_counter(&mut self.churn, &self.telemetry, to, "updates").inc();
         self.note_provenance_arrival(events, to, on, msg);
         if !self.prefix_clock.is_empty() {
             let carried = msg.announced.iter().map(|(p, _)| p).chain(&msg.withdrawn);

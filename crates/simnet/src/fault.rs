@@ -1,58 +1,14 @@
-//! Seeded fault injection for control-plane messages and management RPCs.
+//! Seeded fault injection for management RPCs.
 //!
-//! Two layers:
-//!
-//! * [`FaultPlan`] — per-BGP-message drop/extra-delay, drawn from the
-//!   simulation RNG stream (modeled after the fault-injection options every
-//!   smoltcp example exposes);
-//! * [`ChaosPlan`] — the deployment-resilience fault surface: RPC
-//!   drop/delay/duplicate and agent crash-restart.
-//!   Every decision is a pure function of `(seed, scope, nonce)` via a
-//!   splitmix-style mixer, so a chaos scenario replays identically no matter
-//!   how callers interleave — the property the chaos CI job relies on.
+//! [`ChaosPlan`] is the deployment-resilience fault surface: RPC
+//! drop/delay/duplicate and agent crash-restart. Every decision is a pure
+//! function of `(seed, scope, nonce)` via a splitmix-style mixer, so a chaos
+//! scenario replays identically no matter how callers interleave — the
+//! property the chaos CI job relies on. BGP sessions run over TCP, reliable
+//! and ordered, so UPDATEs get no fault model: the §3 pathologies are the
+//! interleaving of delivered messages, not their loss.
 
 use crate::event::SimTime;
-use rand::Rng;
-
-/// Fault-injection plan applied to every scheduled BGP message.
-#[derive(Debug, Clone, Copy)]
-pub struct FaultPlan {
-    /// Probability in [0, 1] that a message is silently dropped. (TCP would
-    /// retransmit; this models session-level stalls and agent restarts.)
-    pub drop_probability: f64,
-    /// Maximum extra delay added uniformly at random, in microseconds.
-    pub max_extra_delay_us: SimTime,
-}
-
-impl Default for FaultPlan {
-    fn default() -> Self {
-        FaultPlan {
-            drop_probability: 0.0,
-            max_extra_delay_us: 0,
-        }
-    }
-}
-
-impl FaultPlan {
-    /// No faults.
-    pub(crate) fn none() -> Self {
-        Self::default()
-    }
-
-    /// Decide the fate of one message: `None` = dropped, `Some(extra)` =
-    /// deliver with `extra` additional delay.
-    pub(crate) fn apply(&self, rng: &mut impl Rng) -> Option<SimTime> {
-        if self.drop_probability > 0.0 && rng.gen_bool(self.drop_probability.clamp(0.0, 1.0)) {
-            return None;
-        }
-        let extra = if self.max_extra_delay_us > 0 {
-            rng.gen_range(0..=self.max_extra_delay_us)
-        } else {
-            0
-        };
-        Some(extra)
-    }
-}
 
 /// The fate the [`ChaosPlan`] assigns one management RPC.
 #[derive(Debug, Clone, Copy, PartialEq)]
@@ -82,9 +38,8 @@ const CH_CRASH: u64 = 0x04;
 
 /// Deterministic chaos schedule for the deployment control plane.
 ///
-/// Unlike [`FaultPlan`], which draws from the shared simulation RNG stream
-/// (and therefore perturbs downstream draws), every `ChaosPlan` decision is
-/// a pure hash of `(seed, channel, device, nonce)`. Two runs that issue the
+/// Every decision is a pure hash of `(seed, channel, device, nonce)` and
+/// never draws from the simulation's RNG stream. Two runs that issue the
 /// same logical RPCs get the same faults regardless of interleaving, and a
 /// zero-probability plan is bit-identical to no plan at all.
 #[derive(Debug, Clone, Copy, PartialEq)]
@@ -173,8 +128,6 @@ pub fn chaos_unit(seed: u64, channel: u64, a: u64, b: u64) -> f64 {
 #[cfg(test)]
 mod tests {
     use super::*;
-    use rand::rngs::StdRng;
-    use rand::SeedableRng;
 
     /// Delivery with no added faults.
     const CLEAN: RpcFate = RpcFate::Delivered {
@@ -182,59 +135,6 @@ mod tests {
         duplicate: false,
         crash_agent: false,
     };
-
-    #[test]
-    fn no_faults_is_identity() {
-        let mut rng = StdRng::seed_from_u64(1);
-        let plan = FaultPlan::none();
-        for _ in 0..100 {
-            assert_eq!(plan.apply(&mut rng), Some(0));
-        }
-    }
-
-    #[test]
-    fn always_drop() {
-        let mut rng = StdRng::seed_from_u64(1);
-        let plan = FaultPlan {
-            drop_probability: 1.0,
-            max_extra_delay_us: 0,
-        };
-        for _ in 0..100 {
-            assert_eq!(plan.apply(&mut rng), None);
-        }
-    }
-
-    #[test]
-    fn extra_delay_is_bounded_and_deterministic() {
-        let plan = FaultPlan {
-            drop_probability: 0.0,
-            max_extra_delay_us: 50,
-        };
-        let sample = |seed: u64| {
-            let mut rng = StdRng::seed_from_u64(seed);
-            (0..100)
-                .map(|_| plan.apply(&mut rng).unwrap())
-                .collect::<Vec<_>>()
-        };
-        let a = sample(7);
-        let b = sample(7);
-        assert_eq!(a, b, "deterministic under seed");
-        assert!(a.iter().all(|&d| d <= 50));
-        assert!(a.iter().any(|&d| d > 0), "jitter actually applied");
-    }
-
-    #[test]
-    fn drop_rate_roughly_matches_probability() {
-        let mut rng = StdRng::seed_from_u64(42);
-        let plan = FaultPlan {
-            drop_probability: 0.3,
-            max_extra_delay_us: 0,
-        };
-        let drops = (0..10_000)
-            .filter(|_| plan.apply(&mut rng).is_none())
-            .count();
-        assert!((2_500..3_500).contains(&drops), "got {drops} drops");
-    }
 
     #[test]
     fn chaos_quiet_plan_is_clean() {

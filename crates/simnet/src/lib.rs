@@ -23,9 +23,8 @@
 //!   loop detection;
 //! * [`mgmt`] — Open/R-like management plane (SPF reachability + RPC
 //!   latency for the controller);
-//! * [`fault`] — seeded message-loss / extra-delay injection, plus the
-//!   [`ChaosPlan`] driving RPC drop/delay/duplicate and agent
-//!   crash-restart for deployment-resilience testing;
+//! * [`fault`] — the [`ChaosPlan`] driving RPC drop/delay/duplicate and
+//!   agent crash-restart for deployment-resilience testing;
 //! * [`trace`] — event counters and convergence reporting.
 
 pub mod arena;
@@ -43,7 +42,7 @@ pub mod traffic;
 pub use arena::DenseMap;
 pub use device::SimDevice;
 pub use event::{EventQueue, SimTime};
-pub use fault::{chaos_unit, ChaosPlan, FaultPlan, RpcFate};
+pub use fault::{chaos_unit, ChaosPlan, RpcFate};
 pub use fib::{Fib, FibScratch, NhgStats};
 pub use invariants::{assert_rib_consistent, verify_rib_consistency};
 pub use mgmt::ManagementPlane;

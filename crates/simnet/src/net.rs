@@ -2,8 +2,8 @@
 //!
 //! Design rules:
 //!
-//! * **Determinism** — all randomness (latency jitter, faults) flows from the
-//!   seed; event ties break by insertion order.
+//! * **Determinism** — all randomness (latency jitter, split shuffles)
+//!   flows from the seed; event ties break by insertion order.
 //! * **Per-session FIFO** — BGP runs over TCP, so messages on one session
 //!   never reorder; *across* sessions and devices, timing is free. That
 //!   asynchrony is precisely what creates the paper's transitory states.
@@ -11,12 +11,14 @@
 //!   per base latency. Rigs that study the per-prefix convergence
 //!   interleaving behind the §3.4 next-hop-group explosion turn it off, and
 //!   then every UPDATE is split into per-prefix messages, shuffled per
-//!   session, each with its own jitter.
+//!   session, each a batch of one with its own jitter. Either way an UPDATE
+//!   leaves a device through [`SimNet::emit`] and travels as a
+//!   [`NetEvent::DeliverBatch`].
 
 use crate::arena::DenseMap;
 use crate::device::SimDevice;
 use crate::event::{EventQueue, SimTime};
-use crate::fault::{ChaosPlan, FaultPlan, RpcFate};
+use crate::fault::{ChaosPlan, RpcFate};
 use crate::fib::FibScratch;
 use crate::trace::{ConvergenceReport, TraceStats};
 use centralium_bgp::flat::FlatMap;
@@ -75,13 +77,13 @@ pub struct SimConfig {
     /// reschedules in-flight information, it never reorders within a
     /// session).
     ///
-    /// Off, every UPDATE is split into per-prefix messages, queued in an
-    /// order shuffled (seeded) per recipient session. BGP guarantees
-    /// ordering *within* a TCP session but says nothing about the order a
-    /// daemon generates updates for different prefixes toward different
-    /// peers — production TX queues drain in effectively independent
-    /// orders, which is what makes the §3.4 per-prefix state space
-    /// combinatorial. Scenario rigs that study that interleaving turn
+    /// Off, every UPDATE is split into per-prefix messages, each a batch of
+    /// one, queued in an order shuffled (seeded) per recipient session. BGP
+    /// guarantees ordering *within* a TCP session but says nothing about the
+    /// order a daemon generates updates for different prefixes toward
+    /// different peers — production TX queues drain in effectively
+    /// independent orders, which is what makes the §3.4 per-prefix state
+    /// space combinatorial. Scenario rigs that study that interleaving turn
     /// coalescing off.
     pub coalesce_updates: bool,
     /// Attach link-bandwidth communities on export (distributed WCMP).
@@ -93,8 +95,6 @@ pub struct SimConfig {
     /// generic non-layered rigs like Figure 9) allows path hunting through
     /// valleys, which explodes combinatorially on large fabrics.
     pub valley_free_policies: bool,
-    /// Fault injection plan for control-plane messages.
-    pub fault: FaultPlan,
 }
 
 impl Default for SimConfig {
@@ -106,7 +106,6 @@ impl Default for SimConfig {
             coalesce_updates: true,
             wcmp_advertise: false,
             valley_free_policies: true,
-            fault: FaultPlan::none(),
         }
     }
 }
@@ -172,12 +171,6 @@ impl SimConfigBuilder {
         self
     }
 
-    /// Fault injection plan for control-plane messages.
-    pub fn fault(mut self, plan: FaultPlan) -> Self {
-        self.cfg.fault = plan;
-        self
-    }
-
     /// Finish, yielding the configured [`SimConfig`].
     pub fn build(self) -> SimConfig {
         self.cfg
@@ -188,19 +181,12 @@ impl SimConfigBuilder {
 /// is at most 24 bytes and the queue costs what its events carry.
 #[derive(Debug, Clone)]
 pub enum NetEvent {
-    /// Deliver a BGP UPDATE to `to` on its session `on`.
-    Deliver {
-        /// Receiving device.
-        to: DeviceId,
-        /// Receiver-side session id.
-        on: PeerId,
-        /// The message.
-        msg: Box<UpdateMessage>,
-    },
-    /// Deliver a coalesced UPDATE batch to `to` on its session `on`. The
-    /// payload lives in the net's batch side-table (keyed by `batch`) so
-    /// that output emitted while the event is still in flight can merge
-    /// into it; queued event payloads themselves are immutable.
+    /// Deliver a BGP UPDATE batch to `to` on its session `on` — the only
+    /// way an UPDATE travels. The payload lives in the net's batch slab
+    /// (keyed by `batch`) so that, with coalescing on, output emitted while
+    /// the event is still in flight can merge into it; queued event
+    /// payloads themselves are immutable. With coalescing off a batch holds
+    /// one split piece.
     DeliverBatch {
         /// Receiving device.
         to: DeviceId,
@@ -310,8 +296,7 @@ impl NetEvent {
     /// The device the event acts on.
     fn target(&self) -> DeviceId {
         match *self {
-            NetEvent::Deliver { to: dev, .. }
-            | NetEvent::DeliverBatch { to: dev, .. }
+            NetEvent::DeliverBatch { to: dev, .. }
             | NetEvent::RouteRefreshRequest { to: dev, .. }
             | NetEvent::SessionUp { dev, .. }
             | NetEvent::SessionDown { dev, .. }
@@ -330,7 +315,6 @@ impl NetEvent {
     /// Static span name of the event's kind.
     fn name(&self) -> &'static str {
         match self {
-            NetEvent::Deliver { .. } => "deliver",
             NetEvent::DeliverBatch { .. } => "deliver_batch",
             NetEvent::SessionUp { .. } => "session_up",
             NetEvent::SessionDown { .. } => "session_down",
@@ -354,7 +338,6 @@ impl NetEvent {
 #[derive(Debug)]
 struct NetCounters {
     messages_delivered: Counter,
-    messages_dropped: Counter,
     announcements: Counter,
     withdrawals: Counter,
     rpa_operations: Counter,
@@ -365,7 +348,8 @@ struct NetCounters {
     /// RPA installs/removes that fell back to full re-evaluation (an egress
     /// Route Filter, or a document without bounded destinations).
     rpa_full_reevals: Counter,
-    /// Coalesced batch deliveries (each one [`NetEvent::DeliverBatch`]).
+    /// Batch deliveries (each one [`NetEvent::DeliverBatch`]); with
+    /// coalescing off, equal to `messages_delivered`.
     batches_delivered: Counter,
     /// Output UPDATEs that merged into an in-flight batch instead of
     /// scheduling a delivery event of their own.
@@ -382,7 +366,7 @@ struct NetCounters {
     /// Jobs per window.
     window_jobs: LogHistogram,
     /// Routing-information count (announcements + withdrawals) per
-    /// delivered coalesced batch.
+    /// delivered batch.
     batch_routes: LogHistogram,
     /// Per-event device-processing latency in nanoseconds. Recorded only
     /// while span tracing is enabled (two clock reads per event otherwise).
@@ -394,7 +378,6 @@ impl NetCounters {
         let m = telemetry.metrics();
         NetCounters {
             messages_delivered: m.counter("simnet.messages_delivered"),
-            messages_dropped: m.counter("simnet.messages_dropped"),
             announcements: m.counter("simnet.announcements"),
             withdrawals: m.counter("simnet.withdrawals"),
             rpa_operations: m.counter("simnet.rpa_operations"),
@@ -434,9 +417,6 @@ pub struct SimNet {
     rng: StdRng,
     telemetry: Telemetry,
     counters: NetCounters,
-    /// Per-device UPDATE-churn counters (`simnet.device.d<N>.updates`),
-    /// bound lazily on first delivery to each device.
-    churn: DenseMap<Counter>,
     /// Per-device busy-time counters (`simnet.device.d<N>.busy_ns`), bound
     /// lazily; only written while span tracing is enabled.
     busy: DenseMap<Counter>,
@@ -451,7 +431,8 @@ pub struct SimNet {
     /// its first emission and never pruned, so the TCP FIFO clamp survives
     /// session and device bounces.
     sessions: DenseMap<Vec<(PeerId, Session)>>,
-    /// Payloads of in-flight coalesced batches.
+    /// Payloads of in-flight batches: every UPDATE between its emission and
+    /// its delivery.
     batches: BatchSlab,
     /// The run loop's working memory.
     window: engine::Window,
@@ -498,7 +479,6 @@ impl SimNet {
             now: 0,
             telemetry,
             counters,
-            churn: DenseMap::new(),
             busy: DenseMap::new(),
             provenance: None,
             prefix_clock: FlatMap::new(),
@@ -528,7 +508,6 @@ impl SimNet {
     pub fn set_telemetry(&mut self, telemetry: Telemetry) {
         telemetry.set_now(self.now);
         self.counters = NetCounters::bind(&telemetry);
-        self.churn.clear();
         self.busy.clear();
         self.telemetry = telemetry;
         self.bind_all_device_telemetry();
@@ -698,7 +677,6 @@ impl SimNet {
     pub fn stats(&self) -> TraceStats {
         TraceStats {
             messages_delivered: self.counters.messages_delivered.get(),
-            messages_dropped: self.counters.messages_dropped.get(),
             announcements: self.counters.announcements.get(),
             withdrawals: self.counters.withdrawals.get(),
             rpa_operations: self.counters.rpa_operations.get(),
@@ -1219,32 +1197,29 @@ impl SimNet {
         }
     }
 
-    /// Count (and journal) a control-plane message dropped by the fault plan.
-    fn note_fault_drop(&self, from: DeviceId, to: DeviceId) {
-        self.counters.messages_dropped.inc();
-        if self.telemetry.journal_enabled() {
-            self.telemetry.record(
-                self.telemetry
-                    .event(EventKind::FaultInjected, Severity::Warn)
-                    .field("fault", "message_drop")
-                    .field("from", format!("d{}", from.0))
-                    .field("to", format!("d{}", to.0)),
-            );
-        }
-    }
-
-    /// Schedule daemon output messages for delivery — coalesced, or split
-    /// per prefix and shuffled per session — applying fault injection,
-    /// latency, jitter and per-session FIFO.
-    fn emit(&mut self, from: DeviceId, outputs: Vec<(PeerId, UpdateMessage)>) {
+    /// Schedule `from`'s daemon output for delivery, applying latency,
+    /// jitter and per-session FIFO; every piece travels as a
+    /// [`NetEvent::DeliverBatch`] whose payload waits in the batch slab.
+    /// The run loop sends every device's output through here; a host that
+    /// drives a daemon by hand (Figure 12's installs) hands its output here
+    /// too. The two delivery modes differ in two rules:
+    ///
+    /// * **Coalescing on** — output merges (last-writer-wins per prefix)
+    ///   into the session's open batch while its delivery is still at least
+    ///   one base latency away — i.e. while the new information could not
+    ///   legally have arrived before the batch does — and otherwise opens a
+    ///   batch held `3L` + jitter.
+    /// * **Coalescing off** — the UPDATE is split into per-prefix pieces,
+    ///   shuffled, and each piece is sent `L` + jitter out as a batch of one.
+    ///
+    /// FIFO order within a session holds by construction: a batch never
+    /// overtakes an earlier delivery (the FIFO clamp) and merged content
+    /// arrives exactly when its batch does.
+    pub fn emit(&mut self, from: DeviceId, outputs: Vec<(PeerId, UpdateMessage)>) {
         if outputs.is_empty() {
             // A device's session table is made at its first emission.
             return;
         }
-        if self.cfg.coalesce_updates {
-            self.emit_coalesced(from, outputs);
-            return;
-        }
         let mut table = self.sessions.remove(from).unwrap_or_default();
         let mut cursor = 0;
         for (peer, msg) in outputs {
@@ -1252,87 +1227,62 @@ impl SimNet {
             let on = PeerId::compose(from.0, peer.session_index());
             cursor = session_slot(&mut table, cursor, peer) + 1;
             let (_, session) = &mut table[cursor - 1];
-            let mut pieces = msg.split();
-            if pieces.len() > 1 {
-                use rand::seq::SliceRandom;
-                pieces.shuffle(&mut self.rng);
-            }
-            for piece in pieces {
-                let Some(extra) = self.cfg.fault.apply(&mut self.rng) else {
-                    self.note_fault_drop(from, to);
-                    continue;
-                };
-                let jitter = if self.cfg.jitter_us > 0 {
-                    self.rng.gen_range(0..=self.cfg.jitter_us)
-                } else {
-                    0
-                };
-                // TCP FIFO per directed session.
-                let at = (self.now + BASE_LATENCY_US + jitter + extra).max(session.last + 1);
-                session.last = at;
-                let msg = Box::new(piece);
-                self.queue.schedule(at, NetEvent::Deliver { to, on, msg });
-            }
-        }
-        self.sessions.insert(from, table);
-    }
-
-    /// The coalescing emission path: one in-flight batch per directed
-    /// session. Output merges (last-writer-wins per prefix) into the open
-    /// batch while its delivery is still at least one base latency away —
-    /// i.e. while the new information could not legally have arrived before
-    /// the batch does — and opens a fresh batch otherwise. FIFO order within
-    /// a session is preserved by construction: a batch never overtakes an
-    /// earlier delivery (the FIFO clamp) and merged content arrives exactly
-    /// when the batch does.
-    fn emit_coalesced(&mut self, from: DeviceId, outputs: Vec<(PeerId, UpdateMessage)>) {
-        let mut table = self.sessions.remove(from).unwrap_or_default();
-        let mut cursor = 0;
-        for (peer, msg) in outputs {
-            let to = DeviceId(peer.device());
-            let on = PeerId::compose(from.0, peer.session_index());
-            // Faults apply per output message: a dropped fate loses the whole
-            // UPDATE (as a dropped TCP segment would stall its content), a
-            // delay fate pushes out a freshly-opened batch but cannot move
-            // one already in flight.
-            let Some(extra) = self.cfg.fault.apply(&mut self.rng) else {
-                self.note_fault_drop(from, to);
-                continue;
-            };
-            cursor = session_slot(&mut table, cursor, peer) + 1;
-            let (_, session) = &mut table[cursor - 1];
-            if session.last >= self.now + BASE_LATENCY_US {
+            if !self.cfg.coalesce_updates {
+                let mut pieces = msg.split();
+                if pieces.len() > 1 {
+                    use rand::seq::SliceRandom;
+                    pieces.shuffle(&mut self.rng);
+                }
+                for piece in pieces {
+                    self.send(session, to, on, BASE_LATENCY_US, piece);
+                }
+            } else if session.last >= self.now + BASE_LATENCY_US {
                 self.counters.updates_coalesced.inc();
                 self.batches
                     .get_mut(session.batch)
                     .expect("open batch has a payload")
                     .merge(msg);
-                continue;
-            }
-            let jitter = if self.cfg.jitter_us > 0 {
-                self.rng.gen_range(0..=self.cfg.jitter_us)
             } else {
-                0
-            };
-            // A fresh batch is held one extra base latency beyond the
-            // message's own flight time — the role BGP's MRAI timer plays.
-            // Output a convergence wave generates in the next latency window
-            // (reactions to events one hop upstream) merges into the batch
-            // instead of scheduling deliveries of its own, which also damps
-            // path hunting: the receiver never processes the squashed-away
-            // intermediate states, so it never re-advertises them.
-            let at = (self.now + 3 * BASE_LATENCY_US + jitter + extra).max(session.last + 1);
-            let batch = self.batches.open(msg);
-            *session = Session { last: at, batch };
-            self.queue
-                .schedule(at, NetEvent::DeliverBatch { to, on, batch });
+                // A fresh batch is held one extra base latency beyond the
+                // message's own flight time — the role BGP's MRAI timer
+                // plays. Output a convergence wave generates in the next
+                // latency window (reactions to events one hop upstream)
+                // merges into the batch instead of scheduling deliveries of
+                // its own, which also damps path hunting: the receiver never
+                // processes the squashed-away intermediate states, so it
+                // never re-advertises them.
+                self.send(session, to, on, 3 * BASE_LATENCY_US, msg);
+            }
         }
         self.sessions.insert(from, table);
     }
+
+    /// Open a batch carrying `msg` on `session`, delivered to `to` on `on`
+    /// `flight` + jitter from now, never before the session's latest
+    /// delivery (TCP FIFO per directed session).
+    fn send(
+        &mut self,
+        session: &mut Session,
+        to: DeviceId,
+        on: PeerId,
+        flight: SimTime,
+        msg: UpdateMessage,
+    ) {
+        let jitter = if self.cfg.jitter_us > 0 {
+            self.rng.gen_range(0..=self.cfg.jitter_us)
+        } else {
+            0
+        };
+        let at = (self.now + flight + jitter).max(session.last + 1);
+        let batch = self.batches.open(msg);
+        *session = Session { last: at, batch };
+        self.queue
+            .schedule(at, NetEvent::DeliverBatch { to, on, batch });
+    }
 }
 
-/// Payloads of in-flight coalesced batches, by batch id. They live outside
-/// the event queue because queued payloads are immutable while batches keep
+/// Payloads of in-flight batches, by batch id. They live outside the event
+/// queue because queued payloads are immutable while a coalesced batch keeps
 /// absorbing output until one base latency before delivery. Ids are minted
 /// at the back in pop order; a delivery's job takes its payload, retired ids
 /// are trimmed off the front, and quiescence hands back the capacity.
@@ -1378,8 +1328,8 @@ impl BatchSlab {
 }
 
 /// The sender's side of one directed session: when its latest delivery is
-/// scheduled (the TCP FIFO clamp) and, with coalescing on, the batch that
-/// delivery carries — the session's open batch while it is at least one
+/// scheduled (the TCP FIFO clamp) and the batch that delivery carries —
+/// with coalescing on, the session's open batch while it is at least one
 /// base latency away.
 #[derive(Debug, Clone, Copy, Default)]
 struct Session {
@@ -1773,12 +1723,15 @@ mod tests {
 
     /// Step `net` to quiescence, asserting per-session FIFO: every directed
     /// session delivers its batches in the order they were opened (id) and
-    /// at strictly increasing times. Returns the batches delivered.
-    fn step_checking_fifo(net: &mut SimNet) -> usize {
+    /// at strictly increasing times. Returns the batches delivered, and how
+    /// many of them overtook an older batch of some other session.
+    fn step_checking_fifo(net: &mut SimNet) -> (usize, usize) {
         let mut newest: BTreeMap<(PeerId, DeviceId), (SimTime, u64)> = BTreeMap::new();
-        let mut delivered = 0;
+        let (mut delivered, mut overtaking, mut newest_id) = (0, 0, 0);
         while let Some((t, ev)) = net.queue.peek() {
             if let NetEvent::DeliverBatch { to, on, batch } = *ev {
+                overtaking += usize::from(batch < newest_id);
+                newest_id = newest_id.max(batch);
                 if let Some(&(last_t, last_id)) = newest.get(&(on, to)) {
                     assert!(
                         t > last_t && batch > last_id,
@@ -1793,23 +1746,16 @@ mod tests {
             }
             net.step();
         }
-        delivered
+        (delivered, overtaking)
     }
 
-    /// A converged tiny fabric under a fault plan that delays every message
-    /// by up to 20 ms, and its first rack switch with the first uplink link,
-    /// after the switch has just originated its rack prefix: that UPDATE is
-    /// in flight toward the uplink.
+    /// A converged tiny fabric with up to 20 ms of jitter per delivery, and
+    /// its first rack switch with the first uplink link, after the switch
+    /// has just originated its rack prefix: that UPDATE is in flight toward
+    /// the uplink.
     fn rack_update_in_flight(seed: u64) -> (SimNet, DeviceId, centralium_topology::Link) {
         let (topo, idx, _) = build_fabric(&FabricSpec::tiny());
-        let cfg = SimConfig {
-            seed,
-            fault: FaultPlan {
-                drop_probability: 0.0,
-                max_extra_delay_us: 20_000,
-            },
-            ..Default::default()
-        };
+        let cfg = SimConfig::builder().seed(seed).jitter_us(20_000).build();
         let mut net = SimNet::new(topo, cfg);
         net.establish_all();
         for &eb in &idx.backbone {
@@ -1868,7 +1814,7 @@ mod tests {
             net.disconnect_link(link.id);
             net.run_until(net.now());
             net.connect_devices(rsw, link.b, link.capacity_gbps);
-            assert!(step_checking_fifo(&mut net) > 0);
+            assert!(step_checking_fifo(&mut net).0 > 0);
             let fsw = net.device(link.b).expect("the uplink is live");
             assert!(fsw.daemon.is_established(PeerId::compose(rsw.0, 0)));
         }
@@ -1883,29 +1829,39 @@ mod tests {
             let (mut net, rsw, _) = rack_update_in_flight(seed);
             net.device_down(rsw);
             net.device_up(rsw);
-            assert!(step_checking_fifo(&mut net) > 0);
+            assert!(step_checking_fifo(&mut net).0 > 0);
         }
     }
 
+    /// Split delivery under jitter fifty base latencies wide: the pieces of
+    /// one UPDATE, and of successive UPDATEs on a session, draw jitters that
+    /// would reorder them many times over, yet every session delivers its
+    /// pieces in emission order — each a batch of one.
     #[test]
-    fn message_loss_is_counted() {
-        let (mut net, idx) = {
-            let (topo, idx, _) = build_fabric(&FabricSpec::tiny());
-            let cfg = SimConfig {
-                seed: 9,
-                fault: FaultPlan {
-                    drop_probability: 0.2,
-                    max_extra_delay_us: 100,
-                },
-                ..Default::default()
-            };
-            (SimNet::new(topo, cfg), idx)
-        };
+    fn split_pieces_keep_fifo_under_wide_jitter() {
+        let (topo, idx, _) = build_fabric(&FabricSpec::tiny());
+        let cfg = SimConfig::builder()
+            .seed(5)
+            .jitter_us(50 * BASE_LATENCY_US)
+            .coalesce_updates(false)
+            .build();
+        let mut net = SimNet::new(topo, cfg);
         net.establish_all();
         for &eb in &idx.backbone {
             net.originate(eb, default_route(), [well_known::BACKBONE_DEFAULT_ROUTE]);
         }
-        net.run_until_quiescent().expect_converged();
-        assert!(net.stats().messages_dropped > 0);
+        for (pod, racks) in idx.rsw.iter().enumerate() {
+            for (r, &rsw) in racks.iter().enumerate() {
+                let prefix = Prefix::new(0x0A00_0000 | (pod as u32) << 16 | (r as u32) << 8, 24);
+                net.originate(rsw, prefix, [well_known::RACK_PREFIX]);
+            }
+        }
+        let (delivered, overtaking) = step_checking_fifo(&mut net);
+        assert!(overtaking > 0, "the jitter never reordered two batches");
+        let snap = net.telemetry().metrics().snapshot();
+        assert_eq!(snap.counter("simnet.messages_delivered"), delivered as u64);
+        assert_eq!(snap.counter("simnet.batches_delivered"), delivered as u64);
+        assert_eq!(snap.counter("simnet.updates_coalesced"), 0);
+        assert!(net.batches.slots.is_empty());
     }
 }

@@ -12,8 +12,6 @@ use serde::{Deserialize, Serialize};
 pub struct TraceStats {
     /// BGP messages delivered to daemons.
     pub messages_delivered: u64,
-    /// BGP messages dropped by fault injection.
-    pub messages_dropped: u64,
     /// UPDATE announcements processed (per-prefix).
     pub announcements: u64,
     /// UPDATE withdrawals processed (per-prefix).

@@ -754,6 +754,5 @@ mod tests {
         let (net, idx) = converged_tiny();
         let report = route_flows(&net, &TrafficMatrix::default(), DEFAULT_MAX_HOPS);
         assert_eq!(report.funneling_ratio(&idx.backbone), 0.0);
-        assert_eq!(net.stats().messages_dropped, 0);
     }
 }

@@ -8,7 +8,7 @@ use centralium_bgp::Prefix;
 use centralium_rpa::{
     Destination, PathSelectionRpa, PathSelectionStatement, PathSet, PathSignature, RpaDocument,
 };
-use centralium_simnet::{SimConfig, SimNet};
+use centralium_simnet::{ChaosPlan, SimConfig, SimNet};
 use centralium_telemetry::{span, write_jsonl, Event, EventKind, FieldValue, Telemetry};
 use centralium_topology::{build_fabric, FabricSpec};
 
@@ -100,13 +100,12 @@ fn failed_rpa_removal_is_no_provenance_step() {
 }
 
 /// Journal attached and provenance armed, a run with session churn, an RPA
-/// deploy and message loss: FIBs, journal JSONL bytes and the provenance
-/// view, driven either one event at a time or in whole windows.
+/// deploy and an RPA removal lost to chaos: FIBs, journal JSONL bytes and
+/// the provenance view, driven either one event at a time or in whole
+/// windows.
 fn observed_run(stepped: bool) -> (String, Vec<u8>, Vec<Event>) {
     let (topo, idx, _) = build_fabric(&FabricSpec::tiny());
-    let mut cfg = SimConfig::builder().seed(21).build();
-    cfg.fault.drop_probability = 0.02;
-    let mut net = SimNet::new(topo, cfg);
+    let mut net = SimNet::new(topo, SimConfig::builder().seed(21).build());
     net.set_telemetry(Telemetry::with_journal(1 << 20));
     net.trace_provenance(Prefix::DEFAULT);
     let settle = |net: &mut SimNet| {
@@ -135,6 +134,8 @@ fn observed_run(stepped: bool) -> (String, Vec<u8>, Vec<Event>) {
     );
     net.device_down(idx.fadu[0][0]);
     settle(&mut net);
+    net.set_chaos(ChaosPlan::with_rpc_loss(21, 1.0));
+    net.remove_rpa(ssw, "equalize", 300);
     net.device_up(idx.fadu[0][0]);
     settle(&mut net);
     let mut journal = Vec::new();
@@ -161,7 +162,8 @@ fn observability_does_not_change_the_schedule() {
     );
     assert_eq!(provenance, ref_provenance);
     // The run exercised every record source: pre-pass (session transitions),
-    // device work (decisions), merge (dropped messages).
+    // device work (decisions), and the RPC scheduling outside any window
+    // (the lost removal).
     let text = String::from_utf8(journal).unwrap();
     for kind in ["SessionTransition", "BgpDecision", "FaultInjected"] {
         assert!(text.contains(kind), "no {kind} event journaled");
@@ -187,7 +189,7 @@ fn spans_cover_a_run_and_export_chrome_trace() {
     let names: Vec<&str> = records.iter().map(|r| r.name.as_ref()).collect();
     assert!(names.contains(&"converge"), "no converge span: {names:?}");
     assert!(
-        names.iter().any(|n| *n == "deliver" || *n == "originate"),
+        names.contains(&"deliver_batch") && names.contains(&"originate"),
         "no per-event work spans: {names:?}"
     );
     let converge = records.iter().find(|r| r.name == "converge").unwrap();

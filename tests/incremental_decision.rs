@@ -41,8 +41,8 @@ fn prefix_of(i: u8) -> Prefix {
 
 /// Seven attribute shapes: the base path, a longer and a shorter one, two
 /// that tie the base but differ in bandwidth / communities (so an in-place
-/// replacement moves the advertisement by value, and weights move under
-/// `wcmp`), a local-pref override that beats everything, and a MED that
+/// replacement moves the advertisement by value, and the WCMP weights
+/// move), a local-pref override that beats everything, and a MED that
 /// loses to the base at the last comparison step.
 fn palette(i: u8, peer: u64) -> PathAttributes {
     let first = 100 + peer as u32;
@@ -74,10 +74,8 @@ fn palette(i: u8, peer: u64) -> PathAttributes {
     }
 }
 
-fn daemon(sessions: u64, wcmp: bool) -> BgpDaemon {
-    let mut cfg = DaemonConfig::fabric(Asn(OWN_ASN));
-    cfg.wcmp = wcmp;
-    let mut d = BgpDaemon::new(cfg);
+fn daemon(sessions: u64) -> BgpDaemon {
+    let mut d = BgpDaemon::new(DaemonConfig::fabric(Asn(OWN_ASN)));
     for peer in 1..=sessions {
         d.add_peer(PeerConfig::open(
             PeerId(peer),
@@ -98,9 +96,9 @@ struct Speaker {
 }
 
 impl Speaker {
-    fn new(wcmp: bool) -> Self {
+    fn new() -> Self {
         Speaker {
-            daemon: daemon(SESSIONS, wcmp),
+            daemon: daemon(SESSIONS),
             fib: Fib::new(64),
             scratch: FibScratch::default(),
         }
@@ -148,9 +146,9 @@ fn deliver(
     Outbox::updates(|out| d.decide(hook, plane, out))
 }
 
-fn run_script(wcmp: bool, steps: &[(u8, u8, u8, u8)]) -> Result<(), TestCaseError> {
-    let mut edited = Speaker::new(wcmp);
-    let mut oracle = Speaker::new(wcmp);
+fn run_script(steps: &[(u8, u8, u8, u8)]) -> Result<(), TestCaseError> {
+    let mut edited = Speaker::new();
+    let mut oracle = Speaker::new();
     // What each session last announced, for the identical re-announcement.
     let mut last = std::collections::BTreeMap::new();
     for (n, &(op, peer, prefix, pick)) in steps.iter().enumerate() {
@@ -268,8 +266,7 @@ proptest! {
     fn the_in_place_edit_is_the_full_pass(
         steps in proptest::collection::vec((0u8..12, 0u8..16, 0u8..3, 0u8..7), 1..96),
     ) {
-        run_script(true, &steps)?;
-        run_script(false, &steps)?;
+        run_script(&steps)?;
     }
 }
 
@@ -280,7 +277,7 @@ proptest! {
 fn three_way_tie() -> (BgpDaemon, centralium_telemetry::Counter) {
     let telemetry = Telemetry::new();
     let decisions = telemetry.metrics().counter("bgp.decisions");
-    let mut d = daemon(8, true);
+    let mut d = daemon(8);
     d.set_telemetry(&telemetry, "d0");
     for peer in [2, 4, 6] {
         announce(&mut d, peer, palette(0, peer));
@@ -493,18 +490,11 @@ fn worse_arrival_is_reinstalled(d: &mut BgpDaemon, hook: &dyn RibPolicy) -> bool
 }
 
 #[test]
-fn governed_prefixes_single_path_mode_and_keep_warm_entries_take_the_full_pass() {
+fn governed_prefixes_and_keep_warm_entries_take_the_full_pass() {
     let (mut d, _) = three_way_tie();
     assert!(!worse_arrival_is_reinstalled(&mut d, &NativePolicy));
     let (mut d, _) = three_way_tie();
     assert!(worse_arrival_is_reinstalled(&mut d, &FullPass));
-
-    let (mut d, _) = three_way_tie();
-    d.config_mut().multipath = false;
-    d.reevaluate_all(&NativePolicy);
-    assert_eq!(selected_sessions(&d), [Some(2)]);
-    assert!(worse_arrival_is_reinstalled(&mut d, &NativePolicy));
-    assert_eq!(selected_sessions(&d), [Some(2)]);
 
     // A keep-warm entry is not a native multipath set (it is the *previous*
     // set, withdrawn from peers). A hook that claims to govern nothing yet

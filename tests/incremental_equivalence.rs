@@ -15,7 +15,7 @@ use centralium_rpa::{
     Destination, NextHopWeight, PathSignature, RouteAttributeRpa, RouteAttributeStatement,
     RpaDocument,
 };
-use centralium_simnet::{ChaosPlan, FaultPlan, SimConfig, SimNet};
+use centralium_simnet::{ChaosPlan, SimConfig, SimNet};
 use centralium_topology::{build_fabric, DeviceId, FabricSpec, Layer};
 
 const SEEDS: [u64; 3] = [7, 21, 1337];
@@ -132,10 +132,6 @@ fn simconfig_builder_roundtrip_matches_default() {
     let d = SimConfig::default();
     let b = SimConfig::builder().build();
     assert_eq!(format!("{d:?}"), format!("{b:?}"), "builder() == default()");
-    let fault = FaultPlan {
-        drop_probability: 0.1,
-        max_extra_delay_us: 50,
-    };
     let cfg = SimConfig::builder()
         .seed(7)
         .jitter_us(20_000)
@@ -143,7 +139,6 @@ fn simconfig_builder_roundtrip_matches_default() {
         .coalesce_updates(!d.coalesce_updates)
         .wcmp_advertise(!d.wcmp_advertise)
         .valley_free_policies(!d.valley_free_policies)
-        .fault(fault)
         .build();
     assert_eq!(cfg.seed, 7);
     assert_eq!(cfg.jitter_us, 20_000);
@@ -151,7 +146,6 @@ fn simconfig_builder_roundtrip_matches_default() {
     assert_eq!(cfg.coalesce_updates, !d.coalesce_updates);
     assert_eq!(cfg.wcmp_advertise, !d.wcmp_advertise);
     assert_eq!(cfg.valley_free_policies, !d.valley_free_policies);
-    assert_eq!(format!("{:?}", cfg.fault), format!("{fault:?}"));
     // One setter touches one field; the rest keep their defaults.
     let one = SimConfig::builder().seed(7).build();
     assert_eq!(one.seed, 7);
