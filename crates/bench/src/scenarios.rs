@@ -474,6 +474,19 @@ mod tests {
         let a = converged_fabric(&FabricSpec::tiny(), 9);
         let b = converged_fabric(&FabricSpec::tiny(), 9);
         assert_eq!(a.net.now(), b.net.now());
-        assert_eq!(a.net.stats(), b.net.stats());
+        let (a, b) = (
+            a.net.telemetry().metrics().snapshot(),
+            b.net.telemetry().metrics().snapshot(),
+        );
+        for name in [
+            "simnet.messages_delivered",
+            "simnet.announcements",
+            "simnet.withdrawals",
+            "simnet.rpa_operations",
+            "simnet.rpa_failures",
+            "simnet.session_events",
+        ] {
+            assert_eq!(a.counter(name), b.counter(name), "{name}");
+        }
     }
 }

@@ -31,15 +31,18 @@
 pub use centralium_core::*;
 
 /// The blessed one-import surface: controller, emulator, builders, and
-/// telemetry handles.
+/// telemetry handles. [`Controller`] deploys over its in-process fabric; a
+/// deployment over a transport the caller built (a [`TcpTransport`] to a
+/// remote agent) goes through the crate root's [`deploy_intent_over`] and
+/// its removal and resume siblings.
 pub mod prelude {
     pub use centralium_bgp::attrs::well_known;
     pub use centralium_bgp::{FibEntry, NextHops, PeerId, Prefix};
-    pub use centralium_core::controller::{Controller, DeployOptionsBuilder};
+    pub use centralium_core::controller::Controller;
     pub use centralium_core::health::{HealthCheck, HealthReport, TrafficProbe};
-    pub use centralium_core::sequencer::{DeploymentStrategy, WaveFailurePolicy};
+    pub use centralium_core::sequencer::DeploymentStrategy;
     pub use centralium_core::switch_agent::SwitchAgent;
-    pub use centralium_core::transport::{ControlTransport, TcpTransport, TransportKind};
+    pub use centralium_core::transport::{ControlTransport, TcpTransport};
     pub use centralium_core::{
         compile_intent, AgentServer, DeployError, DeployOptions, DeploymentReport, Error,
         RoutingIntent, TargetSet,

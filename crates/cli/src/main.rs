@@ -26,8 +26,8 @@ use centralium::controller::{Controller, DeployOptions};
 use centralium::health::{HealthCheck, TrafficProbe};
 use centralium::preverify::{emulate_and_verify, VerifyOutcome};
 use centralium::sequencer::DeploymentStrategy;
-use centralium::transport::TransportKind;
-use centralium::{AgentServer, RoutingIntent, SwitchAgent};
+use centralium::transport::TcpTransport;
+use centralium::{deploy_intent_over, AgentServer, DeployError, RoutingIntent, SwitchAgent};
 use centralium_bgp::attrs::well_known;
 use centralium_bgp::Prefix;
 use centralium_simnet::{ManagementPlane, SimConfig, SimNet};
@@ -412,13 +412,13 @@ fn cmd_topo(args: &Args) -> Result<(), String> {
 
 fn cmd_converge(args: &Args) -> Result<(), String> {
     let (net, idx) = converged(args)?;
-    let stats = net.stats();
+    let snap = net.telemetry().metrics().snapshot();
     println!(
         "converged at t={:.1}ms: {} messages delivered, {} announcements, {} withdrawals",
         net.now() as f64 / 1000.0,
-        stats.messages_delivered,
-        stats.announcements,
-        stats.withdrawals
+        snap.counter("simnet.messages_delivered"),
+        snap.counter("simnet.announcements"),
+        snap.counter("simnet.withdrawals")
     );
     let rsw = idx.rsw[0][0];
     let dev = net.device(rsw).ok_or("rsw missing")?;
@@ -506,14 +506,30 @@ fn cmd_deploy(args: &Args) -> Result<(), String> {
         max_link_utilization: Some(1.0),
         ..Default::default()
     };
-    let mut opts = DeployOptions::builder(Layer::Backbone, strategy);
-    if let Some(addr) = &connect {
-        println!("connecting to remote agent at {addr}...");
-        opts = opts.transport(TransportKind::Tcp { addr: addr.clone() });
+    let report = match &connect {
+        Some(addr) => {
+            // The fabric lives behind the socket; the controller's phases,
+            // journal events and counters still record into the local
+            // fabric's handle, which `report_telemetry` reads.
+            println!("connecting to remote agent at {addr}...");
+            let mut transport =
+                TcpTransport::connect(addr).map_err(|e| DeployError::Internal(e).to_string())?;
+            transport.set_telemetry(net.telemetry().clone());
+            let opts = DeployOptions::new(Layer::Backbone, strategy);
+            deploy_intent_over(
+                &mut controller.nsdb,
+                &mut transport,
+                &intent,
+                &opts,
+                &check,
+                &check,
+            )
+        }
+        None => {
+            controller.deploy_intent(&mut net, &intent, Layer::Backbone, strategy, &check, &check)
+        }
     }
-    let report = controller
-        .deploy_intent_with(&mut net, &intent, &opts.build(), &check, &check)
-        .map_err(|e| e.to_string())?;
+    .map_err(|e| e.to_string())?;
     println!(
         "deployed '{}' in {} phase(s), {} RPCs; generation {:?}; sim duration {:.1}ms",
         intent.kind(),
@@ -542,11 +558,10 @@ fn cmd_deploy(args: &Args) -> Result<(), String> {
     if connect.is_none() && net.chaos().is_some() {
         let snap = net.telemetry().metrics().snapshot();
         println!(
-            "chaos: {} RPCs dropped, {} retried, {} circuits opened, {} waves rolled back",
+            "chaos: {} RPCs dropped, {} retried, {} circuits opened",
             snap.counter("simnet.rpc_dropped"),
             snap.counter("core.rpc_retries"),
             snap.counter("core.circuit_open"),
-            snap.counter("core.wave_rollbacks"),
         );
     }
     if let Some(addr) = &connect {

@@ -42,14 +42,14 @@ pub mod transport;
 pub use compile::{compile_intent, CompileError};
 pub use controller::{
     deploy_intent_over, remove_intent_over, resume_deployment_over, Controller, DeployError,
-    DeployOptions, DeployOptionsBuilder, DeploymentReport,
+    DeployOptions, DeploymentReport,
 };
 pub use error::Error;
 pub use health::{HealthCheck, HealthReport};
 pub use intent::{RoutingIntent, TargetSet};
 pub use planner::{plan_all_categories, MigrationPlanComparison};
 pub use retry::{CircuitBreaker, RetryPolicy};
-pub use sequencer::{DeploymentPhase, DeploymentStrategy, WaveFailurePolicy};
+pub use sequencer::{DeploymentPhase, DeploymentStrategy};
 pub use serve::AgentServer;
 pub use switch_agent::SwitchAgent;
-pub use transport::{ControlTransport, InProcessTransport, TcpTransport, TransportKind};
+pub use transport::{ControlTransport, InProcessTransport, TcpTransport};

@@ -24,25 +24,6 @@ pub enum DeploymentStrategy {
     Unordered,
 }
 
-/// What the controller does with a wave that cannot converge within its
-/// retry budget (every device got `max_wave_rounds` reconcile rounds of
-/// deadline-driven retries and some RPA is still not reflected in current
-/// state).
-#[derive(Debug, Clone, Copy, PartialEq, Eq, Serialize, Deserialize)]
-pub enum WaveFailurePolicy {
-    /// Keep the wave's intent published and surface
-    /// [`crate::controller::DeployError::PhaseStuck`]: the durable
-    /// partial-wave record stays in NSDB, so a later
-    /// [`crate::controller::Controller::resume_deployment`] (or the next
-    /// reconcile round) picks the wave back up once the fleet heals.
-    HoldAndRetry,
-    /// Uninstall every RPA of the failed wave *and* of all previously
-    /// converged waves, in reverse topology order (the §5.3.2 mirror), then
-    /// re-run the post health check and surface
-    /// [`crate::controller::DeployError::WaveRolledBack`].
-    Rollback,
-}
-
 /// One phase: devices that may receive the change concurrently. A phase must
 /// fully converge before the next begins.
 #[derive(Debug, Clone, PartialEq)]

@@ -14,9 +14,12 @@
 //!   fails fast through a [`CircuitBreaker`] once the endpoint is wedged —
 //!   the same semantics the agent applies to device RPCs, one level up.
 //!
-//! Which one a deployment uses is selected by
-//! [`DeployOptions::builder`](crate::DeployOptions::builder) via
-//! [`TransportKind`].
+//! The caller picks one by building it and handing it to
+//! [`deploy_intent_over`](crate::deploy_intent_over) (or the removal and
+//! resume entries); [`Controller`](crate::Controller) builds an
+//! [`InProcessTransport`] over its own fabric. A [`TcpTransport`] records
+//! the controller's phases and journal events into the handle given to
+//! [`TcpTransport::set_telemetry`].
 //!
 //! The trait is deliberately the *full* controller-side surface — including
 //! clock advancement (`run_until*`) — because in this reproduction the
@@ -42,20 +45,6 @@ use std::borrow::Cow;
 use std::io::{BufReader, BufWriter, Write};
 use std::net::TcpStream;
 use std::time::{Duration, Instant};
-
-/// How a deployment reaches the switch-agent service plane.
-#[derive(Debug, Clone, Default, PartialEq, Eq)]
-#[non_exhaustive]
-pub enum TransportKind {
-    /// Direct in-process calls (the default, byte-identical legacy path).
-    #[default]
-    InProcess,
-    /// RPCs over TCP to an `AgentServer` at this address.
-    Tcp {
-        /// Address in `host:port` form.
-        addr: String,
-    },
-}
 
 /// The operations the deployment pipeline needs from the service plane.
 ///
@@ -500,7 +489,7 @@ impl TcpTransport {
 
     /// Record into `telemetry` (e.g. the controller's fabric handle) instead
     /// of the private handle [`TcpTransport::connect`] starts with.
-    pub(crate) fn set_telemetry(&mut self, telemetry: Telemetry) {
+    pub fn set_telemetry(&mut self, telemetry: Telemetry) {
         self.telemetry = telemetry;
     }
 

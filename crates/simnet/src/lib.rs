@@ -25,7 +25,7 @@
 //!   latency for the controller);
 //! * [`fault`] — the [`ChaosPlan`] driving RPC drop/delay/duplicate and
 //!   agent crash-restart for deployment-resilience testing;
-//! * [`trace`] — event counters and convergence reporting.
+//! * [`trace`] — convergence reporting.
 
 pub mod arena;
 pub mod device;
@@ -47,5 +47,5 @@ pub use fib::{Fib, FibScratch, NhgStats};
 pub use invariants::{assert_rib_consistent, verify_rib_consistency};
 pub use mgmt::ManagementPlane;
 pub use net::{NetEvent, SimConfig, SimConfigBuilder, SimNet};
-pub use trace::{ConvergenceReport, TraceStats};
+pub use trace::ConvergenceReport;
 pub use traffic::{DeliveryReport, TrafficMatrix};

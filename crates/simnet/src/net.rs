@@ -20,7 +20,7 @@ use crate::device::SimDevice;
 use crate::event::{EventQueue, SimTime};
 use crate::fault::{ChaosPlan, RpcFate};
 use crate::fib::FibScratch;
-use crate::trace::{ConvergenceReport, TraceStats};
+use crate::trace::ConvergenceReport;
 use centralium_bgp::flat::FlatMap;
 use centralium_bgp::policy::{Action, MatchExpr, Policy, PolicyRule};
 use centralium_bgp::{
@@ -334,7 +334,7 @@ impl NetEvent {
 
 /// Cached handles for the registry counters the run loop bumps on every
 /// event — binding by name happens once, updates are single atomic adds
-/// (the same cost class as the `u64` fields of the old ad-hoc `TraceStats`).
+/// (the same cost class as a plain `u64` field).
 #[derive(Debug)]
 struct NetCounters {
     messages_delivered: Counter,
@@ -670,19 +670,6 @@ impl SimNet {
     /// The topology (kept in sync with commissioned/decommissioned devices).
     pub fn topology(&self) -> &Topology {
         &self.topo
-    }
-
-    /// Run counters, assembled from the registry-backed telemetry counters
-    /// (compatibility view — the registry is the source of truth).
-    pub fn stats(&self) -> TraceStats {
-        TraceStats {
-            messages_delivered: self.counters.messages_delivered.get(),
-            announcements: self.counters.announcements.get(),
-            withdrawals: self.counters.withdrawals.get(),
-            rpa_operations: self.counters.rpa_operations.get(),
-            rpa_failures: self.counters.rpa_failures.get(),
-            session_events: self.counters.session_events.get(),
-        }
     }
 
     /// A device, if present (not decommissioned).
@@ -1374,6 +1361,11 @@ mod tests {
         (net, idx)
     }
 
+    /// A registry counter of `net`'s telemetry handle.
+    fn counter(net: &SimNet, name: &str) -> u64 {
+        net.telemetry().metrics().snapshot().counter(name)
+    }
+
     #[test]
     fn fabric_converges_on_default_route() {
         let (mut net, idx) = tiny_net(7);
@@ -1403,7 +1395,18 @@ mod tests {
                 net.originate(eb, default_route(), [well_known::BACKBONE_DEFAULT_ROUTE]);
             }
             let r = net.run_until_quiescent();
-            (r.events_processed, r.finished_at, net.stats())
+            let counters: Vec<u64> = [
+                "simnet.messages_delivered",
+                "simnet.announcements",
+                "simnet.withdrawals",
+                "simnet.rpa_operations",
+                "simnet.rpa_failures",
+                "simnet.session_events",
+            ]
+            .iter()
+            .map(|name| counter(&net, name))
+            .collect();
+            (r.events_processed, r.finished_at, counters)
         };
         assert_eq!(run(42), run(42));
         let (e1, t1, _) = run(42);
@@ -1579,7 +1582,7 @@ mod tests {
             net.device(ssw).unwrap().engine.installed(),
             vec!["equalize"]
         );
-        assert_eq!(net.stats().rpa_operations, 1);
+        assert_eq!(counter(&net, "simnet.rpa_operations"), 1);
     }
 
     #[test]
@@ -1633,7 +1636,7 @@ mod tests {
         );
         net.run_until_quiescent().expect_converged();
         assert!(net.device(ssw).unwrap().engine.installed().is_empty());
-        assert_eq!(net.stats().rpa_operations, 0);
+        assert_eq!(counter(&net, "simnet.rpa_operations"), 0);
         assert_eq!(
             net.telemetry()
                 .metrics()
@@ -1664,7 +1667,7 @@ mod tests {
         net.run_until_quiescent().expect_converged();
         // Both copies land; a same-name install replaces, so the second is a no-op.
         assert_eq!(net.device(ssw).unwrap().engine.installed(), vec!["twice"]);
-        assert_eq!(net.stats().rpa_operations, 2);
+        assert_eq!(counter(&net, "simnet.rpa_operations"), 2);
         assert_eq!(
             net.telemetry()
                 .metrics()
@@ -1753,9 +1756,16 @@ mod tests {
     /// its first rack switch with the first uplink link, after the switch
     /// has just originated its rack prefix: that UPDATE is in flight toward
     /// the uplink.
-    fn rack_update_in_flight(seed: u64) -> (SimNet, DeviceId, centralium_topology::Link) {
+    fn rack_update_in_flight(
+        seed: u64,
+        coalesce: bool,
+    ) -> (SimNet, DeviceId, centralium_topology::Link) {
         let (topo, idx, _) = build_fabric(&FabricSpec::tiny());
-        let cfg = SimConfig::builder().seed(seed).jitter_us(20_000).build();
+        let cfg = SimConfig::builder()
+            .seed(seed)
+            .jitter_us(20_000)
+            .coalesce_updates(coalesce)
+            .build();
         let mut net = SimNet::new(topo, cfg);
         net.establish_all();
         for &eb in &idx.backbone {
@@ -1805,12 +1815,14 @@ mod tests {
 
     /// A link removed and re-cabled while an UPDATE is in flight on it comes
     /// back with the same session index. The sender's slot survives, so the
-    /// re-advertisement queues behind the in-flight batch: merged into it
-    /// while it is open, clamped behind it otherwise.
+    /// re-advertisement queues behind the in-flight batch. Coalescing merges
+    /// it into the batch, which is still open. Split delivery sends it one
+    /// latency plus a fresh jitter out, which often draws a time before the
+    /// in-flight batch's: only the FIFO clamp in `send` keeps it behind.
     #[test]
     fn a_recabled_session_keeps_fifo_behind_its_in_flight_batch() {
-        for seed in 1..=6 {
-            let (mut net, rsw, link) = rack_update_in_flight(seed);
+        for (seed, coalesce) in (1..=6).flat_map(|s| [(s, true), (s, false)]) {
+            let (mut net, rsw, link) = rack_update_in_flight(seed, coalesce);
             net.disconnect_link(link.id);
             net.run_until(net.now());
             net.connect_devices(rsw, link.b, link.capacity_gbps);
@@ -1822,11 +1834,11 @@ mod tests {
 
     /// The same guarantee across a device bounce: sessions come back one
     /// failure-detection delay later, while UPDATEs sent before the
-    /// bounce can still be in flight.
+    /// bounce can still be in flight (in split delivery, behind the clamp).
     #[test]
     fn a_bounced_device_keeps_fifo_behind_its_in_flight_batches() {
-        for seed in 1..=6 {
-            let (mut net, rsw, _) = rack_update_in_flight(seed);
+        for (seed, coalesce) in (1..=6).flat_map(|s| [(s, true), (s, false)]) {
+            let (mut net, rsw, _) = rack_update_in_flight(seed, coalesce);
             net.device_down(rsw);
             net.device_up(rsw);
             assert!(step_checking_fifo(&mut net).0 > 0);

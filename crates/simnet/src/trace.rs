@@ -1,30 +1,7 @@
-//! Event counters and convergence reporting.
+//! Convergence reporting.
 
 use crate::event::SimTime;
 use serde::{Deserialize, Serialize};
-
-/// Aggregate counters over one simulation run.
-///
-/// Since the telemetry subsystem landed this is a *view* assembled by
-/// [`SimNet::stats`](crate::SimNet::stats) from registry-backed counters,
-/// kept for its ergonomic field access in tests and experiments.
-#[derive(Debug, Default, Clone, Copy, PartialEq, Eq, Serialize)]
-pub struct TraceStats {
-    /// BGP messages delivered to daemons.
-    pub messages_delivered: u64,
-    /// UPDATE announcements processed (per-prefix).
-    pub announcements: u64,
-    /// UPDATE withdrawals processed (per-prefix).
-    pub withdrawals: u64,
-    /// RPA install/remove operations executed on devices.
-    pub rpa_operations: u64,
-    /// RPA install/remove operations that failed on the device (bad regex,
-    /// unresolved fraction, unknown name). Consistency reconciliation will
-    /// retry them forever; a non-zero count means broken desired state.
-    pub rpa_failures: u64,
-    /// Session state transitions processed.
-    pub session_events: u64,
-}
 
 /// Result of running the emulator until quiescence (or a safety cap).
 #[derive(Debug, Clone, Copy, PartialEq, Eq, Serialize, Deserialize)]

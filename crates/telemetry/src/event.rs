@@ -27,9 +27,6 @@ pub enum EventKind {
     /// A Switch Agent RPC missed its deadline and was re-issued with
     /// backoff.
     RpcRetry,
-    /// A deployment wave missed its convergence budget and its RPAs were
-    /// uninstalled in reverse topology order.
-    WaveRollback,
     /// A device's circuit breaker opened after consecutive RPC failures:
     /// the agent is marked degraded until the cooldown elapses.
     CircuitOpen,
@@ -57,7 +54,6 @@ impl EventKind {
             EventKind::SessionTransition => "SessionTransition",
             EventKind::FaultInjected => "FaultInjected",
             EventKind::RpcRetry => "RpcRetry",
-            EventKind::WaveRollback => "WaveRollback",
             EventKind::CircuitOpen => "CircuitOpen",
             EventKind::UpdateReceived => "UpdateReceived",
             EventKind::WithdrawReceived => "WithdrawReceived",
@@ -276,7 +272,7 @@ mod tests {
     }
 
     /// Every kind.
-    const ALL: [EventKind; 15] = [
+    const ALL: [EventKind; 14] = [
         EventKind::BgpDecision,
         EventKind::RpaInstall,
         EventKind::RpaEvalFallback,
@@ -285,7 +281,6 @@ mod tests {
         EventKind::SessionTransition,
         EventKind::FaultInjected,
         EventKind::RpcRetry,
-        EventKind::WaveRollback,
         EventKind::CircuitOpen,
         EventKind::UpdateReceived,
         EventKind::WithdrawReceived,

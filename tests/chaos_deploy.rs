@@ -1,5 +1,5 @@
 //! Chaos-harness acceptance tests: fleet-wide RPA deployments driven through
-//! the controller's retry/rollback machinery while the simnet injects
+//! the controller's retry machinery while the simnet injects
 //! management-plane faults from a seeded [`ChaosPlan`].
 //!
 //! The small tests loop over seeds {7, 21, 1337} themselves; the
@@ -8,7 +8,7 @@
 //! `--include-ignored`.
 
 use centralium::apps::path_equalization::equalize_backbone_paths;
-use centralium::{Controller, DeployOptions, DeploymentStrategy, HealthCheck, RetryPolicy};
+use centralium::{Controller, DeploymentStrategy, HealthCheck, RetryPolicy};
 use centralium_bench::scenarios::converged_fabric;
 use centralium_bgp::attrs::well_known;
 use centralium_simnet::ChaosPlan;
@@ -62,12 +62,12 @@ fn run_deploy(
     _spec: &FabricSpec,
 ) -> centralium::DeploymentReport {
     let intent = equalize_backbone_paths(well_known::BACKBONE_DEFAULT_ROUTE, Layer::Backbone);
-    let opts = DeployOptions::new(Layer::Backbone, DeploymentStrategy::SafeOrder);
     let report = controller
-        .deploy_intent_with(
+        .deploy_intent(
             net,
             &intent,
-            &opts,
+            Layer::Backbone,
+            DeploymentStrategy::SafeOrder,
             &HealthCheck::default(),
             &HealthCheck::default(),
         )

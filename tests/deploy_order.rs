@@ -17,9 +17,7 @@ use centralium::apps::maintenance_drain::standing_protection;
 use centralium::apps::path_equalization::equalize_backbone_paths;
 use centralium::apps::policy_transition::pin_current_selection;
 use centralium::apps::route_filter_boundary::dc_backbone_boundary;
-use centralium::{
-    Controller, DeployOptions, DeploymentStrategy, HealthCheck, RetryPolicy, RoutingIntent,
-};
+use centralium::{Controller, DeploymentStrategy, HealthCheck, RetryPolicy, RoutingIntent};
 use centralium_bench::scenarios::{converged_fabric, originate_rack_prefixes};
 use centralium_bgp::attrs::well_known;
 use centralium_bgp::{FibEntry, Prefix};
@@ -122,11 +120,17 @@ fn deploy_set(
         });
         net.set_chaos(plan);
     }
-    let opts = DeployOptions::new(Layer::Backbone, DeploymentStrategy::SafeOrder);
     let check = HealthCheck::default();
     for (i, intent) in set.iter().enumerate() {
         controller
-            .deploy_intent_with(&mut net, intent, &opts, &check, &check)
+            .deploy_intent(
+                &mut net,
+                intent,
+                Layer::Backbone,
+                DeploymentStrategy::SafeOrder,
+                &check,
+                &check,
+            )
             .unwrap_or_else(|e| panic!("{} deploys: {e}", intent.kind()));
         for &(_, d) in restarts.iter().filter(|(after, _)| *after == i) {
             let dev = devices[d % devices.len()];

@@ -22,7 +22,7 @@ use centralium_rpa::{
     PeerSignature, PrefixFilter, RouteAttributeRpa, RouteAttributeStatement, RouteFilterRpa,
     RouteFilterStatement, RpaDocument,
 };
-use centralium_simnet::{verify_rib_consistency, NetEvent, SimConfig, SimNet, TraceStats};
+use centralium_simnet::{verify_rib_consistency, NetEvent, SimConfig, SimNet};
 use centralium_topology::builder::FabricIndex;
 use centralium_topology::{
     build_fabric, build_three_tier, DeviceId, FabricSpec, ThreeTierSpec, Topology,
@@ -38,6 +38,7 @@ const DETERMINISTIC_COUNTERS: &[&str] = &[
     "simnet.updates_coalesced",
     "simnet.session_events",
     "simnet.rpa_operations",
+    "simnet.rpa_failures",
     "simnet.rpa_scoped_reevals",
     "simnet.rpa_full_reevals",
     "bgp.decisions",
@@ -54,7 +55,6 @@ struct Outcome {
     now: u64,
     events: u64,
     rib_violations: Vec<String>,
-    stats: TraceStats,
     counters: Vec<(&'static str, u64)>,
     windows: u64,
 }
@@ -221,7 +221,6 @@ fn run_script(
         now: net.now(),
         events,
         rib_violations: verify_rib_consistency(&net),
-        stats: net.stats(),
         counters: DETERMINISTIC_COUNTERS
             .iter()
             .map(|&name| (name, snap.counter(name)))
@@ -256,7 +255,6 @@ fn assert_equivalent(build: impl Fn() -> (Topology, FabricIndex), cfg: SimConfig
     assert_eq!(reference.events, grouped.events, "{what}: event count");
     assert_eq!(reference.now, grouped.now, "{what}: final sim time");
     assert_eq!(reference.counters, grouped.counters, "{what}: counters");
-    assert_eq!(reference.stats, grouped.stats, "{what}: trace stats");
     assert_eq!(
         reference.rib_violations, grouped.rib_violations,
         "{what}: RIB consistency"

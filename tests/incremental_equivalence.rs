@@ -2,12 +2,11 @@
 //! converged state that full re-evaluation does not move, at both the simnet
 //! layer (`SimNet::verify_full_equivalence`) and the controller layer (a
 //! whole-fleet poll finds nothing the deployment's scoped polling missed),
-//! plus the builder round-trip contract of `SimConfig` and `DeployOptions`.
+//! plus the builder round-trip contract of `SimConfig`.
 
 use centralium::apps::path_equalization::equalize_backbone_paths;
 use centralium::{
-    ControlTransport, Controller, DeployOptions, DeploymentStrategy, HealthCheck,
-    InProcessTransport, RetryPolicy,
+    ControlTransport, Controller, DeploymentStrategy, HealthCheck, InProcessTransport, RetryPolicy,
 };
 use centralium_bgp::attrs::well_known;
 use centralium_bgp::Prefix;
@@ -101,12 +100,12 @@ fn chaotic_deploy_equivalent_under_scoped_polling() {
             ..Default::default()
         });
         let intent = equalize_backbone_paths(well_known::BACKBONE_DEFAULT_ROUTE, Layer::Backbone);
-        let opts = DeployOptions::new(Layer::Backbone, DeploymentStrategy::SafeOrder);
         controller
-            .deploy_intent_with(
+            .deploy_intent(
                 &mut net,
                 &intent,
-                &opts,
+                Layer::Backbone,
+                DeploymentStrategy::SafeOrder,
                 &HealthCheck::default(),
                 &HealthCheck::default(),
             )
@@ -153,29 +152,4 @@ fn simconfig_builder_roundtrip_matches_default() {
     assert_eq!(one.sessions_per_link, d.sessions_per_link);
     assert_eq!(one.coalesce_updates, d.coalesce_updates);
     assert_eq!(one.valley_free_policies, d.valley_free_policies);
-}
-
-/// `DeployOptions::builder` seeds from `DeployOptions::new` and each setter
-/// overrides one knob.
-#[test]
-fn deploy_options_builder_matches_new() {
-    let n = DeployOptions::new(Layer::Backbone, DeploymentStrategy::SafeOrder);
-    let d = DeployOptions::builder(Layer::Backbone, DeploymentStrategy::SafeOrder).build();
-    assert_eq!(format!("{n:?}"), format!("{d:?}"), "builder() == new()");
-    let b = DeployOptions::builder(Layer::Backbone, DeploymentStrategy::SafeOrder)
-        .max_wave_rounds(3)
-        .halt_after_waves(1)
-        .build();
-    assert_eq!(b.max_wave_rounds, 3);
-    assert_eq!(b.halt_after_waves, Some(1));
-    assert_eq!(format!("{:?}", b.strategy), format!("{:?}", n.strategy));
-    assert_eq!(
-        format!("{:?}", b.origination_layer),
-        format!("{:?}", n.origination_layer)
-    );
-    assert_eq!(
-        format!("{:?}", b.wave_policy),
-        format!("{:?}", n.wave_policy)
-    );
-    assert_eq!(format!("{:?}", b.transport), format!("{:?}", n.transport));
 }

@@ -9,7 +9,7 @@
 //! `InProcessTransport` the local path uses.
 
 use centralium::apps::path_equalization::equalize_backbone_paths;
-use centralium::transport::{ControlTransport, TcpTransport, TransportKind};
+use centralium::transport::{ControlTransport, TcpTransport};
 use centralium::{
     deploy_intent_over, AgentServer, Controller, DeployOptions, DeploymentStrategy, HealthCheck,
     RetryPolicy, SwitchAgent,
@@ -43,10 +43,6 @@ fn chaos_retry_policy(seed: u64) -> RetryPolicy {
     }
 }
 
-fn deploy_opts() -> DeployOptions {
-    DeployOptions::new(Layer::Backbone, DeploymentStrategy::SafeOrder)
-}
-
 /// The in-process arm: the unchanged legacy path through `Controller`.
 fn deploy_in_process(spec: &FabricSpec, sim_seed: u64, chaos: Option<ChaosPlan>) -> FibSnapshot {
     let mut fab = centralium_bench::scenarios::converged_fabric(spec, sim_seed);
@@ -60,10 +56,11 @@ fn deploy_in_process(spec: &FabricSpec, sim_seed: u64, chaos: Option<ChaosPlan>)
     }
     let intent = equalize_backbone_paths(well_known::BACKBONE_DEFAULT_ROUTE, Layer::Backbone);
     controller
-        .deploy_intent_with(
+        .deploy_intent(
             &mut fab.net,
             &intent,
-            &deploy_opts(),
+            Layer::Backbone,
+            DeploymentStrategy::SafeOrder,
             &HealthCheck::default(),
             &HealthCheck::default(),
         )
@@ -91,7 +88,7 @@ fn deploy_over_tcp(spec: &FabricSpec, sim_seed: u64, chaos: Option<ChaosPlan>) -
         &mut nsdb,
         &mut transport,
         &intent,
-        &deploy_opts(),
+        &DeployOptions::new(Layer::Backbone, DeploymentStrategy::SafeOrder),
         &HealthCheck::default(),
         &HealthCheck::default(),
     )
@@ -102,7 +99,11 @@ fn deploy_over_tcp(spec: &FabricSpec, sim_seed: u64, chaos: Option<ChaosPlan>) -
         "durable partial-wave record is cleared on success"
     );
     drop(transport);
-    let (net, _agent) = server.shutdown();
+    let (net, agent) = server.shutdown();
+    assert!(
+        agent.service.store.out_of_sync().is_empty(),
+        "server-side agent ends in sync"
+    );
     fib_snapshot(&net)
 }
 
@@ -142,50 +143,4 @@ fn tcp_deploy_matches_in_process_under_chaos_seeds() {
         let remote = deploy_over_tcp(&spec, 4102, Some(ChaosPlan::with_rpc_loss(seed, 0.05)));
         assert_eq!(local, remote, "seed {seed}: chaotic TCP deploy diverged");
     }
-}
-
-#[test]
-fn builder_selected_tcp_transport_drives_the_deployment() {
-    // The API-redesign spine end to end: `DeployOptions::builder().transport
-    // (Tcp)` makes `Controller::deploy_intent_with` ignore the local fabric
-    // and drive the remote one.
-    let spec = FabricSpec::tiny();
-    let mut remote_fab = centralium_bench::scenarios::converged_fabric(&spec, 4103);
-    remote_fab.net.set_telemetry(Telemetry::new());
-    let mgmt = ManagementPlane::compute(remote_fab.net.topology(), remote_fab.idx.rsw[0][0]);
-    let agent = SwitchAgent::new(mgmt);
-    let server = AgentServer::bind("127.0.0.1:0", remote_fab.net, agent).expect("bind");
-
-    // The controller's local fabric stays untouched: its devices never see
-    // the intent.
-    let mut local_fab = centralium_bench::scenarios::converged_fabric(&spec, 4103);
-    let before = fib_snapshot(&local_fab.net);
-    let mut controller = Controller::new(&local_fab.net, local_fab.idx.rsw[0][0]);
-    let intent = equalize_backbone_paths(well_known::BACKBONE_DEFAULT_ROUTE, Layer::Backbone);
-    let opts = DeployOptions::builder(Layer::Backbone, DeploymentStrategy::SafeOrder)
-        .transport(TransportKind::Tcp {
-            addr: server.local_addr().to_string(),
-        })
-        .build();
-    controller
-        .deploy_intent_with(
-            &mut local_fab.net,
-            &intent,
-            &opts,
-            &HealthCheck::default(),
-            &HealthCheck::default(),
-        )
-        .expect("builder-selected TCP deployment converges");
-    assert_eq!(
-        fib_snapshot(&local_fab.net),
-        before,
-        "TCP transport must not touch the controller-side fabric"
-    );
-    let (net, agent) = server.shutdown();
-    let expect = deploy_in_process(&spec, 4103, None);
-    assert_eq!(fib_snapshot(&net), expect, "remote fabric got the deploy");
-    assert!(
-        agent.service.store.out_of_sync().is_empty(),
-        "server-side agent ends in sync"
-    );
 }
