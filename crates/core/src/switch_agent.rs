@@ -20,7 +20,7 @@ use centralium_telemetry::{EventKind, Severity};
 use centralium_topology::DeviceId;
 use serde::{Deserialize, Serialize};
 use serde_json::Value;
-use std::collections::{BTreeMap, HashMap};
+use std::collections::{BTreeMap, HashMap, HashSet};
 
 /// One issued RPA operation and its RPC latency (the Figure 12 sample).
 #[derive(Debug, Clone, Copy, PartialEq, Eq, Serialize, Deserialize)]
@@ -176,18 +176,38 @@ impl SwitchAgent {
     pub fn poll_current(&mut self, net: &SimNet) -> Result<(), Error> {
         let observed = Self::observe_devices(net, &net.device_ids())?;
         // Replace the devices subtree of current state with observations.
-        let stale: Vec<Path> = self
-            .service
-            .store
-            .view(View::Current)
-            .subtree(&Path::parse("/devices"))
-            .into_iter()
+        self.replace_current(&[Path::parse("/devices")], observed);
+        Ok(())
+    }
+
+    /// Poll ground truth from the given devices only, replacing just their
+    /// `/devices/d<id>` current-state subtrees — the scoped collection a
+    /// deployment runs between reconcile rounds over the devices it has
+    /// touched so far. State observed from other devices is left untouched.
+    pub(crate) fn poll_devices(&mut self, net: &SimNet, devices: &[DeviceId]) -> Result<(), Error> {
+        let observed = Self::observe_devices(net, devices)?;
+        let roots: Vec<Path> = devices
+            .iter()
+            .map(|dev| Path::parse(&format!("/devices/d{}", dev.0)))
+            .collect();
+        self.replace_current(&roots, observed);
+        Ok(())
+    }
+
+    /// Make `observed` the current state under `roots`: a leaf there that
+    /// no observation names is deleted, every observation is written.
+    fn replace_current(&mut self, roots: &[Path], observed: Vec<(Path, Value)>) {
+        let seen: HashSet<&Path> = observed.iter().map(|(p, _)| p).collect();
+        let current = self.service.store.view(View::Current);
+        let stale: Vec<Path> = roots
+            .iter()
+            .flat_map(|root| current.subtree(root))
+            .filter(|(p, _)| !seen.contains(p))
             .map(|(p, _)| p.clone())
             .collect();
+        drop(seen);
         for p in stale {
-            if !observed.iter().any(|(op, _)| *op == p) {
-                self.service.store.delete(View::Current, &p);
-            }
+            self.service.store.delete(View::Current, &p);
         }
         let n = observed.len() as u64;
         for (p, v) in observed {
@@ -198,38 +218,6 @@ impl SwitchAgent {
         // may sync and re-diverge (new intent) before the next reconcile,
         // and a stale deadline must not suppress the new divergence's RPC.
         self.settle_attempts();
-        Ok(())
-    }
-
-    /// Poll ground truth from the given devices only, replacing just their
-    /// `/devices/d<id>` current-state subtrees — the scoped collection a
-    /// deployment runs between reconcile rounds over the devices it has
-    /// touched so far. State observed from other devices is left untouched.
-    pub(crate) fn poll_devices(&mut self, net: &SimNet, devices: &[DeviceId]) -> Result<(), Error> {
-        let observed = Self::observe_devices(net, devices)?;
-        for &dev in devices {
-            let subtree = Path::parse(&format!("/devices/d{}", dev.0));
-            let stale: Vec<Path> = self
-                .service
-                .store
-                .view(View::Current)
-                .subtree(&subtree)
-                .into_iter()
-                .map(|(p, _)| p.clone())
-                .collect();
-            for p in stale {
-                if !observed.iter().any(|(op, _)| *op == p) {
-                    self.service.store.delete(View::Current, &p);
-                }
-            }
-        }
-        let n = observed.len() as u64;
-        for (p, v) in observed {
-            self.service.store.set(View::Current, p, v);
-        }
-        self.service.record_rpc(n.max(1));
-        self.settle_attempts();
-        Ok(())
     }
 
     /// Drop in-flight state (and reset breakers) for paths that synced:

@@ -53,11 +53,12 @@ impl StateTree {
             .collect()
     }
 
-    /// All leaves under a subtree root.
+    /// All leaves under a subtree root. `Path` orders by segments, so a
+    /// subtree is the contiguous run of leaves from its root on.
     pub fn subtree(&self, root: &Path) -> Vec<(&Path, &Value)> {
         self.leaves
-            .iter()
-            .filter(|(p, _)| root.is_ancestor_of(p))
+            .range(root..)
+            .take_while(|(p, _)| root.is_ancestor_of(p))
             .collect()
     }
 
@@ -136,6 +137,48 @@ mod tests {
         t.set(Path::parse("/devices/y/a"), json!(3));
         assert_eq!(t.subtree(&Path::parse("/devices/x")).len(), 2);
         assert_eq!(t.subtree(&Path::parse("/devices")).len(), 3);
+    }
+
+    /// The range walk against the whole-tree scan it replaced, on a
+    /// seeded tree where `/devices/d1` sorts next to `/devices/d10` and
+    /// `/devices/d1x`.
+    #[test]
+    fn subtree_range_matches_a_full_scan() {
+        let mut t = StateTree::new();
+        let mut x = 0x2545_f491_4f6c_dd1du64;
+        let mut next = |n: u64| {
+            x ^= x << 13;
+            x ^= x >> 7;
+            x ^= x << 17;
+            x % n
+        };
+        let names = ["d1", "d10", "d1x", "d2", "d100", "e", "d1-"];
+        for _ in 0..400 {
+            let mut path = String::new();
+            for _ in 0..1 + next(4) {
+                path.push('/');
+                path.push_str(if next(2) == 0 {
+                    "devices"
+                } else {
+                    names[next(7) as usize]
+                });
+            }
+            t.set(Path::parse(&path), json!(path));
+        }
+        let mut roots = vec![Path::parse("/")];
+        roots.extend(t.leaves.keys().cloned());
+        roots.extend(names.iter().map(|n| Path::parse(&format!("/devices/{n}"))));
+        roots.push(Path::parse("/devices/d1/rpa"));
+        for root in &roots {
+            let scan: Vec<_> = t
+                .leaves
+                .iter()
+                .filter(|(p, _)| root.is_ancestor_of(p))
+                .collect();
+            assert_eq!(t.subtree(root), scan, "under {root}");
+        }
+        let d1 = t.subtree(&Path::parse("/devices/d1"));
+        assert!(d1.iter().all(|(p, _)| p.segments()[1] == "d1"));
     }
 
     #[test]

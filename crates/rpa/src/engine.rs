@@ -26,6 +26,7 @@ use centralium_bgp::{Community, PathChoice, PeerId, Prefix, RibPolicy, Route, Se
 use centralium_telemetry::{Counter, EventKind, Histogram, Severity, Telemetry};
 use centralium_topology::Asn;
 use parking_lot::Mutex;
+use std::collections::btree_map::Entry;
 use std::collections::{BTreeMap, HashMap};
 use std::time::Instant;
 
@@ -241,15 +242,18 @@ impl RpaEngine {
             compiled,
             sig_range: (sig_start, self.next_sig_id),
         };
-        let name = installed.source.name().to_string();
-        match self.docs.insert(name.clone(), installed) {
-            Some(old) => {
-                self.telemetry.note_doc_change("replace", &name);
+        match self.docs.entry(installed.source.name().to_string()) {
+            Entry::Occupied(mut slot) => {
+                self.telemetry.note_doc_change("replace", slot.key());
+                let old = slot.insert(installed);
                 self.retire_signatures(old.sig_range);
             }
             // A fresh document needs no memo invalidation: its signature
             // ids were never seen, so no cached verdict can be stale.
-            None => self.telemetry.note_doc_change("install", &name),
+            Entry::Vacant(slot) => {
+                self.telemetry.note_doc_change("install", slot.key());
+                slot.insert(installed);
+            }
         }
         Ok(())
     }
@@ -770,6 +774,43 @@ mod tests {
             .unwrap_err();
         assert!(matches!(err, RpaError::BadRegex { .. }));
         assert!(e.installed().is_empty());
+    }
+
+    fn as_path_doc(pattern: &str) -> RpaDocument {
+        RpaDocument::PathSelection(PathSelectionRpa::single(
+            "by-path",
+            PathSelectionStatement::select(
+                Destination::Any,
+                vec![PathSet::new("x", PathSignature::as_path(pattern))],
+            ),
+        ))
+    }
+
+    /// A nullable group under `*` used to overflow the regex matcher's
+    /// stack on its first evaluation, aborting whatever process held the
+    /// document; it is an ordinary pattern.
+    #[test]
+    fn a_nullable_starred_group_evaluates() {
+        let mut e = RpaEngine::new();
+        e.install(as_path_doc("(6?)*5")).unwrap();
+        let candidates = vec![route(1, &[60001, 30002], &[]), route(2, &[60001, 35], &[])];
+        assert_eq!(select(&e, &candidates).unwrap().selected, vec![1]);
+    }
+
+    /// Patterns the real `regex` crate rejects fail install: a counted
+    /// repeat past the compiled-size cap, and a reversed repetition range
+    /// (which used to compile and never match).
+    #[test]
+    fn oversized_and_reversed_repeats_rejected_at_install() {
+        for pattern in ["6{4294967295}", "6{2,1}"] {
+            let mut e = RpaEngine::new();
+            let err = e.install(as_path_doc(pattern)).unwrap_err();
+            assert!(
+                matches!(err, RpaError::BadRegex { .. }),
+                "{pattern}: {err:?}"
+            );
+            assert!(e.installed().is_empty());
+        }
     }
 
     #[test]

@@ -6,7 +6,7 @@
 //! matches AS-paths starting with ASN 12345 *regardless of their lengths*,
 //! the exact mechanism used to equalize old and new paths in §4.4.1.
 
-use centralium_bgp::{Community, Route};
+use centralium_bgp::{Community, PathAttributes, Route};
 use centralium_topology::Asn;
 use regex::Regex;
 use serde::{Deserialize, Serialize};
@@ -98,11 +98,13 @@ impl CompiledSignature {
     }
 
     /// Evaluate the signature against a route. This is the Table 2 "cache
-    /// miss" hot path: the regex match dominates.
+    /// miss" hot path. The regex runs over the AS-path text, built on the
+    /// stack, in one linear pass; every other criterion is a comparison or
+    /// a binary search.
     pub fn matches(&self, route: &Route) -> bool {
         let attrs = &route.attrs;
         if let Some(re) = &self.regex {
-            if !re.is_match(&attrs.as_path_string()) {
+            if !with_as_path_text(attrs, |text| re.is_match(text)) {
                 return false;
             }
         }
@@ -147,6 +149,36 @@ impl CompiledSignature {
     }
 }
 
+/// AS-path text up to this many bytes is written on the stack: 23 ASNs of
+/// ten digits, where fabric paths hold a handful.
+const AS_PATH_TEXT_BYTES: usize = 256;
+
+/// Calls `f` with the AS path rendered as [`PathAttributes::as_path_string`]
+/// does, written into a stack buffer; a path that does not fit falls back
+/// to that heap string.
+fn with_as_path_text<R>(attrs: &PathAttributes, f: impl FnOnce(&str) -> R) -> R {
+    let mut buf = [0u8; AS_PATH_TEXT_BYTES];
+    let mut len = 0;
+    for (i, asn) in attrs.as_path.iter().enumerate() {
+        // A separator and at most ten digits.
+        if len + 11 > buf.len() {
+            return f(&attrs.as_path_string());
+        }
+        if i > 0 {
+            buf[len] = b' ';
+            len += 1;
+        }
+        let digits = asn.0.checked_ilog10().unwrap_or(0) as usize + 1;
+        let mut n = asn.0;
+        for slot in buf[len..len + digits].iter_mut().rev() {
+            *slot = b'0' + (n % 10) as u8;
+            n /= 10;
+        }
+        len += digits;
+    }
+    f(std::str::from_utf8(&buf[..len]).expect("ASCII digits and spaces"))
+}
+
 /// What destination prefixes an RPA statement applies to.
 ///
 /// The paper's examples use origination-community names (`Destination:
@@ -186,7 +218,7 @@ impl Destination {
 #[cfg(test)]
 mod tests {
     use super::*;
-    use centralium_bgp::{PathAttributes, PeerId, Prefix};
+    use centralium_bgp::{PeerId, Prefix};
 
     fn route(path: &[u32], communities: &[Community]) -> Route {
         let mut attrs = PathAttributes::default();
@@ -265,6 +297,28 @@ mod tests {
         assert!(sig.matches(&route(&[1, 2], &[])));
         assert!(sig.matches(&route(&[1, 2, 3], &[])));
         assert!(!sig.matches(&route(&[1, 2, 3, 4], &[])));
+    }
+
+    #[test]
+    fn as_path_text_is_the_as_path_string() {
+        let paths: [&[u32]; 6] = [
+            &[],
+            &[0],
+            &[9, 10, 99, 100],
+            &[65001, 64512, 4_294_967_295],
+            &[4_294_967_295; 23],
+            &[4_294_967_295; 24],
+        ];
+        for path in paths {
+            let attrs = route(path, &[]).attrs;
+            assert_eq!(
+                with_as_path_text(&attrs, str::to_owned),
+                attrs.as_path_string()
+            );
+        }
+        let long: Vec<u32> = (0..100).map(|i| 60_000 + i).collect();
+        let sig = compile(PathSignature::as_path("^60000 .* 60099$"));
+        assert!(sig.matches(&route(&long, &[])));
     }
 
     #[test]
