@@ -1,5 +1,5 @@
 //! Minimal `--key value` / `--flag` parsing for the perf binaries
-//! (`bench_convergence`, `perf_report`, `bench_wire`): `--tiny`,
+//! (`bench_convergence`, `perf_report`): `--tiny`,
 //! `--fabric LIST`, `--iters N`, `--json FILE`, `--baseline FILE`, ….
 
 use std::collections::BTreeMap;

@@ -183,8 +183,8 @@ fn merge_runs<T: Clone>(
     list.drain(i..end - rest);
 }
 
-/// OPEN message parameters (only what the service plane's connection
-/// preamble exchanges).
+/// OPEN message parameters (only what the wire codec's 4-octet-ASN path
+/// needs).
 #[derive(Debug, Clone, Copy, PartialEq, Eq, Serialize, Deserialize)]
 pub struct OpenMessage {
     /// Sender's autonomous system.

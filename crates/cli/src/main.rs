@@ -16,10 +16,10 @@
 //! view: active RPAs per switch and the governing statement for the
 //! default route.
 //!
-//! `serve` converges a fabric and exposes its Switch Agent over the RFC 4271
-//! service plane (framed RPCs after an OPEN/KEEPALIVE preamble); a second
-//! shell can then drive it with `deploy --connect ADDR` and land FIBs
-//! byte-identical to an in-process run.
+//! `serve` converges a fabric and exposes its Switch Agent over the TCP
+//! service plane (JSON RPCs in `CRP1` frames); a second shell can then
+//! drive it with `deploy --connect ADDR` and land FIBs byte-identical to an
+//! in-process run.
 
 use centralium::apps::app_names;
 use centralium::controller::{Controller, DeployOptions};
@@ -107,10 +107,10 @@ commands:
   plan      print the Table 3 migration plans
   apps      list the onboarded applications
 
-service plane (RFC 4271 framing over real sockets):
+service plane (CRP1-framed JSON RPCs over real sockets):
   serve --listen ADDR     converge a fabric, then accept framed RPC sessions
-                          (OPEN/KEEPALIVE preamble, 4-octet ASNs) on ADDR;
-                          runs until killed, or for --serve-for-ms N if given
+                          on ADDR; runs until killed, or for --serve-for-ms N
+                          if given
   deploy --connect ADDR   drive the deployment through a remote agent instead
                           of the in-process transport; final FIBs are
                           byte-identical to the local path
@@ -590,10 +590,10 @@ fn cmd_deploy(args: &Args) -> Result<(), String> {
 
 /// `serve --listen ADDR`: converge a fabric locally, then hand it (plus a
 /// Switch Agent rooted at the first rack switch) to an [`AgentServer`] that
-/// accepts framed RPC sessions over real TCP sockets. Each session starts
-/// with the RFC 4271 OPEN/KEEPALIVE preamble in the 4-octet-ASN extension
-/// band; every request runs under one lock on the fabric, so concurrent
-/// controllers serialize exactly like in-process callers would.
+/// accepts framed RPC sessions over real TCP sockets. A session is `CRP1`
+/// Request and Response frames from its first byte; every request runs
+/// under one lock on the fabric, so concurrent controllers serialize
+/// exactly like in-process callers would.
 ///
 /// Runs until the process is killed; `--serve-for-ms N` bounds the lifetime
 /// for scripted smoke tests.

@@ -52,8 +52,8 @@ pub enum Error {
         /// The underlying I/O error.
         source: std::io::Error,
     },
-    /// A service-plane peer violated the wire protocol — bad framing, a
-    /// malformed BGP preamble, or an RPC payload that failed to decode.
+    /// A service-plane peer violated the wire protocol — bad framing, an
+    /// unexpected frame kind, or a response to another request.
     Protocol(WireError),
     /// A write named an NSDB path that cannot hold a record: a wildcard
     /// pattern, or an RPA name that is not exactly one concrete segment.
@@ -68,6 +68,13 @@ pub enum Error {
         field: &'static str,
         /// Its value.
         value: f64,
+    },
+    /// A `run_until` deadline past the last instant the clock may reach.
+    DeadlineOutOfRange {
+        /// The requested deadline, µs.
+        deadline: u64,
+        /// The latest deadline accepted, µs.
+        max: u64,
     },
 }
 
@@ -110,6 +117,10 @@ impl fmt::Display for Error {
                 f,
                 "invalid health check: {field} is {value}, which no threshold can judge"
             ),
+            Error::DeadlineOutOfRange { deadline, max } => write!(
+                f,
+                "cannot run the clock to {deadline} µs: the latest deadline is {max} µs"
+            ),
         }
     }
 }
@@ -124,7 +135,8 @@ impl std::error::Error for Error {
             Error::Unreachable { .. }
             | Error::RetryExhausted { .. }
             | Error::InvalidPath { .. }
-            | Error::InvalidHealthCheck { .. } => None,
+            | Error::InvalidHealthCheck { .. }
+            | Error::DeadlineOutOfRange { .. } => None,
         }
     }
 }

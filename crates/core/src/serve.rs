@@ -6,14 +6,14 @@
 //! `std::net` + threads):
 //!
 //! - an **accept thread** takes connections off the listener;
-//! - a **connection thread** per controller performs the RFC 4271
-//!   OPEN/KEEPALIVE preamble, then decodes `CRP1` Request frames and runs
-//!   each one itself, under the one lock that holds the fabric — requests
-//!   from any number of connections serialize on it, and a controller that
-//!   outruns the simulator waits for it. A request pays its decode, its
-//!   work and its encode, and no hand-off to another thread; between
-//!   requests the thread polls its socket briefly before it blocks, so a
-//!   controller's next RPC seldom waits for a wake-up.
+//! - a **connection thread** per controller decodes `CRP1` Request frames
+//!   from the connection's first byte and runs each one itself, under the
+//!   one lock that holds the fabric — requests from any number of
+//!   connections serialize on it, and a controller that outruns the
+//!   simulator waits for it. A request pays its decode, its work and its
+//!   encode, and no hand-off to another thread; between requests the
+//!   thread polls its socket briefly before it blocks, so a controller's
+//!   next RPC seldom waits for a wake-up.
 //!
 //! Request execution reuses [`InProcessTransport`] under the lock, so the
 //! remote path shares every line of apply logic with the local one —
@@ -27,20 +27,15 @@
 //! connection threads: `serve.rpc.<kind>` counters and the `serve.rpc_us`
 //! execution-time histogram (under the lock), `serve.request_bytes`,
 //! `serve.response_bytes`, `serve.malformed_requests` (payloads that are not
-//! a `Request`) and `serve.frame_errors` (sessions ended with a
-//! NOTIFICATION).
+//! a `Request`) and `serve.frame_errors` (sessions closed on bad framing, a
+//! Response frame or an unknown frame kind; the server sends nothing
+//! back).
 
 use crate::error::Error;
 use crate::switch_agent::SwitchAgent;
-use crate::transport::{
-    expect_keepalive, expect_open, ControlTransport, InProcessTransport, Request, Response,
-    SERVICE_HOLD_SECS,
-};
-use centralium_bgp::msg::{BgpMessage, NotificationCode, OpenMessage};
+use crate::transport::{ControlTransport, InProcessTransport, Request, Response};
 use centralium_simnet::SimNet;
 use centralium_telemetry::{Counter, LogHistogram, MetricsRegistry};
-use centralium_topology::Asn;
-use centralium_wire::bgp;
 use centralium_wire::frame::{read_frame, write_frame, Frame, FrameKind};
 use std::collections::HashMap;
 use std::io::{BufReader, BufWriter, Write};
@@ -50,10 +45,6 @@ use std::sync::atomic::{AtomicBool, AtomicU64, Ordering};
 use std::sync::{Arc, Mutex};
 use std::thread::JoinHandle;
 use std::time::{Duration, Instant};
-
-/// ASN the agent side presents in its service-plane OPEN (a 4-byte
-/// extension-band ASN, so the handshake always exercises RFC 6793).
-pub(crate) const AGENT_ASN: Asn = Asn(4_201_000_000);
 
 /// How long a connection thread polls its socket for the next request
 /// before it blocks. A controller sends its next RPC within microseconds of
@@ -332,8 +323,9 @@ fn run_acceptor(
     }
 }
 
-/// One controller session: preamble, then request/response frames until the
-/// peer hangs up.
+/// One controller session: request/response frames until the peer hangs
+/// up. Bad framing or a frame that is not a Request ends it, counted in
+/// `serve.frame_errors`.
 fn serve_connection(
     stream: TcpStream,
     served: &Mutex<Option<Fabric>>,
@@ -348,94 +340,36 @@ fn serve_connection(
         source: e,
     })?);
     let mut writer = BufWriter::new(stream);
-    // Server side of the preamble: OPEN in, OPEN out, KEEPALIVE in,
-    // KEEPALIVE out. A protocol violation gets a NOTIFICATION before close.
-    let handshake = (|| -> Result<(), Error> {
-        let _controller_asn = expect_open(&mut reader)?;
-        let open = bgp::encode_one(&BgpMessage::Open(OpenMessage {
-            asn: AGENT_ASN,
-            hold_time_secs: SERVICE_HOLD_SECS,
-        }))
-        .map_err(Error::Protocol)?;
-        write_frame(&mut writer, &Frame::bgp(open)).map_err(io_err("send OPEN"))?;
-        writer.flush().map_err(io_err("flush OPEN"))?;
-        expect_keepalive(&mut reader)?;
-        let keepalive = bgp::encode_one(&BgpMessage::Keepalive).map_err(Error::Protocol)?;
-        write_frame(&mut writer, &Frame::bgp(keepalive)).map_err(io_err("send KEEPALIVE"))?;
-        writer.flush().map_err(io_err("flush KEEPALIVE"))?;
-        Ok(())
-    })();
-    if let Err(e) = handshake {
-        notify_and_close(
-            &mut writer,
-            NotificationCode::FiniteStateMachineError,
-            metrics,
-        );
-        return Err(e);
-    }
     loop {
         if reader.buffer().is_empty() {
             poll_for_request(reader.get_ref())?;
         }
         let frame = match read_frame(&mut reader) {
-            Ok(Some(frame)) => frame,
+            Ok(Some(frame)) if frame.kind == FrameKind::Request => frame,
             // Clean EOF at a frame boundary: the controller hung up.
             Ok(None) => return Ok(()),
+            Ok(Some(_)) => {
+                metrics.frame_errors.inc();
+                return Err(Error::Protocol(centralium_wire::WireError::BadFrameKind(3)));
+            }
             Err(e) => {
-                // Malformed framing: tell the peer why before closing.
-                notify_and_close(&mut writer, NotificationCode::Cease, metrics);
+                metrics.frame_errors.inc();
                 return Err(Error::Io {
                     context: "read request frame".into(),
                     source: e,
                 });
             }
         };
-        match frame.kind {
-            FrameKind::Request => {
-                metrics.request_bytes.add(frame.payload.len() as u64);
-                let resp = dispatch(served, &frame.payload, metrics);
-                let payload = match serde_json::to_string(&resp) {
-                    Ok(json) => json.into_bytes(),
-                    Err(_) => continue,
-                };
-                metrics.response_bytes.add(payload.len() as u64);
-                write_frame(&mut writer, &Frame::response(frame.corr, payload))
-                    .map_err(io_err("send response"))?;
-                writer.flush().map_err(io_err("flush response"))?;
-            }
-            FrameKind::Bgp => {
-                // Liveness: answer KEEPALIVE with KEEPALIVE; a NOTIFICATION
-                // ends the session; anything else is a protocol error.
-                match bgp::decode_exact(&frame.payload) {
-                    Ok(BgpMessage::Keepalive) => {
-                        let keepalive =
-                            bgp::encode_one(&BgpMessage::Keepalive).map_err(Error::Protocol)?;
-                        write_frame(&mut writer, &Frame::bgp(keepalive))
-                            .map_err(io_err("send KEEPALIVE"))?;
-                        writer.flush().map_err(io_err("flush KEEPALIVE"))?;
-                    }
-                    Ok(BgpMessage::Notification(_)) => return Ok(()),
-                    Ok(_) | Err(_) => {
-                        notify_and_close(
-                            &mut writer,
-                            NotificationCode::FiniteStateMachineError,
-                            metrics,
-                        );
-                        return Err(Error::Protocol(
-                            centralium_wire::WireError::UnknownMessageType(0),
-                        ));
-                    }
-                }
-            }
-            FrameKind::Response => {
-                notify_and_close(
-                    &mut writer,
-                    NotificationCode::FiniteStateMachineError,
-                    metrics,
-                );
-                return Err(Error::Protocol(centralium_wire::WireError::BadFrameKind(3)));
-            }
-        }
+        metrics.request_bytes.add(frame.payload.len() as u64);
+        let resp = dispatch(served, &frame.payload, metrics);
+        let payload = match serde_json::to_string(&resp) {
+            Ok(json) => json.into_bytes(),
+            Err(_) => continue,
+        };
+        metrics.response_bytes.add(payload.len() as u64);
+        write_frame(&mut writer, &Frame::response(frame.corr, payload))
+            .map_err(io_err("send response"))?;
+        writer.flush().map_err(io_err("flush response"))?;
     }
 }
 
@@ -479,19 +413,6 @@ fn poll_for_request(stream: &TcpStream) -> Result<(), Error> {
         .map_err(io_err("poll for request"))
 }
 
-/// Tell the peer why its session ends, counting it in `serve.frame_errors`.
-fn notify_and_close(
-    writer: &mut BufWriter<TcpStream>,
-    code: NotificationCode,
-    metrics: &ConnMetrics,
-) {
-    metrics.frame_errors.inc();
-    if let Ok(frame) = bgp::encode_one(&BgpMessage::Notification(code)) {
-        let _ = write_frame(writer, &Frame::bgp(frame));
-        let _ = writer.flush();
-    }
-}
-
 fn io_err(context: &'static str) -> impl FnOnce(std::io::Error) -> Error {
     move |e| Error::Io {
         context: context.to_string(),
@@ -503,11 +424,14 @@ fn io_err(context: &'static str) -> impl FnOnce(std::io::Error) -> Error {
 mod tests {
     use super::*;
     use crate::health::{HealthCheck, HealthReport, TrafficProbe};
-    use crate::transport::{client_preamble, TcpTransport, CONTROLLER_ASN};
+    use crate::transport::{TcpTransport, MAX_DEADLINE};
     use centralium_bgp::attrs::well_known;
-    use centralium_bgp::Prefix;
+    use centralium_bgp::msg::{BgpMessage, OpenMessage, UpdateMessage};
+    use centralium_bgp::{PathAttributes, Prefix};
     use centralium_simnet::{ManagementPlane, SimConfig};
-    use centralium_topology::{build_fabric, DeviceId, FabricSpec};
+    use centralium_topology::{build_fabric, Asn, DeviceId, FabricSpec};
+    use centralium_wire::{bgp, frame};
+    use std::net::Shutdown;
 
     fn fabric() -> (SimNet, SwitchAgent) {
         fabric_of(&FabricSpec::tiny())
@@ -531,7 +455,7 @@ mod tests {
         let expect_now = net.now();
         let server = AgentServer::bind("127.0.0.1:0", net, agent).expect("bind");
         let addr = server.local_addr().to_string();
-        let mut transport = TcpTransport::connect(&addr).expect("connect + preamble");
+        let mut transport = TcpTransport::connect(&addr).expect("connect");
         assert_eq!(transport.now().expect("now RPC"), expect_now);
         let topo = transport.topology().expect("topology RPC").into_owned();
         assert!(topo.device_count() > 0);
@@ -588,7 +512,6 @@ mod tests {
         let expect_now = net.now();
         let server = AgentServer::bind("127.0.0.1:0", net, agent).expect("bind");
         let mut sock = TcpStream::connect(server.local_addr()).expect("connect");
-        client_preamble(&mut &sock, &mut &sock, CONTROLLER_ASN).expect("preamble");
         // Well framed, 100,000 levels deep: the JSON parser recurses per
         // level, so unbounded it overflows the connection thread's stack and
         // aborts the process.
@@ -800,21 +723,330 @@ mod tests {
         );
     }
 
-    #[test]
-    fn garbage_preamble_gets_a_notification_not_a_hang() {
-        let (net, agent) = fabric();
-        let server = AgentServer::bind("127.0.0.1:0", net, agent).expect("bind");
-        let mut sock = TcpStream::connect(server.local_addr()).expect("connect");
-        // A correctly-framed but non-OPEN first message violates the
-        // preamble: the server must answer with a NOTIFICATION and close.
+    /// How long a test waits for the server's answer or close.
+    const HANG: Duration = Duration::from_secs(2);
+
+    /// Send `bytes` on a fresh connection, half-close it, and read until the
+    /// server closes: the frames it sent back. A read that times out is a
+    /// hang and fails the test.
+    fn exchange(addr: SocketAddr, bytes: &[u8]) -> Vec<Frame> {
+        let mut sock = TcpStream::connect(addr).expect("connect");
+        sock.set_read_timeout(Some(HANG)).expect("read timeout");
+        // The server may close before it has read everything; what it sent
+        // back up to then is still the answer.
+        let _ = sock.write_all(bytes);
+        let _ = sock.shutdown(Shutdown::Write);
+        let mut frames = Vec::new();
+        loop {
+            match read_frame(&mut sock) {
+                Ok(Some(frame)) => frames.push(frame),
+                Ok(None) => return frames,
+                Err(e) if e.kind() == std::io::ErrorKind::ConnectionReset => return frames,
+                Err(e) => panic!("neither a response nor a close within {HANG:?}: {e}"),
+            }
+        }
+    }
+
+    /// A frame with any kind octet, as a peer could send it.
+    fn raw_frame(kind: u8, corr: u64, payload: &[u8]) -> Vec<u8> {
+        let mut bytes = frame::encode(&Frame::request(corr, payload.to_vec())).expect("encode");
+        bytes[4] = kind;
+        bytes
+    }
+
+    fn request_frame(corr: u64, req: &Request) -> Vec<u8> {
+        let json = serde_json::to_string(req).expect("serialize");
+        frame::encode(&Frame::request(corr, json.into_bytes())).expect("encode")
+    }
+
+    /// What the server makes of `bytes` on one connection, walked with the
+    /// same decoder: `(malformed request payloads, frame errors)`.
+    fn predict(mut bytes: &[u8]) -> (u64, u64) {
+        let mut malformed = 0;
+        loop {
+            match frame::decode(bytes) {
+                Ok(Some((f, used))) if f.kind == FrameKind::Request => {
+                    let parsed = std::str::from_utf8(&f.payload)
+                        .ok()
+                        .and_then(|text| serde_json::from_str::<Request>(text).ok());
+                    malformed += u64::from(parsed.is_none());
+                    bytes = &bytes[used..];
+                }
+                Ok(None) if bytes.is_empty() => return (malformed, 0),
+                // Bad framing, a Response, or a frame cut short by the close.
+                _ => return (malformed, 1),
+            }
+        }
+    }
+
+    /// Kind-1 (BGP octet) frames: a KEEPALIVE and an OPEN as a session's
+    /// first frame, and an UPDATE after a request.
+    fn bgp_kind_frames() -> Vec<Vec<u8>> {
         let keepalive = bgp::encode_one(&BgpMessage::Keepalive).expect("encode");
-        write_frame(&mut sock, &Frame::bgp(keepalive)).expect("send");
-        let frame = read_frame(&mut sock).expect("read").expect("frame");
-        assert_eq!(frame.kind, FrameKind::Bgp);
-        assert!(matches!(
-            bgp::decode_exact(&frame.payload).expect("server frame"),
-            BgpMessage::Notification(NotificationCode::FiniteStateMachineError)
-        ));
+        let open = bgp::encode_one(&BgpMessage::Open(OpenMessage {
+            asn: Asn(4_201_000_001),
+            hold_time_secs: 90,
+        }))
+        .expect("encode");
+        let mut attrs = PathAttributes::default();
+        attrs.prepend(Asn(4_200_000_017), 2);
+        let update = bgp::encode_one(&BgpMessage::Update(UpdateMessage::announce(
+            "10.0.0.0/8".parse::<Prefix>().expect("prefix"),
+            attrs,
+        )))
+        .expect("encode");
+        let mut after_request = request_frame(1, &Request::Now);
+        after_request.extend(raw_frame(1, 0, &update));
+        vec![
+            raw_frame(1, 0, &keepalive),
+            raw_frame(1, 0, &open),
+            after_request,
+        ]
+    }
+
+    /// Send each of `sessions`, then check the server closed every one
+    /// unanswered but for its requests, counted one frame error each, and
+    /// still serves a fresh controller.
+    fn closed_on_unanswered(sessions: &[Vec<u8>]) {
+        let (net, agent) = fabric();
+        let expect_now = net.now();
+        let server = AgentServer::bind("127.0.0.1:0", net, agent).expect("bind");
+        let mut answered = 0;
+        for bytes in sessions {
+            let frames = exchange(server.local_addr(), bytes);
+            assert!(frames
+                .iter()
+                .all(|f| (f.kind, f.corr) == (FrameKind::Response, 1)));
+            answered += frames.len();
+        }
+        assert_eq!(answered, 1, "only the request is answered");
+        let mut transport =
+            TcpTransport::connect(&server.local_addr().to_string()).expect("fresh connection");
+        assert_eq!(transport.now().expect("now RPC"), expect_now);
+        drop(transport);
+        let (net, _agent) = server.shutdown();
+        let served = net.telemetry().metrics().snapshot();
+        assert_eq!(served.counter("serve.frame_errors"), sessions.len() as u64);
+        assert_eq!(served.counter("serve.rpc.now"), 2);
+    }
+
+    #[test]
+    fn a_bgp_kind_frame_is_closed_on_unanswered() {
+        closed_on_unanswered(&bgp_kind_frames());
+    }
+
+    #[test]
+    fn a_response_frame_from_a_controller_is_closed_on_unanswered() {
+        let response = frame::encode(&Frame::response(7, b"\"Ok\"".to_vec())).expect("encode");
+        let mut after_request = request_frame(1, &Request::Now);
+        after_request.extend(&response);
+        closed_on_unanswered(&[response, after_request]);
+    }
+
+    #[test]
+    fn a_far_deadline_gets_an_error_and_the_clock_stays() {
+        let (net, agent) = fabric();
+        let expect_now = net.now();
+        let server = AgentServer::bind("127.0.0.1:0", net, agent).expect("bind");
+        let mut transport =
+            TcpTransport::connect(&server.local_addr().to_string()).expect("connect");
+        for deadline in [u64::MAX, MAX_DEADLINE + 1] {
+            let err = transport
+                .run_until(deadline)
+                .expect_err("far deadline accepted");
+            assert!(err.to_string().contains("latest deadline"), "{err}");
+            assert_eq!(transport.now().expect("now RPC"), expect_now);
+        }
+        // A request that schedules events still runs on the unchanged clock.
+        transport
+            .force_full_reconvergence()
+            .expect("schedules at now + 1");
+        let report = transport.run_until_quiescent().expect("converges");
+        assert!(report.converged && report.finished_at < MAX_DEADLINE);
+        assert!(transport.now().expect("now RPC") >= expect_now);
+        drop(transport);
         server.shutdown();
+    }
+
+    /// xorshift64*: a fixed seed, a reproducible corpus.
+    struct Rng(u64);
+
+    impl Rng {
+        fn next(&mut self) -> u64 {
+            self.0 ^= self.0 << 13;
+            self.0 ^= self.0 >> 7;
+            self.0 ^= self.0 << 17;
+            self.0.wrapping_mul(0x2545_F491_4F6C_DD1D)
+        }
+
+        fn below(&mut self, n: usize) -> usize {
+            (self.next() % n as u64) as usize
+        }
+
+        fn bytes(&mut self, len: usize) -> Vec<u8> {
+            (0..len).map(|_| self.next() as u8).collect()
+        }
+    }
+
+    /// Well-typed requests with hostile arguments, as JSON payloads: device
+    /// ids the fabric lacks, empty and 10k-long device lists, far
+    /// deadlines, non-finite and negative health numbers, degenerate paths.
+    fn hostile_requests() -> Vec<Vec<u8>> {
+        let ghost = DeviceId(u32::MAX);
+        let doc = centralium_rpa::RpaDocument::RouteFilter(centralium_rpa::RouteFilterRpa {
+            name: "x".into(),
+            statements: vec![],
+        });
+        let probe = |sources: Vec<DeviceId>, gbps_each| TrafficProbe {
+            sources,
+            dest: Prefix::DEFAULT,
+            gbps_each,
+        };
+        let checks = [
+            HealthCheck {
+                probe: Some(probe(vec![DeviceId(1)], f64::NAN)),
+                ..Default::default()
+            },
+            HealthCheck {
+                probe: Some(probe(vec![DeviceId(1)], -1.0)),
+                ..Default::default()
+            },
+            HealthCheck {
+                probe: Some(probe(vec![ghost], 1.0)),
+                max_link_utilization: Some(0.5),
+                min_nexthops: vec![(ghost, Prefix::DEFAULT, usize::MAX)],
+                expect_rpa: vec![(ghost, "x".into())],
+            },
+            HealthCheck {
+                probe: Some(probe(vec![], 1.0)),
+                ..Default::default()
+            },
+        ];
+        let requests = [
+            Request::SetIntended { device: ghost, doc },
+            Request::ClearIntended {
+                device: ghost,
+                name: "x".into(),
+            },
+            Request::PollDevices { devices: vec![] },
+            Request::PollDevices {
+                devices: vec![ghost],
+            },
+            Request::PollDevices {
+                devices: (0..10_000).map(DeviceId).collect(),
+            },
+            Request::RunUntil { deadline: u64::MAX },
+            Request::RunUntil {
+                deadline: MAX_DEADLINE + 1,
+            },
+            Request::NextRetryDue { now: u64::MAX },
+            Request::SeedIntended {
+                path: String::new(),
+                value: serde_json::Value::Null,
+            },
+            Request::SeedIntended {
+                path: "//".into(),
+                value: serde_json::Value::Null,
+            },
+        ];
+        let mut out: Vec<Vec<u8>> = requests
+            .iter()
+            .map(|r| serde_json::to_string(r).expect("serialize").into_bytes())
+            .collect();
+        out.extend(checks.into_iter().map(|check| {
+            serde_json::to_string(&Request::HealthCheck { check })
+                .expect("serialize")
+                .into_bytes()
+        }));
+        // An infinite rate and utilization limit: JSON has no infinity, but
+        // an overflowing literal parses to one.
+        let finite = HealthCheck {
+            probe: Some(probe(vec![DeviceId(1)], 1.5)),
+            max_link_utilization: Some(0.25),
+            ..Default::default()
+        };
+        let json = serde_json::to_string(&Request::HealthCheck { check: finite }).expect("json");
+        for (from, to) in [("1.5", "1e999"), ("0.25", "1e999")] {
+            assert!(json.contains(from), "{json}");
+            out.push(json.replacen(from, to, 1).into_bytes());
+        }
+        out
+    }
+
+    /// Seeded smoke test of everything a socket reaches: random bytes,
+    /// bit-flipped frames, BGP-kind and Response frames, and well-typed
+    /// requests with hostile arguments, one connection each. Every
+    /// connection ends in responses or a close, the counters match what was
+    /// sent, and the fabric comes out unpoisoned on the clock it went in.
+    #[test]
+    fn socket_input_smoke() {
+        let (net, agent) = fabric();
+        let expect_now = net.now();
+        let server = AgentServer::bind("127.0.0.1:0", net, agent).expect("bind");
+        let addr = server.local_addr();
+        let mut rng = Rng(0x5EED_0060_CAFE_0001);
+        let mut sessions: Vec<Vec<u8>> = Vec::new();
+        for _ in 0..100 {
+            let len = rng.below(64);
+            sessions.push(rng.bytes(len));
+        }
+        // Past the magic, so the header checks behind it run too.
+        for _ in 0..100 {
+            let len = rng.below(32);
+            let mut bytes = b"CRP1".to_vec();
+            bytes.extend(rng.bytes(len));
+            sessions.push(bytes);
+        }
+        let seeds = [
+            request_frame(1, &Request::Now),
+            request_frame(2, &Request::Topology),
+        ];
+        for _ in 0..150 {
+            let mut bytes = seeds[rng.below(seeds.len())].clone();
+            let bit = rng.below(bytes.len() * 8);
+            bytes[bit / 8] ^= 1 << (bit % 8);
+            sessions.push(bytes);
+        }
+        sessions.extend(bgp_kind_frames());
+        for _ in 0..10 {
+            let len = rng.below(32);
+            sessions.push(raw_frame(1, rng.next(), &rng.bytes(len)));
+            sessions.push(raw_frame(3, rng.next(), &rng.bytes(len)));
+        }
+
+        let (mut malformed, mut frame_errors) = (0, 0);
+        let mut send = |bytes: &[u8]| {
+            let (m, e) = predict(bytes);
+            malformed += m;
+            frame_errors += e;
+            let frames = exchange(addr, bytes);
+            for frame in &frames {
+                assert_eq!(frame.kind, FrameKind::Response);
+                let text = std::str::from_utf8(&frame.payload).expect("utf-8");
+                let resp: Response = serde_json::from_str(text).expect("a response");
+                assert!(!matches!(resp, Response::Ran { .. }), "ran {bytes:?}");
+            }
+            frames.len()
+        };
+        for bytes in &sessions {
+            send(bytes);
+        }
+        for (corr, payload) in hostile_requests().iter().enumerate() {
+            let answered = send(&raw_frame(2, corr as u64, payload));
+            assert_eq!(answered, 1, "{}", String::from_utf8_lossy(payload));
+        }
+        assert!(
+            malformed > 40 && frame_errors > 250,
+            "{malformed} {frame_errors}"
+        );
+
+        let mut transport = TcpTransport::connect(&addr.to_string()).expect("fresh connection");
+        assert_eq!(transport.now().expect("now RPC"), expect_now);
+        drop(transport);
+        let (net, _agent) = server.shutdown();
+        assert_eq!(net.now(), expect_now);
+        let served = net.telemetry().metrics().snapshot();
+        assert_eq!(served.counter("serve.frame_errors"), frame_errors);
+        assert_eq!(served.counter("serve.malformed_requests"), malformed);
     }
 }

@@ -8,11 +8,12 @@
 //!   SwitchAgent)`. This is the original code path, bit for bit — the
 //!   simulator-only benchmarks and tests must not change behavior.
 //! - [`TcpTransport`]: the same operations as RPCs over a real socket to a
-//!   [`serve::AgentServer`](crate::serve::AgentServer), framed by
-//!   `centralium-wire`'s `CRP1` codec with an RFC 4271 OPEN/KEEPALIVE
-//!   preamble. Reconnects with the [`RetryPolicy`] backoff schedule and
-//!   fails fast through a [`CircuitBreaker`] once the endpoint is wedged —
-//!   the same semantics the agent applies to device RPCs, one level up.
+//!   [`serve::AgentServer`](crate::serve::AgentServer): JSON in
+//!   `centralium-wire`'s `CRP1` Request and Response frames, from the
+//!   first byte of a connection. Reconnects with the [`RetryPolicy`]
+//!   backoff schedule and fails fast through a [`CircuitBreaker`] once the
+//!   endpoint is wedged — the same semantics the agent applies to device
+//!   RPCs, one level up.
 //!
 //! The caller picks one by building it and handing it to
 //! [`deploy_intent_over`](crate::deploy_intent_over) (or the removal and
@@ -36,9 +37,9 @@ use centralium_nsdb::Path;
 use centralium_rpa::RpaDocument;
 use centralium_simnet::{ConvergenceReport, SimNet, SimTime};
 use centralium_telemetry::Telemetry;
-use centralium_topology::{Asn, DeviceId, Topology};
+use centralium_topology::{DeviceId, Topology};
 use centralium_wire::frame::{read_frame, write_frame, Frame, FrameKind};
-use centralium_wire::{bgp, WireError};
+use centralium_wire::WireError;
 use serde::{Deserialize, Serialize};
 use serde_json::Value;
 use std::borrow::Cow;
@@ -109,6 +110,16 @@ pub trait ControlTransport {
 // in-process
 // ---------------------------------------------------------------------------
 
+/// The latest instant [`ControlTransport::run_until`] moves the clock to.
+/// `SimNet` schedules every event at `now + offset`, unchecked. Its largest
+/// offsets are an RPC's management-plane latency plus the chaos plan's
+/// extra delay, and a coalesced batch's `3L` plus jitter: config values of
+/// microseconds to seconds. Half the clock's range leaves 2^63 µs (about
+/// 292,000 years) above any clock this admits, so none of those sums can
+/// overflow. A saturating add would not do: an event at `SimTime::MAX`
+/// opens a window that admits nothing, and the run loop would spin.
+pub(crate) const MAX_DEADLINE: SimTime = SimTime::MAX / 2;
+
 /// Direct calls against a locally-owned simulation and agent — the legacy
 /// code path, preserved byte-identically.
 #[derive(Debug)]
@@ -143,7 +154,15 @@ impl ControlTransport for InProcessTransport<'_> {
         Ok(self.net.run_until_quiescent())
     }
 
+    /// Refuses a deadline past `MAX_DEADLINE` (`SimTime::MAX / 2`) with
+    /// [`Error::DeadlineOutOfRange`], leaving the clock where it was.
     fn run_until(&mut self, deadline: SimTime) -> Result<u64, Error> {
+        if deadline > MAX_DEADLINE {
+            return Err(Error::DeadlineOutOfRange {
+                deadline,
+                max: MAX_DEADLINE,
+            });
+        }
         Ok(self.net.run_until(deadline))
     }
 
@@ -329,95 +348,6 @@ pub(crate) enum Response {
     },
 }
 
-/// ASN the controller side presents in its service-plane OPEN. Both
-/// endpoint ASNs sit in the allocator's 4-byte extension band, so every
-/// connection handshake exercises the RFC 6793 capability path.
-pub(crate) const CONTROLLER_ASN: Asn = Asn(4_201_000_001);
-/// Hold time advertised in service-plane OPENs, seconds.
-pub(crate) const SERVICE_HOLD_SECS: u32 = 90;
-
-/// The client side of the service-plane preamble, in RFC 4271 order: OPEN
-/// out, OPEN in, KEEPALIVE out, KEEPALIVE in. Returns the agent's ASN.
-pub(crate) fn client_preamble(
-    reader: &mut impl std::io::Read,
-    writer: &mut impl Write,
-    asn: Asn,
-) -> Result<Asn, Error> {
-    let open = bgp::encode_one(&centralium_bgp::msg::BgpMessage::Open(
-        centralium_bgp::msg::OpenMessage {
-            asn,
-            hold_time_secs: SERVICE_HOLD_SECS,
-        },
-    ))
-    .map_err(Error::Protocol)?;
-    write_frame(writer, &Frame::bgp(open)).map_err(|e| Error::Io {
-        context: "send service-plane OPEN".into(),
-        source: e,
-    })?;
-    let peer_asn = expect_open(reader)?;
-    let keepalive =
-        bgp::encode_one(&centralium_bgp::msg::BgpMessage::Keepalive).map_err(Error::Protocol)?;
-    write_frame(writer, &Frame::bgp(keepalive)).map_err(|e| Error::Io {
-        context: "send service-plane KEEPALIVE".into(),
-        source: e,
-    })?;
-    expect_keepalive(reader)?;
-    Ok(peer_asn)
-}
-
-/// Read one BGP frame and require an OPEN, returning the peer's ASN.
-pub(crate) fn expect_open<S: std::io::Read>(stream: &mut S) -> Result<Asn, Error> {
-    match read_bgp(stream)? {
-        centralium_bgp::msg::BgpMessage::Open(open) => Ok(open.asn),
-        other => Err(unexpected_preamble(&other)),
-    }
-}
-
-/// Read one BGP frame and require a KEEPALIVE.
-pub(crate) fn expect_keepalive<S: std::io::Read>(stream: &mut S) -> Result<(), Error> {
-    match read_bgp(stream)? {
-        centralium_bgp::msg::BgpMessage::Keepalive => Ok(()),
-        other => Err(unexpected_preamble(&other)),
-    }
-}
-
-fn unexpected_preamble(msg: &centralium_bgp::msg::BgpMessage) -> Error {
-    let type_code = match msg {
-        centralium_bgp::msg::BgpMessage::Open(_) => 1,
-        centralium_bgp::msg::BgpMessage::Update(_) => 2,
-        centralium_bgp::msg::BgpMessage::Notification(_) => 3,
-        centralium_bgp::msg::BgpMessage::Keepalive => 4,
-    };
-    Error::Protocol(WireError::UnknownMessageType(type_code))
-}
-
-/// Read one frame and decode its payload as a BGP message, requiring the
-/// BGP frame kind.
-pub(crate) fn read_bgp<S: std::io::Read>(
-    stream: &mut S,
-) -> Result<centralium_bgp::msg::BgpMessage, Error> {
-    let frame = read_frame(stream)
-        .map_err(|e| Error::Io {
-            context: "read service-plane preamble".into(),
-            source: e,
-        })?
-        .ok_or_else(|| Error::Io {
-            context: "read service-plane preamble".into(),
-            source: std::io::Error::new(
-                std::io::ErrorKind::UnexpectedEof,
-                "peer closed during preamble",
-            ),
-        })?;
-    if frame.kind != FrameKind::Bgp {
-        return Err(Error::Protocol(WireError::BadFrameKind(match frame.kind {
-            FrameKind::Request => 2,
-            FrameKind::Response => 3,
-            FrameKind::Bgp => 1,
-        })));
-    }
-    bgp::decode_exact(&frame.payload).map_err(Error::Protocol)
-}
-
 // ---------------------------------------------------------------------------
 // TCP client
 // ---------------------------------------------------------------------------
@@ -467,7 +397,7 @@ impl std::fmt::Debug for TcpTransport {
 }
 
 impl TcpTransport {
-    /// Connect to an agent server, performing the BGP preamble.
+    /// Connect to an agent server.
     pub fn connect(addr: &str) -> Result<Self, Error> {
         Self::connect_with(addr, RetryPolicy::default())
     }
@@ -515,14 +445,11 @@ impl TcpTransport {
                 context: format!("configure socket to {}", self.addr),
                 source: e,
             })?;
-        let mut reader = BufReader::new(stream.try_clone().map_err(|e| Error::Io {
+        let reader = BufReader::new(stream.try_clone().map_err(|e| Error::Io {
             context: format!("clone socket to {}", self.addr),
             source: e,
         })?);
-        let mut writer = BufWriter::new(stream);
-        // RFC 4271 preamble: the wire codec is load-bearing on every
-        // connection, not just in tests.
-        client_preamble(&mut reader, &mut writer, CONTROLLER_ASN)?;
+        let writer = BufWriter::new(stream);
         self.session = Some(Session {
             reader,
             writer,
@@ -531,7 +458,7 @@ impl TcpTransport {
         Ok(())
     }
 
-    /// One attempt: serialize, frame, send, await the correlated response.
+    /// One attempt: serialize, frame, send, read the one response frame.
     fn try_rpc(&mut self, req: &Request) -> Result<Response, Error> {
         self.ensure_session()?;
         let corr = self.next_corr;
@@ -553,44 +480,39 @@ impl TcpTransport {
             context: format!("flush RPC to {}", self.addr),
             source: e,
         })?;
-        loop {
-            let frame = read_frame(&mut session.reader)
-                .map_err(|e| Error::Io {
-                    context: format!("read RPC response from {}", self.addr),
-                    source: e,
-                })?
-                .ok_or_else(|| Error::Io {
-                    context: format!("read RPC response from {}", self.addr),
-                    source: std::io::Error::new(
-                        std::io::ErrorKind::UnexpectedEof,
-                        "server closed the connection",
-                    ),
-                })?;
-            match frame.kind {
-                // Liveness chatter between responses is legal; nothing to
-                // answer on the client side — just skip.
-                FrameKind::Bgp => continue,
-                FrameKind::Request => {
-                    return Err(Error::Protocol(WireError::BadFrameKind(2)));
-                }
-                FrameKind::Response => {
-                    if frame.corr != corr {
-                        // A response to an RPC a previous (timed-out)
-                        // attempt issued; drop it and keep reading.
-                        continue;
-                    }
-                    let text = std::str::from_utf8(&frame.payload).map_err(|_| {
-                        Error::Protocol(WireError::Unrepresentable {
-                            what: "response payload is not UTF-8",
-                        })
-                    })?;
-                    return serde_json::from_str(text).map_err(|e| Error::NsdbDecode {
-                        record: "service-plane response".into(),
-                        source: e,
-                    });
-                }
-            }
+        let frame = read_frame(&mut session.reader)
+            .map_err(|e| Error::Io {
+                context: format!("read RPC response from {}", self.addr),
+                source: e,
+            })?
+            .ok_or_else(|| Error::Io {
+                context: format!("read RPC response from {}", self.addr),
+                source: std::io::Error::new(
+                    std::io::ErrorKind::UnexpectedEof,
+                    "server closed the connection",
+                ),
+            })?;
+        // A failed attempt drops its session, so the one frame on this
+        // connection answers this request; anything else is the server's
+        // protocol violation.
+        if frame.kind == FrameKind::Request {
+            return Err(Error::Protocol(WireError::BadFrameKind(2)));
         }
+        if frame.corr != corr {
+            return Err(Error::Protocol(WireError::CorrelationMismatch {
+                expected: corr,
+                got: frame.corr,
+            }));
+        }
+        let text = std::str::from_utf8(&frame.payload).map_err(|_| {
+            Error::Protocol(WireError::Unrepresentable {
+                what: "response payload is not UTF-8",
+            })
+        })?;
+        serde_json::from_str(text).map_err(|e| Error::NsdbDecode {
+            record: "service-plane response".into(),
+            source: e,
+        })
     }
 
     /// Issue an RPC with reconnect/backoff/circuit-breaker semantics.
@@ -779,5 +701,42 @@ impl TcpTransport {
     /// Drop the session, so the next RPC re-dials.
     pub(crate) fn disconnect(&mut self) {
         self.session = None;
+    }
+}
+
+#[cfg(test)]
+mod tests {
+    use super::*;
+    use std::net::TcpListener;
+
+    #[test]
+    fn a_response_to_another_request_is_a_protocol_error_without_retry() {
+        let listener = TcpListener::bind("127.0.0.1:0").expect("bind");
+        let addr = listener.local_addr().expect("addr").to_string();
+        // A server that answers the first request under the next id.
+        let server = std::thread::spawn(move || {
+            let (mut sock, _) = listener.accept().expect("accept");
+            let req = read_frame(&mut sock).expect("read").expect("a request");
+            let reply = Frame::response(req.corr + 1, br#""Ok""#.to_vec());
+            write_frame(&mut sock, &reply).expect("reply");
+            (listener, sock)
+        });
+        let mut transport = TcpTransport::connect(&addr).expect("connect");
+        let err = transport.now().expect_err("a stray response was taken");
+        assert!(
+            matches!(
+                err,
+                Error::Protocol(WireError::CorrelationMismatch {
+                    expected: 1,
+                    got: 2
+                })
+            ),
+            "{err}"
+        );
+        let (listener, _sock) = server.join().expect("server thread");
+        listener.set_nonblocking(true).expect("nonblocking");
+        assert!(listener.accept().is_err(), "the transport reconnected");
+        let retries = transport.telemetry().metrics().snapshot();
+        assert_eq!(retries.counter("transport.tcp.retries"), 0);
     }
 }

@@ -113,6 +113,14 @@ pub enum WireError {
     BadMagic,
     /// A service-plane frame kind octet names no known frame.
     BadFrameKind(u8),
+    /// A Response frame does not echo the correlation id of the request
+    /// it answers.
+    CorrelationMismatch {
+        /// The request's correlation id.
+        expected: u64,
+        /// The id the response carried.
+        got: u64,
+    },
     /// A service-plane frame advertises a payload above the hard cap —
     /// rejected before any allocation happens.
     FrameTooLarge {
@@ -167,6 +175,9 @@ impl fmt::Display for WireError {
             }
             WireError::BadMagic => write!(f, "frame does not start with the CRP1 magic"),
             WireError::BadFrameKind(k) => write!(f, "unknown frame kind {k}"),
+            WireError::CorrelationMismatch { expected, got } => {
+                write!(f, "response to request {got} while awaiting {expected}")
+            }
             WireError::FrameTooLarge { len, max } => {
                 write!(f, "frame payload of {len} bytes exceeds the {max}-byte cap")
             }

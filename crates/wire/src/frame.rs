@@ -1,17 +1,11 @@
 //! Length-delimited framing for the Centralium service plane ("CRP1").
 //!
-//! The controller↔agent RPC stream multiplexes two payload kinds over one
-//! TCP connection:
-//!
-//! - **BGP frames** carry raw RFC 4271 octets (see [`crate::bgp`]): the
-//!   session preamble is a real OPEN/KEEPALIVE exchange, and protocol
-//!   errors are signalled with a real NOTIFICATION before the connection
-//!   drops. This keeps the wire codec load-bearing on every socket, not
-//!   just in the simulator audit path.
-//! - **Request/Response frames** carry the JSON-encoded control RPCs
-//!   (deploy RPA, poll devices, health probe). Each request carries a
-//!   correlation id the response echoes, so a pooled connection can have
-//!   several RPCs in flight.
+//! The controller↔agent RPC stream carries two frame kinds over one TCP
+//! connection: a **Request** frame holds a JSON-encoded control RPC
+//! (deploy RPA, poll devices, health probe), and a **Response** frame the
+//! reply. Each request carries a correlation id the response echoes.
+//! Nothing else travels on the channel: there is no handshake, and a peer
+//! that breaks the protocol is closed on.
 //!
 //! Layout, all integers big-endian:
 //!
@@ -37,11 +31,10 @@ pub(crate) const FRAME_HEADER_LEN: usize = 4 + 1 + 8 + 4;
 /// poll snapshot, small enough that a corrupt length field fails fast.
 pub(crate) const MAX_PAYLOAD: usize = 1 << 26;
 
-/// What a frame's payload contains.
+/// What a frame's payload contains. The kind octets are 2 and 3; every
+/// other octet is [`WireError::BadFrameKind`].
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
 pub enum FrameKind {
-    /// Raw RFC 4271 BGP message octets (session preamble, notifications).
-    Bgp,
     /// A JSON-encoded control-plane request.
     Request,
     /// A JSON-encoded control-plane response.
@@ -51,7 +44,6 @@ pub enum FrameKind {
 impl FrameKind {
     fn to_octet(self) -> u8 {
         match self {
-            FrameKind::Bgp => 1,
             FrameKind::Request => 2,
             FrameKind::Response => 3,
         }
@@ -59,7 +51,6 @@ impl FrameKind {
 
     fn from_octet(o: u8) -> Result<Self, WireError> {
         match o {
-            1 => Ok(FrameKind::Bgp),
             2 => Ok(FrameKind::Request),
             3 => Ok(FrameKind::Response),
             other => Err(WireError::BadFrameKind(other)),
@@ -72,22 +63,13 @@ impl FrameKind {
 pub struct Frame {
     /// Payload interpretation.
     pub kind: FrameKind,
-    /// Correlation id pairing a Response to its Request. BGP frames use 0.
+    /// Correlation id pairing a Response to its Request.
     pub corr: u64,
     /// The payload octets.
     pub payload: Vec<u8>,
 }
 
 impl Frame {
-    /// A BGP frame (correlation id 0 by convention).
-    pub fn bgp(payload: Vec<u8>) -> Self {
-        Frame {
-            kind: FrameKind::Bgp,
-            corr: 0,
-            payload,
-        }
-    }
-
     /// A request frame with the given correlation id.
     pub fn request(corr: u64, payload: Vec<u8>) -> Self {
         Frame {
@@ -229,7 +211,7 @@ mod tests {
 
     #[test]
     fn partial_input_is_not_an_error() {
-        let bytes = encode(&Frame::bgp(vec![1, 2, 3])).unwrap();
+        let bytes = encode(&Frame::request(1, vec![1, 2, 3])).unwrap();
         for cut in 0..bytes.len() {
             assert_eq!(decode(&bytes[..cut]).unwrap(), None, "cut at {cut}");
         }
@@ -246,7 +228,7 @@ mod tests {
 
     #[test]
     fn oversized_length_is_rejected_before_allocation() {
-        let mut bytes = encode(&Frame::bgp(Vec::new())).unwrap();
+        let mut bytes = encode(&Frame::request(1, Vec::new())).unwrap();
         bytes[13..17].copy_from_slice(&u32::MAX.to_be_bytes());
         assert!(matches!(
             decode(&bytes),
@@ -256,16 +238,25 @@ mod tests {
 
     #[test]
     fn unknown_kind_is_rejected() {
-        let mut bytes = encode(&Frame::bgp(Vec::new())).unwrap();
-        bytes[4] = 9;
-        assert_eq!(decode(&bytes).unwrap_err(), WireError::BadFrameKind(9));
+        let mut bytes = encode(&Frame::request(1, Vec::new())).unwrap();
+        for kind in [0, 1, 4, 9] {
+            bytes[4] = kind;
+            assert_eq!(decode(&bytes).unwrap_err(), WireError::BadFrameKind(kind));
+        }
+    }
+
+    #[test]
+    fn kind_octets_are_fixed() {
+        let request = encode(&Frame::request(1, Vec::new())).unwrap();
+        let response = encode(&Frame::response(1, Vec::new())).unwrap();
+        assert_eq!((request[4], response[4]), (2, 3));
     }
 
     #[test]
     fn stream_io_roundtrip() {
         let mut wire = Vec::new();
         write_frame(&mut wire, &Frame::response(7, b"ok".to_vec())).unwrap();
-        write_frame(&mut wire, &Frame::bgp(Vec::new())).unwrap();
+        write_frame(&mut wire, &Frame::request(8, Vec::new())).unwrap();
         let mut cursor = std::io::Cursor::new(wire);
         assert_eq!(
             read_frame(&mut cursor).unwrap(),
@@ -273,7 +264,7 @@ mod tests {
         );
         assert_eq!(
             read_frame(&mut cursor).unwrap(),
-            Some(Frame::bgp(Vec::new()))
+            Some(Frame::request(8, Vec::new()))
         );
         assert_eq!(read_frame(&mut cursor).unwrap(), None);
     }

@@ -6,13 +6,15 @@
 //!   KEEPALIVE / NOTIFICATION) that round-trips exactly with the in-memory
 //!   [`centralium_bgp::msg`] structures, carrying 4-octet ASNs (RFC 6793)
 //!   end to end because the fabric's ASN extension bands exceed 16 bits.
+//!   A library with its own tests and benchmark kernels: no socket reaches
+//!   it.
 //! - [`frame`] — the `CRP1` length-delimited framing the controller↔agent
-//!   RPC connections speak, multiplexing raw BGP octets (session preamble,
-//!   notifications) with JSON control RPCs.
-//! - [`decode`] — the bounds-checked [`Decoder`] cursor both layers build
-//!   on: arbitrary input bytes decode to typed [`WireError`]s, never to a
-//!   panic or an out-of-bounds read (the contract the fuzzing roadmap item
-//!   will hammer on).
+//!   RPC connections speak: JSON control RPCs in Request and Response
+//!   frames, and nothing else.
+//! - [`decode`] — the bounds-checked [`Decoder`] cursor the BGP codec
+//!   builds on: arbitrary input bytes decode to typed [`WireError`]s,
+//!   never to a panic or an out-of-bounds read (the contract the fuzzing
+//!   roadmap item will hammer on).
 //!
 //! The crate deliberately depends only on `centralium-bgp` and
 //! `centralium-topology`: the transport that moves these bytes lives in

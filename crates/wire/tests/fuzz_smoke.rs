@@ -58,7 +58,7 @@ fn corrupted_valid_messages_never_panic_the_decoders() {
     .flat_map(|m| bgp::encode(m).expect("seed messages encode"))
     .chain(std::iter::once(
         frame::encode(&Frame {
-            kind: FrameKind::Bgp,
+            kind: FrameKind::Request,
             corr: 0,
             payload: b"\x00\x01\x02\x03".to_vec(),
         })

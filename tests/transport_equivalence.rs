@@ -1,6 +1,6 @@
 //! Transport-equivalence acceptance: the same deployment driven through the
-//! TCP service plane (real loopback sockets, RFC 4271 preamble, framed RPCs)
-//! must land **byte-identical FIBs** to the in-process transport — under
+//! TCP service plane (real loopback sockets, `CRP1`-framed JSON RPCs) must
+//! land **byte-identical FIBs** to the in-process transport — under
 //! chaos, across the CI seed set {7, 21, 1337}.
 //!
 //! This is the API-redesign guarantee: [`ControlTransport`] extracts the
@@ -80,8 +80,7 @@ fn deploy_over_tcp(spec: &FabricSpec, sim_seed: u64, chaos: Option<ChaosPlan>) -
         fab.net.set_chaos(plan);
     }
     let server = AgentServer::bind("127.0.0.1:0", fab.net, agent).expect("bind agent server");
-    let mut transport =
-        TcpTransport::connect(&server.local_addr().to_string()).expect("connect + BGP preamble");
+    let mut transport = TcpTransport::connect(&server.local_addr().to_string()).expect("connect");
     let mut nsdb = ReplicatedNsdb::new(2);
     let intent = equalize_backbone_paths(well_known::BACKBONE_DEFAULT_ROUTE, Layer::Backbone);
     deploy_intent_over(
@@ -124,8 +123,7 @@ fn tcp_topology_of_the_2k_tier_matches_the_served_one() {
     let served = serde_json::to_string(net.topology()).expect("serialize");
     let agent = SwitchAgent::new(ManagementPlane::compute(net.topology(), idx.rsw[0][0]));
     let server = AgentServer::bind("127.0.0.1:0", net, agent).expect("bind agent server");
-    let mut transport =
-        TcpTransport::connect(&server.local_addr().to_string()).expect("connect + BGP preamble");
+    let mut transport = TcpTransport::connect(&server.local_addr().to_string()).expect("connect");
     let fetched = transport.topology().expect("topology RPC");
     let fetched = serde_json::to_string(fetched.as_ref()).expect("re-serialize");
     assert!(served == fetched, "topology changed across the socket");
