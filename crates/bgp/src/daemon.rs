@@ -49,13 +49,15 @@
 //! sessions beside the slot's fans, never searching.
 
 use crate::attrs::PathAttributes;
-use crate::decision::{best_route, compare_routes, multipath_set, PathPreference};
+use crate::decision::{compare_routes, multipath_set, PathPreference};
 use crate::flat::FlatMap;
 use crate::hooks::{AdvertiseChoice, PathChoice, RibPolicy};
 use crate::msg::UpdateMessage;
 use crate::outbox::Outbox;
 use crate::policy::Policy;
-use crate::rib::{held, take_selected, LocRibEntry, PrefixState, PrefixTable, RibFootprint, Route};
+use crate::rib::{
+    held, keep_selected, LocRibEntry, Path, PrefixState, PrefixTable, RibFootprint, Route,
+};
 use crate::types::{PeerId, Prefix};
 use crate::wcmp;
 use centralium_telemetry::{Counter, EventKind, Severity, Telemetry};
@@ -395,7 +397,7 @@ impl BgpDaemon {
         // Advertise every Loc-RIB advertised route to the new peer.
         let mut out = UpdateMessage::default();
         self.rib.edit_all(|prefix, slot| {
-            let Some(mut export) = Export::of(cfg, peers, slot.loc.as_ref()) else {
+            let Some(mut export) = Export::of(cfg, peers, prefix, slot.loc.as_ref()) else {
                 return;
             };
             if let Some(attrs) = export.toward(session, policy) {
@@ -689,10 +691,10 @@ impl BgpDaemon {
         self.rib.get(prefix).map_or(0, |slot| slot.rib_in().len())
     }
 
-    /// Occupancy/byte footprints of the adjacency RIBs `(in, out)`, for the
-    /// `mem.adj_rib_{in,out}_bytes` and `bgp.peer_refs` gauges: running
-    /// totals, so reading them walks nothing.
-    pub fn rib_footprints(&self) -> (RibFootprint, RibFootprint) {
+    /// Occupancy/byte footprints of the adjacency RIBs `(in, out)` and the
+    /// Loc-RIB paths' bytes, for the `mem.*_bytes` and `bgp.peer_refs`
+    /// gauges: running totals, so reading them walks nothing.
+    pub fn rib_footprints(&self) -> (RibFootprint, RibFootprint, usize) {
         self.rib.footprints()
     }
 
@@ -825,56 +827,65 @@ impl Step<'_> {
         if self.policy.governs(prefix) {
             return None;
         }
-        let arrival =
-            held(slot.rib_in(), from).map(|a| Route::learned(prefix, Arc::clone(a), from));
+        let arrival = held(slot.rib_in(), from)
+            .map(|a| Path::new(Route::learned(prefix, Arc::clone(a), from), 0));
         let entry = slot.loc.as_mut()?;
         if entry.fib_warm_only {
             return None;
         }
-        let incumbent = PathPreference::of(entry.selected.first()?);
+        // The advertised path is the native best: the local route (last) if
+        // installed, else the lowest session (first). Only an edit at 0
+        // displaces a learned one; the index follows from the paths.
+        let native_best = |paths: &[Path]| match paths.last() {
+            Some(last) if last.nexthop == Path::LOCAL => paths.len() - 1,
+            _ => 0,
+        };
+        let paths = &mut entry.paths;
+        let local = paths.last()?.nexthop == Path::LOCAL;
+        let incumbent = PathPreference::of(&paths[0].attrs);
         debug_assert!(
-            entry
-                .selected
+            paths
                 .iter()
-                .all(|r| PathPreference::of(r).multipath_equal(&incumbent))
-                && entry.selected.windows(2).all(|w| match w[0].learned_from {
-                    Some(a) => w[1].learned_from.is_none_or(|b| a < b),
-                    None => false,
-                }),
+                .all(|path| PathPreference::of(&path.attrs).multipath_equal(&incumbent))
+                && paths.windows(2).all(|w| w[0].nexthop < w[1].nexthop)
+                && entry.advertised as usize == native_best(paths),
             "{prefix}: installed entry is not a native multipath set — a hook \
              change was not followed by reevaluate_all"
         );
-        let selected = &mut entry.selected;
-        let at = selected.partition_point(|r| r.learned_from.is_some_and(|p| p < from));
-        let held = selected
-            .get(at)
-            .is_some_and(|r| r.learned_from == Some(from));
-        match arrival.map(|r| (PathPreference::of(&r).compare(&incumbent), r)) {
-            Some((Ordering::Greater, route)) => {
-                selected.clear();
-                selected.push(route);
-            }
-            Some((Ordering::Equal, route)) if held => selected[at] = route,
-            Some((Ordering::Equal, route)) => selected.insert(at, route),
-            // Withdrawn, or worse than the incumbent.
-            _ if !held => {
-                self.note_decision(prefix, true, true, false);
-                return Some(false);
-            }
-            _ if selected.len() == 1 => return None,
-            _ => {
-                selected.remove(at);
-            }
-        }
-        weights_for(prefix, selected, self.policy, &mut entry.weights);
-        let had_path = entry.advertised.is_some();
-        let best = best_route(&entry.selected);
-        let advertisement_moved = entry.advertised.as_ref() != best;
-        if advertisement_moved {
-            entry.advertised = best.cloned();
-        }
+        let at = paths.partition_point(|path| path.nexthop < from.0);
+        let held = paths.get(at).is_some_and(|path| path.nexthop == from.0);
+        let advertisement_moved =
+            match arrival.map(|a| (PathPreference::of(&a.attrs).compare(&incumbent), a)) {
+                Some((Ordering::Greater, path)) => {
+                    paths.clear();
+                    paths.push(path);
+                    true
+                }
+                Some((Ordering::Equal, path)) if held => {
+                    let moved = at == native_best(paths) && paths[at].attrs != path.attrs;
+                    paths[at] = path;
+                    moved
+                }
+                Some((Ordering::Equal, path)) => {
+                    paths.insert(at, path);
+                    !local && at == 0
+                }
+                // Withdrawn, or worse than the incumbent.
+                _ if !held => {
+                    self.note_decision(prefix, true, true, false);
+                    return Some(false);
+                }
+                _ if paths.len() == 1 => return None,
+                _ => {
+                    paths.remove(at);
+                    !local && at == 0
+                }
+            };
+        entry.advertised = native_best(paths) as u32;
+        // The hook governs nothing here, so it prescribes no weights.
+        wcmp::derive_weights_into(&mut entry.paths);
         self.plane.program(prefix, Some(entry));
-        self.note_decision(prefix, had_path, true, advertisement_moved);
+        self.note_decision(prefix, true, true, advertisement_moved);
         Some(advertisement_moved)
     }
 
@@ -884,13 +895,15 @@ impl Step<'_> {
     /// this can move (see the module docs).
     fn decide_prefix(&mut self, prefix: Prefix, slot: &mut PrefixState) -> bool {
         let (cfg, policy) = (self.cfg, self.policy);
-        let candidates = candidates_of(self.peers, prefix, slot);
-        // Only the previously advertised route is needed unconditionally
-        // (for the advertisement-moved comparison); the full previous entry
-        // is cloned lazily inside the rare keep-warm branches.
-        let prev_advertised: Option<Route> = slot.loc.as_ref().and_then(|e| e.advertised.clone());
-
+        let mut candidates = candidates_of(self.peers, prefix, slot);
         let choice = (!candidates.is_empty()).then(|| policy.select_paths(prefix, &candidates));
+        // The index of the selection's best route, or of its least favorable.
+        let rank = |s: &[Route], best: bool| {
+            (0..s.len()).max_by(|&a, &b| match compare_routes(&s[a], &s[b]) {
+                order if best => order,
+                order => order.reverse(),
+            })
+        };
         let new_entry: Option<LocRibEntry> = match choice {
             None => None,
             // Path Selection RPA outcome.
@@ -904,32 +917,23 @@ impl Step<'_> {
                         None
                     }
                 } else {
-                    let selected = take_selected(candidates, &sel.selected);
-                    let mut weights = Vec::new();
-                    weights_for(prefix, &selected, policy, &mut weights);
+                    let mut indices = sel.selected;
+                    keep_selected(&mut candidates, &mut indices);
                     let advertised = match sel.advertise {
                         AdvertiseChoice::Withdraw => None,
-                        AdvertiseChoice::NativeBest => best_route(&selected).cloned(),
+                        AdvertiseChoice::NativeBest => rank(&candidates, true),
                         AdvertiseChoice::LeastFavorable => {
-                            if cfg.least_favorable_advertisement {
-                                selected.iter().min_by(|a, b| compare_routes(a, b)).cloned()
-                            } else {
-                                best_route(&selected).cloned()
-                            }
+                            rank(&candidates, !cfg.least_favorable_advertisement)
                         }
                     };
-                    Some(LocRibEntry {
-                        selected,
-                        weights,
-                        advertised,
-                        fib_warm_only: false,
-                    })
+                    Some(install(prefix, candidates, advertised, policy))
                 }
             }
             // Native selection, under the governing statement's guard.
             Some(PathChoice::Native(guard)) => {
-                let indices = multipath_set(&candidates);
-                let selected = take_selected(candidates, &indices);
+                let mut indices = multipath_set(&candidates);
+                keep_selected(&mut candidates, &mut indices);
+                let selected = candidates;
                 // BgpNativeMinNextHop guard (§4.3): count learned next-hops.
                 let nexthop_count = selected.iter().filter(|r| r.learned_from.is_some()).count();
                 let violated_keep_warm = match guard {
@@ -945,16 +949,9 @@ impl Step<'_> {
                         // the previous FIB state — which still spreads over
                         // the full next-hop set, drained members included —
                         // and advertise nothing.
-                        let prior = slot.loc.clone().unwrap_or_else(|| {
-                            let mut weights = Vec::new();
-                            weights_for(prefix, &selected, policy, &mut weights);
-                            LocRibEntry {
-                                selected,
-                                weights,
-                                advertised: None,
-                                fib_warm_only: true,
-                            }
-                        });
+                        let prior = slot.loc.clone();
+                        let prior =
+                            prior.unwrap_or_else(|| install(prefix, selected, None, policy));
                         warm_entry(self.peers, prior)
                     } else {
                         None
@@ -962,21 +959,18 @@ impl Step<'_> {
                 } else if selected.is_empty() {
                     None
                 } else {
-                    let mut weights = Vec::new();
-                    weights_for(prefix, &selected, policy, &mut weights);
-                    let advertised = best_route(&selected).cloned();
-                    Some(LocRibEntry {
-                        selected,
-                        weights,
-                        advertised,
-                        fib_warm_only: false,
-                    })
+                    let advertised = rank(&selected, true);
+                    Some(install(prefix, selected, advertised, policy))
                 }
             }
         };
 
-        let prev_adv = prev_advertised.as_ref();
-        let new_adv = new_entry.as_ref().and_then(|e| e.advertised.as_ref());
+        // The advertised route, compared in place: next hop and body.
+        fn advert(entry: Option<&LocRibEntry>) -> Option<(u64, &PathAttributes)> {
+            let path = entry?.advertised()?;
+            Some((path.nexthop, &*path.attrs))
+        }
+        let (prev_adv, new_adv) = (advert(slot.loc.as_ref()), advert(new_entry.as_ref()));
         let advertisement_moved = prev_adv != new_adv;
         self.note_decision(
             prefix,
@@ -1024,7 +1018,7 @@ impl Step<'_> {
     /// a decision that left the advertisement where it was.
     fn export_prefix(&mut self, prefix: Prefix, slot: &mut PrefixState, out: &mut Outbox) {
         // Reads the *installed* entry: call after the decision installed it.
-        let mut advertised = Export::of(self.cfg, self.peers, slot.loc.as_ref());
+        let mut advertised = Export::of(self.cfg, self.peers, prefix, slot.loc.as_ref());
         let policy = self.policy;
         let evals = &mut self.counts[2];
         // Under a pass-through export policy each want is the body `Arc`
@@ -1049,39 +1043,32 @@ impl Step<'_> {
 /// since gone down are pruned — forwarding onto a dead session is a
 /// black-hole, not warmth — and `None` is returned when nothing is left.
 fn warm_entry(peers: &FlatMap<PeerId, PeerState>, prior: LocRibEntry) -> Option<LocRibEntry> {
-    let (selected, weights): (Vec<Route>, Vec<u32>) = prior
-        .selected
-        .into_iter()
-        .zip(prior.weights)
-        .filter(|(r, _)| {
-            r.learned_from
-                .map(|p| established(peers, p))
-                .unwrap_or(true)
-        })
-        .unzip();
-    if selected.is_empty() {
-        return None;
-    }
-    Some(LocRibEntry {
-        selected,
-        weights,
-        advertised: None,
-        fib_warm_only: true,
-    })
+    let mut paths = prior.paths;
+    paths.retain(|path| path.learned_from().is_none_or(|p| established(peers, p)));
+    (!paths.is_empty()).then(|| LocRibEntry::new(paths, None, true))
 }
 
-/// Write `selected`'s weights into `weights`, reusing its allocation unless
-/// the hook assigns them: WCMP over the link-bandwidth communities
-/// otherwise.
-fn weights_for(prefix: Prefix, selected: &[Route], policy: &dyn RibPolicy, weights: &mut Vec<u32>) {
-    if let Some(w) = policy.assign_weights(prefix, selected) {
-        debug_assert_eq!(w.len(), selected.len(), "hook weights must be parallel");
-        if w.len() == selected.len() {
-            *weights = w;
-            return;
-        }
+/// The entry installing `selected` as paths in one allocation, advertising
+/// `selected[advertised]` and weighed by the hook's Route Attribute answer,
+/// or else by WCMP over the link-bandwidth communities.
+fn install(
+    prefix: Prefix,
+    selected: Vec<Route>,
+    advertised: Option<usize>,
+    policy: &dyn RibPolicy,
+) -> LocRibEntry {
+    let hooked = policy.assign_weights(prefix, &selected);
+    debug_assert!(hooked.as_ref().is_none_or(|w| w.len() == selected.len()));
+    let mut paths = Vec::with_capacity(selected.len());
+    paths.extend(selected.into_iter().map(|route| Path::new(route, 0)));
+    match hooked.filter(|w| w.len() == paths.len()) {
+        Some(w) => paths
+            .iter_mut()
+            .zip(w)
+            .for_each(|(path, w)| path.weight = w),
+        None => wcmp::derive_weights_into(&mut paths),
     }
-    wcmp::derive_weights_into(selected, weights);
+    LocRibEntry::new(paths, advertised, false)
 }
 
 /// Effective capacity (Gbps) behind a Loc-RIB entry: the sum over selected
@@ -1092,12 +1079,11 @@ fn weights_for(prefix: Prefix, selected: &[Route], policy: &dyn RibPolicy, weigh
 /// attached and receivers fall back to their own link capacities.
 fn effective_capacity(peers: &FlatMap<PeerId, PeerState>, entry: &LocRibEntry) -> Option<f64> {
     let mut caps = entry
-        .selected
+        .paths
         .iter()
-        .filter_map(|r| {
-            let peer = r.learned_from?;
-            let link = peers.get(&peer)?.cfg.link_capacity_gbps;
-            Some(match r.attrs.link_bandwidth_gbps {
+        .filter_map(|path| {
+            let link = peers.get(&path.learned_from()?)?.cfg.link_capacity_gbps;
+            Some(match path.attrs.link_bandwidth_gbps {
                 Some(bw) => bw.min(link),
                 None => link,
             })
@@ -1124,16 +1110,18 @@ struct Export<'a> {
 }
 
 impl<'a> Export<'a> {
-    /// The export of `entry`'s advertised route, if it has one.
+    /// The export of `entry`'s advertised route toward `prefix`, if it has
+    /// one.
     fn of(
         cfg: &'a DaemonConfig,
         peers: &FlatMap<PeerId, PeerState>,
+        prefix: Prefix,
         entry: Option<&LocRibEntry>,
     ) -> Option<Self> {
         let entry = entry?;
         Some(Export {
             cfg,
-            route: entry.advertised.clone()?,
+            route: entry.advertised()?.route(prefix),
             bandwidth: cfg.wcmp_advertise.then(|| effective_capacity(peers, entry)),
             body: None,
         })
@@ -1274,7 +1262,7 @@ mod tests {
             vec![Asn(1), Asn(2), Asn(5)]
         );
         let entry = d.loc_rib_entry(p("0.0.0.0/0")).unwrap();
-        assert_eq!(entry.selected.len(), 1);
+        assert_eq!(entry.paths().len(), 1);
         assert_eq!(d.fib().len(), 1);
     }
 
@@ -1825,12 +1813,7 @@ mod tests {
         // A keep-warm entry no route backs any more.
         let warm = Route::learned(loc_rib_only, tagged(&[2, 9], c1), PeerId(10));
         d.rib.with_slot(loc_rib_only, |slot| {
-            slot.loc = Some(LocRibEntry {
-                selected: vec![warm],
-                weights: vec![1],
-                advertised: None,
-                fib_warm_only: true,
-            })
+            slot.loc = Some(LocRibEntry::new(vec![Path::new(warm, 1)], None, true))
         });
 
         let mut expected = BTreeSet::new();
@@ -1865,5 +1848,76 @@ mod tests {
         assert!(view.any(|a| a.has_community(c1)) && !view.any(|a| a.has_community(c2)));
         let (_, view) = d.known().find(|(p, _)| *p == overlapping).unwrap();
         assert!(!view.any(|a| a.has_community(c1)) && view.any(|a| a.has_community(c2)));
+    }
+
+    #[test]
+    fn the_advertised_index_follows_the_incumbent_edits() {
+        use crate::attrs::Community;
+        use crate::decision::best_route;
+        let prefix = p("0.0.0.0/0");
+        // Every body is two hops long: one preference, told apart by a tag.
+        let body = |tag: u16| {
+            let mut attrs = PathAttributes::originated([Community::from_pair(65000, tag)]);
+            attrs.prepend(Asn(9), 1);
+            attrs.prepend(Asn(8), 1);
+            attrs
+        };
+        let mut d = daemon(1);
+        for peer in [0, 1, 2, 4, 6, 9] {
+            connect(&mut d, peer, 100 + peer as u32);
+        }
+        // After each step the entry advertises the best of what it holds,
+        // and holds the whole multipath set.
+        let check = |d: &BgpDaemon, step: &str| {
+            let entry = d.loc_rib_entry(prefix).expect(step);
+            let routes: Vec<Route> = entry
+                .paths()
+                .iter()
+                .map(|path| path.route(prefix))
+                .collect();
+            let advertised = entry.advertised().map(|path| path.route(prefix));
+            assert_eq!(advertised.as_ref(), best_route(&routes), "{step}");
+            let candidates = d.candidates(prefix);
+            let set: Vec<&Route> = multipath_set(&candidates)
+                .iter()
+                .map(|&i| &candidates[i])
+                .collect();
+            assert_eq!(routes.iter().collect::<Vec<_>>(), set, "{step}");
+        };
+        let step = |d: &mut BgpDaemon, peer: u64, tag: Option<u16>| {
+            let update = match tag {
+                Some(tag) => UpdateMessage::announce(prefix, body(tag)),
+                None => UpdateMessage::withdraw(prefix),
+            };
+            d.ingest(PeerId(peer), update, &NativePolicy);
+            decided(d, &NativePolicy);
+            check(d, &format!("session {peer}, {tag:?}"));
+        };
+        // The local route holds the advertisement, last: every learned
+        // path lands below it.
+        d.originate(prefix, body(100));
+        decided(&mut d, &NativePolicy);
+        for (peer, tag) in [(2, Some(1)), (6, Some(1)), (4, Some(1)), (1, Some(1))] {
+            step(&mut d, peer, tag);
+        }
+        for (peer, tag) in [(4, Some(2)), (2, None), (6, None), (1, Some(3))] {
+            step(&mut d, peer, tag);
+        }
+        // The lowest session holds it, first: arrivals land at and above it.
+        d.withdraw_origin(prefix);
+        decided(&mut d, &NativePolicy);
+        check(&d, "origination withdrawn");
+        for (peer, tag) in [(0, Some(1)), (0, Some(2)), (9, Some(1)), (2, Some(1))] {
+            step(&mut d, peer, tag);
+        }
+        for (peer, tag) in [(0, None), (9, None), (1, None), (2, Some(5))] {
+            step(&mut d, peer, tag);
+        }
+        // And back below a local route.
+        d.originate(prefix, body(100));
+        decided(&mut d, &NativePolicy);
+        for (peer, tag) in [(0, Some(1)), (4, None), (9, Some(1)), (0, None)] {
+            step(&mut d, peer, tag);
+        }
     }
 }

@@ -14,6 +14,7 @@
 //! Locally-originated routes always win (empty AS-path + step 5 never
 //! reached against a local route).
 
+use crate::attrs::PathAttributes;
 use crate::rib::Route;
 use std::cmp::Ordering;
 
@@ -29,13 +30,13 @@ pub struct PathPreference {
 }
 
 impl PathPreference {
-    /// Extract the preference key from a route.
-    pub fn of(route: &Route) -> Self {
+    /// Extract the preference key from a route's attributes.
+    pub fn of(attrs: &PathAttributes) -> Self {
         PathPreference {
-            local_pref: route.attrs.local_pref,
-            as_path_len: route.attrs.as_path_len(),
-            origin_rank: route.attrs.origin as u8,
-            med: route.attrs.med,
+            local_pref: attrs.local_pref,
+            as_path_len: attrs.as_path_len(),
+            origin_rank: attrs.origin as u8,
+            med: attrs.med,
         }
     }
 
@@ -58,8 +59,8 @@ impl PathPreference {
 /// Full comparison including the deterministic tie-break. `Greater` means `a`
 /// is preferred over `b`.
 pub fn compare_routes(a: &Route, b: &Route) -> Ordering {
-    PathPreference::of(a)
-        .compare(&PathPreference::of(b))
+    PathPreference::of(&a.attrs)
+        .compare(&PathPreference::of(&b.attrs))
         .then_with(|| {
             // Tie-break: local routes beat learned; then lowest session id wins,
             // expressed as reverse ordering on the id.
@@ -83,20 +84,20 @@ pub fn best_route(candidates: &[Route]) -> Option<&Route> {
 pub fn multipath_set(candidates: &[Route]) -> Vec<usize> {
     let Some(best) = candidates
         .iter()
-        .map(PathPreference::of)
+        .map(|r| PathPreference::of(&r.attrs))
         .max_by(|a, b| a.compare(b))
     else {
         return Vec::new();
     };
     (0..candidates.len())
-        .filter(|&i| PathPreference::of(&candidates[i]).multipath_equal(&best))
+        .filter(|&i| PathPreference::of(&candidates[i].attrs).multipath_equal(&best))
         .collect()
 }
 
 #[cfg(test)]
 mod tests {
     use super::*;
-    use crate::attrs::{Origin, PathAttributes};
+    use crate::attrs::Origin;
     use crate::types::{PeerId, Prefix};
     use centralium_topology::Asn;
 

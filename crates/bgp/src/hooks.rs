@@ -35,8 +35,8 @@ pub enum AdvertiseChoice {
 /// Result of a Path Selection hook for one prefix.
 #[derive(Debug, Clone, PartialEq)]
 pub struct Selection {
-    /// Indices into the candidate slice of the routes selected for
-    /// forwarding. Empty + `advertise == Withdraw` encodes "nothing usable".
+    /// Indices of the candidates selected for forwarding, distinct and in
+    /// bounds or the decision panics. Empty + `advertise == Withdraw` encodes "nothing usable".
     pub selected: Vec<usize>,
     /// How to pick the advertised route.
     pub advertise: AdvertiseChoice,

@@ -51,5 +51,5 @@ pub use hooks::{AdvertiseChoice, NativePolicy, PathChoice, RibPolicy, Selection}
 pub use msg::{BgpMessage, UpdateMessage};
 pub use outbox::Outbox;
 pub use policy::{Action, MatchExpr, Policy, PolicyRule, PolicyVerdict};
-pub use rib::{LocRibEntry, RibFootprint, Route};
+pub use rib::{LocRibEntry, Path, RibFootprint, Route};
 pub use types::{PeerId, Prefix};

@@ -10,6 +10,9 @@
 //! step and searches only the gap to the next slot. A slot lives while any
 //! part holds something; a fan that empties drops its allocation.
 //!
+//! The Loc-RIB entry is one allocation of installed [`Path`]s (body,
+//! next-hop word, weight), an index to the advertised one and a bit.
+//!
 //! Both fans are session-sorted tables of `(peer, Arc<PathAttributes>)` — the
 //! per-destination `(route, peer)` table a speaker walks to gather
 //! candidates. Attribute bodies are shared, never interned: the export pass
@@ -61,11 +64,6 @@ impl Route {
             attrs: attrs.into(),
             learned_from: None,
         }
-    }
-
-    /// Whether the route came from the local speaker.
-    pub fn is_local(&self) -> bool {
-        self.learned_from.is_none()
     }
 }
 
@@ -241,11 +239,11 @@ impl PrefixState {
     }
 }
 
-/// Running totals over every slot of a [`PrefixTable`]: the in-fans'
-/// entries and bytes, the out-fans' entries and bytes (see
-/// [`RibFootprint`]), and the installed Loc-RIB entries.
+/// Running totals over every slot of a [`PrefixTable`]: the in-fans' and
+/// out-fans' entries and bytes (see [`RibFootprint`]), the installed Loc-RIB
+/// entries and their paths' bytes (capacity-based).
 #[derive(Debug, Clone, Copy, Default, PartialEq, Eq)]
-struct Totals([usize; 5]);
+struct Totals([usize; 6]);
 
 impl Totals {
     /// What one slot adds to the totals.
@@ -259,13 +257,14 @@ impl Totals {
             }
         };
         let (rib_in, rib_out) = (&slot.rib_in, &slot.rib_out);
-        let installed = usize::from(slot.loc.is_some());
+        let paths = slot.loc.as_ref().map(|loc| &loc.paths);
         Totals([
             rib_in.len(),
             bytes(rib_in),
             rib_out.len(),
             bytes(rib_out),
-            installed,
+            usize::from(paths.is_some()),
+            paths.map_or(0, |p| p.capacity() * std::mem::size_of::<Path>()),
         ])
     }
 
@@ -353,11 +352,12 @@ impl PrefixTable {
         });
     }
 
-    /// Footprints of the adjacency RIBs `(in, out)`: running totals, O(1).
-    pub fn footprints(&self) -> (RibFootprint, RibFootprint) {
-        let [in_refs, in_bytes, out_refs, out_bytes, _] = self.totals.0;
+    /// Footprints of the adjacency RIBs `(in, out)` and the bytes of the
+    /// Loc-RIB entries' paths (capacity-based): running totals, O(1).
+    pub fn footprints(&self) -> (RibFootprint, RibFootprint, usize) {
+        let [in_refs, in_bytes, out_refs, out_bytes, _, loc_bytes] = self.totals.0;
         let fp = |peer_refs, bytes| RibFootprint { peer_refs, bytes };
-        (fp(in_refs, in_bytes), fp(out_refs, out_bytes))
+        (fp(in_refs, in_bytes), fp(out_refs, out_bytes), loc_bytes)
     }
 
     /// Slots with an installed Loc-RIB entry.
@@ -366,66 +366,119 @@ impl PrefixTable {
     }
 }
 
-/// Move the routes at `indices` out of an owned candidate set.
-///
-/// The decision process gathers candidates once (materialized out of the
-/// Adj-RIB-In) and then used to clone each selected route a *second* time
-/// when assembling the [`LocRibEntry`]. Since the candidate set is discarded
-/// after selection, the selected routes can simply be moved out. Indices must
-/// be distinct (each candidate can be selected at most once) and in bounds —
-/// both guaranteed by the native selectors and required of RPA hooks.
-pub(crate) fn take_selected(candidates: Vec<Route>, indices: &[usize]) -> Vec<Route> {
-    let mut slots: Vec<Option<Route>> = candidates.into_iter().map(Some).collect();
-    indices
-        .iter()
-        .map(|&i| slots[i].take().expect("selection indices must be distinct"))
-        .collect()
+/// Move the candidates at `indices` to the front of `candidates`, in that
+/// order, and drop the rest: the selected set in the candidates' own
+/// allocation. Indices must be distinct and in bounds, or it panics; the
+/// native and RPA selectors ascend, so checking them costs one pass.
+/// `indices` is left scrambled.
+pub(crate) fn keep_selected(candidates: &mut Vec<Route>, indices: &mut [usize]) {
+    assert!(
+        indices.windows(2).all(|w| w[0] < w[1])
+            || (1..indices.len()).all(|j| !indices[..j].contains(&indices[j])),
+        "selection indices must be distinct"
+    );
+    for j in 0..indices.len() {
+        // Step `p` swapped what stood at `p` to `indices[p]`: follow the
+        // wanted candidate past the steps already taken.
+        let mut at = indices[j];
+        while at < j {
+            at = indices[at];
+        }
+        candidates.swap(j, at);
+        indices[j] = at;
+    }
+    candidates.truncate(indices.len());
 }
 
-/// The outcome of path selection for one prefix, as installed in the Loc-RIB.
+/// One installed path of a [`LocRibEntry`]: the body, the next hop and the
+/// WCMP weight. The prefix is the slot's, so the path does not repeat it.
+#[derive(Debug, Clone, PartialEq)]
+pub struct Path {
+    /// The path's attributes, shared with the Adj-RIB-In.
+    pub attrs: Arc<PathAttributes>,
+    /// The session the path was learned on, `u64::MAX` for the local route:
+    /// a native entry's "ascending by session, local last" is ascending.
+    pub(crate) nexthop: u64,
+    /// Relative WCMP weight.
+    pub weight: u32,
+}
+
+impl Path {
+    /// The next-hop word of the locally-originated route.
+    pub(crate) const LOCAL: u64 = u64::MAX;
+
+    /// `route` installed with `weight`.
+    pub fn new(route: Route, weight: u32) -> Self {
+        let nexthop = route.learned_from.map_or(Path::LOCAL, |p| p.0);
+        Path {
+            attrs: route.attrs,
+            nexthop,
+            weight,
+        }
+    }
+
+    /// The session the path was learned on; `None` for the local route.
+    pub fn learned_from(&self) -> Option<PeerId> {
+        (self.nexthop != Path::LOCAL).then_some(PeerId(self.nexthop))
+    }
+
+    /// The path as a route toward `prefix`: one `Arc` bump.
+    pub fn route(&self, prefix: Prefix) -> Route {
+        let learned_from = self.learned_from();
+        Route {
+            learned_from,
+            ..Route::local(prefix, Arc::clone(&self.attrs))
+        }
+    }
+}
+
+/// The outcome of path selection for one prefix: one allocation of paths.
 #[derive(Debug, Clone, PartialEq)]
 pub struct LocRibEntry {
-    /// Routes selected for forwarding (the multipath set).
-    pub selected: Vec<Route>,
-    /// Per-selected-route relative WCMP weights, parallel to `selected`.
-    pub weights: Vec<u32>,
-    /// The route to advertise to peers, if any. Under native BGP this is the
-    /// single best path; under a Path Selection RPA it is the *least
-    /// favorable* selected route (§5.3.1 loop-avoidance rule).
-    pub advertised: Option<Route>,
+    /// The paths selected for forwarding (the multipath set), in the order
+    /// the decision selected them.
+    pub(crate) paths: Vec<Path>,
+    /// Index into `paths` of the path to advertise, `u32::MAX` for none: the
+    /// native best path, or under a Path Selection RPA the *least favorable*
+    /// selected one (§5.3.1 loop-avoidance rule).
+    pub(crate) advertised: u32,
     /// True when the entry is kept in the FIB despite being withdrawn from
     /// peers (`KeepFibWarmIfMnhViolated`, §4.3).
     pub fib_warm_only: bool,
 }
 
+const _: () = assert!(std::mem::size_of::<Path>() <= 24);
+const _: () = assert!(std::mem::size_of::<LocRibEntry>() <= 32);
+const _: () = assert!(std::mem::size_of::<PrefixState>() <= 88);
+
 impl LocRibEntry {
-    /// Entry with equal weights.
-    pub fn ecmp(selected: Vec<Route>, advertised: Option<Route>) -> Self {
-        let weights = vec![1; selected.len()];
+    /// An entry installing `paths` and advertising `paths[advertised]`.
+    pub fn new(paths: Vec<Path>, advertised: Option<usize>, fib_warm_only: bool) -> Self {
+        assert!(advertised.is_none_or(|i| i < paths.len()));
+        let advertised = advertised.map_or(u32::MAX, |i| i as u32);
         LocRibEntry {
-            selected,
-            weights,
+            paths,
             advertised,
-            fib_warm_only: false,
+            fib_warm_only,
         }
     }
 
-    /// The forwarding projection, borrowed in place: each selected learned
-    /// route's session and weight, in selection order.
-    pub fn fib_nexthops(&self) -> impl Iterator<Item = (PeerId, u32)> + '_ {
-        self.selected
-            .iter()
-            .zip(&self.weights)
-            .filter_map(|(r, w)| r.learned_from.map(|p| (p, *w)))
+    /// The installed paths, in selection order.
+    pub fn paths(&self) -> &[Path] {
+        &self.paths
     }
 
-    /// Next-hop sessions of the selected routes (local routes contribute no
-    /// next-hop).
-    pub fn nexthop_sessions(&self) -> Vec<PeerId> {
-        self.selected
+    /// The path to advertise to peers, if any: always an installed one.
+    pub fn advertised(&self) -> Option<&Path> {
+        self.paths.get(self.advertised as usize)
+    }
+
+    /// The forwarding projection, borrowed in place: each selected learned
+    /// path's session and weight, in selection order.
+    pub fn fib_nexthops(&self) -> impl Iterator<Item = (PeerId, u32)> + '_ {
+        self.paths
             .iter()
-            .filter_map(|r| r.learned_from)
-            .collect()
+            .filter_map(|path| Some((path.learned_from()?, path.weight)))
     }
 }
 
@@ -561,10 +614,25 @@ mod tests {
         let r1 = route(1, "0.0.0.0/0");
         let r2 = route(2, "0.0.0.0/0");
         let local = Route::local(p("0.0.0.0/0"), PathAttributes::default());
-        let entry = LocRibEntry::ecmp(vec![r1.clone(), r2, local], Some(r1));
-        assert_eq!(entry.weights, vec![1, 1, 1]);
-        assert_eq!(entry.nexthop_sessions(), vec![PeerId(1), PeerId(2)]);
-        assert!(!entry.fib_warm_only);
+        let paths = [(r2, 3), (local.clone(), 1), (r1.clone(), 2)];
+        let entry = LocRibEntry::new(
+            paths.into_iter().map(|(r, w)| Path::new(r, w)).collect(),
+            Some(2),
+            false,
+        );
+        let hops: Vec<_> = entry.fib_nexthops().collect();
+        assert_eq!(hops, vec![(PeerId(2), 3), (PeerId(1), 2)]);
+        assert_eq!(entry.advertised().unwrap().route(p("0.0.0.0/0")), r1);
+        assert_eq!(entry.paths()[1].route(p("0.0.0.0/0")), local);
+        assert!(entry.paths()[1].learned_from().is_none());
+        let silent = LocRibEntry::new(entry.paths().to_vec(), None, true);
+        assert!(silent.advertised().is_none() && silent.fib_warm_only);
+    }
+
+    #[test]
+    #[should_panic(expected = "assertion failed: advertised")]
+    fn an_entry_advertises_only_an_installed_path() {
+        LocRibEntry::new(vec![Path::new(route(1, "0.0.0.0/0"), 1)], Some(1), false);
     }
 
     #[test]
@@ -612,7 +680,9 @@ mod tests {
                     let on = next(2) == 0;
                     table.with_slot(prefix, |s| {
                         s.origination = on.then(|| Arc::clone(&attrs));
-                        s.loc = (next(2) == 0).then(|| LocRibEntry::ecmp(Vec::new(), None));
+                        let paths =
+                            vec![Path::new(route(peer.0, "0.0.0.0/0"), 1); next(5) as usize];
+                        s.loc = (next(2) == 0).then(|| LocRibEntry::new(paths, None, false));
                     });
                 }
             }
@@ -623,6 +693,8 @@ mod tests {
             );
         }
         assert!(table.walked().0[1] > 0, "the mix leaves state behind");
+        assert_eq!(table.footprints().2, table.walked().0[5]);
+        assert!(table.footprints().2 > 0, "and installed paths");
     }
 
     proptest::proptest! {
@@ -728,22 +800,40 @@ mod tests {
     }
 
     #[test]
-    fn take_selected_moves_by_index() {
-        let cands = vec![
-            route(1, "0.0.0.0/0"),
-            route(2, "0.0.0.0/0"),
-            route(3, "0.0.0.0/0"),
-        ];
-        let selected = take_selected(cands, &[2, 0]);
-        assert_eq!(selected.len(), 2);
-        assert_eq!(selected[0].learned_from, Some(PeerId(3)));
-        assert_eq!(selected[1].learned_from, Some(PeerId(1)));
+    fn keep_selected_moves_the_selection_to_the_front_in_its_order() {
+        let peers = |routes: &[Route]| -> Vec<u64> {
+            routes.iter().map(|r| r.learned_from.unwrap().0).collect()
+        };
+        // Every ordered selection of distinct indices out of five (326).
+        let mut selections: Vec<Vec<usize>> = vec![Vec::new()];
+        let mut i = 0;
+        while let Some(taken) = selections.get(i).cloned() {
+            for next in (0..5).filter(|n| !taken.contains(n)) {
+                selections.push([taken.as_slice(), &[next]].concat());
+            }
+            i += 1;
+        }
+        assert_eq!(selections.len(), 326);
+        for indices in selections {
+            let mut cands: Vec<Route> = (0..5).map(|i| route(i, "0.0.0.0/0")).collect();
+            let want: Vec<u64> = indices.iter().map(|&i| i as u64).collect();
+            keep_selected(&mut cands, &mut indices.clone());
+            assert_eq!(peers(&cands), want, "{indices:?}");
+        }
     }
 
     #[test]
     #[should_panic(expected = "selection indices must be distinct")]
-    fn take_selected_rejects_duplicate_indices() {
-        let cands = vec![route(1, "0.0.0.0/0")];
-        take_selected(cands, &[0, 0]);
+    fn keep_selected_rejects_duplicate_indices() {
+        let mut cands = vec![route(1, "0.0.0.0/0"), route(2, "0.0.0.0/0")];
+        keep_selected(&mut cands, &mut [1, 1]);
+    }
+
+    #[test]
+    #[should_panic(expected = "selection indices must be distinct")]
+    fn keep_selected_rejects_a_repeated_first_index() {
+        // Unchecked, `[0, 0]` would spin the walk forever.
+        let mut cands = vec![route(1, "0.0.0.0/0"), route(2, "0.0.0.0/0")];
+        keep_selected(&mut cands, &mut [0, 0]);
     }
 }

@@ -7,7 +7,7 @@
 //! set's bandwidth values into small integer weights (hardware hashes over
 //! integer replication counts, so values are reduced by their GCD and capped).
 
-use crate::rib::Route;
+use crate::rib::{Path, Route};
 
 /// Maximum per-path integer weight after reduction, mirroring ASIC limits on
 /// ECMP-member replication counts.
@@ -21,25 +21,26 @@ pub(crate) const MAX_WEIGHT: u32 = 64;
 /// * Weights are scaled to integers, reduced by their GCD, and capped at
 ///   `MAX_WEIGHT`.
 pub fn derive_weights(selected: &[Route]) -> Vec<u32> {
-    let mut weights = Vec::with_capacity(selected.len());
-    derive_weights_into(selected, &mut weights);
-    weights
+    let mut paths: Vec<Path> = selected.iter().map(|r| Path::new(r.clone(), 0)).collect();
+    derive_weights_into(&mut paths);
+    paths.iter().map(|path| path.weight).collect()
 }
 
-/// [`derive_weights`] written over `weights`, reusing its allocation: the
-/// bandwidths are read twice from `selected` instead of being collected.
-pub(crate) fn derive_weights_into(selected: &[Route], weights: &mut Vec<u32>) {
-    weights.clear();
-    let bandwidths = || selected.iter().map(|r| r.attrs.link_bandwidth_gbps);
-    if bandwidths().all(|b| b.is_none()) {
-        weights.resize(selected.len(), 1);
+/// [`derive_weights`] written into each path's weight, from the paths'
+/// own bandwidths.
+pub(crate) fn derive_weights_into(paths: &mut [Path]) {
+    let bandwidth = |path: &Path| path.attrs.link_bandwidth_gbps;
+    if paths.iter().all(|path| bandwidth(path).is_none()) {
+        paths.iter_mut().for_each(|path| path.weight = 1);
         return;
     }
-    let min_bw = bandwidths()
-        .flatten()
+    let min_bw = paths
+        .iter()
+        .filter_map(bandwidth)
         .fold(f64::INFINITY, f64::min)
         .max(f64::MIN_POSITIVE);
-    quantize_into(bandwidths().map(|b| b.unwrap_or(min_bw).max(0.0)), weights);
+    let raw = |path: &Path| bandwidth(path).unwrap_or(min_bw).max(0.0);
+    quantize_into(paths, raw, |path| &mut path.weight);
 }
 
 /// Quantize positive real weights into small co-prime integers.
@@ -49,43 +50,44 @@ pub(crate) fn derive_weights_into(selected: &[Route], weights: &mut Vec<u32>) {
 /// multiplier to capture fractional ratios (100:250 → 2:5), then capped at
 /// `MAX_WEIGHT` and reduced by their GCD.
 pub fn quantize(raw: &[f64]) -> Vec<u32> {
-    let mut weights = Vec::with_capacity(raw.len());
-    quantize_into(raw.iter().copied(), &mut weights);
-    weights
+    let mut items: Vec<(f64, u32)> = raw.iter().map(|&w| (w, 0)).collect();
+    quantize_into(&mut items, |item| item.0, |item| &mut item.1);
+    items.into_iter().map(|(_, w)| w).collect()
 }
 
-/// [`quantize`] appended to the empty `weights`.
-fn quantize_into(raw: impl Iterator<Item = f64> + Clone, weights: &mut Vec<u32>) {
-    let min = raw
-        .clone()
+/// [`quantize`] over `items`: each one's `raw` value, its integer written
+/// through `weight`.
+fn quantize_into<T>(items: &mut [T], raw: impl Fn(&T) -> f64, weight: fn(&mut T) -> &mut u32) {
+    let min = items
+        .iter()
+        .map(&raw)
         .filter(|w| *w > 0.0)
         .fold(f64::INFINITY, f64::min);
     if !min.is_finite() {
-        weights.extend(raw.map(|_| 1));
+        items.iter_mut().for_each(|item| *weight(item) = 1);
         return;
     }
     // Multiplier 4 resolves ratios in quarters, enough for capacity planning.
     // An exactly-zero input (a drained link advertising no capacity) keeps
     // weight 0 — it must receive no traffic, not a token share.
-    weights.extend(raw.map(|w| {
-        if w <= 0.0 {
+    for item in items.iter_mut() {
+        let w = raw(item);
+        *weight(item) = if w <= 0.0 {
             0
         } else {
             (((w / min) * 4.0).round() as u32).max(1)
-        }
-    }));
-    let max = *weights.iter().max().expect("non-empty");
+        };
+    }
+    let max = items.iter_mut().map(|i| *weight(i)).max().unwrap_or(0);
     if max > MAX_WEIGHT {
-        for w in weights.iter_mut() {
+        for w in items.iter_mut().map(weight) {
             *w = (((*w as f64 / max as f64) * MAX_WEIGHT as f64).round() as u32).max(1);
         }
     }
-    let g = weights
-        .iter()
-        .filter(|&&w| w > 0)
-        .fold(0, |acc, &w| gcd(acc, w));
+    // A zero weight leaves the fold where it is: gcd(g, 0) = g.
+    let g = items.iter_mut().map(|i| *weight(i)).fold(0, gcd);
     if g > 1 {
-        for w in weights.iter_mut() {
+        for w in items.iter_mut().map(weight) {
             *w /= g;
         }
     }
@@ -172,11 +174,11 @@ mod tests {
             vec![route(1, Some(100.0)), route(2, Some(0.0))],
             vec![],
         ];
-        // One vector through every case, dirty to begin with: each call
-        // replaces whatever the last one left.
-        let mut weights = vec![7; 5];
+        // Dirty weights to begin with: each call replaces them.
         for routes in &cases {
-            derive_weights_into(routes, &mut weights);
+            let mut paths: Vec<Path> = routes.iter().map(|r| Path::new(r.clone(), 7)).collect();
+            derive_weights_into(&mut paths);
+            let weights: Vec<u32> = paths.iter().map(|path| path.weight).collect();
             assert_eq!(weights, derive_weights(routes));
         }
     }

@@ -1,5 +1,6 @@
 //! Property-based tests for the decision process and daemon behaviour.
 
+use centralium_bgp::decision::best_route;
 use centralium_bgp::{
     compare_routes, multipath_set, BgpDaemon, DaemonConfig, NativePolicy, Outbox, PathAttributes,
     PeerConfig, PeerId, Prefix, Route, UpdateMessage,
@@ -41,6 +42,95 @@ fn arb_routes(n: usize) -> impl Strategy<Value = Vec<Route>> {
     })
 }
 
+/// The default route's entry, if installed, advertises one of its
+/// installed paths, and a native entry the best of them.
+fn check_advertised(d: &BgpDaemon) -> Result<(), TestCaseError> {
+    let Some(entry) = d.loc_rib_entry(Prefix::DEFAULT) else {
+        return Ok(());
+    };
+    let advertised = entry.advertised().expect("a native entry advertises");
+    prop_assert!(entry
+        .paths()
+        .iter()
+        .any(|path| std::ptr::eq(path, advertised)));
+    let routes: Vec<Route> = entry
+        .paths()
+        .iter()
+        .map(|path| path.route(Prefix::DEFAULT))
+        .collect();
+    prop_assert_eq!(
+        Some(advertised.route(Prefix::DEFAULT)),
+        best_route(&routes).cloned()
+    );
+    Ok(())
+}
+
+/// Two hops, one preference, told apart by the ASNs (never the own, 1).
+fn arb_tied_attrs() -> impl Strategy<Value = PathAttributes> {
+    (2u32..6, 2u32..100).prop_map(|(first, second)| {
+        let mut attrs = PathAttributes::default();
+        attrs.prepend(Asn(second), 1);
+        attrs.prepend(Asn(first), 1);
+        attrs
+    })
+}
+
+/// Session `i` announces `attrs[i]`, in the order `keys[..n]` sorts the
+/// sessions, after `local` is originated; then every session withdraws, in
+/// the order `keys[n..]` sorts them. One decide per step, each checked.
+fn last_writer(
+    attrs: &[PathAttributes],
+    local: Option<&PathAttributes>,
+    keys: &[u32],
+) -> Result<(), TestCaseError> {
+    let n = attrs.len();
+    let order = |keys: &[u32]| {
+        let mut sessions: Vec<usize> = (0..n).collect();
+        sessions.sort_by_key(|&i| keys[i]);
+        sessions
+    };
+    let mut d = BgpDaemon::new(DaemonConfig::fabric(Asn(1)));
+    for i in 0..n {
+        d.add_peer(PeerConfig::open(PeerId(i as u64), Asn(2 + i as u32), 100.0));
+        d.peer_up(PeerId(i as u64), &NativePolicy);
+    }
+    if let Some(local) = local {
+        d.originate(Prefix::DEFAULT, local.clone());
+        d.decide(&NativePolicy, &mut (), &mut Outbox::default());
+    }
+    for i in order(&keys[..n]) {
+        // Routes containing our ASN will be dropped by loop check; that
+        // must not corrupt state either.
+        d.ingest(
+            PeerId(i as u64),
+            UpdateMessage::announce(Prefix::DEFAULT, attrs[i].clone()),
+            &NativePolicy,
+        );
+        d.decide(&NativePolicy, &mut (), &mut Outbox::default());
+        check_advertised(&d)?;
+    }
+    let surviving = attrs.iter().filter(|a| !a.path_contains(Asn(1))).count();
+    if surviving == 0 && local.is_none() {
+        prop_assert!(d.loc_rib_entry(Prefix::DEFAULT).is_none());
+    } else {
+        let entry = d.loc_rib_entry(Prefix::DEFAULT).unwrap();
+        prop_assert!(!entry.paths().is_empty());
+        prop_assert!(entry.paths().len() <= surviving + usize::from(local.is_some()));
+    }
+    for i in order(&keys[n..2 * n]) {
+        d.ingest(
+            PeerId(i as u64),
+            UpdateMessage::withdraw(Prefix::DEFAULT),
+            &NativePolicy,
+        );
+        d.decide(&NativePolicy, &mut (), &mut Outbox::default());
+        check_advertised(&d)?;
+    }
+    prop_assert_eq!(d.loc_rib_entry(Prefix::DEFAULT).is_none(), local.is_none());
+    prop_assert!(d.fib().is_empty());
+    Ok(())
+}
+
 proptest! {
     #![proptest_config(ProptestConfig::with_cases(64))]
 
@@ -75,8 +165,8 @@ proptest! {
         for &i in &mp {
             for &j in &mp {
                 prop_assert!(
-                    centralium_bgp::PathPreference::of(&routes[i])
-                        .multipath_equal(&centralium_bgp::PathPreference::of(&routes[j]))
+                    centralium_bgp::PathPreference::of(&routes[i].attrs)
+                        .multipath_equal(&centralium_bgp::PathPreference::of(&routes[j].attrs))
                 );
             }
         }
@@ -90,43 +180,26 @@ proptest! {
 
     /// Announce/withdraw sequences leave the daemon's Loc-RIB equal to the
     /// decision over whatever survives — and an announce-then-withdraw of
-    /// everything leaves it empty.
+    /// everything leaves it empty, or holding the local route. After every
+    /// step the entry advertises its native best.
     #[test]
-    fn daemon_state_reflects_last_writer(attrs in proptest::collection::vec(arb_attrs(), 1..6)) {
-        let mut d = BgpDaemon::new(DaemonConfig::fabric(Asn(1)));
-        let n = attrs.len();
-        for i in 0..n {
-            d.add_peer(PeerConfig::open(PeerId(i as u64), Asn(2 + i as u32), 100.0));
-            d.peer_up(PeerId(i as u64), &NativePolicy);
-        }
-        for (i, a) in attrs.iter().enumerate() {
-            // Routes containing our ASN will be dropped by loop check; that
-            // must not corrupt state either.
-            d.ingest(
-                PeerId(i as u64),
-                UpdateMessage::announce(Prefix::DEFAULT, a.clone()),
-                &NativePolicy,
-            );
-            d.decide(&NativePolicy, &mut (), &mut Outbox::default());
-        }
-        let surviving = attrs.iter().filter(|a| !a.path_contains(Asn(1))).count();
-        if surviving == 0 {
-            prop_assert!(d.loc_rib_entry(Prefix::DEFAULT).is_none());
-        } else {
-            let entry = d.loc_rib_entry(Prefix::DEFAULT).unwrap();
-            prop_assert!(!entry.selected.is_empty());
-            prop_assert!(entry.selected.len() <= surviving);
-        }
-        for i in 0..n {
-            d.ingest(
-                PeerId(i as u64),
-                UpdateMessage::withdraw(Prefix::DEFAULT),
-                &NativePolicy,
-            );
-            d.decide(&NativePolicy, &mut (), &mut Outbox::default());
-        }
-        prop_assert!(d.loc_rib_entry(Prefix::DEFAULT).is_none());
-        prop_assert!(d.fib().is_empty());
+    fn daemon_state_reflects_last_writer(
+        attrs in proptest::collection::vec(arb_attrs(), 1..6),
+        local in proptest::option::of(arb_attrs()),
+        keys in proptest::collection::vec(0u32..1000, 16),
+    ) {
+        last_writer(&attrs, local.as_ref(), &keys)?;
+    }
+
+    /// The same, with every route of one preference: each arrival ties the
+    /// incumbent and lands below, at or above the advertised path.
+    #[test]
+    fn tied_arrivals_keep_the_native_best_advertised(
+        attrs in proptest::collection::vec(arb_tied_attrs(), 1..8),
+        local in proptest::option::of(arb_tied_attrs()),
+        keys in proptest::collection::vec(0u32..1000, 16),
+    ) {
+        last_writer(&attrs, local.as_ref(), &keys)?;
     }
 
     /// Weight derivation is scale-invariant: multiplying every bandwidth by

@@ -201,7 +201,7 @@ fn arb_op() -> impl Strategy<Value = Op> {
 }
 
 fn check_equivalent(table: &PrefixTable, slab: &Slab) -> Result<(), TestCaseError> {
-    let (rib_in, rib_out) = table.footprints();
+    let (rib_in, rib_out, _) = table.footprints();
     prop_assert_eq!(rib_in.peer_refs, slab.total, "total route counts");
     let sent: usize = slab.sent.values().map(BTreeMap::len).sum();
     prop_assert_eq!(rib_out.peer_refs, sent, "total out-fan entries");
@@ -336,7 +336,7 @@ proptest! {
                 }
                 Op::Install(i, on) => {
                     let prefix = prefix(i);
-                    let entry = on.then(|| LocRibEntry::ecmp(Vec::new(), None));
+                    let entry = on.then(|| LocRibEntry::new(Vec::new(), None, false));
                     table.with_slot(prefix, |s| s.loc = entry);
                     if on {
                         slab.installed.insert(prefix);

@@ -69,7 +69,7 @@ pub enum Error {
         /// Its value.
         value: f64,
     },
-    /// A `run_until` deadline past the last instant the clock may reach.
+    /// A deadline past the last instant the clock may reach: `run_until`'s or an RPA's.
     DeadlineOutOfRange {
         /// The requested deadline, µs.
         deadline: u64,
@@ -119,7 +119,7 @@ impl fmt::Display for Error {
             ),
             Error::DeadlineOutOfRange { deadline, max } => write!(
                 f,
-                "cannot run the clock to {deadline} µs: the latest deadline is {max} µs"
+                "deadline {deadline} µs is out of range: the latest deadline is {max} µs"
             ),
         }
     }

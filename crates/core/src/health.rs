@@ -182,12 +182,7 @@ pub(crate) fn run_health_check(net: &SimNet, check: &HealthCheck) -> HealthRepor
         let actual = net
             .device(*dev)
             .and_then(|d| d.daemon.loc_rib_entry(*prefix))
-            .map(|e| {
-                e.selected
-                    .iter()
-                    .filter(|r| r.learned_from.is_some())
-                    .count()
-            })
+            .map(|e| e.fib_nexthops().count())
             .unwrap_or(0);
         if actual < *min {
             report.failures.push(format!(

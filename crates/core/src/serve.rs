@@ -424,10 +424,11 @@ fn io_err(context: &'static str) -> impl FnOnce(std::io::Error) -> Error {
 mod tests {
     use super::*;
     use crate::health::{HealthCheck, HealthReport, TrafficProbe};
-    use crate::transport::{TcpTransport, MAX_DEADLINE};
+    use crate::transport::TcpTransport;
     use centralium_bgp::attrs::well_known;
     use centralium_bgp::msg::{BgpMessage, OpenMessage, UpdateMessage};
     use centralium_bgp::{PathAttributes, Prefix};
+    use centralium_simnet::MAX_DEADLINE;
     use centralium_simnet::{ManagementPlane, SimConfig};
     use centralium_topology::{build_fabric, Asn, DeviceId, FabricSpec};
     use centralium_wire::{bgp, frame};

@@ -15,7 +15,7 @@ use crate::retry::{CircuitBreaker, RetryPolicy};
 use centralium_nsdb::store::View;
 use centralium_nsdb::{Path, ServiceTemplate};
 use centralium_rpa::RpaDocument;
-use centralium_simnet::{ManagementPlane, SimNet, SimTime};
+use centralium_simnet::{ManagementPlane, SimNet, SimTime, MAX_DEADLINE};
 use centralium_telemetry::{EventKind, Severity};
 use centralium_topology::DeviceId;
 use serde::{Deserialize, Serialize};
@@ -128,8 +128,10 @@ impl SwitchAgent {
     /// Record that `device` should run `doc` (writes intended state).
     ///
     /// Fails with [`Error::InvalidPath`] unless the document's name is one
-    /// concrete path segment, the only kind `parse_rpa_path` reads back.
+    /// concrete path segment, the only kind `parse_rpa_path` reads back, and
+    /// with [`Error::DeadlineOutOfRange`] for an expiration past [`MAX_DEADLINE`].
     pub fn set_intended(&mut self, device: DeviceId, doc: &RpaDocument) -> Result<(), Error> {
+        doc.deadlines().try_for_each(check_deadline)?;
         let path = Self::rpa_path(device, doc.name());
         if path.is_pattern() || path.segments().last().map(String::as_str) != Some(doc.name()) {
             return Err(Error::InvalidPath {
@@ -319,6 +321,7 @@ impl SwitchAgent {
                                 record: path.to_string(),
                                 source: e,
                             })?;
+                        doc.deadlines().try_for_each(check_deadline)?;
                         net.deploy_rpa(device, doc, latency);
                         true
                     }
@@ -357,6 +360,13 @@ impl SwitchAgent {
         self.service.record_reconcile(diverged.len() as u64 + 1);
         Ok(issued)
     }
+}
+
+/// Refuse a deadline past [`MAX_DEADLINE`], which the clock never reaches.
+pub(crate) fn check_deadline(deadline: SimTime) -> Result<(), Error> {
+    let max = MAX_DEADLINE;
+    let err = Error::DeadlineOutOfRange { deadline, max };
+    (deadline <= max).then_some(()).ok_or(err)
 }
 
 #[cfg(test)]
@@ -469,6 +479,35 @@ mod tests {
             net.device(target).unwrap().engine.installed(),
             vec!["equalize"]
         );
+    }
+
+    #[test]
+    fn an_expiration_past_the_clock_bound_is_refused_not_retried() {
+        use centralium_rpa::{RouteAttributeRpa, RouteAttributeStatement};
+        let (mut net, mut agent, idx) = setup();
+        let target = idx.ssw[0][0];
+        let destination = Destination::Community(well_known::BACKBONE_DEFAULT_ROUTE);
+        let statement = RouteAttributeStatement::new(destination, vec![]);
+        let far = RpaDocument::RouteAttribute(RouteAttributeRpa::single(
+            "far",
+            statement.expires_at(MAX_DEADLINE + 1),
+        ));
+        let refused = Error::DeadlineOutOfRange {
+            deadline: MAX_DEADLINE + 1,
+            max: MAX_DEADLINE,
+        };
+        let err = agent.set_intended(target, &far).unwrap_err();
+        assert_eq!(err.to_string(), refused.to_string());
+        assert!(agent.service.store.out_of_sync().is_empty());
+        // A record written past the check is refused where it is read, not
+        // issued as an RPC to wait out and retry.
+        let path = SwitchAgent::rpa_path(target, "far");
+        let value = serde_json::to_value(&far).unwrap();
+        agent.service.store.set(View::Intended, path, value);
+        let err = agent.reconcile(&mut net).unwrap_err();
+        assert_eq!(err.to_string(), refused.to_string());
+        assert_eq!(attempts(&agent, target, "far"), 0);
+        assert_eq!(net.run_until_quiescent().events_processed, 0);
     }
 
     #[test]

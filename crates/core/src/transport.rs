@@ -31,7 +31,7 @@
 use crate::error::Error;
 use crate::health::{run_health_check, HealthCheck, HealthReport};
 use crate::retry::{CircuitBreaker, RetryPolicy};
-use crate::switch_agent::{IssuedOp, SwitchAgent};
+use crate::switch_agent::{check_deadline, IssuedOp, SwitchAgent};
 use centralium_nsdb::store::View;
 use centralium_nsdb::Path;
 use centralium_rpa::RpaDocument;
@@ -110,16 +110,6 @@ pub trait ControlTransport {
 // in-process
 // ---------------------------------------------------------------------------
 
-/// The latest instant [`ControlTransport::run_until`] moves the clock to.
-/// `SimNet` schedules every event at `now + offset`, unchecked. Its largest
-/// offsets are an RPC's management-plane latency plus the chaos plan's
-/// extra delay, and a coalesced batch's `3L` plus jitter: config values of
-/// microseconds to seconds. Half the clock's range leaves 2^63 µs (about
-/// 292,000 years) above any clock this admits, so none of those sums can
-/// overflow. A saturating add would not do: an event at `SimTime::MAX`
-/// opens a window that admits nothing, and the run loop would spin.
-pub(crate) const MAX_DEADLINE: SimTime = SimTime::MAX / 2;
-
 /// Direct calls against a locally-owned simulation and agent — the legacy
 /// code path, preserved byte-identically.
 #[derive(Debug)]
@@ -157,12 +147,7 @@ impl ControlTransport for InProcessTransport<'_> {
     /// Refuses a deadline past `MAX_DEADLINE` (`SimTime::MAX / 2`) with
     /// [`Error::DeadlineOutOfRange`], leaving the clock where it was.
     fn run_until(&mut self, deadline: SimTime) -> Result<u64, Error> {
-        if deadline > MAX_DEADLINE {
-            return Err(Error::DeadlineOutOfRange {
-                deadline,
-                max: MAX_DEADLINE,
-            });
-        }
+        check_deadline(deadline)?;
         Ok(self.net.run_until(deadline))
     }
 

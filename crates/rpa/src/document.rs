@@ -28,6 +28,15 @@ impl RpaDocument {
         }
     }
 
+    /// The expirations of the document's Route Attribute statements.
+    pub fn deadlines(&self) -> impl Iterator<Item = u64> + '_ {
+        let statements = match self {
+            RpaDocument::RouteAttribute(d) => &d.statements[..],
+            _ => &[],
+        };
+        statements.iter().filter_map(|st| st.expiration_time)
+    }
+
     /// Lines of code of the serialized document — the unit of Table 3's
     /// "RPA LOC" column.
     pub fn loc(&self) -> usize {

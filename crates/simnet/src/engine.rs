@@ -339,9 +339,8 @@ fn prov_state(dev: &SimDevice, prefix: Prefix) -> ProvState {
     let decision = match dev.daemon.loc_rib_entry(prefix) {
         Some(entry) => {
             let hops: Vec<String> = entry
-                .nexthop_sessions()
-                .iter()
-                .map(|p| format!("d{}s{}", p.device(), p.session_index()))
+                .fib_nexthops()
+                .map(|(p, _)| format!("d{}s{}", p.device(), p.session_index()))
                 .collect();
             if hops.is_empty() {
                 "local".to_string()
@@ -746,13 +745,14 @@ impl SimNet {
                 hist.observe(us as f64 / 1_000.0);
             }
         }
-        let (mut loc_rib, mut nhgs) = (0i64, 0i64);
+        let (mut loc_rib, mut loc_rib_bytes, mut nhgs) = (0i64, 0i64, 0i64);
         let mut rib_in_fp = centralium_bgp::RibFootprint::default();
         let mut rib_out_fp = centralium_bgp::RibFootprint::default();
         for dev in self.devices.values() {
             loc_rib += dev.daemon.loc_rib_len() as i64;
             nhgs += dev.fib.nhg_stats().current_groups as i64;
-            let (fin, fout) = dev.daemon.rib_footprints();
+            let (fin, fout, loc_bytes) = dev.daemon.rib_footprints();
+            loc_rib_bytes += loc_bytes as i64;
             rib_in_fp.peer_refs += fin.peer_refs;
             rib_in_fp.bytes += fin.bytes;
             rib_out_fp.peer_refs += fout.peer_refs;
@@ -765,14 +765,15 @@ impl SimNet {
         m.gauge("fib.nexthop_groups_total").set(nhgs);
         m.gauge("simnet.max_batch_size")
             .set(self.max_batch_size as i64);
-        // Memory accounting, sampled at the same phase boundary. The
-        // adjacency-RIB gauges count table storage only: the attribute
-        // bodies are shared with their senders and counted nowhere. The
+        // Memory accounting, sampled at the same phase boundary. The RIB
+        // gauges count table storage only: the attribute bodies are shared
+        // with their senders and counted nowhere. The
         // scheduler and arena gauges are *capacity*-based — the arena slot
         // vectors keep their allocations across windows, and that retained
         // capacity (not the momentary occupancy) is what a memory budget
         // must provision for. The queue, the batch slab and the window's
         // buffers have just handed back what quiescence no longer needs.
+        m.gauge("mem.loc_rib_bytes").set(loc_rib_bytes);
         m.gauge("mem.adj_rib_in_bytes").set(rib_in_fp.bytes as i64);
         m.gauge("mem.adj_rib_out_bytes")
             .set(rib_out_fp.bytes as i64);

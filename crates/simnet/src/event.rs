@@ -12,6 +12,15 @@ use std::collections::BinaryHeap;
 /// Simulated time in microseconds since simulation start.
 pub type SimTime = u64;
 
+/// The bound on sim time: a run's deadline and an RPA's. `SimNet` schedules
+/// every event at `now + offset`, unchecked; its largest offsets (an RPC's
+/// latency plus chaos delay, a batch's `3L` plus jitter) are microseconds to
+/// seconds. Half the clock's range leaves 2^63 µs (about 292,000 years)
+/// above any clock this admits, so none of those sums can overflow. A
+/// saturating add would not do: an event at `SimTime::MAX` opens a window
+/// that admits nothing, and the run loop would spin.
+pub const MAX_DEADLINE: SimTime = SimTime::MAX / 2;
+
 /// A deterministic priority queue of timed events.
 ///
 /// Ties on time are broken by insertion sequence, so runs are reproducible.

@@ -421,7 +421,7 @@ impl Drop for FibBatch<'_> {
 #[cfg(test)]
 mod tests {
     use super::*;
-    use centralium_bgp::{PathAttributes, Route};
+    use centralium_bgp::{Path, PathAttributes, Route};
     use proptest::prelude::*;
 
     fn p(s: &str) -> Prefix {
@@ -431,12 +431,8 @@ mod tests {
     /// A Loc-RIB entry projecting to `nexthops`, selected in the order given.
     fn loc(nexthops: &[(u64, u32)], warm: bool) -> LocRibEntry {
         let route = |d| Route::learned(Prefix::DEFAULT, PathAttributes::default(), PeerId(d));
-        LocRibEntry {
-            selected: nexthops.iter().map(|(d, _)| route(*d)).collect(),
-            weights: nexthops.iter().map(|(_, w)| *w).collect(),
-            advertised: None,
-            fib_warm_only: warm,
-        }
+        let paths = nexthops.iter().map(|&(d, w)| Path::new(route(d), w));
+        LocRibEntry::new(paths.collect(), None, warm)
     }
 
     /// One delta batch.

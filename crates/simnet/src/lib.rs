@@ -41,7 +41,7 @@ pub mod traffic;
 
 pub use arena::DenseMap;
 pub use device::SimDevice;
-pub use event::{EventQueue, SimTime};
+pub use event::{EventQueue, SimTime, MAX_DEADLINE};
 pub use fault::{chaos_unit, ChaosPlan, RpcFate};
 pub use fib::{Fib, FibScratch, NhgStats};
 pub use invariants::{assert_rib_consistent, verify_rib_consistency};

@@ -17,7 +17,7 @@
 
 use crate::arena::DenseMap;
 use crate::device::SimDevice;
-use crate::event::{EventQueue, SimTime};
+use crate::event::{EventQueue, SimTime, MAX_DEADLINE};
 use crate::fault::{ChaosPlan, RpcFate};
 use crate::fib::FibScratch;
 use crate::trace::ConvergenceReport;
@@ -860,17 +860,14 @@ impl SimNet {
     /// Attribute statements later than now. Every install the program queues
     /// comes through here. The expiry events are queued whatever the RPC's
     /// fate, and `run_until_quiescent` runs through them: read the state
-    /// before a deadline with `run_until`.
+    /// before a deadline with `run_until`. A deadline past [`MAX_DEADLINE`]
+    /// refuses the document: nothing is queued, `simnet.rpa_failures` + 1.
     pub fn deploy_rpa(&mut self, dev: DeviceId, doc: RpaDocument, rpc_latency_us: SimTime) {
-        let deadlines: BTreeSet<SimTime> = match &doc {
-            RpaDocument::RouteAttribute(ra) => ra
-                .statements
-                .iter()
-                .filter_map(|st| st.expiration_time)
-                .filter(|&deadline| deadline > self.now)
-                .collect(),
-            _ => BTreeSet::new(),
-        };
+        let deadlines: BTreeSet<SimTime> = doc.deadlines().filter(|&d| d > self.now).collect();
+        if deadlines.last().is_some_and(|&last| last > MAX_DEADLINE) {
+            self.counters.rpa_failures.inc();
+            return;
+        }
         self.schedule_rpc(
             dev,
             rpc_latency_us,
@@ -1703,6 +1700,36 @@ mod tests {
                 .counter("simnet.agent_restarts"),
             1
         );
+    }
+
+    #[test]
+    fn an_rpa_deadline_past_the_clock_bound_is_refused() {
+        use centralium_rpa::{Destination, RouteAttributeRpa, RouteAttributeStatement};
+        let (mut net, idx) = tiny_net(16);
+        net.establish_all();
+        net.run_until_quiescent().expect_converged();
+        let ssw = idx.ssw[0][0];
+        let doc = |deadline| {
+            let destination = Destination::Community(well_known::BACKBONE_DEFAULT_ROUTE);
+            let statement = RouteAttributeStatement::new(destination, vec![]);
+            let doc = RouteAttributeRpa::single("far", statement.expires_at(deadline));
+            RpaDocument::RouteAttribute(doc)
+        };
+        for (refused, deadline) in [(1, u64::MAX), (2, MAX_DEADLINE + 1)] {
+            net.deploy_rpa(ssw, doc(deadline), 300);
+            // Checked before the loop runs: a queued deadline there would
+            // spin it (`u64::MAX`) or overflow a later `now + offset`.
+            assert!(net.queue.is_empty(), "nothing queued for {deadline}");
+            assert_eq!(counter(&net, "simnet.rpa_failures"), refused);
+        }
+        net.run_until_quiescent().expect_converged();
+        assert!(net.device(ssw).unwrap().engine.installed().is_empty());
+        // The bound itself is a deadline like any other.
+        net.deploy_rpa(ssw, doc(MAX_DEADLINE), 300);
+        assert_eq!(net.queue.len(), 2, "the install and its expiry");
+        net.run_until_quiescent().expect_converged();
+        assert_eq!(net.now(), MAX_DEADLINE);
+        assert_eq!(counter(&net, "simnet.rpa_failures"), 2);
     }
 
     #[test]

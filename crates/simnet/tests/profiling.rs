@@ -257,6 +257,7 @@ fn histograms_and_memory_gauges_populate_without_tracing() {
 
     // Memory accounting lands at the quiescence phase boundary.
     assert!(snap.gauge("mem.adj_rib_in_bytes") > 0);
+    assert!(snap.gauge("mem.loc_rib_bytes") > 0);
     assert!(snap.gauge("mem.event_queue_hwm") > 0);
 }
 

@@ -6,8 +6,8 @@
 # the toolchain, so on the cold workloads it prints as its bound when within
 # it and as its value otherwise; so does `bgp.decisions_per_route` (a cold
 # episode decides each delivered route at most once), whose exact value
-# the decisions and routes_delivered rows already pin, and, on
-# `cold_xl_fanin`, `mem.live_kb_per_device` (live heap at quiescence).
+# the decisions and routes_delivered rows already pin, and
+# `mem.live_kb_per_device` (live heap at quiescence).
 #
 #   awk -f scripts/pipeline-rows.awk RUN.json
 
@@ -20,10 +20,11 @@ BEGIN {
     "rpa.cache_hits rpa.cache_misses rpa.eval_fallbacks rpa.installs " \
     "rpa.removals bgp.adj_rib_in_bytes bgp.adj_rib_out_bytes bgp.peer_refs",
     rows, " ")
-  bound["cold_2k_racks"] = 2.4
-  bound["cold_xl_fanin"] = 4.6
+  bound["cold_2k_racks"] = 2.1
+  bound["cold_xl_fanin"] = 4.1
   decisions_bound = "1.0"
-  live_bound["cold_xl_fanin"] = 7.5
+  live_bound["cold_2k_racks"] = 30.7
+  live_bound["cold_xl_fanin"] = 6.7
 }
 
 # Print metric NAME as "NAME <= LIMIT" when its value is within LIMIT, and

@@ -51,9 +51,9 @@ fn selected_origins(rig: &Rig) -> Vec<u32> {
         .daemon
         .loc_rib_entry(rig.vip)
         .map(|e| {
-            e.selected
+            e.paths()
                 .iter()
-                .filter_map(|r| r.attrs.origin_asn().map(|a| a.0))
+                .filter_map(|path| path.attrs.origin_asn().map(|a| a.0))
                 .collect()
         })
         .unwrap_or_default()

@@ -3,7 +3,9 @@
 //! exact and longest-prefix lookup, and iteration order, on prefixes drawn
 //! from a pool dense enough that `/0`, `/8`, `/16`, `/24` and `/32` nest.
 
-use centralium_bgp::{FibEntry, LocRibEntry, NextHops, PathAttributes, PeerId, Prefix, Route};
+use centralium_bgp::{
+    FibEntry, LocRibEntry, NextHops, Path, PathAttributes, PeerId, Prefix, Route,
+};
 use centralium_simnet::fib::{Fib, FibScratch};
 use proptest::prelude::*;
 use std::collections::BTreeMap;
@@ -36,7 +38,7 @@ fn selected(nexthop: u8) -> LocRibEntry {
         PathAttributes::default(),
         PeerId(nexthop as u64),
     );
-    LocRibEntry::ecmp(vec![route], None)
+    LocRibEntry::new(vec![Path::new(route, 1)], None, false)
 }
 
 fn naive_lookup<'a>(

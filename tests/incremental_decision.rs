@@ -313,10 +313,15 @@ fn withdraw_to(d: &mut BgpDaemon, plane: &mut dyn ForwardingPlane, peer: u64) ->
 fn selected_sessions(d: &BgpDaemon) -> Vec<Option<u64>> {
     d.loc_rib_entry(Prefix::DEFAULT)
         .expect("installed")
-        .selected
+        .paths()
         .iter()
-        .map(|r| r.learned_from.map(|p| p.0))
+        .map(|path| path.learned_from().map(|p| p.0))
         .collect()
+}
+
+fn weights(d: &BgpDaemon) -> Vec<u32> {
+    let entry = d.loc_rib_entry(Prefix::DEFAULT).expect("installed");
+    entry.paths().iter().map(|path| path.weight).collect()
 }
 
 #[test]
@@ -355,10 +360,10 @@ fn a_tie_joins_at_its_session_position_and_the_local_route_stays_last() {
     );
     let entry = d.loc_rib_entry(Prefix::DEFAULT).unwrap();
     // 400 Gbps on session 1 against the set's minimum everywhere else.
-    assert_eq!(entry.weights[0], 1);
-    assert_eq!(entry.weights.len(), 7);
+    assert_eq!(weights(&d)[0], 1);
+    assert_eq!(weights(&d).len(), 7);
     assert!(
-        entry.advertised.as_ref().unwrap().is_local(),
+        entry.advertised().unwrap().learned_from().is_none(),
         "the local route stays the best"
     );
     programmed.dedup();
@@ -389,10 +394,7 @@ fn a_tie_from_a_lower_session_becomes_the_advertised_route() {
     assert_eq!(out[0].1.withdrawn, [Prefix::DEFAULT]);
     assert!(out[1..].iter().all(|(_, u)| u.announced.len() == 1));
     let entry = d.loc_rib_entry(Prefix::DEFAULT).unwrap();
-    assert_eq!(
-        entry.advertised.as_ref().unwrap().learned_from,
-        Some(PeerId(1))
-    );
+    assert_eq!(entry.advertised().unwrap().learned_from(), Some(PeerId(1)));
 }
 
 #[test]
@@ -400,7 +402,7 @@ fn a_better_arrival_collapses_the_set_to_itself() {
     let (mut d, _) = three_way_tie();
     let out = announce(&mut d, 5, palette(2, 5));
     assert_eq!(selected_sessions(&d), [Some(5)]);
-    assert_eq!(d.loc_rib_entry(Prefix::DEFAULT).unwrap().weights, [1]);
+    assert_eq!(weights(&d), [1]);
     assert_eq!(out.len(), 8, "7 announcements and session 5's withdrawal");
     // A selected session bettering its own route collapses the set as well.
     let (mut d, _) = three_way_tie();
@@ -418,7 +420,7 @@ fn a_selected_route_withdrawn_or_worsened_leaves_the_rest_selected() {
         "session 2 is still the best"
     );
     assert_eq!(selected_sessions(&d), [Some(2), Some(6)]);
-    assert_eq!(d.loc_rib_entry(Prefix::DEFAULT).unwrap().weights, [1, 1]);
+    assert_eq!(weights(&d), [1, 1]);
     assert_eq!(programmed.len(), 1);
     // Worsened, not withdrawn — and it was the advertised route, so the
     // best path moves to the one that is left.
@@ -442,15 +444,10 @@ fn a_selected_route_replaced_at_the_same_preference_is_swapped_in_place() {
     assert!(out.is_empty());
     assert_eq!(selected_sessions(&d), [Some(2), Some(4), Some(6)]);
     let entry = d.loc_rib_entry(Prefix::DEFAULT).unwrap();
-    assert_eq!(entry.selected[1].attrs.link_bandwidth_gbps, Some(400.0));
-    assert_eq!(
-        entry.weights,
-        [1, 1, 1],
-        "one bandwidth: all at its minimum"
-    );
+    assert_eq!(entry.paths()[1].attrs.link_bandwidth_gbps, Some(400.0));
+    assert_eq!(weights(&d), [1, 1, 1], "one bandwidth: all at its minimum");
     assert!(announce(&mut d, 6, palette(3, 6)).is_empty());
-    let entry = d.loc_rib_entry(Prefix::DEFAULT).unwrap();
-    assert_eq!(entry.weights, [1, 10, 1], "40 : 400 : 40 Gbps");
+    assert_eq!(weights(&d), [1, 10, 1], "40 : 400 : 40 Gbps");
     // Session 2 is: same preference, new communities — peers must hear it.
     let out = announce(&mut d, 2, palette(4, 2));
     assert_eq!(out.len(), 7);
