@@ -49,7 +49,7 @@
 //! sessions beside the slot's fans, never searching.
 
 use crate::attrs::PathAttributes;
-use crate::decision::{compare_routes, multipath_set, PathPreference};
+use crate::decision::{compare_routes, multipath_member, PathPreference};
 use crate::flat::FlatMap;
 use crate::hooks::{AdvertiseChoice, PathChoice, RibPolicy};
 use crate::msg::UpdateMessage;
@@ -124,11 +124,18 @@ impl PeerConfig {
     }
 }
 
+/// One configured session as the speaker keeps it: its [`PeerConfig`]
+/// without the id, which is the key it is stored under, and whether it is up.
 #[derive(Debug, Clone)]
 struct PeerState {
-    cfg: PeerConfig,
+    remote_asn: Asn,
     established: bool,
+    import: Arc<Policy>,
+    export: Arc<Policy>,
+    link_capacity_gbps: f64,
 }
+
+const _: () = assert!(std::mem::size_of::<PeerState>() <= 32);
 
 /// One FIB entry produced by the daemon for the forwarding plane.
 #[derive(Debug, Clone, PartialEq)]
@@ -220,17 +227,24 @@ impl CandidateView<'_> {
     }
 }
 
-/// Telemetry binding of one speaker, attached by the host via
-/// [`BgpDaemon::set_telemetry`]: absent (and free) by default, and boxed so
-/// an unbound daemon carries one pointer of overhead.
-#[derive(Debug, Clone)]
-struct DaemonTelemetry {
+/// The instruments every speaker bound to one [`Telemetry`] shares: one
+/// allocation per handle ([`Telemetry::shared`]).
+#[derive(Debug)]
+struct DaemonInstruments {
     telemetry: Telemetry,
-    /// Emitter label on journal events, e.g. `"d12"`.
-    scope: String,
     decisions: Counter,
     best_path_changes: Counter,
     export_evals: Counter,
+}
+
+/// Telemetry binding of one speaker, attached by the host via
+/// [`BgpDaemon::set_telemetry`]: absent (and free) by default; bound, the
+/// shared instruments and the device id its journal events are labeled
+/// with (`"d12"`).
+#[derive(Debug, Clone)]
+struct DaemonTelemetry {
+    instruments: Arc<DaemonInstruments>,
+    device: u32,
 }
 
 /// A BGP speaker.
@@ -246,7 +260,7 @@ pub struct BgpDaemon {
     /// decides.
     dirty: Vec<Prefix>,
     moved: Moved,
-    telemetry: Option<Box<DaemonTelemetry>>,
+    telemetry: Option<DaemonTelemetry>,
 }
 
 /// What moved the prefixes marked since the last [`BgpDaemon::decide`], in
@@ -296,16 +310,21 @@ impl BgpDaemon {
 
     /// Attach telemetry: decision / best-path-change / export-evaluation
     /// counters plus [`EventKind::BgpDecision`] journal events labeled
-    /// `scope`.
-    pub fn set_telemetry(&mut self, telemetry: &Telemetry, scope: impl Into<String>) {
-        let m = telemetry.metrics();
-        self.telemetry = Some(Box::new(DaemonTelemetry {
-            telemetry: telemetry.clone(),
-            scope: scope.into(),
-            decisions: m.counter("bgp.decisions"),
-            best_path_changes: m.counter("bgp.best_path_changes"),
-            export_evals: m.counter("bgp.export_evals"),
-        }));
+    /// `d<device>`.
+    pub fn set_telemetry(&mut self, telemetry: &Telemetry, device: u32) {
+        let instruments = telemetry.shared(|t| {
+            let m = t.metrics();
+            DaemonInstruments {
+                telemetry: t.clone(),
+                decisions: m.counter("bgp.decisions"),
+                best_path_changes: m.counter("bgp.best_path_changes"),
+                export_evals: m.counter("bgp.export_evals"),
+            }
+        });
+        self.telemetry = Some(DaemonTelemetry {
+            instruments,
+            device,
+        });
     }
 
     /// Mutable access to the speaker config (used by ablations). Installed
@@ -318,13 +337,23 @@ impl BgpDaemon {
 
     /// Register a session (initially down).
     pub fn add_peer(&mut self, cfg: PeerConfig) {
-        self.peers.insert(
-            cfg.peer,
-            PeerState {
-                cfg,
-                established: false,
-            },
-        );
+        let state = PeerState {
+            remote_asn: cfg.remote_asn,
+            established: false,
+            import: cfg.import,
+            export: cfg.export,
+            link_capacity_gbps: cfg.link_capacity_gbps,
+        };
+        self.peers.insert(cfg.peer, state);
+    }
+
+    /// Register sessions (initially down), growing the session table by
+    /// exactly their number: given ascending and above every configured
+    /// session, as a host wiring a fabric hands them, each lands at the end
+    /// of the table.
+    pub fn add_peers(&mut self, peers: impl ExactSizeIterator<Item = PeerConfig>) {
+        self.peers.reserve_exact(peers.len());
+        peers.for_each(|cfg| self.add_peer(cfg));
     }
 
     /// Remove a session entirely, flushing its routes and marking the
@@ -344,7 +373,7 @@ impl BgpDaemon {
     pub fn set_export_policy(&mut self, peer: PeerId, policy: impl Into<Arc<Policy>>) -> bool {
         match self.peers.get_mut(&peer) {
             Some(state) => {
-                state.cfg.export = policy.into();
+                state.export = policy.into();
                 true
             }
             None => false,
@@ -353,7 +382,12 @@ impl BgpDaemon {
 
     /// The import policy configured on a session.
     pub fn import_policy(&self, peer: PeerId) -> Option<&Policy> {
-        self.peers.get(&peer).map(|s| s.cfg.import.as_ref())
+        self.peers.get(&peer).map(|s| s.import.as_ref())
+    }
+
+    /// The remote AS configured on a session.
+    pub fn remote_asn(&self, peer: PeerId) -> Option<Asn> {
+        self.peers.get(&peer).map(|s| s.remote_asn)
     }
 
     /// Prefixes currently originated by this speaker.
@@ -372,7 +406,17 @@ impl BgpDaemon {
 
     /// Configured sessions.
     pub fn peer_ids(&self) -> Vec<PeerId> {
-        self.peers.keys().copied().collect()
+        self.peers.keys().to_vec()
+    }
+
+    /// How many sessions are configured toward `device`. A session id holds
+    /// its device in the high bits ([`PeerId::compose`]), so they are one
+    /// run of the ascending table, found with one search.
+    pub fn sessions_toward(&self, device: u32) -> usize {
+        let keys = self.peers.keys();
+        let from = keys.partition_point(|p| p.device() < device);
+        let run = keys[from..].iter().take_while(|p| p.device() == device);
+        run.count()
     }
 
     /// Whether a session is established.
@@ -400,7 +444,7 @@ impl BgpDaemon {
             let Some(mut export) = Export::of(cfg, peers, prefix, slot.loc.as_ref()) else {
                 return;
             };
-            if let Some(attrs) = export.toward(session, policy) {
+            if let Some(attrs) = export.toward(peer, session, policy) {
                 slot.export([(peer, Some(attrs))], |_, sent| {
                     out.announced.extend(sent.map(|attrs| (prefix, attrs)));
                 });
@@ -469,7 +513,7 @@ impl BgpDaemon {
         if !state.established {
             return;
         }
-        let import = &state.cfg.import;
+        let (import, remote_asn) = (&state.import, state.remote_asn);
         // A delivered UPDATE is two ascending runs: each walks the table
         // with its own cursor.
         let mut cursor = 0;
@@ -505,7 +549,7 @@ impl BgpDaemon {
                     Route::learned(prefix, attrs, from)
                 })
                 // Route Filter RPA, ingress direction (Figure 6).
-                .filter(|route| policy.permit_ingress(from, prefix, route));
+                .filter(|route| policy.permit_ingress(from, remote_asn, prefix, route));
             // An identical re-announcement changes nothing; leaving it
             // unmarked keeps duplicate UPDATE floods (session resets,
             // refresh replies) off the decision path entirely.
@@ -533,10 +577,12 @@ impl BgpDaemon {
     /// [`mark`](Self::mark) what can move for other reasons (time-dependent
     /// RPA documents crossing their deadline).
     pub fn purge_ingress(&mut self, policy: &dyn RibPolicy) {
-        let dirty = &mut self.dirty;
+        let (dirty, peers) = (&mut self.dirty, &self.peers);
         self.rib.edit_all(|prefix, slot| {
             let purged = slot.retain_learned(prefix, |r| match r.learned_from {
-                Some(peer) => policy.permit_ingress(peer, r.prefix, r),
+                Some(peer) => peers
+                    .get(&peer)
+                    .is_none_or(|s| policy.permit_ingress(peer, s.remote_asn, r.prefix, r)),
                 None => true,
             });
             if purged {
@@ -590,9 +636,10 @@ impl BgpDaemon {
             cfg: &self.cfg,
             peers: &self.peers,
             policy,
-            tel: self.telemetry.as_deref(),
+            tel: self.telemetry.as_ref(),
             plane,
             counts: [0; 3],
+            candidates: Vec::new(),
         };
         let mut cursor = 0;
         for &prefix in &dirty {
@@ -607,6 +654,7 @@ impl BgpDaemon {
         }
         out.seal();
         if let Some(tel) = step.tel {
+            let tel = &tel.instruments;
             let counters = [&tel.decisions, &tel.best_path_changes, &tel.export_evals];
             counters
                 .into_iter()
@@ -748,9 +796,11 @@ impl BgpDaemon {
     /// sessions plus any local origination (cloned). What selection takes;
     /// [`known`](Self::known) borrows the same set without building it.
     pub fn candidates(&self, prefix: Prefix) -> Vec<Route> {
-        self.rib
-            .get(prefix)
-            .map_or_else(Vec::new, |slot| candidates_of(&self.peers, prefix, slot))
+        let mut out = Vec::new();
+        if let Some(slot) = self.rib.get(prefix) {
+            candidates_into(&self.peers, prefix, slot, &mut out);
+        }
+        out
     }
 }
 
@@ -759,30 +809,28 @@ fn established(peers: &FlatMap<PeerId, PeerState>, peer: PeerId) -> bool {
     peers.get(&peer).is_some_and(|p| p.established)
 }
 
-/// `slot`'s candidates toward `prefix`: its in-fan's routes on established
-/// sessions, ascending by session, then the origination. The in-fan and the
-/// sessions are walked side by side, so no route costs a search.
-fn candidates_of(
+/// `slot`'s candidates toward `prefix`, in place of what `out` held: its
+/// in-fan's routes on established sessions, ascending by session, then the
+/// origination. The in-fan and the sessions are walked side by side, so no
+/// route costs a search.
+fn candidates_into(
     peers: &FlatMap<PeerId, PeerState>,
     prefix: Prefix,
     slot: &PrefixState,
-) -> Vec<Route> {
+    out: &mut Vec<Route>,
+) {
+    out.clear();
     let mut sessions = peers.iter().peekable();
-    let mut out: Vec<Route> = slot
-        .rib_in()
-        .iter()
-        .filter(|(peer, _)| {
-            while sessions.next_if(|(p, _)| *p < peer).is_some() {}
-            sessions
-                .peek()
-                .is_some_and(|(p, s)| *p == peer && s.established)
-        })
-        .map(|(peer, attrs)| Route::learned(prefix, Arc::clone(attrs), *peer))
-        .collect();
+    let learned = slot.rib_in().iter().filter(|(peer, _)| {
+        while sessions.next_if(|(p, _)| *p < peer).is_some() {}
+        sessions
+            .peek()
+            .is_some_and(|(p, s)| *p == peer && s.established)
+    });
+    out.extend(learned.map(|(peer, attrs)| Route::learned(prefix, Arc::clone(attrs), *peer)));
     if let Some(attrs) = &slot.origination {
         out.push(Route::local(prefix, Arc::clone(attrs)));
     }
-    out
 }
 
 /// One [`BgpDaemon::decide`]'s view of the speaker beside the slot it is
@@ -799,6 +847,10 @@ struct Step<'a> {
     /// Decisions, best-path changes and export evaluations: summed here and
     /// added to their counters once per `decide`.
     counts: [u64; 3],
+    /// The full decision's candidate set, its capacity kept from one
+    /// decision to the next: one allocation per `decide`, not one per
+    /// decision.
+    candidates: Vec<Route>,
 }
 
 impl Step<'_> {
@@ -895,8 +947,9 @@ impl Step<'_> {
     /// this can move (see the module docs).
     fn decide_prefix(&mut self, prefix: Prefix, slot: &mut PrefixState) -> bool {
         let (cfg, policy) = (self.cfg, self.policy);
-        let mut candidates = candidates_of(self.peers, prefix, slot);
-        let choice = (!candidates.is_empty()).then(|| policy.select_paths(prefix, &candidates));
+        let candidates = &mut self.candidates;
+        candidates_into(self.peers, prefix, slot, candidates);
+        let choice = (!candidates.is_empty()).then(|| policy.select_paths(prefix, candidates));
         // The index of the selection's best route, or of its least favorable.
         let rank = |s: &[Route], best: bool| {
             (0..s.len()).max_by(|&a, &b| match compare_routes(&s[a], &s[b]) {
@@ -918,12 +971,12 @@ impl Step<'_> {
                     }
                 } else {
                     let mut indices = sel.selected;
-                    keep_selected(&mut candidates, &mut indices);
+                    keep_selected(candidates, &mut indices);
                     let advertised = match sel.advertise {
                         AdvertiseChoice::Withdraw => None,
-                        AdvertiseChoice::NativeBest => rank(&candidates, true),
+                        AdvertiseChoice::NativeBest => rank(candidates, true),
                         AdvertiseChoice::LeastFavorable => {
-                            rank(&candidates, !cfg.least_favorable_advertisement)
+                            rank(candidates, !cfg.least_favorable_advertisement)
                         }
                     };
                     Some(install(prefix, candidates, advertised, policy))
@@ -931,8 +984,7 @@ impl Step<'_> {
             }
             // Native selection, under the governing statement's guard.
             Some(PathChoice::Native(guard)) => {
-                let mut indices = multipath_set(&candidates);
-                keep_selected(&mut candidates, &mut indices);
+                candidates.retain(multipath_member(candidates));
                 let selected = candidates;
                 // BgpNativeMinNextHop guard (§4.3): count learned next-hops.
                 let nexthop_count = selected.iter().filter(|r| r.learned_from.is_some()).count();
@@ -959,7 +1011,7 @@ impl Step<'_> {
                 } else if selected.is_empty() {
                     None
                 } else {
-                    let advertised = rank(&selected, true);
+                    let advertised = rank(selected, true);
                     Some(install(prefix, selected, advertised, policy))
                 }
             }
@@ -987,9 +1039,10 @@ impl Step<'_> {
     /// Count one decision and, when it moved the advertisement, one
     /// best-path change plus its journal event.
     fn note_decision(&mut self, prefix: Prefix, had_path: bool, has_path: bool, moved: bool) {
-        let Some(tel) = self.tel else {
+        let Some(bound) = self.tel else {
             return;
         };
+        let tel = &bound.instruments;
         self.counts[0] += 1;
         if moved {
             self.counts[1] += 1;
@@ -997,7 +1050,7 @@ impl Step<'_> {
                 tel.telemetry.record(
                     tel.telemetry
                         .event(EventKind::BgpDecision, Severity::Debug)
-                        .field("device", tel.scope.as_str())
+                        .field("device", format!("d{}", bound.device))
                         .field("prefix", prefix.to_string())
                         .field("had_path", had_path)
                         .field("has_path", has_path),
@@ -1031,7 +1084,7 @@ impl Step<'_> {
                 *evals += 1;
                 let want = advertised
                     .as_mut()
-                    .and_then(|export| export.toward(session, policy));
+                    .and_then(|export| export.toward(peer, session, policy));
                 (peer, want)
             });
         slot.export(wants, |peer, sent| out.tell(peer, prefix, sent));
@@ -1050,17 +1103,18 @@ fn warm_entry(peers: &FlatMap<PeerId, PeerState>, prior: LocRibEntry) -> Option<
 
 /// The entry installing `selected` as paths in one allocation, advertising
 /// `selected[advertised]` and weighed by the hook's Route Attribute answer,
-/// or else by WCMP over the link-bandwidth communities.
+/// or else by WCMP over the link-bandwidth communities. Leaves `selected`
+/// empty, its capacity kept.
 fn install(
     prefix: Prefix,
-    selected: Vec<Route>,
+    selected: &mut Vec<Route>,
     advertised: Option<usize>,
     policy: &dyn RibPolicy,
 ) -> LocRibEntry {
-    let hooked = policy.assign_weights(prefix, &selected);
+    let hooked = policy.assign_weights(prefix, selected);
     debug_assert!(hooked.as_ref().is_none_or(|w| w.len() == selected.len()));
     let mut paths = Vec::with_capacity(selected.len());
-    paths.extend(selected.into_iter().map(|route| Path::new(route, 0)));
+    paths.extend(selected.drain(..).map(|route| Path::new(route, 0)));
     match hooked.filter(|w| w.len() == paths.len()) {
         Some(w) => paths
             .iter_mut()
@@ -1082,7 +1136,7 @@ fn effective_capacity(peers: &FlatMap<PeerId, PeerState>, entry: &LocRibEntry) -
         .paths
         .iter()
         .filter_map(|path| {
-            let link = peers.get(&path.learned_from()?)?.cfg.link_capacity_gbps;
+            let link = peers.get(&path.learned_from()?)?.link_capacity_gbps;
             Some(match path.attrs.link_bandwidth_gbps {
                 Some(bw) => bw.min(link),
                 None => link,
@@ -1127,24 +1181,25 @@ impl<'a> Export<'a> {
         })
     }
 
-    /// What `session` should be told — after split-horizon, the egress
+    /// What session `peer` should be told — after split-horizon, the egress
     /// Route Filter hook and the session's export policy — or `None` to
     /// withdraw/suppress. All three are asked before the body is built; the
     /// policy first through [`Policy::certainly_rejects`]. Pass-through
     /// export policies return the shared body `Arc` untouched.
     fn toward(
         &mut self,
+        peer: PeerId,
         session: &PeerState,
         policy: &dyn RibPolicy,
     ) -> Option<Arc<PathAttributes>> {
-        let (route, peer, export) = (&self.route, session.cfg.peer, &session.cfg.export);
+        let (route, export) = (&self.route, &session.export);
         // Split-horizon: never advertise a route back over the session it
         // was learned from (§5.3.1).
         if route.learned_from == Some(peer) {
             return None;
         }
         // Route Filter RPA, egress direction (Figure 6).
-        if !policy.permit_egress(peer, route.prefix, route) {
+        if !policy.permit_egress(peer, session.remote_asn, route.prefix, route) {
             return None;
         }
         if export.certainly_rejects(&route.prefix, &route.attrs, self.cfg.asn) {
@@ -1165,6 +1220,7 @@ impl<'a> Export<'a> {
 #[cfg(test)]
 mod tests {
     use super::*;
+    use crate::decision::multipath_set;
     use crate::hooks::NativePolicy;
     use std::collections::BTreeSet;
 

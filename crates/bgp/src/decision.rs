@@ -82,16 +82,20 @@ pub fn best_route(candidates: &[Route]) -> Option<&Route> {
 /// best route's. Returns indices into `candidates` in input order (stable),
 /// so callers can zip with per-candidate metadata.
 pub fn multipath_set(candidates: &[Route]) -> Vec<usize> {
-    let Some(best) = candidates
+    let selected = multipath_member(candidates);
+    (0..candidates.len())
+        .filter(|&i| selected(&candidates[i]))
+        .collect()
+}
+
+/// Whether a route belongs to `candidates`' native multipath set: what
+/// [`multipath_set`] selects, as a test a `retain` can take.
+pub(crate) fn multipath_member(candidates: &[Route]) -> impl Fn(&Route) -> bool {
+    let best = candidates
         .iter()
         .map(|r| PathPreference::of(&r.attrs))
-        .max_by(|a, b| a.compare(b))
-    else {
-        return Vec::new();
-    };
-    (0..candidates.len())
-        .filter(|&i| PathPreference::of(&candidates[i].attrs).multipath_equal(&best))
-        .collect()
+        .max_by(|a, b| a.compare(b));
+    move |r| best.is_some_and(|best| PathPreference::of(&r.attrs).multipath_equal(&best))
 }
 
 #[cfg(test)]

@@ -170,8 +170,14 @@ impl<K: Ord + Copy, V> FlatMap<K, V> {
     }
 
     /// Keys in ascending order.
-    pub(crate) fn keys(&self) -> impl Iterator<Item = &K> {
-        self.keys.iter()
+    pub(crate) fn keys(&self) -> &[K] {
+        &self.keys
+    }
+
+    /// Make room for exactly `additional` more entries.
+    pub(crate) fn reserve_exact(&mut self, additional: usize) {
+        self.keys.reserve_exact(additional);
+        self.values.reserve_exact(additional);
     }
 
     /// Values in ascending key order.
@@ -250,7 +256,7 @@ mod tests {
         assert_eq!(m.len(), 5);
         assert_eq!(m.get(&3), Some(&333));
         assert_eq!(m.get(&4), None);
-        let keys: Vec<u32> = m.keys().copied().collect();
+        let keys: Vec<u32> = m.keys().to_vec();
         assert_eq!(keys, vec![1, 3, 5, 7, 9]);
         assert_eq!(m.remove(&5), Some(50));
         assert_eq!(m.remove(&5), None);
@@ -296,7 +302,7 @@ mod tests {
         }
         let grown = m.values.capacity();
         m.retain(|&k, _| k < 5);
-        assert_eq!(m.keys().copied().collect::<Vec<_>>(), vec![0, 1, 2, 3, 4]);
+        assert_eq!(m.keys(), [0, 1, 2, 3, 4]);
         assert!(
             m.keys.capacity() <= grown / 4 && m.values.capacity() <= grown / 4,
             "capacity {} should shrink after dropping 95% of entries",

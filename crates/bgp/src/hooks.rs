@@ -4,7 +4,8 @@
 //! The daemon calls the hooks at three places:
 //!
 //! 1. **Route Filter** — after ingress policy, before Adj-RIB-In admission,
-//!    and again before egress advertisement;
+//!    and again before egress advertisement, told the session and the remote
+//!    AS configured on it;
 //! 2. **Path Selection** — replacing the decision process for prefixes an
 //!    RPA statement covers, or falling back to it under the statement's
 //!    native min-next-hop guard; the guard travels in the same answer;
@@ -18,6 +19,7 @@
 
 use crate::rib::Route;
 use crate::types::{PeerId, Prefix};
+use centralium_topology::Asn;
 
 /// How the advertisement route is chosen for a prefix whose selection the
 /// hook determined.
@@ -64,18 +66,22 @@ pub enum PathChoice {
 /// the functions their RPA kind influences. All methods take `&self`: hook
 /// state (e.g. the RPA evaluation cache) must use interior mutability, since
 /// the daemon may consult hooks multiple times per event. Each answer is a
-/// function of the hook's configuration and that call's arguments: a cache
-/// may make a later call cheaper, never different.
+/// function of the hook's configuration and that call's arguments — the
+/// Route Filter hooks are handed the session's remote AS, so a hook keeps no
+/// table of sessions of its own: a cache may make a later call cheaper,
+/// never different.
 pub trait RibPolicy {
-    /// Route Filter RPA, ingress direction. Return `false` to drop the route
-    /// before Adj-RIB-In admission.
-    fn permit_ingress(&self, _peer: PeerId, _prefix: Prefix, _route: &Route) -> bool {
+    /// Route Filter RPA, ingress direction: `route` arrived on session
+    /// `peer`, whose remote AS is `asn`. Return `false` to drop it before
+    /// Adj-RIB-In admission.
+    fn permit_ingress(&self, _peer: PeerId, _asn: Asn, _prefix: Prefix, _route: &Route) -> bool {
         true
     }
 
-    /// Route Filter RPA, egress direction. Return `false` to suppress
-    /// advertising `prefix` to `peer`.
-    fn permit_egress(&self, _peer: PeerId, _prefix: Prefix, _route: &Route) -> bool {
+    /// Route Filter RPA, egress direction: `route` is about to be advertised
+    /// on session `peer`, whose remote AS is `asn`. Return `false` to
+    /// suppress advertising `prefix` to `peer`.
+    fn permit_egress(&self, _peer: PeerId, _asn: Asn, _prefix: Prefix, _route: &Route) -> bool {
         true
     }
 
@@ -126,8 +132,8 @@ mod tests {
     fn native_policy_passes_everything_through() {
         let p = NativePolicy;
         let route = Route::local(Prefix::DEFAULT, PathAttributes::default());
-        assert!(p.permit_ingress(PeerId(1), Prefix::DEFAULT, &route));
-        assert!(p.permit_egress(PeerId(1), Prefix::DEFAULT, &route));
+        assert!(p.permit_ingress(PeerId(1), Asn(2), Prefix::DEFAULT, &route));
+        assert!(p.permit_egress(PeerId(1), Asn(2), Prefix::DEFAULT, &route));
         assert_eq!(
             p.select_paths(Prefix::DEFAULT, std::slice::from_ref(&route)),
             PathChoice::Native(None)

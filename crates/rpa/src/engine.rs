@@ -14,7 +14,9 @@
 //!   installed set and the candidates, never of the order the documents
 //!   arrived in: a same-name install replaces the old document;
 //! * a Route Attribute statement's deadline is applied by [`RpaEngine::expire`],
-//!   which the host calls when the deadline passes: the engine keeps no clock.
+//!   which the host calls when the deadline passes: the engine keeps no clock;
+//! * the engine keeps no table of sessions either: the Route Filter hooks are
+//!   handed each session's remote AS by the daemon, which configures it.
 
 use crate::document::{RpaDocument, RpaError};
 use crate::path_selection::{MinNextHop, PathSelectionRpa};
@@ -28,6 +30,7 @@ use centralium_topology::Asn;
 use parking_lot::Mutex;
 use std::collections::btree_map::Entry;
 use std::collections::{BTreeMap, HashMap};
+use std::sync::Arc;
 use std::time::Instant;
 
 /// Counters exposed for the Table 2 experiment and controller health checks.
@@ -81,16 +84,11 @@ struct Installed {
     sig_range: (u32, u32),
 }
 
-/// Telemetry binding of one engine: disabled (and free) by default,
-/// attached by the host via [`RpaEngine::set_telemetry`].
-#[derive(Debug, Default)]
-struct EngineTelemetry(Option<Box<EngineTelemetryInner>>);
-
+/// The instruments every engine bound to one [`Telemetry`] shares: one
+/// allocation per handle ([`Telemetry::shared`]).
 #[derive(Debug)]
-struct EngineTelemetryInner {
+struct EngineInstruments {
     telemetry: Telemetry,
-    /// Emitter label on journal events, e.g. `"d12"`.
-    scope: String,
     installs: Counter,
     removals: Counter,
     fallbacks: Counter,
@@ -99,13 +97,24 @@ struct EngineTelemetryInner {
     eval_us: Histogram,
 }
 
+/// Telemetry binding of one engine, attached by the host via
+/// [`RpaEngine::set_telemetry`]: absent (and free) by default; bound, the
+/// shared instruments and the device id its journal events are labeled
+/// with (`"d12"`).
+#[derive(Debug)]
+struct EngineTelemetry {
+    instruments: Arc<EngineInstruments>,
+    device: u32,
+}
+
 impl EngineTelemetry {
     /// Record a successful document change on counters and the journal. An
     /// expiry counts on neither counter: no document arrived or left.
-    fn note_doc_change(&self, action: &'static str, name: &str) {
-        let Some(tel) = self.0.as_deref() else {
+    fn note_doc_change(this: Option<&Self>, action: &'static str, name: &str) {
+        let Some(bound) = this else {
             return;
         };
+        let tel = &bound.instruments;
         match action {
             "remove" => tel.removals.inc(),
             "expire" => {}
@@ -115,7 +124,7 @@ impl EngineTelemetry {
             tel.telemetry.record(
                 tel.telemetry
                     .event(EventKind::RpaInstall, Severity::Info)
-                    .field("device", tel.scope.as_str())
+                    .field("device", format!("d{}", bound.device))
                     .field("action", action)
                     .field("document", name),
             );
@@ -126,14 +135,12 @@ impl EngineTelemetry {
 /// Bucket bounds (µs) for RPA evaluation latency.
 const EVAL_US_BOUNDS: &[f64] = &[0.5, 1.0, 2.0, 5.0, 10.0, 25.0, 50.0, 100.0, 500.0, 1000.0];
 
-/// The engine. One instance lives on each RPA-augmented switch.
-#[derive(Debug)]
-pub struct RpaEngine {
-    /// Installed documents keyed by name: iteration order is precedence.
-    docs: BTreeMap<String, Installed>,
-    /// Remote ASN per session, for `PeerSignature::AsnRange`.
-    peer_asn: HashMap<PeerId, Asn>,
-    cache_enabled: bool,
+/// What only an engine that has held a document needs: the evaluation
+/// cache, its counters and the signature-id allocator, made at the first
+/// install (or cache toggle) and kept from then on.
+#[derive(Debug, Default)]
+struct Memo {
+    cache_disabled: bool,
     /// Memoized signature verdicts keyed `(sig_id, AS-path, community set)`,
     /// by content — the two sequences cover everything a path signature can
     /// observe (see [`CompiledSignature::matches`]), so the key is exact: no
@@ -143,44 +150,46 @@ pub struct RpaEngine {
     cache: Mutex<HashMap<(u32, AsPath, CommunitySet), bool>>,
     stats: Mutex<EngineStats>,
     next_sig_id: u32,
-    telemetry: EngineTelemetry,
 }
 
-impl Default for RpaEngine {
-    fn default() -> Self {
-        Self::new()
-    }
+/// The engine. One instance lives on each RPA-augmented switch; until a
+/// document arrives it holds nothing on the heap.
+#[derive(Debug, Default)]
+pub struct RpaEngine {
+    /// Installed documents keyed by name: iteration order is precedence.
+    docs: BTreeMap<String, Installed>,
+    memo: Option<Box<Memo>>,
+    telemetry: Option<EngineTelemetry>,
 }
+
+const _: () = assert!(std::mem::size_of::<RpaEngine>() <= 48);
 
 impl RpaEngine {
     /// Empty engine with the cache enabled.
     pub fn new() -> Self {
-        RpaEngine {
-            docs: BTreeMap::new(),
-            peer_asn: HashMap::new(),
-            cache_enabled: true,
-            cache: Mutex::new(HashMap::new()),
-            stats: Mutex::new(EngineStats::default()),
-            next_sig_id: 0,
-            telemetry: EngineTelemetry::default(),
-        }
+        RpaEngine::default()
     }
 
     /// Attach telemetry: install/fallback counters, an evaluation-latency
     /// histogram, and [`EventKind::RpaInstall`] /
-    /// [`EventKind::RpaEvalFallback`] journal events labeled `scope`.
-    pub fn set_telemetry(&mut self, telemetry: &Telemetry, scope: impl Into<String>) {
-        let m = telemetry.metrics();
-        self.telemetry = EngineTelemetry(Some(Box::new(EngineTelemetryInner {
-            telemetry: telemetry.clone(),
-            scope: scope.into(),
-            installs: m.counter("rpa.installs"),
-            removals: m.counter("rpa.removals"),
-            fallbacks: m.counter("rpa.eval_fallbacks"),
-            cache_hits: m.counter("rpa.cache_hits"),
-            cache_misses: m.counter("rpa.cache_misses"),
-            eval_us: m.histogram("rpa.eval_us", EVAL_US_BOUNDS),
-        })));
+    /// [`EventKind::RpaEvalFallback`] journal events labeled `d<device>`.
+    pub fn set_telemetry(&mut self, telemetry: &Telemetry, device: u32) {
+        let instruments = telemetry.shared(|t| {
+            let m = t.metrics();
+            EngineInstruments {
+                telemetry: t.clone(),
+                installs: m.counter("rpa.installs"),
+                removals: m.counter("rpa.removals"),
+                fallbacks: m.counter("rpa.eval_fallbacks"),
+                cache_hits: m.counter("rpa.cache_hits"),
+                cache_misses: m.counter("rpa.cache_misses"),
+                eval_us: m.histogram("rpa.eval_us", EVAL_US_BOUNDS),
+            }
+        });
+        self.telemetry = Some(EngineTelemetry {
+            instruments,
+            device,
+        });
     }
 
     /// Toggle the evaluation cache (Table 2 ablation). The mode's foreign
@@ -188,9 +197,10 @@ impl RpaEngine {
     /// must not keep reporting hit/miss counts from the enabled era (and
     /// vice versa), or the Table 2 rows contaminate each other.
     pub fn set_cache_enabled(&mut self, enabled: bool) {
-        self.cache_enabled = enabled;
-        self.cache.lock().clear();
-        let mut stats = self.stats.lock();
+        let memo = self.memo.get_or_insert_with(Box::default);
+        memo.cache_disabled = !enabled;
+        memo.cache.get_mut().clear();
+        let stats = memo.stats.get_mut();
         if enabled {
             stats.uncached_evals = 0;
         } else {
@@ -199,14 +209,11 @@ impl RpaEngine {
         }
     }
 
-    /// Record a session's remote ASN (needed by ASN-range peer signatures).
-    pub fn set_peer_asn(&mut self, peer: PeerId, asn: Asn) {
-        self.peer_asn.insert(peer, asn);
-    }
-
     /// Counters snapshot.
     pub fn stats(&self) -> EngineStats {
-        *self.stats.lock()
+        self.memo
+            .as_ref()
+            .map_or_else(EngineStats::default, |memo| *memo.stats.lock())
     }
 
     /// Names of installed documents, in name order — the order that gives
@@ -231,27 +238,29 @@ impl RpaEngine {
     /// min-next-hop (the controller must compile fractions to absolutes
     /// first).
     pub fn install(&mut self, doc: RpaDocument) -> Result<(), RpaError> {
-        let sig_start = self.next_sig_id;
+        let memo = self.memo.get_or_insert_with(Box::default);
+        let sig_start = memo.next_sig_id;
         let compiled = match &doc {
-            RpaDocument::PathSelection(ps) => CompiledDoc::PathSelection(self.compile_ps(ps)?),
-            RpaDocument::RouteAttribute(ra) => CompiledDoc::RouteAttribute(self.compile_ra(ra)?),
+            RpaDocument::PathSelection(ps) => CompiledDoc::PathSelection(memo.compile_ps(ps)?),
+            RpaDocument::RouteAttribute(ra) => CompiledDoc::RouteAttribute(memo.compile_ra(ra)?),
             RpaDocument::RouteFilter(rf) => CompiledDoc::RouteFilter(rf.clone()),
         };
         let installed = Installed {
             source: doc,
             compiled,
-            sig_range: (sig_start, self.next_sig_id),
+            sig_range: (sig_start, memo.next_sig_id),
         };
+        let telemetry = self.telemetry.as_ref();
         match self.docs.entry(installed.source.name().to_string()) {
             Entry::Occupied(mut slot) => {
-                self.telemetry.note_doc_change("replace", slot.key());
+                EngineTelemetry::note_doc_change(telemetry, "replace", slot.key());
                 let old = slot.insert(installed);
-                self.retire_signatures(old.sig_range);
+                memo.retire_signatures(old.sig_range);
             }
             // A fresh document needs no memo invalidation: its signature
             // ids were never seen, so no cached verdict can be stale.
             Entry::Vacant(slot) => {
-                self.telemetry.note_doc_change("install", slot.key());
+                EngineTelemetry::note_doc_change(telemetry, "install", slot.key());
                 slot.insert(installed);
             }
         }
@@ -264,8 +273,12 @@ impl RpaEngine {
             .docs
             .remove(name)
             .ok_or_else(|| RpaError::UnknownName(name.to_string()))?;
-        self.telemetry.note_doc_change("remove", name);
-        self.retire_signatures(removed.sig_range);
+        EngineTelemetry::note_doc_change(self.telemetry.as_ref(), "remove", name);
+        let memo = self
+            .memo
+            .as_mut()
+            .expect("an installed document made the memo");
+        memo.retire_signatures(removed.sig_range);
         Ok(removed.source)
     }
 
@@ -293,7 +306,7 @@ impl RpaEngine {
                 live
             });
             if expired.len() > before {
-                telemetry.note_doc_change("expire", name);
+                EngineTelemetry::note_doc_change(telemetry.as_ref(), "expire", name);
             }
         }
         expired
@@ -331,14 +344,16 @@ impl RpaEngine {
             Some((name.as_str(), i, st))
         })
     }
+}
 
+impl Memo {
     /// Retire a dead document's compiled signatures: drop exactly its
     /// memoized verdicts (signature ids are never reused, so every other
     /// entry stays warm).
     fn retire_signatures(&mut self, range: (u32, u32)) {
         if range.1 > range.0 {
             self.cache
-                .lock()
+                .get_mut()
                 .retain(|(sig_id, _, _), _| *sig_id < range.0 || *sig_id >= range.1);
         }
     }
@@ -410,11 +425,17 @@ impl RpaEngine {
         self.next_sig_id += 1;
         id
     }
+}
 
+impl RpaEngine {
     /// Signature evaluation through the cache. This is the Table 2 hot path.
     fn sig_matches(&self, sig: &CompiledSignature, route: &Route) -> bool {
-        if !self.cache_enabled {
-            self.stats.lock().uncached_evals += 1;
+        let memo = self
+            .memo
+            .as_deref()
+            .expect("a compiled signature was installed through the memo");
+        if memo.cache_disabled {
+            memo.stats.lock().uncached_evals += 1;
             return sig.matches(route);
         }
         let key = (
@@ -422,17 +443,18 @@ impl RpaEngine {
             route.attrs.as_path.clone(),
             route.attrs.communities.clone(),
         );
-        if let Some(&hit) = self.cache.lock().get(&key) {
-            self.stats.lock().cache_hits += 1;
-            if let Some(tel) = self.telemetry.0.as_deref() {
+        let tel = self.telemetry.as_ref().map(|tel| &tel.instruments);
+        if let Some(&hit) = memo.cache.lock().get(&key) {
+            memo.stats.lock().cache_hits += 1;
+            if let Some(tel) = tel {
                 tel.cache_hits.inc();
             }
             return hit;
         }
         let result = sig.matches(route);
-        self.cache.lock().insert(key, result);
-        self.stats.lock().cache_misses += 1;
-        if let Some(tel) = self.telemetry.0.as_deref() {
+        memo.cache.lock().insert(key, result);
+        memo.stats.lock().cache_misses += 1;
+        if let Some(tel) = tel {
             tel.cache_misses.inc();
         }
         result
@@ -488,14 +510,15 @@ impl RibPolicy for RpaEngine {
         if self.docs.is_empty() {
             return PathChoice::Native(None);
         }
-        let timed = self.telemetry.0.as_deref().map(|tel| (tel, Instant::now()));
-        let mut sp = timed.map(|(tel, _)| tel.telemetry.span("rpa", "evaluate"));
+        let timed = self.telemetry.as_ref().map(|tel| (tel, Instant::now()));
+        let mut sp = timed.map(|(tel, _)| tel.instruments.telemetry.span("rpa", "evaluate"));
         if let Some(sp) = &mut sp {
             sp.arg("candidates", candidates.len() as u64);
         }
         let outcome = self.evaluate_path_selection(prefix, candidates);
         drop(sp);
-        if let Some((tel, started)) = timed {
+        if let Some((bound, started)) = timed {
+            let tel = &bound.instruments;
             tel.eval_us
                 .observe(started.elapsed().as_secs_f64() * 1_000_000.0);
             if matches!(outcome, Some(PathChoice::Native(_))) {
@@ -504,7 +527,7 @@ impl RibPolicy for RpaEngine {
                     tel.telemetry.record(
                         tel.telemetry
                             .event(EventKind::RpaEvalFallback, Severity::Info)
-                            .field("device", tel.scope.as_str())
+                            .field("device", format!("d{}", bound.device))
                             .field("prefix", prefix.to_string())
                             .field("candidates", candidates.len()),
                     );
@@ -546,24 +569,23 @@ impl RibPolicy for RpaEngine {
         None
     }
 
-    fn permit_ingress(&self, peer: PeerId, prefix: Prefix, _route: &Route) -> bool {
-        self.permit_direction(peer, prefix, true)
+    fn permit_ingress(&self, peer: PeerId, asn: Asn, prefix: Prefix, _: &Route) -> bool {
+        self.permit_direction(peer, asn, prefix, true)
     }
 
-    fn permit_egress(&self, peer: PeerId, prefix: Prefix, _route: &Route) -> bool {
-        self.permit_direction(peer, prefix, false)
+    fn permit_egress(&self, peer: PeerId, asn: Asn, prefix: Prefix, _: &Route) -> bool {
+        self.permit_direction(peer, asn, prefix, false)
     }
 }
 
 impl RpaEngine {
-    fn permit_direction(&self, peer: PeerId, prefix: Prefix, ingress: bool) -> bool {
+    fn permit_direction(&self, peer: PeerId, asn: Asn, prefix: Prefix, ingress: bool) -> bool {
         for doc in self.docs.values() {
             let CompiledDoc::RouteFilter(rf) = &doc.compiled else {
                 continue;
             };
-            let remote_asn = self.peer_asn.get(&peer).copied();
             for st in &rf.statements {
-                if !st.peer_signature.covers(peer, remote_asn) {
+                if !st.peer_signature.covers(peer, asn) {
                     continue;
                 }
                 let verdict = if ingress {
@@ -591,6 +613,10 @@ mod tests {
     use crate::signature::PathSignature;
     use centralium_bgp::attrs::well_known;
     use centralium_bgp::PathAttributes;
+
+    fn p(s: &str) -> Prefix {
+        s.parse().unwrap()
+    }
 
     fn route(peer: u64, path: &[u32], communities: &[centralium_bgp::Community]) -> Route {
         let mut attrs = PathAttributes::default();
@@ -817,7 +843,7 @@ mod tests {
     fn assign_weights_prescribes_and_expires() {
         let telemetry = Telemetry::with_journal(16);
         let mut e = RpaEngine::new();
-        e.set_telemetry(&telemetry, "d0");
+        e.set_telemetry(&telemetry, 0);
         let doc = RpaDocument::RouteAttribute(RouteAttributeRpa::single(
             "te",
             RouteAttributeStatement::new(
@@ -877,8 +903,6 @@ mod tests {
     #[test]
     fn route_filter_directions_and_peer_scope() {
         let mut e = RpaEngine::new();
-        e.set_peer_asn(PeerId(1), Asn(60000)); // backbone session
-        e.set_peer_asn(PeerId(2), Asn(30000)); // fabric session
         e.install(RpaDocument::RouteFilter(RouteFilterRpa {
             name: "boundary".into(),
             statements: vec![RouteFilterStatement {
@@ -892,14 +916,21 @@ mod tests {
         }))
         .unwrap();
         let r = route(1, &[60000], &[]);
+        let (backbone, fabric) = ((PeerId(1), Asn(60000)), (PeerId(2), Asn(30000)));
+        let ingress = |(peer, asn), prefix: &str| e.permit_ingress(peer, asn, p(prefix), &r);
+        let egress = |(peer, asn), prefix: &str| e.permit_egress(peer, asn, p(prefix), &r);
         // Backbone session: only the default route in; only 10/8 out.
-        assert!(e.permit_ingress(PeerId(1), Prefix::DEFAULT, &r));
-        assert!(!e.permit_ingress(PeerId(1), "10.0.0.0/8".parse().unwrap(), &r));
-        assert!(e.permit_egress(PeerId(1), "10.1.0.0/16".parse().unwrap(), &r));
-        assert!(!e.permit_egress(PeerId(1), Prefix::DEFAULT, &r));
+        assert!(ingress(backbone, "0.0.0.0/0"));
+        assert!(!ingress(backbone, "10.0.0.0/8"));
+        assert!(egress(backbone, "10.1.0.0/16"));
+        assert!(!egress(backbone, "0.0.0.0/0"));
         // Fabric session: unconstrained.
-        assert!(e.permit_ingress(PeerId(2), "10.0.0.0/8".parse().unwrap(), &r));
-        assert!(e.permit_egress(PeerId(2), Prefix::DEFAULT, &r));
+        assert!(ingress(fabric, "10.0.0.0/8"));
+        assert!(egress(fabric, "0.0.0.0/0"));
+        // The verdict follows the ASN the call carries, not the session id:
+        // session 1 recabled to a fabric AS is unconstrained.
+        assert!(ingress((PeerId(1), Asn(30000)), "10.0.0.0/8"));
+        assert!(egress((PeerId(1), Asn(30000)), "0.0.0.0/0"));
     }
 
     #[test]
@@ -1013,11 +1044,12 @@ mod tests {
         )))
         .unwrap();
         e.assign_weights(Prefix::DEFAULT, &[built(4, vec![Asn(101), Asn(60000)])]);
-        assert_eq!(e.cache.lock().len(), 3);
+        let cache_len = |e: &RpaEngine| e.memo.as_ref().unwrap().cache.lock().len();
+        assert_eq!(cache_len(&e), 3);
         let kept = e.docs["equalize"].sig_range;
         e.remove("te").unwrap();
-        let cache = e.cache.lock();
-        assert_eq!(cache.len(), 2);
+        assert_eq!(cache_len(&e), 2);
+        let cache = e.memo.as_ref().unwrap().cache.lock();
         assert!(cache
             .keys()
             .all(|(sig, _, _)| (kept.0..kept.1).contains(sig)));
@@ -1030,7 +1062,7 @@ mod tests {
     fn cache_counters_flow_to_registry() {
         let telemetry = Telemetry::new();
         let mut e = RpaEngine::new();
-        e.set_telemetry(&telemetry, "d0");
+        e.set_telemetry(&telemetry, 0);
         e.install(equalize_doc()).unwrap();
         let c = well_known::BACKBONE_DEFAULT_ROUTE;
         let candidates = vec![route(1, &[101, 60000], &[c])];
@@ -1057,7 +1089,7 @@ mod tests {
             statements: vec![],
         }))
         .unwrap();
-        *e.stats.lock() = EngineStats::default();
+        *e.memo.as_mut().unwrap().stats.get_mut() = EngineStats::default();
         e.select_paths(Prefix::DEFAULT, &candidates);
         let warm = e.stats();
         assert_eq!(warm.cache_misses, 0, "unrelated install kept the cache");
@@ -1067,7 +1099,7 @@ mod tests {
         // verdicts really were dropped, not resurrected.
         e.remove("equalize").unwrap();
         e.install(equalize_doc()).unwrap();
-        *e.stats.lock() = EngineStats::default();
+        *e.memo.as_mut().unwrap().stats.get_mut() = EngineStats::default();
         e.select_paths(Prefix::DEFAULT, &candidates);
         assert!(
             e.stats().cache_misses > 0,

@@ -62,15 +62,12 @@ pub enum PeerSignature {
 }
 
 impl PeerSignature {
-    /// Whether the signature covers `peer` (with its remote ASN, as known to
-    /// the engine from session configuration).
-    pub(crate) fn covers(&self, peer: PeerId, remote_asn: Option<Asn>) -> bool {
+    /// Whether the signature covers session `peer`, whose remote ASN is
+    /// `remote_asn` (as the daemon configures it).
+    pub(crate) fn covers(&self, peer: PeerId, remote_asn: Asn) -> bool {
         match self {
             PeerSignature::Peers(list) => list.contains(&peer),
-            PeerSignature::AsnRange(lo, hi) => match remote_asn {
-                Some(asn) => *lo <= asn && asn <= *hi,
-                None => false,
-            },
+            PeerSignature::AsnRange(lo, hi) => (*lo..=*hi).contains(&remote_asn),
             PeerSignature::Any => true,
         }
     }
@@ -156,13 +153,14 @@ mod tests {
     #[test]
     fn peer_signature_coverage() {
         let by_peer = PeerSignature::Peers(vec![PeerId(1), PeerId(2)]);
-        assert!(by_peer.covers(PeerId(1), None));
-        assert!(!by_peer.covers(PeerId(3), Some(Asn(60000))));
+        assert!(by_peer.covers(PeerId(1), Asn(1)));
+        assert!(!by_peer.covers(PeerId(3), Asn(60000)));
         let by_asn = PeerSignature::AsnRange(Asn(60000), Asn(69999));
-        assert!(by_asn.covers(PeerId(9), Some(Asn(60005))));
-        assert!(!by_asn.covers(PeerId(9), Some(Asn(50000))));
-        assert!(!by_asn.covers(PeerId(9), None));
-        assert!(PeerSignature::Any.covers(PeerId(42), None));
+        assert!(by_asn.covers(PeerId(9), Asn(60005)));
+        assert!(by_asn.covers(PeerId(9), Asn(60000)) && by_asn.covers(PeerId(9), Asn(69999)));
+        assert!(!by_asn.covers(PeerId(9), Asn(50000)));
+        assert!(!by_asn.covers(PeerId(9), Asn(70000)));
+        assert!(PeerSignature::Any.covers(PeerId(42), Asn(1)));
     }
 
     #[test]

@@ -18,6 +18,10 @@ pub struct SimDevice {
     pub fib: Fib,
 }
 
+/// A device before it carries a route: the speaker (208 B), an idle engine
+/// (48 B) and an empty FIB (160 B).
+const _: () = assert!(std::mem::size_of::<SimDevice>() <= 424);
+
 impl SimDevice {
     /// A fresh daemon with `cfg`, a fresh engine and an empty FIB of the
     /// given capacity.

@@ -66,7 +66,10 @@ pub fn verify_rib_consistency(net: &SimNet) -> Vec<String> {
                         None => sent.clone(),
                     };
                     let route = Route::learned(prefix, post_import.clone(), on);
-                    if !tdev.engine.permit_ingress(on, prefix, &route) {
+                    // A session configured on one side only still gets
+                    // checked, as a session to the sender's AS.
+                    let remote_asn = tdev.daemon.remote_asn(on).unwrap_or(fdev.daemon.asn());
+                    if !tdev.engine.permit_ingress(on, remote_asn, prefix, &route) {
                         return None; // ingress Route Filter RPA discards
                     }
                     Some(post_import)

@@ -493,12 +493,37 @@ impl SimNet {
             fib_scratch: FibScratch::default(),
         };
         net.bind_all_device_telemetry();
-        // Wire sessions for every Up link between live devices.
-        let links: Vec<_> = net.topo.links().cloned().collect();
-        for link in links {
-            net.wire_link(link.a, link.b, link.capacity_gbps);
-        }
+        net.wire_all_links();
         net
+    }
+
+    /// Wire sessions for every link between live devices, each device's
+    /// table built once, ascending and at its exact size: every link's two
+    /// ends, grouped by device and then by neighbor (parallel links in link
+    /// order, so both ends number their sessions alike), as
+    /// [`wire_link`](Self::wire_link) would number them link by link.
+    fn wire_all_links(&mut self) {
+        let live = |d: DeviceId| self.devices.contains_key(d);
+        let mut ends: Vec<(DeviceId, DeviceId, f64)> = Vec::new();
+        for link in self.topo.links().filter(|l| live(l.a) && live(l.b)) {
+            ends.push((link.a, link.b, link.capacity_gbps));
+            ends.push((link.b, link.a, link.capacity_gbps));
+        }
+        ends.sort_by_key(|&(dev, other, _)| (dev, other));
+        let per_link = self.cfg.sessions_per_link;
+        let mut sessions = Vec::new();
+        for device in ends.chunk_by(|x, y| x.0 == y.0) {
+            let dev = device[0].0;
+            for pair in device.chunk_by(|x, y| x.1 == y.1) {
+                for (j, &(_, other, capacity)) in pair.iter().enumerate() {
+                    let base = j as u8 * per_link;
+                    let ks = base..base + per_link;
+                    sessions.extend(ks.map(|k| self.session(dev, other, k, capacity)));
+                }
+            }
+            let daemon = &mut self.devices.get_mut(dev).expect("live device").daemon;
+            daemon.add_peers(sessions.drain(..));
+        }
     }
 
     /// Replace the network's telemetry handle (e.g. with a journal-enabled
@@ -537,9 +562,8 @@ impl SimNet {
     fn bind_all_device_telemetry(&mut self) {
         let t = self.telemetry.clone();
         for (id, dev) in self.devices.iter_mut() {
-            let scope = format!("d{}", id.0);
-            dev.daemon.set_telemetry(&t, scope.clone());
-            dev.engine.set_telemetry(&t, scope);
+            dev.daemon.set_telemetry(&t, id.0);
+            dev.engine.set_telemetry(&t, id.0);
         }
     }
 
@@ -548,50 +572,43 @@ impl SimNet {
     fn next_session_index(&self, dev: DeviceId, other: DeviceId) -> u8 {
         self.devices
             .get(dev)
-            .map(|d| {
-                d.daemon
-                    .peer_ids()
-                    .into_iter()
-                    .filter(|p| p.device() == other.0)
-                    .count() as u8
-            })
-            .unwrap_or(0)
+            .map_or(0, |d| d.daemon.sessions_toward(other.0) as u8)
+    }
+
+    /// The configuration of `dev`'s session `k` toward `other` over a link
+    /// of `capacity`. Under valley-free policies the lower side marks
+    /// up-learned routes and never sends them back up; the upper side takes
+    /// routes from below as fresh information.
+    fn session(&self, dev: DeviceId, other: DeviceId, k: u8, capacity: f64) -> PeerConfig {
+        let remote_asn = self.devices[other].daemon.asn();
+        let mut cfg = PeerConfig::open(PeerId::compose(other.0, k), remote_asn, capacity);
+        let layer = |d| self.topo.device(d).expect("device in topo").layer();
+        let (mine, theirs) = (layer(dev), layer(other));
+        if self.cfg.valley_free_policies && mine != theirs {
+            if mine.is_below(theirs) {
+                cfg.import = Self::import_from_up();
+                cfg.export = Self::export_to_up();
+            } else {
+                cfg.import = Self::import_from_down();
+            }
+        }
+        cfg
     }
 
     fn wire_link(&mut self, a: DeviceId, b: DeviceId, capacity: f64) {
         if !self.devices.contains_key(a) || !self.devices.contains_key(b) {
             return;
         }
-        let asn_a = self.devices[a].daemon.asn();
-        let asn_b = self.devices[b].daemon.asn();
-        let layer_a = self.topo.device(a).expect("device a in topo").layer();
-        let layer_b = self.topo.device(b).expect("device b in topo").layer();
         // A second parallel link between the same pair must not collide with
         // (and silently reset) the first link's sessions.
         let base = self.next_session_index(a, b);
         for k in base..base + self.cfg.sessions_per_link {
-            let peer_on_a = PeerId::compose(b.0, k);
-            let peer_on_b = PeerId::compose(a.0, k);
-            let mut cfg_a = PeerConfig::open(peer_on_a, asn_b, capacity);
-            let mut cfg_b = PeerConfig::open(peer_on_b, asn_a, capacity);
-            if self.cfg.valley_free_policies && layer_a != layer_b {
-                let (lower_cfg, upper_cfg) = if layer_a.is_below(layer_b) {
-                    (&mut cfg_a, &mut cfg_b)
-                } else {
-                    (&mut cfg_b, &mut cfg_a)
-                };
-                // Lower side: mark up-learned routes, never send them back up.
-                lower_cfg.import = Self::import_from_up();
-                lower_cfg.export = Self::export_to_up();
-                // Upper side: routes from below are fresh information.
-                upper_cfg.import = Self::import_from_down();
-            }
-            let dev_a = self.devices.get_mut(a).expect("device a");
-            dev_a.daemon.add_peer(cfg_a);
-            dev_a.engine.set_peer_asn(peer_on_a, asn_b);
-            let dev_b = self.devices.get_mut(b).expect("device b");
-            dev_b.daemon.add_peer(cfg_b);
-            dev_b.engine.set_peer_asn(peer_on_b, asn_a);
+            let (on_a, on_b) = (
+                self.session(a, b, k, capacity),
+                self.session(b, a, k, capacity),
+            );
+            self.devices[a].daemon.add_peer(on_a);
+            self.devices[b].daemon.add_peer(on_b);
         }
     }
 
@@ -1038,9 +1055,8 @@ impl SimNet {
         dcfg.wcmp_advertise = self.cfg.wcmp_advertise;
         let nhg_cap = self.topo.device(id).expect("just added").max_nexthop_groups;
         let mut device = SimDevice::new(id, dcfg, nhg_cap);
-        let scope = format!("d{}", id.0);
-        device.daemon.set_telemetry(&self.telemetry, scope.clone());
-        device.engine.set_telemetry(&self.telemetry, scope);
+        device.daemon.set_telemetry(&self.telemetry, id.0);
+        device.engine.set_telemetry(&self.telemetry, id.0);
         self.devices.insert(id, device);
         for &(other, capacity) in links {
             self.connect_devices(id, other, capacity);
@@ -1361,6 +1377,33 @@ mod tests {
     /// A registry counter of `net`'s telemetry handle.
     fn counter(net: &SimNet, name: &str) -> u64 {
         net.telemetry().metrics().snapshot().counter(name)
+    }
+
+    /// Parallel links between one pair stack their sessions: the second
+    /// link's sessions follow the first's, on both ends alike, whether the
+    /// links are wired with the fabric or cabled at run time.
+    #[test]
+    fn parallel_links_stack_their_session_indices() {
+        let toward = |net: &SimNet, a: DeviceId, b: DeviceId| -> Vec<u8> {
+            let peers = net.device(a).unwrap().daemon.peer_ids().into_iter();
+            let toward_b = peers.filter(|p| p.device() == b.0);
+            toward_b.map(|p| p.session_index()).collect()
+        };
+        for per_link in [1, 2] {
+            let (mut topo, idx, _) = build_fabric(&FabricSpec::tiny());
+            let (rsw, fsw, far) = (idx.rsw[0][0], idx.fsw[0][0], idx.fsw[1][0]);
+            topo.add_link(rsw, fsw, 100.0);
+            let cfg = SimConfig::builder().sessions_per_link(per_link).build();
+            let mut net = SimNet::new(topo, cfg);
+            let both: Vec<u8> = (0..2 * per_link).collect();
+            assert_eq!(toward(&net, rsw, fsw), both);
+            assert_eq!(toward(&net, fsw, rsw), both);
+            assert!(toward(&net, rsw, far).is_empty());
+            net.connect_devices(rsw, far, 100.0);
+            net.connect_devices(rsw, far, 100.0);
+            assert_eq!(toward(&net, rsw, far), both);
+            assert_eq!(toward(&net, far, rsw), both);
+        }
     }
 
     #[test]

@@ -50,12 +50,14 @@ pub use histogram::{LogHistogram, LogHistogramSnapshot, LOG_BUCKETS};
 pub use journal::{write_jsonl, Journal};
 pub use metrics::{Counter, Gauge, Histogram, HistogramSnapshot, MetricsRegistry, MetricsSnapshot};
 
+use parking_lot::Mutex;
 use span::{Phase, Span, SpanRecord, SpanSink};
+use std::any::Any;
 use std::borrow::Cow;
 use std::sync::atomic::{AtomicU64, Ordering};
-use std::sync::Arc;
+use std::sync::{Arc, Weak};
 
-/// The shared telemetry handle. Cloning is cheap (four `Arc`s) and every
+/// The shared telemetry handle. Cloning is cheap (five `Arc`s) and every
 /// clone feeds the same journal, registry, and span stream, so one handle
 /// created next to the simulator can be propagated to every device daemon
 /// and the controller.
@@ -67,6 +69,9 @@ pub struct Telemetry {
     metrics: Arc<MetricsRegistry>,
     journal: Option<Arc<Journal>>,
     spans: Arc<SpanSink>,
+    /// Instrument sets handed out by [`Telemetry::shared`], one per type,
+    /// held weakly: a set lives as long as its last holder.
+    shared: Arc<Mutex<Vec<Weak<dyn Any + Send + Sync>>>>,
 }
 
 impl Default for Telemetry {
@@ -84,6 +89,7 @@ impl Telemetry {
             metrics: Arc::new(MetricsRegistry::new()),
             journal: None,
             spans: Arc::new(SpanSink::new()),
+            shared: Arc::default(),
         }
     }
 
@@ -99,6 +105,22 @@ impl Telemetry {
     /// The metrics registry.
     pub fn metrics(&self) -> &MetricsRegistry {
         &self.metrics
+    }
+
+    /// The instrument set of type `T` for this handle: built by `bind` at the
+    /// first request, then the same allocation for every emitter that asks
+    /// while one still holds it. A fabric's devices share one set of cached
+    /// handles this way instead of each boxing its own.
+    pub fn shared<T: Any + Send + Sync>(&self, bind: impl FnOnce(&Telemetry) -> T) -> Arc<T> {
+        let mut sets = self.shared.lock();
+        sets.retain(|set| set.strong_count() > 0);
+        if let Some(set) = sets.iter().find_map(|set| set.upgrade()?.downcast().ok()) {
+            return set;
+        }
+        let set = Arc::new(bind(self));
+        let weak: Weak<dyn Any + Send + Sync> = Arc::downgrade(&set) as _;
+        sets.push(weak);
+        set
     }
 
     /// The journal, when enabled.
@@ -217,6 +239,26 @@ mod tests {
         assert_eq!(events.len(), 1);
         assert_eq!(events[0].time_us, 99);
         assert_eq!(events[0].kind, EventKind::SessionTransition);
+    }
+
+    #[test]
+    fn shared_sets_are_one_allocation_per_type_while_held() {
+        let t = Telemetry::new();
+        let a = t.shared(|t| t.metrics().counter("x"));
+        let b = t
+            .clone()
+            .shared(|_| -> Counter { unreachable!("already bound") });
+        assert!(Arc::ptr_eq(&a, &b));
+        let other = t.shared(|_| 7u32);
+        assert_eq!(*other, 7);
+        drop((a, b));
+        let fresh = t.shared(|_| Counter::default());
+        fresh.inc();
+        assert_eq!(
+            t.metrics().snapshot().counter("x"),
+            0,
+            "rebound once dropped"
+        );
     }
 
     #[test]

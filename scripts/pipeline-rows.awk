@@ -20,11 +20,11 @@ BEGIN {
     "rpa.cache_hits rpa.cache_misses rpa.eval_fallbacks rpa.installs " \
     "rpa.removals bgp.adj_rib_in_bytes bgp.adj_rib_out_bytes bgp.peer_refs",
     rows, " ")
-  bound["cold_2k_racks"] = 2.1
-  bound["cold_xl_fanin"] = 4.1
+  bound["cold_2k_racks"] = 1.75
+  bound["cold_xl_fanin"] = 3.85
   decisions_bound = "1.0"
-  live_bound["cold_2k_racks"] = 30.7
-  live_bound["cold_xl_fanin"] = 6.7
+  live_bound["cold_2k_racks"] = 29.9
+  live_bound["cold_xl_fanin"] = 5.9
 }
 
 # Print metric NAME as "NAME <= LIMIT" when its value is within LIMIT, and

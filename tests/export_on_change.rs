@@ -52,7 +52,7 @@ fn an_arrival_that_leaves_the_best_path_alone_evaluates_no_session() {
     let telemetry = Telemetry::new();
     let evals = telemetry.metrics().counter("bgp.export_evals");
     let mut d = daemon_with_sessions(64, false);
-    d.set_telemetry(&telemetry, "d0");
+    d.set_telemetry(&telemetry, 0);
     for peer in 1..=64u64 {
         let before = evals.get();
         // Same preference from every session: the lowest session id wins
@@ -162,7 +162,7 @@ struct Hook {
 }
 
 impl RibPolicy for Hook {
-    fn permit_egress(&self, peer: PeerId, prefix: Prefix, _route: &Route) -> bool {
+    fn permit_egress(&self, peer: PeerId, _: Asn, prefix: Prefix, _: &Route) -> bool {
         !self.strict || !(peer.0 + prefix.len() as u64).is_multiple_of(3)
     }
 

@@ -278,7 +278,7 @@ fn three_way_tie() -> (BgpDaemon, centralium_telemetry::Counter) {
     let telemetry = Telemetry::new();
     let decisions = telemetry.metrics().counter("bgp.decisions");
     let mut d = daemon(8);
-    d.set_telemetry(&telemetry, "d0");
+    d.set_telemetry(&telemetry, 0);
     for peer in [2, 4, 6] {
         announce(&mut d, peer, palette(0, peer));
     }

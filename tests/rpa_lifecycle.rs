@@ -486,3 +486,102 @@ fn removing_a_route_filter_restores_evicted_routes() {
     );
     centralium_simnet::assert_rib_consistent(&fab.net);
 }
+
+/// An `AsnRange` Route Filter on a fabric switch, covering the AS of one
+/// rack switch below it and not the other's, admits only the default route
+/// from the covered rack and sends it only rack prefixes; the other rack's
+/// session is unconstrained. The daemon hands the hook each session's
+/// remote AS, so a session recabled to a rack outside the range is
+/// unconstrained too. Both FIB snapshots are pinned by digest.
+#[test]
+fn an_asn_range_route_filter_follows_each_sessions_asn() {
+    use centralium_bench::scenarios::originate_rack_prefixes;
+    use centralium_bgp::PeerId;
+    use centralium_rpa::{PeerSignature, PrefixFilter, RouteFilterRpa, RouteFilterStatement};
+    use centralium_simnet::verify_rib_consistency;
+    use centralium_topology::{MigrationStage, TopologyDelta};
+
+    /// FNV-1a over the printed FIB snapshot.
+    fn fib_digest(net: &SimNet) -> u64 {
+        let text = format!("{:?}", net.fib_snapshot());
+        text.bytes().fold(0xcbf2_9ce4_8422_2325, |h, b| {
+            (h ^ u64::from(b)).wrapping_mul(0x0100_0000_01b3)
+        })
+    }
+
+    let mut fab = fabric();
+    let racks = originate_rack_prefixes(&mut fab);
+    fab.net.run_until_quiescent().expect_converged();
+    let fsw = fab.idx.fsw[0][0];
+    let [(rsw0, rack0), (rsw1, rack1)] = [racks[0], racks[1]];
+    let (far, far_rack) = racks[2];
+    let net = &mut fab.net;
+    let device = |net: &SimNet, d: DeviceId| net.topology().device(d).unwrap().clone();
+    let covered = device(net, rsw0).asn;
+    assert!(device(net, rsw1).asn != covered && device(net, far).asn != covered);
+    net.deploy_rpa(
+        fsw,
+        RpaDocument::RouteFilter(RouteFilterRpa {
+            name: "rack-boundary".into(),
+            statements: vec![RouteFilterStatement {
+                peer_signature: PeerSignature::AsnRange(covered, covered),
+                ingress_filter: Some(vec![PrefixFilter::exact(Prefix::DEFAULT)]),
+                egress_filter: Some(vec![PrefixFilter::within(
+                    "10.0.0.0/8".parse().unwrap(),
+                    24,
+                )]),
+            }],
+        }),
+        100,
+    );
+    net.run_until_quiescent().expect_converged();
+    let session = |d: DeviceId| PeerId::compose(d.0, 0);
+    let learned = |net: &SimNet, prefix, from: DeviceId| {
+        let routes = net.device(fsw).unwrap().daemon.rib_in_routes(prefix);
+        routes.iter().any(|r| r.learned_from == Some(session(from)))
+    };
+    let sent = |net: &SimNet, to: DeviceId, prefix| {
+        let daemon = &net.device(fsw).unwrap().daemon;
+        daemon.advertised_to(session(to), prefix).is_some()
+    };
+    // The covered rack: only the default route in, only rack prefixes out.
+    assert!(!learned(net, rack0, rsw0), "ingress filter admitted a rack");
+    assert!(
+        !sent(net, rsw0, Prefix::DEFAULT),
+        "egress filter sent default"
+    );
+    assert!(sent(net, rsw0, rack1));
+    // The other rack: unconstrained either way.
+    assert!(learned(net, rack1, rsw1));
+    assert!(sent(net, rsw1, Prefix::DEFAULT));
+    assert_eq!(verify_rib_consistency(net), Vec::<String>::new());
+    assert_eq!(fib_digest(net), 3_140_393_537_774_364_189);
+
+    // Recable: the covered rack's uplink to the fabric switch goes, and a
+    // rack of the other pod, outside the range, is cabled in its place.
+    let uplink = net.topology().links().find(|l| (l.a, l.b) == (rsw0, fsw));
+    let stage = MigrationStage::new(
+        "recable",
+        vec![
+            TopologyDelta::RemoveLink {
+                id: uplink.expect("the covered rack's uplink").id,
+            },
+            TopologyDelta::AddLinkByName {
+                a: device(net, far).name,
+                b: device(net, fsw).name,
+                capacity_gbps: 100.0,
+            },
+        ],
+    );
+    net.apply_migration_stage(&stage).unwrap();
+    net.run_until_quiescent().expect_converged();
+    assert!(!net
+        .device(fsw)
+        .unwrap()
+        .daemon
+        .is_established(session(rsw0)));
+    assert!(learned(net, far_rack, far), "the recabled rack is filtered");
+    assert!(sent(net, far, Prefix::DEFAULT));
+    assert_eq!(verify_rib_consistency(net), Vec::<String>::new());
+    assert_eq!(fib_digest(net), 701_541_650_787_439_160);
+}
